@@ -144,7 +144,7 @@ fn bench_remote_round_trip(c: &mut Criterion) {
 /// connection while N *idle* sessions sit connected to the same daemon.
 /// Under the event-driven engine the idle sessions cost a poller
 /// registration each — no threads — so latency should hold flat as the
-/// sweep climbs; the legacy thread-per-session numbers are the contrast.
+/// sweep climbs.
 fn bench_remote_idle_connections(c: &mut Criterion) {
     use actyp_proto::{write_frame, ClientFrame, PROTOCOL_VERSION};
     use std::net::TcpStream;

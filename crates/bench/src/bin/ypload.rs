@@ -16,7 +16,7 @@
 
 use actyp_bench::harness::{run_load, run_load_against, LoadSpec};
 use actyp_bench::json::Json;
-use actyp_pipeline::{BackendKind, SessionMode, StageAddress};
+use actyp_pipeline::{BackendKind, StageAddress};
 
 fn usage() -> ! {
     eprintln!(
@@ -24,12 +24,11 @@ fn usage() -> ! {
          \x20             [--duration SECS] [--machines N] [--pools N] [--window N] [--shards N]\n\
          \x20             [--idle N] [--seed S] [--json] [--halt]\n\
          \x20             [--backend embedded|live|central-queue|matchmaker]\n\
-         \x20             [--sessions reactor|threads]\n\
          \n\
          With --duration each client submits for SECS seconds instead of\n\
          counting --requests.  Self-hosts a ypd on loopback unless --connect\n\
-         is given (then the --machines/--window/--shards/--backend/--sessions\n\
-         flags are ignored: they describe the daemon, which already exists).\n\
+         is given (then the --machines/--window/--shards/--backend flags are\n\
+         ignored: they describe the daemon, which already exists).\n\
          --halt asks the --connect daemon to drain after a clean run, so a\n\
          scripted daemon can be `wait`ed on."
     );
@@ -85,13 +84,6 @@ fn main() {
             "--idle" => spec.idle_sessions = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => spec.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--backend" => spec.backend = parse_backend(value(&mut i)),
-            "--sessions" => {
-                spec.mode = match value(&mut i) {
-                    "reactor" => SessionMode::Reactor,
-                    "threads" => SessionMode::ThreadPerSession,
-                    _ => usage(),
-                }
-            }
             "--json" => json = true,
             "--halt" => halt = true,
             _ => usage(),

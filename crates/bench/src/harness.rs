@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 use actyp_grid::{FleetSpec, SyntheticFleet};
 use actyp_pipeline::{
     BackendKind, FederatedBackend, FederationConfig, PipelineBuilder, RemoteBackend,
-    ResourceManager, ServerConfig, ServerHandle, SessionMode, StageAddress,
+    ResourceManager, ServerHandle, StageAddress,
 };
 use actyp_simnet::{Rng, SampleSet};
 use actyp_workload::CpuTimeDistribution;
@@ -356,8 +356,6 @@ pub struct LoadSpec {
     pub idle_sessions: usize,
     /// Backend hosted behind the daemon.
     pub backend: BackendKind,
-    /// Session I/O architecture of the daemon.
-    pub mode: SessionMode,
     /// Fleet seed.
     pub seed: u64,
     /// Shard count for the self-hosted daemon's hot state (directory
@@ -388,7 +386,6 @@ impl Default for LoadSpec {
             window: 0, // 0: sized automatically to clients × depth + slack
             idle_sessions: 0,
             backend: BackendKind::Live,
-            mode: SessionMode::Reactor,
             seed: 0x42,
             shards: 0,
             duration: None,
@@ -470,11 +467,7 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadResult, String> {
         .into_shared();
     let mut builder = PipelineBuilder::new()
         .database(db)
-        .window(spec.effective_window())
-        .server_config(ServerConfig {
-            mode: spec.mode,
-            ..ServerConfig::default()
-        });
+        .window(spec.effective_window());
     if spec.shards > 0 {
         builder = builder.shards(spec.shards);
     }
@@ -659,27 +652,20 @@ fn saturation_pipelining(scale: &Scale) -> Result<BenchArtifact, String> {
 }
 
 /// Idle-session sweep: the same active load with a growing population of
-/// silent connections, under both session architectures.  The reactor's
-/// win is a flat curve where thread-per-session degrades.
+/// silent connections.  The reactor's claim is a flat curve: an idle
+/// session costs a poller registration, not a thread.
 fn saturation_idle(scale: &Scale) -> Result<BenchArtifact, String> {
     let p = saturation_params(scale);
-    let modes = [
-        (SessionMode::Reactor, "reactor"),
-        (SessionMode::ThreadPerSession, "thread-per-session"),
-    ];
     let mut points = Vec::new();
     for &idle_sessions in &p.idle_counts {
-        for (mode, series) in modes {
-            let spec = LoadSpec {
-                clients: p.clients,
-                requests_per_client: p.requests_per_client,
-                machines: p.machines,
-                idle_sessions,
-                mode,
-                ..LoadSpec::default()
-            };
-            points.push(run_load(&spec)?.point(series, idle_sessions as f64));
-        }
+        let spec = LoadSpec {
+            clients: p.clients,
+            requests_per_client: p.requests_per_client,
+            machines: p.machines,
+            idle_sessions,
+            ..LoadSpec::default()
+        };
+        points.push(run_load(&spec)?.point("reactor", idle_sessions as f64));
     }
     Ok(measured_artifact(
         "saturation_idle",

@@ -191,15 +191,7 @@ pub struct LintReport {
 
 /// Runs every rule over the workspace described by `config`.
 pub fn lint_workspace(config: &LintConfig) -> std::io::Result<LintReport> {
-    let mut files = Vec::new();
-    collect_rs_files(&config.root, &config.root, &config.skip_dirs, &mut files)?;
-    files.sort();
-
-    let mut lexed_files = Vec::new();
-    for rel in &files {
-        let source = std::fs::read_to_string(config.root.join(rel))?;
-        lexed_files.push((rel.clone(), lex(&source)));
-    }
+    let lexed_files = lex_tree(&config.root, &config.skip_dirs)?;
 
     let mut findings = Vec::new();
     let ranks: HashMap<&str, usize> = config
@@ -260,6 +252,19 @@ pub fn lint_workspace(config: &LintConfig) -> std::io::Result<LintReport> {
         unused_allows,
         files_scanned: lexed_files.len(),
     })
+}
+
+/// Lexes every `.rs` file under `root` (paths relative to it, sorted).
+fn lex_tree(root: &Path, skip_dirs: &[String]) -> std::io::Result<Vec<(PathBuf, Lexed)>> {
+    let mut files = Vec::new();
+    collect_rs_files(root, root, skip_dirs, &mut files)?;
+    files.sort();
+    let mut lexed_files = Vec::new();
+    for rel in files {
+        let source = std::fs::read_to_string(root.join(&rel))?;
+        lexed_files.push((rel, lex(&source)));
+    }
+    Ok(lexed_files)
 }
 
 fn collect_rs_files(
@@ -585,18 +590,60 @@ const KEYWORDS: &[&str] = &[
 
 #[derive(Debug, Default)]
 struct FnInfo {
+    /// Free-function and zero-argument method calls.
     calls: BTreeSet<String>,
+    /// Method calls with arguments (`state.send(&frame)`).
+    method_calls: BTreeSet<String>,
     blocking: Vec<(String, usize)>,
 }
 
 /// Function identity: defining file + name.  Name-only resolution
 /// merges every `fn drain` in the workspace into one node, which
 /// manufactures call chains no thread ever runs; a call is resolved to
-/// the same file first, then to a globally unique definition, and
-/// dropped as ambiguous otherwise.
-type FnId = (PathBuf, String);
+/// the same file first, then to the one sibling file (same directory —
+/// the modules one subsystem is split over) defining the name, then to a
+/// globally unique definition, and dropped as ambiguous otherwise.
+///
+/// A method call *with arguments* is almost always a std/library method
+/// (`stream.shutdown(Both)`, `vec.push(x)`), so it never resolves
+/// globally — that fabricates edges to unrelated workspace functions —
+/// but it does resolve within the file and its siblings: `OutQueue::push`
+/// is reached through `state.send(..)` → `queue.push(..)` and must not
+/// drop out of the graph.
+pub type FnId = (PathBuf, String);
 
-fn check_reactor(files: &[(PathBuf, Lexed)], entry_points: &[String], findings: &mut Vec<Finding>) {
+/// Resolves one call from `caller_file` to the file whose definition of
+/// `callee` it means, by the tiers described on [`FnId`].
+fn resolve_call(
+    files_defining: &HashMap<String, BTreeSet<PathBuf>>,
+    caller_file: &Path,
+    callee: &str,
+    global: bool,
+) -> Option<PathBuf> {
+    let defined_in = files_defining.get(callee)?;
+    if defined_in.contains(caller_file) {
+        return Some(caller_file.to_path_buf());
+    }
+    let mut siblings = defined_in
+        .iter()
+        .filter(|file| file.parent() == caller_file.parent());
+    match (siblings.next(), siblings.next()) {
+        (Some(only), None) => return Some(only.clone()),
+        (Some(_), Some(_)) => return None,
+        _ => {}
+    }
+    if global && defined_in.len() == 1 {
+        return defined_in.iter().next().cloned();
+    }
+    None // ambiguous cross-file name: don't invent an edge
+}
+
+/// Every function reachable from `entry_points` over the call graph of
+/// `files`, with the call chain that reaches it.
+fn reactor_paths(
+    files: &[(PathBuf, Lexed)],
+    entry_points: &[String],
+) -> (HashMap<FnId, FnInfo>, BTreeMap<FnId, Vec<String>>) {
     let mut graph: HashMap<FnId, FnInfo> = HashMap::new();
     let mut files_defining: HashMap<String, BTreeSet<PathBuf>> = HashMap::new();
 
@@ -653,13 +700,33 @@ fn check_reactor(files: &[(PathBuf, Lexed)], entry_points: &[String], findings: 
             queue.push_back(id);
         }
     }
-    let mut reported: HashSet<(PathBuf, usize)> = HashSet::new();
     while let Some(id) = queue.pop_front() {
         let path = path_to[&id].clone();
         let Some(info) = graph.get(&id) else {
             continue;
         };
-        for (op, line) in &info.blocking {
+        let calls = info.calls.iter().map(|callee| (callee, true));
+        let method_calls = info.method_calls.iter().map(|callee| (callee, false));
+        for (callee, global) in calls.chain(method_calls) {
+            if let Some(file) = resolve_call(&files_defining, &id.0, callee, global) {
+                let next_id = (file, callee.clone());
+                if !path_to.contains_key(&next_id) {
+                    let mut next = path.clone();
+                    next.push(callee.clone());
+                    path_to.insert(next_id.clone(), next);
+                    queue.push_back(next_id);
+                }
+            }
+        }
+    }
+    (graph, path_to)
+}
+
+fn check_reactor(files: &[(PathBuf, Lexed)], entry_points: &[String], findings: &mut Vec<Finding>) {
+    let (graph, path_to) = reactor_paths(files, entry_points);
+    let mut reported: HashSet<(PathBuf, usize)> = HashSet::new();
+    for (id, path) in &path_to {
+        for (op, line) in &graph[id].blocking {
             if reported.insert((id.0.clone(), *line)) {
                 findings.push(Finding {
                     rule: "reactor-blocking",
@@ -672,28 +739,15 @@ fn check_reactor(files: &[(PathBuf, Lexed)], entry_points: &[String], findings: 
                 });
             }
         }
-        for callee in &info.calls {
-            let Some(defined_in) = files_defining.get(callee) else {
-                continue;
-            };
-            let target = if defined_in.contains(&id.0) {
-                Some(id.0.clone())
-            } else if defined_in.len() == 1 {
-                defined_in.iter().next().cloned()
-            } else {
-                None // ambiguous cross-file name: don't invent an edge
-            };
-            if let Some(file) = target {
-                let next_id = (file, callee.clone());
-                if !path_to.contains_key(&next_id) {
-                    let mut next = path.clone();
-                    next.push(callee.clone());
-                    path_to.insert(next_id.clone(), next);
-                    queue.push_back(next_id);
-                }
-            }
-        }
     }
+}
+
+/// The functions the `reactor-blocking` walk reaches from `entry_points`
+/// over the `.rs` files under `root` (paths relative to it) — every one
+/// of them is a place where a blocking lane op would be reported.
+pub fn reactor_reachable(root: &Path, entry_points: &[String]) -> std::io::Result<BTreeSet<FnId>> {
+    let (_, path_to) = reactor_paths(&lex_tree(root, &[])?, entry_points);
+    Ok(path_to.into_keys().collect())
 }
 
 /// If token `k` opens a dispatch call (`spawn(..)` / `.execute(..)`),
@@ -734,12 +788,10 @@ fn record_call(tokens: &[Token], k: usize, info: &mut FnInfo) {
         return;
     }
     let zero_args = tokens.get(k + 2).map(|t| t.text.as_str()) == Some(")");
-    // A method call with arguments is almost always a std/library method
-    // (`stream.shutdown(Both)`, `vec.push(x)`); following it by bare
-    // name fabricates edges to unrelated workspace functions.  Free
-    // functions and zero-arg methods resolve well enough to follow.
     if !is_method || zero_args {
         info.calls.insert(name.to_string());
+    } else {
+        info.method_calls.insert(name.to_string());
     }
     if is_method {
         let blocking = (zero_args && REACTOR_BLOCKING_ZERO_ARGS.contains(&name))

@@ -71,8 +71,9 @@ use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
 use crate::scheduler::SchedulingObjective;
 
+pub use crate::client::RemoteBackend;
 pub use crate::reactor::PollerKind;
-pub use crate::remote::{RemoteBackend, ServerConfig, ServerHandle, SessionMode};
+pub use crate::server::{ServerConfig, ServerHandle};
 pub use actyp_proto::types::StatsSnapshot;
 
 /// The outcome a ticket resolves to.
@@ -1064,7 +1065,7 @@ impl Default for PipelineBuilder {
 
 impl PipelineBuilder {
     /// A builder with the default [`PipelineConfig`], an in-flight window
-    /// of 32 and the default [`ServerConfig`] (reactor sessions).
+    /// of 32 and the default [`ServerConfig`].
     pub fn new() -> Self {
         PipelineBuilder {
             config: PipelineConfig::default(),
@@ -1179,22 +1180,14 @@ impl PipelineBuilder {
         self
     }
 
-    /// How a served daemon drives session I/O: the event-driven reactor
-    /// (default) or the legacy thread per session.  Only affects
-    /// [`PipelineBuilder::serve`] / [`PipelineBuilder::serve_federated`].
-    pub fn session_mode(mut self, mode: SessionMode) -> Self {
-        self.server.mode = mode;
-        self
-    }
-
     /// Reactor I/O threads for a served daemon (clamped to at least 1).
     pub fn reactor_io_threads(mut self, n: usize) -> Self {
         self.server.io_threads = n;
         self
     }
 
-    /// Worker threads per blocking lane (submit / redeem) for a served
-    /// daemon in reactor mode (clamped to at least 1 each).
+    /// Worker threads per blocking lane (submit / redeem / teardown) for
+    /// a served daemon (clamped to at least 1 each).
     pub fn reactor_workers(mut self, n: usize) -> Self {
         self.server.workers = n;
         self
@@ -1320,7 +1313,7 @@ impl PipelineBuilder {
         kind: BackendKind,
     ) -> Result<ServerHandle, AllocationError> {
         let server = self.server;
-        crate::remote::serve_with(self.build(kind)?, addr, server)
+        crate::server::serve_with(self.build(kind)?, addr, server)
     }
 
     /// Builds the configured backend wrapped in the wide-area federation
@@ -1371,7 +1364,7 @@ impl PipelineBuilder {
     > {
         let server = self.server;
         let backend = self.build_federated(kind, federation)?;
-        let handle = crate::remote::serve_federated_with(backend.clone(), addr, server)?;
+        let handle = crate::server::serve_federated_with(backend.clone(), addr, server)?;
         Ok((handle, backend))
     }
 

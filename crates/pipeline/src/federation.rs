@@ -37,32 +37,21 @@
 //! terminates within TTL hops).
 
 use std::collections::HashMap;
-use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use actyp_proto::{
-    read_server_frame, write_frame, AdvertDelta, AdvertVersion, ClientFrame, RequestId,
-    ServerFrame, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
-};
+use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, RequestId, ServerFrame};
 
 use crate::allocation::{Allocation, AllocationError};
 use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
+use crate::corr::{Conn, ConnError, REPLY_TIMEOUT};
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
 use crate::message::{RoutingState, StageAddress};
 use crate::query_manager::RouteCache;
-
-/// How long to wait for a peer daemon to accept a TCP connection.
-const PEER_CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// How long to wait for a peer's reply to one frame before declaring the
-/// link dead.  Generous because a `Delegate` reply includes the peer's
-/// whole downstream chain.
-const PEER_REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Reply deadline of one peer health probe.  The probe frame
 /// ([`ClientFrame::Stats`]) is answered inline by the peer's I/O thread —
@@ -279,140 +268,26 @@ pub fn run_chain(
 // Peer links (the TCP implementation)
 // ---------------------------------------------------------------------------
 
-/// One live, *multiplexed* connection to a peer daemon, after the hello
-/// and pool-sync handshakes.
-///
-/// This is the same correlation machinery [`crate::remote::RemoteBackend`]
-/// proves out client-side, applied daemon-to-daemon: a background reader
-/// thread routes every reply frame to the request that sent it by
-/// [`RequestId`], so any number of delegation chains (and releases) share
-/// the one connection *concurrently* — the link mutex of the old design,
-/// which serialized concurrent delegations to the same peer for the whole
-/// WAN round trip, is gone.  The lease-holding property is preserved: it
-/// is still one TCP session per peer, so every allocation a peer granted
-/// this daemon stays leased to this same connection.
-struct MuxConn {
-    /// The peer's domain name, learned from its `PoolsSynced` reply
-    /// (empty until that handshake answers; interior-mutable because the
-    /// reader thread already shares the connection by then).
-    domain: Mutex<String>,
-    writer: Mutex<TcpStream>,
-    /// Requests awaiting their reply, by correlation id.  Sharded so
-    /// concurrent requesters on one peer link don't serialise on a single
-    /// map lock; correlation ids are sequential, so shards deal
-    /// round-robin.
-    pending: crate::shard::ShardedMap<crossbeam::channel::Sender<ServerFrame>>,
-    /// Why the connection died, once it has.
-    dead: Mutex<Option<String>>,
-    corr: AtomicU64,
-    reader: Mutex<Option<std::thread::JoinHandle<()>>>,
+/// One live connection to a peer daemon, after the hello and pool-sync
+/// handshakes: the shared [`Conn`] (any number of delegation chains and
+/// releases multiplex on it concurrently, and every allocation the peer
+/// granted this daemon stays leased to it) plus the domain name the peer
+/// answered the pool sync with.
+#[derive(Clone)]
+struct PeerConn {
+    conn: Arc<Conn>,
+    domain: Arc<str>,
 }
-
-impl MuxConn {
-    /// The peer's domain name (empty before the pool-sync reply).
-    fn domain(&self) -> String {
-        self.domain.lock().clone()
-    }
-
-    /// Records the death reason and wakes every in-flight request.  The
-    /// `dead` lock is held across the `pending` clear so no request can
-    /// register between the two and hang forever (same discipline as the
-    /// remote backend client).
-    fn poison(&self, reason: String) {
-        let mut dead = self.dead.lock();
-        dead.get_or_insert(reason);
-        // Sweeps the shards one at a time; registration happens under the
-        // `dead` guard held here, so no request can slip into an
-        // already-swept shard and hang.
-        self.pending.clear();
-    }
-
-    /// One request/response exchange over the shared connection.  Other
-    /// threads' requests interleave freely; a reply that takes longer
-    /// than [`PEER_REPLY_TIMEOUT`] fails the exchange (and the caller
-    /// drops the link).
-    fn request(&self, build: impl FnOnce(RequestId) -> ClientFrame) -> Result<ServerFrame, String> {
-        self.request_deadline(PEER_REPLY_TIMEOUT, build)
-    }
-
-    /// [`MuxConn::request`] with an explicit reply deadline.  Health
-    /// probes use a much shorter one than delegations: a probe answer is
-    /// computed inline by the peer's I/O thread, so a slow reply means
-    /// the peer (or the path to it) is gone, not busy.
-    fn request_deadline(
-        &self,
-        timeout: Duration,
-        build: impl FnOnce(RequestId) -> ClientFrame,
-    ) -> Result<ServerFrame, String> {
-        let corr = RequestId(self.corr.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = crossbeam::channel::unbounded();
-        {
-            let dead = self.dead.lock();
-            if let Some(reason) = &*dead {
-                return Err(reason.clone());
-            }
-            self.pending.insert(corr.0, tx);
-        }
-        let sent = {
-            let mut writer = self.writer.lock();
-            // The writer mutex MUST cover the frame write or concurrent
-            // requests interleave half-frames; the socket write timeout
-            // set at connect bounds how long a stalled peer can hold it.
-            // lint-allow(lock-across-blocking): serialised frame write
-            write_frame(&mut *writer, &build(corr))
-        };
-        if let Err(e) = sent {
-            self.pending.remove(corr.0);
-            let reason = format!("send: {e}");
-            self.poison(reason.clone());
-            return Err(reason);
-        }
-        match rx.recv_timeout(timeout) {
-            Ok(frame) => Ok(frame),
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                self.pending.remove(corr.0);
-                Err(format!(
-                    "no reply from peer `{}` within {timeout:?}",
-                    self.domain()
-                ))
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => Err(self
-                .dead
-                .lock()
-                .clone()
-                .unwrap_or_else(|| "peer connection closed".to_string())),
-        }
-    }
-
-    /// Closes the transport and joins the reader thread.  Idempotent.
-    fn shutdown(&self) {
-        self.poison("link disconnected".to_string());
-        {
-            let writer = self.writer.lock();
-            let _ = writer.shutdown(std::net::Shutdown::Both);
-        }
-        let reader = self.reader.lock().take();
-        if let Some(reader) = reader {
-            let _ = reader.join();
-        }
-    }
-}
-
-/// What a fresh peer handshake yields: the multiplexed connection, the
-/// pools the peer advertised, and the gossip deltas it piggybacked on
-/// its `PoolsSynced` reply.
-type PeerHandshake = (Arc<MuxConn>, Vec<String>, Vec<AdvertDelta>);
 
 /// A pooled connection to one peer daemon: lazily established, reused
-/// (concurrently — see [`MuxConn`]) across delegations, re-established
-/// after failures.
+/// (concurrently) across delegations, re-established after failures.
 struct PeerLink {
     addr: StageAddress,
     /// Stable index of this link, used as the instance number for the
     /// peer's advertised pool records (unique per manager in the peer
     /// directory).
     index: u32,
-    conn: Mutex<Option<Arc<MuxConn>>>,
+    conn: Mutex<Option<PeerConn>>,
     /// Last domain name this link handshook as (kept after the connection
     /// dies).  Read instead of locking `conn` wherever only the identity
     /// is needed — in particular by `candidates()`, which must never wait
@@ -446,104 +321,40 @@ impl PeerLink {
         }
     }
 
-    /// Dials the peer, performs the hello and pool-sync handshakes, and
-    /// starts the reader thread that routes replies by correlation id.
+    /// Dials the peer and performs the pool-sync handshake, which rides
+    /// the connection like every later request.  The `have` vector tells
+    /// the peer what this daemon already holds, so its `PoolsSynced` reply
+    /// piggybacks exactly the missing deltas.
     fn connect(
         &self,
         my_domain: &str,
         my_pools: Vec<String>,
         my_have: Vec<AdvertVersion>,
-    ) -> Result<PeerHandshake, String> {
-        let mut addrs = (self.addr.host.as_str(), self.addr.port)
-            .to_socket_addrs()
-            .map_err(|e| format!("resolve {}: {e}", self.addr))?;
-        let sock = addrs
-            .next()
-            .ok_or_else(|| format!("resolve {}: no addresses", self.addr))?;
-        let mut stream = TcpStream::connect_timeout(&sock, PEER_CONNECT_TIMEOUT)
-            .map_err(|e| format!("connect {}: {e}", self.addr))?;
-        let _ = stream.set_nodelay(true);
-        // The handshake is the one serial exchange on the stream, bounded
-        // by a read timeout; afterwards the reader blocks indefinitely
-        // (per-request deadlines live in `MuxConn::request`).  Sends stay
-        // deadline-bounded for the connection's whole life: a stalled
-        // peer with a full receive buffer would otherwise block
-        // `write_frame` forever *while holding the writer mutex*, wedging
-        // every other request on the link — and the `shutdown` that would
-        // tear it down.  A timed-out (possibly partial) send poisons the
-        // connection, which is dropped, so no desynchronised stream is
-        // ever reused.
-        let _ = stream.set_write_timeout(Some(PEER_REPLY_TIMEOUT));
-        let _ = stream.set_read_timeout(Some(PEER_REPLY_TIMEOUT));
-        // Same version floor as every other client of this build; the
-        // federation vocabulary exists since v2, which MIN_SUPPORTED_VERSION
-        // already guarantees.
-        write_frame(
-            &mut stream,
-            &ClientFrame::Hello {
-                min_version: MIN_SUPPORTED_VERSION,
-                max_version: PROTOCOL_VERSION,
-            },
-        )
-        .map_err(|e| format!("hello: {e}"))?;
-        match read_server_frame(&mut stream) {
-            Ok(Some(ServerFrame::HelloAck { version })) if version >= MIN_SUPPORTED_VERSION => {}
-            Ok(Some(ServerFrame::HelloAck { version })) => {
-                return Err(format!("peer only speaks protocol v{version}"))
-            }
-            Ok(Some(ServerFrame::HelloReject { message })) => {
-                return Err(format!("peer rejected the connection: {message}"))
-            }
-            other => return Err(format!("handshake failed: {other:?}")),
-        }
-        let _ = stream.set_read_timeout(None);
-        let read_stream = stream
-            .try_clone()
-            .map_err(|e| format!("clone stream: {e}"))?;
-        let conn = Arc::new(MuxConn {
-            domain: Mutex::new(String::new()),
-            writer: Mutex::new(stream),
-            pending: crate::shard::ShardedMap::new(crate::shard::DEFAULT_SHARDS),
-            dead: Mutex::new(None),
-            corr: AtomicU64::new(0),
-            reader: Mutex::new(None),
-        });
-        let reader_conn = conn.clone();
-        let reader = std::thread::spawn(move || run_link_reader(reader_conn, read_stream));
-        *conn.reader.lock() = Some(reader);
-
-        // Pool-sync rides the mux like every later request.  The `have`
-        // vector tells the peer what this daemon already holds, so its
-        // `PoolsSynced` reply piggybacks exactly the missing deltas.
-        let reply = conn.request(|corr| ClientFrame::SyncPools {
+    ) -> Result<(PeerConn, Vec<String>, Vec<AdvertDelta>), ConnError> {
+        let (conn, _version) =
+            Conn::dial(&self.addr).map_err(|e| ConnError::Dead(e.to_string()))?;
+        let reply = conn.request(Some(REPLY_TIMEOUT), |corr| ClientFrame::SyncPools {
             corr,
             domain: my_domain.to_string(),
             pools: my_pools,
             have: my_have,
         });
-        match reply {
+        let refused = match reply {
             Ok(ServerFrame::PoolsSynced {
                 domain,
                 pools,
                 deltas,
                 ..
             }) => {
-                *conn.domain.lock() = domain;
-                Ok((conn, pools, deltas))
+                let domain = domain.into();
+                return Ok((PeerConn { conn, domain }, pools, deltas));
             }
-            Ok(ServerFrame::Error { error, .. }) => {
-                conn.shutdown();
-                Err(format!("pool sync refused: {error}"))
-            }
-            Ok(other) => {
-                conn.shutdown();
-                Err(format!("expected PoolsSynced, got {other:?}"))
-            }
-            Err(e) => {
-                conn.shutdown();
-                Err(e)
-            }
-        }
+            Ok(ServerFrame::Error { error, .. }) => format!("pool sync refused: {error}"),
+            Ok(other) => format!("expected PoolsSynced, got {other:?}"),
+            Err(e) => e.to_string(),
+        };
+        conn.shutdown();
+        Err(ConnError::Dead(refused))
     }
 
     /// Returns a live connection, dialing (with redial backoff) when none
@@ -554,29 +365,29 @@ impl PeerLink {
         &self,
         my_domain: &str,
         my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
-    ) -> Result<(Arc<MuxConn>, Option<PeerAdvertisement>), String> {
+    ) -> Result<(PeerConn, Option<PeerAdvertisement>), ConnError> {
         let mut slot = self.conn.lock();
-        if let Some(conn) = &*slot {
-            if conn.dead.lock().is_none() {
-                return Ok((conn.clone(), None));
+        if let Some(peer) = &*slot {
+            if !peer.conn.is_dead() {
+                return Ok((peer.clone(), None));
             }
             // The reader declared it dead since last use: retire it
             // before redialing.
             let stale = slot.take().expect("connection just seen");
-            stale.shutdown();
+            stale.conn.shutdown();
         }
         // Redial backoff: a recently failed connect is not repeated, so
         // neither queries nor the periodic gossip tick pay a full connect
         // timeout per attempt against a dead peer — and the window grows
         // per consecutive failure, so a long-dead peer costs ever less.
         if !self.redial.lock().permits(std::time::Instant::now()) {
-            return Err(format!(
+            return Err(ConnError::Dead(format!(
                 "peer {} is in redial backoff after a failed connect",
                 self.addr
-            ));
+            )));
         }
         let (pools, have) = my_sync();
-        let (conn, pools, deltas) = match self.connect(my_domain, pools, have) {
+        let (peer, pools, deltas) = match self.connect(my_domain, pools, have) {
             Ok(established) => established,
             Err(e) => {
                 self.redial.lock().note_failure(std::time::Instant::now());
@@ -588,105 +399,76 @@ impl PeerLink {
         // restarted with different pools (or a different domain name)
         // must replace its stale directory records, not be routed to
         // from them.
-        let learned = conn.domain();
-        let previous_domain = self.last_domain.lock().replace(learned.clone());
+        let previous_domain = self.last_domain.lock().replace(peer.domain.to_string());
         let fresh = Some(PeerAdvertisement {
-            domain: learned,
+            domain: peer.domain.to_string(),
             pools,
             previous_domain,
             deltas,
         });
-        *slot = Some(conn.clone());
-        Ok((conn, fresh))
+        *slot = Some(peer.clone());
+        Ok((peer, fresh))
     }
 
-    /// Runs `f` over a live connection (establishing one first if
-    /// necessary).  Returns the freshly learned advertisement when a new
-    /// connection was made, so the caller can refresh its peer directory.
-    /// Any failure drops the connection — unless a concurrent request
-    /// already replaced it with a newer one, which is left alone.
-    fn with_conn<R>(
+    /// One request/response exchange over `peer`, bounded by `deadline`.
+    /// A transport failure or a missed deadline drops the connection —
+    /// unless a concurrent request already replaced it with a newer one,
+    /// which is left alone.  A [`ConnError::Refused`] frame never left
+    /// this daemon: the link, and every lease it holds, stays.
+    fn exchange(
+        &self,
+        peer: &PeerConn,
+        deadline: Duration,
+        build: impl FnOnce(RequestId) -> ClientFrame,
+    ) -> Result<ServerFrame, ConnError> {
+        match peer.conn.request(Some(deadline), build) {
+            Ok(reply) => Ok(reply),
+            Err(ConnError::Refused(message)) => Err(ConnError::Refused(message)),
+            Err(ConnError::Timeout) => {
+                self.retire(&peer.conn);
+                Err(ConnError::Dead(format!(
+                    "no reply from peer `{}` within {deadline:?}",
+                    peer.domain
+                )))
+            }
+            Err(dead) => {
+                self.retire(&peer.conn);
+                Err(dead)
+            }
+        }
+    }
+
+    /// [`PeerLink::exchange`] over the pooled connection, establishing one
+    /// first if necessary.  Returns the freshly learned advertisement when
+    /// a new connection was made, so the caller can refresh its peer
+    /// directory.
+    fn request(
         &self,
         my_domain: &str,
         my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
-        f: impl FnOnce(&MuxConn) -> Result<R, String>,
-    ) -> Result<(R, Option<PeerAdvertisement>), String> {
-        let (conn, fresh) = self.ensure_conn(my_domain, my_sync)?;
-        match f(&conn) {
-            Ok(value) => Ok((value, fresh)),
-            Err(e) => {
-                self.retire(&conn);
-                Err(e)
-            }
-        }
+        build: impl FnOnce(RequestId) -> ClientFrame,
+    ) -> Result<(ServerFrame, Option<PeerAdvertisement>), ConnError> {
+        let (peer, fresh) = self.ensure_conn(my_domain, my_sync)?;
+        Ok((self.exchange(&peer, REPLY_TIMEOUT, build)?, fresh))
     }
 
     /// Drops `failed` if it is still the pooled connection; a newer
     /// connection another thread already dialed is kept.
-    fn retire(&self, failed: &Arc<MuxConn>) {
-        let taken = {
+    fn retire(&self, failed: &Arc<Conn>) {
+        {
             let mut slot = self.conn.lock();
-            match &*slot {
-                Some(current) if Arc::ptr_eq(current, failed) => slot.take(),
-                _ => None,
+            if matches!(&*slot, Some(current) if Arc::ptr_eq(&current.conn, failed)) {
+                *slot = None;
             }
-        };
-        if let Some(conn) = taken {
-            conn.shutdown();
-        } else {
-            // Still close the failed transport itself.
-            failed.shutdown();
         }
+        failed.shutdown();
     }
 
     /// Drops the connection (peer declared dead or backend shutting down).
     fn disconnect(&self) {
         let taken = self.conn.lock().take();
-        if let Some(conn) = taken {
-            conn.shutdown();
-        }
-    }
-}
-
-/// The per-link reader: routes every reply frame to the request whose
-/// correlation id it echoes, and poisons the connection on transport
-/// death so in-flight and future requests fail fast.
-fn run_link_reader(conn: Arc<MuxConn>, mut stream: TcpStream) {
-    loop {
-        match read_server_frame(&mut stream) {
-            Ok(Some(frame)) => match crate::remote::corr_of(&frame) {
-                Some(corr) => {
-                    let sender = conn.pending.remove(corr.0);
-                    if let Some(sender) = sender {
-                        let _ = sender.send(frame);
-                    } else if corr.0 >= conn.corr.load(Ordering::Relaxed) {
-                        // A correlation id this link never issued: the
-                        // peer is desynchronised or hostile — fail the
-                        // whole link NOW rather than letting every
-                        // in-flight request ride out its full reply
-                        // timeout (the fast-fail the serial link had).
-                        conn.poison(format!(
-                            "reply out of correlation (id {} never issued): {frame:?}",
-                            corr.0
-                        ));
-                        break;
-                    }
-                    // An *issued* id with no waiter lost its race with a
-                    // request timeout: dropped silently.
-                }
-                None => {
-                    conn.poison("unexpected handshake frame on an established link".to_string());
-                    break;
-                }
-            },
-            Ok(None) => {
-                conn.poison("peer closed the connection".to_string());
-                break;
-            }
-            Err(e) => {
-                conn.poison(e.to_string());
-                break;
-            }
+        if let Some(peer) = taken {
+            peer.conn.shutdown();
         }
     }
 }
@@ -751,7 +533,7 @@ struct PendingTicket {
 /// [`ResourceManager::release`] routes them back to the domain that made
 /// them (hop by hop, for multi-hop chains).
 ///
-/// Hosted behind [`crate::remote::serve_federated`], the wrapper also
+/// Hosted behind [`crate::server::serve_federated`], the wrapper also
 /// answers *incoming* [`ClientFrame::Delegate`] requests from peers via
 /// [`FederatedBackend::handle_delegate`], continuing chains that started
 /// elsewhere.
@@ -1000,39 +782,36 @@ impl FederatedBackend {
     /// deltas and version vector, apply what the ack carries back.
     /// Dials the link if it is down (subject to the redial backoff), so
     /// the periodic tick also heals the topology.
-    fn gossip_exchange(&self, link: &PeerLink) -> Result<(), String> {
-        let (conn, fresh) = link.ensure_conn(&self.config.domain, || self.sync_payload())?;
+    fn gossip_exchange(&self, link: &PeerLink) -> Result<(), ConnError> {
+        let (peer, fresh) = link.ensure_conn(&self.config.domain, || self.sync_payload())?;
         self.note_fresh_advertisement(link, fresh);
-        let peer = conn.domain();
-        if peer.is_empty() {
-            return Err("peer domain not yet known".to_string());
+        if peer.domain.is_empty() {
+            return Err(ConnError::Dead("peer did not name its domain".to_string()));
         }
         self.refresh_gossip();
         let vector = self.gossip.version_vector();
-        let deltas = self.gossip.deltas_for_peer(&peer);
+        let deltas = self.gossip.deltas_for_peer(&peer.domain);
         let have = vector.clone();
         let my_domain = self.config.domain.clone();
-        let reply = conn.request(move |corr| ClientFrame::AdvertDelta {
+        let reply = link.exchange(&peer, REPLY_TIMEOUT, move |corr| ClientFrame::AdvertDelta {
             corr,
             domain: my_domain,
             deltas,
             have,
-        });
+        })?;
         match reply {
-            Ok(ServerFrame::AdvertAck { deltas, .. }) => {
+            ServerFrame::AdvertAck { deltas, .. } => {
                 // The peer applied everything up to `vector` before
                 // answering.
-                self.gossip.note_acked(&peer, vector);
+                self.gossip.note_acked(&peer.domain, vector);
                 self.apply_gossip_deltas(&deltas);
                 Ok(())
             }
-            Ok(other) => {
-                link.retire(&conn);
-                Err(format!("expected AdvertAck, got {other:?}"))
-            }
-            Err(e) => {
-                link.retire(&conn);
-                Err(e)
+            other => {
+                link.retire(&peer.conn);
+                Err(ConnError::Dead(format!(
+                    "expected AdvertAck, got {other:?}"
+                )))
             }
         }
     }
@@ -1069,29 +848,18 @@ impl FederatedBackend {
         }
         let mut pruned = 0;
         for link in &self.links {
-            let Some(conn) = link.conn.lock().clone() else {
+            let Some(peer) = link.conn.lock().clone() else {
                 continue;
             };
-            let already_dead = conn.dead.lock().is_some();
-            let healthy = !already_dead
-                && matches!(
-                    conn.request_deadline(PEER_PROBE_TIMEOUT, |corr| ClientFrame::Stats { corr }),
-                    Ok(ServerFrame::StatsReply { .. })
-                );
-            if healthy {
+            let probe = link.exchange(&peer, PEER_PROBE_TIMEOUT, |corr| ClientFrame::Stats {
+                corr,
+            });
+            if matches!(probe, Ok(ServerFrame::StatsReply { .. })) {
                 continue;
             }
-            link.retire(&conn);
-            let domain = {
-                let name = conn.domain();
-                if name.is_empty() {
-                    link.last_domain.lock().clone().unwrap_or_default()
-                } else {
-                    name
-                }
-            };
-            if !domain.is_empty() {
-                self.peer_failed(&domain);
+            link.retire(&peer.conn);
+            if !peer.domain.is_empty() {
+                self.peer_failed(&peer.domain);
             }
             pruned += 1;
         }
@@ -1324,20 +1092,13 @@ impl PeerDelegator for FederatedBackend {
             let known = link.last_domain.lock().clone();
             let domain = match known {
                 Some(domain) => domain,
-                None => {
-                    let ensured = link.with_conn(
-                        &self.config.domain,
-                        || self.sync_payload(),
-                        |conn| Ok(conn.domain()),
-                    );
-                    match ensured {
-                        Ok((domain, fresh)) => {
-                            self.note_fresh_advertisement(link, fresh);
-                            domain
-                        }
-                        Err(_) => continue,
+                None => match link.ensure_conn(&self.config.domain, || self.sync_payload()) {
+                    Ok((peer, fresh)) => {
+                        self.note_fresh_advertisement(link, fresh);
+                        peer.domain.to_string()
                     }
-                }
+                    Err(_) => continue,
+                },
             };
             let advertises_wanted = wanted.iter().any(|pool| {
                 self.peer_directory
@@ -1383,21 +1144,21 @@ impl PeerDelegator for FederatedBackend {
         })?;
         let ttl = state.ttl;
         let visited = state.visited.clone();
-        let sent = link.with_conn(
+        let sent = link.request(
             &self.config.domain,
             || self.sync_payload(),
-            |conn| {
-                conn.request(|corr| ClientFrame::Delegate {
-                    corr,
-                    query: query.to_string(),
-                    ttl,
-                    visited: visited.clone(),
-                })
+            |corr| ClientFrame::Delegate {
+                corr,
+                query: query.to_string(),
+                ttl,
+                visited,
             },
         );
-        let (reply, fresh) = sent.map_err(|reason| PeerUnavailable {
-            transport: true,
-            reason,
+        // A frame refused before it left (over a wire limit) skips this
+        // peer for the chain like any refusal; the link is untouched.
+        let (reply, fresh) = sent.map_err(|e| PeerUnavailable {
+            transport: !matches!(e, ConnError::Refused(_)),
+            reason: e.to_string(),
         })?;
         // A reconnect mid-delegation re-learns the peer's advertisement.
         self.note_fresh_advertisement(link, fresh);
@@ -1564,14 +1325,12 @@ impl ResourceManager for FederatedBackend {
             self.remote_leases.lock().remove(&allocation.access_key.0);
             return Ok(());
         };
-        let sent = link.with_conn(
+        let sent = link.request(
             &self.config.domain,
             || self.sync_payload(),
-            |conn| {
-                conn.request(|corr| ClientFrame::Release {
-                    corr,
-                    allocation: allocation.clone(),
-                })
+            |corr| ClientFrame::Release {
+                corr,
+                allocation: allocation.clone(),
             },
         );
         match sent {
@@ -1591,6 +1350,9 @@ impl ResourceManager for FederatedBackend {
             Ok((other, _)) => Err(AllocationError::Protocol(format!(
                 "expected Released, got {other:?}"
             ))),
+            // Refused before a byte left: nothing changed on either side,
+            // so the mapping stays and a retry still routes here.
+            Err(ConnError::Refused(message)) => Err(AllocationError::Protocol(message)),
             // The peer died holding the lease: its session teardown hands
             // the allocation back on that side, so the release is done as
             // far as this daemon can tell.

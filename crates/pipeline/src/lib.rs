@@ -29,18 +29,19 @@
 //!   space); the form used by the examples and baselines.
 //! * [`live::LivePipeline`] — every stage on its own thread, connected by
 //!   channels, demonstrating stage replication and pipelining.
-//! * [`remote`] — the wire deployment: a `ypd` daemon hosts any backend
-//!   behind the versioned [`actyp_proto`] protocol, and
-//!   [`remote::RemoteBackend`] serves the same client surface across a TCP
+//! * [`server`] / [`client`] — the wire deployment: a `ypd` daemon hosts
+//!   any backend behind the versioned [`actyp_proto`] protocol, and
+//!   [`client::RemoteBackend`] serves the same client surface across a TCP
 //!   hop, with tickets pipelined on one connection.  Session I/O is event
-//!   driven by default: a fixed pool of I/O threads runs every session as
-//!   a nonblocking state machine over the [`reactor`] (raw epoll/poll
+//!   driven: a fixed pool of I/O threads runs every session as a
+//!   nonblocking state machine over the [`reactor`] (raw epoll/poll
 //!   bindings), with blocking backend calls on shared worker lanes, so
 //!   one daemon holds thousands of mostly-idle sessions cheaply.
 //!   [`federation`] peers daemons across administrative domains: a query
 //!   the local backend cannot satisfy is delegated over the wire with a
-//!   TTL and visited-domain list — multiplexed per peer link by
-//!   correlation id — the paper's WAN topology.
+//!   TTL and visited-domain list, the paper's WAN topology.  Client and
+//!   peer link ride the same correlated connection (`corr.rs`): one
+//!   socket, any number of requests in flight, routed by correlation id.
 //! * [`sim`] — the discrete-event simulated deployment used to reproduce the
 //!   paper's controlled experiments (Figures 4–8), where stage service times
 //!   and LAN/WAN link latencies are modelled explicitly.
@@ -53,6 +54,8 @@
 
 pub mod allocation;
 pub mod api;
+pub mod client;
+mod corr;
 pub mod directory;
 pub mod engine;
 pub mod federation;
@@ -62,14 +65,15 @@ pub mod message;
 pub mod pool_manager;
 pub mod query_manager;
 pub mod reactor;
-pub mod remote;
 pub mod resource_pool;
 pub mod scheduler;
+pub mod server;
 mod shard;
 pub mod sim;
 
 pub use allocation::{Allocation, AllocationError, SessionKey};
 pub use api::{BackendKind, PipelineBuilder, ResourceManager, StatsSnapshot, Ticket};
+pub use client::RemoteBackend;
 pub use directory::{LocalDirectoryService, PoolInstanceRecord, ShardedDirectory, SharedDirectory};
 pub use engine::{Engine, EngineStats, PipelineConfig};
 pub use federation::{
@@ -83,9 +87,8 @@ pub use message::{
 pub use pool_manager::{HandleOutcome, InstanceSelection, PoolManager, PoolManagerConfig};
 pub use query_manager::{PoolManagerSelection, QueryManager, ReintegrationPolicy, RouteCache};
 pub use reactor::PollerKind;
-pub use remote::{
-    serve, serve_federated, serve_federated_with, serve_with, RemoteBackend, ServerConfig,
-    ServerHandle, SessionMode,
-};
 pub use resource_pool::ResourcePool;
 pub use scheduler::{ReplicaBias, ScheduleOutcome, Scheduler, SchedulingObjective};
+pub use server::{
+    serve, serve_federated, serve_federated_with, serve_with, ServerConfig, ServerHandle,
+};

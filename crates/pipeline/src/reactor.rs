@@ -15,8 +15,8 @@
 //!
 //! [`PollerKind::Auto`] picks epoll on Linux and `poll(2)` elsewhere.  On
 //! non-unix hosts [`PollerKind::create`] reports
-//! [`std::io::ErrorKind::Unsupported`] and the server falls back to the
-//! legacy thread-per-session mode.
+//! [`std::io::ErrorKind::Unsupported`], and so does starting a server:
+//! there is no session engine without a poller.
 //!
 //! Two more pieces the session engine needs live here because they share
 //! the same raw-binding style and have no other natural home:
@@ -36,7 +36,7 @@
 //!   neither needs a dedicated thread.
 //!
 //! Everything here is deliberately minimal: level-triggered readiness
-//! only, one registration per fd — the session engine in [`crate::remote`]
+//! only, one registration per fd — the session engine in [`crate::server`]
 //! supplies the rest.
 
 use std::io;
@@ -44,6 +44,10 @@ use std::time::Duration;
 
 #[cfg(unix)]
 use std::os::fd::RawFd;
+/// No pollers exist off unix; the alias only lets the [`Poller`] trait
+/// (and so [`PollerKind::create`]'s `Unsupported` error) compile there.
+#[cfg(not(unix))]
+type RawFd = i32;
 
 // ---------------------------------------------------------------------------
 // Interest and events
@@ -161,8 +165,7 @@ impl std::str::FromStr for PollerKind {
 impl PollerKind {
     /// Builds the chosen poller.  Fails with
     /// [`std::io::ErrorKind::Unsupported`] where the kind (or readiness
-    /// polling at all) is unavailable, letting the caller fall back to
-    /// thread-per-session I/O.
+    /// polling at all) is unavailable.
     pub fn create(self) -> io::Result<Box<dyn Poller>> {
         #[cfg(target_os = "linux")]
         {
@@ -185,7 +188,7 @@ impl PollerKind {
         {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "no readiness poller on this platform; use thread-per-session mode",
+                "no readiness poller on this platform",
             ))
         }
     }
@@ -620,8 +623,7 @@ unsafe impl Sync for Waker {}
 /// The pool is the *cap*: jobs beyond the thread count queue (unbounded —
 /// per-session request caps in the server bound the queue) and run as
 /// workers free up.  A panicking job takes neither the worker nor the pool
-/// down; panics are counted and surfaced by [`WorkerPool::shutdown`], the
-/// same contract the thread-per-session server keeps for its sessions.
+/// down; panics are counted and surfaced by [`WorkerPool::shutdown`].
 pub struct WorkerPool {
     tx: crossbeam::channel::Sender<Job>,
     handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,

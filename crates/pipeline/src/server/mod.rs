@@ -1,0 +1,631 @@
+//! The wire server: a `ypd` daemon hosting any backend behind the
+//! [`actyp_proto`] protocol ([`crate::client::RemoteBackend`] is the other
+//! end of the socket).
+//!
+//! [`serve`] binds a listener and hosts *any* [`ResourceManager`] — the
+//! embedded engine, the threaded live pipeline or a centralized baseline.
+//! Each connection is a *session* with its own ticket table: wire ticket
+//! ids are session-scoped, so one client can never redeem (or guess)
+//! another's tickets.  Allocations are *session leases*: a session that
+//! ends settles its outstanding tickets (outcomes awaited, bounded by a
+//! teardown budget) and hands back every allocation the client still held,
+//! so an abruptly disconnected client leaks neither machines nor window
+//! permits.  [`ServerHandle::halt`] (or a client's [`ClientFrame::Halt`])
+//! drains the daemon gracefully: the listener stops accepting, open
+//! sessions finish, and [`ServerHandle::join`] then tears the hosted
+//! backend down.
+//!
+//! # Session I/O: the reactor
+//!
+//! Session I/O is event driven: a fixed pool of I/O threads
+//! ([`ServerConfig::io_threads`]) drives every session's nonblocking
+//! socket through a [`crate::reactor::Poller`] (epoll on Linux, `poll(2)`
+//! on other unix hosts; there is no server off unix).  Each session is an
+//! explicit state machine (`session.rs`) — buffered partial-frame reads, a
+//! write queue the I/O thread flushes as the socket allows (with a
+//! high-water mark that stops *reading* from a client that is not draining
+//! its replies), and a drain-aware close that lets queued replies leave
+//! before the socket shuts.  Blocking backend calls never run on an I/O
+//! thread: they are queued onto one shared, capped
+//! [`crate::reactor::WorkerPool`] per lane (`lanes.rs`,
+//! [`ServerConfig::workers`] threads each) —
+//!
+//! * the *submit* lane (submit, batch submit, delegations in), whose
+//!   jobs may block on the live backend's admission window,
+//! * the *redeem* lane (wait, federated polls and releases), whose jobs
+//!   resolve by pipeline progress or bounded peer I/O alone, and
+//! * the *teardown* lane (session settles for closed connections), so a
+//!   mass disconnect never spawns a thread per closing session —
+//!
+//! kept separate so a lane full of window-blocked submissions can never
+//! starve the redemptions (or the releases clients interleave with them)
+//! that would free those very permits.  Completions are posted back to the
+//! owning session's write queue and the I/O thread is woken to flush them.
+//! The listener itself is one more readiness source on the first I/O
+//! thread — there is no dedicated accept thread — and that thread's timer
+//! wheel also drives the periodic anti-entropy gossip tick and peer health
+//! probe of a federated daemon.  The daemon's thread count is therefore
+//! *independent of its session count*: the I/O pool + three worker lanes +
+//! the hosted backend, whether two clients are connected or two thousand.
+
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
+#[cfg(doc)]
+use actyp_proto::ClientFrame;
+
+use crate::allocation::AllocationError;
+use crate::api::ResourceManager;
+use crate::federation::FederatedBackend;
+use crate::message::StageAddress;
+use crate::reactor::PollerKind;
+
+#[cfg(unix)]
+mod lanes;
+#[cfg(unix)]
+mod session;
+
+/// Server-side knobs: how many threads the daemon spends on session I/O
+/// and blocking backend calls.  The defaults suit a daemon on a small
+/// host; raise [`ServerConfig::io_threads`] and [`ServerConfig::workers`]
+/// together with core count and backend latency.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ServerConfig {
+    /// Reactor I/O threads (clamped to at least 1).  Sessions are
+    /// distributed round-robin across them at accept time.
+    pub io_threads: usize,
+    /// Worker threads *per lane* (submit, redeem and teardown lanes,
+    /// clamped to at least 1 each): the cap on concurrently executing
+    /// blocking backend calls.
+    pub workers: usize,
+    /// Which readiness poller the I/O threads use.  [`PollerKind::Auto`]
+    /// picks the platform's best; the test suite forces
+    /// [`PollerKind::Poll`] on Linux to keep the portable poller honest.
+    pub poller: PollerKind,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            io_threads: 2,
+            workers: 4,
+            poller: PollerKind::Auto,
+        }
+    }
+}
+
+struct ServerShared {
+    manager: Box<dyn ResourceManager>,
+    /// Present when this daemon is federated: the same backend the
+    /// sessions serve, kept concretely typed so incoming
+    /// [`ClientFrame::Delegate`] / [`ClientFrame::SyncPools`] frames from
+    /// peer daemons reach the federation surface the trait does not carry.
+    federation: Option<Arc<FederatedBackend>>,
+    draining: AtomicBool,
+    /// The session engine.  Taken at join time.
+    reactor: Mutex<Option<ReactorEngine>>,
+    /// Frames that rode a multi-frame lane batch (one queue send, one
+    /// worker wakeup for the whole batch); overlaid on every `Stats`
+    /// reply.
+    frames_batched: AtomicU64,
+    /// Flushes that drained more than one queued frame with a single
+    /// coalesced socket write.
+    writes_coalesced: AtomicU64,
+}
+
+impl ServerShared {
+    /// Flags the drain and wakes the I/O threads, which stop accepting,
+    /// close (and settle) every session still open, and exit.
+    fn begin_drain(&self) {
+        if self.draining.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(engine) = &*self.reactor.lock() {
+            engine.wake();
+        }
+    }
+}
+
+/// A running `ypd` server.  Dropping the handle does *not* stop the daemon;
+/// call [`ServerHandle::halt`] then [`ServerHandle::join`] for a graceful
+/// drain (or let a client send [`ClientFrame::Halt`]).
+pub struct ServerHandle {
+    addr: SocketAddr,
+    shared: Arc<ServerShared>,
+}
+
+impl ServerHandle {
+    /// The address the daemon actually listens on (resolves port 0 binds).
+    pub fn local_addr(&self) -> StageAddress {
+        StageAddress::new(self.addr.ip().to_string(), self.addr.port())
+    }
+
+    /// Asks the daemon to drain: stop accepting new connections and let the
+    /// open sessions run to completion.  Idempotent.
+    pub fn halt(&self) {
+        self.shared.begin_drain();
+    }
+
+    /// Blocks until the daemon has fully drained (listener closed and
+    /// every session finished — sessions end when their client disconnects
+    /// or shuts its session down; during a drain, sessions idle between
+    /// frames are ended and settled too, so a daemon with pooled peer
+    /// links or forgotten clients still stops), then tears the hosted
+    /// backend down and surfaces any stage worker panics.  Call
+    /// [`ServerHandle::halt`] first, or this blocks until a client halts
+    /// the daemon.
+    ///
+    /// Every teardown step runs even when an earlier one failed — the
+    /// hosted backend is always shut down — and all problems are reported
+    /// together.
+    pub fn join(self) -> Result<(), AllocationError> {
+        let mut problems: Vec<String> = Vec::new();
+        // Taken in its own statement so the mutex drops *before* the
+        // joins: an `if let` scrutinee's temporary guard would otherwise
+        // be held across them, deadlocking a `Halt` that wakes the engine.
+        let engine = self.shared.reactor.lock().take();
+        if let Some(engine) = engine {
+            engine.join(&mut problems);
+        }
+        if let Err(e) = self.shared.manager.shutdown() {
+            problems.push(e.to_string());
+        }
+        if problems.is_empty() {
+            Ok(())
+        } else {
+            Err(AllocationError::Internal(problems.join("; ")))
+        }
+    }
+}
+
+/// Binds `addr` and serves `manager` over the wire protocol until halted,
+/// with the default [`ServerConfig`].
+///
+/// `addr.port == 0` binds an ephemeral port; read it back with
+/// [`ServerHandle::local_addr`].
+pub fn serve(
+    manager: Box<dyn ResourceManager>,
+    addr: &StageAddress,
+) -> Result<ServerHandle, AllocationError> {
+    serve_inner(manager, None, addr, ServerConfig::default())
+}
+
+/// [`serve`] with explicit server-side knobs (I/O-thread and worker-lane
+/// sizes, poller choice).
+pub fn serve_with(
+    manager: Box<dyn ResourceManager>,
+    addr: &StageAddress,
+    config: ServerConfig,
+) -> Result<ServerHandle, AllocationError> {
+    serve_inner(manager, None, addr, config)
+}
+
+/// Binds `addr` and serves a *federated* backend: the full client protocol
+/// plus the inter-daemon [`ClientFrame::Delegate`] /
+/// [`ClientFrame::SyncPools`] vocabulary peer daemons speak.  The backend
+/// is shared — the caller keeps its `Arc` for inspection (an `Arc` of a
+/// manager is itself a manager).
+pub fn serve_federated(
+    backend: Arc<FederatedBackend>,
+    addr: &StageAddress,
+) -> Result<ServerHandle, AllocationError> {
+    serve_federated_with(backend, addr, ServerConfig::default())
+}
+
+/// [`serve_federated`] with explicit server-side knobs.
+pub fn serve_federated_with(
+    backend: Arc<FederatedBackend>,
+    addr: &StageAddress,
+    config: ServerConfig,
+) -> Result<ServerHandle, AllocationError> {
+    serve_inner(Box::new(backend.clone()), Some(backend), addr, config)
+}
+
+fn serve_inner(
+    manager: Box<dyn ResourceManager>,
+    federation: Option<Arc<FederatedBackend>>,
+    addr: &StageAddress,
+    config: ServerConfig,
+) -> Result<ServerHandle, AllocationError> {
+    let listener = TcpListener::bind((addr.host.as_str(), addr.port))
+        .map_err(|e| AllocationError::Network(format!("bind {addr}: {e}")))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| AllocationError::Network(format!("local_addr: {e}")))?;
+    let shared = Arc::new(ServerShared {
+        manager,
+        federation,
+        draining: AtomicBool::new(false),
+        reactor: Mutex::new(None),
+        frames_batched: AtomicU64::new(0),
+        writes_coalesced: AtomicU64::new(0),
+    });
+    // The listener is handed to the engine itself: the first I/O thread
+    // polls it as one more readiness source.
+    let engine = ReactorEngine::start(&shared, &config, listener)
+        .map_err(|e| AllocationError::Network(format!("reactor setup: {e}")))?;
+    *shared.reactor.lock() = Some(engine);
+    Ok(ServerHandle {
+        addr: local,
+        shared,
+    })
+}
+
+/// One I/O thread's handle: where accepted sockets are sent, and the
+/// doorbell that wakes the thread to collect them.
+#[cfg(unix)]
+struct IoHandle {
+    /// Held (not used) so the thread's socket channel stays connected
+    /// even after the listener thread — which owns the dispatching
+    /// clones — has exited during a drain.
+    _tx: crossbeam::channel::Sender<std::net::TcpStream>,
+    notify: Arc<session::IoNotify>,
+    thread: std::thread::JoinHandle<()>,
+}
+
+/// The running reactor: I/O threads and worker lanes.
+#[cfg(unix)]
+struct ReactorEngine {
+    io: Vec<IoHandle>,
+    pools: Arc<lanes::Pools>,
+}
+
+#[cfg(unix)]
+impl ReactorEngine {
+    /// Spawns the worker lanes and `config.io_threads` I/O threads, each
+    /// with its own poller and waker.  The listener rides the first
+    /// thread.
+    fn start(
+        shared: &Arc<ServerShared>,
+        config: &ServerConfig,
+        listener: TcpListener,
+    ) -> std::io::Result<ReactorEngine> {
+        listener.set_nonblocking(true)?;
+        // Every thread's poller, doorbell and socket channel exist before
+        // any thread (or worker lane) starts: the listener thread needs
+        // the full target list for round-robin dispatch.
+        let mut parts = Vec::new();
+        for _ in 0..config.io_threads.max(1) {
+            let poller = config.poller.create()?;
+            let notify = Arc::new(session::IoNotify::new()?);
+            let (tx, rx) = crossbeam::channel::unbounded();
+            parts.push((poller, notify, tx, rx));
+        }
+        let targets: Vec<_> = parts
+            .iter()
+            .map(|(_, notify, tx, _)| (tx.clone(), notify.clone()))
+            .collect();
+        let mut engine = ReactorEngine {
+            io: Vec::new(),
+            pools: Arc::new(lanes::Pools::new(config.workers)),
+        };
+        let mut listener = Some(listener);
+        for (i, (poller, notify, tx, rx)) in parts.into_iter().enumerate() {
+            let role = listener.take().map(|listener| session::ListenerRole {
+                listener,
+                targets: targets.clone(),
+                next: 0,
+            });
+            let spawned = std::thread::Builder::new()
+                .name(format!("ypd-io-{i}"))
+                .spawn({
+                    let shared = shared.clone();
+                    let pools = engine.pools.clone();
+                    let notify = notify.clone();
+                    move || session::io_thread_main(shared, pools, rx, notify, poller, role)
+                });
+            match spawned {
+                Ok(thread) => engine.io.push(IoHandle {
+                    _tx: tx,
+                    notify,
+                    thread,
+                }),
+                Err(e) => {
+                    // Unwind the threads already spawned: flag the drain
+                    // so they exit, then report the failure.
+                    shared.draining.store(true, Ordering::SeqCst);
+                    engine.join(&mut Vec::new());
+                    return Err(e);
+                }
+            }
+        }
+        Ok(engine)
+    }
+
+    fn wake(&self) {
+        for io in &self.io {
+            io.notify.wake();
+        }
+    }
+
+    /// Engine teardown: the I/O threads exit once the drain is flagged
+    /// and every session is closed, the per-session teardowns finish
+    /// settling, and the worker lanes stop after their queues drain.
+    fn join(self, problems: &mut Vec<String>) {
+        for io in self.io {
+            io.notify.wake();
+            if io.thread.join().is_err() {
+                problems.push("ypd I/O thread panicked".to_string());
+            }
+        }
+        let worker_panics = self.pools.shutdown();
+        if worker_panics > 0 {
+            problems.push(format!("{worker_panics} ypd worker job(s) panicked"));
+        }
+    }
+}
+
+/// No readiness poller exists off unix, so neither does the session
+/// engine: starting it reports the poller's own `Unsupported` error.
+#[cfg(not(unix))]
+struct ReactorEngine;
+
+#[cfg(not(unix))]
+impl ReactorEngine {
+    fn start(
+        _: &Arc<ServerShared>,
+        config: &ServerConfig,
+        _: TcpListener,
+    ) -> std::io::Result<ReactorEngine> {
+        config.poller.create().map(|_| ReactorEngine)
+    }
+
+    fn wake(&self) {}
+
+    fn join(self, _: &mut Vec<String>) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{BackendKind, PipelineBuilder, RemoteBackend};
+    use actyp_grid::{FleetSpec, SyntheticFleet};
+    use actyp_proto::{
+        read_server_frame, write_frame, ClientFrame, RequestId, ServerFrame, PROTOCOL_VERSION,
+    };
+    use actyp_query::Query;
+    use std::io::Write;
+    use std::net::TcpStream;
+
+    fn fleet_db(n: usize, seed: u64) -> actyp_grid::SharedDatabase {
+        SyntheticFleet::new(FleetSpec::with_machines(n), seed)
+            .generate()
+            .into_shared()
+    }
+
+    fn loopback() -> StageAddress {
+        StageAddress::new("127.0.0.1", 0)
+    }
+
+    fn serve_kind(kind: BackendKind, machines: usize, seed: u64) -> ServerHandle {
+        PipelineBuilder::new()
+            .database(fleet_db(machines, seed))
+            .serve(&loopback(), kind)
+            .unwrap()
+    }
+
+    fn paper_text() -> String {
+        Query::paper_example().to_string()
+    }
+
+    /// A raw protocol client past the hello handshake — no `RemoteBackend`,
+    /// so a test can misbehave in ways the client never would.
+    fn raw_hello(addr: &StageAddress) -> TcpStream {
+        let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
+        write_frame(
+            &mut raw,
+            &ClientFrame::Hello {
+                min_version: PROTOCOL_VERSION,
+                max_version: PROTOCOL_VERSION,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server_frame(&mut raw).unwrap(),
+            Some(ServerFrame::HelloAck { .. })
+        ));
+        raw
+    }
+
+    #[test]
+    fn server_side_ticket_tables_are_session_scoped() {
+        let server = serve_kind(BackendKind::Embedded, 200, 21);
+        let addr = server.local_addr();
+        let first = RemoteBackend::connect(&addr).unwrap();
+        let ticket = first.submit_text(&paper_text()).unwrap();
+
+        // A raw second session replays the FIRST session's wire ticket id,
+        // bypassing the client-side brand check entirely: the server must
+        // refuse it from its own (empty) session table.
+        let mut raw = raw_hello(&addr);
+        write_frame(
+            &mut raw,
+            &ClientFrame::Wait {
+                corr: RequestId(1),
+                ticket: ticket.id(),
+                deadline_ms: None,
+            },
+        )
+        .unwrap();
+        match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::Error { error, .. }) => {
+                assert_eq!(error, AllocationError::UnknownTicket);
+            }
+            other => panic!("expected UnknownTicket, got {other:?}"),
+        }
+        drop(raw);
+
+        // The issuing session still redeems it.
+        let allocations = first.wait(ticket).unwrap();
+        first.release(&allocations[0]).unwrap();
+        first.halt_daemon().unwrap();
+        first.shutdown().unwrap();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn abandoned_blocked_submissions_do_not_wedge_the_drain() {
+        // A raw client floods more submissions than the live backend's
+        // admission window and vanishes without redeeming anything.  The
+        // blocked submit workers' permits are held by the abandoned
+        // tickets; teardown must settle and join iteratively or the
+        // session (and the whole drain) wedges forever.
+        let db = fleet_db(300, 22);
+        let server = PipelineBuilder::new()
+            .database(db.clone())
+            .window(2)
+            .serve(&loopback(), BackendKind::Live)
+            .unwrap();
+        let addr = server.local_addr();
+        {
+            let mut raw = raw_hello(&addr);
+            for i in 0..5 {
+                write_frame(
+                    &mut raw,
+                    &ClientFrame::Submit {
+                        corr: RequestId(i),
+                        query: paper_text(),
+                    },
+                )
+                .unwrap();
+            }
+            // Dropped without reading replies or redeeming a single ticket.
+        }
+        server.halt();
+        server.join().unwrap();
+        // Every allocation the abandoned submissions produced was settled.
+        let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+        assert_eq!(active, 0);
+    }
+
+    #[test]
+    fn abandoned_sessions_release_their_allocations() {
+        let db = fleet_db(200, 6);
+        let server = PipelineBuilder::new()
+            .database(db.clone())
+            .serve(&loopback(), BackendKind::Embedded)
+            .unwrap();
+        {
+            let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
+            let _ticket = remote.submit_text(&paper_text()).unwrap();
+            // Dropped without wait/release: the client vanishes.
+        }
+        server.halt();
+        server.join().unwrap();
+        // The session settled the abandoned ticket: nothing stays claimed.
+        let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+        assert_eq!(active, 0);
+    }
+
+    #[test]
+    fn redeemed_but_unreleased_allocations_return_with_the_session() {
+        // The nastier variant: the client *redeems* the outcome (so the
+        // ticket has left the session table) and then vanishes without
+        // releasing.  The allocation is a session lease, so teardown hands
+        // it back — including when the Outcome delivery itself raced the
+        // disconnect.
+        let db = fleet_db(200, 7);
+        let server = PipelineBuilder::new()
+            .database(db.clone())
+            .serve(&loopback(), BackendKind::Embedded)
+            .unwrap();
+        {
+            let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
+            let ticket = remote.submit_text(&paper_text()).unwrap();
+            let allocations = remote.wait(ticket).unwrap();
+            assert_eq!(allocations.len(), 1);
+            // Dropped holding the allocation.
+        }
+        server.halt();
+        server.join().unwrap();
+        let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+        assert_eq!(active, 0);
+    }
+
+    #[test]
+    fn disconnect_racing_an_in_flight_wait_leaks_nothing() {
+        // Raw client: submit, read Submitted, fire a Wait, and hang up
+        // without reading the Outcome.  The wait worker has already pulled
+        // the ticket out of the session table, so only the lease mechanism
+        // can return the allocation.
+        let db = fleet_db(200, 8);
+        let server = PipelineBuilder::new()
+            .database(db.clone())
+            .serve(&loopback(), BackendKind::Embedded)
+            .unwrap();
+        let addr = server.local_addr();
+        {
+            let mut raw = raw_hello(&addr);
+            write_frame(
+                &mut raw,
+                &ClientFrame::Submit {
+                    corr: RequestId(0),
+                    query: paper_text(),
+                },
+            )
+            .unwrap();
+            let ticket = match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+                other => panic!("expected Submitted, got {other:?}"),
+            };
+            write_frame(
+                &mut raw,
+                &ClientFrame::Wait {
+                    corr: RequestId(1),
+                    ticket,
+                    deadline_ms: None,
+                },
+            )
+            .unwrap();
+            // Dropped without reading the Outcome.
+        }
+        server.halt();
+        server.join().unwrap();
+        let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+        assert_eq!(active, 0);
+    }
+
+    #[test]
+    fn version_negotiation_rejects_a_future_only_client() {
+        let server = serve_kind(BackendKind::Embedded, 50, 7);
+        let addr = server.local_addr();
+        let mut stream = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
+        write_frame(
+            &mut stream,
+            &ClientFrame::Hello {
+                min_version: PROTOCOL_VERSION + 1,
+                max_version: PROTOCOL_VERSION + 9,
+            },
+        )
+        .unwrap();
+        match read_server_frame(&mut stream).unwrap() {
+            Some(ServerFrame::HelloReject { message }) => {
+                assert!(message.contains("no common protocol version"), "{message}");
+            }
+            other => panic!("expected HelloReject, got {other:?}"),
+        }
+        drop(stream);
+        server.halt();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn garbage_on_the_socket_does_not_kill_the_daemon() {
+        let server = serve_kind(BackendKind::Embedded, 50, 8);
+        let addr = server.local_addr();
+        {
+            let mut stream = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
+            stream.write_all(&[0xFF; 64]).unwrap();
+        }
+        // The daemon survives and serves a well-behaved client afterwards.
+        let remote = RemoteBackend::connect(&addr).unwrap();
+        let allocations = remote.submit_text_wait(&paper_text()).unwrap();
+        remote.release(&allocations[0]).unwrap();
+        remote.halt_daemon().unwrap();
+        remote.shutdown().unwrap();
+        server.join().unwrap();
+    }
+}

@@ -1,0 +1,1225 @@
+//! The session engine: everything that runs on (or is reachable from) a
+//! reactor I/O thread.
+//!
+//! [`io_thread_main`] drives every session's nonblocking socket through a
+//! [`Poller`].  Each session is an explicit state machine
+//! ([`ReactorSession`]); blocking backend calls are queued on the worker
+//! lanes ([`super::lanes`]) and post their replies into the owning
+//! session's [`OutQueue`], waking that session's I/O thread through its
+//! [`IoNotify`].
+//!
+//! `actyp-lint`'s `reactor-blocking` rule walks the call graph from
+//! `io_thread_main`; keeping its callees in this file (and this
+//! directory) is what keeps that walk complete —
+//! `crates/lint/tests/real_tree.rs` pins it.
+
+use std::collections::{HashMap, HashSet};
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use crossbeam::channel::{Receiver, Sender};
+use parking_lot::Mutex;
+
+use actyp_proto::{
+    negotiate, write_frame, ClientFrame, RequestId, ServerFrame, WireDecode, MAX_FRAME_LEN,
+    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+};
+
+use super::lanes::{spawn_job, Lane, LaneBatch, Pools};
+use super::ServerShared;
+use crate::allocation::{Allocation, AllocationError};
+use crate::api::{QueryOutcome, Ticket};
+use crate::federation::FederatedBackend;
+use crate::reactor::{Event, Interest, Poller, TimerWheel, Waker};
+
+/// Poller token reserved for the I/O thread's waker pipe.
+const WAKE_TOKEN: u64 = u64::MAX;
+
+/// Poller token reserved for the daemon's listening socket (registered
+/// on the first I/O thread only).
+const LISTENER_TOKEN: u64 = u64::MAX - 1;
+
+/// Timer-wheel id of the periodic closing-session sweep.
+const SWEEP_TIMER: u64 = 1;
+
+/// Timer-wheel id of the periodic anti-entropy gossip tick (armed on
+/// the listener thread of a federated daemon only).
+const GOSSIP_TIMER: u64 = 2;
+
+/// Timer-wheel id of the periodic peer-link health probe (armed on
+/// the listener thread of a federated daemon only).  Probing off the
+/// timer wheel notices a dead peer between delegations, so the next
+/// chain never spends a candidate slot (and a reply timeout) on it.
+const PROBE_TIMER: u64 = 3;
+
+/// Upper bound on queued-but-unsent reply bytes before the session
+/// stops *reading*: a client that pipelines requests without draining
+/// replies is backpressured instead of ballooning the daemon's memory.
+const OUT_HIGH_WATER: usize = 1 << 20;
+
+/// How many bytes one readable event may pull off a single socket
+/// before yielding to the other sessions on the same I/O thread
+/// (level-triggered polling re-delivers the event if more is waiting).
+/// This caps bytes *per event*, never the session's total buffer — a
+/// frame larger than one burst (the protocol allows up to
+/// [`MAX_FRAME_LEN`]) accumulates across events and must always be
+/// able to complete.
+const READ_BURST: usize = 256 * 1024;
+
+/// How long a closing session may keep flushing queued replies to a
+/// client that is not reading them before the socket is cut anyway.
+/// Measured from the moment the teardown seals the write queue, so a
+/// well-behaved client always gets its drain; only a stalled one is
+/// dropped — without this, one such client would wedge the I/O
+/// thread's exit and [`ServerHandle::join`] forever.
+const CLOSE_FLUSH_GRACE: Duration = Duration::from_secs(5);
+
+/// How often the I/O thread sweeps its closing sessions for the
+/// [`CLOSE_FLUSH_GRACE`] deadline (a stalled client produces no
+/// events of its own to trigger the check).
+const CLOSING_SWEEP_INTERVAL: Duration = Duration::from_millis(250);
+
+/// A session buffer (read or write) whose capacity ballooned past this
+/// is shrunk back once it empties: `Vec::clear`/`drain` keep their
+/// peak allocation, and a long-lived idle session pinning megabytes
+/// from one historical burst works against the whole point of holding
+/// many idle sessions cheaply.
+const BUF_SHRINK_THRESHOLD: usize = 64 * 1024;
+
+/// Safety-net poll timeout: wakeups normally arrive via the waker, but
+/// the drain flag is also re-checked at least this often.
+const IO_POLL_INTERVAL: Duration = Duration::from_millis(500);
+
+/// Cross-thread doorbell for one I/O thread: worker lanes mark the
+/// sessions whose write queues they touched and ring the waker; the
+/// I/O thread drains the set and flushes exactly those sessions.
+pub(super) struct IoNotify {
+    dirty: Mutex<HashSet<u64>>,
+    waker: Waker,
+}
+
+impl IoNotify {
+    pub(super) fn new() -> std::io::Result<Self> {
+        Ok(IoNotify {
+            dirty: Mutex::new(HashSet::new()),
+            waker: Waker::new()?,
+        })
+    }
+
+    fn mark_dirty(&self, token: u64) {
+        self.dirty.lock().insert(token);
+        self.waker.wake();
+    }
+
+    fn take_dirty(&self) -> Vec<u64> {
+        self.dirty.lock().drain().collect()
+    }
+
+    pub(super) fn wake(&self) {
+        self.waker.wake();
+    }
+}
+
+/// The write side of one reactor session: frames are encoded into this
+/// byte queue by whoever produces them (I/O thread, worker lane,
+/// teardown) and flushed by the owning I/O thread as the socket
+/// allows.
+struct OutQueue {
+    token: u64,
+    notify: Arc<IoNotify>,
+    buf: Mutex<OutBuf>,
+}
+
+#[derive(Default)]
+struct OutBuf {
+    data: Vec<u8>,
+    sent: usize,
+    /// Frames currently queued (encoded into `data` and not yet fully
+    /// flushed) — lets the flush tell a coalesced multi-frame write
+    /// from a singleton.
+    frames: usize,
+    /// When the teardown sealed the queue (no more frames will ever
+    /// be queued); also starts the [`CLOSE_FLUSH_GRACE`] clock.
+    closed_at: Option<std::time::Instant>,
+}
+
+impl OutBuf {
+    fn closed(&self) -> bool {
+        self.closed_at.is_some()
+    }
+
+    /// Resets the queue after a complete flush, returning oversized
+    /// capacity to the allocator.
+    fn reset(&mut self) {
+        self.data.clear();
+        if self.data.capacity() > BUF_SHRINK_THRESHOLD {
+            self.data.shrink_to(BUF_SHRINK_THRESHOLD);
+        }
+        self.sent = 0;
+        self.frames = 0;
+    }
+}
+
+impl OutQueue {
+    /// Appends one frame (best effort: an unencodable frame is dropped,
+    /// a closed queue swallows it) and rings the session's I/O thread.
+    fn push(&self, frame: &ServerFrame) {
+        {
+            let mut buf = self.buf.lock();
+            if buf.closed() {
+                return;
+            }
+            // Writing into a Vec cannot fail; `write_frame` refuses an
+            // over-limit frame before emitting any byte, so a failed
+            // push leaves the queue intact.
+            // lint-allow(lock-across-blocking): in-memory Vec sink, never blocks
+            if write_frame(&mut buf.data, frame).is_ok() {
+                buf.frames += 1;
+            }
+        }
+        self.notify.mark_dirty(self.token);
+    }
+
+    /// Marks the queue closed (no more frames will ever be queued) and
+    /// rings the I/O thread so it can finish the drain-aware close.
+    fn close(&self) {
+        let mut buf = self.buf.lock();
+        if buf.closed_at.is_none() {
+            buf.closed_at = Some(std::time::Instant::now());
+        }
+        drop(buf);
+        self.notify.mark_dirty(self.token);
+    }
+
+    fn pending_bytes(&self) -> usize {
+        let buf = self.buf.lock();
+        buf.data.len() - buf.sent
+    }
+
+    fn is_closed(&self) -> bool {
+        self.buf.lock().closed()
+    }
+
+    /// Whether the queue was sealed longer than `grace` ago — the
+    /// point past which a client that will not drain its replies is
+    /// cut instead of holding the session (and the drain) open.
+    fn sealed_longer_than(&self, grace: Duration) -> bool {
+        matches!(self.buf.lock().closed_at, Some(at) if at.elapsed() > grace)
+    }
+}
+
+/// The first I/O thread's extra duty: the daemon's listening socket,
+/// registered with that thread's poller as one more readiness source.
+/// Ready connections are accepted nonblockingly and dealt round robin
+/// to every I/O thread (itself included) — there is no dedicated,
+/// always-blocked accept thread.
+pub(super) struct ListenerRole {
+    pub(super) listener: TcpListener,
+    pub(super) targets: Vec<(Sender<TcpStream>, Arc<IoNotify>)>,
+    pub(super) next: usize,
+}
+
+/// Where one reactor session is in its life.
+enum Phase {
+    /// Connected; the first frame must be a `Hello`.
+    AwaitingHello,
+    /// Handshake done; frames are parsed and dispatched.
+    Serving,
+    /// No more frames are read.  The session teardown is settling
+    /// tickets on its own thread; the socket closes once the teardown
+    /// marks the write queue closed and every queued byte is flushed
+    /// (drain-aware close) — or immediately once the client is gone.
+    Closing,
+}
+
+/// One connection, as the state machine its I/O thread drives.
+struct ReactorSession {
+    stream: TcpStream,
+    state: Arc<SessionState>,
+    phase: Phase,
+    /// Bytes received but not yet parsed into frames (partial frames
+    /// accumulate here across readable events).
+    read_buf: Vec<u8>,
+    /// Interest currently registered with the poller.
+    interest: Interest,
+    /// The peer disconnected (EOF or transport error): close without
+    /// waiting to flush.
+    client_gone: bool,
+}
+
+impl ReactorSession {
+    fn desired_interest(&self) -> Interest {
+        let pending = self.state.queue.pending_bytes();
+        match self.phase {
+            // Keep reading while closing only to observe EOF promptly
+            // (bytes are discarded); stop reading frames from a client
+            // that is not draining its replies.
+            Phase::Closing => Interest {
+                read: true,
+                write: pending > 0,
+            },
+            _ => Interest {
+                read: pending <= OUT_HIGH_WATER,
+                write: pending > 0,
+            },
+        }
+    }
+
+    /// The drain-aware close condition: the teardown has sealed the
+    /// queue and everything queued has left — or the client vanished
+    /// and there is nobody to flush to — or the client has refused to
+    /// drain its replies for [`CLOSE_FLUSH_GRACE`] past the seal, in
+    /// which case it is cut rather than allowed to wedge the drain.
+    fn finished(&self) -> bool {
+        matches!(self.phase, Phase::Closing)
+            && (self.client_gone
+                || (self.state.queue.is_closed()
+                    && (self.state.queue.pending_bytes() == 0
+                        || self.state.queue.sealed_longer_than(CLOSE_FLUSH_GRACE))))
+    }
+}
+
+fn would_block(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// One I/O thread: polls its sessions' sockets (plus, on the first
+/// thread, the daemon's listener), parses frames, dispatches work,
+/// flushes write queues, fires its timers, and retires sessions.
+pub(super) fn io_thread_main(
+    shared: Arc<ServerShared>,
+    pools: Arc<Pools>,
+    incoming: Receiver<TcpStream>,
+    notify: Arc<IoNotify>,
+    mut poller: Box<dyn Poller>,
+    mut role: Option<ListenerRole>,
+) {
+    // If waker registration fails the thread still functions — the
+    // poll interval bounds how stale a wakeup can go.
+    let _ = poller.register(notify.waker.read_fd(), WAKE_TOKEN, Interest::READ);
+    if let Some(role) = &role {
+        let _ = poller.register(role.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
+    }
+    let mut wheel = TimerWheel::new();
+    wheel.add_periodic(SWEEP_TIMER, CLOSING_SWEEP_INTERVAL);
+    // The anti-entropy gossip tick and the peer health probe are armed
+    // on the listener thread only (exactly one of each per daemon).
+    let gossip_running = Arc::new(AtomicBool::new(false));
+    let probe_running = Arc::new(AtomicBool::new(false));
+    if role.is_some() {
+        if let Some(federation) = &shared.federation {
+            let interval = federation.gossip_interval();
+            if interval > Duration::ZERO {
+                wheel.add_periodic(GOSSIP_TIMER, interval);
+            }
+            let probe = federation.probe_interval();
+            if probe > Duration::ZERO {
+                wheel.add_periodic(PROBE_TIMER, probe);
+            }
+        }
+    }
+    let mut sessions: HashMap<u64, ReactorSession> = HashMap::new();
+    let mut next_token: u64 = 0;
+    let mut events: Vec<Event> = Vec::new();
+    let mut touched: Vec<u64> = Vec::new();
+    loop {
+        if shared.draining.load(Ordering::SeqCst) && sessions.is_empty() {
+            break;
+        }
+        let timeout = wheel.poll_timeout(IO_POLL_INTERVAL);
+        if poller.poll(&mut events, Some(timeout)).is_err() {
+            // A failing poller must not hot-loop the thread.
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        notify.waker.drain();
+        touched.clear();
+
+        // New connections dealt over from the listener thread
+        // (refused once a drain began — the dispatch race can hand
+        // over a late socket).
+        while let Ok(stream) = incoming.try_recv() {
+            if shared.draining.load(Ordering::SeqCst) {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                continue;
+            }
+            if let Some(token) = add_session(
+                &mut *poller,
+                &mut sessions,
+                &mut next_token,
+                &notify,
+                stream,
+            ) {
+                touched.push(token);
+            }
+        }
+
+        // Socket readiness.
+        for event in events.iter().copied() {
+            if event.token == WAKE_TOKEN {
+                continue;
+            }
+            if event.token == LISTENER_TOKEN {
+                if let Some(role) = role.as_mut() {
+                    accept_ready(&shared, role);
+                }
+                continue;
+            }
+            let Some(session) = sessions.get_mut(&event.token) else {
+                continue;
+            };
+            if event.readable || event.closed {
+                handle_readable(&shared, &pools, session);
+            }
+            if event.writable || event.closed {
+                flush_or_close(&shared, &pools, session);
+            }
+            touched.push(event.token);
+        }
+
+        // Write queues touched by worker lanes / teardowns.
+        for token in notify.take_dirty() {
+            if let Some(session) = sessions.get_mut(&token) {
+                flush_or_close(&shared, &pools, session);
+                touched.push(token);
+            }
+        }
+
+        // Timers.  The closing sweep touches sessions whose stalled
+        // clients produce no events of their own, so the
+        // CLOSE_FLUSH_GRACE deadline is actually observed.
+        for timer in wheel.expired(std::time::Instant::now()) {
+            match timer {
+                SWEEP_TIMER => {
+                    for (token, session) in sessions.iter() {
+                        if matches!(session.phase, Phase::Closing) {
+                            touched.push(*token);
+                        }
+                    }
+                }
+                GOSSIP_TIMER => run_periodic(&shared, &pools, &gossip_running, |federation| {
+                    federation.gossip_tick()
+                }),
+                PROBE_TIMER => run_periodic(&shared, &pools, &probe_running, |federation| {
+                    federation.probe_peers();
+                }),
+                _ => {}
+            }
+        }
+
+        // A drain closes every session still open (their teardowns
+        // settle whatever the vanished or idle clients left behind).
+        if shared.draining.load(Ordering::SeqCst) {
+            for (token, session) in sessions.iter_mut() {
+                begin_close(&shared, &pools, session);
+                touched.push(*token);
+            }
+        }
+
+        // Re-parse, retire, and re-register everything touched.
+        touched.sort_unstable();
+        touched.dedup();
+        for token in touched.iter().copied() {
+            refresh_session(&shared, &pools, &mut *poller, &mut sessions, token);
+        }
+    }
+}
+
+/// Queues one round of a periodic federation duty on the redeem lane — a
+/// peer exchange is bounded peer I/O, never admission-window blocking —
+/// unless the daemon is draining or the previous round is still running:
+/// a round slower than its interval is skipped, not stacked.
+fn run_periodic(
+    shared: &ServerShared,
+    pools: &Pools,
+    running: &Arc<AtomicBool>,
+    round: fn(&FederatedBackend),
+) {
+    let Some(federation) = &shared.federation else {
+        return;
+    };
+    if shared.draining.load(Ordering::SeqCst) || running.swap(true, Ordering::SeqCst) {
+        return;
+    }
+    let federation = federation.clone();
+    let running = running.clone();
+    pools.redeem.execute(move || {
+        round(&federation);
+        running.store(false, Ordering::SeqCst);
+    });
+}
+
+/// Drains every connection the listener has ready: during a drain
+/// each is refused outright; otherwise it is dealt to the next I/O
+/// thread round robin and that thread's doorbell rung.
+fn accept_ready(shared: &Arc<ServerShared>, role: &mut ListenerRole) {
+    loop {
+        match role.listener.accept() {
+            Ok((stream, _)) => {
+                if shared.draining.load(Ordering::SeqCst) {
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    continue;
+                }
+                let (tx, notify) = &role.targets[role.next % role.targets.len()];
+                role.next = role.next.wrapping_add(1);
+                if tx.send(stream).is_ok() {
+                    notify.wake();
+                }
+            }
+            Err(e) if would_block(&e) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        }
+    }
+}
+
+/// Registers a fresh connection as a session in the hello phase.
+fn add_session(
+    poller: &mut dyn Poller,
+    sessions: &mut HashMap<u64, ReactorSession>,
+    next_token: &mut u64,
+    notify: &Arc<IoNotify>,
+    stream: TcpStream,
+) -> Option<u64> {
+    let _ = stream.set_nodelay(true);
+    if stream.set_nonblocking(true).is_err() {
+        return None;
+    }
+    let token = *next_token;
+    *next_token += 1;
+    let queue = Arc::new(OutQueue {
+        token,
+        notify: notify.clone(),
+        buf: Mutex::new(OutBuf::default()),
+    });
+    if poller
+        .register(stream.as_raw_fd(), token, Interest::READ)
+        .is_err()
+    {
+        return None;
+    }
+    sessions.insert(
+        token,
+        ReactorSession {
+            stream,
+            state: SessionState::new(queue),
+            phase: Phase::AwaitingHello,
+            read_buf: Vec::new(),
+            interest: Interest::READ,
+            client_gone: false,
+        },
+    );
+    Some(token)
+}
+
+/// Pulls available bytes (one bounded burst), parses complete frames,
+/// dispatches them, and begins the close on EOF — after parsing, so a
+/// client that submits and immediately hangs up still gets its work
+/// settled rather than dropped.
+fn handle_readable(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut ReactorSession) {
+    // A closing session's bytes are discarded (only its EOF matters) —
+    // bounded per event all the same: a client that blasts bytes after
+    // close must not monopolize the I/O thread either.
+    let closing = matches!(session.phase, Phase::Closing);
+    let mut chunk = [0u8; 16 * 1024];
+    let mut eof = false;
+    let mut taken = 0usize;
+    while taken < READ_BURST {
+        match session.stream.read(&mut chunk) {
+            Ok(0) => {
+                eof = true;
+                break;
+            }
+            Ok(n) => {
+                taken += n;
+                if !closing {
+                    session.read_buf.extend_from_slice(&chunk[..n]);
+                }
+            }
+            Err(e) if would_block(&e) => break,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                eof = true;
+                break;
+            }
+        }
+    }
+    if !closing {
+        parse_and_dispatch(shared, pools, session);
+    }
+    if eof {
+        session.client_gone = true;
+        begin_close(shared, pools, session);
+    }
+}
+
+/// Parses every complete frame buffered for the session and
+/// dispatches it, stopping early when the write queue crosses the
+/// high-water mark (the leftovers stay buffered and are re-parsed
+/// once the queue drains).  Garbage — an over-limit length prefix or
+/// an undecodable body — ends the session, settled like any other.
+///
+/// Blocking frames are *collected* across the whole parse loop and
+/// handed to the worker lanes as one batch per lane at the end — one
+/// queue send and one wakeup per readable event, however many frames
+/// the client pipelined into it.
+fn parse_and_dispatch(
+    shared: &Arc<ServerShared>,
+    pools: &Arc<Pools>,
+    session: &mut ReactorSession,
+) {
+    let mut batch = LaneBatch::default();
+    let mut pos = 0usize;
+    loop {
+        if matches!(session.phase, Phase::Closing) {
+            break;
+        }
+        let available = &session.read_buf[pos..];
+        if available.len() < 4 {
+            break;
+        }
+        let declared =
+            u32::from_be_bytes([available[0], available[1], available[2], available[3]]) as usize;
+        if declared > MAX_FRAME_LEN {
+            begin_close(shared, pools, session);
+            break;
+        }
+        let Some(body) = available.get(4..4 + declared) else {
+            break;
+        };
+        match ClientFrame::from_wire_bytes(body) {
+            Ok(frame) => {
+                pos += 4 + declared;
+                dispatch_frame(shared, pools, session, &mut batch, frame);
+            }
+            Err(_) => {
+                begin_close(shared, pools, session);
+                break;
+            }
+        }
+        if session.state.queue.pending_bytes() > OUT_HIGH_WATER {
+            break;
+        }
+    }
+    // Jobs collected before a mid-loop close still run — their
+    // per-session counters are already claimed and the teardown's
+    // settle loop waits for them.
+    batch.flush(shared, pools);
+    if matches!(session.phase, Phase::Closing) {
+        // Nothing buffered will ever be parsed now (and a mid-loop
+        // close may have replaced the buffer already): drop it whole
+        // instead of draining against a stale offset.
+        session.read_buf = Vec::new();
+    } else if pos > 0 {
+        session.read_buf.drain(..pos);
+        if session.read_buf.is_empty() && session.read_buf.capacity() > BUF_SHRINK_THRESHOLD {
+            session.read_buf.shrink_to(BUF_SHRINK_THRESHOLD);
+        }
+    }
+}
+
+/// The one frame-dispatch `match` of the serving side: frames that cannot
+/// block are answered inline, blocking work is queued on the worker lanes.
+fn dispatch_frame(
+    shared: &Arc<ServerShared>,
+    pools: &Arc<Pools>,
+    session: &mut ReactorSession,
+    batch: &mut LaneBatch,
+    frame: ClientFrame,
+) {
+    let state = session.state.clone();
+    if matches!(session.phase, Phase::AwaitingHello) {
+        match frame {
+            ClientFrame::Hello {
+                min_version,
+                max_version,
+            } => match negotiate(min_version, max_version) {
+                Some(version) => {
+                    state.send(&ServerFrame::HelloAck { version });
+                    session.phase = Phase::Serving;
+                }
+                None => {
+                    state.send(&ServerFrame::HelloReject {
+                        message: format!(
+                            "no common protocol version: client speaks \
+                             {min_version}..={max_version}, server speaks \
+                             {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION}"
+                        ),
+                    });
+                    begin_close(shared, pools, session);
+                }
+            },
+            _ => {
+                state.send(&ServerFrame::HelloReject {
+                    message: "the first frame must be Hello".to_string(),
+                });
+                begin_close(shared, pools, session);
+            }
+        }
+        return;
+    }
+    match frame {
+        ClientFrame::Hello { .. } => {
+            state.send(&ServerFrame::HelloReject {
+                message: "duplicate Hello".to_string(),
+            });
+            begin_close(shared, pools, session);
+        }
+        ClientFrame::Submit { corr, query } => {
+            let shared = shared.clone();
+            let job_state = state.clone();
+            spawn_job(batch, Lane::Submit, &state, corr, move || {
+                handle_submit(&shared, &job_state, corr, &query)
+            });
+        }
+        ClientFrame::SubmitBatch { corr, queries } => {
+            let shared = shared.clone();
+            let job_state = state.clone();
+            spawn_job(batch, Lane::Submit, &state, corr, move || {
+                handle_submit_batch(&shared, &job_state, corr, &queries)
+            });
+        }
+        ClientFrame::Wait {
+            corr,
+            ticket,
+            deadline_ms,
+        } => {
+            // Unknown ids are answered inline — no job for a frame
+            // that cannot block; the worker's own atomic claim still
+            // decides races.
+            if !state.tickets.lock().contains_key(&ticket) {
+                state.send(&ServerFrame::Error {
+                    corr,
+                    error: AllocationError::UnknownTicket,
+                });
+                return;
+            }
+            let shared = shared.clone();
+            let job_state = state.clone();
+            spawn_job(batch, Lane::Redeem, &state, corr, move || {
+                handle_wait(&shared, &job_state, corr, ticket, deadline_ms)
+            });
+        }
+        ClientFrame::Poll { corr, ticket } => {
+            // Looked up in its own statement: a `match` scrutinee's
+            // temporary guard would live through every arm, holding
+            // the ticket table across the reply send.
+            let looked_up = state.tickets.lock().get(&ticket).copied();
+            let backend_ticket = match looked_up {
+                None => {
+                    state.send(&ServerFrame::Error {
+                        corr,
+                        error: AllocationError::UnknownTicket,
+                    });
+                    return;
+                }
+                Some(backend_ticket) => backend_ticket,
+            };
+            let poll = {
+                let shared = shared.clone();
+                let state = state.clone();
+                move || match shared.manager.try_poll(backend_ticket) {
+                    None => state.send(&ServerFrame::Pending { corr }),
+                    Some(outcome) => {
+                        state.tickets.lock().remove(&ticket);
+                        state.deliver_outcome(corr, outcome);
+                    }
+                }
+            };
+            // On a federated daemon a poll can block on peer I/O, so
+            // it runs on the redeem lane; in-process backends answer
+            // inline on the I/O thread.
+            if shared.federation.is_some() {
+                spawn_job(batch, Lane::Redeem, &state, corr, poll);
+            } else {
+                poll();
+            }
+        }
+        ClientFrame::Release { corr, allocation } => {
+            let release = {
+                let shared = shared.clone();
+                let state = state.clone();
+                move || match shared.manager.release(&allocation) {
+                    Ok(()) => {
+                        state.leases.lock().remove(&allocation.access_key.0);
+                        state.send(&ServerFrame::Released { corr });
+                    }
+                    Err(error) => state.send(&ServerFrame::Error { corr, error }),
+                }
+            };
+            // Releasing a delegated allocation crosses the wire to
+            // the owning domain: a worker keeps the I/O thread
+            // responsive.  It rides the REDEEM lane, not the submit
+            // lane: clients interleave releases with the very waits
+            // that free admission-window permits, so a release queued
+            // behind window-blocked submit jobs would deadlock the
+            // whole daemon (client stuck awaiting the release reply →
+            // no further waits → no permits freed → submits blocked
+            // forever).  A release never blocks on the window itself —
+            // only on bounded peer I/O — so it is safe on this lane.
+            if shared.federation.is_some() {
+                spawn_job(batch, Lane::Redeem, &state, corr, release);
+            } else {
+                release();
+            }
+        }
+        ClientFrame::Stats { corr } => {
+            // The backend fills its own counters; the transport
+            // batching counters belong to the daemon and are overlaid
+            // here.
+            let mut stats = shared.manager.stats();
+            stats.frames_batched = shared.frames_batched.load(Ordering::Relaxed);
+            stats.writes_coalesced = shared.writes_coalesced.load(Ordering::Relaxed);
+            state.send(&ServerFrame::StatsReply { corr, stats });
+        }
+        ClientFrame::Shutdown { corr } => {
+            state.send(&ServerFrame::Ack { corr });
+            begin_close(shared, pools, session);
+        }
+        ClientFrame::Halt { corr } => {
+            state.send(&ServerFrame::Ack { corr });
+            shared.begin_drain();
+            begin_close(shared, pools, session);
+        }
+        ClientFrame::Delegate {
+            corr,
+            query,
+            ttl,
+            visited,
+        } => {
+            let Some(federation) = shared.federation.clone() else {
+                state.send(&not_federated(corr));
+                return;
+            };
+            let job_state = state.clone();
+            spawn_job(batch, Lane::Submit, &state, corr, move || {
+                let (outcome, routing) = federation.handle_delegate(&query, ttl, visited);
+                // Piggyback whatever gossip the delegating peer has
+                // not acknowledged yet on the reply it is already
+                // waiting for — a free anti-entropy round.
+                let deltas = match job_state.peer_domain.lock().clone() {
+                    Some(peer) => federation.piggyback_deltas(&peer),
+                    None => Vec::new(),
+                };
+                job_state.deliver_delegated(corr, outcome, routing, deltas);
+            });
+        }
+        ClientFrame::SyncPools {
+            corr,
+            domain,
+            pools: advertised,
+            have,
+        } => match &shared.federation {
+            None => state.send(&not_federated(corr)),
+            Some(federation) => {
+                note_peer_session_domain(shared, &state, &domain);
+                federation.record_inbound_advertisement(&domain, &advertised);
+                federation.gossip().note_peer_versions(&domain, &have);
+                federation.refresh_gossip();
+                let deltas = federation.gossip().deltas_since(&have);
+                state.send(&ServerFrame::PoolsSynced {
+                    corr,
+                    domain: federation.domain().to_string(),
+                    pools: federation.local_pools(),
+                    deltas,
+                });
+            }
+        },
+        ClientFrame::AdvertDelta {
+            corr,
+            domain,
+            deltas,
+            have,
+        } => match &shared.federation {
+            None => state.send(&not_federated(corr)),
+            Some(federation) => {
+                // Inline: applying deltas is pure in-memory state.
+                note_peer_session_domain(shared, &state, &domain);
+                let reply = federation.handle_advert_delta(&domain, &deltas, &have);
+                state.send(&ServerFrame::AdvertAck {
+                    corr,
+                    domain: federation.domain().to_string(),
+                    deltas: reply,
+                });
+            }
+        },
+    }
+}
+
+/// The reply to an inter-daemon frame on a daemon that is not federated.
+fn not_federated(corr: RequestId) -> ServerFrame {
+    ServerFrame::Error {
+        corr,
+        error: AllocationError::Protocol(
+            "this daemon is not federated (no --domain/--peer)".to_string(),
+        ),
+    }
+}
+
+/// Transitions the session into [`Phase::Closing`] (idempotent) and
+/// spawns its teardown: the settle loop must not run on the I/O
+/// thread, because it blocks on backend outcomes.
+fn begin_close(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut ReactorSession) {
+    if matches!(session.phase, Phase::Closing) {
+        return;
+    }
+    session.phase = Phase::Closing;
+    let shared = shared.clone();
+    let state = session.state.clone();
+    pools
+        .teardown
+        .execute(move || teardown_session(&shared, &state));
+}
+
+/// The session teardown.  Settling and waiting must interleave: a submit
+/// job can be blocked on the live backend's admission window, whose
+/// permits are held by the very tickets sitting abandoned in this
+/// session's table.  Waiting first would deadlock; settling once would
+/// miss the tickets those unblocked jobs issue afterwards.  So: settle
+/// (freeing permits), wait for the lane jobs, repeat, then sweep the
+/// leases — and seal the write queue at the end so the I/O thread can
+/// complete the drain-aware close.
+fn teardown_session(shared: &ServerShared, state: &SessionState) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        settle_abandoned_tickets(shared, state, deadline);
+        if state.jobs_in_flight() == 0 {
+            break;
+        }
+        if std::time::Instant::now() >= deadline {
+            // Leave the stragglers to the worker lanes.  Settlement is
+            // best-effort past this point: only a backend wedged beyond
+            // the whole teardown budget can still strand a claim.
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    settle_abandoned_tickets(
+        shared,
+        state,
+        std::time::Instant::now() + Duration::from_secs(5),
+    );
+    // Hand back every allocation lease the client still held — including
+    // outcomes whose delivery raced the disconnect.
+    let leaked: Vec<Allocation> = state.leases.lock().drain().map(|(_, a)| a).collect();
+    for allocation in &leaked {
+        let _ = shared.manager.release(allocation);
+    }
+    state.queue.close();
+}
+
+/// Flushes the session's write queue; a dead transport begins the close.
+fn flush_or_close(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut ReactorSession) {
+    if !flush_session(shared, session) {
+        session.client_gone = true;
+        begin_close(shared, pools, session);
+    }
+}
+
+/// Flushes as much of the session's write queue as the socket takes.
+/// Returns `false` when the transport is dead.
+fn flush_session(shared: &Arc<ServerShared>, session: &mut ReactorSession) -> bool {
+    loop {
+        let mut buf = session.state.queue.buf.lock();
+        if buf.sent >= buf.data.len() {
+            buf.reset();
+            return true;
+        }
+        match session.stream.write(&buf.data[buf.sent..]) {
+            Ok(0) => return false,
+            Ok(n) => {
+                buf.sent += n;
+                if buf.sent >= buf.data.len() {
+                    // One socket write just drained everything queued;
+                    // if that was several frames, the flush coalesced
+                    // them into a single write.
+                    if buf.frames > 1 {
+                        shared.writes_coalesced.fetch_add(1, Ordering::Relaxed);
+                    }
+                    buf.reset();
+                    return true;
+                }
+            }
+            Err(e) if would_block(&e) => return true,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Post-pass for a touched session: re-parse frames a drained write
+/// queue unblocked, retire the session when its close completed, and
+/// re-register interest when it changed.
+fn refresh_session(
+    shared: &Arc<ServerShared>,
+    pools: &Arc<Pools>,
+    poller: &mut dyn Poller,
+    sessions: &mut HashMap<u64, ReactorSession>,
+    token: u64,
+) {
+    let Some(session) = sessions.get_mut(&token) else {
+        return;
+    };
+    if !matches!(session.phase, Phase::Closing)
+        && !session.read_buf.is_empty()
+        && session.state.queue.pending_bytes() <= OUT_HIGH_WATER
+    {
+        parse_and_dispatch(shared, pools, session);
+    }
+    if session.finished() {
+        let session = sessions.remove(&token).expect("session just seen");
+        let _ = poller.deregister(session.stream.as_raw_fd());
+        let _ = session.stream.shutdown(std::net::Shutdown::Both);
+        return;
+    }
+    let wanted = session.desired_interest();
+    if wanted != session.interest
+        && poller
+            .reregister(session.stream.as_raw_fd(), token, wanted)
+            .is_ok()
+    {
+        session.interest = wanted;
+    }
+}
+
+/// Per-connection session state: the write queue replies go to, the
+/// session-scoped ticket table mapping wire ticket ids to backend tickets,
+/// and the allocation leases the session currently holds.
+pub(super) struct SessionState {
+    queue: Arc<OutQueue>,
+    tickets: Mutex<HashMap<u64, Ticket>>,
+    /// Allocations delivered to this client and not yet released, keyed by
+    /// access key.  Allocations are *session leases*: whatever is still
+    /// here when the session ends is handed back, so a client that
+    /// crashes (even one whose Outcome reply raced its disconnect) cannot
+    /// strand a machine claim.
+    leases: Mutex<HashMap<String, Allocation>>,
+    next_ticket: AtomicU64,
+    /// Blocking requests in flight on the submit lane, bounded per session
+    /// by [`spawn_job`] and awaited by the teardown.
+    pub(super) submit_jobs: AtomicUsize,
+    /// Blocking requests in flight on the redeem lane.
+    pub(super) redeem_jobs: AtomicUsize,
+    /// The federation domain the peer on this session advertised (via
+    /// `SyncPools` or `AdvertDelta`); `None` on ordinary client sessions.
+    /// Keyed per session so gossip piggybacking knows who it is talking
+    /// to, and so a re-advertisement under a *different* name retires the
+    /// old domain.
+    peer_domain: Mutex<Option<String>>,
+}
+
+impl SessionState {
+    fn new(queue: Arc<OutQueue>) -> Arc<Self> {
+        Arc::new(SessionState {
+            queue,
+            tickets: Mutex::new(HashMap::new()),
+            leases: Mutex::new(HashMap::new()),
+            next_ticket: AtomicU64::new(0),
+            submit_jobs: AtomicUsize::new(0),
+            redeem_jobs: AtomicUsize::new(0),
+            peer_domain: Mutex::new(None),
+        })
+    }
+
+    /// Best-effort reply; a vanished client is detected by the read side.
+    /// Never blocks: the frame is queued for the session's I/O thread.
+    pub(super) fn send(&self, frame: &ServerFrame) {
+        self.queue.push(frame);
+    }
+
+    /// Blocking requests this session still has in flight on the worker
+    /// lanes.
+    fn jobs_in_flight(&self) -> usize {
+        self.submit_jobs.load(Ordering::Relaxed) + self.redeem_jobs.load(Ordering::Relaxed)
+    }
+
+    fn issue(&self, ticket: Ticket) -> u64 {
+        let wire_id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        self.tickets.lock().insert(wire_id, ticket);
+        wire_id
+    }
+
+    /// Records the allocations of an outcome about to be delivered as
+    /// session leases.  The lease is taken *before* the reply leaves, so
+    /// there is no window in which the allocation belongs to nobody.
+    fn lease(&self, outcome: &QueryOutcome) {
+        if let Ok(allocations) = outcome {
+            let mut leases = self.leases.lock();
+            for allocation in allocations {
+                leases.insert(allocation.access_key.0.clone(), allocation.clone());
+            }
+        }
+    }
+
+    fn deliver_outcome(&self, corr: RequestId, outcome: QueryOutcome) {
+        self.lease(&outcome);
+        self.send(&ServerFrame::Outcome { corr, outcome });
+    }
+
+    /// A delegated outcome's allocations are leased to the *peer
+    /// daemon's* session, so a peer that vanishes holding them strands
+    /// nothing here.
+    fn deliver_delegated(
+        &self,
+        corr: RequestId,
+        outcome: QueryOutcome,
+        state: crate::message::RoutingState,
+        deltas: Vec<actyp_proto::AdvertDelta>,
+    ) {
+        self.lease(&outcome);
+        self.send(&ServerFrame::Delegated {
+            corr,
+            outcome,
+            ttl: state.ttl,
+            visited: state.visited,
+            deltas,
+        });
+    }
+}
+
+/// Records which federation domain the peer on this session speaks for.
+/// A session that re-advertises under a *new* name is a daemon restarted
+/// into a different identity on a still-open connection: everything held
+/// under the old domain — directory records, gossip origin log, learned
+/// routes — is retired atomically, instead of lingering as a routable
+/// ghost beside the new name.
+fn note_peer_session_domain(shared: &ServerShared, state: &SessionState, domain: &str) {
+    let previous = state.peer_domain.lock().replace(domain.to_string());
+    if let Some(previous) = previous {
+        if previous != domain {
+            if let Some(federation) = &shared.federation {
+                federation.retire_domain(&previous);
+            }
+        }
+    }
+}
+
+/// Settles every ticket currently abandoned in the session table: awaits
+/// the outcomes (bounded by `deadline`, so a wedged backend cannot hold
+/// the session thread hostage) and hands the allocations straight back, so
+/// no machine claim (or live-backend window permit) leaks past the session.
+/// A ticket whose wait times out goes *back* into the table — still
+/// redeemable inside the backend — so a later settling round can retry it
+/// instead of dropping the claim on the floor.
+///
+/// On a federated daemon the settle is *local only*: the client these
+/// tickets belonged to is gone, so a delegable local failure is simply
+/// accepted instead of being shipped across the WAN to peers — nobody is
+/// left to use an allocation a peer would make, and the delegation (plus
+/// its hop-by-hop release) would be pure churn.
+fn settle_abandoned_tickets(
+    shared: &ServerShared,
+    state: &SessionState,
+    deadline: std::time::Instant,
+) {
+    let abandoned: Vec<(u64, Ticket)> = state.tickets.lock().drain().collect();
+    for (wire_id, ticket) in abandoned {
+        let budget = deadline.saturating_duration_since(std::time::Instant::now());
+        let waited = match &shared.federation {
+            Some(federation) => federation.wait_deadline_local(ticket, budget),
+            None => shared.manager.wait_deadline(ticket, budget),
+        };
+        match waited {
+            Some(Ok(allocations)) => {
+                for allocation in &allocations {
+                    let _ = shared.manager.release(allocation);
+                }
+            }
+            Some(Err(_)) => {}
+            None => {
+                state.tickets.lock().insert(wire_id, ticket);
+            }
+        }
+    }
+}
+
+fn handle_submit(shared: &ServerShared, state: &SessionState, corr: RequestId, query: &str) {
+    // The trait's own text path: parse errors map exactly as they would for
+    // an in-process client.
+    match shared.manager.submit_text(query) {
+        Ok(ticket) => {
+            let wire_id = state.issue(ticket);
+            state.send(&ServerFrame::Submitted {
+                corr,
+                ticket: wire_id,
+            });
+        }
+        Err(error) => state.send(&ServerFrame::Error { corr, error }),
+    }
+}
+
+fn handle_submit_batch(
+    shared: &ServerShared,
+    state: &SessionState,
+    corr: RequestId,
+    queries: &[String],
+) {
+    let mut parsed = Vec::with_capacity(queries.len());
+    for query in queries {
+        match actyp_query::parse_query(query) {
+            Ok(q) => parsed.push(q),
+            Err(e) => {
+                state.send(&ServerFrame::Error {
+                    corr,
+                    error: AllocationError::Parse(e.to_string()),
+                });
+                return;
+            }
+        }
+    }
+    match shared.manager.submit_batch(parsed) {
+        Ok(tickets) => {
+            let wire_ids = tickets.into_iter().map(|t| state.issue(t)).collect();
+            state.send(&ServerFrame::BatchSubmitted {
+                corr,
+                tickets: wire_ids,
+            });
+        }
+        Err(error) => state.send(&ServerFrame::Error { corr, error }),
+    }
+}
+
+fn handle_wait(
+    shared: &ServerShared,
+    state: &SessionState,
+    corr: RequestId,
+    ticket: u64,
+    deadline_ms: Option<u64>,
+) {
+    // Claimed in its own statement so the table guard drops before the
+    // error reply — a `match` scrutinee temporary lives through the arms.
+    let claimed = state.tickets.lock().remove(&ticket);
+    let backend_ticket = match claimed {
+        Some(t) => t,
+        None => {
+            state.send(&ServerFrame::Error {
+                corr,
+                error: AllocationError::UnknownTicket,
+            });
+            return;
+        }
+    };
+    match deadline_ms {
+        None => {
+            let outcome = shared.manager.wait(backend_ticket);
+            state.deliver_outcome(corr, outcome);
+        }
+        Some(ms) => match shared
+            .manager
+            .wait_deadline(backend_ticket, Duration::from_millis(ms))
+        {
+            Some(outcome) => state.deliver_outcome(corr, outcome),
+            None => {
+                // The deadline elapsed; the ticket stays redeemable.
+                state.tickets.lock().insert(ticket, backend_ticket);
+                state.send(&ServerFrame::TimedOut { corr });
+            }
+        },
+    }
+}

@@ -39,7 +39,7 @@ pub(crate) fn fnv1a(key: &[u8]) -> u64 {
 
 /// A `u64 → V` hash map split over independently locked shards.
 ///
-/// Used for the in-flight request tables (`MuxConn::pending`, the live
+/// Used for the in-flight request tables (`corr::Conn`'s pending table, the live
 /// backend's ticket table) whose keys are sequence numbers: `key % shards`
 /// deals consecutive ids round-robin, so concurrent requests land on
 /// different locks instead of one global rendezvous point.
@@ -88,7 +88,7 @@ impl<V> ShardedMap<V> {
     /// Empties every shard, one lock at a time.  Entries inserted into an
     /// already-swept shard during the sweep survive; callers needing the
     /// no-stragglers guarantee serialise inserts against `clear` with
-    /// their own outer lock (the `dead → shard` edge in the federation's
+    /// their own outer lock (the `dead → shard` edge in `corr::Conn`'s
     /// poison path).
     pub fn clear(&self) {
         for shard in self.shards.iter() {

@@ -41,9 +41,9 @@
 //! rendering round-trips through the parser, and it keeps the wire format
 //! independent of the query crate's internal AST.
 //!
-//! Consumers: `actyp_pipeline::api::RemoteBackend` (client side),
-//! `actyp_pipeline::remote::YpServer` and the `ypd` daemon binary (server
-//! side).
+//! Consumers: `actyp_pipeline::api::RemoteBackend` and the federation's
+//! peer links (dialing side, both over `actyp_pipeline`'s `corr.rs`),
+//! `actyp_pipeline::server` and the `ypd` daemon binary (serving side).
 
 pub mod frames;
 pub mod types;

@@ -13,14 +13,12 @@
 //!
 //! # Thread model
 //!
-//! Session I/O is event driven by default (`--sessions reactor`): a fixed
-//! pool of I/O threads (`--io-threads`) drives every connection's
-//! nonblocking socket through an epoll/poll reactor, and blocking backend
-//! calls run on capped worker lanes (`--workers` threads each for the
-//! submit, redeem and teardown lanes), so the daemon's thread count is
-//! independent of how many clients and peer daemons are connected.  `--sessions threaded` restores the legacy
-//! thread-per-session mode; `--poller poll` forces the portable `poll(2)`
-//! fallback where epoll is undesirable.
+//! Session I/O is event driven: a fixed pool of I/O threads
+//! (`--io-threads`) drives every connection's nonblocking socket through
+//! an epoll/poll reactor (the platform picks the poller), and blocking
+//! backend calls run on capped worker lanes (`--workers` threads each for
+//! the submit, redeem and teardown lanes), so the daemon's thread count is
+//! independent of how many clients and peer daemons are connected.
 //!
 //! # Wide-area federation
 //!
@@ -48,15 +46,14 @@ use std::process::ExitCode;
 
 use actyp_grid::{FleetSpec, SyntheticFleet};
 use actyp_pipeline::{
-    BackendKind, FederationConfig, PipelineBuilder, PollerKind, ResourceManager, SessionMode,
-    StageAddress,
+    BackendKind, FederationConfig, PipelineBuilder, ResourceManager, StageAddress,
 };
 
 const USAGE: &str = "\
 usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
            [--arch NAME] [--query-managers N] [--pool-managers N] [--window N]
            [--shards N]
-           [--sessions MODE] [--io-threads N] [--workers N] [--poller KIND]
+           [--io-threads N] [--workers N]
            [--domain NAME] [--peer HOST:PORT]... [--ttl N]
            [--gossip-interval MS] [--probe-interval MS] [--no-route-cache]
            [--stats-interval N]
@@ -72,13 +69,10 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
   --shards N           shard count for the daemon's hot state: directory
                        shards and admission-window lanes (default: 8;
                        1 restores the old single-lock behaviour)
-  --sessions MODE      session I/O: reactor | threaded
-                       (default: $ACTYP_YPD_SESSIONS or reactor)
   --io-threads N       reactor I/O threads driving all session sockets
                        (default: $ACTYP_YPD_IO_THREADS or 2)
   --workers N          worker threads per lane (submit / redeem / teardown)
                        (default: $ACTYP_YPD_WORKERS or 4)
-  --poller KIND        readiness poller: auto | epoll | poll (default: auto)
   --domain NAME        administrative-domain name for wide-area federation
                        (default: $ACTYP_YPD_DOMAIN; required with --peer)
   --peer HOST:PORT     peer daemon to delegate unsatisfiable queries to
@@ -110,10 +104,8 @@ struct Config {
     pool_managers: usize,
     window: usize,
     shards: usize,
-    sessions: SessionMode,
     io_threads: usize,
     workers: usize,
-    poller: PollerKind,
     domain: Option<String>,
     peers: Vec<StageAddress>,
     ttl: u32,
@@ -135,10 +127,8 @@ impl Default for Config {
             pool_managers: 1,
             window: 32,
             shards: 8,
-            sessions: SessionMode::Reactor,
             io_threads: 2,
             workers: 4,
-            poller: PollerKind::Auto,
             domain: None,
             peers: Vec::new(),
             ttl: 8,
@@ -156,7 +146,6 @@ struct EnvConfig<'a> {
     listen: Option<&'a str>,
     domain: Option<&'a str>,
     peers: Option<&'a str>,
-    sessions: Option<&'a str>,
     io_threads: Option<&'a str>,
     workers: Option<&'a str>,
 }
@@ -192,11 +181,6 @@ fn parse_args(
                 .peers
                 .push(raw.parse().map_err(|e| format!("ACTYP_YPD_PEERS: {e}"))?);
         }
-    }
-    if let Some(sessions) = env.sessions {
-        config.sessions = sessions
-            .parse()
-            .map_err(|e| format!("ACTYP_YPD_SESSIONS: {e}"))?;
     }
     if let Some(io_threads) = env.io_threads {
         config.io_threads = io_threads
@@ -257,10 +241,6 @@ fn parse_args(
                     .parse()
                     .map_err(|_| format!("--shards: invalid count `{raw}`"))?;
             }
-            "--sessions" => {
-                let raw = value("--sessions")?;
-                config.sessions = raw.parse().map_err(|e| format!("--sessions: {e}"))?;
-            }
             "--io-threads" => {
                 let raw = value("--io-threads")?;
                 config.io_threads = raw
@@ -272,10 +252,6 @@ fn parse_args(
                 config.workers = raw
                     .parse()
                     .map_err(|_| format!("--workers: invalid count `{raw}`"))?;
-            }
-            "--poller" => {
-                let raw = value("--poller")?;
-                config.poller = raw.parse().map_err(|e| format!("--poller: {e}"))?;
             }
             "--domain" => config.domain = Some(value("--domain")?),
             "--peer" => {
@@ -326,14 +302,12 @@ fn main() -> ExitCode {
     let env_listen = std::env::var("ACTYP_YPD_LISTEN").ok();
     let env_domain = std::env::var("ACTYP_YPD_DOMAIN").ok();
     let env_peers = std::env::var("ACTYP_YPD_PEERS").ok();
-    let env_sessions = std::env::var("ACTYP_YPD_SESSIONS").ok();
     let env_io_threads = std::env::var("ACTYP_YPD_IO_THREADS").ok();
     let env_workers = std::env::var("ACTYP_YPD_WORKERS").ok();
     let env = EnvConfig {
         listen: env_listen.as_deref(),
         domain: env_domain.as_deref(),
         peers: env_peers.as_deref(),
-        sessions: env_sessions.as_deref(),
         io_threads: env_io_threads.as_deref(),
         workers: env_workers.as_deref(),
     };
@@ -361,10 +335,8 @@ fn main() -> ExitCode {
         .pool_managers(config.pool_managers)
         .window(config.window)
         .shards(config.shards)
-        .session_mode(config.sessions)
         .reactor_io_threads(config.io_threads)
-        .reactor_workers(config.workers)
-        .poller(config.poller);
+        .reactor_workers(config.workers);
 
     let server = match &config.domain {
         None => builder.serve(&config.listen, config.backend),
@@ -393,21 +365,19 @@ fn main() -> ExitCode {
 
     match &config.domain {
         None => println!(
-            "ypd: listening on {} ({} backend, {} machines, seed {}, {} sessions)",
+            "ypd: listening on {} ({} backend, {} machines, seed {})",
             server.local_addr(),
             config.backend,
             config.machines,
-            config.seed,
-            config.sessions
+            config.seed
         ),
         Some(domain) => println!(
-            "ypd: listening on {} ({} backend, {} machines, seed {}, {} sessions; \
+            "ypd: listening on {} ({} backend, {} machines, seed {}; \
              domain {domain}, {} peer(s), ttl {})",
             server.local_addr(),
             config.backend,
             config.machines,
             config.seed,
-            config.sessions,
             config.peers.len(),
             config.ttl
         ),
@@ -518,14 +488,10 @@ mod tests {
                 "16",
                 "--shards",
                 "4",
-                "--sessions",
-                "threaded",
                 "--io-threads",
                 "4",
                 "--workers",
                 "8",
-                "--poller",
-                "poll",
                 "--domain",
                 "purdue",
                 "--peer",
@@ -552,10 +518,8 @@ mod tests {
         assert_eq!(config.pool_managers, 3);
         assert_eq!(config.window, 16);
         assert_eq!(config.shards, 4);
-        assert_eq!(config.sessions, SessionMode::ThreadPerSession);
         assert_eq!(config.io_threads, 4);
         assert_eq!(config.workers, 8);
-        assert_eq!(config.poller, PollerKind::Poll);
         assert_eq!(config.domain.as_deref(), Some("purdue"));
         assert_eq!(
             config.peers,
@@ -635,32 +599,20 @@ mod tests {
     #[test]
     fn env_thread_model_is_used_and_cli_wins_over_it() {
         let env = EnvConfig {
-            sessions: Some("threaded"),
             io_threads: Some("6"),
             workers: Some("12"),
             ..EnvConfig::default()
         };
         let from_env = parse_args(args(&[]), env).unwrap();
-        assert_eq!(from_env.sessions, SessionMode::ThreadPerSession);
         assert_eq!(from_env.io_threads, 6);
         assert_eq!(from_env.workers, 12);
         let env = EnvConfig {
-            sessions: Some("threaded"),
             io_threads: Some("6"),
             ..EnvConfig::default()
         };
-        let overridden =
-            parse_args(args(&["--sessions", "reactor", "--io-threads", "3"]), env).unwrap();
-        assert_eq!(overridden.sessions, SessionMode::Reactor);
+        let overridden = parse_args(args(&["--io-threads", "3"]), env).unwrap();
         assert_eq!(overridden.io_threads, 3);
         // Bad env values are reported against the variable.
-        let env = EnvConfig {
-            sessions: Some("bogus"),
-            ..EnvConfig::default()
-        };
-        assert!(parse_args(args(&[]), env)
-            .unwrap_err()
-            .contains("ACTYP_YPD_SESSIONS"));
         let env = EnvConfig {
             workers: Some("many"),
             ..EnvConfig::default()
@@ -705,12 +657,13 @@ mod tests {
         assert!(parse_args(args(&["--ttl", "forever"]), no_env())
             .unwrap_err()
             .contains("invalid hop count"));
-        assert!(parse_args(args(&["--sessions", "fibers"]), no_env())
-            .unwrap_err()
-            .contains("unknown session mode"));
-        assert!(parse_args(args(&["--poller", "kqueue"]), no_env())
-            .unwrap_err()
-            .contains("unknown poller"));
+        // The A/B switches of the settled session-engine experiment are
+        // gone: a stale script naming them fails loudly.
+        for removed in ["--sessions", "--poller"] {
+            assert!(parse_args(args(&[removed, "reactor"]), no_env())
+                .unwrap_err()
+                .contains(&format!("unknown flag `{removed}`")));
+        }
         assert!(parse_args(args(&["--io-threads", "lots"]), no_env())
             .unwrap_err()
             .contains("invalid count"));

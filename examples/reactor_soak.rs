@@ -13,9 +13,9 @@
 //!
 //! ```text
 //! ypd --listen 127.0.0.1:7431 --domain purdue --arch sun --machines 1500 \
-//!     --sessions reactor --io-threads 2 --workers 4 --peer 127.0.0.1:7432 &
+//!     --io-threads 2 --workers 4 --peer 127.0.0.1:7432 &
 //! ypd --listen 127.0.0.1:7432 --domain upc --arch hp --machines 400 \
-//!     --sessions reactor --peer 127.0.0.1:7431 &
+//!     --peer 127.0.0.1:7431 &
 //! cargo run --release -p actyp-suite --example reactor_soak -- \
 //!     127.0.0.1:7431 127.0.0.1:7432 --halt
 //! ```

@@ -1,8 +1,7 @@
 //! Scale tests for the reactor session engine: a daemon's OS thread count
 //! must be *independent of its session count*, every ticket must settle
 //! under heavy pipelined load (including clients that vanish mid-flight),
-//! and the legacy thread-per-session mode plus the `poll(2)` fallback
-//! poller must keep serving the identical protocol.
+//! and the portable `poll(2)` poller must serve the identical protocol.
 //!
 //! Thread counts are read from `/proc/self/status` (`Threads:`); on
 //! platforms without procfs the count assertions are skipped while the
@@ -13,7 +12,7 @@ use std::net::TcpStream;
 use actyp_grid::{FleetSpec, SharedDatabase, SyntheticFleet};
 use actyp_pipeline::{
     BackendKind, FederationConfig, PipelineBuilder, PollerKind, RemoteBackend, ResourceManager,
-    SessionMode, StageAddress,
+    StageAddress,
 };
 use actyp_proto::{
     read_server_frame, write_frame, ClientFrame, RequestId, ServerFrame, PROTOCOL_VERSION,
@@ -360,31 +359,27 @@ fn a_client_that_never_reads_cannot_wedge_the_drain() {
     drop(sock);
 }
 
-/// The legacy thread-per-session mode and the portable `poll(2)` poller
-/// both keep serving the identical protocol end to end — they are the
-/// same server behind different I/O engines.
+/// The platform's poller and the portable `poll(2)` poller (the only one
+/// on non-Linux unix, forced here as the reference) serve the identical
+/// protocol end to end — the same session engine behind either.
 #[test]
-fn legacy_mode_and_poll_fallback_serve_the_same_protocol() {
-    for (mode, poller) in [
-        (SessionMode::ThreadPerSession, PollerKind::Auto),
-        (SessionMode::Reactor, PollerKind::Poll),
-    ] {
+fn every_poller_serves_the_same_protocol() {
+    for poller in [PollerKind::Auto, PollerKind::Poll] {
         let db = homogeneous_db("sun", 100, 5);
         let server = PipelineBuilder::new()
             .database(db.clone())
-            .session_mode(mode)
             .poller(poller)
             .serve(&loopback(), BackendKind::Embedded)
             .unwrap();
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
         let allocations = remote.submit_text_wait(SUN_QUERY).unwrap();
-        assert_eq!(allocations.len(), 1, "{mode}/{poller}");
+        assert_eq!(allocations.len(), 1, "{poller}");
         remote.release(&allocations[0]).unwrap();
-        // An abandoned ticket settles in every mode.
+        // An abandoned ticket settles under every poller.
         let _abandoned = remote.submit_text(SUN_QUERY).unwrap();
         remote.halt_daemon().unwrap();
         remote.shutdown().unwrap();
         server.join().unwrap();
-        assert_eq!(active_jobs(&db), 0, "{mode}/{poller}");
+        assert_eq!(active_jobs(&db), 0, "{poller}");
     }
 }
