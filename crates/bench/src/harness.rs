@@ -247,22 +247,42 @@ pub fn scale_for_label(label: &str) -> Result<Scale, String> {
 }
 
 /// The git revision stamped into emitted artifacts: `ACTYP_GIT_REV` if
-/// set, else `git rev-parse --short HEAD`, else `unknown`.
+/// set, else `git rev-parse --short HEAD` — with `+dirty` appended when
+/// tracked files outside `benchmarks/` differ from that commit, so numbers
+/// taken from an uncommitted change do not pass for the parent's — else
+/// `unknown`.
 pub fn git_rev() -> String {
     if let Ok(rev) = std::env::var("ACTYP_GIT_REV") {
         if !rev.is_empty() {
             return rev;
         }
     }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    let Some(rev) = git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) else {
+        return "unknown".to_string();
+    };
+    // The emitter's own output lands in `benchmarks/`; it must not mark
+    // the second artifact of a run dirty.
+    let changed = git(&[
+        "status",
+        "--porcelain",
+        "--untracked-files=no",
+        "--",
+        ":/",
+        ":(exclude,top)benchmarks",
+    ]);
+    match changed {
+        Some(changed) if !changed.is_empty() => format!("{rev}+dirty"),
+        _ => rev,
+    }
 }
 
 /// Converts a figure sweep's full measurements into an artifact: one
@@ -359,7 +379,7 @@ pub struct LoadSpec {
     /// Fleet seed.
     pub seed: u64,
     /// Shard count for the self-hosted daemon's hot state (directory
-    /// shards, admission-window lanes).  `0` keeps the daemon's default;
+    /// shards, pending-ticket shards).  `0` keeps the daemon's default;
     /// `1` restores the old single-lock behaviour — the pre-shard series
     /// of the `saturation_cores` sweep.
     pub shards: usize,

@@ -571,15 +571,37 @@ fn check_guards(
 
 /// Lane/thread operations that park the calling thread — forbidden on
 /// reactor I/O threads, whose stall freezes every session on that
-/// thread.  (`try_recv` and friends are fine.)
+/// thread.  (`try_recv` and friends are fine.)  [`MANAGER_PARKING_CALLS`]
+/// adds the backend calls that park behind a trait object.
 const REACTOR_BLOCKING_ZERO_ARGS: &[&str] = &["recv", "join"];
 const REACTOR_BLOCKING_ANY_ARGS: &[&str] = &["recv_timeout", "recv_deadline"];
+
+/// Calls on the daemon's hosted backend (`shared.manager.wait(..)`) that
+/// may park.  The backend is a `dyn ResourceManager`, so the walk cannot
+/// follow the call into whatever runs behind it — the method name has to
+/// carry the contract instead.  `try_submit`, `try_poll`, `stats` and
+/// `release_with` promise not to park and are deliberately absent.
+const MANAGER_PARKING_CALLS: &[&str] = &[
+    "submit",
+    "submit_text",
+    "submit_batch",
+    "wait",
+    "wait_deadline",
+    "release",
+    "shutdown",
+];
 
 /// Calls whose argument (a closure) runs on a *different* thread: the
 /// worker-lane queue and thread spawns.  Their argument lists are
 /// skipped entirely — blocking inside them is the lane's business, not
 /// the reactor thread's.
-const DISPATCH_CALLS: &[&str] = &["spawn", "spawn_job", "execute", "execute_batch"];
+const DISPATCH_CALLS: &[&str] = &[
+    "spawn",
+    "spawn_job",
+    "spawn_uncounted",
+    "execute",
+    "execute_batch",
+];
 
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "let", "mut",
@@ -796,8 +818,12 @@ fn record_call(tokens: &[Token], k: usize, info: &mut FnInfo) {
     if is_method {
         let blocking = (zero_args && REACTOR_BLOCKING_ZERO_ARGS.contains(&name))
             || REACTOR_BLOCKING_ANY_ARGS.contains(&name);
+        let on_manager = k.checked_sub(2).map(|j| tokens[j].text.as_str()) == Some("manager");
         if blocking {
             info.blocking.push((format!(".{name}()"), tokens[k].line));
+        } else if on_manager && MANAGER_PARKING_CALLS.contains(&name) {
+            info.blocking
+                .push((format!("manager.{name}()"), tokens[k].line));
         }
     }
 }

@@ -14,6 +14,13 @@
 
 pub use actyp_proto::types::{Allocation, AllocationError, SessionKey};
 
+/// Where a completion-style release
+/// ([`ResourceManager::release_with`](crate::ResourceManager::release_with))
+/// delivers its result: called at most once, on whichever thread finished
+/// the release — handed back uncalled by a backend that would have to
+/// park, dropped uncalled when the stage holding it shut down first.
+pub type ReleaseDone = Box<dyn FnOnce(Result<(), AllocationError>) + Send>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

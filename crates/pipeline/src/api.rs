@@ -53,7 +53,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
@@ -63,7 +63,7 @@ use actyp_baselines::{CentralScheduler, Matchmaker};
 use actyp_grid::{MachineId, ResourceDatabase, SharedDatabase};
 use actyp_query::{BasicQuery, PoolName, Query};
 
-use crate::allocation::{Allocation, AllocationError, SessionKey};
+use crate::allocation::{Allocation, AllocationError, ReleaseDone, SessionKey};
 use crate::engine::{Engine, EngineStats, PipelineConfig};
 use crate::live::LivePipeline;
 use crate::message::{RequestId, StageAddress};
@@ -206,6 +206,17 @@ pub trait ResourceManager: Send + Sync {
     /// and the ticket redeems instantly.
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError>;
 
+    /// [`submit`](Self::submit) for a caller that must not park — a `ypd`
+    /// I/O thread answering the frame on the spot.  `Ok` carries what
+    /// `submit` would have returned; `Err` hands the query back untouched
+    /// because submitting it now could park, and the caller takes it to a
+    /// thread that may.  The default always hands it back: that is right
+    /// for the eager backends, whose `submit` *is* the whole computation,
+    /// and for the remote one, whose `submit` is a network round trip.
+    fn try_submit(&self, query: Query) -> Result<Result<Ticket, AllocationError>, Query> {
+        Err(query)
+    }
+
     /// Blocks until the ticket's query finishes and returns its outcome.
     /// Each ticket can be redeemed exactly once.
     fn wait(&self, ticket: Ticket) -> QueryOutcome;
@@ -235,6 +246,20 @@ pub trait ResourceManager: Send + Sync {
 
     /// Releases an allocation back to the resource manager.
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError>;
+
+    /// [`release`](Self::release) for a caller that must not park — a
+    /// `ypd` I/O thread.  `Ok` means the release is under way (or done) and
+    /// `done` receives its result on whichever thread finishes it; `Err`
+    /// hands `done` back uncalled because releasing this allocation from
+    /// here could park, and the caller takes [`release`](Self::release) to
+    /// a thread that may.  The default always hands it back, which is
+    /// right for the remote and federated backends, whose release can be a
+    /// network round trip; the live backend posts `done` from the
+    /// pool-manager thread that drops the lease, and the eager backends,
+    /// whose release is a short in-memory step, finish on the spot.
+    fn release_with(&self, _allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+        Err(done)
+    }
 
     /// A snapshot of the backend's lifetime counters.
     fn stats(&self) -> StatsSnapshot;
@@ -286,6 +311,9 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         (**self).submit(query)
     }
+    fn try_submit(&self, query: Query) -> Result<Result<Ticket, AllocationError>, Query> {
+        (**self).try_submit(query)
+    }
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         (**self).wait(ticket)
     }
@@ -297,6 +325,9 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     }
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
         (**self).release(allocation)
+    }
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+        (**self).release_with(allocation, done)
     }
     fn stats(&self) -> StatsSnapshot {
         (**self).stats()
@@ -385,133 +416,101 @@ impl ReadyTickets {
     }
 }
 
-/// One permit pool of the sharded admission window.
-struct WindowLane {
-    permits: std::sync::Mutex<usize>,
-    available: Condvar,
-}
-
-/// A counting semaphore bounding the live backend's in-flight window,
-/// split into per-lane permit pools with a steal path.
+/// A counting semaphore bounding the live backend's in-flight window: one
+/// atomic permit count, taken and returned without a lock, plus a condvar
+/// that only acquirers who found the window full ever touch.
 ///
-/// The old single `Mutex<usize>` + condvar was a process-global
-/// rendezvous every submission and every settle crossed: one hot client
-/// saturating it starved every other session's submits behind one lock
-/// queue.  Permits are now dealt across lanes; an acquire starts at a
-/// round-robin home lane, sweeps the other lanes non-blockingly (the
-/// steal path, so capacity is never stranded in an idle lane), and only
-/// parks — with a bounded rescan interval — when every lane is empty.
-/// Releases return the permit to the lane it came from, keeping the
-/// pools balanced under symmetric load.
+/// Every permit is the same permit, so a released one is visible to every
+/// acquirer at once — there is no idle lane for capacity to hide in and
+/// nothing to rescan on a timer: a parked acquirer sleeps until a release
+/// notifies it (or its deadline passes).
 struct Window {
     capacity: usize,
-    lanes: Box<[WindowLane]>,
-    cursor: AtomicU64,
-    /// Acquires that found every lane empty or locked and had to park.
+    permits: AtomicUsize,
+    /// Acquirers parked (or about to park) on `freed`; a release takes the
+    /// lock and notifies only when this is non-zero.
+    waiters: AtomicUsize,
+    parking: std::sync::Mutex<()>,
+    freed: Condvar,
+    /// Acquires that found the window full and had to park.
     contention: AtomicU64,
 }
 
-/// How long a parked acquirer waits on its home lane before rescanning
-/// the other lanes for a stolen permit released elsewhere.
-const WINDOW_RESCAN_INTERVAL: Duration = Duration::from_micros(500);
-
 impl Window {
-    fn new(permits: usize, lanes: usize) -> Self {
+    fn new(permits: usize) -> Self {
         let capacity = permits.max(1);
-        let lanes = lanes.clamp(1, capacity);
-        let base = capacity / lanes;
-        let remainder = capacity % lanes;
         Window {
             capacity,
-            lanes: (0..lanes)
-                .map(|i| WindowLane {
-                    permits: std::sync::Mutex::new(base + usize::from(i < remainder)),
-                    available: Condvar::new(),
-                })
-                .collect(),
-            cursor: AtomicU64::new(0),
+            permits: AtomicUsize::new(capacity),
+            waiters: AtomicUsize::new(0),
+            parking: std::sync::Mutex::new(()),
+            freed: Condvar::new(),
             contention: AtomicU64::new(0),
         }
     }
 
-    /// Non-blocking sweep over every lane starting at `start`; takes the
-    /// first free permit found.  A lane whose lock is momentarily held is
-    /// skipped rather than waited on — the next lane may be free.
-    fn scan_from(&self, start: usize) -> Option<usize> {
-        for offset in 0..self.lanes.len() {
-            let idx = (start + offset) % self.lanes.len();
-            let lane = &self.lanes[idx];
-            let Ok(mut permits) = lane.permits.try_lock() else {
-                continue;
-            };
-            if *permits > 0 {
-                *permits -= 1;
-                return Some(idx);
-            }
-        }
-        None
+    /// Takes a permit if one is free; never parks.
+    fn try_acquire(&self) -> bool {
+        self.permits
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| {
+                free.checked_sub(1)
+            })
+            .is_ok()
     }
 
-    /// Acquires a permit, blocking until one frees; returns the lane the
-    /// permit was taken from (releases must return it there).
-    fn acquire(&self) -> usize {
-        self.acquire_until(None).expect("unbounded window acquire")
+    /// Acquires a permit, blocking until one frees.
+    fn acquire(&self) {
+        let acquired = self.acquire_until(None);
+        debug_assert!(acquired, "an unbounded acquire cannot time out");
     }
 
-    /// Acquires a permit, giving up at `deadline`.  Returns the permit's
-    /// lane, or `None` when the deadline passed first — the
-    /// deadline-bounded backpressure batch submission applies instead of
-    /// blocking indefinitely.
-    fn acquire_deadline(&self, deadline: Instant) -> Option<usize> {
-        self.acquire_until(Some(deadline))
-    }
-
-    fn acquire_until(&self, deadline: Option<Instant>) -> Option<usize> {
-        let home = (self.cursor.fetch_add(1, Ordering::Relaxed) % self.lanes.len() as u64) as usize;
-        if let Some(lane) = self.scan_from(home) {
-            return Some(lane);
+    /// Acquires a permit, giving up at `deadline` (`None`: never).  Returns
+    /// whether a permit was taken — the deadline-bounded backpressure batch
+    /// submission applies instead of blocking indefinitely.
+    fn acquire_until(&self, deadline: Option<Instant>) -> bool {
+        if self.try_acquire() {
+            return true;
         }
         self.contention.fetch_add(1, Ordering::Relaxed);
-        loop {
-            {
-                let lane = &self.lanes[home];
-                let mut permits = lane.permits.lock().expect("window lock");
-                loop {
-                    if *permits > 0 {
-                        *permits -= 1;
-                        return Some(home);
-                    }
+        // Announce the wait *before* the re-check, under the lock a release
+        // notifies under: a release either sees the waiter (and notifies
+        // once this thread is inside `wait`) or happened before the
+        // re-check, which then finds its permit.
+        let mut guard = self.parking.lock().expect("window lock");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let acquired = loop {
+            if self.try_acquire() {
+                break true;
+            }
+            guard = match deadline {
+                None => self.freed.wait(guard).expect("window lock"),
+                Some(deadline) => {
                     let now = Instant::now();
-                    let wait = match deadline {
-                        Some(d) if now >= d => return None,
-                        Some(d) => WINDOW_RESCAN_INTERVAL.min(d - now),
-                        None => WINDOW_RESCAN_INTERVAL,
-                    };
-                    let (guard, timed_out) = lane
-                        .available
-                        .wait_timeout(permits, wait)
-                        .expect("window lock");
-                    permits = guard;
-                    if timed_out.timed_out() {
-                        // Rescan the other lanes: a permit may have been
-                        // released to a lane nobody was parked on.
-                        break;
+                    if now >= deadline {
+                        break false;
                     }
+                    self.freed
+                        .wait_timeout(guard, deadline - now)
+                        .expect("window lock")
+                        .0
                 }
-            }
-            if let Some(lane) = self.scan_from(home) {
-                return Some(lane);
-            }
+            };
+        };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        acquired
+    }
+
+    fn release(&self) {
+        self.permits.fetch_add(1, Ordering::SeqCst);
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            // Taking the lock orders this notify after the waiter's
+            // re-check-then-wait, so the wake-up cannot fall in between.
+            let _guard = self.parking.lock().expect("window lock");
+            self.freed.notify_one();
         }
     }
 
-    fn release(&self, lane: usize) {
-        let lane = &self.lanes[lane];
-        *lane.permits.lock().expect("window lock") += 1;
-        lane.available.notify_one();
-    }
-
-    /// Acquires that found every lane dry and had to park.
+    /// Acquires that found the window full and had to park.
     fn contention(&self) -> u64 {
         self.contention.load(Ordering::Relaxed)
     }
@@ -567,6 +566,11 @@ impl ResourceManager for EmbeddedBackend {
         self.engine.release(allocation)
     }
 
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+        done(self.release(allocation));
+        Ok(())
+    }
+
     fn stats(&self) -> StatsSnapshot {
         let mut snapshot = snapshot_from_engine(
             self.engine.stats(),
@@ -592,10 +596,9 @@ pub struct LiveBackend {
     pipeline: LivePipeline,
     brand: u64,
     next: AtomicU64,
-    /// Outstanding tickets, sharded by ticket id.  Each entry remembers
-    /// the window lane its permit came from so settling releases the
-    /// permit to the originating lane.
-    pending: crate::shard::ShardedMap<(usize, crossbeam::channel::Receiver<QueryOutcome>)>,
+    /// Outstanding tickets, sharded by ticket id; each holds one window
+    /// permit until it settles.
+    pending: crate::shard::ShardedMap<crossbeam::channel::Receiver<QueryOutcome>>,
     window: Window,
     batch_deadline: Duration,
     examined: AtomicU64,
@@ -608,37 +611,43 @@ impl LiveBackend {
             brand: next_backend_brand(),
             next: AtomicU64::new(0),
             pending: crate::shard::ShardedMap::new(shards),
-            window: Window::new(window, shards),
+            window: Window::new(window),
             batch_deadline,
             examined: AtomicU64::new(0),
         }
     }
 
-    /// One deadline-bounded batch submission step: waits for a window
-    /// permit until `deadline`, then launches the query.
-    fn submit_until(&self, query: Query, deadline: Instant) -> Result<Ticket, AllocationError> {
-        let Some(lane) = self.window.acquire_deadline(deadline) else {
-            return Err(AllocationError::Internal(format!(
-                "batch backpressure deadline of {:?} elapsed with the in-flight \
-                 window of {} still full; redeem outstanding tickets, raise \
-                 PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
-                self.batch_deadline, self.window.capacity
-            )));
-        };
+    /// Launches `query` into the pipeline under a window permit the caller
+    /// already holds; the permit is handed back if the launch fails.
+    fn launch(&self, query: Query) -> Result<Ticket, AllocationError> {
         match self.pipeline.submit_async(query) {
             Ok(rx) => {
                 let id = self.next.fetch_add(1, Ordering::Relaxed);
-                self.pending.insert(id, (lane, rx));
+                self.pending.insert(id, rx);
                 Ok(Ticket {
                     brand: self.brand,
                     id,
                 })
             }
             Err(e) => {
-                self.window.release(lane);
+                self.window.release();
                 Err(e)
             }
         }
+    }
+
+    /// One deadline-bounded batch submission step: waits for a window
+    /// permit until `deadline`, then launches the query.
+    fn submit_until(&self, query: Query, deadline: Instant) -> Result<Ticket, AllocationError> {
+        if !self.window.acquire_until(Some(deadline)) {
+            return Err(AllocationError::Internal(format!(
+                "batch backpressure deadline of {:?} elapsed with the in-flight \
+                 window of {} still full; redeem outstanding tickets, raise \
+                 PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
+                self.batch_deadline, self.window.capacity
+            )));
+        }
+        self.launch(query)
     }
 
     /// The underlying live pipeline, for inspection the trait does not
@@ -647,31 +656,28 @@ impl LiveBackend {
         &self.pipeline
     }
 
-    fn settle(&self, outcome: &QueryOutcome, lane: usize) {
+    fn settle(&self, outcome: &QueryOutcome) {
         if let Ok(allocations) = outcome {
             let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
             self.examined.fetch_add(examined, Ordering::Relaxed);
         }
-        self.window.release(lane);
+        self.window.release();
     }
 }
 
 impl ResourceManager for LiveBackend {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        let lane = self.window.acquire();
-        match self.pipeline.submit_async(query) {
-            Ok(rx) => {
-                let id = self.next.fetch_add(1, Ordering::Relaxed);
-                self.pending.insert(id, (lane, rx));
-                Ok(Ticket {
-                    brand: self.brand,
-                    id,
-                })
-            }
-            Err(e) => {
-                self.window.release(lane);
-                Err(e)
-            }
+        self.window.acquire();
+        self.launch(query)
+    }
+
+    /// Launching is one channel send, so with a permit in hand nothing
+    /// here can park; a full window hands the query back.
+    fn try_submit(&self, query: Query) -> Result<Result<Ticket, AllocationError>, Query> {
+        if self.window.try_acquire() {
+            Ok(self.launch(query))
+        } else {
+            Err(query)
         }
     }
 
@@ -710,7 +716,7 @@ impl ResourceManager for LiveBackend {
         if ticket.brand != self.brand {
             return Err(AllocationError::UnknownTicket);
         }
-        let (lane, rx) = self
+        let rx = self
             .pending
             .remove(ticket.id)
             .ok_or(AllocationError::UnknownTicket)?;
@@ -719,7 +725,7 @@ impl ResourceManager for LiveBackend {
                 "pipeline dropped the reply".to_string(),
             ))
         });
-        self.settle(&outcome, lane);
+        self.settle(&outcome);
         outcome
     }
 
@@ -735,25 +741,25 @@ impl ResourceManager for LiveBackend {
         if ticket.brand != self.brand {
             return Some(Err(AllocationError::UnknownTicket));
         }
-        let (lane, rx) = match self.pending.remove(ticket.id) {
-            Some(entry) => entry,
+        let rx = match self.pending.remove(ticket.id) {
+            Some(rx) => rx,
             None => return Some(Err(AllocationError::UnknownTicket)),
         };
         match rx.recv_timeout(timeout) {
             Ok(outcome) => {
-                self.settle(&outcome, lane);
+                self.settle(&outcome);
                 Some(outcome)
             }
             Err(RecvTimeoutError::Timeout) => {
                 // Deadline elapsed: the ticket stays redeemable.
-                self.pending.insert(ticket.id, (lane, rx));
+                self.pending.insert(ticket.id, rx);
                 None
             }
             Err(RecvTimeoutError::Disconnected) => {
                 let outcome = Err(AllocationError::Internal(
                     "pipeline dropped the reply".to_string(),
                 ));
-                self.settle(&outcome, lane);
+                self.settle(&outcome);
                 Some(outcome)
             }
         }
@@ -768,9 +774,8 @@ impl ResourceManager for LiveBackend {
         // concurrent redeemer of the same ticket sees `UnknownTicket`
         // rather than a torn entry; other tickets' shards stay free.
         let mut pending = crate::shard::lock_shard(&self.pending, ticket.id);
-        let rx = match pending.get(&ticket.id) {
-            Some((_, rx)) => rx,
-            None => return Some(Err(AllocationError::UnknownTicket)),
+        let Some(rx) = pending.get(&ticket.id) else {
+            return Some(Err(AllocationError::UnknownTicket));
         };
         let outcome = match rx.try_recv() {
             Ok(outcome) => outcome,
@@ -779,16 +784,19 @@ impl ResourceManager for LiveBackend {
                 "pipeline dropped the reply".to_string(),
             )),
         };
-        let (lane, _rx) = pending
-            .remove(&ticket.id)
-            .expect("entry present under guard");
+        pending.remove(&ticket.id);
         drop(pending);
-        self.settle(&outcome, lane);
+        self.settle(&outcome);
         Some(outcome)
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
         self.pipeline.release(allocation)
+    }
+
+    /// The pool-manager stage that drops the lease runs `done` itself.
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+        self.pipeline.release_with(allocation, done)
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -1011,6 +1019,11 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
         self.release_outstanding(allocation)
     }
 
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+        done(self.release(allocation));
+        Ok(())
+    }
+
     fn stats(&self) -> StatsSnapshot {
         StatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
@@ -1163,9 +1176,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Shard count for the daemon's hot state: directory shards,
-    /// admission-window permit lanes and pending-ticket shards (clamped
-    /// to at least 1; `1` degenerates to the old single-lock behaviour).
+    /// Shard count for the daemon's hot state: directory shards and
+    /// pending-ticket shards (clamped to at least 1; `1` degenerates to
+    /// the old single-lock behaviour).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
         self
@@ -1491,6 +1504,38 @@ mod tests {
             manager.release(&allocations[0]).unwrap();
         }
         manager.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_released_permit_wakes_a_parked_acquirer_without_a_timeout() {
+        let window = std::sync::Arc::new(Window::new(1));
+        assert!(window.try_acquire());
+        assert!(!window.try_acquire(), "a full window never parks a try");
+        // An unbounded acquire has no timeout to fall back on: it returns
+        // only because the release notified it.
+        let (acquired_tx, acquired_rx) = std::sync::mpsc::channel();
+        let parked = {
+            let window = window.clone();
+            std::thread::spawn(move || {
+                window.acquire();
+                acquired_tx.send(()).unwrap();
+            })
+        };
+        // Release only once the acquirer has announced itself, so the
+        // release is the one that has to do the waking.
+        while window.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        window.release();
+        acquired_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the release woke the parked acquirer");
+        parked.join().unwrap();
+        assert_eq!(window.contention(), 1);
+        // A deadline still bounds a wait nobody ends.
+        assert!(!window.acquire_until(Some(Instant::now() + Duration::from_millis(20))));
+        window.release();
+        assert!(window.try_acquire());
     }
 
     #[test]

@@ -1035,6 +1035,16 @@ impl FederatedBackend {
         }
     }
 
+    /// Records an inner ticket with its query text (kept so a local
+    /// failure can be delegated) under a fresh ticket of this backend.
+    fn issue(&self, inner: Ticket, query: String) -> Ticket {
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        self.tickets
+            .lock()
+            .insert(id, PendingTicket { inner, query });
+        Ticket::from_parts(self.brand, id)
+    }
+
     fn take_ticket(&self, ticket: Ticket) -> Result<PendingTicket, AllocationError> {
         if ticket.brand() != self.brand {
             return Err(AllocationError::UnknownTicket);
@@ -1225,15 +1235,18 @@ impl ResourceManager for FederatedBackend {
     fn submit(&self, query: actyp_query::Query) -> Result<Ticket, AllocationError> {
         let rendered = query.to_string();
         let inner = self.inner.submit(query)?;
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.tickets.lock().insert(
-            id,
-            PendingTicket {
-                inner,
-                query: rendered,
-            },
-        );
-        Ok(Ticket::from_parts(self.brand, id))
+        Ok(self.issue(inner, rendered))
+    }
+
+    /// Submission is always local first, so it parks exactly when the
+    /// wrapped backend's would.
+    fn try_submit(
+        &self,
+        query: actyp_query::Query,
+    ) -> Result<Result<Ticket, AllocationError>, actyp_query::Query> {
+        let rendered = query.to_string();
+        let submitted = self.inner.try_submit(query)?;
+        Ok(submitted.map(|inner| self.issue(inner, rendered)))
     }
 
     /// Batches forward to the inner backend's own batch submission, so an
@@ -1250,13 +1263,7 @@ impl ResourceManager for FederatedBackend {
         Ok(inner
             .into_iter()
             .zip(rendered)
-            .map(|(inner, query)| {
-                let id = self.next.fetch_add(1, Ordering::Relaxed);
-                self.tickets
-                    .lock()
-                    .insert(id, PendingTicket { inner, query });
-                Ticket::from_parts(self.brand, id)
-            })
+            .map(|(inner, query)| self.issue(inner, query))
             .collect())
     }
 

@@ -31,7 +31,7 @@ use parking_lot::Mutex;
 use actyp_grid::SharedDatabase;
 use actyp_query::{BasicQuery, Query, QuerySchema};
 
-use crate::allocation::{Allocation, AllocationError};
+use crate::allocation::{Allocation, AllocationError, ReleaseDone};
 use crate::directory::{LocalDirectoryService, SharedDirectory};
 use crate::engine::{EngineStats, PipelineConfig};
 use crate::message::{RequestId, RequestIdGenerator, RoutingState};
@@ -95,11 +95,28 @@ enum PmMsg {
         hour: u8,
         reply: AllocationReply,
     },
+    /// The stage drops the lease and then runs `done` itself — nobody
+    /// parks waiting for the answer unless `done` is a channel send.
     Release {
         allocation: Allocation,
-        reply: Sender<Result<(), AllocationError>>,
+        done: ReleaseDone,
     },
     Shutdown,
+}
+
+/// Asks `stage` to release `allocation` and blocks for its answer.
+fn release_on(stage: &Sender<PmMsg>, allocation: &Allocation) -> Result<(), AllocationError> {
+    let (tx, rx) = unbounded();
+    let down = || AllocationError::Internal("stage is down".to_string());
+    stage
+        .send(PmMsg::Release {
+            allocation: allocation.clone(),
+            done: Box::new(move |released| {
+                let _ = tx.send(released);
+            }),
+        })
+        .map_err(|_| down())?;
+    rx.recv().unwrap_or_else(|_| Err(down()))
 }
 
 struct PmWorker {
@@ -115,8 +132,8 @@ impl PmWorker {
         while let Ok(msg) = self.rx.recv() {
             match msg {
                 PmMsg::Shutdown => break,
-                PmMsg::Release { allocation, reply } => {
-                    let _ = reply.send(self.manager.release(&allocation));
+                PmMsg::Release { allocation, done } => {
+                    done(self.manager.release(&allocation));
                 }
                 PmMsg::AllocateFrom {
                     pool,
@@ -284,20 +301,13 @@ impl QmWorker {
             .reintegrate(results, self.config.reintegration)?;
         for extra in surplus {
             // Hand surplus matches back to whichever manager hosts the pool.
-            for sender in self.pm_txs.values() {
-                let (tx, rx) = unbounded();
-                if sender
-                    .send(PmMsg::Release {
-                        allocation: extra.clone(),
-                        reply: tx,
-                    })
-                    .is_ok()
-                    && matches!(rx.recv(), Ok(Ok(())))
-                {
-                    self.counters.releases.fetch_add(1, Ordering::Relaxed);
-                    self.counters.allocations.fetch_sub(1, Ordering::Relaxed);
-                    break;
-                }
+            if self
+                .pm_txs
+                .values()
+                .any(|stage| release_on(stage, &extra).is_ok())
+            {
+                self.counters.releases.fetch_add(1, Ordering::Relaxed);
+                self.counters.allocations.fetch_sub(1, Ordering::Relaxed);
             }
         }
         Ok(keep)
@@ -439,37 +449,60 @@ impl LivePipeline {
         Ok(rx)
     }
 
-    /// Releases an allocation.
+    /// The stage hosting `allocation`'s pool, when the directory knows it.
+    fn owning_stage(&self, allocation: &Allocation) -> Option<&Sender<PmMsg>> {
+        let manager = crate::engine::owning_manager(&self.directory, allocation)?;
+        self.pm_txs.get(&manager)
+    }
+
+    /// Releases an allocation, blocking for the answer: the owning stage's,
+    /// or — when the directory does not know the owner — each stage's in
+    /// turn until one accepts.
     pub fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        // Find the hosting manager through the directory; fall back to
-        // asking every manager.
-        let manager = crate::engine::owning_manager(&self.directory, allocation);
-        let order: Vec<&Sender<PmMsg>> = match manager.as_ref().and_then(|m| self.pm_txs.get(m)) {
-            Some(tx) => vec![tx],
+        let stages: Vec<&Sender<PmMsg>> = match self.owning_stage(allocation) {
+            Some(stage) => vec![stage],
             None => self.pm_txs.values().collect(),
         };
         let mut last = Err(AllocationError::UnknownAllocation);
-        for sender in order {
-            let (tx, rx) = unbounded();
-            if sender
-                .send(PmMsg::Release {
-                    allocation: allocation.clone(),
-                    reply: tx,
-                })
-                .is_err()
-            {
-                continue;
-            }
-            match rx.recv() {
-                Ok(Ok(())) => {
-                    self.counters.releases.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Ok(Err(e)) => last = Err(e),
-                Err(_) => last = Err(AllocationError::Internal("stage is down".to_string())),
+        for stage in stages {
+            last = release_on(stage, allocation);
+            if last.is_ok() {
+                self.counters.releases.fetch_add(1, Ordering::Relaxed);
+                break;
             }
         }
         last
+    }
+
+    /// Releases an allocation without waiting for it: the owning
+    /// pool-manager stage drops the lease and calls `done` with the result
+    /// (if the stages shut down first, `done` is dropped uncalled).  When
+    /// the directory does not know the owner the stages have to be asked
+    /// one after the other, which parks: `done` is handed back and the
+    /// caller uses [`release`](Self::release).
+    pub fn release_with(
+        &self,
+        allocation: &Allocation,
+        done: ReleaseDone,
+    ) -> Result<(), ReleaseDone> {
+        let Some(stage) = self.owning_stage(allocation) else {
+            return Err(done);
+        };
+        let counters = self.counters.clone();
+        let attempt = PmMsg::Release {
+            allocation: allocation.clone(),
+            done: Box::new(move |released| {
+                if released.is_ok() {
+                    counters.releases.fetch_add(1, Ordering::Relaxed);
+                }
+                done(released);
+            }),
+        };
+        if let Err(crossbeam::channel::SendError(PmMsg::Release { done, .. })) = stage.send(attempt)
+        {
+            done(Err(AllocationError::Internal("stage is down".to_string())));
+        }
+        Ok(())
     }
 
     /// Shuts the deployment down, joining every stage thread.  A worker that

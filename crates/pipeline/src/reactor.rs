@@ -21,10 +21,11 @@
 //! Two more pieces the session engine needs live here because they share
 //! the same raw-binding style and have no other natural home:
 //!
-//! * [`Waker`] — a non-blocking self-pipe.  Worker threads finish blocking
+//! * [`Waker`] — a non-blocking self-pipe.  Worker and stage threads finish
 //!   backend calls off the I/O threads; posting the completion into a
-//!   session's write queue must interrupt that session's [`Poller::poll`],
-//!   which is exactly what writing one byte into the registered pipe does.
+//!   session's write queue must interrupt that session's [`Poller::poll`]
+//!   when the I/O thread is asleep in it, which is exactly what writing one
+//!   byte into the registered pipe does.
 //! * [`WorkerPool`] — a fixed, capped pool of job threads.  The reactor
 //!   server runs every blocking backend call (submit, wait, delegate …) on
 //!   one of these instead of spawning a thread per request, which is what
@@ -40,6 +41,7 @@
 //! supplies the rest.
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 #[cfg(unix)]
@@ -539,8 +541,11 @@ impl Poller for PollPoller {
 ///
 /// Register [`Waker::read_fd`] (read interest) under a reserved token;
 /// [`Waker::wake`] then makes the poller report that token readable.  The
-/// owning loop calls [`Waker::drain`] once per wakeup — coalesced wakes
-/// cost one byte each but a single drain.
+/// owning loop calls [`Waker::drain`] when — and only when — that token
+/// fired.  The session engine rings through a parked flag
+/// (`server/session.rs`, `IoNotify`), so a sleep of the loop costs at most
+/// one `wake`, and the handful of bytes stragglers can leave behind fit one
+/// `read`.
 ///
 /// Both ends are non-blocking: waking a loop that is already behind never
 /// blocks the waker (a full pipe already guarantees a pending wakeup).
@@ -582,16 +587,14 @@ impl Waker {
         unsafe { sys::write(self.write_fd, byte.as_ptr(), 1) };
     }
 
-    /// Consumes every pending wake byte.  Call once per poller wakeup.
+    /// Consumes pending wake bytes with exactly one `read`.  Call it when
+    /// the poller reported the waker's token; more than a buffer's worth of
+    /// bytes (which takes as many uncoordinated wakers) leaves the token
+    /// readable and is drained by the next call.
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        loop {
-            // SAFETY: reading into a live buffer from an owned fd.
-            let n = unsafe { sys::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
-            if n <= 0 {
-                break;
-            }
-        }
+        // SAFETY: reading into a live buffer from an owned fd.
+        unsafe { sys::read(self.read_fd, buf.as_mut_ptr(), buf.len()) };
     }
 }
 
@@ -612,6 +615,118 @@ impl Drop for Waker {
 unsafe impl Send for Waker {}
 #[cfg(unix)]
 unsafe impl Sync for Waker {}
+
+// ---------------------------------------------------------------------------
+// Doorbell
+// ---------------------------------------------------------------------------
+
+/// The flag half of a [`Doorbell`]: one sequentially consistent boolean.
+pub trait Flag {
+    fn store(&self, value: bool);
+    fn swap(&self, value: bool) -> bool;
+}
+
+impl Flag for AtomicBool {
+    fn store(&self, value: bool) {
+        AtomicBool::store(self, value, Ordering::SeqCst)
+    }
+    fn swap(&self, value: bool) -> bool {
+        AtomicBool::swap(self, value, Ordering::SeqCst)
+    }
+}
+
+/// The bell half of a [`Doorbell`]: something the sleeping loop's `poll`
+/// returns for once rung, until it is drained.
+pub trait Bell {
+    fn ring(&self);
+    fn drain(&self);
+}
+
+#[cfg(unix)]
+impl Bell for Waker {
+    fn ring(&self) {
+        self.wake()
+    }
+    fn drain(&self) {
+        Waker::drain(self)
+    }
+}
+
+/// The parked-flag protocol that lets an event loop be woken with at most
+/// one bell ring per sleep — and none while it is running.  Two-sided, and
+/// both orders matter:
+///
+/// * loop ([`Doorbell::park`]): publish `parked`, **then** look at every
+///   wake source once more, then block.
+/// * ringer ([`Doorbell::ring`]): publish the work, **then** take `parked`.
+///
+/// Either the ringer finds `parked` set and rings the bell, or the loop's
+/// second look finds the work — never neither.  Taking the flag (`swap`)
+/// lets one ringer per sleep through.
+///
+/// Generic over its two primitives so that the daemon (`AtomicBool` +
+/// [`Waker`]) and the model checker (`actyp-model` mutex + condvar, see
+/// `model_tests` below) run this very code: the proof is of these lines,
+/// not of a copy.
+pub struct Doorbell<F, B> {
+    parked: F,
+    bell: B,
+}
+
+impl<F: Flag, B: Bell> Doorbell<F, B> {
+    /// `parked` must start out `false`.
+    pub fn new(parked: F, bell: B) -> Self {
+        Doorbell { parked, bell }
+    }
+
+    pub fn bell(&self) -> &B {
+        &self.bell
+    }
+
+    /// Ringer side; call *after* publishing the work.  Returns whether the
+    /// bell was actually rung.
+    pub fn ring(&self) -> bool {
+        let was_parked = self.parked.swap(false);
+        if was_parked {
+            self.bell.ring();
+        }
+        was_parked
+    }
+
+    /// Loop side, before blocking: publishes the intent to block, then
+    /// asks `work_pending` whether anything arrived that nobody will ring
+    /// for any more.  Returns whether the loop may block.
+    #[cfg(not(feature = "buggy-doorbell"))]
+    pub fn park(&self, work_pending: impl FnOnce() -> bool) -> bool {
+        self.parked.store(true);
+        if work_pending() {
+            self.parked.store(false);
+            return false;
+        }
+        true
+    }
+
+    /// The bug the order exists to prevent, kept for the model checker to
+    /// re-find: look first, publish afterwards.  Work that arrives in
+    /// between is rung for while the flag is still clear, then slept on.
+    #[cfg(feature = "buggy-doorbell")]
+    pub fn park(&self, work_pending: impl FnOnce() -> bool) -> bool {
+        if work_pending() {
+            return false;
+        }
+        self.parked.store(true);
+        true
+    }
+
+    /// Loop side, after blocking: rings are free again until the next
+    /// park, and the bell is drained only if it is what ended the sleep.
+    pub fn unpark(&self, rung: bool) {
+        self.parked.store(false);
+        if rung {
+            self.bell.drain();
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Worker pool
@@ -1043,5 +1158,166 @@ mod tests {
         wheel.add(6, Duration::ZERO);
         wheel.remove(6);
         assert!(wheel.expired(std::time::Instant::now()).is_empty());
+    }
+}
+
+/// Bounded-interleaving proof of [`Doorbell`] (`--features model`), run by
+/// the CI `model-check` job.  Atomics and fds are outside the model, so
+/// the flag is a mutex-wrapped bool (one lock, one visible operation) and
+/// the self-pipe a byte count with a condvar; `park`, `ring` and `unpark`
+/// are the daemon's own.  The loop sleeps *without* a timeout here, so a
+/// lost wake-up is a deadlock the explorer reports.
+#[cfg(all(test, feature = "model"))]
+mod model_tests {
+    use super::{Bell, Doorbell, Flag};
+    use actyp_model::sync::{Condvar, Mutex};
+    use actyp_model::{thread, Explorer};
+    use std::sync::Arc;
+
+    struct ModelFlag(Mutex<bool>);
+
+    impl Flag for ModelFlag {
+        fn store(&self, value: bool) {
+            *self.0.lock().unwrap() = value;
+        }
+        fn swap(&self, value: bool) -> bool {
+            std::mem::replace(&mut *self.0.lock().unwrap(), value)
+        }
+    }
+
+    struct ModelPipe {
+        bytes: Mutex<u32>,
+        readable: Condvar,
+    }
+
+    impl ModelPipe {
+        /// `poll` with nothing but the pipe registered.
+        fn sleep(&self) {
+            let mut bytes = self.bytes.lock().unwrap();
+            while *bytes == 0 {
+                bytes = self.readable.wait(bytes).unwrap();
+            }
+        }
+    }
+
+    impl Bell for ModelPipe {
+        fn ring(&self) {
+            *self.bytes.lock().unwrap() += 1;
+            self.readable.notify_one();
+        }
+        fn drain(&self) {
+            *self.bytes.lock().unwrap() = 0;
+        }
+    }
+
+    fn explorer() -> Explorer {
+        Explorer {
+            max_schedules: 200_000,
+            preemption_bound: 2,
+            op_budget: 50_000,
+        }
+    }
+
+    /// Two ringers against one I/O loop over the daemon's three wake
+    /// sources: a lane worker marks a session dirty; the listener deals a
+    /// socket to the loop and then raises the drain flag.  The loop ends
+    /// once it has seen all three, which it can only do if no ring that
+    /// mattered was swallowed.
+    fn doorbell_scenario() {
+        let bell = Arc::new(Doorbell::new(
+            ModelFlag(Mutex::new(false)),
+            ModelPipe {
+                bytes: Mutex::new(0),
+                readable: Condvar::new(),
+            },
+        ));
+        let dirty = Arc::new(Mutex::new(false));
+        let incoming = Arc::new(Mutex::new(0u32));
+        let draining = Arc::new(Mutex::new(false));
+
+        let io = {
+            let (bell, dirty, incoming, draining) = (
+                bell.clone(),
+                dirty.clone(),
+                incoming.clone(),
+                draining.clone(),
+            );
+            thread::spawn(move || {
+                let (mut flushed, mut adopted, mut drain_seen) = (false, false, false);
+                while !(flushed && adopted && drain_seen) {
+                    let may_block = bell.park(|| {
+                        *dirty.lock().unwrap()
+                            || *incoming.lock().unwrap() > 0
+                            || (!drain_seen && *draining.lock().unwrap())
+                    });
+                    if may_block {
+                        bell.bell().sleep();
+                    }
+                    bell.unpark(may_block);
+                    if std::mem::take(&mut *incoming.lock().unwrap()) > 0 {
+                        adopted = true;
+                    }
+                    if std::mem::take(&mut *dirty.lock().unwrap()) {
+                        flushed = true;
+                    }
+                    if *draining.lock().unwrap() {
+                        drain_seen = true;
+                    }
+                }
+            })
+        };
+        let worker = {
+            let (bell, dirty) = (bell.clone(), dirty.clone());
+            thread::spawn(move || {
+                *dirty.lock().unwrap() = true;
+                bell.ring();
+            })
+        };
+        let listener = {
+            let (bell, incoming, draining) = (bell.clone(), incoming.clone(), draining.clone());
+            thread::spawn(move || {
+                *incoming.lock().unwrap() += 1;
+                bell.ring();
+                *draining.lock().unwrap() = true;
+                bell.ring();
+            })
+        };
+        worker.join().unwrap();
+        listener.join().unwrap();
+        io.join().unwrap();
+    }
+
+    /// The parked-flag protocol loses no wake-up: under every bounded
+    /// interleaving the loop sees the dirty mark, the dealt socket and the
+    /// drain, though it never sleeps with a timeout.
+    #[cfg(not(feature = "buggy-doorbell"))]
+    #[test]
+    fn doorbell_loses_no_wakeup_proven() {
+        let report = explorer().prove(doorbell_scenario);
+        assert!(report.proven());
+        assert!(report.schedules > 100, "interleavings actually explored");
+    }
+
+    /// REGRESSION (`--features model,buggy-doorbell`): publishing
+    /// "parking" *after* the second look lets a ring fall between the two —
+    /// the ringer finds the flag clear, rings nothing, and the loop sleeps
+    /// on work it already missed.  The exploration must find that deadlock.
+    #[cfg(feature = "buggy-doorbell")]
+    #[test]
+    fn doorbell_lost_wakeup_recaught() {
+        let report = explorer().explore(doorbell_scenario);
+        let failure = report.failure.expect(
+            "checking before publishing must lose a wake-up within the bounded exploration",
+        );
+        assert!(
+            failure.message.contains("deadlock"),
+            "expected a deadlock, got: {}",
+            failure.message
+        );
+        assert!(
+            report.schedules <= 5_000,
+            "the lost wake-up should surface within a few thousand interleavings, took {}",
+            report.schedules
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! The worker lanes: every blocking backend call a session makes runs
+//! The worker lanes: every backend call of a session that can park runs
 //! here, never on an I/O thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,9 +81,11 @@ struct JobGuard {
 
 impl Drop for JobGuard {
     fn drop(&mut self) {
+        // Release: whoever reads the count as zero (the I/O thread, before
+        // answering a submission inline) also sees the job's queued reply.
         self.lane
             .in_flight(&self.state)
-            .fetch_sub(1, Ordering::Relaxed);
+            .fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -142,12 +144,23 @@ pub(super) fn spawn_job(
         state: state.clone(),
         lane,
     };
+    spawn_uncounted(batch, lane, move || {
+        let _guard = guard;
+        job();
+    });
+}
+
+/// Queues a job the caller bounds and counts itself: a release, which
+/// must never be refused (the error would strand the lease) and is held
+/// back by pausing the session's read side instead.
+pub(super) fn spawn_uncounted(
+    batch: &mut LaneBatch,
+    lane: Lane,
+    job: impl FnOnce() + Send + 'static,
+) {
     let jobs = match lane {
         Lane::Submit => &mut batch.submit,
         Lane::Redeem => &mut batch.redeem,
     };
-    jobs.push(Box::new(move || {
-        let _guard = guard;
-        job();
-    }));
+    jobs.push(Box::new(job));
 }

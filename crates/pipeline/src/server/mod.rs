@@ -25,22 +25,29 @@
 //! write queue the I/O thread flushes as the socket allows (with a
 //! high-water mark that stops *reading* from a client that is not draining
 //! its replies), and a drain-aware close that lets queued replies leave
-//! before the socket shuts.  Blocking backend calls never run on an I/O
-//! thread: they are queued onto one shared, capped
+//! before the socket shuts.  A backend call that can *park* never runs on
+//! an I/O thread: it is queued onto one shared, capped
 //! [`crate::reactor::WorkerPool`] per lane (`lanes.rs`,
 //! [`ServerConfig::workers`] threads each) —
 //!
-//! * the *submit* lane (submit, batch submit, delegations in), whose
-//!   jobs may block on the live backend's admission window,
-//! * the *redeem* lane (wait, federated polls and releases), whose jobs
-//!   resolve by pipeline progress or bounded peer I/O alone, and
+//! * the *submit* lane (submissions the backend cannot take without
+//!   waiting, batch submits, delegations in), whose jobs may block on the
+//!   live backend's admission window,
+//! * the *redeem* lane (waits whose outcome is not there yet; federated
+//!   waits, polls and releases), whose jobs resolve by pipeline progress
+//!   or bounded peer I/O alone, and
 //! * the *teardown* lane (session settles for closed connections), so a
 //!   mass disconnect never spawns a thread per closing session —
 //!
 //! kept separate so a lane full of window-blocked submissions can never
 //! starve the redemptions (or the releases clients interleave with them)
-//! that would free those very permits.  Completions are posted back to the
-//! owning session's write queue and the I/O thread is woken to flush them.
+//! that would free those very permits.  A call that cannot park is
+//! finished by the I/O thread that decoded it
+//! ([`ResourceManager::try_submit`], [`ResourceManager::try_poll`]), and a
+//! release by the backend stage that performs it
+//! ([`ResourceManager::release_with`]).  Whoever finishes a request posts
+//! the reply into the owning session's write queue and rings its I/O
+//! thread — a syscall only if that thread is asleep in `poll`.
 //! The listener itself is one more readiness source on the first I/O
 //! thread — there is no dedicated accept thread — and that thread's timer
 //! wheel also drives the periodic anti-entropy gossip tick and peer health
@@ -124,7 +131,7 @@ impl ServerShared {
             return;
         }
         if let Some(engine) = &*self.reactor.lock() {
-            engine.wake();
+            engine.ring();
         }
     }
 }
@@ -335,9 +342,10 @@ impl ReactorEngine {
         Ok(engine)
     }
 
-    fn wake(&self) {
+    /// Rings every I/O thread, after the caller raised the drain flag.
+    fn ring(&self) {
         for io in &self.io {
-            io.notify.wake();
+            io.notify.ring();
         }
     }
 
@@ -346,7 +354,7 @@ impl ReactorEngine {
     /// settling, and the worker lanes stop after their queues drain.
     fn join(self, problems: &mut Vec<String>) {
         for io in self.io {
-            io.notify.wake();
+            io.notify.ring();
             if io.thread.join().is_err() {
                 problems.push("ypd I/O thread panicked".to_string());
             }
@@ -373,7 +381,7 @@ impl ReactorEngine {
         config.poller.create().map(|_| ReactorEngine)
     }
 
-    fn wake(&self) {}
+    fn ring(&self) {}
 
     fn join(self, _: &mut Vec<String>) {}
 }
@@ -415,6 +423,9 @@ mod tests {
     /// so a test can misbehave in ways the client never would.
     fn raw_hello(addr: &StageAddress) -> TcpStream {
         let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
+        // `write_frame` emits prefix and body separately; without this a
+        // request/reply loop pays Nagle's 40 ms per frame.
+        raw.set_nodelay(true).unwrap();
         write_frame(
             &mut raw,
             &ClientFrame::Hello {
@@ -548,44 +559,170 @@ mod tests {
     #[test]
     fn disconnect_racing_an_in_flight_wait_leaks_nothing() {
         // Raw client: submit, read Submitted, fire a Wait, and hang up
-        // without reading the Outcome.  The wait worker has already pulled
-        // the ticket out of the session table, so only the lease mechanism
-        // can return the allocation.
-        let db = fleet_db(200, 8);
-        let server = PipelineBuilder::new()
-            .database(db.clone())
-            .serve(&loopback(), BackendKind::Embedded)
-            .unwrap();
-        let addr = server.local_addr();
-        {
-            let mut raw = raw_hello(&addr);
-            write_frame(
-                &mut raw,
-                &ClientFrame::Submit {
-                    corr: RequestId(0),
-                    query: paper_text(),
-                },
-            )
-            .unwrap();
-            let ticket = match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-                other => panic!("expected Submitted, got {other:?}"),
-            };
-            write_frame(
-                &mut raw,
-                &ClientFrame::Wait {
-                    corr: RequestId(1),
-                    ticket,
-                    deadline_ms: None,
-                },
-            )
-            .unwrap();
-            // Dropped without reading the Outcome.
+        // without reading the Outcome.  Whoever redeems the ticket — the
+        // I/O thread when the outcome is already there (always behind the
+        // eager backend, and behind the live one once the pipeline has
+        // answered), a redeem worker otherwise — has pulled it out of the
+        // session table, so only the lease mechanism can return the
+        // allocation, and the teardown that races it must not settle the
+        // same ticket a second time.
+        for kind in [BackendKind::Embedded, BackendKind::Live] {
+            let db = fleet_db(200, 8);
+            let manager: Arc<dyn ResourceManager> = Arc::from(
+                PipelineBuilder::new()
+                    .database(db.clone())
+                    .build(kind)
+                    .unwrap(),
+            );
+            let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+            let addr = server.local_addr();
+            {
+                let mut raw = raw_hello(&addr);
+                write_frame(
+                    &mut raw,
+                    &ClientFrame::Submit {
+                        corr: RequestId(0),
+                        query: paper_text(),
+                    },
+                )
+                .unwrap();
+                let ticket = match read_server_frame(&mut raw).unwrap() {
+                    Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+                    other => panic!("expected Submitted, got {other:?}"),
+                };
+                // Give the live pipeline the chance to have answered, so
+                // the Wait below is (almost always) the inline hit.
+                let answered = std::time::Instant::now();
+                while manager.stats().allocations == 0
+                    && answered.elapsed() < std::time::Duration::from_secs(10)
+                {
+                    std::thread::yield_now();
+                }
+                write_frame(
+                    &mut raw,
+                    &ClientFrame::Wait {
+                        corr: RequestId(1),
+                        ticket,
+                        deadline_ms: None,
+                    },
+                )
+                .unwrap();
+                // Dropped without reading the Outcome.
+            }
+            server.halt();
+            server.join().unwrap();
+            let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+            assert_eq!(active, 0, "{kind}");
+            let stats = manager.stats();
+            assert_eq!(stats.allocations, 1, "{kind}: redeemed exactly once");
+            assert_eq!(stats.allocations, stats.releases, "{kind}");
+            assert_eq!(stats.in_flight, 0, "{kind}");
         }
-        server.halt();
-        server.join().unwrap();
-        let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
-        assert_eq!(active, 0);
+    }
+
+    /// A backend that declares no non-parking release (the trait default
+    /// hands the completion back), so the daemon serves its releases from
+    /// the redeem lane — what the remote and federated backends get.
+    struct ParkingRelease(Box<dyn ResourceManager>);
+
+    impl ResourceManager for ParkingRelease {
+        fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
+            self.0.submit(query)
+        }
+        fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
+            self.0.wait(ticket)
+        }
+        fn try_poll(&self, ticket: crate::api::Ticket) -> Option<crate::api::QueryOutcome> {
+            self.0.try_poll(ticket)
+        }
+        fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
+            self.0.release(allocation)
+        }
+        fn stats(&self) -> actyp_proto::StatsSnapshot {
+            self.0.stats()
+        }
+        fn shutdown(&self) -> Result<(), AllocationError> {
+            self.0.shutdown()
+        }
+    }
+
+    #[test]
+    fn a_burst_of_pipelined_releases_is_answered_in_full() {
+        // One session holds more allocations than the per-session cap on
+        // lane jobs and releases them all in a single write.  The I/O
+        // thread decodes the burst faster than the backend completes it;
+        // an overload error here would strand the lease until the session
+        // ends, so every reply must be `Released` — whether the backend
+        // stage posts it or the redeem lane does.
+        const HELD: u64 = 600;
+        for hand_back in [false, true] {
+            let db = fleet_db(2_000, 9);
+            let live = PipelineBuilder::new()
+                .database(db.clone())
+                .build(BackendKind::Live)
+                .unwrap();
+            let manager: Box<dyn ResourceManager> = if hand_back {
+                Box::new(ParkingRelease(live))
+            } else {
+                live
+            };
+            let server = serve(manager, &loopback()).unwrap();
+            let mut raw = raw_hello(&server.local_addr());
+            let mut held = Vec::new();
+            for i in 0..HELD {
+                write_frame(
+                    &mut raw,
+                    &ClientFrame::Submit {
+                        corr: RequestId(i),
+                        query: paper_text(),
+                    },
+                )
+                .unwrap();
+                let ticket = match read_server_frame(&mut raw).unwrap() {
+                    Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+                    other => panic!("expected Submitted, got {other:?}"),
+                };
+                write_frame(
+                    &mut raw,
+                    &ClientFrame::Wait {
+                        corr: RequestId(i),
+                        ticket,
+                        deadline_ms: None,
+                    },
+                )
+                .unwrap();
+                match read_server_frame(&mut raw).unwrap() {
+                    Some(ServerFrame::Outcome {
+                        outcome: Ok(allocations),
+                        ..
+                    }) => held.extend(allocations),
+                    other => panic!("expected an allocation, got {other:?}"),
+                }
+            }
+            let mut burst = Vec::new();
+            for (i, allocation) in held.iter().enumerate() {
+                write_frame(
+                    &mut burst,
+                    &ClientFrame::Release {
+                        corr: RequestId(i as u64),
+                        allocation: allocation.clone(),
+                    },
+                )
+                .unwrap();
+            }
+            raw.write_all(&burst).unwrap();
+            for _ in 0..held.len() {
+                match read_server_frame(&mut raw).unwrap() {
+                    Some(ServerFrame::Released { .. }) => {}
+                    other => panic!("hand_back={hand_back}: expected Released, got {other:?}"),
+                }
+            }
+            let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+            assert_eq!(active, 0, "hand_back={hand_back}");
+            drop(raw);
+            server.halt();
+            server.join().unwrap();
+        }
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //!
 //! [`io_thread_main`] drives every session's nonblocking socket through a
 //! [`Poller`].  Each session is an explicit state machine
-//! ([`ReactorSession`]); blocking backend calls are queued on the worker
-//! lanes ([`super::lanes`]) and post their replies into the owning
-//! session's [`OutQueue`], waking that session's I/O thread through its
-//! [`IoNotify`].
+//! ([`ReactorSession`]).  A request that cannot park is answered on the
+//! I/O thread itself; one that can is queued on the worker lanes
+//! ([`super::lanes`]).  Whoever produces a reply — I/O thread, lane worker
+//! or a backend stage thread — encodes it into the owning session's
+//! [`OutQueue`] and rings that session's I/O thread through its
+//! [`IoNotify`], which costs a syscall only when the thread is asleep.
 //!
 //! `actyp-lint`'s `reactor-blocking` rule walks the call graph from
 //! `io_thread_main`; keeping its callees in this file (and this
@@ -29,12 +31,12 @@ use actyp_proto::{
     MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
-use super::lanes::{spawn_job, Lane, LaneBatch, Pools};
+use super::lanes::{spawn_job, spawn_uncounted, Lane, LaneBatch, Pools};
 use super::ServerShared;
-use crate::allocation::{Allocation, AllocationError};
+use crate::allocation::{Allocation, AllocationError, ReleaseDone};
 use crate::api::{QueryOutcome, Ticket};
 use crate::federation::FederatedBackend;
-use crate::reactor::{Event, Interest, Poller, TimerWheel, Waker};
+use crate::reactor::{Doorbell, Event, Interest, Poller, TimerWheel, Waker};
 
 /// Poller token reserved for the I/O thread's waker pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -60,6 +62,13 @@ const PROBE_TIMER: u64 = 3;
 /// stops *reading*: a client that pipelines requests without draining
 /// replies is backpressured instead of ballooning the daemon's memory.
 const OUT_HIGH_WATER: usize = 1 << 20;
+
+/// Upper bound on releases handed to the backend and not yet answered
+/// before the session stops *reading*: the I/O thread decodes a burst of
+/// pipelined `Release` frames faster than a pool-manager stage completes
+/// them, and an error reply would strand the lease, so the burst waits in
+/// the socket instead.
+const COMPLETIONS_HIGH_WATER: usize = 256;
 
 /// How many bytes one readable event may pull off a single socket
 /// before yielding to the other sessions on the same I/O thread
@@ -94,40 +103,75 @@ const BUF_SHRINK_THRESHOLD: usize = 64 * 1024;
 /// the drain flag is also re-checked at least this often.
 const IO_POLL_INTERVAL: Duration = Duration::from_millis(500);
 
-/// Cross-thread doorbell for one I/O thread: worker lanes mark the
-/// sessions whose write queues they touched and ring the waker; the
-/// I/O thread drains the set and flushes exactly those sessions.
+/// Cross-thread doorbell for one I/O thread: whoever touches a session's
+/// write queue marks the session dirty and rings; the I/O thread drains
+/// the set and flushes exactly those sessions.
+///
+/// The bell is a self-pipe behind the [`Doorbell`] parked-flag protocol:
+/// it is written only while the I/O thread is blocked in `poll` or
+/// committed to blocking, so a sleep costs at most one `write` and one
+/// `read`, and a ring while the thread is running — including every reply
+/// the thread pushes itself — costs neither.  `reactor.rs` model-checks
+/// that very `Doorbell` code (`doorbell_loses_no_wakeup_proven`, and
+/// `buggy-doorbell` re-finds the lost wake-up when the two loop-side steps
+/// are swapped).
 pub(super) struct IoNotify {
     dirty: Mutex<HashSet<u64>>,
-    waker: Waker,
+    doorbell: Doorbell<AtomicBool, Waker>,
+    /// Pipe writes so far — what the ring-economy test counts.
+    #[cfg(test)]
+    rings: AtomicU64,
 }
 
 impl IoNotify {
     pub(super) fn new() -> std::io::Result<Self> {
         Ok(IoNotify {
             dirty: Mutex::new(HashSet::new()),
-            waker: Waker::new()?,
+            doorbell: Doorbell::new(AtomicBool::new(false), Waker::new()?),
+            #[cfg(test)]
+            rings: AtomicU64::new(0),
         })
+    }
+
+    /// The fd the I/O thread registers under [`WAKE_TOKEN`].
+    fn wake_fd(&self) -> std::os::fd::RawFd {
+        self.doorbell.bell().read_fd()
     }
 
     fn mark_dirty(&self, token: u64) {
         self.dirty.lock().insert(token);
-        self.waker.wake();
+        self.ring();
     }
 
     fn take_dirty(&self) -> Vec<u64> {
         self.dirty.lock().drain().collect()
     }
 
-    pub(super) fn wake(&self) {
-        self.waker.wake();
+    /// Ringer side; call *after* publishing the work (a dirty mark, a
+    /// dealt socket, the drain flag).
+    pub(super) fn ring(&self) {
+        let _wrote = self.doorbell.ring();
+        #[cfg(test)]
+        self.rings.fetch_add(_wrote as u64, Ordering::Relaxed);
+    }
+
+    /// I/O side, before `poll`: whether the poll may block.  The dirty
+    /// set is a wake source of its own; `work_pending` names the others.
+    fn park(&self, work_pending: impl FnOnce() -> bool) -> bool {
+        self.doorbell
+            .park(|| !self.dirty.lock().is_empty() || work_pending())
+    }
+
+    /// I/O side, after `poll`; `rung` is whether [`WAKE_TOKEN`] fired.
+    fn unpark(&self, rung: bool) {
+        self.doorbell.unpark(rung);
     }
 }
 
 /// The write side of one reactor session: frames are encoded into this
-/// byte queue by whoever produces them (I/O thread, worker lane,
-/// teardown) and flushed by the owning I/O thread as the socket
-/// allows.
+/// byte queue by whoever produces them (I/O thread, worker lane, backend
+/// stage thread, teardown) and flushed by the owning I/O thread as the
+/// socket allows.
 struct OutQueue {
     token: u64,
     notify: Arc<IoNotify>,
@@ -263,7 +307,7 @@ impl ReactorSession {
                 write: pending > 0,
             },
             _ => Interest {
-                read: pending <= OUT_HIGH_WATER,
+                read: !self.state.backlogged(),
                 write: pending > 0,
             },
         }
@@ -303,7 +347,7 @@ pub(super) fn io_thread_main(
 ) {
     // If waker registration fails the thread still functions — the
     // poll interval bounds how stale a wakeup can go.
-    let _ = poller.register(notify.waker.read_fd(), WAKE_TOKEN, Interest::READ);
+    let _ = poller.register(notify.wake_fd(), WAKE_TOKEN, Interest::READ);
     if let Some(role) = &role {
         let _ = poller.register(role.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
     }
@@ -329,16 +373,26 @@ pub(super) fn io_thread_main(
     let mut next_token: u64 = 0;
     let mut events: Vec<Event> = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
+    // Whether the drain's close-everything pass has run: until it has, a
+    // raised drain flag is work nobody rings for twice.
+    let mut drain_seen = false;
     loop {
         if shared.draining.load(Ordering::SeqCst) && sessions.is_empty() {
             break;
         }
-        let timeout = wheel.poll_timeout(IO_POLL_INTERVAL);
+        let may_block = notify.park(|| {
+            !incoming.is_empty() || (!drain_seen && shared.draining.load(Ordering::SeqCst))
+        });
+        let timeout = if may_block {
+            wheel.poll_timeout(IO_POLL_INTERVAL)
+        } else {
+            Duration::ZERO
+        };
         if poller.poll(&mut events, Some(timeout)).is_err() {
             // A failing poller must not hot-loop the thread.
             std::thread::sleep(Duration::from_millis(5));
         }
-        notify.waker.drain();
+        notify.unpark(events.iter().any(|event| event.token == WAKE_TOKEN));
         touched.clear();
 
         // New connections dealt over from the listener thread
@@ -416,6 +470,7 @@ pub(super) fn io_thread_main(
         // A drain closes every session still open (their teardowns
         // settle whatever the vanished or idle clients left behind).
         if shared.draining.load(Ordering::SeqCst) {
+            drain_seen = true;
             for (token, session) in sessions.iter_mut() {
                 begin_close(&shared, &pools, session);
                 touched.push(*token);
@@ -469,7 +524,7 @@ fn accept_ready(shared: &Arc<ServerShared>, role: &mut ListenerRole) {
                 let (tx, notify) = &role.targets[role.next % role.targets.len()];
                 role.next = role.next.wrapping_add(1);
                 if tx.send(stream).is_ok() {
-                    notify.wake();
+                    notify.ring();
                 }
             }
             Err(e) if would_block(&e) => break,
@@ -560,9 +615,9 @@ fn handle_readable(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut
 }
 
 /// Parses every complete frame buffered for the session and
-/// dispatches it, stopping early when the write queue crosses the
-/// high-water mark (the leftovers stay buffered and are re-parsed
-/// once the queue drains).  Garbage — an over-limit length prefix or
+/// dispatches it, stopping early when the session is backlogged — its
+/// write queue or its unanswered releases crossed their high-water mark
+/// (the leftovers stay buffered and are re-parsed once that drains).  Garbage — an over-limit length prefix or
 /// an undecodable body — ends the session, settled like any other.
 ///
 /// Blocking frames are *collected* across the whole parse loop and
@@ -603,7 +658,7 @@ fn parse_and_dispatch(
                 break;
             }
         }
-        if session.state.queue.pending_bytes() > OUT_HIGH_WATER {
+        if session.state.backlogged() {
             break;
         }
     }
@@ -624,8 +679,11 @@ fn parse_and_dispatch(
     }
 }
 
-/// The one frame-dispatch `match` of the serving side: frames that cannot
-/// block are answered inline, blocking work is queued on the worker lanes.
+/// The one frame-dispatch `match` of the serving side.  *Who answers* is a
+/// property of the call, not of the frame type: a call that cannot park is
+/// finished right here on the I/O thread; one that can is queued on a
+/// worker lane; a release is finished by the backend stage that performs
+/// it.  Whoever finishes posts the reply into the session's write queue.
 fn dispatch_frame(
     shared: &Arc<ServerShared>,
     pools: &Arc<Pools>,
@@ -672,10 +730,36 @@ fn dispatch_frame(
             begin_close(shared, pools, session);
         }
         ClientFrame::Submit { corr, query } => {
+            // Parse errors map exactly as the trait's own text path maps
+            // them for an in-process client.
+            let query = match actyp_query::parse_query(&query) {
+                Ok(query) => query,
+                Err(e) => {
+                    state.send(&ServerFrame::Error {
+                        corr,
+                        error: AllocationError::Parse(e.to_string()),
+                    });
+                    return;
+                }
+            };
+            // Answered here when the backend can take it without parking
+            // — and only while this session has nothing on the submit
+            // lane, so this shortcut never overtakes a submission of the
+            // same session that is parked on a full admission window: a
+            // later one queues behind it instead of racing it for the
+            // next permit from a thread that never waits.
+            let query = if state.submit_jobs.load(Ordering::Acquire) == 0 {
+                match shared.manager.try_submit(query) {
+                    Ok(submitted) => return state.reply_submitted(corr, submitted),
+                    Err(query) => query,
+                }
+            } else {
+                query
+            };
             let shared = shared.clone();
             let job_state = state.clone();
             spawn_job(batch, Lane::Submit, &state, corr, move || {
-                handle_submit(&shared, &job_state, corr, &query)
+                job_state.reply_submitted(corr, shared.manager.submit(query))
             });
         }
         ClientFrame::SubmitBatch { corr, queries } => {
@@ -693,11 +777,17 @@ fn dispatch_frame(
             // Unknown ids are answered inline — no job for a frame
             // that cannot block; the worker's own atomic claim still
             // decides races.
-            if !state.tickets.lock().contains_key(&ticket) {
-                state.send(&ServerFrame::Error {
-                    corr,
-                    error: AllocationError::UnknownTicket,
-                });
+            let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
+                return;
+            };
+            // An outcome that is already there (always, behind an eager
+            // backend; usually, at pipelining depth) is delivered from
+            // here; only a wait that would park takes the redeem lane.
+            // Not on a federated daemon, where even a poll can block on
+            // peer I/O.
+            if shared.federation.is_none()
+                && redeem_if_ready(shared, &state, corr, ticket, backend_ticket)
+            {
                 return;
             }
             let shared = shared.clone();
@@ -707,66 +797,52 @@ fn dispatch_frame(
             });
         }
         ClientFrame::Poll { corr, ticket } => {
-            // Looked up in its own statement: a `match` scrutinee's
-            // temporary guard would live through every arm, holding
-            // the ticket table across the reply send.
-            let looked_up = state.tickets.lock().get(&ticket).copied();
-            let backend_ticket = match looked_up {
-                None => {
-                    state.send(&ServerFrame::Error {
-                        corr,
-                        error: AllocationError::UnknownTicket,
-                    });
-                    return;
-                }
-                Some(backend_ticket) => backend_ticket,
-            };
-            let poll = {
-                let shared = shared.clone();
-                let state = state.clone();
-                move || match shared.manager.try_poll(backend_ticket) {
-                    None => state.send(&ServerFrame::Pending { corr }),
-                    Some(outcome) => {
-                        state.tickets.lock().remove(&ticket);
-                        state.deliver_outcome(corr, outcome);
-                    }
-                }
+            let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
+                return;
             };
             // On a federated daemon a poll can block on peer I/O, so
             // it runs on the redeem lane; in-process backends answer
             // inline on the I/O thread.
             if shared.federation.is_some() {
-                spawn_job(batch, Lane::Redeem, &state, corr, poll);
-            } else {
-                poll();
+                let shared = shared.clone();
+                let job_state = state.clone();
+                spawn_job(batch, Lane::Redeem, &state, corr, move || {
+                    if !redeem_if_ready(&shared, &job_state, corr, ticket, backend_ticket) {
+                        job_state.send(&ServerFrame::Pending { corr });
+                    }
+                });
+            } else if !redeem_if_ready(shared, &state, corr, ticket, backend_ticket) {
+                state.send(&ServerFrame::Pending { corr });
             }
         }
         ClientFrame::Release { corr, allocation } => {
-            let release = {
+            // The I/O thread never waits for the answer: the backend stage
+            // that drops the lease posts the reply.  The completion is
+            // counted on the session until it has run, so the teardown
+            // waits for it like a lane job.
+            let pending = PendingCompletion::begin(&state);
+            let done_state = state.clone();
+            let key = allocation.access_key.0.clone();
+            let done: ReleaseDone = Box::new(move |released| {
+                done_state.reply_released(corr, &key, released);
+                drop(pending);
+            });
+            // A backend that cannot release from here without parking
+            // (a delegated allocation crosses the wire to the owning
+            // domain) hands the completion back, and a worker runs the
+            // blocking call.  It rides the REDEEM lane, not the submit
+            // lane: clients interleave releases with the very waits that
+            // free admission-window permits, so a release queued behind
+            // window-blocked submit jobs would deadlock the whole daemon
+            // (client stuck awaiting the release reply → no further waits
+            // → no permits freed → submits blocked forever).  A release
+            // never blocks on the window itself — only on bounded peer
+            // I/O — so it is safe on this lane.
+            if let Err(done) = shared.manager.release_with(&allocation, done) {
                 let shared = shared.clone();
-                let state = state.clone();
-                move || match shared.manager.release(&allocation) {
-                    Ok(()) => {
-                        state.leases.lock().remove(&allocation.access_key.0);
-                        state.send(&ServerFrame::Released { corr });
-                    }
-                    Err(error) => state.send(&ServerFrame::Error { corr, error }),
-                }
-            };
-            // Releasing a delegated allocation crosses the wire to
-            // the owning domain: a worker keeps the I/O thread
-            // responsive.  It rides the REDEEM lane, not the submit
-            // lane: clients interleave releases with the very waits
-            // that free admission-window permits, so a release queued
-            // behind window-blocked submit jobs would deadlock the
-            // whole daemon (client stuck awaiting the release reply →
-            // no further waits → no permits freed → submits blocked
-            // forever).  A release never blocks on the window itself —
-            // only on bounded peer I/O — so it is safe on this lane.
-            if shared.federation.is_some() {
-                spawn_job(batch, Lane::Redeem, &state, corr, release);
-            } else {
-                release();
+                spawn_uncounted(batch, Lane::Redeem, move || {
+                    done(shared.manager.release(&allocation))
+                });
             }
         }
         ClientFrame::Stats { corr } => {
@@ -859,6 +935,25 @@ fn not_federated(corr: RequestId) -> ServerFrame {
         error: AllocationError::Protocol(
             "this daemon is not federated (no --domain/--peer)".to_string(),
         ),
+    }
+}
+
+/// Delivers the ticket's outcome if the backend already has it; `false`
+/// means the query is still in flight and nothing was sent.
+fn redeem_if_ready(
+    shared: &ServerShared,
+    state: &SessionState,
+    corr: RequestId,
+    ticket: u64,
+    backend_ticket: Ticket,
+) -> bool {
+    match shared.manager.try_poll(backend_ticket) {
+        None => false,
+        Some(outcome) => {
+            state.tickets.lock().remove(&ticket);
+            state.deliver_outcome(corr, outcome);
+            true
+        }
     }
 }
 
@@ -968,7 +1063,7 @@ fn refresh_session(
     };
     if !matches!(session.phase, Phase::Closing)
         && !session.read_buf.is_empty()
-        && session.state.queue.pending_bytes() <= OUT_HIGH_WATER
+        && !session.state.backlogged()
     {
         parse_and_dispatch(shared, pools, session);
     }
@@ -1006,6 +1101,10 @@ pub(super) struct SessionState {
     pub(super) submit_jobs: AtomicUsize,
     /// Blocking requests in flight on the redeem lane.
     pub(super) redeem_jobs: AtomicUsize,
+    /// Releases handed to the backend whose completion has not run yet
+    /// ([`PendingCompletion`]): awaited by the teardown like the lane
+    /// jobs, bounded by pausing the read side instead of by an error.
+    completions: AtomicUsize,
     /// The federation domain the peer on this session advertised (via
     /// `SyncPools` or `AdvertDelta`); `None` on ordinary client sessions.
     /// Keyed per session so gossip piggybacking knows who it is talking
@@ -1023,6 +1122,7 @@ impl SessionState {
             next_ticket: AtomicU64::new(0),
             submit_jobs: AtomicUsize::new(0),
             redeem_jobs: AtomicUsize::new(0),
+            completions: AtomicUsize::new(0),
             peer_domain: Mutex::new(None),
         })
     }
@@ -1033,16 +1133,41 @@ impl SessionState {
         self.queue.push(frame);
     }
 
-    /// Blocking requests this session still has in flight on the worker
-    /// lanes.
+    /// Requests of this session somebody else still owes a reply to: jobs
+    /// on the worker lanes and releases inside the backend.
     fn jobs_in_flight(&self) -> usize {
-        self.submit_jobs.load(Ordering::Relaxed) + self.redeem_jobs.load(Ordering::Relaxed)
+        self.submit_jobs.load(Ordering::Relaxed)
+            + self.redeem_jobs.load(Ordering::Relaxed)
+            + self.completions.load(Ordering::Acquire)
+    }
+
+    /// Whether the session should stop reading frames for now: the client
+    /// is not draining its replies, or it pipelined more releases than the
+    /// backend has answered yet.
+    fn backlogged(&self) -> bool {
+        self.queue.pending_bytes() > OUT_HIGH_WATER
+            || self.completions.load(Ordering::Relaxed) >= COMPLETIONS_HIGH_WATER
     }
 
     fn issue(&self, ticket: Ticket) -> u64 {
         let wire_id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
         self.tickets.lock().insert(wire_id, ticket);
         wire_id
+    }
+
+    /// The backend ticket behind wire id `ticket`; an unknown id is
+    /// answered here, with the error reply, and yields `None`.
+    fn known_ticket(&self, corr: RequestId, ticket: u64) -> Option<Ticket> {
+        // Looked up in its own statement, so the table guard drops before
+        // the reply is sent.
+        let looked_up = self.tickets.lock().get(&ticket).copied();
+        if looked_up.is_none() {
+            self.send(&ServerFrame::Error {
+                corr,
+                error: AllocationError::UnknownTicket,
+            });
+        }
+        looked_up
     }
 
     /// Records the allocations of an outcome about to be delivered as
@@ -1054,6 +1179,33 @@ impl SessionState {
             for allocation in allocations {
                 leases.insert(allocation.access_key.0.clone(), allocation.clone());
             }
+        }
+    }
+
+    /// Answers a `Submit`: the backend's ticket goes into the session
+    /// table under a fresh wire id.
+    fn reply_submitted(&self, corr: RequestId, submitted: Result<Ticket, AllocationError>) {
+        match submitted {
+            Ok(ticket) => {
+                let wire_id = self.issue(ticket);
+                self.send(&ServerFrame::Submitted {
+                    corr,
+                    ticket: wire_id,
+                });
+            }
+            Err(error) => self.send(&ServerFrame::Error { corr, error }),
+        }
+    }
+
+    /// Answers a `Release` of the lease under access key `key`; only a
+    /// release that succeeded ends the session's lease.
+    fn reply_released(&self, corr: RequestId, key: &str, released: Result<(), AllocationError>) {
+        match released {
+            Ok(()) => {
+                self.leases.lock().remove(key);
+                self.send(&ServerFrame::Released { corr });
+            }
+            Err(error) => self.send(&ServerFrame::Error { corr, error }),
         }
     }
 
@@ -1080,6 +1232,30 @@ impl SessionState {
             visited: state.visited,
             deltas,
         });
+    }
+}
+
+/// One release the backend still owes this session an answer for.  Dropped
+/// by the completion once the reply is queued — or with it, uncalled,
+/// when the stage holding it shut down — so the count cannot leak.
+struct PendingCompletion(Arc<SessionState>);
+
+impl PendingCompletion {
+    fn begin(state: &Arc<SessionState>) -> Self {
+        state.completions.fetch_add(1, Ordering::Relaxed);
+        PendingCompletion(state.clone())
+    }
+}
+
+impl Drop for PendingCompletion {
+    fn drop(&mut self) {
+        let before = self.0.completions.fetch_sub(1, Ordering::Release);
+        // The session stopped reading at the high-water mark; the reply
+        // that was just queued may have been flushed before this count
+        // fell, so the I/O thread is told again to look at the session.
+        if before >= COMPLETIONS_HIGH_WATER {
+            self.0.queue.notify.mark_dirty(self.0.queue.token);
+        }
     }
 }
 
@@ -1136,21 +1312,6 @@ fn settle_abandoned_tickets(
                 state.tickets.lock().insert(wire_id, ticket);
             }
         }
-    }
-}
-
-fn handle_submit(shared: &ServerShared, state: &SessionState, corr: RequestId, query: &str) {
-    // The trait's own text path: parse errors map exactly as they would for
-    // an in-process client.
-    match shared.manager.submit_text(query) {
-        Ok(ticket) => {
-            let wire_id = state.issue(ticket);
-            state.send(&ServerFrame::Submitted {
-                corr,
-                ticket: wire_id,
-            });
-        }
-        Err(error) => state.send(&ServerFrame::Error { corr, error }),
     }
 }
 
@@ -1221,5 +1382,130 @@ fn handle_wait(
                 state.send(&ServerFrame::TimedOut { corr });
             }
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{PipelineBuilder, ResourceManager};
+    use crate::reactor::PollerKind;
+    use actyp_grid::{FleetSpec, SyntheticFleet};
+
+    fn session_on(notify: &Arc<IoNotify>, token: u64) -> Arc<SessionState> {
+        SessionState::new(Arc::new(OutQueue {
+            token,
+            notify: notify.clone(),
+            buf: Mutex::new(OutBuf::default()),
+        }))
+    }
+
+    /// The doorbell's economy: a reply pushed while the I/O loop is running
+    /// — by the loop itself or by anyone else — writes nothing, and however
+    /// many pushers race a loop that keeps trying to go back to sleep, each
+    /// iteration lets at most one of them write the pipe.
+    #[test]
+    fn pushes_cost_at_most_one_pipe_write_per_loop_iteration() {
+        let notify = Arc::new(IoNotify::new().unwrap());
+        let state = session_on(&notify, 7);
+        let frame = ServerFrame::Pending { corr: RequestId(0) };
+
+        // The loop is awake (it is this thread): 1,000 pushes, no write.
+        for _ in 0..1_000 {
+            state.send(&frame);
+        }
+        assert_eq!(notify.rings.load(Ordering::Relaxed), 0);
+        assert_eq!(notify.take_dirty(), vec![7]);
+
+        // Four pushers against a loop that parks on every iteration.
+        let mut poller = PollerKind::Auto.create().unwrap();
+        poller
+            .register(notify.wake_fd(), WAKE_TOKEN, Interest::READ)
+            .unwrap();
+        let pushers: Vec<_> = (0..4)
+            .map(|_| {
+                let state = state.clone();
+                let frame = frame.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..250 {
+                        state.send(&frame);
+                    }
+                })
+            })
+            .collect();
+        let mut events = Vec::new();
+        let mut iterations = 0u64;
+        while !pushers.iter().all(|pusher| pusher.is_finished()) {
+            iterations += 1;
+            let timeout = if notify.park(|| false) {
+                Duration::from_millis(1)
+            } else {
+                Duration::ZERO
+            };
+            poller.poll(&mut events, Some(timeout)).unwrap();
+            notify.unpark(events.iter().any(|event| event.token == WAKE_TOKEN));
+            notify.take_dirty();
+        }
+        for pusher in pushers {
+            pusher.join().unwrap();
+        }
+        let rings = notify.rings.load(Ordering::Relaxed);
+        assert!(
+            rings <= iterations,
+            "{rings} pipe writes for {iterations} loop iterations"
+        );
+        assert_eq!(state.queue.buf.lock().frames, 2_000, "every push landed");
+    }
+
+    /// A `Release` whose stage answers after the session is gone: the
+    /// completion finds a sealed write queue and a lease table nobody will
+    /// sweep again — the lease it was asked to drop is dropped all the
+    /// same, and nothing panics on the pool-manager thread.
+    #[test]
+    fn a_release_completing_after_its_session_closed_strands_nothing() {
+        let db = SyntheticFleet::new(FleetSpec::with_machines(100), 31)
+            .generate()
+            .into_shared();
+        let live = PipelineBuilder::new()
+            .database(db.clone())
+            .build_live()
+            .unwrap();
+        let granted = live
+            .submit_text_wait(&actyp_query::Query::paper_example().to_string())
+            .unwrap();
+
+        let notify = Arc::new(IoNotify::new().unwrap());
+        let state = session_on(&notify, 0);
+        state.lease(&Ok(granted.clone()));
+        // The session ends (teardown sealed its queue) before the stage
+        // gets to the release.
+        state.queue.close();
+
+        let (landed_tx, landed_rx) = std::sync::mpsc::channel();
+        let done_state = state.clone();
+        let key = granted[0].access_key.0.clone();
+        let handed_back = live.release_with(
+            &granted[0],
+            Box::new(move |released| {
+                done_state.reply_released(RequestId(9), &key, released);
+                landed_tx.send(()).unwrap();
+            }),
+        );
+        assert!(handed_back.is_ok(), "the live backend takes the completion");
+        landed_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the stage ran the completion");
+
+        assert!(state.leases.lock().is_empty());
+        assert_eq!(
+            state.queue.pending_bytes(),
+            0,
+            "a sealed queue takes no reply"
+        );
+        let stats = live.stats();
+        assert_eq!(stats.allocations, stats.releases);
+        let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+        assert_eq!(active, 0);
+        live.shutdown().unwrap();
     }
 }

@@ -67,7 +67,7 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
   --pool-managers N    pool-manager stages (default: 1)
   --window N           live-backend in-flight window (default: 32)
   --shards N           shard count for the daemon's hot state: directory
-                       shards and admission-window lanes (default: 8;
+                       shards and pending-ticket shards (default: 8;
                        1 restores the old single-lock behaviour)
   --io-threads N       reactor I/O threads driving all session sockets
                        (default: $ACTYP_YPD_IO_THREADS or 2)

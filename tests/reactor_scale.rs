@@ -381,5 +381,89 @@ fn every_poller_serves_the_same_protocol() {
         remote.shutdown().unwrap();
         server.join().unwrap();
         assert_eq!(active_jobs(&db), 0, "{poller}");
+
+        parked_submissions_keep_their_turn(poller);
     }
+}
+
+/// One session against a live backend whose admission window holds a
+/// single ticket.  The first `Submit` is answered by the I/O thread and
+/// takes the permit; the next two park on the submit lane.  The `Wait`s
+/// that free the permit must get through (they never queue behind the
+/// parked submissions), and each freed permit must go to the parked
+/// submission whose turn it is: with one of the session's submissions on
+/// the lane, a later one queues behind it instead of trying the I/O
+/// thread's shortcut.
+fn parked_submissions_keep_their_turn(poller: PollerKind) {
+    use std::io::Write;
+
+    let db = homogeneous_db("sun", 100, 9);
+    let server = PipelineBuilder::new()
+        .database(db.clone())
+        .poller(poller)
+        .window(1)
+        .serve(&loopback(), BackendKind::Live)
+        .unwrap();
+    let mut sock = raw_hello(&server.local_addr());
+    // A deadlock fails the test instead of hanging it.
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let submit = |corr: u64| ClientFrame::Submit {
+        corr: RequestId(corr),
+        query: SUN_QUERY.to_string(),
+    };
+    let wait = |corr: u64, ticket: u64| ClientFrame::Wait {
+        corr: RequestId(corr),
+        ticket,
+        deadline_ms: None,
+    };
+
+    send(&mut sock, &submit(0));
+    let first = match recv(&mut sock) {
+        ServerFrame::Submitted { ticket, .. } => ticket,
+        other => panic!("{poller}: expected Submitted, got {other:?}"),
+    };
+    // Both in one segment, so one readable event decodes them into one
+    // lane batch and their order on the lane is their order on the wire.
+    let mut both = Vec::new();
+    write_frame(&mut both, &submit(1)).unwrap();
+    write_frame(&mut both, &submit(2)).unwrap();
+    sock.write_all(&both).unwrap();
+
+    // Each redemption frees the permit for exactly the next submission in
+    // line; the two replies it causes come from different threads, in
+    // either order.
+    let mut redeem = first;
+    let mut granted = Vec::new();
+    for (wait_corr, unparked) in [(10, Some(1)), (11, Some(2)), (12, None)] {
+        send(&mut sock, &wait(wait_corr, redeem));
+        for _ in 0..1 + usize::from(unparked.is_some()) {
+            match recv(&mut sock) {
+                ServerFrame::Outcome { corr, outcome } => {
+                    assert_eq!(corr, RequestId(wait_corr), "{poller}");
+                    granted.extend(outcome.unwrap());
+                }
+                ServerFrame::Submitted { corr, ticket } => {
+                    assert_eq!(Some(corr.0), unparked, "{poller}: answered out of turn");
+                    redeem = ticket;
+                }
+                other => panic!("{poller}: unexpected {other:?}"),
+            }
+        }
+    }
+    assert_eq!(granted.len(), 3, "{poller}");
+    for (i, allocation) in granted.into_iter().enumerate() {
+        send(
+            &mut sock,
+            &ClientFrame::Release {
+                corr: RequestId(20 + i as u64),
+                allocation,
+            },
+        );
+        assert!(matches!(recv(&mut sock), ServerFrame::Released { .. }));
+    }
+    drop(sock);
+    server.halt();
+    server.join().unwrap();
+    assert_eq!(active_jobs(&db), 0, "{poller}");
 }
