@@ -579,8 +579,9 @@ const REACTOR_BLOCKING_ANY_ARGS: &[&str] = &["recv_timeout", "recv_deadline"];
 /// Calls on the daemon's hosted backend (`shared.manager.wait(..)`) that
 /// may park.  The backend is a `dyn ResourceManager`, so the walk cannot
 /// follow the call into whatever runs behind it — the method name has to
-/// carry the contract instead.  `try_submit`, `try_poll`, `stats` and
-/// `release_with` promise not to park and are deliberately absent.
+/// carry the contract instead.  `try_submit`, `try_poll`, `stats`,
+/// `wait_with` and `release_with` promise not to park and are deliberately
+/// absent.
 const MANAGER_PARKING_CALLS: &[&str] = &[
     "submit",
     "submit_text",

@@ -65,7 +65,9 @@ fn a_parking_backend_call_on_the_io_thread_is_seen_through_the_trait() {
 
 /// ... and today's tree is clean under the sharper rule without having
 /// bought its way out: no finding, no stale annotation, and no more
-/// `lint-allow`s in use than the two audited frame-write sites.
+/// `lint-allow`s in use than the one audited frame-write site
+/// (`corr::Conn::request`; the reply queue encodes into memory with
+/// `encode_frame` and needs none).
 #[test]
 fn the_workspace_is_clean_without_new_allows() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -77,5 +79,5 @@ fn the_workspace_is_clean_without_new_allows() {
         "{:#?}",
         report.unused_allows
     );
-    assert_eq!(report.suppressed, 2, "a new lint-allow needs a new reason");
+    assert_eq!(report.suppressed, 1, "a new lint-allow needs a new reason");
 }

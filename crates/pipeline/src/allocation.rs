@@ -21,6 +21,14 @@ pub use actyp_proto::types::{Allocation, AllocationError, SessionKey};
 /// park, dropped uncalled when the stage holding it shut down first.
 pub type ReleaseDone = Box<dyn FnOnce(Result<(), AllocationError>) + Send>;
 
+/// Where a completion-style wait
+/// ([`ResourceManager::wait_with`](crate::ResourceManager::wait_with))
+/// delivers the ticket's outcome: called at most once, by whichever thread
+/// finds the outcome and the waiter together — the caller when the
+/// outcome is already there, the stage that produces it otherwise —
+/// handed back uncalled by a backend that would have to park.
+pub type WaitDone = Box<dyn FnOnce(Result<Vec<Allocation>, AllocationError>) + Send>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

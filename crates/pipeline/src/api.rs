@@ -63,9 +63,9 @@ use actyp_baselines::{CentralScheduler, Matchmaker};
 use actyp_grid::{MachineId, ResourceDatabase, SharedDatabase};
 use actyp_query::{BasicQuery, PoolName, Query};
 
-use crate::allocation::{Allocation, AllocationError, ReleaseDone, SessionKey};
+use crate::allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitDone};
 use crate::engine::{Engine, EngineStats, PipelineConfig};
-use crate::live::LivePipeline;
+use crate::live::{LivePipeline, OutcomeSlot};
 use crate::message::{RequestId, StageAddress};
 use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
@@ -221,6 +221,22 @@ pub trait ResourceManager: Send + Sync {
     /// Each ticket can be redeemed exactly once.
     fn wait(&self, ticket: Ticket) -> QueryOutcome;
 
+    /// [`wait`](Self::wait) for a caller that must not park — a `ypd` I/O
+    /// thread.  `Ok` means the ticket is redeemed and `done` receives its
+    /// outcome on whichever thread finds the two together: right here when
+    /// the outcome is already in, the stage that produces it otherwise.
+    /// `Err` hands `done` back uncalled (the ticket untouched) because
+    /// waiting from here could park, and the caller takes
+    /// [`wait`](Self::wait) to a thread that may.  The default always
+    /// hands it back, which is right for the remote and federated backends,
+    /// whose wait can be a network round trip; the live backend leaves
+    /// `done` in the ticket for the query-manager stage that reintegrates
+    /// the outcome, and the eager backends, whose tickets are resolved at
+    /// submission, finish on the spot.
+    fn wait_with(&self, _ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+        Err(done)
+    }
+
     /// Non-blocking redemption: `None` while the query is still in flight,
     /// `Some(outcome)` once it finished (the ticket is then spent).
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome>;
@@ -316,6 +332,9 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     }
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         (**self).wait(ticket)
+    }
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+        (**self).wait_with(ticket, done)
     }
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
         (**self).try_poll(ticket)
@@ -557,6 +576,11 @@ impl ResourceManager for EmbeddedBackend {
         self.tickets.take(ticket)
     }
 
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+        done(self.tickets.take(ticket));
+        Ok(())
+    }
+
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
         // Eager backend: every issued ticket is already resolved.
         Some(self.tickets.take(ticket))
@@ -598,10 +622,27 @@ pub struct LiveBackend {
     next: AtomicU64,
     /// Outstanding tickets, sharded by ticket id; each holds one window
     /// permit until it settles.
-    pending: crate::shard::ShardedMap<crossbeam::channel::Receiver<QueryOutcome>>,
-    window: Window,
+    pending: crate::shard::ShardedMap<std::sync::Arc<OutcomeSlot>>,
+    ledger: std::sync::Arc<Ledger>,
     batch_deadline: Duration,
+}
+
+/// What settling a ticket touches — the window permit it held and the
+/// examined-records count — shared with the completions a stage thread
+/// runs for [`ResourceManager::wait_with`].
+struct Ledger {
+    window: Window,
     examined: AtomicU64,
+}
+
+impl Ledger {
+    fn settle(&self, outcome: &QueryOutcome) {
+        if let Ok(allocations) = outcome {
+            let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
+            self.examined.fetch_add(examined, Ordering::Relaxed);
+        }
+        self.window.release();
+    }
 }
 
 impl LiveBackend {
@@ -611,26 +652,28 @@ impl LiveBackend {
             brand: next_backend_brand(),
             next: AtomicU64::new(0),
             pending: crate::shard::ShardedMap::new(shards),
-            window: Window::new(window),
+            ledger: std::sync::Arc::new(Ledger {
+                window: Window::new(window),
+                examined: AtomicU64::new(0),
+            }),
             batch_deadline,
-            examined: AtomicU64::new(0),
         }
     }
 
     /// Launches `query` into the pipeline under a window permit the caller
     /// already holds; the permit is handed back if the launch fails.
     fn launch(&self, query: Query) -> Result<Ticket, AllocationError> {
-        match self.pipeline.submit_async(query) {
-            Ok(rx) => {
+        match self.pipeline.launch(query) {
+            Ok(slot) => {
                 let id = self.next.fetch_add(1, Ordering::Relaxed);
-                self.pending.insert(id, rx);
+                self.pending.insert(id, slot);
                 Ok(Ticket {
                     brand: self.brand,
                     id,
                 })
             }
             Err(e) => {
-                self.window.release();
+                self.ledger.window.release();
                 Err(e)
             }
         }
@@ -639,12 +682,12 @@ impl LiveBackend {
     /// One deadline-bounded batch submission step: waits for a window
     /// permit until `deadline`, then launches the query.
     fn submit_until(&self, query: Query, deadline: Instant) -> Result<Ticket, AllocationError> {
-        if !self.window.acquire_until(Some(deadline)) {
+        if !self.ledger.window.acquire_until(Some(deadline)) {
             return Err(AllocationError::Internal(format!(
                 "batch backpressure deadline of {:?} elapsed with the in-flight \
                  window of {} still full; redeem outstanding tickets, raise \
                  PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
-                self.batch_deadline, self.window.capacity
+                self.batch_deadline, self.ledger.window.capacity
             )));
         }
         self.launch(query)
@@ -656,25 +699,28 @@ impl LiveBackend {
         &self.pipeline
     }
 
-    fn settle(&self, outcome: &QueryOutcome) {
-        if let Ok(allocations) = outcome {
-            let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
-            self.examined.fetch_add(examined, Ordering::Relaxed);
+    /// Claims `ticket` for redemption: a concurrent redeemer of the same
+    /// ticket sees `UnknownTicket` from here on.
+    fn claim(&self, ticket: Ticket) -> Result<std::sync::Arc<OutcomeSlot>, AllocationError> {
+        if ticket.brand != self.brand {
+            return Err(AllocationError::UnknownTicket);
         }
-        self.window.release();
+        self.pending
+            .remove(ticket.id)
+            .ok_or(AllocationError::UnknownTicket)
     }
 }
 
 impl ResourceManager for LiveBackend {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        self.window.acquire();
+        self.ledger.window.acquire();
         self.launch(query)
     }
 
     /// Launching is one channel send, so with a permit in hand nothing
     /// here can park; a full window hands the query back.
     fn try_submit(&self, query: Query) -> Result<Result<Ticket, AllocationError>, Query> {
-        if self.window.try_acquire() {
+        if self.ledger.window.try_acquire() {
             Ok(self.launch(query))
         } else {
             Err(query)
@@ -713,23 +759,35 @@ impl ResourceManager for LiveBackend {
     }
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        if ticket.brand != self.brand {
-            return Err(AllocationError::UnknownTicket);
-        }
-        let rx = self
-            .pending
-            .remove(ticket.id)
-            .ok_or(AllocationError::UnknownTicket)?;
-        let outcome = rx.recv().unwrap_or_else(|_| {
-            Err(AllocationError::Internal(
-                "pipeline dropped the reply".to_string(),
-            ))
-        });
-        self.settle(&outcome);
+        let slot = self.claim(ticket)?;
+        let outcome = slot
+            .take_until(None)
+            .expect("an unbounded wait returns the outcome");
+        self.ledger.settle(&outcome);
         outcome
     }
 
-    /// Blocks on the reply channel with a timeout instead of the default
+    /// The completion waits in the ticket's slot and the query-manager
+    /// stage that reintegrates the outcome runs it — or this thread does,
+    /// when the outcome is already in.  Either way the ticket settles
+    /// before `done` sees the outcome.
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+        let slot = match self.claim(ticket) {
+            Ok(slot) => slot,
+            Err(e) => {
+                done(Err(e));
+                return Ok(());
+            }
+        };
+        let ledger = self.ledger.clone();
+        slot.on_ready(Box::new(move |outcome| {
+            ledger.settle(&outcome);
+            done(outcome);
+        }));
+        Ok(())
+    }
+
+    /// Sleeps on the ticket's slot with a timeout instead of the default
     /// poll loop, so a deadline-bounded wait parks the thread at zero CPU —
     /// this is the path a `ypd` daemon hits for every remote
     /// wait-with-deadline.  Redemption is one-at-a-time: while one thread
@@ -737,56 +795,38 @@ impl ResourceManager for LiveBackend {
     /// `UnknownTicket`, exactly as it would after [`wait`](Self::wait)
     /// claimed it.
     fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        use crossbeam::channel::RecvTimeoutError;
-        if ticket.brand != self.brand {
-            return Some(Err(AllocationError::UnknownTicket));
-        }
-        let rx = match self.pending.remove(ticket.id) {
-            Some(rx) => rx,
-            None => return Some(Err(AllocationError::UnknownTicket)),
+        let slot = match self.claim(ticket) {
+            Ok(slot) => slot,
+            Err(e) => return Some(Err(e)),
         };
-        match rx.recv_timeout(timeout) {
-            Ok(outcome) => {
-                self.settle(&outcome);
+        match slot.take_until(Some(Instant::now() + timeout)) {
+            Some(outcome) => {
+                self.ledger.settle(&outcome);
                 Some(outcome)
             }
-            Err(RecvTimeoutError::Timeout) => {
+            None => {
                 // Deadline elapsed: the ticket stays redeemable.
-                self.pending.insert(ticket.id, rx);
+                self.pending.insert(ticket.id, slot);
                 None
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                let outcome = Err(AllocationError::Internal(
-                    "pipeline dropped the reply".to_string(),
-                ));
-                self.settle(&outcome);
-                Some(outcome)
             }
         }
     }
 
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        use crossbeam::channel::TryRecvError;
         if ticket.brand != self.brand {
             return Some(Err(AllocationError::UnknownTicket));
         }
-        // One shard guard covers the get + try_recv + remove, so a
-        // concurrent redeemer of the same ticket sees `UnknownTicket`
-        // rather than a torn entry; other tickets' shards stay free.
+        // One shard guard covers the get + take + remove, so a concurrent
+        // redeemer of the same ticket sees `UnknownTicket` rather than a
+        // torn entry; other tickets' shards stay free.
         let mut pending = crate::shard::lock_shard(&self.pending, ticket.id);
-        let Some(rx) = pending.get(&ticket.id) else {
+        let Some(slot) = pending.get(&ticket.id) else {
             return Some(Err(AllocationError::UnknownTicket));
         };
-        let outcome = match rx.try_recv() {
-            Ok(outcome) => outcome,
-            Err(TryRecvError::Empty) => return None,
-            Err(TryRecvError::Disconnected) => Err(AllocationError::Internal(
-                "pipeline dropped the reply".to_string(),
-            )),
-        };
+        let outcome = slot.try_take()?;
         pending.remove(&ticket.id);
         drop(pending);
-        self.settle(&outcome);
+        self.ledger.settle(&outcome);
         Some(outcome)
     }
 
@@ -802,10 +842,11 @@ impl ResourceManager for LiveBackend {
     fn stats(&self) -> StatsSnapshot {
         let mut snapshot = snapshot_from_engine(
             self.pipeline.stats(),
-            self.examined.load(Ordering::Relaxed),
+            self.ledger.examined.load(Ordering::Relaxed),
             self.pending.len(),
         );
         snapshot.shard_contention = self
+            .ledger
             .window
             .contention()
             .saturating_add(self.pipeline.directory().contention());
@@ -1009,6 +1050,11 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         self.tickets.take(ticket)
+    }
+
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+        done(self.tickets.take(ticket));
+        Ok(())
     }
 
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {

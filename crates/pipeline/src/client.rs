@@ -8,8 +8,10 @@
 //! on another machine ([`crate::server`]), and the ticket pipelining the
 //! paper measures spans a real network hop: multiple tickets in flight on
 //! one connection, multiplexed by correlation id.  The transport itself —
-//! dial, version negotiation, reader thread, reply routing — is the
-//! crate-private `corr::Conn`, which the federation peer links share.
+//! dial, version negotiation, reply routing — is the crate-private
+//! `corr::Conn`, which the federation peer links share.  A connection has
+//! no thread of its own: each calling thread reads its own reply, taking
+//! turns at the socket with the other callers of the same connection.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -2,35 +2,42 @@
 //! wire protocol's transport, under both [`crate::client::RemoteBackend`]
 //! (client → daemon) and the federation's peer links (daemon → daemon).
 //!
-//! [`Conn::dial`] connects, performs the `Hello`/`HelloAck` version
-//! negotiation and starts one reader thread that routes every reply frame
-//! to the request that sent it by [`RequestId`], so any number of threads
-//! share the connection *concurrently* — several tickets, delegation
-//! chains or releases in flight on one socket.  It is still one TCP
-//! session, so everything the far side leases to this connection stays
-//! leased to it.
+//! [`Conn::dial`] connects and performs the `Hello`/`HelloAck` version
+//! negotiation.  Afterwards any number of threads share the connection
+//! *concurrently* — several tickets, delegation chains or releases in
+//! flight on one socket, each reply routed to its request by
+//! [`RequestId`] — and there is no reader thread: the thread that wants a
+//! reply reads it.  Requests meet in a leader/follower [`Relay`].  Whoever
+//! finds nobody reading becomes the leader and reads frames off the socket
+//! itself, posting other requests' replies into their inboxes as they
+//! arrive, until its own arrives; leaving, it hands the read side to one
+//! of the requests still waiting.  The rest sleep on their own inbox,
+//! never on the read side, so a leader parked on a slow reply never holds
+//! back one that already arrived.  It is still one TCP session, so
+//! everything the far side leases to this connection stays leased to it.
 //!
 //! Every blocking step is bounded: the connect and the handshake by
 //! [`CONNECT_TIMEOUT`], every frame write by the socket write timeout
 //! ([`REPLY_TIMEOUT`]), and each reply by the deadline its caller passes
 //! to [`Conn::request`].
 
+use std::collections::HashMap;
+use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use actyp_proto::{
-    read_server_frame, write_frame, ClientFrame, FrameError, RequestId, ServerFrame,
+    split_frame, write_frame, ClientFrame, RequestId, ServerFrame, WireDecode,
     MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
 use crate::allocation::AllocationError;
 use crate::message::StageAddress;
-use crate::shard::{ShardedMap, DEFAULT_SHARDS};
+use crate::shard::DEFAULT_SHARDS;
 
 /// How long to wait for the far side to accept the TCP connection, and
 /// then for its `HelloAck`.  The ack is computed inline by the daemon's
@@ -74,19 +81,12 @@ impl std::fmt::Display for ConnError {
 /// handshake.
 pub(crate) struct Conn {
     writer: Mutex<TcpStream>,
-    /// Requests awaiting their reply, by correlation id.  Sharded so
-    /// concurrent requesters don't serialise on a single map lock;
-    /// correlation ids are sequential, so shards deal round-robin.
-    pending: ShardedMap<Sender<ServerFrame>>,
-    /// Why the connection died, once it has.
-    dead: Mutex<Option<String>>,
-    corr: AtomicU64,
-    reader: Mutex<Option<std::thread::JoinHandle<()>>>,
+    relay: Relay<StdPrims, ServerFrame, ReadState>,
 }
 
 impl Conn {
-    /// Dials `addr`, negotiates the protocol version and starts the reader
-    /// thread.  Returns the connection and the negotiated version.
+    /// Dials `addr` and negotiates the protocol version.  Returns the
+    /// connection and the negotiated version.
     pub(crate) fn dial(addr: &StageAddress) -> Result<(Arc<Conn>, u16), AllocationError> {
         let network = |what: &str, e: &dyn std::fmt::Display| {
             AllocationError::Network(format!("{what} {addr}: {e}"))
@@ -104,14 +104,11 @@ impl Conn {
         }
         let mut stream = connected?;
         let _ = stream.set_nodelay(true);
-        // The handshake is the one serial exchange on the stream, bounded
-        // by a read timeout; afterwards the reader blocks indefinitely
-        // (per-request deadlines live in `request`).  Sends stay bounded
-        // for the connection's whole life; a timed-out (possibly partial)
-        // send poisons the connection, so no desynchronised stream is
-        // ever reused.
+        // Sends stay bounded for the connection's whole life; a timed-out
+        // (possibly partial) send poisons the connection, so no
+        // desynchronised stream is ever reused.  Reads are bounded per
+        // request instead, by the reading thread's own deadline.
         let _ = stream.set_write_timeout(Some(REPLY_TIMEOUT));
-        let _ = stream.set_read_timeout(Some(CONNECT_TIMEOUT));
         write_frame(
             &mut stream,
             &ClientFrame::Hello {
@@ -120,112 +117,51 @@ impl Conn {
             },
         )
         .map_err(|e| network("hello to", &e))?;
-        let version = match read_server_frame(&mut stream) {
-            Ok(Some(ServerFrame::HelloAck { version })) if version >= MIN_SUPPORTED_VERSION => {
-                version
-            }
-            Ok(Some(ServerFrame::HelloAck { version })) => {
+        let mut reader = ReadState::new(
+            stream
+                .try_clone()
+                .map_err(|e| network("clone stream to", &e))?,
+        );
+        let version = match reader.next(Some(Instant::now() + CONNECT_TIMEOUT)) {
+            Ok(ServerFrame::HelloAck { version }) if version >= MIN_SUPPORTED_VERSION => version,
+            Ok(ServerFrame::HelloAck { version }) => {
                 return Err(AllocationError::Protocol(format!(
                     "server only speaks protocol v{version}"
                 )))
             }
-            Ok(Some(ServerFrame::HelloReject { message })) => {
+            Ok(ServerFrame::HelloReject { message }) => {
                 return Err(AllocationError::Protocol(format!(
                     "server rejected the connection: {message}"
                 )))
             }
-            Ok(Some(other)) => {
+            Ok(other) => {
                 return Err(AllocationError::Protocol(format!(
                     "expected HelloAck, got {other:?}"
                 )))
             }
-            Ok(None) => return Err(network("handshake with", &"server closed the connection")),
-            // The read timeout surfaces as WouldBlock/TimedOut, which says
-            // nothing to an operator: name what was actually waited for.
-            Err(FrameError::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(ReadError::TimedOut) => {
                 let silent = format!("no HelloAck within {CONNECT_TIMEOUT:?}");
                 return Err(network("handshake with", &silent));
             }
-            Err(e) => return Err(network("handshake with", &e)),
+            Err(ReadError::Closed(reason)) => return Err(network("handshake with", &reason)),
         };
-        let _ = stream.set_read_timeout(None);
-        let read_stream = stream
-            .try_clone()
-            .map_err(|e| network("clone stream to", &e))?;
         let conn = Arc::new(Conn {
             writer: Mutex::new(stream),
-            pending: ShardedMap::new(DEFAULT_SHARDS),
-            dead: Mutex::new(None),
-            corr: AtomicU64::new(0),
-            reader: Mutex::new(None),
+            relay: Relay::new(reader, DEFAULT_SHARDS),
         });
-        let reader = std::thread::spawn({
-            let conn = conn.clone();
-            move || conn.run_reader(read_stream)
-        });
-        *conn.reader.lock() = Some(reader);
         Ok((conn, version))
     }
 
-    /// The reader thread: routes every reply frame to the request whose
-    /// correlation id it echoes, and poisons the connection on transport
-    /// death so in-flight and future requests fail fast.
-    fn run_reader(&self, mut stream: TcpStream) {
-        let reason = loop {
-            let frame = match read_server_frame(&mut stream) {
-                Ok(Some(frame)) => frame,
-                Ok(None) => break "server closed the connection".to_string(),
-                Err(e) => break e.to_string(),
-            };
-            let Some(corr) = corr_of(&frame) else {
-                break "unexpected handshake frame on an established connection".to_string();
-            };
-            if let Some(sender) = self.pending.remove(corr.0) {
-                let _ = sender.send(frame);
-            } else if corr.0 >= self.corr.load(Ordering::Relaxed) {
-                // A correlation id this connection never issued: the far
-                // side is desynchronised or hostile — fail the whole
-                // connection NOW rather than letting every in-flight
-                // request ride out its full reply deadline.
-                break format!(
-                    "reply out of correlation (id {} never issued): {frame:?}",
-                    corr.0
-                );
-            }
-            // An *issued* id with no waiter lost its race with a request
-            // timeout: dropped silently.
-        };
-        self.poison(reason);
-    }
-
-    /// Records the death reason (the first one wins) and wakes every
-    /// in-flight request.  The `dead` lock is held across the `pending`
-    /// sweep, and [`Conn::request`] registers under the same guard, so a
-    /// request either registers before the sweep (and is woken by it) or
-    /// observes the death reason and never blocks — none can slip into an
-    /// already-swept shard and hang forever.
-    pub(crate) fn poison(&self, reason: String) {
-        let mut dead = self.dead.lock();
-        dead.get_or_insert(reason);
-        self.pending.clear();
-    }
-
-    /// Whether the connection has died (reader saw EOF or an error, a
-    /// send failed, or it was shut down).
+    /// Whether the connection has died: a read saw EOF or an error, a send
+    /// failed, or it was shut down.  With nobody reading, whatever already
+    /// arrived is read first (without blocking), so a far side that hung
+    /// up on an idle connection is noticed here — there is no reader
+    /// thread to notice it.
     pub(crate) fn is_dead(&self) -> bool {
-        self.dead.lock().is_some()
-    }
-
-    fn death_reason(&self) -> String {
-        self.dead
-            .lock()
-            .clone()
-            .unwrap_or_else(|| "connection closed".to_string())
+        if self.relay.death().is_none() {
+            self.relay.read_idle();
+        }
+        self.relay.death().is_some()
     }
 
     /// Sends one request frame and blocks for the reply carrying the same
@@ -236,25 +172,18 @@ impl Conn {
         deadline: Option<Duration>,
         build: impl FnOnce(RequestId) -> ClientFrame,
     ) -> Result<ServerFrame, ConnError> {
-        let corr = RequestId(self.corr.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = unbounded();
-        {
-            let dead = self.dead.lock();
-            if let Some(reason) = &*dead {
-                return Err(ConnError::Dead(reason.clone()));
-            }
-            self.pending.insert(corr.0, tx);
-        }
+        let deadline = deadline.map(|limit| Instant::now() + limit);
+        let (corr, slot) = self.relay.register().map_err(ConnError::Dead)?;
         let sent = {
             let mut writer = self.writer.lock();
             // The writer mutex MUST cover the frame write or concurrent
             // requests interleave half-frames; the socket write timeout
             // set at dial bounds how long a stalled far side can hold it.
             // lint-allow(lock-across-blocking): serialised frame write
-            write_frame(&mut *writer, &build(corr))
+            write_frame(&mut *writer, &build(RequestId(corr)))
         };
         if let Err(e) = sent {
-            self.pending.remove(corr.0);
+            let _ = self.relay.give_up(corr, &slot);
             // `write_frame` refuses an over-limit frame with InvalidData
             // *before* sending anything: the stream is still consistent,
             // so only this request fails — every other in-flight one, and
@@ -262,52 +191,548 @@ impl Conn {
             if e.kind() == std::io::ErrorKind::InvalidData {
                 return Err(ConnError::Refused(e.to_string()));
             }
-            self.poison(format!("send: {e}"));
-            return Err(ConnError::Dead(self.death_reason()));
+            return Err(self.relay.poison(format!("send: {e}")));
         }
-        let Some(deadline) = deadline else {
-            return rx.recv().map_err(|_| ConnError::Dead(self.death_reason()));
-        };
-        match rx.recv_timeout(deadline) {
-            Ok(frame) => Ok(frame),
-            Err(RecvTimeoutError::Timeout) => {
-                self.pending.remove(corr.0);
-                Err(ConnError::Timeout)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(ConnError::Dead(self.death_reason())),
-        }
+        self.relay.await_reply(corr, &slot, deadline)
     }
 
-    /// Closes the transport and joins the reader thread.  Idempotent.
+    /// Closes the transport.  A leader blocked in a read sees the EOF and
+    /// returns; everybody else is failed by the poison.  Idempotent.
     pub(crate) fn shutdown(&self) {
-        self.poison("connection shut down".to_string());
-        {
-            let writer = self.writer.lock();
-            let _ = writer.shutdown(std::net::Shutdown::Both);
-        }
-        let reader = self.reader.lock().take();
-        if let Some(reader) = reader {
-            let _ = reader.join();
+        self.relay.poison("connection shut down".to_string());
+        let writer = self.writer.lock();
+        let _ = writer.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+impl Framed for ServerFrame {
+    fn corr(&self) -> Option<u64> {
+        match self {
+            ServerFrame::HelloAck { .. } | ServerFrame::HelloReject { .. } => None,
+            ServerFrame::Submitted { corr, .. }
+            | ServerFrame::BatchSubmitted { corr, .. }
+            | ServerFrame::Outcome { corr, .. }
+            | ServerFrame::Pending { corr }
+            | ServerFrame::TimedOut { corr }
+            | ServerFrame::Released { corr }
+            | ServerFrame::StatsReply { corr, .. }
+            | ServerFrame::Ack { corr }
+            | ServerFrame::Error { corr, .. }
+            | ServerFrame::Delegated { corr, .. }
+            | ServerFrame::PoolsSynced { corr, .. }
+            | ServerFrame::AdvertAck { corr, .. } => Some(corr.0),
         }
     }
 }
 
-/// The correlation id a response frame answers, if any.
-fn corr_of(frame: &ServerFrame) -> Option<RequestId> {
-    match frame {
-        ServerFrame::HelloAck { .. } | ServerFrame::HelloReject { .. } => None,
-        ServerFrame::Submitted { corr, .. }
-        | ServerFrame::BatchSubmitted { corr, .. }
-        | ServerFrame::Outcome { corr, .. }
-        | ServerFrame::Pending { corr }
-        | ServerFrame::TimedOut { corr }
-        | ServerFrame::Released { corr }
-        | ServerFrame::StatsReply { corr, .. }
-        | ServerFrame::Ack { corr }
-        | ServerFrame::Error { corr, .. }
-        | ServerFrame::Delegated { corr, .. }
-        | ServerFrame::PoolsSynced { corr, .. }
-        | ServerFrame::AdvertAck { corr, .. } => Some(*corr),
+// ---------------------------------------------------------------------------
+// The read side
+// ---------------------------------------------------------------------------
+
+/// First size of a connection's read buffer; it doubles for a larger
+/// frame and returns to this size once such a frame is consumed.
+const READ_CHUNK: usize = 4 * 1024;
+
+/// The read half of a connection and whatever was read off it that does
+/// not form a whole frame yet.  It is the [`Relay`]'s baton — only the
+/// leader holds it — so a leader whose deadline passes mid-frame leaves
+/// the partial frame here for the next one and the stream stays in sync.
+struct ReadState {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    /// `buf[start..end]` holds the bytes not parsed yet.
+    start: usize,
+    end: usize,
+}
+
+impl ReadState {
+    fn new(stream: TcpStream) -> Self {
+        ReadState {
+            stream,
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// Makes room behind `end` for another read: unparsed bytes move to
+    /// the front, and a buffer that is full of one frame doubles.
+    fn make_room(&mut self) {
+        if self.end < self.buf.len() {
+            return;
+        }
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.end == self.buf.len() {
+            self.buf.resize(self.buf.len() * 2, 0);
+        }
+    }
+}
+
+impl Source<ServerFrame> for ReadState {
+    fn next(&mut self, deadline: Option<Instant>) -> Result<ServerFrame, ReadError> {
+        let broken = |e: std::io::Error| ReadError::Closed(format!("transport error: {e}"));
+        loop {
+            match split_frame(&self.buf[self.start..self.end]) {
+                Ok(Some((body, used))) => {
+                    let frame = ServerFrame::from_wire_bytes(body);
+                    self.start += used;
+                    if self.start == self.end {
+                        (self.start, self.end) = (0, 0);
+                        if self.buf.len() > READ_CHUNK {
+                            self.buf = vec![0; READ_CHUNK];
+                        }
+                    }
+                    return frame
+                        .map_err(|e| ReadError::Closed(format!("frame decode error: {e}")));
+                }
+                Ok(None) => {}
+                Err(e) => return Err(ReadError::Closed(format!("frame decode error: {e}"))),
+            }
+            if let Some(deadline) = deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                match readable(&self.stream, left) {
+                    Ok(true) => {}
+                    Ok(false) if left.is_zero() || Instant::now() >= deadline => {
+                        return Err(ReadError::TimedOut)
+                    }
+                    Ok(false) => continue,
+                    Err(e) => return Err(broken(e)),
+                }
+            }
+            self.make_room();
+            match self.stream.read(&mut self.buf[self.end..]) {
+                Ok(0) => {
+                    return Err(ReadError::Closed(
+                        "server closed the connection".to_string(),
+                    ))
+                }
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(broken(e)),
+            }
+        }
+    }
+}
+
+/// Waits up to `timeout` for `stream` to have something to read.
+#[cfg(unix)]
+fn readable(stream: &TcpStream, timeout: Duration) -> std::io::Result<bool> {
+    use std::os::fd::AsRawFd;
+    crate::reactor::wait_readable(stream.as_raw_fd(), timeout)
+}
+
+/// Waits up to `timeout` for `stream` to have something to read (no
+/// `poll(2)` binding off unix: a peek under a read timeout).
+#[cfg(not(unix))]
+fn readable(stream: &TcpStream, timeout: Duration) -> std::io::Result<bool> {
+    stream.set_read_timeout(Some(timeout.max(Duration::from_millis(1))))?;
+    let peeked = stream.peek(&mut [0u8; 1]);
+    stream.set_read_timeout(None)?;
+    match peeked {
+        Ok(_) => Ok(true),
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) =>
+        {
+            Ok(false)
+        }
+        Err(e) => Err(e),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The leader/follower relay
+// ---------------------------------------------------------------------------
+
+/// A value behind a lock, with a condition variable for whoever waits on
+/// it — the one primitive the [`Relay`] is built from.
+pub(crate) trait Monitor<T>: Send + Sync {
+    type Guard<'a>: std::ops::DerefMut<Target = T>
+    where
+        Self: 'a;
+    fn new(value: T) -> Self;
+    fn lock(&self) -> Self::Guard<'_>;
+    /// Releases `guard` until notified or `deadline` (never, when `None`),
+    /// then relocks.  `true` when it returned because the deadline passed.
+    fn wait<'a>(
+        &'a self,
+        guard: Self::Guard<'a>,
+        deadline: Option<Instant>,
+    ) -> (Self::Guard<'a>, bool);
+    fn notify_all(&self);
+}
+
+/// A family of [`Monitor`]s: `std::sync` for the daemon ([`StdPrims`]),
+/// `actyp-model`'s for the proof (`model_tests` below), so the proof runs
+/// this file's hand-off code and not a copy of it.
+pub(crate) trait Prims: 'static {
+    type Monitor<T: Send>: Monitor<T>;
+}
+
+/// [`Monitor`] over `std::sync`.
+pub(crate) struct StdMonitor<T> {
+    value: std::sync::Mutex<T>,
+    changed: std::sync::Condvar,
+}
+
+impl<T: Send> Monitor<T> for StdMonitor<T> {
+    type Guard<'a>
+        = std::sync::MutexGuard<'a, T>
+    where
+        T: 'a;
+
+    fn new(value: T) -> Self {
+        StdMonitor {
+            value: std::sync::Mutex::new(value),
+            changed: std::sync::Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> Self::Guard<'_> {
+        self.value
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn wait<'a>(
+        &'a self,
+        guard: Self::Guard<'a>,
+        deadline: Option<Instant>,
+    ) -> (Self::Guard<'a>, bool) {
+        let Some(deadline) = deadline else {
+            let guard = self
+                .changed
+                .wait(guard)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            return (guard, false);
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return (guard, true);
+        }
+        let (guard, _) = self
+            .changed
+            .wait_timeout(guard, deadline - now)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        (guard, Instant::now() >= deadline)
+    }
+
+    fn notify_all(&self) {
+        self.changed.notify_all();
+    }
+}
+
+/// The daemon's [`Prims`].
+pub(crate) struct StdPrims;
+
+impl Prims for StdPrims {
+    type Monitor<T: Send> = StdMonitor<T>;
+}
+
+/// A reply frame: which request it answers, if any.
+pub(crate) trait Framed: Send + std::fmt::Debug {
+    fn corr(&self) -> Option<u64>;
+}
+
+/// Why a [`Source`] yielded no frame.
+pub(crate) enum ReadError {
+    /// The deadline passed first; the source is intact.
+    TimedOut,
+    /// The stream ended or broke (reason attached).
+    Closed(String),
+}
+
+/// Where a leader reads frames from: the socket in the daemon, a queue in
+/// the proof.
+pub(crate) trait Source<F>: Send {
+    /// The next frame, blocking until `deadline` (forever, when `None`).
+    fn next(&mut self, deadline: Option<Instant>) -> Result<F, ReadError>;
+}
+
+/// Where one waiting request stands.
+enum Inbox<F> {
+    /// Nothing yet; the owner sleeps on it (or is about to).
+    Waiting,
+    /// The read side was handed back and the owner is asked to take it.
+    Promoted,
+    /// The reply, posted by a leader.
+    Ready(F),
+    /// The connection died.
+    Closed,
+}
+
+/// The inbox of one registered request.
+pub(crate) struct Slot<P: Prims, F: Send> {
+    inbox: P::Monitor<Inbox<F>>,
+}
+
+/// One shard of a relay's registered requests, by correlation id.
+type Shard<P, F> = <P as Prims>::Monitor<HashMap<u64, Arc<Slot<P, F>>>>;
+
+/// The leader/follower protocol under a [`Conn`]: which request reads the
+/// stream, where the frames it reads go, and who reads next.
+///
+/// * register: a request's inbox enters `pending` *before* its frame is
+///   sent, under the `dead` guard (so a request either registers before a
+///   poison's sweep, and is woken by it, or sees the death and never
+///   waits).
+/// * lead: a request that finds the baton — the [`Source`] in `reader` —
+///   takes it and reads, posting every other reply into its owner's inbox,
+///   until its own reply arrives, its deadline passes or the stream dies.
+/// * follow: a request that finds the baton taken sleeps on its own inbox
+///   until a reply or a promotion lands there.
+/// * hand back: a leader leaving returns the baton, **then** promotes one
+///   waiting inbox.  A follower registered before it found the baton
+///   taken, so the look that follows the return finds it.
+///
+/// Generic over its primitives and its source so that the daemon
+/// ([`StdPrims`] + the socket) and the model checker run this very code.
+pub(crate) struct Relay<P: Prims, F: Send, S: Send> {
+    /// Why the connection died, once it has.
+    dead: P::Monitor<Option<String>>,
+    /// Registered requests by correlation id, sharded so concurrent
+    /// requesters don't serialise on one lock; ids are sequential, so
+    /// shards deal round-robin.
+    pending: Box<[Shard<P, F>]>,
+    /// The baton: the read side, present while nobody leads.
+    reader: P::Monitor<Option<S>>,
+    /// Correlation ids issued so far.
+    issued: AtomicU64,
+}
+
+impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
+    pub(crate) fn new(source: S, shards: usize) -> Self {
+        Relay {
+            dead: Monitor::new(None),
+            pending: (0..shards.max(1))
+                .map(|_| Monitor::new(HashMap::new()))
+                .collect(),
+            reader: Monitor::new(Some(source)),
+            issued: AtomicU64::new(0),
+        }
+    }
+
+    fn shard_for(&self, corr: u64) -> &Shard<P, F> {
+        &self.pending[(corr % self.pending.len() as u64) as usize]
+    }
+
+    fn take_pending(&self, corr: u64) -> Option<Arc<Slot<P, F>>> {
+        let shard = self.shard_for(corr);
+        shard.lock().remove(&corr)
+    }
+
+    /// Issues a correlation id and registers its inbox; `Err` carries the
+    /// death reason of a connection that already died.
+    pub(crate) fn register(&self) -> Result<(u64, Arc<Slot<P, F>>), String> {
+        let corr = self.issued.fetch_add(1, Ordering::Relaxed);
+        let slot = Arc::new(Slot {
+            inbox: Monitor::new(Inbox::Waiting),
+        });
+        let dead = self.dead.lock();
+        if let Some(reason) = &*dead {
+            return Err(reason.clone());
+        }
+        let shard = self.shard_for(corr);
+        shard.lock().insert(corr, slot.clone());
+        drop(dead);
+        Ok((corr, slot))
+    }
+
+    /// Why the connection died, if it has.
+    pub(crate) fn death(&self) -> Option<String> {
+        self.dead.lock().clone()
+    }
+
+    fn dead_error(&self) -> ConnError {
+        ConnError::Dead(
+            self.death()
+                .unwrap_or_else(|| "connection closed".to_string()),
+        )
+    }
+
+    /// Records the death reason (the first one wins) and closes every
+    /// registered inbox, waking its owner.  The `dead` guard is held
+    /// across the sweep, and [`Relay::register`] registers under it, so
+    /// no request slips into an already-swept shard and waits forever.
+    pub(crate) fn poison(&self, reason: String) -> ConnError {
+        let mut dead = self.dead.lock();
+        let reason = dead.get_or_insert(reason).clone();
+        for shard in self.pending.iter() {
+            let swept: Vec<Arc<Slot<P, F>>> = shard.lock().drain().map(|(_, slot)| slot).collect();
+            for slot in swept {
+                *slot.inbox.lock() = Inbox::Closed;
+                slot.inbox.notify_all();
+            }
+        }
+        ConnError::Dead(reason)
+    }
+
+    /// Waits for the reply to `corr`, leading while nobody else reads and
+    /// following otherwise.
+    pub(crate) fn await_reply(
+        &self,
+        corr: u64,
+        slot: &Slot<P, F>,
+        deadline: Option<Instant>,
+    ) -> Result<F, ConnError> {
+        loop {
+            let source = self.reader.lock().take();
+            if let Some(mut source) = source {
+                let led = self.lead(&mut source, Some((corr, slot)), deadline);
+                self.hand_back(source);
+                return led;
+            }
+            let mut inbox = slot.inbox.lock();
+            // `Waiting` out of this loop means the deadline passed with
+            // nothing in the inbox.
+            let woken = loop {
+                match std::mem::replace(&mut *inbox, Inbox::Waiting) {
+                    Inbox::Waiting => {
+                        let (relocked, timed_out) = slot.inbox.wait(inbox, deadline);
+                        inbox = relocked;
+                        if timed_out && matches!(*inbox, Inbox::Waiting) {
+                            break Inbox::Waiting;
+                        }
+                    }
+                    Inbox::Closed => {
+                        *inbox = Inbox::Closed;
+                        break Inbox::Closed;
+                    }
+                    posted => break posted,
+                }
+            };
+            drop(inbox);
+            match woken {
+                Inbox::Waiting => return self.give_up(corr, slot),
+                // Offered the baton: try to take it.
+                Inbox::Promoted => {}
+                Inbox::Ready(frame) => return Ok(frame),
+                Inbox::Closed => return Err(self.dead_error()),
+            }
+        }
+    }
+
+    /// A request leaving without a reply (its deadline passed, its frame
+    /// was refused): the inbox leaves the table, and a promotion it was
+    /// offered meanwhile is passed on — or a reply posted just now is
+    /// taken after all.
+    pub(crate) fn give_up(&self, corr: u64, slot: &Slot<P, F>) -> Result<F, ConnError> {
+        self.take_pending(corr);
+        let last = std::mem::replace(&mut *slot.inbox.lock(), Inbox::Closed);
+        match last {
+            Inbox::Ready(frame) => Ok(frame),
+            Inbox::Closed => Err(self.dead_error()),
+            Inbox::Promoted => {
+                self.promote_one();
+                Err(ConnError::Timeout)
+            }
+            Inbox::Waiting => Err(ConnError::Timeout),
+        }
+    }
+
+    /// Reads frames while holding the baton: until `own`'s reply arrives
+    /// (or was posted before this thread took the baton), the deadline
+    /// passes, or the stream dies.  Without `own` — [`Relay::read_idle`] —
+    /// it routes what it reads until the deadline.
+    fn lead(
+        &self,
+        source: &mut S,
+        own: Option<(u64, &Slot<P, F>)>,
+        deadline: Option<Instant>,
+    ) -> Result<F, ConnError> {
+        loop {
+            if let Some((_, slot)) = own {
+                let posted = std::mem::replace(&mut *slot.inbox.lock(), Inbox::Waiting);
+                match posted {
+                    Inbox::Ready(frame) => return Ok(frame),
+                    Inbox::Closed => return Err(self.dead_error()),
+                    Inbox::Waiting | Inbox::Promoted => {}
+                }
+            }
+            let frame = match source.next(deadline) {
+                Ok(frame) => frame,
+                Err(ReadError::TimedOut) => {
+                    if let Some((corr, _)) = own {
+                        // Out of the table before the baton goes back, so
+                        // the promotion that follows is not wasted on it.
+                        self.take_pending(corr);
+                    }
+                    return Err(ConnError::Timeout);
+                }
+                Err(ReadError::Closed(reason)) => return Err(self.poison(reason)),
+            };
+            let Some(corr) = frame.corr() else {
+                return Err(self.poison(
+                    "unexpected handshake frame on an established connection".to_string(),
+                ));
+            };
+            match self.take_pending(corr) {
+                Some(_) if own.is_some_and(|(mine, _)| mine == corr) => return Ok(frame),
+                Some(owner) => {
+                    *owner.inbox.lock() = Inbox::Ready(frame);
+                    owner.inbox.notify_all();
+                }
+                // A correlation id this connection never issued: the far
+                // side is desynchronised or hostile — fail the whole
+                // connection NOW rather than letting every in-flight
+                // request ride out its full reply deadline.
+                None if corr >= self.issued.load(Ordering::Relaxed) => {
+                    return Err(self.poison(format!(
+                        "reply out of correlation (id {corr} never issued): {frame:?}"
+                    )));
+                }
+                // An *issued* id with no inbox lost its race with a
+                // request deadline: dropped silently.
+                None => {}
+            }
+        }
+    }
+
+    /// Returns the baton, **then** promotes one waiting request.
+    #[cfg(not(feature = "buggy-leader"))]
+    fn hand_back(&self, source: S) {
+        *self.reader.lock() = Some(source);
+        self.promote_one();
+    }
+
+    /// The bug the order exists to prevent, kept for the model checker to
+    /// re-find: promote first, return the baton afterwards.  A request
+    /// that finds the baton still taken in between goes back to sleep, and
+    /// nobody is left to read its reply.
+    #[cfg(feature = "buggy-leader")]
+    fn hand_back(&self, source: S) {
+        self.promote_one();
+        *self.reader.lock() = Some(source);
+    }
+
+    /// Offers the baton to the first registered request that is waiting.
+    fn promote_one(&self) {
+        for shard in self.pending.iter() {
+            let shard = shard.lock();
+            for slot in shard.values() {
+                let mut inbox = slot.inbox.lock();
+                if matches!(*inbox, Inbox::Waiting) {
+                    *inbox = Inbox::Promoted;
+                    drop(inbox);
+                    slot.inbox.notify_all();
+                    return;
+                }
+            }
+        }
+    }
+
+    /// While nobody leads: reads what already arrived without blocking —
+    /// routing replies, and poisoning the connection on EOF.
+    pub(crate) fn read_idle(&self) {
+        let source = self.reader.lock().take();
+        if let Some(mut source) = source {
+            let _ = self.lead(&mut source, None, Some(Instant::now()));
+            self.hand_back(source);
+        }
     }
 }
 
@@ -315,7 +740,7 @@ fn corr_of(frame: &ServerFrame) -> Option<RequestId> {
 mod tests {
     use super::*;
     use actyp_proto::{read_client_frame, StatsSnapshot, MAX_FRAME_LEN, MAX_SEQUENCE_LEN};
-    use crossbeam::channel::{Receiver, Sender};
+    use crossbeam::channel::{unbounded, Receiver, Sender};
     use std::net::TcpListener;
 
     /// A one-connection scripted daemon on loopback: accepts, answers the
@@ -445,5 +870,408 @@ mod tests {
         drop(go);
         server.join().unwrap();
         conn.shutdown();
+    }
+
+    /// Nobody reads an idle connection, yet a far side that hangs up on it
+    /// is noticed the next time anybody asks — with no request sent.
+    #[test]
+    fn an_idle_connection_notices_the_far_side_hanging_up() {
+        let (conn, server) = dial_scripted(drop);
+        server.join().unwrap();
+        let noticed = Instant::now() + Duration::from_secs(10);
+        while !conn.is_dead() {
+            assert!(
+                Instant::now() < noticed,
+                "a closed idle connection must read as dead"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(matches!(stats(None, &conn), Err(ConnError::Dead(_))));
+    }
+
+    /// The far side answers the second request first.  Whichever request
+    /// reads the stream, the second returns while the first is still
+    /// waiting: a reply that arrived is never queued behind one that has
+    /// not.
+    #[test]
+    fn a_reply_is_not_held_behind_an_earlier_request() {
+        let (both_arrived_tx, both_arrived) = unbounded();
+        let (go, go_rx): (Sender<()>, Receiver<()>) = unbounded();
+        let (conn, server) = dial_scripted(move |mut stream| {
+            let first = next_corr(&mut stream);
+            let second = next_corr(&mut stream);
+            both_arrived_tx.send((first, second)).unwrap();
+            go_rx.recv().unwrap();
+            reply(&mut stream, second);
+            go_rx.recv().unwrap();
+            reply(&mut stream, first);
+        });
+        let (first_tx, first_done) = unbounded();
+        let first = std::thread::spawn({
+            let conn = conn.clone();
+            move || first_tx.send(stats(None, &conn)).unwrap()
+        });
+        // The first request is sent (and its thread is reading) before the
+        // second exists.
+        while conn.relay.issued.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        let (second_tx, second_done) = unbounded();
+        let second = std::thread::spawn({
+            let conn = conn.clone();
+            move || second_tx.send(stats(None, &conn)).unwrap()
+        });
+        let (first_corr, second_corr) = both_arrived.recv().unwrap();
+        go.send(()).unwrap();
+        match second_done.recv_timeout(Duration::from_secs(10)) {
+            Ok(Ok(ServerFrame::StatsReply { corr, .. })) => assert_eq!(corr, second_corr),
+            other => panic!("the second request must return on its own reply: {other:?}"),
+        }
+        assert!(
+            first_done.try_recv().is_err(),
+            "the first request has no reply yet"
+        );
+        go.send(()).unwrap();
+        match first_done.recv_timeout(Duration::from_secs(10)) {
+            Ok(Ok(ServerFrame::StatsReply { corr, .. })) => assert_eq!(corr, first_corr),
+            other => panic!("the first request must get its own reply: {other:?}"),
+        }
+        first.join().unwrap();
+        second.join().unwrap();
+        server.join().unwrap();
+        conn.shutdown();
+    }
+}
+
+/// Bounded-interleaving proof of the [`Relay`] hand-off (`--features
+/// model`), run by the CI `model-check` job: the relay's own code over
+/// `actyp-model` monitors, reading from a modelled wire.  Under the model a
+/// timed wait times out only once no thread can run, so a deadline passes
+/// exactly when the reply it waits for is not coming.
+#[cfg(all(test, feature = "model"))]
+mod model_tests {
+    use super::*;
+    use actyp_model::sync::{Condvar, Mutex as ModelMutex, MutexGuard};
+    use actyp_model::{thread, Explorer};
+    use std::collections::VecDeque;
+
+    struct ModelMonitor<T> {
+        value: ModelMutex<T>,
+        changed: Condvar,
+    }
+
+    impl<T: Send> Monitor<T> for ModelMonitor<T> {
+        type Guard<'a>
+            = MutexGuard<'a, T>
+        where
+            T: 'a;
+
+        fn new(value: T) -> Self {
+            ModelMonitor {
+                value: ModelMutex::new(value),
+                changed: Condvar::new(),
+            }
+        }
+
+        fn lock(&self) -> Self::Guard<'_> {
+            self.value.lock().unwrap()
+        }
+
+        fn wait<'a>(
+            &'a self,
+            guard: Self::Guard<'a>,
+            deadline: Option<Instant>,
+        ) -> (Self::Guard<'a>, bool) {
+            match deadline {
+                None => (self.changed.wait(guard).unwrap(), false),
+                Some(_) => {
+                    let (guard, result) = self.changed.wait_timeout(guard, Duration::ZERO).unwrap();
+                    (guard, result.timed_out())
+                }
+            }
+        }
+
+        fn notify_all(&self) {
+            self.changed.notify_all();
+        }
+    }
+
+    struct Model;
+
+    impl Prims for Model {
+        type Monitor<T: Send> = ModelMonitor<T>;
+    }
+
+    #[derive(Debug)]
+    struct Reply(u64);
+
+    impl Framed for Reply {
+        fn corr(&self) -> Option<u64> {
+            Some(self.0)
+        }
+    }
+
+    /// One direction of the socket: what is in flight, and whether the
+    /// sending side hung up.
+    struct Lane<T> {
+        frames: VecDeque<T>,
+        hung_up: bool,
+    }
+
+    type Pipe<T> = Arc<ModelMonitor<Lane<T>>>;
+
+    fn pipe<T: Send>() -> Pipe<T> {
+        Arc::new(ModelMonitor::new(Lane {
+            frames: VecDeque::new(),
+            hung_up: false,
+        }))
+    }
+
+    fn push<T: Send>(pipe: &Pipe<T>, frame: T) {
+        pipe.lock().frames.push_back(frame);
+        pipe.notify_all();
+    }
+
+    fn hang_up<T: Send>(pipe: &Pipe<T>) {
+        pipe.lock().hung_up = true;
+        pipe.notify_all();
+    }
+
+    /// The next frame: `None` once the lane is hung up and drained,
+    /// `Some(Err(()))` when the deadline passed first.
+    fn pop<T: Send>(pipe: &Pipe<T>, deadline: Option<Instant>) -> Option<Result<T, ()>> {
+        let mut lane = pipe.lock();
+        loop {
+            if let Some(frame) = lane.frames.pop_front() {
+                return Some(Ok(frame));
+            }
+            if lane.hung_up {
+                return None;
+            }
+            let (relocked, timed_out) = pipe.wait(lane, deadline);
+            lane = relocked;
+            if timed_out && lane.frames.is_empty() && !lane.hung_up {
+                return Some(Err(()));
+            }
+        }
+    }
+
+    /// The read half the relay's leaders share.
+    struct Wire(Pipe<u64>);
+
+    impl Source<Reply> for Wire {
+        fn next(&mut self, deadline: Option<Instant>) -> Result<Reply, ReadError> {
+            match pop(&self.0, deadline) {
+                Some(Ok(corr)) => Ok(Reply(corr)),
+                Some(Err(())) => Err(ReadError::TimedOut),
+                None => Err(ReadError::Closed("far side hung up".to_string())),
+            }
+        }
+    }
+
+    type ModelRelay = Relay<Model, Reply, Wire>;
+
+    /// A connection: the relay over the far side's replies, and the lane
+    /// requests travel to the far side on (with whether they carry a
+    /// deadline).
+    struct Link {
+        relay: Arc<ModelRelay>,
+        to_far: Pipe<(u64, bool)>,
+        from_far: Pipe<u64>,
+    }
+
+    impl Link {
+        fn new() -> Self {
+            let from_far = pipe();
+            Link {
+                relay: Arc::new(Relay::new(Wire(from_far.clone()), 2)),
+                to_far: pipe(),
+                from_far,
+            }
+        }
+
+        /// One requester thread: registers, sends, awaits.  `None` when
+        /// the connection was already dead at registration.
+        fn request(&self, bounded: bool) -> thread::JoinHandle<Option<Result<u64, ConnError>>> {
+            let (relay, to_far) = (self.relay.clone(), self.to_far.clone());
+            thread::spawn(move || {
+                let (corr, slot) = relay.register().ok()?;
+                push(&to_far, (corr, bounded));
+                let deadline = bounded.then(Instant::now);
+                let reply = relay.await_reply(corr, &slot, deadline);
+                if let Ok(Reply(answered)) = &reply {
+                    assert_eq!(*answered, corr, "misrouted reply");
+                }
+                Some(reply.map(|Reply(answered)| answered))
+            })
+        }
+    }
+
+    fn explorer(preemption_bound: usize) -> Explorer {
+        Explorer {
+            max_schedules: 400_000,
+            preemption_bound,
+            op_budget: 50_000,
+        }
+    }
+
+    /// `n` requesters, and a far side that answers each request in the
+    /// order it arrives: every requester gets its own reply.
+    fn replies_in_any_order(n: usize) {
+        let link = Link::new();
+        let far = {
+            let (to_far, from_far) = (link.to_far.clone(), link.from_far.clone());
+            thread::spawn(move || {
+                for _ in 0..n {
+                    let Some(Ok((corr, _))) = pop(&to_far, None) else {
+                        return;
+                    };
+                    push(&from_far, corr);
+                }
+            })
+        };
+        let requesters: Vec<_> = (0..n).map(|_| link.request(false)).collect();
+        for requester in requesters {
+            let reply = requester.join().unwrap();
+            assert!(matches!(reply, Some(Ok(_))), "a reply was lost: {reply:?}");
+        }
+        far.join().unwrap();
+    }
+
+    /// One requester's deadline passes — as the leader or as a follower —
+    /// while the far side holds its reply back; the reply then arrives
+    /// late, ahead of the other requester's.  The late one is dropped, the
+    /// other is delivered.
+    fn a_deadline_passes() {
+        let link = Link::new();
+        let gave_up: Pipe<()> = pipe();
+        let far = {
+            let (to_far, from_far, gave_up) =
+                (link.to_far.clone(), link.from_far.clone(), gave_up.clone());
+            thread::spawn(move || {
+                let mut held = Vec::new();
+                for _ in 0..2 {
+                    if let Some(Ok(request)) = pop(&to_far, None) {
+                        held.push(request);
+                    }
+                }
+                held.sort_by_key(|&(_, bounded)| !bounded);
+                pop(&gave_up, None);
+                for (corr, _) in held {
+                    push(&from_far, corr);
+                }
+            })
+        };
+        let bounded = link.request(true);
+        let unbounded = link.request(false);
+        let reply = bounded.join().unwrap();
+        assert!(matches!(reply, Some(Err(ConnError::Timeout))), "{reply:?}");
+        push(&gave_up, ());
+        let reply = unbounded.join().unwrap();
+        assert!(matches!(reply, Some(Ok(_))), "a reply was lost: {reply:?}");
+        far.join().unwrap();
+    }
+
+    /// The far side answers one request and hangs up: the other requester
+    /// learns the connection died, wherever it was waiting.
+    fn the_far_side_hangs_up() {
+        let link = Link::new();
+        let far = {
+            let (to_far, from_far) = (link.to_far.clone(), link.from_far.clone());
+            thread::spawn(move || {
+                if let Some(Ok((corr, _))) = pop(&to_far, None) {
+                    push(&from_far, corr);
+                }
+                hang_up(&from_far);
+            })
+        };
+        let requesters = [link.request(false), link.request(false)];
+        let mut answered = 0;
+        for requester in requesters {
+            match requester.join().unwrap() {
+                Some(Ok(_)) => answered += 1,
+                Some(Err(ConnError::Dead(_))) => {}
+                other => panic!("neither a reply nor a death: {other:?}"),
+            }
+        }
+        assert!(answered <= 1);
+        far.join().unwrap();
+    }
+
+    /// Nothing is ever answered; a third party looks at the idle
+    /// connection, then shuts it down as `Conn::shutdown` does (poison,
+    /// then EOF both ways).  Every requester ends, none with a reply.
+    fn a_shutdown_wakes_everyone() {
+        let link = Link::new();
+        let requesters = [link.request(false), link.request(false)];
+        let shutdown = {
+            let (relay, to_far, from_far) = (
+                link.relay.clone(),
+                link.to_far.clone(),
+                link.from_far.clone(),
+            );
+            thread::spawn(move || {
+                relay.read_idle();
+                relay.poison("connection shut down".to_string());
+                hang_up(&to_far);
+                hang_up(&from_far);
+            })
+        };
+        for requester in requesters {
+            let reply = requester.join().unwrap();
+            assert!(
+                matches!(reply, None | Some(Err(ConnError::Dead(_)))),
+                "{reply:?}"
+            );
+        }
+        shutdown.join().unwrap();
+    }
+
+    /// The hand-off loses no reply and strands no requester: replies in any
+    /// order to two requesters (and to three, under one preemption); a
+    /// deadline passing for the leader or a follower, with its reply
+    /// arriving late; the far side hanging up mid-exchange; and a
+    /// shutdown poisoning requesters in every state.
+    #[cfg(not(feature = "buggy-leader"))]
+    #[test]
+    fn leader_hands_off_without_loss_proven() {
+        let scenarios: [(&str, usize, fn()); 5] = [
+            ("two requesters", 2, || replies_in_any_order(2)),
+            ("three requesters", 1, || replies_in_any_order(3)),
+            ("a deadline passes", 2, a_deadline_passes),
+            ("the far side hangs up", 2, the_far_side_hangs_up),
+            ("a shutdown", 2, a_shutdown_wakes_everyone),
+        ];
+        for (name, preemption_bound, scenario) in scenarios {
+            let report = explorer(preemption_bound).prove(scenario);
+            assert!(report.proven(), "{name}");
+            assert!(
+                report.schedules > 1_000,
+                "{name}: interleavings actually explored"
+            );
+        }
+    }
+
+    /// REGRESSION (`--features model,buggy-leader`): a leader that
+    /// promotes a waiter *before* returning the baton lets the promoted
+    /// request find it still taken and go back to sleep — with nobody
+    /// left to read its reply.  The exploration must find that hang.
+    #[cfg(feature = "buggy-leader")]
+    #[test]
+    fn leader_lost_handoff_recaught() {
+        let report = explorer(2).explore(|| replies_in_any_order(2));
+        let failure = report
+            .failure
+            .expect("promoting before returning the baton must strand a waiter");
+        assert!(
+            failure.message.contains("deadlock"),
+            "expected a deadlock, got: {}",
+            failure.message
+        );
+        assert!(
+            report.schedules <= 5_000,
+            "the lost hand-off should surface within a few thousand interleavings, took {}",
+            report.schedules
+        );
     }
 }

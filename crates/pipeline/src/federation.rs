@@ -371,7 +371,8 @@ impl PeerLink {
             if !peer.conn.is_dead() {
                 return Ok((peer.clone(), None));
             }
-            // The reader declared it dead since last use: retire it
+            // It died since last use — a read saw EOF, a send failed, or
+            // `is_dead` just read the far side's hang-up: retire it
             // before redialing.
             let stale = slot.take().expect("connection just seen");
             stale.conn.shutdown();

@@ -71,7 +71,7 @@ pub mod server;
 mod shard;
 pub mod sim;
 
-pub use allocation::{Allocation, AllocationError, ReleaseDone, SessionKey};
+pub use allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitDone};
 pub use api::{BackendKind, PipelineBuilder, ResourceManager, StatsSnapshot, Ticket};
 pub use client::RemoteBackend;
 pub use directory::{LocalDirectoryService, PoolInstanceRecord, ShardedDirectory, SharedDirectory};

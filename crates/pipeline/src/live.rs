@@ -11,10 +11,11 @@
 //!
 //! Clients reach the pipeline through the ticket-based
 //! [`crate::api::ResourceManager`] surface (the former blocking `submit*`
-//! shims are gone).  The underlying primitive is
-//! [`submit_async`](LivePipeline::submit_async): it launches a query into
-//! the pipeline and returns immediately with a receiver for the eventual
-//! reply, so several queries can be in flight at once.
+//! shims are gone).  Underneath, a launched query's reply has exactly one
+//! mechanism, an `OutcomeSlot`: the query-manager stage that reintegrates
+//! the outcome fills it, and a redeemer either takes the outcome from it
+//! or leaves a completion in it for that stage to run — several queries
+//! in flight at once, and nobody relaying an outcome to anybody.
 //!
 //! The channel hop stands in for the TCP/UDP hop of the paper's deployment;
 //! the simulated deployment ([`crate::sim`]) is where wire latency is
@@ -24,6 +25,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -31,7 +33,7 @@ use parking_lot::Mutex;
 use actyp_grid::SharedDatabase;
 use actyp_query::{BasicQuery, Query, QuerySchema};
 
-use crate::allocation::{Allocation, AllocationError, ReleaseDone};
+use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::directory::{LocalDirectoryService, SharedDirectory};
 use crate::engine::{EngineStats, PipelineConfig};
 use crate::message::{RequestId, RequestIdGenerator, RoutingState};
@@ -67,10 +69,145 @@ impl LiveCounters {
     }
 }
 
+/// What a launched query resolves to.
+type Outcome = Result<Vec<Allocation>, AllocationError>;
+
+/// A launched query's one reply mechanism.  The query-manager stage that
+/// reintegrates the outcome fills it; a redeemer takes the outcome from it
+/// (without waiting, blocking, or blocking until a deadline) or leaves a
+/// completion in it.  The outcome and the completion meet under the one
+/// lock, and whichever arrives second runs the completion — the
+/// redeemer's own thread when the outcome was already there, the
+/// query-manager stage when it was not.
+pub(crate) struct OutcomeSlot {
+    cell: std::sync::Mutex<SlotState>,
+    filled: std::sync::Condvar,
+}
+
+enum SlotState {
+    Pending,
+    Ready(Outcome),
+    Waiter(WaitDone),
+    /// The outcome went to its redeemer.
+    Spent,
+}
+
+impl OutcomeSlot {
+    fn new() -> Arc<Self> {
+        Arc::new(OutcomeSlot {
+            cell: std::sync::Mutex::new(SlotState::Pending),
+            filled: std::sync::Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
+        self.cell
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Stage side: the outcome is in.  A waiting completion runs here, on
+    /// the stage's thread, after the lock is released.
+    fn fill(&self, outcome: Outcome) {
+        let mut cell = self.lock();
+        match std::mem::replace(&mut *cell, SlotState::Spent) {
+            SlotState::Waiter(done) => {
+                drop(cell);
+                done(outcome);
+            }
+            _ => {
+                *cell = SlotState::Ready(outcome);
+                drop(cell);
+                self.filled.notify_all();
+            }
+        }
+    }
+
+    /// Takes the outcome out of `cell` if it is in.
+    fn take_ready(cell: &mut SlotState) -> Option<Outcome> {
+        match std::mem::replace(cell, SlotState::Spent) {
+            SlotState::Ready(outcome) => Some(outcome),
+            other => {
+                *cell = other;
+                None
+            }
+        }
+    }
+
+    /// The outcome, if it is in; never waits.
+    pub(crate) fn try_take(&self) -> Option<Outcome> {
+        Self::take_ready(&mut self.lock())
+    }
+
+    /// Blocks for the outcome — until `deadline` when one is given, after
+    /// which `None` leaves the slot as it was.
+    pub(crate) fn take_until(&self, deadline: Option<Instant>) -> Option<Outcome> {
+        let mut cell = self.lock();
+        loop {
+            if let Some(outcome) = Self::take_ready(&mut cell) {
+                return Some(outcome);
+            }
+            cell = match deadline {
+                None => self
+                    .filled
+                    .wait(cell)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return None;
+                    }
+                    self.filled
+                        .wait_timeout(cell, deadline - now)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
+    }
+
+    /// Leaves `done` to be run with the outcome: right here when it is
+    /// already in, by the filling stage otherwise.
+    pub(crate) fn on_ready(&self, done: WaitDone) {
+        let mut cell = self.lock();
+        match std::mem::replace(&mut *cell, SlotState::Spent) {
+            SlotState::Ready(outcome) => {
+                drop(cell);
+                done(outcome);
+            }
+            _ => *cell = SlotState::Waiter(done),
+        }
+    }
+}
+
+/// The stage's end of an [`OutcomeSlot`], filled exactly once: with the
+/// outcome, or — when the query is dropped unprocessed (a stage that
+/// panicked, a pipeline torn down) — with an error, so no redeemer waits
+/// forever.
+struct Promise(Option<Arc<OutcomeSlot>>);
+
+impl Promise {
+    fn fill(mut self, outcome: Outcome) {
+        if let Some(slot) = self.0.take() {
+            slot.fill(outcome);
+        }
+    }
+}
+
+impl Drop for Promise {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.fill(Err(AllocationError::Internal(
+                "pipeline dropped the reply".to_string(),
+            )));
+        }
+    }
+}
+
 enum QmMsg {
     Submit {
         query: Query,
-        reply: Sender<Result<Vec<Allocation>, AllocationError>>,
+        reply: Promise,
     },
     Shutdown,
     /// Test hook: makes the receiving worker panic so teardown reporting can
@@ -241,9 +378,7 @@ impl QmWorker {
         while let Ok(msg) = self.rx.recv() {
             match msg {
                 QmMsg::Shutdown => break,
-                QmMsg::Submit { query, reply } => {
-                    let _ = reply.send(self.process(&query));
-                }
+                QmMsg::Submit { query, reply } => reply.fill(self.process(&query)),
                 #[cfg(test)]
                 QmMsg::Panic => panic!("injected query-manager panic"),
             }
@@ -433,20 +568,17 @@ impl LivePipeline {
     }
 
     /// Launches a query into the pipeline without waiting: the returned
-    /// receiver yields the reply when the pipeline finishes.  Several
+    /// slot receives the outcome when the pipeline finishes.  Several
     /// launched queries overlap across the query-manager, pool-manager and
     /// pool stages — this is the pipelining the paper measures, available to
     /// a single client thread.
-    #[allow(clippy::type_complexity)]
-    pub fn submit_async(
-        &self,
-        query: Query,
-    ) -> Result<Receiver<Result<Vec<Allocation>, AllocationError>>, AllocationError> {
-        let (tx, rx) = unbounded();
+    pub(crate) fn launch(&self, query: Query) -> Result<Arc<OutcomeSlot>, AllocationError> {
+        let slot = OutcomeSlot::new();
+        let reply = Promise(Some(slot.clone()));
         self.qm_tx
-            .send(QmMsg::Submit { query, reply: tx })
+            .send(QmMsg::Submit { query, reply })
             .map_err(|_| AllocationError::Internal("query manager stage is down".to_string()))?;
-        Ok(rx)
+        Ok(slot)
     }
 
     /// The stage hosting `allocation`'s pool, when the directory knows it.
@@ -513,8 +645,8 @@ impl LivePipeline {
     /// stopped and joined first, so every submission already queued is fully
     /// processed (its fragments forwarded to the pool managers and their
     /// replies awaited) before the pool-manager stages are stopped.
-    /// Outstanding [`submit_async`](LivePipeline::submit_async) receivers
-    /// therefore still yield their real outcome after shutdown.
+    /// Outstanding tickets therefore still redeem their real outcome after
+    /// shutdown.
     pub fn shutdown(&self) -> Result<(), AllocationError> {
         let mut panics = Vec::new();
 
@@ -589,15 +721,15 @@ mod tests {
 
     /// What the removed `LivePipeline::submit_text` shim did: parse, launch
     /// asynchronously, block for the reply.
-    fn submit_text(
-        pipeline: &LivePipeline,
-        text: &str,
-    ) -> Result<Vec<Allocation>, AllocationError> {
+    fn submit_text(pipeline: &LivePipeline, text: &str) -> Outcome {
         let query =
             actyp_query::parse_query(text).map_err(|e| AllocationError::Parse(e.to_string()))?;
-        let rx = pipeline.submit_async(query)?;
-        rx.recv()
-            .map_err(|_| AllocationError::Internal("query manager dropped the reply".to_string()))?
+        let slot = pipeline.launch(query)?;
+        redeem(&slot)
+    }
+
+    fn redeem(slot: &OutcomeSlot) -> Outcome {
+        slot.take_until(None).expect("no deadline")
     }
 
     #[test]
@@ -711,10 +843,10 @@ mod tests {
         let query = Query::paper_example();
         // Three queries in flight before any reply is awaited.
         let pending: Vec<_> = (0..3)
-            .map(|_| pipeline.submit_async(query.clone()).unwrap())
+            .map(|_| pipeline.launch(query.clone()).unwrap())
             .collect();
-        for rx in pending {
-            let allocations = rx.recv().unwrap().unwrap();
+        for slot in pending {
+            let allocations = redeem(&slot).unwrap();
             pipeline.release(&allocations[0]).unwrap();
         }
         assert_eq!(pipeline.stats().allocations, 3);
@@ -725,12 +857,62 @@ mod tests {
     fn queued_submissions_complete_across_shutdown() {
         // Shutdown stops the stages in pipeline order, so a submission that
         // is still queued when shutdown begins is processed end to end and
-        // its receiver yields the real outcome.
+        // its slot receives the real outcome.
         let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(200, 11));
-        let rx = pipeline.submit_async(Query::paper_example()).unwrap();
+        let slot = pipeline.launch(Query::paper_example()).unwrap();
         pipeline.shutdown().unwrap();
-        let allocations = rx.recv().unwrap().unwrap();
+        let allocations = redeem(&slot).unwrap();
         assert_eq!(allocations.len(), 1);
+    }
+
+    /// The outcome and a completion meet in the slot, and whichever arrives
+    /// second runs the completion: the filling stage when the completion
+    /// was there first, the registering thread when the outcome was.
+    #[test]
+    fn a_completion_runs_on_whichever_thread_arrives_second() {
+        let ran_on = |slot: &OutcomeSlot| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            slot.on_ready(Box::new(move |outcome| {
+                tx.send((std::thread::current().id(), outcome)).unwrap();
+            }));
+            rx
+        };
+
+        let slot = OutcomeSlot::new();
+        let landed = ran_on(&slot);
+        assert!(landed.try_recv().is_err(), "nothing to run yet");
+        let stage = std::thread::spawn({
+            let slot = slot.clone();
+            move || {
+                slot.fill(Ok(Vec::new()));
+                std::thread::current().id()
+            }
+        })
+        .join()
+        .unwrap();
+        assert_eq!(landed.recv().unwrap(), (stage, Ok(Vec::new())));
+
+        let slot = OutcomeSlot::new();
+        slot.fill(Err(AllocationError::NoSuchResources));
+        let landed = ran_on(&slot);
+        assert_eq!(
+            landed.try_recv().unwrap(),
+            (
+                std::thread::current().id(),
+                Err(AllocationError::NoSuchResources)
+            )
+        );
+    }
+
+    /// A query the stage drops unprocessed still answers its redeemer.
+    #[test]
+    fn a_dropped_query_answers_with_an_error() {
+        let slot = OutcomeSlot::new();
+        drop(Promise(Some(slot.clone())));
+        assert!(matches!(
+            slot.take_until(None),
+            Some(Err(AllocationError::Internal(_)))
+        ));
     }
 
     #[test]

@@ -307,6 +307,29 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
     }
 }
 
+/// Waits up to `timeout` (zero: just looks) for `fd` to become readable —
+/// bytes, a hang-up or an error, each of which a following `read` reports
+/// without blocking.  How a thread that reads a blocking socket itself
+/// bounds the read by a deadline, without a per-read `setsockopt`.
+#[cfg(unix)]
+pub(crate) fn wait_readable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
+    let mut pollfd = sys::PollFd {
+        fd,
+        events: sys::POLLIN,
+        revents: 0,
+    };
+    // SAFETY: one live pollfd, exactly the count passed.
+    let n = unsafe { sys::poll(&mut pollfd, 1, timeout_ms(Some(timeout))) };
+    if n < 0 {
+        let err = io::Error::last_os_error();
+        return match err.kind() {
+            io::ErrorKind::Interrupted => Ok(false),
+            _ => Err(err),
+        };
+    }
+    Ok(n > 0)
+}
+
 // ---------------------------------------------------------------------------
 // Epoll implementation (Linux)
 // ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ const MAX_SESSION_WORKERS: usize = 256;
 /// submit-lane jobs (submits, batches, incoming delegations) can block on
 /// the live backend's admission window, whose permits only redemptions
 /// free — a single shared pool saturated with window-blocked submissions
-/// would starve the very waits that unblock it.  Redeem-lane jobs (waits,
-/// federated polls and releases) resolve by pipeline progress or bounded
+/// would starve the very waits that unblock it.  Redeem-lane jobs
+/// (federated waits, polls and releases, deadline waits, and the waits and
+/// releases a backend hands back) resolve by pipeline progress or bounded
 /// peer I/O alone, never by the window; everything a client must complete
 /// in order to *return* capacity lives here, so the lane always drains.
 pub(super) struct Pools {
@@ -150,9 +151,10 @@ pub(super) fn spawn_job(
     });
 }
 
-/// Queues a job the caller bounds and counts itself: a release, which
-/// must never be refused (the error would strand the lease) and is held
-/// back by pausing the session's read side instead.
+/// Queues a job the caller bounds and counts itself: a handed-back release
+/// or wait, which must never be refused (the error would strand the lease,
+/// or the ticket it already claimed) and is held back by pausing the
+/// session's read side instead.
 pub(super) fn spawn_uncounted(
     batch: &mut LaneBatch,
     lane: Lane,

@@ -33,9 +33,9 @@
 //! * the *submit* lane (submissions the backend cannot take without
 //!   waiting, batch submits, delegations in), whose jobs may block on the
 //!   live backend's admission window,
-//! * the *redeem* lane (waits whose outcome is not there yet; federated
-//!   waits, polls and releases), whose jobs resolve by pipeline progress
-//!   or bounded peer I/O alone, and
+//! * the *redeem* lane (federated waits, polls and releases; deadline
+//!   waits that miss; waits and releases a backend hands back), whose jobs
+//!   resolve by pipeline progress or bounded peer I/O alone, and
 //! * the *teardown* lane (session settles for closed connections), so a
 //!   mass disconnect never spawns a thread per closing session —
 //!
@@ -44,10 +44,12 @@
 //! that would free those very permits.  A call that cannot park is
 //! finished by the I/O thread that decoded it
 //! ([`ResourceManager::try_submit`], [`ResourceManager::try_poll`]), and a
-//! release by the backend stage that performs it
-//! ([`ResourceManager::release_with`]).  Whoever finishes a request posts
-//! the reply into the owning session's write queue and rings its I/O
-//! thread — a syscall only if that thread is asleep in `poll`.
+//! wait or a release by the backend stage that produces its answer
+//! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`]).
+//! Whoever finishes a request writes the reply to the session's
+//! non-blocking socket itself; only what the socket does not take is
+//! queued for the session's I/O thread, which is rung for it — a syscall
+//! only if that thread is asleep in `poll`.
 //! The listener itself is one more readiness source on the first I/O
 //! thread — there is no dedicated accept thread — and that thread's timer
 //! wheel also drives the periodic anti-entropy gossip tick and peer health
@@ -423,8 +425,8 @@ mod tests {
     /// so a test can misbehave in ways the client never would.
     fn raw_hello(addr: &StageAddress) -> TcpStream {
         let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
-        // `write_frame` emits prefix and body separately; without this a
-        // request/reply loop pays Nagle's 40 ms per frame.
+        // Frames are small: without this, a frame written while the
+        // previous one is unacknowledged waits on Nagle's timer.
         raw.set_nodelay(true).unwrap();
         write_frame(
             &mut raw,
@@ -723,6 +725,150 @@ mod tests {
             server.halt();
             server.join().unwrap();
         }
+    }
+
+    type HeldWaits = Arc<Mutex<Vec<(crate::api::Ticket, crate::WaitDone)>>>;
+
+    /// A backend on which every `Wait` misses: `wait_with` keeps the
+    /// completion, and the test decides when the outcome "arrives".
+    struct MissingWaits {
+        inner: Arc<dyn ResourceManager>,
+        held: HeldWaits,
+    }
+
+    impl ResourceManager for MissingWaits {
+        fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
+            self.inner.submit(query)
+        }
+        fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
+            self.inner.wait(ticket)
+        }
+        fn wait_with(
+            &self,
+            ticket: crate::api::Ticket,
+            done: crate::WaitDone,
+        ) -> Result<(), crate::WaitDone> {
+            self.held.lock().push((ticket, done));
+            Ok(())
+        }
+        fn try_poll(&self, ticket: crate::api::Ticket) -> Option<crate::api::QueryOutcome> {
+            self.inner.try_poll(ticket)
+        }
+        fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
+            self.inner.release(allocation)
+        }
+        fn stats(&self) -> actyp_proto::StatsSnapshot {
+            self.inner.stats()
+        }
+        fn shutdown(&self) -> Result<(), AllocationError> {
+            self.inner.shutdown()
+        }
+    }
+
+    #[test]
+    fn a_burst_of_pipelined_missed_waits_is_answered_in_full() {
+        // The counterpart of the release burst: one session holds more
+        // tickets than the completion high-water mark and waits on them
+        // all in a single write, and not one outcome is in yet.  The I/O
+        // thread must pause reading at the mark — not refuse the rest —
+        // and resume as the stage answers, so every reply is an Outcome.
+        const TICKETS: u64 = 300;
+        let high_water = session::COMPLETIONS_HIGH_WATER;
+        let inner: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(fleet_db(2_000, 10))
+                .build(BackendKind::Embedded)
+                .unwrap(),
+        );
+        let held: HeldWaits = Arc::default();
+        let manager = MissingWaits {
+            inner: inner.clone(),
+            held: held.clone(),
+        };
+        let server = serve(Box::new(manager), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        let mut burst = Vec::new();
+        for i in 0..TICKETS {
+            write_frame(
+                &mut raw,
+                &ClientFrame::Submit {
+                    corr: RequestId(i),
+                    query: paper_text(),
+                },
+            )
+            .unwrap();
+            let ticket = match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+                other => panic!("expected Submitted, got {other:?}"),
+            };
+            write_frame(
+                &mut burst,
+                &ClientFrame::Wait {
+                    corr: RequestId(i),
+                    ticket,
+                    deadline_ms: None,
+                },
+            )
+            .unwrap();
+        }
+        raw.write_all(&burst).unwrap();
+
+        // The stage: silent until the session has the high-water mark of
+        // waits pending, then answering everything it is handed.
+        let stop = Arc::new(AtomicBool::new(false));
+        let stage = std::thread::spawn({
+            let (held, stop) = (held.clone(), stop.clone());
+            move || {
+                let started = std::time::Instant::now();
+                while held.lock().len() < high_water {
+                    assert!(
+                        started.elapsed() < std::time::Duration::from_secs(20),
+                        "only {} waits reached the backend",
+                        held.lock().len()
+                    );
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                let peak = held.lock().len();
+                while !stop.load(Ordering::SeqCst) {
+                    let answered = std::mem::take(&mut *held.lock());
+                    for (ticket, done) in answered {
+                        done(inner.wait(ticket));
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                peak
+            }
+        });
+        let mut granted = Vec::new();
+        for _ in 0..TICKETS {
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Outcome {
+                    outcome: Ok(allocations),
+                    ..
+                }) => granted.extend(allocations),
+                other => panic!("expected an allocation, got {other:?}"),
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        let peak = stage.join().unwrap();
+        assert_eq!(peak, high_water, "the read side paused at the mark");
+        for (i, allocation) in granted.iter().enumerate() {
+            write_frame(
+                &mut raw,
+                &ClientFrame::Release {
+                    corr: RequestId(TICKETS + i as u64),
+                    allocation: allocation.clone(),
+                },
+            )
+            .unwrap();
+            assert!(matches!(
+                read_server_frame(&mut raw).unwrap(),
+                Some(ServerFrame::Released { .. })
+            ));
+        }
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
     }
 
     #[test]

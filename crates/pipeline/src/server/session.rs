@@ -4,11 +4,14 @@
 //! [`io_thread_main`] drives every session's nonblocking socket through a
 //! [`Poller`].  Each session is an explicit state machine
 //! ([`ReactorSession`]).  A request that cannot park is answered on the
-//! I/O thread itself; one that can is queued on the worker lanes
-//! ([`super::lanes`]).  Whoever produces a reply — I/O thread, lane worker
-//! or a backend stage thread — encodes it into the owning session's
-//! [`OutQueue`] and rings that session's I/O thread through its
-//! [`IoNotify`], which costs a syscall only when the thread is asleep.
+//! I/O thread itself; a `Wait` or a `Release` whose answer a backend stage
+//! produces is left with that stage as a completion; only what would park
+//! otherwise is queued on the worker lanes ([`super::lanes`]).  Whoever
+//! produces a reply — I/O thread, backend stage thread or lane worker —
+//! writes it: [`OutQueue::push`] encodes it and, with nothing queued ahead
+//! of it, sends it from that thread.  Only what the socket does not take
+//! stays queued for the session's I/O thread, rung through its
+//! [`IoNotify`] (a syscall only when the thread is asleep).
 //!
 //! `actyp-lint`'s `reactor-blocking` rule walks the call graph from
 //! `io_thread_main`; keeping its callees in this file (and this
@@ -27,13 +30,13 @@ use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use actyp_proto::{
-    negotiate, write_frame, ClientFrame, RequestId, ServerFrame, WireDecode, MAX_FRAME_LEN,
+    encode_frame, negotiate, split_frame, ClientFrame, RequestId, ServerFrame, WireDecode,
     MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
 use super::lanes::{spawn_job, spawn_uncounted, Lane, LaneBatch, Pools};
 use super::ServerShared;
-use crate::allocation::{Allocation, AllocationError, ReleaseDone};
+use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::api::{QueryOutcome, Ticket};
 use crate::federation::FederatedBackend;
 use crate::reactor::{Doorbell, Event, Interest, Poller, TimerWheel, Waker};
@@ -63,20 +66,20 @@ const PROBE_TIMER: u64 = 3;
 /// replies is backpressured instead of ballooning the daemon's memory.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// Upper bound on releases handed to the backend and not yet answered
-/// before the session stops *reading*: the I/O thread decodes a burst of
-/// pipelined `Release` frames faster than a pool-manager stage completes
-/// them, and an error reply would strand the lease, so the burst waits in
-/// the socket instead.
-const COMPLETIONS_HIGH_WATER: usize = 256;
+/// Upper bound on requests handed to the backend as completions and not
+/// yet answered before the session stops *reading*: the I/O thread decodes
+/// a burst of pipelined `Release` or `Wait` frames faster than the stages
+/// complete them, and an error reply would strand a lease (or a ticket),
+/// so the burst waits in the socket instead.
+pub(super) const COMPLETIONS_HIGH_WATER: usize = 256;
 
 /// How many bytes one readable event may pull off a single socket
 /// before yielding to the other sessions on the same I/O thread
 /// (level-triggered polling re-delivers the event if more is waiting).
 /// This caps bytes *per event*, never the session's total buffer — a
 /// frame larger than one burst (the protocol allows up to
-/// [`MAX_FRAME_LEN`]) accumulates across events and must always be
-/// able to complete.
+/// [`MAX_FRAME_LEN`](actyp_proto::MAX_FRAME_LEN)) accumulates across
+/// events and must always be able to complete.
 const READ_BURST: usize = 256 * 1024;
 
 /// How long a closing session may keep flushing queued replies to a
@@ -103,18 +106,19 @@ const BUF_SHRINK_THRESHOLD: usize = 64 * 1024;
 /// the drain flag is also re-checked at least this often.
 const IO_POLL_INTERVAL: Duration = Duration::from_millis(500);
 
-/// Cross-thread doorbell for one I/O thread: whoever touches a session's
-/// write queue marks the session dirty and rings; the I/O thread drains
-/// the set and flushes exactly those sessions.
+/// Cross-thread doorbell for one I/O thread: whoever leaves bytes in a
+/// session's write queue that the socket did not take (or seals the
+/// queue) marks the session dirty and rings; the I/O thread drains the set
+/// and flushes exactly those sessions.  A reply the socket takes whole
+/// rings nobody.
 ///
 /// The bell is a self-pipe behind the [`Doorbell`] parked-flag protocol:
 /// it is written only while the I/O thread is blocked in `poll` or
 /// committed to blocking, so a sleep costs at most one `write` and one
-/// `read`, and a ring while the thread is running — including every reply
-/// the thread pushes itself — costs neither.  `reactor.rs` model-checks
-/// that very `Doorbell` code (`doorbell_loses_no_wakeup_proven`, and
-/// `buggy-doorbell` re-finds the lost wake-up when the two loop-side steps
-/// are swapped).
+/// `read`, and a ring while the thread is running costs neither.
+/// `reactor.rs` model-checks that very `Doorbell` code
+/// (`doorbell_loses_no_wakeup_proven`, and `buggy-doorbell` re-finds the
+/// lost wake-up when the two loop-side steps are swapped).
 pub(super) struct IoNotify {
     dirty: Mutex<HashSet<u64>>,
     doorbell: Doorbell<AtomicBool, Waker>,
@@ -168,13 +172,19 @@ impl IoNotify {
     }
 }
 
-/// The write side of one reactor session: frames are encoded into this
-/// byte queue by whoever produces them (I/O thread, worker lane, backend
-/// stage thread, teardown) and flushed by the owning I/O thread as the
-/// socket allows.
+/// The write side of one reactor session.  Whoever produces a frame (I/O
+/// thread, backend stage thread, worker lane, teardown) encodes it here
+/// and, when nothing is queued ahead of it, writes it to the socket
+/// itself; the owning I/O thread flushes whatever the socket did not take
+/// as the socket allows.
 struct OutQueue {
     token: u64,
     notify: Arc<IoNotify>,
+    /// The session socket's own handle: a `try_clone`, so the same open
+    /// file description (already non-blocking), and owned, so a reply that
+    /// completes after the session retired can never land in an fd number
+    /// the kernel has since reused for another connection.
+    socket: TcpStream,
     buf: Mutex<OutBuf>,
 }
 
@@ -206,23 +216,45 @@ impl OutBuf {
         self.sent = 0;
         self.frames = 0;
     }
+
+    /// Writes queued bytes to the non-blocking `socket` until it would
+    /// block; `true` when the queue emptied.  A short write, `WouldBlock`
+    /// or an error leaves the rest queued — the I/O thread's flush owns
+    /// backpressure and reports a dead transport.
+    fn write_through(&mut self, mut socket: &TcpStream) -> bool {
+        while self.sent < self.data.len() {
+            match socket.write(&self.data[self.sent..]) {
+                Ok(0) => return false,
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return false,
+            }
+        }
+        self.reset();
+        true
+    }
 }
 
 impl OutQueue {
-    /// Appends one frame (best effort: an unencodable frame is dropped,
-    /// a closed queue swallows it) and rings the session's I/O thread.
+    /// Appends one frame (best effort: an unencodable frame is dropped, a
+    /// closed queue swallows it).  With nothing queued ahead of it the
+    /// frame leaves from the calling thread, in one `write`; what the
+    /// socket does not take stays queued and the session's I/O thread is
+    /// rung for it.  One path for every caller, the I/O thread included.
     fn push(&self, frame: &ServerFrame) {
         {
             let mut buf = self.buf.lock();
             if buf.closed() {
                 return;
             }
-            // Writing into a Vec cannot fail; `write_frame` refuses an
-            // over-limit frame before emitting any byte, so a failed
-            // push leaves the queue intact.
-            // lint-allow(lock-across-blocking): in-memory Vec sink, never blocks
-            if write_frame(&mut buf.data, frame).is_ok() {
-                buf.frames += 1;
+            let idle = buf.sent == buf.data.len();
+            // An over-limit frame is refused before a byte is appended.
+            if encode_frame(&mut buf.data, frame).is_err() {
+                return;
+            }
+            buf.frames += 1;
+            if idle && buf.write_through(&self.socket) {
+                return;
             }
         }
         self.notify.mark_dirty(self.token);
@@ -546,11 +578,13 @@ fn add_session(
     if stream.set_nonblocking(true).is_err() {
         return None;
     }
+    let socket = stream.try_clone().ok()?;
     let token = *next_token;
     *next_token += 1;
     let queue = Arc::new(OutQueue {
         token,
         notify: notify.clone(),
+        socket,
         buf: Mutex::new(OutBuf::default()),
     });
     if poller
@@ -616,9 +650,11 @@ fn handle_readable(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut
 
 /// Parses every complete frame buffered for the session and
 /// dispatches it, stopping early when the session is backlogged — its
-/// write queue or its unanswered releases crossed their high-water mark
-/// (the leftovers stay buffered and are re-parsed once that drains).  Garbage — an over-limit length prefix or
-/// an undecodable body — ends the session, settled like any other.
+/// write queue or its unanswered completions crossed their high-water
+/// mark (the leftovers stay buffered and are re-parsed once that drains).
+/// Garbage — a length prefix over
+/// [`MAX_FRAME_LEN`](actyp_proto::MAX_FRAME_LEN) or an undecodable
+/// body — ends the session, settled like any other.
 ///
 /// Blocking frames are *collected* across the whole parse loop and
 /// handed to the worker lanes as one batch per lane at the end — one
@@ -635,29 +671,19 @@ fn parse_and_dispatch(
         if matches!(session.phase, Phase::Closing) {
             break;
         }
-        let available = &session.read_buf[pos..];
-        if available.len() < 4 {
-            break;
-        }
-        let declared =
-            u32::from_be_bytes([available[0], available[1], available[2], available[3]]) as usize;
-        if declared > MAX_FRAME_LEN {
+        let next = match split_frame(&session.read_buf[pos..]) {
+            Ok(None) => break,
+            Ok(Some((body, used))) => ClientFrame::from_wire_bytes(body)
+                .ok()
+                .map(|frame| (frame, used)),
+            Err(_) => None,
+        };
+        let Some((frame, used)) = next else {
             begin_close(shared, pools, session);
             break;
-        }
-        let Some(body) = available.get(4..4 + declared) else {
-            break;
         };
-        match ClientFrame::from_wire_bytes(body) {
-            Ok(frame) => {
-                pos += 4 + declared;
-                dispatch_frame(shared, pools, session, &mut batch, frame);
-            }
-            Err(_) => {
-                begin_close(shared, pools, session);
-                break;
-            }
-        }
+        pos += used;
+        dispatch_frame(shared, pools, session, &mut batch, frame);
         if session.state.backlogged() {
             break;
         }
@@ -681,9 +707,10 @@ fn parse_and_dispatch(
 
 /// The one frame-dispatch `match` of the serving side.  *Who answers* is a
 /// property of the call, not of the frame type: a call that cannot park is
-/// finished right here on the I/O thread; one that can is queued on a
-/// worker lane; a release is finished by the backend stage that performs
-/// it.  Whoever finishes posts the reply into the session's write queue.
+/// finished right here on the I/O thread; a release, and a wait whose
+/// outcome is not in yet, are finished by the backend stage that produces
+/// the answer; only what would park otherwise is queued on a worker lane.
+/// Whoever finishes writes the reply (see [`OutQueue::push`]).
 fn dispatch_frame(
     shared: &Arc<ServerShared>,
     pools: &Arc<Pools>,
@@ -772,6 +799,41 @@ fn dispatch_frame(
         ClientFrame::Wait {
             corr,
             ticket,
+            deadline_ms: None,
+        } if shared.federation.is_none() => {
+            // The ticket is redeemed now and the outcome delivered by
+            // whoever finds it together with this completion: the I/O
+            // thread on a hit, the query-manager stage that reintegrates
+            // it on a miss.  Counted on the session like a release until
+            // it has run.
+            let claimed = state.tickets.lock().remove(&ticket);
+            let Some(backend_ticket) = claimed else {
+                state.send(&ServerFrame::Error {
+                    corr,
+                    error: AllocationError::UnknownTicket,
+                });
+                return;
+            };
+            let pending = PendingCompletion::begin(&state);
+            let done_state = state.clone();
+            let done: WaitDone = Box::new(move |outcome| {
+                done_state.deliver_outcome(corr, outcome);
+                drop(pending);
+            });
+            // A backend that cannot wait from here without parking hands
+            // the completion back, and the redeem lane runs the blocking
+            // call — uncapped, like a handed-back release: the ticket is
+            // claimed already, and the read-side pause bounds the burst.
+            if let Err(done) = shared.manager.wait_with(backend_ticket, done) {
+                let shared = shared.clone();
+                spawn_uncounted(batch, Lane::Redeem, move || {
+                    done(shared.manager.wait(backend_ticket))
+                });
+            }
+        }
+        ClientFrame::Wait {
+            corr,
+            ticket,
             deadline_ms,
         } => {
             // Unknown ids are answered inline — no job for a frame
@@ -780,11 +842,10 @@ fn dispatch_frame(
             let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
                 return;
             };
-            // An outcome that is already there (always, behind an eager
-            // backend; usually, at pipelining depth) is delivered from
-            // here; only a wait that would park takes the redeem lane.
-            // Not on a federated daemon, where even a poll can block on
-            // peer I/O.
+            // A deadline wait whose outcome is already there is delivered
+            // from here; one that would park takes the redeem lane, as
+            // does every wait on a federated daemon, where even a poll can
+            // block on peer I/O.
             if shared.federation.is_none()
                 && redeem_if_ready(shared, &state, corr, ticket, backend_ticket)
             {
@@ -1101,7 +1162,8 @@ pub(super) struct SessionState {
     pub(super) submit_jobs: AtomicUsize,
     /// Blocking requests in flight on the redeem lane.
     pub(super) redeem_jobs: AtomicUsize,
-    /// Releases handed to the backend whose completion has not run yet
+    /// Releases and waits handed to the backend (or, handed back, to the
+    /// redeem lane) whose completion has not run yet
     /// ([`PendingCompletion`]): awaited by the teardown like the lane
     /// jobs, bounded by pausing the read side instead of by an error.
     completions: AtomicUsize,
@@ -1128,13 +1190,14 @@ impl SessionState {
     }
 
     /// Best-effort reply; a vanished client is detected by the read side.
-    /// Never blocks: the frame is queued for the session's I/O thread.
+    /// Never blocks: the socket is non-blocking, and what it does not take
+    /// is queued for the session's I/O thread.
     pub(super) fn send(&self, frame: &ServerFrame) {
         self.queue.push(frame);
     }
 
     /// Requests of this session somebody else still owes a reply to: jobs
-    /// on the worker lanes and releases inside the backend.
+    /// on the worker lanes and completions not yet run.
     fn jobs_in_flight(&self) -> usize {
         self.submit_jobs.load(Ordering::Relaxed)
             + self.redeem_jobs.load(Ordering::Relaxed)
@@ -1142,8 +1205,8 @@ impl SessionState {
     }
 
     /// Whether the session should stop reading frames for now: the client
-    /// is not draining its replies, or it pipelined more releases than the
-    /// backend has answered yet.
+    /// is not draining its replies, or it pipelined more releases and waits
+    /// than the backend has answered yet.
     fn backlogged(&self) -> bool {
         self.queue.pending_bytes() > OUT_HIGH_WATER
             || self.completions.load(Ordering::Relaxed) >= COMPLETIONS_HIGH_WATER
@@ -1235,9 +1298,10 @@ impl SessionState {
     }
 }
 
-/// One release the backend still owes this session an answer for.  Dropped
-/// by the completion once the reply is queued — or with it, uncalled,
-/// when the stage holding it shut down — so the count cannot leak.
+/// One release or wait the backend still owes this session an answer for.
+/// Dropped by the completion once the reply is written — or with it,
+/// uncalled, when the stage holding it shut down — so the count cannot
+/// leak.
 struct PendingCompletion(Arc<SessionState>);
 
 impl PendingCompletion {
@@ -1251,8 +1315,8 @@ impl Drop for PendingCompletion {
     fn drop(&mut self) {
         let before = self.0.completions.fetch_sub(1, Ordering::Release);
         // The session stopped reading at the high-water mark; the reply
-        // that was just queued may have been flushed before this count
-        // fell, so the I/O thread is told again to look at the session.
+        // that was just written rang nobody, so the I/O thread is told to
+        // look at the session again and resume reading.
         if before >= COMPLETIONS_HIGH_WATER {
             self.0.queue.notify.mark_dirty(self.0.queue.token);
         }
@@ -1392,18 +1456,99 @@ mod tests {
     use crate::reactor::PollerKind;
     use actyp_grid::{FleetSpec, SyntheticFleet};
 
-    fn session_on(notify: &Arc<IoNotify>, token: u64) -> Arc<SessionState> {
+    /// A connected loopback pair: the session's (non-blocking) end and the
+    /// client's.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (session, _) = listener.accept().unwrap();
+        session.set_nonblocking(true).unwrap();
+        (session, client)
+    }
+
+    fn session_over(notify: &Arc<IoNotify>, token: u64, socket: TcpStream) -> Arc<SessionState> {
         SessionState::new(Arc::new(OutQueue {
             token,
             notify: notify.clone(),
+            socket,
             buf: Mutex::new(OutBuf::default()),
         }))
     }
 
-    /// The doorbell's economy: a reply pushed while the I/O loop is running
-    /// — by the loop itself or by anyone else — writes nothing, and however
-    /// many pushers race a loop that keeps trying to go back to sleep, each
-    /// iteration lets at most one of them write the pipe.
+    /// A session whose socket takes no bytes (its write side is shut), so
+    /// every reply stays queued for the I/O thread.
+    fn session_on(notify: &Arc<IoNotify>, token: u64) -> Arc<SessionState> {
+        let (session, _client) = socket_pair();
+        session.shutdown(std::net::Shutdown::Write).unwrap();
+        session_over(notify, token, session)
+    }
+
+    /// A reply the socket takes leaves from the thread that made it: no
+    /// queued byte, no dirty mark, no ring for the I/O thread.
+    #[test]
+    fn a_reply_leaves_from_the_thread_that_made_it() {
+        let notify = Arc::new(IoNotify::new().unwrap());
+        let (session, mut client) = socket_pair();
+        let state = session_over(&notify, 3, session);
+        let stage = std::thread::spawn({
+            let state = state.clone();
+            move || state.send(&ServerFrame::Released { corr: RequestId(5) })
+        });
+        stage.join().unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            actyp_proto::read_server_frame(&mut client).unwrap(),
+            Some(ServerFrame::Released { corr: RequestId(5) })
+        );
+        assert_eq!(state.queue.pending_bytes(), 0);
+        assert!(notify.take_dirty().is_empty(), "nothing for the I/O thread");
+        assert_eq!(notify.rings.load(Ordering::Relaxed), 0);
+    }
+
+    /// A completion that runs after its session retired writes through the
+    /// queue's own handle on the retired socket — never into the fd number
+    /// the kernel hands the next connection.
+    #[test]
+    fn a_completion_after_its_session_retired_reaches_no_new_connection() {
+        let notify = Arc::new(IoNotify::new().unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut old_client = TcpStream::connect(addr).unwrap();
+        let (old_session, _) = listener.accept().unwrap();
+        old_session.set_nonblocking(true).unwrap();
+        let state = session_over(&notify, 0, old_session.try_clone().unwrap());
+        // Retired, exactly as `refresh_session` retires a finished session.
+        let _ = old_session.shutdown(std::net::Shutdown::Both);
+        drop(old_session);
+        let mut new_client = TcpStream::connect(addr).unwrap();
+        let (_new_session, _) = listener.accept().unwrap();
+
+        state.send(&ServerFrame::Released { corr: RequestId(1) });
+
+        new_client
+            .set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        match new_client.read(&mut byte) {
+            Err(e) if would_block(&e) => {}
+            other => panic!("a retired session's reply reached a new connection: {other:?}"),
+        }
+        old_client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            old_client.read(&mut byte).unwrap(),
+            0,
+            "the retired client sees EOF only"
+        );
+    }
+
+    /// The doorbell's economy: a reply left queued while the I/O loop is
+    /// running — by the loop itself or by anyone else — writes nothing, and
+    /// however many pushers race a loop that keeps trying to go back to
+    /// sleep, each iteration lets at most one of them write the pipe.
     #[test]
     fn pushes_cost_at_most_one_pipe_write_per_loop_iteration() {
         let notify = Arc::new(IoNotify::new().unwrap());

@@ -5,16 +5,17 @@
 //! the in-flight request tables — so adding cores added contention instead
 //! of throughput.  This module holds the two pieces every sharded
 //! structure shares: the deterministic pool-name hash that assigns a key
-//! to a shard, and a sharded `u64 → V` map for the correlation-id and
-//! ticket tables whose keys are already uniformly distributed sequence
-//! numbers.
+//! to a shard, and a sharded `u64 → V` map for the live backend's ticket
+//! table, whose keys are already uniformly distributed sequence numbers
+//! (`corr.rs` shards its correlation-id table the same way, over its own
+//! primitives).
 //!
 //! Locking discipline: every shard lock is taken through a local binding
 //! named `shard`, the rank registered in `docs/CONCURRENCY.md`'s
 //! lock-hierarchy fence.  A shard guard is a leaf in practice — held for
-//! a few statements, never across another acquisition — and cross-shard
-//! sweeps (`len`, `clear`) lock shards strictly one at a time, so
-//! disjoint-key callers never serialise on each other.
+//! a few statements, never across another acquisition — and the
+//! cross-shard `len` locks shards strictly one at a time, so disjoint-key
+//! callers never serialise on each other.
 
 use std::collections::HashMap;
 
@@ -39,10 +40,10 @@ pub(crate) fn fnv1a(key: &[u8]) -> u64 {
 
 /// A `u64 → V` hash map split over independently locked shards.
 ///
-/// Used for the in-flight request tables (`corr::Conn`'s pending table, the live
-/// backend's ticket table) whose keys are sequence numbers: `key % shards`
-/// deals consecutive ids round-robin, so concurrent requests land on
-/// different locks instead of one global rendezvous point.
+/// Used for the live backend's in-flight ticket table, whose keys are
+/// sequence numbers: `key % shards` deals consecutive ids round-robin, so
+/// concurrent requests land on different locks instead of one global
+/// rendezvous point.
 #[derive(Debug)]
 pub(crate) struct ShardedMap<V> {
     shards: Box<[Mutex<HashMap<u64, V>>]>,
@@ -83,17 +84,6 @@ impl<V> ShardedMap<V> {
             total += shard.lock().len();
         }
         total
-    }
-
-    /// Empties every shard, one lock at a time.  Entries inserted into an
-    /// already-swept shard during the sweep survive; callers needing the
-    /// no-stragglers guarantee serialise inserts against `clear` with
-    /// their own outer lock (the `dead → shard` edge in `corr::Conn`'s
-    /// poison path).
-    pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().clear();
-        }
     }
 }
 
@@ -138,32 +128,13 @@ mod tests {
         assert!(map.remove(7).is_none());
         assert_eq!(map.insert(3, "replaced".into()).as_deref(), Some("v3"));
         assert_eq!(map.len(), 31);
-        map.clear();
-        assert_eq!(map.len(), 0);
     }
 
     #[test]
     fn sequential_keys_deal_round_robin_over_shards() {
         let map: ShardedMap<u64> = ShardedMap::new(4);
-        // Consecutive correlation ids must not share a shard lock.
+        // Consecutive ticket ids must not share a shard lock.
         assert!(!std::ptr::eq(map.shard_for(0), map.shard_for(1)));
         assert!(std::ptr::eq(map.shard_for(1), map.shard_for(5)));
-    }
-
-    #[test]
-    fn clear_survives_concurrent_inserts() {
-        let map = std::sync::Arc::new(ShardedMap::<u64>::new(4));
-        let writer = {
-            let map = map.clone();
-            std::thread::spawn(move || {
-                for i in 0..1000 {
-                    map.insert(i, i);
-                }
-            })
-        };
-        map.clear();
-        writer.join().unwrap();
-        map.clear();
-        assert_eq!(map.len(), 0);
     }
 }

@@ -772,31 +772,64 @@ impl From<DecodeError> for FrameError {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Appends one length-prefixed frame to `out`.
 ///
 /// A frame whose body would exceed [`MAX_FRAME_LEN`] — or that contains a
-/// string or sequence over the codec's cap, which the encoder now refuses
-/// ([`EncodeError`]) — is rejected with `InvalidData` *before* any byte
-/// hits the stream: sending it would make the peer drop the whole
-/// connection (taking every other in-flight request with it), and a body
-/// over `u32::MAX` would silently corrupt the length prefix and
-/// desynchronise the stream.
-pub fn write_frame<W: Write, F: WireEncode>(w: &mut W, frame: &F) -> io::Result<()> {
-    let body = frame
-        .to_wire_bytes()
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    if body.len() > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "outgoing frame body of {} bytes exceeds the protocol limit of {MAX_FRAME_LEN}",
-                body.len()
-            ),
-        ));
+/// string or sequence over the codec's cap, which the encoder refuses
+/// ([`EncodeError`]) — is rejected with `InvalidData` and `out` is left as
+/// it was: sending it would make the peer drop the whole connection
+/// (taking every other in-flight request with it), and a body over
+/// `u32::MAX` would silently corrupt the length prefix and desynchronise
+/// the stream.
+pub fn encode_frame<F: WireEncode>(out: &mut Vec<u8>, frame: &F) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let refused = match frame.encode(out) {
+        Err(e) => Some(e.to_string()),
+        Ok(()) if out.len() - start - 4 > MAX_FRAME_LEN => Some(format!(
+            "outgoing frame body of {} bytes exceeds the protocol limit of {MAX_FRAME_LEN}",
+            out.len() - start - 4
+        )),
+        Ok(()) => None,
+    };
+    if let Some(message) = refused {
+        out.truncate(start);
+        return Err(io::Error::new(io::ErrorKind::InvalidData, message));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(&body)?;
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_be_bytes());
+    Ok(())
+}
+
+/// Writes one length-prefixed frame with a single `write_all`: prefix and
+/// body leave in one segment, so a `TCP_NODELAY` peer is never woken for
+/// the 4-byte prefix alone.  Refuses what [`encode_frame`] refuses, before
+/// any byte reaches `w`.
+pub fn write_frame<W: Write, F: WireEncode>(w: &mut W, frame: &F) -> io::Result<()> {
+    let mut bytes = Vec::new();
+    encode_frame(&mut bytes, frame)?;
+    w.write_all(&bytes)?;
     w.flush()
+}
+
+/// Splits the first complete frame off the front of `buf`: its body and
+/// the bytes it spans, prefix included.  `Ok(None)` while the frame is
+/// still incomplete; an error when the declared length exceeds
+/// [`MAX_FRAME_LEN`], which no amount of further input can repair.  The
+/// one length-prefix parser of the buffered readers — the daemon's
+/// reactor sessions and the dialing side's connection.
+pub fn split_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, DecodeError> {
+    let Some(&[a, b, c, d]) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let declared = u32::from_be_bytes([a, b, c, d]) as usize;
+    if declared > MAX_FRAME_LEN {
+        return Err(DecodeError::TooLarge {
+            declared,
+            limit: MAX_FRAME_LEN,
+        });
+    }
+    Ok(buf.get(4..4 + declared).map(|body| (body, 4 + declared)))
 }
 
 /// Reads one length-prefixed frame body.  Returns `Ok(None)` on a clean end
@@ -1040,6 +1073,93 @@ mod tests {
         let err = write_frame(&mut stream, &frame).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(stream.is_empty(), "nothing reached the stream");
+    }
+
+    /// Counts the `write` calls a frame costs the transport.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let frames = [
+            ClientFrame::Stats { corr: RequestId(1) },
+            ClientFrame::Release {
+                corr: RequestId(2),
+                allocation: allocation(),
+            },
+        ];
+        let mut wire = CountingWriter::default();
+        for frame in &frames {
+            write_frame(&mut wire, frame).unwrap();
+        }
+        assert_eq!(wire.writes, frames.len(), "prefix and body in one segment");
+        let mut cursor = &wire.bytes[..];
+        for frame in &frames {
+            assert_eq!(
+                read_client_frame(&mut cursor).unwrap().as_ref(),
+                Some(frame)
+            );
+        }
+    }
+
+    #[test]
+    fn split_frame_waits_for_the_whole_frame_and_refuses_giants() {
+        let mut stream = Vec::new();
+        encode_frame(&mut stream, &ClientFrame::Stats { corr: RequestId(3) }).unwrap();
+        encode_frame(&mut stream, &ClientFrame::Halt { corr: RequestId(4) }).unwrap();
+        let first = stream.len()
+            - 4
+            - ClientFrame::Halt { corr: RequestId(4) }
+                .to_wire_bytes()
+                .unwrap()
+                .len();
+        for cut in 0..first {
+            assert_eq!(split_frame(&stream[..cut]).unwrap(), None, "cut at {cut}");
+        }
+        let (body, used) = split_frame(&stream).unwrap().unwrap();
+        assert_eq!(used, first);
+        assert_eq!(
+            ClientFrame::from_wire_bytes(body).unwrap(),
+            ClientFrame::Stats { corr: RequestId(3) }
+        );
+        let (body, _) = split_frame(&stream[used..]).unwrap().unwrap();
+        assert_eq!(
+            ClientFrame::from_wire_bytes(body).unwrap(),
+            ClientFrame::Halt { corr: RequestId(4) }
+        );
+        let giant = ((MAX_FRAME_LEN as u32) + 1).to_be_bytes();
+        assert!(matches!(
+            split_frame(&giant),
+            Err(DecodeError::TooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn a_refused_frame_leaves_the_buffer_as_it_was() {
+        let mut out = vec![7u8; 3];
+        let frame = ClientFrame::Delegate {
+            corr: RequestId(1),
+            query: "q".repeat(MAX_SEQUENCE_LEN + 1),
+            ttl: 4,
+            visited: Vec::new(),
+        };
+        let err = encode_frame(&mut out, &frame).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(out, vec![7u8; 3]);
     }
 
     #[test]

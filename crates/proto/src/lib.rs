@@ -50,9 +50,9 @@ pub mod types;
 pub mod wire;
 
 pub use frames::{
-    negotiate, read_client_frame, read_frame_body, read_server_frame, write_frame, AdvertDelta,
-    AdvertEntry, AdvertVersion, ClientFrame, FrameError, ServerFrame, WireOutcome, MAX_FRAME_LEN,
-    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    encode_frame, negotiate, read_client_frame, read_frame_body, read_server_frame, split_frame,
+    write_frame, AdvertDelta, AdvertEntry, AdvertVersion, ClientFrame, FrameError, ServerFrame,
+    WireOutcome, MAX_FRAME_LEN, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 pub use types::{
     AddressParseError, Allocation, AllocationError, RequestId, RequestIdGenerator, SessionKey,

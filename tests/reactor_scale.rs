@@ -44,10 +44,9 @@ fn thread_count() -> Option<usize> {
         .ok()
 }
 
-/// Connects a raw protocol client and completes the hello handshake —
-/// deliberately *without* a reader thread, so holding hundreds of these
-/// adds no threads client-side and every daemon-side thread the test
-/// observes is the daemon's own.
+/// Connects a raw protocol client and completes the hello handshake — a
+/// bare socket, so holding hundreds of these adds nothing client-side and
+/// every thread the test observes is the daemon's own.
 fn raw_hello(addr: &StageAddress) -> TcpStream {
     let mut sock = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
     write_frame(
@@ -283,6 +282,44 @@ fn every_ticket_settles_under_two_hundred_pipelined_clients() {
         0,
         "every claim from 440 submissions (including the abandoned ones) was handed back"
     );
+}
+
+/// The client side holds no thread per connection either: a caller reads
+/// its own reply, so 32 open `RemoteBackend`s — used, then idle — leave the
+/// process's thread count where it was (the other tests of this binary
+/// may add a thread or two meanwhile; one reader per connection would add
+/// 32).
+#[test]
+fn remote_connections_bring_no_threads() {
+    let server = PipelineBuilder::new()
+        .database(homogeneous_db("sun", 200, 8))
+        .serve(&loopback(), BackendKind::Embedded)
+        .unwrap();
+    let addr = server.local_addr();
+    let warm = RemoteBackend::connect(&addr).unwrap();
+    assert!(warm.stats().in_flight == 0);
+
+    let before = thread_count();
+    let clients: Vec<RemoteBackend> = (0..32)
+        .map(|_| RemoteBackend::connect(&addr).unwrap())
+        .collect();
+    for client in &clients {
+        let allocations = client.submit_text_wait(SUN_QUERY).unwrap();
+        client.release(&allocations[0]).unwrap();
+    }
+    if let (Some(before), Some(during)) = (before, thread_count()) {
+        assert!(
+            during <= before + 2,
+            "connections must not bring threads: {before} before, {during} with 32 open"
+        );
+    }
+
+    for client in &clients {
+        client.shutdown().unwrap();
+    }
+    warm.halt_daemon().unwrap();
+    warm.shutdown().unwrap();
+    server.join().unwrap();
 }
 
 /// A frame larger than one read burst must still cross the reactor: the
