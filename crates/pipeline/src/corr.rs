@@ -350,7 +350,7 @@ fn readable(stream: &TcpStream, timeout: Duration) -> std::io::Result<bool> {
 
 /// A value behind a lock, with a condition variable for whoever waits on
 /// it — the one primitive the [`Relay`] is built from.
-pub(crate) trait Monitor<T>: Send + Sync {
+trait Monitor<T>: Send + Sync {
     type Guard<'a>: std::ops::DerefMut<Target = T>
     where
         Self: 'a;
@@ -369,12 +369,12 @@ pub(crate) trait Monitor<T>: Send + Sync {
 /// A family of [`Monitor`]s: `std::sync` for the daemon ([`StdPrims`]),
 /// `actyp-model`'s for the proof (`model_tests` below), so the proof runs
 /// this file's hand-off code and not a copy of it.
-pub(crate) trait Prims: 'static {
+trait Prims: 'static {
     type Monitor<T: Send>: Monitor<T>;
 }
 
 /// [`Monitor`] over `std::sync`.
-pub(crate) struct StdMonitor<T> {
+struct StdMonitor<T> {
     value: std::sync::Mutex<T>,
     changed: std::sync::Condvar,
 }
@@ -427,19 +427,19 @@ impl<T: Send> Monitor<T> for StdMonitor<T> {
 }
 
 /// The daemon's [`Prims`].
-pub(crate) struct StdPrims;
+struct StdPrims;
 
 impl Prims for StdPrims {
     type Monitor<T: Send> = StdMonitor<T>;
 }
 
 /// A reply frame: which request it answers, if any.
-pub(crate) trait Framed: Send + std::fmt::Debug {
+trait Framed: Send + std::fmt::Debug {
     fn corr(&self) -> Option<u64>;
 }
 
 /// Why a [`Source`] yielded no frame.
-pub(crate) enum ReadError {
+enum ReadError {
     /// The deadline passed first; the source is intact.
     TimedOut,
     /// The stream ended or broke (reason attached).
@@ -448,7 +448,7 @@ pub(crate) enum ReadError {
 
 /// Where a leader reads frames from: the socket in the daemon, a queue in
 /// the proof.
-pub(crate) trait Source<F>: Send {
+trait Source<F>: Send {
     /// The next frame, blocking until `deadline` (forever, when `None`).
     fn next(&mut self, deadline: Option<Instant>) -> Result<F, ReadError>;
 }
@@ -466,7 +466,7 @@ enum Inbox<F> {
 }
 
 /// The inbox of one registered request.
-pub(crate) struct Slot<P: Prims, F: Send> {
+struct Slot<P: Prims, F: Send> {
     inbox: P::Monitor<Inbox<F>>,
 }
 
@@ -491,7 +491,7 @@ type Shard<P, F> = <P as Prims>::Monitor<HashMap<u64, Arc<Slot<P, F>>>>;
 ///
 /// Generic over its primitives and its source so that the daemon
 /// ([`StdPrims`] + the socket) and the model checker run this very code.
-pub(crate) struct Relay<P: Prims, F: Send, S: Send> {
+struct Relay<P: Prims, F: Send, S: Send> {
     /// Why the connection died, once it has.
     dead: P::Monitor<Option<String>>,
     /// Registered requests by correlation id, sharded so concurrent
@@ -505,7 +505,7 @@ pub(crate) struct Relay<P: Prims, F: Send, S: Send> {
 }
 
 impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
-    pub(crate) fn new(source: S, shards: usize) -> Self {
+    fn new(source: S, shards: usize) -> Self {
         Relay {
             dead: Monitor::new(None),
             pending: (0..shards.max(1))
@@ -527,7 +527,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
 
     /// Issues a correlation id and registers its inbox; `Err` carries the
     /// death reason of a connection that already died.
-    pub(crate) fn register(&self) -> Result<(u64, Arc<Slot<P, F>>), String> {
+    fn register(&self) -> Result<(u64, Arc<Slot<P, F>>), String> {
         let corr = self.issued.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(Slot {
             inbox: Monitor::new(Inbox::Waiting),
@@ -543,7 +543,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
     }
 
     /// Why the connection died, if it has.
-    pub(crate) fn death(&self) -> Option<String> {
+    fn death(&self) -> Option<String> {
         self.dead.lock().clone()
     }
 
@@ -558,7 +558,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
     /// registered inbox, waking its owner.  The `dead` guard is held
     /// across the sweep, and [`Relay::register`] registers under it, so
     /// no request slips into an already-swept shard and waits forever.
-    pub(crate) fn poison(&self, reason: String) -> ConnError {
+    fn poison(&self, reason: String) -> ConnError {
         let mut dead = self.dead.lock();
         let reason = dead.get_or_insert(reason).clone();
         for shard in self.pending.iter() {
@@ -573,7 +573,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
 
     /// Waits for the reply to `corr`, leading while nobody else reads and
     /// following otherwise.
-    pub(crate) fn await_reply(
+    fn await_reply(
         &self,
         corr: u64,
         slot: &Slot<P, F>,
@@ -620,7 +620,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
     /// was refused): the inbox leaves the table, and a promotion it was
     /// offered meanwhile is passed on — or a reply posted just now is
     /// taken after all.
-    pub(crate) fn give_up(&self, corr: u64, slot: &Slot<P, F>) -> Result<F, ConnError> {
+    fn give_up(&self, corr: u64, slot: &Slot<P, F>) -> Result<F, ConnError> {
         self.take_pending(corr);
         let last = std::mem::replace(&mut *slot.inbox.lock(), Inbox::Closed);
         match last {
@@ -727,7 +727,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
 
     /// While nobody leads: reads what already arrived without blocking —
     /// routing replies, and poisoning the connection on EOF.
-    pub(crate) fn read_idle(&self) {
+    fn read_idle(&self) {
         let source = self.reader.lock().take();
         if let Some(mut source) = source {
             let _ = self.lead(&mut source, None, Some(Instant::now()));
