@@ -7,7 +7,7 @@
 //! |---|---|
 //! | `lock-order` | nested guard acquisitions against the declared hierarchy |
 //! | `lock-across-blocking` | no blocking call while holding a guard |
-//! | `reactor-blocking` | no blocking lane op reachable from reactor I/O entry points |
+//! | `reactor-blocking` | no parking call reachable from the reactor I/O loop or a completion path |
 //! | `frame-tags` | ClientFrame/ServerFrame tag uniqueness + encode/decode/docs exhaustiveness |
 //! | `stats-fields` | every StatsSnapshot field present at encode/decode/merge/display sites |
 //!
@@ -93,7 +93,10 @@ pub struct LintConfig {
     pub root: PathBuf,
     /// Lock names, outermost first.  Empty disables lock-order ranking.
     pub hierarchy: Vec<String>,
-    /// Function names treated as reactor I/O-thread entry points.
+    /// Functions treated as entry points of code that must never park — a
+    /// reactor I/O thread's loop, and the completion paths it (or a
+    /// backend stage) runs: a bare name means every function of that name,
+    /// `path/to/file.rs::name` (relative to `root`) only that file's.
     pub reactor_entry_points: Vec<String>,
     pub frames: Option<FramesSpec>,
     pub stats: Option<StatsSpec>,
@@ -110,7 +113,7 @@ impl LintConfig {
         Ok(LintConfig {
             root: root.to_path_buf(),
             hierarchy,
-            reactor_entry_points: vec!["io_thread_main".to_string()],
+            reactor_entry_points: reactor_entry_points("crates/pipeline/src"),
             frames: Some(FramesSpec {
                 file: PathBuf::from("crates/proto/src/frames.rs"),
                 enums: vec!["ClientFrame".to_string(), "ServerFrame".to_string()],
@@ -149,6 +152,23 @@ impl LintConfig {
             ],
         })
     }
+}
+
+/// The daemon's non-parking entry points, for a tree whose pipeline
+/// sources sit under `pipeline_src`: the reactor I/O loop; the federation's
+/// completion paths, which run on I/O and stage threads
+/// (`FederatedBackend::{wait_with, release_with, delegate_with}`); and the
+/// peer-session read path, which routes a peer link's replies and runs
+/// their completions on the I/O thread (`corr::Conn::route`, reached from
+/// the session only through a method call the walk cannot resolve).
+pub fn reactor_entry_points(pipeline_src: &str) -> Vec<String> {
+    let file = |name: &str| Path::new(pipeline_src).join(name).display().to_string();
+    let mut entries = vec!["io_thread_main".to_string()];
+    for function in ["wait_with", "release_with", "delegate_with"] {
+        entries.push(format!("{}::{function}", file("federation.rs")));
+    }
+    entries.push(format!("{}::route", file("corr.rs")));
+    entries
 }
 
 /// Parses the ```` ```lock-hierarchy ```` fence: one lock name per line,
@@ -592,16 +612,30 @@ const MANAGER_PARKING_CALLS: &[&str] = &[
     "shutdown",
 ];
 
+/// Federation calls that park for a WAN round trip: a peer link's
+/// blocking exchange (`link.request(..)`, `link.exchange(..)`) or dial
+/// (`link.ensure_conn(..)`), named by their receiver; and an inbound
+/// delegation served by blocking on the local backend
+/// (`handle_delegate(..)`, any receiver).  The completion paths must reach
+/// none of them — a step that needs one is offloaded to a lane.
+const PEER_PARKING_CALLS: &[(&str, Option<&str>)] = &[
+    ("request", Some("link")),
+    ("exchange", Some("link")),
+    ("ensure_conn", Some("link")),
+    ("handle_delegate", None),
+];
+
 /// Calls whose argument (a closure) runs on a *different* thread: the
-/// worker-lane queue and thread spawns.  Their argument lists are
-/// skipped entirely — blocking inside them is the lane's business, not
-/// the reactor thread's.
+/// worker-lane queue, thread spawns, and a federation step offloaded to
+/// the redeem lane.  Their argument lists are skipped entirely — blocking
+/// inside them is the lane's business, not the reactor thread's.
 const DISPATCH_CALLS: &[&str] = &[
     "spawn",
     "spawn_job",
     "spawn_uncounted",
     "execute",
     "execute_batch",
+    "offload",
 ];
 
 const KEYWORDS: &[&str] = &[
@@ -717,8 +751,15 @@ fn reactor_paths(
     let mut queue: VecDeque<FnId> = VecDeque::new();
     let mut path_to: BTreeMap<FnId, Vec<String>> = BTreeMap::new();
     for entry in entry_points {
-        for file in files_defining.get(entry).into_iter().flatten() {
-            let id = (file.clone(), entry.clone());
+        let (only_in, name) = match entry.rsplit_once("::") {
+            Some((file, name)) => (Some(Path::new(file)), name),
+            None => (None, entry.as_str()),
+        };
+        for file in files_defining.get(name).into_iter().flatten() {
+            if only_in.is_some_and(|only| only != file) {
+                continue;
+            }
+            let id = (file.clone(), name.to_string());
             path_to.insert(id.clone(), vec![entry.clone()]);
             queue.push_back(id);
         }
@@ -819,12 +860,19 @@ fn record_call(tokens: &[Token], k: usize, info: &mut FnInfo) {
     if is_method {
         let blocking = (zero_args && REACTOR_BLOCKING_ZERO_ARGS.contains(&name))
             || REACTOR_BLOCKING_ANY_ARGS.contains(&name);
-        let on_manager = k.checked_sub(2).map(|j| tokens[j].text.as_str()) == Some("manager");
+        let receiver = k.checked_sub(2).map(|j| tokens[j].text.as_str());
+        let peer_parking = PEER_PARKING_CALLS
+            .iter()
+            .any(|&(call, on)| call == name && (on.is_none() || on == receiver));
         if blocking {
             info.blocking.push((format!(".{name}()"), tokens[k].line));
-        } else if on_manager && MANAGER_PARKING_CALLS.contains(&name) {
+        } else if receiver == Some("manager") && MANAGER_PARKING_CALLS.contains(&name) {
             info.blocking
                 .push((format!("manager.{name}()"), tokens[k].line));
+        } else if peer_parking {
+            let receiver = receiver.unwrap_or("?");
+            info.blocking
+                .push((format!("{receiver}.{name}()"), tokens[k].line));
         }
     }
 }

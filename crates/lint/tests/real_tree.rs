@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use actyp_lint::rules::reactor_reachable;
+use actyp_lint::rules::{reactor_entry_points, reactor_reachable};
 use actyp_lint::{lint_workspace, LintConfig};
 
 #[test]
@@ -27,6 +27,71 @@ fn the_reactor_walk_covers_the_session_engine() {
         assert!(
             reachable.contains(&(PathBuf::from(file), function.to_string())),
             "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
+        );
+    }
+}
+
+/// The federation's completion paths run on reactor I/O and stage threads
+/// but are reached from the session only through the trait object or a
+/// method call the walk cannot resolve — so they are entry points of their
+/// own, and the walk from them must reach the chain's completion steps, the reply
+/// folds, the relay's completion routing, and the peer session's read path.
+#[test]
+fn the_walk_covers_the_federations_completion_paths() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
+    let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
+    for (file, function) in [
+        ("federation.rs", "wait_with"),
+        ("federation.rs", "release_with"),
+        ("federation.rs", "delegate_with"),
+        ("federation.rs", "federate"),
+        ("federation.rs", "drive"),
+        ("federation.rs", "fold_delegated"),
+        ("federation.rs", "settle_release"),
+        ("federation.rs", "retire_peer"),
+        ("corr.rs", "request_with"),
+        ("corr.rs", "route"),
+        ("server/session.rs", "route_replies"),
+    ] {
+        assert!(
+            reachable.contains(&(PathBuf::from(file), function.to_string())),
+            "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
+        );
+    }
+}
+
+/// ... and a completion path that parked on a peer would be reported: a
+/// peer link's blocking exchange (`request`, `exchange`) and an inbound
+/// delegation served by blocking (`handle_delegate`), each reached from a
+/// different entry point — but not the same call offloaded to the lane.
+#[test]
+fn a_parking_peer_call_on_a_completion_path_is_reported() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/peer_completion");
+    let report = lint_workspace(&LintConfig {
+        root,
+        hierarchy: Vec::new(),
+        reactor_entry_points: reactor_entry_points(""),
+        frames: None,
+        stats: None,
+        skip_dirs: Vec::new(),
+    })
+    .expect("fixture lints");
+    let found: Vec<(usize, &str)> = report
+        .findings
+        .iter()
+        .map(|finding| (finding.line, finding.message.as_str()))
+        .collect();
+    assert_eq!(found.len(), 3, "{found:#?}");
+    for (line, call, via) in [
+        (13, "link.request()", "wait_with -> settle"),
+        (17, "link.exchange()", "release_with"),
+        (24, "self.handle_delegate()", "delegate_with"),
+    ] {
+        assert!(
+            found.iter().any(|(at, message)| *at == line
+                && message.contains(call)
+                && message.contains(via)),
+            "no finding for {call} on line {line}: {found:#?}"
         );
     }
 }

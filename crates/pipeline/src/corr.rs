@@ -20,12 +20,22 @@
 //! [`CONNECT_TIMEOUT`], every frame write by the socket write timeout
 //! ([`REPLY_TIMEOUT`]), and each reply by the deadline its caller passes
 //! to [`Conn::request`].
+//!
+//! A federation peer link on a served daemon goes one step further: once
+//! its handshake is done, [`Conn::attach`] moves the socket into a reactor
+//! session of kind *peer*.  That session holds the read side for the
+//! link's whole life — it is the one permanent leader — and writes go
+//! through its non-blocking write queue ([`FrameSink`]).  A request on an
+//! attached link need not block at all: [`Conn::request_with`] registers a
+//! *completion* instead of an inbox, and the I/O thread that reads the
+//! reply runs it.  Blocking requests (gossip, probes) still work there;
+//! they follow, sleeping on their inbox until the session posts the reply.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -54,6 +64,44 @@ pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// would tear it down.
 pub(crate) const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// How long a completion ([`Conn::request_with`]) waits for its reply
+/// before it fails and its link is retired, as [`REPLY_TIMEOUT`] does for a
+/// blocking request.  Shortened under `cfg(test)`, so the test of a peer
+/// that never answers finishes in seconds.
+#[cfg(not(test))]
+pub(crate) const COMPLETION_TIMEOUT: Duration = REPLY_TIMEOUT;
+#[cfg(test)]
+pub(crate) const COMPLETION_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// Where an attached connection's frames go: the write queue of the reactor
+/// session that took its socket over.
+pub(crate) trait FrameSink: Send + Sync {
+    /// Encodes `frame` and sends it, or queues what the socket does not
+    /// take; never blocks.  `InvalidData` refuses an over-limit frame
+    /// before anything was queued; any other error means the session is
+    /// closed.
+    fn push_frame(&self, frame: &ClientFrame) -> std::io::Result<()>;
+}
+
+/// A request nobody blocks on: it runs with the reply, or with why none
+/// came, on whichever thread takes its entry out of the pending table — the
+/// one that reads the reply, or the one that poisons the connection.  The
+/// relay invokes each completion exactly once (`model_tests` proves it).
+type Completion<F> = Arc<dyn Fn(Result<F, ConnError>) + Send + Sync>;
+
+/// A one-shot reply handler as a [`Completion`].
+fn completion<F: 'static>(
+    done: impl FnOnce(Result<F, ConnError>) + Send + 'static,
+) -> Completion<F> {
+    let once = Mutex::new(Some(done));
+    Arc::new(move |reply| {
+        let done = once.lock().take();
+        if let Some(done) = done {
+            done(reply);
+        }
+    })
+}
+
 /// Why a [`Conn::request`] produced no reply frame.
 #[derive(Debug)]
 pub(crate) enum ConnError {
@@ -80,7 +128,12 @@ impl std::fmt::Display for ConnError {
 /// One live, multiplexed connection to a daemon, after the hello
 /// handshake.
 pub(crate) struct Conn {
+    /// The blocking write half, used until the connection is attached (and
+    /// to shut the socket down).
     writer: Mutex<TcpStream>,
+    /// Set once, when a reactor session took the socket over: every frame
+    /// is written through it from then on.
+    attached: OnceLock<Arc<dyn FrameSink>>,
     relay: Relay<StdPrims, ServerFrame, ReadState>,
 }
 
@@ -147,6 +200,7 @@ impl Conn {
         };
         let conn = Arc::new(Conn {
             writer: Mutex::new(stream),
+            attached: OnceLock::new(),
             relay: Relay::new(reader, DEFAULT_SHARDS),
         });
         Ok((conn, version))
@@ -156,12 +210,39 @@ impl Conn {
     /// failed, or it was shut down.  With nobody reading, whatever already
     /// arrived is read first (without blocking), so a far side that hung
     /// up on an idle connection is noticed here — there is no reader
-    /// thread to notice it.
+    /// thread to notice it.  (An attached connection's session reads all
+    /// the time, so there it is only a look at the death reason.)
     pub(crate) fn is_dead(&self) -> bool {
         if self.relay.death().is_none() {
             self.relay.read_idle();
         }
         self.relay.death().is_some()
+    }
+
+    /// Writes one frame: through the session's queue once attached (never
+    /// blocking), straight to the socket before.
+    fn send(&self, frame: &ClientFrame) -> std::io::Result<()> {
+        if let Some(sink) = self.attached.get() {
+            return sink.push_frame(frame);
+        }
+        let mut writer = self.writer.lock();
+        // The writer mutex MUST cover the frame write or concurrent
+        // requests interleave half-frames; the socket write timeout set at
+        // dial bounds how long a stalled far side can hold it.
+        // lint-allow(lock-across-blocking): serialised frame write
+        write_frame(&mut *writer, frame)
+    }
+
+    /// What a failed [`Conn::send`] means: an over-limit frame was refused
+    /// before a byte left — the stream is still consistent, so only this
+    /// request fails, and every other in-flight one and every lease the
+    /// connection holds survives — anything else kills the connection.
+    fn send_failed(&self, e: std::io::Error) -> ConnError {
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            ConnError::Refused(e.to_string())
+        } else {
+            self.relay.poison(format!("send: {e}"))
+        }
     }
 
     /// Sends one request frame and blocks for the reply carrying the same
@@ -174,30 +255,97 @@ impl Conn {
     ) -> Result<ServerFrame, ConnError> {
         let deadline = deadline.map(|limit| Instant::now() + limit);
         let (corr, slot) = self.relay.register().map_err(ConnError::Dead)?;
-        let sent = {
-            let mut writer = self.writer.lock();
-            // The writer mutex MUST cover the frame write or concurrent
-            // requests interleave half-frames; the socket write timeout
-            // set at dial bounds how long a stalled far side can hold it.
-            // lint-allow(lock-across-blocking): serialised frame write
-            write_frame(&mut *writer, &build(RequestId(corr)))
-        };
-        if let Err(e) = sent {
+        if let Err(e) = self.send(&build(RequestId(corr))) {
             let _ = self.relay.give_up(corr, &slot);
-            // `write_frame` refuses an over-limit frame with InvalidData
-            // *before* sending anything: the stream is still consistent,
-            // so only this request fails — every other in-flight one, and
-            // every lease the connection holds, survives.
-            if e.kind() == std::io::ErrorKind::InvalidData {
-                return Err(ConnError::Refused(e.to_string()));
-            }
-            return Err(self.relay.poison(format!("send: {e}")));
+            return Err(self.send_failed(e));
         }
         self.relay.await_reply(corr, &slot, deadline)
     }
 
+    /// Sends one request frame on an attached connection and returns at
+    /// once: `done` runs with the reply on the session's I/O thread — or
+    /// with the connection's death, on whichever thread poisons it, at the
+    /// latest [`COMPLETION_TIMEOUT`] from now.  Never blocks.
+    pub(crate) fn request_with(
+        &self,
+        build: impl FnOnce(RequestId) -> ClientFrame,
+        done: impl FnOnce(Result<ServerFrame, ConnError>) + Send + 'static,
+    ) {
+        let done = completion(done);
+        if self.attached.get().is_none() {
+            // Nobody would ever read the reply.
+            return done(Err(ConnError::Dead(
+                "connection is not attached to a reactor session".to_string(),
+            )));
+        }
+        let deadline = Instant::now() + COMPLETION_TIMEOUT;
+        let corr = match self.relay.register_completion(done.clone(), deadline) {
+            Ok(corr) => corr,
+            Err(reason) => return done(Err(ConnError::Dead(reason))),
+        };
+        if let Err(e) = self.send(&build(RequestId(corr))) {
+            let failed = self.send_failed(e);
+            // Whoever takes the entry out runs it: here — unless the
+            // poison that the failure caused already did.
+            if self.relay.take_pending(corr).is_some() {
+                done(Err(failed));
+            }
+        }
+    }
+
+    /// Hands the read side to a reactor session: `adopt` receives the socket
+    /// and whatever was read past the last reply, and returns the sink every
+    /// frame goes through from then on.  The session holds the read side
+    /// for the connection's whole life, routing each reply with
+    /// [`Conn::route`].  `false` (and nothing changed) when the read side is
+    /// busy or `adopt` hands the socket back.
+    pub(crate) fn attach(
+        &self,
+        adopt: impl FnOnce(TcpStream, Vec<u8>) -> Result<Arc<dyn FrameSink>, (TcpStream, Vec<u8>)>,
+    ) -> bool {
+        let Some(read) = self.relay.take_baton() else {
+            return false;
+        };
+        let unread = read.buf[read.start..read.end].to_vec();
+        match adopt(read.stream, unread) {
+            Ok(sink) => self.attached.set(sink).is_ok(),
+            Err((stream, unread)) => {
+                let mut read = ReadState::new(stream);
+                if unread.len() > read.buf.len() {
+                    read.buf.resize(unread.len(), 0);
+                }
+                read.end = unread.len();
+                read.buf[..read.end].copy_from_slice(&unread);
+                self.relay.hand_back(read);
+                false
+            }
+        }
+    }
+
+    /// Routes one reply the attached session read: into a blocked
+    /// requester's inbox, or to a completion run right here.  `Err` when
+    /// the frame poisoned the connection (no request of this connection
+    /// carries its correlation id).
+    pub(crate) fn route(&self, frame: ServerFrame) -> Result<(), ConnError> {
+        self.relay.route(frame, None).map(|_| ())
+    }
+
+    /// Kills the connection for `reason`: every blocked requester wakes
+    /// with it, and every pending completion runs with it.  Idempotent.
+    pub(crate) fn poison(&self, reason: String) {
+        self.relay.poison(reason);
+    }
+
+    /// Poisons the connection if a completion has waited past its deadline
+    /// at `now` — the peer is declared dead, as a blocking request's missed
+    /// reply deadline declares it.  `true` when it did.
+    pub(crate) fn expire(&self, now: Instant) -> bool {
+        self.relay.expire(now)
+    }
+
     /// Closes the transport.  A leader blocked in a read sees the EOF and
-    /// returns; everybody else is failed by the poison.  Idempotent.
+    /// returns, an attached session sees the hang-up and retires;
+    /// everybody else is failed by the poison.  Idempotent.
     pub(crate) fn shutdown(&self) {
         self.relay.poison("connection shut down".to_string());
         let writer = self.writer.lock();
@@ -470,19 +618,34 @@ struct Slot<P: Prims, F: Send> {
     inbox: P::Monitor<Inbox<F>>,
 }
 
+/// One registered request.
+enum Entry<P: Prims, F: Send> {
+    /// A requester that sleeps on its inbox (or leads).
+    Waiter(Arc<Slot<P, F>>),
+    /// A request nobody waits for, and the instant its link gives up on
+    /// the reply.
+    Completion(Completion<F>, Instant),
+}
+
 /// One shard of a relay's registered requests, by correlation id.
-type Shard<P, F> = <P as Prims>::Monitor<HashMap<u64, Arc<Slot<P, F>>>>;
+type Shard<P, F> = <P as Prims>::Monitor<HashMap<u64, Entry<P, F>>>;
 
 /// The leader/follower protocol under a [`Conn`]: which request reads the
 /// stream, where the frames it reads go, and who reads next.
 ///
-/// * register: a request's inbox enters `pending` *before* its frame is
+/// * register: a request's entry enters `pending` *before* its frame is
 ///   sent, under the `dead` guard (so a request either registers before a
-///   poison's sweep, and is woken by it, or sees the death and never
-///   waits).
+///   poison's sweep, and is woken or run by it, or sees the death and
+///   never waits).
 /// * lead: a request that finds the baton — the [`Source`] in `reader` —
-///   takes it and reads, posting every other reply into its owner's inbox,
-///   until its own reply arrives, its deadline passes or the stream dies.
+///   takes it and reads, routing every other reply, until its own reply
+///   arrives, its deadline passes or the stream dies.  An attached
+///   connection's reactor session takes the baton once and never hands it
+///   back: it is the leader for the connection's whole life.
+/// * route: a reply leaves the table first; then it goes into its owner's
+///   inbox, or — for a completion — the routing thread runs it.  Whoever
+///   takes an entry out (the router, a poison's sweep, a requester giving
+///   up) is the only one to act on it, so a completion runs exactly once.
 /// * follow: a request that finds the baton taken sleeps on its own inbox
 ///   until a reply or a promotion lands there.
 /// * hand back: a leader leaving returns the baton, **then** promotes one
@@ -520,26 +683,38 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
         &self.pending[(corr % self.pending.len() as u64) as usize]
     }
 
-    fn take_pending(&self, corr: u64) -> Option<Arc<Slot<P, F>>> {
+    fn take_pending(&self, corr: u64) -> Option<Entry<P, F>> {
         let shard = self.shard_for(corr);
         shard.lock().remove(&corr)
     }
 
-    /// Issues a correlation id and registers its inbox; `Err` carries the
-    /// death reason of a connection that already died.
-    fn register(&self) -> Result<(u64, Arc<Slot<P, F>>), String> {
+    /// Issues a correlation id and enters `entry` under it; `Err` carries
+    /// the death reason of a connection that already died.
+    fn enter(&self, entry: impl FnOnce() -> Entry<P, F>) -> Result<u64, String> {
         let corr = self.issued.fetch_add(1, Ordering::Relaxed);
-        let slot = Arc::new(Slot {
-            inbox: Monitor::new(Inbox::Waiting),
-        });
         let dead = self.dead.lock();
         if let Some(reason) = &*dead {
             return Err(reason.clone());
         }
         let shard = self.shard_for(corr);
-        shard.lock().insert(corr, slot.clone());
+        shard.lock().insert(corr, entry());
         drop(dead);
+        Ok(corr)
+    }
+
+    /// Issues a correlation id and registers its inbox.
+    fn register(&self) -> Result<(u64, Arc<Slot<P, F>>), String> {
+        let slot = Arc::new(Slot {
+            inbox: Monitor::new(Inbox::Waiting),
+        });
+        let corr = self.enter(|| Entry::Waiter(slot.clone()))?;
         Ok((corr, slot))
+    }
+
+    /// Issues a correlation id and registers a completion that gives up on
+    /// its reply at `deadline` ([`Relay::expire`]).
+    fn register_completion(&self, done: Completion<F>, deadline: Instant) -> Result<u64, String> {
+        self.enter(|| Entry::Completion(done, deadline))
     }
 
     /// Why the connection died, if it has.
@@ -554,21 +729,57 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
         )
     }
 
-    /// Records the death reason (the first one wins) and closes every
-    /// registered inbox, waking its owner.  The `dead` guard is held
-    /// across the sweep, and [`Relay::register`] registers under it, so
-    /// no request slips into an already-swept shard and waits forever.
+    /// Records the death reason (the first one wins), closes every
+    /// registered inbox, waking its owner, and runs every registered
+    /// completion with the death.  The `dead` guard is held across the
+    /// sweep, and [`Relay::enter`] registers under it, so no request slips
+    /// into an already-swept shard and waits forever.  The completions run
+    /// after the guard is gone: one may go on to another connection.
     fn poison(&self, reason: String) -> ConnError {
-        let mut dead = self.dead.lock();
-        let reason = dead.get_or_insert(reason).clone();
-        for shard in self.pending.iter() {
-            let swept: Vec<Arc<Slot<P, F>>> = shard.lock().drain().map(|(_, slot)| slot).collect();
-            for slot in swept {
-                *slot.inbox.lock() = Inbox::Closed;
-                slot.inbox.notify_all();
+        let mut orphans = Vec::new();
+        let reason = {
+            let mut dead = self.dead.lock();
+            let reason = dead.get_or_insert(reason).clone();
+            for shard in self.pending.iter() {
+                let swept: Vec<Entry<P, F>> = shard.lock().drain().map(|(_, e)| e).collect();
+                for entry in swept {
+                    match entry {
+                        Entry::Waiter(slot) => {
+                            *slot.inbox.lock() = Inbox::Closed;
+                            slot.inbox.notify_all();
+                        }
+                        Entry::Completion(done, _) => orphans.push(done),
+                    }
+                }
             }
+            reason
+        };
+        for done in orphans {
+            done(Err(ConnError::Dead(reason.clone())));
         }
         ConnError::Dead(reason)
+    }
+
+    /// Poisons the connection when a completion has waited past its
+    /// deadline at `now`; `true` when one had.
+    fn expire(&self, now: Instant) -> bool {
+        let overdue = self.pending.iter().any(|shard| {
+            shard
+                .lock()
+                .values()
+                .any(|entry| matches!(entry, Entry::Completion(_, deadline) if *deadline <= now))
+        });
+        if overdue {
+            self.poison(format!(
+                "no reply from the peer within {COMPLETION_TIMEOUT:?}"
+            ));
+        }
+        overdue
+    }
+
+    /// Takes the baton for good (an attached session), when nobody leads.
+    fn take_baton(&self) -> Option<S> {
+        self.reader.lock().take()
     }
 
     /// Waits for the reply to `corr`, leading while nobody else reads and
@@ -665,31 +876,65 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
                 }
                 Err(ReadError::Closed(reason)) => return Err(self.poison(reason)),
             };
-            let Some(corr) = frame.corr() else {
-                return Err(self.poison(
-                    "unexpected handshake frame on an established connection".to_string(),
-                ));
-            };
-            match self.take_pending(corr) {
-                Some(_) if own.is_some_and(|(mine, _)| mine == corr) => return Ok(frame),
-                Some(owner) => {
-                    *owner.inbox.lock() = Inbox::Ready(frame);
-                    owner.inbox.notify_all();
-                }
-                // A correlation id this connection never issued: the far
-                // side is desynchronised or hostile — fail the whole
-                // connection NOW rather than letting every in-flight
-                // request ride out its full reply deadline.
-                None if corr >= self.issued.load(Ordering::Relaxed) => {
-                    return Err(self.poison(format!(
-                        "reply out of correlation (id {corr} never issued): {frame:?}"
-                    )));
-                }
-                // An *issued* id with no inbox lost its race with a
-                // request deadline: dropped silently.
-                None => {}
+            if let Some(frame) = self.route(frame, own.map(|(corr, _)| corr))? {
+                return Ok(frame);
             }
         }
+    }
+
+    /// Routes one frame the baton holder read.  Its entry leaves the table
+    /// first; then the reply goes into its owner's inbox — or back to the
+    /// caller (`Some`) when it is the caller's own, `own` — or, for a
+    /// completion, runs it on this thread.  `Err` when the frame poisoned
+    /// the connection.
+    fn route(&self, frame: F, own: Option<u64>) -> Result<Option<F>, ConnError> {
+        let Some(corr) = frame.corr() else {
+            return Err(
+                self.poison("unexpected handshake frame on an established connection".to_string())
+            );
+        };
+        #[cfg(feature = "buggy-completion")]
+        let frame = match self.run_in_place(corr, frame) {
+            Some(frame) => frame,
+            None => return Ok(None),
+        };
+        match self.take_pending(corr) {
+            Some(Entry::Waiter(_)) if own == Some(corr) => return Ok(Some(frame)),
+            Some(Entry::Waiter(owner)) => {
+                *owner.inbox.lock() = Inbox::Ready(frame);
+                owner.inbox.notify_all();
+            }
+            Some(Entry::Completion(done, _)) => done(Ok(frame)),
+            // A correlation id this connection never issued: the far side
+            // is desynchronised or hostile — fail the whole connection NOW
+            // rather than letting every in-flight request ride out its full
+            // reply deadline.
+            None if corr >= self.issued.load(Ordering::Relaxed) => {
+                return Err(self.poison(format!(
+                    "reply out of correlation (id {corr} never issued): {frame:?}"
+                )));
+            }
+            // An *issued* id with no entry lost its race with a request
+            // deadline: dropped silently.
+            None => {}
+        }
+        Ok(None)
+    }
+
+    /// The bug the routing order exists to prevent, kept for the model
+    /// checker to re-find: a completion runs while its entry is still in
+    /// the table, and leaves it only afterwards — so a poison sweeping the
+    /// table meanwhile runs it a second time.  Hands the frame back when
+    /// it is not a completion's reply.
+    #[cfg(feature = "buggy-completion")]
+    fn run_in_place(&self, corr: u64, frame: F) -> Option<F> {
+        let done = match self.shard_for(corr).lock().get(&corr) {
+            Some(Entry::Completion(done, _)) => done.clone(),
+            _ => return Some(frame),
+        };
+        done(Ok(frame));
+        self.take_pending(corr);
+        None
     }
 
     /// Returns the baton, **then** promotes one waiting request.
@@ -713,7 +958,10 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
     fn promote_one(&self) {
         for shard in self.pending.iter() {
             let shard = shard.lock();
-            for slot in shard.values() {
+            for entry in shard.values() {
+                let Entry::Waiter(slot) = entry else {
+                    continue;
+                };
                 let mut inbox = slot.inbox.lock();
                 if matches!(*inbox, Inbox::Waiting) {
                     *inbox = Inbox::Promoted;
@@ -1225,6 +1473,176 @@ mod model_tests {
             );
         }
         shutdown.join().unwrap();
+    }
+
+    /// What one completion was run with, in order: `true` for the reply,
+    /// `false` for the connection's death.
+    type Runs = Arc<ModelMutex<Vec<bool>>>;
+
+    /// A third party started on a link, which may kill it.
+    type Race = fn(&Link) -> thread::JoinHandle<()>;
+
+    impl Link {
+        /// Attaches the link as a reactor session does: the baton is taken
+        /// for good, and one reader thread routes every frame — running
+        /// completions itself — until the wire ends.
+        fn attached_reader(&self) -> thread::JoinHandle<()> {
+            let relay = self.relay.clone();
+            let mut wire = relay.take_baton().expect("nobody leads yet");
+            thread::spawn(move || loop {
+                match wire.next(None) {
+                    Ok(frame) => {
+                        if relay.route(frame, None).is_err() {
+                            return;
+                        }
+                    }
+                    Err(ReadError::Closed(reason)) => {
+                        relay.poison(reason);
+                        return;
+                    }
+                    Err(ReadError::TimedOut) => unreachable!("the reader has no deadline"),
+                }
+            })
+        }
+
+        /// Sends one request as `Conn::request_with` does, from the calling
+        /// thread: a completion whose deadline is already due — so a sweep
+        /// may expire it at any point — and whose runs are recorded.
+        fn complete(&self) -> Runs {
+            let runs: Runs = Arc::new(ModelMutex::new(Vec::new()));
+            let record = runs.clone();
+            let done: Completion<Reply> = Arc::new(move |reply| {
+                record.lock().unwrap().push(reply.is_ok());
+            });
+            match self.relay.register_completion(done.clone(), Instant::now()) {
+                Ok(corr) => push(&self.to_far, (corr, false)),
+                Err(reason) => done(Err(ConnError::Dead(reason))),
+            }
+            runs
+        }
+    }
+
+    /// On an attached link, one completion beside one blocked requester,
+    /// and `race` — a third party that may kill the link — started once
+    /// both are under way; the calling thread registers the completion and
+    /// then plays the far side, answering both requests in arrival order
+    /// unless the link is killed first.  Every request ends: the requester
+    /// with its reply or the link's death (no requester is lost), the
+    /// completion run exactly once; and with nobody killing the link, both
+    /// get their replies.
+    fn a_completion_beside_a_requester(race: Option<Race>) {
+        let link = Link::new();
+        let reader = link.attached_reader();
+        let requester = link.request(false);
+        let runs = link.complete();
+        let killer = race.map(|race| race(&link));
+        for _ in 0..2 {
+            let Some(Ok((corr, _))) = pop(&link.to_far, None) else {
+                break;
+            };
+            push(&link.from_far, corr);
+        }
+        let reply = requester.join().unwrap();
+        // The far side has answered whatever reached it; the wire ends.
+        hang_up(&link.from_far);
+        reader.join().unwrap();
+        if let Some(killer) = killer {
+            killer.join().unwrap();
+        }
+        let runs = runs.lock().unwrap().clone();
+        assert_eq!(runs.len(), 1, "a completion ran {} times", runs.len());
+        match race {
+            None => {
+                assert!(matches!(reply, Some(Ok(_))), "a reply was lost: {reply:?}");
+                assert!(runs[0], "the completion missed its reply");
+            }
+            Some(_) => assert!(
+                matches!(reply, None | Some(Ok(_)) | Some(Err(ConnError::Dead(_)))),
+                "{reply:?}"
+            ),
+        }
+    }
+
+    /// `Conn::shutdown` racing the replies: poison, then EOF both ways.
+    fn a_shutdown(link: &Link) -> thread::JoinHandle<()> {
+        let (relay, to_far, from_far) = (
+            link.relay.clone(),
+            link.to_far.clone(),
+            link.from_far.clone(),
+        );
+        thread::spawn(move || {
+            relay.poison("connection shut down".to_string());
+            hang_up(&to_far);
+            hang_up(&from_far);
+        })
+    }
+
+    /// The I/O thread's deadline sweep racing the replies: an overdue
+    /// completion retires the link.
+    fn a_deadline_sweep(link: &Link) -> thread::JoinHandle<()> {
+        let (relay, to_far, from_far) = (
+            link.relay.clone(),
+            link.to_far.clone(),
+            link.from_far.clone(),
+        );
+        thread::spawn(move || {
+            if relay.expire(Instant::now()) {
+                hang_up(&to_far);
+                hang_up(&from_far);
+            }
+        })
+    }
+
+    /// A completion runs exactly once and no blocked requester is lost on
+    /// a link whose baton an attached reader holds: under the reply alone,
+    /// under a shutdown's poison, and under the deadline sweep.
+    #[cfg(not(feature = "buggy-completion"))]
+    #[test]
+    fn completion_runs_exactly_once_proven() {
+        let scenarios: [(&str, Option<Race>); 3] = [
+            ("the reply", None),
+            ("a shutdown", Some(a_shutdown)),
+            ("the deadline sweep", Some(a_deadline_sweep)),
+        ];
+        for (name, race) in scenarios {
+            let report = explorer(2).prove(move || a_completion_beside_a_requester(race));
+            assert!(report.proven(), "{name}");
+            assert!(
+                report.schedules > 1_000,
+                "{name}: interleavings actually explored"
+            );
+        }
+    }
+
+    /// REGRESSION (`--features model,buggy-completion`): a router that runs
+    /// a completion *before* taking its entry out of the table lets a
+    /// poison sweeping the table meanwhile — a shutdown's, or the deadline
+    /// sweep's — run it a second time.  The exploration must find the
+    /// double run under either.
+    #[cfg(feature = "buggy-completion")]
+    #[test]
+    fn completion_double_run_recaught() {
+        let races: [(&str, Race); 2] = [
+            ("a shutdown", a_shutdown),
+            ("the deadline sweep", a_deadline_sweep),
+        ];
+        for (name, race) in races {
+            let report = explorer(2).explore(move || a_completion_beside_a_requester(Some(race)));
+            let failure = report.failure.unwrap_or_else(|| {
+                panic!("{name}: running a completion before removing its entry must run it twice")
+            });
+            assert!(
+                failure.message.contains("ran 2 times"),
+                "{name}: expected a double run, got: {}",
+                failure.message
+            );
+            assert!(
+                report.schedules <= 50_000,
+                "{name}: the double run should surface within tens of thousands of \
+                 interleavings, took {}",
+                report.schedules
+            );
+        }
     }
 
     /// The hand-off loses no reply and strands no requester: replies in any

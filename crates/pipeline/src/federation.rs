@@ -29,25 +29,42 @@
 //! and a peer whose connection dies is pruned from it with
 //! [`LocalDirectoryService::unregister_pool_manager`].
 //!
-//! The chain logic itself — [`run_chain`] over a [`PeerDelegator`] — is
-//! deliberately transport-agnostic: the production implementation speaks
-//! TCP, while the property tests drive whole in-memory topologies through
-//! the same function to check the paper's routing invariants (TTL
+//! The chain logic itself is a step machine that does no I/O, [`Chain`]:
+//! it names the next domain to delegate to, folds the answer, and says
+//! when the chain is over.  [`run_chain`] drives it by blocking on each
+//! delegation over a [`PeerDelegator`] — the production implementation
+//! speaks TCP, while the property tests drive whole in-memory topologies
+//! through the same function to check the paper's routing invariants (TTL
 //! strictly decreases across hops, no domain is revisited, every chain
 //! terminates within TTL hops).
+//!
+//! A served daemon drives the same [`Chain`] without parking anybody — the
+//! paper's "all state information is carried with the query itself", so
+//! nothing waits while a query is in another domain.  Once a peer link's
+//! handshake is done its socket becomes a reactor session of kind *peer*
+//! (an *attached* connection, `corr.rs`).  A federated `Wait`, a remote
+//! `Release` and an inbound `Delegate` are completions
+//! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`],
+//! [`FederatedBackend::delegate_with`]): each `Delegate` or `Release` is
+//! written by whichever thread holds the previous answer, and its reply's
+//! completion runs on the link's I/O thread — folding the answer, sending
+//! the next hop or writing the client's reply.  Only a step whose link no
+//! session carries yet (never dialed, dead, in redial backoff), and the
+//! gossip and probe rounds, still block, on the daemon's redeem lane.
 
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, RequestId, ServerFrame};
 
-use crate::allocation::{Allocation, AllocationError};
+use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
-use crate::corr::{Conn, ConnError, REPLY_TIMEOUT};
+use crate::corr::{Conn, ConnError, FrameSink, REPLY_TIMEOUT};
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
 use crate::message::{RoutingState, StageAddress};
@@ -193,10 +210,129 @@ fn merge_states(
     state
 }
 
-/// Runs one node's step of a delegation chain: visit this domain (spending
-/// one TTL hop), try the local backend, and while the failure is
-/// [delegable](is_delegable) forward to unvisited peers — never revisiting
-/// a domain, never exceeding the TTL, and always terminating.
+/// One node's step of a delegation chain, as a machine that does no I/O:
+/// it says which domain to send the next `Delegate` to, folds the answer,
+/// and says when the chain is over — never revisiting a domain, never
+/// exceeding the TTL, and always terminating.  [`run_chain`] drives it by
+/// blocking on each delegation; a served [`FederatedBackend`] drives it
+/// with completions, each `Delegate` written by the thread that holds the
+/// previous answer.  The TTL, visited-list and merge rules live here only.
+#[derive(Debug)]
+pub struct Chain {
+    domain: String,
+    state: RoutingState,
+    /// The failure that stands if no peer does better.
+    last_error: AllocationError,
+    /// Peer domains, in preference order, computed once per chain: the
+    /// peer topology does not change mid-chain, and re-asking could
+    /// re-dial every dead peer on every step.
+    available: Vec<String>,
+    /// Domains that failed during *this* chain (transport failures and
+    /// refusals): excluded so every step makes progress through a finite
+    /// candidate set.
+    failed: Vec<String>,
+}
+
+/// What a [`Chain`] asks for next.
+#[derive(Debug)]
+pub enum Step {
+    /// Send a `Delegate` carrying [`Chain::state`] to this domain and feed
+    /// the answer to [`Chain::on_reply`].
+    Delegate(Chain, String),
+    /// The chain is over: its outcome, and the routing state after every
+    /// hop it made, which goes back to whoever delegated to this domain.
+    Done(QueryOutcome, RoutingState),
+}
+
+impl Chain {
+    /// Starts `domain`'s step of a chain from its own outcome: visits the
+    /// domain (spending one TTL hop), and while the failure is
+    /// [delegable](is_delegable) and TTL remains asks for a delegation to
+    /// the first of the domains `peer_domains` names (called at most once)
+    /// worth trying.
+    pub fn start(
+        domain: &str,
+        mut state: RoutingState,
+        local: QueryOutcome,
+        peer_domains: impl FnOnce(&RoutingState) -> Vec<String>,
+    ) -> Step {
+        if !state.visit(domain) {
+            return Step::Done(Err(AllocationError::TtlExpired), state);
+        }
+        let last_error = match local {
+            Ok(allocations) => return Step::Done(Ok(allocations), state),
+            Err(error) if !is_delegable(&error) => return Step::Done(Err(error), state),
+            Err(error) => error,
+        };
+        if !state.alive() {
+            // Exhausted by the local visit: don't pay for a candidate sweep
+            // (which may dial peers) only to discard it.
+            return Step::Done(Err(AllocationError::TtlExpired), state);
+        }
+        let available = peer_domains(&state);
+        Chain {
+            domain: domain.to_string(),
+            state,
+            last_error,
+            available,
+            failed: Vec::new(),
+        }
+        .next()
+    }
+
+    /// The routing state the next `Delegate` carries.
+    pub fn state(&self) -> &RoutingState {
+        &self.state
+    }
+
+    /// Folds `to`'s answer to the `Delegate` the last step asked for.  A
+    /// peer that was unavailable is skipped for the rest of the chain;
+    /// tearing it down on a transport failure is the caller's business.
+    pub fn on_reply(
+        mut self,
+        to: &str,
+        reply: Result<(QueryOutcome, RoutingState), PeerUnavailable>,
+    ) -> Step {
+        match reply {
+            Err(_) => self.failed.push(to.to_string()),
+            Ok((outcome, downstream)) => {
+                self.state = merge_states(self.state, downstream, to);
+                match outcome {
+                    Ok(allocations) => return Step::Done(Ok(allocations), self.state),
+                    Err(error) if !is_delegable(&error) => {
+                        return Step::Done(Err(error), self.state)
+                    }
+                    Err(error) => self.last_error = error,
+                }
+            }
+        }
+        self.next()
+    }
+
+    fn next(self) -> Step {
+        if !self.state.alive() {
+            return Step::Done(Err(AllocationError::TtlExpired), self.state);
+        }
+        let next = self.available.iter().find(|d| {
+            **d != self.domain && !self.state.has_visited(d) && !self.failed.contains(*d)
+        });
+        match next {
+            Some(next) => {
+                let next = next.clone();
+                Step::Delegate(self, next)
+            }
+            // Every reachable domain has been tried: the local failure
+            // stands (the paper fails the request when all managers have
+            // seen it).
+            None => Step::Done(Err(self.last_error), self.state),
+        }
+    }
+}
+
+/// Runs one node's step of a delegation chain to its end, blocking on
+/// each delegation: visit this domain (spending one TTL hop), try the
+/// local backend, and while the failure is [delegable](is_delegable)
+/// forward to unvisited peers (see [`Chain`]).
 ///
 /// Returns the outcome together with the routing state after the whole
 /// (possibly multi-hop) chain, which the caller ships back to *its*
@@ -204,61 +340,43 @@ fn merge_states(
 pub fn run_chain(
     domain: &str,
     query: &str,
-    mut state: RoutingState,
+    state: RoutingState,
     local: impl FnOnce(&str) -> QueryOutcome,
     peers: &dyn PeerDelegator,
 ) -> (QueryOutcome, RoutingState) {
-    if !state.visit(domain) {
-        return (Err(AllocationError::TtlExpired), state);
-    }
-    let mut last_error = match local(query) {
-        Ok(allocations) => return (Ok(allocations), state),
-        Err(error) if !is_delegable(&error) => return (Err(error), state),
-        Err(error) => error,
-    };
     if !state.alive() {
-        // Exhausted by the local visit: don't pay for a candidate sweep
-        // (which may dial peers) only to discard it.
+        // No hop left to visit this domain: no local work either.
         return (Err(AllocationError::TtlExpired), state);
     }
-    // The candidate set is computed once per chain: the peer topology
-    // does not change mid-chain, and re-asking would re-dial every dead
-    // peer (a connect timeout each) on every iteration of the loop.
-    let available = peers.candidates(query, &state);
-    // Domains that failed during *this* chain (transport failures and
-    // refusals): excluded so the loop always makes progress through a
-    // finite candidate set.
-    let mut failed: Vec<String> = Vec::new();
+    let step = Chain::start(domain, state, local(query), |state| {
+        peers.candidates(query, state)
+    });
+    finish_chain(query, step, peers)
+}
+
+/// Drives `step` to the end of its chain, blocking on each delegation.
+fn finish_chain(
+    query: &str,
+    mut step: Step,
+    peers: &dyn PeerDelegator,
+) -> (QueryOutcome, RoutingState) {
     loop {
-        if !state.alive() {
-            return (Err(AllocationError::TtlExpired), state);
-        }
-        let next = available
-            .iter()
-            .find(|d| *d != domain && !state.has_visited(d) && !failed.iter().any(|u| u == *d));
-        let Some(next) = next else {
-            // Every reachable domain has been tried: the local failure
-            // stands (the paper fails the request when all managers have
-            // seen it).
-            return (Err(last_error), state);
-        };
-        let next = next.clone();
-        match peers.delegate(&next, query, &state) {
-            Err(unavailable) => {
-                failed.push(next.clone());
+        match step {
+            Step::Done(outcome, state) => return (outcome, state),
+            Step::Delegate(chain, to) => {
+                let reply = peers.delegate(&to, query, chain.state());
                 // Only a transport failure tears the peer down; a refusal
                 // came over a healthy connection that may hold leases.
-                if unavailable.transport {
-                    peers.peer_failed(&next);
+                if matches!(
+                    &reply,
+                    Err(PeerUnavailable {
+                        transport: true,
+                        ..
+                    })
+                ) {
+                    peers.peer_failed(&to);
                 }
-            }
-            Ok((outcome, downstream)) => {
-                state = merge_states(state, downstream, &next);
-                match outcome {
-                    Ok(allocations) => return (Ok(allocations), state),
-                    Err(error) if !is_delegable(&error) => return (Err(error), state),
-                    Err(error) => last_error = error,
-                }
+                step = chain.on_reply(&to, reply);
             }
         }
     }
@@ -287,7 +405,14 @@ struct PeerLink {
     /// peer's advertised pool records (unique per manager in the peer
     /// directory).
     index: u32,
+    /// The pooled connection; held across a (re)dial so concurrent callers
+    /// never dial twice — which is why no completion ever takes it.
     conn: Mutex<Option<PeerConn>>,
+    /// The connection last dialed, if a reactor session carries it
+    /// ([`Conn::attach`]): what completions send on and retire once they
+    /// found it alive.  Written under `conn` at each dial, read without
+    /// it, never held across I/O.
+    attached: Mutex<Option<PeerConn>>,
     /// Last domain name this link handshook as (kept after the connection
     /// dies).  Read instead of locking `conn` wherever only the identity
     /// is needed — in particular by `candidates()`, which must never wait
@@ -316,6 +441,7 @@ impl PeerLink {
             addr,
             index,
             conn: Mutex::new(None),
+            attached: Mutex::new(None),
             last_domain: Mutex::new(None),
             redial: Mutex::new(RedialBackoff::new()),
         }
@@ -358,13 +484,15 @@ impl PeerLink {
     }
 
     /// Returns a live connection, dialing (with redial backoff) when none
-    /// exists or the previous one died.  The slot lock is held only for
-    /// the establishment itself — requests on the returned connection run
-    /// outside it, concurrently.
+    /// exists or the previous one died; `attach` may hand a fresh one to a
+    /// reactor session.  The slot lock is held only for the establishment
+    /// itself — requests on the returned connection run outside it,
+    /// concurrently.
     fn ensure_conn(
         &self,
         my_domain: &str,
         my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
+        attach: impl FnOnce(&Arc<Conn>) -> bool,
     ) -> Result<(PeerConn, Option<PeerAdvertisement>), ConnError> {
         let mut slot = self.conn.lock();
         if let Some(peer) = &*slot {
@@ -407,8 +535,17 @@ impl PeerLink {
             previous_domain,
             deltas,
         });
+        let attached = attach(&peer.conn).then(|| peer.clone());
+        *self.attached.lock() = attached;
         *slot = Some(peer.clone());
         Ok((peer, fresh))
+    }
+
+    /// The pooled connection if a reactor session carries it and it is
+    /// alive — without waiting on a dial.
+    fn attached_conn(&self) -> Option<PeerConn> {
+        let attached = self.attached.lock().clone();
+        attached.filter(|peer| !peer.conn.is_dead())
     }
 
     /// One request/response exchange over `peer`, bounded by `deadline`.
@@ -447,9 +584,10 @@ impl PeerLink {
         &self,
         my_domain: &str,
         my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
+        attach: impl FnOnce(&Arc<Conn>) -> bool,
         build: impl FnOnce(RequestId) -> ClientFrame,
     ) -> Result<(ServerFrame, Option<PeerAdvertisement>), ConnError> {
-        let (peer, fresh) = self.ensure_conn(my_domain, my_sync)?;
+        let (peer, fresh) = self.ensure_conn(my_domain, my_sync, attach)?;
         Ok((self.exchange(&peer, REPLY_TIMEOUT, build)?, fresh))
     }
 
@@ -524,6 +662,39 @@ struct PendingTicket {
     query: String,
 }
 
+/// Where a chain driven by completions delivers its end: the outcome, and
+/// the routing state after every hop (what a `Delegated` reply carries).
+pub type DelegateDone = Box<dyn FnOnce(QueryOutcome, RoutingState) + Send>;
+
+/// What a daemon serving a [`FederatedBackend`] lends it
+/// ([`FederatedBackend::attach`]), so the federation's steps finish as
+/// completions on the reactor instead of parking a lane thread.
+pub(crate) trait PeerHost: Send + Sync {
+    /// Takes a freshly handshaken peer connection's socket over as a
+    /// reactor session of kind *peer*, which routes every later reply with
+    /// [`Conn::route`]; `unread` is what was read past the last reply.
+    /// Returns the sink every frame goes through from then on, or hands
+    /// the socket back when the daemon no longer takes sessions.
+    fn adopt(
+        &self,
+        stream: TcpStream,
+        unread: Vec<u8>,
+        conn: Arc<Conn>,
+    ) -> Result<Arc<dyn FrameSink>, (TcpStream, Vec<u8>)>;
+
+    /// Runs a step that may park — a delegation over a link no session
+    /// carries — on the daemon's redeem lane.
+    fn offload(&self, job: Box<dyn FnOnce() + Send>);
+}
+
+/// A served backend's handle on its daemon, and on itself.
+struct Attachment {
+    host: Arc<dyn PeerHost>,
+    /// The `Arc` the daemon serves this backend from, for completions that
+    /// outlive the call making them (weak: it lives inside the backend).
+    backend: Weak<FederatedBackend>,
+}
+
 /// Any [`ResourceManager`] backend extended with wide-area delegation.
 ///
 /// Wraps the domain's local backend; queries are always submitted locally
@@ -536,8 +707,13 @@ struct PendingTicket {
 ///
 /// Hosted behind [`crate::server::serve_federated`], the wrapper also
 /// answers *incoming* [`ClientFrame::Delegate`] requests from peers via
-/// [`FederatedBackend::handle_delegate`], continuing chains that started
-/// elsewhere.
+/// [`FederatedBackend::delegate_with`] (or, when that would park,
+/// [`FederatedBackend::handle_delegate`]), continuing chains that started
+/// elsewhere.  A served backend's warm links ride reactor sessions, and
+/// its waits, remote releases and inbound delegations finish as
+/// completions ([`ResourceManager::wait_with`],
+/// [`ResourceManager::release_with`]): no thread parks while a query is in
+/// another domain.
 pub struct FederatedBackend {
     inner: Box<dyn ResourceManager>,
     config: FederationConfig,
@@ -582,6 +758,8 @@ pub struct FederatedBackend {
     /// diagnostics).
     last_chain: Mutex<Option<RoutingState>>,
     closed: AtomicBool,
+    /// The serving daemon's reactor, while one serves this backend.
+    host: Mutex<Option<Attachment>>,
 }
 
 impl FederatedBackend {
@@ -620,7 +798,52 @@ impl FederatedBackend {
             delegations_in: AtomicU64::new(0),
             last_chain: Mutex::new(None),
             closed: AtomicBool::new(false),
+            host: Mutex::new(None),
         }
+    }
+
+    /// Lends the backend a serving daemon's reactor (the server does, at
+    /// start): links dialed from now on ride reactor sessions once their
+    /// handshake is done, and federated waits, remote releases and inbound
+    /// delegations over them finish as completions.
+    pub(crate) fn attach(self: &Arc<Self>, host: Arc<dyn PeerHost>) {
+        *self.host.lock() = Some(Attachment {
+            host,
+            backend: Arc::downgrade(self),
+        });
+    }
+
+    /// Takes the reactor back (the server is stopping): every later step
+    /// blocks on the caller's thread again.
+    pub(crate) fn detach(&self) {
+        self.host.lock().take();
+    }
+
+    /// The backend as the daemon serves it, and the daemon's reactor —
+    /// `None` when no daemon serves it.
+    fn served(&self) -> Option<(Arc<FederatedBackend>, Arc<dyn PeerHost>)> {
+        let host = self.host.lock();
+        let attachment = host.as_ref()?;
+        Some((attachment.backend.upgrade()?, attachment.host.clone()))
+    }
+
+    /// Hands a freshly handshaken connection to the serving daemon's
+    /// reactor, if there is one.
+    fn attach_conn(&self, conn: &Arc<Conn>) -> bool {
+        let host = self.host.lock().as_ref().map(|a| a.host.clone());
+        match host {
+            Some(host) => conn.attach(|stream, unread| host.adopt(stream, unread, conn.clone())),
+            None => false,
+        }
+    }
+
+    /// [`PeerLink::ensure_conn`] for this daemon.
+    fn connect(&self, link: &PeerLink) -> Result<(PeerConn, Option<PeerAdvertisement>), ConnError> {
+        link.ensure_conn(
+            &self.config.domain,
+            || self.sync_payload(),
+            |conn| self.attach_conn(conn),
+        )
     }
 
     /// This daemon's domain name.
@@ -784,7 +1007,7 @@ impl FederatedBackend {
     /// Dials the link if it is down (subject to the redial backoff), so
     /// the periodic tick also heals the topology.
     fn gossip_exchange(&self, link: &PeerLink) -> Result<(), ConnError> {
-        let (peer, fresh) = link.ensure_conn(&self.config.domain, || self.sync_payload())?;
+        let (peer, fresh) = self.connect(link)?;
         self.note_fresh_advertisement(link, fresh);
         if peer.domain.is_empty() {
             return Err(ConnError::Dead("peer did not name its domain".to_string()));
@@ -959,6 +1182,161 @@ impl FederatedBackend {
         (outcome, state)
     }
 
+    /// [`FederatedBackend::handle_delegate`] for a caller that must not
+    /// park — a `ypd` I/O thread.  The query is submitted to the local
+    /// backend right here; the local outcome continues the chain on the
+    /// stage that produces it, and each onward `Delegate` is written by
+    /// the thread that holds the previous answer.  `done` receives the
+    /// outcome and the routing state after the whole chain, for the
+    /// `Delegated` reply.  Hands `done` back uncalled — nothing changed —
+    /// when serving the request from here could park (the local backend
+    /// cannot take the query without waiting, or no daemon serves this
+    /// backend) or when it is refused (the query already visited this
+    /// domain); the caller then takes `handle_delegate` to a thread that
+    /// may park.
+    pub fn delegate_with(
+        &self,
+        query: &str,
+        ttl: u32,
+        visited: &[String],
+        done: DelegateDone,
+    ) -> Result<(), DelegateDone> {
+        let Some((backend, host)) = self.served() else {
+            return Err(done);
+        };
+        let state = RoutingState {
+            ttl,
+            visited: visited.to_vec(),
+        };
+        if state.has_visited(&self.config.domain) {
+            return Err(done);
+        }
+        let submitted = if state.alive() {
+            match actyp_query::parse_query(query) {
+                Ok(parsed) => match self.inner.try_submit(parsed) {
+                    Ok(submitted) => Some(submitted),
+                    Err(_) => return Err(done),
+                },
+                Err(e) => Some(Err(AllocationError::Parse(e.to_string()))),
+            }
+        } else {
+            // No hop left to visit this domain: no local work either.
+            None
+        };
+        self.delegations_in.fetch_add(1, Ordering::Relaxed);
+        let query = query.to_string();
+        let ticket = match submitted {
+            Some(Ok(ticket)) => ticket,
+            Some(Err(error)) => {
+                backend.federate(&host, query, state, Err(error), done);
+                return Ok(());
+            }
+            None => {
+                let expired = Step::Done(Err(AllocationError::TtlExpired), state);
+                backend.drive(&host, query, expired, done);
+                return Ok(());
+            }
+        };
+        let local: WaitDone = Box::new({
+            let host = host.clone();
+            let backend = backend.clone();
+            move |outcome| backend.federate(&host, query, state, outcome, done)
+        });
+        if let Err(local) = self.inner.wait_with(ticket, local) {
+            // The local backend cannot wait without parking: the lane does.
+            host.offload(Box::new(move || local(backend.inner.wait(ticket))));
+        }
+        Ok(())
+    }
+
+    /// Continues a chain from this domain's own outcome, as completions
+    /// ([`FederatedBackend::drive`]).  Naming the candidates must not dial,
+    /// so a chain that needs a link nobody has handshaken yet runs on the
+    /// redeem lane, where [`PeerDelegator::candidates`] may dial it.
+    fn federate(
+        self: &Arc<Self>,
+        host: &Arc<dyn PeerHost>,
+        query: String,
+        state: RoutingState,
+        local: QueryOutcome,
+        done: DelegateDone,
+    ) {
+        let delegable = matches!(&local, Err(error) if is_delegable(error));
+        if delegable && !self.links_named() {
+            let backend = self.clone();
+            return host.offload(Box::new(move || {
+                let (outcome, state) =
+                    run_chain(&backend.config.domain, &query, state, |_| local, &*backend);
+                backend.end_chain(outcome, state, done);
+            }));
+        }
+        let step = Chain::start(&self.config.domain, state, local, |_| {
+            self.known_candidates(&query)
+        });
+        self.drive(host, query, step, done);
+    }
+
+    /// Drives a chain from `step` as far as completions take it.  A
+    /// `Delegate` over a link a reactor session carries is written from
+    /// this thread, and its reply's completion — on that session's I/O
+    /// thread — folds the answer and drives the next step.  A step whose
+    /// link no session carries (never dialed, dead, in redial backoff)
+    /// finishes the chain on the redeem lane, blocking.
+    fn drive(
+        self: &Arc<Self>,
+        host: &Arc<dyn PeerHost>,
+        query: String,
+        step: Step,
+        done: DelegateDone,
+    ) {
+        let (chain, to) = match step {
+            Step::Done(outcome, state) => return self.end_chain(outcome, state, done),
+            Step::Delegate(chain, to) => (chain, to),
+        };
+        let Some(peer) = self.link_for(&to).and_then(PeerLink::attached_conn) else {
+            let backend = self.clone();
+            return host.offload(Box::new(move || {
+                let (outcome, state) = finish_chain(&query, Step::Delegate(chain, to), &*backend);
+                backend.end_chain(outcome, state, done);
+            }));
+        };
+        let (sent, ttl, visited) = (
+            query.clone(),
+            chain.state().ttl,
+            chain.state().visited.clone(),
+        );
+        let (backend, host) = (self.clone(), host.clone());
+        let conn = peer.conn.clone();
+        conn.request_with(
+            move |corr| ClientFrame::Delegate {
+                corr,
+                query: sent,
+                ttl,
+                visited,
+            },
+            move |reply| {
+                let reply = backend.fold_delegated(&to, reply);
+                if matches!(
+                    &reply,
+                    Err(PeerUnavailable {
+                        transport: true,
+                        ..
+                    })
+                ) {
+                    backend.retire_peer(&to, &peer.conn);
+                }
+                let step = chain.on_reply(&to, reply);
+                backend.drive(&host, query, step, done);
+            },
+        );
+    }
+
+    /// Ends a chain: records its routing state and hands the outcome over.
+    fn end_chain(&self, outcome: QueryOutcome, state: RoutingState, done: DelegateDone) {
+        *self.last_chain.lock() = Some(state.clone());
+        done(outcome, state);
+    }
+
     /// Settles a locally failed outcome by delegating the query to peers.
     fn federate_after_local_failure(
         &self,
@@ -1082,34 +1460,32 @@ impl FederatedBackend {
         self.record_peer_advertisement(&adv.domain, &adv.pools, link.addr.clone(), link.index);
         self.apply_gossip_deltas(&adv.deltas);
     }
-}
 
-impl PeerDelegator for FederatedBackend {
-    /// Peer domains, peers advertising a pool the query maps to first.
+    /// Whether every link has handshaken at least once, so its domain name
+    /// is known and [`FederatedBackend::known_candidates`] misses nobody.
+    fn links_named(&self) -> bool {
+        self.links
+            .iter()
+            .all(|link| link.last_domain.lock().is_some())
+    }
+
+    /// Peer domains, peers advertising a pool the query maps to first —
+    /// from the links' cached identities alone, so it never dials (and a
+    /// link that never handshook is left out).
     ///
-    /// A link whose domain is already known is offered from its cached
-    /// identity WITHOUT touching the connection mutex: the link may be
-    /// busy carrying another chain's `Delegate` right now, and blocking
-    /// on it here would distributed-deadlock two mutually peered daemons
-    /// that delegate to each other at the same time.  Only a
-    /// never-yet-contacted link is dialed (that is how its domain name
-    /// becomes known at all); whether an offered link is *currently*
-    /// reachable is discovered by `delegate` itself.
-    fn candidates(&self, query: &str, _state: &RoutingState) -> Vec<String> {
+    /// A link is offered WITHOUT touching its connection mutex: the link
+    /// may be busy carrying another chain's `Delegate` right now, and
+    /// blocking on it here would distributed-deadlock two mutually peered
+    /// daemons that delegate to each other at the same time.  Whether an
+    /// offered link is *currently* reachable is discovered by the
+    /// delegation itself.
+    fn known_candidates(&self, query: &str) -> Vec<String> {
         let wanted = self.wanted_pools(query);
         let mut preferred = Vec::new();
         let mut rest = Vec::new();
         for link in &self.links {
-            let known = link.last_domain.lock().clone();
-            let domain = match known {
-                Some(domain) => domain,
-                None => match link.ensure_conn(&self.config.domain, || self.sync_payload()) {
-                    Ok((peer, fresh)) => {
-                        self.note_fresh_advertisement(link, fresh);
-                        peer.domain.to_string()
-                    }
-                    Err(_) => continue,
-                },
+            let Some(domain) = link.last_domain.lock().clone() else {
+                continue;
             };
             let advertises_wanted = wanted.iter().any(|pool| {
                 self.peer_directory
@@ -1143,36 +1519,21 @@ impl PeerDelegator for FederatedBackend {
         preferred
     }
 
-    fn delegate(
+    /// Folds a peer's answer to a `Delegate` sent to `domain` into this
+    /// daemon's state — the lease map, the learned route, piggybacked
+    /// gossip — and reads it as the chain step's reply.  Tearing the link
+    /// down on a transport failure is the caller's business.
+    fn fold_delegated(
         &self,
         domain: &str,
-        query: &str,
-        state: &RoutingState,
+        reply: Result<ServerFrame, ConnError>,
     ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable> {
-        let link = self.link_for(domain).ok_or_else(|| PeerUnavailable {
-            transport: true,
-            reason: format!("no link to domain `{domain}`"),
-        })?;
-        let ttl = state.ttl;
-        let visited = state.visited.clone();
-        let sent = link.request(
-            &self.config.domain,
-            || self.sync_payload(),
-            |corr| ClientFrame::Delegate {
-                corr,
-                query: query.to_string(),
-                ttl,
-                visited,
-            },
-        );
         // A frame refused before it left (over a wire limit) skips this
         // peer for the chain like any refusal; the link is untouched.
-        let (reply, fresh) = sent.map_err(|e| PeerUnavailable {
+        let reply = reply.map_err(|e| PeerUnavailable {
             transport: !matches!(e, ConnError::Refused(_)),
             reason: e.to_string(),
         })?;
-        // A reconnect mid-delegation re-learns the peer's advertisement.
-        self.note_fresh_advertisement(link, fresh);
         match reply {
             ServerFrame::Delegated {
                 outcome,
@@ -1218,17 +1579,119 @@ impl PeerDelegator for FederatedBackend {
         }
     }
 
-    /// Drops the link and prunes the dead peer's pools from the peer
-    /// directory, so its stale records stop being routable.
-    fn peer_failed(&self, domain: &str) {
-        if let Some(link) = self.link_for(domain) {
-            link.disconnect();
+    /// Settles a remote release by the peer's answer.  The lease mapping
+    /// is only consumed once the release is truly settled: dropping it up
+    /// front would orphan the allocation's routing if the peer answers
+    /// with a transient error, leaving the client no way to retry.  The
+    /// second half says whether the peer died, so the caller retires it.
+    fn settle_release(
+        &self,
+        key: &str,
+        reply: Result<ServerFrame, ConnError>,
+    ) -> (Result<(), AllocationError>, bool) {
+        let settled = |result| {
+            self.remote_leases.lock().remove(key);
+            result
+        };
+        match reply {
+            Ok(ServerFrame::Released { .. }) => (settled(Ok(())), false),
+            // A double release is settled (drop the mapping); any other
+            // failure keeps it so a retry still routes to the owning
+            // domain.
+            Ok(ServerFrame::Error { error, .. }) if error == AllocationError::UnknownAllocation => {
+                (settled(Err(error)), false)
+            }
+            Ok(ServerFrame::Error { error, .. }) => (Err(error), false),
+            Ok(other) => (
+                Err(AllocationError::Protocol(format!(
+                    "expected Released, got {other:?}"
+                ))),
+                false,
+            ),
+            // Refused before a byte left: nothing changed on either side,
+            // so the mapping stays and a retry still routes here.
+            Err(ConnError::Refused(message)) => (Err(AllocationError::Protocol(message)), false),
+            // The peer died holding the lease: its session teardown hands
+            // the allocation back on that side, so the release is done as
+            // far as this daemon can tell.
+            Err(_) => (settled(Ok(())), true),
         }
+    }
+
+    /// Prunes a dead peer's pools from the peer directory, so its stale
+    /// records stop being routable.
+    fn prune_peer(&self, domain: &str) {
         self.peer_directory.unregister_pool_manager(domain);
         // Routes through the dead hop are unusable, and what it acked is
         // moot — after the redial the handshake resyncs from scratch.
         self.route_cache.invalidate_next_hop(domain);
         self.gossip.retire_peer(domain);
+    }
+
+    /// [`PeerDelegator::peer_failed`] for a completion, which must not take
+    /// the link's slot lock (it is held across dials): `conn` is poisoned
+    /// and shut instead, and the next `ensure_conn` sees it dead.
+    fn retire_peer(&self, domain: &str, conn: &Conn) {
+        conn.shutdown();
+        self.prune_peer(domain);
+    }
+}
+
+impl PeerDelegator for FederatedBackend {
+    /// Peer domains, peers advertising a pool the query maps to first,
+    /// after dialing every link that never handshook — that is how its
+    /// domain name becomes known at all.
+    fn candidates(&self, query: &str, _state: &RoutingState) -> Vec<String> {
+        for link in &self.links {
+            let unnamed = link.last_domain.lock().is_none();
+            if unnamed {
+                if let Ok((_, fresh)) = self.connect(link) {
+                    self.note_fresh_advertisement(link, fresh);
+                }
+            }
+        }
+        self.known_candidates(query)
+    }
+
+    fn delegate(
+        &self,
+        domain: &str,
+        query: &str,
+        state: &RoutingState,
+    ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable> {
+        let link = self.link_for(domain).ok_or_else(|| PeerUnavailable {
+            transport: true,
+            reason: format!("no link to domain `{domain}`"),
+        })?;
+        let ttl = state.ttl;
+        let visited = state.visited.clone();
+        let sent = link.request(
+            &self.config.domain,
+            || self.sync_payload(),
+            |conn| self.attach_conn(conn),
+            |corr| ClientFrame::Delegate {
+                corr,
+                query: query.to_string(),
+                ttl,
+                visited,
+            },
+        );
+        let reply = sent.map(|(reply, fresh)| {
+            // A reconnect mid-delegation re-learns the peer's
+            // advertisement.
+            self.note_fresh_advertisement(link, fresh);
+            reply
+        });
+        self.fold_delegated(domain, reply)
+    }
+
+    /// Drops the link and prunes the dead peer's pools from the peer
+    /// directory.
+    fn peer_failed(&self, domain: &str) {
+        if let Some(link) = self.link_for(domain) {
+            link.disconnect();
+        }
+        self.prune_peer(domain);
     }
 }
 
@@ -1314,11 +1777,68 @@ impl ResourceManager for FederatedBackend {
         Some(self.settle(&pending.query, outcome))
     }
 
+    /// On a served backend with peers, the local outcome goes through the
+    /// wrapped backend's own `wait_with`, and whichever thread delivers it
+    /// — this one on a hit, the stage that produces it otherwise — runs
+    /// `done` with a final outcome, or continues a delegable failure as a
+    /// chain of completions ([`FederatedBackend::delegate_with`] has the
+    /// same shape).  Without peers the local outcome is final.  Without a
+    /// serving daemon, or when the wrapped backend cannot wait from here,
+    /// `done` is handed back and the ticket left as it was.
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+        let served = match self.links.is_empty() {
+            true => None,
+            false => match self.served() {
+                Some(served) => Some(served),
+                None => return Err(done),
+            },
+        };
+        let pending = match self.take_ticket(ticket) {
+            Ok(pending) => pending,
+            Err(error) => {
+                done(Err(error));
+                return Ok(());
+            }
+        };
+        let inner = pending.inner;
+        let Some((backend, host)) = served else {
+            return self.inner.wait_with(inner, done).inspect_err(|_| {
+                self.tickets.lock().insert(ticket.id(), pending);
+            });
+        };
+        // Shared with the completion the wrapped backend gets, so a
+        // hand-back returns the caller's `done` (and the query) uncalled.
+        let caller = Arc::new(Mutex::new(Some((done, pending.query))));
+        let local: WaitDone = Box::new({
+            let caller = caller.clone();
+            move |outcome| {
+                let Some((done, query)) = caller.lock().take() else {
+                    return;
+                };
+                match outcome {
+                    Err(error) if is_delegable(&error) => {
+                        let state = RoutingState::new(backend.config.ttl);
+                        let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
+                        backend.federate(&host, query, state, Err(error), finish);
+                    }
+                    final_outcome => done(final_outcome),
+                }
+            }
+        });
+        match self.inner.wait_with(inner, local) {
+            Ok(()) => Ok(()),
+            Err(local) => {
+                drop(local);
+                let (done, query) = caller.lock().take().expect("handed back uncalled");
+                self.tickets
+                    .lock()
+                    .insert(ticket.id(), PendingTicket { inner, query });
+                Err(done)
+            }
+        }
+    }
+
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        // The lease mapping is only consumed once the release is truly
-        // settled: dropping it up front would orphan the allocation's
-        // routing if the peer answers with a transient error, leaving the
-        // client no way to retry.
         let peer = self
             .remote_leases
             .lock()
@@ -1336,40 +1856,56 @@ impl ResourceManager for FederatedBackend {
         let sent = link.request(
             &self.config.domain,
             || self.sync_payload(),
+            |conn| self.attach_conn(conn),
             |corr| ClientFrame::Release {
                 corr,
                 allocation: allocation.clone(),
             },
         );
-        match sent {
-            Ok((ServerFrame::Released { .. }, _)) => {
-                self.remote_leases.lock().remove(&allocation.access_key.0);
-                Ok(())
-            }
-            Ok((ServerFrame::Error { error, .. }, _)) => {
-                // A double release is settled (drop the mapping); any
-                // other failure keeps it so a retry still routes to the
-                // owning domain.
-                if error == AllocationError::UnknownAllocation {
-                    self.remote_leases.lock().remove(&allocation.access_key.0);
-                }
-                Err(error)
-            }
-            Ok((other, _)) => Err(AllocationError::Protocol(format!(
-                "expected Released, got {other:?}"
-            ))),
-            // Refused before a byte left: nothing changed on either side,
-            // so the mapping stays and a retry still routes here.
-            Err(ConnError::Refused(message)) => Err(AllocationError::Protocol(message)),
-            // The peer died holding the lease: its session teardown hands
-            // the allocation back on that side, so the release is done as
-            // far as this daemon can tell.
-            Err(_) => {
-                self.remote_leases.lock().remove(&allocation.access_key.0);
-                self.peer_failed(&domain);
-                Ok(())
-            }
+        let (released, peer_died) =
+            self.settle_release(&allocation.access_key.0, sent.map(|(reply, _)| reply));
+        if peer_died {
+            self.peer_failed(&domain);
         }
+        released
+    }
+
+    /// A lease this daemon holds itself is released by the wrapped
+    /// backend's own `release_with`.  A delegated one, on a served backend
+    /// whose link to the owning domain a reactor session carries, is a
+    /// `Release` written from this thread whose reply's completion — on the
+    /// link's I/O thread — settles the lease mapping and runs `done`.
+    /// Anything else (no serving daemon, a link no session carries) hands
+    /// `done` back to be released where parking is allowed.
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+        let peer = self
+            .remote_leases
+            .lock()
+            .get(&allocation.access_key.0)
+            .cloned();
+        let Some(domain) = peer else {
+            return self.inner.release_with(allocation, done);
+        };
+        let Some((backend, _)) = self.served() else {
+            return Err(done);
+        };
+        let Some(peer) = self.link_for(&domain).and_then(PeerLink::attached_conn) else {
+            return Err(done);
+        };
+        let key = allocation.access_key.0.clone();
+        let allocation = allocation.clone();
+        let conn = peer.conn.clone();
+        conn.request_with(
+            move |corr| ClientFrame::Release { corr, allocation },
+            move |reply| {
+                let (released, peer_died) = backend.settle_release(&key, reply);
+                if peer_died {
+                    backend.retire_peer(&domain, &peer.conn);
+                }
+                done(released);
+            },
+        );
+        Ok(())
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -1455,6 +1991,44 @@ mod tests {
             &NoPeers,
         );
         assert!(matches!(outcome, Err(AllocationError::Parse(_))));
+    }
+
+    /// The step machine a served daemon drives with completions: one
+    /// delegation at a time, a refusal skipped for the rest of the chain,
+    /// and each answer's routing state folded in.
+    #[test]
+    fn a_chain_asks_for_one_delegation_at_a_time() {
+        let step = Chain::start(
+            "a",
+            RoutingState::new(4),
+            Err(AllocationError::NoSuchResources),
+            |_| vec!["b".to_string(), "a".to_string(), "c".to_string()],
+        );
+        let Step::Delegate(chain, to) = step else {
+            panic!("a delegable failure with TTL to spare delegates: {step:?}");
+        };
+        assert_eq!(to, "b");
+        assert_eq!(chain.state().ttl, 3, "this domain's hop is spent");
+        let refused = Err(PeerUnavailable {
+            transport: false,
+            reason: "refused".to_string(),
+        });
+        let Step::Delegate(chain, to) = chain.on_reply("b", refused) else {
+            panic!("the next candidate is tried after a refusal");
+        };
+        assert_eq!(to, "c", "itself is never a candidate");
+        let downstream = RoutingState {
+            ttl: 2,
+            visited: vec!["a".to_string(), "c".to_string()],
+        };
+        match chain.on_reply("c", Ok((Err(AllocationError::NoneAvailable), downstream))) {
+            Step::Done(outcome, state) => {
+                assert_eq!(outcome.unwrap_err(), AllocationError::NoneAvailable);
+                assert_eq!(state.ttl, 2);
+                assert_eq!(state.visited, vec!["a".to_string(), "c".to_string()]);
+            }
+            other => panic!("every candidate was tried: {other:?}"),
+        }
     }
 
     #[test]

@@ -515,9 +515,12 @@ impl LivePipeline {
                 peer_order: pm_names.clone(),
                 counters: counters.clone(),
             };
-            workers
-                .pool_managers
-                .push(std::thread::spawn(move || worker.run()));
+            workers.pool_managers.push(
+                std::thread::Builder::new()
+                    .name(format!("yp-pm-{i}"))
+                    .spawn(move || worker.run())
+                    .expect("spawn pool-manager stage"),
+            );
         }
 
         // Query-manager stages share one submission channel (any idle stage
@@ -541,9 +544,12 @@ impl LivePipeline {
                 config: config.clone(),
                 counters: counters.clone(),
             };
-            workers
-                .query_managers
-                .push(std::thread::spawn(move || worker.run()));
+            workers.query_managers.push(
+                std::thread::Builder::new()
+                    .name(format!("yp-qm-{i}"))
+                    .spawn(move || worker.run())
+                    .expect("spawn query-manager stage"),
+            );
         }
 
         LivePipeline {

@@ -766,6 +766,8 @@ pub struct WorkerPool {
     tx: crossbeam::channel::Sender<Job>,
     handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
     panics: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    /// Jobs run so far, panicked or not.
+    ran: std::sync::Arc<std::sync::atomic::AtomicU64>,
     size: usize,
 }
 
@@ -783,10 +785,11 @@ impl WorkerPool {
         let size = size.max(1);
         let (tx, rx) = crossbeam::channel::unbounded::<Job>();
         let panics = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let ran = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mut handles = Vec::with_capacity(size);
         for i in 0..size {
             let rx = rx.clone();
-            let panics = panics.clone();
+            let (panics, ran) = (panics.clone(), ran.clone());
             let builder = std::thread::Builder::new().name(format!("{name}-{i}"));
             let handle = builder
                 .spawn(move || {
@@ -798,6 +801,7 @@ impl WorkerPool {
                             Ok(Job::Stop) | Err(_) => break,
                         };
                         for job in jobs {
+                            ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             let outcome =
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                             if outcome.is_err() {
@@ -813,6 +817,7 @@ impl WorkerPool {
             tx,
             handles: parking_lot::Mutex::new(handles),
             panics,
+            ran,
             size,
         }
     }
@@ -820,6 +825,11 @@ impl WorkerPool {
     /// Number of worker threads.
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// Jobs the pool has started so far (a job that panicked included).
+    pub fn jobs_run(&self) -> u64 {
+        self.ran.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Queues one job.  Jobs run in submission order as workers free up;

@@ -18,14 +18,16 @@ const MAX_SESSION_WORKERS: usize = 256;
 
 /// The worker lanes for blocking backend calls.  Submit and redeem are
 /// separate pools because their blocking has different *causes*:
-/// submit-lane jobs (submits, batches, incoming delegations) can block on
-/// the live backend's admission window, whose permits only redemptions
-/// free — a single shared pool saturated with window-blocked submissions
-/// would starve the very waits that unblock it.  Redeem-lane jobs
-/// (federated waits, polls and releases, deadline waits, and the waits and
-/// releases a backend hands back) resolve by pipeline progress or bounded
-/// peer I/O alone, never by the window; everything a client must complete
-/// in order to *return* capacity lives here, so the lane always drains.
+/// submit-lane jobs (submits, batches, incoming delegations the backend
+/// cannot take from the I/O thread) can block on the live backend's
+/// admission window, whose permits only redemptions free — a single shared
+/// pool saturated with window-blocked submissions would starve the very
+/// waits that unblock it.  Redeem-lane jobs (deadline waits and polls that
+/// cannot answer at once, the waits and releases a backend hands back, and
+/// delegation steps over a cold peer link) resolve by pipeline progress or
+/// bounded peer I/O alone, never by the window; everything a client must
+/// complete in order to *return* capacity lives here, so the lane always
+/// drains.
 pub(super) struct Pools {
     pub(super) submit: WorkerPool,
     pub(super) redeem: WorkerPool,
@@ -53,6 +55,12 @@ impl Pools {
     /// panicked over the lanes' lifetime.
     pub(super) fn shutdown(&self) -> u64 {
         self.submit.shutdown() + self.redeem.shutdown() + self.teardown.shutdown()
+    }
+
+    /// Jobs all three lanes have started so far.
+    #[cfg(test)]
+    pub(super) fn jobs_run(&self) -> u64 {
+        self.submit.jobs_run() + self.redeem.jobs_run() + self.teardown.jobs_run()
     }
 }
 

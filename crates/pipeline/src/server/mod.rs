@@ -31,10 +31,11 @@
 //! [`ServerConfig::workers`] threads each) —
 //!
 //! * the *submit* lane (submissions the backend cannot take without
-//!   waiting, batch submits, delegations in), whose jobs may block on the
-//!   live backend's admission window,
-//! * the *redeem* lane (federated waits, polls and releases; deadline
-//!   waits that miss; waits and releases a backend hands back), whose jobs
+//!   waiting, batch submits, delegations in it cannot take), whose jobs
+//!   may block on the live backend's admission window,
+//! * the *redeem* lane (deadline waits that miss, and on a federated
+//!   daemon every deadline wait and poll; waits and releases a backend
+//!   hands back; delegation steps over a cold peer link), whose jobs
 //!   resolve by pipeline progress or bounded peer I/O alone, and
 //! * the *teardown* lane (session settles for closed connections), so a
 //!   mass disconnect never spawns a thread per closing session —
@@ -53,7 +54,12 @@
 //! The listener itself is one more readiness source on the first I/O
 //! thread — there is no dedicated accept thread — and that thread's timer
 //! wheel also drives the periodic anti-entropy gossip tick and peer health
-//! probe of a federated daemon.  The daemon's thread count is therefore
+//! probe of a federated daemon.  The same thread carries the daemon's warm
+//! peer links as sessions of kind *peer*: a federated `Wait`, a remote
+//! `Release` and an inbound `Delegate` are completions too, each `Delegate`
+//! or `Release` to a peer written by the thread that holds the previous
+//! answer, and each peer reply finished there (see
+//! [`crate::federation`]).  The daemon's thread count is therefore
 //! *independent of its session count*: the I/O pool + three worker lanes +
 //! the hosted backend, whether two clients are connected or two thousand.
 
@@ -114,6 +120,10 @@ struct ServerShared {
     /// peer daemons reach the federation surface the trait does not carry.
     federation: Option<Arc<FederatedBackend>>,
     draining: AtomicBool,
+    /// Client sessions open on every I/O thread (peer links excluded): a
+    /// draining daemon keeps its peer links up until this reaches zero,
+    /// because a closing session's teardown may release leases across them.
+    client_sessions: std::sync::atomic::AtomicUsize,
     /// The session engine.  Taken at join time.
     reactor: Mutex<Option<ReactorEngine>>,
     /// Frames that rode a multi-frame lane batch (one queue send, one
@@ -158,6 +168,16 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
+    /// Jobs the daemon's worker lanes have started so far.
+    #[cfg(all(test, unix))]
+    pub(crate) fn lane_jobs(&self) -> u64 {
+        self.shared
+            .reactor
+            .lock()
+            .as_ref()
+            .map_or(0, |engine| engine.pools.jobs_run())
+    }
+
     /// Blocks until the daemon has fully drained (listener closed and
     /// every session finished — sessions end when their client disconnects
     /// or shuts its session down; during a drain, sessions idle between
@@ -178,6 +198,9 @@ impl ServerHandle {
         let engine = self.shared.reactor.lock().take();
         if let Some(engine) = engine {
             engine.join(&mut problems);
+        }
+        if let Some(federation) = &self.shared.federation {
+            federation.detach();
         }
         if let Err(e) = self.shared.manager.shutdown() {
             problems.push(e.to_string());
@@ -248,6 +271,7 @@ fn serve_inner(
         manager,
         federation,
         draining: AtomicBool::new(false),
+        client_sessions: std::sync::atomic::AtomicUsize::new(0),
         reactor: Mutex::new(None),
         frames_batched: AtomicU64::new(0),
         writes_coalesced: AtomicU64::new(0),
@@ -311,12 +335,23 @@ impl ReactorEngine {
             io: Vec::new(),
             pools: Arc::new(lanes::Pools::new(config.workers)),
         };
+        // The first I/O thread carries a federated daemon's peer links.
+        let first = targets[0].1.clone();
+        let host = shared.federation.as_ref().map(|federation| {
+            let host = Arc::new(session::ReactorHost::new(
+                first.clone(),
+                engine.pools.clone(),
+            ));
+            federation.attach(host.clone());
+            host
+        });
         let mut listener = Some(listener);
         for (i, (poller, notify, tx, rx)) in parts.into_iter().enumerate() {
             let role = listener.take().map(|listener| session::ListenerRole {
                 listener,
                 targets: targets.clone(),
                 next: 0,
+                host: host.clone(),
             });
             let spawned = std::thread::Builder::new()
                 .name(format!("ypd-io-{i}"))
@@ -324,7 +359,8 @@ impl ReactorEngine {
                     let shared = shared.clone();
                     let pools = engine.pools.clone();
                     let notify = notify.clone();
-                    move || session::io_thread_main(shared, pools, rx, notify, poller, role)
+                    let first = first.clone();
+                    move || session::io_thread_main(shared, pools, rx, notify, first, poller, role)
                 });
             match spawned {
                 Ok(thread) => engine.io.push(IoHandle {
@@ -893,6 +929,329 @@ mod tests {
         drop(stream);
         server.halt();
         server.join().unwrap();
+    }
+
+    // -----------------------------------------------------------------
+    // Federated daemons: peer links as reactor sessions
+    // -----------------------------------------------------------------
+
+    fn arch_db(arch: &str, machines: usize, seed: u64) -> actyp_grid::SharedDatabase {
+        SyntheticFleet::new(FleetSpec::homogeneous(machines, arch, 512), seed)
+            .generate()
+            .into_shared()
+    }
+
+    fn active_jobs(db: &actyp_grid::SharedDatabase) -> u32 {
+        db.read().iter().map(|m| m.dynamic.active_jobs).sum()
+    }
+
+    /// A federated daemon for `domain` with no timer-driven peer traffic
+    /// (every frame on its links is one a request caused) and an
+    /// admission window wider than any test's tickets in flight.
+    fn federated(
+        domain: &str,
+        kind: BackendKind,
+        db: actyp_grid::SharedDatabase,
+        peers: Vec<StageAddress>,
+    ) -> (ServerHandle, Arc<FederatedBackend>) {
+        PipelineBuilder::new()
+            .database(db)
+            .window(512)
+            .serve_federated(
+                &loopback(),
+                kind,
+                crate::federation::FederationConfig {
+                    domain: domain.to_string(),
+                    peers,
+                    gossip_interval: std::time::Duration::ZERO,
+                    probe_interval: std::time::Duration::ZERO,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+    }
+
+    const HP: &str = "punch.rsrc.arch = hp\n";
+
+    /// With the link warm, a delegated allocation and its release cross
+    /// both daemons without a single worker-lane job: the entry daemon's
+    /// query-manager stage sends `Delegate`, the far daemon's stages answer
+    /// it and the `Release`, and the link's I/O thread finishes both.
+    #[test]
+    fn warm_links_serve_a_delegation_and_its_release_with_no_lane_job() {
+        let db_b = arch_db("hp", 40, 71);
+        let (srv_b, _) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
+        let (srv_a, fed_a) = federated(
+            "purdue",
+            BackendKind::Live,
+            arch_db("sun", 20, 72),
+            vec![srv_b.local_addr()],
+        );
+        let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
+        // The first delegation dials the link (on the lane, where a dial
+        // may park) and hands it to the reactor.
+        let warm = client.submit_text_wait(HP).unwrap();
+        client.release(&warm[0]).unwrap();
+        let (jobs_a, jobs_b) = (srv_a.lane_jobs(), srv_b.lane_jobs());
+        let delegated = fed_a.stats().delegations_out;
+        for _ in 0..5 {
+            let granted = client.submit_text_wait(HP).unwrap();
+            assert!(granted[0].machine_name.contains("hp"));
+            client.release(&granted[0]).unwrap();
+        }
+        assert_eq!(fed_a.stats().delegations_out, delegated + 5);
+        assert_eq!(srv_a.lane_jobs(), jobs_a, "the entry daemon ran lane jobs");
+        assert_eq!(srv_b.lane_jobs(), jobs_b, "the far daemon ran lane jobs");
+        assert_eq!(active_jobs(&db_b), 0);
+        client.halt_daemon().unwrap();
+        client.shutdown().unwrap();
+        srv_a.join().unwrap();
+        srv_b.halt();
+        srv_b.join().unwrap();
+    }
+
+    /// What a scripted peer does with the second `Delegate` it is sent.
+    #[derive(Clone, Copy)]
+    enum Second {
+        /// Never answers it (and holds the connection open).
+        Ignore,
+        /// Hangs up on it.
+        HangUp,
+    }
+
+    /// A scripted peer daemon (domain `upc`) on loopback: it handshakes,
+    /// answers the first `Delegate` with a delegable failure, and does
+    /// `second` with the next.  The thread returns once the entry daemon
+    /// has closed the link.
+    fn scripted_peer(second: Second) -> (StageAddress, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut delegates = 0;
+            loop {
+                let frame = match actyp_proto::read_client_frame(&mut stream) {
+                    Ok(Some(frame)) => frame,
+                    // The entry daemon retired the link.
+                    _ => return,
+                };
+                let reply = match frame {
+                    ClientFrame::Hello { max_version, .. } => ServerFrame::HelloAck {
+                        version: max_version,
+                    },
+                    ClientFrame::SyncPools { corr, .. } => ServerFrame::PoolsSynced {
+                        corr,
+                        domain: "upc".to_string(),
+                        pools: Vec::new(),
+                        deltas: Vec::new(),
+                    },
+                    ClientFrame::Delegate {
+                        corr,
+                        ttl,
+                        mut visited,
+                        ..
+                    } => {
+                        delegates += 1;
+                        if delegates > 1 {
+                            match second {
+                                Second::Ignore => continue,
+                                Second::HangUp => return,
+                            }
+                        }
+                        visited.push("upc".to_string());
+                        ServerFrame::Delegated {
+                            corr,
+                            outcome: Err(AllocationError::NoneAvailable),
+                            ttl: ttl.saturating_sub(1),
+                            visited,
+                            deltas: Vec::new(),
+                        }
+                    }
+                    other => panic!("unexpected frame {other:?}"),
+                };
+                write_frame(&mut stream, &reply).unwrap();
+            }
+        });
+        (StageAddress::new("127.0.0.1", addr.port()), peer)
+    }
+
+    /// Submits an hp query on a raw session and waits for it: the one
+    /// `Outcome` it gets, checked to be the only reply — a `Stats` sent
+    /// right after must be answered next.
+    fn wait_once(raw: &mut TcpStream, corr: u64) -> crate::api::QueryOutcome {
+        write_frame(
+            raw,
+            &ClientFrame::Submit {
+                corr: RequestId(corr),
+                query: HP.to_string(),
+            },
+        )
+        .unwrap();
+        let ticket = match read_server_frame(raw).unwrap() {
+            Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+            other => panic!("expected Submitted, got {other:?}"),
+        };
+        write_frame(
+            raw,
+            &ClientFrame::Wait {
+                corr: RequestId(corr),
+                ticket,
+                deadline_ms: None,
+            },
+        )
+        .unwrap();
+        let outcome = match read_server_frame(raw).unwrap() {
+            Some(ServerFrame::Outcome { outcome, .. }) => outcome,
+            other => panic!("expected Outcome, got {other:?}"),
+        };
+        write_frame(
+            raw,
+            &ClientFrame::Stats {
+                corr: RequestId(u64::MAX),
+            },
+        )
+        .unwrap();
+        assert!(
+            matches!(
+                read_server_frame(raw).unwrap(),
+                Some(ServerFrame::StatsReply { .. })
+            ),
+            "a second reply to the same Wait"
+        );
+        outcome
+    }
+
+    /// A peer that accepts a `Delegate` and never answers it costs the
+    /// client a bounded wait — the completion's deadline retires the link
+    /// and the chain ends with the local failure — not a hang.  A peer
+    /// killed while a completion is pending fails that completion exactly
+    /// once, at once.
+    #[test]
+    fn a_silent_or_killed_peer_fails_the_pending_completion_once() {
+        for second in [Second::Ignore, Second::HangUp] {
+            let (peer_addr, peer) = scripted_peer(second);
+            let (srv_a, fed_a) = federated(
+                "purdue",
+                BackendKind::Live,
+                arch_db("sun", 20, 73),
+                vec![peer_addr],
+            );
+            let mut raw = raw_hello(&srv_a.local_addr());
+            raw.set_read_timeout(Some(crate::corr::COMPLETION_TIMEOUT * 5))
+                .unwrap();
+            // Cold link: dialed on the lane, answered, handed to the reactor.
+            assert_eq!(wait_once(&mut raw, 1), Err(AllocationError::NoneAvailable));
+            let started = std::time::Instant::now();
+            assert_eq!(
+                wait_once(&mut raw, 2),
+                Err(AllocationError::NoSuchResources)
+            );
+            let waited = started.elapsed();
+            match second {
+                Second::Ignore => assert!(
+                    waited >= crate::corr::COMPLETION_TIMEOUT
+                        && waited < crate::corr::COMPLETION_TIMEOUT * 3,
+                    "a silent peer is given up on at the completion deadline, took {waited:?}"
+                ),
+                Second::HangUp => assert!(
+                    waited < crate::corr::COMPLETION_TIMEOUT,
+                    "a dead peer fails the completion at once, took {waited:?}"
+                ),
+            }
+            // The link was retired: the peer sees it close, and its domain
+            // left the peer directory.
+            peer.join().unwrap();
+            assert!(!fed_a
+                .peer_directory()
+                .pool_managers()
+                .contains(&"upc".to_string()));
+            drop(raw);
+            srv_a.halt();
+            srv_a.join().unwrap();
+        }
+    }
+
+    /// The federated counterpart of the missed-wait burst: more pipelined
+    /// `Wait`s than the session's completion high-water mark, every one a
+    /// delegation, all in one write.  The read side pauses at the mark and
+    /// resumes as the far daemon answers — no overload refusal — so every
+    /// reply is a delegated allocation.
+    #[test]
+    fn a_burst_of_pipelined_federated_waits_is_answered_in_full() {
+        const TICKETS: u64 = 300;
+        assert!(TICKETS as usize > session::COMPLETIONS_HIGH_WATER);
+        let db_b = arch_db("hp", 400, 74);
+        let (srv_b, _) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
+        let (srv_a, _) = federated(
+            "purdue",
+            BackendKind::Live,
+            arch_db("sun", 20, 75),
+            vec![srv_b.local_addr()],
+        );
+        {
+            // Warm the link, so the burst rides the reactor session.
+            let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
+            let warm = client.submit_text_wait(HP).unwrap();
+            client.release(&warm[0]).unwrap();
+            client.shutdown().unwrap();
+        }
+        let mut raw = raw_hello(&srv_a.local_addr());
+        let mut burst = Vec::new();
+        for i in 0..TICKETS {
+            write_frame(
+                &mut raw,
+                &ClientFrame::Submit {
+                    corr: RequestId(i),
+                    query: HP.to_string(),
+                },
+            )
+            .unwrap();
+            let ticket = match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+                other => panic!("expected Submitted, got {other:?}"),
+            };
+            write_frame(
+                &mut burst,
+                &ClientFrame::Wait {
+                    corr: RequestId(i),
+                    ticket,
+                    deadline_ms: None,
+                },
+            )
+            .unwrap();
+        }
+        raw.write_all(&burst).unwrap();
+        let mut granted = Vec::new();
+        for _ in 0..TICKETS {
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Outcome {
+                    outcome: Ok(allocations),
+                    ..
+                }) => granted.extend(allocations),
+                other => panic!("expected a delegated allocation, got {other:?}"),
+            }
+        }
+        assert_eq!(active_jobs(&db_b), TICKETS as u32);
+        for (i, allocation) in granted.iter().enumerate() {
+            write_frame(
+                &mut raw,
+                &ClientFrame::Release {
+                    corr: RequestId(TICKETS + i as u64),
+                    allocation: allocation.clone(),
+                },
+            )
+            .unwrap();
+            assert!(matches!(
+                read_server_frame(&mut raw).unwrap(),
+                Some(ServerFrame::Released { .. })
+            ));
+        }
+        assert_eq!(active_jobs(&db_b), 0);
+        drop(raw);
+        srv_a.halt();
+        srv_a.join().unwrap();
+        srv_b.halt();
+        srv_b.join().unwrap();
     }
 
     #[test]

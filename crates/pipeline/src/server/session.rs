@@ -4,14 +4,20 @@
 //! [`io_thread_main`] drives every session's nonblocking socket through a
 //! [`Poller`].  Each session is an explicit state machine
 //! ([`ReactorSession`]).  A request that cannot park is answered on the
-//! I/O thread itself; a `Wait` or a `Release` whose answer a backend stage
-//! produces is left with that stage as a completion; only what would park
-//! otherwise is queued on the worker lanes ([`super::lanes`]).  Whoever
-//! produces a reply — I/O thread, backend stage thread or lane worker —
-//! writes it: [`OutQueue::push`] encodes it and, with nothing queued ahead
-//! of it, sends it from that thread.  Only what the socket does not take
-//! stays queued for the session's I/O thread, rung through its
-//! [`IoNotify`] (a syscall only when the thread is asleep).
+//! I/O thread itself; a `Wait`, a `Release` or a `Delegate` whose answer a
+//! backend stage (or a peer daemon) produces is left with it as a
+//! completion; only what would park otherwise is queued on the worker
+//! lanes ([`super::lanes`]).  Whoever produces a reply — I/O thread,
+//! backend stage thread, peer link's I/O thread or lane worker — writes
+//! it: [`OutQueue::push`] encodes it and, with nothing queued ahead of it,
+//! sends it from that thread.  Only what the socket does not take stays
+//! queued for the session's I/O thread, rung through its [`IoNotify`] (a
+//! syscall only when the thread is asleep).
+//!
+//! A federated daemon's first I/O thread also carries the peer links the
+//! federation dials ([`ReactorHost`]): sessions of kind *peer*, whose
+//! frames are the replies to what this daemon asked, routed to the link's
+//! blocked requesters and completions ([`route_replies`]).
 //!
 //! `actyp-lint`'s `reactor-blocking` rule walks the call graph from
 //! `io_thread_main`; keeping its callees in this file (and this
@@ -31,14 +37,15 @@ use parking_lot::Mutex;
 
 use actyp_proto::{
     encode_frame, negotiate, split_frame, ClientFrame, RequestId, ServerFrame, WireDecode,
-    MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
+    WireEncode, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
 use super::lanes::{spawn_job, spawn_uncounted, Lane, LaneBatch, Pools};
 use super::ServerShared;
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::api::{QueryOutcome, Ticket};
-use crate::federation::FederatedBackend;
+use crate::corr::{Conn, FrameSink};
+use crate::federation::{DelegateDone, FederatedBackend, PeerHost};
 use crate::reactor::{Doorbell, Event, Interest, Poller, TimerWheel, Waker};
 
 /// Poller token reserved for the I/O thread's waker pipe.
@@ -236,28 +243,36 @@ impl OutBuf {
 }
 
 impl OutQueue {
-    /// Appends one frame (best effort: an unencodable frame is dropped, a
-    /// closed queue swallows it).  With nothing queued ahead of it the
-    /// frame leaves from the calling thread, in one `write`; what the
-    /// socket does not take stays queued and the session's I/O thread is
-    /// rung for it.  One path for every caller, the I/O thread included.
-    fn push(&self, frame: &ServerFrame) {
+    fn new(token: u64, notify: Arc<IoNotify>, socket: TcpStream) -> Arc<Self> {
+        Arc::new(OutQueue {
+            token,
+            notify,
+            socket,
+            buf: Mutex::new(OutBuf::default()),
+        })
+    }
+
+    /// Appends one frame.  With nothing queued ahead of it the frame leaves
+    /// from the calling thread, in one `write`; what the socket does not
+    /// take stays queued and the session's I/O thread is rung for it.  One
+    /// path for every caller, the I/O thread included.  An over-limit frame
+    /// is refused (`InvalidData`) before a byte is appended, and a closed
+    /// queue takes nothing.
+    fn push<F: WireEncode>(&self, frame: &F) -> std::io::Result<()> {
         {
             let mut buf = self.buf.lock();
             if buf.closed() {
-                return;
+                return Err(std::io::ErrorKind::NotConnected.into());
             }
             let idle = buf.sent == buf.data.len();
-            // An over-limit frame is refused before a byte is appended.
-            if encode_frame(&mut buf.data, frame).is_err() {
-                return;
-            }
+            encode_frame(&mut buf.data, frame)?;
             buf.frames += 1;
             if idle && buf.write_through(&self.socket) {
-                return;
+                return Ok(());
             }
         }
         self.notify.mark_dirty(self.token);
+        Ok(())
     }
 
     /// Marks the queue closed (no more frames will ever be queued) and
@@ -288,15 +303,118 @@ impl OutQueue {
     }
 }
 
-/// The first I/O thread's extra duty: the daemon's listening socket,
-/// registered with that thread's poller as one more readiness source.
-/// Ready connections are accepted nonblockingly and dealt round robin
-/// to every I/O thread (itself included) — there is no dedicated,
-/// always-blocked accept thread.
+/// A peer session's queue is where its attached connection writes.
+impl FrameSink for OutQueue {
+    fn push_frame(&self, frame: &ClientFrame) -> std::io::Result<()> {
+        self.push(frame)
+    }
+}
+
+/// What a federated daemon lends its federation ([`PeerHost`]): the first
+/// I/O thread takes dialed peer sockets over as sessions of kind *peer*,
+/// and the redeem lane runs the steps that must park.
+pub(super) struct ReactorHost {
+    /// Peer sockets handed over and not yet registered; `None` once the
+    /// hosting thread has stopped taking sessions.  Handing over and
+    /// stopping both happen under this lock, so no socket is ever left
+    /// behind in it.
+    adoptions: Mutex<Option<Vec<Adoption>>>,
+    /// The hosting (first) I/O thread's doorbell.
+    notify: Arc<IoNotify>,
+    /// Tokens of peer sessions, from a range no accepted session reaches.
+    next_token: AtomicU64,
+    pools: Arc<Pools>,
+}
+
+/// A dialed peer socket on its way to the hosting I/O thread.
+pub(super) struct Adoption {
+    stream: TcpStream,
+    unread: Vec<u8>,
+    queue: Arc<OutQueue>,
+    conn: Arc<Conn>,
+}
+
+impl ReactorHost {
+    pub(super) fn new(notify: Arc<IoNotify>, pools: Arc<Pools>) -> Self {
+        ReactorHost {
+            adoptions: Mutex::new(Some(Vec::new())),
+            notify,
+            next_token: AtomicU64::new(1 << 62),
+            pools,
+        }
+    }
+
+    fn take_adoptions(&self) -> Vec<Adoption> {
+        self.adoptions
+            .lock()
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    fn has_adoptions(&self) -> bool {
+        matches!(&*self.adoptions.lock(), Some(waiting) if !waiting.is_empty())
+    }
+
+    /// The hosting thread is exiting: no socket is taken from now on, and
+    /// any still waiting is failed, so nobody waits on a link no session
+    /// will ever read.
+    fn stop(&self) {
+        let left = self.adoptions.lock().take().unwrap_or_default();
+        for adoption in left {
+            adoption.conn.poison("daemon shutting down".to_string());
+        }
+    }
+}
+
+impl PeerHost for ReactorHost {
+    fn adopt(
+        &self,
+        stream: TcpStream,
+        unread: Vec<u8>,
+        conn: Arc<Conn>,
+    ) -> Result<Arc<dyn FrameSink>, (TcpStream, Vec<u8>)> {
+        let Ok(socket) = stream.try_clone() else {
+            return Err((stream, unread));
+        };
+        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
+        let queue = OutQueue::new(token, self.notify.clone(), socket);
+        {
+            let mut adoptions = self.adoptions.lock();
+            let Some(waiting) = adoptions.as_mut() else {
+                return Err((stream, unread));
+            };
+            if stream.set_nonblocking(true).is_err() {
+                return Err((stream, unread));
+            }
+            waiting.push(Adoption {
+                stream,
+                unread,
+                queue: queue.clone(),
+                conn,
+            });
+        }
+        self.notify.ring();
+        Ok(queue)
+    }
+
+    fn offload(&self, job: Box<dyn FnOnce() + Send>) {
+        self.pools.redeem.execute(job);
+    }
+}
+
+/// The first I/O thread's extra duties: the daemon's listening socket,
+/// registered with that thread's poller as one more readiness source, and
+/// — on a federated daemon — the peer links it dials.  Ready connections
+/// are accepted nonblockingly and dealt round robin to every I/O thread
+/// (itself included) — there is no dedicated, always-blocked accept
+/// thread.
 pub(super) struct ListenerRole {
     pub(super) listener: TcpListener,
     pub(super) targets: Vec<(Sender<TcpStream>, Arc<IoNotify>)>,
     pub(super) next: usize,
+    /// Where the federation hands dialed peer sockets over.
+    pub(super) host: Option<Arc<ReactorHost>>,
 }
 
 /// Where one reactor session is in its life.
@@ -325,6 +443,10 @@ struct ReactorSession {
     /// The peer disconnected (EOF or transport error): close without
     /// waiting to flush.
     client_gone: bool,
+    /// Set on a session of kind *peer*: a link this daemon dialed, whose
+    /// replies are routed to the connection's requests and completions
+    /// instead of being served as requests.
+    peer: Option<Arc<Conn>>,
 }
 
 impl ReactorSession {
@@ -333,13 +455,14 @@ impl ReactorSession {
         match self.phase {
             // Keep reading while closing only to observe EOF promptly
             // (bytes are discarded); stop reading frames from a client
-            // that is not draining its replies.
+            // that is not draining its replies.  A peer's replies are
+            // always read: they only answer what this daemon asked.
             Phase::Closing => Interest {
                 read: true,
                 write: pending > 0,
             },
             _ => Interest {
-                read: !self.state.backlogged(),
+                read: self.peer.is_some() || !self.state.backlogged(),
                 write: pending > 0,
             },
         }
@@ -367,13 +490,18 @@ fn would_block(e: &std::io::Error) -> bool {
 }
 
 /// One I/O thread: polls its sessions' sockets (plus, on the first
-/// thread, the daemon's listener), parses frames, dispatches work,
-/// flushes write queues, fires its timers, and retires sessions.
+/// thread, the daemon's listener and its peer links), parses frames,
+/// dispatches work, flushes write queues, fires its timers, and retires
+/// sessions.  `first` is the first I/O thread's doorbell, rung when the
+/// last client session of a draining daemon retires: that thread's peer
+/// sessions outlive every client session, whose teardowns may still
+/// release leases across them.
 pub(super) fn io_thread_main(
     shared: Arc<ServerShared>,
     pools: Arc<Pools>,
     incoming: Receiver<TcpStream>,
     notify: Arc<IoNotify>,
+    first: Arc<IoNotify>,
     mut poller: Box<dyn Poller>,
     mut role: Option<ListenerRole>,
 ) {
@@ -383,6 +511,7 @@ pub(super) fn io_thread_main(
     if let Some(role) = &role {
         let _ = poller.register(role.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
     }
+    let host = role.as_ref().and_then(|role| role.host.clone());
     let mut wheel = TimerWheel::new();
     wheel.add_periodic(SWEEP_TIMER, CLOSING_SWEEP_INTERVAL);
     // The anti-entropy gossip tick and the peer health probe are armed
@@ -409,11 +538,21 @@ pub(super) fn io_thread_main(
     // raised drain flag is work nobody rings for twice.
     let mut drain_seen = false;
     loop {
-        if shared.draining.load(Ordering::SeqCst) && sessions.is_empty() {
+        if shared.draining.load(Ordering::SeqCst) && drained(&shared, &sessions) {
+            // The daemon's last client session is gone: nobody will send
+            // over a peer link again.
+            for session in sessions.values() {
+                if let Some(conn) = &session.peer {
+                    conn.poison("daemon shut down".to_string());
+                    let _ = session.stream.shutdown(std::net::Shutdown::Both);
+                }
+            }
             break;
         }
         let may_block = notify.park(|| {
-            !incoming.is_empty() || (!drain_seen && shared.draining.load(Ordering::SeqCst))
+            !incoming.is_empty()
+                || host.as_ref().is_some_and(|host| host.has_adoptions())
+                || (!drain_seen && shared.draining.load(Ordering::SeqCst))
         });
         let timeout = if may_block {
             wheel.poll_timeout(IO_POLL_INTERVAL)
@@ -436,12 +575,20 @@ pub(super) fn io_thread_main(
                 continue;
             }
             if let Some(token) = add_session(
+                &shared,
                 &mut *poller,
                 &mut sessions,
                 &mut next_token,
                 &notify,
                 stream,
             ) {
+                touched.push(token);
+            }
+        }
+
+        // Peer links the federation dialed and handed over.
+        for adoption in host.iter().flat_map(|host| host.take_adoptions()) {
+            if let Some(token) = add_peer_session(&mut *poller, &mut sessions, adoption) {
                 touched.push(token);
             }
         }
@@ -479,33 +626,45 @@ pub(super) fn io_thread_main(
 
         // Timers.  The closing sweep touches sessions whose stalled
         // clients produce no events of their own, so the
-        // CLOSE_FLUSH_GRACE deadline is actually observed.
-        for timer in wheel.expired(std::time::Instant::now()) {
+        // CLOSE_FLUSH_GRACE deadline is actually observed — and retires a
+        // peer link whose completion has waited past its deadline.
+        let now = std::time::Instant::now();
+        for timer in wheel.expired(now) {
             match timer {
                 SWEEP_TIMER => {
                     for (token, session) in sessions.iter() {
-                        if matches!(session.phase, Phase::Closing) {
+                        let overdue = session.peer.as_ref().is_some_and(|conn| conn.expire(now));
+                        if overdue || matches!(session.phase, Phase::Closing) {
                             touched.push(*token);
                         }
                     }
                 }
-                GOSSIP_TIMER => run_periodic(&shared, &pools, &gossip_running, |federation| {
-                    federation.gossip_tick()
-                }),
-                PROBE_TIMER => run_periodic(&shared, &pools, &probe_running, |federation| {
-                    federation.probe_peers();
-                }),
+                GOSSIP_TIMER => run_periodic(
+                    &shared,
+                    &pools,
+                    &gossip_running,
+                    FederatedBackend::gossip_tick,
+                ),
+                PROBE_TIMER => run_periodic(
+                    &shared,
+                    &pools,
+                    &probe_running,
+                    FederatedBackend::probe_peers,
+                ),
                 _ => {}
             }
         }
 
-        // A drain closes every session still open (their teardowns
-        // settle whatever the vanished or idle clients left behind).
+        // A drain closes every client session still open (their
+        // teardowns settle whatever the vanished or idle clients left
+        // behind).  Peer links stay up until the last one is gone.
         if shared.draining.load(Ordering::SeqCst) {
             drain_seen = true;
             for (token, session) in sessions.iter_mut() {
-                begin_close(&shared, &pools, session);
-                touched.push(*token);
+                if session.peer.is_none() {
+                    begin_close(&shared, &pools, session);
+                    touched.push(*token);
+                }
             }
         }
 
@@ -513,20 +672,30 @@ pub(super) fn io_thread_main(
         touched.sort_unstable();
         touched.dedup();
         for token in touched.iter().copied() {
-            refresh_session(&shared, &pools, &mut *poller, &mut sessions, token);
+            refresh_session(&shared, &pools, &mut *poller, &mut sessions, token, &first);
         }
     }
+    if let Some(host) = host {
+        host.stop();
+    }
+}
+
+/// Whether a draining I/O thread may exit: none of its client sessions is
+/// left, and — if it carries peer links — none of the daemon's.
+fn drained(shared: &ServerShared, sessions: &HashMap<u64, ReactorSession>) -> bool {
+    let peers = sessions.values().filter(|s| s.peer.is_some()).count();
+    peers == sessions.len() && (peers == 0 || shared.client_sessions.load(Ordering::SeqCst) == 0)
 }
 
 /// Queues one round of a periodic federation duty on the redeem lane — a
 /// peer exchange is bounded peer I/O, never admission-window blocking —
 /// unless the daemon is draining or the previous round is still running:
 /// a round slower than its interval is skipped, not stacked.
-fn run_periodic(
+fn run_periodic<R: 'static>(
     shared: &ServerShared,
     pools: &Pools,
     running: &Arc<AtomicBool>,
-    round: fn(&FederatedBackend),
+    round: fn(&FederatedBackend) -> R,
 ) {
     let Some(federation) = &shared.federation else {
         return;
@@ -568,6 +737,7 @@ fn accept_ready(shared: &Arc<ServerShared>, role: &mut ListenerRole) {
 
 /// Registers a fresh connection as a session in the hello phase.
 fn add_session(
+    shared: &ServerShared,
     poller: &mut dyn Poller,
     sessions: &mut HashMap<u64, ReactorSession>,
     next_token: &mut u64,
@@ -581,18 +751,14 @@ fn add_session(
     let socket = stream.try_clone().ok()?;
     let token = *next_token;
     *next_token += 1;
-    let queue = Arc::new(OutQueue {
-        token,
-        notify: notify.clone(),
-        socket,
-        buf: Mutex::new(OutBuf::default()),
-    });
+    let queue = OutQueue::new(token, notify.clone(), socket);
     if poller
         .register(stream.as_raw_fd(), token, Interest::READ)
         .is_err()
     {
         return None;
     }
+    shared.client_sessions.fetch_add(1, Ordering::SeqCst);
     sessions.insert(
         token,
         ReactorSession {
@@ -602,6 +768,45 @@ fn add_session(
             read_buf: Vec::new(),
             interest: Interest::READ,
             client_gone: false,
+            peer: None,
+        },
+    );
+    Some(token)
+}
+
+/// Registers a dialed peer link as a session of kind *peer*: its
+/// handshake is done, and what was read past its last reply is the first
+/// thing routed.
+fn add_peer_session(
+    poller: &mut dyn Poller,
+    sessions: &mut HashMap<u64, ReactorSession>,
+    adoption: Adoption,
+) -> Option<u64> {
+    let Adoption {
+        stream,
+        unread,
+        queue,
+        conn,
+    } = adoption;
+    let token = queue.token;
+    if poller
+        .register(stream.as_raw_fd(), token, Interest::READ)
+        .is_err()
+    {
+        conn.poison("peer link could not join the reactor".to_string());
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+        return None;
+    }
+    sessions.insert(
+        token,
+        ReactorSession {
+            stream,
+            state: SessionState::new(queue),
+            phase: Phase::Serving,
+            read_buf: unread,
+            interest: Interest::READ,
+            client_gone: false,
+            peer: Some(conn),
         },
     );
     Some(token)
@@ -665,6 +870,9 @@ fn parse_and_dispatch(
     pools: &Arc<Pools>,
     session: &mut ReactorSession,
 ) {
+    if let Some(conn) = session.peer.clone() {
+        return route_replies(shared, pools, session, &conn);
+    }
     let mut batch = LaneBatch::default();
     let mut pos = 0usize;
     loop {
@@ -692,6 +900,11 @@ fn parse_and_dispatch(
     // per-session counters are already claimed and the teardown's
     // settle loop waits for them.
     batch.flush(shared, pools);
+    consume(session, pos);
+}
+
+/// Drops the first `pos` parsed bytes of the session's read buffer.
+fn consume(session: &mut ReactorSession, pos: usize) {
     if matches!(session.phase, Phase::Closing) {
         // Nothing buffered will ever be parsed now (and a mid-loop
         // close may have replaced the buffer already): drop it whole
@@ -703,6 +916,44 @@ fn parse_and_dispatch(
             session.read_buf.shrink_to(BUF_SHRINK_THRESHOLD);
         }
     }
+}
+
+/// The read path of a session of kind *peer*: every complete reply
+/// buffered is routed through the link's relay — into the inbox of a
+/// request blocked on it, or to a completion, run right here on the I/O
+/// thread.  A frame that cannot be decoded, or that answers nothing this
+/// daemon asked, kills the link.
+fn route_replies(
+    shared: &Arc<ServerShared>,
+    pools: &Arc<Pools>,
+    session: &mut ReactorSession,
+    conn: &Conn,
+) {
+    let mut pos = 0usize;
+    while !matches!(session.phase, Phase::Closing) {
+        let routed = match split_frame(&session.read_buf[pos..]) {
+            Ok(None) => break,
+            Ok(Some((body, used))) => {
+                pos += used;
+                match ServerFrame::from_wire_bytes(body) {
+                    Ok(frame) => conn.route(frame).is_ok(),
+                    Err(e) => {
+                        conn.poison(format!("frame decode error: {e}"));
+                        false
+                    }
+                }
+            }
+            Err(e) => {
+                conn.poison(format!("frame decode error: {e}"));
+                false
+            }
+        };
+        // A completion that just ran may have retired this very link.
+        if !routed || conn.is_dead() {
+            begin_close(shared, pools, session);
+        }
+    }
+    consume(session, pos);
 }
 
 /// The one frame-dispatch `match` of the serving side.  *Who answers* is a
@@ -800,12 +1051,14 @@ fn dispatch_frame(
             corr,
             ticket,
             deadline_ms: None,
-        } if shared.federation.is_none() => {
+        } => {
             // The ticket is redeemed now and the outcome delivered by
             // whoever finds it together with this completion: the I/O
             // thread on a hit, the query-manager stage that reintegrates
-            // it on a miss.  Counted on the session like a release until
-            // it has run.
+            // it on a miss — and on a federated daemon, when the local
+            // outcome is a delegable failure, the I/O thread of the peer
+            // link whose reply ends the chain.  Counted on the session
+            // like a release until it has run.
             let claimed = state.tickets.lock().remove(&ticket);
             let Some(backend_ticket) = claimed else {
                 state.send(&ServerFrame::Error {
@@ -844,8 +1097,8 @@ fn dispatch_frame(
             };
             // A deadline wait whose outcome is already there is delivered
             // from here; one that would park takes the redeem lane, as
-            // does every wait on a federated daemon, where even a poll can
-            // block on peer I/O.
+            // does every deadline wait on a federated daemon, where even a
+            // poll can block on peer I/O.
             if shared.federation.is_none()
                 && redeem_if_ready(shared, &state, corr, ticket, backend_ticket)
             {
@@ -889,16 +1142,16 @@ fn dispatch_frame(
                 drop(pending);
             });
             // A backend that cannot release from here without parking
-            // (a delegated allocation crosses the wire to the owning
-            // domain) hands the completion back, and a worker runs the
-            // blocking call.  It rides the REDEEM lane, not the submit
-            // lane: clients interleave releases with the very waits that
-            // free admission-window permits, so a release queued behind
-            // window-blocked submit jobs would deadlock the whole daemon
-            // (client stuck awaiting the release reply → no further waits
-            // → no permits freed → submits blocked forever).  A release
-            // never blocks on the window itself — only on bounded peer
-            // I/O — so it is safe on this lane.
+            // (a delegated allocation whose link to the owning domain no
+            // reactor session carries yet) hands the completion back, and
+            // a worker runs the blocking call.  It rides the REDEEM lane,
+            // not the submit lane: clients interleave releases with the
+            // very waits that free admission-window permits, so a release
+            // queued behind window-blocked submit jobs would deadlock the
+            // whole daemon (client stuck awaiting the release reply → no
+            // further waits → no permits freed → submits blocked forever).
+            // A release never blocks on the window itself — only on
+            // bounded peer I/O — so it is safe on this lane.
             if let Err(done) = shared.manager.release_with(&allocation, done) {
                 let shared = shared.clone();
                 spawn_uncounted(batch, Lane::Redeem, move || {
@@ -934,18 +1187,26 @@ fn dispatch_frame(
                 state.send(&not_federated(corr));
                 return;
             };
-            let job_state = state.clone();
-            spawn_job(batch, Lane::Submit, &state, corr, move || {
-                let (outcome, routing) = federation.handle_delegate(&query, ttl, visited);
-                // Piggyback whatever gossip the delegating peer has
-                // not acknowledged yet on the reply it is already
-                // waiting for — a free anti-entropy round.
-                let deltas = match job_state.peer_domain.lock().clone() {
-                    Some(peer) => federation.piggyback_deltas(&peer),
-                    None => Vec::new(),
-                };
-                job_state.deliver_delegated(corr, outcome, routing, deltas);
+            // Submitted to the local backend from here; the chain goes on
+            // as completions, and whichever thread ends it — the
+            // query-manager stage, or the I/O thread of the next hop's
+            // link — writes `Delegated`.  Counted on the session until it
+            // has run.
+            let pending = PendingCompletion::begin(&state);
+            let (done_state, done_federation) = (state.clone(), federation.clone());
+            let done: DelegateDone = Box::new(move |outcome, routing| {
+                done_state.deliver_delegated(&done_federation, corr, outcome, routing);
+                drop(pending);
             });
+            // What would park here — a local backend that cannot take the
+            // query without waiting — or is refused runs on the submit
+            // lane, where its submission may wait on the admission window.
+            if let Err(done) = federation.delegate_with(&query, ttl, &visited, done) {
+                spawn_uncounted(batch, Lane::Submit, move || {
+                    let (outcome, routing) = federation.handle_delegate(&query, ttl, visited);
+                    done(outcome, routing);
+                });
+            }
         }
         ClientFrame::SyncPools {
             corr,
@@ -1020,12 +1281,20 @@ fn redeem_if_ready(
 
 /// Transitions the session into [`Phase::Closing`] (idempotent) and
 /// spawns its teardown: the settle loop must not run on the I/O
-/// thread, because it blocks on backend outcomes.
+/// thread, because it blocks on backend outcomes.  A peer link has
+/// nothing to settle or flush: its connection dies — failing whatever
+/// still waits on it — and the session retires at once.
 fn begin_close(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut ReactorSession) {
     if matches!(session.phase, Phase::Closing) {
         return;
     }
     session.phase = Phase::Closing;
+    if let Some(conn) = &session.peer {
+        conn.poison("peer link closed".to_string());
+        session.state.queue.close();
+        session.client_gone = true;
+        return;
+    }
     let shared = shared.clone();
     let state = session.state.clone();
     pools
@@ -1118,13 +1387,19 @@ fn refresh_session(
     poller: &mut dyn Poller,
     sessions: &mut HashMap<u64, ReactorSession>,
     token: u64,
+    first: &IoNotify,
 ) {
     let Some(session) = sessions.get_mut(&token) else {
         return;
     };
+    // A peer link retired elsewhere — shut down, or a completion's
+    // deadline passed — ends its session.
+    if session.peer.as_ref().is_some_and(|conn| conn.is_dead()) {
+        begin_close(shared, pools, session);
+    }
     if !matches!(session.phase, Phase::Closing)
         && !session.read_buf.is_empty()
-        && !session.state.backlogged()
+        && (session.peer.is_some() || !session.state.backlogged())
     {
         parse_and_dispatch(shared, pools, session);
     }
@@ -1132,6 +1407,11 @@ fn refresh_session(
         let session = sessions.remove(&token).expect("session just seen");
         let _ = poller.deregister(session.stream.as_raw_fd());
         let _ = session.stream.shutdown(std::net::Shutdown::Both);
+        let last =
+            session.peer.is_none() && shared.client_sessions.fetch_sub(1, Ordering::SeqCst) == 1;
+        if last && shared.draining.load(Ordering::SeqCst) {
+            first.ring();
+        }
         return;
     }
     let wanted = session.desired_interest();
@@ -1193,7 +1473,7 @@ impl SessionState {
     /// Never blocks: the socket is non-blocking, and what it does not take
     /// is queued for the session's I/O thread.
     pub(super) fn send(&self, frame: &ServerFrame) {
-        self.queue.push(frame);
+        let _ = self.queue.push(frame);
     }
 
     /// Requests of this session somebody else still owes a reply to: jobs
@@ -1279,14 +1559,21 @@ impl SessionState {
 
     /// A delegated outcome's allocations are leased to the *peer
     /// daemon's* session, so a peer that vanishes holding them strands
-    /// nothing here.
+    /// nothing here.  Whatever gossip the delegating peer has not
+    /// acknowledged yet rides the reply it is already waiting for — a free
+    /// anti-entropy round.
     fn deliver_delegated(
         &self,
+        federation: &FederatedBackend,
         corr: RequestId,
         outcome: QueryOutcome,
         state: crate::message::RoutingState,
-        deltas: Vec<actyp_proto::AdvertDelta>,
     ) {
+        let peer = self.peer_domain.lock().clone();
+        let deltas = match peer {
+            Some(peer) => federation.piggyback_deltas(&peer),
+            None => Vec::new(),
+        };
         self.lease(&outcome);
         self.send(&ServerFrame::Delegated {
             corr,
