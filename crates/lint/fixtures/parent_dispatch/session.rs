@@ -13,7 +13,7 @@ fn io_thread_main() {
 fn dispatch_frame() {
     match frame {
         ClientFrame::Submit { corr, query } => {
-            spawn_job(batch, Lane::Submit, &state, corr, move || {
+            pools.submit.execute(move || {
                 handle_submit(&shared, &job_state, corr, &query)
             });
         }
@@ -31,7 +31,7 @@ fn dispatch_frame() {
                 }
             };
             if shared.federation.is_some() {
-                spawn_job(batch, Lane::Redeem, &state, corr, release);
+                pools.redeem.execute(release);
             } else {
                 release();
             }

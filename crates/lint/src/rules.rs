@@ -155,17 +155,24 @@ impl LintConfig {
 }
 
 /// The daemon's non-parking entry points, for a tree whose pipeline
-/// sources sit under `pipeline_src`: the reactor I/O loop; the federation's
-/// completion paths, which run on I/O and stage threads
-/// (`FederatedBackend::{wait_with, release_with, delegate_with}`); and the
-/// peer-session read path, which routes a peer link's replies and runs
-/// their completions on the I/O thread (`corr::Conn::route`, reached from
-/// the session only through a method call the walk cannot resolve).
+/// sources sit under `pipeline_src`: the reactor I/O loop; the completion
+/// paths of the federation and of the live backend, which run on I/O and
+/// stage threads (`FederatedBackend::{wait_with, release_with,
+/// delegate_with}`, and the `api.rs` backends' `submit_with`, `wait_with`
+/// and `release_with` — whose window returns permits and launches queued
+/// admissions); and the peer-session read path, which routes a peer link's
+/// replies and runs their completions on the I/O thread
+/// (`corr::Conn::route`, reached from the session only through a method
+/// call the walk cannot resolve).  The backend calls are reached from the
+/// session only through the trait object, so each is an entry of its own.
 pub fn reactor_entry_points(pipeline_src: &str) -> Vec<String> {
     let file = |name: &str| Path::new(pipeline_src).join(name).display().to_string();
     let mut entries = vec!["io_thread_main".to_string()];
     for function in ["wait_with", "release_with", "delegate_with"] {
         entries.push(format!("{}::{function}", file("federation.rs")));
+    }
+    for function in ["submit_with", "wait_with", "release_with"] {
+        entries.push(format!("{}::{function}", file("api.rs")));
     }
     entries.push(format!("{}::route", file("corr.rs")));
     entries
@@ -599,7 +606,7 @@ const REACTOR_BLOCKING_ANY_ARGS: &[&str] = &["recv_timeout", "recv_deadline"];
 /// Calls on the daemon's hosted backend (`shared.manager.wait(..)`) that
 /// may park.  The backend is a `dyn ResourceManager`, so the walk cannot
 /// follow the call into whatever runs behind it — the method name has to
-/// carry the contract instead.  `try_submit`, `try_poll`, `stats`,
+/// carry the contract instead.  `submit_with`, `try_poll`, `stats`,
 /// `wait_with` and `release_with` promise not to park and are deliberately
 /// absent.
 const MANAGER_PARKING_CALLS: &[&str] = &[
@@ -629,14 +636,7 @@ const PEER_PARKING_CALLS: &[(&str, Option<&str>)] = &[
 /// worker-lane queue, thread spawns, and a federation step offloaded to
 /// the redeem lane.  Their argument lists are skipped entirely — blocking
 /// inside them is the lane's business, not the reactor thread's.
-const DISPATCH_CALLS: &[&str] = &[
-    "spawn",
-    "spawn_job",
-    "spawn_uncounted",
-    "execute",
-    "execute_batch",
-    "offload",
-];
+const DISPATCH_CALLS: &[&str] = &["spawn", "execute", "offload"];
 
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "let", "mut",
@@ -848,7 +848,9 @@ fn record_call(tokens: &[Token], k: usize, info: &mut FnInfo) {
     }
     let prev = k.checked_sub(1).map(|j| tokens[j].text.as_str());
     let is_method = prev == Some(".");
-    if prev == Some("fn") || KEYWORDS.contains(&name) {
+    // A bare `drop(..)` is always `std::mem::drop`: calling a `Drop::drop`
+    // by hand does not compile, so it must not resolve to one.
+    if prev == Some("fn") || KEYWORDS.contains(&name) || (!is_method && name == "drop") {
         return;
     }
     let zero_args = tokens.get(k + 2).map(|t| t.text.as_str()) == Some(")");

@@ -15,14 +15,14 @@ fn the_reactor_walk_covers_the_session_engine() {
     // A `.recv()` planted in any of these would be reported — including
     // `OutQueue::push`, which is only reached through method calls with
     // arguments (`state.send(..)` → `queue.push(..)`), and
-    // `LaneBatch::flush`, which lives in the sibling `lanes.rs`.
+    // `ServerShared::begin_drain`, which lives in the sibling `mod.rs`.
     for (file, function) in [
         ("session.rs", "handle_readable"),
         ("session.rs", "dispatch_frame"),
         ("session.rs", "flush_session"),
         ("session.rs", "send"),
         ("session.rs", "push"),
-        ("lanes.rs", "flush"),
+        ("mod.rs", "begin_drain"),
     ] {
         assert!(
             reachable.contains(&(PathBuf::from(file), function.to_string())),
@@ -52,6 +52,34 @@ fn the_walk_covers_the_federations_completion_paths() {
         ("corr.rs", "request_with"),
         ("corr.rs", "route"),
         ("server/session.rs", "route_replies"),
+    ] {
+        assert!(
+            reachable.contains(&(PathBuf::from(file), function.to_string())),
+            "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
+        );
+    }
+}
+
+/// The live backend's admission window runs on whichever thread returns a
+/// permit — a query-manager stage finishing a `wait_with`, or an I/O thread
+/// answering a `Submit` — and launches queued admissions from there.  The
+/// walk from the backends' completion entry points must reach the
+/// window's return → hand-on → launch → `done` path, so a parking call
+/// planted anywhere on it is reported (and the workspace test below shows
+/// it is clean today).
+#[test]
+fn the_walk_covers_the_admission_windows_launch_path() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
+    let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
+    for (file, function) in [
+        ("api.rs", "submit_with"),
+        ("api.rs", "settle"),
+        ("api.rs", "free"),
+        ("api.rs", "admit"),
+        ("api.rs", "hand_on"),
+        ("api.rs", "launch_granted"),
+        ("api.rs", "launch"),
+        ("live.rs", "on_ready"),
     ] {
         assert!(
             reachable.contains(&(PathBuf::from(file), function.to_string())),

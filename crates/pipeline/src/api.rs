@@ -54,7 +54,6 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -65,7 +64,7 @@ use actyp_query::{BasicQuery, PoolName, Query};
 
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitDone};
 use crate::engine::{Engine, EngineStats, PipelineConfig};
-use crate::live::{LivePipeline, OutcomeSlot};
+use crate::live::{Launcher, LivePipeline, OutcomeSlot};
 use crate::message::{RequestId, StageAddress};
 use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
@@ -78,6 +77,10 @@ pub use actyp_proto::types::StatsSnapshot;
 
 /// The outcome a ticket resolves to.
 pub type QueryOutcome = Result<Vec<Allocation>, AllocationError>;
+
+/// Where [`ResourceManager::submit_with`] delivers its ticket: called at
+/// most once, by whichever thread launches the query.
+pub type SubmitDone = Box<dyn FnOnce(Result<Ticket, AllocationError>) + Send>;
 
 /// Federated domains: one pool manager per `(name, database)` pair.
 pub type DomainList = Vec<(String, SharedDatabase)>;
@@ -207,14 +210,15 @@ pub trait ResourceManager: Send + Sync {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError>;
 
     /// [`submit`](Self::submit) for a caller that must not park — a `ypd`
-    /// I/O thread answering the frame on the spot.  `Ok` carries what
-    /// `submit` would have returned; `Err` hands the query back untouched
-    /// because submitting it now could park, and the caller takes it to a
-    /// thread that may.  The default always hands it back: that is right
-    /// for the eager backends, whose `submit` *is* the whole computation,
-    /// and for the remote one, whose `submit` is a network round trip.
-    fn try_submit(&self, query: Query) -> Result<Result<Ticket, AllocationError>, Query> {
-        Err(query)
+    /// I/O thread.  `Ok` means the query is taken and `done` receives what
+    /// `submit` would have returned, on whichever thread launches it: this
+    /// one, or the one whose release frees its permit in the live backend's
+    /// window.  `Err` hands the query and `done` back uncalled: the caller
+    /// takes [`submit`](Self::submit) to a thread that may park.  The
+    /// default always hands them back, right for the eager backends
+    /// (`submit` *is* the computation) and the remote one (a round trip).
+    fn submit_with(&self, query: Query, done: SubmitDone) -> Result<(), (Query, SubmitDone)> {
+        Err((query, done))
     }
 
     /// Blocks until the ticket's query finishes and returns its outcome.
@@ -327,8 +331,8 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         (**self).submit(query)
     }
-    fn try_submit(&self, query: Query) -> Result<Result<Ticket, AllocationError>, Query> {
-        (**self).try_submit(query)
+    fn submit_with(&self, query: Query, done: SubmitDone) -> Result<(), (Query, SubmitDone)> {
+        (**self).submit_with(query, done)
     }
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         (**self).wait(ticket)
@@ -370,8 +374,7 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
 
 /// Shared all-or-nothing batch submission: on a mid-batch failure every
 /// already-issued ticket is settled and its allocations are handed back, so
-/// the caller never loses tickets it cannot redeem (and, on the live
-/// backend, no window permit stays captive).
+/// the caller never loses tickets it cannot redeem.
 fn submit_batch_cancelling<M: ResourceManager + ?Sized>(
     manager: &M,
     queries: Vec<Query>,
@@ -381,18 +384,21 @@ fn submit_batch_cancelling<M: ResourceManager + ?Sized>(
         match manager.submit(query) {
             Ok(ticket) => tickets.push(ticket),
             Err(e) => {
-                for ticket in tickets {
-                    if let Ok(allocations) = manager.wait(ticket) {
-                        for a in &allocations {
-                            let _ = manager.release(a);
-                        }
-                    }
-                }
+                abandon(manager, tickets);
                 return Err(e);
             }
         }
     }
     Ok(tickets)
+}
+
+/// Settles tickets nobody will redeem, handing their allocations back.
+fn abandon<M: ResourceManager + ?Sized>(manager: &M, tickets: Vec<Ticket>) {
+    for ticket in tickets {
+        for allocation in manager.wait(ticket).iter().flatten() {
+            let _ = manager.release(allocation);
+        }
+    }
 }
 
 /// Store of eagerly resolved tickets (embedded and baseline backends).
@@ -435,103 +441,201 @@ impl ReadyTickets {
     }
 }
 
-/// A counting semaphore bounding the live backend's in-flight window: one
-/// atomic permit count, taken and returned without a lock, plus a condvar
-/// that only acquirers who found the window full ever touch.
+/// The live backend's in-flight window: one atomic permit word, plus a FIFO
+/// of admissions waiting for permits under one lock.
 ///
-/// Every permit is the same permit, so a released one is visible to every
-/// acquirer at once — there is no idle lane for capacity to hide in and
-/// nothing to rescan on a timer: a parked acquirer sleeps until a release
-/// notifies it (or its deadline passes).
-struct Window {
+/// While nothing waits, taking a permit is one `fetch_update` and returning
+/// one an atomic add.  A submission that finds the window full joins the
+/// FIFO with the launch it wants run, so no thread waits for it, and every
+/// returned permit then goes to the head, so nothing overtakes it.  A head
+/// needing *n* permits collects them one by one and is launched, outside
+/// the lock by the thread whose return completed it, once it holds all *n*.
+///
+/// Generic over its primitives, like [`crate::reactor::Doorbell`], so the
+/// model checker (`window_model_tests` below) runs this very code.
+pub(crate) struct Window<W = AtomicUsize, L = Mutex<Fifo>> {
     capacity: usize,
-    permits: AtomicUsize,
-    /// Acquirers parked (or about to park) on `freed`; a release takes the
-    /// lock and notifies only when this is non-zero.
-    waiters: AtomicUsize,
-    parking: std::sync::Mutex<()>,
-    freed: Condvar,
-    /// Acquires that found the window full and had to park.
+    /// Free permits, plus [`QUEUED`] while the FIFO holds an admission.
+    word: W,
+    fifo: L,
+    /// Admissions that found the window full and had to queue.
     contention: AtomicU64,
 }
 
-impl Window {
+/// The mark on a [`Window`]'s permit word while admissions wait: a plain
+/// `try_acquire` fails, and a returned permit is handed on under the lock.
+const QUEUED: usize = 1 << (usize::BITS - 1);
+
+/// What an admission runs once it holds its permits.
+type Launch = Box<dyn FnOnce() + Send>;
+
+/// The permit word of a [`Window`]: one sequentially consistent `usize`.
+pub(crate) trait PermitWord: Send + Sync {
+    fn new(value: usize) -> Self;
+    /// `fetch_update`: the previous value, `Err` when `f` declined.
+    fn update(&self, f: impl FnMut(usize) -> Option<usize>) -> Result<usize, usize>;
+}
+
+impl PermitWord for AtomicUsize {
+    fn new(value: usize) -> Self {
+        AtomicUsize::new(value)
+    }
+    fn update(&self, f: impl FnMut(usize) -> Option<usize>) -> Result<usize, usize> {
+        self.fetch_update(Ordering::SeqCst, Ordering::SeqCst, f)
+    }
+}
+
+/// The lock around a [`Window`]'s [`Fifo`].
+pub(crate) trait FifoLock: Send + Sync {
+    type Guard<'a>: std::ops::DerefMut<Target = Fifo>
+    where
+        Self: 'a;
+    fn new(fifo: Fifo) -> Self;
+    fn lock(&self) -> Self::Guard<'_>;
+}
+
+impl FifoLock for Mutex<Fifo> {
+    type Guard<'a> = parking_lot::MutexGuard<'a, Fifo>;
+    fn new(fifo: Fifo) -> Self {
+        Mutex::new(fifo)
+    }
+    fn lock(&self) -> Self::Guard<'_> {
+        Mutex::lock(self)
+    }
+}
+
+/// The admissions of a [`Window`] that wait for permits, and those granted
+/// theirs that wait to be launched.
+#[derive(Default)]
+pub(crate) struct Fifo {
+    waiting: std::collections::VecDeque<Admission>,
+    granted: std::collections::VecDeque<Launch>,
+    /// A thread is running `granted` right now; it runs new grants too.
+    launching: bool,
+    next_id: u64,
+}
+
+struct Admission {
+    id: u64,
+    need: usize,
+    held: usize,
+    launch: Launch,
+}
+
+impl<W: PermitWord, L: FifoLock> Window<W, L> {
     fn new(permits: usize) -> Self {
         let capacity = permits.max(1);
         Window {
             capacity,
-            permits: AtomicUsize::new(capacity),
-            waiters: AtomicUsize::new(0),
-            parking: std::sync::Mutex::new(()),
-            freed: Condvar::new(),
+            word: W::new(capacity),
+            fifo: L::new(Fifo::default()),
             contention: AtomicU64::new(0),
         }
     }
 
-    /// Takes a permit if one is free; never parks.
+    /// Takes a permit if one is free and no admission waits; never parks.
+    /// Under `buggy-window` (model checking only) it ignores the waiting
+    /// admissions: a permit returned while they wait can be taken before
+    /// the head of the FIFO gets it.
     fn try_acquire(&self) -> bool {
-        self.permits
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |free| {
-                free.checked_sub(1)
+        let honour_queue = !cfg!(feature = "buggy-window");
+        self.word
+            .update(|word| match word & QUEUED {
+                0 => word.checked_sub(1),
+                _ if honour_queue => None,
+                _ => (word & !QUEUED).checked_sub(1).map(|free| free | QUEUED),
             })
             .is_ok()
     }
 
-    /// Acquires a permit, blocking until one frees.
-    fn acquire(&self) {
-        let acquired = self.acquire_until(None);
-        debug_assert!(acquired, "an unbounded acquire cannot time out");
+    /// Returns `permits`: one atomic add while nothing waits, else handed
+    /// on to the FIFO under its lock.
+    fn free(&self, permits: usize) {
+        let before = self
+            .word
+            .update(|word| Some(word + permits))
+            .unwrap_or_else(|word| word);
+        if before & QUEUED != 0 {
+            let mut fifo = self.fifo.lock();
+            self.hand_on(&mut fifo, 0);
+            self.launch_granted(fifo);
+        }
     }
 
-    /// Acquires a permit, giving up at `deadline` (`None`: never).  Returns
-    /// whether a permit was taken — the deadline-bounded backpressure batch
-    /// submission applies instead of blocking indefinitely.
-    fn acquire_until(&self, deadline: Option<Instant>) -> bool {
-        if self.try_acquire() {
-            return true;
+    /// Queues an admission needing `need` permits, whose `launch` runs once
+    /// it holds them all — on this thread when they are free now, else on
+    /// the thread whose return completes it.  The id withdraws it
+    /// ([`Window::cancel`]).
+    fn admit(&self, need: usize, launch: Launch) -> u64 {
+        let mut fifo = self.fifo.lock();
+        let id = fifo.next_id;
+        fifo.next_id += 1;
+        fifo.waiting.push_back(Admission {
+            id,
+            need,
+            held: 0,
+            launch,
+        });
+        self.hand_on(&mut fifo, 0);
+        if fifo.waiting.back().is_some_and(|last| last.id == id) {
+            self.contention.fetch_add(1, Ordering::Relaxed);
         }
-        self.contention.fetch_add(1, Ordering::Relaxed);
-        // Announce the wait *before* the re-check, under the lock a release
-        // notifies under: a release either sees the waiter (and notifies
-        // once this thread is inside `wait`) or happened before the
-        // re-check, which then finds its permit.
-        let mut guard = self.parking.lock().expect("window lock");
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        let acquired = loop {
-            if self.try_acquire() {
-                break true;
-            }
-            guard = match deadline {
-                None => self.freed.wait(guard).expect("window lock"),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break false;
-                    }
-                    self.freed
-                        .wait_timeout(guard, deadline - now)
-                        .expect("window lock")
-                        .0
-                }
-            };
+        self.launch_granted(fifo);
+        id
+    }
+
+    /// Withdraws a waiting admission, passing the permits it collected on
+    /// to the next in line; `false` when it was granted already.
+    fn cancel(&self, id: u64) -> bool {
+        let mut fifo = self.fifo.lock();
+        let Some(at) = fifo.waiting.iter().position(|admission| admission.id == id) else {
+            return false;
         };
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-        acquired
+        let cancelled = fifo.waiting.remove(at).expect("position just found");
+        self.hand_on(&mut fifo, cancelled.held);
+        self.launch_granted(fifo);
+        true
     }
 
-    fn release(&self) {
-        self.permits.fetch_add(1, Ordering::SeqCst);
-        if self.waiters.load(Ordering::SeqCst) > 0 {
-            // Taking the lock orders this notify after the waiter's
-            // re-check-then-wait, so the wake-up cannot fall in between.
-            let _guard = self.parking.lock().expect("window lock");
-            self.freed.notify_one();
+    /// Under the FIFO lock: takes every counted permit (marking the word
+    /// [`QUEUED`] so none is taken past the lock) and, with `extra` already
+    /// in hand, gives them to the waiting admissions head first, granting
+    /// each head that then holds all it needs.  Once none waits, what is
+    /// left goes back to the word and the mark is cleared.
+    fn hand_on(&self, fifo: &mut Fifo, extra: usize) {
+        let counted = self
+            .word
+            .update(|_| Some(QUEUED))
+            .unwrap_or_else(|word| word);
+        let mut free = (counted & !QUEUED) + extra;
+        while let Some(head) = fifo.waiting.front_mut() {
+            let give = (head.need - head.held).min(free);
+            head.held += give;
+            free -= give;
+            if head.held < head.need {
+                return;
+            }
+            let head = fifo.waiting.pop_front().expect("head just seen");
+            fifo.granted.push_back(head.launch);
         }
+        let _ = self.word.update(|word| Some((word & !QUEUED) + free));
     }
 
-    /// Acquires that found the window full and had to park.
-    fn contention(&self) -> u64 {
-        self.contention.load(Ordering::Relaxed)
+    /// Runs the granted launches in grant order, one thread at a time:
+    /// this one, unless another is at it already — that one runs these
+    /// too.  The lock is not held across a launch, which may return its
+    /// permit (a failed launch) or queue another admission.
+    fn launch_granted<'a>(&'a self, mut fifo: L::Guard<'a>) {
+        if fifo.launching {
+            return;
+        }
+        fifo.launching = true;
+        while let Some(launch) = fifo.granted.pop_front() {
+            drop(fifo);
+            launch();
+            fifo = self.fifo.lock();
+        }
+        fifo.launching = false;
     }
 }
 
@@ -614,56 +718,33 @@ impl ResourceManager for EmbeddedBackend {
 ///
 /// Submission launches the query into the pipeline and returns immediately;
 /// up to `window` tickets are in flight at once and further submissions
-/// block until one is redeemed — the backpressure that keeps a fast client
-/// from flooding the stage channels.
+/// queue, in arrival order, until redeeming a ticket frees a permit — the
+/// backpressure that keeps a fast client from flooding the stage channels.
 pub struct LiveBackend {
     pipeline: LivePipeline,
+    ledger: std::sync::Arc<Ledger>,
+    batch_deadline: Duration,
+}
+
+/// What launching and settling a ticket touch, shared with the completions
+/// a stage thread runs and the admissions a releasing thread launches.
+struct Ledger {
+    launcher: Launcher,
     brand: u64,
     next: AtomicU64,
     /// Outstanding tickets, sharded by ticket id; each holds one window
     /// permit until it settles.
     pending: crate::shard::ShardedMap<std::sync::Arc<OutcomeSlot>>,
-    ledger: std::sync::Arc<Ledger>,
-    batch_deadline: Duration,
-}
-
-/// What settling a ticket touches — the window permit it held and the
-/// examined-records count — shared with the completions a stage thread
-/// runs for [`ResourceManager::wait_with`].
-struct Ledger {
     window: Window,
     examined: AtomicU64,
 }
 
 impl Ledger {
-    fn settle(&self, outcome: &QueryOutcome) {
-        if let Ok(allocations) = outcome {
-            let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
-            self.examined.fetch_add(examined, Ordering::Relaxed);
-        }
-        self.window.release();
-    }
-}
-
-impl LiveBackend {
-    fn new(pipeline: LivePipeline, window: usize, batch_deadline: Duration, shards: usize) -> Self {
-        LiveBackend {
-            pipeline,
-            brand: next_backend_brand(),
-            next: AtomicU64::new(0),
-            pending: crate::shard::ShardedMap::new(shards),
-            ledger: std::sync::Arc::new(Ledger {
-                window: Window::new(window),
-                examined: AtomicU64::new(0),
-            }),
-            batch_deadline,
-        }
-    }
-
     /// Launches `query` into the pipeline under a window permit the caller
-    /// already holds; the permit is handed back if the launch fails.
+    /// holds; the permit is returned if the launch fails.  One channel
+    /// send: nothing here parks.
     fn launch(&self, query: Query) -> Result<Ticket, AllocationError> {
-        match self.pipeline.launch(query) {
+        match self.launcher.launch(query) {
             Ok(slot) => {
                 let id = self.next.fetch_add(1, Ordering::Relaxed);
                 self.pending.insert(id, slot);
@@ -673,24 +754,49 @@ impl LiveBackend {
                 })
             }
             Err(e) => {
-                self.ledger.window.release();
+                self.window.free(1);
                 Err(e)
             }
         }
     }
 
-    /// One deadline-bounded batch submission step: waits for a window
-    /// permit until `deadline`, then launches the query.
-    fn submit_until(&self, query: Query, deadline: Instant) -> Result<Ticket, AllocationError> {
-        if !self.ledger.window.acquire_until(Some(deadline)) {
-            return Err(AllocationError::Internal(format!(
-                "batch backpressure deadline of {:?} elapsed with the in-flight \
-                 window of {} still full; redeem outstanding tickets, raise \
-                 PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
-                self.batch_deadline, self.ledger.window.capacity
-            )));
+    /// The admission that launches `queries` once the window has granted
+    /// it a permit each, handing `done` every launch's result.
+    fn admission(
+        ledger: &std::sync::Arc<Ledger>,
+        queries: Vec<Query>,
+        done: impl FnOnce(Vec<Result<Ticket, AllocationError>>) + Send + 'static,
+    ) -> Launch {
+        let ledger = std::sync::Arc::downgrade(ledger);
+        Box::new(move || {
+            let ledger = ledger.upgrade().expect("the ledger outlives its window");
+            done(queries.into_iter().map(|q| ledger.launch(q)).collect());
+        })
+    }
+
+    fn settle(&self, outcome: &QueryOutcome) {
+        if let Ok(allocations) = outcome {
+            let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
+            self.examined.fetch_add(examined, Ordering::Relaxed);
         }
-        self.launch(query)
+        self.window.free(1);
+    }
+}
+
+impl LiveBackend {
+    fn new(pipeline: LivePipeline, window: usize, batch_deadline: Duration, shards: usize) -> Self {
+        LiveBackend {
+            ledger: std::sync::Arc::new(Ledger {
+                launcher: pipeline.launcher(),
+                brand: next_backend_brand(),
+                next: AtomicU64::new(0),
+                pending: crate::shard::ShardedMap::new(shards),
+                window: Window::new(window),
+                examined: AtomicU64::new(0),
+            }),
+            pipeline,
+            batch_deadline,
+        }
     }
 
     /// The underlying live pipeline, for inspection the trait does not
@@ -702,58 +808,84 @@ impl LiveBackend {
     /// Claims `ticket` for redemption: a concurrent redeemer of the same
     /// ticket sees `UnknownTicket` from here on.
     fn claim(&self, ticket: Ticket) -> Result<std::sync::Arc<OutcomeSlot>, AllocationError> {
-        if ticket.brand != self.brand {
+        if ticket.brand != self.ledger.brand {
             return Err(AllocationError::UnknownTicket);
         }
-        self.pending
+        self.ledger
+            .pending
             .remove(ticket.id)
             .ok_or(AllocationError::UnknownTicket)
     }
 }
 
 impl ResourceManager for LiveBackend {
+    /// Parks on a latch only while the submission waits its turn in the
+    /// window's queue.
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        self.ledger.window.acquire();
-        self.launch(query)
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let _taken = self.submit_with(query, Box::new(move |submitted| drop(tx.send(submitted))));
+        rx.recv()
+            .unwrap_or_else(|_| Err(AllocationError::Internal("window dropped".to_string())))
     }
 
-    /// Launching is one channel send, so with a permit in hand nothing
-    /// here can park; a full window hands the query back.
-    fn try_submit(&self, query: Query) -> Result<Result<Ticket, AllocationError>, Query> {
+    /// Launching is one channel send, so nothing here parks: with a permit
+    /// free the query is launched now, else it queues in the window and the
+    /// thread whose release frees its permit launches it.
+    fn submit_with(&self, query: Query, done: SubmitDone) -> Result<(), (Query, SubmitDone)> {
         if self.ledger.window.try_acquire() {
-            Ok(self.launch(query))
+            done(self.ledger.launch(query));
         } else {
-            Err(query)
+            let launch = Ledger::admission(&self.ledger, vec![query], move |mut launched| {
+                done(launched.pop().expect("one query, one launch"))
+            });
+            self.ledger.window.admit(1, launch);
         }
+        Ok(())
     }
 
-    /// Deadline-bounded backpressure: a batch larger than the free window
-    /// waits up to [`PipelineBuilder::batch_deadline`] for permits freed by
-    /// concurrent redeemers instead of being rejected outright (and instead
-    /// of blocking a single-threaded client forever mid-batch, holding
-    /// tickets it can never redeem).  On deadline expiry the tickets
-    /// already issued for the batch are settled internally and their
-    /// allocations released — no window permit or machine claim leaks —
-    /// and the error reports the window state.  Federated daemons forward
-    /// their batches here unchanged, so both daemon modes share these
-    /// semantics.
+    /// Deadline-bounded backpressure: the batch is one admission needing a
+    /// permit per query, so it is all-or-nothing by construction, and waits
+    /// up to [`PipelineBuilder::batch_deadline`] for permits freed by
+    /// concurrent redeemers.  Past the deadline the admission is withdrawn,
+    /// its collected permits pass to the next in line, and the error
+    /// reports the window state.  A batch larger than the whole window,
+    /// which at the head would hold up every admission behind it, is never
+    /// queued but refused at the same deadline.  Federated daemons forward
+    /// batches here.
     fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
-        let deadline = Instant::now() + self.batch_deadline;
-        let mut tickets = Vec::with_capacity(queries.len());
-        for query in queries {
-            match self.submit_until(query, deadline) {
-                Ok(ticket) => tickets.push(ticket),
-                Err(e) => {
-                    for ticket in tickets {
-                        if let Ok(allocations) = self.wait(ticket) {
-                            for a in &allocations {
-                                let _ = self.release(a);
-                            }
-                        }
-                    }
-                    return Err(e);
-                }
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let need = queries.len();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let launch = Ledger::admission(&self.ledger, queries, {
+            let tx = tx.clone();
+            move |launched| drop(tx.send(launched))
+        });
+        // `tx` stays open, so an oversized batch, never queued, still waits
+        // out the deadline below.
+        let window = &self.ledger.window;
+        let id = (need <= window.capacity).then(|| window.admit(need, launch));
+        let launched = match rx.recv_timeout(self.batch_deadline) {
+            Ok(launched) => launched,
+            Err(_) if id.is_none_or(|id| window.cancel(id)) => {
+                return Err(AllocationError::Internal(format!(
+                    "batch backpressure deadline of {:?} elapsed with the in-flight \
+                     window of {} still full; redeem outstanding tickets, raise \
+                     PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
+                    self.batch_deadline, window.capacity
+                )));
             }
+            // Granted as the deadline passed: the launch is under way.
+            Err(_) => rx.recv().expect("a granted admission launches"),
+        };
+        // A launch fails only once the pipeline is down, and from then on
+        // every launch does: the tickets issued before it are settled.
+        let (tickets, failed): (Vec<_>, Vec<_>) = launched.into_iter().partition(Result::is_ok);
+        let tickets = tickets.into_iter().flatten().collect();
+        if let Some(error) = failed.into_iter().find_map(Result::err) {
+            abandon(self, tickets);
+            return Err(error);
         }
         Ok(tickets)
     }
@@ -806,20 +938,20 @@ impl ResourceManager for LiveBackend {
             }
             None => {
                 // Deadline elapsed: the ticket stays redeemable.
-                self.pending.insert(ticket.id, slot);
+                self.ledger.pending.insert(ticket.id, slot);
                 None
             }
         }
     }
 
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        if ticket.brand != self.brand {
+        if ticket.brand != self.ledger.brand {
             return Some(Err(AllocationError::UnknownTicket));
         }
         // One shard guard covers the get + take + remove, so a concurrent
         // redeemer of the same ticket sees `UnknownTicket` rather than a
         // torn entry; other tickets' shards stay free.
-        let mut pending = crate::shard::lock_shard(&self.pending, ticket.id);
+        let mut pending = crate::shard::lock_shard(&self.ledger.pending, ticket.id);
         let Some(slot) = pending.get(&ticket.id) else {
             return Some(Err(AllocationError::UnknownTicket));
         };
@@ -843,12 +975,13 @@ impl ResourceManager for LiveBackend {
         let mut snapshot = snapshot_from_engine(
             self.pipeline.stats(),
             self.ledger.examined.load(Ordering::Relaxed),
-            self.pending.len(),
+            self.ledger.pending.len(),
         );
         snapshot.shard_contention = self
             .ledger
             .window
-            .contention()
+            .contention
+            .load(Ordering::Relaxed)
             .saturating_add(self.pipeline.directory().contention());
         snapshot
     }
@@ -1076,23 +1209,12 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
             fragments: self.fragments.load(Ordering::Relaxed),
             allocations: self.allocations.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
-            delegations: 0,
-            forwards: 0,
-            delegations_out: 0,
-            delegations_in: 0,
             releases: self.releases.load(Ordering::Relaxed),
             records_examined: self.dispatcher.lock().records_examined(),
             in_flight: self.tickets.len(),
-            gossip_deltas_in: 0,
-            gossip_deltas_out: 0,
-            route_hits: 0,
-            route_misses: 0,
-            peer_redials: 0,
-            // Centralized baselines have one big lock by design — the
-            // sharding counters are the pipeline's to report.
-            shard_contention: 0,
-            frames_batched: 0,
-            writes_coalesced: 0,
+            // Centralized baselines have no stages to delegate between and
+            // one big lock by design: every other counter stays zero.
+            ..StatsSnapshot::default()
         }
     }
 
@@ -1215,8 +1337,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Maximum tickets in flight on the live backend before `submit`
-    /// blocks (backpressure).  Clamped to at least 1.
+    /// Maximum tickets in flight on the live backend before submissions
+    /// queue (backpressure).  Clamped to at least 1.
     pub fn window(mut self, window: usize) -> Self {
         self.window = window;
         self
@@ -1245,23 +1367,10 @@ impl PipelineBuilder {
         self
     }
 
-    /// Worker threads per blocking lane (submit / redeem / teardown) for
-    /// a served daemon (clamped to at least 1 each).
-    pub fn reactor_workers(mut self, n: usize) -> Self {
-        self.server.workers = n;
-        self
-    }
-
     /// Readiness poller the reactor's I/O threads use ([`PollerKind::Auto`]
     /// picks epoll on Linux, `poll(2)` elsewhere).
     pub fn poller(mut self, kind: PollerKind) -> Self {
         self.server.poller = kind;
-        self
-    }
-
-    /// Replaces the whole server-side configuration at once.
-    pub fn server_config(mut self, config: ServerConfig) -> Self {
-        self.server = config;
         self
     }
 
@@ -1553,35 +1662,34 @@ mod tests {
     }
 
     #[test]
-    fn a_released_permit_wakes_a_parked_acquirer_without_a_timeout() {
-        let window = std::sync::Arc::new(Window::new(1));
+    fn a_returned_permit_launches_the_next_admission_in_line() {
+        let window: Window = Window::new(1);
         assert!(window.try_acquire());
         assert!(!window.try_acquire(), "a full window never parks a try");
-        // An unbounded acquire has no timeout to fall back on: it returns
-        // only because the release notified it.
-        let (acquired_tx, acquired_rx) = std::sync::mpsc::channel();
-        let parked = {
-            let window = window.clone();
-            std::thread::spawn(move || {
-                window.acquire();
-                acquired_tx.send(()).unwrap();
+        let launched = std::sync::Arc::new(AtomicUsize::new(0));
+        let note = |n: usize| -> Launch {
+            let launched = launched.clone();
+            Box::new(move || {
+                launched.fetch_add(n, Ordering::SeqCst);
             })
         };
-        // Release only once the acquirer has announced itself, so the
-        // release is the one that has to do the waking.
-        while window.waiters.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        window.release();
-        acquired_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the release woke the parked acquirer");
-        parked.join().unwrap();
-        assert_eq!(window.contention(), 1);
-        // A deadline still bounds a wait nobody ends.
-        assert!(!window.acquire_until(Some(Instant::now() + Duration::from_millis(20))));
-        window.release();
+        window.admit(1, note(1));
+        let batch = window.admit(2, note(10));
+        assert_eq!(launched.load(Ordering::SeqCst), 0, "both queue");
+        assert_eq!(window.contention.load(Ordering::Relaxed), 2);
+        // The returning thread launches the head, with the permit it
+        // returned; nothing takes a permit past the queued batch.
+        window.free(1);
+        assert_eq!(launched.load(Ordering::SeqCst), 1);
+        assert!(!window.try_acquire());
+        // The batch collects the next permit but needs two: withdrawn, it
+        // hands that permit back to the window.
+        window.free(1);
+        assert_eq!(launched.load(Ordering::SeqCst), 1);
+        assert!(window.cancel(batch));
+        assert!(!window.cancel(batch), "withdrawn once");
         assert!(window.try_acquire());
+        assert!(!window.try_acquire());
     }
 
     #[test]
@@ -1651,6 +1759,35 @@ mod tests {
             let allocations = manager.wait(ticket).unwrap();
             manager.release(&allocations[0]).unwrap();
         }
+        manager.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_window_holds_up_no_other_submission() {
+        let deadline = Duration::from_secs(3);
+        let manager = std::sync::Arc::new(
+            builder(300, 27)
+                .window(2)
+                .batch_deadline(deadline)
+                .build_live()
+                .unwrap(),
+        );
+        let batch = {
+            let manager = manager.clone();
+            std::thread::spawn(move || manager.submit_batch(vec![Query::paper_example(); 3]))
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        // Queued at the head, the batch would take this permit and keep it
+        // until its deadline.
+        let started = Instant::now();
+        let ticket = manager.submit(Query::paper_example()).unwrap();
+        assert!(started.elapsed() < deadline / 2, "{:?}", started.elapsed());
+        let allocations = manager.wait(ticket).unwrap();
+        manager.release(&allocations[0]).unwrap();
+        assert!(matches!(
+            batch.join().unwrap(),
+            Err(AllocationError::Internal(_))
+        ));
         manager.shutdown().unwrap();
     }
 
@@ -1815,5 +1952,180 @@ mod tests {
         }
         assert_eq!(manager.stats().allocations, 4);
         manager.shutdown().unwrap();
+    }
+}
+
+/// Bounded-interleaving proofs of [`Window`] (`--features model`), run by
+/// the CI `model-check` job: the daemon's own `try_acquire`, `free`,
+/// `admit` and `cancel` over a mutex-wrapped permit word and an
+/// `actyp-model` lock around the FIFO.  Launches run on whichever model
+/// thread completes them and return their permit from there, as a settled
+/// ticket does.
+#[cfg(all(test, feature = "model"))]
+mod window_model_tests {
+    use super::{Fifo, FifoLock, Launch, PermitWord, Window};
+    use actyp_model::sync::{Mutex, MutexGuard};
+    use actyp_model::{thread, Explorer};
+    use std::sync::Arc;
+
+    struct ModelWord(Mutex<usize>);
+
+    impl PermitWord for ModelWord {
+        fn new(value: usize) -> Self {
+            ModelWord(Mutex::new(value))
+        }
+        fn update(&self, mut f: impl FnMut(usize) -> Option<usize>) -> Result<usize, usize> {
+            let mut word = self.0.lock().unwrap();
+            let before = *word;
+            match f(before) {
+                Some(after) => {
+                    *word = after;
+                    Ok(before)
+                }
+                None => Err(before),
+            }
+        }
+    }
+
+    struct ModelLock(Mutex<Fifo>);
+
+    impl FifoLock for ModelLock {
+        type Guard<'a> = MutexGuard<'a, Fifo>;
+        fn new(fifo: Fifo) -> Self {
+            ModelLock(Mutex::new(fifo))
+        }
+        fn lock(&self) -> Self::Guard<'_> {
+            self.0.lock().unwrap()
+        }
+    }
+
+    type ModelWindow = Window<ModelWord, ModelLock>;
+    type Log = Arc<Mutex<Vec<char>>>;
+
+    fn explorer() -> Explorer {
+        Explorer {
+            max_schedules: 200_000,
+            preemption_bound: 2,
+            op_budget: 50_000,
+        }
+    }
+
+    /// A launch that notes `name` and, its work done, returns its permit.
+    fn entry(window: &Arc<ModelWindow>, log: &Log, name: char) -> Launch {
+        let (window, log) = (window.clone(), log.clone());
+        Box::new(move || {
+            log.lock().unwrap().push(name);
+            window.free(1);
+        })
+    }
+
+    /// Takes every free permit, returning how many there were.
+    fn drain(window: &ModelWindow) -> usize {
+        let mut taken = 0;
+        while window.try_acquire() {
+            taken += 1;
+        }
+        taken
+    }
+
+    /// A window of one whose permit is held, with admission `A` queued.
+    /// Concurrently the holder returns the permit, `B` queues, and a
+    /// non-parking caller tries the shortcut (keeping a permit it gets
+    /// just long enough to note it).  `A` arrived before the shortcut was
+    /// tried, so nothing may run before it; `A` and `B` launch in arrival
+    /// order; and once all is done the one permit is back.
+    fn arrival_order_scenario() {
+        let window = Arc::new(ModelWindow::new(1));
+        let log: Log = Arc::default();
+        assert!(window.try_acquire());
+        let a = window.admit(1, entry(&window, &log, 'A'));
+        let holder = {
+            let window = window.clone();
+            thread::spawn(move || window.free(1))
+        };
+        let late = {
+            let (window, log) = (window.clone(), log.clone());
+            thread::spawn(move || window.admit(1, entry(&window, &log, 'B')))
+        };
+        let shortcut = {
+            let (window, log) = (window.clone(), log.clone());
+            thread::spawn(move || {
+                if window.try_acquire() {
+                    log.lock().unwrap().push('T');
+                    window.free(1);
+                }
+            })
+        };
+        holder.join().unwrap();
+        let b = late.join().unwrap();
+        shortcut.join().unwrap();
+        let log = log.lock().unwrap().clone();
+        assert_eq!(log.first(), Some(&'A'), "overtaken: {log:?}");
+        let launched: Vec<char> = log.iter().copied().filter(|&c| c != 'T').collect();
+        assert_eq!(launched, vec!['A', 'B'], "ids {a} < {b}");
+        assert_eq!(drain(&window), 1, "a permit lost or duplicated");
+    }
+
+    /// A window of two with both permits held and a batch `X` needing both
+    /// queued ahead of `C`.  One permit returns while `X` is withdrawn:
+    /// whichever comes first, the permit ends with `C` — handed on by the
+    /// cancel when `X` had collected it — and `X` never runs.
+    fn cancelled_head_scenario() {
+        let window = Arc::new(ModelWindow::new(2));
+        let log: Log = Arc::default();
+        assert_eq!(drain(&window), 2);
+        let x = window.admit(2, entry(&window, &log, 'X'));
+        window.admit(1, entry(&window, &log, 'C'));
+        let holder = {
+            let window = window.clone();
+            thread::spawn(move || window.free(1))
+        };
+        let canceller = {
+            let window = window.clone();
+            thread::spawn(move || window.cancel(x))
+        };
+        holder.join().unwrap();
+        assert!(canceller.join().unwrap(), "X can never hold two permits");
+        assert_eq!(*log.lock().unwrap(), vec!['C']);
+        // `C` returned its permit; the other is still held.
+        assert_eq!(drain(&window), 1, "a permit lost or duplicated");
+    }
+
+    /// Arrival order holds and no permit is lost or duplicated under
+    /// return, enqueue and shortcut races.
+    #[cfg(not(feature = "buggy-window"))]
+    #[test]
+    fn window_admits_in_arrival_order_proven() {
+        let report = explorer().prove(arrival_order_scenario);
+        assert!(report.proven());
+        assert!(report.schedules > 100, "interleavings actually explored");
+    }
+
+    /// A withdrawn head passes the permits it collected to the next in
+    /// line.
+    #[cfg(not(feature = "buggy-window"))]
+    #[test]
+    fn window_cancel_passes_permits_on_proven() {
+        let report = explorer().prove(cancelled_head_scenario);
+        assert!(report.proven());
+        assert!(report.schedules > 10, "interleavings actually explored");
+    }
+
+    /// REGRESSION (`--features model,buggy-window`): a `try_acquire` that
+    /// ignores the queued mark takes a permit the holder just returned,
+    /// before the return is handed on to the head of the FIFO.  The
+    /// exploration must find the shortcut overtaking `A`.
+    #[cfg(feature = "buggy-window")]
+    #[test]
+    fn window_overtaking_recaught() {
+        let report = explorer().explore(arrival_order_scenario);
+        let failure = report
+            .failure
+            .expect("ignoring the queue must let the shortcut overtake within the exploration");
+        assert!(
+            failure.message.contains("overtaken"),
+            "expected an overtaking, got: {}",
+            failure.message
+        );
     }
 }

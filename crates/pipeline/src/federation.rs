@@ -63,7 +63,7 @@ use parking_lot::Mutex;
 use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, RequestId, ServerFrame};
 
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
+use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, SubmitDone, Ticket};
 use crate::corr::{Conn, ConnError, FrameSink, REPLY_TIMEOUT};
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
@@ -666,6 +666,23 @@ struct PendingTicket {
 /// the routing state after every hop (what a `Delegated` reply carries).
 pub type DelegateDone = Box<dyn FnOnce(QueryOutcome, RoutingState) + Send>;
 
+/// A completion lent to a call that takes a completion of its own: whoever
+/// runs the call's completion takes it from here, at most once.
+type Lent<D> = Arc<Mutex<Option<D>>>;
+
+/// Lends `done` to `call`, whose completion `wrap` builds around it; when
+/// `call` hands its completion back uncalled, `done` comes back uncalled,
+/// next to whatever `call` handed back.
+fn lend<D, C, E>(
+    done: D,
+    wrap: impl FnOnce(Lent<D>) -> C,
+    call: impl FnOnce(C) -> Result<(), E>,
+) -> Result<(), (E, D)> {
+    let lent = Arc::new(Mutex::new(Some(done)));
+    call(wrap(lent.clone()))
+        .map_err(|back| (back, lent.lock().take().expect("handed back uncalled")))
+}
+
 /// What a daemon serving a [`FederatedBackend`] lends it
 /// ([`FederatedBackend::attach`]), so the federation's steps finish as
 /// completions on the reactor instead of parking a lane thread.
@@ -1183,17 +1200,14 @@ impl FederatedBackend {
     }
 
     /// [`FederatedBackend::handle_delegate`] for a caller that must not
-    /// park — a `ypd` I/O thread.  The query is submitted to the local
-    /// backend right here; the local outcome continues the chain on the
-    /// stage that produces it, and each onward `Delegate` is written by
-    /// the thread that holds the previous answer.  `done` receives the
-    /// outcome and the routing state after the whole chain, for the
-    /// `Delegated` reply.  Hands `done` back uncalled — nothing changed —
-    /// when serving the request from here could park (the local backend
-    /// cannot take the query without waiting, or no daemon serves this
-    /// backend) or when it is refused (the query already visited this
-    /// domain); the caller then takes `handle_delegate` to a thread that
-    /// may park.
+    /// park — a `ypd` I/O thread.  The local submission is launched from
+    /// here or from the thread that frees its window permit, the local
+    /// outcome continues the chain on the stage that produces it, and each
+    /// onward `Delegate` is written by the thread that holds the previous
+    /// answer; `done` gets the outcome and the final routing state.  Hands
+    /// `done` back uncalled — nothing changed — when the local backend
+    /// hands its submission back, no daemon serves this backend, or the
+    /// query already visited this domain.
     pub fn delegate_with(
         &self,
         query: &str,
@@ -1211,41 +1225,54 @@ impl FederatedBackend {
         if state.has_visited(&self.config.domain) {
             return Err(done);
         }
-        let submitted = if state.alive() {
-            match actyp_query::parse_query(query) {
-                Ok(parsed) => match self.inner.try_submit(parsed) {
-                    Ok(submitted) => Some(submitted),
-                    Err(_) => return Err(done),
-                },
-                Err(e) => Some(Err(AllocationError::Parse(e.to_string()))),
-            }
-        } else {
-            // No hop left to visit this domain: no local work either.
-            None
-        };
-        self.delegations_in.fetch_add(1, Ordering::Relaxed);
         let query = query.to_string();
-        let ticket = match submitted {
-            Some(Ok(ticket)) => ticket,
-            Some(Err(error)) => {
+        let parsed = match state.alive().then(|| actyp_query::parse_query(&query)) {
+            Some(Ok(parsed)) => parsed,
+            Some(Err(e)) => {
+                self.delegations_in.fetch_add(1, Ordering::Relaxed);
+                let error = AllocationError::Parse(e.to_string());
                 backend.federate(&host, query, state, Err(error), done);
                 return Ok(());
             }
             None => {
+                // No hop left to visit this domain: no local work either.
+                self.delegations_in.fetch_add(1, Ordering::Relaxed);
                 let expired = Step::Done(Err(AllocationError::TtlExpired), state);
                 backend.drive(&host, query, expired, done);
                 return Ok(());
             }
         };
-        let local: WaitDone = Box::new({
-            let host = host.clone();
-            let backend = backend.clone();
-            move |outcome| backend.federate(&host, query, state, outcome, done)
-        });
-        if let Err(local) = self.inner.wait_with(ticket, local) {
-            // The local backend cannot wait without parking: the lane does.
-            host.offload(Box::new(move || local(backend.inner.wait(ticket))));
-        }
+        // The local submission may wait its turn in the window: the chain
+        // goes on from whichever thread launches it.
+        lend(
+            done,
+            |lent| -> SubmitDone {
+                Box::new(move |submitted| {
+                    let Some(done) = lent.lock().take() else {
+                        return;
+                    };
+                    let ticket = match submitted {
+                        Ok(ticket) => ticket,
+                        Err(error) => {
+                            return backend.federate(&host, query, state, Err(error), done)
+                        }
+                    };
+                    let local: WaitDone = Box::new({
+                        let (host, backend) = (host.clone(), backend.clone());
+                        move |outcome| backend.federate(&host, query, state, outcome, done)
+                    });
+                    if let Err(local) = backend.inner.wait_with(ticket, local) {
+                        // The local backend cannot wait without parking:
+                        // the lane does.
+                        let waiter = backend.clone();
+                        host.offload(Box::new(move || local(waiter.inner.wait(ticket))));
+                    }
+                })
+            },
+            |submitted| self.inner.submit_with(parsed, submitted),
+        )
+        .map_err(|(_, done)| done)?;
+        self.delegations_in.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1385,33 +1412,12 @@ impl FederatedBackend {
         }
     }
 
-    /// Bounded redemption that *never delegates*: the local outcome is
-    /// returned as-is, delegable failure or not.
-    ///
-    /// This is the "settle locally only" hint the server's session
-    /// teardown plumbs through when it settles tickets a vanished client
-    /// abandoned (ROADMAP "teardown delegation churn"): there is nobody
-    /// left to use an allocation a peer would make, so shipping the query
-    /// across the WAN — and then releasing the result hop by hop — would
-    /// be pure churn.  Clients redeeming their own tickets keep the full
-    /// federating behaviour of [`ResourceManager::wait_deadline`].
-    pub fn wait_deadline_local(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        if ticket.brand() != self.brand {
-            return Some(Err(AllocationError::UnknownTicket));
-        }
-        let pending = match self.tickets.lock().remove(&ticket.id()) {
-            Some(pending) => pending,
-            None => return Some(Err(AllocationError::UnknownTicket)),
-        };
-        match self.inner.wait_deadline(pending.inner, timeout) {
-            Some(outcome) => Some(outcome),
-            None => {
-                // Deadline elapsed: the ticket stays redeemable for a
-                // later settling round.
-                self.tickets.lock().insert(ticket.id(), pending);
-                None
-            }
-        }
+    /// Spends `ticket`, returning the wrapped backend's ticket behind it —
+    /// for a closing session, which settles what its vanished client
+    /// abandoned locally: nobody is left to use an allocation a peer would
+    /// make, so delegating (and releasing hop by hop) would be pure churn.
+    pub(crate) fn take_local(&self, ticket: Ticket) -> Option<Ticket> {
+        self.take_ticket(ticket).ok().map(|pending| pending.inner)
     }
 
     /// Records an inner ticket with its query text (kept so a local
@@ -1702,15 +1708,29 @@ impl ResourceManager for FederatedBackend {
         Ok(self.issue(inner, rendered))
     }
 
-    /// Submission is always local first, so it parks exactly when the
-    /// wrapped backend's would.
-    fn try_submit(
+    /// Submission is always local first: a served backend forwards to the
+    /// wrapped backend's `submit_with`.
+    fn submit_with(
         &self,
         query: actyp_query::Query,
-    ) -> Result<Result<Ticket, AllocationError>, actyp_query::Query> {
+        done: SubmitDone,
+    ) -> Result<(), (actyp_query::Query, SubmitDone)> {
+        let Some((backend, _)) = self.served() else {
+            return Err((query, done));
+        };
         let rendered = query.to_string();
-        let submitted = self.inner.try_submit(query)?;
-        Ok(submitted.map(|inner| self.issue(inner, rendered)))
+        lend(
+            done,
+            |lent| -> SubmitDone {
+                Box::new(move |submitted| {
+                    if let Some(done) = lent.lock().take() {
+                        done(submitted.map(|inner| backend.issue(inner, rendered)));
+                    }
+                })
+            },
+            |submitted| self.inner.submit_with(query, submitted),
+        )
+        .map_err(|((query, _), done)| (query, done))
     }
 
     /// Batches forward to the inner backend's own batch submission, so an
@@ -1742,12 +1762,9 @@ impl ResourceManager for FederatedBackend {
     /// chain, which may run past the deadline — the alternative would be
     /// to fail a query a peer could have satisfied.
     fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        if ticket.brand() != self.brand {
-            return Some(Err(AllocationError::UnknownTicket));
-        }
-        let pending = match self.tickets.lock().remove(&ticket.id()) {
-            Some(pending) => pending,
-            None => return Some(Err(AllocationError::UnknownTicket)),
+        let pending = match self.take_ticket(ticket) {
+            Ok(pending) => pending,
+            Err(error) => return Some(Err(error)),
         };
         match self.inner.wait_deadline(pending.inner, timeout) {
             Some(outcome) => Some(self.settle(&pending.query, outcome)),
@@ -1806,36 +1823,31 @@ impl ResourceManager for FederatedBackend {
                 self.tickets.lock().insert(ticket.id(), pending);
             });
         };
-        // Shared with the completion the wrapped backend gets, so a
-        // hand-back returns the caller's `done` (and the query) uncalled.
-        let caller = Arc::new(Mutex::new(Some((done, pending.query))));
-        let local: WaitDone = Box::new({
-            let caller = caller.clone();
-            move |outcome| {
-                let Some((done, query)) = caller.lock().take() else {
-                    return;
-                };
-                match outcome {
-                    Err(error) if is_delegable(&error) => {
-                        let state = RoutingState::new(backend.config.ttl);
-                        let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
-                        backend.federate(&host, query, state, Err(error), finish);
+        lend(
+            (done, pending.query),
+            |lent| -> WaitDone {
+                Box::new(move |outcome| {
+                    let Some((done, query)) = lent.lock().take() else {
+                        return;
+                    };
+                    match outcome {
+                        Err(error) if is_delegable(&error) => {
+                            let state = RoutingState::new(backend.config.ttl);
+                            let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
+                            backend.federate(&host, query, state, Err(error), finish);
+                        }
+                        final_outcome => done(final_outcome),
                     }
-                    final_outcome => done(final_outcome),
-                }
-            }
-        });
-        match self.inner.wait_with(inner, local) {
-            Ok(()) => Ok(()),
-            Err(local) => {
-                drop(local);
-                let (done, query) = caller.lock().take().expect("handed back uncalled");
-                self.tickets
-                    .lock()
-                    .insert(ticket.id(), PendingTicket { inner, query });
-                Err(done)
-            }
-        }
+                })
+            },
+            |local| self.inner.wait_with(inner, local),
+        )
+        .map_err(|(_, (done, query))| {
+            self.tickets
+                .lock()
+                .insert(ticket.id(), PendingTicket { inner, query });
+            done
+        })
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {

@@ -457,9 +457,30 @@ struct StageWorkers {
     pool_managers: Vec<JoinHandle<()>>,
 }
 
+/// The query-manager stages' shared submission channel: launching is one
+/// send on it, which never parks.
+#[derive(Clone)]
+pub(crate) struct Launcher(Sender<QmMsg>);
+
+impl Launcher {
+    /// Launches a query into the pipeline without waiting: the returned
+    /// slot receives the outcome when the pipeline finishes.  Several
+    /// launched queries overlap across the query-manager, pool-manager and
+    /// pool stages — this is the pipelining the paper measures, available to
+    /// a single client thread.
+    pub(crate) fn launch(&self, query: Query) -> Result<Arc<OutcomeSlot>, AllocationError> {
+        let slot = OutcomeSlot::new();
+        let reply = Promise(Some(slot.clone()));
+        self.0
+            .send(QmMsg::Submit { query, reply })
+            .map_err(|_| AllocationError::Internal("query manager stage is down".to_string()))?;
+        Ok(slot)
+    }
+}
+
 /// A running, threaded deployment of the pipeline.
 pub struct LivePipeline {
-    qm_tx: Sender<QmMsg>,
+    launcher: Launcher,
     pm_txs: HashMap<String, Sender<PmMsg>>,
     directory: SharedDirectory,
     workers: Mutex<StageWorkers>,
@@ -553,7 +574,7 @@ impl LivePipeline {
         }
 
         LivePipeline {
-            qm_tx,
+            launcher: Launcher(qm_tx),
             pm_txs,
             directory,
             workers: Mutex::new(workers),
@@ -573,18 +594,9 @@ impl LivePipeline {
         self.counters.snapshot()
     }
 
-    /// Launches a query into the pipeline without waiting: the returned
-    /// slot receives the outcome when the pipeline finishes.  Several
-    /// launched queries overlap across the query-manager, pool-manager and
-    /// pool stages — this is the pipelining the paper measures, available to
-    /// a single client thread.
-    pub(crate) fn launch(&self, query: Query) -> Result<Arc<OutcomeSlot>, AllocationError> {
-        let slot = OutcomeSlot::new();
-        let reply = Promise(Some(slot.clone()));
-        self.qm_tx
-            .send(QmMsg::Submit { query, reply })
-            .map_err(|_| AllocationError::Internal("query manager stage is down".to_string()))?;
-        Ok(slot)
+    /// A handle that launches queries into this pipeline from anywhere.
+    pub(crate) fn launcher(&self) -> Launcher {
+        self.launcher.clone()
     }
 
     /// The stage hosting `allocation`'s pool, when the directory knows it.
@@ -659,7 +671,7 @@ impl LivePipeline {
         // Phase 1: stop the query managers.  Each worker consumes its
         // shutdown marker only after the submissions queued ahead of it.
         for _ in 0..self.query_managers {
-            let _ = self.qm_tx.send(QmMsg::Shutdown);
+            let _ = self.launcher.0.send(QmMsg::Shutdown);
         }
         let qm_handles: Vec<JoinHandle<()>> =
             self.workers.lock().query_managers.drain(..).collect();
@@ -730,7 +742,7 @@ mod tests {
     fn submit_text(pipeline: &LivePipeline, text: &str) -> Outcome {
         let query =
             actyp_query::parse_query(text).map_err(|e| AllocationError::Parse(e.to_string()))?;
-        let slot = pipeline.launch(query)?;
+        let slot = pipeline.launcher.launch(query)?;
         redeem(&slot)
     }
 
@@ -849,7 +861,7 @@ mod tests {
         let query = Query::paper_example();
         // Three queries in flight before any reply is awaited.
         let pending: Vec<_> = (0..3)
-            .map(|_| pipeline.launch(query.clone()).unwrap())
+            .map(|_| pipeline.launcher.launch(query.clone()).unwrap())
             .collect();
         for slot in pending {
             let allocations = redeem(&slot).unwrap();
@@ -865,7 +877,7 @@ mod tests {
         // is still queued when shutdown begins is processed end to end and
         // its slot receives the real outcome.
         let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(200, 11));
-        let slot = pipeline.launch(Query::paper_example()).unwrap();
+        let slot = pipeline.launcher.launch(Query::paper_example()).unwrap();
         pipeline.shutdown().unwrap();
         let allocations = redeem(&slot).unwrap();
         assert_eq!(allocations.len(), 1);
@@ -924,7 +936,7 @@ mod tests {
     #[test]
     fn worker_panics_surface_at_shutdown() {
         let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(50, 10));
-        pipeline.qm_tx.send(QmMsg::Panic).unwrap();
+        pipeline.launcher.0.send(QmMsg::Panic).unwrap();
         let err = pipeline.shutdown().unwrap_err();
         match err {
             AllocationError::Internal(message) => {

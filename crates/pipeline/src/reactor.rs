@@ -773,9 +773,6 @@ pub struct WorkerPool {
 
 enum Job {
     Run(Box<dyn FnOnce() + Send>),
-    /// Several jobs riding one queue send — one channel operation and one
-    /// worker wakeup for a whole batch of decoded frames.
-    Batch(Vec<Box<dyn FnOnce() + Send>>),
     Stop,
 }
 
@@ -794,19 +791,11 @@ impl WorkerPool {
             let handle = builder
                 .spawn(move || {
                     // Ends on the first Stop marker or a disconnected queue.
-                    loop {
-                        let jobs = match rx.recv() {
-                            Ok(Job::Run(job)) => vec![job],
-                            Ok(Job::Batch(jobs)) => jobs,
-                            Ok(Job::Stop) | Err(_) => break,
-                        };
-                        for job in jobs {
-                            ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                            if outcome.is_err() {
-                                panics.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
+                    while let Ok(Job::Run(job)) = rx.recv() {
+                        ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                        if outcome.is_err() {
+                            panics.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                         }
                     }
                 })
@@ -837,23 +826,6 @@ impl WorkerPool {
     /// sessions that could queue work are gone by then).
     pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
         let _ = self.tx.send(Job::Run(Box::new(job)));
-    }
-
-    /// Queues a batch of jobs with a single channel send (one queue lock,
-    /// one worker wakeup).  The batch runs in order on *one* worker —
-    /// exactly the ordering a batch of frames from one session needs —
-    /// while other workers stay free for other sessions' batches.
-    pub fn execute_batch(&self, jobs: Vec<Box<dyn FnOnce() + Send>>) {
-        match jobs.len() {
-            0 => {}
-            1 => {
-                let mut jobs = jobs;
-                let _ = self.tx.send(Job::Run(jobs.pop().expect("one job")));
-            }
-            _ => {
-                let _ = self.tx.send(Job::Batch(jobs));
-            }
-        }
     }
 
     /// Stops the pool after the queued jobs finish: every worker gets a

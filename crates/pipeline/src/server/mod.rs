@@ -7,8 +7,8 @@
 //! Each connection is a *session* with its own ticket table: wire ticket
 //! ids are session-scoped, so one client can never redeem (or guess)
 //! another's tickets.  Allocations are *session leases*: a session that
-//! ends settles its outstanding tickets (outcomes awaited, bounded by a
-//! teardown budget) and hands back every allocation the client still held,
+//! ends settles its outstanding tickets (each outcome taken as it arrives
+//! and handed straight back) and every allocation the client still held,
 //! so an abruptly disconnected client leaks neither machines nor window
 //! permits.  [`ServerHandle::halt`] (or a client's [`ClientFrame::Halt`])
 //! drains the daemon gracefully: the listener stops accepting, open
@@ -25,32 +25,19 @@
 //! write queue the I/O thread flushes as the socket allows (with a
 //! high-water mark that stops *reading* from a client that is not draining
 //! its replies), and a drain-aware close that lets queued replies leave
-//! before the socket shuts.  A backend call that can *park* never runs on
-//! an I/O thread: it is queued onto one shared, capped
-//! [`crate::reactor::WorkerPool`] per lane (`lanes.rs`,
-//! [`ServerConfig::workers`] threads each) —
-//!
-//! * the *submit* lane (submissions the backend cannot take without
-//!   waiting, batch submits, delegations in it cannot take), whose jobs
-//!   may block on the live backend's admission window,
-//! * the *redeem* lane (deadline waits that miss, and on a federated
-//!   daemon every deadline wait and poll; waits and releases a backend
-//!   hands back; delegation steps over a cold peer link), whose jobs
-//!   resolve by pipeline progress or bounded peer I/O alone, and
-//! * the *teardown* lane (session settles for closed connections), so a
-//!   mass disconnect never spawns a thread per closing session —
-//!
-//! kept separate so a lane full of window-blocked submissions can never
-//! starve the redemptions (or the releases clients interleave with them)
-//! that would free those very permits.  A call that cannot park is
-//! finished by the I/O thread that decoded it
-//! ([`ResourceManager::try_submit`], [`ResourceManager::try_poll`]), and a
-//! wait or a release by the backend stage that produces its answer
-//! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`]).
-//! Whoever finishes a request writes the reply to the session's
-//! non-blocking socket itself; only what the socket does not take is
-//! queued for the session's I/O thread, which is rung for it — a syscall
-//! only if that thread is asleep in `poll`.
+//! before the socket shuts.  A request is finished by whichever thread has
+//! its answer: the I/O thread that decoded it when nothing has to wait; the
+//! backend stage that produces a wait's or a release's answer
+//! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`]); for
+//! a `Submit` the live backend's admission window
+//! ([`ResourceManager::submit_with`]), at once or from the thread whose
+//! release frees its permit.  A closing session settles its abandoned
+//! tickets the same way.  Only a call that would *park* leaves the I/O
+//! thread, for one of two fixed worker lanes (`lanes.rs`).  Whoever
+//! finishes a request writes the reply to the session's non-blocking socket
+//! itself; only what the socket does not take is queued for the session's
+//! I/O thread, which is rung for it — a syscall only if that thread is
+//! asleep in `poll`.
 //! The listener itself is one more readiness source on the first I/O
 //! thread — there is no dedicated accept thread — and that thread's timer
 //! wheel also drives the periodic anti-entropy gossip tick and peer health
@@ -60,7 +47,7 @@
 //! or `Release` to a peer written by the thread that holds the previous
 //! answer, and each peer reply finished there (see
 //! [`crate::federation`]).  The daemon's thread count is therefore
-//! *independent of its session count*: the I/O pool + three worker lanes +
+//! *independent of its session count*: the I/O pool + two worker lanes +
 //! the hosted backend, whether two clients are connected or two thousand.
 
 use std::net::{SocketAddr, TcpListener};
@@ -83,19 +70,14 @@ mod lanes;
 #[cfg(unix)]
 mod session;
 
-/// Server-side knobs: how many threads the daemon spends on session I/O
-/// and blocking backend calls.  The defaults suit a daemon on a small
-/// host; raise [`ServerConfig::io_threads`] and [`ServerConfig::workers`]
-/// together with core count and backend latency.
+/// Server-side knobs: how many threads the daemon spends on session I/O,
+/// and how they wait for readiness.  The defaults suit a daemon on a small
+/// host; raise [`ServerConfig::io_threads`] with core count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Reactor I/O threads (clamped to at least 1).  Sessions are
     /// distributed round-robin across them at accept time.
     pub io_threads: usize,
-    /// Worker threads *per lane* (submit, redeem and teardown lanes,
-    /// clamped to at least 1 each): the cap on concurrently executing
-    /// blocking backend calls.
-    pub workers: usize,
     /// Which readiness poller the I/O threads use.  [`PollerKind::Auto`]
     /// picks the platform's best; the test suite forces
     /// [`PollerKind::Poll`] on Linux to keep the portable poller honest.
@@ -106,7 +88,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             io_threads: 2,
-            workers: 4,
             poller: PollerKind::Auto,
         }
     }
@@ -122,17 +103,22 @@ struct ServerShared {
     draining: AtomicBool,
     /// Client sessions open on every I/O thread (peer links excluded): a
     /// draining daemon keeps its peer links up until this reaches zero,
-    /// because a closing session's teardown may release leases across them.
+    /// because a closing session's settling may release leases across them.
     client_sessions: std::sync::atomic::AtomicUsize,
     /// The session engine.  Taken at join time.
     reactor: Mutex<Option<ReactorEngine>>,
-    /// Frames that rode a multi-frame lane batch (one queue send, one
-    /// worker wakeup for the whole batch); overlaid on every `Stats`
-    /// reply.
+    /// The worker lanes, reached by whichever thread hands a step on.
+    #[cfg(unix)]
+    pools: Arc<lanes::Pools>,
+    /// Frames decoded from a readable event that carried more than one;
+    /// overlaid on every `Stats` reply.
     frames_batched: AtomicU64,
     /// Flushes that drained more than one queued frame with a single
     /// coalesced socket write.
     writes_coalesced: AtomicU64,
+    /// Turns of every I/O thread's event loop.
+    #[cfg(all(test, unix))]
+    io_loops: AtomicU64,
 }
 
 impl ServerShared {
@@ -171,11 +157,7 @@ impl ServerHandle {
     /// Jobs the daemon's worker lanes have started so far.
     #[cfg(all(test, unix))]
     pub(crate) fn lane_jobs(&self) -> u64 {
-        self.shared
-            .reactor
-            .lock()
-            .as_ref()
-            .map_or(0, |engine| engine.pools.jobs_run())
+        self.shared.pools.submit.jobs_run() + self.shared.pools.redeem.jobs_run()
     }
 
     /// Blocks until the daemon has fully drained (listener closed and
@@ -197,7 +179,7 @@ impl ServerHandle {
         // be held across them, deadlocking a `Halt` that wakes the engine.
         let engine = self.shared.reactor.lock().take();
         if let Some(engine) = engine {
-            engine.join(&mut problems);
+            engine.join(&self.shared, &mut problems);
         }
         if let Some(federation) = &self.shared.federation {
             federation.detach();
@@ -225,8 +207,7 @@ pub fn serve(
     serve_inner(manager, None, addr, ServerConfig::default())
 }
 
-/// [`serve`] with explicit server-side knobs (I/O-thread and worker-lane
-/// sizes, poller choice).
+/// [`serve`] with explicit server-side knobs (I/O threads, poller choice).
 pub fn serve_with(
     manager: Box<dyn ResourceManager>,
     addr: &StageAddress,
@@ -273,8 +254,12 @@ fn serve_inner(
         draining: AtomicBool::new(false),
         client_sessions: std::sync::atomic::AtomicUsize::new(0),
         reactor: Mutex::new(None),
+        #[cfg(unix)]
+        pools: Arc::new(lanes::Pools::new()),
         frames_batched: AtomicU64::new(0),
         writes_coalesced: AtomicU64::new(0),
+        #[cfg(all(test, unix))]
+        io_loops: AtomicU64::new(0),
     });
     // The listener is handed to the engine itself: the first I/O thread
     // polls it as one more readiness source.
@@ -299,18 +284,16 @@ struct IoHandle {
     thread: std::thread::JoinHandle<()>,
 }
 
-/// The running reactor: I/O threads and worker lanes.
+/// The running reactor's I/O threads.
 #[cfg(unix)]
 struct ReactorEngine {
     io: Vec<IoHandle>,
-    pools: Arc<lanes::Pools>,
 }
 
 #[cfg(unix)]
 impl ReactorEngine {
-    /// Spawns the worker lanes and `config.io_threads` I/O threads, each
-    /// with its own poller and waker.  The listener rides the first
-    /// thread.
+    /// Spawns `config.io_threads` I/O threads, each with its own poller
+    /// and waker.  The listener rides the first thread.
     fn start(
         shared: &Arc<ServerShared>,
         config: &ServerConfig,
@@ -318,7 +301,7 @@ impl ReactorEngine {
     ) -> std::io::Result<ReactorEngine> {
         listener.set_nonblocking(true)?;
         // Every thread's poller, doorbell and socket channel exist before
-        // any thread (or worker lane) starts: the listener thread needs
+        // any thread starts: the listener thread needs
         // the full target list for round-robin dispatch.
         let mut parts = Vec::new();
         for _ in 0..config.io_threads.max(1) {
@@ -331,16 +314,13 @@ impl ReactorEngine {
             .iter()
             .map(|(_, notify, tx, _)| (tx.clone(), notify.clone()))
             .collect();
-        let mut engine = ReactorEngine {
-            io: Vec::new(),
-            pools: Arc::new(lanes::Pools::new(config.workers)),
-        };
+        let mut engine = ReactorEngine { io: Vec::new() };
         // The first I/O thread carries a federated daemon's peer links.
         let first = targets[0].1.clone();
         let host = shared.federation.as_ref().map(|federation| {
             let host = Arc::new(session::ReactorHost::new(
                 first.clone(),
-                engine.pools.clone(),
+                shared.pools.clone(),
             ));
             federation.attach(host.clone());
             host
@@ -357,10 +337,9 @@ impl ReactorEngine {
                 .name(format!("ypd-io-{i}"))
                 .spawn({
                     let shared = shared.clone();
-                    let pools = engine.pools.clone();
                     let notify = notify.clone();
                     let first = first.clone();
-                    move || session::io_thread_main(shared, pools, rx, notify, first, poller, role)
+                    move || session::io_thread_main(shared, rx, notify, first, poller, role)
                 });
             match spawned {
                 Ok(thread) => engine.io.push(IoHandle {
@@ -372,7 +351,7 @@ impl ReactorEngine {
                     // Unwind the threads already spawned: flag the drain
                     // so they exit, then report the failure.
                     shared.draining.store(true, Ordering::SeqCst);
-                    engine.join(&mut Vec::new());
+                    engine.join(shared, &mut Vec::new());
                     return Err(e);
                 }
             }
@@ -388,16 +367,17 @@ impl ReactorEngine {
     }
 
     /// Engine teardown: the I/O threads exit once the drain is flagged
-    /// and every session is closed, the per-session teardowns finish
-    /// settling, and the worker lanes stop after their queues drain.
-    fn join(self, problems: &mut Vec<String>) {
+    /// and every session has settled and closed, and the worker lanes stop
+    /// after their queues drain.
+    fn join(self, shared: &ServerShared, problems: &mut Vec<String>) {
         for io in self.io {
             io.notify.ring();
             if io.thread.join().is_err() {
                 problems.push("ypd I/O thread panicked".to_string());
             }
         }
-        let worker_panics = self.pools.shutdown();
+        // Each lane stops once its queue has drained.
+        let worker_panics = shared.pools.submit.shutdown() + shared.pools.redeem.shutdown();
         if worker_panics > 0 {
             problems.push(format!("{worker_panics} ypd worker job(s) panicked"));
         }
@@ -421,7 +401,7 @@ impl ReactorEngine {
 
     fn ring(&self) {}
 
-    fn join(self, _: &mut Vec<String>) {}
+    fn join(self, _: &ServerShared, _: &mut Vec<String>) {}
 }
 
 #[cfg(test)]
@@ -519,9 +499,10 @@ mod tests {
     fn abandoned_blocked_submissions_do_not_wedge_the_drain() {
         // A raw client floods more submissions than the live backend's
         // admission window and vanishes without redeeming anything.  The
-        // blocked submit workers' permits are held by the abandoned
-        // tickets; teardown must settle and join iteratively or the
-        // session (and the whole drain) wedges forever.
+        // queued admissions' permits are held by the abandoned tickets;
+        // settling those must launch the queued ones, whose tickets are
+        // then settled in turn, or the session (and the whole drain)
+        // wedges forever.
         let db = fleet_db(300, 22);
         let server = PipelineBuilder::new()
             .database(db.clone())
@@ -905,6 +886,360 @@ mod tests {
         drop(raw);
         server.halt();
         server.join().unwrap();
+    }
+
+    /// The live backend behind a gate: no deadline wait can be answered
+    /// from the I/O thread (`try_poll` always misses), and each one the
+    /// redeem lane runs blocks until the test opens the gate.
+    struct GatedWaits {
+        inner: Box<dyn ResourceManager>,
+        /// Deadline waits that reached the gate, and whether it is open.
+        gate: Arc<(std::sync::Mutex<(usize, bool)>, std::sync::Condvar)>,
+    }
+
+    impl ResourceManager for GatedWaits {
+        fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
+            self.inner.submit(query)
+        }
+        fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
+            self.inner.wait(ticket)
+        }
+        fn try_poll(&self, _: crate::api::Ticket) -> Option<crate::api::QueryOutcome> {
+            None
+        }
+        fn wait_deadline(
+            &self,
+            ticket: crate::api::Ticket,
+            timeout: std::time::Duration,
+        ) -> Option<crate::api::QueryOutcome> {
+            let (lock, opened) = &*self.gate;
+            let mut gate = lock.lock().unwrap();
+            gate.0 += 1;
+            opened.notify_all();
+            while !gate.1 {
+                gate = opened.wait(gate).unwrap();
+            }
+            drop(gate);
+            self.inner.wait_deadline(ticket, timeout)
+        }
+        fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
+            self.inner.release(allocation)
+        }
+        fn stats(&self) -> actyp_proto::StatsSnapshot {
+            self.inner.stats()
+        }
+        fn shutdown(&self) -> Result<(), AllocationError> {
+            self.inner.shutdown()
+        }
+    }
+
+    #[test]
+    fn a_burst_of_pipelined_deadline_waits_is_answered_in_full() {
+        // More deadline waits than the completion high-water mark, in one
+        // write, each one a redeem-lane job held at the gate.  They count
+        // toward the read-side pause like any completion — no overload
+        // refusal — so every reply is an Outcome.
+        const TICKETS: u64 = 300;
+        assert!(TICKETS as usize > session::COMPLETIONS_HIGH_WATER);
+        let db = fleet_db(2_000, 11);
+        let gate = Arc::new((std::sync::Mutex::new((0, false)), std::sync::Condvar::new()));
+        let manager = GatedWaits {
+            inner: PipelineBuilder::new()
+                .database(db.clone())
+                .window(512)
+                .build(BackendKind::Live)
+                .unwrap(),
+            gate: gate.clone(),
+        };
+        let server = serve(Box::new(manager), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        let mut burst = Vec::new();
+        for i in 0..TICKETS {
+            write_frame(
+                &mut raw,
+                &ClientFrame::Submit {
+                    corr: RequestId(i),
+                    query: paper_text(),
+                },
+            )
+            .unwrap();
+            let ticket = match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+                other => panic!("expected Submitted, got {other:?}"),
+            };
+            write_frame(
+                &mut burst,
+                &ClientFrame::Wait {
+                    corr: RequestId(i),
+                    ticket,
+                    deadline_ms: Some(60_000),
+                },
+            )
+            .unwrap();
+        }
+        raw.write_all(&burst).unwrap();
+        {
+            // The burst is queued behind a held redeem worker before any
+            // wait is answered.
+            let (lock, opened) = &*gate;
+            let mut held = lock.lock().unwrap();
+            while held.0 < 1 {
+                held = opened.wait(held).unwrap();
+            }
+            held.1 = true;
+            opened.notify_all();
+        }
+        let mut granted = Vec::new();
+        for _ in 0..TICKETS {
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Outcome {
+                    outcome: Ok(allocations),
+                    ..
+                }) => granted.extend(allocations),
+                other => panic!("expected an allocation, got {other:?}"),
+            }
+        }
+        for (i, allocation) in granted.iter().enumerate() {
+            write_frame(
+                &mut raw,
+                &ClientFrame::Release {
+                    corr: RequestId(TICKETS + i as u64),
+                    allocation: allocation.clone(),
+                },
+            )
+            .unwrap();
+            assert!(matches!(
+                read_server_frame(&mut raw).unwrap(),
+                Some(ServerFrame::Released { .. })
+            ));
+        }
+        assert_eq!(active_jobs(&db), 0);
+        // The burst arrived in readable events carrying many frames each.
+        write_frame(
+            &mut raw,
+            &ClientFrame::Stats {
+                corr: RequestId(2 * TICKETS),
+            },
+        )
+        .unwrap();
+        match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::StatsReply { stats, .. }) => assert!(stats.frames_batched > 1),
+            other => panic!("expected StatsReply, got {other:?}"),
+        }
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_vanished_client_settling_a_deadline_wait_is_not_polled() {
+        // The client hangs up while its deadline wait is held on the
+        // redeem lane, so its session settles for as long as the gate
+        // stays shut.  Its socket's hangup must not be reported to the
+        // I/O thread on every turn meanwhile.
+        let gate = Arc::new((std::sync::Mutex::new((0, false)), std::sync::Condvar::new()));
+        let manager = GatedWaits {
+            inner: PipelineBuilder::new()
+                .database(fleet_db(200, 14))
+                .build(BackendKind::Live)
+                .unwrap(),
+            gate: gate.clone(),
+        };
+        let server = serve(Box::new(manager), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        submit_raw(&mut raw, 0);
+        let ticket = submitted(&mut raw);
+        write_frame(
+            &mut raw,
+            &ClientFrame::Wait {
+                corr: RequestId(1),
+                ticket,
+                deadline_ms: Some(5_000),
+            },
+        )
+        .unwrap();
+        let (lock, opened) = &*gate;
+        let mut held = lock.lock().unwrap();
+        while held.0 < 1 {
+            held = opened.wait(held).unwrap();
+        }
+        drop(raw);
+        // The hangup reaches the I/O thread, then the session settles.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let before = server.shared.io_loops.load(Ordering::Relaxed);
+        std::thread::sleep(std::time::Duration::from_millis(600));
+        let turns = server.shared.io_loops.load(Ordering::Relaxed) - before;
+        // Idle, both I/O threads turn for the 250 ms closing sweep and
+        // the 500 ms poll interval only: a handful of turns, not a spin.
+        assert!(turns < 50, "{turns} I/O turns while the session settled");
+        held.1 = true;
+        opened.notify_all();
+        drop(held);
+        server.halt();
+        server.join().unwrap();
+    }
+
+    /// Spins until the live backend's window has counted `queued`
+    /// admissions that found it full (its share of `shard_contention`; the
+    /// directory is idle meanwhile).
+    fn await_queued(manager: &dyn ResourceManager, queued: u64) {
+        let started = std::time::Instant::now();
+        while manager.stats().shard_contention < queued {
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(20),
+                "only {} admissions queued",
+                manager.stats().shard_contention
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    fn submit_raw(raw: &mut TcpStream, corr: u64) {
+        write_frame(
+            raw,
+            &ClientFrame::Submit {
+                corr: RequestId(corr),
+                query: paper_text(),
+            },
+        )
+        .unwrap();
+    }
+
+    fn submitted(raw: &mut TcpStream) -> u64 {
+        match read_server_frame(raw).unwrap() {
+            Some(ServerFrame::Submitted { ticket, .. }) => ticket,
+            other => panic!("expected Submitted, got {other:?}"),
+        }
+    }
+
+    /// Redeems `ticket` and releases what it granted.
+    fn redeem_and_release(raw: &mut TcpStream, ticket: u64) {
+        write_frame(
+            raw,
+            &ClientFrame::Wait {
+                corr: RequestId(100),
+                ticket,
+                deadline_ms: None,
+            },
+        )
+        .unwrap();
+        let allocation = match read_server_frame(raw).unwrap() {
+            Some(ServerFrame::Outcome {
+                outcome: Ok(mut allocations),
+                ..
+            }) => allocations.remove(0),
+            other => panic!("expected an allocation, got {other:?}"),
+        };
+        write_frame(
+            raw,
+            &ClientFrame::Release {
+                corr: RequestId(101),
+                allocation,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server_frame(raw).unwrap(),
+            Some(ServerFrame::Released { .. })
+        ));
+    }
+
+    #[test]
+    fn submissions_into_a_full_window_launch_in_arrival_order_with_no_lane_job() {
+        // A window of one, held by a first session's ticket; three more
+        // sessions submit into it one after the other.  Each permit the
+        // holder returns goes to the next in line — the thread whose
+        // `Wait` returns it launches the queued submission and writes its
+        // `Submitted` — and not one request runs on a lane.
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(fleet_db(200, 12))
+                .window(1)
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        let addr = server.local_addr();
+        let mut holder = raw_hello(&addr);
+        submit_raw(&mut holder, 0);
+        let held = submitted(&mut holder);
+        let jobs = server.lane_jobs();
+        let base = manager.stats().shard_contention;
+        let mut queued: Vec<TcpStream> = Vec::new();
+        for i in 1..=3u64 {
+            let mut raw = raw_hello(&addr);
+            // A turn that never comes fails the test instead of hanging it.
+            raw.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+                .unwrap();
+            submit_raw(&mut raw, i);
+            await_queued(&*manager, base + i);
+            queued.push(raw);
+        }
+        // Each release hands the permit to the next session in arrival
+        // order: only that one's `Submitted` can arrive.
+        redeem_and_release(&mut holder, held);
+        for raw in &mut queued {
+            let ticket = submitted(raw);
+            redeem_and_release(raw, ticket);
+        }
+        assert_eq!(server.lane_jobs(), jobs, "a submission ran on a lane");
+        let stats = manager.stats();
+        assert_eq!((stats.allocations, stats.releases), (4, 4));
+        drop((holder, queued));
+        server.halt();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_client_vanishing_with_tickets_a_queued_admission_and_leases_strands_nothing() {
+        // One session leaves everything behind at once: a lease it
+        // redeemed, two abandoned tickets filling the window, and a third
+        // submission queued on it.  Settling the abandoned tickets frees
+        // the permits that launch the queued one, whose ticket lands in
+        // a closed session and is settled in turn; the leftover lease goes
+        // with the final sweep.
+        let db = fleet_db(300, 13);
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .window(2)
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        {
+            let mut raw = raw_hello(&server.local_addr());
+            submit_raw(&mut raw, 0);
+            let leased = submitted(&mut raw);
+            write_frame(
+                &mut raw,
+                &ClientFrame::Wait {
+                    corr: RequestId(1),
+                    ticket: leased,
+                    deadline_ms: None,
+                },
+            )
+            .unwrap();
+            assert!(matches!(
+                read_server_frame(&mut raw).unwrap(),
+                Some(ServerFrame::Outcome { outcome: Ok(_), .. })
+            ));
+            let base = manager.stats().shard_contention;
+            for corr in 2..4 {
+                submit_raw(&mut raw, corr);
+                submitted(&mut raw);
+            }
+            submit_raw(&mut raw, 4);
+            await_queued(&*manager, base + 1);
+            // Dropped: no Release, no Wait, no reply read.
+        }
+        server.halt();
+        server.join().unwrap();
+        let stats = manager.stats();
+        assert_eq!(stats.allocations, 4, "every submission was launched");
+        assert_eq!(stats.allocations, stats.releases);
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(active_jobs(&db), 0);
     }
 
     #[test]

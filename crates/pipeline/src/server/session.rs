@@ -4,15 +4,13 @@
 //! [`io_thread_main`] drives every session's nonblocking socket through a
 //! [`Poller`].  Each session is an explicit state machine
 //! ([`ReactorSession`]).  A request that cannot park is answered on the
-//! I/O thread itself; a `Wait`, a `Release` or a `Delegate` whose answer a
-//! backend stage (or a peer daemon) produces is left with it as a
-//! completion; only what would park otherwise is queued on the worker
-//! lanes ([`super::lanes`]).  Whoever produces a reply — I/O thread,
-//! backend stage thread, peer link's I/O thread or lane worker — writes
-//! it: [`OutQueue::push`] encodes it and, with nothing queued ahead of it,
-//! sends it from that thread.  Only what the socket does not take stays
-//! queued for the session's I/O thread, rung through its [`IoNotify`] (a
-//! syscall only when the thread is asleep).
+//! I/O thread; one whose answer a backend stage, the admission window or a
+//! peer daemon produces is left with it as a completion, and so are a
+//! closing session's settles; only what would park goes to a worker lane
+//! ([`super::lanes`]).  Whoever produces a reply writes it:
+//! [`OutQueue::push`] sends it from that thread when nothing is queued
+//! ahead of it, and queues the rest for the session's I/O thread, rung
+//! through its [`IoNotify`] (a syscall only when the thread is asleep).
 //!
 //! A federated daemon's first I/O thread also carries the peer links the
 //! federation dials ([`ReactorHost`]): sessions of kind *peer*, whose
@@ -40,13 +38,13 @@ use actyp_proto::{
     WireEncode, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
-use super::lanes::{spawn_job, spawn_uncounted, Lane, LaneBatch, Pools};
+use super::lanes::Pools;
 use super::ServerShared;
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{QueryOutcome, Ticket};
+use crate::api::{QueryOutcome, ResourceManager, SubmitDone, Ticket};
 use crate::corr::{Conn, FrameSink};
 use crate::federation::{DelegateDone, FederatedBackend, PeerHost};
-use crate::reactor::{Doorbell, Event, Interest, Poller, TimerWheel, Waker};
+use crate::reactor::{Doorbell, Event, Interest, Poller, TimerWheel, Waker, WorkerPool};
 
 /// Poller token reserved for the I/O thread's waker pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -73,12 +71,19 @@ const PROBE_TIMER: u64 = 3;
 /// replies is backpressured instead of ballooning the daemon's memory.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// Upper bound on requests handed to the backend as completions and not
-/// yet answered before the session stops *reading*: the I/O thread decodes
-/// a burst of pipelined `Release` or `Wait` frames faster than the stages
-/// complete them, and an error reply would strand a lease (or a ticket),
-/// so the burst waits in the socket instead.
+/// Upper bound on a session's unanswered requests other than submissions
+/// before it stops *reading*: an error reply would strand a lease or a
+/// ticket, so a pipelined burst waits in the socket instead.
 pub(super) const COMPLETIONS_HIGH_WATER: usize = 256;
+
+/// Upper bound on a session's submissions queued in the admission window
+/// or on the submit lane, past which one is refused with an error — not
+/// paused: it may wait for permits only the session's unread frames return.
+const MAX_SESSION_SUBMISSIONS: usize = 256;
+
+/// How long a closing session's completions may stay outstanding before
+/// its final sweep runs anyway.
+const CLOSE_SETTLE_BOUND: Duration = Duration::from_secs(60);
 
 /// How many bytes one readable event may pull off a single socket
 /// before yielding to the other sessions on the same I/O thread
@@ -91,7 +96,7 @@ const READ_BURST: usize = 256 * 1024;
 
 /// How long a closing session may keep flushing queued replies to a
 /// client that is not reading them before the socket is cut anyway.
-/// Measured from the moment the teardown seals the write queue, so a
+/// Measured from the moment the final sweep seals the write queue, so a
 /// well-behaved client always gets its drain; only a stalled one is
 /// dropped — without this, one such client would wedge the I/O
 /// thread's exit and [`ServerHandle::join`] forever.
@@ -180,7 +185,7 @@ impl IoNotify {
 }
 
 /// The write side of one reactor session.  Whoever produces a frame (I/O
-/// thread, backend stage thread, worker lane, teardown) encodes it here
+/// thread, backend stage thread, worker lane, final sweep) encodes it here
 /// and, when nothing is queued ahead of it, writes it to the socket
 /// itself; the owning I/O thread flushes whatever the socket did not take
 /// as the socket allows.
@@ -203,7 +208,7 @@ struct OutBuf {
     /// flushed) — lets the flush tell a coalesced multi-frame write
     /// from a singleton.
     frames: usize,
-    /// When the teardown sealed the queue (no more frames will ever
+    /// When the final sweep sealed the queue (no more frames will ever
     /// be queued); also starts the [`CLOSE_FLUSH_GRACE`] clock.
     closed_at: Option<std::time::Instant>,
 }
@@ -423,10 +428,11 @@ enum Phase {
     AwaitingHello,
     /// Handshake done; frames are parsed and dispatched.
     Serving,
-    /// No more frames are read.  The session teardown is settling
-    /// tickets on its own thread; the socket closes once the teardown
-    /// marks the write queue closed and every queued byte is flushed
-    /// (drain-aware close) — or immediately once the client is gone.
+    /// No more frames are read.  The session's abandoned tickets settle
+    /// as completions; once none is outstanding the final sweep releases
+    /// its leases and seals the write queue, and the socket closes when
+    /// every queued byte is flushed (drain-aware close) — or at once if
+    /// the client is gone.
     Closing,
 }
 
@@ -447,6 +453,9 @@ struct ReactorSession {
     /// replies are routed to the connection's requests and completions
     /// instead of being served as requests.
     peer: Option<Arc<Conn>>,
+    /// When a closing client session began to settle; taken once its
+    /// final sweep is queued.
+    settling_since: Option<std::time::Instant>,
 }
 
 impl ReactorSession {
@@ -468,17 +477,17 @@ impl ReactorSession {
         }
     }
 
-    /// The drain-aware close condition: the teardown has sealed the
-    /// queue and everything queued has left — or the client vanished
-    /// and there is nobody to flush to — or the client has refused to
-    /// drain its replies for [`CLOSE_FLUSH_GRACE`] past the seal, in
-    /// which case it is cut rather than allowed to wedge the drain.
+    /// The drain-aware close condition: the final sweep has sealed the
+    /// queue, and everything queued has left — or the client vanished and
+    /// there is nobody to flush to — or the client has refused to drain
+    /// its replies for [`CLOSE_FLUSH_GRACE`] past the seal, in which case
+    /// it is cut rather than allowed to wedge the drain.
     fn finished(&self) -> bool {
         matches!(self.phase, Phase::Closing)
+            && self.state.queue.is_closed()
             && (self.client_gone
-                || (self.state.queue.is_closed()
-                    && (self.state.queue.pending_bytes() == 0
-                        || self.state.queue.sealed_longer_than(CLOSE_FLUSH_GRACE))))
+                || self.state.queue.pending_bytes() == 0
+                || self.state.queue.sealed_longer_than(CLOSE_FLUSH_GRACE))
     }
 }
 
@@ -494,11 +503,10 @@ fn would_block(e: &std::io::Error) -> bool {
 /// dispatches work, flushes write queues, fires its timers, and retires
 /// sessions.  `first` is the first I/O thread's doorbell, rung when the
 /// last client session of a draining daemon retires: that thread's peer
-/// sessions outlive every client session, whose teardowns may still
+/// sessions outlive every client session, whose settling may still
 /// release leases across them.
 pub(super) fn io_thread_main(
     shared: Arc<ServerShared>,
-    pools: Arc<Pools>,
     incoming: Receiver<TcpStream>,
     notify: Arc<IoNotify>,
     first: Arc<IoNotify>,
@@ -538,6 +546,8 @@ pub(super) fn io_thread_main(
     // raised drain flag is work nobody rings for twice.
     let mut drain_seen = false;
     loop {
+        #[cfg(test)]
+        shared.io_loops.fetch_add(1, Ordering::Relaxed);
         if shared.draining.load(Ordering::SeqCst) && drained(&shared, &sessions) {
             // The daemon's last client session is gone: nobody will send
             // over a peer link again.
@@ -608,18 +618,19 @@ pub(super) fn io_thread_main(
                 continue;
             };
             if event.readable || event.closed {
-                handle_readable(&shared, &pools, session);
+                handle_readable(&shared, session);
             }
             if event.writable || event.closed {
-                flush_or_close(&shared, &pools, session);
+                flush_or_close(&shared, session);
             }
             touched.push(event.token);
         }
 
-        // Write queues touched by worker lanes / teardowns.
+        // Write queues touched by other threads, and closing sessions whose
+        // last completion just ran.
         for token in notify.take_dirty() {
             if let Some(session) = sessions.get_mut(&token) {
-                flush_or_close(&shared, &pools, session);
+                flush_or_close(&shared, session);
                 touched.push(token);
             }
         }
@@ -639,30 +650,22 @@ pub(super) fn io_thread_main(
                         }
                     }
                 }
-                GOSSIP_TIMER => run_periodic(
-                    &shared,
-                    &pools,
-                    &gossip_running,
-                    FederatedBackend::gossip_tick,
-                ),
-                PROBE_TIMER => run_periodic(
-                    &shared,
-                    &pools,
-                    &probe_running,
-                    FederatedBackend::probe_peers,
-                ),
+                GOSSIP_TIMER => {
+                    run_periodic(&shared, &gossip_running, FederatedBackend::gossip_tick)
+                }
+                PROBE_TIMER => run_periodic(&shared, &probe_running, FederatedBackend::probe_peers),
                 _ => {}
             }
         }
 
-        // A drain closes every client session still open (their
-        // teardowns settle whatever the vanished or idle clients left
-        // behind).  Peer links stay up until the last one is gone.
+        // A drain closes every client session still open (each settles
+        // whatever its vanished or idle client left behind).  Peer links
+        // stay up until the last one is gone.
         if shared.draining.load(Ordering::SeqCst) {
             drain_seen = true;
             for (token, session) in sessions.iter_mut() {
                 if session.peer.is_none() {
-                    begin_close(&shared, &pools, session);
+                    begin_close(&shared, session);
                     touched.push(*token);
                 }
             }
@@ -672,7 +675,7 @@ pub(super) fn io_thread_main(
         touched.sort_unstable();
         touched.dedup();
         for token in touched.iter().copied() {
-            refresh_session(&shared, &pools, &mut *poller, &mut sessions, token, &first);
+            refresh_session(&shared, &mut *poller, &mut sessions, token, &first);
         }
     }
     if let Some(host) = host {
@@ -693,7 +696,6 @@ fn drained(shared: &ServerShared, sessions: &HashMap<u64, ReactorSession>) -> bo
 /// a round slower than its interval is skipped, not stacked.
 fn run_periodic<R: 'static>(
     shared: &ServerShared,
-    pools: &Pools,
     running: &Arc<AtomicBool>,
     round: fn(&FederatedBackend) -> R,
 ) {
@@ -705,7 +707,7 @@ fn run_periodic<R: 'static>(
     }
     let federation = federation.clone();
     let running = running.clone();
-    pools.redeem.execute(move || {
+    shared.pools.redeem.execute(move || {
         round(&federation);
         running.store(false, Ordering::SeqCst);
     });
@@ -769,6 +771,7 @@ fn add_session(
             interest: Interest::READ,
             client_gone: false,
             peer: None,
+            settling_since: None,
         },
     );
     Some(token)
@@ -807,6 +810,7 @@ fn add_peer_session(
             interest: Interest::READ,
             client_gone: false,
             peer: Some(conn),
+            settling_since: None,
         },
     );
     Some(token)
@@ -816,7 +820,7 @@ fn add_peer_session(
 /// dispatches them, and begins the close on EOF — after parsing, so a
 /// client that submits and immediately hangs up still gets its work
 /// settled rather than dropped.
-fn handle_readable(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut ReactorSession) {
+fn handle_readable(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     // A closing session's bytes are discarded (only its EOF matters) —
     // bounded per event all the same: a client that blasts bytes after
     // close must not monopolize the I/O thread either.
@@ -845,11 +849,11 @@ fn handle_readable(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut
         }
     }
     if !closing {
-        parse_and_dispatch(shared, pools, session);
+        parse_and_dispatch(shared, session);
     }
     if eof {
         session.client_gone = true;
-        begin_close(shared, pools, session);
+        begin_close(shared, session);
     }
 }
 
@@ -859,22 +863,14 @@ fn handle_readable(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut
 /// mark (the leftovers stay buffered and are re-parsed once that drains).
 /// Garbage — a length prefix over
 /// [`MAX_FRAME_LEN`](actyp_proto::MAX_FRAME_LEN) or an undecodable
-/// body — ends the session, settled like any other.
-///
-/// Blocking frames are *collected* across the whole parse loop and
-/// handed to the worker lanes as one batch per lane at the end — one
-/// queue send and one wakeup per readable event, however many frames
-/// the client pipelined into it.
-fn parse_and_dispatch(
-    shared: &Arc<ServerShared>,
-    pools: &Arc<Pools>,
-    session: &mut ReactorSession,
-) {
+/// body — ends the session, settled like any other.  A pass that decodes
+/// more than one frame counts them as batched (`frames_batched`).
+fn parse_and_dispatch(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     if let Some(conn) = session.peer.clone() {
-        return route_replies(shared, pools, session, &conn);
+        return route_replies(shared, session, &conn);
     }
-    let mut batch = LaneBatch::default();
     let mut pos = 0usize;
+    let mut frames = 0u64;
     loop {
         if matches!(session.phase, Phase::Closing) {
             break;
@@ -887,19 +883,19 @@ fn parse_and_dispatch(
             Err(_) => None,
         };
         let Some((frame, used)) = next else {
-            begin_close(shared, pools, session);
+            begin_close(shared, session);
             break;
         };
         pos += used;
-        dispatch_frame(shared, pools, session, &mut batch, frame);
+        frames += 1;
+        dispatch_frame(shared, session, frame);
         if session.state.backlogged() {
             break;
         }
     }
-    // Jobs collected before a mid-loop close still run — their
-    // per-session counters are already claimed and the teardown's
-    // settle loop waits for them.
-    batch.flush(shared, pools);
+    if frames > 1 {
+        shared.frames_batched.fetch_add(frames, Ordering::Relaxed);
+    }
     consume(session, pos);
 }
 
@@ -923,12 +919,7 @@ fn consume(session: &mut ReactorSession, pos: usize) {
 /// request blocked on it, or to a completion, run right here on the I/O
 /// thread.  A frame that cannot be decoded, or that answers nothing this
 /// daemon asked, kills the link.
-fn route_replies(
-    shared: &Arc<ServerShared>,
-    pools: &Arc<Pools>,
-    session: &mut ReactorSession,
-    conn: &Conn,
-) {
+fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn: &Conn) {
     let mut pos = 0usize;
     while !matches!(session.phase, Phase::Closing) {
         let routed = match split_frame(&session.read_buf[pos..]) {
@@ -950,7 +941,7 @@ fn route_replies(
         };
         // A completion that just ran may have retired this very link.
         if !routed || conn.is_dead() {
-            begin_close(shared, pools, session);
+            begin_close(shared, session);
         }
     }
     consume(session, pos);
@@ -958,17 +949,12 @@ fn route_replies(
 
 /// The one frame-dispatch `match` of the serving side.  *Who answers* is a
 /// property of the call, not of the frame type: a call that cannot park is
-/// finished right here on the I/O thread; a release, and a wait whose
-/// outcome is not in yet, are finished by the backend stage that produces
-/// the answer; only what would park otherwise is queued on a worker lane.
-/// Whoever finishes writes the reply (see [`OutQueue::push`]).
-fn dispatch_frame(
-    shared: &Arc<ServerShared>,
-    pools: &Arc<Pools>,
-    session: &mut ReactorSession,
-    batch: &mut LaneBatch,
-    frame: ClientFrame,
-) {
+/// finished right here on the I/O thread; a submission the window must
+/// queue, a release, and a wait whose outcome is not in yet, are finished
+/// by whichever thread frees the permit or produces the answer; only what
+/// would park otherwise is queued on a worker lane.  Whoever finishes
+/// writes the reply (see [`OutQueue::push`]).
+fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, frame: ClientFrame) {
     let state = session.state.clone();
     if matches!(session.phase, Phase::AwaitingHello) {
         match frame {
@@ -988,14 +974,14 @@ fn dispatch_frame(
                              {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION}"
                         ),
                     });
-                    begin_close(shared, pools, session);
+                    begin_close(shared, session);
                 }
             },
             _ => {
                 state.send(&ServerFrame::HelloReject {
                     message: "the first frame must be Hello".to_string(),
                 });
-                begin_close(shared, pools, session);
+                begin_close(shared, session);
             }
         }
         return;
@@ -1005,7 +991,7 @@ fn dispatch_frame(
             state.send(&ServerFrame::HelloReject {
                 message: "duplicate Hello".to_string(),
             });
-            begin_close(shared, pools, session);
+            begin_close(shared, session);
         }
         ClientFrame::Submit { corr, query } => {
             // Parse errors map exactly as the trait's own text path maps
@@ -1020,31 +1006,35 @@ fn dispatch_frame(
                     return;
                 }
             };
-            // Answered here when the backend can take it without parking
-            // — and only while this session has nothing on the submit
-            // lane, so this shortcut never overtakes a submission of the
-            // same session that is parked on a full admission window: a
-            // later one queues behind it instead of racing it for the
-            // next permit from a thread that never waits.
-            let query = if state.submit_jobs.load(Ordering::Acquire) == 0 {
-                match shared.manager.try_submit(query) {
-                    Ok(submitted) => return state.reply_submitted(corr, submitted),
-                    Err(query) => query,
-                }
-            } else {
-                query
+            let Some(counted) = Pending::submission(&state, corr) else {
+                return;
             };
-            let shared = shared.clone();
-            let job_state = state.clone();
-            spawn_job(batch, Lane::Submit, &state, corr, move || {
-                job_state.reply_submitted(corr, shared.manager.submit(query))
+            // The backend launches it now or queues it in its window, and
+            // the launching thread — this one, or the one whose release
+            // frees the permit — writes `Submitted`.  Counted on the
+            // session until then.
+            let (done_shared, done_state) = (shared.clone(), state.clone());
+            let done: SubmitDone = Box::new(move |submitted| {
+                reply_submitted(&done_shared, &done_state, corr, submitted);
+                drop(counted);
             });
+            // A backend whose `submit` is the computation or a round trip
+            // hands it back, and the submit lane runs it.
+            if let Err((query, done)) = shared.manager.submit_with(query, done) {
+                offload(shared, &shared.pools.submit, move |shared| {
+                    done(shared.manager.submit(query))
+                });
+            }
         }
         ClientFrame::SubmitBatch { corr, queries } => {
-            let shared = shared.clone();
-            let job_state = state.clone();
-            spawn_job(batch, Lane::Submit, &state, corr, move || {
-                handle_submit_batch(&shared, &job_state, corr, &queries)
+            // Parks on its admission in the window — on the submit lane,
+            // which holds nothing a release needs.
+            let Some(counted) = Pending::submission(&state, corr) else {
+                return;
+            };
+            offload(shared, &shared.pools.submit, move |shared| {
+                handle_submit_batch(shared, &state, corr, &queries);
+                drop(counted);
             });
         }
         ClientFrame::Wait {
@@ -1058,16 +1048,15 @@ fn dispatch_frame(
             // it on a miss — and on a federated daemon, when the local
             // outcome is a delegable failure, the I/O thread of the peer
             // link whose reply ends the chain.  Counted on the session
-            // like a release until it has run.
-            let claimed = state.tickets.lock().remove(&ticket);
-            let Some(backend_ticket) = claimed else {
+            // until it has run.
+            let Some(backend_ticket) = state.claim(ticket) else {
                 state.send(&ServerFrame::Error {
                     corr,
                     error: AllocationError::UnknownTicket,
                 });
                 return;
             };
-            let pending = PendingCompletion::begin(&state);
+            let pending = Pending::completion(&state);
             let done_state = state.clone();
             let done: WaitDone = Box::new(move |outcome| {
                 done_state.deliver_outcome(corr, outcome);
@@ -1075,11 +1064,9 @@ fn dispatch_frame(
             });
             // A backend that cannot wait from here without parking hands
             // the completion back, and the redeem lane runs the blocking
-            // call — uncapped, like a handed-back release: the ticket is
-            // claimed already, and the read-side pause bounds the burst.
+            // call.
             if let Err(done) = shared.manager.wait_with(backend_ticket, done) {
-                let shared = shared.clone();
-                spawn_uncounted(batch, Lane::Redeem, move || {
+                offload(shared, &shared.pools.redeem, move |shared| {
                     done(shared.manager.wait(backend_ticket))
                 });
             }
@@ -1087,7 +1074,7 @@ fn dispatch_frame(
         ClientFrame::Wait {
             corr,
             ticket,
-            deadline_ms,
+            deadline_ms: Some(ms),
         } => {
             // Unknown ids are answered inline — no job for a frame
             // that cannot block; the worker's own atomic claim still
@@ -1104,10 +1091,10 @@ fn dispatch_frame(
             {
                 return;
             }
-            let shared = shared.clone();
-            let job_state = state.clone();
-            spawn_job(batch, Lane::Redeem, &state, corr, move || {
-                handle_wait(&shared, &job_state, corr, ticket, deadline_ms)
+            let pending = Pending::completion(&state);
+            offload(shared, &shared.pools.redeem, move |shared| {
+                handle_wait(shared, &state, corr, ticket, ms);
+                drop(pending);
             });
         }
         ClientFrame::Poll { corr, ticket } => {
@@ -1118,12 +1105,12 @@ fn dispatch_frame(
             // it runs on the redeem lane; in-process backends answer
             // inline on the I/O thread.
             if shared.federation.is_some() {
-                let shared = shared.clone();
-                let job_state = state.clone();
-                spawn_job(batch, Lane::Redeem, &state, corr, move || {
-                    if !redeem_if_ready(&shared, &job_state, corr, ticket, backend_ticket) {
-                        job_state.send(&ServerFrame::Pending { corr });
+                let pending = Pending::completion(&state);
+                offload(shared, &shared.pools.redeem, move |shared| {
+                    if !redeem_if_ready(shared, &state, corr, ticket, backend_ticket) {
+                        state.send(&ServerFrame::Pending { corr });
                     }
+                    drop(pending);
                 });
             } else if !redeem_if_ready(shared, &state, corr, ticket, backend_ticket) {
                 state.send(&ServerFrame::Pending { corr });
@@ -1131,33 +1118,16 @@ fn dispatch_frame(
         }
         ClientFrame::Release { corr, allocation } => {
             // The I/O thread never waits for the answer: the backend stage
-            // that drops the lease posts the reply.  The completion is
-            // counted on the session until it has run, so the teardown
-            // waits for it like a lane job.
-            let pending = PendingCompletion::begin(&state);
+            // that drops the lease posts the reply.  Counted on the
+            // session until it has run.
+            let pending = Pending::completion(&state);
             let done_state = state.clone();
             let key = allocation.access_key.0.clone();
             let done: ReleaseDone = Box::new(move |released| {
                 done_state.reply_released(corr, &key, released);
                 drop(pending);
             });
-            // A backend that cannot release from here without parking
-            // (a delegated allocation whose link to the owning domain no
-            // reactor session carries yet) hands the completion back, and
-            // a worker runs the blocking call.  It rides the REDEEM lane,
-            // not the submit lane: clients interleave releases with the
-            // very waits that free admission-window permits, so a release
-            // queued behind window-blocked submit jobs would deadlock the
-            // whole daemon (client stuck awaiting the release reply → no
-            // further waits → no permits freed → submits blocked forever).
-            // A release never blocks on the window itself — only on
-            // bounded peer I/O — so it is safe on this lane.
-            if let Err(done) = shared.manager.release_with(&allocation, done) {
-                let shared = shared.clone();
-                spawn_uncounted(batch, Lane::Redeem, move || {
-                    done(shared.manager.release(&allocation))
-                });
-            }
+            release_allocation(shared, allocation, done);
         }
         ClientFrame::Stats { corr } => {
             // The backend fills its own counters; the transport
@@ -1170,12 +1140,12 @@ fn dispatch_frame(
         }
         ClientFrame::Shutdown { corr } => {
             state.send(&ServerFrame::Ack { corr });
-            begin_close(shared, pools, session);
+            begin_close(shared, session);
         }
         ClientFrame::Halt { corr } => {
             state.send(&ServerFrame::Ack { corr });
             shared.begin_drain();
-            begin_close(shared, pools, session);
+            begin_close(shared, session);
         }
         ClientFrame::Delegate {
             corr,
@@ -1192,17 +1162,17 @@ fn dispatch_frame(
             // query-manager stage, or the I/O thread of the next hop's
             // link — writes `Delegated`.  Counted on the session until it
             // has run.
-            let pending = PendingCompletion::begin(&state);
+            let pending = Pending::completion(&state);
             let (done_state, done_federation) = (state.clone(), federation.clone());
             let done: DelegateDone = Box::new(move |outcome, routing| {
                 done_state.deliver_delegated(&done_federation, corr, outcome, routing);
                 drop(pending);
             });
-            // What would park here — a local backend that cannot take the
-            // query without waiting — or is refused runs on the submit
-            // lane, where its submission may wait on the admission window.
+            // What the local backend hands back, or what is refused, runs
+            // on the submit lane, where its submission may wait on the
+            // window.
             if let Err(done) = federation.delegate_with(&query, ttl, &visited, done) {
-                spawn_uncounted(batch, Lane::Submit, move || {
+                shared.pools.submit.execute(move || {
                     let (outcome, routing) = federation.handle_delegate(&query, ttl, visited);
                     done(outcome, routing);
                 });
@@ -1272,19 +1242,29 @@ fn redeem_if_ready(
     match shared.manager.try_poll(backend_ticket) {
         None => false,
         Some(outcome) => {
-            state.tickets.lock().remove(&ticket);
+            state.claim(ticket);
             state.deliver_outcome(corr, outcome);
             true
         }
     }
 }
 
-/// Transitions the session into [`Phase::Closing`] (idempotent) and
-/// spawns its teardown: the settle loop must not run on the I/O
-/// thread, because it blocks on backend outcomes.  A peer link has
-/// nothing to settle or flush: its connection dies — failing whatever
-/// still waits on it — and the session retires at once.
-fn begin_close(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut ReactorSession) {
+/// Queues a step that may park on `lane`, the daemon's state in hand.
+fn offload(
+    shared: &Arc<ServerShared>,
+    lane: &WorkerPool,
+    job: impl FnOnce(&Arc<ServerShared>) + Send + 'static,
+) {
+    let shared = shared.clone();
+    lane.execute(move || job(&shared));
+}
+
+/// Transitions the session into [`Phase::Closing`] (idempotent).  A client
+/// session settles each abandoned ticket ([`settle_abandoned`]), and
+/// [`refresh_session`] queues its final sweep once nothing is outstanding.
+/// A peer link has nothing to settle or flush: its connection dies —
+/// failing whatever still waits on it — and the session retires at once.
+fn begin_close(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     if matches!(session.phase, Phase::Closing) {
         return;
     }
@@ -1295,43 +1275,64 @@ fn begin_close(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut Rea
         session.client_gone = true;
         return;
     }
-    let shared = shared.clone();
-    let state = session.state.clone();
-    pools
-        .teardown
-        .execute(move || teardown_session(&shared, &state));
+    session.settling_since = Some(std::time::Instant::now());
+    for ticket in session.state.close_tickets() {
+        settle_abandoned(shared, &session.state, ticket);
+    }
 }
 
-/// The session teardown.  Settling and waiting must interleave: a submit
-/// job can be blocked on the live backend's admission window, whose
-/// permits are held by the very tickets sitting abandoned in this
-/// session's table.  Waiting first would deadlock; settling once would
-/// miss the tickets those unblocked jobs issue afterwards.  So: settle
-/// (freeing permits), wait for the lane jobs, repeat, then sweep the
-/// leases — and seal the write queue at the end so the I/O thread can
-/// complete the drain-aware close.
-fn teardown_session(shared: &ServerShared, state: &SessionState) {
-    let deadline = std::time::Instant::now() + Duration::from_secs(60);
-    loop {
-        settle_abandoned_tickets(shared, state, deadline);
-        if state.jobs_in_flight() == 0 {
-            break;
-        }
-        if std::time::Instant::now() >= deadline {
-            // Leave the stragglers to the worker lanes.  Settlement is
-            // best-effort past this point: only a backend wedged beyond
-            // the whole teardown budget can still strand a claim.
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
+/// The backend a closing session settles its abandoned tickets through:
+/// on a federated daemon the wrapped one, so nothing is delegated for a
+/// client that is gone.
+fn local_backend(shared: &ServerShared) -> &dyn ResourceManager {
+    match &shared.federation {
+        Some(federation) => federation.inner(),
+        None => &*shared.manager,
     }
-    settle_abandoned_tickets(
-        shared,
-        state,
-        std::time::Instant::now() + Duration::from_secs(5),
-    );
-    // Hand back every allocation lease the client still held — including
-    // outcomes whose delivery raced the disconnect.
+}
+
+/// Settles a ticket nobody will redeem: a completion takes its outcome
+/// (through [`local_backend`]) and hands every allocation straight back,
+/// counted on the session until the releases have run.
+fn settle_abandoned(shared: &Arc<ServerShared>, state: &Arc<SessionState>, ticket: Ticket) {
+    let federation = shared.federation.as_ref();
+    let Some(ticket) = federation.map_or(Some(ticket), |f| f.take_local(ticket)) else {
+        return;
+    };
+    let pending = Pending::completion(state);
+    let (done_shared, done_state) = (shared.clone(), state.clone());
+    let done: WaitDone = Box::new(move |outcome| {
+        for allocation in outcome.into_iter().flatten() {
+            let pending = Pending::completion(&done_state);
+            release_allocation(&done_shared, allocation, Box::new(move |_| drop(pending)));
+        }
+        drop(pending);
+    });
+    if let Err(done) = local_backend(shared).wait_with(ticket, done) {
+        offload(shared, &shared.pools.redeem, move |shared| {
+            done(local_backend(shared).wait(ticket))
+        });
+    }
+}
+
+/// Releases `allocation`; `done` runs on the backend stage that drops the
+/// lease.  A backend that cannot release without parking (a delegated
+/// allocation whose link no reactor session carries yet) hands `done` back,
+/// and the redeem lane runs the blocking call — never the submit lane,
+/// whose jobs may wait on the window this release frees.
+fn release_allocation(shared: &Arc<ServerShared>, allocation: Allocation, done: ReleaseDone) {
+    if let Err(done) = shared.manager.release_with(&allocation, done) {
+        offload(shared, &shared.pools.redeem, move |shared| {
+            done(shared.manager.release(&allocation))
+        });
+    }
+}
+
+/// A closed session's final sweep, on the redeem lane: hands back every
+/// allocation lease the client still held — including outcomes whose
+/// delivery raced the disconnect — then seals the write queue so the I/O
+/// thread can complete the drain-aware close.
+fn sweep_closed(shared: &ServerShared, state: &SessionState) {
     let leaked: Vec<Allocation> = state.leases.lock().drain().map(|(_, a)| a).collect();
     for allocation in &leaked {
         let _ = shared.manager.release(allocation);
@@ -1340,10 +1341,10 @@ fn teardown_session(shared: &ServerShared, state: &SessionState) {
 }
 
 /// Flushes the session's write queue; a dead transport begins the close.
-fn flush_or_close(shared: &Arc<ServerShared>, pools: &Arc<Pools>, session: &mut ReactorSession) {
+fn flush_or_close(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     if !flush_session(shared, session) {
         session.client_gone = true;
-        begin_close(shared, pools, session);
+        begin_close(shared, session);
     }
 }
 
@@ -1383,7 +1384,6 @@ fn flush_session(shared: &Arc<ServerShared>, session: &mut ReactorSession) -> bo
 /// re-register interest when it changed.
 fn refresh_session(
     shared: &Arc<ServerShared>,
-    pools: &Arc<Pools>,
     poller: &mut dyn Poller,
     sessions: &mut HashMap<u64, ReactorSession>,
     token: u64,
@@ -1395,13 +1395,25 @@ fn refresh_session(
     // A peer link retired elsewhere — shut down, or a completion's
     // deadline passed — ends its session.
     if session.peer.as_ref().is_some_and(|conn| conn.is_dead()) {
-        begin_close(shared, pools, session);
+        begin_close(shared, session);
     }
     if !matches!(session.phase, Phase::Closing)
         && !session.read_buf.is_empty()
         && (session.peer.is_some() || !session.state.backlogged())
     {
-        parse_and_dispatch(shared, pools, session);
+        parse_and_dispatch(shared, session);
+    }
+    // A closing session with nothing outstanding — or outstanding past
+    // the settle bound — gets its final sweep.
+    let settled = |since: std::time::Instant| {
+        session.state.outstanding() == 0 || since.elapsed() > CLOSE_SETTLE_BOUND
+    };
+    if session.settling_since.is_some_and(settled) {
+        session.settling_since = None;
+        let state = session.state.clone();
+        offload(shared, &shared.pools.redeem, move |shared| {
+            sweep_closed(shared, &state)
+        });
     }
     if session.finished() {
         let session = sessions.remove(&token).expect("session just seen");
@@ -1412,6 +1424,13 @@ fn refresh_session(
         if last && shared.draining.load(Ordering::SeqCst) {
             first.ring();
         }
+        return;
+    }
+    // A vanished client's socket leaves the poller while its session
+    // settles (again, harmlessly, on later passes): epoll reports a
+    // hangup whatever the interest, on every turn.
+    if session.client_gone {
+        let _ = poller.deregister(session.stream.as_raw_fd());
         return;
     }
     let wanted = session.desired_interest();
@@ -1429,7 +1448,10 @@ fn refresh_session(
 /// and the allocation leases the session currently holds.
 pub(super) struct SessionState {
     queue: Arc<OutQueue>,
-    tickets: Mutex<HashMap<u64, Ticket>>,
+    /// `None` once the session is closing: a ticket issued after that
+    /// (a queued admission launched late, a deadline wait that missed) is
+    /// settled at once instead of kept for a client that is gone.
+    tickets: Mutex<Option<HashMap<u64, Ticket>>>,
     /// Allocations delivered to this client and not yet released, keyed by
     /// access key.  Allocations are *session leases*: whatever is still
     /// here when the session ends is handed back, so a client that
@@ -1437,16 +1459,15 @@ pub(super) struct SessionState {
     /// strand a machine claim.
     leases: Mutex<HashMap<String, Allocation>>,
     next_ticket: AtomicU64,
-    /// Blocking requests in flight on the submit lane, bounded per session
-    /// by [`spawn_job`] and awaited by the teardown.
-    pub(super) submit_jobs: AtomicUsize,
-    /// Blocking requests in flight on the redeem lane.
-    pub(super) redeem_jobs: AtomicUsize,
-    /// Releases and waits handed to the backend (or, handed back, to the
-    /// redeem lane) whose completion has not run yet
-    /// ([`PendingCompletion`]): awaited by the teardown like the lane
-    /// jobs, bounded by pausing the read side instead of by an error.
+    /// Submissions queued in the admission window or on the submit lane
+    /// ([`Pending::submission`]): capped per session by an error reply.
+    submissions: AtomicUsize,
+    /// Every other request somebody else still owes a reply to
+    /// ([`Pending::completion`]): bounded by pausing the read side.
     completions: AtomicUsize,
+    /// Set when the session begins to close: from then on the last
+    /// [`Pending`] to finish rings the I/O thread for the final sweep.
+    closing: AtomicBool,
     /// The federation domain the peer on this session advertised (via
     /// `SyncPools` or `AdvertDelta`); `None` on ordinary client sessions.
     /// Keyed per session so gossip piggybacking knows who it is talking
@@ -1459,12 +1480,12 @@ impl SessionState {
     fn new(queue: Arc<OutQueue>) -> Arc<Self> {
         Arc::new(SessionState {
             queue,
-            tickets: Mutex::new(HashMap::new()),
+            tickets: Mutex::new(Some(HashMap::new())),
             leases: Mutex::new(HashMap::new()),
             next_ticket: AtomicU64::new(0),
-            submit_jobs: AtomicUsize::new(0),
-            redeem_jobs: AtomicUsize::new(0),
+            submissions: AtomicUsize::new(0),
             completions: AtomicUsize::new(0),
+            closing: AtomicBool::new(false),
             peer_domain: Mutex::new(None),
         })
     }
@@ -1476,12 +1497,12 @@ impl SessionState {
         let _ = self.queue.push(frame);
     }
 
-    /// Requests of this session somebody else still owes a reply to: jobs
-    /// on the worker lanes and completions not yet run.
-    fn jobs_in_flight(&self) -> usize {
-        self.submit_jobs.load(Ordering::Relaxed)
-            + self.redeem_jobs.load(Ordering::Relaxed)
-            + self.completions.load(Ordering::Acquire)
+    /// Requests of this session somebody else still owes a reply to.  A
+    /// launched submission counts its settle as a completion before it
+    /// stops counting itself, so reading submissions first never sees 0
+    /// while either is outstanding.
+    fn outstanding(&self) -> usize {
+        self.submissions.load(Ordering::SeqCst) + self.completions.load(Ordering::SeqCst)
     }
 
     /// Whether the session should stop reading frames for now: the client
@@ -1492,10 +1513,17 @@ impl SessionState {
             || self.completions.load(Ordering::Relaxed) >= COMPLETIONS_HIGH_WATER
     }
 
-    fn issue(&self, ticket: Ticket) -> u64 {
-        let wire_id = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        self.tickets.lock().insert(wire_id, ticket);
-        wire_id
+    /// Takes wire id `ticket` out of the table for redemption.
+    fn claim(&self, ticket: u64) -> Option<Ticket> {
+        self.tickets.lock().as_mut()?.remove(&ticket)
+    }
+
+    /// Marks the session closing and empties its ticket table for good,
+    /// returning the tickets the client abandoned.
+    fn close_tickets(&self) -> Vec<Ticket> {
+        self.closing.store(true, Ordering::SeqCst);
+        let table = self.tickets.lock().take().unwrap_or_default();
+        table.into_values().collect()
     }
 
     /// The backend ticket behind wire id `ticket`; an unknown id is
@@ -1503,7 +1531,11 @@ impl SessionState {
     fn known_ticket(&self, corr: RequestId, ticket: u64) -> Option<Ticket> {
         // Looked up in its own statement, so the table guard drops before
         // the reply is sent.
-        let looked_up = self.tickets.lock().get(&ticket).copied();
+        let looked_up = self
+            .tickets
+            .lock()
+            .as_ref()
+            .and_then(|tickets| tickets.get(&ticket).copied());
         if looked_up.is_none() {
             self.send(&ServerFrame::Error {
                 corr,
@@ -1522,21 +1554,6 @@ impl SessionState {
             for allocation in allocations {
                 leases.insert(allocation.access_key.0.clone(), allocation.clone());
             }
-        }
-    }
-
-    /// Answers a `Submit`: the backend's ticket goes into the session
-    /// table under a fresh wire id.
-    fn reply_submitted(&self, corr: RequestId, submitted: Result<Ticket, AllocationError>) {
-        match submitted {
-            Ok(ticket) => {
-                let wire_id = self.issue(ticket);
-                self.send(&ServerFrame::Submitted {
-                    corr,
-                    ticket: wire_id,
-                });
-            }
-            Err(error) => self.send(&ServerFrame::Error { corr, error }),
         }
     }
 
@@ -1585,27 +1602,62 @@ impl SessionState {
     }
 }
 
-/// One release or wait the backend still owes this session an answer for.
-/// Dropped by the completion once the reply is written — or with it,
-/// uncalled, when the stage holding it shut down — so the count cannot
-/// leak.
-struct PendingCompletion(Arc<SessionState>);
+/// One request of a session that somebody else still owes an answer to,
+/// counted on the session until dropped — with its completion, run or not
+/// — so the count cannot leak.
+struct Pending {
+    state: Arc<SessionState>,
+    submission: bool,
+}
 
-impl PendingCompletion {
-    fn begin(state: &Arc<SessionState>) -> Self {
-        state.completions.fetch_add(1, Ordering::Relaxed);
-        PendingCompletion(state.clone())
+impl Pending {
+    /// A submission: queued in the admission window or on the submit lane.
+    /// Past [`MAX_SESSION_SUBMISSIONS`] the request is answered with an
+    /// overload error instead, and `None` returned.
+    fn submission(state: &Arc<SessionState>, corr: RequestId) -> Option<Self> {
+        if state.submissions.load(Ordering::Relaxed) >= MAX_SESSION_SUBMISSIONS {
+            state.send(&ServerFrame::Error {
+                corr,
+                error: AllocationError::Internal(format!(
+                    "session has {MAX_SESSION_SUBMISSIONS} submissions in flight; \
+                     await replies before sending more"
+                )),
+            });
+            return None;
+        }
+        state.submissions.fetch_add(1, Ordering::SeqCst);
+        Some(Pending {
+            state: state.clone(),
+            submission: true,
+        })
+    }
+
+    /// Any other request: never refused, held back by pausing the read
+    /// side at [`COMPLETIONS_HIGH_WATER`].
+    fn completion(state: &Arc<SessionState>) -> Self {
+        state.completions.fetch_add(1, Ordering::SeqCst);
+        Pending {
+            state: state.clone(),
+            submission: false,
+        }
     }
 }
 
-impl Drop for PendingCompletion {
+impl Drop for Pending {
     fn drop(&mut self) {
-        let before = self.0.completions.fetch_sub(1, Ordering::Release);
-        // The session stopped reading at the high-water mark; the reply
+        let state = &self.state;
+        let counter = match self.submission {
+            true => &state.submissions,
+            false => &state.completions,
+        };
+        let paused =
+            counter.fetch_sub(1, Ordering::SeqCst) >= COMPLETIONS_HIGH_WATER && !self.submission;
+        // The session stopped reading at the high-water mark, or it is
+        // closing and this was the last answer it waited for: the reply
         // that was just written rang nobody, so the I/O thread is told to
-        // look at the session again and resume reading.
-        if before >= COMPLETIONS_HIGH_WATER {
-            self.0.queue.notify.mark_dirty(self.0.queue.token);
+        // look at the session again.
+        if paused || (state.closing.load(Ordering::SeqCst) && state.outstanding() == 0) {
+            state.queue.notify.mark_dirty(state.queue.token);
         }
     }
 }
@@ -1627,112 +1679,94 @@ fn note_peer_session_domain(shared: &ServerShared, state: &SessionState, domain:
     }
 }
 
-/// Settles every ticket currently abandoned in the session table: awaits
-/// the outcomes (bounded by `deadline`, so a wedged backend cannot hold
-/// the session thread hostage) and hands the allocations straight back, so
-/// no machine claim (or live-backend window permit) leaks past the session.
-/// A ticket whose wait times out goes *back* into the table — still
-/// redeemable inside the backend — so a later settling round can retry it
-/// instead of dropping the claim on the floor.
-///
-/// On a federated daemon the settle is *local only*: the client these
-/// tickets belonged to is gone, so a delegable local failure is simply
-/// accepted instead of being shipped across the WAN to peers — nobody is
-/// left to use an allocation a peer would make, and the delegation (plus
-/// its hop-by-hop release) would be pure churn.
-fn settle_abandoned_tickets(
-    shared: &ServerShared,
-    state: &SessionState,
-    deadline: std::time::Instant,
+/// Files `ticket` in the session table under wire id `wire_id` (`None`: a
+/// fresh one), returning the id — or, once the session is closing, settles
+/// it and returns `None`.
+fn keep(
+    shared: &Arc<ServerShared>,
+    state: &Arc<SessionState>,
+    wire_id: Option<u64>,
+    ticket: Ticket,
+) -> Option<u64> {
+    let wire_id = wire_id.unwrap_or_else(|| state.next_ticket.fetch_add(1, Ordering::Relaxed));
+    let kept = state
+        .tickets
+        .lock()
+        .as_mut()
+        .map(|t| t.insert(wire_id, ticket));
+    if kept.is_none() {
+        settle_abandoned(shared, state, ticket);
+    }
+    kept.map(|_| wire_id)
+}
+
+/// Answers a `Submit`.
+fn reply_submitted(
+    shared: &Arc<ServerShared>,
+    state: &Arc<SessionState>,
+    corr: RequestId,
+    submitted: Result<Ticket, AllocationError>,
 ) {
-    let abandoned: Vec<(u64, Ticket)> = state.tickets.lock().drain().collect();
-    for (wire_id, ticket) in abandoned {
-        let budget = deadline.saturating_duration_since(std::time::Instant::now());
-        let waited = match &shared.federation {
-            Some(federation) => federation.wait_deadline_local(ticket, budget),
-            None => shared.manager.wait_deadline(ticket, budget),
-        };
-        match waited {
-            Some(Ok(allocations)) => {
-                for allocation in &allocations {
-                    let _ = shared.manager.release(allocation);
-                }
-            }
-            Some(Err(_)) => {}
-            None => {
-                state.tickets.lock().insert(wire_id, ticket);
-            }
-        }
+    match submitted.map(|ticket| keep(shared, state, None, ticket)) {
+        Ok(Some(ticket)) => state.send(&ServerFrame::Submitted { corr, ticket }),
+        Ok(None) => {}
+        Err(error) => state.send(&ServerFrame::Error { corr, error }),
     }
 }
 
+/// A `SubmitBatch`, on the submit lane: parks on the batch's admission in
+/// the window, which holds nothing a release needs.
 fn handle_submit_batch(
-    shared: &ServerShared,
-    state: &SessionState,
+    shared: &Arc<ServerShared>,
+    state: &Arc<SessionState>,
     corr: RequestId,
     queries: &[String],
 ) {
-    let mut parsed = Vec::with_capacity(queries.len());
-    for query in queries {
-        match actyp_query::parse_query(query) {
-            Ok(q) => parsed.push(q),
-            Err(e) => {
-                state.send(&ServerFrame::Error {
-                    corr,
-                    error: AllocationError::Parse(e.to_string()),
-                });
-                return;
-            }
-        }
-    }
-    match shared.manager.submit_batch(parsed) {
+    let parsed: Result<Vec<_>, _> = queries
+        .iter()
+        .map(|q| actyp_query::parse_query(q))
+        .collect();
+    let submitted = match parsed {
+        Ok(parsed) => shared.manager.submit_batch(parsed),
+        Err(e) => Err(AllocationError::Parse(e.to_string())),
+    };
+    match submitted {
         Ok(tickets) => {
-            let wire_ids = tickets.into_iter().map(|t| state.issue(t)).collect();
-            state.send(&ServerFrame::BatchSubmitted {
-                corr,
-                tickets: wire_ids,
-            });
+            let tickets = tickets
+                .into_iter()
+                .filter_map(|ticket| keep(shared, state, None, ticket))
+                .collect();
+            state.send(&ServerFrame::BatchSubmitted { corr, tickets });
         }
         Err(error) => state.send(&ServerFrame::Error { corr, error }),
     }
 }
 
+/// A deadline `Wait`, on the redeem lane.  A miss puts the ticket back for
+/// a later redemption — or settles it, once the session is closing.
 fn handle_wait(
-    shared: &ServerShared,
-    state: &SessionState,
+    shared: &Arc<ServerShared>,
+    state: &Arc<SessionState>,
     corr: RequestId,
     ticket: u64,
-    deadline_ms: Option<u64>,
+    ms: u64,
 ) {
-    // Claimed in its own statement so the table guard drops before the
-    // error reply — a `match` scrutinee temporary lives through the arms.
-    let claimed = state.tickets.lock().remove(&ticket);
-    let backend_ticket = match claimed {
-        Some(t) => t,
-        None => {
-            state.send(&ServerFrame::Error {
-                corr,
-                error: AllocationError::UnknownTicket,
-            });
-            return;
-        }
+    let Some(backend_ticket) = state.claim(ticket) else {
+        state.send(&ServerFrame::Error {
+            corr,
+            error: AllocationError::UnknownTicket,
+        });
+        return;
     };
-    match deadline_ms {
+    match shared
+        .manager
+        .wait_deadline(backend_ticket, Duration::from_millis(ms))
+    {
+        Some(outcome) => state.deliver_outcome(corr, outcome),
         None => {
-            let outcome = shared.manager.wait(backend_ticket);
-            state.deliver_outcome(corr, outcome);
+            keep(shared, state, Some(ticket), backend_ticket);
+            state.send(&ServerFrame::TimedOut { corr });
         }
-        Some(ms) => match shared
-            .manager
-            .wait_deadline(backend_ticket, Duration::from_millis(ms))
-        {
-            Some(outcome) => state.deliver_outcome(corr, outcome),
-            None => {
-                // The deadline elapsed; the ticket stays redeemable.
-                state.tickets.lock().insert(ticket, backend_ticket);
-                state.send(&ServerFrame::TimedOut { corr });
-            }
-        },
     }
 }
 
@@ -1909,7 +1943,7 @@ mod tests {
         let notify = Arc::new(IoNotify::new().unwrap());
         let state = session_on(&notify, 0);
         state.lease(&Ok(granted.clone()));
-        // The session ends (teardown sealed its queue) before the stage
+        // The session ends (its final sweep sealed the queue) before the stage
         // gets to the release.
         state.queue.close();
 

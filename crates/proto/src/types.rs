@@ -461,9 +461,9 @@ pub struct StatsSnapshot {
     /// fall back to a blocking acquire.  Zero when the shard count
     /// matches the offered concurrency.
     pub shard_contention: u64,
-    /// Frames that arrived as part of a multi-frame batch dispatched with
-    /// a single lane wakeup (the reactor decodes every complete frame per
-    /// readable event, not one).
+    /// Frames decoded from a readable event that carried more than one
+    /// (the reactor decodes every complete frame per readable event, not
+    /// one).
     pub frames_batched: u64,
     /// Flushes that drained more than one queued frame with a single
     /// coalesced socket write.

@@ -15,10 +15,10 @@
 //!
 //! Session I/O is event driven: a fixed pool of I/O threads
 //! (`--io-threads`) drives every connection's nonblocking socket through
-//! an epoll/poll reactor (the platform picks the poller), and blocking
-//! backend calls run on capped worker lanes (`--workers` threads each for
-//! the submit, redeem and teardown lanes), so the daemon's thread count is
-//! independent of how many clients and peer daemons are connected.
+//! an epoll/poll reactor (the platform picks the poller), and the backend
+//! calls that must park run on two fixed worker lanes (submit and redeem,
+//! four threads each), so the daemon's thread count is independent of how
+//! many clients and peer daemons are connected.
 //!
 //! # Wide-area federation
 //!
@@ -53,7 +53,7 @@ const USAGE: &str = "\
 usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
            [--arch NAME] [--query-managers N] [--pool-managers N] [--window N]
            [--shards N]
-           [--io-threads N] [--workers N]
+           [--io-threads N]
            [--domain NAME] [--peer HOST:PORT]... [--ttl N]
            [--gossip-interval MS] [--probe-interval MS] [--no-route-cache]
            [--stats-interval N]
@@ -71,8 +71,6 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
                        1 restores the old single-lock behaviour)
   --io-threads N       reactor I/O threads driving all session sockets
                        (default: $ACTYP_YPD_IO_THREADS or 2)
-  --workers N          worker threads per lane (submit / redeem / teardown)
-                       (default: $ACTYP_YPD_WORKERS or 4)
   --domain NAME        administrative-domain name for wide-area federation
                        (default: $ACTYP_YPD_DOMAIN; required with --peer)
   --peer HOST:PORT     peer daemon to delegate unsatisfiable queries to
@@ -105,7 +103,6 @@ struct Config {
     window: usize,
     shards: usize,
     io_threads: usize,
-    workers: usize,
     domain: Option<String>,
     peers: Vec<StageAddress>,
     ttl: u32,
@@ -128,7 +125,6 @@ impl Default for Config {
             window: 32,
             shards: 8,
             io_threads: 2,
-            workers: 4,
             domain: None,
             peers: Vec::new(),
             ttl: 8,
@@ -147,7 +143,6 @@ struct EnvConfig<'a> {
     domain: Option<&'a str>,
     peers: Option<&'a str>,
     io_threads: Option<&'a str>,
-    workers: Option<&'a str>,
 }
 
 fn parse_backend(raw: &str) -> Result<BackendKind, String> {
@@ -186,11 +181,6 @@ fn parse_args(
         config.io_threads = io_threads
             .parse()
             .map_err(|_| format!("ACTYP_YPD_IO_THREADS: invalid count `{io_threads}`"))?;
-    }
-    if let Some(workers) = env.workers {
-        config.workers = workers
-            .parse()
-            .map_err(|_| format!("ACTYP_YPD_WORKERS: invalid count `{workers}`"))?;
     }
     let mut args = args.into_iter();
     while let Some(flag) = args.next() {
@@ -247,12 +237,6 @@ fn parse_args(
                     .parse()
                     .map_err(|_| format!("--io-threads: invalid count `{raw}`"))?;
             }
-            "--workers" => {
-                let raw = value("--workers")?;
-                config.workers = raw
-                    .parse()
-                    .map_err(|_| format!("--workers: invalid count `{raw}`"))?;
-            }
             "--domain" => config.domain = Some(value("--domain")?),
             "--peer" => {
                 let raw = value("--peer")?;
@@ -303,13 +287,11 @@ fn main() -> ExitCode {
     let env_domain = std::env::var("ACTYP_YPD_DOMAIN").ok();
     let env_peers = std::env::var("ACTYP_YPD_PEERS").ok();
     let env_io_threads = std::env::var("ACTYP_YPD_IO_THREADS").ok();
-    let env_workers = std::env::var("ACTYP_YPD_WORKERS").ok();
     let env = EnvConfig {
         listen: env_listen.as_deref(),
         domain: env_domain.as_deref(),
         peers: env_peers.as_deref(),
         io_threads: env_io_threads.as_deref(),
-        workers: env_workers.as_deref(),
     };
     let config = match parse_args(std::env::args().skip(1), env) {
         Ok(config) => config,
@@ -335,8 +317,7 @@ fn main() -> ExitCode {
         .pool_managers(config.pool_managers)
         .window(config.window)
         .shards(config.shards)
-        .reactor_io_threads(config.io_threads)
-        .reactor_workers(config.workers);
+        .reactor_io_threads(config.io_threads);
 
     let server = match &config.domain {
         None => builder.serve(&config.listen, config.backend),
@@ -490,8 +471,6 @@ mod tests {
                 "4",
                 "--io-threads",
                 "4",
-                "--workers",
-                "8",
                 "--domain",
                 "purdue",
                 "--peer",
@@ -519,7 +498,6 @@ mod tests {
         assert_eq!(config.window, 16);
         assert_eq!(config.shards, 4);
         assert_eq!(config.io_threads, 4);
-        assert_eq!(config.workers, 8);
         assert_eq!(config.domain.as_deref(), Some("purdue"));
         assert_eq!(
             config.peers,
@@ -600,12 +578,10 @@ mod tests {
     fn env_thread_model_is_used_and_cli_wins_over_it() {
         let env = EnvConfig {
             io_threads: Some("6"),
-            workers: Some("12"),
             ..EnvConfig::default()
         };
         let from_env = parse_args(args(&[]), env).unwrap();
         assert_eq!(from_env.io_threads, 6);
-        assert_eq!(from_env.workers, 12);
         let env = EnvConfig {
             io_threads: Some("6"),
             ..EnvConfig::default()
@@ -614,12 +590,12 @@ mod tests {
         assert_eq!(overridden.io_threads, 3);
         // Bad env values are reported against the variable.
         let env = EnvConfig {
-            workers: Some("many"),
+            io_threads: Some("many"),
             ..EnvConfig::default()
         };
         assert!(parse_args(args(&[]), env)
             .unwrap_err()
-            .contains("ACTYP_YPD_WORKERS"));
+            .contains("ACTYP_YPD_IO_THREADS"));
     }
 
     #[test]
@@ -657,9 +633,10 @@ mod tests {
         assert!(parse_args(args(&["--ttl", "forever"]), no_env())
             .unwrap_err()
             .contains("invalid hop count"));
-        // The A/B switches of the settled session-engine experiment are
-        // gone: a stale script naming them fails loudly.
-        for removed in ["--sessions", "--poller"] {
+        // The A/B switches of the settled session-engine experiment, and
+        // the lane size that became a constant, are gone: a stale script
+        // naming them fails loudly.
+        for removed in ["--sessions", "--poller", "--workers"] {
             assert!(parse_args(args(&[removed, "reactor"]), no_env())
                 .unwrap_err()
                 .contains(&format!("unknown flag `{removed}`")));

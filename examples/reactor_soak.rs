@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! ypd --listen 127.0.0.1:7431 --domain purdue --arch sun --machines 1500 \
-//!     --io-threads 2 --workers 4 --peer 127.0.0.1:7432 &
+//!     --io-threads 2 --peer 127.0.0.1:7432 &
 //! ypd --listen 127.0.0.1:7432 --domain upc --arch hp --machines 400 \
 //!     --peer 127.0.0.1:7431 &
 //! cargo run --release -p actyp-suite --example reactor_soak -- \
