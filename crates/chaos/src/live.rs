@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use actyp_grid::{FleetSpec, SyntheticFleet};
 use actyp_pipeline::{
-    Allocation, BackendKind, FederationConfig, PipelineBuilder, RemoteBackend, ResourceManager,
-    ServerHandle, StageAddress,
+    Allocation, AllocationError, BackendKind, FederationConfig, PipelineBuilder, RemoteBackend,
+    ResourceManager, ServerHandle, StageAddress,
 };
 use actyp_simnet::Rng;
 
@@ -439,6 +439,11 @@ impl LiveRun<'_> {
                 self.event(format!("{label}: refused ({e})"));
                 self.report.failed += 1;
                 self.outcomes.push((sub.at_ms, sub.arch.clone(), false));
+                // A submission's reply is read only now, so this is where
+                // a connection found broken is dropped, as above.
+                if matches!(e, AllocationError::Network(_)) {
+                    self.clients[sub.origin] = None;
+                }
             }
         }
     }

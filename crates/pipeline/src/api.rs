@@ -735,6 +735,10 @@ struct Ledger {
     /// Outstanding tickets, sharded by ticket id; each holds one window
     /// permit until it settles.
     pending: crate::shard::ShardedMap<std::sync::Arc<OutcomeSlot>>,
+    /// Tickets launched and not settled yet — the `in_flight` gauge.  A
+    /// ticket redeemed with a completion leaves `pending` at once but is
+    /// counted here until its outcome is in.
+    unsettled: AtomicUsize,
     window: Window,
     examined: AtomicU64,
 }
@@ -747,6 +751,7 @@ impl Ledger {
         match self.launcher.launch(query) {
             Ok(slot) => {
                 let id = self.next.fetch_add(1, Ordering::Relaxed);
+                self.unsettled.fetch_add(1, Ordering::Relaxed);
                 self.pending.insert(id, slot);
                 Ok(Ticket {
                     brand: self.brand,
@@ -779,6 +784,7 @@ impl Ledger {
             let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
             self.examined.fetch_add(examined, Ordering::Relaxed);
         }
+        self.unsettled.fetch_sub(1, Ordering::Relaxed);
         self.window.free(1);
     }
 }
@@ -791,6 +797,7 @@ impl LiveBackend {
                 brand: next_backend_brand(),
                 next: AtomicU64::new(0),
                 pending: crate::shard::ShardedMap::new(shards),
+                unsettled: AtomicUsize::new(0),
                 window: Window::new(window),
                 examined: AtomicU64::new(0),
             }),
@@ -975,7 +982,7 @@ impl ResourceManager for LiveBackend {
         let mut snapshot = snapshot_from_engine(
             self.pipeline.stats(),
             self.ledger.examined.load(Ordering::Relaxed),
-            self.ledger.pending.len(),
+            self.ledger.unsettled.load(Ordering::Relaxed),
         );
         snapshot.shard_contention = self
             .ledger

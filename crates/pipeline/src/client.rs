@@ -12,6 +12,15 @@
 //! `corr::Conn`, which the federation peer links share.  A connection has
 //! no thread of its own: each calling thread reads its own reply, taking
 //! turns at the socket with the other callers of the same connection.
+//!
+//! A submission carries its own wait (protocol v4): `submit` writes the
+//! `Submit` frame and returns at once, and the daemon answers it with the
+//! query's `Outcome`.  The ticket is the request's correlation id on this
+//! connection, never a daemon-issued id, and `wait` collects that reply —
+//! only then does the calling thread take its turn at the socket.  One
+//! allocation is two round trips: `Submit` → `Outcome`, `Release` →
+//! `Released`.  Batch tickets are the daemon's own and are redeemed with
+//! a `Wait` or `Poll` frame.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,6 +32,19 @@ use crate::allocation::AllocationError;
 use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
 use crate::corr::{Conn, ConnError};
 use crate::message::StageAddress;
+
+/// The ticket id bit of a single submission, whose ticket is its `Submit`'s
+/// correlation id.  Batch tickets are the daemon's session-scoped ids,
+/// counted up from 0, which never reach it (PROTOCOL.md §3.2).
+const SUBMISSION_TICKET: u64 = 1 << 63;
+
+/// How a ticket of this connection is redeemed.
+enum Redeem {
+    /// A single submission: collect its `Submit`'s reply (correlation id).
+    Submission(u64),
+    /// A batch ticket: ask the daemon with `Wait` / `Poll` (wire ticket id).
+    Batch(u64),
+}
 
 /// The [`ResourceManager`] surface served by a remote `ypd` daemon over one
 /// TCP connection.
@@ -70,17 +92,45 @@ impl RemoteBackend {
         &self,
         build: impl FnOnce(RequestId) -> ClientFrame,
     ) -> Result<ServerFrame, AllocationError> {
-        self.conn.request(None, build).map_err(|e| match e {
-            ConnError::Refused(message) => AllocationError::Protocol(message),
-            other => AllocationError::Network(other.to_string()),
-        })
+        self.conn.request(None, build).map_err(Self::conn_error)
     }
 
-    fn check_brand(&self, ticket: Ticket) -> Result<u64, AllocationError> {
+    fn conn_error(e: ConnError) -> AllocationError {
+        match e {
+            ConnError::Refused(message) => AllocationError::Protocol(message),
+            other => AllocationError::Network(other.to_string()),
+        }
+    }
+
+    fn redeem(&self, ticket: Ticket) -> Result<Redeem, AllocationError> {
         if ticket.brand() != self.brand {
             return Err(AllocationError::UnknownTicket);
         }
-        Ok(ticket.id())
+        let id = ticket.id();
+        Ok(match id & SUBMISSION_TICKET {
+            0 => Redeem::Batch(id),
+            _ => Redeem::Submission(id & !SUBMISSION_TICKET),
+        })
+    }
+
+    /// Collects a single submission's `Outcome`, waiting for it at most
+    /// `deadline` (forever when `None`); `None` while it has not arrived.
+    fn collect(&self, corr: u64, deadline: Option<Duration>) -> Option<QueryOutcome> {
+        match self.conn.collect(corr, deadline) {
+            None => Some(Err(AllocationError::UnknownTicket)),
+            Some(Ok(frame)) => Some(Self::outcome(frame)),
+            Some(Err(ConnError::Timeout)) => None,
+            Some(Err(e)) => Some(Err(Self::conn_error(e))),
+        }
+    }
+
+    /// What an `Outcome` (or the `Error` that replaces it) carries.
+    fn outcome(frame: ServerFrame) -> QueryOutcome {
+        match frame {
+            ServerFrame::Outcome { outcome, .. } => outcome,
+            ServerFrame::Error { error, .. } => Err(error),
+            other => Err(Self::unexpected(other)),
+        }
     }
 
     fn unexpected(frame: ServerFrame) -> AllocationError {
@@ -100,15 +150,16 @@ impl RemoteBackend {
         Ok(())
     }
 
-    /// Submits one query already rendered in the native text form — the
-    /// protocol's query encoding.
+    /// Sends one query already rendered in the native text form — the
+    /// protocol's query encoding — and returns without waiting: the ticket
+    /// names the `Submit`'s reply, which `wait` collects.
     fn submit_rendered(&self, query: String) -> Result<Ticket, AllocationError> {
         Self::check_wire_text(&query)?;
-        match self.request(|corr| ClientFrame::Submit { corr, query })? {
-            ServerFrame::Submitted { ticket, .. } => Ok(Ticket::from_parts(self.brand, ticket)),
-            ServerFrame::Error { error, .. } => Err(error),
-            other => Err(Self::unexpected(other)),
-        }
+        let corr = self
+            .conn
+            .submit(|corr| ClientFrame::Submit { corr, query })
+            .map_err(Self::conn_error)?;
+        Ok(Ticket::from_parts(self.brand, corr | SUBMISSION_TICKET))
     }
 
     /// Asks the daemon itself to drain and exit (administrative; not part
@@ -130,11 +181,12 @@ impl ResourceManager for RemoteBackend {
         self.submit_rendered(query.to_string())
     }
 
-    /// Ships the text as-is: it already *is* the wire encoding, so there is
-    /// nothing to parse client-side — the server's query manager parses it
-    /// once, exactly like an in-process submission, and parse errors come
-    /// back through the protocol's error taxonomy.
+    /// Ships the text as-is — it already *is* the wire encoding — once it
+    /// parses: the reply comes only when the ticket is redeemed, and a
+    /// malformed query fails here, as it does in-process.
     fn submit_text(&self, text: &str) -> Result<Ticket, AllocationError> {
+        Self::check_wire_text(text)?;
+        actyp_query::parse_query(text).map_err(|e| AllocationError::Parse(e.to_string()))?;
         self.submit_rendered(text.to_string())
     }
 
@@ -157,50 +209,47 @@ impl ResourceManager for RemoteBackend {
     }
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        let wire_id = self.check_brand(ticket)?;
-        match self.request(|corr| ClientFrame::Wait {
-            corr,
-            ticket: wire_id,
-            deadline_ms: None,
-        })? {
-            ServerFrame::Outcome { outcome, .. } => outcome,
-            ServerFrame::Error { error, .. } => Err(error),
-            other => Err(Self::unexpected(other)),
+        match self.redeem(ticket)? {
+            Redeem::Submission(corr) => self
+                .collect(corr, None)
+                .expect("an unbounded collect returns the reply"),
+            Redeem::Batch(id) => Self::outcome(self.request(|corr| ClientFrame::Wait {
+                corr,
+                ticket: id,
+                deadline_ms: None,
+            })?),
         }
     }
 
+    /// A submission's reply is collected here, with the deadline on this
+    /// side of the socket; a batch ticket ships its deadline to the daemon.
     fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        let wire_id = match self.check_brand(ticket) {
-            Ok(id) => id,
+        let id = match self.redeem(ticket) {
+            Ok(Redeem::Submission(corr)) => return self.collect(corr, Some(timeout)),
+            Ok(Redeem::Batch(id)) => id,
             Err(e) => return Some(Err(e)),
         };
         let deadline_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
         match self.request(|corr| ClientFrame::Wait {
             corr,
-            ticket: wire_id,
+            ticket: id,
             deadline_ms: Some(deadline_ms),
         }) {
-            Ok(ServerFrame::Outcome { outcome, .. }) => Some(outcome),
             Ok(ServerFrame::TimedOut { .. }) => None,
-            Ok(ServerFrame::Error { error, .. }) => Some(Err(error)),
-            Ok(other) => Some(Err(Self::unexpected(other))),
+            Ok(frame) => Some(Self::outcome(frame)),
             Err(e) => Some(Err(e)),
         }
     }
 
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        let wire_id = match self.check_brand(ticket) {
-            Ok(id) => id,
+        let id = match self.redeem(ticket) {
+            Ok(Redeem::Submission(corr)) => return self.collect(corr, Some(Duration::ZERO)),
+            Ok(Redeem::Batch(id)) => id,
             Err(e) => return Some(Err(e)),
         };
-        match self.request(|corr| ClientFrame::Poll {
-            corr,
-            ticket: wire_id,
-        }) {
-            Ok(ServerFrame::Outcome { outcome, .. }) => Some(outcome),
+        match self.request(|corr| ClientFrame::Poll { corr, ticket: id }) {
             Ok(ServerFrame::Pending { .. }) => None,
-            Ok(ServerFrame::Error { error, .. }) => Some(Err(error)),
-            Ok(other) => Some(Err(Self::unexpected(other))),
+            Ok(frame) => Some(Self::outcome(frame)),
             Err(e) => Some(Err(e)),
         }
     }

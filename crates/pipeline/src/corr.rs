@@ -16,10 +16,18 @@
 //! back one that already arrived.  It is still one TCP session, so
 //! everything the far side leases to this connection stays leased to it.
 //!
+//! A request need not be waited for the moment it is sent:
+//! [`Conn::submit`] registers an *idle* inbox, writes the frame and
+//! returns, and a leader posts the reply there whenever it reads it.  The
+//! owner comes for it later with [`Conn::collect`], and only then leads or
+//! follows.  A leaving leader never promotes an idle inbox — its owner may
+//! not come for a long time — so the read side always passes to a request
+//! somebody is waiting on.
+//!
 //! Every blocking step is bounded: the connect and the handshake by
 //! [`CONNECT_TIMEOUT`], every frame write by the socket write timeout
 //! ([`REPLY_TIMEOUT`]), and each reply by the deadline its caller passes
-//! to [`Conn::request`].
+//! to [`Conn::request`] or [`Conn::collect`].
 //!
 //! A federation peer link on a served daemon goes one step further: once
 //! its handshake is done, [`Conn::attach`] moves the socket into a reactor
@@ -135,6 +143,9 @@ pub(crate) struct Conn {
     /// is written through it from then on.
     attached: OnceLock<Arc<dyn FrameSink>>,
     relay: Relay<StdPrims, ServerFrame, ReadState>,
+    /// Inboxes of the requests sent with [`Conn::submit`] whose reply
+    /// nobody has collected yet, by correlation id.
+    uncollected: Mutex<HashMap<u64, Arc<Slot<StdPrims, ServerFrame>>>>,
 }
 
 impl Conn {
@@ -202,6 +213,7 @@ impl Conn {
             writer: Mutex::new(stream),
             attached: OnceLock::new(),
             relay: Relay::new(reader, DEFAULT_SHARDS),
+            uncollected: Mutex::new(HashMap::new()),
         });
         Ok((conn, version))
     }
@@ -259,7 +271,45 @@ impl Conn {
             let _ = self.relay.give_up(corr, &slot);
             return Err(self.send_failed(e));
         }
-        self.relay.await_reply(corr, &slot, deadline)
+        self.relay
+            .await_reply(corr, &slot, deadline, OnTimeout::GiveUp)
+    }
+
+    /// Sends one request frame and returns its correlation id at once,
+    /// without waiting for the reply: that is posted into an idle inbox
+    /// whenever a leader reads it, and waits there for [`Conn::collect`].
+    pub(crate) fn submit(
+        &self,
+        build: impl FnOnce(RequestId) -> ClientFrame,
+    ) -> Result<u64, ConnError> {
+        let (corr, slot) = self.relay.register_idle().map_err(ConnError::Dead)?;
+        if let Err(e) = self.send(&build(RequestId(corr))) {
+            let _ = self.relay.give_up(corr, &slot);
+            return Err(self.send_failed(e));
+        }
+        self.uncollected.lock().insert(corr, slot);
+        Ok(corr)
+    }
+
+    /// Collects the reply to the [`Conn::submit`] that issued `corr`,
+    /// waiting for it at most `deadline` (forever when `None`) — leading
+    /// or following on the socket as [`Conn::request`] does.  A deadline
+    /// that passes leaves the reply collectable.  `None` when `corr` names
+    /// no uncollected submission.
+    pub(crate) fn collect(
+        &self,
+        corr: u64,
+        deadline: Option<Duration>,
+    ) -> Option<Result<ServerFrame, ConnError>> {
+        // Out of the table while this thread waits for it: a second
+        // collector of the same request finds nothing.
+        let slot = self.uncollected.lock().remove(&corr)?;
+        let deadline = deadline.map(|limit| Instant::now() + limit);
+        let reply = self.relay.collect(corr, &slot, deadline);
+        if matches!(reply, Err(ConnError::Timeout)) {
+            self.uncollected.lock().insert(corr, slot);
+        }
+        Some(reply)
     }
 
     /// Sends one request frame on an attached connection and returns at
@@ -601,8 +651,11 @@ trait Source<F>: Send {
     fn next(&mut self, deadline: Option<Instant>) -> Result<F, ReadError>;
 }
 
-/// Where one waiting request stands.
+/// Where one registered request stands.
 enum Inbox<F> {
+    /// Nothing yet, and nobody waits for it: a submission whose owner
+    /// collects the reply later.  Never promoted.
+    Idle,
     /// Nothing yet; the owner sleeps on it (or is about to).
     Waiting,
     /// The read side was handed back and the owner is asked to take it.
@@ -630,6 +683,16 @@ enum Entry<P: Prims, F: Send> {
 /// One shard of a relay's registered requests, by correlation id.
 type Shard<P, F> = <P as Prims>::Monitor<HashMap<u64, Entry<P, F>>>;
 
+/// What a request whose deadline passes does with its entry.
+#[derive(Clone, Copy)]
+enum OnTimeout {
+    /// Leaves the table ([`Relay::give_up`]): a late reply is dropped.
+    GiveUp,
+    /// Stays, idle again ([`Relay::set_aside`]): a submission being
+    /// collected can be collected later.
+    SetAside,
+}
+
 /// The leader/follower protocol under a [`Conn`]: which request reads the
 /// stream, where the frames it reads go, and who reads next.
 ///
@@ -651,6 +714,11 @@ type Shard<P, F> = <P as Prims>::Monitor<HashMap<u64, Entry<P, F>>>;
 /// * hand back: a leader leaving returns the baton, **then** promotes one
 ///   waiting inbox.  A follower registered before it found the baton
 ///   taken, so the look that follows the return finds it.
+/// * idle: a submission registers idle and is never promoted; a reply
+///   routed to it waits in its inbox.  Its owner makes it waiting when it
+///   comes to collect ([`Relay::collect`]) and then leads or follows like
+///   any request; a deadline that passes makes it idle again, passing on
+///   any promotion it was offered meanwhile.
 ///
 /// Generic over its primitives and its source so that the daemon
 /// ([`StdPrims`] + the socket) and the model checker run this very code.
@@ -702,10 +770,20 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
         Ok(corr)
     }
 
-    /// Issues a correlation id and registers its inbox.
+    /// Issues a correlation id and registers its inbox, waiting.
     fn register(&self) -> Result<(u64, Arc<Slot<P, F>>), String> {
+        self.register_as(Inbox::Waiting)
+    }
+
+    /// Issues a correlation id and registers its inbox idle: a submission
+    /// whose reply is collected later ([`Relay::collect`]).
+    fn register_idle(&self) -> Result<(u64, Arc<Slot<P, F>>), String> {
+        self.register_as(Inbox::Idle)
+    }
+
+    fn register_as(&self, inbox: Inbox<F>) -> Result<(u64, Arc<Slot<P, F>>), String> {
         let slot = Arc::new(Slot {
-            inbox: Monitor::new(Inbox::Waiting),
+            inbox: Monitor::new(inbox),
         });
         let corr = self.enter(|| Entry::Waiter(slot.clone()))?;
         Ok((corr, slot))
@@ -783,17 +861,19 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
     }
 
     /// Waits for the reply to `corr`, leading while nobody else reads and
-    /// following otherwise.
+    /// following otherwise; `on_timeout` says what becomes of the entry if
+    /// the deadline passes first.
     fn await_reply(
         &self,
         corr: u64,
         slot: &Slot<P, F>,
         deadline: Option<Instant>,
+        on_timeout: OnTimeout,
     ) -> Result<F, ConnError> {
         loop {
             let source = self.reader.lock().take();
             if let Some(mut source) = source {
-                let led = self.lead(&mut source, Some((corr, slot)), deadline);
+                let led = self.lead(&mut source, Some((corr, slot, on_timeout)), deadline);
                 self.hand_back(source);
                 return led;
             }
@@ -802,7 +882,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
             // nothing in the inbox.
             let woken = loop {
                 match std::mem::replace(&mut *inbox, Inbox::Waiting) {
-                    Inbox::Waiting => {
+                    Inbox::Waiting | Inbox::Idle => {
                         let (relocked, timed_out) = slot.inbox.wait(inbox, deadline);
                         inbox = relocked;
                         if timed_out && matches!(*inbox, Inbox::Waiting) {
@@ -818,13 +898,43 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
             };
             drop(inbox);
             match woken {
-                Inbox::Waiting => return self.give_up(corr, slot),
+                Inbox::Waiting | Inbox::Idle => {
+                    return match on_timeout {
+                        OnTimeout::GiveUp => self.give_up(corr, slot),
+                        OnTimeout::SetAside => self.set_aside(slot),
+                    }
+                }
                 // Offered the baton: try to take it.
                 Inbox::Promoted => {}
                 Inbox::Ready(frame) => return Ok(frame),
                 Inbox::Closed => return Err(self.dead_error()),
             }
         }
+    }
+
+    /// Waits for the reply to a submission registered idle, at most until
+    /// `deadline`: the inbox turns waiting — from now on a leaving leader
+    /// may promote it — and the owner leads or follows as any request
+    /// does.  A deadline that passes sets it aside again instead of giving
+    /// it up, so it can be collected later.
+    fn collect(
+        &self,
+        corr: u64,
+        slot: &Slot<P, F>,
+        deadline: Option<Instant>,
+    ) -> Result<F, ConnError> {
+        let mut inbox = slot.inbox.lock();
+        match std::mem::replace(&mut *inbox, Inbox::Waiting) {
+            Inbox::Ready(frame) => return Ok(frame),
+            Inbox::Closed => {
+                *inbox = Inbox::Closed;
+                drop(inbox);
+                return Err(self.dead_error());
+            }
+            Inbox::Idle | Inbox::Waiting | Inbox::Promoted => {}
+        }
+        drop(inbox);
+        self.await_reply(corr, slot, deadline, OnTimeout::SetAside)
     }
 
     /// A request leaving without a reply (its deadline passed, its frame
@@ -841,7 +951,29 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
                 self.promote_one();
                 Err(ConnError::Timeout)
             }
-            Inbox::Waiting => Err(ConnError::Timeout),
+            Inbox::Waiting | Inbox::Idle => Err(ConnError::Timeout),
+        }
+    }
+
+    /// A submission's collector leaving without the reply (its deadline
+    /// passed): the inbox stays in the table, idle again, and a promotion
+    /// it was offered meanwhile is passed on — or a reply posted just now
+    /// is taken after all.
+    fn set_aside(&self, slot: &Slot<P, F>) -> Result<F, ConnError> {
+        let mut inbox = slot.inbox.lock();
+        match std::mem::replace(&mut *inbox, Inbox::Idle) {
+            Inbox::Ready(frame) => Ok(frame),
+            Inbox::Closed => {
+                *inbox = Inbox::Closed;
+                drop(inbox);
+                Err(self.dead_error())
+            }
+            Inbox::Promoted => {
+                drop(inbox);
+                self.promote_one();
+                Err(ConnError::Timeout)
+            }
+            Inbox::Waiting | Inbox::Idle => Err(ConnError::Timeout),
         }
     }
 
@@ -852,31 +984,35 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
     fn lead(
         &self,
         source: &mut S,
-        own: Option<(u64, &Slot<P, F>)>,
+        own: Option<(u64, &Slot<P, F>, OnTimeout)>,
         deadline: Option<Instant>,
     ) -> Result<F, ConnError> {
         loop {
-            if let Some((_, slot)) = own {
+            if let Some((_, slot, _)) = own {
                 let posted = std::mem::replace(&mut *slot.inbox.lock(), Inbox::Waiting);
                 match posted {
                     Inbox::Ready(frame) => return Ok(frame),
                     Inbox::Closed => return Err(self.dead_error()),
-                    Inbox::Waiting | Inbox::Promoted => {}
+                    Inbox::Waiting | Inbox::Promoted | Inbox::Idle => {}
                 }
             }
             let frame = match source.next(deadline) {
-                Ok(frame) => frame,
+                // Out of the table, or idle again, before the baton goes
+                // back, so the promotion that follows is not wasted on it.
                 Err(ReadError::TimedOut) => {
-                    if let Some((corr, _)) = own {
-                        // Out of the table before the baton goes back, so
-                        // the promotion that follows is not wasted on it.
-                        self.take_pending(corr);
-                    }
-                    return Err(ConnError::Timeout);
+                    return match own {
+                        Some((corr, _, OnTimeout::GiveUp)) => {
+                            self.take_pending(corr);
+                            Err(ConnError::Timeout)
+                        }
+                        Some((_, slot, OnTimeout::SetAside)) => self.set_aside(slot),
+                        None => Err(ConnError::Timeout),
+                    };
                 }
+                Ok(frame) => frame,
                 Err(ReadError::Closed(reason)) => return Err(self.poison(reason)),
             };
-            if let Some(frame) = self.route(frame, own.map(|(corr, _)| corr))? {
+            if let Some(frame) = self.route(frame, own.map(|(corr, _, _)| corr))? {
                 return Ok(frame);
             }
         }
@@ -954,7 +1090,8 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
         *self.reader.lock() = Some(source);
     }
 
-    /// Offers the baton to the first registered request that is waiting.
+    /// Offers the baton to the first registered request that is waiting —
+    /// never to an idle one, whose owner may not come for a long time.
     fn promote_one(&self) {
         for shard in self.pending.iter() {
             let shard = shard.lock();
@@ -963,7 +1100,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
                     continue;
                 };
                 let mut inbox = slot.inbox.lock();
-                if matches!(*inbox, Inbox::Waiting) {
+                if Self::promotable(&inbox) {
                     *inbox = Inbox::Promoted;
                     drop(inbox);
                     slot.inbox.notify_all();
@@ -971,6 +1108,22 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
                 }
             }
         }
+    }
+
+    /// Whether a leaving leader may offer the baton to `inbox`: only to a
+    /// request somebody sleeps on.
+    #[cfg(not(feature = "buggy-promote"))]
+    fn promotable(inbox: &Inbox<F>) -> bool {
+        matches!(inbox, Inbox::Waiting)
+    }
+
+    /// The bug the idle state exists to prevent, kept for the model checker
+    /// to re-find: the baton may go to a submission nobody is collecting,
+    /// while a follower whose reply is on the wire sleeps with nobody left
+    /// to read it.
+    #[cfg(feature = "buggy-promote")]
+    fn promotable(inbox: &Inbox<F>) -> bool {
+        matches!(inbox, Inbox::Waiting | Inbox::Idle)
     }
 
     /// While nobody leads: reads what already arrived without blocking —
@@ -1346,7 +1499,7 @@ mod model_tests {
                 let (corr, slot) = relay.register().ok()?;
                 push(&to_far, (corr, bounded));
                 let deadline = bounded.then(Instant::now);
-                let reply = relay.await_reply(corr, &slot, deadline);
+                let reply = relay.await_reply(corr, &slot, deadline, OnTimeout::GiveUp);
                 if let Ok(Reply(answered)) = &reply {
                     assert_eq!(*answered, corr, "misrouted reply");
                 }
@@ -1417,6 +1570,101 @@ mod model_tests {
         push(&gave_up, ());
         let reply = unbounded.join().unwrap();
         assert!(matches!(reply, Some(Ok(_))), "a reply was lost: {reply:?}");
+        far.join().unwrap();
+    }
+
+    impl Link {
+        /// Sends a submission as `Conn::submit` does, from the calling
+        /// thread: its inbox registered idle, its reply left for a later
+        /// collect — its ticket.
+        fn ticket(&self) -> (u64, Arc<Slot<Model, Reply>>) {
+            let (corr, slot) = self.relay.register_idle().expect("the link is up");
+            push(&self.to_far, (corr, false));
+            (corr, slot)
+        }
+    }
+
+    /// A ticket nobody collects while two requesters lead and follow; the
+    /// far side answers the requesters as their requests arrive and the
+    /// ticket last.  No leader leaving hands the read side to the idle
+    /// ticket, so neither requester loses its reply, and the ticket's is
+    /// there to collect afterwards.
+    fn an_idle_ticket_beside_two_requesters() {
+        let link = Link::new();
+        let (corr, slot) = link.ticket();
+        let far = {
+            let (to_far, from_far) = (link.to_far.clone(), link.from_far.clone());
+            thread::spawn(move || {
+                let Some(Ok((ticket, _))) = pop(&to_far, None) else {
+                    return;
+                };
+                for _ in 0..2 {
+                    let Some(Ok((corr, _))) = pop(&to_far, None) else {
+                        return;
+                    };
+                    push(&from_far, corr);
+                }
+                push(&from_far, ticket);
+            })
+        };
+        let requesters = [link.request(false), link.request(false)];
+        for requester in requesters {
+            let reply = requester.join().unwrap();
+            assert!(matches!(reply, Some(Ok(_))), "a reply was lost: {reply:?}");
+        }
+        let collected = link.relay.collect(corr, &slot, None);
+        assert!(
+            matches!(collected, Ok(Reply(answered)) if answered == corr),
+            "{collected:?}"
+        );
+        far.join().unwrap();
+    }
+
+    /// A ticket's collector gives up at its deadline — as the leader or as
+    /// a follower beside a requester — while the far side holds both
+    /// replies back.  The ticket is set aside, not given up: once the far
+    /// side answers, the requester gets its reply and the next collect the
+    /// ticket's.
+    fn a_collect_deadline_passes() {
+        let link = Link::new();
+        let (corr, slot) = link.ticket();
+        let set_aside: Pipe<()> = pipe();
+        let far = {
+            let (to_far, from_far, set_aside) = (
+                link.to_far.clone(),
+                link.from_far.clone(),
+                set_aside.clone(),
+            );
+            thread::spawn(move || {
+                let mut held = Vec::new();
+                for _ in 0..2 {
+                    if let Some(Ok((corr, _))) = pop(&to_far, None) {
+                        held.push(corr);
+                    }
+                }
+                pop(&set_aside, None);
+                for corr in held {
+                    push(&from_far, corr);
+                }
+            })
+        };
+        let requester = link.request(false);
+        let collector = {
+            let relay = link.relay.clone();
+            thread::spawn(move || {
+                let first = relay.collect(corr, &slot, Some(Instant::now()));
+                assert!(matches!(first, Err(ConnError::Timeout)), "{first:?}");
+                push(&set_aside, ());
+                relay.collect(corr, &slot, None)
+            })
+        };
+        let reply = requester.join().unwrap();
+        assert!(matches!(reply, Some(Ok(_))), "a reply was lost: {reply:?}");
+        let collected = collector.join().unwrap();
+        assert!(
+            matches!(collected, Ok(Reply(answered)) if answered == corr),
+            "{collected:?}"
+        );
         far.join().unwrap();
     }
 
@@ -1648,17 +1896,20 @@ mod model_tests {
     /// The hand-off loses no reply and strands no requester: replies in any
     /// order to two requesters (and to three, under one preemption); a
     /// deadline passing for the leader or a follower, with its reply
-    /// arriving late; the far side hanging up mid-exchange; and a
-    /// shutdown poisoning requesters in every state.
-    #[cfg(not(feature = "buggy-leader"))]
+    /// arriving late; the far side hanging up mid-exchange; a shutdown
+    /// poisoning requesters in every state; an idle ticket nobody collects
+    /// beside two requesters; and a ticket's collect whose deadline passes.
+    #[cfg(not(any(feature = "buggy-leader", feature = "buggy-promote")))]
     #[test]
     fn leader_hands_off_without_loss_proven() {
-        let scenarios: [(&str, usize, fn()); 5] = [
+        let scenarios: [(&str, usize, fn()); 7] = [
             ("two requesters", 2, || replies_in_any_order(2)),
             ("three requesters", 1, || replies_in_any_order(3)),
             ("a deadline passes", 2, a_deadline_passes),
             ("the far side hangs up", 2, the_far_side_hangs_up),
             ("a shutdown", 2, a_shutdown_wakes_everyone),
+            ("an idle ticket", 2, an_idle_ticket_beside_two_requesters),
+            ("a collect deadline passes", 2, a_collect_deadline_passes),
         ];
         for (name, preemption_bound, scenario) in scenarios {
             let report = explorer(preemption_bound).prove(scenario);
@@ -1689,6 +1940,29 @@ mod model_tests {
         assert!(
             report.schedules <= 5_000,
             "the lost hand-off should surface within a few thousand interleavings, took {}",
+            report.schedules
+        );
+    }
+
+    /// REGRESSION (`--features model,buggy-promote`): a leaving leader that
+    /// may promote an idle ticket — one nobody is collecting — hands the
+    /// read side to nobody, and the follower whose reply is on the wire
+    /// sleeps forever.  The exploration must find that hang.
+    #[cfg(feature = "buggy-promote")]
+    #[test]
+    fn idle_ticket_promotion_recaught() {
+        let report = explorer(2).explore(an_idle_ticket_beside_two_requesters);
+        let failure = report
+            .failure
+            .expect("promoting an idle ticket must strand a follower");
+        assert!(
+            failure.message.contains("deadlock"),
+            "expected a deadlock, got: {}",
+            failure.message
+        );
+        assert!(
+            report.schedules <= 5_000,
+            "the stranded follower should surface within a few thousand interleavings, took {}",
             report.schedules
         );
     }

@@ -464,7 +464,12 @@ mod tests {
         let server = serve_kind(BackendKind::Embedded, 200, 21);
         let addr = server.local_addr();
         let first = RemoteBackend::connect(&addr).unwrap();
-        let ticket = first.submit_text(&paper_text()).unwrap();
+        // A batch ticket: its id is the daemon's (a single submission's
+        // ticket never crosses the wire).
+        let ticket = first
+            .submit_batch(vec![Query::paper_example()])
+            .unwrap()
+            .remove(0);
 
         // A raw second session replays the FIRST session's wire ticket id,
         // bypassing the client-side brand check entirely: the server must
@@ -498,10 +503,10 @@ mod tests {
     #[test]
     fn abandoned_blocked_submissions_do_not_wedge_the_drain() {
         // A raw client floods more submissions than the live backend's
-        // admission window and vanishes without redeeming anything.  The
-        // queued admissions' permits are held by the abandoned tickets;
-        // settling those must launch the queued ones, whose tickets are
-        // then settled in turn, or the session (and the whole drain)
+        // admission window and vanishes without reading a reply.  The
+        // queued admissions launch as the earlier outcomes return their
+        // permits — some after the session closed, which settles them
+        // instead of answering — or the session (and the whole drain)
         // wedges forever.
         let db = fleet_db(300, 22);
         let server = PipelineBuilder::new()
@@ -522,11 +527,11 @@ mod tests {
                 )
                 .unwrap();
             }
-            // Dropped without reading replies or redeeming a single ticket.
+            // Dropped without reading a reply.
         }
         server.halt();
         server.join().unwrap();
-        // Every allocation the abandoned submissions produced was settled.
+        // Every allocation the abandoned submissions produced went back.
         let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
         assert_eq!(active, 0);
     }
@@ -545,7 +550,8 @@ mod tests {
         }
         server.halt();
         server.join().unwrap();
-        // The session settled the abandoned ticket: nothing stays claimed.
+        // The outcome nobody read was a session lease, handed back when the
+        // session ended: nothing stays claimed.
         let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
         assert_eq!(active, 0);
     }
@@ -577,14 +583,14 @@ mod tests {
 
     #[test]
     fn disconnect_racing_an_in_flight_wait_leaks_nothing() {
-        // Raw client: submit, read Submitted, fire a Wait, and hang up
-        // without reading the Outcome.  Whoever redeems the ticket — the
-        // I/O thread when the outcome is already there (always behind the
-        // eager backend, and behind the live one once the pipeline has
-        // answered), a redeem worker otherwise — has pulled it out of the
-        // session table, so only the lease mechanism can return the
-        // allocation, and the teardown that races it must not settle the
-        // same ticket a second time.
+        // Raw client: submit a batch of one, read its ticket, fire a Wait,
+        // and hang up without reading the Outcome.  Whoever redeems the
+        // ticket — the I/O thread when the outcome is already there
+        // (always behind the eager backend, and behind the live one once
+        // the pipeline has answered), the stage that produces it otherwise
+        // — has pulled it out of the session table, so only the lease
+        // mechanism can return the allocation, and the teardown that races
+        // it must not settle the same ticket a second time.
         for kind in [BackendKind::Embedded, BackendKind::Live] {
             let db = fleet_db(200, 8);
             let manager: Arc<dyn ResourceManager> = Arc::from(
@@ -597,18 +603,7 @@ mod tests {
             let addr = server.local_addr();
             {
                 let mut raw = raw_hello(&addr);
-                write_frame(
-                    &mut raw,
-                    &ClientFrame::Submit {
-                        corr: RequestId(0),
-                        query: paper_text(),
-                    },
-                )
-                .unwrap();
-                let ticket = match read_server_frame(&mut raw).unwrap() {
-                    Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-                    other => panic!("expected Submitted, got {other:?}"),
-                };
+                let ticket = batch_raw(&mut raw, 0, 1)[0];
                 // Give the live pipeline the chance to have answered, so
                 // the Wait below is (almost always) the inline hit.
                 let answered = std::time::Instant::now();
@@ -687,37 +682,12 @@ mod tests {
             };
             let server = serve(manager, &loopback()).unwrap();
             let mut raw = raw_hello(&server.local_addr());
-            let mut held = Vec::new();
-            for i in 0..HELD {
-                write_frame(
-                    &mut raw,
-                    &ClientFrame::Submit {
-                        corr: RequestId(i),
-                        query: paper_text(),
-                    },
-                )
-                .unwrap();
-                let ticket = match read_server_frame(&mut raw).unwrap() {
-                    Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-                    other => panic!("expected Submitted, got {other:?}"),
-                };
-                write_frame(
-                    &mut raw,
-                    &ClientFrame::Wait {
-                        corr: RequestId(i),
-                        ticket,
-                        deadline_ms: None,
-                    },
-                )
-                .unwrap();
-                match read_server_frame(&mut raw).unwrap() {
-                    Some(ServerFrame::Outcome {
-                        outcome: Ok(allocations),
-                        ..
-                    }) => held.extend(allocations),
-                    other => panic!("expected an allocation, got {other:?}"),
-                }
-            }
+            let held: Vec<_> = (0..HELD)
+                .map(|i| {
+                    submit_raw(&mut raw, i);
+                    granted(&mut raw)
+                })
+                .collect();
             let mut burst = Vec::new();
             for (i, allocation) in held.iter().enumerate() {
                 write_frame(
@@ -746,16 +716,70 @@ mod tests {
 
     type HeldWaits = Arc<Mutex<Vec<(crate::api::Ticket, crate::WaitDone)>>>;
 
+    /// Callers that reached a gate, and whether it is open.
+    type Gate = Arc<(std::sync::Mutex<(usize, bool)>, std::sync::Condvar)>;
+
+    fn gate(open: bool) -> Gate {
+        Arc::new((std::sync::Mutex::new((0, open)), std::sync::Condvar::new()))
+    }
+
+    /// Counts the caller in at the gate, then waits until it is open.
+    fn pass(gate: &Gate) {
+        let (lock, changed) = &**gate;
+        let mut state = lock.lock().unwrap();
+        state.0 += 1;
+        changed.notify_all();
+        while !state.1 {
+            state = changed.wait(state).unwrap();
+        }
+    }
+
+    /// Waits until `callers` have reached the gate.
+    fn await_arrivals(gate: &Gate, callers: usize) {
+        let (lock, changed) = &**gate;
+        let mut state = lock.lock().unwrap();
+        while state.0 < callers {
+            state = changed.wait(state).unwrap();
+        }
+    }
+
+    fn set_gate(gate: &Gate, open: bool) {
+        let (lock, changed) = &**gate;
+        lock.lock().unwrap().1 = open;
+        changed.notify_all();
+    }
+
     /// A backend on which every `Wait` misses: `wait_with` keeps the
-    /// completion, and the test decides when the outcome "arrives".
+    /// completion, and the test decides when the outcome "arrives".  A
+    /// submission the session hands to the submit lane (`submit`) passes
+    /// `gate` first.
     struct MissingWaits {
         inner: Arc<dyn ResourceManager>,
         held: HeldWaits,
+        gate: Gate,
+    }
+
+    impl MissingWaits {
+        fn new(inner: &Arc<dyn ResourceManager>) -> Self {
+            MissingWaits {
+                inner: inner.clone(),
+                held: HeldWaits::default(),
+                gate: gate(true),
+            }
+        }
     }
 
     impl ResourceManager for MissingWaits {
         fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
+            pass(&self.gate);
             self.inner.submit(query)
+        }
+        fn submit_with(
+            &self,
+            query: Query,
+            done: crate::api::SubmitDone,
+        ) -> Result<(), (Query, crate::api::SubmitDone)> {
+            self.inner.submit_with(query, done)
         }
         fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
             self.inner.wait(ticket)
@@ -774,6 +798,13 @@ mod tests {
         fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
             self.inner.release(allocation)
         }
+        fn release_with(
+            &self,
+            allocation: &crate::Allocation,
+            done: crate::allocation::ReleaseDone,
+        ) -> Result<(), crate::allocation::ReleaseDone> {
+            self.inner.release_with(allocation, done)
+        }
         fn stats(&self) -> actyp_proto::StatsSnapshot {
             self.inner.stats()
         }
@@ -782,13 +813,67 @@ mod tests {
         }
     }
 
+    /// The stage behind a [`MissingWaits`]: silent until `quiet_until`
+    /// completions are held, then answering every one it is handed —
+    /// through `inner`, whose outcome is in — until `stop` is raised.
+    /// Returns how many were held when it began to answer.
+    fn answer_held(
+        held: &HeldWaits,
+        inner: &Arc<dyn ResourceManager>,
+        quiet_until: usize,
+        stop: &Arc<AtomicBool>,
+    ) -> std::thread::JoinHandle<usize> {
+        let (held, inner, stop) = (held.clone(), inner.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            while held.lock().len() < quiet_until {
+                assert!(
+                    started.elapsed() < std::time::Duration::from_secs(20),
+                    "only {} waits reached the backend",
+                    held.lock().len()
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            let peak = held.lock().len();
+            while !stop.load(Ordering::SeqCst) {
+                let answered = std::mem::take(&mut *held.lock());
+                for (ticket, done) in answered {
+                    done(inner.wait(ticket));
+                }
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            peak
+        })
+    }
+
+    /// Spins until `held` has `count` completions in it.
+    fn await_held(held: &HeldWaits, count: usize) {
+        let started = std::time::Instant::now();
+        while held.lock().len() < count {
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(20),
+                "only {} waits reached the backend",
+                held.lock().len()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Reads `count` replies, each an allocation, and releases them all.
+    fn release_granted(raw: &mut TcpStream, count: u64) {
+        let held: Vec<_> = (0..count).map(|_| granted(raw)).collect();
+        for (i, allocation) in held.into_iter().enumerate() {
+            release_raw(raw, count + i as u64, allocation);
+        }
+    }
+
     #[test]
     fn a_burst_of_pipelined_missed_waits_is_answered_in_full() {
         // The counterpart of the release burst: one session holds more
-        // tickets than the completion high-water mark and waits on them
-        // all in a single write, and not one outcome is in yet.  The I/O
-        // thread must pause reading at the mark — not refuse the rest —
-        // and resume as the stage answers, so every reply is an Outcome.
+        // batch tickets than the completion high-water mark and waits on
+        // them all in a single write, and not one outcome is in yet.  The
+        // I/O thread must pause reading at the mark — not refuse the rest
+        // — and resume as the stage answers, so every reply is an Outcome.
         const TICKETS: u64 = 300;
         let high_water = session::COMPLETIONS_HIGH_WATER;
         let inner: Arc<dyn ResourceManager> = Arc::from(
@@ -797,31 +882,16 @@ mod tests {
                 .build(BackendKind::Embedded)
                 .unwrap(),
         );
-        let held: HeldWaits = Arc::default();
-        let manager = MissingWaits {
-            inner: inner.clone(),
-            held: held.clone(),
-        };
+        let manager = MissingWaits::new(&inner);
+        let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
         let mut burst = Vec::new();
-        for i in 0..TICKETS {
-            write_frame(
-                &mut raw,
-                &ClientFrame::Submit {
-                    corr: RequestId(i),
-                    query: paper_text(),
-                },
-            )
-            .unwrap();
-            let ticket = match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-                other => panic!("expected Submitted, got {other:?}"),
-            };
+        for (i, ticket) in batch_raw(&mut raw, 0, TICKETS).into_iter().enumerate() {
             write_frame(
                 &mut burst,
                 &ClientFrame::Wait {
-                    corr: RequestId(i),
+                    corr: RequestId(i as u64),
                     ticket,
                     deadline_ms: None,
                 },
@@ -830,58 +900,77 @@ mod tests {
         }
         raw.write_all(&burst).unwrap();
 
-        // The stage: silent until the session has the high-water mark of
-        // waits pending, then answering everything it is handed.
         let stop = Arc::new(AtomicBool::new(false));
-        let stage = std::thread::spawn({
-            let (held, stop) = (held.clone(), stop.clone());
-            move || {
-                let started = std::time::Instant::now();
-                while held.lock().len() < high_water {
-                    assert!(
-                        started.elapsed() < std::time::Duration::from_secs(20),
-                        "only {} waits reached the backend",
-                        held.lock().len()
-                    );
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                let peak = held.lock().len();
-                while !stop.load(Ordering::SeqCst) {
-                    let answered = std::mem::take(&mut *held.lock());
-                    for (ticket, done) in answered {
-                        done(inner.wait(ticket));
-                    }
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-                peak
-            }
-        });
-        let mut granted = Vec::new();
-        for _ in 0..TICKETS {
-            match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Outcome {
-                    outcome: Ok(allocations),
-                    ..
-                }) => granted.extend(allocations),
-                other => panic!("expected an allocation, got {other:?}"),
-            }
-        }
+        let stage = answer_held(&held, &inner, high_water, &stop);
+        release_granted(&mut raw, TICKETS);
         stop.store(true, Ordering::SeqCst);
         let peak = stage.join().unwrap();
         assert_eq!(peak, high_water, "the read side paused at the mark");
-        for (i, allocation) in granted.iter().enumerate() {
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
+    }
+
+    #[test]
+    fn a_burst_of_pipelined_v4_submits_is_answered_in_full() {
+        // A v4 `Submit` carries its own wait: 300 of them in one write,
+        // each launched at once into a window of 512 and redeemed there,
+        // and not one outcome is in yet.  Launched, each counts as a
+        // completion, so the I/O thread pauses reading at the high-water
+        // mark — no overload refusal — and resumes as the stage answers:
+        // every reply is an Outcome, and the burst was decoded many frames
+        // to a readable event.
+        const SUBMITS: u64 = 300;
+        let high_water = session::COMPLETIONS_HIGH_WATER;
+        assert!(SUBMITS as usize > high_water);
+        let db = fleet_db(2_000, 16);
+        let inner: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .window(512)
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let manager = MissingWaits::new(&inner);
+        let held = manager.held.clone();
+        let server = serve(Box::new(manager), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        let mut burst = Vec::new();
+        for i in 0..SUBMITS {
             write_frame(
-                &mut raw,
-                &ClientFrame::Release {
-                    corr: RequestId(TICKETS + i as u64),
-                    allocation: allocation.clone(),
+                &mut burst,
+                &ClientFrame::Submit {
+                    corr: RequestId(i),
+                    query: paper_text(),
                 },
             )
             .unwrap();
-            assert!(matches!(
-                read_server_frame(&mut raw).unwrap(),
-                Some(ServerFrame::Released { .. })
-            ));
+        }
+        let jobs = server.lane_jobs();
+        raw.write_all(&burst).unwrap();
+
+        let stop = Arc::new(AtomicBool::new(false));
+        let stage = answer_held(&held, &inner, high_water, &stop);
+        release_granted(&mut raw, SUBMITS);
+        stop.store(true, Ordering::SeqCst);
+        let peak = stage.join().unwrap();
+        assert_eq!(peak, high_water, "the read side paused at the mark");
+        assert_eq!(server.lane_jobs(), jobs, "a submission ran on a lane");
+        assert_eq!(active_jobs(&db), 0);
+        write_frame(
+            &mut raw,
+            &ClientFrame::Stats {
+                corr: RequestId(2 * SUBMITS),
+            },
+        )
+        .unwrap();
+        match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::StatsReply { stats, .. }) => {
+                assert!(stats.frames_batched > 1, "{}", stats.frames_batched);
+                assert_eq!((stats.allocations, stats.releases), (SUBMITS, SUBMITS));
+                assert_eq!(stats.in_flight, 0);
+            }
+            other => panic!("expected StatsReply, got {other:?}"),
         }
         drop(raw);
         server.halt();
@@ -893,8 +982,8 @@ mod tests {
     /// redeem lane runs blocks until the test opens the gate.
     struct GatedWaits {
         inner: Box<dyn ResourceManager>,
-        /// Deadline waits that reached the gate, and whether it is open.
-        gate: Arc<(std::sync::Mutex<(usize, bool)>, std::sync::Condvar)>,
+        /// Where deadline waits are held.
+        gate: Gate,
     }
 
     impl ResourceManager for GatedWaits {
@@ -912,14 +1001,7 @@ mod tests {
             ticket: crate::api::Ticket,
             timeout: std::time::Duration,
         ) -> Option<crate::api::QueryOutcome> {
-            let (lock, opened) = &*self.gate;
-            let mut gate = lock.lock().unwrap();
-            gate.0 += 1;
-            opened.notify_all();
-            while !gate.1 {
-                gate = opened.wait(gate).unwrap();
-            }
-            drop(gate);
+            pass(&self.gate);
             self.inner.wait_deadline(ticket, timeout)
         }
         fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
@@ -942,7 +1024,7 @@ mod tests {
         const TICKETS: u64 = 300;
         assert!(TICKETS as usize > session::COMPLETIONS_HIGH_WATER);
         let db = fleet_db(2_000, 11);
-        let gate = Arc::new((std::sync::Mutex::new((0, false)), std::sync::Condvar::new()));
+        let gate = gate(false);
         let manager = GatedWaits {
             inner: PipelineBuilder::new()
                 .database(db.clone())
@@ -954,23 +1036,11 @@ mod tests {
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
         let mut burst = Vec::new();
-        for i in 0..TICKETS {
-            write_frame(
-                &mut raw,
-                &ClientFrame::Submit {
-                    corr: RequestId(i),
-                    query: paper_text(),
-                },
-            )
-            .unwrap();
-            let ticket = match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-                other => panic!("expected Submitted, got {other:?}"),
-            };
+        for (i, ticket) in batch_raw(&mut raw, 0, TICKETS).into_iter().enumerate() {
             write_frame(
                 &mut burst,
                 &ClientFrame::Wait {
-                    corr: RequestId(i),
+                    corr: RequestId(i as u64),
                     ticket,
                     deadline_ms: Some(60_000),
                 },
@@ -978,41 +1048,11 @@ mod tests {
             .unwrap();
         }
         raw.write_all(&burst).unwrap();
-        {
-            // The burst is queued behind a held redeem worker before any
-            // wait is answered.
-            let (lock, opened) = &*gate;
-            let mut held = lock.lock().unwrap();
-            while held.0 < 1 {
-                held = opened.wait(held).unwrap();
-            }
-            held.1 = true;
-            opened.notify_all();
-        }
-        let mut granted = Vec::new();
-        for _ in 0..TICKETS {
-            match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Outcome {
-                    outcome: Ok(allocations),
-                    ..
-                }) => granted.extend(allocations),
-                other => panic!("expected an allocation, got {other:?}"),
-            }
-        }
-        for (i, allocation) in granted.iter().enumerate() {
-            write_frame(
-                &mut raw,
-                &ClientFrame::Release {
-                    corr: RequestId(TICKETS + i as u64),
-                    allocation: allocation.clone(),
-                },
-            )
-            .unwrap();
-            assert!(matches!(
-                read_server_frame(&mut raw).unwrap(),
-                Some(ServerFrame::Released { .. })
-            ));
-        }
+        // The burst is queued behind a held redeem worker before any wait
+        // is answered.
+        await_arrivals(&gate, 1);
+        set_gate(&gate, true);
+        release_granted(&mut raw, TICKETS);
         assert_eq!(active_jobs(&db), 0);
         // The burst arrived in readable events carrying many frames each.
         write_frame(
@@ -1037,7 +1077,7 @@ mod tests {
         // redeem lane, so its session settles for as long as the gate
         // stays shut.  Its socket's hangup must not be reported to the
         // I/O thread on every turn meanwhile.
-        let gate = Arc::new((std::sync::Mutex::new((0, false)), std::sync::Condvar::new()));
+        let gate = gate(false);
         let manager = GatedWaits {
             inner: PipelineBuilder::new()
                 .database(fleet_db(200, 14))
@@ -1047,8 +1087,7 @@ mod tests {
         };
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
-        submit_raw(&mut raw, 0);
-        let ticket = submitted(&mut raw);
+        let ticket = batch_raw(&mut raw, 0, 1)[0];
         write_frame(
             &mut raw,
             &ClientFrame::Wait {
@@ -1058,11 +1097,7 @@ mod tests {
             },
         )
         .unwrap();
-        let (lock, opened) = &*gate;
-        let mut held = lock.lock().unwrap();
-        while held.0 < 1 {
-            held = opened.wait(held).unwrap();
-        }
+        await_arrivals(&gate, 1);
         drop(raw);
         // The hangup reaches the I/O thread, then the session settles.
         std::thread::sleep(std::time::Duration::from_millis(100));
@@ -1072,9 +1107,7 @@ mod tests {
         // Idle, both I/O threads turn for the 250 ms closing sweep and
         // the 500 ms poll interval only: a handful of turns, not a spin.
         assert!(turns < 50, "{turns} I/O turns while the session settled");
-        held.1 = true;
-        opened.notify_all();
-        drop(held);
+        set_gate(&gate, true);
         server.halt();
         server.join().unwrap();
     }
@@ -1105,11 +1138,46 @@ mod tests {
         .unwrap();
     }
 
-    fn submitted(raw: &mut TcpStream) -> u64 {
+    /// Submits a batch of `count` queries and returns its tickets.
+    fn batch_raw(raw: &mut TcpStream, corr: u64, count: u64) -> Vec<u64> {
+        write_frame(
+            raw,
+            &ClientFrame::SubmitBatch {
+                corr: RequestId(corr),
+                queries: vec![paper_text(); count as usize],
+            },
+        )
+        .unwrap();
         match read_server_frame(raw).unwrap() {
-            Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-            other => panic!("expected Submitted, got {other:?}"),
+            Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
+            other => panic!("expected BatchSubmitted, got {other:?}"),
         }
+    }
+
+    /// Reads the next reply, which must grant one machine.
+    fn granted(raw: &mut TcpStream) -> crate::Allocation {
+        match read_server_frame(raw).unwrap() {
+            Some(ServerFrame::Outcome {
+                outcome: Ok(mut allocations),
+                ..
+            }) => allocations.remove(0),
+            other => panic!("expected an allocation, got {other:?}"),
+        }
+    }
+
+    fn release_raw(raw: &mut TcpStream, corr: u64, allocation: crate::Allocation) {
+        write_frame(
+            raw,
+            &ClientFrame::Release {
+                corr: RequestId(corr),
+                allocation,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server_frame(raw).unwrap(),
+            Some(ServerFrame::Released { .. })
+        ));
     }
 
     /// Redeems `ticket` and releases what it granted.
@@ -1123,34 +1191,19 @@ mod tests {
             },
         )
         .unwrap();
-        let allocation = match read_server_frame(raw).unwrap() {
-            Some(ServerFrame::Outcome {
-                outcome: Ok(mut allocations),
-                ..
-            }) => allocations.remove(0),
-            other => panic!("expected an allocation, got {other:?}"),
-        };
-        write_frame(
-            raw,
-            &ClientFrame::Release {
-                corr: RequestId(101),
-                allocation,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_server_frame(raw).unwrap(),
-            Some(ServerFrame::Released { .. })
-        ));
+        let allocation = granted(raw);
+        release_raw(raw, 101, allocation);
     }
 
     #[test]
     fn submissions_into_a_full_window_launch_in_arrival_order_with_no_lane_job() {
-        // A window of one, held by a first session's ticket; three more
-        // sessions submit into it one after the other.  Each permit the
-        // holder returns goes to the next in line — the thread whose
-        // `Wait` returns it launches the queued submission and writes its
-        // `Submitted` — and not one request runs on a lane.
+        // A window of one, held by a first session's batch ticket; three
+        // more sessions submit into it one after the other.  The permit the
+        // holder returns goes to the next in line, and each outcome returns
+        // it for the one after: the thread that settles a ticket launches
+        // the queued submission it hands the permit to.  The launches come
+        // in arrival order — the pipeline numbers its requests as they
+        // come in — and not one request runs on a lane.
         let manager: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
                 .database(fleet_db(200, 12))
@@ -1161,8 +1214,7 @@ mod tests {
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
         let addr = server.local_addr();
         let mut holder = raw_hello(&addr);
-        submit_raw(&mut holder, 0);
-        let held = submitted(&mut holder);
+        let held = batch_raw(&mut holder, 0, 1)[0];
         let jobs = server.lane_jobs();
         let base = manager.stats().shard_contention;
         let mut queued: Vec<TcpStream> = Vec::new();
@@ -1175,13 +1227,17 @@ mod tests {
             await_queued(&*manager, base + i);
             queued.push(raw);
         }
-        // Each release hands the permit to the next session in arrival
-        // order: only that one's `Submitted` can arrive.
         redeem_and_release(&mut holder, held);
+        let mut launched = Vec::new();
         for raw in &mut queued {
-            let ticket = submitted(raw);
-            redeem_and_release(raw, ticket);
+            let allocation = granted(raw);
+            launched.push(allocation.request);
+            release_raw(raw, 101, allocation);
         }
+        assert!(
+            launched.windows(2).all(|pair| pair[0] < pair[1]),
+            "launched out of arrival order: {launched:?}"
+        );
         assert_eq!(server.lane_jobs(), jobs, "a submission ran on a lane");
         let stats = manager.stats();
         assert_eq!((stats.allocations, stats.releases), (4, 4));
@@ -1192,12 +1248,12 @@ mod tests {
 
     #[test]
     fn a_client_vanishing_with_tickets_a_queued_admission_and_leases_strands_nothing() {
-        // One session leaves everything behind at once: a lease it
-        // redeemed, two abandoned tickets filling the window, and a third
+        // One session leaves everything behind at once: a lease it was
+        // granted, two abandoned batch tickets filling the window, and a
         // submission queued on it.  Settling the abandoned tickets frees
-        // the permits that launch the queued one, whose ticket lands in
-        // a closed session and is settled in turn; the leftover lease goes
-        // with the final sweep.
+        // the permits that launch the queued one in a closed session, where
+        // it is settled in turn; the leftover lease goes with the final
+        // sweep.
         let db = fleet_db(300, 13);
         let manager: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
@@ -1210,25 +1266,9 @@ mod tests {
         {
             let mut raw = raw_hello(&server.local_addr());
             submit_raw(&mut raw, 0);
-            let leased = submitted(&mut raw);
-            write_frame(
-                &mut raw,
-                &ClientFrame::Wait {
-                    corr: RequestId(1),
-                    ticket: leased,
-                    deadline_ms: None,
-                },
-            )
-            .unwrap();
-            assert!(matches!(
-                read_server_frame(&mut raw).unwrap(),
-                Some(ServerFrame::Outcome { outcome: Ok(_), .. })
-            ));
+            granted(&mut raw);
             let base = manager.stats().shard_contention;
-            for corr in 2..4 {
-                submit_raw(&mut raw, corr);
-                submitted(&mut raw);
-            }
+            batch_raw(&mut raw, 1, 2);
             submit_raw(&mut raw, 4);
             await_queued(&*manager, base + 1);
             // Dropped: no Release, no Wait, no reply read.
@@ -1240,6 +1280,124 @@ mod tests {
         assert_eq!(stats.allocations, stats.releases);
         assert_eq!(stats.in_flight, 0);
         assert_eq!(active_jobs(&db), 0);
+    }
+
+    #[test]
+    fn a_client_vanishing_with_v4_submits_in_every_state_strands_nothing() {
+        // One session leaves a `Submit` behind in each state: granted but
+        // its Outcome unread; launched with its outcome not in yet; and
+        // not launched — queued on the live backend's full window, or
+        // handed to the submit lane of an embedded one.  The first is a
+        // lease the final sweep returns, the second becomes one when its
+        // outcome reaches the closed session, and the third is launched
+        // after the close and settled there instead of answered.
+        for kind in [BackendKind::Live, BackendKind::Embedded] {
+            let db = fleet_db(300, 15);
+            let inner: Arc<dyn ResourceManager> = Arc::from(
+                PipelineBuilder::new()
+                    .database(db.clone())
+                    .window(1)
+                    .build(kind)
+                    .unwrap(),
+            );
+            let manager = MissingWaits::new(&inner);
+            let (held, gate) = (manager.held.clone(), manager.gate.clone());
+            let server = serve(Box::new(manager), &loopback()).unwrap();
+            {
+                let mut raw = raw_hello(&server.local_addr());
+                // Granted: its outcome is written, never read.
+                submit_raw(&mut raw, 0);
+                await_held(&held, 1);
+                let (ticket, done) = held.lock().pop().unwrap();
+                done(inner.wait(ticket));
+                // Launched: the live window's one permit is its own.
+                submit_raw(&mut raw, 1);
+                await_held(&held, 1);
+                // Not launched.
+                set_gate(&gate, false);
+                let base = inner.stats().shard_contention;
+                submit_raw(&mut raw, 2);
+                match kind {
+                    BackendKind::Live => await_queued(&*inner, base + 1),
+                    _ => await_arrivals(&gate, 3),
+                }
+            }
+            // The client is gone; once its session is closing, the stage
+            // answers what it holds — launching the queued submission on
+            // the live backend — and the lane's submission gets through.
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let stop = Arc::new(AtomicBool::new(false));
+            let stage = answer_held(&held, &inner, 0, &stop);
+            set_gate(&gate, true);
+            server.halt();
+            server.join().unwrap();
+            stop.store(true, Ordering::SeqCst);
+            stage.join().unwrap();
+            let stats = inner.stats();
+            assert_eq!(
+                stats.allocations, 3,
+                "{kind}: every submission was launched"
+            );
+            assert_eq!(stats.allocations, stats.releases, "{kind}");
+            assert_eq!(stats.in_flight, 0, "{kind}");
+            assert_eq!(active_jobs(&db), 0, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_submission_launched_after_its_client_left_is_not_delegated() {
+        // The entry daemon's window of one is held by a batch ticket, and a
+        // query only the peer domain can satisfy queues behind it.  The
+        // client vanishes: settling its ticket launches the queued
+        // submission in a closed session, which settles it through the
+        // wrapped backend alone — no delegation for a client that is gone.
+        let db_b = arch_db("hp", 40, 76);
+        let (srv_b, fed_b) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
+        let db_a = arch_db("sun", 20, 77);
+        let (srv_a, fed_a) = PipelineBuilder::new()
+            .database(db_a.clone())
+            .window(1)
+            .serve_federated(
+                &loopback(),
+                BackendKind::Live,
+                crate::federation::FederationConfig {
+                    domain: "purdue".to_string(),
+                    peers: vec![srv_b.local_addr()],
+                    gossip_interval: std::time::Duration::ZERO,
+                    probe_interval: std::time::Duration::ZERO,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        {
+            // The link is warm: one delegation has crossed it.
+            let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
+            let warm = client.submit_text_wait(HP).unwrap();
+            client.release(&warm[0]).unwrap();
+            client.shutdown().unwrap();
+        }
+        let delegated = fed_a.stats().delegations_out;
+        {
+            let mut raw = raw_hello(&srv_a.local_addr());
+            batch_raw(&mut raw, 0, 1);
+            let base = fed_a.stats().shard_contention;
+            write_frame(
+                &mut raw,
+                &ClientFrame::Submit {
+                    corr: RequestId(1),
+                    query: HP.to_string(),
+                },
+            )
+            .unwrap();
+            await_queued(&*fed_a, base + 1);
+        }
+        srv_a.halt();
+        srv_a.join().unwrap();
+        assert_eq!(fed_a.stats().delegations_out, delegated);
+        assert_eq!(fed_b.stats().allocations, fed_b.stats().releases);
+        assert_eq!((active_jobs(&db_a), active_jobs(&db_b)), (0, 0));
+        srv_b.halt();
+        srv_b.join().unwrap();
     }
 
     #[test]
@@ -1410,28 +1568,15 @@ mod tests {
         (StageAddress::new("127.0.0.1", addr.port()), peer)
     }
 
-    /// Submits an hp query on a raw session and waits for it: the one
-    /// `Outcome` it gets, checked to be the only reply — a `Stats` sent
-    /// right after must be answered next.
+    /// Submits an hp query on a raw session: the one `Outcome` it gets,
+    /// checked to be the only reply — a `Stats` sent right after must be
+    /// answered next.
     fn wait_once(raw: &mut TcpStream, corr: u64) -> crate::api::QueryOutcome {
         write_frame(
             raw,
             &ClientFrame::Submit {
                 corr: RequestId(corr),
                 query: HP.to_string(),
-            },
-        )
-        .unwrap();
-        let ticket = match read_server_frame(raw).unwrap() {
-            Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-            other => panic!("expected Submitted, got {other:?}"),
-        };
-        write_frame(
-            raw,
-            &ClientFrame::Wait {
-                corr: RequestId(corr),
-                ticket,
-                deadline_ms: None,
             },
         )
         .unwrap();
@@ -1451,7 +1596,7 @@ mod tests {
                 read_server_frame(raw).unwrap(),
                 Some(ServerFrame::StatsReply { .. })
             ),
-            "a second reply to the same Wait"
+            "a second reply to the same Submit"
         );
         outcome
     }
@@ -1507,10 +1652,10 @@ mod tests {
     }
 
     /// The federated counterpart of the missed-wait burst: more pipelined
-    /// `Wait`s than the session's completion high-water mark, every one a
-    /// delegation, all in one write.  The read side pauses at the mark and
-    /// resumes as the far daemon answers — no overload refusal — so every
-    /// reply is a delegated allocation.
+    /// `Submit`s — each carrying its wait — than the session's completion
+    /// high-water mark, every one a delegation, all in one write.  The read
+    /// side pauses at the mark and resumes as the far daemon answers — no
+    /// overload refusal — so every reply is a delegated allocation.
     #[test]
     fn a_burst_of_pipelined_federated_waits_is_answered_in_full() {
         const TICKETS: u64 = 300;
@@ -1534,52 +1679,19 @@ mod tests {
         let mut burst = Vec::new();
         for i in 0..TICKETS {
             write_frame(
-                &mut raw,
+                &mut burst,
                 &ClientFrame::Submit {
                     corr: RequestId(i),
                     query: HP.to_string(),
                 },
             )
             .unwrap();
-            let ticket = match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Submitted { ticket, .. }) => ticket,
-                other => panic!("expected Submitted, got {other:?}"),
-            };
-            write_frame(
-                &mut burst,
-                &ClientFrame::Wait {
-                    corr: RequestId(i),
-                    ticket,
-                    deadline_ms: None,
-                },
-            )
-            .unwrap();
         }
         raw.write_all(&burst).unwrap();
-        let mut granted = Vec::new();
-        for _ in 0..TICKETS {
-            match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Outcome {
-                    outcome: Ok(allocations),
-                    ..
-                }) => granted.extend(allocations),
-                other => panic!("expected a delegated allocation, got {other:?}"),
-            }
-        }
+        let delegated: Vec<_> = (0..TICKETS).map(|_| granted(&mut raw)).collect();
         assert_eq!(active_jobs(&db_b), TICKETS as u32);
-        for (i, allocation) in granted.iter().enumerate() {
-            write_frame(
-                &mut raw,
-                &ClientFrame::Release {
-                    corr: RequestId(TICKETS + i as u64),
-                    allocation: allocation.clone(),
-                },
-            )
-            .unwrap();
-            assert!(matches!(
-                read_server_frame(&mut raw).unwrap(),
-                Some(ServerFrame::Released { .. })
-            ));
+        for (i, allocation) in delegated.into_iter().enumerate() {
+            release_raw(&mut raw, TICKETS + i as u64, allocation);
         }
         assert_eq!(active_jobs(&db_b), 0);
         drop(raw);

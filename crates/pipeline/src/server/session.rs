@@ -72,8 +72,9 @@ const PROBE_TIMER: u64 = 3;
 const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// Upper bound on a session's unanswered requests other than submissions
-/// before it stops *reading*: an error reply would strand a lease or a
-/// ticket, so a pipelined burst waits in the socket instead.
+/// still waiting for their launch before it stops *reading*: an error reply
+/// would strand a lease, a ticket or launched work, so a pipelined burst
+/// waits in the socket instead.
 pub(super) const COMPLETIONS_HIGH_WATER: usize = 256;
 
 /// Upper bound on a session's submissions queued in the admission window
@@ -949,11 +950,11 @@ fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn:
 
 /// The one frame-dispatch `match` of the serving side.  *Who answers* is a
 /// property of the call, not of the frame type: a call that cannot park is
-/// finished right here on the I/O thread; a submission the window must
-/// queue, a release, and a wait whose outcome is not in yet, are finished
-/// by whichever thread frees the permit or produces the answer; only what
-/// would park otherwise is queued on a worker lane.  Whoever finishes
-/// writes the reply (see [`OutQueue::push`]).
+/// finished right here on the I/O thread; a submission (answered by its
+/// outcome, once the window has launched it), a release, and a wait whose
+/// outcome is not in yet, are finished by whichever thread produces the
+/// answer; only what would park otherwise is queued on a worker lane.
+/// Whoever finishes writes the reply (see [`OutQueue::push`]).
 fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, frame: ClientFrame) {
     let state = session.state.clone();
     if matches!(session.phase, Phase::AwaitingHello) {
@@ -1010,12 +1011,16 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
                 return;
             };
             // The backend launches it now or queues it in its window, and
-            // the launching thread — this one, or the one whose release
-            // frees the permit — writes `Submitted`.  Counted on the
-            // session until then.
+            // the launching thread — this one, or the one whose settle
+            // frees the permit — redeems the new ticket at once: the
+            // outcome is the reply.  Counted on the session as a
+            // submission until the launch, as a completion after it.
             let (done_shared, done_state) = (shared.clone(), state.clone());
             let done: SubmitDone = Box::new(move |submitted| {
-                reply_submitted(&done_shared, &done_state, corr, submitted);
+                match submitted {
+                    Ok(ticket) => answer_launched(&done_shared, &done_state, corr, ticket),
+                    Err(error) => done_state.send(&ServerFrame::Error { corr, error }),
+                }
                 drop(counted);
             });
             // A backend whose `submit` is the computation or a round trip
@@ -1041,36 +1046,13 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             corr,
             ticket,
             deadline_ms: None,
-        } => {
-            // The ticket is redeemed now and the outcome delivered by
-            // whoever finds it together with this completion: the I/O
-            // thread on a hit, the query-manager stage that reintegrates
-            // it on a miss — and on a federated daemon, when the local
-            // outcome is a delegable failure, the I/O thread of the peer
-            // link whose reply ends the chain.  Counted on the session
-            // until it has run.
-            let Some(backend_ticket) = state.claim(ticket) else {
-                state.send(&ServerFrame::Error {
-                    corr,
-                    error: AllocationError::UnknownTicket,
-                });
-                return;
-            };
-            let pending = Pending::completion(&state);
-            let done_state = state.clone();
-            let done: WaitDone = Box::new(move |outcome| {
-                done_state.deliver_outcome(corr, outcome);
-                drop(pending);
-            });
-            // A backend that cannot wait from here without parking hands
-            // the completion back, and the redeem lane runs the blocking
-            // call.
-            if let Err(done) = shared.manager.wait_with(backend_ticket, done) {
-                offload(shared, &shared.pools.redeem, move |shared| {
-                    done(shared.manager.wait(backend_ticket))
-                });
-            }
-        }
+        } => match state.claim(ticket) {
+            Some(backend_ticket) => redeem(shared, &state, corr, backend_ticket),
+            None => state.send(&ServerFrame::Error {
+                corr,
+                error: AllocationError::UnknownTicket,
+            }),
+        },
         ClientFrame::Wait {
             corr,
             ticket,
@@ -1227,6 +1209,46 @@ fn not_federated(corr: RequestId) -> ServerFrame {
         error: AllocationError::Protocol(
             "this daemon is not federated (no --domain/--peer)".to_string(),
         ),
+    }
+}
+
+/// Redeems `ticket` now and answers `corr` with its outcome, delivered by
+/// whoever finds the two together: this thread on a hit, the query-manager
+/// stage that reintegrates it on a miss — and on a federated daemon, when
+/// the local outcome is a delegable failure, the I/O thread of the peer
+/// link whose reply ends the chain.  A backend that cannot wait from here
+/// without parking hands the completion back, and the redeem lane runs the
+/// blocking call.  Counted on the session until it has run.
+fn redeem(shared: &Arc<ServerShared>, state: &Arc<SessionState>, corr: RequestId, ticket: Ticket) {
+    let pending = Pending::completion(state);
+    let done_state = state.clone();
+    let done: WaitDone = Box::new(move |outcome| {
+        done_state.deliver_outcome(corr, outcome);
+        drop(pending);
+    });
+    if let Err(done) = shared.manager.wait_with(ticket, done) {
+        offload(shared, &shared.pools.redeem, move |shared| {
+            done(shared.manager.wait(ticket))
+        });
+    }
+}
+
+/// Answers a `Submit` whose query was just launched as `ticket`: the ticket
+/// never leaves the daemon, its outcome is the reply ([`redeem`]).  A
+/// launch that finds its session closing — a submission queued on a full
+/// window or handed to the submit lane, launched after the client left —
+/// is settled through the local backend instead ([`settle_abandoned`]), so
+/// nothing is delegated for a client that is gone.
+fn answer_launched(
+    shared: &Arc<ServerShared>,
+    state: &Arc<SessionState>,
+    corr: RequestId,
+    ticket: Ticket,
+) {
+    if state.closing.load(Ordering::SeqCst) {
+        settle_abandoned(shared, state, ticket);
+    } else {
+        redeem(shared, state, corr, ticket);
     }
 }
 
@@ -1444,13 +1466,15 @@ fn refresh_session(
 }
 
 /// Per-connection session state: the write queue replies go to, the
-/// session-scoped ticket table mapping wire ticket ids to backend tickets,
-/// and the allocation leases the session currently holds.
+/// session-scoped ticket table mapping the wire ids of batch tickets to
+/// backend tickets (a single `Submit`'s ticket never enters it: its
+/// outcome is the reply), and the allocation leases the session currently
+/// holds.
 pub(super) struct SessionState {
     queue: Arc<OutQueue>,
     /// `None` once the session is closing: a ticket issued after that
-    /// (a queued admission launched late, a deadline wait that missed) is
-    /// settled at once instead of kept for a client that is gone.
+    /// (a batch launched late, a deadline wait that missed) is settled at
+    /// once instead of kept for a client that is gone.
     tickets: Mutex<Option<HashMap<u64, Ticket>>>,
     /// Allocations delivered to this client and not yet released, keyed by
     /// access key.  Allocations are *session leases*: whatever is still
@@ -1466,7 +1490,8 @@ pub(super) struct SessionState {
     /// ([`Pending::completion`]): bounded by pausing the read side.
     completions: AtomicUsize,
     /// Set when the session begins to close: from then on the last
-    /// [`Pending`] to finish rings the I/O thread for the final sweep.
+    /// [`Pending`] to finish rings the I/O thread for the final sweep, and
+    /// a submission launched late is settled instead of answered.
     closing: AtomicBool,
     /// The federation domain the peer on this session advertised (via
     /// `SyncPools` or `AdvertDelta`); `None` on ordinary client sessions.
@@ -1498,16 +1523,16 @@ impl SessionState {
     }
 
     /// Requests of this session somebody else still owes a reply to.  A
-    /// launched submission counts its settle as a completion before it
-    /// stops counting itself, so reading submissions first never sees 0
-    /// while either is outstanding.
+    /// launched submission counts its outcome (or its settle) as a
+    /// completion before it stops counting itself, so reading submissions
+    /// first never sees 0 while either is outstanding.
     fn outstanding(&self) -> usize {
         self.submissions.load(Ordering::SeqCst) + self.completions.load(Ordering::SeqCst)
     }
 
     /// Whether the session should stop reading frames for now: the client
-    /// is not draining its replies, or it pipelined more releases and waits
-    /// than the backend has answered yet.
+    /// is not draining its replies, or it pipelined more launched
+    /// submissions, waits and releases than the backend has answered yet.
     fn backlogged(&self) -> bool {
         self.queue.pending_bytes() > OUT_HIGH_WATER
             || self.completions.load(Ordering::Relaxed) >= COMPLETIONS_HIGH_WATER
@@ -1698,20 +1723,6 @@ fn keep(
         settle_abandoned(shared, state, ticket);
     }
     kept.map(|_| wire_id)
-}
-
-/// Answers a `Submit`.
-fn reply_submitted(
-    shared: &Arc<ServerShared>,
-    state: &Arc<SessionState>,
-    corr: RequestId,
-    submitted: Result<Ticket, AllocationError>,
-) {
-    match submitted.map(|ticket| keep(shared, state, None, ticket)) {
-        Ok(Some(ticket)) => state.send(&ServerFrame::Submitted { corr, ticket }),
-        Ok(None) => {}
-        Err(error) => state.send(&ServerFrame::Error { corr, error }),
-    }
 }
 
 /// A `SubmitBatch`, on the submit lane: parks on the batch's admission in

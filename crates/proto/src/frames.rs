@@ -45,15 +45,23 @@ use crate::wire::{DecodeError, EncodeError, Reader, WireDecode, WireEncode};
 /// daemons, the delegation and pool-sync replies piggyback the same
 /// deltas on traffic already flowing, and the [`StatsSnapshot`] layout
 /// gained the gossip and route-cache counters.
-pub const PROTOCOL_VERSION: u16 = 3;
+///
+/// Version 4 lets a query carry its own wait: a [`ClientFrame::Submit`] is
+/// answered by the [`ServerFrame::Outcome`] of the query it submitted, so
+/// one allocation costs one frame each way before its `Release`.  No ticket
+/// crosses the wire for it; [`ServerFrame::Submitted`] is no longer sent.
+/// `SubmitBatch` still issues tickets, redeemed with `Wait` / `Poll`.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Oldest protocol version this build still speaks.  Versions 2 and 3
 /// each changed the layout of [`StatsSnapshot`] (not only added frames),
 /// so an older peer would mis-decode every `StatsReply` — and a v2 peer
 /// would also mis-decode the delta fields v3 appends to `Delegated`,
-/// `SyncPools` and `PoolsSynced`.  Honest negotiation refuses the
-/// connection at the hello instead of desynchronising mid-session.
-pub const MIN_SUPPORTED_VERSION: u16 = 3;
+/// `SyncPools` and `PoolsSynced`.  Version 4 changed what answers a
+/// `Submit`, so a v3 client would wait forever for a `Submitted`.  Honest
+/// negotiation refuses the connection at the hello instead of
+/// desynchronising mid-session.
+pub const MIN_SUPPORTED_VERSION: u16 = 4;
 
 /// Hard upper bound on one frame's body length (16 MiB).  A peer declaring
 /// more is protocol-violating; the connection should be dropped.
@@ -195,7 +203,9 @@ pub enum ClientFrame {
         /// Newest version the client accepts.
         max_version: u16,
     },
-    /// Submit one query (in the native key/value text form) for a ticket.
+    /// Submit one query (in the native key/value text form) and wait for
+    /// it: answered by the query's [`ServerFrame::Outcome`] (or an
+    /// [`ServerFrame::Error`] when it is refused before it runs).
     Submit {
         /// Correlation id echoed by the response.
         corr: RequestId,
@@ -315,7 +325,9 @@ pub enum ServerFrame {
         /// Human-readable explanation (supported range, etc.).
         message: String,
     },
-    /// A `Submit` was accepted; the query is now in flight.
+    /// Reserved: version 3's reply to `Submit`, which a v4 daemon never
+    /// sends (a v4 `Submit` is answered by its `Outcome`).  The variant and
+    /// its tag stay only until the benchmark's byte model stops naming it.
     Submitted {
         /// Correlation id of the `Submit` this answers.
         corr: RequestId,
@@ -329,8 +341,8 @@ pub enum ServerFrame {
         /// One server-issued ticket id per query, in submission order.
         tickets: Vec<u64>,
     },
-    /// A ticket resolved (answers `Wait`, or `Poll` when ready).  The
-    /// ticket is now spent.
+    /// A query resolved: answers its `Submit`, or the `Wait` (or ready
+    /// `Poll`) redeeming its batch ticket, which is now spent.
     Outcome {
         /// Correlation id of the request this answers.
         corr: RequestId,
@@ -897,7 +909,7 @@ mod tests {
 
     #[test]
     fn negotiation_picks_the_highest_common_version() {
-        assert_eq!(negotiate(3, 3), Some(3));
+        assert_eq!(negotiate(4, 4), Some(4));
         assert_eq!(negotiate(1, 99), Some(PROTOCOL_VERSION));
         assert_eq!(
             negotiate(MIN_SUPPORTED_VERSION, PROTOCOL_VERSION),
@@ -907,13 +919,14 @@ mod tests {
         assert_eq!(negotiate(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5), None);
         // A client that only speaks retired versions is rejected: v2 and
         // v3 each changed the StatsSnapshot layout (and v3 the delegation
-        // reply layout), so serving an older client would desynchronise
-        // its decoder mid-session.
+        // reply layout), and a v3 client would wait for a `Submitted` no
+        // v4 daemon sends.
         assert_eq!(negotiate(1, 1), None);
         assert_eq!(negotiate(2, 2), None);
-        assert_eq!(negotiate(1, 2), None);
+        assert_eq!(negotiate(3, 3), None);
+        assert_eq!(negotiate(1, 3), None);
         // An inverted range is rejected.
-        assert_eq!(negotiate(4, 3), None);
+        assert_eq!(negotiate(5, 4), None);
     }
 
     #[test]

@@ -438,7 +438,8 @@ pub struct StatsSnapshot {
     /// no machine — that asymmetry is inherited from the figure accounting
     /// the paper's evaluation uses.
     pub records_examined: u64,
-    /// Tickets submitted but not yet redeemed.
+    /// Tickets submitted whose outcome has not been handed over yet: to a
+    /// redeemer, or to the completion a v4 `Submit` redeems it with.
     pub in_flight: usize,
     /// Advertisement-log deltas applied from peers — piggybacked on
     /// delegation traffic or pulled by the anti-entropy tick (federated

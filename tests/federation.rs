@@ -447,11 +447,15 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     let delegations_before = fed_a.stats().delegations_out;
     assert!(delegations_before >= 1, "the link is warm");
 
-    // A client submits a query only the peer could satisfy, then
-    // vanishes without redeeming the ticket.
+    // A client takes a ticket for a query only the peer could satisfy,
+    // then vanishes without redeeming it.  (A batch ticket: a single
+    // submission is redeemed by the daemon the moment it is launched, so
+    // one whose local failure is known before its client's hang-up arrives
+    // is delegated like any other.)
     {
         let abandoner = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
-        let _ticket = abandoner.submit_text("punch.rsrc.arch = hp\n").unwrap();
+        let hp = actyp_query::parse_query("punch.rsrc.arch = hp\n").unwrap();
+        let _tickets = abandoner.submit_batch(vec![hp]).unwrap();
         // Dropped with the ticket in flight.
     }
     client.halt_daemon().unwrap();

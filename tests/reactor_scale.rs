@@ -144,18 +144,6 @@ fn two_hundred_idle_sessions_hold_no_extra_threads() {
             query: SUN_QUERY.to_string(),
         },
     );
-    let ticket = match recv(sock) {
-        ServerFrame::Submitted { ticket, .. } => ticket,
-        other => panic!("expected Submitted, got {other:?}"),
-    };
-    send(
-        sock,
-        &ClientFrame::Wait {
-            corr: RequestId(1),
-            ticket,
-            deadline_ms: None,
-        },
-    );
     match recv(sock) {
         ServerFrame::Outcome { outcome, .. } => {
             let allocations = outcome.unwrap();
@@ -184,8 +172,8 @@ fn two_hundred_idle_sessions_hold_no_extra_threads() {
     }
 }
 
-/// 200 clients pipeline two submissions each before redeeming anything,
-/// 40 more vanish with tickets in flight, half the redeemed allocations
+/// 200 clients pipeline two submissions each before reading any outcome,
+/// 40 more vanish with submissions in flight, half the granted allocations
 /// are abandoned unreleased — and after the drain, *every* machine claim
 /// is back, with the daemon's thread count never having scaled with load.
 #[test]
@@ -198,7 +186,7 @@ fn every_ticket_settles_under_two_hundred_pipelined_clients() {
     let addr = server.local_addr();
     let before = thread_count();
 
-    // Phase 1: every client pipelines two submissions, nobody redeems yet.
+    // Phase 1: every client pipelines two submissions, nobody reads yet.
     let mut clients: Vec<TcpStream> = (0..200).map(|_| raw_hello(&addr)).collect();
     for sock in clients.iter_mut() {
         for corr in 0..2u64 {
@@ -221,26 +209,9 @@ fn every_ticket_settles_under_two_hundred_pipelined_clients() {
         );
     }
 
-    // Phase 2: redeem both tickets per client; release the first
+    // Phase 2: read both outcomes per client; release the first
     // allocation properly, abandon the second on the session lease.
     for sock in clients.iter_mut() {
-        let mut tickets = Vec::new();
-        for _ in 0..2 {
-            match recv(sock) {
-                ServerFrame::Submitted { ticket, .. } => tickets.push(ticket),
-                other => panic!("expected Submitted, got {other:?}"),
-            }
-        }
-        for (i, ticket) in tickets.iter().enumerate() {
-            send(
-                sock,
-                &ClientFrame::Wait {
-                    corr: RequestId(10 + i as u64),
-                    ticket: *ticket,
-                    deadline_ms: None,
-                },
-            );
-        }
         let mut allocations = Vec::new();
         for _ in 0..2 {
             match recv(sock) {
@@ -271,7 +242,7 @@ fn every_ticket_settles_under_two_hundred_pipelined_clients() {
                 query: SUN_QUERY.to_string(),
             },
         );
-        // Dropped unread: the session teardown must settle the ticket.
+        // Dropped unread: the session teardown must return the lease.
     }
 
     drop(clients);
@@ -358,7 +329,10 @@ fn frames_larger_than_one_read_burst_complete() {
             query: SUN_QUERY.to_string(),
         },
     );
-    assert!(matches!(recv(&mut sock), ServerFrame::Submitted { .. }));
+    assert!(matches!(
+        recv(&mut sock),
+        ServerFrame::Outcome { outcome: Ok(_), .. }
+    ));
     drop(sock);
     server.halt();
     server.join().unwrap();
@@ -412,7 +386,7 @@ fn every_poller_serves_the_same_protocol() {
         let allocations = remote.submit_text_wait(SUN_QUERY).unwrap();
         assert_eq!(allocations.len(), 1, "{poller}");
         remote.release(&allocations[0]).unwrap();
-        // An abandoned ticket settles under every poller.
+        // An outcome nobody collects goes back under every poller.
         let _abandoned = remote.submit_text(SUN_QUERY).unwrap();
         remote.halt_daemon().unwrap();
         remote.shutdown().unwrap();
@@ -424,14 +398,15 @@ fn every_poller_serves_the_same_protocol() {
 }
 
 /// One session against a live backend whose admission window holds a
-/// single ticket.  The first `Submit` is answered by the I/O thread and
-/// takes the permit; the next two park on the submit lane.  The `Wait`s
-/// that free the permit must get through (they never queue behind the
-/// parked submissions), and each freed permit must go to the parked
-/// submission whose turn it is: with one of the session's submissions on
-/// the lane, a later one queues behind it instead of trying the I/O
-/// thread's shortcut.
+/// single ticket.  A batch ticket takes the permit; two `Submit`s written
+/// in one segment queue on the window in wire order.  The `Wait` that
+/// frees the permit must get through (it never queues behind the queued
+/// submissions), and each permit that comes back must go to the
+/// submission whose turn it is: the first launches when the ticket
+/// settles, the second when the first's outcome is in — the pipeline
+/// numbers its requests as they come in, so their allocations say so.
 fn parked_submissions_keep_their_turn(poller: PollerKind) {
+    use std::collections::BTreeMap;
     use std::io::Write;
 
     let db = homogeneous_db("sun", 100, 9);
@@ -449,47 +424,48 @@ fn parked_submissions_keep_their_turn(poller: PollerKind) {
         corr: RequestId(corr),
         query: SUN_QUERY.to_string(),
     };
-    let wait = |corr: u64, ticket: u64| ClientFrame::Wait {
-        corr: RequestId(corr),
-        ticket,
-        deadline_ms: None,
-    };
 
-    send(&mut sock, &submit(0));
-    let first = match recv(&mut sock) {
-        ServerFrame::Submitted { ticket, .. } => ticket,
-        other => panic!("{poller}: expected Submitted, got {other:?}"),
+    send(
+        &mut sock,
+        &ClientFrame::SubmitBatch {
+            corr: RequestId(0),
+            queries: vec![SUN_QUERY.to_string()],
+        },
+    );
+    let held = match recv(&mut sock) {
+        ServerFrame::BatchSubmitted { tickets, .. } => tickets[0],
+        other => panic!("{poller}: expected BatchSubmitted, got {other:?}"),
     };
-    // Both in one segment, so one readable event decodes them into one
-    // lane batch and their order on the lane is their order on the wire.
     let mut both = Vec::new();
     write_frame(&mut both, &submit(1)).unwrap();
     write_frame(&mut both, &submit(2)).unwrap();
     sock.write_all(&both).unwrap();
+    send(
+        &mut sock,
+        &ClientFrame::Wait {
+            corr: RequestId(10),
+            ticket: held,
+            deadline_ms: None,
+        },
+    );
 
-    // Each redemption frees the permit for exactly the next submission in
-    // line; the two replies it causes come from different threads, in
-    // either order.
-    let mut redeem = first;
-    let mut granted = Vec::new();
-    for (wait_corr, unparked) in [(10, Some(1)), (11, Some(2)), (12, None)] {
-        send(&mut sock, &wait(wait_corr, redeem));
-        for _ in 0..1 + usize::from(unparked.is_some()) {
-            match recv(&mut sock) {
-                ServerFrame::Outcome { corr, outcome } => {
-                    assert_eq!(corr, RequestId(wait_corr), "{poller}");
-                    granted.extend(outcome.unwrap());
-                }
-                ServerFrame::Submitted { corr, ticket } => {
-                    assert_eq!(Some(corr.0), unparked, "{poller}: answered out of turn");
-                    redeem = ticket;
-                }
-                other => panic!("{poller}: unexpected {other:?}"),
+    // Three outcomes, from different threads, in any order.
+    let mut granted = BTreeMap::new();
+    for _ in 0..3 {
+        match recv(&mut sock) {
+            ServerFrame::Outcome { corr, outcome } => {
+                let allocation = outcome.unwrap().remove(0);
+                assert!(granted.insert(corr.0, allocation).is_none(), "{poller}");
             }
+            other => panic!("{poller}: unexpected {other:?}"),
         }
     }
-    assert_eq!(granted.len(), 3, "{poller}");
-    for (i, allocation) in granted.into_iter().enumerate() {
+    assert_eq!(granted.keys().copied().collect::<Vec<_>>(), [1, 2, 10]);
+    assert!(
+        granted[&1].request < granted[&2].request,
+        "{poller}: launched out of turn"
+    );
+    for (i, allocation) in granted.into_values().enumerate() {
         send(
             &mut sock,
             &ClientFrame::Release {
