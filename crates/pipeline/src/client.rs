@@ -21,6 +21,11 @@
 //! allocation is two round trips: `Submit` → `Outcome`, `Release` →
 //! `Released`.  Batch tickets are the daemon's own and are redeemed with
 //! a `Wait` or `Poll` frame.
+//!
+//! A submission's ticket must be redeemed: its reply waits on the
+//! connection until `wait` (or a `wait_deadline` / `try_poll` that returns
+//! it) collects it, and dropping the ticket frees nothing — so the
+//! connection caps how many may await collection.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,7 +59,10 @@ enum Redeem {
 /// the single socket — the paper's pipelining across a network hop.
 /// Tickets are branded per connection: redeeming a remote ticket on a
 /// different backend (or vice versa) fails with
-/// [`AllocationError::UnknownTicket`].
+/// [`AllocationError::UnknownTicket`].  A ticket from `submit` or
+/// `submit_text` holds its reply on the connection until it is redeemed;
+/// past 1,024 unredeemed ones, `submit` fails with
+/// [`AllocationError::Protocol`] and sends nothing.
 ///
 /// [`RemoteBackend::stats`] degrades to an empty snapshot if the
 /// connection has died (the trait method is infallible); every other
@@ -151,10 +159,10 @@ impl RemoteBackend {
     }
 
     /// Sends one query already rendered in the native text form — the
-    /// protocol's query encoding — and returns without waiting: the ticket
-    /// names the `Submit`'s reply, which `wait` collects.
-    fn submit_rendered(&self, query: String) -> Result<Ticket, AllocationError> {
-        Self::check_wire_text(&query)?;
+    /// protocol's query encoding — and checked against the wire limit, and
+    /// returns without waiting: the ticket names the `Submit`'s reply, which
+    /// `wait` collects.
+    fn send_submit(&self, query: String) -> Result<Ticket, AllocationError> {
         let corr = self
             .conn
             .submit(|corr| ClientFrame::Submit { corr, query })
@@ -178,7 +186,9 @@ impl RemoteBackend {
 impl ResourceManager for RemoteBackend {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         // The native text rendering is the protocol's query encoding.
-        self.submit_rendered(query.to_string())
+        let text = query.to_string();
+        Self::check_wire_text(&text)?;
+        self.send_submit(text)
     }
 
     /// Ships the text as-is — it already *is* the wire encoding — once it
@@ -187,7 +197,7 @@ impl ResourceManager for RemoteBackend {
     fn submit_text(&self, text: &str) -> Result<Ticket, AllocationError> {
         Self::check_wire_text(text)?;
         actyp_query::parse_query(text).map_err(|e| AllocationError::Parse(e.to_string()))?;
-        self.submit_rendered(text.to_string())
+        self.send_submit(text.to_string())
     }
 
     fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {

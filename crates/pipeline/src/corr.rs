@@ -81,6 +81,13 @@ pub(crate) const COMPLETION_TIMEOUT: Duration = REPLY_TIMEOUT;
 #[cfg(test)]
 pub(crate) const COMPLETION_TIMEOUT: Duration = Duration::from_secs(3);
 
+/// Upper bound on a connection's submissions whose reply nobody has
+/// collected yet ([`Conn::submit`]).  Dropping a ticket frees nothing — its
+/// reply waits on the connection until it is redeemed — so past this bound
+/// a submission is refused before its frame leaves, and a client that never
+/// redeems holds a bounded number of replies.
+pub(crate) const MAX_UNCOLLECTED: usize = 1024;
+
 /// Where an attached connection's frames go: the write queue of the reactor
 /// session that took its socket over.
 pub(crate) trait FrameSink: Send + Sync {
@@ -278,11 +285,21 @@ impl Conn {
     /// Sends one request frame and returns its correlation id at once,
     /// without waiting for the reply: that is posted into an idle inbox
     /// whenever a leader reads it, and waits there for [`Conn::collect`].
+    /// Refused while [`MAX_UNCOLLECTED`] replies await collection (checked
+    /// before the frame is written, so concurrent submitters may each pass
+    /// it once).
     pub(crate) fn submit(
         &self,
         build: impl FnOnce(RequestId) -> ClientFrame,
     ) -> Result<u64, ConnError> {
         let (corr, slot) = self.relay.register_idle().map_err(ConnError::Dead)?;
+        if self.uncollected.lock().len() >= MAX_UNCOLLECTED {
+            let _ = self.relay.give_up(corr, &slot);
+            return Err(ConnError::Refused(format!(
+                "{MAX_UNCOLLECTED} submissions on this connection await collection; \
+                 redeem tickets before submitting more"
+            )));
+        }
         if let Err(e) = self.send(&build(RequestId(corr))) {
             let _ = self.relay.give_up(corr, &slot);
             return Err(self.send_failed(e));
@@ -1271,6 +1288,47 @@ mod tests {
         drop(go);
         server.join().unwrap();
         conn.shutdown();
+    }
+
+    /// A submission whose reply is never collected holds that reply on the
+    /// connection, so the connection refuses submissions past
+    /// [`MAX_UNCOLLECTED`] of them — without a frame leaving, and without
+    /// harm to the link — and collecting one reply makes room for one more.
+    #[test]
+    fn uncollected_submissions_are_capped_per_connection() {
+        let (conn, server) = dial_scripted(|mut stream| {
+            while let Ok(Some(ClientFrame::Submit { corr, .. })) = read_client_frame(&mut stream) {
+                let outcome = Err(AllocationError::NoneAvailable);
+                if write_frame(&mut stream, &ServerFrame::Outcome { corr, outcome }).is_err() {
+                    return;
+                }
+            }
+        });
+        let submit = || {
+            conn.submit(|corr| ClientFrame::Submit {
+                corr,
+                query: "q".to_string(),
+            })
+        };
+        let first = submit().unwrap();
+        for _ in 1..MAX_UNCOLLECTED {
+            submit().unwrap();
+        }
+        let refused = submit();
+        assert!(matches!(refused, Err(ConnError::Refused(_))), "{refused:?}");
+        assert!(
+            !conn.is_dead(),
+            "a refused submission must not poison the link"
+        );
+        let collected = conn.collect(first, None);
+        assert!(
+            matches!(collected, Some(Ok(ServerFrame::Outcome { .. }))),
+            "{collected:?}"
+        );
+        submit().unwrap();
+        assert!(matches!(submit(), Err(ConnError::Refused(_))));
+        conn.shutdown();
+        server.join().unwrap();
     }
 
     /// Nobody reads an idle connection, yet a far side that hangs up on it

@@ -1420,6 +1420,83 @@ impl FederatedBackend {
         self.take_ticket(ticket).ok().map(|pending| pending.inner)
     }
 
+    /// [`ResourceManager::wait`] for a waiter that may leave meanwhile — a
+    /// `ypd` session: a delegable local failure is delegated only if
+    /// `wanted()` still holds once it is in.  A client gone by then gets
+    /// its local outcome, and nothing is delegated (and released hop by
+    /// hop) for nobody; a chain already under way runs to its end.
+    pub(crate) fn wait_while(&self, ticket: Ticket, wanted: &dyn Fn() -> bool) -> QueryOutcome {
+        let pending = self.take_ticket(ticket)?;
+        let outcome = self.inner.wait(pending.inner);
+        match wanted() {
+            true => self.settle(&pending.query, outcome),
+            false => outcome,
+        }
+    }
+
+    /// [`ResourceManager::wait_with`], delegating as [`Self::wait_while`]
+    /// does.  On a served backend with peers, the local outcome goes
+    /// through the wrapped backend's own `wait_with`, and whichever thread
+    /// delivers it — this one on a hit, the stage that produces it
+    /// otherwise — runs `done` with a final outcome, or continues a
+    /// delegable failure as a chain of completions
+    /// ([`FederatedBackend::delegate_with`] has the same shape).  Without
+    /// peers the local outcome is final.  Without a serving daemon, or when
+    /// the wrapped backend cannot wait from here, `done` is handed back and
+    /// the ticket left as it was.
+    pub(crate) fn wait_with_while(
+        &self,
+        ticket: Ticket,
+        done: WaitDone,
+        wanted: impl Fn() -> bool + Send + 'static,
+    ) -> Result<(), WaitDone> {
+        let served = match self.links.is_empty() {
+            true => None,
+            false => match self.served() {
+                Some(served) => Some(served),
+                None => return Err(done),
+            },
+        };
+        let pending = match self.take_ticket(ticket) {
+            Ok(pending) => pending,
+            Err(error) => {
+                done(Err(error));
+                return Ok(());
+            }
+        };
+        let inner = pending.inner;
+        let Some((backend, host)) = served else {
+            return self.inner.wait_with(inner, done).inspect_err(|_| {
+                self.tickets.lock().insert(ticket.id(), pending);
+            });
+        };
+        lend(
+            (done, pending.query),
+            |lent| -> WaitDone {
+                Box::new(move |outcome| {
+                    let Some((done, query)) = lent.lock().take() else {
+                        return;
+                    };
+                    match outcome {
+                        Err(error) if is_delegable(&error) && wanted() => {
+                            let state = RoutingState::new(backend.config.ttl);
+                            let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
+                            backend.federate(&host, query, state, Err(error), finish);
+                        }
+                        final_outcome => done(final_outcome),
+                    }
+                })
+            },
+            |local| self.inner.wait_with(inner, local),
+        )
+        .map_err(|(_, (done, query))| {
+            self.tickets
+                .lock()
+                .insert(ticket.id(), PendingTicket { inner, query });
+            done
+        })
+    }
+
     /// Records an inner ticket with its query text (kept so a local
     /// failure can be delegated) under a fresh ticket of this backend.
     fn issue(&self, inner: Ticket, query: String) -> Ticket {
@@ -1752,9 +1829,7 @@ impl ResourceManager for FederatedBackend {
     }
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        let pending = self.take_ticket(ticket)?;
-        let outcome = self.inner.wait(pending.inner);
-        self.settle(&pending.query, outcome)
+        self.wait_while(ticket, &|| true)
     }
 
     /// Bounded on the *local* wait only: once the local outcome is known,
@@ -1794,60 +1869,8 @@ impl ResourceManager for FederatedBackend {
         Some(self.settle(&pending.query, outcome))
     }
 
-    /// On a served backend with peers, the local outcome goes through the
-    /// wrapped backend's own `wait_with`, and whichever thread delivers it
-    /// — this one on a hit, the stage that produces it otherwise — runs
-    /// `done` with a final outcome, or continues a delegable failure as a
-    /// chain of completions ([`FederatedBackend::delegate_with`] has the
-    /// same shape).  Without peers the local outcome is final.  Without a
-    /// serving daemon, or when the wrapped backend cannot wait from here,
-    /// `done` is handed back and the ticket left as it was.
     fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
-        let served = match self.links.is_empty() {
-            true => None,
-            false => match self.served() {
-                Some(served) => Some(served),
-                None => return Err(done),
-            },
-        };
-        let pending = match self.take_ticket(ticket) {
-            Ok(pending) => pending,
-            Err(error) => {
-                done(Err(error));
-                return Ok(());
-            }
-        };
-        let inner = pending.inner;
-        let Some((backend, host)) = served else {
-            return self.inner.wait_with(inner, done).inspect_err(|_| {
-                self.tickets.lock().insert(ticket.id(), pending);
-            });
-        };
-        lend(
-            (done, pending.query),
-            |lent| -> WaitDone {
-                Box::new(move |outcome| {
-                    let Some((done, query)) = lent.lock().take() else {
-                        return;
-                    };
-                    match outcome {
-                        Err(error) if is_delegable(&error) => {
-                            let state = RoutingState::new(backend.config.ttl);
-                            let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
-                            backend.federate(&host, query, state, Err(error), finish);
-                        }
-                        final_outcome => done(final_outcome),
-                    }
-                })
-            },
-            |local| self.inner.wait_with(inner, local),
-        )
-        .map_err(|(_, (done, query))| {
-            self.tickets
-                .lock()
-                .insert(ticket.id(), PendingTicket { inner, query });
-            done
-        })
+        self.wait_with_while(ticket, done, || true)
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {

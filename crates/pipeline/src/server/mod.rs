@@ -1401,6 +1401,70 @@ mod tests {
     }
 
     #[test]
+    fn a_launched_submission_whose_client_left_is_not_delegated() {
+        // The entry daemon's local backend holds every outcome back.  One
+        // `Submit` is granted locally before the hang-up (its Outcome
+        // written, never read); a second, for a query only the peer domain
+        // can satisfy, is launched and its local failure held.  The client
+        // vanishes, and only then does that failure come in: the closing
+        // session ends it there — nothing is delegated for a client that is
+        // gone — and the granted lease goes back with the final sweep.
+        let db_b = arch_db("hp", 40, 78);
+        let (srv_b, fed_b) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
+        let db_a = arch_db("sun", 20, 79);
+        let live = PipelineBuilder::new()
+            .database(db_a.clone())
+            .build_live()
+            .unwrap();
+        let directory = live.pipeline().directory().clone();
+        let inner: Arc<dyn ResourceManager> = Arc::new(live);
+        let manager = MissingWaits::new(&inner);
+        let held = manager.held.clone();
+        let fed_a = Arc::new(FederatedBackend::new(
+            Box::new(manager),
+            crate::federation::FederationConfig {
+                domain: "purdue".to_string(),
+                peers: vec![srv_b.local_addr()],
+                gossip_interval: std::time::Duration::ZERO,
+                probe_interval: std::time::Duration::ZERO,
+                ..Default::default()
+            },
+            Some(directory),
+        ));
+        let srv_a = serve_federated(fed_a.clone(), &loopback()).unwrap();
+        {
+            let mut raw = raw_hello(&srv_a.local_addr());
+            let mut submit = |corr, query: &str| {
+                let (corr, query) = (RequestId(corr), query.to_string());
+                write_frame(&mut raw, &ClientFrame::Submit { corr, query }).unwrap();
+                await_held(&held, 1);
+            };
+            // Granted: its outcome is written, never read.
+            submit(0, "punch.rsrc.arch = sun\n");
+            let (ticket, done) = held.lock().pop().unwrap();
+            done(inner.wait(ticket));
+            // Launched: its local failure is not in yet.
+            submit(1, HP);
+        }
+        // The hang-up reaches the daemon, then the local failure comes in.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let (ticket, done) = held.lock().pop().unwrap();
+        let local = inner.wait(ticket);
+        assert!(matches!(&local, Err(e) if crate::federation::is_delegable(e)));
+        done(local);
+        srv_a.halt();
+        srv_a.join().unwrap();
+        assert_eq!(fed_a.stats().delegations_out, 0);
+        let stats = inner.stats();
+        assert_eq!((stats.allocations, stats.releases), (1, 1));
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(fed_b.stats().allocations, 0);
+        assert_eq!((active_jobs(&db_a), active_jobs(&db_b)), (0, 0));
+        srv_b.halt();
+        srv_b.join().unwrap();
+    }
+
+    #[test]
     fn version_negotiation_rejects_a_future_only_client() {
         let server = serve_kind(BackendKind::Embedded, 50, 7);
         let addr = server.local_addr();

@@ -1216,9 +1216,11 @@ fn not_federated(corr: RequestId) -> ServerFrame {
 /// whoever finds the two together: this thread on a hit, the query-manager
 /// stage that reintegrates it on a miss — and on a federated daemon, when
 /// the local outcome is a delegable failure, the I/O thread of the peer
-/// link whose reply ends the chain.  A backend that cannot wait from here
-/// without parking hands the completion back, and the redeem lane runs the
-/// blocking call.  Counted on the session until it has run.
+/// link whose reply ends the chain.  That chain starts only while the
+/// session is open: a local failure that finds its client gone is the
+/// answer, so nothing is delegated for nobody.  A backend that cannot wait
+/// from here without parking hands the completion back, and the redeem
+/// lane runs the blocking call.  Counted on the session until it has run.
 fn redeem(shared: &Arc<ServerShared>, state: &Arc<SessionState>, corr: RequestId, ticket: Ticket) {
     let pending = Pending::completion(state);
     let done_state = state.clone();
@@ -1226,9 +1228,18 @@ fn redeem(shared: &Arc<ServerShared>, state: &Arc<SessionState>, corr: RequestId
         done_state.deliver_outcome(corr, outcome);
         drop(pending);
     });
-    if let Err(done) = shared.manager.wait_with(ticket, done) {
+    let open_state = state.clone();
+    let open = move || !open_state.closing.load(Ordering::SeqCst);
+    let handed_back = match &shared.federation {
+        Some(federation) => federation.wait_with_while(ticket, done, open.clone()),
+        None => shared.manager.wait_with(ticket, done),
+    };
+    if let Err(done) = handed_back {
         offload(shared, &shared.pools.redeem, move |shared| {
-            done(shared.manager.wait(ticket))
+            done(match &shared.federation {
+                Some(federation) => federation.wait_while(ticket, &open),
+                None => shared.manager.wait(ticket),
+            })
         });
     }
 }

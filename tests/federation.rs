@@ -437,7 +437,23 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     let db_a = homogeneous_db("sun", 20, 50);
     let db_b = homogeneous_db("hp", 20, 51);
     let (srv_b, _fed_b) = spawn_domain("upc", db_b.clone(), vec![], 8);
-    let (srv_a, fed_a) = spawn_domain("purdue", db_a.clone(), vec![srv_b.local_addr()], 8);
+    // The entry daemon admits one query at a time.
+    let (srv_a, fed_a) = PipelineBuilder::new()
+        .database(db_a.clone())
+        .ttl(8)
+        .window(1)
+        .serve_federated(
+            &StageAddress::new("127.0.0.1", 0),
+            BackendKind::Live,
+            FederationConfig {
+                domain: "purdue".to_string(),
+                ttl: 8,
+                peers: vec![srv_b.local_addr()],
+                gossip_interval: std::time::Duration::ZERO,
+                ..FederationConfig::default()
+            },
+        )
+        .expect("federated daemon starts");
 
     // Warm the link: a delegation is available and cheap, so only the
     // teardown hint can explain its absence below.
@@ -447,16 +463,17 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     let delegations_before = fed_a.stats().delegations_out;
     assert!(delegations_before >= 1, "the link is warm");
 
-    // A client takes a ticket for a query only the peer could satisfy,
-    // then vanishes without redeeming it.  (A batch ticket: a single
-    // submission is redeemed by the daemon the moment it is launched, so
-    // one whose local failure is known before its client's hang-up arrives
-    // is delegated like any other.)
+    // A client submits a query only the peer could satisfy, then
+    // vanishes without redeeming the ticket.  The submission queues behind
+    // the client's own batch ticket, which holds the window's one permit
+    // until the closing session settles it: the submission launches only
+    // once its client is known to be gone.
     {
         let abandoner = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
         let hp = actyp_query::parse_query("punch.rsrc.arch = hp\n").unwrap();
-        let _tickets = abandoner.submit_batch(vec![hp]).unwrap();
-        // Dropped with the ticket in flight.
+        let _held = abandoner.submit_batch(vec![hp]).unwrap();
+        let _ticket = abandoner.submit_text("punch.rsrc.arch = hp\n").unwrap();
+        // Dropped with both tickets in flight.
     }
     client.halt_daemon().unwrap();
     client.shutdown().unwrap();
