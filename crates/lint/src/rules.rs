@@ -667,23 +667,30 @@ struct FnInfo {
 /// but it does resolve within the file and its siblings: `OutQueue::push`
 /// is reached through `state.send(..)` → `queue.push(..)` and must not
 /// drop out of the graph.
+///
+/// A call to the caller's own name is taken for a wrapper delegating to
+/// another type's method of that name (`Ledger::launch` calling
+/// `self.launcher.launch(..)`), so it skips the caller's file: resolving it
+/// there would only be recursion, which reaches nothing new.
 pub type FnId = (PathBuf, String);
 
-/// Resolves one call from `caller_file` to the file whose definition of
+/// Resolves one call from `caller` to the file whose definition of
 /// `callee` it means, by the tiers described on [`FnId`].
 fn resolve_call(
     files_defining: &HashMap<String, BTreeSet<PathBuf>>,
-    caller_file: &Path,
+    caller: &FnId,
     callee: &str,
     global: bool,
 ) -> Option<PathBuf> {
+    let caller_file = caller.0.as_path();
+    let delegating = caller.1 == callee;
     let defined_in = files_defining.get(callee)?;
-    if defined_in.contains(caller_file) {
+    if defined_in.contains(caller_file) && !delegating {
         return Some(caller_file.to_path_buf());
     }
     let mut siblings = defined_in
         .iter()
-        .filter(|file| file.parent() == caller_file.parent());
+        .filter(|file| file.parent() == caller_file.parent() && file.as_path() != caller_file);
     match (siblings.next(), siblings.next()) {
         (Some(only), None) => return Some(only.clone()),
         (Some(_), Some(_)) => return None,
@@ -772,7 +779,7 @@ fn reactor_paths(
         let calls = info.calls.iter().map(|callee| (callee, true));
         let method_calls = info.method_calls.iter().map(|callee| (callee, false));
         for (callee, global) in calls.chain(method_calls) {
-            if let Some(file) = resolve_call(&files_defining, &id.0, callee, global) {
+            if let Some(file) = resolve_call(&files_defining, &id, callee, global) {
                 let next_id = (file, callee.clone());
                 if !path_to.contains_key(&next_id) {
                     let mut next = path.clone();

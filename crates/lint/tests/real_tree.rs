@@ -61,7 +61,7 @@ fn the_walk_covers_the_federations_completion_paths() {
 }
 
 /// The live backend's admission window runs on whichever thread returns a
-/// permit — a query-manager stage finishing a `wait_with`, or an I/O thread
+/// permit — a pool-manager stage finishing a `wait_with`, or an I/O thread
 /// answering a `Submit` — and launches queued admissions from there.  The
 /// walk from the backends' completion entry points must reach the
 /// window's return → hand-on → launch → `done` path, so a parking call
@@ -86,6 +86,66 @@ fn the_walk_covers_the_admission_windows_launch_path() {
             "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
         );
     }
+}
+
+/// The live pipeline's query manager runs on the thread that launches the
+/// query, and the pool-manager stage that answers a query's last fragment
+/// finishes it — re-integration, the surplus hand-back and the redeemer's
+/// completion.  The walk from the window's launch (`Ledger::launch` calls
+/// `self.launcher.launch(..)`, a method of the same name in `live.rs`) and
+/// from `OutcomeSlot::on_ready` must reach the launch, the join's deliver
+/// step and the surplus-release chain, so a parking call planted on any of
+/// them is reported (`fixtures/live_launch`).
+#[test]
+fn the_walk_covers_the_live_launch_and_the_joins_finish() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
+    let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
+    for (file, function) in [
+        ("api.rs", "launch"),
+        ("live.rs", "on_ready"),
+        ("live.rs", "launch"),
+        ("live.rs", "deliver"),
+        ("live.rs", "finish"),
+        ("live.rs", "release_surplus"),
+        ("live.rs", "release_with"),
+        ("live.rs", "try_release"),
+    ] {
+        assert!(
+            reachable.contains(&(PathBuf::from(file), function.to_string())),
+            "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
+        );
+    }
+}
+
+/// ... and a `.recv()` planted on that path is reported, through the
+/// same-named delegation from the window's launch into the live launcher.
+#[test]
+fn a_parking_call_on_the_live_launch_path_is_reported() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/live_launch");
+    let report = lint_workspace(&LintConfig {
+        root,
+        hierarchy: Vec::new(),
+        reactor_entry_points: reactor_entry_points(""),
+        frames: None,
+        stats: None,
+        skip_dirs: Vec::new(),
+    })
+    .expect("fixture lints");
+    assert_eq!(report.findings.len(), 1, "{:#?}", report.findings);
+    let finding = &report.findings[0];
+    assert_eq!(finding.rule, "reactor-blocking");
+    assert_eq!(
+        (finding.file.as_path(), finding.line),
+        (Path::new("live.rs"), 25)
+    );
+    assert!(
+        finding.message.contains(".recv()")
+            && finding.message.contains(
+                "submit_with -> launch -> launch -> deliver -> finish -> release_surplus"
+            ),
+        "{}",
+        finding.message
+    );
 }
 
 /// ... and a completion path that parked on a peer would be reported: a

@@ -9,7 +9,7 @@
 //! | backend | constructor | what it is |
 //! |---|---|---|
 //! | [`EmbeddedBackend`] | [`PipelineBuilder::build_embedded`] | the synchronous [`Engine`] in one address space |
-//! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | [`LivePipeline`], every stage on its own thread, with a bounded in-flight window |
+//! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | [`LivePipeline`], every pool-manager stage on its own thread and the query manager on the launching thread, with a bounded in-flight window |
 //! | [`CentralQueueBackend`] | [`PipelineBuilder::build_central_queue`] | the PBS/SGE-style centralized multi-queue scheduler baseline |
 //! | [`MatchmakerBackend`] | [`PipelineBuilder::build_matchmaker`] | the Condor-style centralized matchmaker baseline |
 //! | [`RemoteBackend`] | [`PipelineBuilder::remote`] | a client of the `ypd` daemon: the same surface across a TCP hop, speaking the [`actyp_proto`] wire protocol (serve any backend with [`PipelineBuilder::serve`]) |
@@ -18,7 +18,7 @@
 //! [`Ticket`] immediately and [`ResourceManager::wait`] /
 //! [`ResourceManager::try_poll`] redeem it later.  On the live backend this
 //! makes the paper's pipelining real for a single client — N submitted
-//! tickets overlap across the query-manager, pool-manager and pool stages —
+//! tickets overlap across the pool-manager and pool stages —
 //! while the embedded and baseline backends resolve tickets eagerly, so the
 //! same client code runs against every architecture.  A
 //! [`StatsSnapshot`] unifies the per-stage counters all backends report.
@@ -128,7 +128,8 @@ impl Ticket {
 pub enum BackendKind {
     /// The embedded, synchronous pipeline ([`Engine`]).
     Embedded,
-    /// The threaded pipeline ([`LivePipeline`]), one thread per stage.
+    /// The threaded pipeline ([`LivePipeline`]), one thread per pool-manager
+    /// stage.
     Live,
     /// The centralized multi-queue scheduler baseline.
     CentralQueue,
@@ -234,9 +235,9 @@ pub trait ResourceManager: Send + Sync {
     /// [`wait`](Self::wait) to a thread that may.  The default always
     /// hands it back, which is right for the remote and federated backends,
     /// whose wait can be a network round trip; the live backend leaves
-    /// `done` in the ticket for the query-manager stage that reintegrates
-    /// the outcome, and the eager backends, whose tickets are resolved at
-    /// submission, finish on the spot.
+    /// `done` in the ticket for the pool-manager stage that answers the
+    /// query's last fragment, and the eager backends, whose tickets are
+    /// resolved at submission, finish on the spot.
     fn wait_with(&self, _ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         Err(done)
     }
@@ -745,8 +746,9 @@ struct Ledger {
 
 impl Ledger {
     /// Launches `query` into the pipeline under a window permit the caller
-    /// holds; the permit is returned if the launch fails.  One channel
-    /// send: nothing here parks.
+    /// holds; the permit is returned if the launch fails.  The query
+    /// manager runs on this thread and each fragment is one channel send:
+    /// nothing here parks.
     fn launch(&self, query: Query) -> Result<Ticket, AllocationError> {
         match self.launcher.launch(query) {
             Ok(slot) => {
@@ -835,9 +837,10 @@ impl ResourceManager for LiveBackend {
             .unwrap_or_else(|_| Err(AllocationError::Internal("window dropped".to_string())))
     }
 
-    /// Launching is one channel send, so nothing here parks: with a permit
-    /// free the query is launched now, else it queues in the window and the
-    /// thread whose release frees its permit launches it.
+    /// Launching never parks (the query manager runs on this thread and
+    /// sends each fragment to its stage): with a permit free the query is
+    /// launched now, else it queues in the window and the thread whose
+    /// release frees its permit launches it.
     fn submit_with(&self, query: Query, done: SubmitDone) -> Result<(), (Query, SubmitDone)> {
         if self.ledger.window.try_acquire() {
             done(self.ledger.launch(query));
@@ -906,10 +909,10 @@ impl ResourceManager for LiveBackend {
         outcome
     }
 
-    /// The completion waits in the ticket's slot and the query-manager
-    /// stage that reintegrates the outcome runs it — or this thread does,
-    /// when the outcome is already in.  Either way the ticket settles
-    /// before `done` sees the outcome.
+    /// The completion waits in the ticket's slot and the pool-manager
+    /// stage that answers the query's last fragment runs it — or this
+    /// thread does, when the outcome is already in.  Either way the ticket
+    /// settles before `done` sees the outcome.
     fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         let slot = match self.claim(ticket) {
             Ok(slot) => slot,
@@ -994,7 +997,7 @@ impl ResourceManager for LiveBackend {
     }
 
     fn shutdown(&self) -> Result<(), AllocationError> {
-        // Queued submissions are processed before the shutdown marker, so
+        // The stages stop only once every launched query is answered, so
         // outstanding tickets remain redeemable afterwards.
         self.pipeline.shutdown()
     }
@@ -1284,7 +1287,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Number of query-manager stages.
+    /// Number of query-manager replicas (on the live backend they run on
+    /// the launching thread; none has a thread of its own).
     pub fn query_managers(mut self, n: usize) -> Self {
         self.config.query_managers = n;
         self

@@ -358,8 +358,9 @@ mod tests {
 
     #[test]
     fn remote_tickets_pipeline_on_one_connection() {
+        let db = fleet_db(400, 2);
         let server = PipelineBuilder::new()
-            .database(fleet_db(400, 2))
+            .database(db.clone())
             .query_managers(2)
             .serve(&loopback(), BackendKind::Live)
             .unwrap();
@@ -367,13 +368,18 @@ mod tests {
         let query = Query::paper_example();
 
         // Several tickets in flight on the socket before the first wait.
+        // The pool-manager stage cannot finish any of them while the fleet
+        // is locked, so the daemon holds all five at once.
+        let fleet = db.write();
         let tickets: Vec<Ticket> = (0..5)
             .map(|_| remote.submit(query.clone()).unwrap())
             .collect();
-        assert!(
-            remote.stats().in_flight >= 2,
+        assert_eq!(
+            remote.stats().in_flight,
+            5,
             "server-side stats must show overlapping tickets"
         );
+        drop(fleet);
         for ticket in tickets {
             let allocations = remote.wait(ticket).unwrap();
             remote.release(&allocations[0]).unwrap();

@@ -115,6 +115,19 @@ impl LocalDirectoryService {
         self.generation += 1;
     }
 
+    /// Registers a pool instance nobody has registered yet; `false`, and
+    /// nothing changes, when `(pool, instance)` is taken — two managers
+    /// read the same next instance number and created the pool at once.
+    pub fn register_new_pool(&mut self, record: PoolInstanceRecord) -> bool {
+        let entry = self.pools.entry(record.pool.clone()).or_default();
+        if entry.iter().any(|r| r.instance == record.instance) {
+            return false;
+        }
+        entry.push(record);
+        self.generation += 1;
+        true
+    }
+
     /// Removes a pool instance (pool destroyed or its host failed).
     pub fn unregister_pool(&mut self, pool: &str, instance: u32) -> bool {
         match self.pools.get_mut(pool) {
@@ -328,6 +341,17 @@ impl ShardedDirectory {
         self.generation.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Registers a pool instance nobody has registered yet (`false` when
+    /// `(pool, instance)` is taken); one shard lock covers the check and
+    /// the insert.
+    pub fn register_new_pool(&self, record: PoolInstanceRecord) -> bool {
+        let registered = self.write_shard(&record.pool).register_new_pool(record);
+        if registered {
+            self.generation.fetch_add(1, Ordering::Relaxed);
+        }
+        registered
+    }
+
     /// Removes a pool instance (pool destroyed or its host failed).
     pub fn unregister_pool(&self, pool: &str, instance: u32) -> bool {
         let removed = self.write_shard(pool).unregister_pool(pool, instance);
@@ -430,6 +454,21 @@ mod tests {
         let instances = dir.instances("arch,==/sun");
         assert_eq!(instances.len(), 1);
         assert_eq!(instances[0].address, updated.address);
+    }
+
+    /// Two managers that created instance 0 at once: the first to register
+    /// keeps it, the second learns it lost and changes nothing.
+    #[test]
+    fn a_new_instance_registers_once() {
+        let dir = LocalDirectoryService::new().into_shared_with(4);
+        assert!(dir.register_new_pool(record("arch,==/sun", 0, "pm-a")));
+        let generation = dir.generation();
+        assert!(!dir.register_new_pool(record("arch,==/sun", 0, "pm-b")));
+        assert_eq!(dir.generation(), generation);
+        let instances = dir.instances("arch,==/sun");
+        assert_eq!(instances.len(), 1);
+        assert_eq!(instances[0].manager, "pm-a");
+        assert!(dir.register_new_pool(record("arch,==/sun", 1, "pm-b")));
     }
 
     #[test]

@@ -39,7 +39,8 @@ use crate::scheduler::SchedulingObjective;
 /// Configuration of an embedded pipeline.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Number of query-manager stages.
+    /// Number of query-manager replicas (the live pipeline runs them on
+    /// the launching thread).
     pub query_managers: usize,
     /// Number of pool-manager stages (single-domain deployments; federated
     /// deployments pass one database per manager to [`Engine::federated`]).

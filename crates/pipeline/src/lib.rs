@@ -27,8 +27,9 @@
 //!
 //! * [`engine::Engine`] — the embedded, synchronous pipeline (single address
 //!   space); the form used by the examples and baselines.
-//! * [`live::LivePipeline`] — every stage on its own thread, connected by
-//!   channels, demonstrating stage replication and pipelining.
+//! * [`live::LivePipeline`] — every pool-manager stage on its own thread,
+//!   connected by channels, the query manager run by the launching thread:
+//!   stage replication and pipelining.
 //! * [`server`] / [`client`] — the wire deployment: a `ypd` daemon hosts
 //!   any backend behind the versioned [`actyp_proto`] protocol, and
 //!   [`client::RemoteBackend`] serves the same client surface across a TCP

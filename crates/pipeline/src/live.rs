@@ -3,31 +3,28 @@
 //! "All stages in the resource management pipeline can be independently
 //! distributed and replicated across machines.  Queries propagate from one
 //! stage to the next via TCP or UDP" (Section 6).  This module realises that
-//! deployment inside one process: every query-manager and pool-manager stage
-//! runs on its own thread and stages exchange messages over channels, so
-//! queries are genuinely pipelined — a query manager can be decomposing one
-//! request while pool managers serve another and resource pools scan their
-//! caches for a third.
-//!
-//! Clients reach the pipeline through the ticket-based
-//! [`crate::api::ResourceManager`] surface (the former blocking `submit*`
-//! shims are gone).  Underneath, a launched query's reply has exactly one
-//! mechanism, an `OutcomeSlot`: the query-manager stage that reintegrates
-//! the outcome fills it, and a redeemer either takes the outcome from it
-//! or leaves a completion in it for that stage to run — several queries
-//! in flight at once, and nobody relaying an outcome to anybody.
+//! deployment inside one process: every pool-manager stage runs on its own
+//! thread and stages exchange messages over channels, so queries are
+//! genuinely pipelined.  The query manager owns no pool state and has no
+//! thread: whoever launches a query runs it on one of the `query_managers`
+//! replicas and sends each fragment straight to its pool-manager stage.
+//! Each fragment carries a handle on its query's join, and the stage that
+//! delivers the last result re-integrates the query — the paper's "another
+//! query-manager stage at the end of the pipeline" — and fills its
+//! `OutcomeSlot`, from which a redeemer takes the outcome or in which it
+//! leaves a completion for that stage to run.
 //!
 //! The channel hop stands in for the TCP/UDP hop of the paper's deployment;
 //! the simulated deployment ([`crate::sim`]) is where wire latency is
 //! modelled explicitly.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use parking_lot::Mutex;
 
 use actyp_grid::SharedDatabase;
@@ -40,10 +37,8 @@ use crate::message::{RequestId, RequestIdGenerator, RoutingState};
 use crate::pool_manager::{HandleOutcome, PoolManager, PoolManagerConfig};
 use crate::query_manager::QueryManager;
 
-type AllocationReply = Sender<Result<Allocation, AllocationError>>;
-
-/// Per-stage counters shared by every worker thread; the live deployment's
-/// equivalent of [`EngineStats`].
+/// Per-stage counters shared by every launching and stage thread; the live
+/// deployment's equivalent of [`EngineStats`].
 #[derive(Debug, Default)]
 struct LiveCounters {
     requests: AtomicU64,
@@ -72,13 +67,16 @@ impl LiveCounters {
 /// What a launched query resolves to.
 type Outcome = Result<Vec<Allocation>, AllocationError>;
 
-/// A launched query's one reply mechanism.  The query-manager stage that
-/// reintegrates the outcome fills it; a redeemer takes the outcome from it
-/// (without waiting, blocking, or blocking until a deadline) or leaves a
-/// completion in it.  The outcome and the completion meet under the one
-/// lock, and whichever arrives second runs the completion — the
-/// redeemer's own thread when the outcome was already there, the
-/// query-manager stage when it was not.
+/// What one fragment resolves to.
+type FragmentResult = Result<Allocation, AllocationError>;
+
+/// A launched query's one reply mechanism.  The pool-manager stage that
+/// answers the query's last fragment fills it; a redeemer takes the outcome
+/// from it (without waiting, blocking, or blocking until a deadline) or
+/// leaves a completion in it.  The outcome and the completion meet under
+/// the one lock, and whichever arrives second runs the completion — the
+/// redeemer's own thread when the outcome was already there, the stage
+/// when it was not.
 pub(crate) struct OutcomeSlot {
     cell: std::sync::Mutex<SlotState>,
     filled: std::sync::Condvar,
@@ -101,9 +99,7 @@ impl OutcomeSlot {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
-        self.cell
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.cell.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stage side: the outcome is in.  A waiting completion runs here, on
@@ -151,7 +147,7 @@ impl OutcomeSlot {
                 None => self
                     .filled
                     .wait(cell)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                    .unwrap_or_else(PoisonError::into_inner),
                 Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
@@ -159,7 +155,7 @@ impl OutcomeSlot {
                     }
                     self.filled
                         .wait_timeout(cell, deadline - now)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .unwrap_or_else(PoisonError::into_inner)
                         .0
                 }
             };
@@ -180,15 +176,31 @@ impl OutcomeSlot {
     }
 }
 
-/// The stage's end of an [`OutcomeSlot`], filled exactly once: with the
-/// outcome, or — when the query is dropped unprocessed (a stage that
-/// panicked, a pipeline torn down) — with an error, so no redeemer waits
-/// forever.
-struct Promise(Option<Arc<OutcomeSlot>>);
+/// The answer of a query or fragment dropped unprocessed (a stage that
+/// panicked, a pipeline torn down): no redeemer waits forever.
+fn dropped() -> AllocationError {
+    AllocationError::Internal("pipeline dropped the reply".to_string())
+}
+
+/// The pipeline's end of an [`OutcomeSlot`], filled exactly once: with the
+/// outcome, or with [`dropped`].  Its query is in flight until then, and
+/// shutdown stops the stages only once no promise is left.
+struct Promise {
+    slot: Option<Arc<OutcomeSlot>>,
+    shared: Arc<Shared>,
+}
 
 impl Promise {
+    fn new(shared: &Arc<Shared>, slot: Arc<OutcomeSlot>) -> Self {
+        shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        Promise {
+            slot: Some(slot),
+            shared: shared.clone(),
+        }
+    }
+
     fn fill(mut self, outcome: Outcome) {
-        if let Some(slot) = self.0.take() {
+        if let Some(slot) = self.slot.take() {
             slot.fill(outcome);
         }
     }
@@ -196,284 +208,346 @@ impl Promise {
 
 impl Drop for Promise {
     fn drop(&mut self) {
-        if let Some(slot) = self.0.take() {
-            slot.fill(Err(AllocationError::Internal(
-                "pipeline dropped the reply".to_string(),
-            )));
+        if let Some(slot) = self.slot.take() {
+            slot.fill(Err(dropped()));
+        }
+        let shared = &self.shared;
+        if shared.in_flight.fetch_sub(1, Ordering::SeqCst) == 1
+            && shared.closing.load(Ordering::SeqCst)
+        {
+            let _idle = shared.idle.lock().unwrap_or_else(PoisonError::into_inner);
+            shared.drained.notify_all();
         }
     }
 }
 
-enum QmMsg {
-    Submit {
-        query: Query,
-        reply: Promise,
-    },
-    Shutdown,
-    /// Test hook: makes the receiving worker panic so teardown reporting can
-    /// be exercised.
-    #[cfg(test)]
-    Panic,
+/// A launched query's fragments meeting again: each one's result by index,
+/// how many are still out, and the promise of the whole query.
+struct Join {
+    /// The replica that prepared the query; it re-integrates it too.
+    replica: usize,
+    /// A leaf lock: released before the query is re-integrated.
+    parts: Mutex<Parts>,
+}
+
+struct Parts {
+    /// One per fragment, each overwritten by that fragment's delivery.
+    results: Vec<FragmentResult>,
+    remaining: usize,
+    promise: Option<Promise>,
+}
+
+impl Join {
+    /// Records fragment `index`'s result; the last one to arrive finishes
+    /// the query, on the thread that delivered it.
+    fn deliver(&self, index: usize, result: FragmentResult) {
+        let mut parts = self.parts.lock();
+        parts.results[index] = result;
+        parts.remaining -= 1;
+        if parts.remaining > 0 {
+            return;
+        }
+        let results = std::mem::take(&mut parts.results);
+        let promise = parts
+            .promise
+            .take()
+            .expect("the last fragment answers once");
+        drop(parts);
+        self.finish(results, promise);
+    }
+
+    /// Re-integrates the query and answers it once its surplus matches
+    /// have been handed back.
+    fn finish(&self, results: Vec<FragmentResult>, promise: Promise) {
+        let shared = promise.shared.clone();
+        let failed = results.iter().filter(|result| result.is_err()).count() as u64;
+        let counters = &shared.counters;
+        counters.failures.fetch_add(failed, Ordering::Relaxed);
+        counters
+            .allocations
+            .fetch_add(results.len() as u64 - failed, Ordering::Relaxed);
+        let reintegrated = shared.replicas[self.replica]
+            .lock()
+            .reintegrate(results, shared.config.reintegration);
+        match reintegrated {
+            Ok((keep, surplus)) => {
+                release_surplus(shared, surplus, Box::new(move || promise.fill(Ok(keep))))
+            }
+            Err(e) => promise.fill(Err(e)),
+        }
+    }
+}
+
+/// One basic query of a launched query, carried from stage to stage with a
+/// handle on its query's [`Join`] and answered exactly once: with a stage's
+/// result, or — dropped unprocessed — with [`dropped`].
+struct Fragment {
+    request: RequestId,
+    basic: BasicQuery,
+    /// The join and this fragment's place in it, until it answers.
+    join: Option<(Arc<Join>, usize)>,
+}
+
+impl Fragment {
+    fn deliver(&mut self, result: FragmentResult) {
+        if let Some((join, index)) = self.join.take() {
+            join.deliver(index, result);
+        }
+    }
+}
+
+impl Drop for Fragment {
+    fn drop(&mut self) {
+        self.deliver(Err(dropped()));
+    }
+}
+
+/// Hands `surplus` back one allocation after another, each as a completion
+/// of the stage that releases it, and runs `then` once the last one has
+/// answered.  Nothing parks, so a stage may release its own surplus.
+fn release_surplus(
+    shared: Arc<Shared>,
+    mut surplus: Vec<Allocation>,
+    then: Box<dyn FnOnce() + Send>,
+) {
+    let Some(extra) = surplus.pop() else {
+        return then();
+    };
+    let next = shared.clone();
+    shared.release_with(
+        &extra,
+        Box::new(move |released| {
+            if released.is_ok() {
+                next.counters.allocations.fetch_sub(1, Ordering::Relaxed);
+            }
+            release_surplus(next, surplus, then);
+        }),
+    );
+}
+
+/// Asks the first of `stages` to release `allocation`; on a refusal that
+/// stage asks the next one, and `done` gets the first success or the last
+/// refusal.
+fn try_release(
+    shared: Arc<Shared>,
+    mut stages: std::vec::IntoIter<String>,
+    allocation: Allocation,
+    refused: Result<(), AllocationError>,
+    done: ReleaseDone,
+) {
+    let Some(name) = stages.next() else {
+        return done(refused);
+    };
+    let next = shared.clone();
+    let attempt = PmMsg::Release {
+        allocation: allocation.clone(),
+        done: Box::new(move |released| match released {
+            Ok(()) => {
+                next.counters.releases.fetch_add(1, Ordering::Relaxed);
+                done(Ok(()));
+            }
+            refused => try_release(next, stages, allocation, refused, done),
+        }),
+    };
+    if let Err(SendError(PmMsg::Release { done, .. })) = shared.pm_txs[&name].send(attempt) {
+        done(Err(AllocationError::Internal("stage is down".to_string())));
+    }
 }
 
 enum PmMsg {
     Query {
-        request: RequestId,
-        basic: BasicQuery,
+        fragment: Fragment,
         routing: RoutingState,
-        hour: u8,
-        reply: AllocationReply,
     },
     AllocateFrom {
         pool: String,
         instance: u32,
-        request: RequestId,
-        basic: BasicQuery,
-        hour: u8,
-        reply: AllocationReply,
+        fragment: Fragment,
     },
-    /// The stage drops the lease and then runs `done` itself — nobody
-    /// parks waiting for the answer unless `done` is a channel send.
+    /// The stage drops the lease and then runs `done` itself.
     Release {
         allocation: Allocation,
         done: ReleaseDone,
     },
     Shutdown,
+    /// Test hook: makes the receiving stage panic so teardown reporting can
+    /// be exercised.
+    #[cfg(test)]
+    Panic,
 }
 
-/// Asks `stage` to release `allocation` and blocks for its answer.
-fn release_on(stage: &Sender<PmMsg>, allocation: &Allocation) -> Result<(), AllocationError> {
-    let (tx, rx) = unbounded();
-    let down = || AllocationError::Internal("stage is down".to_string());
-    stage
-        .send(PmMsg::Release {
-            allocation: allocation.clone(),
-            done: Box::new(move |released| {
-                let _ = tx.send(released);
-            }),
-        })
-        .map_err(|_| down())?;
-    rx.recv().unwrap_or_else(|_| Err(down()))
+/// What launching a query and finishing it touch, shared by every
+/// launching thread and every pool-manager stage.
+struct Shared {
+    /// The query-manager replicas, taken round robin.  Each is a leaf lock,
+    /// never held across a send.
+    replicas: Vec<Mutex<QueryManager>>,
+    cursor: AtomicUsize,
+    pm_txs: HashMap<String, Sender<PmMsg>>,
+    pm_names: Vec<String>,
+    directory: SharedDirectory,
+    config: PipelineConfig,
+    counters: LiveCounters,
+    /// Launched queries not answered yet.
+    in_flight: AtomicUsize,
+    /// Set once shutdown waits for `in_flight` to drain.
+    closing: AtomicBool,
+    idle: std::sync::Mutex<()>,
+    drained: std::sync::Condvar,
+}
+
+impl Shared {
+    /// Releases `allocation` on the stage hosting its pool, or — when the
+    /// directory no longer knows it — on each stage in turn until one
+    /// accepts; `done` runs on the stage that answers last.
+    fn release_with(self: &Arc<Self>, allocation: &Allocation, done: ReleaseDone) {
+        let owner = crate::engine::owning_manager(&self.directory, allocation);
+        let stages = match owner.filter(|owner| self.pm_txs.contains_key(owner)) {
+            Some(owner) => vec![owner],
+            None => self.pm_names.clone(),
+        };
+        let (shared, allocation) = (self.clone(), allocation.clone());
+        let refused = Err(AllocationError::UnknownAllocation);
+        try_release(shared, stages.into_iter(), allocation, refused, done);
+    }
+
+    /// Waits until nothing launched is in flight.
+    fn drain(&self) {
+        self.closing.store(true, Ordering::SeqCst);
+        let idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        let busy = |_: &mut ()| self.in_flight.load(Ordering::SeqCst) > 0;
+        let _idle = self.drained.wait_while(idle, busy);
+    }
 }
 
 struct PmWorker {
     manager: PoolManager,
     rx: Receiver<PmMsg>,
-    peers: HashMap<String, Sender<PmMsg>>,
-    peer_order: Vec<String>,
-    counters: Arc<LiveCounters>,
+    shared: Arc<Shared>,
 }
 
 impl PmWorker {
     fn run(mut self) {
+        let hour = self.shared.config.hour_of_day;
         while let Ok(msg) = self.rx.recv() {
             match msg {
                 PmMsg::Shutdown => break,
-                PmMsg::Release { allocation, done } => {
-                    done(self.manager.release(&allocation));
-                }
+                #[cfg(test)]
+                PmMsg::Panic => panic!("injected pool-manager panic"),
+                PmMsg::Release { allocation, done } => done(self.manager.release(&allocation)),
                 PmMsg::AllocateFrom {
                     pool,
                     instance,
-                    request,
-                    basic,
-                    hour,
-                    reply,
+                    mut fragment,
                 } => {
+                    let (request, basic) = (fragment.request, &fragment.basic);
                     let result = self
                         .manager
-                        .allocate_from(&pool, instance, request, &basic, hour);
-                    let _ = reply.send(result);
+                        .allocate_from(&pool, instance, request, basic, hour);
+                    fragment.deliver(result);
                 }
-                PmMsg::Query {
-                    request,
-                    basic,
-                    mut routing,
-                    hour,
-                    reply,
-                } => {
-                    if !routing.visit(self.manager.name()) {
-                        let _ = reply.send(Err(AllocationError::TtlExpired));
-                        continue;
+                PmMsg::Query { fragment, routing } => self.serve(fragment, routing, hour),
+            }
+        }
+    }
+
+    /// Serves `fragment` from a pool hosted here, or passes it on: to the
+    /// stage hosting its pool, or — when no pool can be made here — to a
+    /// peer that has not seen it yet, carrying the routing state along.  A
+    /// message no stage takes is dropped, and its fragment answers.
+    fn serve(&mut self, mut fragment: Fragment, mut routing: RoutingState, hour: u8) {
+        if !routing.visit(self.manager.name()) {
+            return fragment.deliver(Err(AllocationError::TtlExpired));
+        }
+        let counters = &self.shared.counters;
+        let (next, msg) = match self.manager.handle(fragment.request, &fragment.basic, hour) {
+            HandleOutcome::Allocated(a) => return fragment.deliver(Ok(a)),
+            HandleOutcome::Failed(err) => return fragment.deliver(Err(err)),
+            HandleOutcome::Forward {
+                manager,
+                pool,
+                instance,
+            } => {
+                counters.forwards.fetch_add(1, Ordering::Relaxed);
+                let forward = PmMsg::AllocateFrom {
+                    pool,
+                    instance,
+                    fragment,
+                };
+                (manager, forward)
+            }
+            HandleOutcome::CannotCreate => {
+                counters.delegations.fetch_add(1, Ordering::Relaxed);
+                let here = self.manager.name();
+                let unseen = |name: &&String| !routing.has_visited(name) && name.as_str() != here;
+                match self.shared.pm_names.iter().find(unseen) {
+                    Some(peer) if routing.alive() => {
+                        (peer.clone(), PmMsg::Query { fragment, routing })
                     }
-                    match self.manager.handle(request, &basic, hour) {
-                        HandleOutcome::Allocated(a) => {
-                            let _ = reply.send(Ok(a));
-                        }
-                        HandleOutcome::Failed(err) => {
-                            let _ = reply.send(Err(err));
-                        }
-                        HandleOutcome::Forward {
-                            manager,
-                            pool,
-                            instance,
-                        } => {
-                            self.counters.forwards.fetch_add(1, Ordering::Relaxed);
-                            if manager == self.manager.name() {
-                                let result = self
-                                    .manager
-                                    .allocate_from(&pool, instance, request, &basic, hour);
-                                let _ = reply.send(result);
-                            } else if let Some(peer) = self.peers.get(&manager) {
-                                let _ = peer.send(PmMsg::AllocateFrom {
-                                    pool,
-                                    instance,
-                                    request,
-                                    basic,
-                                    hour,
-                                    reply,
-                                });
-                            } else {
-                                let _ = reply.send(Err(AllocationError::Internal(format!(
-                                    "unknown pool manager {manager}"
-                                ))));
-                            }
-                        }
-                        HandleOutcome::CannotCreate => {
-                            // Delegate to a peer that has not yet seen the
-                            // query, carrying the routing state along.
-                            self.counters.delegations.fetch_add(1, Ordering::Relaxed);
-                            let next = self
-                                .peer_order
-                                .iter()
-                                .find(|name| {
-                                    !routing.has_visited(name)
-                                        && name.as_str() != self.manager.name()
-                                })
-                                .cloned();
-                            match next {
-                                Some(name) if routing.alive() => {
-                                    let peer = self.peers.get(&name).expect("peer sender exists");
-                                    let _ = peer.send(PmMsg::Query {
-                                        request,
-                                        basic,
-                                        routing,
-                                        hour,
-                                        reply,
-                                    });
-                                }
-                                _ => {
-                                    let _ = reply.send(Err(AllocationError::NoSuchResources));
-                                }
-                            }
-                        }
-                    }
+                    _ => return fragment.deliver(Err(AllocationError::NoSuchResources)),
                 }
             }
+        };
+        if let Some(stage) = self.shared.pm_txs.get(&next) {
+            let _ = stage.send(msg);
         }
     }
 }
 
-struct QmWorker {
-    manager: QueryManager,
-    rx: Receiver<QmMsg>,
-    pm_txs: HashMap<String, Sender<PmMsg>>,
-    pm_names: Vec<String>,
-    config: PipelineConfig,
-    counters: Arc<LiveCounters>,
-}
-
-impl QmWorker {
-    fn run(mut self) {
-        while let Ok(msg) = self.rx.recv() {
-            match msg {
-                QmMsg::Shutdown => break,
-                QmMsg::Submit { query, reply } => reply.fill(self.process(&query)),
-                #[cfg(test)]
-                QmMsg::Panic => panic!("injected query-manager panic"),
-            }
-        }
-    }
-
-    fn process(&mut self, query: &Query) -> Result<Vec<Allocation>, AllocationError> {
-        self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let prepared = self.manager.prepare(query)?;
-        let hour = self.config.hour_of_day;
-
-        // Launch every fragment into the pipeline, then collect replies.
-        let mut pending = Vec::with_capacity(prepared.fragments.len());
-        for (tag, basic) in prepared.fragments {
-            self.counters.fragments.fetch_add(1, Ordering::Relaxed);
-            let target = self
-                .manager
-                .select_pool_manager(&basic, &self.pm_names)
-                .ok_or_else(|| AllocationError::Internal("no pool managers".to_string()))?;
-            let (tx, rx) = unbounded();
-            let sender = self.pm_txs.get(&target).ok_or_else(|| {
-                AllocationError::Internal(format!("unknown pool manager {target}"))
-            })?;
-            sender
-                .send(PmMsg::Query {
-                    request: tag.request,
-                    basic,
-                    routing: RoutingState::new(self.config.ttl),
-                    hour,
-                    reply: tx,
-                })
-                .map_err(|_| AllocationError::Internal("pool manager stage is down".to_string()))?;
-            pending.push(rx);
-        }
-
-        let results: Vec<Result<Allocation, AllocationError>> = pending
-            .into_iter()
-            .map(|rx| {
-                rx.recv().unwrap_or_else(|_| {
-                    Err(AllocationError::Internal(
-                        "pipeline stage dropped the reply".to_string(),
-                    ))
-                })
-            })
-            .collect();
-        for result in &results {
-            match result {
-                Ok(_) => self.counters.allocations.fetch_add(1, Ordering::Relaxed),
-                Err(_) => self.counters.failures.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-
-        let (keep, surplus) = self
-            .manager
-            .reintegrate(results, self.config.reintegration)?;
-        for extra in surplus {
-            // Hand surplus matches back to whichever manager hosts the pool.
-            if self
-                .pm_txs
-                .values()
-                .any(|stage| release_on(stage, &extra).is_ok())
-            {
-                self.counters.releases.fetch_add(1, Ordering::Relaxed);
-                self.counters.allocations.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        Ok(keep)
-    }
-}
-
-/// Stage threads by kind, so teardown can stop the stages in pipeline
-/// order (query managers first, then pool managers).
-#[derive(Default)]
-struct StageWorkers {
-    query_managers: Vec<JoinHandle<()>>,
-    pool_managers: Vec<JoinHandle<()>>,
-}
-
-/// The query-manager stages' shared submission channel: launching is one
-/// send on it, which never parks.
+/// Launches queries into the pipeline from any thread.
 #[derive(Clone)]
-pub(crate) struct Launcher(Sender<QmMsg>);
+pub(crate) struct Launcher(Arc<Shared>);
 
 impl Launcher {
-    /// Launches a query into the pipeline without waiting: the returned
-    /// slot receives the outcome when the pipeline finishes.  Several
-    /// launched queries overlap across the query-manager, pool-manager and
-    /// pool stages — this is the pipelining the paper measures, available to
-    /// a single client thread.
+    /// Launches a query without waiting: the query manager runs here, on
+    /// one of its replicas, and sends each fragment to its pool-manager
+    /// stage; the slot receives the outcome once the last fragment is in.
+    /// A query the query manager refuses fills its slot with the error at
+    /// once; `Err` means the pipeline is down.
     pub(crate) fn launch(&self, query: Query) -> Result<Arc<OutcomeSlot>, AllocationError> {
+        let shared = &self.0;
+        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         let slot = OutcomeSlot::new();
-        let reply = Promise(Some(slot.clone()));
-        self.0
-            .send(QmMsg::Submit { query, reply })
-            .map_err(|_| AllocationError::Internal("query manager stage is down".to_string()))?;
+        let promise = Promise::new(shared, slot.clone());
+        let replica = shared.cursor.fetch_add(1, Ordering::Relaxed) % shared.replicas.len();
+        let mut qm = shared.replicas[replica].lock();
+        let prepared = qm.prepare(&query).map(|prepared| prepared.fragments);
+        let targets: Vec<Option<String>> = (prepared.iter().flatten())
+            .map(|(_, basic)| qm.select_pool_manager(basic, &shared.pm_names))
+            .collect();
+        drop(qm);
+        let fragments = match prepared {
+            Ok(fragments) => fragments,
+            Err(refused) => {
+                promise.fill(Err(refused));
+                return Ok(slot);
+            }
+        };
+
+        let join = Arc::new(Join {
+            replica,
+            parts: Mutex::new(Parts {
+                results: vec![Err(AllocationError::NoSuchResources); fragments.len()],
+                remaining: fragments.len(),
+                promise: Some(promise),
+            }),
+        });
+        for (index, ((tag, basic), target)) in fragments.into_iter().zip(targets).enumerate() {
+            shared.counters.fragments.fetch_add(1, Ordering::Relaxed);
+            let mut fragment = Fragment {
+                request: tag.request,
+                basic,
+                join: Some((join.clone(), index)),
+            };
+            let Some(stage) = target.and_then(|name| shared.pm_txs.get(&name)) else {
+                fragment.deliver(Err(AllocationError::Internal("no pool managers".into())));
+                continue;
+            };
+            let routing = RoutingState::new(shared.config.ttl);
+            stage
+                .send(PmMsg::Query { fragment, routing })
+                .map_err(|_| AllocationError::Internal("pool manager stage is down".to_string()))?;
+        }
         Ok(slot)
     }
 }
@@ -481,11 +555,7 @@ impl Launcher {
 /// A running, threaded deployment of the pipeline.
 pub struct LivePipeline {
     launcher: Launcher,
-    pm_txs: HashMap<String, Sender<PmMsg>>,
-    directory: SharedDirectory,
-    workers: Mutex<StageWorkers>,
-    query_managers: usize,
-    counters: Arc<LiveCounters>,
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl LivePipeline {
@@ -500,98 +570,79 @@ impl LivePipeline {
     /// Starts a federated deployment: one pool-manager stage per domain.
     pub fn start_federated(config: PipelineConfig, domains: Vec<(String, SharedDatabase)>) -> Self {
         assert!(!domains.is_empty(), "at least one domain is required");
-        let directory: SharedDirectory =
-            LocalDirectoryService::new().into_shared_with(config.shards);
         let ids = Arc::new(RequestIdGenerator::new());
-        let counters = Arc::new(LiveCounters::default());
-
-        // Pool-manager stages and their channels.
-        let mut pm_txs: HashMap<String, Sender<PmMsg>> = HashMap::new();
-        let mut pm_rxs: Vec<(String, SharedDatabase, Receiver<PmMsg>)> = Vec::new();
+        let replicas = (0..config.query_managers.max(1))
+            .map(|i| {
+                Mutex::new(QueryManager::new(
+                    format!("qm-{i}"),
+                    QuerySchema::punch_default().permissive(),
+                    config.pool_manager_selection.clone(),
+                    config.decompose_limit,
+                    ids.clone(),
+                    config.seed ^ (0x51 + i as u64),
+                ))
+            })
+            .collect();
         let pm_names: Vec<String> = domains.iter().map(|(name, _)| name.clone()).collect();
-        for (name, db) in domains {
-            let (tx, rx) = unbounded();
-            pm_txs.insert(name.clone(), tx);
-            pm_rxs.push((name, db, rx));
-        }
-
-        let mut workers = StageWorkers::default();
-        for (i, (name, db, rx)) in pm_rxs.into_iter().enumerate() {
-            let manager = PoolManager::new(
-                name,
-                db,
-                directory.clone(),
-                PoolManagerConfig {
-                    selection: config.instance_selection,
-                    objective: config.objective,
-                    host: format!("actyp-node-{i}"),
-                    base_port: 7300,
-                },
-                config.seed ^ (0x90 + i as u64),
-            );
-            let worker = PmWorker {
-                manager,
-                rx,
-                peers: pm_txs.clone(),
-                peer_order: pm_names.clone(),
-                counters: counters.clone(),
-            };
-            workers.pool_managers.push(
+        let (pm_txs, pm_rxs): (Vec<_>, Vec<_>) = domains.iter().map(|_| unbounded()).unzip();
+        let shared = Arc::new(Shared {
+            replicas,
+            cursor: AtomicUsize::new(0),
+            pm_txs: pm_names.iter().cloned().zip(pm_txs).collect(),
+            pm_names,
+            directory: LocalDirectoryService::new().into_shared_with(config.shards),
+            config,
+            counters: LiveCounters::default(),
+            in_flight: AtomicUsize::new(0),
+            closing: AtomicBool::new(false),
+            idle: std::sync::Mutex::new(()),
+            drained: std::sync::Condvar::new(),
+        });
+        let config = &shared.config;
+        let workers = domains
+            .into_iter()
+            .zip(pm_rxs)
+            .enumerate()
+            .map(|(i, ((name, db), rx))| {
+                let manager = PoolManager::new(
+                    name,
+                    db,
+                    shared.directory.clone(),
+                    PoolManagerConfig {
+                        selection: config.instance_selection,
+                        objective: config.objective,
+                        host: format!("actyp-node-{i}"),
+                        base_port: 7300,
+                    },
+                    config.seed ^ (0x90 + i as u64),
+                );
+                let worker = PmWorker {
+                    manager,
+                    rx,
+                    shared: shared.clone(),
+                };
                 std::thread::Builder::new()
                     .name(format!("yp-pm-{i}"))
                     .spawn(move || worker.run())
-                    .expect("spawn pool-manager stage"),
-            );
-        }
-
-        // Query-manager stages share one submission channel (any idle stage
-        // picks up the next client request).
-        let (qm_tx, qm_rx) = unbounded::<QmMsg>();
-        let query_managers = config.query_managers.max(1);
-        for i in 0..query_managers {
-            let manager = QueryManager::new(
-                format!("qm-{i}"),
-                QuerySchema::punch_default().permissive(),
-                config.pool_manager_selection.clone(),
-                config.decompose_limit,
-                ids.clone(),
-                config.seed ^ (0x51 + i as u64),
-            );
-            let worker = QmWorker {
-                manager,
-                rx: qm_rx.clone(),
-                pm_txs: pm_txs.clone(),
-                pm_names: pm_names.clone(),
-                config: config.clone(),
-                counters: counters.clone(),
-            };
-            workers.query_managers.push(
-                std::thread::Builder::new()
-                    .name(format!("yp-qm-{i}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn query-manager stage"),
-            );
-        }
+                    .expect("spawn pool-manager stage")
+            })
+            .collect();
 
         LivePipeline {
-            launcher: Launcher(qm_tx),
-            pm_txs,
-            directory,
+            launcher: Launcher(shared),
             workers: Mutex::new(workers),
-            query_managers,
-            counters,
         }
     }
 
     /// The shared directory service (inspection).
     pub fn directory(&self) -> &SharedDirectory {
-        &self.directory
+        &self.launcher.0.directory
     }
 
     /// A snapshot of the per-stage counters, unified with the embedded
     /// engine's [`EngineStats`].
     pub fn stats(&self) -> EngineStats {
-        self.counters.snapshot()
+        self.launcher.0.counters.snapshot()
     }
 
     /// A handle that launches queries into this pipeline from anywhere.
@@ -599,91 +650,46 @@ impl LivePipeline {
         self.launcher.clone()
     }
 
-    /// The stage hosting `allocation`'s pool, when the directory knows it.
-    fn owning_stage(&self, allocation: &Allocation) -> Option<&Sender<PmMsg>> {
-        let manager = crate::engine::owning_manager(&self.directory, allocation)?;
-        self.pm_txs.get(&manager)
-    }
-
     /// Releases an allocation, blocking for the answer: the owning stage's,
     /// or — when the directory does not know the owner — each stage's in
     /// turn until one accepts.
     pub fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        let stages: Vec<&Sender<PmMsg>> = match self.owning_stage(allocation) {
-            Some(stage) => vec![stage],
-            None => self.pm_txs.values().collect(),
-        };
-        let mut last = Err(AllocationError::UnknownAllocation);
-        for stage in stages {
-            last = release_on(stage, allocation);
-            if last.is_ok() {
-                self.counters.releases.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
-        }
-        last
+        let (tx, rx) = unbounded();
+        let done = Box::new(move |released| drop(tx.send(released)));
+        self.launcher.0.release_with(allocation, done);
+        rx.recv()
+            .unwrap_or_else(|_| Err(AllocationError::Internal("stage is down".to_string())))
     }
 
-    /// Releases an allocation without waiting for it: the owning
-    /// pool-manager stage drops the lease and calls `done` with the result
-    /// (if the stages shut down first, `done` is dropped uncalled).  When
-    /// the directory does not know the owner the stages have to be asked
-    /// one after the other, which parks: `done` is handed back and the
-    /// caller uses [`release`](Self::release).
+    /// Releases an allocation without waiting for it: the stage that drops
+    /// the lease calls `done` (the stages are asked in turn, each asking the
+    /// next, when the directory does not know the owner).  Never hands
+    /// `done` back; if the stages shut down first, it is dropped uncalled.
     pub fn release_with(
         &self,
         allocation: &Allocation,
         done: ReleaseDone,
     ) -> Result<(), ReleaseDone> {
-        let Some(stage) = self.owning_stage(allocation) else {
-            return Err(done);
-        };
-        let counters = self.counters.clone();
-        let attempt = PmMsg::Release {
-            allocation: allocation.clone(),
-            done: Box::new(move |released| {
-                if released.is_ok() {
-                    counters.releases.fetch_add(1, Ordering::Relaxed);
-                }
-                done(released);
-            }),
-        };
-        if let Err(crossbeam::channel::SendError(PmMsg::Release { done, .. })) = stage.send(attempt)
-        {
-            done(Err(AllocationError::Internal("stage is down".to_string())));
-        }
+        self.launcher.0.release_with(allocation, done);
         Ok(())
     }
 
-    /// Shuts the deployment down, joining every stage thread.  A worker that
-    /// panicked during the run is reported here instead of being silently
-    /// detached; the error lists every panicking stage.
-    ///
-    /// Teardown follows the pipeline order: the query-manager stages are
-    /// stopped and joined first, so every submission already queued is fully
-    /// processed (its fragments forwarded to the pool managers and their
-    /// replies awaited) before the pool-manager stages are stopped.
-    /// Outstanding tickets therefore still redeem their real outcome after
-    /// shutdown.
+    /// Shuts the deployment down, joining every stage thread; the error
+    /// lists every stage that panicked during the run.  The stages stop only
+    /// once no launched query is in flight — they forward to each other —
+    /// so outstanding tickets still redeem their real outcome afterwards.
     pub fn shutdown(&self) -> Result<(), AllocationError> {
-        let mut panics = Vec::new();
-
-        // Phase 1: stop the query managers.  Each worker consumes its
-        // shutdown marker only after the submissions queued ahead of it.
-        for _ in 0..self.query_managers {
-            let _ = self.launcher.0.send(QmMsg::Shutdown);
-        }
-        let qm_handles: Vec<JoinHandle<()>> =
-            self.workers.lock().query_managers.drain(..).collect();
-        Self::join_into(qm_handles, &mut panics);
-
-        // Phase 2: no new fragments can arrive now — stop the pool managers.
-        for sender in self.pm_txs.values() {
+        let shared = &self.launcher.0;
+        shared.drain();
+        for sender in shared.pm_txs.values() {
             let _ = sender.send(PmMsg::Shutdown);
         }
-        let pm_handles: Vec<JoinHandle<()>> = self.workers.lock().pool_managers.drain(..).collect();
-        Self::join_into(pm_handles, &mut panics);
-
+        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
+        let panics: Vec<String> = handles
+            .into_iter()
+            .filter_map(|handle| handle.join().err())
+            .map(|payload| panic_message(payload.as_ref()))
+            .collect();
         if panics.is_empty() {
             Ok(())
         } else {
@@ -691,14 +697,6 @@ impl LivePipeline {
                 "stage worker panicked: {}",
                 panics.join("; ")
             )))
-        }
-    }
-
-    fn join_into(handles: Vec<JoinHandle<()>>, panics: &mut Vec<String>) {
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                panics.push(panic_message(payload.as_ref()));
-            }
         }
     }
 }
@@ -925,27 +923,250 @@ mod tests {
     /// A query the stage drops unprocessed still answers its redeemer.
     #[test]
     fn a_dropped_query_answers_with_an_error() {
+        let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(50, 12));
         let slot = OutcomeSlot::new();
-        drop(Promise(Some(slot.clone())));
+        drop(Promise::new(&pipeline.launcher.0, slot.clone()));
         assert!(matches!(
             slot.take_until(None),
             Some(Err(AllocationError::Internal(_)))
         ));
+        pipeline.shutdown().unwrap();
     }
 
     #[test]
     fn worker_panics_surface_at_shutdown() {
         let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(50, 10));
-        pipeline.launcher.0.send(QmMsg::Panic).unwrap();
+        pipeline.launcher.0.pm_txs["pm-0"]
+            .send(PmMsg::Panic)
+            .unwrap();
         let err = pipeline.shutdown().unwrap_err();
         match err {
             AllocationError::Internal(message) => {
                 assert!(message.contains("panicked"), "got: {message}");
-                assert!(message.contains("injected query-manager panic"));
+                assert!(message.contains("injected pool-manager panic"));
             }
             other => panic!("expected Internal, got {other:?}"),
         }
         // A second shutdown (and the eventual drop) is a clean no-op.
         pipeline.shutdown().unwrap();
+    }
+
+    fn active_jobs(db: &SharedDatabase) -> u32 {
+        db.read().iter().map(|m| m.dynamic.active_jobs).sum()
+    }
+
+    /// Both fragments of a `FirstMatch` query go to one of two stages (the
+    /// routing key is absent, so it hashes alike), so the stage that
+    /// delivers the last fragment owns the surplus it has to hand back.  A
+    /// release that parked for its own stage's answer would never return.
+    #[test]
+    fn a_stage_releases_the_surplus_it_owns_without_parking() {
+        let config = PipelineConfig {
+            pool_managers: 2,
+            pool_manager_selection: PoolManagerSelection::ByKeyValue("absent".to_string()),
+            reintegration: ReintegrationPolicy::FirstMatch,
+            ..PipelineConfig::default()
+        };
+        let db = fleet_db(400, 13);
+        let pipeline = LivePipeline::start(config, db.clone());
+        let allocations = submit_text(
+            &pipeline,
+            "punch.rsrc.arch = sun | hp\npunch.user.accessgroup = ece\n",
+        )
+        .unwrap();
+        assert_eq!(allocations.len(), 1);
+        assert_eq!(active_jobs(&db), 1, "the surplus went back");
+        let stats = pipeline.stats();
+        assert_eq!(
+            (stats.fragments, stats.allocations, stats.releases),
+            (2, 1, 1)
+        );
+        pipeline.release(&allocations[0]).unwrap();
+        assert_eq!(active_jobs(&db), 0);
+        pipeline.shutdown().unwrap();
+    }
+
+    /// An allocation whose owner the directory no longer knows is offered
+    /// to each stage in turn, every refusal a completion that asks the
+    /// next: the owner, `pm-1`, accepts after `pm-0` refused.
+    #[test]
+    fn an_ownerless_release_walks_the_stages_as_completions() {
+        let config = PipelineConfig {
+            pool_managers: 3,
+            ..PipelineConfig::default()
+        };
+        let db = fleet_db(200, 14);
+        let pipeline = LivePipeline::start(config, db.clone());
+        let sun = submit_text(&pipeline, "punch.rsrc.arch = sun\n").unwrap();
+        let hp = submit_text(&pipeline, "punch.rsrc.arch = hp\n").unwrap();
+        pipeline
+            .directory()
+            .unregister_pool(&hp[0].pool, hp[0].pool_instance);
+        let release = |allocation: &Allocation| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let done = Box::new(move |released| tx.send(released).unwrap());
+            assert!(
+                pipeline.release_with(allocation, done).is_ok(),
+                "never handed back"
+            );
+            rx.recv_timeout(std::time::Duration::from_secs(10)).unwrap()
+        };
+        assert_eq!(release(&hp[0]), Ok(()));
+        assert_eq!(release(&hp[0]), Err(AllocationError::UnknownAllocation));
+        assert_eq!(active_jobs(&db), 1);
+        pipeline.release(&sun[0]).unwrap();
+        pipeline.shutdown().unwrap();
+    }
+
+    /// A join for `fragments` fragments of a query answering into `slot`.
+    fn join_into(shared: &Arc<Shared>, slot: &Arc<OutcomeSlot>, fragments: usize) -> Arc<Join> {
+        Arc::new(Join {
+            replica: 0,
+            parts: Mutex::new(Parts {
+                results: vec![Err(AllocationError::NoSuchResources); fragments],
+                remaining: fragments,
+                promise: Some(Promise::new(shared, slot.clone())),
+            }),
+        })
+    }
+
+    fn fragment_of(join: &Arc<Join>, index: usize) -> Fragment {
+        Fragment {
+            request: RequestId(index as u64),
+            basic: Query::paper_example().decompose(1).remove(0),
+            join: Some((join.clone(), index)),
+        }
+    }
+
+    /// Two pool-manager stages deliver a two-fragment query's results at
+    /// the same time, over and over: the join re-integrates each query
+    /// exactly once (it counts each fragment's result as it does) and
+    /// answers each once.
+    #[test]
+    fn concurrent_last_fragments_reintegrate_a_query_once() {
+        let config = PipelineConfig {
+            pool_managers: 2,
+            ..PipelineConfig::default()
+        };
+        let db = fleet_db(400, 15);
+        let pipeline = LivePipeline::start(config, db.clone());
+        let answered = Arc::new(AtomicUsize::new(0));
+        let query = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
+        for _ in 0..1_000 {
+            let slot = pipeline.launcher.launch(query.clone()).unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let answered = answered.clone();
+            slot.on_ready(Box::new(move |outcome| {
+                answered.fetch_add(1, Ordering::SeqCst);
+                tx.send(outcome).unwrap();
+            }));
+            let allocations = rx.recv().unwrap().unwrap();
+            assert_eq!(allocations.len(), 2);
+            for a in &allocations {
+                pipeline.release(a).unwrap();
+            }
+        }
+        let stats = pipeline.stats();
+        assert_eq!(answered.load(Ordering::SeqCst), 1_000);
+        assert_eq!(stats.requests, 1_000);
+        assert_eq!(stats.fragments, 2_000);
+        assert_eq!(
+            stats.allocations + stats.failures,
+            2_000,
+            "one re-integration each"
+        );
+        assert_eq!(active_jobs(&db), 0);
+        pipeline.shutdown().unwrap();
+    }
+
+    /// The same race forced: two threads standing in for two stages are
+    /// released by a barrier to deliver a query's two fragments at once.
+    #[test]
+    fn simultaneous_deliveries_finish_a_query_once() {
+        let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(50, 18));
+        let shared = pipeline.launcher.0.clone();
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let stages: Vec<_> = (0..2)
+            .map(|_| {
+                let (tx, rx) = unbounded::<Fragment>();
+                let barrier = barrier.clone();
+                let stage = std::thread::spawn(move || {
+                    while let Ok(mut fragment) = rx.recv() {
+                        barrier.wait();
+                        fragment.deliver(Err(AllocationError::NoneAvailable));
+                    }
+                });
+                (tx, stage)
+            })
+            .collect();
+        for _ in 0..1_000 {
+            let slot = OutcomeSlot::new();
+            let join = join_into(&shared, &slot, 2);
+            for (index, (stage, _)) in stages.iter().enumerate() {
+                stage.send(fragment_of(&join, index)).unwrap();
+            }
+            drop(join);
+            assert_eq!(redeem(&slot), Err(AllocationError::NoneAvailable));
+        }
+        for (stage, thread) in stages {
+            drop(stage);
+            thread.join().unwrap();
+        }
+        assert_eq!(pipeline.stats().failures, 2_000, "one re-integration each");
+        pipeline.shutdown().unwrap();
+    }
+
+    /// A fragment a stopping stage never processes answers `Internal`, and
+    /// nobody waits for it: queued on a stage that stopped (dropped with
+    /// the stage's receiver), or refused at launch.
+    #[test]
+    fn a_fragment_dropped_by_a_stopping_stage_answers_internal() {
+        let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(50, 16));
+        let shared = &pipeline.launcher.0;
+        let slot = OutcomeSlot::new();
+        let fragment = fragment_of(&join_into(shared, &slot, 1), 0);
+        let (stage, queue) = unbounded();
+        let routing = RoutingState::new(8);
+        stage.send(PmMsg::Query { fragment, routing }).unwrap();
+        drop(queue);
+        assert!(matches!(
+            slot.try_take(),
+            Some(Err(AllocationError::Internal(_)))
+        ));
+
+        shared.pm_txs["pm-0"].send(PmMsg::Shutdown).unwrap();
+        let outcome = pipeline
+            .launcher
+            .launch(Query::paper_example())
+            .and_then(|slot| redeem(&slot));
+        assert!(
+            matches!(outcome, Err(AllocationError::Internal(_))),
+            "{outcome:?}"
+        );
+        pipeline.shutdown().unwrap();
+    }
+
+    /// The drain guarantee with fragments crossing stages: after a warm-up
+    /// leaves the pool on `pm-0`, round robin sends every other query to
+    /// `pm-1`, which forwards it.  Shutdown waits for all of them.
+    #[test]
+    fn queued_submissions_crossing_stages_complete_across_shutdown() {
+        let config = PipelineConfig {
+            pool_managers: 2,
+            ..PipelineConfig::default()
+        };
+        let pipeline = LivePipeline::start(config, fleet_db(400, 17));
+        let warm = submit_text(&pipeline, &paper_text()).unwrap();
+        pipeline.release(&warm[0]).unwrap();
+        let mut slots: Vec<_> = (0..8)
+            .map(|_| pipeline.launcher.launch(Query::paper_example()).unwrap())
+            .collect();
+        let composite = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
+        slots.push(pipeline.launcher.launch(composite).unwrap());
+        pipeline.shutdown().unwrap();
+        for slot in slots {
+            assert!(!redeem(&slot).unwrap().is_empty());
+        }
+        assert!(pipeline.stats().forwards > 0, "fragments crossed stages");
     }
 }

@@ -150,7 +150,14 @@ impl PoolManager {
     /// Installs an externally built pool (used by experiments that
     /// pre-partition machines into pools, and by splitting/replication).
     pub fn adopt_pool(&mut self, pool: ResourcePool) {
-        let record = PoolInstanceRecord {
+        self.directory.register_pool(self.record_for(&pool));
+        self.pools
+            .insert((pool.name().full(), pool.instance()), pool);
+    }
+
+    /// The directory record announcing `pool` as hosted here.
+    fn record_for(&self, pool: &ResourcePool) -> PoolInstanceRecord {
+        PoolInstanceRecord {
             pool: pool.name().full(),
             instance: pool.instance(),
             manager: self.name.clone(),
@@ -158,10 +165,7 @@ impl PoolManager {
                 self.config.host.clone(),
                 self.config.base_port + self.pools.len() as u16,
             ),
-        };
-        self.directory.register_pool(record);
-        self.pools
-            .insert((pool.name().full(), pool.instance()), pool);
+        }
     }
 
     /// Maps a query to its pool name (exposed for diagnostics and tests).
@@ -187,8 +191,16 @@ impl PoolManager {
             self.config.objective,
             self.rng.next_u64(),
         )?;
-        self.created += 1;
-        self.adopt_pool(pool);
+        // A manager on another thread that read the same instance number
+        // may have registered its pool first: that pool then serves the
+        // name, and this one is dropped.  Its machines are not released —
+        // over a shared database the winner marked the same machines with
+        // the same name and instance.
+        if self.directory.register_new_pool(self.record_for(&pool)) {
+            self.created += 1;
+            self.pools
+                .insert((pool.name().full(), pool.instance()), pool);
+        }
         Ok(instance)
     }
 

@@ -1532,7 +1532,7 @@ mod tests {
 
     /// With the link warm, a delegated allocation and its release cross
     /// both daemons without a single worker-lane job: the entry daemon's
-    /// query-manager stage sends `Delegate`, the far daemon's stages answer
+    /// pool-manager stage sends `Delegate`, the far daemon's stages answer
     /// it and the `Release`, and the link's I/O thread finishes both.
     #[test]
     fn warm_links_serve_a_delegation_and_its_release_with_no_lane_job() {

@@ -1141,9 +1141,9 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             };
             // Submitted to the local backend from here; the chain goes on
             // as completions, and whichever thread ends it — the
-            // query-manager stage, or the I/O thread of the next hop's
-            // link — writes `Delegated`.  Counted on the session until it
-            // has run.
+            // pool-manager stage answering the last fragment, or the I/O
+            // thread of the next hop's link — writes `Delegated`.  Counted
+            // on the session until it has run.
             let pending = Pending::completion(&state);
             let (done_state, done_federation) = (state.clone(), federation.clone());
             let done: DelegateDone = Box::new(move |outcome, routing| {
@@ -1213,10 +1213,10 @@ fn not_federated(corr: RequestId) -> ServerFrame {
 }
 
 /// Redeems `ticket` now and answers `corr` with its outcome, delivered by
-/// whoever finds the two together: this thread on a hit, the query-manager
-/// stage that reintegrates it on a miss — and on a federated daemon, when
-/// the local outcome is a delegable failure, the I/O thread of the peer
-/// link whose reply ends the chain.  That chain starts only while the
+/// whoever finds the two together: this thread on a hit, the pool-manager
+/// stage that answers its last fragment on a miss — and on a federated
+/// daemon, when the local outcome is a delegable failure, the I/O thread of
+/// the peer link whose reply ends the chain.  That chain starts only while the
 /// session is open: a local failure that finds its client gone is the
 /// answer, so nothing is delegated for nobody.  A backend that cannot wait
 /// from here without parking hands the completion back, and the redeem

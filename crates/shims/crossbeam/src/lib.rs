@@ -255,9 +255,20 @@ pub mod channel {
         }
     }
 
+    /// The last receiver to go drops the messages still queued, as the
+    /// real crate does: nothing can receive them any more, and a message
+    /// that answers somebody when dropped must not wait for the last
+    /// sender.  They are dropped after the lock is released.
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.0.state.lock().unwrap().receivers -= 1;
+            let mut state = self.0.state.lock().unwrap();
+            state.receivers -= 1;
+            let stranded = match state.receivers {
+                0 => std::mem::take(&mut state.queue),
+                _ => VecDeque::new(),
+            };
+            drop(state);
+            drop(stranded);
         }
     }
 
@@ -306,6 +317,22 @@ pub mod channel {
             let (tx, rx) = unbounded::<u8>();
             drop(rx);
             assert!(tx.send(1).is_err());
+        }
+
+        #[test]
+        fn the_last_receiver_drops_what_is_still_queued() {
+            let (tx, rx) = unbounded::<Arc<()>>();
+            let message = Arc::new(());
+            let rx2 = rx.clone();
+            tx.send(message.clone()).unwrap();
+            drop(rx);
+            assert_eq!(Arc::strong_count(&message), 2, "a receiver is left");
+            drop(rx2);
+            assert_eq!(
+                Arc::strong_count(&message),
+                1,
+                "dropped with the channel's last receiver"
+            );
         }
 
         /// Multi-consumer competition can genuinely hang when the baton

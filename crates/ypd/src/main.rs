@@ -63,7 +63,8 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
   --machines N         synthetic fleet size (default: 500)
   --seed N             synthetic fleet / pipeline RNG seed (default: 42)
   --arch NAME          homogeneous fleet of this architecture (default: mixed fleet)
-  --query-managers N   query-manager stages (default: 1)
+  --query-managers N   query-manager replicas, run on the launching thread
+                       (default: 1)
   --pool-managers N    pool-manager stages (default: 1)
   --window N           live-backend in-flight window (default: 32)
   --shards N           shard count for the daemon's hot state: directory

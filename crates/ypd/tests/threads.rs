@@ -1,52 +1,83 @@
 //! The daemon's thread inventory, read off a real `ypd` process: the
 //! reactor's I/O threads and two worker lanes of four, whatever the load —
-//! no per-session thread and no teardown lane.
+//! no per-session thread and no teardown lane — and of the hosted live
+//! pipeline's stages only the pool managers: the query manager runs on the
+//! thread that launches a query, so its replicas are not threads.
 
 #![cfg(target_os = "linux")]
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 
 use actyp_proto::{read_server_frame, write_frame, ClientFrame, RequestId, ServerFrame};
 
-/// The `ypd-*` threads of process `pid`, by name prefix.
-fn ypd_threads(pid: u32) -> Vec<String> {
+/// The thread names of process `pid`, sorted.
+fn names(pid: u32) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(format!("/proc/{pid}/task"))
         .expect("procfs lists the daemon's threads")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|name| name.trim().to_string())
-        .filter(|name| name.starts_with("ypd-"))
         .collect();
     names.sort();
     names
 }
 
-#[test]
-fn a_served_daemon_runs_two_io_threads_and_two_lanes_of_four() {
-    let mut daemon = Command::new(env!("CARGO_BIN_EXE_ypd"))
-        .args(["--listen", "127.0.0.1:0", "--machines", "50"])
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("ypd starts");
+/// The thread names of process `pid` that start with `prefix`.
+fn threads(pid: u32, prefix: &str) -> Vec<String> {
+    let mut names = names(pid);
+    names.retain(|name| name.starts_with(prefix));
+    names
+}
+
+/// Waits until every thread of `pid` has named itself: a spawned thread
+/// carries the process name, `ypd`, until it first runs, and only the main
+/// thread keeps it.
+fn settle(pid: u32) {
+    for _ in 0..500 {
+        if names(pid).iter().filter(|name| *name == "ypd").count() == 1 {
+            return;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    panic!("threads never named themselves: {:?}", names(pid));
+}
+
+/// A daemon that a failed assertion does not leave running.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Starts `ypd` with `flags`, hands its pid to `inspect` once every thread
+/// it will ever run is spawned and named, then halts it and checks the
+/// drain.
+fn with_daemon(flags: &[&str], inspect: impl FnOnce(u32)) {
+    let mut daemon = Daemon(
+        Command::new(env!("CARGO_BIN_EXE_ypd"))
+            .args(["--listen", "127.0.0.1:0", "--machines", "50"])
+            .args(flags)
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("ypd starts"),
+    );
     // Held open until the daemon exits: it reports its drain there.
-    let mut stdout = BufReader::new(daemon.stdout.take().unwrap());
+    let mut stdout = BufReader::new(daemon.0.stdout.take().unwrap());
     let mut banner = String::new();
     stdout.read_line(&mut banner).unwrap();
-    // "ypd: listening on HOST:PORT (…)": the server is up, every thread
-    // it will ever run already spawned.
+    // "ypd: listening on HOST:PORT (…)": the server is up.
     let addr = banner
         .split_whitespace()
         .nth(3)
         .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
         .to_string();
 
-    let names = ypd_threads(daemon.id());
-    let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
-    assert_eq!(count("ypd-io-"), 2, "{names:?}");
-    assert_eq!(count("ypd-submit-"), 4, "{names:?}");
-    assert_eq!(count("ypd-redeem-"), 4, "{names:?}");
-    assert_eq!(names.len(), 10, "nothing else: {names:?}");
+    settle(daemon.0.id());
+    inspect(daemon.0.id());
 
     let mut sock = TcpStream::connect(&addr).unwrap();
     for frame in [
@@ -64,8 +95,35 @@ fn a_served_daemon_runs_two_io_threads_and_two_lanes_of_four() {
     }
     drop(sock);
     assert!(
-        daemon.wait().unwrap().success(),
+        daemon.0.wait().unwrap().success(),
         "the daemon drains cleanly"
     );
     drop(stdout);
+}
+
+#[test]
+fn a_served_daemon_runs_two_io_threads_and_two_lanes_of_four() {
+    with_daemon(&[], |pid| {
+        let names = threads(pid, "ypd-");
+        let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
+        assert_eq!(count("ypd-io-"), 2, "{names:?}");
+        assert_eq!(count("ypd-submit-"), 4, "{names:?}");
+        assert_eq!(count("ypd-redeem-"), 4, "{names:?}");
+        assert_eq!(names.len(), 10, "nothing else: {names:?}");
+
+        let stages = threads(pid, "yp-");
+        assert_eq!(
+            stages,
+            ["yp-pm-0"],
+            "one pool-manager stage, no query-manager thread"
+        );
+    });
+}
+
+#[test]
+fn query_manager_replicas_are_not_threads() {
+    with_daemon(&["--query-managers", "2"], |pid| {
+        let stages = threads(pid, "yp-");
+        assert_eq!(stages, ["yp-pm-0"], "{stages:?}");
+    });
 }

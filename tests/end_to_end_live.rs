@@ -101,7 +101,7 @@ fn live_pipeline_handles_a_burst_of_concurrent_clients() {
 fn single_client_keeps_several_tickets_in_flight() {
     // The pipelining the paper measures, from one client thread: tickets
     // are submitted before any earlier ticket is waited on, so the queries
-    // overlap across the query-manager, pool-manager and pool stages.
+    // overlap across the pool-manager and pool stages.
     let pipeline = PipelineBuilder::new()
         .database(fleet(400, 5))
         .query_managers(2)

@@ -123,17 +123,27 @@ fn remote_backend_pipelines_tickets_across_the_wire() {
     // live pipeline's stages — the paper's pipelining spanning a real
     // network hop.
     const N: usize = 6;
-    let (server, remote) = remote_pair(600, 12);
+    let db = fleet(600, 12);
+    let server = PipelineBuilder::new()
+        .database(db.clone())
+        .query_managers(2)
+        .serve(&loopback(), BackendKind::Live)
+        .expect("loopback ypd starts");
+    let remote = PipelineBuilder::remote(&server.local_addr()).expect("connect");
     let query = Query::paper_example();
 
+    // While the fleet is locked the pool-manager stage can finish none of
+    // them, so the daemon holds every ticket at once.
+    let locked = db.write();
     let tickets: Vec<_> = (0..N)
         .map(|_| remote.submit(query.clone()).unwrap())
         .collect();
     let in_flight = remote.stats().in_flight;
-    assert!(
-        in_flight >= 2,
+    assert_eq!(
+        in_flight, N,
         "expected overlapped occupancy server-side, saw {in_flight}"
     );
+    drop(locked);
 
     for ticket in tickets {
         let allocations = remote.wait(ticket).unwrap();
