@@ -847,7 +847,8 @@ fn routing(scale: &Scale) -> Result<BenchArtifact, String> {
                     .into_shared(),
             )
             .ttl(8)
-            .build_federated(
+            .serve_federated(
+                &StageAddress::new("127.0.0.1", 0),
                 BackendKind::Embedded,
                 FederationConfig {
                     domain: "purdue".to_string(),
@@ -912,18 +913,16 @@ fn routing(scale: &Scale) -> Result<BenchArtifact, String> {
     };
 
     let mut points = Vec::new();
-    let off = entry(false)?;
-    points.push(measure(&off, "cache-off", true)?);
-    off.shutdown()
-        .map_err(|e| format!("cache-off drain: {e}"))?;
-    let cold = entry(true)?;
-    points.push(measure(&cold, "cache-on-cold", true)?);
-    cold.shutdown()
-        .map_err(|e| format!("cache-on-cold drain: {e}"))?;
-    let warm = entry(true)?;
-    points.push(measure(&warm, "cache-on-warm", false)?);
-    warm.shutdown()
-        .map_err(|e| format!("cache-on-warm drain: {e}"))?;
+    for (series, route_cache, forget) in [
+        ("cache-off", false, true),
+        ("cache-on-cold", true, true),
+        ("cache-on-warm", true, false),
+    ] {
+        let (server, fed) = entry(route_cache)?;
+        points.push(measure(&fed, series, forget)?);
+        server.halt();
+        server.join().map_err(|e| format!("{series} drain: {e}"))?;
+    }
 
     for peer in [decoy_a, decoy_b, target] {
         peer.halt();

@@ -1,22 +1,22 @@
 //! The shape the federation's completion paths would have if they parked:
 //! each entry point below runs on a reactor I/O thread or a backend stage,
-//! so each blocking peer call it reaches must be reported — the exchange
-//! and dial of a peer link, and an inbound delegation served by blocking
-//! on the local backend — while the same call inside a step offloaded to
-//! the redeem lane is not.
+//! so each blocking peer call it reaches must be reported — a blocking
+//! dial in the dial step, a name lookup, and an inbound delegation served
+//! by blocking on the local backend — while the same call inside a step
+//! offloaded to the redeem lane is not.
 
 fn wait_with() {
-    settle();
+    with_link();
 }
 
-fn settle() {
-    let (reply, fresh) = link.request(&domain, sync, attach, build);
+fn with_link() {
+    let (conn, version) = Conn::dial(&addr);
 }
 
 fn release_with() {
-    let reply = link.exchange(&peer, deadline, build);
+    let resolved = (host, port).to_socket_addrs();
     host.offload(Box::new(move || {
-        let reply = link.request(&domain, sync, attach, build);
+        let (conn, version) = Conn::dial(&addr);
     }));
 }
 

@@ -619,16 +619,16 @@ const MANAGER_PARKING_CALLS: &[&str] = &[
     "shutdown",
 ];
 
-/// Federation calls that park for a WAN round trip: a peer link's
-/// blocking exchange (`link.request(..)`, `link.exchange(..)`) or dial
-/// (`link.ensure_conn(..)`), named by their receiver; and an inbound
-/// delegation served by blocking on the local backend
+/// Calls that park for a WAN round trip: a blocking dial
+/// (`Conn::dial(..)`, connect and handshake under the connect timeout), a
+/// name lookup (`.to_socket_addrs()`, a blocking `getaddrinfo`), and an
+/// inbound delegation served by blocking on the local backend
 /// (`handle_delegate(..)`, any receiver).  The completion paths must reach
-/// none of them — a step that needs one is offloaded to a lane.
+/// none of them: the reactor dials every peer link, and a daemon resolves
+/// its peers' names when it starts serving.
 const PEER_PARKING_CALLS: &[(&str, Option<&str>)] = &[
-    ("request", Some("link")),
-    ("exchange", Some("link")),
-    ("ensure_conn", Some("link")),
+    ("dial", Some("Conn")),
+    ("to_socket_addrs", None),
     ("handle_delegate", None),
 ];
 
@@ -865,6 +865,17 @@ fn record_call(tokens: &[Token], k: usize, info: &mut FnInfo) {
         info.calls.insert(name.to_string());
     } else {
         info.method_calls.insert(name.to_string());
+    }
+    // A path call's receiver is its type: `Conn::dial(..)` lexes as
+    // `Conn : : dial (`.
+    let path_call = prev == Some(":") && k >= 3 && tokens[k - 2].text == ":";
+    if path_call {
+        let receiver = Some(tokens[k - 3].text.as_str());
+        if PEER_PARKING_CALLS.contains(&(name, receiver)) {
+            let receiver = tokens[k - 3].text.as_str();
+            info.blocking
+                .push((format!("{receiver}::{name}()"), tokens[k].line));
+        }
     }
     if is_method {
         let blocking = (zero_args && REACTOR_BLOCKING_ZERO_ARGS.contains(&name))

@@ -48,10 +48,40 @@ fn the_walk_covers_the_federations_completion_paths() {
         ("federation.rs", "drive"),
         ("federation.rs", "fold_delegated"),
         ("federation.rs", "settle_release"),
-        ("federation.rs", "retire_peer"),
+        ("federation.rs", "hop"),
+        ("federation.rs", "with_link"),
+        ("federation.rs", "sync_pools"),
+        ("federation.rs", "link_up"),
+        ("federation.rs", "link_down"),
         ("corr.rs", "request_with"),
         ("corr.rs", "route"),
         ("server/session.rs", "route_replies"),
+    ] {
+        assert!(
+            reachable.contains(&(PathBuf::from(file), function.to_string())),
+            "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
+        );
+    }
+}
+
+/// The peer links' own steps run on the first I/O thread: the gossip and
+/// probe rounds its timer fires, and the dial — connect, `Hello` and
+/// `HelloAck` as steps of the peer session.  The walk from `io_thread_main`
+/// must reach each, so a parking call planted on one is reported (and the
+/// workspace test below shows them clean).
+#[test]
+fn the_walk_covers_the_timer_rounds_and_the_dial() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
+    let reachable = reactor_reachable(&src, &["io_thread_main".to_string()]).expect("tree lexes");
+    for (file, function) in [
+        ("federation.rs", "gossip_tick"),
+        ("federation.rs", "gossip_with"),
+        ("federation.rs", "probe_peers"),
+        ("federation.rs", "with_link"),
+        ("server/session.rs", "connect_next"),
+        ("server/session.rs", "connect_ended"),
+        ("server/session.rs", "hello_acked"),
+        ("reactor.rs", "connect_nonblocking"),
     ] {
         assert!(
             reachable.contains(&(PathBuf::from(file), function.to_string())),
@@ -149,9 +179,10 @@ fn a_parking_call_on_the_live_launch_path_is_reported() {
 }
 
 /// ... and a completion path that parked on a peer would be reported: a
-/// peer link's blocking exchange (`request`, `exchange`) and an inbound
-/// delegation served by blocking (`handle_delegate`), each reached from a
-/// different entry point — but not the same call offloaded to the lane.
+/// blocking dial planted in the dial step (`Conn::dial`), a name lookup
+/// (`to_socket_addrs`) and an inbound delegation served by blocking
+/// (`handle_delegate`), each reached from a different entry point — but
+/// not the same dial offloaded to the lane.
 #[test]
 fn a_parking_peer_call_on_a_completion_path_is_reported() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/peer_completion");
@@ -171,8 +202,8 @@ fn a_parking_peer_call_on_a_completion_path_is_reported() {
         .collect();
     assert_eq!(found.len(), 3, "{found:#?}");
     for (line, call, via) in [
-        (13, "link.request()", "wait_with -> settle"),
-        (17, "link.exchange()", "release_with"),
+        (13, "Conn::dial()", "wait_with -> with_link"),
+        (17, "to_socket_addrs()", "release_with"),
         (24, "self.handle_delegate()", "delegate_with"),
     ] {
         assert!(

@@ -1501,7 +1501,7 @@ impl PipelineBuilder {
     /// list.  The pipeline backends advertise their intra-domain pool
     /// names to peers; the centralized baselines have no directory and
     /// advertise nothing.
-    pub fn build_federated(
+    fn build_federated(
         self,
         kind: BackendKind,
         federation: crate::federation::FederationConfig,

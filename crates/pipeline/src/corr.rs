@@ -29,21 +29,19 @@
 //! ([`REPLY_TIMEOUT`]), and each reply by the deadline its caller passes
 //! to [`Conn::request`] or [`Conn::collect`].
 //!
-//! A federation peer link on a served daemon goes one step further: once
-//! its handshake is done, [`Conn::attach`] moves the socket into a reactor
-//! session of kind *peer*.  That session holds the read side for the
-//! link's whole life — it is the one permanent leader — and writes go
-//! through its non-blocking write queue ([`FrameSink`]).  A request on an
-//! attached link need not block at all: [`Conn::request_with`] registers a
-//! *completion* instead of an inbox, and the I/O thread that reads the
-//! reply runs it.  Blocking requests (gossip, probes) still work there;
-//! they follow, sleeping on their inbox until the session posts the reply.
+//! A federation peer link is built differently: the reactor dials it, and
+//! its connection is born attached ([`Conn::attached`]) to the session of
+//! kind *peer* that carries the socket.  That session reads every reply —
+//! no requester ever holds the read side — and writes go through its
+//! non-blocking write queue ([`FrameSink`]).  A request on it never blocks:
+//! [`Conn::request_with`] registers a *completion* instead of an inbox, and
+//! the I/O thread that reads the reply runs it.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -96,6 +94,10 @@ pub(crate) trait FrameSink: Send + Sync {
     /// before anything was queued; any other error means the session is
     /// closed.
     fn push_frame(&self, frame: &ClientFrame) -> std::io::Result<()>;
+
+    /// Shuts the session's socket: its I/O thread sees the hang-up and
+    /// retires the session.
+    fn close(&self);
 }
 
 /// A request nobody blocks on: it runs with the reply, or with why none
@@ -140,15 +142,20 @@ impl std::fmt::Display for ConnError {
     }
 }
 
+/// Where a connection's frames go.
+enum Out {
+    /// The blocking write half of a dialed connection, whose requesters
+    /// read the socket themselves.
+    Socket(Mutex<TcpStream>),
+    /// The write queue of the reactor session a peer link is born attached
+    /// to; the session reads every reply.
+    Session(Arc<dyn FrameSink>),
+}
+
 /// One live, multiplexed connection to a daemon, after the hello
 /// handshake.
 pub(crate) struct Conn {
-    /// The blocking write half, used until the connection is attached (and
-    /// to shut the socket down).
-    writer: Mutex<TcpStream>,
-    /// Set once, when a reactor session took the socket over: every frame
-    /// is written through it from then on.
-    attached: OnceLock<Arc<dyn FrameSink>>,
+    out: Out,
     relay: Relay<StdPrims, ServerFrame, ReadState>,
     /// Inboxes of the requests sent with [`Conn::submit`] whose reply
     /// nobody has collected yet, by correlation id.
@@ -217,12 +224,22 @@ impl Conn {
             Err(ReadError::Closed(reason)) => return Err(network("handshake with", &reason)),
         };
         let conn = Arc::new(Conn {
-            writer: Mutex::new(stream),
-            attached: OnceLock::new(),
-            relay: Relay::new(reader, DEFAULT_SHARDS),
+            out: Out::Socket(Mutex::new(stream)),
+            relay: Relay::new(Some(reader), DEFAULT_SHARDS),
             uncollected: Mutex::new(HashMap::new()),
         });
         Ok((conn, version))
+    }
+
+    /// A peer link's connection, born attached to the reactor session that
+    /// dialed it: every frame goes out through `sink`, and the session
+    /// routes every reply ([`Conn::route`]) — nobody else ever reads.
+    pub(crate) fn attached(sink: Arc<dyn FrameSink>) -> Arc<Conn> {
+        Arc::new(Conn {
+            out: Out::Session(sink),
+            relay: Relay::new(None, DEFAULT_SHARDS),
+            uncollected: Mutex::new(HashMap::new()),
+        })
     }
 
     /// Whether the connection has died: a read saw EOF or an error, a send
@@ -241,10 +258,11 @@ impl Conn {
     /// Writes one frame: through the session's queue once attached (never
     /// blocking), straight to the socket before.
     fn send(&self, frame: &ClientFrame) -> std::io::Result<()> {
-        if let Some(sink) = self.attached.get() {
-            return sink.push_frame(frame);
-        }
-        let mut writer = self.writer.lock();
+        let writer = match &self.out {
+            Out::Session(sink) => return sink.push_frame(frame),
+            Out::Socket(writer) => writer,
+        };
+        let mut writer = writer.lock();
         // The writer mutex MUST cover the frame write or concurrent
         // requests interleave half-frames; the socket write timeout set at
         // dial bounds how long a stalled far side can hold it.
@@ -332,20 +350,22 @@ impl Conn {
     /// Sends one request frame on an attached connection and returns at
     /// once: `done` runs with the reply on the session's I/O thread — or
     /// with the connection's death, on whichever thread poisons it, at the
-    /// latest [`COMPLETION_TIMEOUT`] from now.  Never blocks.
+    /// latest `limit` from now (a missed deadline kills the connection).
+    /// Never blocks.
     pub(crate) fn request_with(
         &self,
+        limit: Duration,
         build: impl FnOnce(RequestId) -> ClientFrame,
         done: impl FnOnce(Result<ServerFrame, ConnError>) + Send + 'static,
     ) {
         let done = completion(done);
-        if self.attached.get().is_none() {
+        if let Out::Socket(_) = self.out {
             // Nobody would ever read the reply.
             return done(Err(ConnError::Dead(
                 "connection is not attached to a reactor session".to_string(),
             )));
         }
-        let deadline = Instant::now() + COMPLETION_TIMEOUT;
+        let deadline = Instant::now() + limit;
         let corr = match self.relay.register_completion(done.clone(), deadline) {
             Ok(corr) => corr,
             Err(reason) => return done(Err(ConnError::Dead(reason))),
@@ -356,35 +376,6 @@ impl Conn {
             // poison that the failure caused already did.
             if self.relay.take_pending(corr).is_some() {
                 done(Err(failed));
-            }
-        }
-    }
-
-    /// Hands the read side to a reactor session: `adopt` receives the socket
-    /// and whatever was read past the last reply, and returns the sink every
-    /// frame goes through from then on.  The session holds the read side
-    /// for the connection's whole life, routing each reply with
-    /// [`Conn::route`].  `false` (and nothing changed) when the read side is
-    /// busy or `adopt` hands the socket back.
-    pub(crate) fn attach(
-        &self,
-        adopt: impl FnOnce(TcpStream, Vec<u8>) -> Result<Arc<dyn FrameSink>, (TcpStream, Vec<u8>)>,
-    ) -> bool {
-        let Some(read) = self.relay.take_baton() else {
-            return false;
-        };
-        let unread = read.buf[read.start..read.end].to_vec();
-        match adopt(read.stream, unread) {
-            Ok(sink) => self.attached.set(sink).is_ok(),
-            Err((stream, unread)) => {
-                let mut read = ReadState::new(stream);
-                if unread.len() > read.buf.len() {
-                    read.buf.resize(unread.len(), 0);
-                }
-                read.end = unread.len();
-                read.buf[..read.end].copy_from_slice(&unread);
-                self.relay.hand_back(read);
-                false
             }
         }
     }
@@ -415,8 +406,12 @@ impl Conn {
     /// everybody else is failed by the poison.  Idempotent.
     pub(crate) fn shutdown(&self) {
         self.relay.poison("connection shut down".to_string());
-        let writer = self.writer.lock();
-        let _ = writer.shutdown(std::net::Shutdown::Both);
+        match &self.out {
+            Out::Socket(writer) => {
+                let _ = writer.lock().shutdown(std::net::Shutdown::Both);
+            }
+            Out::Session(sink) => sink.close(),
+        }
     }
 }
 
@@ -753,13 +748,15 @@ struct Relay<P: Prims, F: Send, S: Send> {
 }
 
 impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
-    fn new(source: S, shards: usize) -> Self {
+    /// A relay whose requesters lead on `source`, or — without one, for a
+    /// connection born attached — whose every reply its session routes.
+    fn new(source: Option<S>, shards: usize) -> Self {
         Relay {
             dead: Monitor::new(None),
             pending: (0..shards.max(1))
                 .map(|_| Monitor::new(HashMap::new()))
                 .collect(),
-            reader: Monitor::new(Some(source)),
+            reader: Monitor::new(source),
             issued: AtomicU64::new(0),
         }
     }
@@ -865,16 +862,9 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
                 .any(|entry| matches!(entry, Entry::Completion(_, deadline) if *deadline <= now))
         });
         if overdue {
-            self.poison(format!(
-                "no reply from the peer within {COMPLETION_TIMEOUT:?}"
-            ));
+            self.poison("no reply from the peer by the request's deadline".to_string());
         }
         overdue
-    }
-
-    /// Takes the baton for good (an attached session), when nobody leads.
-    fn take_baton(&self) -> Option<S> {
-        self.reader.lock().take()
     }
 
     /// Waits for the reply to `corr`, leading while nobody else reads and
@@ -1543,9 +1533,19 @@ mod model_tests {
         fn new() -> Self {
             let from_far = pipe();
             Link {
-                relay: Arc::new(Relay::new(Wire(from_far.clone()), 2)),
+                relay: Arc::new(Relay::new(Some(Wire(from_far.clone())), 2)),
                 to_far: pipe(),
                 from_far,
+            }
+        }
+
+        /// A peer link as the daemon builds one: born attached, so no
+        /// requester ever holds the read side.
+        fn attached() -> Self {
+            Link {
+                relay: Arc::new(Relay::new(None, 2)),
+                to_far: pipe(),
+                from_far: pipe(),
             }
         }
 
@@ -1789,12 +1789,12 @@ mod model_tests {
     type Race = fn(&Link) -> thread::JoinHandle<()>;
 
     impl Link {
-        /// Attaches the link as a reactor session does: the baton is taken
-        /// for good, and one reader thread routes every frame — running
-        /// completions itself — until the wire ends.
+        /// The reactor session of an attached link: one reader thread
+        /// routes every frame — running completions itself — until the
+        /// wire ends.
         fn attached_reader(&self) -> thread::JoinHandle<()> {
             let relay = self.relay.clone();
-            let mut wire = relay.take_baton().expect("nobody leads yet");
+            let mut wire = Wire(self.from_far.clone());
             thread::spawn(move || loop {
                 match wire.next(None) {
                     Ok(frame) => {
@@ -1837,7 +1837,7 @@ mod model_tests {
     /// completion run exactly once; and with nobody killing the link, both
     /// get their replies.
     fn a_completion_beside_a_requester(race: Option<Race>) {
-        let link = Link::new();
+        let link = Link::attached();
         let reader = link.attached_reader();
         let requester = link.request(false);
         let runs = link.complete();

@@ -31,40 +31,39 @@
 //!
 //! The chain logic itself is a step machine that does no I/O, [`Chain`]:
 //! it names the next domain to delegate to, folds the answer, and says
-//! when the chain is over.  [`run_chain`] drives it by blocking on each
-//! delegation over a [`PeerDelegator`] — the production implementation
-//! speaks TCP, while the property tests drive whole in-memory topologies
-//! through the same function to check the paper's routing invariants (TTL
-//! strictly decreases across hops, no domain is revisited, every chain
-//! terminates within TTL hops).
+//! when the chain is over.  A served daemon drives it one way only, with
+//! completions — the paper's "all state information is carried with the
+//! query itself", so nothing waits while a query is in another domain.
+//! Every peer link is dialed by the serving reactor's first I/O thread (a
+//! non-blocking connect, `Hello` and `SyncPools` as steps of a session of
+//! kind *peer*), and its connection is born attached to that session.  A
+//! federated `Wait`, a remote `Release`, an inbound `Delegate`, a gossip
+//! round and a probe are completions ([`ResourceManager::wait_with`],
+//! [`ResourceManager::release_with`], [`FederatedBackend::delegate_with`]):
+//! each frame to a peer is written by whichever thread holds the previous
+//! answer — once its link is up, dialing it first if need be — and its
+//! reply's completion runs on the link's I/O thread.  The blocking trait
+//! methods run the local step and then wait for that same chain.
 //!
-//! A served daemon drives the same [`Chain`] without parking anybody — the
-//! paper's "all state information is carried with the query itself", so
-//! nothing waits while a query is in another domain.  Once a peer link's
-//! handshake is done its socket becomes a reactor session of kind *peer*
-//! (an *attached* connection, `corr.rs`).  A federated `Wait`, a remote
-//! `Release` and an inbound `Delegate` are completions
-//! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`],
-//! [`FederatedBackend::delegate_with`]): each `Delegate` or `Release` is
-//! written by whichever thread holds the previous answer, and its reply's
-//! completion runs on the link's I/O thread — folding the answer, sending
-//! the next hop or writing the client's reply.  Only a step whose link no
-//! session carries yet (never dialed, dead, in redial backoff), and the
-//! gossip and probe rounds, still block, on the daemon's redeem lane.
+//! [`run_chain`] drives a [`Chain`] by blocking on each delegation over a
+//! [`PeerDelegator`]: the in-memory driver the simulator and the property
+//! tests use to check the paper's routing invariants (TTL strictly
+//! decreases across hops, no domain is revisited, every chain terminates
+//! within TTL hops).
 
 use std::collections::HashMap;
-use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::time::Duration;
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, Weak};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, RequestId, ServerFrame};
+use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, ServerFrame};
 
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, SubmitDone, Ticket};
-use crate::corr::{Conn, ConnError, FrameSink, REPLY_TIMEOUT};
+use crate::corr::{Conn, ConnError, COMPLETION_TIMEOUT};
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
 use crate::message::{RoutingState, StageAddress};
@@ -124,12 +123,6 @@ impl RedialBackoff {
         }
         self.failed_at = Some(now);
     }
-
-    /// Records a successful connect: the link is healthy, the next
-    /// failure starts from the base wait again.
-    fn note_success(&mut self) {
-        *self = RedialBackoff::new();
-    }
 }
 
 /// Whether a failure may be cured by another administrative domain: the
@@ -161,9 +154,8 @@ pub struct PeerUnavailable {
     pub reason: String,
 }
 
-/// The peer-facing half of a delegation chain, implemented over TCP by
-/// [`FederatedBackend`] and over in-memory topologies by the property
-/// tests.
+/// The peer-facing half of a delegation chain [`run_chain`] drives:
+/// in-memory topologies in the simulator and the property tests.
 pub trait PeerDelegator {
     /// Domains this node could forward to, in preference order (peers
     /// advertising a pool matching the query first).  Implementations may
@@ -213,10 +205,11 @@ fn merge_states(
 /// One node's step of a delegation chain, as a machine that does no I/O:
 /// it says which domain to send the next `Delegate` to, folds the answer,
 /// and says when the chain is over — never revisiting a domain, never
-/// exceeding the TTL, and always terminating.  [`run_chain`] drives it by
-/// blocking on each delegation; a served [`FederatedBackend`] drives it
-/// with completions, each `Delegate` written by the thread that holds the
-/// previous answer.  The TTL, visited-list and merge rules live here only.
+/// exceeding the TTL, and always terminating.  A served
+/// [`FederatedBackend`] drives it with completions, each `Delegate`
+/// written by the thread that holds the previous answer; [`run_chain`]
+/// drives it in memory.  The TTL, visited-list and merge rules live here
+/// only.
 #[derive(Debug)]
 pub struct Chain {
     domain: String,
@@ -348,18 +341,9 @@ pub fn run_chain(
         // No hop left to visit this domain: no local work either.
         return (Err(AllocationError::TtlExpired), state);
     }
-    let step = Chain::start(domain, state, local(query), |state| {
+    let mut step = Chain::start(domain, state, local(query), |state| {
         peers.candidates(query, state)
     });
-    finish_chain(query, step, peers)
-}
-
-/// Drives `step` to the end of its chain, blocking on each delegation.
-fn finish_chain(
-    query: &str,
-    mut step: Step,
-    peers: &dyn PeerDelegator,
-) -> (QueryOutcome, RoutingState) {
     loop {
         match step {
             Step::Done(outcome, state) => return (outcome, state),
@@ -383,56 +367,57 @@ fn finish_chain(
 }
 
 // ---------------------------------------------------------------------------
-// Peer links (the TCP implementation)
+// Peer links
 // ---------------------------------------------------------------------------
 
 /// One live connection to a peer daemon, after the hello and pool-sync
-/// handshakes: the shared [`Conn`] (any number of delegation chains and
-/// releases multiplex on it concurrently, and every allocation the peer
-/// granted this daemon stays leased to it) plus the domain name the peer
-/// answered the pool sync with.
+/// handshakes: the shared [`Conn`] — born attached to a reactor session of
+/// kind *peer*, so any number of delegations and releases multiplex on it,
+/// and every allocation the peer granted this daemon stays leased to it —
+/// plus the domain name the peer answered the pool sync with.
 #[derive(Clone)]
 struct PeerConn {
     conn: Arc<Conn>,
     domain: Arc<str>,
 }
 
-/// A pooled connection to one peer daemon: lazily established, reused
-/// (concurrently) across delegations, re-established after failures.
+/// Who waits for a link to come up: runs with the connection, or with why
+/// there is none.
+type LinkWaiter = Box<dyn FnOnce(Result<PeerConn, ConnError>) + Send>;
+
+/// Where a peer link is.
+enum LinkState {
+    /// No connection; dialed on demand once the backoff permits.
+    Down(RedialBackoff),
+    /// The reactor is dialing it; these run when the dial ends.
+    Dialing(RedialBackoff, Vec<LinkWaiter>),
+    /// Handshaken — and perhaps dead since ([`Conn::is_dead`]).
+    Up(PeerConn),
+}
+
+/// A connection to one peer daemon: dialed on demand, shared by every
+/// delegation, redialed after failures.
 struct PeerLink {
     addr: StageAddress,
     /// Stable index of this link, used as the instance number for the
     /// peer's advertised pool records (unique per manager in the peer
     /// directory).
     index: u32,
-    /// The pooled connection; held across a (re)dial so concurrent callers
-    /// never dial twice — which is why no completion ever takes it.
-    conn: Mutex<Option<PeerConn>>,
-    /// The connection last dialed, if a reactor session carries it
-    /// ([`Conn::attach`]): what completions send on and retire once they
-    /// found it alive.  Written under `conn` at each dial, read without
-    /// it, never held across I/O.
-    attached: Mutex<Option<PeerConn>>,
+    /// The peer's socket addresses, resolved when a daemon starts serving
+    /// the backend ([`FederatedBackend::attach`]): a lookup is a blocking
+    /// `getaddrinfo`, which no completion may run.
+    resolved: OnceLock<Vec<SocketAddr>>,
+    /// The link's state: a leaf lock, never held across I/O.  A caller
+    /// that finds it `Dialing` queues behind the dial, so no second one
+    /// starts.
+    link: Mutex<LinkState>,
     /// Last domain name this link handshook as (kept after the connection
-    /// dies).  Read instead of locking `conn` wherever only the identity
-    /// is needed — in particular by `candidates()`, which must never wait
-    /// on a link that is mid-redial.
+    /// dies): its identity for candidates and routing.
     last_domain: Mutex<Option<String>>,
-    /// Per-peer redial backoff: when the last connect attempt failed and
-    /// how long to wait before the next one (exponential under
-    /// consecutive failures, reset by any success).
-    redial: Mutex<RedialBackoff>,
-}
-
-/// A freshly learned peer advertisement (domain name and pool names),
-/// with the identity the link had before — a peer that restarted under a
-/// different domain name must have its old records pruned.
-struct PeerAdvertisement {
-    domain: String,
-    pools: Vec<String>,
-    previous_domain: Option<String>,
-    /// Advertisement-log deltas piggybacked on the `PoolsSynced` reply.
-    deltas: Vec<AdvertDelta>,
+    /// A gossip round, and a probe, in flight on this link: the next one
+    /// is skipped, not stacked.
+    gossiping: AtomicBool,
+    probing: AtomicBool,
 }
 
 impl PeerLink {
@@ -440,174 +425,19 @@ impl PeerLink {
         PeerLink {
             addr,
             index,
-            conn: Mutex::new(None),
-            attached: Mutex::new(None),
+            resolved: OnceLock::new(),
+            link: Mutex::new(LinkState::Down(RedialBackoff::new())),
             last_domain: Mutex::new(None),
-            redial: Mutex::new(RedialBackoff::new()),
+            gossiping: AtomicBool::new(false),
+            probing: AtomicBool::new(false),
         }
     }
 
-    /// Dials the peer and performs the pool-sync handshake, which rides
-    /// the connection like every later request.  The `have` vector tells
-    /// the peer what this daemon already holds, so its `PoolsSynced` reply
-    /// piggybacks exactly the missing deltas.
-    fn connect(
-        &self,
-        my_domain: &str,
-        my_pools: Vec<String>,
-        my_have: Vec<AdvertVersion>,
-    ) -> Result<(PeerConn, Vec<String>, Vec<AdvertDelta>), ConnError> {
-        let (conn, _version) =
-            Conn::dial(&self.addr).map_err(|e| ConnError::Dead(e.to_string()))?;
-        let reply = conn.request(Some(REPLY_TIMEOUT), |corr| ClientFrame::SyncPools {
-            corr,
-            domain: my_domain.to_string(),
-            pools: my_pools,
-            have: my_have,
-        });
-        let refused = match reply {
-            Ok(ServerFrame::PoolsSynced {
-                domain,
-                pools,
-                deltas,
-                ..
-            }) => {
-                let domain = domain.into();
-                return Ok((PeerConn { conn, domain }, pools, deltas));
-            }
-            Ok(ServerFrame::Error { error, .. }) => format!("pool sync refused: {error}"),
-            Ok(other) => format!("expected PoolsSynced, got {other:?}"),
-            Err(e) => e.to_string(),
-        };
-        conn.shutdown();
-        Err(ConnError::Dead(refused))
-    }
-
-    /// Returns a live connection, dialing (with redial backoff) when none
-    /// exists or the previous one died; `attach` may hand a fresh one to a
-    /// reactor session.  The slot lock is held only for the establishment
-    /// itself — requests on the returned connection run outside it,
-    /// concurrently.
-    fn ensure_conn(
-        &self,
-        my_domain: &str,
-        my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
-        attach: impl FnOnce(&Arc<Conn>) -> bool,
-    ) -> Result<(PeerConn, Option<PeerAdvertisement>), ConnError> {
-        let mut slot = self.conn.lock();
-        if let Some(peer) = &*slot {
-            if !peer.conn.is_dead() {
-                return Ok((peer.clone(), None));
-            }
-            // It died since last use — a read saw EOF, a send failed, or
-            // `is_dead` just read the far side's hang-up: retire it
-            // before redialing.
-            let stale = slot.take().expect("connection just seen");
-            stale.conn.shutdown();
-        }
-        // Redial backoff: a recently failed connect is not repeated, so
-        // neither queries nor the periodic gossip tick pay a full connect
-        // timeout per attempt against a dead peer — and the window grows
-        // per consecutive failure, so a long-dead peer costs ever less.
-        if !self.redial.lock().permits(std::time::Instant::now()) {
-            return Err(ConnError::Dead(format!(
-                "peer {} is in redial backoff after a failed connect",
-                self.addr
-            )));
-        }
-        let (pools, have) = my_sync();
-        let (peer, pools, deltas) = match self.connect(my_domain, pools, have) {
-            Ok(established) => established,
-            Err(e) => {
-                self.redial.lock().note_failure(std::time::Instant::now());
-                return Err(e);
-            }
-        };
-        self.redial.lock().note_success();
-        // A redial re-learns the peer's advertisement — a peer that
-        // restarted with different pools (or a different domain name)
-        // must replace its stale directory records, not be routed to
-        // from them.
-        let previous_domain = self.last_domain.lock().replace(peer.domain.to_string());
-        let fresh = Some(PeerAdvertisement {
-            domain: peer.domain.to_string(),
-            pools,
-            previous_domain,
-            deltas,
-        });
-        let attached = attach(&peer.conn).then(|| peer.clone());
-        *self.attached.lock() = attached;
-        *slot = Some(peer.clone());
-        Ok((peer, fresh))
-    }
-
-    /// The pooled connection if a reactor session carries it and it is
-    /// alive — without waiting on a dial.
-    fn attached_conn(&self) -> Option<PeerConn> {
-        let attached = self.attached.lock().clone();
-        attached.filter(|peer| !peer.conn.is_dead())
-    }
-
-    /// One request/response exchange over `peer`, bounded by `deadline`.
-    /// A transport failure or a missed deadline drops the connection —
-    /// unless a concurrent request already replaced it with a newer one,
-    /// which is left alone.  A [`ConnError::Refused`] frame never left
-    /// this daemon: the link, and every lease it holds, stays.
-    fn exchange(
-        &self,
-        peer: &PeerConn,
-        deadline: Duration,
-        build: impl FnOnce(RequestId) -> ClientFrame,
-    ) -> Result<ServerFrame, ConnError> {
-        match peer.conn.request(Some(deadline), build) {
-            Ok(reply) => Ok(reply),
-            Err(ConnError::Refused(message)) => Err(ConnError::Refused(message)),
-            Err(ConnError::Timeout) => {
-                self.retire(&peer.conn);
-                Err(ConnError::Dead(format!(
-                    "no reply from peer `{}` within {deadline:?}",
-                    peer.domain
-                )))
-            }
-            Err(dead) => {
-                self.retire(&peer.conn);
-                Err(dead)
-            }
-        }
-    }
-
-    /// [`PeerLink::exchange`] over the pooled connection, establishing one
-    /// first if necessary.  Returns the freshly learned advertisement when
-    /// a new connection was made, so the caller can refresh its peer
-    /// directory.
-    fn request(
-        &self,
-        my_domain: &str,
-        my_sync: impl FnOnce() -> (Vec<String>, Vec<AdvertVersion>),
-        attach: impl FnOnce(&Arc<Conn>) -> bool,
-        build: impl FnOnce(RequestId) -> ClientFrame,
-    ) -> Result<(ServerFrame, Option<PeerAdvertisement>), ConnError> {
-        let (peer, fresh) = self.ensure_conn(my_domain, my_sync, attach)?;
-        Ok((self.exchange(&peer, REPLY_TIMEOUT, build)?, fresh))
-    }
-
-    /// Drops `failed` if it is still the pooled connection; a newer
-    /// connection another thread already dialed is kept.
-    fn retire(&self, failed: &Arc<Conn>) {
-        {
-            let mut slot = self.conn.lock();
-            if matches!(&*slot, Some(current) if Arc::ptr_eq(&current.conn, failed)) {
-                *slot = None;
-            }
-        }
-        failed.shutdown();
-    }
-
-    /// Drops the connection (peer declared dead or backend shutting down).
-    fn disconnect(&self) {
-        let taken = self.conn.lock().take();
-        if let Some(peer) = taken {
-            peer.conn.shutdown();
+    /// The connection, if the link is up and alive.
+    fn live(&self) -> Option<PeerConn> {
+        match &*self.link.lock() {
+            LinkState::Up(peer) if !peer.conn.is_dead() => Some(peer.clone()),
+            _ => None,
         }
     }
 }
@@ -683,24 +513,23 @@ fn lend<D, C, E>(
         .map_err(|back| (back, lent.lock().take().expect("handed back uncalled")))
 }
 
-/// What a daemon serving a [`FederatedBackend`] lends it
-/// ([`FederatedBackend::attach`]), so the federation's steps finish as
-/// completions on the reactor instead of parking a lane thread.
-pub(crate) trait PeerHost: Send + Sync {
-    /// Takes a freshly handshaken peer connection's socket over as a
-    /// reactor session of kind *peer*, which routes every later reply with
-    /// [`Conn::route`]; `unread` is what was read past the last reply.
-    /// Returns the sink every frame goes through from then on, or hands
-    /// the socket back when the daemon no longer takes sessions.
-    fn adopt(
-        &self,
-        stream: TcpStream,
-        unread: Vec<u8>,
-        conn: Arc<Conn>,
-    ) -> Result<Arc<dyn FrameSink>, (TcpStream, Vec<u8>)>;
+/// Where a dial delivers its connection, once the peer's `HelloAck` is in
+/// — or why none came.
+pub(crate) type DialDone = Box<dyn FnOnce(Result<Arc<Conn>, ConnError>) + Send>;
 
-    /// Runs a step that may park — a delegation over a link no session
-    /// carries — on the daemon's redeem lane.
+/// What a daemon serving a [`FederatedBackend`] lends it
+/// ([`FederatedBackend::attach`]): the reactor thread that dials, carries
+/// and reads every peer link.
+pub(crate) trait PeerHost: Send + Sync {
+    /// Dials the first of `addrs` that accepts as a reactor session of
+    /// kind *peer* — a non-blocking connect and the `Hello`/`HelloAck`
+    /// exchange, bounded together by the connect timeout — and runs
+    /// `done`, on that session's I/O thread, with a connection born
+    /// attached to it.
+    fn dial_peer(&self, addrs: Vec<SocketAddr>, done: DialDone);
+
+    /// Runs a step that may park on the daemon's redeem lane: the wrapped
+    /// backend's wait, when it hands `wait_with` back.
     fn offload(&self, job: Box<dyn FnOnce() + Send>);
 }
 
@@ -722,15 +551,11 @@ struct Attachment {
 /// [`ResourceManager::release`] routes them back to the domain that made
 /// them (hop by hop, for multi-hop chains).
 ///
-/// Hosted behind [`crate::server::serve_federated`], the wrapper also
-/// answers *incoming* [`ClientFrame::Delegate`] requests from peers via
-/// [`FederatedBackend::delegate_with`] (or, when that would park,
-/// [`FederatedBackend::handle_delegate`]), continuing chains that started
-/// elsewhere.  A served backend's warm links ride reactor sessions, and
-/// its waits, remote releases and inbound delegations finish as
-/// completions ([`ResourceManager::wait_with`],
-/// [`ResourceManager::release_with`]): no thread parks while a query is in
-/// another domain.
+/// Hosted behind [`crate::server::serve_federated`] — the only way it
+/// reaches a peer — the wrapper also answers *incoming*
+/// [`ClientFrame::Delegate`] requests from peers
+/// ([`FederatedBackend::delegate_with`]), continuing chains that started
+/// elsewhere, and no thread parks while a query is in another domain.
 pub struct FederatedBackend {
     inner: Box<dyn ResourceManager>,
     config: FederationConfig,
@@ -820,18 +645,23 @@ impl FederatedBackend {
     }
 
     /// Lends the backend a serving daemon's reactor (the server does, at
-    /// start): links dialed from now on ride reactor sessions once their
-    /// handshake is done, and federated waits, remote releases and inbound
-    /// delegations over them finish as completions.
+    /// start), which dials and carries every peer link from now on.  The
+    /// peers' names are resolved here, on the thread starting the daemon.
     pub(crate) fn attach(self: &Arc<Self>, host: Arc<dyn PeerHost>) {
+        for link in &self.links {
+            let resolved = (link.addr.host.as_str(), link.addr.port).to_socket_addrs();
+            let _ = link
+                .resolved
+                .set(resolved.map(Iterator::collect).unwrap_or_default());
+        }
         *self.host.lock() = Some(Attachment {
             host,
             backend: Arc::downgrade(self),
         });
     }
 
-    /// Takes the reactor back (the server is stopping): every later step
-    /// blocks on the caller's thread again.
+    /// Takes the reactor back (the server is stopping): no peer is reached
+    /// from now on.
     pub(crate) fn detach(&self) {
         self.host.lock().take();
     }
@@ -844,23 +674,139 @@ impl FederatedBackend {
         Some((attachment.backend.upgrade()?, attachment.host.clone()))
     }
 
-    /// Hands a freshly handshaken connection to the serving daemon's
-    /// reactor, if there is one.
-    fn attach_conn(&self, conn: &Arc<Conn>) -> bool {
-        let host = self.host.lock().as_ref().map(|a| a.host.clone());
-        match host {
-            Some(host) => conn.attach(|stream, unread| host.adopt(stream, unread, conn.clone())),
-            None => false,
+    /// [`FederatedBackend::served`], unless the backend is shut down.
+    fn serving(&self) -> Option<(Arc<FederatedBackend>, Arc<dyn PeerHost>)> {
+        self.served()
+            .filter(|_| !self.closed.load(Ordering::SeqCst))
+    }
+
+    /// Hands `then` a live connection to the peer behind `link`: at once
+    /// when the link is up; when the dial ends if it is down — dialed by
+    /// the reactor, never here — or already being dialed; and with why not
+    /// when it is in redial backoff.  Never blocks.
+    fn with_link(self: &Arc<Self>, host: &Arc<dyn PeerHost>, link: &PeerLink, then: LinkWaiter) {
+        let mut state = link.link.lock();
+        let backoff = match &mut *state {
+            LinkState::Up(peer) if !peer.conn.is_dead() => {
+                let peer = peer.clone();
+                drop(state);
+                return then(Ok(peer));
+            }
+            LinkState::Dialing(_, waiters) => return waiters.push(then),
+            // A recently failed connect is not repeated, so a dead peer
+            // costs one connect timeout per (growing) backoff window.
+            LinkState::Down(backoff) if !backoff.permits(Instant::now()) => {
+                drop(state);
+                return then(Err(ConnError::Dead(format!(
+                    "peer {} is in redial backoff after a failed connect",
+                    link.addr
+                ))));
+            }
+            LinkState::Down(backoff) => *backoff,
+            // Up, but dead since: no failed connect to back off from.
+            LinkState::Up(_) => RedialBackoff::new(),
+        };
+        *state = LinkState::Dialing(backoff, vec![then]);
+        drop(state);
+        let (backend, index) = (self.clone(), link.index as usize);
+        let (pools, have) = self.sync_payload();
+        let addrs = link.resolved.get().cloned().unwrap_or_default();
+        host.dial_peer(
+            addrs,
+            Box::new(move |dialed| backend.sync_pools(index, dialed, pools, have)),
+        );
+    }
+
+    /// A dial's last step, on the thread that ended it: the pool sync asks
+    /// the fresh connection for the peer's advertisement, and its answer
+    /// brings the link up.  The `have` vector tells the peer what this
+    /// daemon holds, so `PoolsSynced` piggybacks exactly the missing deltas.
+    fn sync_pools(
+        self: Arc<Self>,
+        index: usize,
+        dialed: Result<Arc<Conn>, ConnError>,
+        pools: Vec<String>,
+        have: Vec<AdvertVersion>,
+    ) {
+        let conn = match dialed {
+            Ok(conn) => conn,
+            Err(e) => return self.link_down(index, e),
+        };
+        let (domain, synced) = (self.config.domain.clone(), conn.clone());
+        conn.request_with(
+            COMPLETION_TIMEOUT,
+            move |corr| ClientFrame::SyncPools {
+                corr,
+                domain,
+                pools,
+                have,
+            },
+            move |reply| {
+                let refused = match reply {
+                    Ok(ServerFrame::PoolsSynced {
+                        domain,
+                        pools,
+                        deltas,
+                        ..
+                    }) => {
+                        let peer = PeerConn {
+                            conn: synced,
+                            domain: domain.into(),
+                        };
+                        return self.link_up(index, peer, &pools, &deltas);
+                    }
+                    Ok(ServerFrame::Error { error, .. }) => format!("pool sync refused: {error}"),
+                    Ok(other) => format!("expected PoolsSynced, got {other:?}"),
+                    Err(e) => e.to_string(),
+                };
+                synced.shutdown();
+                self.link_down(index, ConnError::Dead(refused));
+            },
+        );
+    }
+
+    /// A dial's pool sync answered: the peer's advertisement replaces its
+    /// stale records — under its old domain name too, if it came back as
+    /// somebody else — and whoever waited for the link gets it.
+    fn link_up(&self, index: usize, peer: PeerConn, pools: &[String], deltas: &[AdvertDelta]) {
+        let link = &self.links[index];
+        let previous = link.last_domain.lock().replace(peer.domain.to_string());
+        if let Some(previous) = previous {
+            // A redial: the healthy-link regime the gossip plane exists
+            // to preserve never pays this.
+            self.peer_redials.fetch_add(1, Ordering::Relaxed);
+            if *previous != *peer.domain {
+                self.retire_domain(&previous);
+            }
+        }
+        self.record_peer_advertisement(&peer.domain, pools, link.addr.clone(), link.index);
+        self.apply_gossip_deltas(deltas);
+        let waiting = std::mem::replace(&mut *link.link.lock(), LinkState::Up(peer.clone()));
+        if let LinkState::Dialing(_, waiters) = waiting {
+            for waiter in waiters {
+                waiter(Ok(peer.clone()));
+            }
         }
     }
 
-    /// [`PeerLink::ensure_conn`] for this daemon.
-    fn connect(&self, link: &PeerLink) -> Result<(PeerConn, Option<PeerAdvertisement>), ConnError> {
-        link.ensure_conn(
-            &self.config.domain,
-            || self.sync_payload(),
-            |conn| self.attach_conn(conn),
-        )
+    /// A dial failed: the link backs off, and whoever waited for it learns
+    /// why.
+    fn link_down(&self, index: usize, failed: ConnError) {
+        let waiters = {
+            let mut state = self.links[index].link.lock();
+            let down = LinkState::Down(RedialBackoff::new());
+            let (mut backoff, waiters) = match std::mem::replace(&mut *state, down) {
+                LinkState::Dialing(backoff, waiters) => (backoff, waiters),
+                _ => (RedialBackoff::new(), Vec::new()),
+            };
+            backoff.note_failure(Instant::now());
+            *state = LinkState::Down(backoff);
+            waiters
+        };
+        let reason = failed.to_string();
+        for waiter in waiters {
+            waiter(Err(ConnError::Dead(reason.clone())));
+        }
     }
 
     /// This daemon's domain name.
@@ -972,14 +918,10 @@ impl FederatedBackend {
     fn register_gossiped_pool(&self, origin: &str, pool: &str) {
         let (address, instance) = match self.link_for(origin) {
             Some(link) => (link.addr.clone(), link.index),
-            None => {
-                let instance = {
-                    let mut instances = self.inbound_instances.lock();
-                    let next = u32::MAX - instances.len() as u32;
-                    *instances.entry(origin.to_string()).or_insert(next)
-                };
-                (StageAddress::new(origin.to_string(), 0), instance)
-            }
+            None => (
+                StageAddress::new(origin.to_string(), 0),
+                self.inbound_instance(origin),
+            ),
         };
         self.peer_directory.register_pool_manager(origin);
         self.peer_directory.register_pool(PoolInstanceRecord {
@@ -1019,54 +961,70 @@ impl FederatedBackend {
         self.gossip.deltas_for_peer(peer)
     }
 
-    /// One anti-entropy exchange with the peer behind `link`: push our
-    /// deltas and version vector, apply what the ack carries back.
-    /// Dials the link if it is down (subject to the redial backoff), so
-    /// the periodic tick also heals the topology.
-    fn gossip_exchange(&self, link: &PeerLink) -> Result<(), ConnError> {
-        let (peer, fresh) = self.connect(link)?;
-        self.note_fresh_advertisement(link, fresh);
-        if peer.domain.is_empty() {
-            return Err(ConnError::Dead("peer did not name its domain".to_string()));
-        }
-        self.refresh_gossip();
-        let vector = self.gossip.version_vector();
-        let deltas = self.gossip.deltas_for_peer(&peer.domain);
-        let have = vector.clone();
-        let my_domain = self.config.domain.clone();
-        let reply = link.exchange(&peer, REPLY_TIMEOUT, move |corr| ClientFrame::AdvertDelta {
-            corr,
-            domain: my_domain,
-            deltas,
-            have,
-        })?;
-        match reply {
-            ServerFrame::AdvertAck { deltas, .. } => {
-                // The peer applied everything up to `vector` before
-                // answering.
-                self.gossip.note_acked(&peer.domain, vector);
-                self.apply_gossip_deltas(&deltas);
-                Ok(())
+    /// One round of the anti-entropy tick, as completions: an exchange
+    /// with every peer link whose previous round is over.  A link that is
+    /// down is dialed first (subject to its redial backoff), so the tick
+    /// also heals the topology.
+    pub fn gossip_tick(&self) {
+        let Some((backend, host)) = self.serving() else {
+            return;
+        };
+        for (index, link) in self.links.iter().enumerate() {
+            if link.gossiping.swap(true, Ordering::SeqCst) {
+                continue;
             }
-            other => {
-                link.retire(&peer.conn);
-                Err(ConnError::Dead(format!(
-                    "expected AdvertAck, got {other:?}"
-                )))
-            }
+            let exchange = backend.clone();
+            backend.with_link(
+                &host,
+                link,
+                Box::new(move |linked| match linked {
+                    Ok(peer) => exchange.gossip_with(index, peer),
+                    // A peer the tick cannot reach is pruned, as one a
+                    // delegation cannot reach is.
+                    Err(_) => {
+                        let link = &exchange.links[index];
+                        if let Some(domain) = link.last_domain.lock().clone() {
+                            exchange.prune_peer(&domain);
+                        }
+                        link.gossiping.store(false, Ordering::SeqCst);
+                    }
+                }),
+            );
         }
     }
 
-    /// One round of the anti-entropy tick: an exchange with every peer
-    /// link.  Failures are per-link and non-fatal (a dead peer is in
-    /// redial backoff; the next round retries).
-    pub fn gossip_tick(&self) {
-        if self.closed.load(Ordering::SeqCst) {
-            return;
-        }
-        for link in &self.links {
-            let _ = self.gossip_exchange(link);
-        }
+    /// One anti-entropy exchange over a live link: push our deltas and
+    /// version vector; the ack's completion applies what it carries back.
+    fn gossip_with(self: Arc<Self>, index: usize, peer: PeerConn) {
+        self.refresh_gossip();
+        let vector = self.gossip.version_vector();
+        let deltas = self.gossip.deltas_for_peer(&peer.domain);
+        let (domain, have) = (self.config.domain.clone(), vector.clone());
+        let conn = peer.conn.clone();
+        conn.request_with(
+            COMPLETION_TIMEOUT,
+            move |corr| ClientFrame::AdvertDelta {
+                corr,
+                domain,
+                deltas,
+                have,
+            },
+            move |reply| {
+                match reply {
+                    // The peer applied everything up to `vector` before
+                    // answering.
+                    Ok(ServerFrame::AdvertAck { deltas, .. }) => {
+                        self.gossip.note_acked(&peer.domain, vector);
+                        self.apply_gossip_deltas(&deltas);
+                    }
+                    // A stream that answers out of protocol is dropped.
+                    Ok(_) => peer.conn.shutdown(),
+                    // The link died, and whoever killed it retired it.
+                    Err(_) => {}
+                }
+                self.links[index].gossiping.store(false, Ordering::SeqCst);
+            },
+        );
     }
 
     /// The configured peer health-probe period ([`Duration::ZERO`] = no
@@ -1075,36 +1033,40 @@ impl FederatedBackend {
         self.config.probe_interval
     }
 
-    /// One health-probe round: every peer link with an *established*
-    /// connection gets a cheap inline-answered request on a short
-    /// deadline; a link that fails it is torn down and its peer pruned
-    /// from the directory ([`PeerDelegator::peer_failed`]), so the next
-    /// delegation never wastes a hop on a dead candidate.  Links without
-    /// a connection are left alone — probes detect death, the gossip
-    /// tick (with its redial backoff) heals.  Returns the number of
-    /// peers the round declared dead.
-    pub fn probe_peers(&self) -> usize {
-        if self.closed.load(Ordering::SeqCst) {
-            return 0;
-        }
-        let mut pruned = 0;
-        for link in &self.links {
-            let Some(peer) = link.conn.lock().clone() else {
+    /// One health-probe round, as completions: every live peer link whose
+    /// previous probe is over gets a cheap inline-answered request on a
+    /// short deadline; a link that fails it is torn down and its peer
+    /// pruned from the directory, so the next delegation never wastes a
+    /// hop on a dead candidate.  Links without a connection are left alone
+    /// — probes detect death, the gossip tick (with its redial backoff)
+    /// heals.
+    pub fn probe_peers(&self) {
+        let Some((backend, _)) = self.serving() else {
+            return;
+        };
+        for (index, link) in self.links.iter().enumerate() {
+            // A link that died since is probed too: the probe fails at
+            // once and prunes its peer.
+            let LinkState::Up(peer) = &*link.link.lock() else {
                 continue;
             };
-            let probe = link.exchange(&peer, PEER_PROBE_TIMEOUT, |corr| ClientFrame::Stats {
-                corr,
-            });
-            if matches!(probe, Ok(ServerFrame::StatsReply { .. })) {
+            let peer = peer.clone();
+            if link.probing.swap(true, Ordering::SeqCst) {
                 continue;
             }
-            link.retire(&peer.conn);
-            if !peer.domain.is_empty() {
-                self.peer_failed(&peer.domain);
-            }
-            pruned += 1;
+            let (backend, conn) = (backend.clone(), peer.conn.clone());
+            conn.request_with(
+                PEER_PROBE_TIMEOUT,
+                |corr| ClientFrame::Stats { corr },
+                move |reply| {
+                    if !matches!(reply, Ok(ServerFrame::StatsReply { .. })) {
+                        peer.conn.shutdown();
+                        backend.prune_peer(&peer.domain);
+                    }
+                    backend.links[index].probing.store(false, Ordering::SeqCst);
+                },
+            );
         }
-        pruned
     }
 
     /// Retires everything held under a peer's *old* domain name after it
@@ -1126,17 +1088,15 @@ impl FederatedBackend {
     /// instance number of its own, so two inbound peers advertising the
     /// same pool name never overwrite each other's records.
     pub fn record_inbound_advertisement(&self, domain: &str, pools: &[String]) {
-        let instance = {
-            let mut instances = self.inbound_instances.lock();
-            let next = u32::MAX - instances.len() as u32;
-            *instances.entry(domain.to_string()).or_insert(next)
-        };
-        self.record_peer_advertisement(
-            domain,
-            pools,
-            StageAddress::new(domain.to_string(), 0),
-            instance,
-        );
+        let address = StageAddress::new(domain.to_string(), 0);
+        self.record_peer_advertisement(domain, pools, address, self.inbound_instance(domain));
+    }
+
+    /// The stable instance number of an inbound domain's records.
+    fn inbound_instance(&self, domain: &str) -> u32 {
+        let mut instances = self.inbound_instances.lock();
+        let next = u32::MAX - instances.len() as u32;
+        *instances.entry(domain.to_string()).or_insert(next)
     }
 
     /// Records a peer's advertisement in the peer directory (stale records
@@ -1188,15 +1148,38 @@ impl FederatedBackend {
                 state,
             );
         }
-        let (outcome, state) = run_chain(
-            &self.config.domain,
-            query,
-            state,
-            |q| self.inner.submit_text_wait(q),
-            self,
-        );
-        *self.last_chain.lock() = Some(state.clone());
-        (outcome, state)
+        let local = match state.alive() {
+            true => self.inner.submit_text_wait(query),
+            // No hop left to visit this domain: no local work either.
+            false => Err(AllocationError::TtlExpired),
+        };
+        self.chain_blocking(query, state, local)
+    }
+
+    /// Runs a chain from this domain's own outcome to its end
+    /// ([`FederatedBackend::federate`]), blocking the calling thread on it
+    /// — a lane worker, or a caller of the blocking trait methods.  The
+    /// chain needs no such thread to progress: its dials, sends and
+    /// replies all run on the serving reactor.  With no daemon serving the
+    /// backend no peer can be reached, and the local outcome stands.
+    fn chain_blocking(
+        &self,
+        query: &str,
+        state: RoutingState,
+        local: QueryOutcome,
+    ) -> (QueryOutcome, RoutingState) {
+        let Some((backend, host)) = self.served() else {
+            return (local, state);
+        };
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let done: DelegateDone = Box::new(move |outcome, state| {
+            let _ = tx.send((outcome, state));
+        });
+        backend.federate(&host, query.to_string(), state, local, done);
+        rx.recv().unwrap_or_else(|_| {
+            let lost = AllocationError::Internal("the delegation chain was dropped".to_string());
+            (Err(lost), RoutingState::new(0))
+        })
     }
 
     /// [`FederatedBackend::handle_delegate`] for a caller that must not
@@ -1228,17 +1211,15 @@ impl FederatedBackend {
         let query = query.to_string();
         let parsed = match state.alive().then(|| actyp_query::parse_query(&query)) {
             Some(Ok(parsed)) => parsed,
-            Some(Err(e)) => {
+            // A query no domain parses, or no hop left to visit this
+            // domain (no local work either): the chain ends at once.
+            unparsed => {
                 self.delegations_in.fetch_add(1, Ordering::Relaxed);
-                let error = AllocationError::Parse(e.to_string());
+                let error = match unparsed {
+                    Some(Err(e)) => AllocationError::Parse(e.to_string()),
+                    _ => AllocationError::TtlExpired,
+                };
                 backend.federate(&host, query, state, Err(error), done);
-                return Ok(());
-            }
-            None => {
-                // No hop left to visit this domain: no local work either.
-                self.delegations_in.fetch_add(1, Ordering::Relaxed);
-                let expired = Step::Done(Err(AllocationError::TtlExpired), state);
-                backend.drive(&host, query, expired, done);
                 return Ok(());
             }
         };
@@ -1277,9 +1258,10 @@ impl FederatedBackend {
     }
 
     /// Continues a chain from this domain's own outcome, as completions
-    /// ([`FederatedBackend::drive`]).  Naming the candidates must not dial,
-    /// so a chain that needs a link nobody has handshaken yet runs on the
-    /// redeem lane, where [`PeerDelegator::candidates`] may dial it.
+    /// ([`FederatedBackend::drive`]).  A chain that will ask for candidates
+    /// first names every link that never handshook — by dialing it, as
+    /// completions too — and starts once the last of those dials has
+    /// ended, whichever way.
     fn federate(
         self: &Arc<Self>,
         host: &Arc<dyn PeerHost>,
@@ -1288,27 +1270,54 @@ impl FederatedBackend {
         local: QueryOutcome,
         done: DelegateDone,
     ) {
-        let delegable = matches!(&local, Err(error) if is_delegable(error));
-        if delegable && !self.links_named() {
-            let backend = self.clone();
-            return host.offload(Box::new(move || {
-                let (outcome, state) =
-                    run_chain(&backend.config.domain, &query, state, |_| local, &*backend);
-                backend.end_chain(outcome, state, done);
-            }));
+        // `Chain::start` asks for candidates only for a delegable failure
+        // with a hop left once this domain's is spent.
+        let asks = state.ttl > 1 && matches!(&local, Err(error) if is_delegable(error));
+        let unnamed: Vec<&PeerLink> = (self.links.iter())
+            .filter(|link| asks && link.last_domain.lock().is_none())
+            .collect();
+        if unnamed.is_empty() {
+            return self.start_chain(host, query, state, local, done);
         }
+        let left = Arc::new(AtomicUsize::new(unnamed.len()));
+        let parked = Arc::new(Mutex::new(Some((query, state, local, done))));
+        for link in unnamed {
+            let (backend, resume_host, left, parked) =
+                (self.clone(), host.clone(), left.clone(), parked.clone());
+            self.with_link(
+                host,
+                link,
+                Box::new(move |_| {
+                    if left.fetch_sub(1, Ordering::SeqCst) == 1 {
+                        let parked = parked.lock().take();
+                        let (query, state, local, done) = parked.expect("resumed once");
+                        backend.start_chain(&resume_host, query, state, local, done);
+                    }
+                }),
+            );
+        }
+    }
+
+    /// Starts this domain's step of a chain over the named links and
+    /// drives it.
+    fn start_chain(
+        self: &Arc<Self>,
+        host: &Arc<dyn PeerHost>,
+        query: String,
+        state: RoutingState,
+        local: QueryOutcome,
+        done: DelegateDone,
+    ) {
         let step = Chain::start(&self.config.domain, state, local, |_| {
             self.known_candidates(&query)
         });
         self.drive(host, query, step, done);
     }
 
-    /// Drives a chain from `step` as far as completions take it.  A
-    /// `Delegate` over a link a reactor session carries is written from
-    /// this thread, and its reply's completion — on that session's I/O
-    /// thread — folds the answer and drives the next step.  A step whose
-    /// link no session carries (never dialed, dead, in redial backoff)
-    /// finishes the chain on the redeem lane, blocking.
+    /// Drives a chain from `step` as far as completions take it: each
+    /// `Delegate` is written by the thread holding the previous answer
+    /// once its link is up — dialed first if need be — and its reply's
+    /// completion, on the link's I/O thread, drives the next step.
     fn drive(
         self: &Arc<Self>,
         host: &Arc<dyn PeerHost>,
@@ -1320,42 +1329,62 @@ impl FederatedBackend {
             Step::Done(outcome, state) => return self.end_chain(outcome, state, done),
             Step::Delegate(chain, to) => (chain, to),
         };
-        let Some(peer) = self.link_for(&to).and_then(PeerLink::attached_conn) else {
-            let backend = self.clone();
-            return host.offload(Box::new(move || {
-                let (outcome, state) = finish_chain(&query, Step::Delegate(chain, to), &*backend);
-                backend.end_chain(outcome, state, done);
-            }));
+        let Some(link) = self.link_for(&to) else {
+            let gone = ConnError::Dead(format!("no link to domain `{to}`"));
+            let reply = self.fold_delegated(&to, Err(gone));
+            return self.hop(host, query, chain, &to, reply, done);
         };
-        let (sent, ttl, visited) = (
-            query.clone(),
-            chain.state().ttl,
-            chain.state().visited.clone(),
-        );
-        let (backend, host) = (self.clone(), host.clone());
-        let conn = peer.conn.clone();
-        conn.request_with(
-            move |corr| ClientFrame::Delegate {
-                corr,
-                query: sent,
-                ttl,
-                visited,
-            },
-            move |reply| {
-                let reply = backend.fold_delegated(&to, reply);
-                if matches!(
-                    &reply,
-                    Err(PeerUnavailable {
-                        transport: true,
-                        ..
-                    })
-                ) {
-                    backend.retire_peer(&to, &peer.conn);
+        let (backend, link_host) = (self.clone(), host.clone());
+        let linked = move |linked: Result<PeerConn, ConnError>| {
+            let peer = match linked {
+                Ok(peer) => peer,
+                Err(e) => {
+                    let reply = backend.fold_delegated(&to, Err(e));
+                    return backend.hop(&link_host, query, chain, &to, reply, done);
                 }
-                let step = chain.on_reply(&to, reply);
-                backend.drive(&host, query, step, done);
-            },
-        );
+            };
+            let (sent, ttl, visited) = (
+                query.clone(),
+                chain.state().ttl,
+                chain.state().visited.clone(),
+            );
+            let conn = peer.conn.clone();
+            conn.request_with(
+                COMPLETION_TIMEOUT,
+                move |corr| ClientFrame::Delegate {
+                    corr,
+                    query: sent,
+                    ttl,
+                    visited,
+                },
+                move |reply| {
+                    let reply = backend.fold_delegated(&to, reply);
+                    if matches!(&reply, Err(unavailable) if unavailable.transport) {
+                        peer.conn.shutdown();
+                    }
+                    backend.hop(&link_host, query, chain, &to, reply, done);
+                },
+            );
+        };
+        self.with_link(host, link, Box::new(linked));
+    }
+
+    /// Folds `to`'s answer into the chain — pruning a peer that proved
+    /// unreachable; a mere refusal came over a healthy link that may hold
+    /// leases — and drives the next step.
+    fn hop(
+        self: &Arc<Self>,
+        host: &Arc<dyn PeerHost>,
+        query: String,
+        chain: Chain,
+        to: &str,
+        reply: Result<(QueryOutcome, RoutingState), PeerUnavailable>,
+        done: DelegateDone,
+    ) {
+        if matches!(&reply, Err(unavailable) if unavailable.transport) {
+            self.prune_peer(to);
+        }
+        self.drive(host, query, chain.on_reply(to, reply), done);
     }
 
     /// Ends a chain: records its routing state and hands the outcome over.
@@ -1364,30 +1393,13 @@ impl FederatedBackend {
         done(outcome, state);
     }
 
-    /// Settles a locally failed outcome by delegating the query to peers.
-    fn federate_after_local_failure(
-        &self,
-        query: &str,
-        local_error: AllocationError,
-    ) -> QueryOutcome {
-        let state = RoutingState::new(self.config.ttl);
-        let (outcome, state) = run_chain(
-            &self.config.domain,
-            query,
-            state,
-            |_| Err(local_error),
-            self,
-        );
-        *self.last_chain.lock() = Some(state);
-        outcome
-    }
-
-    /// Resolves an inner outcome: delegable failures go to the federation
-    /// (when this daemon has peers at all).
-    fn settle(&self, query: &str, outcome: QueryOutcome) -> QueryOutcome {
+    /// Resolves an inner outcome, blocking: delegable failures go to the
+    /// federation (when this daemon has peers at all).
+    fn settle_blocking(&self, query: &str, outcome: QueryOutcome) -> QueryOutcome {
         match outcome {
             Err(error) if is_delegable(&error) && !self.links.is_empty() => {
-                self.federate_after_local_failure(query, error)
+                let state = RoutingState::new(self.config.ttl);
+                self.chain_blocking(query, state, Err(error)).0
             }
             other => other,
         }
@@ -1429,7 +1441,7 @@ impl FederatedBackend {
         let pending = self.take_ticket(ticket)?;
         let outcome = self.inner.wait(pending.inner);
         match wanted() {
-            true => self.settle(&pending.query, outcome),
+            true => self.settle_blocking(&pending.query, outcome),
             false => outcome,
         }
     }
@@ -1519,49 +1531,10 @@ impl FederatedBackend {
 }
 
 impl FederatedBackend {
-    /// Folds a freshly learned advertisement (new connection on `link`)
-    /// into the peer directory.  A redial replaces the peer's stale
-    /// records wholesale — including under its *old* domain name, if the
-    /// peer came back identifying as somebody else.
-    fn note_fresh_advertisement(&self, link: &PeerLink, fresh: Option<PeerAdvertisement>) {
-        let Some(adv) = fresh else { return };
-        // A link that had a domain before this connect was *re*dialed —
-        // the healthy-link regime the gossip plane exists to preserve
-        // never pays this.
-        if adv.previous_domain.is_some() {
-            self.peer_redials.fetch_add(1, Ordering::Relaxed);
-        }
-        match &adv.previous_domain {
-            Some(previous) if previous != &adv.domain => {
-                // The peer came back identifying as a different domain:
-                // retire the old name wholesale (directory records,
-                // gossip origin, learned routes).
-                self.retire_domain(previous);
-            }
-            _ => {}
-        }
-        self.record_peer_advertisement(&adv.domain, &adv.pools, link.addr.clone(), link.index);
-        self.apply_gossip_deltas(&adv.deltas);
-    }
-
-    /// Whether every link has handshaken at least once, so its domain name
-    /// is known and [`FederatedBackend::known_candidates`] misses nobody.
-    fn links_named(&self) -> bool {
-        self.links
-            .iter()
-            .all(|link| link.last_domain.lock().is_some())
-    }
-
     /// Peer domains, peers advertising a pool the query maps to first —
     /// from the links' cached identities alone, so it never dials (and a
-    /// link that never handshook is left out).
-    ///
-    /// A link is offered WITHOUT touching its connection mutex: the link
-    /// may be busy carrying another chain's `Delegate` right now, and
-    /// blocking on it here would distributed-deadlock two mutually peered
-    /// daemons that delegate to each other at the same time.  Whether an
-    /// offered link is *currently* reachable is discovered by the
-    /// delegation itself.
+    /// link that never handshook is left out).  Whether an offered link is
+    /// *currently* reachable is discovered by the delegation itself.
     fn known_candidates(&self, query: &str) -> Vec<String> {
         let wanted = self.wanted_pools(query);
         let mut preferred = Vec::new();
@@ -1662,42 +1635,48 @@ impl FederatedBackend {
         }
     }
 
-    /// Settles a remote release by the peer's answer.  The lease mapping
-    /// is only consumed once the release is truly settled: dropping it up
-    /// front would orphan the allocation's routing if the peer answers
-    /// with a transient error, leaving the client no way to retry.  The
-    /// second half says whether the peer died, so the caller retires it.
+    /// Settles a remote release by the answer of `domain`'s peer over
+    /// `conn` (none when the link could not be brought up).  The lease
+    /// mapping is only consumed once the release is truly settled:
+    /// dropping it up front would orphan the allocation's routing if the
+    /// peer answers with a transient error, leaving the client no way to
+    /// retry.  A peer that died is retired.
     fn settle_release(
         &self,
         key: &str,
+        domain: &str,
+        conn: Option<&Conn>,
         reply: Result<ServerFrame, ConnError>,
-    ) -> (Result<(), AllocationError>, bool) {
+    ) -> Result<(), AllocationError> {
         let settled = |result| {
             self.remote_leases.lock().remove(key);
             result
         };
         match reply {
-            Ok(ServerFrame::Released { .. }) => (settled(Ok(())), false),
+            Ok(ServerFrame::Released { .. }) => settled(Ok(())),
             // A double release is settled (drop the mapping); any other
             // failure keeps it so a retry still routes to the owning
             // domain.
             Ok(ServerFrame::Error { error, .. }) if error == AllocationError::UnknownAllocation => {
-                (settled(Err(error)), false)
+                settled(Err(error))
             }
-            Ok(ServerFrame::Error { error, .. }) => (Err(error), false),
-            Ok(other) => (
-                Err(AllocationError::Protocol(format!(
-                    "expected Released, got {other:?}"
-                ))),
-                false,
-            ),
+            Ok(ServerFrame::Error { error, .. }) => Err(error),
+            Ok(other) => Err(AllocationError::Protocol(format!(
+                "expected Released, got {other:?}"
+            ))),
             // Refused before a byte left: nothing changed on either side,
             // so the mapping stays and a retry still routes here.
-            Err(ConnError::Refused(message)) => (Err(AllocationError::Protocol(message)), false),
+            Err(ConnError::Refused(message)) => Err(AllocationError::Protocol(message)),
             // The peer died holding the lease: its session teardown hands
             // the allocation back on that side, so the release is done as
             // far as this daemon can tell.
-            Err(_) => (settled(Ok(())), true),
+            Err(_) => {
+                if let Some(conn) = conn {
+                    conn.shutdown();
+                }
+                self.prune_peer(domain);
+                settled(Ok(()))
+            }
         }
     }
 
@@ -1709,72 +1688,6 @@ impl FederatedBackend {
         // moot — after the redial the handshake resyncs from scratch.
         self.route_cache.invalidate_next_hop(domain);
         self.gossip.retire_peer(domain);
-    }
-
-    /// [`PeerDelegator::peer_failed`] for a completion, which must not take
-    /// the link's slot lock (it is held across dials): `conn` is poisoned
-    /// and shut instead, and the next `ensure_conn` sees it dead.
-    fn retire_peer(&self, domain: &str, conn: &Conn) {
-        conn.shutdown();
-        self.prune_peer(domain);
-    }
-}
-
-impl PeerDelegator for FederatedBackend {
-    /// Peer domains, peers advertising a pool the query maps to first,
-    /// after dialing every link that never handshook — that is how its
-    /// domain name becomes known at all.
-    fn candidates(&self, query: &str, _state: &RoutingState) -> Vec<String> {
-        for link in &self.links {
-            let unnamed = link.last_domain.lock().is_none();
-            if unnamed {
-                if let Ok((_, fresh)) = self.connect(link) {
-                    self.note_fresh_advertisement(link, fresh);
-                }
-            }
-        }
-        self.known_candidates(query)
-    }
-
-    fn delegate(
-        &self,
-        domain: &str,
-        query: &str,
-        state: &RoutingState,
-    ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable> {
-        let link = self.link_for(domain).ok_or_else(|| PeerUnavailable {
-            transport: true,
-            reason: format!("no link to domain `{domain}`"),
-        })?;
-        let ttl = state.ttl;
-        let visited = state.visited.clone();
-        let sent = link.request(
-            &self.config.domain,
-            || self.sync_payload(),
-            |conn| self.attach_conn(conn),
-            |corr| ClientFrame::Delegate {
-                corr,
-                query: query.to_string(),
-                ttl,
-                visited,
-            },
-        );
-        let reply = sent.map(|(reply, fresh)| {
-            // A reconnect mid-delegation re-learns the peer's
-            // advertisement.
-            self.note_fresh_advertisement(link, fresh);
-            reply
-        });
-        self.fold_delegated(domain, reply)
-    }
-
-    /// Drops the link and prunes the dead peer's pools from the peer
-    /// directory.
-    fn peer_failed(&self, domain: &str) {
-        if let Some(link) = self.link_for(domain) {
-            link.disconnect();
-        }
-        self.prune_peer(domain);
     }
 }
 
@@ -1842,7 +1755,7 @@ impl ResourceManager for FederatedBackend {
             Err(error) => return Some(Err(error)),
         };
         match self.inner.wait_deadline(pending.inner, timeout) {
-            Some(outcome) => Some(self.settle(&pending.query, outcome)),
+            Some(outcome) => Some(self.settle_blocking(&pending.query, outcome)),
             None => {
                 // Local deadline elapsed: the ticket stays redeemable.
                 self.tickets.lock().insert(ticket.id(), pending);
@@ -1866,52 +1779,35 @@ impl ResourceManager for FederatedBackend {
         let outcome = self.inner.try_poll(pending.inner)?;
         let pending = tickets.remove(&ticket.id()).expect("entry just read");
         drop(tickets);
-        Some(self.settle(&pending.query, outcome))
+        Some(self.settle_blocking(&pending.query, outcome))
     }
 
     fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         self.wait_with_while(ticket, done, || true)
     }
 
+    /// [`ResourceManager::release_with`], waited for on this thread.
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        let peer = self
-            .remote_leases
-            .lock()
-            .get(&allocation.access_key.0)
-            .cloned();
-        let Some(domain) = peer else {
-            return self.inner.release(allocation);
-        };
-        let Some(link) = self.link_for(&domain) else {
-            // The link is gone entirely; the peer's session teardown has
-            // already reclaimed the allocation on its side.
-            self.remote_leases.lock().remove(&allocation.access_key.0);
-            return Ok(());
-        };
-        let sent = link.request(
-            &self.config.domain,
-            || self.sync_payload(),
-            |conn| self.attach_conn(conn),
-            |corr| ClientFrame::Release {
-                corr,
-                allocation: allocation.clone(),
-            },
-        );
-        let (released, peer_died) =
-            self.settle_release(&allocation.access_key.0, sent.map(|(reply, _)| reply));
-        if peer_died {
-            self.peer_failed(&domain);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let done: ReleaseDone = Box::new(move |released| {
+            let _ = tx.send(released);
+        });
+        if let Err(done) = self.release_with(allocation, done) {
+            done(self.inner.release(allocation));
         }
-        released
+        rx.recv().unwrap_or_else(|_| {
+            Err(AllocationError::Internal(
+                "the release was dropped".to_string(),
+            ))
+        })
     }
 
     /// A lease this daemon holds itself is released by the wrapped
-    /// backend's own `release_with`.  A delegated one, on a served backend
-    /// whose link to the owning domain a reactor session carries, is a
-    /// `Release` written from this thread whose reply's completion — on the
-    /// link's I/O thread — settles the lease mapping and runs `done`.
-    /// Anything else (no serving daemon, a link no session carries) hands
-    /// `done` back to be released where parking is allowed.
+    /// backend's own `release_with`.  A delegated one, on a served
+    /// backend, is a `Release` written from this thread once the link to
+    /// the owning domain is up (dialed first if need be), and the reply's
+    /// completion — on the link's I/O thread — settles the lease mapping
+    /// and runs `done`.  Without a serving daemon `done` is handed back.
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
         let peer = self
             .remote_leases
@@ -1921,25 +1817,31 @@ impl ResourceManager for FederatedBackend {
         let Some(domain) = peer else {
             return self.inner.release_with(allocation, done);
         };
-        let Some((backend, _)) = self.served() else {
+        let Some((backend, host)) = self.served() else {
             return Err(done);
         };
-        let Some(peer) = self.link_for(&domain).and_then(PeerLink::attached_conn) else {
-            return Err(done);
+        let Some(link) = self.link_for(&domain) else {
+            // The link is gone entirely; the peer's session teardown has
+            // already reclaimed the allocation on its side.
+            self.remote_leases.lock().remove(&allocation.access_key.0);
+            done(Ok(()));
+            return Ok(());
         };
-        let key = allocation.access_key.0.clone();
-        let allocation = allocation.clone();
-        let conn = peer.conn.clone();
-        conn.request_with(
-            move |corr| ClientFrame::Release { corr, allocation },
-            move |reply| {
-                let (released, peer_died) = backend.settle_release(&key, reply);
-                if peer_died {
-                    backend.retire_peer(&domain, &peer.conn);
-                }
-                done(released);
-            },
-        );
+        let (key, allocation) = (allocation.access_key.0.clone(), allocation.clone());
+        let settle = backend.clone();
+        let linked = move |linked: Result<PeerConn, ConnError>| {
+            let peer = match linked {
+                Ok(peer) => peer,
+                Err(e) => return done(settle.settle_release(&key, &domain, None, Err(e))),
+            };
+            let conn = peer.conn.clone();
+            conn.request_with(
+                COMPLETION_TIMEOUT,
+                move |corr| ClientFrame::Release { corr, allocation },
+                move |reply| done(settle.settle_release(&key, &domain, Some(&peer.conn), reply)),
+            );
+        };
+        backend.with_link(&host, link, Box::new(linked));
         Ok(())
     }
 
@@ -1963,8 +1865,8 @@ impl ResourceManager for FederatedBackend {
 
     fn shutdown(&self) -> Result<(), AllocationError> {
         if !self.closed.swap(true, Ordering::SeqCst) {
-            for link in &self.links {
-                link.disconnect();
+            for peer in self.links.iter().filter_map(PeerLink::live) {
+                peer.conn.shutdown();
             }
         }
         self.inner.shutdown()
@@ -2119,7 +2021,8 @@ mod tests {
             backoff.note_failure(now);
         }
         assert_eq!(backoff.wait, PEER_REDIAL_BACKOFF_MAX, "growth is capped");
-        backoff.note_success();
+        // A link that came up goes down with a fresh backoff.
+        backoff = RedialBackoff::new();
         assert!(backoff.permits(now), "success resets the discipline");
         backoff.note_failure(now);
         assert_eq!(

@@ -33,8 +33,10 @@
 //!
 //! * [`TimerWheel`] — a tiny deadline list the I/O threads consult to cap
 //!   their poll timeout.  The reactor server uses it for the periodic
-//!   closing-session sweep and for the anti-entropy gossip tick, so
-//!   neither needs a dedicated thread.
+//!   closing-session sweep (which also bounds peer dials and replies) and
+//!   for the gossip tick and health probe, so none needs a thread.
+//! * `connect_nonblocking` — the non-blocking connect an I/O thread
+//!   dials a peer daemon with.
 //!
 //! Everything here is deliberately minimal: level-triggered readiness
 //! only, one registration per fd — the session engine in [`crate::server`]
@@ -217,7 +219,27 @@ mod sys {
         // place variadic arguments differently (e.g. aarch64 Darwin).
         pub fn fcntl(fd: c_int, cmd: c_int, ...) -> c_int;
         pub fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+        pub fn socket(domain: c_int, kind: c_int, protocol: c_int) -> c_int;
+        // Named apart from the workspace's blocking `connect`s, which the
+        // `reactor-blocking` walk resolves calls by name to.
+        #[link_name = "connect"]
+        pub fn connect_fd(fd: c_int, addr: *const u8, len: u32) -> c_int;
     }
+
+    pub const AF_INET: c_int = 2;
+    pub const SOCK_STREAM: c_int = 1;
+    // Off Linux these are the BSD / macOS header values, written from the
+    // headers and unverified: no CI host runs them.
+    #[cfg(target_os = "linux")]
+    pub const AF_INET6: c_int = 10;
+    #[cfg(any(target_os = "macos", target_os = "ios"))]
+    pub const AF_INET6: c_int = 30;
+    #[cfg(not(any(target_os = "linux", target_os = "macos", target_os = "ios")))]
+    pub const AF_INET6: c_int = 28;
+    #[cfg(target_os = "linux")]
+    pub const EINPROGRESS: i32 = 115;
+    #[cfg(not(target_os = "linux"))]
+    pub const EINPROGRESS: i32 = 36;
 
     pub const F_SETFL: c_int = 4;
     #[cfg(target_os = "linux")]
@@ -290,6 +312,57 @@ fn set_nonblocking(fd: RawFd) -> io::Result<()> {
         return Err(io::Error::last_os_error());
     }
     Ok(())
+}
+
+/// Starts a non-blocking TCP connect to `addr`: the socket comes back at
+/// once, its connect in progress (or, on loopback, sometimes done).  It
+/// turns writable when the connect ends, and
+/// [`std::net::TcpStream::take_error`] (`getsockopt(SO_ERROR)`) then says
+/// whether it failed — how a reactor thread dials without parking.
+#[cfg(unix)]
+pub(crate) fn connect_nonblocking(addr: std::net::SocketAddr) -> io::Result<std::net::TcpStream> {
+    use std::net::SocketAddr;
+    use std::os::fd::FromRawFd;
+
+    /// Room for a `sockaddr_in6`, aligned as the kernel reads it.
+    #[repr(C, align(4))]
+    struct Sockaddr([u8; 28]);
+    let mut raw = Sockaddr([0; 28]);
+    let (family, len) = match addr {
+        SocketAddr::V4(v4) => {
+            raw.0[4..8].copy_from_slice(&v4.ip().octets());
+            (sys::AF_INET, 16)
+        }
+        SocketAddr::V6(v6) => {
+            raw.0[4..8].copy_from_slice(&v6.flowinfo().to_ne_bytes());
+            raw.0[8..24].copy_from_slice(&v6.ip().octets());
+            raw.0[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+            (sys::AF_INET6, 28)
+        }
+    };
+    // The family: a native `u16` on Linux, a length and a family byte on
+    // the BSDs.
+    raw.0[..2].copy_from_slice(&match cfg!(target_os = "linux") {
+        true => (family as u16).to_ne_bytes(),
+        false => [len as u8, family as u8],
+    });
+    raw.0[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    // SAFETY: socket(2) returns a fresh fd or -1; no memory is involved.
+    let fd = unsafe { sys::socket(family, sys::SOCK_STREAM, 0) };
+    if fd < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    // SAFETY: `fd` is a fresh socket nobody else owns; the stream closes it.
+    let stream = unsafe { std::net::TcpStream::from_raw_fd(fd) };
+    set_nonblocking(fd)?;
+    // SAFETY: `raw` holds a well-formed sockaddr of `len` bytes.
+    if unsafe { sys::connect_fd(fd, raw.0.as_ptr(), len as u32) } < 0 {
+        let err = io::Error::last_os_error();
+        if err.raw_os_error() != Some(sys::EINPROGRESS) {
+            return Err(err);
+        }
+    }
+    Ok(stream)
 }
 
 /// Milliseconds for the kernel timeout argument: `None` blocks forever

@@ -41,8 +41,9 @@
 //! The listener itself is one more readiness source on the first I/O
 //! thread — there is no dedicated accept thread — and that thread's timer
 //! wheel also drives the periodic anti-entropy gossip tick and peer health
-//! probe of a federated daemon.  The same thread carries the daemon's warm
-//! peer links as sessions of kind *peer*: a federated `Wait`, a remote
+//! probe of a federated daemon, each round a set of completions.  The same
+//! thread dials and carries every peer link as a session of kind *peer*
+//! (a non-blocking connect, then `Hello` and `SyncPools`): a federated `Wait`, a remote
 //! `Release` and an inbound `Delegate` are completions too, each `Delegate`
 //! or `Release` to a peer written by the thread that holds the previous
 //! answer, and each peer reply finished there (see
@@ -318,10 +319,7 @@ impl ReactorEngine {
         // The first I/O thread carries a federated daemon's peer links.
         let first = targets[0].1.clone();
         let host = shared.federation.as_ref().map(|federation| {
-            let host = Arc::new(session::ReactorHost::new(
-                first.clone(),
-                shared.pools.clone(),
-            ));
+            let host = Arc::new(session::ReactorHost::new(first.clone()));
             federation.attach(host.clone());
             host
         });
@@ -1545,8 +1543,7 @@ mod tests {
             vec![srv_b.local_addr()],
         );
         let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
-        // The first delegation dials the link (on the lane, where a dial
-        // may park) and hands it to the reactor.
+        // The first delegation dials the link from the reactor.
         let warm = client.submit_text_wait(HP).unwrap();
         client.release(&warm[0]).unwrap();
         let (jobs_a, jobs_b) = (srv_a.lane_jobs(), srv_b.lane_jobs());
@@ -1683,7 +1680,7 @@ mod tests {
             let mut raw = raw_hello(&srv_a.local_addr());
             raw.set_read_timeout(Some(crate::corr::COMPLETION_TIMEOUT * 5))
                 .unwrap();
-            // Cold link: dialed on the lane, answered, handed to the reactor.
+            // Cold link: dialed by the reactor, then answered.
             assert_eq!(wait_once(&mut raw, 1), Err(AllocationError::NoneAvailable));
             let started = std::time::Instant::now();
             assert_eq!(
@@ -1756,6 +1753,207 @@ mod tests {
         assert_eq!(active_jobs(&db_b), TICKETS as u32);
         for (i, allocation) in delegated.into_iter().enumerate() {
             release_raw(&mut raw, TICKETS + i as u64, allocation);
+        }
+        assert_eq!(active_jobs(&db_b), 0);
+        drop(raw);
+        srv_a.halt();
+        srv_a.join().unwrap();
+        srv_b.halt();
+        srv_b.join().unwrap();
+    }
+
+    /// A cold link is dialed by the reactor: the first delegation — the
+    /// non-blocking connect, `Hello` and `SyncPools` included — and its
+    /// release cross both daemons without a single worker-lane job.
+    #[test]
+    fn a_cold_link_serves_a_delegation_and_its_release_with_no_lane_job() {
+        let db_b = arch_db("hp", 40, 80);
+        let (srv_b, _) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
+        let (srv_a, fed_a) = federated(
+            "purdue",
+            BackendKind::Live,
+            arch_db("sun", 20, 81),
+            vec![srv_b.local_addr()],
+        );
+        let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
+        let (jobs_a, jobs_b) = (srv_a.lane_jobs(), srv_b.lane_jobs());
+        let granted = client.submit_text_wait(HP).unwrap();
+        assert!(granted[0].machine_name.contains("hp"));
+        client.release(&granted[0]).unwrap();
+        assert_eq!(fed_a.stats().delegations_out, 1);
+        assert_eq!(srv_a.lane_jobs(), jobs_a, "the entry daemon ran lane jobs");
+        assert_eq!(srv_b.lane_jobs(), jobs_b, "the far daemon ran lane jobs");
+        assert_eq!(active_jobs(&db_b), 0);
+        client.halt_daemon().unwrap();
+        client.shutdown().unwrap();
+        srv_a.join().unwrap();
+        srv_b.halt();
+        srv_b.join().unwrap();
+    }
+
+    /// The gossip tick and the health probe fire on the first I/O thread's
+    /// timer as rounds of completions: the tick dials the cold link and
+    /// gossips over it, the probe finds the far daemon gone once it is
+    /// halted and prunes it — and no round is a lane job.
+    #[test]
+    fn gossip_and_probe_rounds_run_no_lane_job() {
+        let (srv_b, _) = federated("upc", BackendKind::Live, arch_db("hp", 20, 82), Vec::new());
+        let (srv_a, fed_a) = PipelineBuilder::new()
+            .database(arch_db("sun", 20, 83))
+            .serve_federated(
+                &loopback(),
+                BackendKind::Live,
+                crate::federation::FederationConfig {
+                    domain: "purdue".to_string(),
+                    peers: vec![srv_b.local_addr()],
+                    gossip_interval: std::time::Duration::from_millis(50),
+                    probe_interval: std::time::Duration::from_millis(50),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        let knows_upc = || {
+            fed_a
+                .peer_directory()
+                .pool_managers()
+                .contains(&"upc".to_string())
+        };
+        let started = std::time::Instant::now();
+        while !knows_upc() {
+            assert!(started.elapsed() < std::time::Duration::from_secs(10));
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        // Rounds of both kinds over the live link.
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        srv_b.halt();
+        srv_b.join().unwrap();
+        let started = std::time::Instant::now();
+        while knows_upc() {
+            assert!(started.elapsed() < std::time::Duration::from_secs(10));
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        assert_eq!(
+            srv_a.lane_jobs(),
+            0,
+            "a gossip or probe round ran on a lane"
+        );
+        srv_a.halt();
+        srv_a.join().unwrap();
+    }
+
+    /// A peer that accepts the connection but never answers `Hello`: the
+    /// dial runs on the reactor, so another client's `Stats` on the same
+    /// daemon is answered at once meanwhile; the dial fails at the connect
+    /// timeout, the chain ends with the local failure, and the link backs
+    /// off — the next query neither waits nor dials again.
+    #[test]
+    fn a_peer_that_never_says_hello_stalls_nobody_and_backs_off() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer_addr = StageAddress::new("127.0.0.1", listener.local_addr().unwrap().port());
+        let (srv_a, _) = federated(
+            "purdue",
+            BackendKind::Live,
+            arch_db("sun", 20, 84),
+            vec![peer_addr],
+        );
+        let mut raw = raw_hello(&srv_a.local_addr());
+        let mut other = raw_hello(&srv_a.local_addr());
+        let started = std::time::Instant::now();
+        write_frame(
+            &mut raw,
+            &ClientFrame::Submit {
+                corr: RequestId(1),
+                query: HP.to_string(),
+            },
+        )
+        .unwrap();
+        // The dial's connect is accepted (held, never answered) ...
+        let (_held, _) = listener.accept().unwrap();
+        // ... and the daemon answers others meanwhile.
+        let asked = std::time::Instant::now();
+        write_frame(&mut other, &ClientFrame::Stats { corr: RequestId(2) }).unwrap();
+        assert!(matches!(
+            read_server_frame(&mut other).unwrap(),
+            Some(ServerFrame::StatsReply { .. })
+        ));
+        let answered = asked.elapsed();
+        assert!(
+            answered < std::time::Duration::from_millis(100),
+            "Stats took {answered:?} beside a silent dial"
+        );
+        match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::Outcome { outcome, .. }) => {
+                assert_eq!(outcome, Err(AllocationError::NoSuchResources))
+            }
+            other => panic!("expected Outcome, got {other:?}"),
+        }
+        let failed_over = started.elapsed();
+        let timeout = crate::corr::CONNECT_TIMEOUT;
+        assert!(
+            failed_over >= timeout && failed_over < timeout * 2,
+            "the chain failed over after {failed_over:?}"
+        );
+        // In backoff: answered without a wait, and nothing dials.
+        let again = std::time::Instant::now();
+        assert_eq!(
+            wait_once(&mut raw, 3),
+            Err(AllocationError::NoSuchResources)
+        );
+        assert!(again.elapsed() < timeout / 4, "{:?}", again.elapsed());
+        listener.set_nonblocking(true).unwrap();
+        assert!(listener.accept().is_err(), "a link in backoff was dialed");
+        drop((raw, other));
+        srv_a.halt();
+        srv_a.join().unwrap();
+    }
+
+    /// More federated deadline `Wait`s than a lane has workers, each
+    /// holding a redeem-lane worker while its chain needs the cold dial:
+    /// the dial runs on the reactor, never on a lane, so every one
+    /// finishes.
+    #[test]
+    fn more_deadline_waits_than_lane_workers_all_finish_over_a_cold_link() {
+        let waits = super::lanes::LANE_WORKERS as u64 + 2;
+        let db_b = arch_db("hp", 40, 85);
+        let (srv_b, _) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
+        let (srv_a, _) = federated(
+            "purdue",
+            BackendKind::Live,
+            arch_db("sun", 20, 86),
+            vec![srv_b.local_addr()],
+        );
+        let mut raw = raw_hello(&srv_a.local_addr());
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        write_frame(
+            &mut raw,
+            &ClientFrame::SubmitBatch {
+                corr: RequestId(0),
+                queries: vec![HP.to_string(); waits as usize],
+            },
+        )
+        .unwrap();
+        let tickets = match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
+            other => panic!("expected BatchSubmitted, got {other:?}"),
+        };
+        let mut burst = Vec::new();
+        for (i, ticket) in tickets.into_iter().enumerate() {
+            write_frame(
+                &mut burst,
+                &ClientFrame::Wait {
+                    corr: RequestId(1 + i as u64),
+                    ticket,
+                    deadline_ms: Some(30_000),
+                },
+            )
+            .unwrap();
+        }
+        raw.write_all(&burst).unwrap();
+        let delegated: Vec<_> = (0..waits).map(|_| granted(&mut raw)).collect();
+        assert_eq!(active_jobs(&db_b), waits as u32);
+        for (i, allocation) in delegated.into_iter().enumerate() {
+            release_raw(&mut raw, 100 + i as u64, allocation);
         }
         assert_eq!(active_jobs(&db_b), 0);
         drop(raw);

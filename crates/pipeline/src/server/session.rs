@@ -24,7 +24,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -38,13 +38,14 @@ use actyp_proto::{
     WireEncode, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
-use super::lanes::Pools;
 use super::ServerShared;
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::api::{QueryOutcome, ResourceManager, SubmitDone, Ticket};
-use crate::corr::{Conn, FrameSink};
-use crate::federation::{DelegateDone, FederatedBackend, PeerHost};
-use crate::reactor::{Doorbell, Event, Interest, Poller, TimerWheel, Waker, WorkerPool};
+use crate::corr::{Conn, ConnError, FrameSink, CONNECT_TIMEOUT};
+use crate::federation::{DelegateDone, DialDone, FederatedBackend, PeerHost};
+use crate::reactor::{
+    connect_nonblocking, Doorbell, Event, Interest, Poller, TimerWheel, Waker, WorkerPool,
+};
 
 /// Poller token reserved for the I/O thread's waker pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -314,104 +315,112 @@ impl FrameSink for OutQueue {
     fn push_frame(&self, frame: &ClientFrame) -> std::io::Result<()> {
         self.push(frame)
     }
+
+    fn close(&self) {
+        let _ = self.socket.shutdown(std::net::Shutdown::Both);
+    }
 }
 
 /// What a federated daemon lends its federation ([`PeerHost`]): the first
-/// I/O thread takes dialed peer sockets over as sessions of kind *peer*,
-/// and the redeem lane runs the steps that must park.
+/// I/O thread dials every peer link as a session of kind *peer*, and
+/// queues the one federation step that may park on the redeem lane.
 pub(super) struct ReactorHost {
-    /// Peer sockets handed over and not yet registered; `None` once the
-    /// hosting thread has stopped taking sessions.  Handing over and
-    /// stopping both happen under this lock, so no socket is ever left
-    /// behind in it.
-    adoptions: Mutex<Option<Vec<Adoption>>>,
+    /// Work handed to the hosting thread and not taken yet; `None` once
+    /// that thread has stopped.  Queued and stopped under this lock, so
+    /// nothing is ever left behind in it.
+    jobs: Mutex<Option<Vec<HostJob>>>,
     /// The hosting (first) I/O thread's doorbell.
     notify: Arc<IoNotify>,
     /// Tokens of peer sessions, from a range no accepted session reaches.
     next_token: AtomicU64,
-    pools: Arc<Pools>,
 }
 
-/// A dialed peer socket on its way to the hosting I/O thread.
-pub(super) struct Adoption {
-    stream: TcpStream,
-    unread: Vec<u8>,
-    queue: Arc<OutQueue>,
-    conn: Arc<Conn>,
+/// What the federation hands the hosting I/O thread.
+enum HostJob {
+    /// Dial the first of these addresses that accepts.
+    Dial(Vec<SocketAddr>, DialDone),
+    /// Queue this on the redeem lane.
+    Park(Box<dyn FnOnce() + Send>),
 }
 
 impl ReactorHost {
-    pub(super) fn new(notify: Arc<IoNotify>, pools: Arc<Pools>) -> Self {
+    pub(super) fn new(notify: Arc<IoNotify>) -> Self {
         ReactorHost {
-            adoptions: Mutex::new(Some(Vec::new())),
+            jobs: Mutex::new(Some(Vec::new())),
             notify,
             next_token: AtomicU64::new(1 << 62),
-            pools,
         }
     }
 
-    fn take_adoptions(&self) -> Vec<Adoption> {
-        self.adoptions
+    fn queue(&self, job: HostJob) {
+        let refused = match self.jobs.lock().as_mut() {
+            Some(jobs) => {
+                jobs.push(job);
+                None
+            }
+            None => Some(job),
+        };
+        match refused {
+            None => self.notify.ring(),
+            Some(job) => job.refuse(),
+        }
+    }
+
+    fn take_jobs(&self) -> Vec<HostJob> {
+        self.jobs
             .lock()
             .as_mut()
             .map(std::mem::take)
             .unwrap_or_default()
     }
 
-    fn has_adoptions(&self) -> bool {
-        matches!(&*self.adoptions.lock(), Some(waiting) if !waiting.is_empty())
+    fn has_jobs(&self) -> bool {
+        matches!(&*self.jobs.lock(), Some(jobs) if !jobs.is_empty())
     }
 
-    /// The hosting thread is exiting: no socket is taken from now on, and
-    /// any still waiting is failed, so nobody waits on a link no session
-    /// will ever read.
+    /// The hosting thread is exiting: nothing is taken from now on, and
+    /// whatever still waits is refused.
     fn stop(&self) {
-        let left = self.adoptions.lock().take().unwrap_or_default();
-        for adoption in left {
-            adoption.conn.poison("daemon shutting down".to_string());
+        let left = self.jobs.lock().take().unwrap_or_default();
+        for job in left {
+            job.refuse();
+        }
+    }
+}
+
+impl HostJob {
+    /// The hosting thread is gone: a dial fails, and a step that would
+    /// park is dropped with its completion (the daemon is stopping).
+    fn refuse(self) {
+        if let HostJob::Dial(_, done) = self {
+            done(Err(ConnError::Dead("daemon shutting down".to_string())));
         }
     }
 }
 
 impl PeerHost for ReactorHost {
-    fn adopt(
-        &self,
-        stream: TcpStream,
-        unread: Vec<u8>,
-        conn: Arc<Conn>,
-    ) -> Result<Arc<dyn FrameSink>, (TcpStream, Vec<u8>)> {
-        let Ok(socket) = stream.try_clone() else {
-            return Err((stream, unread));
-        };
-        let token = self.next_token.fetch_add(1, Ordering::Relaxed);
-        let queue = OutQueue::new(token, self.notify.clone(), socket);
-        {
-            let mut adoptions = self.adoptions.lock();
-            let Some(waiting) = adoptions.as_mut() else {
-                return Err((stream, unread));
-            };
-            if stream.set_nonblocking(true).is_err() {
-                return Err((stream, unread));
-            }
-            waiting.push(Adoption {
-                stream,
-                unread,
-                queue: queue.clone(),
-                conn,
-            });
-        }
-        self.notify.ring();
-        Ok(queue)
+    fn dial_peer(&self, addrs: Vec<SocketAddr>, done: DialDone) {
+        self.queue(HostJob::Dial(addrs, done));
     }
 
     fn offload(&self, job: Box<dyn FnOnce() + Send>) {
-        self.pools.redeem.execute(job);
+        self.queue(HostJob::Park(job));
     }
+}
+
+/// A peer link's dial in progress: the addresses not tried yet, when the
+/// current attempt gives up, why the last one failed, and who waits for
+/// the `HelloAck`.
+struct Dial {
+    rest: std::vec::IntoIter<SocketAddr>,
+    deadline: std::time::Instant,
+    failed: String,
+    done: DialDone,
 }
 
 /// The first I/O thread's extra duties: the daemon's listening socket,
 /// registered with that thread's poller as one more readiness source, and
-/// — on a federated daemon — the peer links it dials.  Ready connections
+/// — on a federated daemon — every peer link, which it dials.  Ready connections
 /// are accepted nonblockingly and dealt round robin to every I/O thread
 /// (itself included) — there is no dedicated, always-blocked accept
 /// thread.
@@ -419,13 +428,16 @@ pub(super) struct ListenerRole {
     pub(super) listener: TcpListener,
     pub(super) targets: Vec<(Sender<TcpStream>, Arc<IoNotify>)>,
     pub(super) next: usize,
-    /// Where the federation hands dialed peer sockets over.
+    /// Where the federation asks for dials.
     pub(super) host: Option<Arc<ReactorHost>>,
 }
 
 /// Where one reactor session is in its life.
 enum Phase {
-    /// Connected; the first frame must be a `Hello`.
+    /// A peer link this daemon dials: its connect is in progress.
+    Connecting,
+    /// Connected; the first frame must be a `Hello` — or, on a peer link
+    /// this daemon dialed, the `HelloAck`.
     AwaitingHello,
     /// Handshake done; frames are parsed and dispatched.
     Serving,
@@ -454,6 +466,8 @@ struct ReactorSession {
     /// replies are routed to the connection's requests and completions
     /// instead of being served as requests.
     peer: Option<Arc<Conn>>,
+    /// A peer link's dial, until its `HelloAck` is in.
+    dial: Option<Dial>,
     /// When a closing client session began to settle; taken once its
     /// final sweep is queued.
     settling_since: Option<std::time::Instant>,
@@ -463,6 +477,7 @@ impl ReactorSession {
     fn desired_interest(&self) -> Interest {
         let pending = self.state.queue.pending_bytes();
         match self.phase {
+            Phase::Connecting => Interest::WRITE,
             // Keep reading while closing only to observe EOF promptly
             // (bytes are discarded); stop reading frames from a client
             // that is not draining its replies.  A peer's replies are
@@ -525,8 +540,6 @@ pub(super) fn io_thread_main(
     wheel.add_periodic(SWEEP_TIMER, CLOSING_SWEEP_INTERVAL);
     // The anti-entropy gossip tick and the peer health probe are armed
     // on the listener thread only (exactly one of each per daemon).
-    let gossip_running = Arc::new(AtomicBool::new(false));
-    let probe_running = Arc::new(AtomicBool::new(false));
     if role.is_some() {
         if let Some(federation) = &shared.federation {
             let interval = federation.gossip_interval();
@@ -552,9 +565,12 @@ pub(super) fn io_thread_main(
         if shared.draining.load(Ordering::SeqCst) && drained(&shared, &sessions) {
             // The daemon's last client session is gone: nobody will send
             // over a peer link again.
-            for session in sessions.values() {
+            for session in sessions.values_mut() {
                 if let Some(conn) = &session.peer {
                     conn.poison("daemon shut down".to_string());
+                    if let Some(dial) = session.dial.take() {
+                        (dial.done)(Err(ConnError::Dead("daemon shut down".to_string())));
+                    }
                     let _ = session.stream.shutdown(std::net::Shutdown::Both);
                 }
             }
@@ -562,7 +578,7 @@ pub(super) fn io_thread_main(
         }
         let may_block = notify.park(|| {
             !incoming.is_empty()
-                || host.as_ref().is_some_and(|host| host.has_adoptions())
+                || host.as_ref().is_some_and(|host| host.has_jobs())
                 || (!drain_seen && shared.draining.load(Ordering::SeqCst))
         });
         let timeout = if may_block {
@@ -597,10 +613,25 @@ pub(super) fn io_thread_main(
             }
         }
 
-        // Peer links the federation dialed and handed over.
-        for adoption in host.iter().flat_map(|host| host.take_adoptions()) {
-            if let Some(token) = add_peer_session(&mut *poller, &mut sessions, adoption) {
-                touched.push(token);
+        // Dials the federation asked for, and its one step that may park.
+        if let Some(host) = &host {
+            for job in host.take_jobs() {
+                match job {
+                    HostJob::Dial(addrs, done) => {
+                        let token = host.next_token.fetch_add(1, Ordering::Relaxed);
+                        let dial = Dial {
+                            rest: addrs.into_iter(),
+                            deadline: std::time::Instant::now(),
+                            failed: "no address to dial".to_string(),
+                            done,
+                        };
+                        if let Some(session) = connect_next(&mut *poller, token, &notify, dial) {
+                            sessions.insert(token, session);
+                            touched.push(token);
+                        }
+                    }
+                    HostJob::Park(job) => shared.pools.redeem.execute(job),
+                }
             }
         }
 
@@ -618,11 +649,17 @@ pub(super) fn io_thread_main(
             let Some(session) = sessions.get_mut(&event.token) else {
                 continue;
             };
-            if event.readable || event.closed {
-                handle_readable(&shared, session);
-            }
-            if event.writable || event.closed {
-                flush_or_close(&shared, session);
+            if matches!(session.phase, Phase::Connecting) {
+                if event.writable || event.closed {
+                    connect_ended(&shared, &mut *poller, &mut sessions, event.token, false);
+                }
+            } else {
+                if event.readable || event.closed {
+                    handle_readable(&shared, session);
+                }
+                if event.writable || event.closed {
+                    flush_or_close(&shared, session);
+                }
             }
             touched.push(event.token);
         }
@@ -644,17 +681,34 @@ pub(super) fn io_thread_main(
         for timer in wheel.expired(now) {
             match timer {
                 SWEEP_TIMER => {
+                    let mut late_dials = Vec::new();
                     for (token, session) in sessions.iter() {
                         let overdue = session.peer.as_ref().is_some_and(|conn| conn.expire(now));
                         if overdue || matches!(session.phase, Phase::Closing) {
                             touched.push(*token);
                         }
+                        if session
+                            .dial
+                            .as_ref()
+                            .is_some_and(|dial| dial.deadline <= now)
+                        {
+                            late_dials.push(*token);
+                        }
+                    }
+                    for token in late_dials {
+                        connect_ended(&shared, &mut *poller, &mut sessions, token, true);
+                        touched.push(token);
                     }
                 }
-                GOSSIP_TIMER => {
-                    run_periodic(&shared, &gossip_running, FederatedBackend::gossip_tick)
+                // Rounds of completions, skipped while draining.
+                GOSSIP_TIMER | PROBE_TIMER => {
+                    let draining = shared.draining.load(Ordering::SeqCst);
+                    match shared.federation.as_ref().filter(|_| !draining) {
+                        Some(federation) if timer == GOSSIP_TIMER => federation.gossip_tick(),
+                        Some(federation) => federation.probe_peers(),
+                        None => {}
+                    }
                 }
-                PROBE_TIMER => run_periodic(&shared, &probe_running, FederatedBackend::probe_peers),
                 _ => {}
             }
         }
@@ -689,29 +743,6 @@ pub(super) fn io_thread_main(
 fn drained(shared: &ServerShared, sessions: &HashMap<u64, ReactorSession>) -> bool {
     let peers = sessions.values().filter(|s| s.peer.is_some()).count();
     peers == sessions.len() && (peers == 0 || shared.client_sessions.load(Ordering::SeqCst) == 0)
-}
-
-/// Queues one round of a periodic federation duty on the redeem lane — a
-/// peer exchange is bounded peer I/O, never admission-window blocking —
-/// unless the daemon is draining or the previous round is still running:
-/// a round slower than its interval is skipped, not stacked.
-fn run_periodic<R: 'static>(
-    shared: &ServerShared,
-    running: &Arc<AtomicBool>,
-    round: fn(&FederatedBackend) -> R,
-) {
-    let Some(federation) = &shared.federation else {
-        return;
-    };
-    if shared.draining.load(Ordering::SeqCst) || running.swap(true, Ordering::SeqCst) {
-        return;
-    }
-    let federation = federation.clone();
-    let running = running.clone();
-    shared.pools.redeem.execute(move || {
-        round(&federation);
-        running.store(false, Ordering::SeqCst);
-    });
 }
 
 /// Drains every connection the listener has ready: during a drain
@@ -772,49 +803,123 @@ fn add_session(
             interest: Interest::READ,
             client_gone: false,
             peer: None,
+            dial: None,
             settling_since: None,
         },
     );
     Some(token)
 }
 
-/// Registers a dialed peer link as a session of kind *peer*: its
-/// handshake is done, and what was read past its last reply is the first
-/// thing routed.
-fn add_peer_session(
+/// A fresh peer session under `token`, its non-blocking connect to the
+/// next address of `dial` under way — given [`CONNECT_TIMEOUT`] for the
+/// connect and the `HelloAck` together.  With no address left the dial
+/// fails.  The connection is born attached to the session's queue.
+fn connect_next(
     poller: &mut dyn Poller,
-    sessions: &mut HashMap<u64, ReactorSession>,
-    adoption: Adoption,
-) -> Option<u64> {
-    let Adoption {
-        stream,
-        unread,
-        queue,
-        conn,
-    } = adoption;
-    let token = queue.token;
-    if poller
-        .register(stream.as_raw_fd(), token, Interest::READ)
-        .is_err()
-    {
-        conn.poison("peer link could not join the reactor".to_string());
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-        return None;
-    }
-    sessions.insert(
-        token,
-        ReactorSession {
+    token: u64,
+    notify: &Arc<IoNotify>,
+    mut dial: Dial,
+) -> Option<ReactorSession> {
+    for addr in dial.rest.by_ref() {
+        let stream = match connect_nonblocking(addr) {
+            Ok(stream) => stream,
+            Err(e) => {
+                dial.failed = format!("connect {addr}: {e}");
+                continue;
+            }
+        };
+        let Ok(socket) = stream.try_clone() else {
+            continue;
+        };
+        if poller
+            .register(stream.as_raw_fd(), token, Interest::WRITE)
+            .is_err()
+        {
+            continue;
+        }
+        let _ = stream.set_nodelay(true);
+        let queue = OutQueue::new(token, notify.clone(), socket);
+        let conn = Conn::attached(queue.clone());
+        dial.deadline = std::time::Instant::now() + CONNECT_TIMEOUT;
+        return Some(ReactorSession {
             stream,
             state: SessionState::new(queue),
-            phase: Phase::Serving,
-            read_buf: unread,
-            interest: Interest::READ,
+            phase: Phase::Connecting,
+            read_buf: Vec::new(),
+            interest: Interest::WRITE,
             client_gone: false,
             peer: Some(conn),
+            dial: Some(dial),
             settling_since: None,
-        },
-    );
-    Some(token)
+        });
+    }
+    (dial.done)(Err(ConnError::Dead(dial.failed)));
+    None
+}
+
+/// A dialing peer session's connect ended — its socket turned writable —
+/// or the sweep found it past its [`CONNECT_TIMEOUT`] (`overdue`).  A
+/// connect that succeeded says `Hello`; one that failed or is still in
+/// progress gives way to the next address, under the same token; a peer
+/// that accepted but never sent its `HelloAck` fails the dial.
+fn connect_ended(
+    shared: &Arc<ServerShared>,
+    poller: &mut dyn Poller,
+    sessions: &mut HashMap<u64, ReactorSession>,
+    token: u64,
+    overdue: bool,
+) {
+    let Some(session) = sessions.get_mut(&token) else {
+        return;
+    };
+    if !matches!(session.phase, Phase::Connecting) {
+        if let Some(dial) = session.dial.take() {
+            let silent = format!("no HelloAck within {CONNECT_TIMEOUT:?}");
+            (dial.done)(Err(ConnError::Dead(silent)));
+        }
+        return begin_close(shared, session);
+    }
+    let failed = match session.stream.take_error() {
+        _ if overdue => format!("no connection within {CONNECT_TIMEOUT:?}"),
+        Ok(None) => {
+            session.phase = Phase::AwaitingHello;
+            let _ = session.state.queue.push(&ClientFrame::Hello {
+                min_version: MIN_SUPPORTED_VERSION,
+                max_version: PROTOCOL_VERSION,
+            });
+            return;
+        }
+        Ok(Some(e)) | Err(e) => e.to_string(),
+    };
+    let session = sessions.remove(&token).expect("session just seen");
+    let _ = poller.deregister(session.stream.as_raw_fd());
+    let Some(mut dial) = session.dial else {
+        return;
+    };
+    dial.failed = format!("connect: {failed}");
+    if let Some(next) = connect_next(poller, token, &session.state.queue.notify, dial) {
+        sessions.insert(token, next);
+    }
+}
+
+/// A dialed peer's first frame: a `HelloAck` this daemon speaks ends the
+/// dial — `done` gets the connection — and anything else fails it.
+fn hello_acked(session: &mut ReactorSession, conn: &Arc<Conn>, frame: ServerFrame) -> bool {
+    let Some(dial) = session.dial.take() else {
+        return false;
+    };
+    match frame {
+        ServerFrame::HelloAck { version } if version >= MIN_SUPPORTED_VERSION => {
+            session.phase = Phase::Serving;
+            (dial.done)(Ok(conn.clone()));
+            true
+        }
+        other => {
+            let refused = format!("handshake: expected HelloAck, got {other:?}");
+            (dial.done)(Err(ConnError::Dead(refused)));
+            false
+        }
+    }
 }
 
 /// Pulls available bytes (one bounded burst), parses complete frames,
@@ -915,12 +1020,12 @@ fn consume(session: &mut ReactorSession, pos: usize) {
     }
 }
 
-/// The read path of a session of kind *peer*: every complete reply
-/// buffered is routed through the link's relay — into the inbox of a
-/// request blocked on it, or to a completion, run right here on the I/O
-/// thread.  A frame that cannot be decoded, or that answers nothing this
-/// daemon asked, kills the link.
-fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn: &Conn) {
+/// The read path of a session of kind *peer*: its first frame ends the
+/// dial ([`hello_acked`]), and every later reply is routed through the
+/// link's relay to its completion, run right here on the I/O thread.  A
+/// frame that cannot be decoded, or that answers nothing this daemon
+/// asked, kills the link.
+fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn: &Arc<Conn>) {
     let mut pos = 0usize;
     while !matches!(session.phase, Phase::Closing) {
         let routed = match split_frame(&session.read_buf[pos..]) {
@@ -928,6 +1033,7 @@ fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn:
             Ok(Some((body, used))) => {
                 pos += used;
                 match ServerFrame::from_wire_bytes(body) {
+                    Ok(frame) if session.dial.is_some() => hello_acked(session, conn, frame),
                     Ok(frame) => conn.route(frame).is_ok(),
                     Err(e) => {
                         conn.poison(format!("frame decode error: {e}"));
@@ -1067,7 +1173,7 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             // A deadline wait whose outcome is already there is delivered
             // from here; one that would park takes the redeem lane, as
             // does every deadline wait on a federated daemon, where even a
-            // poll can block on peer I/O.
+            // poll may wait for a delegation chain.
             if shared.federation.is_none()
                 && redeem_if_ready(shared, &state, corr, ticket, backend_ticket)
             {
@@ -1083,9 +1189,9 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
                 return;
             };
-            // On a federated daemon a poll can block on peer I/O, so
-            // it runs on the redeem lane; in-process backends answer
-            // inline on the I/O thread.
+            // On a federated daemon a poll may wait for a delegation
+            // chain, so it runs on the redeem lane; in-process backends
+            // answer inline on the I/O thread.
             if shared.federation.is_some() {
                 let pending = Pending::completion(&state);
                 offload(shared, &shared.pools.redeem, move |shared| {
@@ -1304,6 +1410,10 @@ fn begin_close(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     session.phase = Phase::Closing;
     if let Some(conn) = &session.peer {
         conn.poison("peer link closed".to_string());
+        if let Some(dial) = session.dial.take() {
+            let closed = "peer link closed before its HelloAck".to_string();
+            (dial.done)(Err(ConnError::Dead(closed)));
+        }
         session.state.queue.close();
         session.client_gone = true;
         return;

@@ -392,9 +392,10 @@ fn parallel_delegations_multiplex_on_one_peer_link() {
         let _ = read_client_frame(&mut conn);
     });
 
-    let entry = PipelineBuilder::new()
+    let (srv, entry) = PipelineBuilder::new()
         .database(homogeneous_db("sun", 20, 40))
-        .build_federated(
+        .serve_federated(
+            &StageAddress::new("127.0.0.1", 0),
             BackendKind::Embedded,
             FederationConfig {
                 domain: "purdue".to_string(),
@@ -425,7 +426,8 @@ fn parallel_delegations_multiplex_on_one_peer_link() {
     );
     assert_eq!(entry.stats().delegations_out, 2);
 
-    entry.shutdown().unwrap();
+    srv.halt();
+    srv.join().unwrap();
     fake_peer.join().unwrap();
 }
 
@@ -563,9 +565,10 @@ fn redialed_peer_link_resyncs_pool_advertisements() {
         }
     });
 
-    let entry = PipelineBuilder::new()
+    let (srv, entry) = PipelineBuilder::new()
         .database(homogeneous_db("sun", 20, 52))
-        .build_federated(
+        .serve_federated(
+            &StageAddress::new("127.0.0.1", 0),
             BackendKind::Embedded,
             FederationConfig {
                 domain: "purdue".to_string(),
@@ -604,7 +607,8 @@ fn redialed_peer_link_resyncs_pool_advertisements() {
          and none of its stale ones"
     );
 
-    entry.shutdown().unwrap();
+    srv.halt();
+    srv.join().unwrap();
     fake_peer.join().unwrap();
 }
 
@@ -616,9 +620,10 @@ fn concurrent_delegations_to_the_same_peer_all_settle() {
     let db_a = homogeneous_db("sun", 20, 60);
     let db_b = homogeneous_db("hp", 40, 61);
     let (srv_b, fed_b) = spawn_domain("upc", db_b.clone(), vec![], 8);
-    let entry = PipelineBuilder::new()
+    let (srv, entry) = PipelineBuilder::new()
         .database(db_a)
-        .build_federated(
+        .serve_federated(
+            &StageAddress::new("127.0.0.1", 0),
             BackendKind::Embedded,
             FederationConfig {
                 domain: "purdue".to_string(),
@@ -650,7 +655,8 @@ fn concurrent_delegations_to_the_same_peer_all_settle() {
     }
     assert_eq!(active_jobs(&db_b), 0);
 
-    entry.shutdown().unwrap();
+    srv.halt();
+    srv.join().unwrap();
     srv_b.halt();
     srv_b.join().unwrap();
 }

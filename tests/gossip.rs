@@ -248,9 +248,10 @@ fn peer_renaming_its_domain_retires_the_old_domains_pools() {
         }
     });
 
-    let entry = PipelineBuilder::new()
+    let (srv, entry) = PipelineBuilder::new()
         .database(homogeneous_db("sun", 20, 81))
-        .build_federated(
+        .serve_federated(
+            &StageAddress::new("127.0.0.1", 0),
             BackendKind::Embedded,
             FederationConfig {
                 domain: "purdue".to_string(),
@@ -299,7 +300,8 @@ fn peer_renaming_its_domain_retires_the_old_domains_pools() {
         "the second life was reached by a redial (and counted as one)"
     );
 
-    entry.shutdown().unwrap();
+    srv.halt();
+    srv.join().unwrap();
     fake_peer.join().unwrap();
 }
 

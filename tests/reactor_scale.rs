@@ -372,7 +372,8 @@ fn a_client_that_never_reads_cannot_wedge_the_drain() {
 
 /// The platform's poller and the portable `poll(2)` poller (the only one
 /// on non-Linux unix, forced here as the reference) serve the identical
-/// protocol end to end — the same session engine behind either.
+/// protocol end to end — the same session engine behind either, peer
+/// links and their non-blocking dial included.
 #[test]
 fn every_poller_serves_the_same_protocol() {
     for poller in [PollerKind::Auto, PollerKind::Poll] {
@@ -394,7 +395,48 @@ fn every_poller_serves_the_same_protocol() {
         assert_eq!(active_jobs(&db), 0, "{poller}");
 
         parked_submissions_keep_their_turn(poller);
+        a_federated_pair_delegates(poller);
     }
+}
+
+/// Two federated daemons on the same poller: the entry daemon's first I/O
+/// thread dials the cold peer link with a non-blocking connect whose
+/// writability that poller reports, and a delegation and its release cross
+/// the link.
+fn a_federated_pair_delegates(poller: PollerKind) {
+    let spawn = |domain: &str, arch: &str, seed: u64, peers: Vec<StageAddress>| {
+        PipelineBuilder::new()
+            .database(homogeneous_db(arch, 20, seed))
+            .poller(poller)
+            .serve_federated(
+                &loopback(),
+                BackendKind::Live,
+                FederationConfig {
+                    domain: domain.to_string(),
+                    peers,
+                    gossip_interval: std::time::Duration::ZERO,
+                    ..FederationConfig::default()
+                },
+            )
+            .unwrap()
+    };
+    let (far, far_fed) = spawn("upc", "hp", 10, Vec::new());
+    let (entry, _) = spawn("purdue", "sun", 11, vec![far.local_addr()]);
+    let remote = RemoteBackend::connect(&entry.local_addr()).unwrap();
+    let allocations = remote.submit_text_wait("punch.rsrc.arch = hp\n").unwrap();
+    assert!(allocations[0].machine_name.contains("hp"), "{poller}");
+    remote.release(&allocations[0]).unwrap();
+    let far_stats = far_fed.stats();
+    assert_eq!(
+        (far_stats.allocations, far_stats.releases),
+        (1, 1),
+        "{poller}"
+    );
+    remote.halt_daemon().unwrap();
+    remote.shutdown().unwrap();
+    entry.join().unwrap();
+    far.halt();
+    far.join().unwrap();
 }
 
 /// One session against a live backend whose admission window holds a
