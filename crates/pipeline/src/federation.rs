@@ -54,7 +54,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -123,6 +123,19 @@ impl RedialBackoff {
         }
         self.failed_at = Some(now);
     }
+}
+
+/// Looks a peer's name up: a blocking `getaddrinfo`, so never run on the
+/// reactor.
+fn resolve_peer(addr: &StageAddress) -> Result<Vec<SocketAddr>, String> {
+    let found: Vec<_> = (addr.host.as_str(), addr.port)
+        .to_socket_addrs()
+        .map_err(|e| format!("resolve {addr}: {e}"))?
+        .collect();
+    if found.is_empty() {
+        return Err(format!("resolve {addr}: no address"));
+    }
+    Ok(found)
 }
 
 /// Whether a failure may be cured by another administrative domain: the
@@ -403,10 +416,14 @@ struct PeerLink {
     /// peer's advertised pool records (unique per manager in the peer
     /// directory).
     index: u32,
-    /// The peer's socket addresses, resolved when a daemon starts serving
-    /// the backend ([`FederatedBackend::attach`]): a lookup is a blocking
+    /// The peer's socket addresses as last looked up, or why the lookup
+    /// failed.  Looked up when a daemon starts serving the backend
+    /// ([`FederatedBackend::attach`]), and again on the redeem lane after
+    /// a dial fails unresolved or in full backoff: a lookup is a blocking
     /// `getaddrinfo`, which no completion may run.
-    resolved: OnceLock<Vec<SocketAddr>>,
+    resolved: Mutex<Result<Vec<SocketAddr>, String>>,
+    /// A lookup is on its way: the next one is skipped.
+    resolving: AtomicBool,
     /// The link's state: a leaf lock, never held across I/O.  A caller
     /// that finds it `Dialing` queues behind the dial, so no second one
     /// starts.
@@ -425,7 +442,8 @@ impl PeerLink {
         PeerLink {
             addr,
             index,
-            resolved: OnceLock::new(),
+            resolved: Mutex::new(Ok(Vec::new())),
+            resolving: AtomicBool::new(false),
             link: Mutex::new(LinkState::Down(RedialBackoff::new())),
             last_domain: Mutex::new(None),
             gossiping: AtomicBool::new(false),
@@ -529,7 +547,8 @@ pub(crate) trait PeerHost: Send + Sync {
     fn dial_peer(&self, addrs: Vec<SocketAddr>, done: DialDone);
 
     /// Runs a step that may park on the daemon's redeem lane: the wrapped
-    /// backend's wait, when it hands `wait_with` back.
+    /// backend's wait, when it hands `wait_with` back, and the lookup of a
+    /// peer's name after a failed dial.
     fn offload(&self, job: Box<dyn FnOnce() + Send>);
 }
 
@@ -646,13 +665,10 @@ impl FederatedBackend {
 
     /// Lends the backend a serving daemon's reactor (the server does, at
     /// start), which dials and carries every peer link from now on.  The
-    /// peers' names are resolved here, on the thread starting the daemon.
+    /// peers' names are looked up here, on the thread starting the daemon.
     pub(crate) fn attach(self: &Arc<Self>, host: Arc<dyn PeerHost>) {
         for link in &self.links {
-            let resolved = (link.addr.host.as_str(), link.addr.port).to_socket_addrs();
-            let _ = link
-                .resolved
-                .set(resolved.map(Iterator::collect).unwrap_or_default());
+            *link.resolved.lock() = resolve_peer(&link.addr);
         }
         *self.host.lock() = Some(Attachment {
             host,
@@ -708,13 +724,51 @@ impl FederatedBackend {
         };
         *state = LinkState::Dialing(backoff, vec![then]);
         drop(state);
-        let (backend, index) = (self.clone(), link.index as usize);
+        let index = link.index as usize;
+        let resolved = link.resolved.lock().clone();
+        let addrs = match resolved {
+            Ok(addrs) => addrs,
+            Err(unresolved) => return self.link_down(index, ConnError::Dead(unresolved)),
+        };
+        let backend = self.clone();
         let (pools, have) = self.sync_payload();
-        let addrs = link.resolved.get().cloned().unwrap_or_default();
         host.dial_peer(
             addrs,
             Box::new(move |dialed| backend.sync_pools(index, dialed, pools, have)),
         );
+    }
+
+    /// Looks the peer behind link `index` up again on the redeem lane,
+    /// unless a lookup is already on its way; the next dial uses what it
+    /// finds.  A failed lookup keeps the addresses an earlier one found.
+    fn refresh_address(&self, index: usize) {
+        let Some((backend, host)) = self.served() else {
+            return;
+        };
+        if self.links[index].resolving.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        host.offload(Box::new(move || {
+            let link = &backend.links[index];
+            let found = resolve_peer(&link.addr);
+            let mut resolved = link.resolved.lock();
+            if found.is_ok() || resolved.is_err() {
+                *resolved = found;
+            }
+            drop(resolved);
+            link.resolving.store(false, Ordering::SeqCst);
+        }));
+    }
+
+    /// The peers whose names did not resolve at their last lookup, and
+    /// why.  No dial reaches one until a lookup succeeds; each failed dial
+    /// looks it up again.
+    pub fn unresolved_peers(&self) -> Vec<(StageAddress, String)> {
+        let unresolved = |link: &PeerLink| link.resolved.lock().clone().err();
+        self.links
+            .iter()
+            .filter_map(|link| Some((link.addr.clone(), unresolved(link)?)))
+            .collect()
     }
 
     /// A dial's last step, on the thread that ended it: the pool sync asks
@@ -790,10 +844,13 @@ impl FederatedBackend {
     }
 
     /// A dial failed: the link backs off, and whoever waited for it learns
-    /// why.
+    /// why.  A peer whose name did not resolve, or that stayed unreachable
+    /// for the whole backoff ladder, is looked up again — it may have come
+    /// back under a new address.
     fn link_down(&self, index: usize, failed: ConnError) {
-        let waiters = {
-            let mut state = self.links[index].link.lock();
+        let link = &self.links[index];
+        let (waiters, exhausted) = {
+            let mut state = link.link.lock();
             let down = LinkState::Down(RedialBackoff::new());
             let (mut backoff, waiters) = match std::mem::replace(&mut *state, down) {
                 LinkState::Dialing(backoff, waiters) => (backoff, waiters),
@@ -801,8 +858,11 @@ impl FederatedBackend {
             };
             backoff.note_failure(Instant::now());
             *state = LinkState::Down(backoff);
-            waiters
+            (waiters, backoff.wait == PEER_REDIAL_BACKOFF_MAX)
         };
+        if exhausted || link.resolved.lock().is_err() {
+            self.refresh_address(index);
+        }
         let reason = failed.to_string();
         for waiter in waiters {
             waiter(Err(ConnError::Dead(reason.clone())));
@@ -1047,10 +1107,10 @@ impl FederatedBackend {
         for (index, link) in self.links.iter().enumerate() {
             // A link that died since is probed too: the probe fails at
             // once and prunes its peer.
-            let LinkState::Up(peer) = &*link.link.lock() else {
-                continue;
+            let peer = match &*link.link.lock() {
+                LinkState::Up(peer) => peer.clone(),
+                _ => continue,
             };
-            let peer = peer.clone();
             if link.probing.swap(true, Ordering::SeqCst) {
                 continue;
             }
@@ -2021,13 +2081,112 @@ mod tests {
             backoff.note_failure(now);
         }
         assert_eq!(backoff.wait, PEER_REDIAL_BACKOFF_MAX, "growth is capped");
-        // A link that came up goes down with a fresh backoff.
-        backoff = RedialBackoff::new();
-        assert!(backoff.permits(now), "success resets the discipline");
-        backoff.note_failure(now);
+    }
+
+    /// A reactor whose every dial fails at once; a lookup it is handed
+    /// runs right here.
+    struct Unreachable;
+    impl PeerHost for Unreachable {
+        fn dial_peer(&self, _addrs: Vec<SocketAddr>, done: DialDone) {
+            done(Err(ConnError::Dead("connection refused".to_string())));
+        }
+        fn offload(&self, job: Box<dyn FnOnce() + Send>) {
+            job()
+        }
+    }
+
+    /// A peer session that swallows every frame.
+    struct Discard;
+    impl crate::corr::FrameSink for Discard {
+        fn push_frame(&self, _frame: &ClientFrame) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn close(&self) {}
+    }
+
+    fn served_with_one_peer(peer: StageAddress) -> (Arc<FederatedBackend>, Arc<dyn PeerHost>) {
+        let fleet = actyp_grid::SyntheticFleet::new(actyp_grid::FleetSpec::with_machines(8), 1)
+            .generate()
+            .into_shared();
+        let inner = crate::api::PipelineBuilder::new()
+            .database(fleet)
+            .build(crate::api::BackendKind::Embedded)
+            .unwrap();
+        let config = FederationConfig {
+            domain: "a".to_string(),
+            peers: vec![peer],
+            ..Default::default()
+        };
+        let backend = Arc::new(FederatedBackend::new(inner, config, None));
+        let host: Arc<dyn PeerHost> = Arc::new(Unreachable);
+        backend.attach(host.clone());
+        (backend, host)
+    }
+
+    /// The link state machine keeps the backoff across failed dials and
+    /// starts it over once a dial succeeds: a link whose connection dies
+    /// after it was up is redialed at once, and a failure then waits the
+    /// base window — not the window its earlier failures had grown to.
+    #[test]
+    fn a_link_that_came_up_backs_off_from_the_base_wait_again() {
+        let (backend, host) = served_with_one_peer(StageAddress::new("127.0.0.1", 1));
+        let link = &backend.links[0];
+        let dial = || {
+            backend.with_link(
+                &host,
+                link,
+                Box::new(|linked| assert!(linked.is_err(), "every dial fails")),
+            )
+        };
+        let backoff = || match &*link.link.lock() {
+            LinkState::Down(backoff) => *backoff,
+            _ => panic!("a failed dial leaves the link down"),
+        };
+        for _ in 0..3 {
+            dial();
+            // The window passes.
+            if let LinkState::Down(backoff) = &mut *link.link.lock() {
+                backoff.failed_at = Some(Instant::now() - PEER_REDIAL_BACKOFF_MAX);
+            }
+        }
+        assert_eq!(backoff().wait, PEER_REDIAL_BACKOFF * 4, "three failures");
+        let conn = Conn::attached(Arc::new(Discard));
+        let peer = PeerConn {
+            conn: conn.clone(),
+            domain: "b".into(),
+        };
+        backend.link_up(0, peer, &[], &[]);
+        conn.shutdown();
+        dial();
         assert_eq!(
-            backoff.wait, PEER_REDIAL_BACKOFF,
-            "and the wait restarts at base"
+            backoff().wait,
+            PEER_REDIAL_BACKOFF,
+            "a connect that succeeded resets the backoff"
         );
+        assert!(!backoff().permits(Instant::now()), "and the failure counts");
+    }
+
+    /// A peer whose name does not resolve is reported, fails its dial with
+    /// the lookup's error, and is looked up again on every failed dial.
+    #[test]
+    fn an_unresolvable_peer_is_reported_and_looked_up_again() {
+        let (backend, host) = served_with_one_peer(StageAddress::new("peer.invalid", 7461));
+        let unresolved = backend.unresolved_peers();
+        assert_eq!(unresolved.len(), 1, "{unresolved:?}");
+        assert!(unresolved[0].1.contains("peer.invalid"), "{unresolved:?}");
+        let link = &backend.links[0];
+        *link.resolved.lock() = Err("not yet".to_string());
+        let failed = Arc::new(Mutex::new(None));
+        let seen = failed.clone();
+        backend.with_link(
+            &host,
+            link,
+            Box::new(move |linked| *seen.lock() = linked.err().map(|e| e.to_string())),
+        );
+        let failed = failed.lock().clone().expect("the dial ended at once");
+        assert!(failed.contains("not yet"), "{failed}");
+        // The failed dial looked the name up again (on the lane, which
+        // this reactor runs in place).
+        assert_ne!(*link.resolved.lock(), Err("not yet".to_string()));
     }
 }

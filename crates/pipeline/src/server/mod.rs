@@ -319,7 +319,10 @@ impl ReactorEngine {
         // The first I/O thread carries a federated daemon's peer links.
         let first = targets[0].1.clone();
         let host = shared.federation.as_ref().map(|federation| {
-            let host = Arc::new(session::ReactorHost::new(first.clone()));
+            let host = Arc::new(session::ReactorHost::new(
+                first.clone(),
+                shared.pools.clone(),
+            ));
             federation.attach(host.clone());
             host
         });

@@ -38,6 +38,7 @@ use actyp_proto::{
     WireEncode, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
+use super::lanes::Pools;
 use super::ServerShared;
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::api::{QueryOutcome, ResourceManager, SubmitDone, Ticket};
@@ -322,89 +323,76 @@ impl FrameSink for OutQueue {
 }
 
 /// What a federated daemon lends its federation ([`PeerHost`]): the first
-/// I/O thread dials every peer link as a session of kind *peer*, and
-/// queues the one federation step that may park on the redeem lane.
+/// I/O thread dials every peer link as a session of kind *peer*, and the
+/// redeem lane runs the federation's few steps that may park.
 pub(super) struct ReactorHost {
-    /// Work handed to the hosting thread and not taken yet; `None` once
-    /// that thread has stopped.  Queued and stopped under this lock, so
-    /// nothing is ever left behind in it.
-    jobs: Mutex<Option<Vec<HostJob>>>,
+    /// Dials asked for and not taken yet; `None` once the hosting thread
+    /// has stopped.  Queued and stopped under this lock, so no dial is
+    /// ever left behind in it.
+    dials: Mutex<Option<Vec<PeerDial>>>,
     /// The hosting (first) I/O thread's doorbell.
     notify: Arc<IoNotify>,
     /// Tokens of peer sessions, from a range no accepted session reaches.
     next_token: AtomicU64,
+    pools: Arc<Pools>,
 }
 
-/// What the federation hands the hosting I/O thread.
-enum HostJob {
-    /// Dial the first of these addresses that accepts.
-    Dial(Vec<SocketAddr>, DialDone),
-    /// Queue this on the redeem lane.
-    Park(Box<dyn FnOnce() + Send>),
-}
+/// A dial asked for: the peer's addresses, and who waits for the link.
+type PeerDial = (Vec<SocketAddr>, DialDone);
 
 impl ReactorHost {
-    pub(super) fn new(notify: Arc<IoNotify>) -> Self {
+    pub(super) fn new(notify: Arc<IoNotify>, pools: Arc<Pools>) -> Self {
         ReactorHost {
-            jobs: Mutex::new(Some(Vec::new())),
+            dials: Mutex::new(Some(Vec::new())),
             notify,
             next_token: AtomicU64::new(1 << 62),
+            pools,
         }
     }
 
-    fn queue(&self, job: HostJob) {
-        let refused = match self.jobs.lock().as_mut() {
-            Some(jobs) => {
-                jobs.push(job);
-                None
-            }
-            None => Some(job),
-        };
-        match refused {
-            None => self.notify.ring(),
-            Some(job) => job.refuse(),
-        }
-    }
-
-    fn take_jobs(&self) -> Vec<HostJob> {
-        self.jobs
+    fn take_dials(&self) -> Vec<PeerDial> {
+        self.dials
             .lock()
             .as_mut()
             .map(std::mem::take)
             .unwrap_or_default()
     }
 
-    fn has_jobs(&self) -> bool {
-        matches!(&*self.jobs.lock(), Some(jobs) if !jobs.is_empty())
+    fn has_dials(&self) -> bool {
+        matches!(&*self.dials.lock(), Some(dials) if !dials.is_empty())
     }
 
     /// The hosting thread is exiting: nothing is taken from now on, and
-    /// whatever still waits is refused.
+    /// every dial still waiting fails.
     fn stop(&self) {
-        let left = self.jobs.lock().take().unwrap_or_default();
-        for job in left {
-            job.refuse();
+        let left = self.dials.lock().take().unwrap_or_default();
+        for (_, done) in left {
+            done(Err(shutting_down()));
         }
     }
 }
 
-impl HostJob {
-    /// The hosting thread is gone: a dial fails, and a step that would
-    /// park is dropped with its completion (the daemon is stopping).
-    fn refuse(self) {
-        if let HostJob::Dial(_, done) = self {
-            done(Err(ConnError::Dead("daemon shutting down".to_string())));
-        }
-    }
+fn shutting_down() -> ConnError {
+    ConnError::Dead("daemon shutting down".to_string())
 }
 
 impl PeerHost for ReactorHost {
     fn dial_peer(&self, addrs: Vec<SocketAddr>, done: DialDone) {
-        self.queue(HostJob::Dial(addrs, done));
+        let refused = match self.dials.lock().as_mut() {
+            Some(dials) => {
+                dials.push((addrs, done));
+                None
+            }
+            None => Some(done),
+        };
+        match refused {
+            None => self.notify.ring(),
+            Some(done) => done(Err(shutting_down())),
+        }
     }
 
     fn offload(&self, job: Box<dyn FnOnce() + Send>) {
-        self.queue(HostJob::Park(job));
+        self.pools.redeem.execute(job);
     }
 }
 
@@ -578,7 +566,7 @@ pub(super) fn io_thread_main(
         }
         let may_block = notify.park(|| {
             !incoming.is_empty()
-                || host.as_ref().is_some_and(|host| host.has_jobs())
+                || host.as_ref().is_some_and(|host| host.has_dials())
                 || (!drain_seen && shared.draining.load(Ordering::SeqCst))
         });
         let timeout = if may_block {
@@ -613,24 +601,19 @@ pub(super) fn io_thread_main(
             }
         }
 
-        // Dials the federation asked for, and its one step that may park.
+        // Dials the federation asked for.
         if let Some(host) = &host {
-            for job in host.take_jobs() {
-                match job {
-                    HostJob::Dial(addrs, done) => {
-                        let token = host.next_token.fetch_add(1, Ordering::Relaxed);
-                        let dial = Dial {
-                            rest: addrs.into_iter(),
-                            deadline: std::time::Instant::now(),
-                            failed: "no address to dial".to_string(),
-                            done,
-                        };
-                        if let Some(session) = connect_next(&mut *poller, token, &notify, dial) {
-                            sessions.insert(token, session);
-                            touched.push(token);
-                        }
-                    }
-                    HostJob::Park(job) => shared.pools.redeem.execute(job),
+            for (addrs, done) in host.take_dials() {
+                let token = host.next_token.fetch_add(1, Ordering::Relaxed);
+                let dial = Dial {
+                    rest: addrs.into_iter(),
+                    deadline: std::time::Instant::now(),
+                    failed: "no address to dial".to_string(),
+                    done,
+                };
+                if let Some(session) = connect_next(&mut *poller, token, &notify, dial) {
+                    sessions.insert(token, session);
+                    touched.push(token);
                 }
             }
         }

@@ -335,7 +335,12 @@ fn main() -> ExitCode {
                     route_cache: config.route_cache,
                 },
             )
-            .map(|(handle, _backend)| handle),
+            .map(|(handle, backend)| {
+                for (peer, why) in backend.unresolved_peers() {
+                    eprintln!("ypd: peer {peer} does not resolve yet ({why}); looked up again on each failed dial");
+                }
+                handle
+            }),
     };
     let server = match server {
         Ok(server) => server,
