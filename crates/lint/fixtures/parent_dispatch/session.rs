@@ -2,9 +2,10 @@
 //! the I/O thread through the hosted backend.  Behind the trait object
 //! sat `LivePipeline::release`, which parks for a pool-manager round trip;
 //! `reactor-blocking` could not follow the call and stayed green.  The
-//! `manager.release(..)` below is the one call that must be reported: it
-//! sits in a closure that is *defined* outside any dispatch call and run
-//! inline on the non-federated path.
+//! `manager.release(..)` below must be reported: it sits in a closure that
+//! is *defined* outside any dispatch call and run inline on the
+//! non-federated path.  So must the inline `manager.try_poll(..)`, which
+//! on a federated backend waits for the chain its poll started.
 
 fn io_thread_main() {
     dispatch_frame();

@@ -3,7 +3,7 @@
 //! so each blocking peer call it reaches must be reported — a blocking
 //! dial in the dial step, a name lookup, and an inbound delegation served
 //! by blocking on the local backend — while the same call inside a step
-//! offloaded to the redeem lane is not.
+//! offloaded to the lane is not.
 
 fn wait_with() {
     with_link();

@@ -1,4 +1,4 @@
-//! The rule engine: five named, allowlist-able rules over lexed token
+//! The rule engine: six named, allowlist-able rules over lexed token
 //! streams.  `docs/CONCURRENCY.md` documents each rule and the
 //! historical bug behind it; the lock hierarchy lives there too, in a
 //! ```` ```lock-hierarchy ```` fence this module parses.
@@ -10,6 +10,7 @@
 //! | `reactor-blocking` | no parking call reachable from the reactor I/O loop or a completion path |
 //! | `frame-tags` | ClientFrame/ServerFrame tag uniqueness + encode/decode/docs exhaustiveness |
 //! | `stats-fields` | every StatsSnapshot field present at encode/decode/merge/display sites |
+//! | `sleep-poll` | no `thread::sleep` inside a loop in the daemon library's non-test code |
 //!
 //! A finding is suppressed by `// lint-allow(<rule>): <reason>` on the
 //! same line or the line above.
@@ -30,6 +31,7 @@ pub const RULES: &[&str] = &[
     "reactor-blocking",
     "frame-tags",
     "stats-fields",
+    "sleep-poll",
 ];
 
 /// One rule violation.
@@ -98,6 +100,9 @@ pub struct LintConfig {
     /// backend stage) runs: a bare name means every function of that name,
     /// `path/to/file.rs::name` (relative to `root`) only that file's.
     pub reactor_entry_points: Vec<String>,
+    /// Directories (relative to `root`) whose non-test code may not sleep
+    /// inside a loop (`sleep-poll`); empty disables the rule.
+    pub sleep_poll_roots: Vec<PathBuf>,
     pub frames: Option<FramesSpec>,
     pub stats: Option<StatsSpec>,
     /// Directory names skipped while walking (besides hidden dirs).
@@ -114,6 +119,9 @@ impl LintConfig {
             root: root.to_path_buf(),
             hierarchy,
             reactor_entry_points: reactor_entry_points("crates/pipeline/src"),
+            // The daemon's library: a sleep-poll there is a served request's
+            // latency, or a thread it holds.
+            sleep_poll_roots: vec![PathBuf::from("crates/pipeline/src")],
             frames: Some(FramesSpec {
                 file: PathBuf::from("crates/proto/src/frames.rs"),
                 enums: vec!["ClientFrame".to_string(), "ServerFrame".to_string()],
@@ -157,10 +165,10 @@ impl LintConfig {
 /// The daemon's non-parking entry points, for a tree whose pipeline
 /// sources sit under `pipeline_src`: the reactor I/O loop; the completion
 /// paths of the federation and of the live backend, which run on I/O and
-/// stage threads (`FederatedBackend::{wait_with, release_with,
-/// delegate_with}`, and the `api.rs` backends' `submit_with`, `wait_with`
-/// and `release_with` — whose window returns permits and launches queued
-/// admissions); and the peer-session read path, which routes a peer link's
+/// stage threads (`FederatedBackend::{wait_with, cancel_wait,
+/// release_with, delegate_with}`, and the `api.rs` backends' `submit_with`,
+/// `wait_with`, `cancel_wait` and `release_with` — whose window returns
+/// permits and launches queued admissions); and the peer-session read path, which routes a peer link's
 /// replies and runs their completions on the I/O thread
 /// (`corr::Conn::route`, reached from the session only through a method
 /// call the walk cannot resolve).  The backend calls are reached from the
@@ -168,10 +176,10 @@ impl LintConfig {
 pub fn reactor_entry_points(pipeline_src: &str) -> Vec<String> {
     let file = |name: &str| Path::new(pipeline_src).join(name).display().to_string();
     let mut entries = vec!["io_thread_main".to_string()];
-    for function in ["wait_with", "release_with", "delegate_with"] {
+    for function in ["wait_with", "cancel_wait", "release_with", "delegate_with"] {
         entries.push(format!("{}::{function}", file("federation.rs")));
     }
-    for function in ["submit_with", "wait_with", "release_with"] {
+    for function in ["submit_with", "wait_with", "cancel_wait", "release_with"] {
         entries.push(format!("{}::{function}", file("api.rs")));
     }
     entries.push(format!("{}::route", file("corr.rs")));
@@ -232,6 +240,7 @@ pub fn lint_workspace(config: &LintConfig) -> std::io::Result<LintReport> {
         check_guards(rel, lexed, &ranks, &mut findings);
     }
     check_reactor(&lexed_files, &config.reactor_entry_points, &mut findings);
+    check_sleep_poll(&lexed_files, &config.sleep_poll_roots, &mut findings);
     if let Some(spec) = &config.frames {
         check_frames(config, spec, &lexed_files, &mut findings)?;
     }
@@ -606,15 +615,16 @@ const REACTOR_BLOCKING_ANY_ARGS: &[&str] = &["recv_timeout", "recv_deadline"];
 /// Calls on the daemon's hosted backend (`shared.manager.wait(..)`) that
 /// may park.  The backend is a `dyn ResourceManager`, so the walk cannot
 /// follow the call into whatever runs behind it — the method name has to
-/// carry the contract instead.  `submit_with`, `try_poll`, `stats`,
-/// `wait_with` and `release_with` promise not to park and are deliberately
-/// absent.
+/// carry the contract instead.  `try_poll` waits for a federated chain
+/// its poll started.  `submit_with`, `stats`, `wait_with`, `cancel_wait`
+/// and `release_with` promise not to park and are deliberately absent.
 const MANAGER_PARKING_CALLS: &[&str] = &[
     "submit",
     "submit_text",
     "submit_batch",
     "wait",
     "wait_deadline",
+    "try_poll",
     "release",
     "shutdown",
 ];
@@ -634,7 +644,7 @@ const PEER_PARKING_CALLS: &[(&str, Option<&str>)] = &[
 
 /// Calls whose argument (a closure) runs on a *different* thread: the
 /// worker-lane queue, thread spawns, and a federation step offloaded to
-/// the redeem lane.  Their argument lists are skipped entirely — blocking
+/// the lane.  Their argument lists are skipped entirely — blocking
 /// inside them is the lane's business, not the reactor thread's.
 const DISPATCH_CALLS: &[&str] = &["spawn", "execute", "offload"];
 
@@ -1294,4 +1304,121 @@ fn check_stats(spec: &StatsSpec, files: &[(PathBuf, Lexed)], findings: &mut Vec<
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 6: sleep-poll
+// ---------------------------------------------------------------------------
+
+/// `thread::sleep(..)` inside a `loop`, `while` or `for` body, in the
+/// non-test code of the files under `roots`: a sleep-poll, which spends a
+/// thread to learn late what a completion, a latch or a timer says at once.
+/// An item gated `#[cfg(..)]` on `test` (and not on `not(..)`) is skipped,
+/// and so is the `for` of an `impl .. for` header or a `for<'a>` bound.
+fn check_sleep_poll(files: &[(PathBuf, Lexed)], roots: &[PathBuf], findings: &mut Vec<Finding>) {
+    for (rel, lexed) in files {
+        if !roots.iter().any(|root| rel.starts_with(root)) {
+            continue;
+        }
+        let tokens = &lexed.tokens;
+        // Brace depths at which the enclosing loop bodies opened.
+        let mut loops: Vec<usize> = Vec::new();
+        let (mut depth, mut loop_next, mut impl_header) = (0usize, false, false);
+        let mut i = 0;
+        while i < tokens.len() {
+            if let Some(end) = test_item_end(tokens, i) {
+                i = end;
+                continue;
+            }
+            let token = &tokens[i];
+            let next = tokens.get(i + 1).map(|t| t.text.as_str());
+            match token.text.as_str() {
+                "{" => {
+                    depth += 1;
+                    if std::mem::take(&mut loop_next) {
+                        loops.push(depth);
+                    }
+                    impl_header = false;
+                }
+                "}" => {
+                    if loops.last() == Some(&depth) {
+                        loops.pop();
+                    }
+                    depth = depth.saturating_sub(1);
+                }
+                _ if token.kind != TokenKind::Ident => {}
+                "impl" => impl_header = true,
+                "loop" | "while" => loop_next = true,
+                "for" if !impl_header && next != Some("<") => loop_next = true,
+                "sleep"
+                    if !loops.is_empty()
+                        && next == Some("(")
+                        && i >= 3
+                        && tokens[i - 1].text == ":"
+                        && tokens[i - 2].text == ":"
+                        && tokens[i - 3].text == "thread" =>
+                {
+                    findings.push(Finding {
+                        rule: "sleep-poll",
+                        file: rel.clone(),
+                        line: token.line,
+                        message: "`thread::sleep` inside a loop: wait on the completion, latch \
+                                  or timer that says when instead"
+                            .to_string(),
+                    });
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+    }
+}
+
+/// When token `i` opens an attribute `#[cfg(..)]` naming `test` and not
+/// `not`, the index just past the item it gates: past the item's block or
+/// its `;` or `,`, or at the `}` that closes its parent.
+fn test_item_end(tokens: &[Token], i: usize) -> Option<usize> {
+    let text = |j: usize| tokens.get(j).map(|t| t.text.as_str());
+    if text(i) != Some("#") || text(i + 1) != Some("[") || text(i + 2) != Some("cfg") {
+        return None;
+    }
+    let (mut j, mut brackets, mut test, mut not) = (i + 2, 1usize, false, false);
+    while brackets > 0 {
+        match text(j)? {
+            "[" => brackets += 1,
+            "]" => brackets -= 1,
+            "test" => test = true,
+            "not" => not = true,
+            _ => {}
+        }
+        j += 1;
+    }
+    if !test || not {
+        return None;
+    }
+    let mut nesting = 0usize;
+    while let Some(token) = text(j) {
+        match token {
+            "(" | "[" => nesting += 1,
+            ")" | "]" => nesting = nesting.saturating_sub(1),
+            ";" | "," if nesting == 0 => return Some(j + 1),
+            "}" if nesting == 0 => return Some(j),
+            "{" if nesting == 0 => {
+                let mut braces = 0usize;
+                while let Some(token) = text(j) {
+                    j += 1;
+                    match token {
+                        "{" => braces += 1,
+                        "}" if braces == 1 => return Some(j),
+                        "}" => braces -= 1,
+                        _ => {}
+                    }
+                }
+                return Some(j);
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    Some(j)
 }

@@ -19,6 +19,7 @@ fn fixture_config() -> LintConfig {
     LintConfig {
         hierarchy: parse_hierarchy(&doc),
         reactor_entry_points: vec!["io_thread_main".to_string()],
+        sleep_poll_roots: vec![PathBuf::from("src")],
         frames: Some(FramesSpec {
             file: PathBuf::from("src/frames.rs"),
             enums: vec!["ClientFrame".to_string()],
@@ -121,6 +122,15 @@ fn stats_fields_fires_once_on_the_missing_field() {
 }
 
 #[test]
+fn sleep_poll_fires_once_outside_tests_and_impl_headers() {
+    let report = run();
+    let hits = find(&report, "sleep-poll");
+    assert_eq!(hits.len(), 1, "exactly the seeded violation: {hits:?}");
+    assert_eq!(hits[0].file, PathBuf::from("src/poll.rs"));
+    assert_eq!(hits[0].line, 9);
+}
+
+#[test]
 fn allowlist_suppresses_exactly_one_finding_and_stale_allows_surface() {
     let report = run();
     assert_eq!(report.suppressed, 1, "the annotated send and nothing else");
@@ -136,7 +146,7 @@ fn the_fixture_tree_has_no_extra_findings() {
     let report = run();
     assert_eq!(
         report.findings.len(),
-        5,
+        6,
         "one finding per rule, nothing else: {:#?}",
         report.findings
     );

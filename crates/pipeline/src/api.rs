@@ -54,7 +54,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -229,40 +229,50 @@ pub trait ResourceManager: Send + Sync {
     /// [`wait`](Self::wait) for a caller that must not park — a `ypd` I/O
     /// thread.  `Ok` means the ticket is redeemed and `done` receives its
     /// outcome on whichever thread finds the two together: right here when
-    /// the outcome is already in, the stage that produces it otherwise.
+    /// the outcome is already in, the stage that produces it otherwise —
+    /// unless [`cancel_wait`](Self::cancel_wait) takes `done` back first.
     /// `Err` hands `done` back uncalled (the ticket untouched) because
     /// waiting from here could park, and the caller takes
     /// [`wait`](Self::wait) to a thread that may.  The default always
-    /// hands it back, which is right for the remote and federated backends,
-    /// whose wait can be a network round trip; the live backend leaves
-    /// `done` in the ticket for the pool-manager stage that answers the
-    /// query's last fragment, and the eager backends, whose tickets are
-    /// resolved at submission, finish on the spot.
+    /// hands it back, which is right for the remote backend, whose wait is
+    /// a network round trip; the live backend leaves `done` in the ticket
+    /// for the pool-manager stage that answers the query's last fragment,
+    /// and the eager backends, whose tickets are resolved at submission,
+    /// finish on the spot.
     fn wait_with(&self, _ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         Err(done)
     }
 
+    /// Takes back the completion [`wait_with`](Self::wait_with) left with
+    /// the backend for `ticket`, if it has not run yet.  `Some` hands it
+    /// back uncalled, never to be run: the ticket is exactly as it was
+    /// before the `wait_with` — redeemable, still holding its window
+    /// permit, still counted in flight.  `None` means the completion ran or
+    /// is running: the outcome is in, or a federated delegation chain has
+    /// started.  The default returns `None`, which is right for the eager
+    /// backends, whose `wait_with` runs on the spot.
+    fn cancel_wait(&self, _ticket: Ticket) -> Option<WaitDone> {
+        None
+    }
+
     /// Non-blocking redemption: `None` while the query is still in flight,
-    /// `Some(outcome)` once it finished (the ticket is then spent).
-    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome>;
+    /// `Some(outcome)` once it finished (the ticket is then spent).  The
+    /// provided method takes [`wait_with`](Self::wait_with) back at once
+    /// ([`cancel_wait`](Self::cancel_wait)), waiting only for a federated
+    /// chain already under way.  A backend that hands `wait_with` back
+    /// overrides this and [`wait_deadline`](Self::wait_deadline).
+    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
+        redeem_within(self, ticket, Some(Duration::ZERO))
+    }
 
     /// Bounded redemption: blocks up to `timeout` for the outcome.  Returns
     /// `None` if the deadline elapses first — the ticket then remains
-    /// redeemable.  The default implementation polls; the remote backend
-    /// ships the deadline to the server instead, so the wait (and its
-    /// timeout) happen one network hop away.
+    /// redeemable.  The provided method waits for `wait_with` on a latch
+    /// and takes it back at the deadline, as `try_poll` does; the remote
+    /// backend ships the deadline to the server instead, so the wait (and
+    /// its timeout) happen one network hop away.
     fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(outcome) = self.try_poll(ticket) {
-                return Some(outcome);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            std::thread::sleep((deadline - now).min(Duration::from_micros(200)));
-        }
+        redeem_within(self, ticket, Some(timeout))
     }
 
     /// Releases an allocation back to the resource manager.
@@ -341,6 +351,9 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         (**self).wait_with(ticket, done)
     }
+    fn cancel_wait(&self, ticket: Ticket) -> Option<WaitDone> {
+        (**self).cancel_wait(ticket)
+    }
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
         (**self).try_poll(ticket)
     }
@@ -400,6 +413,36 @@ fn abandon<M: ResourceManager + ?Sized>(manager: &M, tickets: Vec<Ticket>) {
             let _ = manager.release(allocation);
         }
     }
+}
+
+/// Redeems `ticket` through [`ResourceManager::wait_with`] and waits for
+/// the outcome on a latch — for good when `timeout` is `None`.  Past the
+/// timeout the completion is taken back ([`ResourceManager::cancel_wait`])
+/// and `None` leaves the ticket as it was, unless the completion already
+/// ran or is running: its outcome is then on the way, and waited for.
+fn redeem_within<M: ResourceManager + ?Sized>(
+    manager: &M,
+    ticket: Ticket,
+    timeout: Option<Duration>,
+) -> Option<QueryOutcome> {
+    let (tx, rx) = crossbeam::channel::unbounded();
+    let done: WaitDone = Box::new(move |outcome| drop(tx.send(outcome)));
+    if let Err(done) = manager.wait_with(ticket, done) {
+        done(manager.wait(ticket));
+    }
+    if let Some(timeout) = timeout {
+        if let Ok(outcome) = rx.recv_timeout(timeout) {
+            return Some(outcome);
+        }
+        if manager.cancel_wait(ticket).is_some() {
+            return None;
+        }
+    }
+    Some(rx.recv().unwrap_or_else(|_| {
+        Err(AllocationError::Internal(
+            "the wait was dropped".to_string(),
+        ))
+    }))
 }
 
 /// Store of eagerly resolved tickets (embedded and baseline backends).
@@ -686,11 +729,6 @@ impl ResourceManager for EmbeddedBackend {
         Ok(())
     }
 
-    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        // Eager backend: every issued ticket is already resolved.
-        Some(self.tickets.take(ticket))
-    }
-
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
         self.engine.release(allocation)
     }
@@ -736,6 +774,9 @@ struct Ledger {
     /// Outstanding tickets, sharded by ticket id; each holds one window
     /// permit until it settles.
     pending: crate::shard::ShardedMap<std::sync::Arc<OutcomeSlot>>,
+    /// Tickets redeemed with a completion that has not run yet, where a
+    /// give-up finds their slot ([`ResourceManager::cancel_wait`]).
+    waiting: crate::shard::ShardedMap<std::sync::Arc<OutcomeSlot>>,
     /// Tickets launched and not settled yet — the `in_flight` gauge.  A
     /// ticket redeemed with a completion leaves `pending` at once but is
     /// counted here until its outcome is in.
@@ -799,6 +840,7 @@ impl LiveBackend {
                 brand: next_backend_brand(),
                 next: AtomicU64::new(0),
                 pending: crate::shard::ShardedMap::new(shards),
+                waiting: crate::shard::ShardedMap::new(shards),
                 unsettled: AtomicUsize::new(0),
                 window: Window::new(window),
                 examined: AtomicU64::new(0),
@@ -900,19 +942,16 @@ impl ResourceManager for LiveBackend {
         Ok(tickets)
     }
 
+    /// A latch on [`wait_with`](Self::wait_with).
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        let slot = self.claim(ticket)?;
-        let outcome = slot
-            .take_until(None)
-            .expect("an unbounded wait returns the outcome");
-        self.ledger.settle(&outcome);
-        outcome
+        redeem_within(self, ticket, None).expect("an unbounded wait returns the outcome")
     }
 
     /// The completion waits in the ticket's slot and the pool-manager
     /// stage that answers the query's last fragment runs it — or this
     /// thread does, when the outcome is already in.  Either way the ticket
-    /// settles before `done` sees the outcome.
+    /// settles before `done` sees the outcome.  Until then the slot is
+    /// kept where [`cancel_wait`](Self::cancel_wait) finds it.
     fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         let slot = match self.claim(ticket) {
             Ok(slot) => slot,
@@ -921,55 +960,26 @@ impl ResourceManager for LiveBackend {
                 return Ok(());
             }
         };
+        self.ledger.waiting.insert(ticket.id, slot.clone());
         let ledger = self.ledger.clone();
         slot.on_ready(Box::new(move |outcome| {
+            ledger.waiting.remove(ticket.id);
             ledger.settle(&outcome);
             done(outcome);
         }));
         Ok(())
     }
 
-    /// Sleeps on the ticket's slot with a timeout instead of the default
-    /// poll loop, so a deadline-bounded wait parks the thread at zero CPU —
-    /// this is the path a `ypd` daemon hits for every remote
-    /// wait-with-deadline.  Redemption is one-at-a-time: while one thread
-    /// waits on a ticket, a concurrent redeemer of the *same* ticket sees
-    /// `UnknownTicket`, exactly as it would after [`wait`](Self::wait)
-    /// claimed it.
-    fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        let slot = match self.claim(ticket) {
-            Ok(slot) => slot,
-            Err(e) => return Some(Err(e)),
-        };
-        match slot.take_until(Some(Instant::now() + timeout)) {
-            Some(outcome) => {
-                self.ledger.settle(&outcome);
-                Some(outcome)
-            }
-            None => {
-                // Deadline elapsed: the ticket stays redeemable.
-                self.ledger.pending.insert(ticket.id, slot);
-                None
-            }
-        }
-    }
-
-    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
+    /// A `Waiter → Pending` step under the ticket's slot lock; the slot
+    /// goes back to the outstanding tickets, its permit still held.
+    fn cancel_wait(&self, ticket: Ticket) -> Option<WaitDone> {
         if ticket.brand != self.ledger.brand {
-            return Some(Err(AllocationError::UnknownTicket));
+            return None;
         }
-        // One shard guard covers the get + take + remove, so a concurrent
-        // redeemer of the same ticket sees `UnknownTicket` rather than a
-        // torn entry; other tickets' shards stay free.
-        let mut pending = crate::shard::lock_shard(&self.ledger.pending, ticket.id);
-        let Some(slot) = pending.get(&ticket.id) else {
-            return Some(Err(AllocationError::UnknownTicket));
-        };
-        let outcome = slot.try_take()?;
-        pending.remove(&ticket.id);
-        drop(pending);
-        self.ledger.settle(&outcome);
-        Some(outcome)
+        let slot = self.ledger.waiting.remove(ticket.id)?;
+        let done = slot.withdraw()?;
+        self.ledger.pending.insert(ticket.id, slot);
+        Some(done)
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
@@ -1198,10 +1208,6 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
     fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         done(self.tickets.take(ticket));
         Ok(())
-    }
-
-    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        Some(self.tickets.take(ticket))
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
@@ -1560,6 +1566,7 @@ impl PipelineBuilder {
 mod tests {
     use super::*;
     use actyp_grid::{FleetSpec, SyntheticFleet};
+    use std::time::Instant;
 
     fn fleet_db(n: usize, seed: u64) -> SharedDatabase {
         SyntheticFleet::new(FleetSpec::with_machines(n), seed)
@@ -1727,6 +1734,43 @@ mod tests {
             );
             manager.shutdown().unwrap();
         }
+    }
+
+    /// A completion taken back before the outcome came leaves the ticket as
+    /// it was: redeemable, still counted in flight and still holding its
+    /// window permit, and the completion never runs.  The one pool-manager
+    /// stage is held on a release's completion, so the outcome cannot come
+    /// first.
+    #[test]
+    fn a_withdrawn_wait_keeps_the_ticket_and_its_permit() {
+        let manager = builder(300, 28).window(1).build_live().unwrap();
+        let granted = manager.submit_text_wait(&paper_text()).unwrap();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let taken = manager.release_with(
+            &granted[0],
+            Box::new(move |_| {
+                let _ = held.recv();
+            }),
+        );
+        assert!(taken.is_ok(), "the stage runs the completion");
+        let ticket = manager.submit_text(&paper_text()).unwrap();
+        let (tx, ran) = std::sync::mpsc::channel();
+        let done: WaitDone = Box::new(move |outcome| drop(tx.send(outcome)));
+        assert!(manager.wait_with(ticket, done).is_ok());
+        assert!(
+            manager.cancel_wait(ticket).is_some(),
+            "the outcome is not in"
+        );
+        assert!(manager.cancel_wait(ticket).is_none(), "taken back once");
+        assert_eq!(manager.stats().in_flight, 1);
+        assert_eq!(manager.try_poll(ticket), None, "still redeemable");
+        assert!(!manager.ledger.window.try_acquire(), "the permit is held");
+        hold.send(()).unwrap();
+        let allocations = manager.wait(ticket).unwrap();
+        assert!(ran.try_recv().is_err(), "a withdrawn completion never runs");
+        manager.release(&allocations[0]).unwrap();
+        assert_eq!(manager.stats().in_flight, 0);
+        manager.shutdown().unwrap();
     }
 
     #[test]

@@ -42,8 +42,11 @@
 //! [`ResourceManager::release_with`], [`FederatedBackend::delegate_with`]):
 //! each frame to a peer is written by whichever thread holds the previous
 //! answer — once its link is up, dialing it first if need be — and its
-//! reply's completion runs on the link's I/O thread.  The blocking trait
-//! methods run the local step and then wait for that same chain.
+//! reply's completion runs on the link's I/O thread.  A give-up takes a
+//! federated `Wait` back ([`ResourceManager::cancel_wait`]) only while its
+//! local wait is open: once a chain has started, its outcome is the answer.
+//! The blocking trait methods run the local step and then wait for that
+//! same chain.
 //!
 //! [`run_chain`] drives a [`Chain`] by blocking on each delegation over a
 //! [`PeerDelegator`]: the in-memory driver the simulator and the property
@@ -418,7 +421,7 @@ struct PeerLink {
     index: u32,
     /// The peer's socket addresses as last looked up, or why the lookup
     /// failed.  Looked up when a daemon starts serving the backend
-    /// ([`FederatedBackend::attach`]), and again on the redeem lane after
+    /// ([`FederatedBackend::attach`]), and again on the lane after
     /// a dial fails unresolved or in full backoff: a lookup is a blocking
     /// `getaddrinfo`, which no completion may run.
     resolved: Mutex<Result<Vec<SocketAddr>, String>>,
@@ -510,6 +513,11 @@ struct PendingTicket {
     query: String,
 }
 
+/// A federated ticket whose local wait is open: the wrapped backend's
+/// ticket, and the completion with the query text, lent to the wrapped
+/// backend's own completion.
+type Waiting = (Ticket, Lent<(WaitDone, String)>);
+
 /// Where a chain driven by completions delivers its end: the outcome, and
 /// the routing state after every hop (what a `Delegated` reply carries).
 pub type DelegateDone = Box<dyn FnOnce(QueryOutcome, RoutingState) + Send>;
@@ -546,7 +554,7 @@ pub(crate) trait PeerHost: Send + Sync {
     /// attached to it.
     fn dial_peer(&self, addrs: Vec<SocketAddr>, done: DialDone);
 
-    /// Runs a step that may park on the daemon's redeem lane: the wrapped
+    /// Runs a step that may park on the daemon's lane: the wrapped
     /// backend's wait, when it hands `wait_with` back, and the lookup of a
     /// peer's name after a failed dial.
     fn offload(&self, job: Box<dyn FnOnce() + Send>);
@@ -581,6 +589,10 @@ pub struct FederatedBackend {
     brand: u64,
     next: AtomicU64,
     tickets: Mutex<HashMap<u64, PendingTicket>>,
+    /// Tickets redeemed with a completion whose local outcome is not in
+    /// yet — what a give-up takes back ([`ResourceManager::cancel_wait`]).
+    /// Each completion drops its own entry when it runs.
+    waiting: Arc<Mutex<HashMap<u64, Waiting>>>,
     links: Vec<PeerLink>,
     /// Directory of the WAN neighbourhood: every peer domain is registered
     /// as a pool manager, its advertised pools as instance records.  A
@@ -646,6 +658,7 @@ impl FederatedBackend {
             brand: crate::api::next_backend_brand(),
             next: AtomicU64::new(0),
             tickets: Mutex::new(HashMap::new()),
+            waiting: Arc::default(),
             links,
             peer_directory: LocalDirectoryService::new().into_shared(),
             local_directory,
@@ -738,7 +751,7 @@ impl FederatedBackend {
         );
     }
 
-    /// Looks the peer behind link `index` up again on the redeem lane,
+    /// Looks the peer behind link `index` up again on the lane,
     /// unless a lookup is already on its way; the next dial uses what it
     /// finds.  A failed lookup keeps the addresses an earlier one found.
     fn refresh_address(&self, index: usize) {
@@ -1199,14 +1212,7 @@ impl FederatedBackend {
         // every chain visits each domain at most once.
         let state = RoutingState { ttl, visited };
         if state.has_visited(&self.config.domain) {
-            // A conforming peer never revisits: refuse instead of looping.
-            return (
-                Err(AllocationError::Protocol(format!(
-                    "domain `{}` already visited by this query",
-                    self.config.domain
-                ))),
-                state,
-            );
+            return (Err(self.revisited()), state);
         }
         let local = match state.alive() {
             true => self.inner.submit_text_wait(query),
@@ -1242,15 +1248,24 @@ impl FederatedBackend {
         })
     }
 
+    /// The refusal of a `Delegate` whose query already visited this domain:
+    /// a conforming peer never revisits, so refuse instead of looping.
+    fn revisited(&self) -> AllocationError {
+        AllocationError::Protocol(format!(
+            "domain `{}` already visited by this query",
+            self.config.domain
+        ))
+    }
+
     /// [`FederatedBackend::handle_delegate`] for a caller that must not
     /// park — a `ypd` I/O thread.  The local submission is launched from
     /// here or from the thread that frees its window permit, the local
     /// outcome continues the chain on the stage that produces it, and each
     /// onward `Delegate` is written by the thread that holds the previous
-    /// answer; `done` gets the outcome and the final routing state.  Hands
-    /// `done` back uncalled — nothing changed — when the local backend
-    /// hands its submission back, no daemon serves this backend, or the
-    /// query already visited this domain.
+    /// answer; `done` gets the outcome and the final routing state.  A
+    /// query that already visited this domain is refused right here.
+    /// Hands `done` back uncalled — nothing changed — when the local
+    /// backend hands its submission back or no daemon serves this backend.
     pub fn delegate_with(
         &self,
         query: &str,
@@ -1258,16 +1273,18 @@ impl FederatedBackend {
         visited: &[String],
         done: DelegateDone,
     ) -> Result<(), DelegateDone> {
-        let Some((backend, host)) = self.served() else {
-            return Err(done);
-        };
         let state = RoutingState {
             ttl,
             visited: visited.to_vec(),
         };
         if state.has_visited(&self.config.domain) {
-            return Err(done);
+            self.delegations_in.fetch_add(1, Ordering::Relaxed);
+            done(Err(self.revisited()), state);
+            return Ok(());
         }
+        let Some((backend, host)) = self.served() else {
+            return Err(done);
+        };
         let query = query.to_string();
         let parsed = match state.alive().then(|| actyp_query::parse_query(&query)) {
             Some(Ok(parsed)) => parsed,
@@ -1507,28 +1524,21 @@ impl FederatedBackend {
     }
 
     /// [`ResourceManager::wait_with`], delegating as [`Self::wait_while`]
-    /// does.  On a served backend with peers, the local outcome goes
-    /// through the wrapped backend's own `wait_with`, and whichever thread
-    /// delivers it — this one on a hit, the stage that produces it
-    /// otherwise — runs `done` with a final outcome, or continues a
-    /// delegable failure as a chain of completions
-    /// ([`FederatedBackend::delegate_with`] has the same shape).  Without
-    /// peers the local outcome is final.  Without a serving daemon, or when
-    /// the wrapped backend cannot wait from here, `done` is handed back and
-    /// the ticket left as it was.
+    /// does.  The local outcome goes through the wrapped backend's own
+    /// `wait_with`, and whichever thread delivers it — this one on a hit,
+    /// the stage that produces it otherwise — runs `done` with a final
+    /// outcome or, on a served backend with peers, continues a delegable
+    /// failure as a chain of completions ([`FederatedBackend::delegate_with`]
+    /// has the same shape).  Until the local outcome is in,
+    /// [`ResourceManager::cancel_wait`] can take `done` back.  When the
+    /// wrapped backend cannot wait from here, `done` is handed back and the
+    /// ticket left as it was.
     pub(crate) fn wait_with_while(
         &self,
         ticket: Ticket,
         done: WaitDone,
         wanted: impl Fn() -> bool + Send + 'static,
     ) -> Result<(), WaitDone> {
-        let served = match self.links.is_empty() {
-            true => None,
-            false => match self.served() {
-                Some(served) => Some(served),
-                None => return Err(done),
-            },
-        };
         let pending = match self.take_ticket(ticket) {
             Ok(pending) => pending,
             Err(error) => {
@@ -1536,35 +1546,31 @@ impl FederatedBackend {
                 return Ok(());
             }
         };
-        let inner = pending.inner;
-        let Some((backend, host)) = served else {
-            return self.inner.wait_with(inner, done).inspect_err(|_| {
-                self.tickets.lock().insert(ticket.id(), pending);
-            });
-        };
-        lend(
-            (done, pending.query),
-            |lent| -> WaitDone {
-                Box::new(move |outcome| {
-                    let Some((done, query)) = lent.lock().take() else {
-                        return;
-                    };
-                    match outcome {
-                        Err(error) if is_delegable(&error) && wanted() => {
-                            let state = RoutingState::new(backend.config.ttl);
-                            let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
-                            backend.federate(&host, query, state, Err(error), finish);
-                        }
-                        final_outcome => done(final_outcome),
-                    }
-                })
-            },
-            |local| self.inner.wait_with(inner, local),
-        )
-        .map_err(|(_, (done, query))| {
+        let served = (!self.links.is_empty()).then(|| self.served()).flatten();
+        let (id, inner) = (ticket.id(), pending.inner);
+        let lent: Lent<(WaitDone, String)> = Arc::new(Mutex::new(Some((done, pending.query))));
+        self.waiting.lock().insert(id, (inner, lent.clone()));
+        let (waiting, local_lent) = (self.waiting.clone(), lent.clone());
+        let local: WaitDone = Box::new(move |outcome| {
+            waiting.lock().remove(&id);
+            let Some((done, query)) = local_lent.lock().take() else {
+                return;
+            };
+            match (outcome, served) {
+                (Err(error), Some((backend, host))) if is_delegable(&error) && wanted() => {
+                    let state = RoutingState::new(backend.config.ttl);
+                    let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
+                    backend.federate(&host, query, state, Err(error), finish);
+                }
+                (final_outcome, _) => done(final_outcome),
+            }
+        });
+        self.inner.wait_with(inner, local).map_err(|_| {
+            self.waiting.lock().remove(&id);
+            let (done, query) = lent.lock().take().expect("handed back uncalled");
             self.tickets
                 .lock()
-                .insert(ticket.id(), PendingTicket { inner, query });
+                .insert(id, PendingTicket { inner, query });
             done
         })
     }
@@ -1805,45 +1811,24 @@ impl ResourceManager for FederatedBackend {
         self.wait_while(ticket, &|| true)
     }
 
-    /// Bounded on the *local* wait only: once the local outcome is known,
-    /// a delegable failure still triggers the (network-bound) federation
-    /// chain, which may run past the deadline — the alternative would be
-    /// to fail a query a peer could have satisfied.
-    fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        let pending = match self.take_ticket(ticket) {
-            Ok(pending) => pending,
-            Err(error) => return Some(Err(error)),
-        };
-        match self.inner.wait_deadline(pending.inner, timeout) {
-            Some(outcome) => Some(self.settle_blocking(&pending.query, outcome)),
-            None => {
-                // Local deadline elapsed: the ticket stays redeemable.
-                self.tickets.lock().insert(ticket.id(), pending);
-                None
-            }
-        }
-    }
-
-    /// Non-blocking on the local backend; a delegable local failure is
-    /// settled through the federation inline (see
-    /// [`wait_deadline`](Self::wait_deadline) on why).
-    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        if ticket.brand() != self.brand {
-            return Some(Err(AllocationError::UnknownTicket));
-        }
-        let mut tickets = self.tickets.lock();
-        // A spent or forged ticket id is an *answer*, not a pending query.
-        let Some(pending) = tickets.get(&ticket.id()) else {
-            return Some(Err(AllocationError::UnknownTicket));
-        };
-        let outcome = self.inner.try_poll(pending.inner)?;
-        let pending = tickets.remove(&ticket.id()).expect("entry just read");
-        drop(tickets);
-        Some(self.settle_blocking(&pending.query, outcome))
-    }
-
     fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
         self.wait_with_while(ticket, done, || true)
+    }
+
+    /// Forwarded to the wrapped backend while the local wait is open.  Once
+    /// the local outcome is in there is nothing to take back: a chain runs
+    /// past a deadline rather than fail a query a peer could satisfy.
+    fn cancel_wait(&self, ticket: Ticket) -> Option<WaitDone> {
+        if ticket.brand() != self.brand {
+            return None;
+        }
+        let (inner, lent) = self.waiting.lock().remove(&ticket.id())?;
+        drop(self.inner.cancel_wait(inner)?);
+        let (done, query) = lent.lock().take()?;
+        self.tickets
+            .lock()
+            .insert(ticket.id(), PendingTicket { inner, query });
+        Some(done)
     }
 
     /// [`ResourceManager::release_with`], waited for on this thread.

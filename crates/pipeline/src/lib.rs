@@ -36,7 +36,7 @@
 //!   hop, with tickets pipelined on one connection.  Session I/O is event
 //!   driven: a fixed pool of I/O threads runs every session as a
 //!   nonblocking state machine over the [`reactor`] (raw epoll/poll
-//!   bindings), with blocking backend calls on shared worker lanes, so
+//!   bindings), with blocking backend calls on one shared worker lane, so
 //!   one daemon holds thousands of mostly-idle sessions cheaply.
 //!   [`federation`] peers daemons across administrative domains: a query
 //!   the local backend cannot satisfy is delegated over the wire with a

@@ -11,8 +11,8 @@
 //! Each fragment carries a handle on its query's join, and the stage that
 //! delivers the last result re-integrates the query — the paper's "another
 //! query-manager stage at the end of the pipeline" — and fills its
-//! `OutcomeSlot`, from which a redeemer takes the outcome or in which it
-//! leaves a completion for that stage to run.
+//! `OutcomeSlot`, in which a redeemer leaves a completion for that stage to
+//! run — and may take it back while the outcome has not come.
 //!
 //! The channel hop stands in for the TCP/UDP hop of the paper's deployment;
 //! the simulated deployment ([`crate::sim`]) is where wire latency is
@@ -22,7 +22,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use parking_lot::Mutex;
@@ -71,18 +70,20 @@ type Outcome = Result<Vec<Allocation>, AllocationError>;
 type FragmentResult = Result<Allocation, AllocationError>;
 
 /// A launched query's one reply mechanism.  The pool-manager stage that
-/// answers the query's last fragment fills it; a redeemer takes the outcome
-/// from it (without waiting, blocking, or blocking until a deadline) or
-/// leaves a completion in it.  The outcome and the completion meet under
-/// the one lock, and whichever arrives second runs the completion — the
-/// redeemer's own thread when the outcome was already there, the stage
-/// when it was not.
-pub(crate) struct OutcomeSlot {
-    cell: std::sync::Mutex<SlotState>,
-    filled: std::sync::Condvar,
+/// answers the query's last fragment fills it; a redeemer leaves a
+/// completion in it, and may take that completion back while no outcome
+/// has come for it.  The outcome and the completion meet under the one
+/// lock, and whichever arrives second runs the completion — the redeemer's
+/// own thread when the outcome was already there, the stage when it was
+/// not.
+///
+/// Generic over its lock, like the admission window, so the model checker
+/// (`slot_model_tests` below) runs this very code.
+pub(crate) struct OutcomeSlot<L = Mutex<SlotState>> {
+    cell: L,
 }
 
-enum SlotState {
+pub(crate) enum SlotState {
     Pending,
     Ready(Outcome),
     Waiter(WaitDone),
@@ -90,88 +91,73 @@ enum SlotState {
     Spent,
 }
 
-impl OutcomeSlot {
+/// The lock around an [`OutcomeSlot`]'s state.
+pub(crate) trait SlotLock: Send + Sync {
+    type Guard<'a>: std::ops::DerefMut<Target = SlotState>
+    where
+        Self: 'a;
+    fn new(state: SlotState) -> Self;
+    fn lock(&self) -> Self::Guard<'_>;
+}
+
+impl SlotLock for Mutex<SlotState> {
+    type Guard<'a> = parking_lot::MutexGuard<'a, SlotState>;
+    fn new(state: SlotState) -> Self {
+        Mutex::new(state)
+    }
+    fn lock(&self) -> Self::Guard<'_> {
+        Mutex::lock(self)
+    }
+}
+
+impl<L: SlotLock> OutcomeSlot<L> {
     fn new() -> Arc<Self> {
         Arc::new(OutcomeSlot {
-            cell: std::sync::Mutex::new(SlotState::Pending),
-            filled: std::sync::Condvar::new(),
+            cell: L::new(SlotState::Pending),
         })
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
-        self.cell.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Stage side: the outcome is in.  A waiting completion runs here, on
     /// the stage's thread, after the lock is released.
     fn fill(&self, outcome: Outcome) {
-        let mut cell = self.lock();
+        let mut cell = self.cell.lock();
         match std::mem::replace(&mut *cell, SlotState::Spent) {
             SlotState::Waiter(done) => {
                 drop(cell);
                 done(outcome);
             }
-            _ => {
-                *cell = SlotState::Ready(outcome);
-                drop(cell);
-                self.filled.notify_all();
-            }
-        }
-    }
-
-    /// Takes the outcome out of `cell` if it is in.
-    fn take_ready(cell: &mut SlotState) -> Option<Outcome> {
-        match std::mem::replace(cell, SlotState::Spent) {
-            SlotState::Ready(outcome) => Some(outcome),
-            other => {
-                *cell = other;
-                None
-            }
-        }
-    }
-
-    /// The outcome, if it is in; never waits.
-    pub(crate) fn try_take(&self) -> Option<Outcome> {
-        Self::take_ready(&mut self.lock())
-    }
-
-    /// Blocks for the outcome — until `deadline` when one is given, after
-    /// which `None` leaves the slot as it was.
-    pub(crate) fn take_until(&self, deadline: Option<Instant>) -> Option<Outcome> {
-        let mut cell = self.lock();
-        loop {
-            if let Some(outcome) = Self::take_ready(&mut cell) {
-                return Some(outcome);
-            }
-            cell = match deadline {
-                None => self
-                    .filled
-                    .wait(cell)
-                    .unwrap_or_else(PoisonError::into_inner),
-                Some(deadline) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return None;
-                    }
-                    self.filled
-                        .wait_timeout(cell, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0
-                }
-            };
+            _ => *cell = SlotState::Ready(outcome),
         }
     }
 
     /// Leaves `done` to be run with the outcome: right here when it is
     /// already in, by the filling stage otherwise.
     pub(crate) fn on_ready(&self, done: WaitDone) {
-        let mut cell = self.lock();
+        let mut cell = self.cell.lock();
         match std::mem::replace(&mut *cell, SlotState::Spent) {
             SlotState::Ready(outcome) => {
                 drop(cell);
                 done(outcome);
             }
             _ => *cell = SlotState::Waiter(done),
+        }
+    }
+
+    /// Takes back the completion [`on_ready`](Self::on_ready) left, while no
+    /// outcome has come for it: the slot is then as it was before.  `None`
+    /// means the completion ran or is running.  Under `buggy-cancel` (model
+    /// checking only) a withdrawal that finds a fill took the completion
+    /// reports it withdrawn all the same.
+    pub(crate) fn withdraw(&self) -> Option<WaitDone> {
+        let mut cell = self.cell.lock();
+        match std::mem::replace(&mut *cell, SlotState::Pending) {
+            SlotState::Waiter(done) => Some(done),
+            #[cfg(feature = "buggy-cancel")]
+            SlotState::Spent => Some(Box::new(|_| {})),
+            other => {
+                *cell = other;
+                None
+            }
         }
     }
 }
@@ -745,7 +731,9 @@ mod tests {
     }
 
     fn redeem(slot: &OutcomeSlot) -> Outcome {
-        slot.take_until(None).expect("no deadline")
+        let (tx, rx) = std::sync::mpsc::channel();
+        slot.on_ready(Box::new(move |outcome| drop(tx.send(outcome))));
+        rx.recv().expect("a slot is filled exactly once")
     }
 
     #[test]
@@ -894,7 +882,7 @@ mod tests {
             rx
         };
 
-        let slot = OutcomeSlot::new();
+        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
         let landed = ran_on(&slot);
         assert!(landed.try_recv().is_err(), "nothing to run yet");
         let stage = std::thread::spawn({
@@ -908,7 +896,7 @@ mod tests {
         .unwrap();
         assert_eq!(landed.recv().unwrap(), (stage, Ok(Vec::new())));
 
-        let slot = OutcomeSlot::new();
+        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
         slot.fill(Err(AllocationError::NoSuchResources));
         let landed = ran_on(&slot);
         assert_eq!(
@@ -920,16 +908,30 @@ mod tests {
         );
     }
 
+    /// A completion taken back before the outcome came never runs, and the
+    /// outcome waits in the slot for the next redeemer; once a completion
+    /// ran, there is nothing to take back.
+    #[test]
+    fn a_withdrawn_completion_never_runs_and_the_outcome_waits() {
+        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = ran.clone();
+        slot.on_ready(Box::new(move |_| flag.store(true, Ordering::SeqCst)));
+        assert!(slot.withdraw().is_some());
+        assert!(slot.withdraw().is_none(), "taken back once");
+        slot.fill(Err(AllocationError::NoSuchResources));
+        assert!(!ran.load(Ordering::SeqCst));
+        assert_eq!(redeem(&slot), Err(AllocationError::NoSuchResources));
+        assert!(slot.withdraw().is_none(), "the completion ran");
+    }
+
     /// A query the stage drops unprocessed still answers its redeemer.
     #[test]
     fn a_dropped_query_answers_with_an_error() {
         let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(50, 12));
-        let slot = OutcomeSlot::new();
+        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
         drop(Promise::new(&pipeline.launcher.0, slot.clone()));
-        assert!(matches!(
-            slot.take_until(None),
-            Some(Err(AllocationError::Internal(_)))
-        ));
+        assert!(matches!(redeem(&slot), Err(AllocationError::Internal(_))));
         pipeline.shutdown().unwrap();
     }
 
@@ -1100,7 +1102,7 @@ mod tests {
             })
             .collect();
         for _ in 0..1_000 {
-            let slot = OutcomeSlot::new();
+            let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
             let join = join_into(&shared, &slot, 2);
             for (index, (stage, _)) in stages.iter().enumerate() {
                 stage.send(fragment_of(&join, index)).unwrap();
@@ -1123,15 +1125,17 @@ mod tests {
     fn a_fragment_dropped_by_a_stopping_stage_answers_internal() {
         let pipeline = LivePipeline::start(PipelineConfig::default(), fleet_db(50, 16));
         let shared = &pipeline.launcher.0;
-        let slot = OutcomeSlot::new();
+        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
         let fragment = fragment_of(&join_into(shared, &slot, 1), 0);
         let (stage, queue) = unbounded();
         let routing = RoutingState::new(8);
         stage.send(PmMsg::Query { fragment, routing }).unwrap();
         drop(queue);
+        let (tx, answered) = std::sync::mpsc::channel();
+        slot.on_ready(Box::new(move |outcome| drop(tx.send(outcome))));
         assert!(matches!(
-            slot.try_take(),
-            Some(Err(AllocationError::Internal(_)))
+            answered.try_recv(),
+            Ok(Err(AllocationError::Internal(_)))
         ));
 
         shared.pm_txs["pm-0"].send(PmMsg::Shutdown).unwrap();
@@ -1168,5 +1172,128 @@ mod tests {
             assert!(!redeem(&slot).unwrap().is_empty());
         }
         assert!(pipeline.stats().forwards > 0, "fragments crossed stages");
+    }
+}
+
+/// Bounded-interleaving proofs of [`OutcomeSlot`] (`--features model`), run
+/// by the CI `model-check` job: the daemon's own `fill`, `on_ready` and
+/// `withdraw` over an `actyp-model` mutex.  A pool-manager stage fills the
+/// slot while a redeemer leaves its completion in it — and, in the second
+/// scenario, gives up on it at once, as a `Poll` does, redeeming the ticket
+/// again when the give-up took the completion back.
+#[cfg(all(test, feature = "model"))]
+mod slot_model_tests {
+    use super::{Outcome, OutcomeSlot, SlotLock, SlotState};
+    use crate::allocation::{AllocationError, WaitDone};
+    use actyp_model::sync::{Mutex, MutexGuard};
+    use actyp_model::{thread, Explorer};
+    use std::sync::Arc;
+
+    struct ModelLock(Mutex<SlotState>);
+
+    impl SlotLock for ModelLock {
+        type Guard<'a> = MutexGuard<'a, SlotState>;
+        fn new(state: SlotState) -> Self {
+            ModelLock(Mutex::new(state))
+        }
+        fn lock(&self) -> Self::Guard<'_> {
+            self.0.lock().unwrap()
+        }
+    }
+
+    type ModelSlot = OutcomeSlot<ModelLock>;
+    /// Every delivery: whose completion ran, with what.
+    type Deliveries = Arc<Mutex<Vec<(char, Outcome)>>>;
+
+    fn explorer() -> Explorer {
+        Explorer {
+            max_schedules: 200_000,
+            preemption_bound: 2,
+            op_budget: 50_000,
+        }
+    }
+
+    fn completion(log: &Deliveries, name: char) -> WaitDone {
+        let log = log.clone();
+        Box::new(move |outcome| log.lock().unwrap().push((name, outcome)))
+    }
+
+    /// The stage fills the slot on a thread of its own.
+    fn stage(slot: &Arc<ModelSlot>) -> thread::JoinHandle<()> {
+        let slot = slot.clone();
+        thread::spawn(move || slot.fill(Err(AllocationError::NoSuchResources)))
+    }
+
+    /// The stage fills while the redeemer leaves its completion: it runs
+    /// exactly once, with the outcome.
+    fn fill_races_on_ready() {
+        let slot = ModelSlot::new();
+        let log: Deliveries = Arc::default();
+        let filler = stage(&slot);
+        slot.on_ready(completion(&log, 'A'));
+        filler.join().unwrap();
+        let delivered = log.lock().unwrap().clone();
+        assert_eq!(
+            delivered,
+            vec![('A', Err(AllocationError::NoSuchResources))],
+            "not delivered exactly once"
+        );
+    }
+
+    /// The stage fills while the redeemer leaves its completion and gives
+    /// up on it at once.  A give-up that took the completion back means it
+    /// never runs, and the ticket's next redemption (`B`) gets the outcome;
+    /// one that did not means it ran.  Either way the outcome is delivered
+    /// exactly once.
+    fn fill_races_give_up() {
+        let slot = ModelSlot::new();
+        let log: Deliveries = Arc::default();
+        let filler = stage(&slot);
+        slot.on_ready(completion(&log, 'A'));
+        let withdrawn = slot.withdraw().is_some();
+        if withdrawn {
+            slot.on_ready(completion(&log, 'B'));
+        }
+        filler.join().unwrap();
+        let delivered: Vec<char> = log.lock().unwrap().iter().map(|(name, _)| *name).collect();
+        let expected = if withdrawn { 'B' } else { 'A' };
+        assert_eq!(
+            delivered,
+            vec![expected],
+            "a cancelled completion ran, or the outcome was lost (withdrawn: {withdrawn})"
+        );
+    }
+
+    #[cfg(not(feature = "buggy-cancel"))]
+    #[test]
+    fn slot_delivers_exactly_once_proven() {
+        let report = explorer().prove(fill_races_on_ready);
+        assert!(report.proven());
+        assert!(report.schedules > 1, "interleavings actually explored");
+    }
+
+    #[cfg(not(feature = "buggy-cancel"))]
+    #[test]
+    fn slot_withdrawn_completion_never_runs_proven() {
+        let report = explorer().prove(fill_races_give_up);
+        assert!(report.proven());
+        assert!(report.schedules > 2, "interleavings actually explored");
+    }
+
+    /// REGRESSION (`--features model,buggy-cancel`): a `withdraw` that
+    /// reports a completion withdrawn after a fill took it.  The exploration
+    /// must find the give-up told `Some` about a completion that ran.
+    #[cfg(feature = "buggy-cancel")]
+    #[test]
+    fn slot_late_withdraw_recaught() {
+        let report = explorer().explore(fill_races_give_up);
+        let failure = report
+            .failure
+            .expect("a withdrawal after the fill must be caught within the exploration");
+        assert!(
+            failure.message.contains("cancelled completion ran"),
+            "expected a withdrawn completion that ran, got: {}",
+            failure.message
+        );
     }
 }

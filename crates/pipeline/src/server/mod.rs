@@ -31,9 +31,11 @@
 //! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`]); for
 //! a `Submit` the live backend's admission window
 //! ([`ResourceManager::submit_with`]), at once or from the thread whose
-//! release frees its permit.  A closing session settles its abandoned
-//! tickets the same way.  Only a call that would *park* leaves the I/O
-//! thread, for one of two fixed worker lanes (`lanes.rs`).  Whoever
+//! release frees its permit; a `Poll` or a deadline `Wait` gives up by
+//! taking its completion back ([`ResourceManager::cancel_wait`]).  A
+//! closing session settles its abandoned tickets the same way.  Only a call
+//! that would *park* leaves the I/O thread, for the one fixed worker lane
+//! (`lanes.rs`).  Whoever
 //! finishes a request writes the reply to the session's non-blocking socket
 //! itself; only what the socket does not take is queued for the session's
 //! I/O thread, which is rung for it — a syscall only if that thread is
@@ -48,7 +50,7 @@
 //! or `Release` to a peer written by the thread that holds the previous
 //! answer, and each peer reply finished there (see
 //! [`crate::federation`]).  The daemon's thread count is therefore
-//! *independent of its session count*: the I/O pool + two worker lanes +
+//! *independent of its session count*: the I/O pool + one worker lane +
 //! the hosted backend, whether two clients are connected or two thousand.
 
 use std::net::{SocketAddr, TcpListener};
@@ -108,9 +110,9 @@ struct ServerShared {
     client_sessions: std::sync::atomic::AtomicUsize,
     /// The session engine.  Taken at join time.
     reactor: Mutex<Option<ReactorEngine>>,
-    /// The worker lanes, reached by whichever thread hands a step on.
+    /// The worker lane, reached by whichever thread hands a step on.
     #[cfg(unix)]
-    pools: Arc<lanes::Pools>,
+    lane: Arc<crate::reactor::WorkerPool>,
     /// Frames decoded from a readable event that carried more than one;
     /// overlaid on every `Stats` reply.
     frames_batched: AtomicU64,
@@ -155,10 +157,10 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
-    /// Jobs the daemon's worker lanes have started so far.
+    /// Jobs the daemon's worker lane has started so far.
     #[cfg(all(test, unix))]
     pub(crate) fn lane_jobs(&self) -> u64 {
-        self.shared.pools.submit.jobs_run() + self.shared.pools.redeem.jobs_run()
+        self.shared.lane.jobs_run()
     }
 
     /// Blocks until the daemon has fully drained (listener closed and
@@ -256,7 +258,7 @@ fn serve_inner(
         client_sessions: std::sync::atomic::AtomicUsize::new(0),
         reactor: Mutex::new(None),
         #[cfg(unix)]
-        pools: Arc::new(lanes::Pools::new()),
+        lane: Arc::new(lanes::lane()),
         frames_batched: AtomicU64::new(0),
         writes_coalesced: AtomicU64::new(0),
         #[cfg(all(test, unix))]
@@ -321,7 +323,7 @@ impl ReactorEngine {
         let host = shared.federation.as_ref().map(|federation| {
             let host = Arc::new(session::ReactorHost::new(
                 first.clone(),
-                shared.pools.clone(),
+                shared.lane.clone(),
             ));
             federation.attach(host.clone());
             host
@@ -368,8 +370,8 @@ impl ReactorEngine {
     }
 
     /// Engine teardown: the I/O threads exit once the drain is flagged
-    /// and every session has settled and closed, and the worker lanes stop
-    /// after their queues drain.
+    /// and every session has settled and closed, and the worker lane stops
+    /// after its queue drains.
     fn join(self, shared: &ServerShared, problems: &mut Vec<String>) {
         for io in self.io {
             io.notify.ring();
@@ -377,8 +379,8 @@ impl ReactorEngine {
                 problems.push("ypd I/O thread panicked".to_string());
             }
         }
-        // Each lane stops once its queue has drained.
-        let worker_panics = shared.pools.submit.shutdown() + shared.pools.redeem.shutdown();
+        // The lane stops once its queue has drained.
+        let worker_panics = shared.lane.shutdown();
         if worker_panics > 0 {
             problems.push(format!("{worker_panics} ypd worker job(s) panicked"));
         }
@@ -637,7 +639,7 @@ mod tests {
 
     /// A backend that declares no non-parking release (the trait default
     /// hands the completion back), so the daemon serves its releases from
-    /// the redeem lane — what the remote and federated backends get.
+    /// the lane — what a hosted remote backend gets.
     struct ParkingRelease(Box<dyn ResourceManager>);
 
     impl ResourceManager for ParkingRelease {
@@ -646,9 +648,6 @@ mod tests {
         }
         fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
             self.0.wait(ticket)
-        }
-        fn try_poll(&self, ticket: crate::api::Ticket) -> Option<crate::api::QueryOutcome> {
-            self.0.try_poll(ticket)
         }
         fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
             self.0.release(allocation)
@@ -668,7 +667,7 @@ mod tests {
         // thread decodes the burst faster than the backend completes it;
         // an overload error here would strand the lease until the session
         // ends, so every reply must be `Released` — whether the backend
-        // stage posts it or the redeem lane does.
+        // stage posts it or the lane does.
         const HELD: u64 = 600;
         for hand_back in [false, true] {
             let db = fleet_db(2_000, 9);
@@ -751,9 +750,9 @@ mod tests {
     }
 
     /// A backend on which every `Wait` misses: `wait_with` keeps the
-    /// completion, and the test decides when the outcome "arrives".  A
-    /// submission the session hands to the submit lane (`submit`) passes
-    /// `gate` first.
+    /// completion, `cancel_wait` takes it back, and the test decides when
+    /// the outcome "arrives".  A submission the session hands to the lane
+    /// (`submit`) passes `gate` first.
     struct MissingWaits {
         inner: Arc<dyn ResourceManager>,
         held: HeldWaits,
@@ -793,8 +792,10 @@ mod tests {
             self.held.lock().push((ticket, done));
             Ok(())
         }
-        fn try_poll(&self, ticket: crate::api::Ticket) -> Option<crate::api::QueryOutcome> {
-            self.inner.try_poll(ticket)
+        fn cancel_wait(&self, ticket: crate::api::Ticket) -> Option<crate::WaitDone> {
+            let mut held = self.held.lock();
+            let at = held.iter().position(|(held, _)| *held == ticket)?;
+            Some(held.remove(at).1)
         }
         fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
             self.inner.release(allocation)
@@ -978,62 +979,25 @@ mod tests {
         server.join().unwrap();
     }
 
-    /// The live backend behind a gate: no deadline wait can be answered
-    /// from the I/O thread (`try_poll` always misses), and each one the
-    /// redeem lane runs blocks until the test opens the gate.
-    struct GatedWaits {
-        inner: Box<dyn ResourceManager>,
-        /// Where deadline waits are held.
-        gate: Gate,
-    }
-
-    impl ResourceManager for GatedWaits {
-        fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
-            self.inner.submit(query)
-        }
-        fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
-            self.inner.wait(ticket)
-        }
-        fn try_poll(&self, _: crate::api::Ticket) -> Option<crate::api::QueryOutcome> {
-            None
-        }
-        fn wait_deadline(
-            &self,
-            ticket: crate::api::Ticket,
-            timeout: std::time::Duration,
-        ) -> Option<crate::api::QueryOutcome> {
-            pass(&self.gate);
-            self.inner.wait_deadline(ticket, timeout)
-        }
-        fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
-            self.inner.release(allocation)
-        }
-        fn stats(&self) -> actyp_proto::StatsSnapshot {
-            self.inner.stats()
-        }
-        fn shutdown(&self) -> Result<(), AllocationError> {
-            self.inner.shutdown()
-        }
-    }
-
     #[test]
     fn a_burst_of_pipelined_deadline_waits_is_answered_in_full() {
         // More deadline waits than the completion high-water mark, in one
-        // write, each one a redeem-lane job held at the gate.  They count
-        // toward the read-side pause like any completion — no overload
-        // refusal — so every reply is an Outcome.
+        // write, and not one outcome is in yet: each is a completion the
+        // backend holds, counted toward the read-side pause like any other
+        // — no overload refusal, no lane job — so every reply is an Outcome.
         const TICKETS: u64 = 300;
-        assert!(TICKETS as usize > session::COMPLETIONS_HIGH_WATER);
+        let high_water = session::COMPLETIONS_HIGH_WATER;
+        assert!(TICKETS as usize > high_water);
         let db = fleet_db(2_000, 11);
-        let gate = gate(false);
-        let manager = GatedWaits {
-            inner: PipelineBuilder::new()
+        let inner: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
                 .database(db.clone())
                 .window(512)
                 .build(BackendKind::Live)
                 .unwrap(),
-            gate: gate.clone(),
-        };
+        );
+        let manager = MissingWaits::new(&inner);
+        let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
         let mut burst = Vec::new();
@@ -1048,12 +1012,19 @@ mod tests {
             )
             .unwrap();
         }
+        let jobs = server.lane_jobs();
         raw.write_all(&burst).unwrap();
-        // The burst is queued behind a held redeem worker before any wait
-        // is answered.
-        await_arrivals(&gate, 1);
-        set_gate(&gate, true);
+        // Not one wait is answered before the burst reaches the mark.
+        let stop = Arc::new(AtomicBool::new(false));
+        let stage = answer_held(&held, &inner, high_water, &stop);
         release_granted(&mut raw, TICKETS);
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(
+            stage.join().unwrap(),
+            high_water,
+            "the read side paused at the mark"
+        );
+        assert_eq!(server.lane_jobs(), jobs, "a deadline wait ran on a lane");
         assert_eq!(active_jobs(&db), 0);
         // The burst arrived in readable events carrying many frames each.
         write_frame(
@@ -1074,18 +1045,18 @@ mod tests {
 
     #[test]
     fn a_vanished_client_settling_a_deadline_wait_is_not_polled() {
-        // The client hangs up while its deadline wait is held on the
-        // redeem lane, so its session settles for as long as the gate
-        // stays shut.  Its socket's hangup must not be reported to the
-        // I/O thread on every turn meanwhile.
-        let gate = gate(false);
-        let manager = GatedWaits {
-            inner: PipelineBuilder::new()
+        // The client hangs up while the backend holds its deadline wait, so
+        // its session settles for as long as the completion is held.  Its
+        // socket's hangup must not be reported to the I/O thread on every
+        // turn meanwhile.
+        let inner: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
                 .database(fleet_db(200, 14))
                 .build(BackendKind::Live)
                 .unwrap(),
-            gate: gate.clone(),
-        };
+        );
+        let manager = MissingWaits::new(&inner);
+        let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
         let ticket = batch_raw(&mut raw, 0, 1)[0];
@@ -1098,7 +1069,7 @@ mod tests {
             },
         )
         .unwrap();
-        await_arrivals(&gate, 1);
+        await_held(&held, 1);
         drop(raw);
         // The hangup reaches the I/O thread, then the session settles.
         std::thread::sleep(std::time::Duration::from_millis(100));
@@ -1108,7 +1079,213 @@ mod tests {
         // Idle, both I/O threads turn for the 250 ms closing sweep and
         // the 500 ms poll interval only: a handful of turns, not a spin.
         assert!(turns < 50, "{turns} I/O turns while the session settled");
-        set_gate(&gate, true);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stage = answer_held(&held, &inner, 0, &stop);
+        server.halt();
+        server.join().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        stage.join().unwrap();
+    }
+
+    /// Holds a live backend's one pool-manager stage on a release's
+    /// completion until the returned sender is used: no outcome comes in
+    /// meanwhile.
+    fn hold_the_stage(manager: &Arc<dyn ResourceManager>) -> std::sync::mpsc::Sender<()> {
+        let granted = manager.submit_wait(&Query::paper_example()).unwrap();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let taken = manager.release_with(
+            &granted[0],
+            Box::new(move |_| {
+                let _ = held.recv();
+            }),
+        );
+        assert!(taken.is_ok(), "the stage runs the completion");
+        hold
+    }
+
+    /// On a live backend a batch ticket's `Poll` that misses, a deadline
+    /// `Wait` that misses and one that hits are each a completion the I/O
+    /// thread leaves with the backend — the misses taken back when they give
+    /// up, answered `Pending` and `TimedOut`, the ticket filed again — and
+    /// not one of them is a lane job.
+    #[test]
+    fn a_live_backends_polls_and_deadline_waits_run_no_lane_job() {
+        let db = fleet_db(300, 17);
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        let hold = hold_the_stage(&manager);
+        let ticket = batch_raw(&mut raw, 0, 1)[0];
+        let jobs = server.lane_jobs();
+        write_frame(
+            &mut raw,
+            &ClientFrame::Poll {
+                corr: RequestId(1),
+                ticket,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server_frame(&mut raw).unwrap(),
+            Some(ServerFrame::Pending { .. })
+        ));
+        let asked = std::time::Instant::now();
+        let wait = |corr, deadline_ms| ClientFrame::Wait {
+            corr: RequestId(corr),
+            ticket,
+            deadline_ms: Some(deadline_ms),
+        };
+        write_frame(&mut raw, &wait(2, 50)).unwrap();
+        assert!(matches!(
+            read_server_frame(&mut raw).unwrap(),
+            Some(ServerFrame::TimedOut { .. })
+        ));
+        let waited = asked.elapsed();
+        assert!(
+            waited >= std::time::Duration::from_millis(50),
+            "timed out after {waited:?}"
+        );
+        // Let the stage go; once the outcome is in, a deadline wait hits.
+        hold.send(()).unwrap();
+        let started = std::time::Instant::now();
+        while manager.stats().allocations < 2 {
+            assert!(started.elapsed() < std::time::Duration::from_secs(10));
+            std::thread::yield_now();
+        }
+        write_frame(&mut raw, &wait(3, 60_000)).unwrap();
+        let allocation = granted(&mut raw);
+        release_raw(&mut raw, 4, allocation);
+        assert_eq!(server.lane_jobs(), jobs, "a redemption ran on a lane");
+        assert_eq!(active_jobs(&db), 0);
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
+    }
+
+    /// With a window of one, a `Poll` that missed and a deadline `Wait` that
+    /// timed out leave the ticket holding the window's permit: a second
+    /// one-query batch meets backpressure until the first ticket is
+    /// redeemed.
+    #[test]
+    fn a_ticket_given_up_on_keeps_its_window_permit() {
+        let db = fleet_db(300, 18);
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .window(1)
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        let hold = hold_the_stage(&manager);
+        let first = batch_raw(&mut raw, 0, 1)[0];
+        write_frame(
+            &mut raw,
+            &ClientFrame::Poll {
+                corr: RequestId(1),
+                ticket: first,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server_frame(&mut raw).unwrap(),
+            Some(ServerFrame::Pending { .. })
+        ));
+        write_frame(
+            &mut raw,
+            &ClientFrame::Wait {
+                corr: RequestId(2),
+                ticket: first,
+                deadline_ms: Some(20),
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            read_server_frame(&mut raw).unwrap(),
+            Some(ServerFrame::TimedOut { .. })
+        ));
+        hold.send(()).unwrap();
+        write_frame(
+            &mut raw,
+            &ClientFrame::SubmitBatch {
+                corr: RequestId(3),
+                queries: vec![paper_text()],
+            },
+        )
+        .unwrap();
+        raw.set_read_timeout(Some(std::time::Duration::from_millis(300)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        match raw.peek(&mut byte) {
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) => {}
+            other => panic!("the second batch got past a held permit: {other:?}"),
+        }
+        raw.set_read_timeout(None).unwrap();
+        // Redeemed, the first ticket's permit launches the batch.
+        write_frame(
+            &mut raw,
+            &ClientFrame::Wait {
+                corr: RequestId(4),
+                ticket: first,
+                deadline_ms: None,
+            },
+        )
+        .unwrap();
+        let (mut allocation, mut second) = (None, None);
+        for _ in 0..2 {
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Outcome {
+                    outcome: Ok(mut granted),
+                    ..
+                }) => allocation = Some(granted.remove(0)),
+                Some(ServerFrame::BatchSubmitted { tickets, .. }) => second = Some(tickets[0]),
+                other => panic!("expected an Outcome and a batch, got {other:?}"),
+            }
+        }
+        release_raw(&mut raw, 5, allocation.unwrap());
+        redeem_and_release(&mut raw, second.unwrap());
+        assert_eq!(active_jobs(&db), 0);
+        assert_eq!(manager.stats().in_flight, 0);
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
+    }
+
+    /// A client that hangs up holding a lease: its session's final sweep
+    /// returns the lease as a release completion — no lane job.
+    #[test]
+    fn a_closing_sessions_final_sweep_runs_no_lane_job() {
+        let db = fleet_db(200, 19);
+        let server = PipelineBuilder::new()
+            .database(db.clone())
+            .serve(&loopback(), BackendKind::Live)
+            .unwrap();
+        let jobs = server.lane_jobs();
+        {
+            let mut raw = raw_hello(&server.local_addr());
+            submit_raw(&mut raw, 0);
+            granted(&mut raw);
+            // Dropped holding the lease.
+        }
+        let started = std::time::Instant::now();
+        while active_jobs(&db) > 0 {
+            assert!(
+                started.elapsed() < std::time::Duration::from_secs(10),
+                "the lease was never returned"
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(server.lane_jobs(), jobs, "the final sweep ran on a lane");
         server.halt();
         server.join().unwrap();
     }
@@ -1288,10 +1465,10 @@ mod tests {
         // One session leaves a `Submit` behind in each state: granted but
         // its Outcome unread; launched with its outcome not in yet; and
         // not launched — queued on the live backend's full window, or
-        // handed to the submit lane of an embedded one.  The first is a
+        // handed to the lane by an embedded one.  The first is a
         // lease the final sweep returns, the second becomes one when its
         // outcome reaches the closed session, and the third is launched
-        // after the close and settled there instead of answered.
+        // after the close and redeemed there, its lease swept.
         for kind in [BackendKind::Live, BackendKind::Embedded] {
             let db = fleet_db(300, 15);
             let inner: Arc<dyn ResourceManager> = Arc::from(
@@ -1910,10 +2087,10 @@ mod tests {
         srv_a.join().unwrap();
     }
 
-    /// More federated deadline `Wait`s than a lane has workers, each
-    /// holding a redeem-lane worker while its chain needs the cold dial:
-    /// the dial runs on the reactor, never on a lane, so every one
-    /// finishes.
+    /// More federated deadline `Wait`s than the lane has workers, each
+    /// waiting for a chain that needs the cold dial: each is a completion
+    /// and the dial runs on the reactor, so every one finishes and none is
+    /// a lane job.
     #[test]
     fn more_deadline_waits_than_lane_workers_all_finish_over_a_cold_link() {
         let waits = super::lanes::LANE_WORKERS as u64 + 2;
@@ -1940,6 +2117,7 @@ mod tests {
             Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
             other => panic!("expected BatchSubmitted, got {other:?}"),
         };
+        let jobs = srv_a.lane_jobs();
         let mut burst = Vec::new();
         for (i, ticket) in tickets.into_iter().enumerate() {
             write_frame(
@@ -1955,6 +2133,7 @@ mod tests {
         raw.write_all(&burst).unwrap();
         let delegated: Vec<_> = (0..waits).map(|_| granted(&mut raw)).collect();
         assert_eq!(active_jobs(&db_b), waits as u32);
+        assert_eq!(srv_a.lane_jobs(), jobs, "a deadline wait ran on a lane");
         for (i, allocation) in delegated.into_iter().enumerate() {
             release_raw(&mut raw, 100 + i as u64, allocation);
         }
@@ -1964,6 +2143,130 @@ mod tests {
         srv_a.join().unwrap();
         srv_b.halt();
         srv_b.join().unwrap();
+    }
+
+    /// On a federated daemon a batch ticket's `Poll` and deadline `Wait`
+    /// whose local outcome is a delegable failure start its chain on the
+    /// I/O thread — the give-up finds nothing to take back — and are
+    /// answered by the chain's `Outcome`, with no lane job on either daemon.
+    #[test]
+    fn federated_polls_and_deadline_waits_answer_with_the_chain_and_no_lane_job() {
+        let db_b = arch_db("hp", 40, 87);
+        let (srv_b, _) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
+        let (srv_a, fed_a) = federated(
+            "purdue",
+            BackendKind::Live,
+            arch_db("sun", 20, 88),
+            vec![srv_b.local_addr()],
+        );
+        {
+            // Warm the link, so both chains ride the reactor session.
+            let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
+            let warm = client.submit_text_wait(HP).unwrap();
+            client.release(&warm[0]).unwrap();
+            client.shutdown().unwrap();
+        }
+        let mut raw = raw_hello(&srv_a.local_addr());
+        let failed = fed_a.stats().failures;
+        write_frame(
+            &mut raw,
+            &ClientFrame::SubmitBatch {
+                corr: RequestId(0),
+                queries: vec![HP.to_string(); 2],
+            },
+        )
+        .unwrap();
+        let tickets = match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
+            other => panic!("expected BatchSubmitted, got {other:?}"),
+        };
+        // Both local failures are in before either ticket is redeemed.
+        let started = std::time::Instant::now();
+        while fed_a.stats().failures < failed + 2 {
+            assert!(started.elapsed() < std::time::Duration::from_secs(10));
+            std::thread::yield_now();
+        }
+        let jobs = (srv_a.lane_jobs(), srv_b.lane_jobs());
+        let polled = loop {
+            let poll = ClientFrame::Poll {
+                corr: RequestId(1),
+                ticket: tickets[0],
+            };
+            write_frame(&mut raw, &poll).unwrap();
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Pending { .. }) => std::thread::yield_now(),
+                Some(ServerFrame::Outcome {
+                    outcome: Ok(mut granted),
+                    ..
+                }) => break granted.remove(0),
+                other => panic!("expected the chain's Outcome, got {other:?}"),
+            }
+        };
+        write_frame(
+            &mut raw,
+            &ClientFrame::Wait {
+                corr: RequestId(2),
+                ticket: tickets[1],
+                deadline_ms: Some(30_000),
+            },
+        )
+        .unwrap();
+        let waited = granted(&mut raw);
+        assert!(polled.machine_name.contains("hp") && waited.machine_name.contains("hp"));
+        assert_eq!(
+            (srv_a.lane_jobs(), srv_b.lane_jobs()),
+            jobs,
+            "a lane job ran"
+        );
+        release_raw(&mut raw, 3, polled);
+        release_raw(&mut raw, 4, waited);
+        assert_eq!(active_jobs(&db_b), 0);
+        drop(raw);
+        srv_a.halt();
+        srv_a.join().unwrap();
+        srv_b.halt();
+        srv_b.join().unwrap();
+    }
+
+    /// A `Delegate` for a query that already visited this domain is refused
+    /// by the I/O thread that decoded it, counted as an inbound delegation
+    /// — no lane job.
+    #[test]
+    fn a_revisiting_delegate_is_refused_with_no_lane_job() {
+        let (srv, fed) = federated(
+            "purdue",
+            BackendKind::Live,
+            arch_db("sun", 20, 89),
+            Vec::new(),
+        );
+        let mut raw = raw_hello(&srv.local_addr());
+        let jobs = srv.lane_jobs();
+        write_frame(
+            &mut raw,
+            &ClientFrame::Delegate {
+                corr: RequestId(1),
+                query: HP.to_string(),
+                ttl: 4,
+                visited: vec!["purdue".to_string()],
+            },
+        )
+        .unwrap();
+        match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::Delegated {
+                outcome: Err(AllocationError::Protocol(message)),
+                visited,
+                ..
+            }) => {
+                assert!(message.contains("already visited"), "{message}");
+                assert_eq!(visited, vec!["purdue".to_string()]);
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(srv.lane_jobs(), jobs, "the refusal ran on a lane");
+        assert_eq!(fed.stats().delegations_in, 1);
+        drop(raw);
+        srv.halt();
+        srv.join().unwrap();
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! ([`ReactorSession`]).  A request that cannot park is answered on the
 //! I/O thread; one whose answer a backend stage, the admission window or a
 //! peer daemon produces is left with it as a completion, and so are a
-//! closing session's settles; only what would park goes to a worker lane
-//! ([`super::lanes`]).  Whoever produces a reply writes it:
+//! closing session's settles and its final sweep.  Every redemption is such
+//! a completion: a `Poll` takes it back at once when the outcome is not in,
+//! and a deadline `Wait` when its session's timer fires.  Only what would
+//! park goes to the worker lane ([`super::lanes`]).  Whoever produces a
+//! reply writes it:
 //! [`OutQueue::push`] sends it from that thread when nothing is queued
 //! ahead of it, and queues the rest for the session's I/O thread, rung
 //! through its [`IoNotify`] (a syscall only when the thread is asleep).
@@ -38,7 +41,6 @@ use actyp_proto::{
     WireEncode, MIN_SUPPORTED_VERSION, PROTOCOL_VERSION,
 };
 
-use super::lanes::Pools;
 use super::ServerShared;
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
 use crate::api::{QueryOutcome, ResourceManager, SubmitDone, Ticket};
@@ -68,6 +70,10 @@ const GOSSIP_TIMER: u64 = 2;
 /// chain never spends a candidate slot (and a reply timeout) on it.
 const PROBE_TIMER: u64 = 3;
 
+/// Timer-wheel ids of the sessions' open deadlines: this bit plus the
+/// session's token, one timer per session, armed for its earliest.
+const DEADLINE_TIMER: u64 = 1 << 63;
+
 /// Upper bound on queued-but-unsent reply bytes before the session
 /// stops *reading*: a client that pipelines requests without draining
 /// replies is backpressured instead of ballooning the daemon's memory.
@@ -80,7 +86,7 @@ const OUT_HIGH_WATER: usize = 1 << 20;
 pub(super) const COMPLETIONS_HIGH_WATER: usize = 256;
 
 /// Upper bound on a session's submissions queued in the admission window
-/// or on the submit lane, past which one is refused with an error — not
+/// or on the lane, past which one is refused with an error — not
 /// paused: it may wait for permits only the session's unread frames return.
 const MAX_SESSION_SUBMISSIONS: usize = 256;
 
@@ -324,7 +330,7 @@ impl FrameSink for OutQueue {
 
 /// What a federated daemon lends its federation ([`PeerHost`]): the first
 /// I/O thread dials every peer link as a session of kind *peer*, and the
-/// redeem lane runs the federation's few steps that may park.
+/// lane runs the federation's few steps that may park.
 pub(super) struct ReactorHost {
     /// Dials asked for and not taken yet; `None` once the hosting thread
     /// has stopped.  Queued and stopped under this lock, so no dial is
@@ -334,19 +340,19 @@ pub(super) struct ReactorHost {
     notify: Arc<IoNotify>,
     /// Tokens of peer sessions, from a range no accepted session reaches.
     next_token: AtomicU64,
-    pools: Arc<Pools>,
+    lane: Arc<WorkerPool>,
 }
 
 /// A dial asked for: the peer's addresses, and who waits for the link.
 type PeerDial = (Vec<SocketAddr>, DialDone);
 
 impl ReactorHost {
-    pub(super) fn new(notify: Arc<IoNotify>, pools: Arc<Pools>) -> Self {
+    pub(super) fn new(notify: Arc<IoNotify>, lane: Arc<WorkerPool>) -> Self {
         ReactorHost {
             dials: Mutex::new(Some(Vec::new())),
             notify,
             next_token: AtomicU64::new(1 << 62),
-            pools,
+            lane,
         }
     }
 
@@ -392,7 +398,7 @@ impl PeerHost for ReactorHost {
     }
 
     fn offload(&self, job: Box<dyn FnOnce() + Send>) {
-        self.pools.redeem.execute(job);
+        self.lane.execute(job);
     }
 }
 
@@ -576,6 +582,7 @@ pub(super) fn io_thread_main(
         };
         if poller.poll(&mut events, Some(timeout)).is_err() {
             // A failing poller must not hot-loop the thread.
+            // lint-allow(sleep-poll): a poller that fails has no readiness to wait on
             std::thread::sleep(Duration::from_millis(5));
         }
         notify.unpark(events.iter().any(|event| event.token == WAKE_TOKEN));
@@ -692,7 +699,9 @@ pub(super) fn io_thread_main(
                         None => {}
                     }
                 }
-                _ => {}
+                // Any other timer is a session's earliest open deadline:
+                // its refresh gives up what is due.
+                deadline => touched.push(deadline & !DEADLINE_TIMER),
             }
         }
 
@@ -713,7 +722,14 @@ pub(super) fn io_thread_main(
         touched.sort_unstable();
         touched.dedup();
         for token in touched.iter().copied() {
-            refresh_session(&shared, &mut *poller, &mut sessions, token, &first);
+            refresh_session(
+                &shared,
+                &mut *poller,
+                &mut wheel,
+                &mut sessions,
+                token,
+                &first,
+            );
         }
     }
     if let Some(host) = host {
@@ -1102,31 +1118,32 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             // The backend launches it now or queues it in its window, and
             // the launching thread — this one, or the one whose settle
             // frees the permit — redeems the new ticket at once: the
-            // outcome is the reply.  Counted on the session as a
-            // submission until the launch, as a completion after it.
+            // outcome is the reply — also after the client left: a
+            // federated chain starts only while the session is open, and
+            // a granted lease goes back with the final sweep.  Counted on
+            // the session as a submission until the launch, as a
+            // completion after it.
             let (done_shared, done_state) = (shared.clone(), state.clone());
             let done: SubmitDone = Box::new(move |submitted| {
                 match submitted {
-                    Ok(ticket) => answer_launched(&done_shared, &done_state, corr, ticket),
+                    Ok(ticket) => redeem(&done_shared, &done_state, corr, ticket),
                     Err(error) => done_state.send(&ServerFrame::Error { corr, error }),
                 }
                 drop(counted);
             });
             // A backend whose `submit` is the computation or a round trip
-            // hands it back, and the submit lane runs it.
+            // hands it back, and the lane runs it.
             if let Err((query, done)) = shared.manager.submit_with(query, done) {
-                offload(shared, &shared.pools.submit, move |shared| {
-                    done(shared.manager.submit(query))
-                });
+                offload(shared, move |shared| done(shared.manager.submit(query)));
             }
         }
         ClientFrame::SubmitBatch { corr, queries } => {
-            // Parks on its admission in the window — on the submit lane,
-            // which holds nothing a release needs.
+            // Parks on its admission in the window, on the lane, where
+            // nothing frees a permit.
             let Some(counted) = Pending::submission(&state, corr) else {
                 return;
             };
-            offload(shared, &shared.pools.submit, move |shared| {
+            offload(shared, move |shared| {
                 handle_submit_batch(shared, &state, corr, &queries);
                 drop(counted);
             });
@@ -1134,58 +1151,17 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
         ClientFrame::Wait {
             corr,
             ticket,
-            deadline_ms: None,
-        } => match state.claim(ticket) {
-            Some(backend_ticket) => redeem(shared, &state, corr, backend_ticket),
-            None => state.send(&ServerFrame::Error {
-                corr,
-                error: AllocationError::UnknownTicket,
-            }),
-        },
-        ClientFrame::Wait {
-            corr,
-            ticket,
-            deadline_ms: Some(ms),
+            deadline_ms,
         } => {
-            // Unknown ids are answered inline — no job for a frame
-            // that cannot block; the worker's own atomic claim still
-            // decides races.
-            let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
-                return;
-            };
-            // A deadline wait whose outcome is already there is delivered
-            // from here; one that would park takes the redeem lane, as
-            // does every deadline wait on a federated daemon, where even a
-            // poll may wait for a delegation chain.
-            if shared.federation.is_none()
-                && redeem_if_ready(shared, &state, corr, ticket, backend_ticket)
-            {
-                return;
-            }
-            let pending = Pending::completion(&state);
-            offload(shared, &shared.pools.redeem, move |shared| {
-                handle_wait(shared, &state, corr, ticket, ms);
-                drop(pending);
-            });
+            // A deadline too far to represent never comes.
+            let at = deadline_ms
+                .and_then(|ms| std::time::Instant::now().checked_add(Duration::from_millis(ms)));
+            let give_up = at.map(|at| (at, ServerFrame::TimedOut { corr }));
+            redeem_batch(shared, &state, corr, ticket, give_up);
         }
         ClientFrame::Poll { corr, ticket } => {
-            let Some(backend_ticket) = state.known_ticket(corr, ticket) else {
-                return;
-            };
-            // On a federated daemon a poll may wait for a delegation
-            // chain, so it runs on the redeem lane; in-process backends
-            // answer inline on the I/O thread.
-            if shared.federation.is_some() {
-                let pending = Pending::completion(&state);
-                offload(shared, &shared.pools.redeem, move |shared| {
-                    if !redeem_if_ready(shared, &state, corr, ticket, backend_ticket) {
-                        state.send(&ServerFrame::Pending { corr });
-                    }
-                    drop(pending);
-                });
-            } else if !redeem_if_ready(shared, &state, corr, ticket, backend_ticket) {
-                state.send(&ServerFrame::Pending { corr });
-            }
+            let now = (std::time::Instant::now(), ServerFrame::Pending { corr });
+            redeem_batch(shared, &state, corr, ticket, Some(now));
         }
         ClientFrame::Release { corr, allocation } => {
             // The I/O thread never waits for the answer: the backend stage
@@ -1239,11 +1215,10 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
                 done_state.deliver_delegated(&done_federation, corr, outcome, routing);
                 drop(pending);
             });
-            // What the local backend hands back, or what is refused, runs
-            // on the submit lane, where its submission may wait on the
-            // window.
+            // What the local backend hands back runs on the lane, where its
+            // submission may wait on the window.
             if let Err(done) = federation.delegate_with(&query, ttl, &visited, done) {
-                shared.pools.submit.execute(move || {
+                offload(shared, move |_| {
                     let (outcome, routing) = federation.handle_delegate(&query, ttl, visited);
                     done(outcome, routing);
                 });
@@ -1301,84 +1276,134 @@ fn not_federated(corr: RequestId) -> ServerFrame {
     }
 }
 
-/// Redeems `ticket` now and answers `corr` with its outcome, delivered by
+/// The completion answering `corr` with a redeemed ticket's outcome (and
+/// dropping wire ticket `open`'s open deadline), counted until it has run.
+fn answer(state: &Arc<SessionState>, corr: RequestId, open: Option<u64>) -> WaitDone {
+    let pending = Pending::completion(state);
+    let state = state.clone();
+    Box::new(move |outcome| {
+        if let Some(wire) = open {
+            state.deadlines.lock().remove(&wire);
+        }
+        state.deliver_outcome(corr, outcome);
+        drop(pending);
+    })
+}
+
+/// Leaves `done` with the backend for `ticket`'s outcome, delivered by
 /// whoever finds the two together: this thread on a hit, the pool-manager
 /// stage that answers its last fragment on a miss — and on a federated
-/// daemon, when the local outcome is a delegable failure, the I/O thread of
-/// the peer link whose reply ends the chain.  That chain starts only while the
-/// session is open: a local failure that finds its client gone is the
-/// answer, so nothing is delegated for nobody.  A backend that cannot wait
-/// from here without parking hands the completion back, and the redeem
-/// lane runs the blocking call.  Counted on the session until it has run.
-fn redeem(shared: &Arc<ServerShared>, state: &Arc<SessionState>, corr: RequestId, ticket: Ticket) {
-    let pending = Pending::completion(state);
-    let done_state = state.clone();
-    let done: WaitDone = Box::new(move |outcome| {
-        done_state.deliver_outcome(corr, outcome);
-        drop(pending);
-    });
-    let open_state = state.clone();
-    let open = move || !open_state.closing.load(Ordering::SeqCst);
-    let handed_back = match &shared.federation {
-        Some(federation) => federation.wait_with_while(ticket, done, open.clone()),
+/// daemon, for a delegable local failure, the I/O thread of the peer link
+/// whose reply ends the chain, started only while the session is open.
+/// `Err` hands `done` back: the backend cannot wait here without parking.
+fn redeem_with(
+    shared: &ServerShared,
+    state: &Arc<SessionState>,
+    ticket: Ticket,
+    done: WaitDone,
+) -> Result<(), WaitDone> {
+    match &shared.federation {
+        Some(federation) => {
+            let state = state.clone();
+            let open = move || !state.closing.load(Ordering::SeqCst);
+            federation.wait_with_while(ticket, done, open)
+        }
         None => shared.manager.wait_with(ticket, done),
-    };
-    if let Err(done) = handed_back {
-        offload(shared, &shared.pools.redeem, move |shared| {
-            done(match &shared.federation {
-                Some(federation) => federation.wait_while(ticket, &open),
-                None => shared.manager.wait(ticket),
-            })
-        });
     }
 }
 
-/// Answers a `Submit` whose query was just launched as `ticket`: the ticket
-/// never leaves the daemon, its outcome is the reply ([`redeem`]).  A
-/// launch that finds its session closing — a submission queued on a full
-/// window or handed to the submit lane, launched after the client left —
-/// is settled through the local backend instead ([`settle_abandoned`]), so
-/// nothing is delegated for a client that is gone.
-fn answer_launched(
+/// Redeems `ticket` for good and answers `corr` with its outcome
+/// ([`redeem_with`]); a backend that hands the completion back is waited
+/// for on the lane.
+fn redeem(shared: &Arc<ServerShared>, state: &Arc<SessionState>, corr: RequestId, ticket: Ticket) {
+    let Err(done) = redeem_with(shared, state, ticket, answer(state, corr, None)) else {
+        return;
+    };
+    let state = state.clone();
+    offload(shared, move |shared| {
+        done(match &shared.federation {
+            Some(federation) => {
+                federation.wait_while(ticket, &|| !state.closing.load(Ordering::SeqCst))
+            }
+            None => shared.manager.wait(ticket),
+        })
+    });
+}
+
+/// A batch ticket's `Wait` or `Poll`, redeemed as a `Submit`'s is
+/// ([`redeem`]) but for the give-up: a `Poll` (due now) or deadline `Wait`
+/// leaves an open deadline, given up when due ([`expire_deadlines`]) — a
+/// `Poll`'s before the next frame is read.  A backend that hands the
+/// completion back waits on the lane ([`handle_wait`]).
+fn redeem_batch(
     shared: &Arc<ServerShared>,
     state: &Arc<SessionState>,
     corr: RequestId,
-    ticket: Ticket,
+    wire: u64,
+    give_up: Option<(std::time::Instant, ServerFrame)>,
 ) {
-    if state.closing.load(Ordering::SeqCst) {
-        settle_abandoned(shared, state, ticket);
-    } else {
-        redeem(shared, state, corr, ticket);
-    }
-}
-
-/// Delivers the ticket's outcome if the backend already has it; `false`
-/// means the query is still in flight and nothing was sent.
-fn redeem_if_ready(
-    shared: &ServerShared,
-    state: &SessionState,
-    corr: RequestId,
-    ticket: u64,
-    backend_ticket: Ticket,
-) -> bool {
-    match shared.manager.try_poll(backend_ticket) {
-        None => false,
-        Some(outcome) => {
-            state.claim(ticket);
-            state.deliver_outcome(corr, outcome);
-            true
+    let Some(ticket) = state.claim(wire) else {
+        return state.send(&ServerFrame::Error {
+            corr,
+            error: AllocationError::UnknownTicket,
+        });
+    };
+    let Some((at, reply)) = give_up else {
+        return redeem(shared, state, corr, ticket);
+    };
+    let open = OpenDeadline { at, ticket, reply };
+    state.deadlines.lock().insert(wire, open);
+    match redeem_with(shared, state, ticket, answer(state, corr, Some(wire))) {
+        Ok(()) => {
+            expire_deadlines(shared, state);
+        }
+        Err(done) => {
+            let open = state.deadlines.lock().remove(&wire).expect("filed above");
+            let state = state.clone();
+            offload(shared, move |shared| {
+                handle_wait(shared, &state, wire, open, done)
+            });
         }
     }
 }
 
-/// Queues a step that may park on `lane`, the daemon's state in hand.
-fn offload(
+/// Gives up the session's open deadlines that are due: takes each
+/// completion back from the backend and, when that worked, files the wire
+/// ticket again, as it was, and answers `TimedOut` or `Pending`.  A
+/// completion that ran or is running answers itself — a federated chain
+/// that started first answers `Outcome`.  Returns the earliest deadline
+/// still open.
+fn expire_deadlines(
     shared: &Arc<ServerShared>,
-    lane: &WorkerPool,
-    job: impl FnOnce(&Arc<ServerShared>) + Send + 'static,
-) {
-    let shared = shared.clone();
-    lane.execute(move || job(&shared));
+    state: &Arc<SessionState>,
+) -> Option<std::time::Instant> {
+    let now = std::time::Instant::now();
+    let mut due = Vec::new();
+    let next = {
+        let mut deadlines = state.deadlines.lock();
+        deadlines.retain(|&wire, open| {
+            let still_open = open.at > now;
+            if !still_open {
+                due.push((wire, open.clone()));
+            }
+            still_open
+        });
+        deadlines.values().map(|open| open.at).min()
+    };
+    for (wire, open) in due {
+        // Taken back, the completion is dropped uncalled.
+        if shared.manager.cancel_wait(open.ticket).is_some() {
+            keep(shared, state, Some(wire), open.ticket);
+            state.send(&open.reply);
+        }
+    }
+    next
+}
+
+/// Queues a step that may park on the lane, the daemon's state in hand.
+fn offload(shared: &Arc<ServerShared>, job: impl FnOnce(&Arc<ServerShared>) + Send + 'static) {
+    let held = shared.clone();
+    shared.lane.execute(move || job(&held));
 }
 
 /// Transitions the session into [`Phase::Closing`] (idempotent).  A client
@@ -1435,35 +1460,40 @@ fn settle_abandoned(shared: &Arc<ServerShared>, state: &Arc<SessionState>, ticke
         drop(pending);
     });
     if let Err(done) = local_backend(shared).wait_with(ticket, done) {
-        offload(shared, &shared.pools.redeem, move |shared| {
+        offload(shared, move |shared| {
             done(local_backend(shared).wait(ticket))
         });
     }
 }
 
 /// Releases `allocation`; `done` runs on the backend stage that drops the
-/// lease.  A backend that cannot release without parking (a delegated
-/// allocation whose link no reactor session carries yet) hands `done` back,
-/// and the redeem lane runs the blocking call — never the submit lane,
-/// whose jobs may wait on the window this release frees.
+/// lease.  A backend that cannot release without parking (a hosted remote
+/// backend) hands `done` back, and the lane runs the blocking call.
 fn release_allocation(shared: &Arc<ServerShared>, allocation: Allocation, done: ReleaseDone) {
     if let Err(done) = shared.manager.release_with(&allocation, done) {
-        offload(shared, &shared.pools.redeem, move |shared| {
+        offload(shared, move |shared| {
             done(shared.manager.release(&allocation))
         });
     }
 }
 
-/// A closed session's final sweep, on the redeem lane: hands back every
+/// A closed session's final sweep, on its I/O thread: hands back every
 /// allocation lease the client still held — including outcomes whose
-/// delivery raced the disconnect — then seals the write queue so the I/O
-/// thread can complete the drain-aware close.
-fn sweep_closed(shared: &ServerShared, state: &SessionState) {
+/// delivery raced the disconnect — as releases counted on the session,
+/// whose last answer brings the sweep round again.  A sweep that finds no
+/// lease left seals the write queue, so the I/O thread can complete the
+/// drain-aware close, and says so.
+fn sweep_closed(shared: &Arc<ServerShared>, state: &Arc<SessionState>) -> bool {
     let leaked: Vec<Allocation> = state.leases.lock().drain().map(|(_, a)| a).collect();
-    for allocation in &leaked {
-        let _ = shared.manager.release(allocation);
+    let sealed = leaked.is_empty();
+    if sealed {
+        state.queue.close();
     }
-    state.queue.close();
+    for allocation in leaked {
+        let pending = Pending::completion(state);
+        release_allocation(shared, allocation, Box::new(move |_| drop(pending)));
+    }
+    sealed
 }
 
 /// Flushes the session's write queue; a dead transport begins the close.
@@ -1511,6 +1541,7 @@ fn flush_session(shared: &Arc<ServerShared>, session: &mut ReactorSession) -> bo
 fn refresh_session(
     shared: &Arc<ServerShared>,
     poller: &mut dyn Poller,
+    wheel: &mut TimerWheel,
     sessions: &mut HashMap<u64, ReactorSession>,
     token: u64,
     first: &IoNotify,
@@ -1530,18 +1561,21 @@ fn refresh_session(
         parse_and_dispatch(shared, session);
     }
     // A closing session with nothing outstanding — or outstanding past
-    // the settle bound — gets its final sweep.
+    // the settle bound — gets its final sweep, until one seals it.
     let settled = |since: std::time::Instant| {
         session.state.outstanding() == 0 || since.elapsed() > CLOSE_SETTLE_BOUND
     };
-    if session.settling_since.is_some_and(settled) {
+    if session.settling_since.is_some_and(settled) && sweep_closed(shared, &session.state) {
         session.settling_since = None;
-        let state = session.state.clone();
-        offload(shared, &shared.pools.redeem, move |shared| {
-            sweep_closed(shared, &state)
-        });
+    }
+    // The open deadlines that are due are given up; the timer wakes this
+    // thread for the earliest one left.
+    if let Some(at) = expire_deadlines(shared, &session.state) {
+        let left = at.saturating_duration_since(std::time::Instant::now());
+        wheel.add(DEADLINE_TIMER | token, left);
     }
     if session.finished() {
+        wheel.remove(DEADLINE_TIMER | token);
         let session = sessions.remove(&token).expect("session just seen");
         let _ = poller.deregister(session.stream.as_raw_fd());
         let _ = session.stream.shutdown(std::net::Shutdown::Both);
@@ -1587,7 +1621,7 @@ pub(super) struct SessionState {
     /// strand a machine claim.
     leases: Mutex<HashMap<String, Allocation>>,
     next_ticket: AtomicU64,
-    /// Submissions queued in the admission window or on the submit lane
+    /// Submissions queued in the admission window or on the lane
     /// ([`Pending::submission`]): capped per session by an error reply.
     submissions: AtomicUsize,
     /// Every other request somebody else still owes a reply to
@@ -1595,7 +1629,7 @@ pub(super) struct SessionState {
     completions: AtomicUsize,
     /// Set when the session begins to close: from then on the last
     /// [`Pending`] to finish rings the I/O thread for the final sweep, and
-    /// a submission launched late is settled instead of answered.
+    /// no federated redemption starts a chain.
     closing: AtomicBool,
     /// The federation domain the peer on this session advertised (via
     /// `SyncPools` or `AdvertDelta`); `None` on ordinary client sessions.
@@ -1603,6 +1637,19 @@ pub(super) struct SessionState {
     /// to, and so a re-advertisement under a *different* name retires the
     /// old domain.
     peer_domain: Mutex<Option<String>>,
+    /// The `Poll`s and deadline `Wait`s whose completion is with the backend,
+    /// by wire ticket id: each completion drops its own entry, and the I/O
+    /// thread gives up what is left when it is due.
+    deadlines: Mutex<HashMap<u64, OpenDeadline>>,
+}
+
+/// A batch ticket's `Poll` or deadline `Wait` left with the backend: when it
+/// gives up, on which ticket, and what it answers then.
+#[derive(Clone)]
+struct OpenDeadline {
+    at: std::time::Instant,
+    ticket: Ticket,
+    reply: ServerFrame,
 }
 
 impl SessionState {
@@ -1616,6 +1663,7 @@ impl SessionState {
             completions: AtomicUsize::new(0),
             closing: AtomicBool::new(false),
             peer_domain: Mutex::new(None),
+            deadlines: Mutex::new(HashMap::new()),
         })
     }
 
@@ -1653,25 +1701,6 @@ impl SessionState {
         self.closing.store(true, Ordering::SeqCst);
         let table = self.tickets.lock().take().unwrap_or_default();
         table.into_values().collect()
-    }
-
-    /// The backend ticket behind wire id `ticket`; an unknown id is
-    /// answered here, with the error reply, and yields `None`.
-    fn known_ticket(&self, corr: RequestId, ticket: u64) -> Option<Ticket> {
-        // Looked up in its own statement, so the table guard drops before
-        // the reply is sent.
-        let looked_up = self
-            .tickets
-            .lock()
-            .as_ref()
-            .and_then(|tickets| tickets.get(&ticket).copied());
-        if looked_up.is_none() {
-            self.send(&ServerFrame::Error {
-                corr,
-                error: AllocationError::UnknownTicket,
-            });
-        }
-        looked_up
     }
 
     /// Records the allocations of an outcome about to be delivered as
@@ -1740,7 +1769,7 @@ struct Pending {
 }
 
 impl Pending {
-    /// A submission: queued in the admission window or on the submit lane.
+    /// A submission: queued in the admission window or on the lane.
     /// Past [`MAX_SESSION_SUBMISSIONS`] the request is answered with an
     /// overload error instead, and `None` returned.
     fn submission(state: &Arc<SessionState>, corr: RequestId) -> Option<Self> {
@@ -1829,8 +1858,8 @@ fn keep(
     kept.map(|_| wire_id)
 }
 
-/// A `SubmitBatch`, on the submit lane: parks on the batch's admission in
-/// the window, which holds nothing a release needs.
+/// A `SubmitBatch`, on the lane: parks on the batch's admission in the
+/// window, whose permits only completions on other threads return.
 fn handle_submit_batch(
     shared: &Arc<ServerShared>,
     state: &Arc<SessionState>,
@@ -1857,30 +1886,23 @@ fn handle_submit_batch(
     }
 }
 
-/// A deadline `Wait`, on the redeem lane.  A miss puts the ticket back for
-/// a later redemption — or settles it, once the session is closing.
+/// A batch ticket's `Poll` or deadline `Wait` on a backend that hands the
+/// completion back, on the lane: the backend's own bounded wait (the remote
+/// backend ships it as a frame).  A give-up files the ticket again — or
+/// settles it, once the session is closing — and answers as `open` says.
 fn handle_wait(
     shared: &Arc<ServerShared>,
     state: &Arc<SessionState>,
-    corr: RequestId,
-    ticket: u64,
-    ms: u64,
+    wire: u64,
+    open: OpenDeadline,
+    done: WaitDone,
 ) {
-    let Some(backend_ticket) = state.claim(ticket) else {
-        state.send(&ServerFrame::Error {
-            corr,
-            error: AllocationError::UnknownTicket,
-        });
-        return;
-    };
-    match shared
-        .manager
-        .wait_deadline(backend_ticket, Duration::from_millis(ms))
-    {
-        Some(outcome) => state.deliver_outcome(corr, outcome),
+    let left = open.at.saturating_duration_since(std::time::Instant::now());
+    match shared.manager.wait_deadline(open.ticket, left) {
+        Some(outcome) => done(outcome),
         None => {
-            keep(shared, state, Some(ticket), backend_ticket);
-            state.send(&ServerFrame::TimedOut { corr });
+            keep(shared, state, Some(wire), open.ticket);
+            state.send(&open.reply);
         }
     }
 }

@@ -19,7 +19,7 @@
 
 use std::collections::HashMap;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 /// Default shard count for the daemon's hot tables.  Eight shards cover
 /// the core counts the saturation sweeps target while keeping the
@@ -58,9 +58,7 @@ impl<V> ShardedMap<V> {
         }
     }
 
-    /// The shard holding `key`.  Exposed so a caller can do a
-    /// read-modify-write (poll a receiver, then remove it) under one
-    /// shard guard without a whole-map lock.
+    /// The shard holding `key`.
     pub fn shard_for(&self, key: u64) -> &Mutex<HashMap<u64, V>> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
@@ -85,14 +83,6 @@ impl<V> ShardedMap<V> {
         }
         total
     }
-}
-
-/// Locks the shard of `key` and returns the guard — a named helper so
-/// call sites that need the guard across several statements keep the
-/// `shard` receiver name the lock-order lint ranks.
-pub(crate) fn lock_shard<V>(map: &ShardedMap<V>, key: u64) -> MutexGuard<'_, HashMap<u64, V>> {
-    let shard = map.shard_for(key);
-    shard.lock()
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //! Session I/O is event driven: a fixed pool of I/O threads
 //! (`--io-threads`) drives every connection's nonblocking socket through
 //! an epoll/poll reactor (the platform picks the poller), and the backend
-//! calls that must park run on two fixed worker lanes (submit and redeem,
-//! four threads each), so the daemon's thread count is independent of how
-//! many clients and peer daemons are connected.
+//! calls that must park run on one fixed worker lane of four threads, so
+//! the daemon's thread count is independent of how many clients and peer
+//! daemons are connected.
 //!
 //! # Wide-area federation
 //!

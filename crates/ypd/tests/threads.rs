@@ -1,5 +1,5 @@
 //! The daemon's thread inventory, read off a real `ypd` process: the
-//! reactor's I/O threads and two worker lanes of four, whatever the load —
+//! reactor's I/O threads and one worker lane of four, whatever the load —
 //! no per-session thread and no teardown lane — and of the hosted live
 //! pipeline's stages only the pool managers: the query manager runs on the
 //! thread that launches a query, so its replicas are not threads.
@@ -102,14 +102,13 @@ fn with_daemon(flags: &[&str], inspect: impl FnOnce(u32)) {
 }
 
 #[test]
-fn a_served_daemon_runs_two_io_threads_and_two_lanes_of_four() {
+fn a_served_daemon_runs_two_io_threads_and_one_lane_of_four() {
     with_daemon(&[], |pid| {
         let names = threads(pid, "ypd-");
         let count = |prefix: &str| names.iter().filter(|n| n.starts_with(prefix)).count();
         assert_eq!(count("ypd-io-"), 2, "{names:?}");
-        assert_eq!(count("ypd-submit-"), 4, "{names:?}");
-        assert_eq!(count("ypd-redeem-"), 4, "{names:?}");
-        assert_eq!(names.len(), 10, "nothing else: {names:?}");
+        assert_eq!(count("ypd-lane-"), 4, "{names:?}");
+        assert_eq!(names.len(), 6, "nothing else: {names:?}");
 
         let stages = threads(pid, "yp-");
         assert_eq!(
