@@ -14,7 +14,7 @@ fn io_thread_main() {
 fn dispatch_frame() {
     match frame {
         ClientFrame::Submit { corr, query } => {
-            pools.submit.execute(move || {
+            std::thread::spawn(move || {
                 handle_submit(&shared, &job_state, corr, &query)
             });
         }
@@ -32,7 +32,7 @@ fn dispatch_frame() {
                 }
             };
             if shared.federation.is_some() {
-                pools.redeem.execute(release);
+                std::thread::spawn(release);
             } else {
                 release();
             }
@@ -45,6 +45,6 @@ fn dispatch_frame() {
 }
 
 fn handle_submit() {
-    // Only ever run from a lane closure: parking here is the lane's business.
+    // Only ever run from a spawned closure: parking here is its thread's business.
     shared.manager.submit_text(query);
 }

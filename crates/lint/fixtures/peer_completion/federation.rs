@@ -3,7 +3,7 @@
 //! so each blocking peer call it reaches must be reported — a blocking
 //! dial in the dial step, a name lookup, and an inbound delegation served
 //! by blocking on the local backend — while the same call inside a step
-//! offloaded to the lane is not.
+//! spawned on a thread of its own is not.
 
 fn wait_with() {
     with_link();
@@ -15,9 +15,9 @@ fn with_link() {
 
 fn release_with() {
     let resolved = (host, port).to_socket_addrs();
-    host.offload(Box::new(move || {
+    std::thread::spawn(move || {
         let (conn, version) = Conn::dial(&addr);
-    }));
+    });
 }
 
 fn delegate_with() {

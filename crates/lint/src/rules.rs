@@ -164,11 +164,12 @@ impl LintConfig {
 
 /// The daemon's non-parking entry points, for a tree whose pipeline
 /// sources sit under `pipeline_src`: the reactor I/O loop; the completion
-/// paths of the federation and of the live backend, which run on I/O and
-/// stage threads (`FederatedBackend::{wait_with, cancel_wait,
-/// release_with, delegate_with}`, and the `api.rs` backends' `submit_with`,
-/// `wait_with`, `cancel_wait` and `release_with` — whose window returns
-/// permits and launches queued admissions); and the peer-session read path, which routes a peer link's
+/// paths of the federation and of the hosted backends, which run on I/O
+/// and stage threads (`FederatedBackend::{submit_batch_with, wait_with,
+/// cancel_wait, release_with, delegate_with}`, and the `api.rs` backends'
+/// `submit_with`, `submit_batch_with`, `wait_with`, `cancel_wait` and
+/// `release_with` — whose window returns permits and launches queued
+/// admissions); and the peer-session read path, which routes a peer link's
 /// replies and runs their completions on the I/O thread
 /// (`corr::Conn::route`, reached from the session only through a method
 /// call the walk cannot resolve).  The backend calls are reached from the
@@ -176,10 +177,22 @@ impl LintConfig {
 pub fn reactor_entry_points(pipeline_src: &str) -> Vec<String> {
     let file = |name: &str| Path::new(pipeline_src).join(name).display().to_string();
     let mut entries = vec!["io_thread_main".to_string()];
-    for function in ["wait_with", "cancel_wait", "release_with", "delegate_with"] {
+    for function in [
+        "submit_batch_with",
+        "wait_with",
+        "cancel_wait",
+        "release_with",
+        "delegate_with",
+    ] {
         entries.push(format!("{}::{function}", file("federation.rs")));
     }
-    for function in ["submit_with", "wait_with", "cancel_wait", "release_with"] {
+    for function in [
+        "submit_with",
+        "submit_batch_with",
+        "wait_with",
+        "cancel_wait",
+        "release_with",
+    ] {
         entries.push(format!("{}::{function}", file("api.rs")));
     }
     entries.push(format!("{}::route", file("corr.rs")));
@@ -605,7 +618,7 @@ fn check_guards(
 // Rule 3: reactor-blocking (name-based call-graph reachability)
 // ---------------------------------------------------------------------------
 
-/// Lane/thread operations that park the calling thread — forbidden on
+/// Channel/thread operations that park the calling thread — forbidden on
 /// reactor I/O threads, whose stall freezes every session on that
 /// thread.  (`try_recv` and friends are fine.)  [`MANAGER_PARKING_CALLS`]
 /// adds the backend calls that park behind a trait object.
@@ -616,8 +629,9 @@ const REACTOR_BLOCKING_ANY_ARGS: &[&str] = &["recv_timeout", "recv_deadline"];
 /// may park.  The backend is a `dyn ResourceManager`, so the walk cannot
 /// follow the call into whatever runs behind it — the method name has to
 /// carry the contract instead.  `try_poll` waits for a federated chain
-/// its poll started.  `submit_with`, `stats`, `wait_with`, `cancel_wait`
-/// and `release_with` promise not to park and are deliberately absent.
+/// its poll started.  `submit_with`, `submit_batch_with`, `stats`,
+/// `wait_with`, `cancel_wait` and `release_with` promise not to park and
+/// are deliberately absent.
 const MANAGER_PARKING_CALLS: &[&str] = &[
     "submit",
     "submit_text",
@@ -642,11 +656,10 @@ const PEER_PARKING_CALLS: &[(&str, Option<&str>)] = &[
     ("handle_delegate", None),
 ];
 
-/// Calls whose argument (a closure) runs on a *different* thread: the
-/// worker-lane queue, thread spawns, and a federation step offloaded to
-/// the lane.  Their argument lists are skipped entirely — blocking
-/// inside them is the lane's business, not the reactor thread's.
-const DISPATCH_CALLS: &[&str] = &["spawn", "execute", "offload"];
+/// Calls whose argument (a closure) runs on a *different* thread: thread
+/// spawns.  Their argument lists are skipped entirely — blocking inside
+/// them is the spawned thread's business, not the reactor thread's.
+const DISPATCH_CALLS: &[&str] = &["spawn"];
 
 const KEYWORDS: &[&str] = &[
     "if", "else", "while", "for", "loop", "match", "return", "break", "continue", "let", "mut",
@@ -825,13 +838,13 @@ fn check_reactor(files: &[(PathBuf, Lexed)], entry_points: &[String], findings: 
 
 /// The functions the `reactor-blocking` walk reaches from `entry_points`
 /// over the `.rs` files under `root` (paths relative to it) — every one
-/// of them is a place where a blocking lane op would be reported.
+/// of them is a place where a blocking call would be reported.
 pub fn reactor_reachable(root: &Path, entry_points: &[String]) -> std::io::Result<BTreeSet<FnId>> {
     let (_, path_to) = reactor_paths(&lex_tree(root, &[])?, entry_points);
     Ok(path_to.into_keys().collect())
 }
 
-/// If token `k` opens a dispatch call (`spawn(..)` / `.execute(..)`),
+/// If token `k` opens a dispatch call (`spawn(..)`, `.spawn(..)`),
 /// returns the index of its closing paren so the caller skips the whole
 /// argument list — that closure runs on another thread.
 fn dispatch_call_end(tokens: &[Token], k: usize) -> Option<usize> {

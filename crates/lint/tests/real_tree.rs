@@ -118,6 +118,36 @@ fn the_walk_covers_the_admission_windows_launch_path() {
     }
 }
 
+/// Every call a daemon makes on its hosted backend is a completion: the
+/// eager backends resolve a `Submit` and a `SubmitBatch` on the spot
+/// (`EmbeddedBackend::resolve`, `BaselineBackend::execute` — walked now
+/// that `execute` is not a dispatch call), the live backend queues a
+/// batch's admission in its window, and the federation forwards both.  The
+/// walk from the backends' entry points must reach each, so a parking call
+/// planted on one is reported (and the workspace test below shows them
+/// clean).
+#[test]
+fn the_walk_covers_the_eager_submissions_and_the_batch_admissions() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
+    let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
+    for (file, function) in [
+        ("api.rs", "submit_with"),
+        ("api.rs", "submit_batch_with"),
+        ("api.rs", "resolve"),
+        ("api.rs", "execute"),
+        ("api.rs", "release_outstanding"),
+        ("api.rs", "admission"),
+        ("api.rs", "batch"),
+        ("api.rs", "admit"),
+        ("federation.rs", "submit_batch_with"),
+    ] {
+        assert!(
+            reachable.contains(&(PathBuf::from(file), function.to_string())),
+            "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
+        );
+    }
+}
+
 /// The live pipeline's query manager runs on the thread that launches the
 /// query, and the pool-manager stage that answers a query's last fragment
 /// finishes it — re-integration, the surplus hand-back and the redeemer's
@@ -208,7 +238,7 @@ fn a_parking_call_on_the_live_launch_path_is_reported() {
 /// blocking dial planted in the dial step (`Conn::dial`), a name lookup
 /// (`to_socket_addrs`) and an inbound delegation served by blocking
 /// (`handle_delegate`), each reached from a different entry point — but
-/// not the same dial offloaded to the lane.
+/// not the same dial spawned on a thread of its own.
 #[test]
 fn a_parking_peer_call_on_a_completion_path_is_reported() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/peer_completion");
@@ -247,7 +277,7 @@ fn a_parking_peer_call_on_a_completion_path_is_reported() {
 /// `dispatch_frame` had then (`fixtures/parent_dispatch`), the inline
 /// `shared.manager.release(..)` is now reported, and so is the inline
 /// `shared.manager.try_poll(..)` — a federated `try_poll` waits for the
-/// chain its poll started — and nothing else there is: not the lane
+/// chain its poll started — and nothing else there is: not the spawned
 /// closure, not `stats`.
 #[test]
 fn a_parking_backend_call_on_the_io_thread_is_seen_through_the_trait() {

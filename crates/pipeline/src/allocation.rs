@@ -17,16 +17,17 @@ pub use actyp_proto::types::{Allocation, AllocationError, SessionKey};
 /// Where a completion-style release
 /// ([`ResourceManager::release_with`](crate::ResourceManager::release_with))
 /// delivers its result: called at most once, on whichever thread finished
-/// the release — handed back uncalled by a backend that would have to
-/// park, dropped uncalled when the stage holding it shut down first.
+/// the release — dropped uncalled when the stage holding it shut down
+/// first.
 pub type ReleaseDone = Box<dyn FnOnce(Result<(), AllocationError>) + Send>;
 
 /// Where a completion-style wait
 /// ([`ResourceManager::wait_with`](crate::ResourceManager::wait_with))
 /// delivers the ticket's outcome: called at most once, by whichever thread
 /// finds the outcome and the waiter together — the caller when the
-/// outcome is already there, the stage that produces it otherwise —
-/// handed back uncalled by a backend that would have to park.
+/// outcome is already there, the stage that produces it otherwise — or
+/// dropped uncalled when [`ResourceManager::cancel_wait`](crate::ResourceManager::cancel_wait)
+/// takes it back.
 pub type WaitDone = Box<dyn FnOnce(Result<Vec<Allocation>, AllocationError>) + Send>;
 
 #[cfg(test)]

@@ -54,7 +54,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -81,6 +81,23 @@ pub type QueryOutcome = Result<Vec<Allocation>, AllocationError>;
 /// Where [`ResourceManager::submit_with`] delivers its ticket: called at
 /// most once, by whichever thread launches the query.
 pub type SubmitDone = Box<dyn FnOnce(Result<Ticket, AllocationError>) + Send>;
+
+/// Where [`ResourceManager::submit_batch_with`] delivers a batch's tickets:
+/// called at most once, by whichever thread launches the batch.
+pub type BatchDone = Box<dyn FnOnce(Result<Vec<Ticket>, AllocationError>) + Send>;
+
+/// A batch [`ResourceManager::submit_batch_with`] may have left waiting for
+/// window permits.
+#[derive(Debug)]
+pub struct QueuedBatch {
+    /// Withdraws the admission ([`ResourceManager::cancel_wait`]).
+    pub ticket: Ticket,
+    /// When the batch gives up: [`PipelineBuilder::batch_deadline`] after
+    /// it came in.
+    pub deadline: Instant,
+    /// The answer to a batch withdrawn at its deadline.
+    pub refusal: AllocationError,
+}
 
 /// Federated domains: one pool manager per `(name, database)` pair.
 pub type DomainList = Vec<(String, SharedDatabase)>;
@@ -201,6 +218,14 @@ fn snapshot_from_engine(
 /// All methods take `&self`; backends use interior mutability (embedded,
 /// baselines) or channels (live), so a manager can be shared across client
 /// threads behind an `Arc` without an external lock.
+///
+/// The `_with` methods take a completion instead of returning, and `done`
+/// runs on whichever thread has the answer: the calling thread when it is
+/// at hand, else the thread that produces it.  A backend a daemon hosts
+/// must not park in any of them, because the daemon calls them from its
+/// I/O threads.  [`RemoteBackend`] is the exception: it is a client, its
+/// `_with` methods run the round trip on the calling thread, and no daemon
+/// hosts one.
 pub trait ResourceManager: Send + Sync {
     /// Submits a query, returning a ticket for the eventual outcome.
     ///
@@ -210,57 +235,45 @@ pub trait ResourceManager: Send + Sync {
     /// and the ticket redeems instantly.
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError>;
 
-    /// [`submit`](Self::submit) for a caller that must not park — a `ypd`
-    /// I/O thread.  `Ok` means the query is taken and `done` receives what
-    /// `submit` would have returned, on whichever thread launches it: this
-    /// one, or the one whose release frees its permit in the live backend's
-    /// window.  `Err` hands the query and `done` back uncalled: the caller
-    /// takes [`submit`](Self::submit) to a thread that may park.  The
-    /// default always hands them back, right for the eager backends
-    /// (`submit` *is* the computation) and the remote one (a round trip).
-    fn submit_with(&self, query: Query, done: SubmitDone) -> Result<(), (Query, SubmitDone)> {
-        Err((query, done))
-    }
+    /// [`submit`](Self::submit) as a completion: `done` receives what
+    /// `submit` would have returned, on whichever thread launches the
+    /// query — this one, or, in the live backend's window, the one whose
+    /// release frees its permit.  The eager backends resolve it here.
+    fn submit_with(&self, query: Query, done: SubmitDone);
 
     /// Blocks until the ticket's query finishes and returns its outcome.
     /// Each ticket can be redeemed exactly once.
     fn wait(&self, ticket: Ticket) -> QueryOutcome;
 
-    /// [`wait`](Self::wait) for a caller that must not park — a `ypd` I/O
-    /// thread.  `Ok` means the ticket is redeemed and `done` receives its
-    /// outcome on whichever thread finds the two together: right here when
-    /// the outcome is already in, the stage that produces it otherwise —
-    /// unless [`cancel_wait`](Self::cancel_wait) takes `done` back first.
-    /// `Err` hands `done` back uncalled (the ticket untouched) because
-    /// waiting from here could park, and the caller takes
-    /// [`wait`](Self::wait) to a thread that may.  The default always
-    /// hands it back, which is right for the remote backend, whose wait is
-    /// a network round trip; the live backend leaves `done` in the ticket
-    /// for the pool-manager stage that answers the query's last fragment,
-    /// and the eager backends, whose tickets are resolved at submission,
-    /// finish on the spot.
-    fn wait_with(&self, _ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
-        Err(done)
-    }
+    /// [`wait`](Self::wait) as a completion: the ticket is redeemed and
+    /// `done` receives its outcome on whichever thread finds the two
+    /// together — right here when the outcome is already in, the stage that
+    /// produces it otherwise — unless [`cancel_wait`](Self::cancel_wait)
+    /// takes it back first.  The live backend leaves `done` in the ticket
+    /// for the pool-manager stage that answers the query's last fragment;
+    /// the eager backends, whose tickets are resolved at submission, finish
+    /// on the spot.
+    fn wait_with(&self, ticket: Ticket, done: WaitDone);
 
     /// Takes back the completion [`wait_with`](Self::wait_with) left with
-    /// the backend for `ticket`, if it has not run yet.  `Some` hands it
-    /// back uncalled, never to be run: the ticket is exactly as it was
-    /// before the `wait_with` — redeemable, still holding its window
-    /// permit, still counted in flight.  `None` means the completion ran or
-    /// is running: the outcome is in, or a federated delegation chain has
-    /// started.  The default returns `None`, which is right for the eager
-    /// backends, whose `wait_with` runs on the spot.
-    fn cancel_wait(&self, _ticket: Ticket) -> Option<WaitDone> {
-        None
+    /// the backend for `ticket`, if it has not run yet, and drops it
+    /// uncalled: `true` leaves the ticket exactly as it was before the
+    /// `wait_with` — redeemable, still holding its window permit, still
+    /// counted in flight.  `false` means the completion ran or is running:
+    /// the outcome is in, or a federated delegation chain has started.  The
+    /// ticket of a [`QueuedBatch`] withdraws the batch's admission the same
+    /// way: `true` drops its completion uncalled, and the batch is refused
+    /// with [`QueuedBatch::refusal`].  The default returns `false`, which is
+    /// right for the eager backends, whose `wait_with` runs on the spot.
+    fn cancel_wait(&self, _ticket: Ticket) -> bool {
+        false
     }
 
     /// Non-blocking redemption: `None` while the query is still in flight,
     /// `Some(outcome)` once it finished (the ticket is then spent).  The
     /// provided method takes [`wait_with`](Self::wait_with) back at once
     /// ([`cancel_wait`](Self::cancel_wait)), waiting only for a federated
-    /// chain already under way.  A backend that hands `wait_with` back
-    /// overrides this and [`wait_deadline`](Self::wait_deadline).
+    /// chain already under way.
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
         redeem_within(self, ticket, Some(Duration::ZERO))
     }
@@ -278,19 +291,13 @@ pub trait ResourceManager: Send + Sync {
     /// Releases an allocation back to the resource manager.
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError>;
 
-    /// [`release`](Self::release) for a caller that must not park — a
-    /// `ypd` I/O thread.  `Ok` means the release is under way (or done) and
-    /// `done` receives its result on whichever thread finishes it; `Err`
-    /// hands `done` back uncalled because releasing this allocation from
-    /// here could park, and the caller takes [`release`](Self::release) to
-    /// a thread that may.  The default always hands it back, which is
-    /// right for the remote and federated backends, whose release can be a
-    /// network round trip; the live backend posts `done` from the
-    /// pool-manager thread that drops the lease, and the eager backends,
-    /// whose release is a short in-memory step, finish on the spot.
-    fn release_with(&self, _allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
-        Err(done)
-    }
+    /// [`release`](Self::release) as a completion: `done` receives its
+    /// result on whichever thread finishes it.  The live backend posts it
+    /// from the pool-manager stage that drops the lease, the federation
+    /// from the I/O thread of the link a delegated lease goes back over,
+    /// and the eager backends, whose release is a short in-memory step,
+    /// finish on the spot.
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone);
 
     /// A snapshot of the backend's lifetime counters.
     fn stats(&self) -> StatsSnapshot;
@@ -309,15 +316,50 @@ pub trait ResourceManager: Send + Sync {
     /// Submits a batch of queries, returning one ticket per query.  On the
     /// live backend the whole batch is in flight at once; a batch that
     /// cannot fit in the in-flight window alongside the outstanding tickets
-    /// is rejected rather than deadlocking the caller.
+    /// is rejected at [`PipelineBuilder::batch_deadline`] rather than
+    /// deadlocking the caller.  The batch is all-or-nothing: a batch that
+    /// fails leaves no ticket, window permit or machine claim behind.
     ///
-    /// The batch is all-or-nothing: if a submission fails mid-batch, the
-    /// tickets already issued for it are settled internally and their
-    /// allocations released, so no in-flight slot or machine claim leaks,
-    /// and the error is returned.
+    /// The provided method waits for
+    /// [`submit_batch_with`](Self::submit_batch_with) on a latch, and
+    /// withdraws a queued admission at its deadline.
     fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
-        submit_batch_cancelling(self, queries)
+        let (tx, rx) = crossbeam::channel::unbounded();
+        // `tx` stays open, so a batch refused at its deadline without ever
+        // being queued waits the deadline out.
+        let done: BatchDone = Box::new({
+            let tx = tx.clone();
+            move |submitted| drop(tx.send(submitted))
+        });
+        let dropped = || {
+            Err(AllocationError::Internal(
+                "the batch was dropped".to_string(),
+            ))
+        };
+        let Some(queued) = self.submit_batch_with(queries, done) else {
+            drop(tx);
+            return rx.recv().unwrap_or_else(|_| dropped());
+        };
+        let left = queued.deadline.saturating_duration_since(Instant::now());
+        match rx.recv_timeout(left) {
+            Ok(submitted) => submitted,
+            Err(_) if self.cancel_wait(queued.ticket) => Err(queued.refusal),
+            // Granted as the deadline passed: the launch is under way.
+            Err(_) => {
+                drop(tx);
+                rx.recv().unwrap_or_else(|_| dropped())
+            }
+        }
     }
+
+    /// [`submit_batch`](Self::submit_batch) as a completion: `done`
+    /// receives the tickets, or why the batch failed, on whichever thread
+    /// launches the batch — this one, or, in the live backend's window, the
+    /// one whose release completes its permits.  A batch that may still be
+    /// waiting for permits comes back as a [`QueuedBatch`]: at its deadline
+    /// the caller withdraws it with [`cancel_wait`](Self::cancel_wait) and,
+    /// when that worked, answers its refusal.
+    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch>;
 
     /// Convenience: submit one query and block for its outcome.
     fn submit_wait(&self, query: &Query) -> QueryOutcome {
@@ -342,16 +384,16 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         (**self).submit(query)
     }
-    fn submit_with(&self, query: Query, done: SubmitDone) -> Result<(), (Query, SubmitDone)> {
+    fn submit_with(&self, query: Query, done: SubmitDone) {
         (**self).submit_with(query, done)
     }
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         (**self).wait(ticket)
     }
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
         (**self).wait_with(ticket, done)
     }
-    fn cancel_wait(&self, ticket: Ticket) -> Option<WaitDone> {
+    fn cancel_wait(&self, ticket: Ticket) -> bool {
         (**self).cancel_wait(ticket)
     }
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
@@ -363,7 +405,7 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
         (**self).release(allocation)
     }
-    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         (**self).release_with(allocation, done)
     }
     fn stats(&self) -> StatsSnapshot {
@@ -378,6 +420,9 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
         (**self).submit_batch(queries)
     }
+    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
+        (**self).submit_batch_with(queries, done)
+    }
     fn submit_wait(&self, query: &Query) -> QueryOutcome {
         (**self).submit_wait(query)
     }
@@ -386,55 +431,23 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     }
 }
 
-/// Shared all-or-nothing batch submission: on a mid-batch failure every
-/// already-issued ticket is settled and its allocations are handed back, so
-/// the caller never loses tickets it cannot redeem.
-fn submit_batch_cancelling<M: ResourceManager + ?Sized>(
-    manager: &M,
-    queries: Vec<Query>,
-) -> Result<Vec<Ticket>, AllocationError> {
-    let mut tickets = Vec::with_capacity(queries.len());
-    for query in queries {
-        match manager.submit(query) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(e) => {
-                abandon(manager, tickets);
-                return Err(e);
-            }
-        }
-    }
-    Ok(tickets)
-}
-
-/// Settles tickets nobody will redeem, handing their allocations back.
-fn abandon<M: ResourceManager + ?Sized>(manager: &M, tickets: Vec<Ticket>) {
-    for ticket in tickets {
-        for allocation in manager.wait(ticket).iter().flatten() {
-            let _ = manager.release(allocation);
-        }
-    }
-}
-
 /// Redeems `ticket` through [`ResourceManager::wait_with`] and waits for
 /// the outcome on a latch — for good when `timeout` is `None`.  Past the
 /// timeout the completion is taken back ([`ResourceManager::cancel_wait`])
 /// and `None` leaves the ticket as it was, unless the completion already
 /// ran or is running: its outcome is then on the way, and waited for.
-fn redeem_within<M: ResourceManager + ?Sized>(
+pub(crate) fn redeem_within<M: ResourceManager + ?Sized>(
     manager: &M,
     ticket: Ticket,
     timeout: Option<Duration>,
 ) -> Option<QueryOutcome> {
     let (tx, rx) = crossbeam::channel::unbounded();
-    let done: WaitDone = Box::new(move |outcome| drop(tx.send(outcome)));
-    if let Err(done) = manager.wait_with(ticket, done) {
-        done(manager.wait(ticket));
-    }
+    manager.wait_with(ticket, Box::new(move |outcome| drop(tx.send(outcome))));
     if let Some(timeout) = timeout {
         if let Ok(outcome) = rx.recv_timeout(timeout) {
             return Some(outcome);
         }
-        if manager.cancel_wait(ticket).is_some() {
+        if manager.cancel_wait(ticket) {
             return None;
         }
     }
@@ -708,34 +721,50 @@ impl EmbeddedBackend {
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
-}
 
-impl ResourceManager for EmbeddedBackend {
-    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        let outcome = self.engine.submit(&query);
+    /// Runs `query` through the engine and issues the ticket of its
+    /// outcome: a short in-memory step, so every submission path ends here.
+    fn resolve(&self, query: &Query) -> Ticket {
+        let outcome = self.engine.allocate(query);
         if let Ok(allocations) = &outcome {
             let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
             self.examined.fetch_add(examined, Ordering::Relaxed);
         }
-        Ok(self.tickets.issue(outcome))
+        self.tickets.issue(outcome)
+    }
+}
+
+impl ResourceManager for EmbeddedBackend {
+    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
+        Ok(self.resolve(&query))
+    }
+
+    fn submit_with(&self, query: Query, done: SubmitDone) {
+        done(Ok(self.resolve(&query)));
+    }
+
+    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
+        done(Ok(queries
+            .iter()
+            .map(|query| self.resolve(query))
+            .collect()));
+        None
     }
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         self.tickets.take(ticket)
     }
 
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
         done(self.tickets.take(ticket));
-        Ok(())
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
         self.engine.release(allocation)
     }
 
-    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         done(self.release(allocation));
-        Ok(())
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -813,13 +842,41 @@ impl Ledger {
     fn admission(
         ledger: &std::sync::Arc<Ledger>,
         queries: Vec<Query>,
-        done: impl FnOnce(Vec<Result<Ticket, AllocationError>>) + Send + 'static,
+        done: impl FnOnce(&std::sync::Arc<Ledger>, Vec<Result<Ticket, AllocationError>>)
+            + Send
+            + 'static,
     ) -> Launch {
         let ledger = std::sync::Arc::downgrade(ledger);
         Box::new(move || {
             let ledger = ledger.upgrade().expect("the ledger outlives its window");
-            done(queries.into_iter().map(|q| ledger.launch(q)).collect());
+            let launched = queries.into_iter().map(|q| ledger.launch(q)).collect();
+            done(&ledger, launched)
         })
+    }
+
+    /// A batch's launches as one answer.  A launch fails only once the
+    /// pipeline is down, and from then on every launch does: the tickets
+    /// issued before it are settled as completions, their allocations
+    /// handed back.
+    fn batch(
+        self: &std::sync::Arc<Self>,
+        launched: Vec<Result<Ticket, AllocationError>>,
+    ) -> Result<Vec<Ticket>, AllocationError> {
+        let (tickets, failed): (Vec<_>, Vec<_>) = launched.into_iter().partition(Result::is_ok);
+        let Some(error) = failed.into_iter().find_map(Result::err) else {
+            return Ok(tickets.into_iter().flatten().collect());
+        };
+        for ticket in tickets.into_iter().flatten() {
+            let slot = self.pending.remove(ticket.id).expect("issued just now");
+            let ledger = self.clone();
+            slot.on_ready(Box::new(move |outcome| {
+                ledger.settle(&outcome);
+                for allocation in outcome.iter().flatten() {
+                    ledger.launcher.release_with(allocation, Box::new(|_| {}));
+                }
+            }));
+        }
+        Err(error)
     }
 
     fn settle(&self, outcome: &QueryOutcome) {
@@ -831,6 +888,14 @@ impl Ledger {
         self.window.free(1);
     }
 }
+
+/// The ticket id bit of a batch's admission in the live window
+/// ([`QueuedBatch::ticket`]); ticket ids never reach it.
+const ADMISSION: u64 = 1 << 63;
+
+/// The admission id of a batch larger than the whole window, which is
+/// never queued.
+const NEVER_QUEUED: u64 = !ADMISSION;
 
 impl LiveBackend {
     fn new(pipeline: LivePipeline, window: usize, batch_deadline: Duration, shards: usize) -> Self {
@@ -874,7 +939,7 @@ impl ResourceManager for LiveBackend {
     /// window's queue.
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let _taken = self.submit_with(query, Box::new(move |submitted| drop(tx.send(submitted))));
+        self.submit_with(query, Box::new(move |submitted| drop(tx.send(submitted))));
         rx.recv()
             .unwrap_or_else(|_| Err(AllocationError::Internal("window dropped".to_string())))
     }
@@ -883,63 +948,54 @@ impl ResourceManager for LiveBackend {
     /// sends each fragment to its stage): with a permit free the query is
     /// launched now, else it queues in the window and the thread whose
     /// release frees its permit launches it.
-    fn submit_with(&self, query: Query, done: SubmitDone) -> Result<(), (Query, SubmitDone)> {
+    fn submit_with(&self, query: Query, done: SubmitDone) {
         if self.ledger.window.try_acquire() {
             done(self.ledger.launch(query));
         } else {
-            let launch = Ledger::admission(&self.ledger, vec![query], move |mut launched| {
+            let launch = Ledger::admission(&self.ledger, vec![query], move |_, mut launched| {
                 done(launched.pop().expect("one query, one launch"))
             });
             self.ledger.window.admit(1, launch);
         }
-        Ok(())
     }
 
     /// Deadline-bounded backpressure: the batch is one admission needing a
     /// permit per query, so it is all-or-nothing by construction, and waits
     /// up to [`PipelineBuilder::batch_deadline`] for permits freed by
-    /// concurrent redeemers.  Past the deadline the admission is withdrawn,
-    /// its collected permits pass to the next in line, and the error
-    /// reports the window state.  A batch larger than the whole window,
-    /// which at the head would hold up every admission behind it, is never
-    /// queued but refused at the same deadline.  Federated daemons forward
-    /// batches here.
-    fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
+    /// concurrent redeemers.  Withdrawn then, its collected permits pass to
+    /// the next in line, and the refusal reports the window state.  A batch
+    /// larger than the whole window, which at the head would hold up every
+    /// admission behind it, is never queued but refused at the same
+    /// deadline.  Federated daemons forward batches here.
+    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
         if queries.is_empty() {
-            return Ok(Vec::new());
+            done(Ok(Vec::new()));
+            return None;
         }
-        let need = queries.len();
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let launch = Ledger::admission(&self.ledger, queries, {
-            let tx = tx.clone();
-            move |launched| drop(tx.send(launched))
-        });
-        // `tx` stays open, so an oversized batch, never queued, still waits
-        // out the deadline below.
         let window = &self.ledger.window;
-        let id = (need <= window.capacity).then(|| window.admit(need, launch));
-        let launched = match rx.recv_timeout(self.batch_deadline) {
-            Ok(launched) => launched,
-            Err(_) if id.is_none_or(|id| window.cancel(id)) => {
-                return Err(AllocationError::Internal(format!(
-                    "batch backpressure deadline of {:?} elapsed with the in-flight \
-                     window of {} still full; redeem outstanding tickets, raise \
-                     PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
-                    self.batch_deadline, window.capacity
-                )));
+        let need = queries.len();
+        let id = match need <= window.capacity {
+            true => {
+                let launch = Ledger::admission(&self.ledger, queries, move |ledger, launched| {
+                    done(ledger.batch(launched))
+                });
+                window.admit(need, launch)
             }
-            // Granted as the deadline passed: the launch is under way.
-            Err(_) => rx.recv().expect("a granted admission launches"),
+            false => NEVER_QUEUED,
         };
-        // A launch fails only once the pipeline is down, and from then on
-        // every launch does: the tickets issued before it are settled.
-        let (tickets, failed): (Vec<_>, Vec<_>) = launched.into_iter().partition(Result::is_ok);
-        let tickets = tickets.into_iter().flatten().collect();
-        if let Some(error) = failed.into_iter().find_map(Result::err) {
-            abandon(self, tickets);
-            return Err(error);
-        }
-        Ok(tickets)
+        Some(QueuedBatch {
+            ticket: Ticket {
+                brand: self.ledger.brand,
+                id: ADMISSION | id,
+            },
+            deadline: Instant::now() + self.batch_deadline,
+            refusal: AllocationError::Internal(format!(
+                "batch backpressure deadline of {:?} elapsed with the in-flight \
+                 window of {} still full; redeem outstanding tickets, raise \
+                 PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
+                self.batch_deadline, window.capacity
+            )),
+        })
     }
 
     /// A latch on [`wait_with`](Self::wait_with).
@@ -952,13 +1008,10 @@ impl ResourceManager for LiveBackend {
     /// thread does, when the outcome is already in.  Either way the ticket
     /// settles before `done` sees the outcome.  Until then the slot is
     /// kept where [`cancel_wait`](Self::cancel_wait) finds it.
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
         let slot = match self.claim(ticket) {
             Ok(slot) => slot,
-            Err(e) => {
-                done(Err(e));
-                return Ok(());
-            }
+            Err(e) => return done(Err(e)),
         };
         self.ledger.waiting.insert(ticket.id, slot.clone());
         let ledger = self.ledger.clone();
@@ -967,19 +1020,28 @@ impl ResourceManager for LiveBackend {
             ledger.settle(&outcome);
             done(outcome);
         }));
-        Ok(())
     }
 
     /// A `Waiter → Pending` step under the ticket's slot lock; the slot
-    /// goes back to the outstanding tickets, its permit still held.
-    fn cancel_wait(&self, ticket: Ticket) -> Option<WaitDone> {
+    /// goes back to the outstanding tickets, its permit still held.  A
+    /// batch's admission is withdrawn from the window.
+    fn cancel_wait(&self, ticket: Ticket) -> bool {
         if ticket.brand != self.ledger.brand {
-            return None;
+            return false;
         }
-        let slot = self.ledger.waiting.remove(ticket.id)?;
-        let done = slot.withdraw()?;
+        if ticket.id & ADMISSION != 0 {
+            return ticket.id == ADMISSION | NEVER_QUEUED
+                || self.ledger.window.cancel(ticket.id & !ADMISSION);
+        }
+        let Some(slot) = self.ledger.waiting.remove(ticket.id) else {
+            return false;
+        };
+        let Some(done) = slot.withdraw() else {
+            return false;
+        };
+        drop(done);
         self.ledger.pending.insert(ticket.id, slot);
-        Some(done)
+        true
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
@@ -987,7 +1049,7 @@ impl ResourceManager for LiveBackend {
     }
 
     /// The pool-manager stage that drops the lease runs `done` itself.
-    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         self.pipeline.release_with(allocation, done)
     }
 
@@ -1197,26 +1259,33 @@ impl<D: BaselineDispatcher> BaselineBackend<D> {
 
 impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        let outcome = self.execute(&query);
-        Ok(self.tickets.issue(outcome))
+        Ok(self.tickets.issue(self.execute(&query)))
+    }
+
+    fn submit_with(&self, query: Query, done: SubmitDone) {
+        done(Ok(self.tickets.issue(self.execute(&query))));
+    }
+
+    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
+        let issue = |query: &Query| self.tickets.issue(self.execute(query));
+        done(Ok(queries.iter().map(issue).collect()));
+        None
     }
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         self.tickets.take(ticket)
     }
 
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
         done(self.tickets.take(ticket));
-        Ok(())
     }
 
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
         self.release_outstanding(allocation)
     }
 
-    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         done(self.release(allocation));
-        Ok(())
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -1746,22 +1815,18 @@ mod tests {
         let manager = builder(300, 28).window(1).build_live().unwrap();
         let granted = manager.submit_text_wait(&paper_text()).unwrap();
         let (hold, held) = std::sync::mpsc::channel::<()>();
-        let taken = manager.release_with(
+        manager.release_with(
             &granted[0],
             Box::new(move |_| {
                 let _ = held.recv();
             }),
         );
-        assert!(taken.is_ok(), "the stage runs the completion");
         let ticket = manager.submit_text(&paper_text()).unwrap();
         let (tx, ran) = std::sync::mpsc::channel();
         let done: WaitDone = Box::new(move |outcome| drop(tx.send(outcome)));
-        assert!(manager.wait_with(ticket, done).is_ok());
-        assert!(
-            manager.cancel_wait(ticket).is_some(),
-            "the outcome is not in"
-        );
-        assert!(manager.cancel_wait(ticket).is_none(), "taken back once");
+        manager.wait_with(ticket, done);
+        assert!(manager.cancel_wait(ticket), "the outcome is not in");
+        assert!(!manager.cancel_wait(ticket), "taken back once");
         assert_eq!(manager.stats().in_flight, 1);
         assert_eq!(manager.try_poll(ticket), None, "still redeemable");
         assert!(!manager.ledger.window.try_acquire(), "the permit is held");

@@ -33,8 +33,10 @@ use std::time::Duration;
 use actyp_proto::{ClientFrame, RequestId, ServerFrame, MAX_SEQUENCE_LEN};
 use actyp_query::Query;
 
-use crate::allocation::AllocationError;
-use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
+use crate::allocation::{AllocationError, ReleaseDone, WaitDone};
+use crate::api::{
+    BatchDone, QueryOutcome, QueuedBatch, ResourceManager, StatsSnapshot, SubmitDone, Ticket,
+};
 use crate::corr::{Conn, ConnError};
 use crate::message::StageAddress;
 
@@ -200,6 +202,20 @@ impl ResourceManager for RemoteBackend {
         self.send_submit(text.to_string())
     }
 
+    /// The round trip runs on the calling thread: this is a client, and
+    /// no daemon hosts it.
+    fn submit_with(&self, query: Query, done: SubmitDone) {
+        done(self.submit(query));
+    }
+
+    /// The round trip runs on the calling thread, like
+    /// [`submit_with`](Self::submit_with)'s.
+    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
+        done(self.submit_batch(queries));
+        None
+    }
+
+    /// The `SubmitBatch` frame: the daemon applies the batch deadline.
     fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
         let rendered: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
         for query in &rendered {
@@ -229,6 +245,12 @@ impl ResourceManager for RemoteBackend {
                 deadline_ms: None,
             })?),
         }
+    }
+
+    /// The redemption runs on the calling thread, like
+    /// [`submit_with`](Self::submit_with)'s round trip.
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
+        done(self.wait(ticket));
     }
 
     /// A submission's reply is collected here, with the deadline on this
@@ -273,6 +295,12 @@ impl ResourceManager for RemoteBackend {
             ServerFrame::Error { error, .. } => Err(error),
             other => Err(Self::unexpected(other)),
         }
+    }
+
+    /// The round trip runs on the calling thread, like
+    /// [`submit_with`](Self::submit_with)'s.
+    fn release_with(&self, allocation: &crate::allocation::Allocation, done: ReleaseDone) {
+        done(self.release(allocation));
     }
 
     fn stats(&self) -> StatsSnapshot {

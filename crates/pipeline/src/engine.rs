@@ -201,7 +201,7 @@ impl Engine {
     /// experiments that pre-install or destroy pools).
     ///
     /// The engine's internal lock is held while the closure runs: the
-    /// closure must not call back into this engine (`submit`, `release`,
+    /// closure must not call back into this engine (`allocate`, `release`,
     /// `stats`, …), or it will deadlock.
     pub fn with_pool_manager<R>(
         &self,
@@ -246,7 +246,7 @@ impl Engine {
     /// Crate-internal: clients reach this through
     /// [`crate::api::ResourceManager`] on the embedded backend — the former
     /// public `submit*` shims are gone.
-    pub(crate) fn submit(&self, query: &Query) -> Result<Vec<Allocation>, AllocationError> {
+    pub(crate) fn allocate(&self, query: &Query) -> Result<Vec<Allocation>, AllocationError> {
         self.core
             .lock()
             .submit(&self.config, &self.directory, query)
@@ -419,7 +419,7 @@ mod tests {
     /// schema validation) on a query manager, then run the pipeline.
     fn submit_text(engine: &Engine, text: &str) -> Result<Vec<Allocation>, AllocationError> {
         let query = engine.translate_text(text)?;
-        engine.submit(&query)
+        engine.allocate(&query)
     }
 
     #[test]
@@ -505,7 +505,7 @@ mod tests {
                 Some("ece"),
             )
             .unwrap();
-        let allocations = engine.submit(&query).unwrap();
+        let allocations = engine.allocate(&query).unwrap();
         assert_eq!(allocations.len(), 1);
         assert!(allocations[0].machine_name.contains("sun"));
     }
@@ -613,7 +613,7 @@ mod tests {
         let engine = Engine::new(config, fleet_db(300, 14));
         for _ in 0..6 {
             engine
-                .submit(&Query::new().with(QueryKey::rsrc("arch"), Constraint::eq("sun")))
+                .allocate(&Query::new().with(QueryKey::rsrc("arch"), Constraint::eq("sun")))
                 .unwrap();
         }
         // All six queries go to the same manager, so exactly one pool

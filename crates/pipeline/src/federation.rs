@@ -45,8 +45,7 @@
 //! reply's completion runs on the link's I/O thread.  A give-up takes a
 //! federated `Wait` back ([`ResourceManager::cancel_wait`]) only while its
 //! local wait is open: once a chain has started, its outcome is the answer.
-//! The blocking trait methods run the local step and then wait for that
-//! same chain.
+//! The blocking trait methods are latches on those same completions.
 //!
 //! [`run_chain`] drives a [`Chain`] by blocking on each delegation over a
 //! [`PeerDelegator`]: the in-memory driver the simulator and the property
@@ -65,7 +64,9 @@ use parking_lot::Mutex;
 use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, ServerFrame};
 
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, SubmitDone, Ticket};
+use crate::api::{
+    BatchDone, QueryOutcome, QueuedBatch, ResourceManager, StatsSnapshot, SubmitDone, Ticket,
+};
 use crate::corr::{Conn, ConnError, COMPLETION_TIMEOUT};
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
@@ -421,9 +422,9 @@ struct PeerLink {
     index: u32,
     /// The peer's socket addresses as last looked up, or why the lookup
     /// failed.  Looked up when a daemon starts serving the backend
-    /// ([`FederatedBackend::attach`]), and again on the lane after
-    /// a dial fails unresolved or in full backoff: a lookup is a blocking
-    /// `getaddrinfo`, which no completion may run.
+    /// ([`FederatedBackend::attach`]), and again on a `ypd-resolve` thread
+    /// after a dial fails unresolved or in full backoff: a lookup is a
+    /// blocking `getaddrinfo`, which no completion may run.
     resolved: Mutex<Result<Vec<SocketAddr>, String>>,
     /// A lookup is on its way: the next one is skipped.
     resolving: AtomicBool,
@@ -508,36 +509,48 @@ impl Default for FederationConfig {
 
 /// A ticket issued by the federated wrapper: the inner backend's ticket
 /// plus the rendered query text, kept so a local failure can be delegated.
+#[derive(Clone)]
 struct PendingTicket {
     inner: Ticket,
     query: String,
 }
 
-/// A federated ticket whose local wait is open: the wrapped backend's
-/// ticket, and the completion with the query text, lent to the wrapped
-/// backend's own completion.
-type Waiting = (Ticket, Lent<(WaitDone, String)>);
+/// The federated wrapper's tickets, shared with the completions that issue
+/// and redeem them.
+struct Tickets {
+    brand: u64,
+    next: AtomicU64,
+    issued: Mutex<HashMap<u64, PendingTicket>>,
+    /// Tickets redeemed with a completion whose local outcome is not in
+    /// yet — what a give-up takes back ([`ResourceManager::cancel_wait`]).
+    /// Each completion drops its own entry when it runs.
+    waiting: Mutex<HashMap<u64, PendingTicket>>,
+}
+
+impl Tickets {
+    /// Records an inner ticket with its query text under a fresh ticket.
+    fn issue(&self, inner: Ticket, query: String) -> Ticket {
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        self.issued
+            .lock()
+            .insert(id, PendingTicket { inner, query });
+        Ticket::from_parts(self.brand, id)
+    }
+
+    fn take(&self, ticket: Ticket) -> Result<PendingTicket, AllocationError> {
+        if ticket.brand() != self.brand {
+            return Err(AllocationError::UnknownTicket);
+        }
+        self.issued
+            .lock()
+            .remove(&ticket.id())
+            .ok_or(AllocationError::UnknownTicket)
+    }
+}
 
 /// Where a chain driven by completions delivers its end: the outcome, and
 /// the routing state after every hop (what a `Delegated` reply carries).
 pub type DelegateDone = Box<dyn FnOnce(QueryOutcome, RoutingState) + Send>;
-
-/// A completion lent to a call that takes a completion of its own: whoever
-/// runs the call's completion takes it from here, at most once.
-type Lent<D> = Arc<Mutex<Option<D>>>;
-
-/// Lends `done` to `call`, whose completion `wrap` builds around it; when
-/// `call` hands its completion back uncalled, `done` comes back uncalled,
-/// next to whatever `call` handed back.
-fn lend<D, C, E>(
-    done: D,
-    wrap: impl FnOnce(Lent<D>) -> C,
-    call: impl FnOnce(C) -> Result<(), E>,
-) -> Result<(), (E, D)> {
-    let lent = Arc::new(Mutex::new(Some(done)));
-    call(wrap(lent.clone()))
-        .map_err(|back| (back, lent.lock().take().expect("handed back uncalled")))
-}
 
 /// Where a dial delivers its connection, once the peer's `HelloAck` is in
 /// — or why none came.
@@ -553,11 +566,6 @@ pub(crate) trait PeerHost: Send + Sync {
     /// `done`, on that session's I/O thread, with a connection born
     /// attached to it.
     fn dial_peer(&self, addrs: Vec<SocketAddr>, done: DialDone);
-
-    /// Runs a step that may park on the daemon's lane: the wrapped
-    /// backend's wait, when it hands `wait_with` back, and the lookup of a
-    /// peer's name after a failed dial.
-    fn offload(&self, job: Box<dyn FnOnce() + Send>);
 }
 
 /// A served backend's handle on its daemon, and on itself.
@@ -584,15 +592,9 @@ struct Attachment {
 /// ([`FederatedBackend::delegate_with`]), continuing chains that started
 /// elsewhere, and no thread parks while a query is in another domain.
 pub struct FederatedBackend {
-    inner: Box<dyn ResourceManager>,
+    inner: Arc<dyn ResourceManager>,
     config: FederationConfig,
-    brand: u64,
-    next: AtomicU64,
-    tickets: Mutex<HashMap<u64, PendingTicket>>,
-    /// Tickets redeemed with a completion whose local outcome is not in
-    /// yet — what a give-up takes back ([`ResourceManager::cancel_wait`]).
-    /// Each completion drops its own entry when it runs.
-    waiting: Arc<Mutex<HashMap<u64, Waiting>>>,
+    tickets: Arc<Tickets>,
     links: Vec<PeerLink>,
     /// Directory of the WAN neighbourhood: every peer domain is registered
     /// as a pool manager, its advertised pools as instance records.  A
@@ -653,12 +655,14 @@ impl FederatedBackend {
         let gossip = GossipPlane::new(&config.domain);
         let route_cache = RouteCache::new(config.route_cache);
         FederatedBackend {
-            inner,
+            inner: Arc::from(inner),
             config,
-            brand: crate::api::next_backend_brand(),
-            next: AtomicU64::new(0),
-            tickets: Mutex::new(HashMap::new()),
-            waiting: Arc::default(),
+            tickets: Arc::new(Tickets {
+                brand: crate::api::next_backend_brand(),
+                next: AtomicU64::new(0),
+                issued: Mutex::new(HashMap::new()),
+                waiting: Mutex::new(HashMap::new()),
+            }),
             links,
             peer_directory: LocalDirectoryService::new().into_shared(),
             local_directory,
@@ -751,17 +755,19 @@ impl FederatedBackend {
         );
     }
 
-    /// Looks the peer behind link `index` up again on the lane,
-    /// unless a lookup is already on its way; the next dial uses what it
-    /// finds.  A failed lookup keeps the addresses an earlier one found.
+    /// Looks the peer behind link `index` up again on a short-lived
+    /// `ypd-resolve` thread, unless a lookup is already on its way; the
+    /// next dial uses what it finds.  A failed lookup keeps the addresses
+    /// an earlier one found.
     fn refresh_address(&self, index: usize) {
-        let Some((backend, host)) = self.served() else {
+        let Some((backend, _)) = self.served() else {
             return;
         };
         if self.links[index].resolving.swap(true, Ordering::SeqCst) {
             return;
         }
-        host.offload(Box::new(move || {
+        let thread = std::thread::Builder::new().name("ypd-resolve".to_string());
+        let spawned = thread.spawn(move || {
             let link = &backend.links[index];
             let found = resolve_peer(&link.addr);
             let mut resolved = link.resolved.lock();
@@ -770,7 +776,10 @@ impl FederatedBackend {
             }
             drop(resolved);
             link.resolving.store(false, Ordering::SeqCst);
-        }));
+        });
+        if spawned.is_err() {
+            self.links[index].resolving.store(false, Ordering::SeqCst);
+        }
     }
 
     /// The peers whose names did not resolve at their last lookup, and
@@ -1193,61 +1202,6 @@ impl FederatedBackend {
         }
     }
 
-    /// Serves an incoming `Delegate` request from a peer daemon: spends a
-    /// hop visiting this domain, tries the local backend, forwards further
-    /// when possible.  Returns the outcome plus the routing state after
-    /// the whole chain, for the `Delegated` reply.
-    pub fn handle_delegate(
-        &self,
-        query: &str,
-        ttl: u32,
-        visited: Vec<String>,
-    ) -> (QueryOutcome, RoutingState) {
-        self.delegations_in.fetch_add(1, Ordering::Relaxed);
-        // The incoming TTL is honoured as-is: it was bounded by the
-        // *originator's* policy, and clamping it to this daemon's own
-        // (possibly lower) TTL would collapse the originator's remaining
-        // budget when the clamped value flows back through the reply.
-        // The work a hostile peer can demand stays bounded regardless:
-        // every chain visits each domain at most once.
-        let state = RoutingState { ttl, visited };
-        if state.has_visited(&self.config.domain) {
-            return (Err(self.revisited()), state);
-        }
-        let local = match state.alive() {
-            true => self.inner.submit_text_wait(query),
-            // No hop left to visit this domain: no local work either.
-            false => Err(AllocationError::TtlExpired),
-        };
-        self.chain_blocking(query, state, local)
-    }
-
-    /// Runs a chain from this domain's own outcome to its end
-    /// ([`FederatedBackend::federate`]), blocking the calling thread on it
-    /// — a lane worker, or a caller of the blocking trait methods.  The
-    /// chain needs no such thread to progress: its dials, sends and
-    /// replies all run on the serving reactor.  With no daemon serving the
-    /// backend no peer can be reached, and the local outcome stands.
-    fn chain_blocking(
-        &self,
-        query: &str,
-        state: RoutingState,
-        local: QueryOutcome,
-    ) -> (QueryOutcome, RoutingState) {
-        let Some((backend, host)) = self.served() else {
-            return (local, state);
-        };
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let done: DelegateDone = Box::new(move |outcome, state| {
-            let _ = tx.send((outcome, state));
-        });
-        backend.federate(&host, query.to_string(), state, local, done);
-        rx.recv().unwrap_or_else(|_| {
-            let lost = AllocationError::Internal("the delegation chain was dropped".to_string());
-            (Err(lost), RoutingState::new(0))
-        })
-    }
-
     /// The refusal of a `Delegate` whose query already visited this domain:
     /// a conforming peer never revisits, so refuse instead of looping.
     fn revisited(&self) -> AllocationError {
@@ -1257,81 +1211,55 @@ impl FederatedBackend {
         ))
     }
 
-    /// [`FederatedBackend::handle_delegate`] for a caller that must not
-    /// park — a `ypd` I/O thread.  The local submission is launched from
-    /// here or from the thread that frees its window permit, the local
-    /// outcome continues the chain on the stage that produces it, and each
-    /// onward `Delegate` is written by the thread that holds the previous
-    /// answer; `done` gets the outcome and the final routing state.  A
-    /// query that already visited this domain is refused right here.
-    /// Hands `done` back uncalled — nothing changed — when the local
-    /// backend hands its submission back or no daemon serves this backend.
-    pub fn delegate_with(
-        &self,
-        query: &str,
-        ttl: u32,
-        visited: &[String],
-        done: DelegateDone,
-    ) -> Result<(), DelegateDone> {
+    /// Serves an incoming `Delegate` request from a peer daemon as
+    /// completions: spends a hop visiting this domain, tries the local
+    /// backend, forwards further when possible.  The local submission is
+    /// launched from here or from the thread that frees its window permit,
+    /// the local outcome continues the chain on the stage that produces it,
+    /// and each onward `Delegate` is written by the thread that holds the
+    /// previous answer; `done` gets the outcome and the routing state after
+    /// the whole chain, for the `Delegated` reply.  A query that already
+    /// visited this domain is refused right here.  With no daemon serving
+    /// the backend no peer can be reached, and the local outcome stands.
+    pub fn delegate_with(&self, query: &str, ttl: u32, visited: &[String], done: DelegateDone) {
+        self.delegations_in.fetch_add(1, Ordering::Relaxed);
+        // The incoming TTL is honoured as-is: it was bounded by the
+        // *originator's* policy, and clamping it to this daemon's own
+        // (possibly lower) TTL would collapse the originator's remaining
+        // budget when the clamped value flows back through the reply.
+        // The work a hostile peer can demand stays bounded regardless:
+        // every chain visits each domain at most once.
         let state = RoutingState {
             ttl,
             visited: visited.to_vec(),
         };
         if state.has_visited(&self.config.domain) {
-            self.delegations_in.fetch_add(1, Ordering::Relaxed);
-            done(Err(self.revisited()), state);
-            return Ok(());
+            return done(Err(self.revisited()), state);
         }
-        let Some((backend, host)) = self.served() else {
-            return Err(done);
-        };
-        let query = query.to_string();
-        let parsed = match state.alive().then(|| actyp_query::parse_query(&query)) {
-            Some(Ok(parsed)) => parsed,
+        let parsed = match state.alive().then(|| actyp_query::parse_query(query)) {
+            Some(Ok(parsed)) => Ok(parsed),
             // A query no domain parses, or no hop left to visit this
             // domain (no local work either): the chain ends at once.
-            unparsed => {
-                self.delegations_in.fetch_add(1, Ordering::Relaxed);
-                let error = match unparsed {
-                    Some(Err(e)) => AllocationError::Parse(e.to_string()),
-                    _ => AllocationError::TtlExpired,
-                };
-                backend.federate(&host, query, state, Err(error), done);
-                return Ok(());
-            }
+            Some(Err(e)) => Err(AllocationError::Parse(e.to_string())),
+            None => Err(AllocationError::TtlExpired),
         };
-        // The local submission may wait its turn in the window: the chain
-        // goes on from whichever thread launches it.
-        lend(
-            done,
-            |lent| -> SubmitDone {
-                Box::new(move |submitted| {
-                    let Some(done) = lent.lock().take() else {
-                        return;
-                    };
-                    let ticket = match submitted {
-                        Ok(ticket) => ticket,
-                        Err(error) => {
-                            return backend.federate(&host, query, state, Err(error), done)
-                        }
-                    };
-                    let local: WaitDone = Box::new({
-                        let (host, backend) = (host.clone(), backend.clone());
-                        move |outcome| backend.federate(&host, query, state, outcome, done)
-                    });
-                    if let Err(local) = backend.inner.wait_with(ticket, local) {
-                        // The local backend cannot wait without parking:
-                        // the lane does.
-                        let waiter = backend.clone();
-                        host.offload(Box::new(move || local(waiter.inner.wait(ticket))));
-                    }
-                })
-            },
-            |submitted| self.inner.submit_with(parsed, submitted),
-        )
-        .map_err(|(_, done)| done)?;
-        self.delegations_in.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        let (served, query) = (self.served(), query.to_string());
+        let chain: WaitDone = Box::new(move |local| match served {
+            Some((backend, host)) => backend.federate(&host, query, state, local, done),
+            None => done(local, state),
+        });
+        let parsed = match parsed {
+            Ok(parsed) => parsed,
+            Err(error) => return chain(Err(error)),
+        };
+        let waiter = self.inner.clone();
+        self.inner.submit_with(
+            parsed,
+            Box::new(move |submitted| match submitted {
+                Ok(ticket) => waiter.wait_with(ticket, chain),
+                Err(error) => chain(Err(error)),
+            }),
+        );
     }
 
     /// Continues a chain from this domain's own outcome, as completions
@@ -1470,18 +1398,6 @@ impl FederatedBackend {
         done(outcome, state);
     }
 
-    /// Resolves an inner outcome, blocking: delegable failures go to the
-    /// federation (when this daemon has peers at all).
-    fn settle_blocking(&self, query: &str, outcome: QueryOutcome) -> QueryOutcome {
-        match outcome {
-            Err(error) if is_delegable(&error) && !self.links.is_empty() => {
-                let state = RoutingState::new(self.config.ttl);
-                self.chain_blocking(query, state, Err(error)).0
-            }
-            other => other,
-        }
-    }
-
     fn link_for(&self, domain: &str) -> Option<&PeerLink> {
         self.links
             .iter()
@@ -1506,56 +1422,37 @@ impl FederatedBackend {
     /// abandoned locally: nobody is left to use an allocation a peer would
     /// make, so delegating (and releasing hop by hop) would be pure churn.
     pub(crate) fn take_local(&self, ticket: Ticket) -> Option<Ticket> {
-        self.take_ticket(ticket).ok().map(|pending| pending.inner)
+        self.tickets.take(ticket).ok().map(|pending| pending.inner)
     }
 
-    /// [`ResourceManager::wait`] for a waiter that may leave meanwhile — a
-    /// `ypd` session: a delegable local failure is delegated only if
-    /// `wanted()` still holds once it is in.  A client gone by then gets
-    /// its local outcome, and nothing is delegated (and released hop by
-    /// hop) for nobody; a chain already under way runs to its end.
-    pub(crate) fn wait_while(&self, ticket: Ticket, wanted: &dyn Fn() -> bool) -> QueryOutcome {
-        let pending = self.take_ticket(ticket)?;
-        let outcome = self.inner.wait(pending.inner);
-        match wanted() {
-            true => self.settle_blocking(&pending.query, outcome),
-            false => outcome,
-        }
-    }
-
-    /// [`ResourceManager::wait_with`], delegating as [`Self::wait_while`]
-    /// does.  The local outcome goes through the wrapped backend's own
-    /// `wait_with`, and whichever thread delivers it — this one on a hit,
-    /// the stage that produces it otherwise — runs `done` with a final
-    /// outcome or, on a served backend with peers, continues a delegable
-    /// failure as a chain of completions ([`FederatedBackend::delegate_with`]
-    /// has the same shape).  Until the local outcome is in,
-    /// [`ResourceManager::cancel_wait`] can take `done` back.  When the
-    /// wrapped backend cannot wait from here, `done` is handed back and the
-    /// ticket left as it was.
+    /// [`ResourceManager::wait_with`] for a waiter that may leave meanwhile
+    /// — a `ypd` session: a delegable local failure is delegated only if
+    /// `wanted()` still holds once it is in.  A client gone by then gets its
+    /// local outcome, and nothing is delegated (and released hop by hop)
+    /// for nobody; a chain already under way runs to its end.  The local
+    /// outcome goes through the wrapped backend's own `wait_with`, and
+    /// whichever thread delivers it — this one on a hit, the stage that
+    /// produces it otherwise — runs `done` with a final outcome or, on a
+    /// served backend with peers, continues a delegable failure as a chain
+    /// of completions ([`FederatedBackend::delegate_with`] has the same
+    /// shape).  Until the local outcome is in,
+    /// [`ResourceManager::cancel_wait`] can take `done` back.
     pub(crate) fn wait_with_while(
         &self,
         ticket: Ticket,
         done: WaitDone,
         wanted: impl Fn() -> bool + Send + 'static,
-    ) -> Result<(), WaitDone> {
-        let pending = match self.take_ticket(ticket) {
+    ) {
+        let pending = match self.tickets.take(ticket) {
             Ok(pending) => pending,
-            Err(error) => {
-                done(Err(error));
-                return Ok(());
-            }
+            Err(error) => return done(Err(error)),
         };
         let served = (!self.links.is_empty()).then(|| self.served()).flatten();
-        let (id, inner) = (ticket.id(), pending.inner);
-        let lent: Lent<(WaitDone, String)> = Arc::new(Mutex::new(Some((done, pending.query))));
-        self.waiting.lock().insert(id, (inner, lent.clone()));
-        let (waiting, local_lent) = (self.waiting.clone(), lent.clone());
+        let (id, inner, query) = (ticket.id(), pending.inner, pending.query.clone());
+        self.tickets.waiting.lock().insert(id, pending);
+        let tickets = self.tickets.clone();
         let local: WaitDone = Box::new(move |outcome| {
-            waiting.lock().remove(&id);
-            let Some((done, query)) = local_lent.lock().take() else {
-                return;
-            };
+            tickets.waiting.lock().remove(&id);
             match (outcome, served) {
                 (Err(error), Some((backend, host))) if is_delegable(&error) && wanted() => {
                     let state = RoutingState::new(backend.config.ttl);
@@ -1565,34 +1462,7 @@ impl FederatedBackend {
                 (final_outcome, _) => done(final_outcome),
             }
         });
-        self.inner.wait_with(inner, local).map_err(|_| {
-            self.waiting.lock().remove(&id);
-            let (done, query) = lent.lock().take().expect("handed back uncalled");
-            self.tickets
-                .lock()
-                .insert(id, PendingTicket { inner, query });
-            done
-        })
-    }
-
-    /// Records an inner ticket with its query text (kept so a local
-    /// failure can be delegated) under a fresh ticket of this backend.
-    fn issue(&self, inner: Ticket, query: String) -> Ticket {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.tickets
-            .lock()
-            .insert(id, PendingTicket { inner, query });
-        Ticket::from_parts(self.brand, id)
-    }
-
-    fn take_ticket(&self, ticket: Ticket) -> Result<PendingTicket, AllocationError> {
-        if ticket.brand() != self.brand {
-            return Err(AllocationError::UnknownTicket);
-        }
-        self.tickets
-            .lock()
-            .remove(&ticket.id())
-            .ok_or(AllocationError::UnknownTicket)
+        self.inner.wait_with(inner, local);
     }
 }
 
@@ -1761,85 +1631,80 @@ impl ResourceManager for FederatedBackend {
     fn submit(&self, query: actyp_query::Query) -> Result<Ticket, AllocationError> {
         let rendered = query.to_string();
         let inner = self.inner.submit(query)?;
-        Ok(self.issue(inner, rendered))
+        Ok(self.tickets.issue(inner, rendered))
     }
 
-    /// Submission is always local first: a served backend forwards to the
-    /// wrapped backend's `submit_with`.
-    fn submit_with(
-        &self,
-        query: actyp_query::Query,
-        done: SubmitDone,
-    ) -> Result<(), (actyp_query::Query, SubmitDone)> {
-        let Some((backend, _)) = self.served() else {
-            return Err((query, done));
-        };
-        let rendered = query.to_string();
-        lend(
-            done,
-            |lent| -> SubmitDone {
-                Box::new(move |submitted| {
-                    if let Some(done) = lent.lock().take() {
-                        done(submitted.map(|inner| backend.issue(inner, rendered)));
-                    }
-                })
-            },
-            |submitted| self.inner.submit_with(query, submitted),
-        )
-        .map_err(|((query, _), done)| (query, done))
+    /// Submission is always local first: forwarded to the wrapped
+    /// backend's `submit_with`.
+    fn submit_with(&self, query: actyp_query::Query, done: SubmitDone) {
+        let (tickets, rendered) = (self.tickets.clone(), query.to_string());
+        self.inner.submit_with(
+            query,
+            Box::new(move |submitted| done(submitted.map(|inner| tickets.issue(inner, rendered)))),
+        );
     }
 
-    /// Batches forward to the inner backend's own batch submission, so an
+    /// Batches forward to the wrapped backend's own batch submission, so an
     /// over-window batch gets the same deadline-bounded backpressure on a
-    /// federated daemon as on a plain one (the default per-query path
-    /// would block in the window with no bound).  Every issued ticket
-    /// still records its query text for later delegation.
-    fn submit_batch(
+    /// federated daemon as on a plain one, and its admission is withdrawn
+    /// through [`cancel_wait`](ResourceManager::cancel_wait) the same way.
+    /// Every issued ticket still records its query text for later
+    /// delegation.
+    fn submit_batch_with(
         &self,
         queries: Vec<actyp_query::Query>,
-    ) -> Result<Vec<Ticket>, AllocationError> {
+        done: BatchDone,
+    ) -> Option<QueuedBatch> {
         let rendered: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
-        let inner = self.inner.submit_batch(queries)?;
-        Ok(inner
-            .into_iter()
-            .zip(rendered)
-            .map(|(inner, query)| self.issue(inner, query))
-            .collect())
+        let tickets = self.tickets.clone();
+        let issue = move |inner: Vec<Ticket>| {
+            let issued = inner.into_iter().zip(rendered);
+            issued
+                .map(|(inner, query)| tickets.issue(inner, query))
+                .collect()
+        };
+        self.inner.submit_batch_with(
+            queries,
+            Box::new(move |submitted| done(submitted.map(issue))),
+        )
     }
 
+    /// A latch on [`wait_with`](ResourceManager::wait_with).
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        self.wait_while(ticket, &|| true)
+        crate::api::redeem_within(self, ticket, None)
+            .expect("an unbounded wait returns the outcome")
     }
 
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) -> Result<(), WaitDone> {
+    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
         self.wait_with_while(ticket, done, || true)
     }
 
     /// Forwarded to the wrapped backend while the local wait is open.  Once
     /// the local outcome is in there is nothing to take back: a chain runs
-    /// past a deadline rather than fail a query a peer could satisfy.
-    fn cancel_wait(&self, ticket: Ticket) -> Option<WaitDone> {
-        if ticket.brand() != self.brand {
-            return None;
+    /// past a deadline rather than fail a query a peer could satisfy.  A
+    /// ticket of the wrapped backend — a forwarded batch's admission — is
+    /// forwarded as it is.
+    fn cancel_wait(&self, ticket: Ticket) -> bool {
+        if ticket.brand() != self.tickets.brand {
+            return self.inner.cancel_wait(ticket);
         }
-        let (inner, lent) = self.waiting.lock().remove(&ticket.id())?;
-        drop(self.inner.cancel_wait(inner)?);
-        let (done, query) = lent.lock().take()?;
-        self.tickets
-            .lock()
-            .insert(ticket.id(), PendingTicket { inner, query });
-        Some(done)
+        let Some(pending) = self.tickets.waiting.lock().remove(&ticket.id()) else {
+            return false;
+        };
+        if !self.inner.cancel_wait(pending.inner) {
+            return false;
+        }
+        self.tickets.issued.lock().insert(ticket.id(), pending);
+        true
     }
 
-    /// [`ResourceManager::release_with`], waited for on this thread.
+    /// A latch on [`release_with`](ResourceManager::release_with).
     fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
         let (tx, rx) = crossbeam::channel::unbounded();
-        let done: ReleaseDone = Box::new(move |released| {
-            let _ = tx.send(released);
-        });
-        if let Err(done) = self.release_with(allocation, done) {
-            done(self.inner.release(allocation));
-        }
+        self.release_with(
+            allocation,
+            Box::new(move |released| drop(tx.send(released))),
+        );
         rx.recv().unwrap_or_else(|_| {
             Err(AllocationError::Internal(
                 "the release was dropped".to_string(),
@@ -1848,29 +1713,25 @@ impl ResourceManager for FederatedBackend {
     }
 
     /// A lease this daemon holds itself is released by the wrapped
-    /// backend's own `release_with`.  A delegated one, on a served
-    /// backend, is a `Release` written from this thread once the link to
-    /// the owning domain is up (dialed first if need be), and the reply's
-    /// completion — on the link's I/O thread — settles the lease mapping
-    /// and runs `done`.  Without a serving daemon `done` is handed back.
-    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) -> Result<(), ReleaseDone> {
+    /// backend's own `release_with`, and so is any lease when no daemon
+    /// serves the backend.  A delegated one is a `Release` written from
+    /// this thread once the link to the owning domain is up (dialed first
+    /// if need be), and the reply's completion — on the link's I/O thread —
+    /// settles the lease mapping and runs `done`.
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         let peer = self
             .remote_leases
             .lock()
             .get(&allocation.access_key.0)
             .cloned();
-        let Some(domain) = peer else {
+        let (Some(domain), Some((backend, host))) = (peer, self.served()) else {
             return self.inner.release_with(allocation, done);
-        };
-        let Some((backend, host)) = self.served() else {
-            return Err(done);
         };
         let Some(link) = self.link_for(&domain) else {
             // The link is gone entirely; the peer's session teardown has
             // already reclaimed the allocation on its side.
             self.remote_leases.lock().remove(&allocation.access_key.0);
-            done(Ok(()));
-            return Ok(());
+            return done(Ok(()));
         };
         let (key, allocation) = (allocation.access_key.0.clone(), allocation.clone());
         let settle = backend.clone();
@@ -1887,14 +1748,13 @@ impl ResourceManager for FederatedBackend {
             );
         };
         backend.with_link(&host, link, Box::new(linked));
-        Ok(())
     }
 
     fn stats(&self) -> StatsSnapshot {
         let mut stats = self.inner.stats();
         stats.delegations_out = self.delegations_out.load(Ordering::Relaxed);
         stats.delegations_in = self.delegations_in.load(Ordering::Relaxed);
-        stats.in_flight = self.tickets.lock().len();
+        stats.in_flight = self.tickets.issued.lock().len();
         stats.gossip_deltas_in = self.gossip.deltas_in();
         stats.gossip_deltas_out = self.gossip.deltas_out();
         stats.route_hits = self.route_cache.hits();
@@ -2068,15 +1928,11 @@ mod tests {
         assert_eq!(backoff.wait, PEER_REDIAL_BACKOFF_MAX, "growth is capped");
     }
 
-    /// A reactor whose every dial fails at once; a lookup it is handed
-    /// runs right here.
+    /// A reactor whose every dial fails at once.
     struct Unreachable;
     impl PeerHost for Unreachable {
         fn dial_peer(&self, _addrs: Vec<SocketAddr>, done: DialDone) {
             done(Err(ConnError::Dead("connection refused".to_string())));
-        }
-        fn offload(&self, job: Box<dyn FnOnce() + Send>) {
-            job()
         }
     }
 
@@ -2170,8 +2026,13 @@ mod tests {
         );
         let failed = failed.lock().clone().expect("the dial ended at once");
         assert!(failed.contains("not yet"), "{failed}");
-        // The failed dial looked the name up again (on the lane, which
-        // this reactor runs in place).
+        // The failed dial looked the name up again, on a `ypd-resolve`
+        // thread of its own.
+        let started = Instant::now();
+        while *link.resolved.lock() == Err("not yet".to_string()) {
+            assert!(started.elapsed() < Duration::from_secs(30), "no lookup");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         assert_ne!(*link.resolved.lock(), Err("not yet".to_string()));
     }
 }

@@ -36,8 +36,9 @@
 //!   hop, with tickets pipelined on one connection.  Session I/O is event
 //!   driven: a fixed pool of I/O threads runs every session as a
 //!   nonblocking state machine over the [`reactor`] (raw epoll/poll
-//!   bindings), with blocking backend calls on one shared worker lane, so
-//!   one daemon holds thousands of mostly-idle sessions cheaply.
+//!   bindings), every backend call a completion that parks no thread, so
+//!   one daemon holds thousands of mostly-idle sessions cheaply on the I/O
+//!   pool and the backend's own stages.
 //!   [`federation`] peers daemons across administrative domains: a query
 //!   the local backend cannot satisfy is delegated over the wire with a
 //!   TTL and visited-domain list, the paper's WAN topology.  Client and

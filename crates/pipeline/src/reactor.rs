@@ -18,19 +18,14 @@
 //! [`std::io::ErrorKind::Unsupported`], and so does starting a server:
 //! there is no session engine without a poller.
 //!
-//! Two more pieces the session engine needs live here because they share
+//! The other pieces the session engine needs live here because they share
 //! the same raw-binding style and have no other natural home:
 //!
-//! * [`Waker`] — a non-blocking self-pipe.  Worker and stage threads finish
-//!   backend calls off the I/O threads; posting the completion into a
-//!   session's write queue must interrupt that session's [`Poller::poll`]
-//!   when the I/O thread is asleep in it, which is exactly what writing one
-//!   byte into the registered pipe does.
-//! * [`WorkerPool`] — a fixed, capped pool of job threads.  The reactor
-//!   server runs every blocking backend call (submit, wait, delegate …) on
-//!   one of these instead of spawning a thread per request, which is what
-//!   keeps the daemon's thread count independent of its session count.
-//!
+//! * [`Waker`] — a non-blocking self-pipe.  Stage threads finish backend
+//!   calls off the I/O threads; posting the completion into a session's
+//!   write queue must interrupt that session's [`Poller::poll`] when the
+//!   I/O thread is asleep in it, which is exactly what writing one byte
+//!   into the registered pipe does.
 //! * [`TimerWheel`] — a tiny deadline list the I/O threads consult to cap
 //!   their poll timeout.  The reactor server uses it for the periodic
 //!   closing-session sweep (which also bounds peer dials and replies) and
@@ -825,98 +820,6 @@ impl<F: Flag, B: Bell> Doorbell<F, B> {
 }
 
 // ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-/// A fixed pool of job threads for the blocking backend calls the reactor
-/// must not run on its I/O threads.
-///
-/// The pool is the *cap*: jobs beyond the thread count queue (unbounded —
-/// per-session request caps in the server bound the queue) and run as
-/// workers free up.  A panicking job takes neither the worker nor the pool
-/// down; panics are counted and surfaced by [`WorkerPool::shutdown`].
-pub struct WorkerPool {
-    tx: crossbeam::channel::Sender<Job>,
-    handles: parking_lot::Mutex<Vec<std::thread::JoinHandle<()>>>,
-    panics: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    /// Jobs run so far, panicked or not.
-    ran: std::sync::Arc<std::sync::atomic::AtomicU64>,
-    size: usize,
-}
-
-enum Job {
-    Run(Box<dyn FnOnce() + Send>),
-    Stop,
-}
-
-impl WorkerPool {
-    /// Spawns `size` worker threads (at least one), named `name-N`.
-    pub fn new(name: &str, size: usize) -> Self {
-        let size = size.max(1);
-        let (tx, rx) = crossbeam::channel::unbounded::<Job>();
-        let panics = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let ran = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut handles = Vec::with_capacity(size);
-        for i in 0..size {
-            let rx = rx.clone();
-            let (panics, ran) = (panics.clone(), ran.clone());
-            let builder = std::thread::Builder::new().name(format!("{name}-{i}"));
-            let handle = builder
-                .spawn(move || {
-                    // Ends on the first Stop marker or a disconnected queue.
-                    while let Ok(Job::Run(job)) = rx.recv() {
-                        ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        if outcome.is_err() {
-                            panics.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    }
-                })
-                .expect("spawn worker thread");
-            handles.push(handle);
-        }
-        WorkerPool {
-            tx,
-            handles: parking_lot::Mutex::new(handles),
-            panics,
-            ran,
-            size,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Jobs the pool has started so far (a job that panicked included).
-    pub fn jobs_run(&self) -> u64 {
-        self.ran.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Queues one job.  Jobs run in submission order as workers free up;
-    /// after [`WorkerPool::shutdown`] the job is silently dropped (the
-    /// sessions that could queue work are gone by then).
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        let _ = self.tx.send(Job::Run(Box::new(job)));
-    }
-
-    /// Stops the pool after the queued jobs finish: every worker gets a
-    /// stop marker *behind* the existing queue, is joined, and the number
-    /// of jobs that panicked over the pool's lifetime is returned.
-    pub fn shutdown(&self) -> u64 {
-        let handles: Vec<_> = std::mem::take(&mut *self.handles.lock());
-        for _ in 0..handles.len() {
-            let _ = self.tx.send(Job::Stop);
-        }
-        for handle in handles {
-            let _ = handle.join();
-        }
-        self.panics.load(std::sync::atomic::Ordering::Relaxed)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Timer wheel
 // ---------------------------------------------------------------------------
 
@@ -1017,7 +920,6 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn pollers() -> Vec<(&'static str, Box<dyn Poller>)> {
@@ -1162,27 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_pool_runs_jobs_and_survives_panics() {
-        let pool = WorkerPool::new("test-worker", 3);
-        assert_eq!(pool.size(), 3);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..20 {
-            let counter = counter.clone();
-            pool.execute(move || {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.execute(|| panic!("job panics, pool survives"));
-        let counter2 = counter.clone();
-        pool.execute(move || {
-            counter2.fetch_add(1, Ordering::Relaxed);
-        });
-        let panics = pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 21, "all jobs ran");
-        assert_eq!(panics, 1, "the panic was counted, not lost");
-    }
-
-    #[test]
     fn timer_wheel_caps_poll_timeout_at_next_deadline() {
         let mut wheel = TimerWheel::new();
         let cap = Duration::from_millis(500);
@@ -1297,7 +1178,7 @@ mod model_tests {
     }
 
     /// Two ringers against one I/O loop over the daemon's three wake
-    /// sources: a lane worker marks a session dirty; the listener deals a
+    /// sources: a stage thread marks a session dirty; the listener deals a
     /// socket to the loop and then raises the drain flag.  The loop ends
     /// once it has seen all three, which it can only do if no ring that
     /// mattered was swallowed.

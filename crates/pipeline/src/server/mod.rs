@@ -29,13 +29,13 @@
 //! its answer: the I/O thread that decoded it when nothing has to wait; the
 //! backend stage that produces a wait's or a release's answer
 //! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`]); for
-//! a `Submit` the live backend's admission window
-//! ([`ResourceManager::submit_with`]), at once or from the thread whose
-//! release frees its permit; a `Poll` or a deadline `Wait` gives up by
-//! taking its completion back ([`ResourceManager::cancel_wait`]).  A
-//! closing session settles its abandoned tickets the same way.  Only a call
-//! that would *park* leaves the I/O thread, for the one fixed worker lane
-//! (`lanes.rs`).  Whoever
+//! a `Submit` or a `SubmitBatch` the live backend's admission window
+//! ([`ResourceManager::submit_with`], [`ResourceManager::submit_batch_with`]),
+//! at once or from the thread whose release frees its permits; a `Poll`, a
+//! deadline `Wait` or a queued `SubmitBatch` gives up by taking its
+//! completion back ([`ResourceManager::cancel_wait`]).  A closing session
+//! settles its abandoned tickets the same way.  No call leaves the I/O
+//! thread for a worker: a hosted backend's calls do not park.  Whoever
 //! finishes a request writes the reply to the session's non-blocking socket
 //! itself; only what the socket does not take is queued for the session's
 //! I/O thread, which is rung for it — a syscall only if that thread is
@@ -50,8 +50,8 @@
 //! or `Release` to a peer written by the thread that holds the previous
 //! answer, and each peer reply finished there (see
 //! [`crate::federation`]).  The daemon's thread count is therefore
-//! *independent of its session count*: the I/O pool + one worker lane +
-//! the hosted backend, whether two clients are connected or two thousand.
+//! *independent of its session count*: the I/O pool + the hosted backend's
+//! stages, whether two clients are connected or two thousand.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,8 +68,6 @@ use crate::federation::FederatedBackend;
 use crate::message::StageAddress;
 use crate::reactor::PollerKind;
 
-#[cfg(unix)]
-mod lanes;
 #[cfg(unix)]
 mod session;
 
@@ -110,9 +108,6 @@ struct ServerShared {
     client_sessions: std::sync::atomic::AtomicUsize,
     /// The session engine.  Taken at join time.
     reactor: Mutex<Option<ReactorEngine>>,
-    /// The worker lane, reached by whichever thread hands a step on.
-    #[cfg(unix)]
-    lane: Arc<crate::reactor::WorkerPool>,
     /// Frames decoded from a readable event that carried more than one;
     /// overlaid on every `Stats` reply.
     frames_batched: AtomicU64,
@@ -157,12 +152,6 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
-    /// Jobs the daemon's worker lane has started so far.
-    #[cfg(all(test, unix))]
-    pub(crate) fn lane_jobs(&self) -> u64 {
-        self.shared.lane.jobs_run()
-    }
-
     /// Blocks until the daemon has fully drained (listener closed and
     /// every session finished — sessions end when their client disconnects
     /// or shuts its session down; during a drain, sessions idle between
@@ -182,7 +171,7 @@ impl ServerHandle {
         // be held across them, deadlocking a `Halt` that wakes the engine.
         let engine = self.shared.reactor.lock().take();
         if let Some(engine) = engine {
-            engine.join(&self.shared, &mut problems);
+            engine.join(&mut problems);
         }
         if let Some(federation) = &self.shared.federation {
             federation.detach();
@@ -201,6 +190,14 @@ impl ServerHandle {
 /// Binds `addr` and serves `manager` over the wire protocol until halted,
 /// with the default [`ServerConfig`].
 ///
+/// The I/O threads call `manager`'s completion methods
+/// ([`ResourceManager::submit_with`] and the other `_with` methods, and
+/// [`ResourceManager::cancel_wait`]) themselves, so a hosted backend must
+/// not park in any of them.  Every [`crate::api::BackendKind`] and a
+/// federation over one keeps that promise; a
+/// [`RemoteBackend`](crate::client::RemoteBackend), whose `_with` methods
+/// run a round trip, is a client and is not to be hosted.
+///
 /// `addr.port == 0` binds an ephemeral port; read it back with
 /// [`ServerHandle::local_addr`].
 pub fn serve(
@@ -210,7 +207,8 @@ pub fn serve(
     serve_inner(manager, None, addr, ServerConfig::default())
 }
 
-/// [`serve`] with explicit server-side knobs (I/O threads, poller choice).
+/// [`serve`] with explicit server-side knobs (I/O threads, poller choice);
+/// the hosted backend's `_with` methods must not park, as there.
 pub fn serve_with(
     manager: Box<dyn ResourceManager>,
     addr: &StageAddress,
@@ -257,8 +255,6 @@ fn serve_inner(
         draining: AtomicBool::new(false),
         client_sessions: std::sync::atomic::AtomicUsize::new(0),
         reactor: Mutex::new(None),
-        #[cfg(unix)]
-        lane: Arc::new(lanes::lane()),
         frames_batched: AtomicU64::new(0),
         writes_coalesced: AtomicU64::new(0),
         #[cfg(all(test, unix))]
@@ -321,10 +317,7 @@ impl ReactorEngine {
         // The first I/O thread carries a federated daemon's peer links.
         let first = targets[0].1.clone();
         let host = shared.federation.as_ref().map(|federation| {
-            let host = Arc::new(session::ReactorHost::new(
-                first.clone(),
-                shared.lane.clone(),
-            ));
+            let host = Arc::new(session::ReactorHost::new(first.clone()));
             federation.attach(host.clone());
             host
         });
@@ -354,7 +347,7 @@ impl ReactorEngine {
                     // Unwind the threads already spawned: flag the drain
                     // so they exit, then report the failure.
                     shared.draining.store(true, Ordering::SeqCst);
-                    engine.join(shared, &mut Vec::new());
+                    engine.join(&mut Vec::new());
                     return Err(e);
                 }
             }
@@ -370,19 +363,13 @@ impl ReactorEngine {
     }
 
     /// Engine teardown: the I/O threads exit once the drain is flagged
-    /// and every session has settled and closed, and the worker lane stops
-    /// after its queue drains.
-    fn join(self, shared: &ServerShared, problems: &mut Vec<String>) {
+    /// and every session has settled and closed.
+    fn join(self, problems: &mut Vec<String>) {
         for io in self.io {
             io.notify.ring();
             if io.thread.join().is_err() {
                 problems.push("ypd I/O thread panicked".to_string());
             }
-        }
-        // The lane stops once its queue has drained.
-        let worker_panics = shared.lane.shutdown();
-        if worker_panics > 0 {
-            problems.push(format!("{worker_panics} ypd worker job(s) panicked"));
         }
     }
 }
@@ -404,7 +391,7 @@ impl ReactorEngine {
 
     fn ring(&self) {}
 
-    fn join(self, _: &ServerShared, _: &mut Vec<String>) {}
+    fn join(self, _: &mut Vec<String>) {}
 }
 
 #[cfg(test)]
@@ -637,126 +624,58 @@ mod tests {
         }
     }
 
-    /// A backend that declares no non-parking release (the trait default
-    /// hands the completion back), so the daemon serves its releases from
-    /// the lane — what a hosted remote backend gets.
-    struct ParkingRelease(Box<dyn ResourceManager>);
-
-    impl ResourceManager for ParkingRelease {
-        fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
-            self.0.submit(query)
-        }
-        fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
-            self.0.wait(ticket)
-        }
-        fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
-            self.0.release(allocation)
-        }
-        fn stats(&self) -> actyp_proto::StatsSnapshot {
-            self.0.stats()
-        }
-        fn shutdown(&self) -> Result<(), AllocationError> {
-            self.0.shutdown()
-        }
-    }
-
     #[test]
     fn a_burst_of_pipelined_releases_is_answered_in_full() {
-        // One session holds more allocations than the per-session cap on
-        // lane jobs and releases them all in a single write.  The I/O
-        // thread decodes the burst faster than the backend completes it;
-        // an overload error here would strand the lease until the session
-        // ends, so every reply must be `Released` — whether the backend
-        // stage posts it or the lane does.
+        // One session holds more allocations than the completion high-water
+        // mark and releases them all in a single write.  The I/O thread
+        // decodes the burst faster than the backend stage completes it; an
+        // overload error here would strand the lease until the session
+        // ends, so every reply must be `Released`.
         const HELD: u64 = 600;
-        for hand_back in [false, true] {
-            let db = fleet_db(2_000, 9);
-            let live = PipelineBuilder::new()
-                .database(db.clone())
-                .build(BackendKind::Live)
-                .unwrap();
-            let manager: Box<dyn ResourceManager> = if hand_back {
-                Box::new(ParkingRelease(live))
-            } else {
-                live
-            };
-            let server = serve(manager, &loopback()).unwrap();
-            let mut raw = raw_hello(&server.local_addr());
-            let held: Vec<_> = (0..HELD)
-                .map(|i| {
-                    submit_raw(&mut raw, i);
-                    granted(&mut raw)
-                })
-                .collect();
-            let mut burst = Vec::new();
-            for (i, allocation) in held.iter().enumerate() {
-                write_frame(
-                    &mut burst,
-                    &ClientFrame::Release {
-                        corr: RequestId(i as u64),
-                        allocation: allocation.clone(),
-                    },
-                )
-                .unwrap();
-            }
-            raw.write_all(&burst).unwrap();
-            for _ in 0..held.len() {
-                match read_server_frame(&mut raw).unwrap() {
-                    Some(ServerFrame::Released { .. }) => {}
-                    other => panic!("hand_back={hand_back}: expected Released, got {other:?}"),
-                }
-            }
-            let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
-            assert_eq!(active, 0, "hand_back={hand_back}");
-            drop(raw);
-            server.halt();
-            server.join().unwrap();
+        let db = fleet_db(2_000, 9);
+        let server = PipelineBuilder::new()
+            .database(db.clone())
+            .serve(&loopback(), BackendKind::Live)
+            .unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        let held: Vec<_> = (0..HELD)
+            .map(|i| {
+                submit_raw(&mut raw, i);
+                granted(&mut raw)
+            })
+            .collect();
+        let mut burst = Vec::new();
+        for (i, allocation) in held.iter().enumerate() {
+            write_frame(
+                &mut burst,
+                &ClientFrame::Release {
+                    corr: RequestId(i as u64),
+                    allocation: allocation.clone(),
+                },
+            )
+            .unwrap();
         }
+        raw.write_all(&burst).unwrap();
+        for _ in 0..held.len() {
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Released { .. }) => {}
+                other => panic!("expected Released, got {other:?}"),
+            }
+        }
+        assert_eq!(active_jobs(&db), 0);
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
     }
 
     type HeldWaits = Arc<Mutex<Vec<(crate::api::Ticket, crate::WaitDone)>>>;
 
-    /// Callers that reached a gate, and whether it is open.
-    type Gate = Arc<(std::sync::Mutex<(usize, bool)>, std::sync::Condvar)>;
-
-    fn gate(open: bool) -> Gate {
-        Arc::new((std::sync::Mutex::new((0, open)), std::sync::Condvar::new()))
-    }
-
-    /// Counts the caller in at the gate, then waits until it is open.
-    fn pass(gate: &Gate) {
-        let (lock, changed) = &**gate;
-        let mut state = lock.lock().unwrap();
-        state.0 += 1;
-        changed.notify_all();
-        while !state.1 {
-            state = changed.wait(state).unwrap();
-        }
-    }
-
-    /// Waits until `callers` have reached the gate.
-    fn await_arrivals(gate: &Gate, callers: usize) {
-        let (lock, changed) = &**gate;
-        let mut state = lock.lock().unwrap();
-        while state.0 < callers {
-            state = changed.wait(state).unwrap();
-        }
-    }
-
-    fn set_gate(gate: &Gate, open: bool) {
-        let (lock, changed) = &**gate;
-        lock.lock().unwrap().1 = open;
-        changed.notify_all();
-    }
-
     /// A backend on which every `Wait` misses: `wait_with` keeps the
     /// completion, `cancel_wait` takes it back, and the test decides when
-    /// the outcome "arrives".  A submission the session hands to the lane
-    /// (`submit`) passes `gate` first.
+    /// the outcome "arrives".
     struct MissingWaits {
         inner: Arc<dyn ResourceManager>,
         held: HeldWaits,
-        gate: Gate,
     }
 
     impl MissingWaits {
@@ -764,38 +683,37 @@ mod tests {
             MissingWaits {
                 inner: inner.clone(),
                 held: HeldWaits::default(),
-                gate: gate(true),
             }
         }
     }
 
     impl ResourceManager for MissingWaits {
         fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
-            pass(&self.gate);
             self.inner.submit(query)
         }
-        fn submit_with(
-            &self,
-            query: Query,
-            done: crate::api::SubmitDone,
-        ) -> Result<(), (Query, crate::api::SubmitDone)> {
+        fn submit_with(&self, query: Query, done: crate::api::SubmitDone) {
             self.inner.submit_with(query, done)
+        }
+        fn submit_batch_with(
+            &self,
+            queries: Vec<Query>,
+            done: crate::api::BatchDone,
+        ) -> Option<crate::api::QueuedBatch> {
+            self.inner.submit_batch_with(queries, done)
         }
         fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
             self.inner.wait(ticket)
         }
-        fn wait_with(
-            &self,
-            ticket: crate::api::Ticket,
-            done: crate::WaitDone,
-        ) -> Result<(), crate::WaitDone> {
+        fn wait_with(&self, ticket: crate::api::Ticket, done: crate::WaitDone) {
             self.held.lock().push((ticket, done));
-            Ok(())
         }
-        fn cancel_wait(&self, ticket: crate::api::Ticket) -> Option<crate::WaitDone> {
+        fn cancel_wait(&self, ticket: crate::api::Ticket) -> bool {
             let mut held = self.held.lock();
-            let at = held.iter().position(|(held, _)| *held == ticket)?;
-            Some(held.remove(at).1)
+            let Some(at) = held.iter().position(|(held, _)| *held == ticket) else {
+                return self.inner.cancel_wait(ticket);
+            };
+            drop(held.remove(at));
+            true
         }
         fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
             self.inner.release(allocation)
@@ -804,7 +722,7 @@ mod tests {
             &self,
             allocation: &crate::Allocation,
             done: crate::allocation::ReleaseDone,
-        ) -> Result<(), crate::allocation::ReleaseDone> {
+        ) {
             self.inner.release_with(allocation, done)
         }
         fn stats(&self) -> actyp_proto::StatsSnapshot {
@@ -948,7 +866,6 @@ mod tests {
             )
             .unwrap();
         }
-        let jobs = server.lane_jobs();
         raw.write_all(&burst).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
@@ -957,7 +874,6 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         let peak = stage.join().unwrap();
         assert_eq!(peak, high_water, "the read side paused at the mark");
-        assert_eq!(server.lane_jobs(), jobs, "a submission ran on a lane");
         assert_eq!(active_jobs(&db), 0);
         write_frame(
             &mut raw,
@@ -984,7 +900,7 @@ mod tests {
         // More deadline waits than the completion high-water mark, in one
         // write, and not one outcome is in yet: each is a completion the
         // backend holds, counted toward the read-side pause like any other
-        // — no overload refusal, no lane job — so every reply is an Outcome.
+        // — no overload refusal — so every reply is an Outcome.
         const TICKETS: u64 = 300;
         let high_water = session::COMPLETIONS_HIGH_WATER;
         assert!(TICKETS as usize > high_water);
@@ -1012,7 +928,6 @@ mod tests {
             )
             .unwrap();
         }
-        let jobs = server.lane_jobs();
         raw.write_all(&burst).unwrap();
         // Not one wait is answered before the burst reaches the mark.
         let stop = Arc::new(AtomicBool::new(false));
@@ -1024,7 +939,6 @@ mod tests {
             high_water,
             "the read side paused at the mark"
         );
-        assert_eq!(server.lane_jobs(), jobs, "a deadline wait ran on a lane");
         assert_eq!(active_jobs(&db), 0);
         // The burst arrived in readable events carrying many frames each.
         write_frame(
@@ -1093,21 +1007,19 @@ mod tests {
     fn hold_the_stage(manager: &Arc<dyn ResourceManager>) -> std::sync::mpsc::Sender<()> {
         let granted = manager.submit_wait(&Query::paper_example()).unwrap();
         let (hold, held) = std::sync::mpsc::channel::<()>();
-        let taken = manager.release_with(
+        manager.release_with(
             &granted[0],
             Box::new(move |_| {
                 let _ = held.recv();
             }),
         );
-        assert!(taken.is_ok(), "the stage runs the completion");
         hold
     }
 
     /// On a live backend a batch ticket's `Poll` that misses, a deadline
     /// `Wait` that misses and one that hits are each a completion the I/O
     /// thread leaves with the backend — the misses taken back when they give
-    /// up, answered `Pending` and `TimedOut`, the ticket filed again — and
-    /// not one of them is a lane job.
+    /// up, answered `Pending` and `TimedOut`, the ticket filed again.
     #[test]
     fn a_live_backends_polls_and_deadline_waits_run_no_lane_job() {
         let db = fleet_db(300, 17);
@@ -1121,7 +1033,6 @@ mod tests {
         let mut raw = raw_hello(&server.local_addr());
         let hold = hold_the_stage(&manager);
         let ticket = batch_raw(&mut raw, 0, 1)[0];
-        let jobs = server.lane_jobs();
         write_frame(
             &mut raw,
             &ClientFrame::Poll {
@@ -1160,7 +1071,6 @@ mod tests {
         write_frame(&mut raw, &wait(3, 60_000)).unwrap();
         let allocation = granted(&mut raw);
         release_raw(&mut raw, 4, allocation);
-        assert_eq!(server.lane_jobs(), jobs, "a redemption ran on a lane");
         assert_eq!(active_jobs(&db), 0);
         drop(raw);
         server.halt();
@@ -1262,7 +1172,7 @@ mod tests {
     }
 
     /// A client that hangs up holding a lease: its session's final sweep
-    /// returns the lease as a release completion — no lane job.
+    /// returns the lease as a release completion.
     #[test]
     fn a_closing_sessions_final_sweep_runs_no_lane_job() {
         let db = fleet_db(200, 19);
@@ -1270,7 +1180,6 @@ mod tests {
             .database(db.clone())
             .serve(&loopback(), BackendKind::Live)
             .unwrap();
-        let jobs = server.lane_jobs();
         {
             let mut raw = raw_hello(&server.local_addr());
             submit_raw(&mut raw, 0);
@@ -1285,7 +1194,6 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert_eq!(server.lane_jobs(), jobs, "the final sweep ran on a lane");
         server.halt();
         server.join().unwrap();
     }
@@ -1381,7 +1289,7 @@ mod tests {
         // it for the one after: the thread that settles a ticket launches
         // the queued submission it hands the permit to.  The launches come
         // in arrival order — the pipeline numbers its requests as they
-        // come in — and not one request runs on a lane.
+        // come in.
         let manager: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
                 .database(fleet_db(200, 12))
@@ -1393,7 +1301,6 @@ mod tests {
         let addr = server.local_addr();
         let mut holder = raw_hello(&addr);
         let held = batch_raw(&mut holder, 0, 1)[0];
-        let jobs = server.lane_jobs();
         let base = manager.stats().shard_contention;
         let mut queued: Vec<TcpStream> = Vec::new();
         for i in 1..=3u64 {
@@ -1416,7 +1323,6 @@ mod tests {
             launched.windows(2).all(|pair| pair[0] < pair[1]),
             "launched out of arrival order: {launched:?}"
         );
-        assert_eq!(server.lane_jobs(), jobs, "a submission ran on a lane");
         let stats = manager.stats();
         assert_eq!((stats.allocations, stats.releases), (4, 4));
         drop((holder, queued));
@@ -1460,15 +1366,195 @@ mod tests {
         assert_eq!(active_jobs(&db), 0);
     }
 
+    /// Writes a `SubmitBatch` of `count` queries without reading its reply.
+    fn queue_batch(raw: &mut TcpStream, corr: u64, count: usize) {
+        write_frame(
+            raw,
+            &ClientFrame::SubmitBatch {
+                corr: RequestId(corr),
+                queries: vec![paper_text(); count],
+            },
+        )
+        .unwrap();
+    }
+
+    /// Writes a `Wait` on batch ticket `ticket` without reading its reply.
+    fn queue_wait(raw: &mut TcpStream, corr: u64, ticket: u64) {
+        let wait = ClientFrame::Wait {
+            corr: RequestId(corr),
+            ticket,
+            deadline_ms: None,
+        };
+        write_frame(raw, &wait).unwrap();
+    }
+
+    #[test]
+    fn queued_submit_batches_are_answered_once_waits_on_their_session_free_permits() {
+        // A window of two, filled by the session's own batch tickets; five
+        // more batches queue behind them — every one in the window's FIFO
+        // at once, none waiting for a thread to park on it.  Nothing parks
+        // meanwhile: the same session's `Wait`s are read and answered, and
+        // the thread that settles a ticket launches the batch next in line,
+        // whose reply is `BatchSubmitted` and whose ticket is waited on in
+        // turn.
+        const QUEUED: u64 = 5;
+        let db = fleet_db(300, 91);
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .window(2)
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        let held = batch_raw(&mut raw, 0, 2);
+        let base = manager.stats().shard_contention;
+        for corr in 1..=QUEUED {
+            queue_batch(&mut raw, corr, 1);
+        }
+        await_queued(&*manager, base + QUEUED);
+        queue_wait(&mut raw, 10, held[0]);
+        queue_wait(&mut raw, 11, held[1]);
+        let (mut granted_now, mut launched) = (Vec::new(), Vec::new());
+        while granted_now.len() < 2 + QUEUED as usize {
+            match read_server_frame(&mut raw).unwrap() {
+                Some(ServerFrame::Outcome {
+                    outcome: Ok(mut allocations),
+                    ..
+                }) => granted_now.push(allocations.remove(0)),
+                Some(ServerFrame::BatchSubmitted { corr, tickets }) => {
+                    launched.push(corr.0);
+                    queue_wait(&mut raw, 20 + corr.0, tickets[0]);
+                }
+                other => panic!("expected an Outcome or BatchSubmitted, got {other:?}"),
+            }
+        }
+        assert_eq!(launched, (1..=QUEUED).collect::<Vec<_>>(), "arrival order");
+        for (i, allocation) in granted_now.into_iter().enumerate() {
+            release_raw(&mut raw, 100 + i as u64, allocation);
+        }
+        let stats = manager.stats();
+        assert_eq!((stats.allocations, stats.releases), (7, 7));
+        assert_eq!(stats.in_flight, 0);
+        drop(raw);
+        server.halt();
+        server.join().unwrap();
+        assert_eq!(active_jobs(&db), 0);
+    }
+
+    #[test]
+    fn a_queued_submit_batch_that_cannot_fit_is_refused_at_its_deadline_and_passes_its_permit_on() {
+        // A window of two, held by a first session's batch tickets.  A
+        // second session's batch of two queues, then a third session's
+        // `Submit` behind it.  The one permit a `Wait` returns goes to the
+        // batch at the head, which can never get its second: at its
+        // deadline the session's timer withdraws it — answered with the
+        // backpressure error — and the permit it collected launches the
+        // `Submit` next in line.
+        let deadline = std::time::Duration::from_millis(300);
+        let db = fleet_db(300, 92);
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .window(2)
+                .batch_deadline(deadline)
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        let addr = server.local_addr();
+        let mut holder = raw_hello(&addr);
+        let held = batch_raw(&mut holder, 0, 2);
+        let base = manager.stats().shard_contention;
+        let mut batch = raw_hello(&addr);
+        batch
+            .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        let started = std::time::Instant::now();
+        queue_batch(&mut batch, 1, 2);
+        await_queued(&*manager, base + 1);
+        let mut next = raw_hello(&addr);
+        next.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        submit_raw(&mut next, 2);
+        await_queued(&*manager, base + 2);
+        redeem_and_release(&mut holder, held[0]);
+        match read_server_frame(&mut batch).unwrap() {
+            Some(ServerFrame::Error {
+                corr,
+                error: AllocationError::Internal(message),
+            }) => {
+                assert_eq!(corr, RequestId(1));
+                assert!(message.contains("backpressure"), "{message}");
+            }
+            other => panic!("expected the backpressure refusal, got {other:?}"),
+        }
+        assert!(started.elapsed() >= deadline, "refused before its deadline");
+        let allocation = granted(&mut next);
+        release_raw(&mut next, 3, allocation);
+        redeem_and_release(&mut holder, held[1]);
+        let stats = manager.stats();
+        assert_eq!((stats.allocations, stats.releases), (3, 3));
+        assert_eq!(stats.in_flight, 0);
+        drop((holder, batch, next));
+        server.halt();
+        server.join().unwrap();
+        assert_eq!(active_jobs(&db), 0);
+    }
+
+    #[test]
+    fn a_client_vanishing_with_a_queued_submit_batch_strands_nothing() {
+        // The session's own batch tickets fill the window and five more
+        // batches queue behind them; the client leaves without a word.
+        // Settling the abandoned tickets frees the permits that launch the
+        // queued batches in the closed session, one after another, each
+        // batch's ticket settled in turn.
+        const QUEUED: u64 = 5;
+        let db = fleet_db(300, 93);
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .window(2)
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        {
+            let mut raw = raw_hello(&server.local_addr());
+            batch_raw(&mut raw, 0, 2);
+            let base = manager.stats().shard_contention;
+            for corr in 1..=QUEUED {
+                queue_batch(&mut raw, corr, 1);
+            }
+            await_queued(&*manager, base + QUEUED);
+            // Dropped: no Wait, no reply read.
+        }
+        server.halt();
+        server.join().unwrap();
+        let stats = manager.stats();
+        assert_eq!(
+            stats.allocations,
+            2 + QUEUED,
+            "every queued batch was launched"
+        );
+        assert_eq!(stats.allocations, stats.releases);
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(active_jobs(&db), 0);
+    }
+
     #[test]
     fn a_client_vanishing_with_v4_submits_in_every_state_strands_nothing() {
         // One session leaves a `Submit` behind in each state: granted but
-        // its Outcome unread; launched with its outcome not in yet; and
-        // not launched — queued on the live backend's full window, or
-        // handed to the lane by an embedded one.  The first is a
-        // lease the final sweep returns, the second becomes one when its
-        // outcome reaches the closed session, and the third is launched
-        // after the close and redeemed there, its lease swept.
+        // its Outcome unread; launched with its outcome not in yet; and,
+        // on the live backend, not launched — queued on its full window
+        // (an embedded backend resolves the third at once, and its outcome
+        // is held like the second's).  The first is a lease the final sweep
+        // returns, the second becomes one when its outcome reaches the
+        // closed session, and the third is launched after the close and
+        // redeemed there, its lease swept.
         for kind in [BackendKind::Live, BackendKind::Embedded] {
             let db = fleet_db(300, 15);
             let inner: Arc<dyn ResourceManager> = Arc::from(
@@ -1479,7 +1565,7 @@ mod tests {
                     .unwrap(),
             );
             let manager = MissingWaits::new(&inner);
-            let (held, gate) = (manager.held.clone(), manager.gate.clone());
+            let held = manager.held.clone();
             let server = serve(Box::new(manager), &loopback()).unwrap();
             {
                 let mut raw = raw_hello(&server.local_addr());
@@ -1492,21 +1578,19 @@ mod tests {
                 submit_raw(&mut raw, 1);
                 await_held(&held, 1);
                 // Not launched.
-                set_gate(&gate, false);
                 let base = inner.stats().shard_contention;
                 submit_raw(&mut raw, 2);
                 match kind {
                     BackendKind::Live => await_queued(&*inner, base + 1),
-                    _ => await_arrivals(&gate, 3),
+                    _ => await_held(&held, 2),
                 }
             }
             // The client is gone; once its session is closing, the stage
             // answers what it holds — launching the queued submission on
-            // the live backend — and the lane's submission gets through.
+            // the live backend.
             std::thread::sleep(std::time::Duration::from_millis(100));
             let stop = Arc::new(AtomicBool::new(false));
             let stage = answer_held(&held, &inner, 0, &stop);
-            set_gate(&gate, true);
             server.halt();
             server.join().unwrap();
             stop.store(true, Ordering::SeqCst);
@@ -1709,7 +1793,7 @@ mod tests {
     const HP: &str = "punch.rsrc.arch = hp\n";
 
     /// With the link warm, a delegated allocation and its release cross
-    /// both daemons without a single worker-lane job: the entry daemon's
+    /// both daemons as completions: the entry daemon's
     /// pool-manager stage sends `Delegate`, the far daemon's stages answer
     /// it and the `Release`, and the link's I/O thread finishes both.
     #[test]
@@ -1726,7 +1810,6 @@ mod tests {
         // The first delegation dials the link from the reactor.
         let warm = client.submit_text_wait(HP).unwrap();
         client.release(&warm[0]).unwrap();
-        let (jobs_a, jobs_b) = (srv_a.lane_jobs(), srv_b.lane_jobs());
         let delegated = fed_a.stats().delegations_out;
         for _ in 0..5 {
             let granted = client.submit_text_wait(HP).unwrap();
@@ -1734,8 +1817,6 @@ mod tests {
             client.release(&granted[0]).unwrap();
         }
         assert_eq!(fed_a.stats().delegations_out, delegated + 5);
-        assert_eq!(srv_a.lane_jobs(), jobs_a, "the entry daemon ran lane jobs");
-        assert_eq!(srv_b.lane_jobs(), jobs_b, "the far daemon ran lane jobs");
         assert_eq!(active_jobs(&db_b), 0);
         client.halt_daemon().unwrap();
         client.shutdown().unwrap();
@@ -1944,7 +2025,7 @@ mod tests {
 
     /// A cold link is dialed by the reactor: the first delegation — the
     /// non-blocking connect, `Hello` and `SyncPools` included — and its
-    /// release cross both daemons without a single worker-lane job.
+    /// release cross both daemons as completions.
     #[test]
     fn a_cold_link_serves_a_delegation_and_its_release_with_no_lane_job() {
         let db_b = arch_db("hp", 40, 80);
@@ -1956,13 +2037,10 @@ mod tests {
             vec![srv_b.local_addr()],
         );
         let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
-        let (jobs_a, jobs_b) = (srv_a.lane_jobs(), srv_b.lane_jobs());
         let granted = client.submit_text_wait(HP).unwrap();
         assert!(granted[0].machine_name.contains("hp"));
         client.release(&granted[0]).unwrap();
         assert_eq!(fed_a.stats().delegations_out, 1);
-        assert_eq!(srv_a.lane_jobs(), jobs_a, "the entry daemon ran lane jobs");
-        assert_eq!(srv_b.lane_jobs(), jobs_b, "the far daemon ran lane jobs");
         assert_eq!(active_jobs(&db_b), 0);
         client.halt_daemon().unwrap();
         client.shutdown().unwrap();
@@ -1974,7 +2052,7 @@ mod tests {
     /// The gossip tick and the health probe fire on the first I/O thread's
     /// timer as rounds of completions: the tick dials the cold link and
     /// gossips over it, the probe finds the far daemon gone once it is
-    /// halted and prunes it — and no round is a lane job.
+    /// halted and prunes it.
     #[test]
     fn gossip_and_probe_rounds_run_no_lane_job() {
         let (srv_b, _) = federated("upc", BackendKind::Live, arch_db("hp", 20, 82), Vec::new());
@@ -2012,11 +2090,6 @@ mod tests {
             assert!(started.elapsed() < std::time::Duration::from_secs(10));
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        assert_eq!(
-            srv_a.lane_jobs(),
-            0,
-            "a gossip or probe round ran on a lane"
-        );
         srv_a.halt();
         srv_a.join().unwrap();
     }
@@ -2087,13 +2160,12 @@ mod tests {
         srv_a.join().unwrap();
     }
 
-    /// More federated deadline `Wait`s than the lane has workers, each
-    /// waiting for a chain that needs the cold dial: each is a completion
-    /// and the dial runs on the reactor, so every one finishes and none is
-    /// a lane job.
+    /// Six federated deadline `Wait`s, each waiting for a chain that needs
+    /// the cold dial: each is a completion and the dial runs on the
+    /// reactor, so every one finishes.
     #[test]
-    fn more_deadline_waits_than_lane_workers_all_finish_over_a_cold_link() {
-        let waits = super::lanes::LANE_WORKERS as u64 + 2;
+    fn concurrent_deadline_waits_all_finish_over_a_cold_link() {
+        let waits = 6;
         let db_b = arch_db("hp", 40, 85);
         let (srv_b, _) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
         let (srv_a, _) = federated(
@@ -2117,7 +2189,6 @@ mod tests {
             Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
             other => panic!("expected BatchSubmitted, got {other:?}"),
         };
-        let jobs = srv_a.lane_jobs();
         let mut burst = Vec::new();
         for (i, ticket) in tickets.into_iter().enumerate() {
             write_frame(
@@ -2133,7 +2204,6 @@ mod tests {
         raw.write_all(&burst).unwrap();
         let delegated: Vec<_> = (0..waits).map(|_| granted(&mut raw)).collect();
         assert_eq!(active_jobs(&db_b), waits as u32);
-        assert_eq!(srv_a.lane_jobs(), jobs, "a deadline wait ran on a lane");
         for (i, allocation) in delegated.into_iter().enumerate() {
             release_raw(&mut raw, 100 + i as u64, allocation);
         }
@@ -2148,7 +2218,7 @@ mod tests {
     /// On a federated daemon a batch ticket's `Poll` and deadline `Wait`
     /// whose local outcome is a delegable failure start its chain on the
     /// I/O thread — the give-up finds nothing to take back — and are
-    /// answered by the chain's `Outcome`, with no lane job on either daemon.
+    /// answered by the chain's `Outcome`.
     #[test]
     fn federated_polls_and_deadline_waits_answer_with_the_chain_and_no_lane_job() {
         let db_b = arch_db("hp", 40, 87);
@@ -2186,7 +2256,6 @@ mod tests {
             assert!(started.elapsed() < std::time::Duration::from_secs(10));
             std::thread::yield_now();
         }
-        let jobs = (srv_a.lane_jobs(), srv_b.lane_jobs());
         let polled = loop {
             let poll = ClientFrame::Poll {
                 corr: RequestId(1),
@@ -2213,11 +2282,6 @@ mod tests {
         .unwrap();
         let waited = granted(&mut raw);
         assert!(polled.machine_name.contains("hp") && waited.machine_name.contains("hp"));
-        assert_eq!(
-            (srv_a.lane_jobs(), srv_b.lane_jobs()),
-            jobs,
-            "a lane job ran"
-        );
         release_raw(&mut raw, 3, polled);
         release_raw(&mut raw, 4, waited);
         assert_eq!(active_jobs(&db_b), 0);
@@ -2228,9 +2292,52 @@ mod tests {
         srv_b.join().unwrap();
     }
 
+    /// An inbound `Delegate` to a federated daemon over an embedded backend
+    /// is submitted and redeemed as completions on the I/O thread that
+    /// decoded it — the embedded backend resolves it on the spot — and
+    /// answered `Delegated`; the lease is the peer session's, returned by
+    /// its final sweep.
+    #[test]
+    fn an_inbound_delegate_to_a_federated_embedded_daemon_is_answered_delegated() {
+        let db = arch_db("hp", 20, 94);
+        let (srv, fed) = federated("upc", BackendKind::Embedded, db.clone(), Vec::new());
+        let mut raw = raw_hello(&srv.local_addr());
+        write_frame(
+            &mut raw,
+            &ClientFrame::Delegate {
+                corr: RequestId(1),
+                query: HP.to_string(),
+                ttl: 4,
+                visited: vec!["purdue".to_string()],
+            },
+        )
+        .unwrap();
+        match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::Delegated {
+                corr,
+                outcome: Ok(allocations),
+                ttl,
+                visited,
+                ..
+            }) => {
+                assert_eq!(corr, RequestId(1));
+                assert!(allocations[0].machine_name.contains("hp"));
+                assert_eq!(ttl, 3);
+                assert_eq!(visited, vec!["purdue".to_string(), "upc".to_string()]);
+            }
+            other => panic!("expected Delegated, got {other:?}"),
+        }
+        assert_eq!(active_jobs(&db), 1);
+        assert_eq!(fed.stats().delegations_in, 1);
+        drop(raw);
+        srv.halt();
+        srv.join().unwrap();
+        assert_eq!(active_jobs(&db), 0);
+    }
+
     /// A `Delegate` for a query that already visited this domain is refused
-    /// by the I/O thread that decoded it, counted as an inbound delegation
-    /// — no lane job.
+    /// by the I/O thread that decoded it, counted as an inbound
+    /// delegation.
     #[test]
     fn a_revisiting_delegate_is_refused_with_no_lane_job() {
         let (srv, fed) = federated(
@@ -2240,7 +2347,6 @@ mod tests {
             Vec::new(),
         );
         let mut raw = raw_hello(&srv.local_addr());
-        let jobs = srv.lane_jobs();
         write_frame(
             &mut raw,
             &ClientFrame::Delegate {
@@ -2262,7 +2368,6 @@ mod tests {
             }
             other => panic!("expected a refusal, got {other:?}"),
         }
-        assert_eq!(srv.lane_jobs(), jobs, "the refusal ran on a lane");
         assert_eq!(fed.stats().delegations_in, 1);
         drop(raw);
         srv.halt();

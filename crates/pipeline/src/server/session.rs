@@ -3,14 +3,13 @@
 //!
 //! [`io_thread_main`] drives every session's nonblocking socket through a
 //! [`Poller`].  Each session is an explicit state machine
-//! ([`ReactorSession`]).  A request that cannot park is answered on the
-//! I/O thread; one whose answer a backend stage, the admission window or a
-//! peer daemon produces is left with it as a completion, and so are a
-//! closing session's settles and its final sweep.  Every redemption is such
-//! a completion: a `Poll` takes it back at once when the outcome is not in,
-//! and a deadline `Wait` when its session's timer fires.  Only what would
-//! park goes to the worker lane ([`super::lanes`]).  Whoever produces a
-//! reply writes it:
+//! ([`ReactorSession`]).  Nothing here parks: a request whose answer is at
+//! hand is answered on the I/O thread, and one whose answer a backend
+//! stage, the admission window or a peer daemon produces is left with it as
+//! a completion — and so are a closing session's settles and its final
+//! sweep.  A `Poll` takes its completion back at once when the outcome is
+//! not in, and a deadline `Wait` or a queued `SubmitBatch` when its
+//! session's timer fires.  Whoever produces a reply writes it:
 //! [`OutQueue::push`] sends it from that thread when nothing is queued
 //! ahead of it, and queues the rest for the session's I/O thread, rung
 //! through its [`IoNotify`] (a syscall only when the thread is asleep).
@@ -43,12 +42,10 @@ use actyp_proto::{
 
 use super::ServerShared;
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{QueryOutcome, ResourceManager, SubmitDone, Ticket};
+use crate::api::{BatchDone, QueryOutcome, ResourceManager, SubmitDone, Ticket};
 use crate::corr::{Conn, ConnError, FrameSink, CONNECT_TIMEOUT};
 use crate::federation::{DelegateDone, DialDone, FederatedBackend, PeerHost};
-use crate::reactor::{
-    connect_nonblocking, Doorbell, Event, Interest, Poller, TimerWheel, Waker, WorkerPool,
-};
+use crate::reactor::{connect_nonblocking, Doorbell, Event, Interest, Poller, TimerWheel, Waker};
 
 /// Poller token reserved for the I/O thread's waker pipe.
 const WAKE_TOKEN: u64 = u64::MAX;
@@ -85,9 +82,9 @@ const OUT_HIGH_WATER: usize = 1 << 20;
 /// waits in the socket instead.
 pub(super) const COMPLETIONS_HIGH_WATER: usize = 256;
 
-/// Upper bound on a session's submissions queued in the admission window
-/// or on the lane, past which one is refused with an error — not
-/// paused: it may wait for permits only the session's unread frames return.
+/// Upper bound on a session's submissions queued in the admission window,
+/// past which one is refused with an error — not paused: it may wait for
+/// permits only the session's unread frames return.
 const MAX_SESSION_SUBMISSIONS: usize = 256;
 
 /// How long a closing session's completions may stay outstanding before
@@ -194,7 +191,7 @@ impl IoNotify {
 }
 
 /// The write side of one reactor session.  Whoever produces a frame (I/O
-/// thread, backend stage thread, worker lane, final sweep) encodes it here
+/// thread, backend stage thread, final sweep) encodes it here
 /// and, when nothing is queued ahead of it, writes it to the socket
 /// itself; the owning I/O thread flushes whatever the socket did not take
 /// as the socket allows.
@@ -329,8 +326,7 @@ impl FrameSink for OutQueue {
 }
 
 /// What a federated daemon lends its federation ([`PeerHost`]): the first
-/// I/O thread dials every peer link as a session of kind *peer*, and the
-/// lane runs the federation's few steps that may park.
+/// I/O thread dials every peer link as a session of kind *peer*.
 pub(super) struct ReactorHost {
     /// Dials asked for and not taken yet; `None` once the hosting thread
     /// has stopped.  Queued and stopped under this lock, so no dial is
@@ -340,19 +336,17 @@ pub(super) struct ReactorHost {
     notify: Arc<IoNotify>,
     /// Tokens of peer sessions, from a range no accepted session reaches.
     next_token: AtomicU64,
-    lane: Arc<WorkerPool>,
 }
 
 /// A dial asked for: the peer's addresses, and who waits for the link.
 type PeerDial = (Vec<SocketAddr>, DialDone);
 
 impl ReactorHost {
-    pub(super) fn new(notify: Arc<IoNotify>, lane: Arc<WorkerPool>) -> Self {
+    pub(super) fn new(notify: Arc<IoNotify>) -> Self {
         ReactorHost {
             dials: Mutex::new(Some(Vec::new())),
             notify,
             next_token: AtomicU64::new(1 << 62),
-            lane,
         }
     }
 
@@ -395,10 +389,6 @@ impl PeerHost for ReactorHost {
             None => self.notify.ring(),
             Some(done) => done(Err(shutting_down())),
         }
-    }
-
-    fn offload(&self, job: Box<dyn FnOnce() + Send>) {
-        self.lane.execute(job);
     }
 }
 
@@ -1054,12 +1044,12 @@ fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn:
 }
 
 /// The one frame-dispatch `match` of the serving side.  *Who answers* is a
-/// property of the call, not of the frame type: a call that cannot park is
-/// finished right here on the I/O thread; a submission (answered by its
-/// outcome, once the window has launched it), a release, and a wait whose
-/// outcome is not in yet, are finished by whichever thread produces the
-/// answer; only what would park otherwise is queued on a worker lane.
-/// Whoever finishes writes the reply (see [`OutQueue::push`]).
+/// property of the call, not of the frame type: a call whose answer is at
+/// hand is finished right here on the I/O thread; a submission (answered
+/// by its outcome, once the window has launched it), a batch, a release,
+/// and a wait whose outcome is not in yet, are finished by whichever thread
+/// produces the answer.  Whoever finishes writes the reply (see
+/// [`OutQueue::push`]).
 fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, frame: ClientFrame) {
     let state = session.state.clone();
     if matches!(session.phase, Phase::AwaitingHello) {
@@ -1115,39 +1105,28 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             let Some(counted) = Pending::submission(&state, corr) else {
                 return;
             };
-            // The backend launches it now or queues it in its window, and
-            // the launching thread — this one, or the one whose settle
-            // frees the permit — redeems the new ticket at once: the
-            // outcome is the reply — also after the client left: a
-            // federated chain starts only while the session is open, and
-            // a granted lease goes back with the final sweep.  Counted on
-            // the session as a submission until the launch, as a
-            // completion after it.
+            // The backend launches it now or queues it in its window (the
+            // eager backends resolve it here), and the launching thread —
+            // this one, or the one whose settle frees the permit — redeems
+            // the new ticket at once: the outcome is the reply — also after
+            // the client left: a federated chain starts only while the
+            // session is open, and a granted lease goes back with the final
+            // sweep.  Counted on the session as a submission until the
+            // launch, as a completion after it.
             let (done_shared, done_state) = (shared.clone(), state.clone());
             let done: SubmitDone = Box::new(move |submitted| {
                 match submitted {
-                    Ok(ticket) => redeem(&done_shared, &done_state, corr, ticket),
+                    Ok(ticket) => {
+                        let answer = answer(&done_state, corr, None);
+                        redeem(&done_shared, &done_state, ticket, answer)
+                    }
                     Err(error) => done_state.send(&ServerFrame::Error { corr, error }),
                 }
                 drop(counted);
             });
-            // A backend whose `submit` is the computation or a round trip
-            // hands it back, and the lane runs it.
-            if let Err((query, done)) = shared.manager.submit_with(query, done) {
-                offload(shared, move |shared| done(shared.manager.submit(query)));
-            }
+            shared.manager.submit_with(query, done);
         }
-        ClientFrame::SubmitBatch { corr, queries } => {
-            // Parks on its admission in the window, on the lane, where
-            // nothing frees a permit.
-            let Some(counted) = Pending::submission(&state, corr) else {
-                return;
-            };
-            offload(shared, move |shared| {
-                handle_submit_batch(shared, &state, corr, &queries);
-                drop(counted);
-            });
-        }
+        ClientFrame::SubmitBatch { corr, queries } => submit_batch(shared, &state, corr, &queries),
         ClientFrame::Wait {
             corr,
             ticket,
@@ -1215,14 +1194,7 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
                 done_state.deliver_delegated(&done_federation, corr, outcome, routing);
                 drop(pending);
             });
-            // What the local backend hands back runs on the lane, where its
-            // submission may wait on the window.
-            if let Err(done) = federation.delegate_with(&query, ttl, &visited, done) {
-                offload(shared, move |_| {
-                    let (outcome, routing) = federation.handle_delegate(&query, ttl, visited);
-                    done(outcome, routing);
-                });
-            }
+            federation.delegate_with(&query, ttl, &visited, done);
         }
         ClientFrame::SyncPools {
             corr,
@@ -1277,13 +1249,13 @@ fn not_federated(corr: RequestId) -> ServerFrame {
 }
 
 /// The completion answering `corr` with a redeemed ticket's outcome (and
-/// dropping wire ticket `open`'s open deadline), counted until it has run.
+/// dropping open deadline `open`), counted until it has run.
 fn answer(state: &Arc<SessionState>, corr: RequestId, open: Option<u64>) -> WaitDone {
     let pending = Pending::completion(state);
     let state = state.clone();
     Box::new(move |outcome| {
-        if let Some(wire) = open {
-            state.deadlines.lock().remove(&wire);
+        if let Some(key) = open {
+            state.deadlines.lock().remove(&key);
         }
         state.deliver_outcome(corr, outcome);
         drop(pending);
@@ -1295,13 +1267,7 @@ fn answer(state: &Arc<SessionState>, corr: RequestId, open: Option<u64>) -> Wait
 /// stage that answers its last fragment on a miss — and on a federated
 /// daemon, for a delegable local failure, the I/O thread of the peer link
 /// whose reply ends the chain, started only while the session is open.
-/// `Err` hands `done` back: the backend cannot wait here without parking.
-fn redeem_with(
-    shared: &ServerShared,
-    state: &Arc<SessionState>,
-    ticket: Ticket,
-    done: WaitDone,
-) -> Result<(), WaitDone> {
+fn redeem(shared: &ServerShared, state: &Arc<SessionState>, ticket: Ticket, done: WaitDone) {
     match &shared.federation {
         Some(federation) => {
             let state = state.clone();
@@ -1312,29 +1278,10 @@ fn redeem_with(
     }
 }
 
-/// Redeems `ticket` for good and answers `corr` with its outcome
-/// ([`redeem_with`]); a backend that hands the completion back is waited
-/// for on the lane.
-fn redeem(shared: &Arc<ServerShared>, state: &Arc<SessionState>, corr: RequestId, ticket: Ticket) {
-    let Err(done) = redeem_with(shared, state, ticket, answer(state, corr, None)) else {
-        return;
-    };
-    let state = state.clone();
-    offload(shared, move |shared| {
-        done(match &shared.federation {
-            Some(federation) => {
-                federation.wait_while(ticket, &|| !state.closing.load(Ordering::SeqCst))
-            }
-            None => shared.manager.wait(ticket),
-        })
-    });
-}
-
 /// A batch ticket's `Wait` or `Poll`, redeemed as a `Submit`'s is
 /// ([`redeem`]) but for the give-up: a `Poll` (due now) or deadline `Wait`
 /// leaves an open deadline, given up when due ([`expire_deadlines`]) — a
-/// `Poll`'s before the next frame is read.  A backend that hands the
-/// completion back waits on the lane ([`handle_wait`]).
+/// `Poll`'s before the next frame is read.
 fn redeem_batch(
     shared: &Arc<ServerShared>,
     state: &Arc<SessionState>,
@@ -1349,30 +1296,90 @@ fn redeem_batch(
         });
     };
     let Some((at, reply)) = give_up else {
-        return redeem(shared, state, corr, ticket);
+        return redeem(shared, state, ticket, answer(state, corr, None));
     };
-    let open = OpenDeadline { at, ticket, reply };
+    let open = OpenDeadline {
+        at,
+        ticket,
+        refile: Some(wire),
+        reply,
+    };
     state.deadlines.lock().insert(wire, open);
-    match redeem_with(shared, state, ticket, answer(state, corr, Some(wire))) {
-        Ok(()) => {
-            expire_deadlines(shared, state);
+    redeem(shared, state, ticket, answer(state, corr, Some(wire)));
+    expire_deadlines(shared, state);
+}
+
+/// A `SubmitBatch`: one admission in the backend's window, answered by
+/// whichever thread launches it.  One that may still be queued files its
+/// give-up as an open deadline — withdrawn then and refused — unless its
+/// answer came first.  Counted as a submission until either.
+fn submit_batch(
+    shared: &Arc<ServerShared>,
+    state: &Arc<SessionState>,
+    corr: RequestId,
+    queries: &[String],
+) {
+    let parsed: Result<Vec<_>, _> = queries
+        .iter()
+        .map(|q| actyp_query::parse_query(q))
+        .collect();
+    let parsed = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            let error = AllocationError::Parse(e.to_string());
+            return state.send(&ServerFrame::Error { corr, error });
         }
-        Err(done) => {
-            let open = state.deadlines.lock().remove(&wire).expect("filed above");
-            let state = state.clone();
-            offload(shared, move |shared| {
-                handle_wait(shared, &state, wire, open, done)
-            });
+    };
+    let Some(counted) = Pending::submission(state, corr) else {
+        return;
+    };
+    // The give-up's key among the open deadlines: a wire id no ticket gets.
+    let key = state.next_ticket.fetch_add(1, Ordering::Relaxed);
+    let answered = Arc::new(AtomicBool::new(false));
+    let (done_shared, done_state, done_answered) =
+        (shared.clone(), state.clone(), answered.clone());
+    let done: BatchDone = Box::new(move |submitted| {
+        {
+            // Under the lock the give-up is filed under: filed already, it
+            // goes; not yet, it never will be.
+            let mut deadlines = done_state.deadlines.lock();
+            deadlines.remove(&key);
+            done_answered.store(true, Ordering::SeqCst);
         }
+        match submitted {
+            Ok(tickets) => {
+                let keep = |ticket| keep(&done_shared, &done_state, None, ticket);
+                let tickets = tickets.into_iter().filter_map(keep).collect();
+                done_state.send(&ServerFrame::BatchSubmitted { corr, tickets });
+            }
+            Err(error) => done_state.send(&ServerFrame::Error { corr, error }),
+        }
+        drop(counted);
+    });
+    let Some(queued) = shared.manager.submit_batch_with(parsed, done) else {
+        return;
+    };
+    let mut deadlines = state.deadlines.lock();
+    if !answered.load(Ordering::SeqCst) {
+        let open = OpenDeadline {
+            at: queued.deadline,
+            ticket: queued.ticket,
+            refile: None,
+            reply: ServerFrame::Error {
+                corr,
+                error: queued.refusal,
+            },
+        };
+        deadlines.insert(key, open);
     }
 }
 
 /// Gives up the session's open deadlines that are due: takes each
 /// completion back from the backend and, when that worked, files the wire
-/// ticket again, as it was, and answers `TimedOut` or `Pending`.  A
-/// completion that ran or is running answers itself — a federated chain
-/// that started first answers `Outcome`.  Returns the earliest deadline
-/// still open.
+/// ticket of a redemption again, as it was, and answers `TimedOut`,
+/// `Pending` or a batch's refusal.  A completion that ran or is running
+/// answers itself — a federated chain that started first answers `Outcome`.
+/// Returns the earliest deadline still open.
 fn expire_deadlines(
     shared: &Arc<ServerShared>,
     state: &Arc<SessionState>,
@@ -1381,29 +1388,25 @@ fn expire_deadlines(
     let mut due = Vec::new();
     let next = {
         let mut deadlines = state.deadlines.lock();
-        deadlines.retain(|&wire, open| {
+        deadlines.retain(|_, open| {
             let still_open = open.at > now;
             if !still_open {
-                due.push((wire, open.clone()));
+                due.push(open.clone());
             }
             still_open
         });
         deadlines.values().map(|open| open.at).min()
     };
-    for (wire, open) in due {
+    for open in due {
         // Taken back, the completion is dropped uncalled.
-        if shared.manager.cancel_wait(open.ticket).is_some() {
-            keep(shared, state, Some(wire), open.ticket);
+        if shared.manager.cancel_wait(open.ticket) {
+            if let Some(wire) = open.refile {
+                keep(shared, state, Some(wire), open.ticket);
+            }
             state.send(&open.reply);
         }
     }
     next
-}
-
-/// Queues a step that may park on the lane, the daemon's state in hand.
-fn offload(shared: &Arc<ServerShared>, job: impl FnOnce(&Arc<ServerShared>) + Send + 'static) {
-    let held = shared.clone();
-    shared.lane.execute(move || job(&held));
 }
 
 /// Transitions the session into [`Phase::Closing`] (idempotent).  A client
@@ -1459,22 +1462,13 @@ fn settle_abandoned(shared: &Arc<ServerShared>, state: &Arc<SessionState>, ticke
         }
         drop(pending);
     });
-    if let Err(done) = local_backend(shared).wait_with(ticket, done) {
-        offload(shared, move |shared| {
-            done(local_backend(shared).wait(ticket))
-        });
-    }
+    local_backend(shared).wait_with(ticket, done);
 }
 
 /// Releases `allocation`; `done` runs on the backend stage that drops the
-/// lease.  A backend that cannot release without parking (a hosted remote
-/// backend) hands `done` back, and the lane runs the blocking call.
+/// lease.
 fn release_allocation(shared: &Arc<ServerShared>, allocation: Allocation, done: ReleaseDone) {
-    if let Err(done) = shared.manager.release_with(&allocation, done) {
-        offload(shared, move |shared| {
-            done(shared.manager.release(&allocation))
-        });
-    }
+    shared.manager.release_with(&allocation, done);
 }
 
 /// A closed session's final sweep, on its I/O thread: hands back every
@@ -1621,7 +1615,7 @@ pub(super) struct SessionState {
     /// strand a machine claim.
     leases: Mutex<HashMap<String, Allocation>>,
     next_ticket: AtomicU64,
-    /// Submissions queued in the admission window or on the lane
+    /// Submissions queued in the admission window
     /// ([`Pending::submission`]): capped per session by an error reply.
     submissions: AtomicUsize,
     /// Every other request somebody else still owes a reply to
@@ -1637,18 +1631,23 @@ pub(super) struct SessionState {
     /// to, and so a re-advertisement under a *different* name retires the
     /// old domain.
     peer_domain: Mutex<Option<String>>,
-    /// The `Poll`s and deadline `Wait`s whose completion is with the backend,
-    /// by wire ticket id: each completion drops its own entry, and the I/O
-    /// thread gives up what is left when it is due.
+    /// The `Poll`s and deadline `Wait`s whose completion is with the
+    /// backend, by wire ticket id, and the `SubmitBatch`es that may still be
+    /// queued in its window, by a wire id of their own: each completion
+    /// drops its own entry, and the I/O thread gives up what is left when
+    /// it is due.
     deadlines: Mutex<HashMap<u64, OpenDeadline>>,
 }
 
-/// A batch ticket's `Poll` or deadline `Wait` left with the backend: when it
-/// gives up, on which ticket, and what it answers then.
+/// A completion left with the backend that gives up at a deadline: when,
+/// the ticket that takes it back ([`ResourceManager::cancel_wait`]), the
+/// wire id a redemption's ticket is filed under again, and what it answers
+/// then.
 #[derive(Clone)]
 struct OpenDeadline {
     at: std::time::Instant,
     ticket: Ticket,
+    refile: Option<u64>,
     reply: ServerFrame,
 }
 
@@ -1769,7 +1768,7 @@ struct Pending {
 }
 
 impl Pending {
-    /// A submission: queued in the admission window or on the lane.
+    /// A submission: queued in the admission window.
     /// Past [`MAX_SESSION_SUBMISSIONS`] the request is answered with an
     /// overload error instead, and `None` returned.
     fn submission(state: &Arc<SessionState>, corr: RequestId) -> Option<Self> {
@@ -1856,55 +1855,6 @@ fn keep(
         settle_abandoned(shared, state, ticket);
     }
     kept.map(|_| wire_id)
-}
-
-/// A `SubmitBatch`, on the lane: parks on the batch's admission in the
-/// window, whose permits only completions on other threads return.
-fn handle_submit_batch(
-    shared: &Arc<ServerShared>,
-    state: &Arc<SessionState>,
-    corr: RequestId,
-    queries: &[String],
-) {
-    let parsed: Result<Vec<_>, _> = queries
-        .iter()
-        .map(|q| actyp_query::parse_query(q))
-        .collect();
-    let submitted = match parsed {
-        Ok(parsed) => shared.manager.submit_batch(parsed),
-        Err(e) => Err(AllocationError::Parse(e.to_string())),
-    };
-    match submitted {
-        Ok(tickets) => {
-            let tickets = tickets
-                .into_iter()
-                .filter_map(|ticket| keep(shared, state, None, ticket))
-                .collect();
-            state.send(&ServerFrame::BatchSubmitted { corr, tickets });
-        }
-        Err(error) => state.send(&ServerFrame::Error { corr, error }),
-    }
-}
-
-/// A batch ticket's `Poll` or deadline `Wait` on a backend that hands the
-/// completion back, on the lane: the backend's own bounded wait (the remote
-/// backend ships it as a frame).  A give-up files the ticket again — or
-/// settles it, once the session is closing — and answers as `open` says.
-fn handle_wait(
-    shared: &Arc<ServerShared>,
-    state: &Arc<SessionState>,
-    wire: u64,
-    open: OpenDeadline,
-    done: WaitDone,
-) {
-    let left = open.at.saturating_duration_since(std::time::Instant::now());
-    match shared.manager.wait_deadline(open.ticket, left) {
-        Some(outcome) => done(outcome),
-        None => {
-            keep(shared, state, Some(wire), open.ticket);
-            state.send(&open.reply);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -2087,14 +2037,13 @@ mod tests {
         let (landed_tx, landed_rx) = std::sync::mpsc::channel();
         let done_state = state.clone();
         let key = granted[0].access_key.0.clone();
-        let handed_back = live.release_with(
+        live.release_with(
             &granted[0],
             Box::new(move |released| {
                 done_state.reply_released(RequestId(9), &key, released);
                 landed_tx.send(()).unwrap();
             }),
         );
-        assert!(handed_back.is_ok(), "the live backend takes the completion");
         landed_rx
             .recv_timeout(Duration::from_secs(10))
             .expect("the stage ran the completion");

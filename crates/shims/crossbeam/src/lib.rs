@@ -453,7 +453,7 @@ mod model_tests {
 
     /// Worker-pool shutdown protocol over the channel: each worker loops
     /// on `recv`, counts work, and exits on a stop marker queued behind
-    /// the work — the `WorkerPool::shutdown` discipline in miniature.
+    /// the work — a worker pool's stop-marker shutdown in miniature.
     #[cfg(not(feature = "buggy-baton"))]
     #[test]
     fn worker_pool_stop_protocol_proven() {

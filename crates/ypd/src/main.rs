@@ -15,10 +15,11 @@
 //!
 //! Session I/O is event driven: a fixed pool of I/O threads
 //! (`--io-threads`) drives every connection's nonblocking socket through
-//! an epoll/poll reactor (the platform picks the poller), and the backend
-//! calls that must park run on one fixed worker lane of four threads, so
-//! the daemon's thread count is independent of how many clients and peer
-//! daemons are connected.
+//! an epoll/poll reactor (the platform picks the poller), and every backend
+//! call is a completion that parks no thread: the hosted backend's own
+//! stages (`yp-pm-N` on the live pipeline) finish what the I/O threads
+//! cannot.  The daemon's thread count is therefore the I/O pool plus the
+//! backend's stages, however many clients and peer daemons are connected.
 //!
 //! # Wide-area federation
 //!
@@ -90,7 +91,8 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
                        (every WAN query walks the TTL-bounded peer chain)
   --stats-interval N   print a machine-readable stats line every N seconds
                        (the line load generators and the bench harness scrape;
-                       0 disables, the default)";
+                       0 disables, the default)
+  -h, --help           print this usage and exit";
 
 #[derive(Debug, PartialEq)]
 struct Config {
@@ -158,10 +160,12 @@ fn parse_backend(raw: &str) -> Result<BackendKind, String> {
         })
 }
 
+/// The daemon's configuration from its flags and environment, or `None`
+/// when `--help` (or `-h`) asks for the usage instead.
 fn parse_args(
     args: impl IntoIterator<Item = String>,
     env: EnvConfig<'_>,
-) -> Result<Config, String> {
+) -> Result<Option<Config>, String> {
     let mut config = Config::default();
     if let Some(listen) = env.listen {
         config.listen = listen
@@ -190,6 +194,7 @@ fn parse_args(
                 .ok_or_else(|| format!("{flag} requires a value"))
         };
         match flag.as_str() {
+            "--help" | "-h" => return Ok(None),
             "--listen" => {
                 let raw = value("--listen")?;
                 config.listen = raw.parse().map_err(|e| format!("--listen: {e}"))?;
@@ -280,7 +285,7 @@ fn parse_args(
                 .to_string(),
         );
     }
-    Ok(config)
+    Ok(Some(config))
 }
 
 fn main() -> ExitCode {
@@ -295,7 +300,11 @@ fn main() -> ExitCode {
         io_threads: env_io_threads.as_deref(),
     };
     let config = match parse_args(std::env::args().skip(1), env) {
-        Ok(config) => config,
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(message) => {
             eprintln!("ypd: {message}");
             eprintln!("{USAGE}");
@@ -449,7 +458,7 @@ mod tests {
 
     #[test]
     fn defaults_apply_without_flags() {
-        let config = parse_args(args(&[]), no_env()).unwrap();
+        let config = parse_args(args(&[]), no_env()).unwrap().unwrap();
         assert_eq!(config, Config::default());
     }
 
@@ -493,6 +502,7 @@ mod tests {
             ]),
             no_env(),
         )
+        .unwrap()
         .unwrap();
         assert_eq!(config.listen, StageAddress::new("0.0.0.0", 9000));
         assert_eq!(config.backend, BackendKind::Embedded);
@@ -528,7 +538,9 @@ mod tests {
 
     #[test]
     fn probe_interval_parses_and_rejects_garbage() {
-        let config = parse_args(args(&["--probe-interval", "0"]), no_env()).unwrap();
+        let config = parse_args(args(&["--probe-interval", "0"]), no_env())
+            .unwrap()
+            .unwrap();
         assert_eq!(config.probe_interval_ms, 0, "zero disables probing");
         let err = parse_args(args(&["--probe-interval", "often"]), no_env()).unwrap_err();
         assert!(err.contains("--probe-interval"), "{err}");
@@ -542,13 +554,15 @@ mod tests {
             listen: Some("10.0.0.1:7500"),
             ..EnvConfig::default()
         };
-        let from_env = parse_args(args(&[]), env).unwrap();
+        let from_env = parse_args(args(&[]), env).unwrap().unwrap();
         assert_eq!(from_env.listen, StageAddress::new("10.0.0.1", 7500));
         let env = EnvConfig {
             listen: Some("10.0.0.1:7500"),
             ..EnvConfig::default()
         };
-        let overridden = parse_args(args(&["--listen", "127.0.0.1:0"]), env).unwrap();
+        let overridden = parse_args(args(&["--listen", "127.0.0.1:0"]), env)
+            .unwrap()
+            .unwrap();
         assert_eq!(overridden.listen, StageAddress::new("127.0.0.1", 0));
     }
 
@@ -559,7 +573,7 @@ mod tests {
             peers: Some("10.0.0.1:7421, 10.0.0.2:7421"),
             ..EnvConfig::default()
         };
-        let from_env = parse_args(args(&[]), env).unwrap();
+        let from_env = parse_args(args(&[]), env).unwrap().unwrap();
         assert_eq!(from_env.domain.as_deref(), Some("upc"));
         assert_eq!(
             from_env.peers,
@@ -574,8 +588,9 @@ mod tests {
             peers: Some("10.0.0.1:7421"),
             ..EnvConfig::default()
         };
-        let overridden =
-            parse_args(args(&["--domain", "purdue", "--peer", "127.0.0.1:1"]), env).unwrap();
+        let overridden = parse_args(args(&["--domain", "purdue", "--peer", "127.0.0.1:1"]), env)
+            .unwrap()
+            .unwrap();
         assert_eq!(overridden.domain.as_deref(), Some("purdue"));
         assert_eq!(overridden.peers.len(), 2);
     }
@@ -586,13 +601,15 @@ mod tests {
             io_threads: Some("6"),
             ..EnvConfig::default()
         };
-        let from_env = parse_args(args(&[]), env).unwrap();
+        let from_env = parse_args(args(&[]), env).unwrap().unwrap();
         assert_eq!(from_env.io_threads, 6);
         let env = EnvConfig {
             io_threads: Some("6"),
             ..EnvConfig::default()
         };
-        let overridden = parse_args(args(&["--io-threads", "3"]), env).unwrap();
+        let overridden = parse_args(args(&["--io-threads", "3"]), env)
+            .unwrap()
+            .unwrap();
         assert_eq!(overridden.io_threads, 3);
         // Bad env values are reported against the variable.
         let env = EnvConfig {
@@ -606,7 +623,9 @@ mod tests {
 
     #[test]
     fn stats_interval_parses_and_rejects_garbage() {
-        let config = parse_args(args(&["--stats-interval", "30"]), no_env()).unwrap();
+        let config = parse_args(args(&["--stats-interval", "30"]), no_env())
+            .unwrap()
+            .unwrap();
         assert_eq!(config.stats_interval, 30);
         assert_eq!(Config::default().stats_interval, 0, "disabled by default");
         assert!(parse_args(args(&["--stats-interval", "soon"]), no_env())
@@ -640,7 +659,7 @@ mod tests {
             .unwrap_err()
             .contains("invalid hop count"));
         // The A/B switches of the settled session-engine experiment, and
-        // the lane size that became a constant, are gone: a stale script
+        // the size of a worker lane that is itself gone, are gone: a stale script
         // naming them fails loudly.
         for removed in ["--sessions", "--poller", "--workers"] {
             assert!(parse_args(args(&[removed, "reactor"]), no_env())
@@ -670,6 +689,16 @@ mod tests {
         assert!(parse_args(args(&[]), env)
             .unwrap_err()
             .contains("ACTYP_YPD_PEERS"));
+    }
+
+    #[test]
+    fn help_asks_for_the_usage_instead_of_a_configuration() {
+        for help in ["--help", "-h"] {
+            assert_eq!(parse_args(args(&[help]), no_env()), Ok(None), "{help}");
+            // After other flags too, and whatever follows it.
+            let late = parse_args(args(&["--machines", "64", help, "--frobnicate"]), no_env());
+            assert_eq!(late, Ok(None), "{help}");
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@ const SUN_QUERY: &str = "punch.rsrc.arch = sun\n";
 
 /// The acceptance bar from the issue: a daemon holding 200+ idle client
 /// sessions *plus two live peer links* runs on a bounded thread count —
-/// I/O pool + worker lane + constant overhead, independent of sessions —
+/// I/O pool + backend stages + constant overhead, independent of sessions —
 /// and still serves requests.
 #[test]
 fn two_hundred_idle_sessions_hold_no_extra_threads() {
@@ -125,7 +125,7 @@ fn two_hundred_idle_sessions_hold_no_extra_threads() {
     // 210 sessions connect, handshake, and go idle.
     let mut idle: Vec<TcpStream> = (0..210).map(|_| raw_hello(&addr)).collect();
 
-    // Bounded: the I/O pool and worker lane already exist; new sessions
+    // Bounded: the I/O pool and the backend stages already exist; new sessions
     // must not bring threads of their own.
     if let (Some(before), Some(during)) = (before, thread_count()) {
         assert!(
