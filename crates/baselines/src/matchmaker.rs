@@ -116,8 +116,9 @@ impl Matchmaker {
         jobs.iter().map(|job| self.negotiate(job)).collect()
     }
 
-    /// Releases a claim made by [`Matchmaker::negotiate`].
-    pub fn release(&mut self, machine: MachineId) {
+    /// Marks a job matched by [`Matchmaker::negotiate`] as finished on
+    /// `machine`, releasing its claim.
+    pub fn finish(&mut self, machine: MachineId) {
         let mut guard = self.db.write();
         if let Some(m) = guard.get_mut(machine) {
             m.dynamic.active_jobs = m.dynamic.active_jobs.saturating_sub(1);
@@ -156,7 +157,7 @@ mod tests {
         assert!(outcome.rank.unwrap() > 0.0);
         assert_eq!(database.read().get(machine).unwrap().dynamic.active_jobs, 1);
         assert_eq!(mm.matched(), 1);
-        mm.release(machine);
+        mm.finish(machine);
         assert_eq!(database.read().get(machine).unwrap().dynamic.active_jobs, 0);
     }
 

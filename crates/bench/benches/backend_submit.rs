@@ -1,7 +1,7 @@
 //! `backend_submit`: the same submit → wait → release workload swept across
-//! all five backends — embedded engine, threaded live pipeline, centralized
-//! multi-queue scheduler, centralized matchmaker, and the remote backend
-//! talking to a loopback `ypd` daemon — through the unified
+//! all five backends — the pipeline inline (embedded) and threaded (live),
+//! centralized multi-queue scheduler, centralized matchmaker, and the remote
+//! backend talking to a loopback `ypd` daemon — through the unified
 //! `ResourceManager` API.  Because the client code is identical, the
 //! numbers isolate the architectural cost of each deployment (for the
 //! remote backend: the wire hop, framing and correlation); pipelined

@@ -143,8 +143,8 @@ impl LintConfig {
                     },
                     SiteSpec {
                         file: PathBuf::from("crates/pipeline/src/api.rs"),
-                        kind: SiteKind::FnBody("snapshot_from_engine".to_string()),
-                        label: "engine merge (snapshot_from_engine)".to_string(),
+                        kind: SiteKind::FnBody("snapshot_from_pipeline".to_string()),
+                        label: "pipeline merge (snapshot_from_pipeline)".to_string(),
                     },
                     SiteSpec {
                         file: PathBuf::from("crates/ypd/src/main.rs"),

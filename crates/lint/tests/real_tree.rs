@@ -177,6 +177,39 @@ fn the_walk_covers_the_live_launch_and_the_joins_finish() {
     }
 }
 
+/// The embedded backend runs the live pipeline with its stages placed
+/// inline: a daemon's I/O thread that resolves a `Submit` on it runs the
+/// query manager, every pool-manager step and the query's finish itself.
+/// The walk from `EmbeddedBackend::resolve` must reach the launch, the
+/// post that serves a stage here, the step, what follows it, and the join's
+/// finish with its surplus releases — so a parking call planted in the
+/// stage step is reported like one in the launch.
+#[test]
+fn the_walk_covers_the_inline_placement_from_the_embedded_resolve() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
+    let reachable = reactor_reachable(&src, &["api.rs::resolve".to_string()]).expect("tree lexes");
+    for (file, function) in [
+        ("live.rs", "resolve"),
+        ("live.rs", "launch"),
+        ("live.rs", "post"),
+        ("live.rs", "serve"),
+        ("live.rs", "step"),
+        ("live.rs", "follow"),
+        ("live.rs", "deliver"),
+        ("live.rs", "finish"),
+        ("live.rs", "release_surplus"),
+        ("live.rs", "try_release"),
+    ] {
+        assert!(
+            reachable.contains(&(PathBuf::from(file), function.to_string())),
+            "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
+        );
+    }
+    // The threaded placement's stage loop parks on its queue on a thread
+    // of its own, and no completion path reaches it.
+    assert!(!reachable.contains(&(PathBuf::from("live.rs"), "stage_thread".to_string())));
+}
+
 /// A batch ticket's give-up runs on the I/O thread: the session's open
 /// deadlines expire there (`expire_deadlines`, reached from the timer's
 /// refresh and from a `Poll`), and take their completion back through the

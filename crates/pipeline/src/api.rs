@@ -8,7 +8,7 @@
 //!
 //! | backend | constructor | what it is |
 //! |---|---|---|
-//! | [`EmbeddedBackend`] | [`PipelineBuilder::build_embedded`] | the synchronous [`Engine`] in one address space |
+//! | [`EmbeddedBackend`] | [`PipelineBuilder::build_embedded`] | [`LivePipeline`] with every stage on the calling thread (inline placement) |
 //! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | [`LivePipeline`], every pool-manager stage on its own thread and the query manager on the launching thread, with a bounded in-flight window |
 //! | [`CentralQueueBackend`] | [`PipelineBuilder::build_central_queue`] | the PBS/SGE-style centralized multi-queue scheduler baseline |
 //! | [`MatchmakerBackend`] | [`PipelineBuilder::build_matchmaker`] | the Condor-style centralized matchmaker baseline |
@@ -63,8 +63,7 @@ use actyp_grid::{MachineId, ResourceDatabase, SharedDatabase};
 use actyp_query::{BasicQuery, PoolName, Query};
 
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitDone};
-use crate::engine::{Engine, EngineStats, PipelineConfig};
-use crate::live::{Launcher, LivePipeline, OutcomeSlot};
+use crate::live::{Launcher, LivePipeline, OutcomeSlot, PipelineConfig, PipelineStats, Placement};
 use crate::message::{RequestId, StageAddress};
 use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
@@ -143,7 +142,8 @@ impl Ticket {
 /// Which deployment a [`PipelineBuilder`] should construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The embedded, synchronous pipeline ([`Engine`]).
+    /// The pipeline with every stage on the calling thread
+    /// ([`EmbeddedBackend`]).
     Embedded,
     /// The threaded pipeline ([`LivePipeline`]), one thread per pool-manager
     /// stage.
@@ -176,14 +176,10 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Folds an [`EngineStats`] (shared by the embedded and live pipelines)
+/// Folds a [`PipelineStats`] (shared by the embedded and live backends)
 /// into the unified [`StatsSnapshot`] the trait reports.  The snapshot type
 /// itself lives in [`actyp_proto`] — it crosses the wire verbatim.
-fn snapshot_from_engine(
-    stats: EngineStats,
-    records_examined: u64,
-    in_flight: usize,
-) -> StatsSnapshot {
+fn snapshot_from_pipeline(stats: PipelineStats, in_flight: usize) -> StatsSnapshot {
     StatsSnapshot {
         requests: stats.requests,
         fragments: stats.fragments,
@@ -193,11 +189,11 @@ fn snapshot_from_engine(
         forwards: stats.forwards,
         // WAN federation counters belong to the federated daemon wrapper
         // (`crate::federation::FederatedBackend`), not to an in-process
-        // engine.
+        // pipeline.
         delegations_out: 0,
         delegations_in: 0,
         releases: stats.releases,
-        records_examined,
+        records_examined: stats.records_examined,
         in_flight,
         gossip_deltas_in: 0,
         gossip_deltas_out: 0,
@@ -288,8 +284,20 @@ pub trait ResourceManager: Send + Sync {
         redeem_within(self, ticket, Some(timeout))
     }
 
-    /// Releases an allocation back to the resource manager.
-    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError>;
+    /// Releases an allocation back to the resource manager.  The provided
+    /// method waits for [`release_with`](Self::release_with) on a latch.
+    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
+        let (tx, rx) = crossbeam::channel::unbounded();
+        self.release_with(
+            allocation,
+            Box::new(move |released| drop(tx.send(released))),
+        );
+        rx.recv().unwrap_or_else(|_| {
+            Err(AllocationError::Internal(
+                "the release was dropped".to_string(),
+            ))
+        })
+    }
 
     /// [`release`](Self::release) as a completion: `done` receives its
     /// result on whichever thread finishes it.  The live backend posts it
@@ -696,56 +704,49 @@ impl<W: PermitWord, L: FifoLock> Window<W, L> {
     }
 }
 
-/// The embedded [`Engine`] behind the unified surface.
-///
-/// Queries are resolved synchronously at submission; tickets redeem
-/// instantly.  The engine itself uses interior mutability, so the backend is
-/// freely shareable across threads.
+/// The pipeline with its stages placed inline, behind the unified
+/// surface: a submission runs every stage on the calling thread, so its
+/// ticket is resolved before `submit` returns and redeems instantly.  It
+/// has no window: the window bounds queued stage work, and inline work
+/// never queues.
 pub struct EmbeddedBackend {
-    engine: Engine,
+    pipeline: LivePipeline,
     tickets: ReadyTickets,
-    examined: AtomicU64,
 }
 
 impl EmbeddedBackend {
-    fn new(engine: Engine) -> Self {
+    fn new(pipeline: LivePipeline) -> Self {
         EmbeddedBackend {
-            engine,
+            pipeline,
             tickets: ReadyTickets::new(),
-            examined: AtomicU64::new(0),
         }
     }
 
-    /// The underlying engine, for inspection the trait does not cover
+    /// The underlying pipeline, for inspection the trait does not cover
     /// (directory contents, pool-manager manipulation in experiments).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    pub fn pipeline(&self) -> &LivePipeline {
+        &self.pipeline
     }
 
-    /// Runs `query` through the engine and issues the ticket of its
+    /// Runs `query` through every stage and issues the ticket of its
     /// outcome: a short in-memory step, so every submission path ends here.
-    fn resolve(&self, query: &Query) -> Ticket {
-        let outcome = self.engine.allocate(query);
-        if let Ok(allocations) = &outcome {
-            let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
-            self.examined.fetch_add(examined, Ordering::Relaxed);
-        }
-        self.tickets.issue(outcome)
+    fn resolve(&self, query: Query) -> Ticket {
+        self.tickets.issue(self.pipeline.resolve(query))
     }
 }
 
 impl ResourceManager for EmbeddedBackend {
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        Ok(self.resolve(&query))
+        Ok(self.resolve(query))
     }
 
     fn submit_with(&self, query: Query, done: SubmitDone) {
-        done(Ok(self.resolve(&query)));
+        done(Ok(self.resolve(query)));
     }
 
     fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
         done(Ok(queries
-            .iter()
+            .into_iter()
             .map(|query| self.resolve(query))
             .collect()));
         None
@@ -759,26 +760,19 @@ impl ResourceManager for EmbeddedBackend {
         done(self.tickets.take(ticket));
     }
 
-    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        self.engine.release(allocation)
-    }
-
+    /// The stage that drops the lease runs `done` — here, inline.
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
-        done(self.release(allocation));
+        self.pipeline.release_with(allocation, done)
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snapshot = snapshot_from_engine(
-            self.engine.stats(),
-            self.examined.load(Ordering::Relaxed),
-            self.tickets.len(),
-        );
-        snapshot.shard_contention = self.engine.directory().contention();
+        let mut snapshot = snapshot_from_pipeline(self.pipeline.stats(), self.tickets.len());
+        snapshot.shard_contention = self.pipeline.directory().contention();
         snapshot
     }
 
     fn shutdown(&self) -> Result<(), AllocationError> {
-        Ok(())
+        self.pipeline.shutdown()
     }
 }
 
@@ -811,7 +805,6 @@ struct Ledger {
     /// counted here until its outcome is in.
     unsettled: AtomicUsize,
     window: Window,
-    examined: AtomicU64,
 }
 
 impl Ledger {
@@ -870,7 +863,7 @@ impl Ledger {
             let slot = self.pending.remove(ticket.id).expect("issued just now");
             let ledger = self.clone();
             slot.on_ready(Box::new(move |outcome| {
-                ledger.settle(&outcome);
+                ledger.settle();
                 for allocation in outcome.iter().flatten() {
                     ledger.launcher.release_with(allocation, Box::new(|_| {}));
                 }
@@ -879,11 +872,7 @@ impl Ledger {
         Err(error)
     }
 
-    fn settle(&self, outcome: &QueryOutcome) {
-        if let Ok(allocations) = outcome {
-            let examined: u64 = allocations.iter().map(|a| a.examined as u64).sum();
-            self.examined.fetch_add(examined, Ordering::Relaxed);
-        }
+    fn settle(&self) {
         self.unsettled.fetch_sub(1, Ordering::Relaxed);
         self.window.free(1);
     }
@@ -908,7 +897,6 @@ impl LiveBackend {
                 waiting: crate::shard::ShardedMap::new(shards),
                 unsettled: AtomicUsize::new(0),
                 window: Window::new(window),
-                examined: AtomicU64::new(0),
             }),
             pipeline,
             batch_deadline,
@@ -1017,7 +1005,7 @@ impl ResourceManager for LiveBackend {
         let ledger = self.ledger.clone();
         slot.on_ready(Box::new(move |outcome| {
             ledger.waiting.remove(ticket.id);
-            ledger.settle(&outcome);
+            ledger.settle();
             done(outcome);
         }));
     }
@@ -1044,19 +1032,14 @@ impl ResourceManager for LiveBackend {
         true
     }
 
-    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        self.pipeline.release(allocation)
-    }
-
     /// The pool-manager stage that drops the lease runs `done` itself.
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         self.pipeline.release_with(allocation, done)
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snapshot = snapshot_from_engine(
+        let mut snapshot = snapshot_from_pipeline(
             self.pipeline.stats(),
-            self.ledger.examined.load(Ordering::Relaxed),
             self.ledger.unsettled.load(Ordering::Relaxed),
         );
         snapshot.shard_contention = self
@@ -1111,7 +1094,7 @@ impl BaselineDispatcher for Matchmaker {
     }
 
     fn finish(&mut self, machine: MachineId) {
-        self.release(machine);
+        Matchmaker::finish(self, machine);
     }
 
     fn records_examined(&self) -> u64 {
@@ -1234,7 +1217,7 @@ impl<D: BaselineDispatcher> BaselineBackend<D> {
             ReintegrationPolicy::FirstMatch => {
                 // Mirror the pipeline: keep the first match, hand the
                 // surplus straight back (counted as releases, like the
-                // engine's surplus path).
+                // pipeline's surplus path).
                 let keep = successes.remove(0);
                 for extra in successes {
                     let _ = self.release_outstanding(&extra);
@@ -1280,12 +1263,8 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
         done(self.tickets.take(ticket));
     }
 
-    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        self.release_outstanding(allocation)
-    }
-
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
-        done(self.release(allocation));
+        done(self.release_outstanding(allocation));
     }
 
     fn stats(&self) -> StatsSnapshot {
@@ -1508,7 +1487,11 @@ impl PipelineBuilder {
     /// Builds the embedded backend.
     pub fn build_embedded(self) -> Result<EmbeddedBackend, AllocationError> {
         let (config, _, domains) = self.take_domains()?;
-        Ok(EmbeddedBackend::new(Engine::federated(config, domains)))
+        Ok(EmbeddedBackend::new(LivePipeline::new(
+            config,
+            domains,
+            Placement::Inline,
+        )))
     }
 
     /// Builds the live (threaded) backend.
@@ -1517,7 +1500,7 @@ impl PipelineBuilder {
         let (config, window, domains) = self.take_domains()?;
         let shards = config.shards;
         Ok(LiveBackend::new(
-            LivePipeline::start_federated(config, domains),
+            LivePipeline::new(config, domains, Placement::Threaded),
             window,
             batch_deadline,
             shards,
@@ -1585,7 +1568,7 @@ impl PipelineBuilder {
             match kind {
                 BackendKind::Embedded => {
                     let backend = self.build_embedded()?;
-                    let directory = backend.engine().directory().clone();
+                    let directory = backend.pipeline().directory().clone();
                     (Box::new(backend), Some(directory))
                 }
                 BackendKind::Live => {

@@ -4,7 +4,7 @@
 //! The paper's architecture is explicitly a *network* service — "queries
 //! propagate from one stage to the next via TCP or UDP", and "all state
 //! information is carried with the query itself".  The exact client code
-//! that runs against the embedded engine runs unchanged against a daemon
+//! that runs against the embedded backend runs unchanged against a daemon
 //! on another machine ([`crate::server`]), and the ticket pipelining the
 //! paper measures spans a real network hop: multiple tickets in flight on
 //! one connection, multiplexed by correlation id.  The transport itself —

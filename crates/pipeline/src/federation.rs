@@ -4,8 +4,8 @@
 //! pool manager cannot satisfy a query, it delegates the query to a peer
 //! in another domain", carrying a time-to-live and the list of domains
 //! already visited with the query itself (Sections 5.2.2, 6).  Inside one
-//! process that control flow already exists ([`RoutingState`] threading
-//! through [`crate::engine::Engine`]); this module takes the same
+//! process that control flow already exists ([`RoutingState`] carried
+//! from stage to stage by [`crate::live`]); this module takes the same
 //! delegation over the wire, so a fleet of peered daemons forms the
 //! paper's WAN topology:
 //!
@@ -1696,20 +1696,6 @@ impl ResourceManager for FederatedBackend {
         }
         self.tickets.issued.lock().insert(ticket.id(), pending);
         true
-    }
-
-    /// A latch on [`release_with`](ResourceManager::release_with).
-    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.release_with(
-            allocation,
-            Box::new(move |released| drop(tx.send(released))),
-        );
-        rx.recv().unwrap_or_else(|_| {
-            Err(AllocationError::Internal(
-                "the release was dropped".to_string(),
-            ))
-        })
     }
 
     /// A lease this daemon holds itself is released by the wrapped

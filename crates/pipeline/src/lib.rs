@@ -23,13 +23,15 @@
 //!    allocation queries.  Pools can be split for concurrent search and
 //!    replicated with an instance-specific bias.
 //!
-//! Four deployments of the same stages are provided:
+//! Three deployments of the same stages are provided:
 //!
-//! * [`engine::Engine`] — the embedded, synchronous pipeline (single address
-//!   space); the form used by the examples and baselines.
-//! * [`live::LivePipeline`] — every pool-manager stage on its own thread,
-//!   connected by channels, the query manager run by the launching thread:
-//!   stage replication and pipelining.
+//! * [`live::LivePipeline`] — the stages wired once, in one address space,
+//!   with the pool-manager stages placed one of two ways: inline, every
+//!   stage run by the calling thread (the embedded backend, the form used
+//!   by the examples and the baseline comparison), or threaded, every
+//!   pool-manager stage on its own thread, connected by channels, the query
+//!   manager run by the launching thread (the live backend: stage
+//!   replication and pipelining).
 //! * [`server`] / [`client`] — the wire deployment: a `ypd` daemon hosts
 //!   any backend behind the versioned [`actyp_proto`] protocol, and
 //!   [`client::RemoteBackend`] serves the same client surface across a TCP
@@ -50,8 +52,8 @@
 //!
 //! Clients should not pick a deployment-specific entry point: the [`api`]
 //! module provides the unified [`api::ResourceManager`] surface — ticket
-//! based, pipelined, identical across the embedded engine, the threaded
-//! pipeline and the centralized baseline architectures — constructed
+//! based, pipelined, identical across the inline and threaded placements
+//! of the pipeline and the centralized baseline architectures — constructed
 //! through one [`api::PipelineBuilder`].
 
 pub mod allocation;
@@ -59,7 +61,6 @@ pub mod api;
 pub mod client;
 mod corr;
 pub mod directory;
-pub mod engine;
 pub mod federation;
 pub mod gossip;
 pub mod live;
@@ -77,12 +78,11 @@ pub use allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitD
 pub use api::{BackendKind, PipelineBuilder, ResourceManager, StatsSnapshot, Ticket};
 pub use client::RemoteBackend;
 pub use directory::{LocalDirectoryService, PoolInstanceRecord, ShardedDirectory, SharedDirectory};
-pub use engine::{Engine, EngineStats, PipelineConfig};
 pub use federation::{
     is_delegable, run_chain, FederatedBackend, FederationConfig, PeerDelegator, PeerUnavailable,
 };
 pub use gossip::{AdvertLog, GossipEvent, GossipPlane};
-pub use live::LivePipeline;
+pub use live::{LivePipeline, PipelineConfig, PipelineStats};
 pub use message::{
     AddressParseError, FragmentTag, RequestId, RequestIdGenerator, RoutingState, StageAddress,
 };

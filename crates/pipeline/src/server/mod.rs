@@ -3,7 +3,7 @@
 //! end of the socket).
 //!
 //! [`serve`] binds a listener and hosts *any* [`ResourceManager`] — the
-//! embedded engine, the threaded live pipeline or a centralized baseline.
+//! pipeline with its stages inline or threaded, or a centralized baseline.
 //! Each connection is a *session* with its own ticket table: wire ticket
 //! ids are session-scoped, so one client can never redeem (or guess)
 //! another's tickets.  Allocations are *session leases*: a session that

@@ -1,7 +1,7 @@
 //! `ypd` — the Active Yellow Pages daemon.
 //!
-//! Hosts any `ResourceManager` backend (embedded engine, threaded live
-//! pipeline, or a centralized baseline) behind the versioned `actyp-proto`
+//! Hosts any `ResourceManager` backend (the pipeline with its stages
+//! inline or threaded, or a centralized baseline) behind the versioned `actyp-proto`
 //! wire protocol, over a synthetic white-pages fleet.  Clients connect with
 //! `actyp_pipeline::api::PipelineBuilder::remote` (or any implementation of
 //! the protocol) and drive the exact same API the in-process backends
@@ -60,7 +60,10 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
            [--stats-interval N]
 
   --listen HOST:PORT   address to bind (default: $ACTYP_YPD_LISTEN or 127.0.0.1:7411)
-  --backend KIND       embedded | live | central-queue | matchmaker (default: live)
+  --backend KIND       embedded | live | central-queue | matchmaker (default: live);
+                       embedded is the same pipeline as live with every stage
+                       run on the calling thread (the I/O thread), live puts
+                       each pool-manager stage on a yp-pm-N thread
   --machines N         synthetic fleet size (default: 500)
   --seed N             synthetic fleet / pipeline RNG seed (default: 42)
   --arch NAME          homogeneous fleet of this architecture (default: mixed fleet)

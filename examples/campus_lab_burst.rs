@@ -67,7 +67,7 @@ fn main() {
     );
     println!(
         "pool instances created for the whole burst: {} (identical specs map to one pool name)",
-        desktop.manager().engine().pool_instances()
+        desktop.manager().pipeline().directory().instance_count()
     );
     println!(
         "distinct mounts active (application + data per run): {}",

@@ -84,7 +84,7 @@ fn failures_after_pool_creation_shrink_the_usable_set_gracefully() {
     }
     assert!(manager.submit_text_wait(&sun_text()).is_ok());
     assert_eq!(
-        manager.engine().pool_instances(),
+        manager.pipeline().directory().instance_count(),
         1,
         "the original pool keeps serving"
     );
@@ -149,10 +149,9 @@ fn destroying_a_pool_with_outstanding_allocations_still_allows_release() {
     let db = homogeneous(20, 5);
     let manager = embedded(db);
     let allocation = manager.submit_text_wait(&sun_text()).unwrap().remove(0);
-    let engine = manager.engine();
-    let pm_names = engine.pool_manager_names();
-    let destroyed = engine
-        .with_pool_manager(&pm_names[0], |pm| {
+    let destroyed = manager
+        .pipeline()
+        .with_pool_manager("pm-0", |pm| {
             pm.destroy_pool(&allocation.pool, allocation.pool_instance)
         })
         .unwrap();
