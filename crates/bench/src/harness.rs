@@ -792,7 +792,7 @@ fn saturation_cores(scale: &Scale) -> Result<BenchArtifact, String> {
 ///
 /// * `cache-off` — the route cache is disabled and everything the entry
 ///   learned about the satisfying domain is forgotten between queries
-///   (via [`FederatedBackend::retire_domain`]): every query is the
+///   (via `PeerView::retire_domain`): every query is the
 ///   paper's baseline TTL-bounded chain walk through both decoys.
 /// * `cache-on-cold` — the cache is enabled but the learned state is
 ///   likewise dropped between queries: the walk pays the same hops,
@@ -875,7 +875,7 @@ fn routing(scale: &Scale) -> Result<BenchArtifact, String> {
         fed.release(&primed[0])
             .map_err(|e| format!("{series} prime release: {e}"))?;
         if forget {
-            fed.retire_domain(TARGET);
+            fed.view().retire_domain(TARGET);
         }
         let mut latencies = SampleSet::new();
         let mut hops_total = 0u64;
@@ -893,7 +893,7 @@ fn routing(scale: &Scale) -> Result<BenchArtifact, String> {
             fed.release(&allocations[0])
                 .map_err(|e| format!("{series} release: {e}"))?;
             if forget {
-                fed.retire_domain(TARGET);
+                fed.view().retire_domain(TARGET);
             }
         }
         let elapsed = started.elapsed().as_secs_f64();

@@ -1,12 +1,23 @@
 //! The deterministic WAN executor.
 //!
 //! Stands a federated topology up *in one process, on virtual time*: each
-//! domain gets the real gossip plane ([`GossipPlane`]), the real learned
-//! route cache ([`RouteCache`]) and the real delegation chain
-//! ([`run_chain`]) — only the transport is simulated, as latency sampled
-//! from a seeded [`JitteredLatency`] over `simnet`'s event queue.  Faults
+//! domain owns the daemon's own routing view ([`PeerView`]: gossip plane,
+//! peer directory, learned routes, candidate order) and runs the daemon's
+//! own delegation step machine ([`Chain`]).  Only the transport is
+//! simulated: every frame — a gossip push and its ack, a `Delegate` and
+//! its answer — lands one trip later, sampled from a seeded
+//! [`JitteredLatency`] over `simnet`'s event queue, so faults, gossip and
+//! other chains interleave with a chain in flight, as on a daemon.  Faults
 //! mutate the world between events; the invariant checker watches every
 //! chain, every lease and the converged gossip views continuously.
+//!
+//! At the edges the simulator follows the daemon: a `Delegate` over a
+//! down link fails as transport after `DEAD_DIAL_COST`, and its sender
+//! prunes the peer; an answer that reaches a dead domain, or crosses a
+//! link cut since its `Delegate` left, hands its leases back to their
+//! grantor and fails the step that waited on it as transport — on a
+//! daemon, the session teardown releases them hop by hop.  Peer links have
+//! no dial, backoff or handshake here: a link is up or it is not.
 //!
 //! Everything observable lands in the [`EventLog`], and every random
 //! choice derives from the scenario seed over `simnet`'s deterministic
@@ -19,9 +30,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use actyp_grid::MachineId;
 use actyp_pipeline::api::QueryOutcome;
+use actyp_pipeline::federation::{Chain, Step};
 use actyp_pipeline::{
-    run_chain, Allocation, AllocationError, GossipPlane, PeerDelegator, PeerUnavailable, RequestId,
-    RouteCache, RoutingState, SessionKey,
+    Allocation, AllocationError, GossipPlane, PeerUnavailable, PeerView, RequestId, RoutingState,
+    SessionKey,
 };
 use actyp_proto::frames::{AdvertDelta, AdvertVersion};
 use actyp_simnet::net::JitteredLatency;
@@ -33,11 +45,12 @@ use crate::plan::{submission_plan, PlannedSubmission};
 use crate::scenario::{Fault, Scenario, WorkloadSpec};
 
 /// What a delegation pays for discovering a dead peer: the connect
-/// timeout, charged to the chain's response time.
+/// timeout, after which its step fails as transport.
 const DEAD_DIAL_COST: SimDuration = SimDuration::from_millis(500);
 
 /// Local processing cost of settling a query (parse, pool lookup,
-/// scheduling) — dwarfed by WAN hops, but never zero.
+/// scheduling) — dwarfed by WAN hops, but never zero.  Charged once, when
+/// the entry domain's chain ends.
 const LOCAL_COST: SimDuration = SimDuration::from_millis(1);
 
 /// Counters a run accumulates.
@@ -113,7 +126,12 @@ impl SimReport {
 /// Runs one scenario to completion on virtual time.
 pub fn run_sim(scenario: &Scenario) -> Result<SimReport, String> {
     scenario.validate()?;
-    let world = World::build(scenario);
+    Ok(replay(scenario, submission_plan(scenario)))
+}
+
+/// Replays `plan` in `scenario`'s world.
+fn replay(scenario: &Scenario, plan: Vec<PlannedSubmission>) -> SimReport {
+    let world = World::build(scenario, plan);
     let mut queue: EventQueue<Ev> = EventQueue::new();
 
     for (i, fault) in scenario.faults.iter().enumerate() {
@@ -132,8 +150,7 @@ pub fn run_sim(scenario: &Scenario) -> Result<SimReport, String> {
         world.now.set(event.at);
         world.handle(event.event, event.at, &mut queue);
     }
-
-    Ok(world.finish())
+    world.finish()
 }
 
 /// Virtual-time instant for a millisecond offset.
@@ -168,6 +185,43 @@ enum Ev {
         reply: Vec<AdvertDelta>,
         vector: Vec<AdvertVersion>,
     },
+    /// `plan[i]`'s `Delegate` lands at the domain its waiting step names.
+    Land(usize),
+    /// The answer to `plan[i]`'s `Delegate` lands back at its sender.
+    Answer(usize, Reply),
+}
+
+/// A chain step's answer to a `Delegate`, as [`Chain::on_reply`] reads it.
+type Reply = Result<(QueryOutcome, RoutingState), PeerUnavailable>;
+
+/// A chain step waiting for the answer to its `Delegate`.
+struct Waiting {
+    /// The sender, and the domain it delegated to.
+    at: usize,
+    to: usize,
+    chain: Chain,
+    /// When the `Delegate` left: a cut of the link since loses the answer.
+    sent: SimTime,
+    /// How many hops the request's chain had taken then: a lost answer
+    /// takes the hops behind it along.
+    mark: usize,
+}
+
+/// A fault that breaks the connections it crosses, even if it heals
+/// before an answer comes back.
+enum Cut {
+    Domain(usize),
+    Link(usize, usize),
+    Partition(usize),
+}
+
+/// A hop lost with its link, as a chain step reads it.
+fn lost() -> Reply {
+    let reason = "the link went down".to_string();
+    Err(PeerUnavailable {
+        transport: true,
+        reason,
+    })
 }
 
 /// One simulated pool: a capacity and its free share.
@@ -181,14 +235,10 @@ struct Domain {
     name: String,
     arch: String,
     up: Cell<bool>,
-    /// The real gossip plane (replaced wholesale on restart, exactly as a
-    /// restarted daemon starts a fresh epoch).
-    plane: RefCell<GossipPlane>,
-    /// The real learned one-hop route cache.
-    route: RefCell<RouteCache>,
+    /// The daemon's routing view (replaced wholesale on restart, exactly as
+    /// a restarted daemon starts a fresh epoch).
+    view: RefCell<PeerView>,
     pools: RefCell<BTreeMap<String, Pool>>,
-    /// What gossip taught this domain: pool name -> origin domains.
-    known: RefCell<BTreeMap<String, BTreeSet<String>>>,
     /// Direct peers, ascending.
     peers: Vec<usize>,
     restarts: Cell<u64>,
@@ -202,29 +252,31 @@ impl Domain {
     }
 }
 
-/// One undirected peer link (endpoints live in the `link_of` index).
-struct Link {
-    up: Cell<bool>,
-}
-
 /// Per-request bookkeeping.
 struct ReqState {
     settled: bool,
     vanished: bool,
     /// Ledger indices of the leases this request's chain granted.
     leases: Vec<usize>,
-    /// Settle description, filled when the chain runs.
+    /// The chain steps waiting for an answer, the entry domain's first.
+    waiting: Vec<Waiting>,
+    /// Settle description, filled when the entry domain's chain ends.
     outcome: Option<Result<String, String>>,
-    hops: u64,
+    /// The hops of the request's chain whose answers came back.
+    hops: Vec<Hop>,
 }
 
 struct World<'s> {
     scenario: &'s Scenario,
     plan: Vec<PlannedSubmission>,
     domains: Vec<Domain>,
-    links: Vec<Link>,
+    /// Whether each undirected peer link is up (endpoints live in the
+    /// `link_of` index).
+    links: Vec<Cell<bool>>,
     link_of: BTreeMap<(usize, usize), usize>,
     partition: Cell<Option<usize>>,
+    /// Every cut so far, in time order.
+    cuts: RefCell<Vec<(SimTime, Cut)>>,
     latency: JitteredLatency,
     rng: RefCell<Rng>,
     now: Cell<SimTime>,
@@ -238,7 +290,7 @@ struct World<'s> {
 }
 
 impl<'s> World<'s> {
-    fn build(scenario: &'s Scenario) -> World<'s> {
+    fn build(scenario: &'s Scenario, plan: Vec<PlannedSubmission>) -> World<'s> {
         let edges = scenario.edges();
         let mut peers: Vec<Vec<usize>> = vec![Vec::new(); scenario.domains];
         let mut links = Vec::new();
@@ -247,9 +299,7 @@ impl<'s> World<'s> {
             peers[a].push(b);
             peers[b].push(a);
             link_of.insert((a.min(b), a.max(b)), links.len());
-            links.push(Link {
-                up: Cell::new(true),
-            });
+            links.push(Cell::new(true));
         }
         let domains: Vec<Domain> = (0..scenario.domains)
             .map(|d| {
@@ -262,8 +312,8 @@ impl<'s> World<'s> {
                         free: scenario.pool_capacity,
                     },
                 );
-                let plane = GossipPlane::with_epoch(&name, 1);
-                plane.refresh_local(&pools.keys().cloned().collect::<Vec<_>>());
+                let view = PeerView::new(GossipPlane::with_epoch(&name, 1), true);
+                (view.gossip()).refresh_local(&pools.keys().cloned().collect::<Vec<_>>());
                 let mut sorted = peers[d].clone();
                 sorted.sort_unstable();
                 sorted.dedup();
@@ -271,10 +321,8 @@ impl<'s> World<'s> {
                     arch: scenario.arch_of(d).to_string(),
                     name,
                     up: Cell::new(true),
-                    plane: RefCell::new(plane),
-                    route: RefCell::new(RouteCache::new(true)),
+                    view: RefCell::new(view),
                     pools: RefCell::new(pools),
-                    known: RefCell::new(BTreeMap::new()),
                     peers: sorted,
                     restarts: Cell::new(0),
                     grants: Cell::new(0),
@@ -287,15 +335,15 @@ impl<'s> World<'s> {
             .enumerate()
             .map(|(i, d)| (d.name.clone(), i))
             .collect();
-        let plan = submission_plan(scenario);
         let requests = plan
             .iter()
             .map(|_| ReqState {
                 settled: false,
                 vanished: false,
                 leases: Vec::new(),
+                waiting: Vec::new(),
                 outcome: None,
-                hops: 0,
+                hops: Vec::new(),
             })
             .collect();
         let budgets = scenario
@@ -312,6 +360,7 @@ impl<'s> World<'s> {
             links,
             link_of,
             partition: Cell::new(None),
+            cuts: RefCell::new(Vec::new()),
             latency: JitteredLatency::new(
                 SimDuration::from_micros((scenario.link_latency_ms * 1_000.0) as u64),
                 SimDuration::from_micros((scenario.link_jitter_ms * 1_000.0) as u64),
@@ -336,20 +385,39 @@ impl<'s> World<'s> {
 
     /// Whether `a` and `b` can currently talk: both up, a direct link
     /// exists, the link is administratively up, and no partition cuts it.
+    /// An up domain can talk to itself.
     fn link_up(&self, a: usize, b: usize) -> bool {
         if !self.domains[a].up.get() || !self.domains[b].up.get() {
             return false;
         }
         let Some(&idx) = self.link_of.get(&(a.min(b), a.max(b))) else {
-            return false;
+            return a == b;
         };
-        if !self.links[idx].up.get() {
+        if !self.links[idx].get() {
             return false;
         }
         match self.partition.get() {
             Some(split) => (a < split) == (b < split),
             None => true,
         }
+    }
+
+    /// Whether the link between `a` and `b` held since `since` — up now,
+    /// and not cut meanwhile by a kill, a link fault or a partition — or,
+    /// for `a == b`, whether `a` lived through it.
+    fn held(&self, a: usize, b: usize, since: SimTime) -> bool {
+        let cuts = self.cuts.borrow();
+        let mut recent = cuts.iter().rev().take_while(|(at, _)| *at >= since);
+        self.link_up(a, b)
+            && !recent.any(|(_, cut)| match *cut {
+                Cut::Domain(k) => k == a || k == b,
+                Cut::Link(x, y) => (x, y) == (a.min(b), a.max(b)),
+                Cut::Partition(split) => (a < split) != (b < split),
+            })
+    }
+
+    fn cut(&self, cut: Cut) {
+        self.cuts.borrow_mut().push((self.now.get(), cut));
     }
 
     /// One sampled one-way trip for a frame of `bytes`.
@@ -378,6 +446,8 @@ impl<'s> World<'s> {
                 reply,
                 vector,
             } => self.deliver_ack(from, to, reply, vector),
+            Ev::Land(i) => self.land(i, queue),
+            Ev::Answer(i, reply) => self.answer(i, reply, queue),
         }
     }
 
@@ -388,21 +458,14 @@ impl<'s> World<'s> {
         if !domain.up.get() {
             return; // a restart re-arms the tick
         }
-        domain
-            .plane
-            .borrow()
-            .refresh_local(&domain.live_pool_names());
+        let view = domain.view.borrow();
+        view.gossip().refresh_local(&domain.live_pool_names());
         for &p in &domain.peers {
             if !self.link_up(d, p) {
                 continue;
             }
-            let (deltas, have) = {
-                let plane = domain.plane.borrow();
-                (
-                    plane.deltas_for_peer(&self.domains[p].name),
-                    plane.version_vector(),
-                )
-            };
+            let deltas = view.gossip().deltas_for_peer(&self.domains[p].name);
+            let have = view.gossip().version_vector();
             let bytes = 64
                 + deltas
                     .iter()
@@ -445,21 +508,11 @@ impl<'s> World<'s> {
             return;
         }
         let receiver = &self.domains[to];
-        let sender_name = self.domains[from].name.clone();
-        self.apply_deltas(to, &deltas);
+        (receiver.view.borrow().gossip()).refresh_local(&receiver.live_pool_names());
+        let reply = self.fold(to, from, |view, sender| {
+            view.handle_advert_delta(sender, &deltas, &have)
+        });
         self.metrics.borrow_mut().gossip_exchanges += 1;
-        // Mirror of `FederatedBackend::handle_advert_delta`: record what
-        // the sender has, reply with everything it lacks, and note the
-        // reply as acked optimistically.
-        let reply = {
-            let plane = receiver.plane.borrow();
-            plane.note_peer_versions(&sender_name, &have);
-            plane.refresh_local(&receiver.live_pool_names());
-            let reply = plane.deltas_since(&have);
-            let vector = plane.version_vector();
-            plane.note_acked(&sender_name, vector);
-            reply
-        };
         let bytes = 64
             + reply
                 .iter()
@@ -487,109 +540,171 @@ impl<'s> World<'s> {
         if !self.link_up(from, to) {
             return; // the next push's fresh `have` corrects the acked state
         }
-        let receiver = &self.domains[to];
-        receiver
-            .plane
-            .borrow()
-            .note_acked(&self.domains[from].name, vector);
-        self.apply_deltas(to, &reply);
+        self.fold(to, from, |view, sender| {
+            view.handle_advert_ack(sender, vector, &reply)
+        });
     }
 
-    /// Applies inbound deltas at domain `to` and folds the events into
-    /// its directory knowledge and route cache — the sim's mirror of
-    /// `FederatedBackend::apply_gossip_deltas`.
-    fn apply_deltas(&self, to: usize, deltas: &[AdvertDelta]) {
-        use actyp_pipeline::GossipEvent;
-        if deltas.is_empty() {
-            return;
+    /// Runs `fold` of a frame from `from` on `to`'s view, and logs the
+    /// view's directory generation when the frame moved it.
+    fn fold<R>(&self, to: usize, from: usize, fold: impl FnOnce(&PeerView, &str) -> R) -> R {
+        let (view, via) = (self.domains[to].view.borrow(), &self.domains[from].name);
+        let before = view.directory().generation();
+        let folded = fold(&view, via);
+        let generation = view.directory().generation();
+        if generation != before {
+            let at = &self.domains[to].name;
+            self.log(format!("gossip {at} <- {via}: directory at {generation}"));
         }
-        let receiver = &self.domains[to];
-        let events = receiver.plane.borrow().apply(deltas);
-        for event in events {
-            match event {
-                GossipEvent::PoolUp { origin, pool } => {
-                    self.log(format!(
-                        "gossip {}: pool-up {pool} @ {origin}",
-                        receiver.name
-                    ));
-                    receiver
-                        .known
-                        .borrow_mut()
-                        .entry(pool)
-                        .or_default()
-                        .insert(origin);
-                }
-                GossipEvent::PoolDown { origin, pool } => {
-                    self.log(format!(
-                        "gossip {}: pool-down {pool} @ {origin}",
-                        receiver.name
-                    ));
-                    receiver.route.borrow().invalidate_pool(&pool);
-                    let mut known = receiver.known.borrow_mut();
-                    if let Some(origins) = known.get_mut(&pool) {
-                        origins.remove(&origin);
-                        if origins.is_empty() {
-                            known.remove(&pool);
-                        }
-                    }
-                }
-                GossipEvent::OriginReset { origin } => {
-                    self.log(format!("gossip {}: origin-reset {origin}", receiver.name));
-                    receiver.route.borrow().invalidate_next_hop(&origin);
-                    let mut known = receiver.known.borrow_mut();
-                    known.retain(|_, origins| {
-                        origins.remove(&origin);
-                        !origins.is_empty()
-                    });
-                }
-            }
-        }
+        folded
     }
 
     // -- delegation --------------------------------------------------------
 
-    /// The candidate sweep for a chain at domain `d`: every direct peer,
-    /// those gossip says host the wanted pool first, then route-cache
-    /// front-reordering — checked to be a pure permutation.
-    fn candidates(&self, d: usize, pool: &str) -> Vec<String> {
+    /// A query reaches domain `d` — submitted there, or delegated with
+    /// `state` — and `d`'s step of the chain starts from its own outcome.
+    fn arrive(&self, req: usize, d: usize, state: RoutingState, queue: &mut EventQueue<Ev>) {
+        let pool = format!("arch,==/{}", self.plan[req].arch);
+        let local = self.local_try(req, d, &pool);
         let domain = &self.domains[d];
-        let known = domain.known.borrow();
-        let hosts = known.get(pool);
-        let mut preferred: Vec<String> = Vec::new();
-        let mut rest: Vec<String> = Vec::new();
-        for &p in &domain.peers {
-            let name = self.domains[p].name.clone();
-            if hosts.is_some_and(|h| h.contains(&name)) {
-                preferred.push(name);
-            } else {
-                rest.push(name);
-            }
-        }
-        let base: Vec<String> = preferred.into_iter().chain(rest).collect();
-        let mut ordered = base.clone();
-        if let Some(hop) = domain.route.borrow().next_hop(pool) {
-            if let Some(pos) = ordered.iter().position(|c| *c == hop) {
-                let hit = ordered.remove(pos);
-                ordered.insert(0, hit);
-            }
-        }
-        self.checker.borrow_mut().check_reorder(
-            &format!("candidates at {}", domain.name),
-            &base,
-            &ordered,
-        );
-        ordered
+        let step = Chain::start(&domain.name, state, local, |_| {
+            let peers: Vec<String> = (domain.peers.iter())
+                .map(|&p| self.domains[p].name.clone())
+                .collect();
+            let order = domain
+                .view
+                .borrow()
+                .candidates(std::slice::from_ref(&pool), &peers);
+            let label = format!("candidates at {}", domain.name);
+            self.checker
+                .borrow_mut()
+                .check_reorder(&label, &peers, &order);
+            order
+        });
+        self.follow(req, d, step, queue);
     }
 
-    fn peer_failed(&self, at: usize, peer: &str) {
-        let domain = &self.domains[at];
-        self.log(format!("peer-failed {} noticed by {}", peer, domain.name));
-        domain.route.borrow().invalidate_next_hop(peer);
-        let mut known = domain.known.borrow_mut();
-        known.retain(|_, origins| {
-            origins.remove(peer);
-            !origins.is_empty()
+    /// Does what `d`'s chain step asks next: sends a `Delegate`, or ends
+    /// the step, answering whoever delegated to `d` or, at the entry
+    /// domain, the client.
+    fn follow(&self, req: usize, d: usize, step: Step, queue: &mut EventQueue<Ev>) {
+        let now = self.now.get();
+        let (chain, to) = match step {
+            Step::Delegate(chain, to) => (chain, self.name_of[&to]),
+            Step::Done(outcome, state) => {
+                if self.requests.borrow()[req].waiting.is_empty() {
+                    return self.conclude(req, outcome, state, queue);
+                }
+                let back = now + self.trip(256);
+                return queue.schedule_at(back, Ev::Answer(req, Ok((outcome, state))));
+            }
+        };
+        let mut requests = self.requests.borrow_mut();
+        let (at, sent, mark) = (d, now, requests[req].hops.len());
+        (requests[req].waiting).push(Waiting {
+            at,
+            to,
+            chain,
+            sent,
+            mark,
         });
+        match self.link_up(d, to) {
+            true => queue.schedule_at(now + self.trip(256), Ev::Land(req)),
+            false => queue.schedule_at(now + DEAD_DIAL_COST, Ev::Answer(req, lost())),
+        }
+    }
+
+    /// A `Delegate` lands: the receiver's step starts, unless the link was
+    /// cut in flight, which fails the sender's step.
+    fn land(&self, req: usize, queue: &mut EventQueue<Ev>) {
+        let (at, to, sent, state) = {
+            let requests = self.requests.borrow();
+            let top = requests[req].waiting.last().expect("a delegate in flight");
+            (top.at, top.to, top.sent, top.chain.state().clone())
+        };
+        match self.held(at, to, sent) {
+            true => self.arrive(req, to, state, queue),
+            false => self.answer(req, lost(), queue),
+        }
+    }
+
+    /// An answer lands at the step that waits for it — or, lost with its
+    /// link, fails it; a step whose domain died meanwhile is gone, and the
+    /// step that waits on that domain fails in turn.
+    fn answer(&self, req: usize, mut reply: Reply, queue: &mut EventQueue<Ev>) {
+        loop {
+            let popped = self.requests.borrow_mut()[req].waiting.pop();
+            let Some(waiting) = popped else {
+                return self.teardown(req, "entry died");
+            };
+            let (at, to) = (waiting.at, waiting.to);
+            let (at_name, to_name) = (&self.domains[at].name, &self.domains[to].name);
+            if !self.held(at, to, waiting.sent) {
+                if matches!(reply, Ok((Ok(_), _))) {
+                    let lost = format!("{to_name} -> {at_name} lost: leases handed back");
+                    self.log(format!("answer req-{req:05} {lost}"));
+                    self.free_reclaimed_capacity(req);
+                }
+                reply = lost();
+                self.requests.borrow_mut()[req].hops.truncate(waiting.mark);
+                if !self.held(at, at, waiting.sent) {
+                    continue;
+                }
+            }
+            let view = self.domains[at].view.borrow();
+            match &reply {
+                Ok((outcome, downstream)) => {
+                    if let Ok(allocations) = outcome {
+                        view.learn_routes(to_name, allocations);
+                    }
+                    self.requests.borrow_mut()[req].hops.push(Hop {
+                        from: at_name.clone(),
+                        to: to_name.clone(),
+                        ttl_before: waiting.chain.state().ttl,
+                        ttl_after: downstream.ttl,
+                    });
+                }
+                Err(_) => {
+                    self.log(format!("peer-failed {to_name} noticed by {at_name}"));
+                    view.prune(to_name);
+                }
+            }
+            drop(view);
+            let step = waiting.chain.on_reply(to_name, reply);
+            return self.follow(req, at, step, queue);
+        }
+    }
+
+    /// The entry domain's chain ended: checks it, and the outcome reaches
+    /// the client after the local processing cost.
+    fn conclude(
+        &self,
+        i: usize,
+        outcome: QueryOutcome,
+        state: RoutingState,
+        queue: &mut EventQueue<Ev>,
+    ) {
+        let (label, ttl) = (format!("req-{i:05}"), self.scenario.ttl);
+        let requests = self.requests.borrow();
+        (self.checker.borrow_mut()).check_chain(&label, ttl, &requests[i].hops, &state);
+        let n = requests[i].hops.len() as u64;
+        drop(requests);
+        let mut metrics = self.metrics.borrow_mut();
+        metrics.hops += n;
+        metrics.max_chain_hops = metrics.max_chain_hops.max(n);
+        drop(metrics);
+        let summary = match &outcome {
+            Ok(allocations) => Ok(format!(
+                "granted by {} (pool {})",
+                allocations[0].machine_name, allocations[0].pool
+            )),
+            Err(e) => {
+                self.budget(i, 1);
+                Err(format!("{e}"))
+            }
+        };
+        self.requests.borrow_mut()[i].outcome = Some(summary);
+        queue.schedule_at(self.now.get() + LOCAL_COST, Ev::Settle(i));
     }
 
     /// One local allocation attempt at domain `d` for request `req`.
@@ -655,50 +770,9 @@ impl<'s> World<'s> {
             "submit {label} at {} arch={}",
             origin.name, sub.arch
         ));
-        let pool = format!("arch,==/{}", sub.arch);
-        let latency = Cell::new(LOCAL_COST);
-        let hops = RefCell::new(Vec::new());
-        let ctx = ChainCtx {
-            world: self,
-            at: sub.origin,
-            req: i,
-            latency: &latency,
-            hops: &hops,
-        };
-        let (outcome, state) = run_chain(
-            &origin.name,
-            &pool,
-            RoutingState::new(self.scenario.ttl),
-            |q| self.local_try(i, sub.origin, q),
-            &ctx,
-        );
-        let hops = hops.into_inner();
-        self.checker
-            .borrow_mut()
-            .check_chain(&label, self.scenario.ttl, &hops, &state);
-        {
-            let mut metrics = self.metrics.borrow_mut();
-            metrics.hops += hops.len() as u64;
-            metrics.max_chain_hops = metrics.max_chain_hops.max(hops.len() as u64);
-        }
-        let summary = match &outcome {
-            Ok(allocations) => {
-                if sub.deadline_ms.is_some() {
-                    self.budgets.borrow_mut()[sub.workload] -= 1;
-                }
-                Ok(format!(
-                    "granted by {} (pool {})",
-                    allocations[0].machine_name, allocations[0].pool
-                ))
-            }
-            Err(e) => Err(format!("{e}")),
-        };
-        {
-            let mut requests = self.requests.borrow_mut();
-            requests[i].outcome = Some(summary);
-            requests[i].hops = hops.len() as u64;
-        }
-        queue.schedule_at(self.now.get() + latency.get(), Ev::Settle(i));
+        self.budget(i, -1);
+        let state = RoutingState::new(self.scenario.ttl);
+        self.arrive(i, sub.origin, state, queue);
     }
 
     fn settle(&self, i: usize, now: SimTime, queue: &mut EventQueue<Ev>) {
@@ -710,25 +784,14 @@ impl<'s> World<'s> {
             (
                 requests[i].vanished,
                 requests[i].outcome.clone(),
-                requests[i].hops,
+                requests[i].hops.len(),
             )
         };
-        let entry_dead = !self.domains[sub.origin].up.get();
-        if vanished || entry_dead {
-            // The client (or its entry daemon) is gone: the outcome is
-            // settled by session teardown, and the leases were reclaimed
-            // the moment the session died.
-            self.log(format!(
-                "settle {label}: torn down ({})",
-                if vanished {
-                    "client vanished"
-                } else {
-                    "entry died"
-                }
-            ));
-            self.metrics.borrow_mut().settled_teardown += 1;
-            self.free_reclaimed_capacity(i);
-            return;
+        if vanished {
+            return self.teardown(i, "client vanished");
+        }
+        if !self.domains[sub.origin].up.get() {
+            return self.teardown(i, "entry died");
         }
         let elapsed_ms = (now.as_nanos() - at_ms(sub.at_ms).as_nanos()) / 1_000_000;
         match outcome {
@@ -756,6 +819,29 @@ impl<'s> World<'s> {
         if sub.deadline_ms.is_some_and(|d| elapsed_ms > d) {
             self.log(format!("deadline-miss {label}: {elapsed_ms}ms"));
             self.metrics.borrow_mut().deadline_misses += 1;
+        }
+    }
+
+    /// The client (or its entry daemon) is gone: the request is settled by
+    /// session teardown, which reclaims every lease it still held.
+    fn teardown(&self, i: usize, why: &str) {
+        if self.requests.borrow()[i].outcome.is_none() {
+            self.budget(i, 1); // torn down before its chain ended
+        }
+        self.requests.borrow_mut()[i].settled = true;
+        self.log(format!("settle req-{i:05}: torn down ({why})"));
+        self.metrics.borrow_mut().settled_teardown += 1;
+        self.free_reclaimed_capacity(i);
+    }
+
+    /// Moves the budget of `plan[i]`'s sweep: a budgeted job reserves one
+    /// allocation when it is submitted (`-1`), so chains in flight cannot
+    /// overdraw it, and hands it back (`1`) if it ends without one.
+    fn budget(&self, i: usize, by: i64) {
+        let sub = &self.plan[i];
+        if sub.deadline_ms.is_some() {
+            let budget = &mut self.budgets.borrow_mut()[sub.workload];
+            *budget = (i64::from(*budget) + by) as u32;
         }
     }
 
@@ -830,6 +916,7 @@ impl<'s> World<'s> {
             Fault::Partition(split) => {
                 self.log(format!("fault: partition at split {split}"));
                 self.partition.set(Some(*split));
+                self.cut(Cut::Partition(*split));
             }
             Fault::Heal => {
                 self.log("fault: partition healed");
@@ -847,6 +934,7 @@ impl<'s> World<'s> {
         let domain = &self.domains[k];
         self.log(format!("fault: kill {}", domain.name));
         domain.up.set(false);
+        self.cut(Cut::Domain(k));
         // Every session at the dead daemon dies: allocations it granted
         // are freed locally...
         for pool in domain.pools.borrow_mut().values_mut() {
@@ -883,11 +971,9 @@ impl<'s> World<'s> {
         domain.up.set(true);
         domain.restarts.set(domain.restarts.get() + 1);
         let epoch = 1 + domain.restarts.get();
-        let plane = GossipPlane::with_epoch(&domain.name, epoch);
-        plane.refresh_local(&domain.live_pool_names());
-        *domain.plane.borrow_mut() = plane;
-        *domain.route.borrow_mut() = RouteCache::new(true);
-        domain.known.borrow_mut().clear();
+        let view = PeerView::new(GossipPlane::with_epoch(&domain.name, epoch), true);
+        view.gossip().refresh_local(&domain.live_pool_names());
+        *domain.view.borrow_mut() = view;
         queue.schedule_at(
             self.now.get() + SimDuration::from_millis(self.scenario.gossip_interval_ms.max(1)),
             Ev::Tick(k),
@@ -901,7 +987,10 @@ impl<'s> World<'s> {
             self.domains[a].name, self.domains[b].name
         ));
         if let Some(&idx) = self.link_of.get(&(a.min(b), a.max(b))) {
-            self.links[idx].up.set(up);
+            self.links[idx].set(up);
+        }
+        if !up {
+            self.cut(Cut::Link(a.min(b), a.max(b)));
         }
     }
 
@@ -1010,10 +1099,8 @@ impl<'s> World<'s> {
                 if g == o {
                     continue;
                 }
-                let observed = self.domains[o]
-                    .plane
-                    .borrow()
-                    .live_pools(&self.domains[g].name);
+                let observed =
+                    (self.domains[o].view.borrow().gossip()).live_pools(&self.domains[g].name);
                 let actual = self.domains[g].live_pool_names();
                 self.checker.borrow_mut().check_converged_view(
                     &self.domains[o].name,
@@ -1030,9 +1117,9 @@ impl<'s> World<'s> {
         metrics.leases_released = ledger.count(LeaseState::Released) as u64;
         metrics.leases_reclaimed = ledger.count(LeaseState::Reclaimed) as u64;
         for d in &self.domains {
-            let route = d.route.borrow();
-            metrics.route_hits += route.hits();
-            metrics.route_misses += route.misses();
+            let view = d.view.borrow();
+            metrics.route_hits += view.route_cache().hits();
+            metrics.route_misses += view.route_cache().misses();
         }
         let mut log = self.log.into_inner();
         log.push(
@@ -1060,84 +1147,6 @@ impl<'s> World<'s> {
             violations: checker.violations().to_vec(),
             log,
         }
-    }
-}
-
-/// The [`PeerDelegator`] a simulated chain runs against: candidates from
-/// the world's directory knowledge, delegation by recursing into the
-/// target domain's own [`run_chain`], latency accumulated per hop.
-struct ChainCtx<'w, 's> {
-    world: &'w World<'s>,
-    /// Domain this chain step runs at.
-    at: usize,
-    req: usize,
-    latency: &'w Cell<SimDuration>,
-    hops: &'w RefCell<Vec<Hop>>,
-}
-
-impl PeerDelegator for ChainCtx<'_, '_> {
-    fn candidates(&self, query: &str, _state: &RoutingState) -> Vec<String> {
-        self.world.candidates(self.at, query)
-    }
-
-    fn delegate(
-        &self,
-        domain: &str,
-        query: &str,
-        state: &RoutingState,
-    ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable> {
-        let world = self.world;
-        let Some(&target) = world.name_of.get(domain) else {
-            return Err(PeerUnavailable {
-                transport: false,
-                reason: format!("unknown domain {domain}"),
-            });
-        };
-        if !world.link_up(self.at, target) {
-            // The dial times out; the chain pays for discovering it.
-            self.latency.set(self.latency.get() + DEAD_DIAL_COST);
-            return Err(PeerUnavailable {
-                transport: true,
-                reason: format!("link {} -> {domain} is dead", world.domains[self.at].name),
-            });
-        }
-        // Request over, reply back.
-        let round_trip = world.trip(256) + world.trip(256);
-        self.latency.set(self.latency.get() + round_trip);
-        let ttl_before = state.ttl;
-        let ctx = ChainCtx {
-            world,
-            at: target,
-            req: self.req,
-            latency: self.latency,
-            hops: self.hops,
-        };
-        let (outcome, downstream) = run_chain(
-            domain,
-            query,
-            state.clone(),
-            |q| world.local_try(self.req, target, q),
-            &ctx,
-        );
-        self.hops.borrow_mut().push(Hop {
-            from: world.domains[self.at].name.clone(),
-            to: domain.to_string(),
-            ttl_before,
-            ttl_after: downstream.ttl,
-        });
-        if let Ok(allocations) = &outcome {
-            if let Some(first) = allocations.first() {
-                world.domains[self.at]
-                    .route
-                    .borrow()
-                    .learn(&first.pool, domain);
-            }
-        }
-        Ok((outcome, downstream))
-    }
-
-    fn peer_failed(&self, domain: &str) {
-        self.world.peer_failed(self.at, domain);
     }
 }
 
@@ -1177,5 +1186,96 @@ mod tests {
             report.metrics.leases_granted,
             report.metrics.leases_released + report.metrics.leases_reclaimed
         );
+    }
+
+    /// One `hp` query entering at `d0` of the line `d0 - d1 - d2`, which
+    /// only `d2` satisfies, with 5 ms links: its `Delegate` reaches `d1` at
+    /// ~105 ms and `d2` at ~110 ms, whose answer is back at `d1` at
+    /// ~115 ms and at `d0` at ~120 ms — with `faults` striking meanwhile.
+    fn line_run(faults: Vec<Fault>) -> SimReport {
+        let scenario = Scenario {
+            name: "line".to_string(),
+            seed: 1,
+            domains: 3,
+            topology: crate::scenario::Topology::Line,
+            archs: vec!["sun".to_string(), "sun".to_string(), "hp".to_string()],
+            ttl: 4,
+            pool_capacity: 2,
+            gossip_interval_ms: 1_000,
+            probe_interval_ms: 1_000,
+            link_latency_ms: 5.0,
+            link_jitter_ms: 0.0,
+            link_bandwidth_mb_s: 10.0,
+            duration_ms: 2_000,
+            faults: (faults.into_iter())
+                .map(|fault| crate::scenario::FaultSpec { at_ms: 112, fault })
+                .collect(),
+            // The replayed plan's one component (its own plan is empty).
+            workloads: vec![WorkloadSpec::Hotspot {
+                at_ms: 0,
+                clients: 0,
+                window_ms: 1,
+                arch: "hp".to_string(),
+                hold_ms: 50,
+            }],
+        };
+        let submission = PlannedSubmission {
+            at_ms: 100,
+            origin: 0,
+            arch: "hp".to_string(),
+            hold_ms: 50,
+            workload: 0,
+            deadline_ms: None,
+        };
+        let report = replay(&scenario, vec![submission]);
+        assert!(report.passed(), "violations: {:?}", report.violations);
+        assert_eq!(report.metrics.leases_granted, 1, "d2 granted");
+        report
+    }
+
+    #[test]
+    fn an_answer_walks_back_hop_by_hop() {
+        let report = line_run(Vec::new());
+        assert_eq!(report.metrics.settled_ok, 1);
+        assert_eq!(report.metrics.hops, 2);
+        assert_eq!(report.metrics.leases_released, 1);
+    }
+
+    /// The link `d1 - d2` goes down while `d2`'s answer crosses it: the
+    /// lease goes back to `d2`, and `d1`'s step fails as transport, prunes
+    /// `d2` and, with no candidate left, fails the query.
+    #[test]
+    fn an_answer_over_a_cut_link_hands_its_lease_back() {
+        let report = line_run(vec![Fault::LinkDown(1, 2)]);
+        assert_eq!(report.metrics.settled_err, 1, "{}", report.log.render());
+        assert_eq!(report.metrics.leases_reclaimed, 1);
+        let log = report.log.render();
+        assert!(log.contains("answer req-00000 d002 -> d001 lost"), "{log}");
+        assert!(log.contains("peer-failed d002 noticed by d001"), "{log}");
+    }
+
+    /// `d1` dies, and comes back, while its chain waits on `d2`: the
+    /// answer finds no step to take it, the lease goes back, and `d0`'s
+    /// step fails as transport — the restart revives no chain.
+    #[test]
+    fn an_answer_to_a_domain_that_died_fails_the_step_before_it() {
+        let mut faults = vec![Fault::Kill(1), Fault::Restart(1)];
+        let report = line_run(faults.clone());
+        assert_eq!(report.metrics.settled_err, 1, "{}", report.log.render());
+        assert_eq!(report.metrics.leases_reclaimed, 1);
+        assert!(report
+            .log
+            .render()
+            .contains("peer-failed d001 noticed by d000"));
+        // The entry domain dying instead settles the request by teardown.
+        faults = vec![Fault::Kill(0)];
+        let report = line_run(faults);
+        assert_eq!(
+            report.metrics.settled_teardown,
+            1,
+            "{}",
+            report.log.render()
+        );
+        assert_eq!(report.metrics.leases_reclaimed, 1);
     }
 }

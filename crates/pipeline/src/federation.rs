@@ -24,10 +24,14 @@
 //! settles with the remote allocation or the proper
 //! [`AllocationError::TtlExpired`].  Peers learn each other's domain
 //! names and pool names through a [`ClientFrame::SyncPools`] /
-//! `PoolsSynced` exchange performed once per connection; the
-//! advertisements land in a [`LocalDirectoryService`] of peer records,
-//! and a peer whose connection dies is pruned from it with
-//! [`LocalDirectoryService::unregister_pool_manager`].
+//! `PoolsSynced` exchange performed once per connection, and keep them
+//! fresh by gossip.
+//!
+//! What a domain knows of its neighbourhood — gossip plane, peer
+//! directory, learned routes — and the rules that keep it and order a
+//! chain's candidates live in [`PeerView`], which holds no socket,
+//! connection or clock: the daemon owns one, and the chaos simulator
+//! gives one to each simulated domain, so both run the same rules.
 //!
 //! The chain logic itself is a step machine that does no I/O, [`Chain`]:
 //! it names the next domain to delegate to, folds the answer, and says
@@ -46,12 +50,6 @@
 //! federated `Wait` back ([`ResourceManager::cancel_wait`]) only while its
 //! local wait is open: once a chain has started, its outcome is the answer.
 //! The blocking trait methods are latches on those same completions.
-//!
-//! [`run_chain`] drives a [`Chain`] by blocking on each delegation over a
-//! [`PeerDelegator`]: the in-memory driver the simulator and the property
-//! tests use to check the paper's routing invariants (TTL strictly
-//! decreases across hops, no domain is revisited, every chain terminates
-//! within TTL hops).
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -171,33 +169,6 @@ pub struct PeerUnavailable {
     pub reason: String,
 }
 
-/// The peer-facing half of a delegation chain [`run_chain`] drives:
-/// in-memory topologies in the simulator and the property tests.
-pub trait PeerDelegator {
-    /// Domains this node could forward to, in preference order (peers
-    /// advertising a pool matching the query first).  Implementations may
-    /// do work (e.g. connect to a peer for the first time to learn its
-    /// domain name); [`run_chain`] calls this once per chain and filters
-    /// out visited and failed domains itself.
-    fn candidates(&self, query: &str, state: &RoutingState) -> Vec<String>;
-
-    /// Sends one `Delegate` to `domain` and returns the outcome together
-    /// with the routing state after the peer's whole chain finished.
-    fn delegate(
-        &self,
-        domain: &str,
-        query: &str,
-        state: &RoutingState,
-    ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable>;
-
-    /// Notification that `domain` proved unreachable at the transport
-    /// level, so the implementation can prune directory records and drop
-    /// the connection.  Not called for mere refusals.
-    fn peer_failed(&self, domain: &str) {
-        let _ = domain;
-    }
-}
-
 /// Folds the routing state a peer returned into the local one,
 /// defensively: a (buggy or malicious) peer can only ever *shrink* the
 /// TTL — by at least the one hop it consumed — and *grow* the visited
@@ -224,9 +195,9 @@ fn merge_states(
 /// and says when the chain is over — never revisiting a domain, never
 /// exceeding the TTL, and always terminating.  A served
 /// [`FederatedBackend`] drives it with completions, each `Delegate`
-/// written by the thread that holds the previous answer; [`run_chain`]
-/// drives it in memory.  The TTL, visited-list and merge rules live here
-/// only.
+/// written by the thread that holds the previous answer; the chaos
+/// simulator drives it with virtual-time events.  The TTL, visited-list
+/// and merge rules live here only.
 #[derive(Debug)]
 pub struct Chain {
     domain: String,
@@ -339,47 +310,179 @@ impl Chain {
     }
 }
 
-/// Runs one node's step of a delegation chain to its end, blocking on
-/// each delegation: visit this domain (spending one TTL hop), try the
-/// local backend, and while the failure is [delegable](is_delegable)
-/// forward to unvisited peers (see [`Chain`]).
-///
-/// Returns the outcome together with the routing state after the whole
-/// (possibly multi-hop) chain, which the caller ships back to *its*
-/// delegator so the invariants hold end to end.
-pub fn run_chain(
-    domain: &str,
-    query: &str,
-    state: RoutingState,
-    local: impl FnOnce(&str) -> QueryOutcome,
-    peers: &dyn PeerDelegator,
-) -> (QueryOutcome, RoutingState) {
-    if !state.alive() {
-        // No hop left to visit this domain: no local work either.
-        return (Err(AllocationError::TtlExpired), state);
+// ---------------------------------------------------------------------------
+// The routing view
+// ---------------------------------------------------------------------------
+
+/// One domain's view of its WAN neighbourhood, and the rules that keep it:
+/// the anti-entropy gossip plane, the directory of peer domains and the
+/// pools they advertise, and the learned one-hop routes.  It holds no
+/// socket, connection or clock: the daemon feeds it what its peer links
+/// carry, the chaos simulator what its virtual-time frames carry.
+pub struct PeerView {
+    gossip: GossipPlane,
+    /// Every peer domain is registered as a pool manager, its advertised
+    /// pools as instance records.
+    directory: SharedDirectory,
+    routes: RouteCache,
+    /// The instance number of each peer domain's records, allocated from
+    /// `u32::MAX` downwards, so two domains advertising the same pool
+    /// never overwrite each other's records.
+    instances: Mutex<HashMap<String, u32>>,
+}
+
+impl PeerView {
+    /// A view around `gossip`, the plane of the domain it belongs to, with
+    /// the learned route cache on or off.
+    pub fn new(gossip: GossipPlane, route_cache: bool) -> Self {
+        PeerView {
+            gossip,
+            directory: LocalDirectoryService::new().into_shared(),
+            routes: RouteCache::new(route_cache),
+            instances: Mutex::new(HashMap::new()),
+        }
     }
-    let mut step = Chain::start(domain, state, local(query), |state| {
-        peers.candidates(query, state)
-    });
-    loop {
-        match step {
-            Step::Done(outcome, state) => return (outcome, state),
-            Step::Delegate(chain, to) => {
-                let reply = peers.delegate(&to, query, chain.state());
-                // Only a transport failure tears the peer down; a refusal
-                // came over a healthy connection that may hold leases.
-                if matches!(
-                    &reply,
-                    Err(PeerUnavailable {
-                        transport: true,
-                        ..
-                    })
-                ) {
-                    peers.peer_failed(&to);
+
+    /// The anti-entropy gossip plane.
+    pub fn gossip(&self) -> &GossipPlane {
+        &self.gossip
+    }
+
+    /// The directory of peer domains and their advertised pools.
+    pub fn directory(&self) -> &SharedDirectory {
+        &self.directory
+    }
+
+    /// The learned one-hop delegation routes (pool → direct peer domain).
+    pub fn route_cache(&self) -> &RouteCache {
+        &self.routes
+    }
+
+    /// Records a peer's whole advertisement: its stale records go.
+    pub fn record_advertisement(&self, domain: &str, pools: &[String]) {
+        self.directory.unregister_pool_manager(domain);
+        self.register(domain, pools);
+    }
+
+    fn register(&self, domain: &str, pools: &[String]) {
+        let instance = self.instance(domain);
+        self.directory.register_pool_manager(domain);
+        for pool in pools {
+            self.directory.register_pool(PoolInstanceRecord {
+                pool: pool.clone(),
+                instance,
+                manager: domain.to_string(),
+                address: StageAddress::new(domain.to_string(), 0),
+            });
+        }
+    }
+
+    fn instance(&self, domain: &str) -> u32 {
+        let mut instances = self.instances.lock();
+        let next = u32::MAX - instances.len() as u32;
+        *instances.entry(domain.to_string()).or_insert(next)
+    }
+
+    /// Applies inbound advertisement deltas (piggybacked, pushed or acked)
+    /// and folds the events into the directory and the routes: the delta
+    /// that announces a pool's death retires its record and any route to
+    /// it, and an origin's restart retires everything it advertised.
+    pub fn apply_gossip_deltas(&self, deltas: &[AdvertDelta]) {
+        for event in self.gossip.apply(deltas) {
+            match event {
+                GossipEvent::PoolUp { origin, pool } => self.register(&origin, &[pool]),
+                GossipEvent::PoolDown { origin, pool } => {
+                    self.routes.invalidate_pool(&pool);
+                    self.directory
+                        .unregister_pool(&pool, self.instance(&origin));
                 }
-                step = chain.on_reply(&to, reply);
+                GossipEvent::OriginReset { origin } => {
+                    self.routes.invalidate_next_hop(&origin);
+                    self.directory.unregister_pool_manager(&origin);
+                }
             }
         }
+    }
+
+    /// Answers an `AdvertDelta` push from `peer` — after the own log was
+    /// refreshed: applies its deltas, records its version vector, and
+    /// returns everything this domain holds beyond `have`, for the ack.
+    pub fn handle_advert_delta(
+        &self,
+        peer: &str,
+        deltas: &[AdvertDelta],
+        have: &[AdvertVersion],
+    ) -> Vec<AdvertDelta> {
+        self.apply_gossip_deltas(deltas);
+        self.gossip.note_peer_versions(peer, have);
+        let reply = self.gossip.deltas_since(have);
+        // Optimistic: the peer applies the reply on receipt.  If the ack
+        // is lost with its link, the peer's next push carries a fresh
+        // `have` that corrects this.
+        self.gossip.note_acked(peer, self.gossip.version_vector());
+        reply
+    }
+
+    /// Folds `peer`'s `AdvertAck` to a push that carried `vector`: the peer
+    /// applied everything up to it before answering.
+    pub fn handle_advert_ack(
+        &self,
+        peer: &str,
+        vector: Vec<AdvertVersion>,
+        deltas: &[AdvertDelta],
+    ) {
+        self.gossip.note_acked(peer, vector);
+        self.apply_gossip_deltas(deltas);
+    }
+
+    /// The order a chain tries `peers` in, for a query that maps to the
+    /// `wanted` pools: those advertising a wanted pool first, then the
+    /// rest, each in the caller's order.  A learned next hop for a wanted
+    /// pool then moves to the front — a pure reordering, so every
+    /// TTL/visited invariant of the uncached walk holds as-is, and a stale
+    /// hit costs at most one wasted first try.
+    pub fn candidates(&self, wanted: &[String], peers: &[String]) -> Vec<String> {
+        let advertisers: Vec<String> = (wanted.iter())
+            .flat_map(|pool| self.directory.instances(pool))
+            .map(|record| record.manager)
+            .collect();
+        let (mut order, rest): (Vec<String>, Vec<String>) =
+            (peers.iter().cloned()).partition(|domain| advertisers.contains(domain));
+        order.extend(rest);
+        let learned = wanted.iter().find_map(|pool| self.routes.next_hop(pool));
+        if let Some(at) = learned.and_then(|hop| order.iter().position(|d| *d == hop)) {
+            let hop = order.remove(at);
+            order.insert(0, hop);
+        }
+        order
+    }
+
+    /// Learns the route of a delegation `via` granted: the next query for
+    /// the same pools goes straight to that hop.
+    pub fn learn_routes(&self, via: &str, allocations: &[Allocation]) {
+        for allocation in allocations {
+            self.routes.learn(&allocation.pool, via);
+        }
+    }
+
+    /// Prunes a peer that proved unreachable: its records stop being
+    /// routable, routes through it go, and what it acked is moot — after a
+    /// redial the handshake resyncs from scratch.
+    pub fn prune(&self, domain: &str) {
+        self.directory.unregister_pool_manager(domain);
+        self.routes.invalidate_next_hop(domain);
+        self.gossip.retire_peer(domain);
+    }
+
+    /// Retires everything held under a peer's *old* domain name after it
+    /// re-advertised as somebody else: its records, gossip origin log,
+    /// acked state, and every learned route through or to it.
+    pub fn retire_domain(&self, old: &str) {
+        for pool in self.gossip.live_pools(old) {
+            self.routes.invalidate_pool(&pool);
+        }
+        self.prune(old);
+        self.gossip.forget_origin(old);
     }
 }
 
@@ -416,9 +519,7 @@ enum LinkState {
 /// delegation, redialed after failures.
 struct PeerLink {
     addr: StageAddress,
-    /// Stable index of this link, used as the instance number for the
-    /// peer's advertised pool records (unique per manager in the peer
-    /// directory).
+    /// Stable index of this link in the backend's list.
     index: u32,
     /// The peer's socket addresses as last looked up, or why the lookup
     /// failed.  Looked up when a daemon starts serving the backend
@@ -596,11 +697,8 @@ pub struct FederatedBackend {
     config: FederationConfig,
     tickets: Arc<Tickets>,
     links: Vec<PeerLink>,
-    /// Directory of the WAN neighbourhood: every peer domain is registered
-    /// as a pool manager, its advertised pools as instance records.  A
-    /// peer whose connection dies is pruned with
-    /// [`LocalDirectoryService::unregister_pool_manager`].
-    peer_directory: SharedDirectory,
+    /// What this domain knows of its neighbourhood.
+    view: PeerView,
     /// The intra-domain directory of the wrapped backend, when it has one
     /// (pipeline backends); the source of this daemon's own pool
     /// advertisements.
@@ -608,21 +706,11 @@ pub struct FederatedBackend {
     /// Allocations obtained from peers, keyed by access key, mapped to
     /// the peer domain they must be released through.
     remote_leases: Mutex<HashMap<String, String>>,
-    /// Stable instance numbers for *inbound* advertisements (domains that
-    /// connected to us), allocated from `u32::MAX` downwards so they can
-    /// never collide with outbound link indices — or each other, which
-    /// would let one inbound peer's records overwrite another's.
-    inbound_instances: Mutex<HashMap<String, u32>>,
-    /// The anti-entropy gossip plane: this domain's advertisement log,
-    /// every origin learned from peers, and what each peer has acked.
-    gossip: GossipPlane,
     /// The local-directory generation the gossip log last absorbed, so
     /// `refresh_gossip` is a counter compare in the common (unchanged)
     /// case.  Starts at a sentinel no real generation takes, forcing the
     /// first refresh.
     gossip_generation: AtomicU64,
-    /// The learned one-hop delegation routes (pool → direct peer domain).
-    route_cache: RouteCache,
     /// Reconnects of previously established peer links — the count the
     /// gossip smoke test asserts stays zero while deltas keep healthy
     /// links fresh.
@@ -652,8 +740,7 @@ impl FederatedBackend {
             .enumerate()
             .map(|(i, addr)| PeerLink::new(addr.clone(), i as u32))
             .collect();
-        let gossip = GossipPlane::new(&config.domain);
-        let route_cache = RouteCache::new(config.route_cache);
+        let view = PeerView::new(GossipPlane::new(&config.domain), config.route_cache);
         FederatedBackend {
             inner: Arc::from(inner),
             config,
@@ -664,13 +751,10 @@ impl FederatedBackend {
                 waiting: Mutex::new(HashMap::new()),
             }),
             links,
-            peer_directory: LocalDirectoryService::new().into_shared(),
+            view,
             local_directory,
             remote_leases: Mutex::new(HashMap::new()),
-            inbound_instances: Mutex::new(HashMap::new()),
-            gossip,
             gossip_generation: AtomicU64::new(u64::MAX),
-            route_cache,
             peer_redials: AtomicU64::new(0),
             delegations_out: AtomicU64::new(0),
             delegations_in: AtomicU64::new(0),
@@ -852,11 +936,11 @@ impl FederatedBackend {
             // to preserve never pays this.
             self.peer_redials.fetch_add(1, Ordering::Relaxed);
             if *previous != *peer.domain {
-                self.retire_domain(&previous);
+                self.view.retire_domain(&previous);
             }
         }
-        self.record_peer_advertisement(&peer.domain, pools, link.addr.clone(), link.index);
-        self.apply_gossip_deltas(deltas);
+        self.view.record_advertisement(&peer.domain, pools);
+        self.view.apply_gossip_deltas(deltas);
         let waiting = std::mem::replace(&mut *link.link.lock(), LinkState::Up(peer.clone()));
         if let LinkState::Dialing(_, waiters) = waiting {
             for waiter in waiters {
@@ -896,9 +980,9 @@ impl FederatedBackend {
         &self.config.domain
     }
 
-    /// The directory of peer domains and their advertised pools.
-    pub fn peer_directory(&self) -> &SharedDirectory {
-        &self.peer_directory
+    /// What this domain knows of its neighbourhood.
+    pub fn view(&self) -> &PeerView {
+        &self.view
     }
 
     /// The wrapped backend (inspection).
@@ -920,17 +1004,6 @@ impl FederatedBackend {
         }
     }
 
-    /// The anti-entropy gossip plane (inspection, and the server's gossip
-    /// tick / frame handlers).
-    pub fn gossip(&self) -> &GossipPlane {
-        &self.gossip
-    }
-
-    /// The learned one-hop delegation-route cache.
-    pub fn route_cache(&self) -> &RouteCache {
-        &self.route_cache
-    }
-
     /// Reconnects of previously established peer links.
     pub fn peer_redials(&self) -> u64 {
         self.peer_redials.load(Ordering::Relaxed)
@@ -950,7 +1023,7 @@ impl FederatedBackend {
             None => 0,
         };
         if self.gossip_generation.swap(generation, Ordering::Relaxed) != generation {
-            self.gossip.refresh_local(&self.local_pools());
+            self.view.gossip().refresh_local(&self.local_pools());
         }
     }
 
@@ -958,80 +1031,7 @@ impl FederatedBackend {
     /// advertisements and its gossip version vector.
     fn sync_payload(&self) -> (Vec<String>, Vec<AdvertVersion>) {
         self.refresh_gossip();
-        (self.local_pools(), self.gossip.version_vector())
-    }
-
-    /// Applies inbound advertisement deltas (piggybacked or pushed) and
-    /// folds the resulting events into the peer directory and the route
-    /// cache — the same delta that announces a pool's death retires its
-    /// directory record and kills any cached route to it.
-    pub fn apply_gossip_deltas(&self, deltas: &[AdvertDelta]) {
-        for event in self.gossip.apply(deltas) {
-            match event {
-                GossipEvent::PoolUp { origin, pool } => {
-                    self.register_gossiped_pool(&origin, &pool);
-                }
-                GossipEvent::PoolDown { origin, pool } => {
-                    self.route_cache.invalidate_pool(&pool);
-                    let instances: Vec<u32> = self
-                        .peer_directory
-                        .instances(&pool)
-                        .iter()
-                        .filter(|r| r.manager == origin)
-                        .map(|r| r.instance)
-                        .collect();
-                    for instance in instances {
-                        self.peer_directory.unregister_pool(&pool, instance);
-                    }
-                }
-                GossipEvent::OriginReset { origin } => {
-                    self.route_cache.invalidate_next_hop(&origin);
-                    self.peer_directory.unregister_pool_manager(&origin);
-                }
-            }
-        }
-    }
-
-    /// Registers one gossiped pool under its origin domain.  An origin we
-    /// hold a direct link to reuses that link's address and instance
-    /// number (the records delegation actually routes by); any other
-    /// origin gets an inbound-style record — observability and candidate
-    /// preference once a route to it exists.
-    fn register_gossiped_pool(&self, origin: &str, pool: &str) {
-        let (address, instance) = match self.link_for(origin) {
-            Some(link) => (link.addr.clone(), link.index),
-            None => (
-                StageAddress::new(origin.to_string(), 0),
-                self.inbound_instance(origin),
-            ),
-        };
-        self.peer_directory.register_pool_manager(origin);
-        self.peer_directory.register_pool(PoolInstanceRecord {
-            pool: pool.to_string(),
-            instance,
-            manager: origin.to_string(),
-            address,
-        });
-    }
-
-    /// Serves an inbound `AdvertDelta` push from `peer`: applies its
-    /// deltas, records its version vector, and returns the reply deltas
-    /// (everything this daemon holds beyond `have`) for the `AdvertAck`.
-    pub fn handle_advert_delta(
-        &self,
-        peer: &str,
-        deltas: &[AdvertDelta],
-        have: &[AdvertVersion],
-    ) -> Vec<AdvertDelta> {
-        self.apply_gossip_deltas(deltas);
-        self.gossip.note_peer_versions(peer, have);
-        self.refresh_gossip();
-        let reply = self.gossip.deltas_since(have);
-        // Optimistic: the peer applies the reply on receipt.  If the ack
-        // is lost with its link, the peer's next push carries a fresh
-        // `have` that corrects this.
-        self.gossip.note_acked(peer, self.gossip.version_vector());
-        reply
+        (self.local_pools(), self.view.gossip().version_vector())
     }
 
     /// Deltas to piggyback on a reply to `peer` (its acked vector decides
@@ -1040,7 +1040,7 @@ impl FederatedBackend {
     /// application is idempotent.
     pub fn piggyback_deltas(&self, peer: &str) -> Vec<AdvertDelta> {
         self.refresh_gossip();
-        self.gossip.deltas_for_peer(peer)
+        self.view.gossip().deltas_for_peer(peer)
     }
 
     /// One round of the anti-entropy tick, as completions: an exchange
@@ -1066,7 +1066,7 @@ impl FederatedBackend {
                     Err(_) => {
                         let link = &exchange.links[index];
                         if let Some(domain) = link.last_domain.lock().clone() {
-                            exchange.prune_peer(&domain);
+                            exchange.view.prune(&domain);
                         }
                         link.gossiping.store(false, Ordering::SeqCst);
                     }
@@ -1079,8 +1079,8 @@ impl FederatedBackend {
     /// version vector; the ack's completion applies what it carries back.
     fn gossip_with(self: Arc<Self>, index: usize, peer: PeerConn) {
         self.refresh_gossip();
-        let vector = self.gossip.version_vector();
-        let deltas = self.gossip.deltas_for_peer(&peer.domain);
+        let vector = self.view.gossip().version_vector();
+        let deltas = self.view.gossip().deltas_for_peer(&peer.domain);
         let (domain, have) = (self.config.domain.clone(), vector.clone());
         let conn = peer.conn.clone();
         conn.request_with(
@@ -1093,11 +1093,8 @@ impl FederatedBackend {
             },
             move |reply| {
                 match reply {
-                    // The peer applied everything up to `vector` before
-                    // answering.
                     Ok(ServerFrame::AdvertAck { deltas, .. }) => {
-                        self.gossip.note_acked(&peer.domain, vector);
-                        self.apply_gossip_deltas(&deltas);
+                        self.view.handle_advert_ack(&peer.domain, vector, &deltas)
                     }
                     // A stream that answers out of protocol is dropped.
                     Ok(_) => peer.conn.shutdown(),
@@ -1143,62 +1140,11 @@ impl FederatedBackend {
                 move |reply| {
                     if !matches!(reply, Ok(ServerFrame::StatsReply { .. })) {
                         peer.conn.shutdown();
-                        backend.prune_peer(&peer.domain);
+                        backend.view.prune(&peer.domain);
                     }
                     backend.links[index].probing.store(false, Ordering::SeqCst);
                 },
             );
-        }
-    }
-
-    /// Retires everything held under a peer's *old* domain name after it
-    /// re-advertised as somebody else: directory records, gossip origin
-    /// log, acked state, and every learned route through or to it.
-    pub fn retire_domain(&self, old: &str) {
-        for pool in self.gossip.live_pools(old) {
-            self.route_cache.invalidate_pool(&pool);
-        }
-        self.route_cache.invalidate_next_hop(old);
-        self.peer_directory.unregister_pool_manager(old);
-        self.gossip.forget_origin(old);
-        self.gossip.retire_peer(old);
-    }
-
-    /// Records the advertisement of a peer that connected *to us* (its
-    /// listen address is unknown, so the record is observability only,
-    /// never a delegation candidate).  Each inbound domain gets a stable
-    /// instance number of its own, so two inbound peers advertising the
-    /// same pool name never overwrite each other's records.
-    pub fn record_inbound_advertisement(&self, domain: &str, pools: &[String]) {
-        let address = StageAddress::new(domain.to_string(), 0);
-        self.record_peer_advertisement(domain, pools, address, self.inbound_instance(domain));
-    }
-
-    /// The stable instance number of an inbound domain's records.
-    fn inbound_instance(&self, domain: &str) -> u32 {
-        let mut instances = self.inbound_instances.lock();
-        let next = u32::MAX - instances.len() as u32;
-        *instances.entry(domain.to_string()).or_insert(next)
-    }
-
-    /// Records a peer's advertisement in the peer directory (stale records
-    /// for the same domain are replaced).
-    pub fn record_peer_advertisement(
-        &self,
-        domain: &str,
-        pools: &[String],
-        address: StageAddress,
-        instance: u32,
-    ) {
-        self.peer_directory.unregister_pool_manager(domain);
-        self.peer_directory.register_pool_manager(domain);
-        for pool in pools {
-            self.peer_directory.register_pool(PoolInstanceRecord {
-                pool: pool.clone(),
-                instance,
-                manager: domain.to_string(),
-                address: address.clone(),
-            });
         }
     }
 
@@ -1314,7 +1260,12 @@ impl FederatedBackend {
         done: DelegateDone,
     ) {
         let step = Chain::start(&self.config.domain, state, local, |_| {
-            self.known_candidates(&query)
+            // From the links' cached identities alone, so it never dials
+            // (and a link that never handshook is left out).
+            let peers: Vec<String> = (self.links.iter())
+                .filter_map(|link| link.last_domain.lock().clone())
+                .collect();
+            self.view.candidates(&self.wanted_pools(&query), &peers)
         });
         self.drive(host, query, step, done);
     }
@@ -1387,7 +1338,7 @@ impl FederatedBackend {
         done: DelegateDone,
     ) {
         if matches!(&reply, Err(unavailable) if unavailable.transport) {
-            self.prune_peer(to);
+            self.view.prune(to);
         }
         self.drive(host, query, chain.on_reply(to, reply), done);
     }
@@ -1407,14 +1358,12 @@ impl FederatedBackend {
     /// The pool names the query would map to (preference signal for
     /// candidate ordering; empty if the text does not parse).
     fn wanted_pools(&self, query: &str) -> Vec<String> {
-        match actyp_query::parse_query(query) {
-            Ok(parsed) => parsed
-                .decompose(16)
-                .iter()
-                .map(|basic| actyp_query::PoolName::from_query(basic).full())
-                .collect(),
-            Err(_) => Vec::new(),
-        }
+        let Ok(parsed) = actyp_query::parse_query(query) else {
+            return Vec::new();
+        };
+        let basics = parsed.decompose(16);
+        let names = basics.iter().map(actyp_query::PoolName::from_query);
+        names.map(|name| name.full()).collect()
     }
 
     /// Spends `ticket`, returning the wrapped backend's ticket behind it —
@@ -1464,52 +1413,6 @@ impl FederatedBackend {
         });
         self.inner.wait_with(inner, local);
     }
-}
-
-impl FederatedBackend {
-    /// Peer domains, peers advertising a pool the query maps to first —
-    /// from the links' cached identities alone, so it never dials (and a
-    /// link that never handshook is left out).  Whether an offered link is
-    /// *currently* reachable is discovered by the delegation itself.
-    fn known_candidates(&self, query: &str) -> Vec<String> {
-        let wanted = self.wanted_pools(query);
-        let mut preferred = Vec::new();
-        let mut rest = Vec::new();
-        for link in &self.links {
-            let Some(domain) = link.last_domain.lock().clone() else {
-                continue;
-            };
-            let advertises_wanted = wanted.iter().any(|pool| {
-                self.peer_directory
-                    .instances(pool)
-                    .iter()
-                    .any(|r| r.manager == domain)
-            });
-            if advertises_wanted {
-                preferred.push(domain);
-            } else {
-                rest.push(domain);
-            }
-        }
-        preferred.extend(rest);
-        // The learned route cache is a pure *reordering* on top of the
-        // candidate list: a remembered next hop for a pool the query maps
-        // to is moved to the front.  Membership never changes, so every
-        // TTL/visited invariant of the uncached walk holds as-is, and a
-        // stale hit costs at most one wasted first probe.
-        if !wanted.is_empty() && self.route_cache.enabled() {
-            let learned = wanted
-                .iter()
-                .find_map(|pool| self.route_cache.next_hop(pool));
-            if let Some(hop) = learned {
-                if let Some(pos) = preferred.iter().position(|d| *d == hop) {
-                    let hop = preferred.remove(pos);
-                    preferred.insert(0, hop);
-                }
-            }
-        }
-        preferred
-    }
 
     /// Folds a peer's answer to a `Delegate` sent to `domain` into this
     /// daemon's state — the lease map, the learned route, piggybacked
@@ -1538,16 +1441,15 @@ impl FederatedBackend {
                 // the stat measures real WAN traffic, not dial attempts.
                 self.delegations_out.fetch_add(1, Ordering::Relaxed);
                 // Advertisement news piggybacked on the reply.
-                self.apply_gossip_deltas(&deltas);
+                self.view.apply_gossip_deltas(&deltas);
                 if let Ok(allocations) = &outcome {
                     // Remember which domain every remote allocation must be
-                    // released through; the next repeat query for the same
-                    // pool goes straight to this hop.
+                    // released through.
                     let mut leases = self.remote_leases.lock();
                     for allocation in allocations {
                         leases.insert(allocation.access_key.0.clone(), domain.to_string());
-                        self.route_cache.learn(&allocation.pool, domain);
                     }
+                    self.view.learn_routes(domain, allocations);
                 }
                 Ok((outcome, RoutingState { ttl, visited }))
             }
@@ -1610,20 +1512,10 @@ impl FederatedBackend {
                 if let Some(conn) = conn {
                     conn.shutdown();
                 }
-                self.prune_peer(domain);
+                self.view.prune(domain);
                 settled(Ok(()))
             }
         }
-    }
-
-    /// Prunes a dead peer's pools from the peer directory, so its stale
-    /// records stop being routable.
-    fn prune_peer(&self, domain: &str) {
-        self.peer_directory.unregister_pool_manager(domain);
-        // Routes through the dead hop are unusable, and what it acked is
-        // moot — after the redial the handshake resyncs from scratch.
-        self.route_cache.invalidate_next_hop(domain);
-        self.gossip.retire_peer(domain);
     }
 }
 
@@ -1741,16 +1633,16 @@ impl ResourceManager for FederatedBackend {
         stats.delegations_out = self.delegations_out.load(Ordering::Relaxed);
         stats.delegations_in = self.delegations_in.load(Ordering::Relaxed);
         stats.in_flight = self.tickets.issued.lock().len();
-        stats.gossip_deltas_in = self.gossip.deltas_in();
-        stats.gossip_deltas_out = self.gossip.deltas_out();
-        stats.route_hits = self.route_cache.hits();
-        stats.route_misses = self.route_cache.misses();
+        stats.gossip_deltas_in = self.view.gossip().deltas_in();
+        stats.gossip_deltas_out = self.view.gossip().deltas_out();
+        stats.route_hits = self.view.route_cache().hits();
+        stats.route_misses = self.view.route_cache().misses();
         stats.peer_redials = self.peer_redials.load(Ordering::Relaxed);
         // The inner backend already reported its own shard contention;
         // fold in the federated layer's peer-directory shards.
         stats.shard_contention = stats
             .shard_contention
-            .saturating_add(self.peer_directory.contention());
+            .saturating_add(self.view.directory().contention());
         stats
     }
 
@@ -1768,30 +1660,300 @@ impl ResourceManager for FederatedBackend {
 mod tests {
     use super::*;
 
-    struct NoPeers;
-    impl PeerDelegator for NoPeers {
-        fn candidates(&self, _query: &str, _state: &RoutingState) -> Vec<String> {
-            Vec::new()
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    /// The query every domain of a [`MemoryNet`] is asked, and the pool it
+    /// maps to.
+    const Q: &str = "q";
+
+    /// A whole federation in memory: every domain resolves [`Q`] by a flag,
+    /// orders its peers through its own [`PeerView`] — which knows which
+    /// peers advertise [`Q`], and may hold a learned route — and walks the
+    /// same [`Chain`] a served daemon drives, one hop at a time.
+    struct MemoryNet {
+        /// domain → (direct peers, locally satisfiable?)
+        domains: BTreeMap<String, (Vec<String>, bool)>,
+        dead: BTreeSet<String>,
+        views: BTreeMap<String, PeerView>,
+        /// `(domain, ttl-as-sent)` per delegation hop, for invariant checks.
+        hops: RefCell<Vec<(String, u32)>>,
+    }
+
+    impl MemoryNet {
+        /// Every domain's view learns which of its peers advertise [`Q`]
+        /// and, given `cached`, a route for [`Q`] through that domain —
+        /// live, dead, unsatisfiable or nobody's peer.
+        fn new(
+            domains: BTreeMap<String, (Vec<String>, bool)>,
+            dead: BTreeSet<String>,
+            cached: Option<&str>,
+        ) -> Self {
+            let mut views = BTreeMap::new();
+            for (name, (peers, _)) in &domains {
+                let view = PeerView::new(GossipPlane::with_epoch(name, 1), true);
+                for peer in peers.iter().filter(|p| domains[*p].1) {
+                    view.record_advertisement(peer, &[Q.to_string()]);
+                }
+                if let Some(hop) = cached {
+                    view.route_cache().learn(Q, hop);
+                }
+                views.insert(name.clone(), view);
+            }
+            MemoryNet {
+                domains,
+                dead,
+                views,
+                hops: RefCell::new(Vec::new()),
+            }
         }
-        fn delegate(
-            &self,
-            _domain: &str,
-            _query: &str,
-            _state: &RoutingState,
-        ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable> {
-            unreachable!("no peers to delegate to")
+
+        /// `at`'s step of a chain, to its end.
+        fn walk(&self, at: &str, state: RoutingState) -> (QueryOutcome, RoutingState) {
+            if !state.alive() {
+                // No hop left to visit this domain: no local work either.
+                return (Err(AllocationError::TtlExpired), state);
+            }
+            let (peers, satisfiable) = &self.domains[at];
+            let local = match satisfiable {
+                true => Ok(Vec::new()),
+                false => Err(AllocationError::NoSuchResources),
+            };
+            let view = &self.views[at];
+            let wanted = [Q.to_string()];
+            let mut step = Chain::start(at, state, local, |_| view.candidates(&wanted, peers));
+            loop {
+                let (chain, to) = match step {
+                    Step::Done(outcome, state) => return (outcome, state),
+                    Step::Delegate(chain, to) => (chain, to),
+                };
+                let reply = if self.dead.contains(&to) {
+                    view.prune(&to);
+                    Err(PeerUnavailable {
+                        transport: true,
+                        reason: format!("domain `{to}` is dead"),
+                    })
+                } else {
+                    self.hops.borrow_mut().push((to.clone(), chain.state().ttl));
+                    Ok(self.walk(&to, chain.state().clone()))
+                };
+                step = chain.on_reply(&to, reply);
+            }
         }
+
+        fn run_from(&self, origin: &str, ttl: u32) -> (QueryOutcome, RoutingState) {
+            self.walk(origin, RoutingState::new(ttl))
+        }
+
+        /// The routing invariants of one chain from `origin`: the TTL
+        /// strictly decreases across hops, no domain is revisited, dead
+        /// domains leave no trace, the walk stays within the TTL, and the
+        /// outcome is the right one.
+        fn check_chain(&self, origin: &str, ttl: u32) {
+            let (outcome, state) = self.run_from(origin, ttl);
+            let mut previous = ttl;
+            for (_, sent_ttl) in self.hops.borrow().iter() {
+                prop_assert!(
+                    *sent_ttl < previous || previous == 0,
+                    "hop sent ttl {sent_ttl} after {previous}"
+                );
+                previous = *sent_ttl;
+            }
+            let mut seen = BTreeSet::new();
+            for domain in &state.visited {
+                prop_assert!(seen.insert(domain.clone()), "revisited {domain}");
+                prop_assert!(!self.dead.contains(domain), "dead {domain} visited");
+            }
+            prop_assert!(state.visited.len() as u64 <= ttl as u64);
+            prop_assert!(self.hops.borrow().len() as u64 <= ttl as u64);
+            prop_assert!(state.ttl <= ttl);
+            let satisfiable = |d: &String| self.domains[d].1;
+            match &outcome {
+                // Success requires a satisfiable domain among the visited.
+                Ok(_) => prop_assert!(state.visited.iter().any(satisfiable)),
+                // TTL exhaustion is only reported when the TTL is in fact
+                // exhausted (zero from the start or consumed by hops).
+                Err(AllocationError::TtlExpired) => prop_assert!(state.ttl == 0 || ttl == 0),
+                // Every visited domain really failed.
+                Err(AllocationError::NoSuchResources) => {
+                    prop_assert!(!state.visited.iter().any(satisfiable))
+                }
+                Err(other) => prop_assert!(false, "unexpected error {other:?}"),
+            }
+        }
+    }
+
+    /// A random topology — `n` domains, adjacency, satisfiability and
+    /// deadness from seed bits — and, when `cached`, an arbitrary learned
+    /// route: through a live, dead or unsatisfiable domain, or through
+    /// `nowhere`, nobody's peer.
+    fn net_strategy(cached: bool) -> impl Strategy<Value = (MemoryNet, u32)> {
+        (2usize..6, 0u64..u64::MAX, 0u32..12, 0usize..8).prop_map(move |(n, seed, ttl, hop)| {
+            let names: Vec<String> = (0..n).map(|i| format!("d{i}")).collect();
+            let mut domains = BTreeMap::new();
+            let mut dead = BTreeSet::new();
+            for (i, name) in names.iter().enumerate() {
+                let peers: Vec<String> = (names.iter().enumerate())
+                    .filter(|(j, _)| *j != i && (seed >> ((i * n + j) % 48)) & 1 == 1)
+                    .map(|(_, p)| p.clone())
+                    .collect();
+                let satisfiable = (seed >> (48 + i % 16)) & 1 == 1;
+                domains.insert(name.clone(), (peers, satisfiable));
+                if i > 0 && (seed >> (32 + i)) & 3 == 3 {
+                    dead.insert(name.clone());
+                }
+            }
+            let learned = match hop {
+                _ if !cached => None,
+                hop if hop < n => Some(names[hop].as_str()),
+                hop if hop == n => Some("nowhere"),
+                _ => None,
+            };
+            (MemoryNet::new(domains, dead, learned), ttl)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over any topology (dead peers included) the chain terminates
+        /// and upholds the paper's routing invariants.
+        #[test]
+        fn chains_terminate_and_uphold_routing_invariants(input in net_strategy(false)) {
+            let (net, ttl) = input;
+            net.check_chain("d0", ttl);
+        }
+
+        /// Dead peers never appear in the visited list: an unreachable
+        /// domain consumes no TTL and leaves no trace in the routing state.
+        #[test]
+        fn dead_peers_consume_no_ttl(input in net_strategy(false)) {
+            let (net, ttl) = input;
+            let (_, state) = net.run_from("d0", ttl);
+            for domain in &state.visited {
+                prop_assert!(!net.dead.contains(domain), "dead domain {domain} visited");
+            }
+        }
+
+        /// Whatever a domain's route cache holds — a live route, a stale
+        /// route to a dead domain, a domain that is no peer at all — the
+        /// chain's invariants are untouched, and a wrong entry degrades to
+        /// the ordinary walk (correct outcomes, never a wrong answer).
+        #[test]
+        fn a_cached_route_never_bypasses_ttl_or_visited_invariants(input in net_strategy(true)) {
+            let (net, ttl) = input;
+            net.check_chain("d0", ttl);
+        }
+
+        /// The candidate order is a permutation of the peers given; a
+        /// learned hop comes first only if it is one of them; the peers
+        /// that advertise a wanted pool come before the rest.
+        #[test]
+        fn candidates_reorder_only_the_peers_given(
+            peers in prop::collection::vec(0u8..8, 0..6),
+            advertising in prop::collection::vec(0u8..8, 0..6),
+            learned in prop::option::of(0u8..10),
+        ) {
+            let name = |d: &u8| format!("d{d}");
+            let mut seen = BTreeSet::new();
+            let peers: Vec<String> =
+                peers.iter().filter(|d| seen.insert(**d)).map(name).collect();
+            let view = PeerView::new(GossipPlane::with_epoch("me", 1), true);
+            for domain in advertising.iter().map(name) {
+                view.record_advertisement(&domain, &[Q.to_string()]);
+            }
+            if let Some(hop) = &learned {
+                view.route_cache().learn(Q, &name(hop));
+            }
+            let order = view.candidates(&[Q.to_string()], &peers);
+            let (mut given, mut got) = (peers.clone(), order.clone());
+            given.sort();
+            got.sort();
+            prop_assert_eq!(given, got, "a permutation of the peers given");
+            let hop = learned.as_ref().map(name).filter(|hop| peers.contains(hop));
+            let rest = match &hop {
+                Some(hop) => {
+                    prop_assert_eq!(&order[0], hop, "the learned hop leads");
+                    &order[1..]
+                }
+                None => &order[..],
+            };
+            // Advertisers first, then the rest, each in the caller's order.
+            let advertises = |d: &&String| advertising.iter().map(name).any(|a| a == **d);
+            let kept = peers.iter().filter(|d| Some(*d) != hop.as_ref());
+            let (ads, others): (Vec<&String>, Vec<&String>) = kept.partition(advertises);
+            let expected: Vec<&String> = ads.into_iter().chain(others).collect();
+            prop_assert_eq!(rest.iter().collect::<Vec<_>>(), expected, "{:?}", order);
+        }
+    }
+
+    /// Deterministic pin of the fallback: a stale cached route pointing at
+    /// a dead domain costs nothing — the walk falls back to the remaining
+    /// peers and still finds the satisfying one, with the dead hop absent
+    /// from the visited list.
+    #[test]
+    fn stale_cached_route_falls_back_to_the_chain_walk() {
+        let domains = BTreeMap::from([
+            (
+                "d0".to_string(),
+                (vec!["dead".to_string(), "good".to_string()], false),
+            ),
+            ("dead".to_string(), (vec![], true)),
+            ("good".to_string(), (vec![], true)),
+        ]);
+        let net = MemoryNet::new(domains, BTreeSet::from(["dead".to_string()]), Some("dead"));
+        let (outcome, state) = net.run_from("d0", 4);
+        assert!(outcome.is_ok(), "the walk recovered: {outcome:?}");
+        assert_eq!(
+            state.visited,
+            vec!["d0".to_string(), "good".to_string()],
+            "the dead cached hop was tried, failed at transport, and left no trace"
+        );
+        let cache = net.views["d0"].route_cache();
+        assert!(cache.hits() >= 1, "the stale entry was consulted");
+        assert_eq!(cache.next_hop(Q), None, "and pruned with its dead hop");
+    }
+
+    /// Pruning a peer drops everything the view held about it: its
+    /// directory records, the routes through it, and what it acked.
+    #[test]
+    fn prune_drops_a_peers_records_routes_and_acked_vector() {
+        let peer = PeerView::new(GossipPlane::with_epoch("b", 1), true);
+        peer.gossip().refresh_local(&["arch,==/hp".to_string()]);
+        let view = PeerView::new(GossipPlane::with_epoch("a", 1), true);
+        view.gossip().refresh_local(&["arch,==/sun".to_string()]);
+        view.apply_gossip_deltas(&peer.gossip().deltas_since(&[]));
+        view.gossip()
+            .note_acked("b", view.gossip().version_vector());
+        view.route_cache().learn("arch,==/hp", "b");
+        view.route_cache().learn("arch,==/sgi", "c");
+        assert!(view.directory().pool_managers().contains(&"b".to_string()));
+        assert!(view.gossip().deltas_for_peer("b").is_empty(), "b acked all");
+
+        view.prune("b");
+        assert!(!view.directory().pool_managers().contains(&"b".to_string()));
+        assert!(view.directory().instances("arch,==/hp").is_empty());
+        assert_eq!(view.route_cache().next_hop("arch,==/hp"), None);
+        assert_eq!(
+            view.route_cache().next_hop("arch,==/sgi"),
+            Some("c".to_string())
+        );
+        assert!(
+            !view.gossip().deltas_for_peer("b").is_empty(),
+            "b's acked vector is gone: the next round ships it everything again"
+        );
     }
 
     #[test]
     fn chain_with_no_peers_returns_the_local_failure() {
-        let (outcome, state) = run_chain(
-            "a",
-            "q",
-            RoutingState::new(4),
-            |_| Err(AllocationError::NoSuchResources),
-            &NoPeers,
+        let net = MemoryNet::new(
+            BTreeMap::from([("a".to_string(), (vec![], false))]),
+            BTreeSet::new(),
+            None,
         );
+        let (outcome, state) = net.run_from("a", 4);
         assert_eq!(outcome.unwrap_err(), AllocationError::NoSuchResources);
         assert_eq!(state.ttl, 3);
         assert_eq!(state.visited, vec!["a".to_string()]);
@@ -1799,26 +1961,28 @@ mod tests {
 
     #[test]
     fn chain_with_zero_ttl_expires_without_local_work() {
-        let (outcome, _) = run_chain(
-            "a",
-            "q",
-            RoutingState::new(0),
-            |_| panic!("local backend must not run"),
-            &NoPeers,
-        );
+        let step = Chain::start("a", RoutingState::new(0), Ok(Vec::new()), |_| {
+            panic!("no candidates are asked for")
+        });
+        let Step::Done(outcome, state) = step else {
+            panic!("a chain with no hop left delegates nowhere: {step:?}");
+        };
         assert_eq!(outcome.unwrap_err(), AllocationError::TtlExpired);
+        assert!(state.visited.is_empty(), "the domain was not visited");
     }
 
     #[test]
     fn non_delegable_failures_stop_the_chain() {
-        let (outcome, _) = run_chain(
+        let step = Chain::start(
             "a",
-            "q",
             RoutingState::new(8),
-            |_| Err(AllocationError::Parse("bad".into())),
-            &NoPeers,
+            Err(AllocationError::Parse("bad".into())),
+            |_| panic!("a final failure asks for no candidates"),
         );
-        assert!(matches!(outcome, Err(AllocationError::Parse(_))));
+        assert!(
+            matches!(step, Step::Done(Err(AllocationError::Parse(_)), _)),
+            "{step:?}"
+        );
     }
 
     /// The step machine a served daemon drives with completions: one

@@ -78,9 +78,7 @@ pub use allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitD
 pub use api::{BackendKind, PipelineBuilder, ResourceManager, StatsSnapshot, Ticket};
 pub use client::RemoteBackend;
 pub use directory::{LocalDirectoryService, PoolInstanceRecord, ShardedDirectory, SharedDirectory};
-pub use federation::{
-    is_delegable, run_chain, FederatedBackend, FederationConfig, PeerDelegator, PeerUnavailable,
-};
+pub use federation::{is_delegable, FederatedBackend, FederationConfig, PeerUnavailable, PeerView};
 pub use gossip::{AdvertLog, GossipEvent, GossipPlane};
 pub use live::{LivePipeline, PipelineConfig, PipelineStats};
 pub use message::{

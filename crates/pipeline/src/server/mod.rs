@@ -1964,7 +1964,8 @@ mod tests {
             // left the peer directory.
             peer.join().unwrap();
             assert!(!fed_a
-                .peer_directory()
+                .view()
+                .directory()
                 .pool_managers()
                 .contains(&"upc".to_string()));
             drop(raw);
@@ -2072,7 +2073,8 @@ mod tests {
             .unwrap();
         let knows_upc = || {
             fed_a
-                .peer_directory()
+                .view()
+                .directory()
                 .pool_managers()
                 .contains(&"upc".to_string())
         };

@@ -1205,10 +1205,13 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             None => state.send(&not_federated(corr)),
             Some(federation) => {
                 note_peer_session_domain(shared, &state, &domain);
-                federation.record_inbound_advertisement(&domain, &advertised);
-                federation.gossip().note_peer_versions(&domain, &have);
+                // A peer that connected to us: its listen address is
+                // unknown, so its records are never a delegation candidate.
+                let view = federation.view();
+                view.record_advertisement(&domain, &advertised);
+                view.gossip().note_peer_versions(&domain, &have);
                 federation.refresh_gossip();
-                let deltas = federation.gossip().deltas_since(&have);
+                let deltas = view.gossip().deltas_since(&have);
                 state.send(&ServerFrame::PoolsSynced {
                     corr,
                     domain: federation.domain().to_string(),
@@ -1227,7 +1230,10 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             Some(federation) => {
                 // Inline: applying deltas is pure in-memory state.
                 note_peer_session_domain(shared, &state, &domain);
-                let reply = federation.handle_advert_delta(&domain, &deltas, &have);
+                federation.refresh_gossip();
+                let reply = federation
+                    .view()
+                    .handle_advert_delta(&domain, &deltas, &have);
                 state.send(&ServerFrame::AdvertAck {
                     corr,
                     domain: federation.domain().to_string(),
@@ -1830,7 +1836,7 @@ fn note_peer_session_domain(shared: &ServerShared, state: &SessionState, domain:
     if let Some(previous) = previous {
         if previous != domain {
             if let Some(federation) = &shared.federation {
-                federation.retire_domain(&previous);
+                federation.view().retire_domain(&previous);
             }
         }
     }

@@ -56,7 +56,7 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
            [--shards N]
            [--io-threads N]
            [--domain NAME] [--peer HOST:PORT]... [--ttl N]
-           [--gossip-interval MS] [--probe-interval MS] [--no-route-cache]
+           [--gossip-interval MS] [--probe-interval MS]
            [--stats-interval N]
 
   --listen HOST:PORT   address to bind (default: $ACTYP_YPD_LISTEN or 127.0.0.1:7411)
@@ -90,8 +90,6 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
                        deadline and prunes peers that fail, so dead peers
                        are noticed between delegations (0 disables;
                        default: 5000)
-  --no-route-cache     disable the learned one-hop delegation route cache
-                       (every WAN query walks the TTL-bounded peer chain)
   --stats-interval N   print a machine-readable stats line every N seconds
                        (the line load generators and the bench harness scrape;
                        0 disables, the default)
@@ -114,7 +112,6 @@ struct Config {
     ttl: u32,
     gossip_interval_ms: u64,
     probe_interval_ms: u64,
-    route_cache: bool,
     stats_interval: u64,
 }
 
@@ -136,7 +133,6 @@ impl Default for Config {
             ttl: 8,
             gossip_interval_ms: 1_000,
             probe_interval_ms: 5_000,
-            route_cache: true,
             stats_interval: 0,
         }
     }
@@ -271,7 +267,6 @@ fn parse_args(
                     .parse()
                     .map_err(|_| format!("--probe-interval: invalid milliseconds `{raw}`"))?;
             }
-            "--no-route-cache" => config.route_cache = false,
             "--stats-interval" => {
                 let raw = value("--stats-interval")?;
                 config.stats_interval = raw
@@ -344,7 +339,7 @@ fn main() -> ExitCode {
                     peers: config.peers.clone(),
                     gossip_interval: std::time::Duration::from_millis(config.gossip_interval_ms),
                     probe_interval: std::time::Duration::from_millis(config.probe_interval_ms),
-                    route_cache: config.route_cache,
+                    ..FederationConfig::default()
                 },
             )
             .map(|(handle, backend)| {
@@ -501,7 +496,6 @@ mod tests {
                 "250",
                 "--probe-interval",
                 "750",
-                "--no-route-cache",
             ]),
             no_env(),
         )
@@ -528,7 +522,6 @@ mod tests {
         assert_eq!(config.ttl, 5);
         assert_eq!(config.gossip_interval_ms, 250);
         assert_eq!(config.probe_interval_ms, 750);
-        assert!(!config.route_cache);
     }
 
     #[test]

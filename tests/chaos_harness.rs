@@ -9,8 +9,29 @@
 //!    render/parse round trip and still produces the identical run.
 //! 3. The same spec drives both executors: `trio-flap` passes its
 //!    invariants on the simulator *and* against a fleet of real daemons.
+//! 4. Every catalog scenario's run is pinned by its digest ([`DIGESTS`]).
 
 use actyp_chaos::{by_name, catalog, run_live, run_sim, LiveOptions, Scenario};
+
+/// The digest of every catalog scenario's simulated run.  The simulator
+/// runs the daemon's own routing rules, so a change to the simulator, to
+/// the routing rules or to a scenario moves a digest here: update the
+/// table, and record the old and new digests with the reason in
+/// EXPERIMENTS.md.
+const DIGESTS: &[(&str, u64)] = &[
+    ("trio-flap", 0xd373_dce3_7406_eeb4),
+    ("wan-partition-stampede", 0x8660_0bf4_ef89_8483),
+    ("retire-rename-wave", 0x3821_0279_55d9_2e50),
+    ("mass-vanish", 0x3679_b2b4_9730_7f37),
+    ("deadline-burst", 0xb792_6028_b830_43c4),
+];
+
+/// The pinned digest of the named scenario.
+fn pinned(name: &str) -> u64 {
+    let pin = DIGESTS.iter().find(|(pinned, _)| *pinned == name);
+    pin.unwrap_or_else(|| panic!("{name} has no pinned digest"))
+        .1
+}
 
 #[test]
 fn the_wan_partition_stampede_reproduces_byte_for_byte() {
@@ -48,6 +69,12 @@ fn the_wan_partition_stampede_reproduces_byte_for_byte() {
     );
     assert_eq!(first.digest(), second.digest());
     assert_eq!(first.violations, second.violations);
+    assert_eq!(
+        first.digest(),
+        pinned(&scenario.name),
+        "the pinned run moved: {:016x}",
+        first.digest()
+    );
 }
 
 #[test]
@@ -70,7 +97,21 @@ fn every_catalog_scenario_passes_its_invariants_in_simulation() {
             "{} replayed no workload",
             scenario.name
         );
+        assert_eq!(
+            report.digest(),
+            pinned(&scenario.name),
+            "{}: the pinned run moved: {:016x}",
+            scenario.name,
+            report.digest()
+        );
     }
+}
+
+#[test]
+fn the_digest_table_pins_exactly_the_catalog() {
+    let names: Vec<String> = catalog().into_iter().map(|s| s.name).collect();
+    let pinned: Vec<String> = DIGESTS.iter().map(|(name, _)| name.to_string()).collect();
+    assert_eq!(names, pinned);
 }
 
 #[test]

@@ -1,31 +1,21 @@
-//! Wide-area federation over real sockets, plus routing-invariant
-//! property tests.
+//! Wide-area federation over real sockets.
 //!
-//! The integration half peers real `ypd` daemons (the in-process
+//! Peers real `ypd` daemons (the in-process
 //! [`PipelineBuilder::serve_federated`] form) on loopback and checks the
 //! paper's WAN behaviour end to end: a query the entry domain cannot
 //! satisfy settles with an allocation delegated from a peer, a query
 //! satisfiable nowhere fails with the proper error instead of hanging,
-//! and a peer killed mid-run strands nothing in the survivors.
-//!
-//! The property half drives whole in-memory topologies through the same
-//! [`run_chain`] the TCP implementation uses, checking the
-//! [`RoutingState`] invariants the in-process pipeline already proves for
-//! itself: the TTL strictly decreases across hops, no domain is ever
-//! revisited, and every chain terminates within TTL hops.
+//! and a peer killed mid-run strands nothing in the survivors.  The
+//! routing invariants of the chain itself (TTL strictly decreasing, no
+//! revisits, termination within the TTL) are property-tested beside the
+//! chain, in `federation.rs`.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use proptest::prelude::*;
-
 use actyp_grid::{FleetSpec, SharedDatabase, SyntheticFleet};
-use actyp_pipeline::api::QueryOutcome;
 use actyp_pipeline::{
-    run_chain, AllocationError, BackendKind, FederatedBackend, FederationConfig, PeerDelegator,
-    PeerUnavailable, PipelineBuilder, RemoteBackend, ResourceManager, RoutingState, ServerHandle,
-    StageAddress,
+    AllocationError, BackendKind, FederatedBackend, FederationConfig, PipelineBuilder,
+    RemoteBackend, ResourceManager, ServerHandle, StageAddress,
 };
 
 // ---------------------------------------------------------------------------
@@ -187,7 +177,8 @@ fn killing_a_peer_mid_run_strands_no_tickets() {
     client.release(&warm[0]).unwrap();
     assert!(
         fed_a
-            .peer_directory()
+            .view()
+            .directory()
             .pool_managers()
             .contains(&"upc".to_string()),
         "the peer is in the entry daemon's peer directory"
@@ -218,7 +209,8 @@ fn killing_a_peer_mid_run_strands_no_tickets() {
     // The dead peer's records were pruned from the peer directory.
     assert!(
         !fed_a
-            .peer_directory()
+            .view()
+            .directory()
             .pool_managers()
             .contains(&"upc".to_string()),
         "the dead peer was unregistered"
@@ -284,7 +276,7 @@ fn peers_learn_each_others_pools_through_sync() {
     let allocations = client.submit_text_wait("punch.rsrc.arch = hp\n").unwrap();
     client.release(&allocations[0]).unwrap();
 
-    let dir = fed_a.peer_directory();
+    let dir = fed_a.view().directory();
     assert!(dir.pool_managers().contains(&"upc".to_string()));
     assert!(
         dir.instances("arch,==/hp")
@@ -294,7 +286,8 @@ fn peers_learn_each_others_pools_through_sync() {
     );
     // And the inbound side recorded A's advertisement too.
     assert!(fed_b
-        .peer_directory()
+        .view()
+        .directory()
         .pool_managers()
         .contains(&"purdue".to_string()));
 
@@ -586,7 +579,7 @@ fn redialed_peer_link_resyncs_pool_advertisements() {
     let mut resynced = false;
     for _ in 0..20 {
         let _ = entry.submit_text_wait("punch.rsrc.arch = hp\n");
-        let dir = entry.peer_directory();
+        let dir = entry.view().directory();
         let has_new = dir
             .instances("arch,==/sgi")
             .iter()
@@ -707,187 +700,6 @@ fn non_federated_daemons_refuse_delegation_frames() {
     drop(raw);
     server.halt();
     server.join().unwrap();
-}
-
-// ---------------------------------------------------------------------------
-// Property tests: routing invariants over in-memory topologies
-// ---------------------------------------------------------------------------
-
-/// A whole federation in memory: every domain resolves queries by flag and
-/// forwards through [`run_chain`], exactly like the TCP implementation.
-struct MemoryNet {
-    /// domain → (peer domains, locally satisfiable?)
-    domains: BTreeMap<String, (Vec<String>, bool)>,
-    dead: BTreeSet<String>,
-    /// `(domain, ttl-as-sent)` per delegation hop, for invariant checks.
-    hops: RefCell<Vec<(String, u32)>>,
-}
-
-/// One domain's view of the in-memory federation.
-struct NodeView<'a> {
-    net: &'a MemoryNet,
-    node: String,
-}
-
-impl MemoryNet {
-    fn resolve_local(&self, node: &str) -> QueryOutcome {
-        if self.domains[node].1 {
-            Ok(Vec::new())
-        } else {
-            Err(AllocationError::NoSuchResources)
-        }
-    }
-
-    fn run_from(&self, origin: &str, ttl: u32) -> (QueryOutcome, RoutingState) {
-        let view = NodeView {
-            net: self,
-            node: origin.to_string(),
-        };
-        run_chain(
-            origin,
-            "q",
-            RoutingState::new(ttl),
-            |_| self.resolve_local(origin),
-            &view,
-        )
-    }
-}
-
-impl PeerDelegator for NodeView<'_> {
-    fn candidates(&self, _query: &str, _state: &RoutingState) -> Vec<String> {
-        self.net.domains[&self.node]
-            .0
-            .iter()
-            .filter(|d| !self.net.dead.contains(*d))
-            .cloned()
-            .collect()
-    }
-
-    fn delegate(
-        &self,
-        domain: &str,
-        query: &str,
-        state: &RoutingState,
-    ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable> {
-        if self.net.dead.contains(domain) {
-            return Err(PeerUnavailable {
-                transport: true,
-                reason: format!("domain `{domain}` is dead"),
-            });
-        }
-        self.net
-            .hops
-            .borrow_mut()
-            .push((domain.to_string(), state.ttl));
-        let view = NodeView {
-            net: self.net,
-            node: domain.to_string(),
-        };
-        Ok(run_chain(
-            domain,
-            query,
-            state.clone(),
-            |_| self.net.resolve_local(domain),
-            &view,
-        ))
-    }
-}
-
-/// Random topology: `n` domains, adjacency and satisfiability and deadness
-/// from seed bits.
-fn topology_strategy() -> impl Strategy<Value = (MemoryNet, String, u32)> {
-    (2usize..6, 0u64..u64::MAX, 0u32..12).prop_map(|(n, seed, ttl)| {
-        let names: Vec<String> = (0..n).map(|i| format!("d{i}")).collect();
-        let mut domains = BTreeMap::new();
-        let mut dead = BTreeSet::new();
-        for (i, name) in names.iter().enumerate() {
-            let peers: Vec<String> = names
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i && (seed >> ((i * n + j) % 48)) & 1 == 1)
-                .map(|(_, p)| p.clone())
-                .collect();
-            let satisfiable = (seed >> (48 + i % 16)) & 1 == 1;
-            domains.insert(name.clone(), (peers, satisfiable));
-            if i > 0 && (seed >> (32 + i)) & 3 == 3 {
-                dead.insert(name.clone());
-            }
-        }
-        let net = MemoryNet {
-            domains,
-            dead,
-            hops: RefCell::new(Vec::new()),
-        };
-        (net, names[0].clone(), ttl)
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Over any topology (including dead peers) the chain terminates and
-    /// upholds the paper's routing invariants: the TTL strictly decreases
-    /// across hops, no domain is revisited, the whole search stays within
-    /// the TTL, and TTL exhaustion surfaces as `TtlExpired`.
-    #[test]
-    fn chains_terminate_and_uphold_routing_invariants(
-        input in topology_strategy()
-    ) {
-        let (net, origin, ttl) = input;
-        let (outcome, state) = net.run_from(&origin, ttl);
-        let hops = net.hops.borrow();
-
-        // TTL strictly decreases across hops (each hop carries the TTL it
-        // was sent with; the origin starts the sequence).
-        let mut previous = ttl;
-        for (_, sent_ttl) in hops.iter() {
-            prop_assert!(*sent_ttl < previous || previous == 0,
-                "hop sent ttl {sent_ttl} after {previous}");
-            previous = *sent_ttl;
-        }
-
-        // No domain is ever revisited.
-        let mut seen = BTreeSet::new();
-        for domain in &state.visited {
-            prop_assert!(seen.insert(domain.clone()), "revisited {domain}");
-        }
-
-        // The whole search stays within the TTL: one visit per hop.
-        prop_assert!(state.visited.len() as u64 <= ttl as u64);
-        prop_assert!(hops.len() as u64 <= ttl as u64);
-        prop_assert!(state.ttl <= ttl);
-
-        match &outcome {
-            Ok(_) => {
-                // Success requires a satisfiable domain among the visited.
-                prop_assert!(state.visited.iter().any(|d| net.domains[d].1));
-            }
-            Err(AllocationError::TtlExpired) => {
-                // TTL exhaustion is only reported when the TTL is in fact
-                // exhausted (zero from the start or consumed by hops).
-                prop_assert!(state.ttl == 0 || ttl == 0);
-            }
-            Err(AllocationError::NoSuchResources) => {
-                // Every visited domain really failed.
-                prop_assert!(state.visited.iter().all(|d| !net.domains[d].1));
-            }
-            Err(other) => prop_assert!(false, "unexpected error {other:?}"),
-        }
-    }
-
-    /// Dead peers never appear in the visited list: an unreachable domain
-    /// consumes no TTL and leaves no trace in the routing state.
-    #[test]
-    fn dead_peers_consume_no_ttl(
-        input in topology_strategy()
-    ) {
-        let (net, origin, ttl) = input;
-        let (_, state) = net.run_from(&origin, ttl);
-        for domain in &state.visited {
-            prop_assert!(!net.dead.contains(domain),
-                "dead domain {domain} in the visited list");
-        }
-    }
 }
 
 #[test]

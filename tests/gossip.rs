@@ -1,5 +1,4 @@
-//! The anti-entropy gossip plane and the learned routing cache, end to
-//! end and by property.
+//! The anti-entropy gossip plane, end to end and by property.
 //!
 //! The integration half peers real `ypd` daemons on loopback with the
 //! periodic gossip tick *enabled* and proves the tentpole claim of the
@@ -12,26 +11,22 @@
 //!
 //! The property half drives whole in-memory topologies of
 //! [`GossipPlane`]s through the same push–pull exchange the wire
-//! implements and checks convergence (every live pool visible at every
+//! implements and checks convergence: every live pool visible at every
 //! domain within a diameter's worth of rounds, no dead pool ever
-//! resurrected), and runs [`run_chain`] with an adversarially populated
-//! [`RouteCache`] to check that a learned route can only ever *reorder*
-//! candidates — the TTL and visited-set invariants of the uncached walk
-//! survive any cache contents, including stale and dead ones.
+//! resurrected.  That a learned route can only *reorder* a chain's
+//! candidates is property-tested beside the candidate order itself, in
+//! `federation.rs`.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
 use actyp_grid::{FleetSpec, SharedDatabase, SyntheticFleet};
-use actyp_pipeline::api::QueryOutcome;
 use actyp_pipeline::{
-    run_chain, AllocationError, BackendKind, FederatedBackend, FederationConfig, GossipPlane,
-    PeerDelegator, PeerUnavailable, PipelineBuilder, RemoteBackend, ResourceManager, RouteCache,
-    RoutingState, ServerHandle, StageAddress,
+    AllocationError, BackendKind, FederatedBackend, FederationConfig, GossipPlane, PipelineBuilder,
+    RemoteBackend, ResourceManager, ServerHandle, StageAddress,
 };
 
 // ---------------------------------------------------------------------------
@@ -108,7 +103,8 @@ fn pool_registered_mid_session_is_delegable_without_redial() {
     // has nothing to advertise, so A knows no upc pools.
     wait_for("A's peer links to establish", || {
         let knows = |fed: &FederatedBackend| {
-            fed.peer_directory()
+            fed.view()
+                .directory()
                 .pool_managers()
                 .iter()
                 .any(|d| d == "purdue")
@@ -116,7 +112,7 @@ fn pool_registered_mid_session_is_delegable_without_redial() {
         knows(&fed_c) && knows(&fed_b)
     });
     assert!(
-        fed_a.gossip().live_pools("upc").is_empty(),
+        fed_a.view().gossip().live_pools("upc").is_empty(),
         "no pool exists on C yet"
     );
     assert_eq!(fed_a.peer_redials(), 0);
@@ -130,19 +126,22 @@ fn pool_registered_mid_session_is_delegable_without_redial() {
     // Within a gossip round the pool is visible at A — and no link was
     // redialed to learn it.
     wait_for("the new pool to gossip to A", || {
-        !fed_a.gossip().live_pools("upc").is_empty()
+        !fed_a.view().gossip().live_pools("upc").is_empty()
     });
     assert_eq!(
         fed_a.peer_redials(),
         0,
         "the advertisement arrived over the standing links"
     );
-    assert!(fed_a.gossip().deltas_in() > 0, "deltas actually flowed");
+    assert!(
+        fed_a.view().gossip().deltas_in() > 0,
+        "deltas actually flowed"
+    );
 
     // Transitive relay: B has no link to C, yet A's pushes carry the upc
     // origin log to it.
     wait_for("the pool to relay transitively to B", || {
-        !fed_b.gossip().live_pools("upc").is_empty()
+        !fed_b.view().gossip().live_pools("upc").is_empty()
     });
 
     // The learned advertisement steers the next query to upc in ONE hop
@@ -161,7 +160,7 @@ fn pool_registered_mid_session_is_delegable_without_redial() {
     let second = client_a.submit_text_wait("punch.rsrc.arch = hp\n").unwrap();
     assert!(second[0].machine_name.contains("hp"));
     assert!(
-        fed_a.route_cache().hits() >= 1,
+        fed_a.view().route_cache().hits() >= 1,
         "the repeat query hit the learned one-hop route"
     );
     assert_eq!(fed_a.peer_redials(), 0, "still zero redials end to end");
@@ -264,7 +263,7 @@ fn peer_renaming_its_domain_retires_the_old_domains_pools() {
         .unwrap();
     // A route learned while the peer was still "upc" (as a prior
     // delegation would have left behind).
-    entry.route_cache().learn("arch,==/hp", "upc");
+    entry.view().route_cache().learn("arch,==/hp", "upc");
 
     // Drive delegable queries until the redial hit the renamed second
     // life and the retirement took: the old domain's directory records
@@ -273,7 +272,7 @@ fn peer_renaming_its_domain_retires_the_old_domains_pools() {
     let mut retired = false;
     for _ in 0..20 {
         let _ = entry.submit_text_wait("punch.rsrc.arch = hp\n");
-        let dir = entry.peer_directory();
+        let dir = entry.view().directory();
         let has_new = dir.pool_managers().iter().any(|d| d == "barcelona");
         let has_old = dir.pool_managers().iter().any(|d| d == "upc")
             || dir
@@ -291,7 +290,7 @@ fn peer_renaming_its_domain_retires_the_old_domains_pools() {
         "re-advertising under a new name must retire the old domain's records wholesale"
     );
     assert_eq!(
-        entry.route_cache().next_hop("arch,==/hp"),
+        entry.view().route_cache().next_hop("arch,==/hp"),
         None,
         "the route learned through the retired name is gone"
     );
@@ -355,7 +354,7 @@ fn health_probe_prunes_a_dead_peer_between_delegations() {
         .release(&held[0])
         .expect("release routes to the peer");
     {
-        let dir = fed_a.peer_directory();
+        let dir = fed_a.view().directory();
         assert!(
             dir.pool_managers().iter().any(|d| d == "upc"),
             "the delegation recorded the peer's advertisement"
@@ -369,7 +368,8 @@ fn health_probe_prunes_a_dead_peer_between_delegations() {
     srv_b.join().expect("pool host drains");
     wait_for("the probe to prune the dead peer", || {
         !fed_a
-            .peer_directory()
+            .view()
+            .directory()
             .pool_managers()
             .iter()
             .any(|d| d == "upc")
@@ -592,211 +592,4 @@ proptest! {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Property: a learned route can only reorder, never bypass
-// ---------------------------------------------------------------------------
-
-/// An in-memory federation whose every node consults one (adversarially
-/// populated) route cache when ordering candidates — the cached hop is
-/// *preferred*, exactly like the TCP implementation, never injected.
-struct CachedNet {
-    /// domain → (peer domains, locally satisfiable?)
-    domains: BTreeMap<String, (Vec<String>, bool)>,
-    dead: BTreeSet<String>,
-    cache: RouteCache,
-    /// `(domain, ttl-as-sent)` per delegation hop, for invariant checks.
-    hops: RefCell<Vec<(String, u32)>>,
-}
-
-struct CachedView<'a> {
-    net: &'a CachedNet,
-    node: String,
-}
-
-impl CachedNet {
-    fn resolve_local(&self, node: &str) -> QueryOutcome {
-        if self.domains[node].1 {
-            Ok(Vec::new())
-        } else {
-            Err(AllocationError::NoSuchResources)
-        }
-    }
-
-    fn run_from(&self, origin: &str, ttl: u32) -> (QueryOutcome, RoutingState) {
-        let view = CachedView {
-            net: self,
-            node: origin.to_string(),
-        };
-        run_chain(
-            origin,
-            "q",
-            RoutingState::new(ttl),
-            |_| self.resolve_local(origin),
-            &view,
-        )
-    }
-}
-
-impl PeerDelegator for CachedView<'_> {
-    fn candidates(&self, query: &str, _state: &RoutingState) -> Vec<String> {
-        let mut list: Vec<String> = self.net.domains[&self.node].0.clone();
-        // The cache's whole power: move a learned hop to the front *if*
-        // it is a direct peer.  It can never add a candidate.
-        if let Some(hop) = self.net.cache.next_hop(query) {
-            if let Some(position) = list.iter().position(|d| *d == hop) {
-                let preferred = list.remove(position);
-                list.insert(0, preferred);
-            }
-        }
-        list
-    }
-
-    fn delegate(
-        &self,
-        domain: &str,
-        query: &str,
-        state: &RoutingState,
-    ) -> Result<(QueryOutcome, RoutingState), PeerUnavailable> {
-        if self.net.dead.contains(domain) {
-            return Err(PeerUnavailable {
-                transport: true,
-                reason: format!("domain `{domain}` is dead"),
-            });
-        }
-        self.net
-            .hops
-            .borrow_mut()
-            .push((domain.to_string(), state.ttl));
-        let view = CachedView {
-            net: self.net,
-            node: domain.to_string(),
-        };
-        Ok(run_chain(
-            domain,
-            query,
-            state.clone(),
-            |_| self.net.resolve_local(domain),
-            &view,
-        ))
-    }
-}
-
-/// Random topology plus an arbitrary route-cache seeding: the cached hop
-/// may be live, dead, unsatisfiable, or not a peer of anybody.
-fn cached_topology_strategy() -> impl Strategy<Value = (CachedNet, String, u32)> {
-    (2usize..6, 0u64..u64::MAX, 0u32..12, 0usize..8).prop_map(|(n, seed, ttl, cached)| {
-        let names: Vec<String> = (0..n).map(|i| format!("d{i}")).collect();
-        let mut domains = BTreeMap::new();
-        let mut dead = BTreeSet::new();
-        for (i, name) in names.iter().enumerate() {
-            let peers: Vec<String> = names
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i && (seed >> ((i * n + j) % 48)) & 1 == 1)
-                .map(|(_, p)| p.clone())
-                .collect();
-            let satisfiable = (seed >> (48 + i % 16)) & 1 == 1;
-            domains.insert(name.clone(), (peers, satisfiable));
-            if i > 0 && (seed >> (32 + i)) & 3 == 3 {
-                dead.insert(name.clone());
-            }
-        }
-        let cache = RouteCache::new(true);
-        if cached < n {
-            // Possibly a dead or unsatisfiable domain: the invariants
-            // must hold anyway.
-            cache.learn("q", &names[cached]);
-        } else if cached == n {
-            cache.learn("q", "nowhere"); // not a peer of anybody
-        }
-        let net = CachedNet {
-            domains,
-            dead,
-            cache,
-            hops: RefCell::new(Vec::new()),
-        };
-        (net, names[0].clone(), ttl)
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Whatever the cache holds — a live route, a stale route to a dead
-    /// domain, a domain that is no peer at all — the chain's invariants
-    /// are untouched: TTL strictly decreases across hops, no domain is
-    /// revisited, the walk stays within the TTL, dead domains leave no
-    /// trace, and a wrong cache entry degrades to the ordinary walk
-    /// (correct outcomes, never a wrong answer).
-    #[test]
-    fn a_cached_route_never_bypasses_ttl_or_visited_invariants(
-        input in cached_topology_strategy()
-    ) {
-        let (net, origin, ttl) = input;
-        let (outcome, state) = net.run_from(&origin, ttl);
-        let hops = net.hops.borrow();
-
-        let mut previous = ttl;
-        for (_, sent_ttl) in hops.iter() {
-            prop_assert!(*sent_ttl < previous || previous == 0,
-                "hop sent ttl {} after {}", sent_ttl, previous);
-            previous = *sent_ttl;
-        }
-
-        let mut seen = BTreeSet::new();
-        for domain in &state.visited {
-            prop_assert!(seen.insert(domain.clone()), "revisited {}", domain);
-            prop_assert!(!net.dead.contains(domain),
-                "dead domain {} in the visited list", domain);
-        }
-        prop_assert!(state.visited.len() as u64 <= ttl as u64);
-        prop_assert!(hops.len() as u64 <= ttl as u64);
-        prop_assert!(state.ttl <= ttl);
-
-        match &outcome {
-            Ok(_) => {
-                prop_assert!(state.visited.iter().any(|d| net.domains[d].1));
-            }
-            Err(AllocationError::TtlExpired) => {
-                prop_assert!(state.ttl == 0 || ttl == 0);
-            }
-            Err(AllocationError::NoSuchResources) => {
-                prop_assert!(state.visited.iter().all(|d| !net.domains[d].1));
-            }
-            Err(other) => prop_assert!(false, "unexpected error {:?}", other),
-        }
-    }
-}
-
-/// Deterministic pin of the fallback: a stale cached route pointing at a
-/// dead domain costs nothing — the walk falls back to the remaining
-/// peers and still finds the satisfying one, with the dead hop absent
-/// from the visited list.
-#[test]
-fn stale_cached_route_falls_back_to_the_chain_walk() {
-    let mut domains = BTreeMap::new();
-    domains.insert(
-        "d0".to_string(),
-        (vec!["dead".to_string(), "good".to_string()], false),
-    );
-    domains.insert("dead".to_string(), (vec![], true));
-    domains.insert("good".to_string(), (vec![], true));
-    let cache = RouteCache::new(true);
-    cache.learn("q", "dead");
-    let net = CachedNet {
-        domains,
-        dead: BTreeSet::from(["dead".to_string()]),
-        cache,
-        hops: RefCell::new(Vec::new()),
-    };
-    let (outcome, state) = net.run_from("d0", 4);
-    assert!(outcome.is_ok(), "the walk recovered: {outcome:?}");
-    assert_eq!(
-        state.visited,
-        vec!["d0".to_string(), "good".to_string()],
-        "the dead cached hop was tried, failed at transport, and left no trace"
-    );
-    assert!(net.cache.hits() >= 1, "the stale entry was consulted");
 }
