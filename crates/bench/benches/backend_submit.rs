@@ -50,7 +50,7 @@ fn bench_backend_round_trip(c: &mut Criterion) {
     }
 }
 
-/// A batch of tickets in flight at once versus one-at-a-time blocking
+/// Eight pipelined tickets in flight at once versus one-at-a-time blocking
 /// submission, on the live backend: the pipelining win the paper measures.
 fn bench_live_pipelining(c: &mut Criterion) {
     const BATCH: usize = 8;
@@ -80,8 +80,9 @@ fn bench_live_pipelining(c: &mut Criterion) {
 
     c.bench_function("backend_submit/live_pipelined_x8", |b| {
         b.iter(|| {
-            let queries = vec![query.clone(); BATCH];
-            let tickets = pipeline.submit_batch(black_box(queries)).unwrap();
+            let tickets: Vec<_> = (0..BATCH)
+                .map(|_| pipeline.submit(black_box(query.clone())).unwrap())
+                .collect();
             for ticket in tickets {
                 let allocations = pipeline.wait(ticket).unwrap();
                 for a in &allocations {
@@ -124,8 +125,9 @@ fn bench_remote_round_trip(c: &mut Criterion) {
 
     c.bench_function("backend_submit/remote_pipelined_x8", |b| {
         b.iter(|| {
-            let queries = vec![query.clone(); BATCH];
-            let tickets = remote.submit_batch(black_box(queries)).unwrap();
+            let tickets: Vec<_> = (0..BATCH)
+                .map(|_| remote.submit(black_box(query.clone())).unwrap())
+                .collect();
             for ticket in tickets {
                 let allocations = remote.wait(ticket).unwrap();
                 for a in &allocations {
@@ -192,8 +194,8 @@ fn bench_remote_idle_connections(c: &mut Criterion) {
     }
 }
 
-/// How deep pipelining pays across the socket: one connection, a batch of
-/// D tickets in flight at once, swept over D.  The per-ticket cost should
+/// How deep pipelining pays across the socket: one connection, D pipelined
+/// submissions in flight at once, swept over D.  The per-ticket cost should
 /// fall as D grows — the paper's pipelining claim, measured against the
 /// reactor server.
 fn bench_remote_pipelining_depth(c: &mut Criterion) {
@@ -214,8 +216,9 @@ fn bench_remote_pipelining_depth(c: &mut Criterion) {
             &format!("backend_submit/remote_pipelined_depth_{depth}"),
             |b| {
                 b.iter(|| {
-                    let queries = vec![query.clone(); depth];
-                    let tickets = remote.submit_batch(black_box(queries)).unwrap();
+                    let tickets: Vec<_> = (0..depth)
+                        .map(|_| remote.submit(black_box(query.clone())).unwrap())
+                        .collect();
                     for ticket in tickets {
                         let allocations = remote.wait(ticket).unwrap();
                         for a in &allocations {

@@ -119,27 +119,20 @@ fn the_walk_covers_the_admission_windows_launch_path() {
 }
 
 /// Every call a daemon makes on its hosted backend is a completion: the
-/// eager backends resolve a `Submit` and a `SubmitBatch` on the spot
-/// (`EmbeddedBackend::resolve`, `BaselineBackend::execute` — walked now
-/// that `execute` is not a dispatch call), the live backend queues a
-/// batch's admission in its window, and the federation forwards both.  The
-/// walk from the backends' entry points must reach each, so a parking call
-/// planted on one is reported (and the workspace test below shows them
-/// clean).
+/// eager backends resolve a `Submit` on the spot (`EmbeddedBackend::resolve`,
+/// `BaselineBackend::execute` — walked now that `execute` is not a dispatch
+/// call).  The walk from the backends' entry points must reach each, so a
+/// parking call planted on one is reported (and the workspace test below
+/// shows them clean).
 #[test]
-fn the_walk_covers_the_eager_submissions_and_the_batch_admissions() {
+fn the_walk_covers_the_eager_submissions() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
         ("api.rs", "submit_with"),
-        ("api.rs", "submit_batch_with"),
         ("api.rs", "resolve"),
         ("api.rs", "execute"),
         ("api.rs", "release_outstanding"),
-        ("api.rs", "admission"),
-        ("api.rs", "batch"),
-        ("api.rs", "admit"),
-        ("federation.rs", "submit_batch_with"),
     ] {
         assert!(
             reachable.contains(&(PathBuf::from(file), function.to_string())),
@@ -210,20 +203,16 @@ fn the_walk_covers_the_inline_placement_from_the_embedded_resolve() {
     assert!(!reachable.contains(&(PathBuf::from("live.rs"), "stage_thread".to_string())));
 }
 
-/// A batch ticket's give-up runs on the I/O thread: the session's open
-/// deadlines expire there (`expire_deadlines`, reached from the timer's
-/// refresh and from a `Poll`), and take their completion back through the
-/// backends' `cancel_wait` — the live backend's slot step
-/// (`OutcomeSlot::withdraw`) and the federation's forward.  The walk must
-/// reach each, so a parking call planted on one is reported (and the
+/// A give-up takes its completion back through the backends'
+/// `cancel_wait` — the live backend's slot step (`OutcomeSlot::withdraw`)
+/// and the federation's forward — which promise not to park.  The walk
+/// must reach each, so a parking call planted on one is reported (and the
 /// workspace test below shows them clean).
 #[test]
 fn the_walk_covers_the_give_up_path() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
-        ("server/session.rs", "expire_deadlines"),
-        ("server/session.rs", "redeem_batch"),
         ("api.rs", "cancel_wait"),
         ("federation.rs", "cancel_wait"),
         ("live.rs", "withdraw"),

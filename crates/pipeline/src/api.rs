@@ -54,7 +54,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -80,23 +80,6 @@ pub type QueryOutcome = Result<Vec<Allocation>, AllocationError>;
 /// Where [`ResourceManager::submit_with`] delivers its ticket: called at
 /// most once, by whichever thread launches the query.
 pub type SubmitDone = Box<dyn FnOnce(Result<Ticket, AllocationError>) + Send>;
-
-/// Where [`ResourceManager::submit_batch_with`] delivers a batch's tickets:
-/// called at most once, by whichever thread launches the batch.
-pub type BatchDone = Box<dyn FnOnce(Result<Vec<Ticket>, AllocationError>) + Send>;
-
-/// A batch [`ResourceManager::submit_batch_with`] may have left waiting for
-/// window permits.
-#[derive(Debug)]
-pub struct QueuedBatch {
-    /// Withdraws the admission ([`ResourceManager::cancel_wait`]).
-    pub ticket: Ticket,
-    /// When the batch gives up: [`PipelineBuilder::batch_deadline`] after
-    /// it came in.
-    pub deadline: Instant,
-    /// The answer to a batch withdrawn at its deadline.
-    pub refusal: AllocationError,
-}
 
 /// Federated domains: one pool manager per `(name, database)` pair.
 pub type DomainList = Vec<(String, SharedDatabase)>;
@@ -257,10 +240,8 @@ pub trait ResourceManager: Send + Sync {
     /// `wait_with` — redeemable, still holding its window permit, still
     /// counted in flight.  `false` means the completion ran or is running:
     /// the outcome is in, or a federated delegation chain has started.  The
-    /// ticket of a [`QueuedBatch`] withdraws the batch's admission the same
-    /// way: `true` drops its completion uncalled, and the batch is refused
-    /// with [`QueuedBatch::refusal`].  The default returns `false`, which is
-    /// right for the eager backends, whose `wait_with` runs on the spot.
+    /// default returns `false`, which is right for the eager backends, whose
+    /// `wait_with` runs on the spot.
     fn cancel_wait(&self, _ticket: Ticket) -> bool {
         false
     }
@@ -278,8 +259,8 @@ pub trait ResourceManager: Send + Sync {
     /// `None` if the deadline elapses first — the ticket then remains
     /// redeemable.  The provided method waits for `wait_with` on a latch
     /// and takes it back at the deadline, as `try_poll` does; the remote
-    /// backend ships the deadline to the server instead, so the wait (and
-    /// its timeout) happen one network hop away.
+    /// backend collects its `Submit`'s reply with the deadline on its own
+    /// side of the socket.
     fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
         redeem_within(self, ticket, Some(timeout))
     }
@@ -321,54 +302,6 @@ pub trait ResourceManager: Send + Sync {
         self.submit(query)
     }
 
-    /// Submits a batch of queries, returning one ticket per query.  On the
-    /// live backend the whole batch is in flight at once; a batch that
-    /// cannot fit in the in-flight window alongside the outstanding tickets
-    /// is rejected at [`PipelineBuilder::batch_deadline`] rather than
-    /// deadlocking the caller.  The batch is all-or-nothing: a batch that
-    /// fails leaves no ticket, window permit or machine claim behind.
-    ///
-    /// The provided method waits for
-    /// [`submit_batch_with`](Self::submit_batch_with) on a latch, and
-    /// withdraws a queued admission at its deadline.
-    fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        // `tx` stays open, so a batch refused at its deadline without ever
-        // being queued waits the deadline out.
-        let done: BatchDone = Box::new({
-            let tx = tx.clone();
-            move |submitted| drop(tx.send(submitted))
-        });
-        let dropped = || {
-            Err(AllocationError::Internal(
-                "the batch was dropped".to_string(),
-            ))
-        };
-        let Some(queued) = self.submit_batch_with(queries, done) else {
-            drop(tx);
-            return rx.recv().unwrap_or_else(|_| dropped());
-        };
-        let left = queued.deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(left) {
-            Ok(submitted) => submitted,
-            Err(_) if self.cancel_wait(queued.ticket) => Err(queued.refusal),
-            // Granted as the deadline passed: the launch is under way.
-            Err(_) => {
-                drop(tx);
-                rx.recv().unwrap_or_else(|_| dropped())
-            }
-        }
-    }
-
-    /// [`submit_batch`](Self::submit_batch) as a completion: `done`
-    /// receives the tickets, or why the batch failed, on whichever thread
-    /// launches the batch — this one, or, in the live backend's window, the
-    /// one whose release completes its permits.  A batch that may still be
-    /// waiting for permits comes back as a [`QueuedBatch`]: at its deadline
-    /// the caller withdraws it with [`cancel_wait`](Self::cancel_wait) and,
-    /// when that worked, answers its refusal.
-    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch>;
-
     /// Convenience: submit one query and block for its outcome.
     fn submit_wait(&self, query: &Query) -> QueryOutcome {
         let ticket = self.submit(query.clone())?;
@@ -383,8 +316,8 @@ pub trait ResourceManager: Send + Sync {
 }
 
 /// A shared manager is a manager: every method (including the provided
-/// ones, so backend overrides like the remote batch submission are
-/// preserved) forwards to the pointee.  This is what lets one backend
+/// ones, so backend overrides like the remote deadline wait are preserved)
+/// forwards to the pointee.  This is what lets one backend
 /// instance be hosted behind a server *and* kept by the caller — e.g. a
 /// federated daemon, which is simultaneously the served manager and the
 /// target of incoming peer delegations.
@@ -424,12 +357,6 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     }
     fn submit_text(&self, text: &str) -> Result<Ticket, AllocationError> {
         (**self).submit_text(text)
-    }
-    fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
-        (**self).submit_batch(queries)
-    }
-    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
-        (**self).submit_batch_with(queries, done)
     }
     fn submit_wait(&self, query: &Query) -> QueryOutcome {
         (**self).submit_wait(query)
@@ -507,19 +434,18 @@ impl ReadyTickets {
 }
 
 /// The live backend's in-flight window: one atomic permit word, plus a FIFO
-/// of admissions waiting for permits under one lock.
+/// of admissions waiting for a permit under one lock.
 ///
 /// While nothing waits, taking a permit is one `fetch_update` and returning
 /// one an atomic add.  A submission that finds the window full joins the
 /// FIFO with the launch it wants run, so no thread waits for it, and every
-/// returned permit then goes to the head, so nothing overtakes it.  A head
-/// needing *n* permits collects them one by one and is launched, outside
-/// the lock by the thread whose return completed it, once it holds all *n*.
+/// returned permit then goes to the head, so nothing overtakes it.  A
+/// granted admission is launched outside the lock, by the thread whose
+/// return granted it.
 ///
 /// Generic over its primitives, like [`crate::reactor::Doorbell`], so the
 /// model checker (`window_model_tests` below) runs this very code.
 pub(crate) struct Window<W = AtomicUsize, L = Mutex<Fifo>> {
-    capacity: usize,
     /// Free permits, plus [`QUEUED`] while the FIFO holds an admission.
     word: W,
     fifo: L,
@@ -531,7 +457,7 @@ pub(crate) struct Window<W = AtomicUsize, L = Mutex<Fifo>> {
 /// `try_acquire` fails, and a returned permit is handed on under the lock.
 const QUEUED: usize = 1 << (usize::BITS - 1);
 
-/// What an admission runs once it holds its permits.
+/// What an admission runs once it holds its permit.
 type Launch = Box<dyn FnOnce() + Send>;
 
 /// The permit word of a [`Window`]: one sequentially consistent `usize`.
@@ -569,30 +495,20 @@ impl FifoLock for Mutex<Fifo> {
     }
 }
 
-/// The admissions of a [`Window`] that wait for permits, and those granted
+/// The admissions of a [`Window`] that wait for a permit, and those granted
 /// theirs that wait to be launched.
 #[derive(Default)]
 pub(crate) struct Fifo {
-    waiting: std::collections::VecDeque<Admission>,
+    waiting: std::collections::VecDeque<Launch>,
     granted: std::collections::VecDeque<Launch>,
     /// A thread is running `granted` right now; it runs new grants too.
     launching: bool,
-    next_id: u64,
-}
-
-struct Admission {
-    id: u64,
-    need: usize,
-    held: usize,
-    launch: Launch,
 }
 
 impl<W: PermitWord, L: FifoLock> Window<W, L> {
     fn new(permits: usize) -> Self {
-        let capacity = permits.max(1);
         Window {
-            capacity,
-            word: W::new(capacity),
+            word: W::new(permits.max(1)),
             fifo: L::new(Fifo::default()),
             contention: AtomicU64::new(0),
         }
@@ -613,77 +529,53 @@ impl<W: PermitWord, L: FifoLock> Window<W, L> {
             .is_ok()
     }
 
-    /// Returns `permits`: one atomic add while nothing waits, else handed
-    /// on to the FIFO under its lock.
-    fn free(&self, permits: usize) {
+    /// Returns a permit: one atomic add while nothing waits, else handed on
+    /// to the FIFO under its lock.
+    fn free(&self) {
         let before = self
             .word
-            .update(|word| Some(word + permits))
+            .update(|word| Some(word + 1))
             .unwrap_or_else(|word| word);
         if before & QUEUED != 0 {
             let mut fifo = self.fifo.lock();
-            self.hand_on(&mut fifo, 0);
+            self.hand_on(&mut fifo);
             self.launch_granted(fifo);
         }
     }
 
-    /// Queues an admission needing `need` permits, whose `launch` runs once
-    /// it holds them all — on this thread when they are free now, else on
-    /// the thread whose return completes it.  The id withdraws it
-    /// ([`Window::cancel`]).
-    fn admit(&self, need: usize, launch: Launch) -> u64 {
+    /// Queues an admission whose `launch` runs once it holds a permit — on
+    /// this thread when one is free now, else on the thread whose return
+    /// grants it.
+    fn admit(&self, launch: Launch) {
         let mut fifo = self.fifo.lock();
-        let id = fifo.next_id;
-        fifo.next_id += 1;
-        fifo.waiting.push_back(Admission {
-            id,
-            need,
-            held: 0,
-            launch,
-        });
-        self.hand_on(&mut fifo, 0);
-        if fifo.waiting.back().is_some_and(|last| last.id == id) {
+        fifo.waiting.push_back(launch);
+        self.hand_on(&mut fifo);
+        if !fifo.waiting.is_empty() {
             self.contention.fetch_add(1, Ordering::Relaxed);
         }
         self.launch_granted(fifo);
-        id
-    }
-
-    /// Withdraws a waiting admission, passing the permits it collected on
-    /// to the next in line; `false` when it was granted already.
-    fn cancel(&self, id: u64) -> bool {
-        let mut fifo = self.fifo.lock();
-        let Some(at) = fifo.waiting.iter().position(|admission| admission.id == id) else {
-            return false;
-        };
-        let cancelled = fifo.waiting.remove(at).expect("position just found");
-        self.hand_on(&mut fifo, cancelled.held);
-        self.launch_granted(fifo);
-        true
     }
 
     /// Under the FIFO lock: takes every counted permit (marking the word
-    /// [`QUEUED`] so none is taken past the lock) and, with `extra` already
-    /// in hand, gives them to the waiting admissions head first, granting
-    /// each head that then holds all it needs.  Once none waits, what is
-    /// left goes back to the word and the mark is cleared.
-    fn hand_on(&self, fifo: &mut Fifo, extra: usize) {
+    /// [`QUEUED`] so none is taken past the lock) and gives one to each
+    /// waiting admission, head first.  Once none waits, what is left goes
+    /// back to the word and the mark is cleared.
+    fn hand_on(&self, fifo: &mut Fifo) {
         let counted = self
             .word
             .update(|_| Some(QUEUED))
             .unwrap_or_else(|word| word);
-        let mut free = (counted & !QUEUED) + extra;
-        while let Some(head) = fifo.waiting.front_mut() {
-            let give = (head.need - head.held).min(free);
-            head.held += give;
-            free -= give;
-            if head.held < head.need {
-                return;
-            }
-            let head = fifo.waiting.pop_front().expect("head just seen");
-            fifo.granted.push_back(head.launch);
+        let mut free = counted & !QUEUED;
+        while free > 0 {
+            let Some(head) = fifo.waiting.pop_front() else {
+                break;
+            };
+            fifo.granted.push_back(head);
+            free -= 1;
         }
-        let _ = self.word.update(|word| Some((word & !QUEUED) + free));
+        if fifo.waiting.is_empty() {
+            let _ = self.word.update(|word| Some((word & !QUEUED) + free));
+        }
     }
 
     /// Runs the granted launches in grant order, one thread at a time:
@@ -744,14 +636,6 @@ impl ResourceManager for EmbeddedBackend {
         done(Ok(self.resolve(query)));
     }
 
-    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
-        done(Ok(queries
-            .into_iter()
-            .map(|query| self.resolve(query))
-            .collect()));
-        None
-    }
-
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         self.tickets.take(ticket)
     }
@@ -785,7 +669,6 @@ impl ResourceManager for EmbeddedBackend {
 pub struct LiveBackend {
     pipeline: LivePipeline,
     ledger: std::sync::Arc<Ledger>,
-    batch_deadline: Duration,
 }
 
 /// What launching and settling a ticket touch, shared with the completions
@@ -824,70 +707,20 @@ impl Ledger {
                 })
             }
             Err(e) => {
-                self.window.free(1);
+                self.window.free();
                 Err(e)
             }
         }
     }
 
-    /// The admission that launches `queries` once the window has granted
-    /// it a permit each, handing `done` every launch's result.
-    fn admission(
-        ledger: &std::sync::Arc<Ledger>,
-        queries: Vec<Query>,
-        done: impl FnOnce(&std::sync::Arc<Ledger>, Vec<Result<Ticket, AllocationError>>)
-            + Send
-            + 'static,
-    ) -> Launch {
-        let ledger = std::sync::Arc::downgrade(ledger);
-        Box::new(move || {
-            let ledger = ledger.upgrade().expect("the ledger outlives its window");
-            let launched = queries.into_iter().map(|q| ledger.launch(q)).collect();
-            done(&ledger, launched)
-        })
-    }
-
-    /// A batch's launches as one answer.  A launch fails only once the
-    /// pipeline is down, and from then on every launch does: the tickets
-    /// issued before it are settled as completions, their allocations
-    /// handed back.
-    fn batch(
-        self: &std::sync::Arc<Self>,
-        launched: Vec<Result<Ticket, AllocationError>>,
-    ) -> Result<Vec<Ticket>, AllocationError> {
-        let (tickets, failed): (Vec<_>, Vec<_>) = launched.into_iter().partition(Result::is_ok);
-        let Some(error) = failed.into_iter().find_map(Result::err) else {
-            return Ok(tickets.into_iter().flatten().collect());
-        };
-        for ticket in tickets.into_iter().flatten() {
-            let slot = self.pending.remove(ticket.id).expect("issued just now");
-            let ledger = self.clone();
-            slot.on_ready(Box::new(move |outcome| {
-                ledger.settle();
-                for allocation in outcome.iter().flatten() {
-                    ledger.launcher.release_with(allocation, Box::new(|_| {}));
-                }
-            }));
-        }
-        Err(error)
-    }
-
     fn settle(&self) {
         self.unsettled.fetch_sub(1, Ordering::Relaxed);
-        self.window.free(1);
+        self.window.free();
     }
 }
 
-/// The ticket id bit of a batch's admission in the live window
-/// ([`QueuedBatch::ticket`]); ticket ids never reach it.
-const ADMISSION: u64 = 1 << 63;
-
-/// The admission id of a batch larger than the whole window, which is
-/// never queued.
-const NEVER_QUEUED: u64 = !ADMISSION;
-
 impl LiveBackend {
-    fn new(pipeline: LivePipeline, window: usize, batch_deadline: Duration, shards: usize) -> Self {
+    fn new(pipeline: LivePipeline, window: usize, shards: usize) -> Self {
         LiveBackend {
             ledger: std::sync::Arc::new(Ledger {
                 launcher: pipeline.launcher(),
@@ -899,7 +732,6 @@ impl LiveBackend {
                 window: Window::new(window),
             }),
             pipeline,
-            batch_deadline,
         }
     }
 
@@ -940,50 +772,12 @@ impl ResourceManager for LiveBackend {
         if self.ledger.window.try_acquire() {
             done(self.ledger.launch(query));
         } else {
-            let launch = Ledger::admission(&self.ledger, vec![query], move |_, mut launched| {
-                done(launched.pop().expect("one query, one launch"))
-            });
-            self.ledger.window.admit(1, launch);
+            let ledger = std::sync::Arc::downgrade(&self.ledger);
+            self.ledger.window.admit(Box::new(move || {
+                let ledger = ledger.upgrade().expect("the ledger outlives its window");
+                done(ledger.launch(query))
+            }));
         }
-    }
-
-    /// Deadline-bounded backpressure: the batch is one admission needing a
-    /// permit per query, so it is all-or-nothing by construction, and waits
-    /// up to [`PipelineBuilder::batch_deadline`] for permits freed by
-    /// concurrent redeemers.  Withdrawn then, its collected permits pass to
-    /// the next in line, and the refusal reports the window state.  A batch
-    /// larger than the whole window, which at the head would hold up every
-    /// admission behind it, is never queued but refused at the same
-    /// deadline.  Federated daemons forward batches here.
-    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
-        if queries.is_empty() {
-            done(Ok(Vec::new()));
-            return None;
-        }
-        let window = &self.ledger.window;
-        let need = queries.len();
-        let id = match need <= window.capacity {
-            true => {
-                let launch = Ledger::admission(&self.ledger, queries, move |ledger, launched| {
-                    done(ledger.batch(launched))
-                });
-                window.admit(need, launch)
-            }
-            false => NEVER_QUEUED,
-        };
-        Some(QueuedBatch {
-            ticket: Ticket {
-                brand: self.ledger.brand,
-                id: ADMISSION | id,
-            },
-            deadline: Instant::now() + self.batch_deadline,
-            refusal: AllocationError::Internal(format!(
-                "batch backpressure deadline of {:?} elapsed with the in-flight \
-                 window of {} still full; redeem outstanding tickets, raise \
-                 PipelineBuilder::window, or raise PipelineBuilder::batch_deadline",
-                self.batch_deadline, window.capacity
-            )),
-        })
     }
 
     /// A latch on [`wait_with`](Self::wait_with).
@@ -1011,15 +805,10 @@ impl ResourceManager for LiveBackend {
     }
 
     /// A `Waiter → Pending` step under the ticket's slot lock; the slot
-    /// goes back to the outstanding tickets, its permit still held.  A
-    /// batch's admission is withdrawn from the window.
+    /// goes back to the outstanding tickets, its permit still held.
     fn cancel_wait(&self, ticket: Ticket) -> bool {
         if ticket.brand != self.ledger.brand {
             return false;
-        }
-        if ticket.id & ADMISSION != 0 {
-            return ticket.id == ADMISSION | NEVER_QUEUED
-                || self.ledger.window.cancel(ticket.id & !ADMISSION);
         }
         let Some(slot) = self.ledger.waiting.remove(ticket.id) else {
             return false;
@@ -1249,12 +1038,6 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
         done(Ok(self.tickets.issue(self.execute(&query))));
     }
 
-    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
-        let issue = |query: &Query| self.tickets.issue(self.execute(query));
-        done(Ok(queries.iter().map(issue).collect()));
-        None
-    }
-
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         self.tickets.take(ticket)
     }
@@ -1296,7 +1079,6 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
 pub struct PipelineBuilder {
     config: PipelineConfig,
     window: usize,
-    batch_deadline: Duration,
     database: Option<SharedDatabase>,
     domains: Vec<(String, SharedDatabase)>,
     server: ServerConfig,
@@ -1315,7 +1097,6 @@ impl PipelineBuilder {
         PipelineBuilder {
             config: PipelineConfig::default(),
             window: 32,
-            batch_deadline: Duration::from_secs(30),
             database: None,
             domains: Vec::new(),
             server: ServerConfig::default(),
@@ -1417,15 +1198,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// How long a live-backend batch submission may wait for in-flight
-    /// window permits before giving up (deadline-bounded backpressure;
-    /// default 30 s).  Both the plain and the federated daemon apply this
-    /// bound to over-window `SubmitBatch` requests.
-    pub fn batch_deadline(mut self, deadline: Duration) -> Self {
-        self.batch_deadline = deadline;
-        self
-    }
-
     /// Reactor I/O threads for a served daemon (clamped to at least 1).
     pub fn reactor_io_threads(mut self, n: usize) -> Self {
         self.server.io_threads = n;
@@ -1496,13 +1268,11 @@ impl PipelineBuilder {
 
     /// Builds the live (threaded) backend.
     pub fn build_live(self) -> Result<LiveBackend, AllocationError> {
-        let batch_deadline = self.batch_deadline;
         let (config, window, domains) = self.take_domains()?;
         let shards = config.shards;
         Ok(LiveBackend::new(
             LivePipeline::new(config, domains, Placement::Threaded),
             window,
-            batch_deadline,
             shards,
         ))
     }
@@ -1618,7 +1388,6 @@ impl PipelineBuilder {
 mod tests {
     use super::*;
     use actyp_grid::{FleetSpec, SyntheticFleet};
-    use std::time::Instant;
 
     fn fleet_db(n: usize, seed: u64) -> SharedDatabase {
         SyntheticFleet::new(FleetSpec::with_machines(n), seed)
@@ -1691,10 +1460,11 @@ mod tests {
     }
 
     #[test]
-    fn submit_batch_issues_one_ticket_per_query() {
+    fn pipelined_submissions_issue_one_ticket_per_query() {
         let manager = builder(400, 4).build(BackendKind::Live).unwrap();
-        let queries = vec![Query::paper_example(); 5];
-        let tickets = manager.submit_batch(queries).unwrap();
+        let tickets: Vec<Ticket> = (0..5)
+            .map(|_| manager.submit(Query::paper_example()).unwrap())
+            .collect();
         assert_eq!(tickets.len(), 5);
         assert!(manager.stats().in_flight >= 1);
         for ticket in tickets {
@@ -1743,21 +1513,19 @@ mod tests {
                 launched.fetch_add(n, Ordering::SeqCst);
             })
         };
-        window.admit(1, note(1));
-        let batch = window.admit(2, note(10));
+        window.admit(note(1));
+        window.admit(note(10));
         assert_eq!(launched.load(Ordering::SeqCst), 0, "both queue");
         assert_eq!(window.contention.load(Ordering::Relaxed), 2);
         // The returning thread launches the head, with the permit it
-        // returned; nothing takes a permit past the queued batch.
-        window.free(1);
+        // returned; nothing takes a permit past the second in line.
+        window.free();
         assert_eq!(launched.load(Ordering::SeqCst), 1);
         assert!(!window.try_acquire());
-        // The batch collects the next permit but needs two: withdrawn, it
-        // hands that permit back to the window.
-        window.free(1);
-        assert_eq!(launched.load(Ordering::SeqCst), 1);
-        assert!(window.cancel(batch));
-        assert!(!window.cancel(batch), "withdrawn once");
+        window.free();
+        assert_eq!(launched.load(Ordering::SeqCst), 11);
+        // With nothing waiting, a returned permit goes back to the word.
+        window.free();
         assert!(window.try_acquire());
         assert!(!window.try_acquire());
     }
@@ -1834,100 +1602,6 @@ mod tests {
             AllocationError::UnknownTicket
         );
         assert!(first.wait(ticket).is_ok(), "the issuer still honours it");
-    }
-
-    #[test]
-    fn oversized_live_batches_fail_after_the_deadline_not_deadlock() {
-        let manager = builder(300, 22)
-            .window(2)
-            .batch_deadline(Duration::from_millis(100))
-            .build_live()
-            .unwrap();
-        // No concurrent redeemer: the over-window batch waits out the
-        // deadline, settles what it issued, and reports the window state.
-        let started = Instant::now();
-        let err = manager
-            .submit_batch(vec![Query::paper_example(); 3])
-            .unwrap_err();
-        assert!(matches!(err, AllocationError::Internal(_)));
-        assert!(
-            started.elapsed() >= Duration::from_millis(100),
-            "the batch must backpressure until the deadline, not reject outright"
-        );
-        // Nothing leaked: a batch that fits still goes through afterwards.
-        let tickets = manager
-            .submit_batch(vec![Query::paper_example(); 2])
-            .unwrap();
-        for ticket in tickets {
-            let allocations = manager.wait(ticket).unwrap();
-            manager.release(&allocations[0]).unwrap();
-        }
-        manager.shutdown().unwrap();
-    }
-
-    #[test]
-    fn a_batch_larger_than_the_window_holds_up_no_other_submission() {
-        let deadline = Duration::from_secs(3);
-        let manager = std::sync::Arc::new(
-            builder(300, 27)
-                .window(2)
-                .batch_deadline(deadline)
-                .build_live()
-                .unwrap(),
-        );
-        let batch = {
-            let manager = manager.clone();
-            std::thread::spawn(move || manager.submit_batch(vec![Query::paper_example(); 3]))
-        };
-        std::thread::sleep(Duration::from_millis(100));
-        // Queued at the head, the batch would take this permit and keep it
-        // until its deadline.
-        let started = Instant::now();
-        let ticket = manager.submit(Query::paper_example()).unwrap();
-        assert!(started.elapsed() < deadline / 2, "{:?}", started.elapsed());
-        let allocations = manager.wait(ticket).unwrap();
-        manager.release(&allocations[0]).unwrap();
-        assert!(matches!(
-            batch.join().unwrap(),
-            Err(AllocationError::Internal(_))
-        ));
-        manager.shutdown().unwrap();
-    }
-
-    #[test]
-    fn oversized_live_batch_completes_when_a_redeemer_frees_the_window() {
-        let manager = std::sync::Arc::new(
-            builder(300, 26)
-                .window(2)
-                .batch_deadline(Duration::from_secs(10))
-                .build_live()
-                .unwrap(),
-        );
-        // Fill the window, then submit an over-window batch while another
-        // thread redeems the blockers: the batch must ride the freed
-        // permits instead of failing.
-        let blockers = manager
-            .submit_batch(vec![Query::paper_example(); 2])
-            .unwrap();
-        let redeemer = {
-            let manager = manager.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
-                for ticket in blockers {
-                    let allocations = manager.wait(ticket).unwrap();
-                    manager.release(&allocations[0]).unwrap();
-                }
-            })
-        };
-        let tickets = manager
-            .submit_batch(vec![Query::paper_example(); 2])
-            .unwrap();
-        redeemer.join().unwrap();
-        for ticket in tickets {
-            let allocations = manager.wait(ticket).unwrap();
-            manager.release(&allocations[0]).unwrap();
-        }
-        manager.shutdown().unwrap();
     }
 
     #[test]
@@ -2059,8 +1733,8 @@ mod tests {
 }
 
 /// Bounded-interleaving proofs of [`Window`] (`--features model`), run by
-/// the CI `model-check` job: the daemon's own `try_acquire`, `free`,
-/// `admit` and `cancel` over a mutex-wrapped permit word and an
+/// the CI `model-check` job: the daemon's own `try_acquire`, `free` and
+/// `admit` over a mutex-wrapped permit word and an
 /// `actyp-model` lock around the FIFO.  Launches run on whichever model
 /// thread completes them and return their permit from there, as a settled
 /// ticket does.
@@ -2118,7 +1792,7 @@ mod window_model_tests {
         let (window, log) = (window.clone(), log.clone());
         Box::new(move || {
             log.lock().unwrap().push(name);
-            window.free(1);
+            window.free();
         })
     }
 
@@ -2141,56 +1815,31 @@ mod window_model_tests {
         let window = Arc::new(ModelWindow::new(1));
         let log: Log = Arc::default();
         assert!(window.try_acquire());
-        let a = window.admit(1, entry(&window, &log, 'A'));
+        window.admit(entry(&window, &log, 'A'));
         let holder = {
             let window = window.clone();
-            thread::spawn(move || window.free(1))
+            thread::spawn(move || window.free())
         };
         let late = {
             let (window, log) = (window.clone(), log.clone());
-            thread::spawn(move || window.admit(1, entry(&window, &log, 'B')))
+            thread::spawn(move || window.admit(entry(&window, &log, 'B')))
         };
         let shortcut = {
             let (window, log) = (window.clone(), log.clone());
             thread::spawn(move || {
                 if window.try_acquire() {
                     log.lock().unwrap().push('T');
-                    window.free(1);
+                    window.free();
                 }
             })
         };
         holder.join().unwrap();
-        let b = late.join().unwrap();
+        late.join().unwrap();
         shortcut.join().unwrap();
         let log = log.lock().unwrap().clone();
         assert_eq!(log.first(), Some(&'A'), "overtaken: {log:?}");
         let launched: Vec<char> = log.iter().copied().filter(|&c| c != 'T').collect();
-        assert_eq!(launched, vec!['A', 'B'], "ids {a} < {b}");
-        assert_eq!(drain(&window), 1, "a permit lost or duplicated");
-    }
-
-    /// A window of two with both permits held and a batch `X` needing both
-    /// queued ahead of `C`.  One permit returns while `X` is withdrawn:
-    /// whichever comes first, the permit ends with `C` — handed on by the
-    /// cancel when `X` had collected it — and `X` never runs.
-    fn cancelled_head_scenario() {
-        let window = Arc::new(ModelWindow::new(2));
-        let log: Log = Arc::default();
-        assert_eq!(drain(&window), 2);
-        let x = window.admit(2, entry(&window, &log, 'X'));
-        window.admit(1, entry(&window, &log, 'C'));
-        let holder = {
-            let window = window.clone();
-            thread::spawn(move || window.free(1))
-        };
-        let canceller = {
-            let window = window.clone();
-            thread::spawn(move || window.cancel(x))
-        };
-        holder.join().unwrap();
-        assert!(canceller.join().unwrap(), "X can never hold two permits");
-        assert_eq!(*log.lock().unwrap(), vec!['C']);
-        // `C` returned its permit; the other is still held.
+        assert_eq!(launched, vec!['A', 'B'], "out of arrival order");
         assert_eq!(drain(&window), 1, "a permit lost or duplicated");
     }
 
@@ -2202,16 +1851,6 @@ mod window_model_tests {
         let report = explorer().prove(arrival_order_scenario);
         assert!(report.proven());
         assert!(report.schedules > 100, "interleavings actually explored");
-    }
-
-    /// A withdrawn head passes the permits it collected to the next in
-    /// line.
-    #[cfg(not(feature = "buggy-window"))]
-    #[test]
-    fn window_cancel_passes_permits_on_proven() {
-        let report = explorer().prove(cancelled_head_scenario);
-        assert!(report.proven());
-        assert!(report.schedules > 10, "interleavings actually explored");
     }
 
     /// REGRESSION (`--features model,buggy-window`): a `try_acquire` that

@@ -13,14 +13,15 @@
 //! no thread of its own: each calling thread reads its own reply, taking
 //! turns at the socket with the other callers of the same connection.
 //!
-//! A submission carries its own wait (protocol v4): `submit` writes the
-//! `Submit` frame and returns at once, and the daemon answers it with the
-//! query's `Outcome`.  The ticket is the request's correlation id on this
-//! connection, never a daemon-issued id, and `wait` collects that reply —
+//! A submission carries its own wait: `submit` writes the `Submit` frame
+//! and returns at once, and the daemon answers it with the query's
+//! `Outcome`.  The ticket is the request's correlation id on this
+//! connection — the daemon issues none — and `wait` collects that reply:
 //! only then does the calling thread take its turn at the socket.  One
 //! allocation is two round trips: `Submit` → `Outcome`, `Release` →
-//! `Released`.  Batch tickets are the daemon's own and are redeemed with
-//! a `Wait` or `Poll` frame.
+//! `Released`.  Several queries are in flight at once as several pipelined
+//! `Submit`s; `wait_deadline` and `try_poll` collect the reply with their
+//! deadline on this side of the socket.
 //!
 //! A submission's ticket must be redeemed: its reply waits on the
 //! connection until `wait` (or a `wait_deadline` / `try_poll` that returns
@@ -34,24 +35,9 @@ use actyp_proto::{ClientFrame, RequestId, ServerFrame, MAX_SEQUENCE_LEN};
 use actyp_query::Query;
 
 use crate::allocation::{AllocationError, ReleaseDone, WaitDone};
-use crate::api::{
-    BatchDone, QueryOutcome, QueuedBatch, ResourceManager, StatsSnapshot, SubmitDone, Ticket,
-};
+use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, SubmitDone, Ticket};
 use crate::corr::{Conn, ConnError};
 use crate::message::StageAddress;
-
-/// The ticket id bit of a single submission, whose ticket is its `Submit`'s
-/// correlation id.  Batch tickets are the daemon's session-scoped ids,
-/// counted up from 0, which never reach it (PROTOCOL.md §3.2).
-const SUBMISSION_TICKET: u64 = 1 << 63;
-
-/// How a ticket of this connection is redeemed.
-enum Redeem {
-    /// A single submission: collect its `Submit`'s reply (correlation id).
-    Submission(u64),
-    /// A batch ticket: ask the daemon with `Wait` / `Poll` (wire ticket id).
-    Batch(u64),
-}
 
 /// The [`ResourceManager`] surface served by a remote `ypd` daemon over one
 /// TCP connection.
@@ -95,7 +81,7 @@ impl RemoteBackend {
     }
 
     /// Sends one request frame and blocks for the response that carries the
-    /// same correlation id.  No reply deadline: a `Wait` legitimately
+    /// same correlation id.  No reply deadline: a `Release` legitimately
     /// takes as long as the pipeline does, and a dead connection wakes
     /// the request anyway.
     fn request(
@@ -112,21 +98,14 @@ impl RemoteBackend {
         }
     }
 
-    fn redeem(&self, ticket: Ticket) -> Result<Redeem, AllocationError> {
+    /// Collects the `Outcome` of `ticket`'s `Submit`, waiting for it at
+    /// most `deadline` (forever when `None`); `None` while it has not
+    /// arrived.
+    fn collect(&self, ticket: Ticket, deadline: Option<Duration>) -> Option<QueryOutcome> {
         if ticket.brand() != self.brand {
-            return Err(AllocationError::UnknownTicket);
+            return Some(Err(AllocationError::UnknownTicket));
         }
-        let id = ticket.id();
-        Ok(match id & SUBMISSION_TICKET {
-            0 => Redeem::Batch(id),
-            _ => Redeem::Submission(id & !SUBMISSION_TICKET),
-        })
-    }
-
-    /// Collects a single submission's `Outcome`, waiting for it at most
-    /// `deadline` (forever when `None`); `None` while it has not arrived.
-    fn collect(&self, corr: u64, deadline: Option<Duration>) -> Option<QueryOutcome> {
-        match self.conn.collect(corr, deadline) {
+        match self.conn.collect(ticket.id(), deadline) {
             None => Some(Err(AllocationError::UnknownTicket)),
             Some(Ok(frame)) => Some(Self::outcome(frame)),
             Some(Err(ConnError::Timeout)) => None,
@@ -169,7 +148,7 @@ impl RemoteBackend {
             .conn
             .submit(|corr| ClientFrame::Submit { corr, query })
             .map_err(Self::conn_error)?;
-        Ok(Ticket::from_parts(self.brand, corr | SUBMISSION_TICKET))
+        Ok(Ticket::from_parts(self.brand, corr))
     }
 
     /// Asks the daemon itself to drain and exit (administrative; not part
@@ -208,43 +187,9 @@ impl ResourceManager for RemoteBackend {
         done(self.submit(query));
     }
 
-    /// The round trip runs on the calling thread, like
-    /// [`submit_with`](Self::submit_with)'s.
-    fn submit_batch_with(&self, queries: Vec<Query>, done: BatchDone) -> Option<QueuedBatch> {
-        done(self.submit_batch(queries));
-        None
-    }
-
-    /// The `SubmitBatch` frame: the daemon applies the batch deadline.
-    fn submit_batch(&self, queries: Vec<Query>) -> Result<Vec<Ticket>, AllocationError> {
-        let rendered: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
-        for query in &rendered {
-            Self::check_wire_text(query)?;
-        }
-        match self.request(|corr| ClientFrame::SubmitBatch {
-            corr,
-            queries: rendered,
-        })? {
-            ServerFrame::BatchSubmitted { tickets, .. } => Ok(tickets
-                .into_iter()
-                .map(|id| Ticket::from_parts(self.brand, id))
-                .collect()),
-            ServerFrame::Error { error, .. } => Err(error),
-            other => Err(Self::unexpected(other)),
-        }
-    }
-
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        match self.redeem(ticket)? {
-            Redeem::Submission(corr) => self
-                .collect(corr, None)
-                .expect("an unbounded collect returns the reply"),
-            Redeem::Batch(id) => Self::outcome(self.request(|corr| ClientFrame::Wait {
-                corr,
-                ticket: id,
-                deadline_ms: None,
-            })?),
-        }
+        self.collect(ticket, None)
+            .expect("an unbounded collect returns the reply")
     }
 
     /// The redemption runs on the calling thread, like
@@ -253,37 +198,14 @@ impl ResourceManager for RemoteBackend {
         done(self.wait(ticket));
     }
 
-    /// A submission's reply is collected here, with the deadline on this
-    /// side of the socket; a batch ticket ships its deadline to the daemon.
+    /// The reply is collected here, with the deadline on this side of the
+    /// socket: the daemon never hears of it.
     fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        let id = match self.redeem(ticket) {
-            Ok(Redeem::Submission(corr)) => return self.collect(corr, Some(timeout)),
-            Ok(Redeem::Batch(id)) => id,
-            Err(e) => return Some(Err(e)),
-        };
-        let deadline_ms = u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX);
-        match self.request(|corr| ClientFrame::Wait {
-            corr,
-            ticket: id,
-            deadline_ms: Some(deadline_ms),
-        }) {
-            Ok(ServerFrame::TimedOut { .. }) => None,
-            Ok(frame) => Some(Self::outcome(frame)),
-            Err(e) => Some(Err(e)),
-        }
+        self.collect(ticket, Some(timeout))
     }
 
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        let id = match self.redeem(ticket) {
-            Ok(Redeem::Submission(corr)) => return self.collect(corr, Some(Duration::ZERO)),
-            Ok(Redeem::Batch(id)) => id,
-            Err(e) => return Some(Err(e)),
-        };
-        match self.request(|corr| ClientFrame::Poll { corr, ticket: id }) {
-            Ok(ServerFrame::Pending { .. }) => None,
-            Ok(frame) => Some(Self::outcome(frame)),
-            Err(e) => Some(Err(e)),
-        }
+        self.collect(ticket, Some(Duration::ZERO))
     }
 
     fn release(&self, allocation: &crate::allocation::Allocation) -> Result<(), AllocationError> {
@@ -330,7 +252,7 @@ impl ResourceManager for RemoteBackend {
 impl Drop for RemoteBackend {
     fn drop(&mut self) {
         // Closing the socket ends the server session, which settles any
-        // tickets this client abandoned.
+        // submissions and leases this client abandoned.
         self.conn.shutdown();
     }
 }

@@ -420,10 +420,7 @@ impl Framed for ServerFrame {
         match self {
             ServerFrame::HelloAck { .. } | ServerFrame::HelloReject { .. } => None,
             ServerFrame::Submitted { corr, .. }
-            | ServerFrame::BatchSubmitted { corr, .. }
             | ServerFrame::Outcome { corr, .. }
-            | ServerFrame::Pending { corr }
-            | ServerFrame::TimedOut { corr }
             | ServerFrame::Released { corr }
             | ServerFrame::StatsReply { corr, .. }
             | ServerFrame::Ack { corr }
@@ -1147,7 +1144,7 @@ impl<P: Prims, F: Framed, S: Source<F>> Relay<P, F, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use actyp_proto::{read_client_frame, StatsSnapshot, MAX_FRAME_LEN, MAX_SEQUENCE_LEN};
+    use actyp_proto::{read_client_frame, StatsSnapshot, MAX_SEQUENCE_LEN};
     use crossbeam::channel::{unbounded, Receiver, Sender};
     use std::net::TcpListener;
 
@@ -1210,10 +1207,10 @@ mod tests {
         // The first request is on the far side and unanswered when the
         // over-limit one is attempted on the same connection.
         arrived.recv().unwrap();
-        let oversized = vec!["x".repeat(MAX_SEQUENCE_LEN); MAX_FRAME_LEN / MAX_SEQUENCE_LEN + 1];
-        let refused = conn.request(Some(REPLY_TIMEOUT), |corr| ClientFrame::SubmitBatch {
+        let oversized = "x".repeat(MAX_SEQUENCE_LEN + 1);
+        let refused = conn.request(Some(REPLY_TIMEOUT), |corr| ClientFrame::Submit {
             corr,
-            queries: oversized,
+            query: oversized,
         });
         assert!(matches!(refused, Err(ConnError::Refused(_))), "{refused:?}");
         assert!(!conn.is_dead(), "a refused frame must not poison the link");

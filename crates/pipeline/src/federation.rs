@@ -41,14 +41,15 @@
 //! Every peer link is dialed by the serving reactor's first I/O thread (a
 //! non-blocking connect, `Hello` and `SyncPools` as steps of a session of
 //! kind *peer*), and its connection is born attached to that session.  A
-//! federated `Wait`, a remote `Release`, an inbound `Delegate`, a gossip
+//! federated redemption, a remote `Release`, an inbound `Delegate`, a gossip
 //! round and a probe are completions ([`ResourceManager::wait_with`],
 //! [`ResourceManager::release_with`], [`FederatedBackend::delegate_with`]):
 //! each frame to a peer is written by whichever thread holds the previous
 //! answer — once its link is up, dialing it first if need be — and its
 //! reply's completion runs on the link's I/O thread.  A give-up takes a
-//! federated `Wait` back ([`ResourceManager::cancel_wait`]) only while its
-//! local wait is open: once a chain has started, its outcome is the answer.
+//! federated redemption back ([`ResourceManager::cancel_wait`]) only while
+//! its local wait is open: once a chain has started, its outcome is the
+//! answer.
 //! The blocking trait methods are latches on those same completions.
 
 use std::collections::HashMap;
@@ -62,9 +63,7 @@ use parking_lot::Mutex;
 use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, ServerFrame};
 
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{
-    BatchDone, QueryOutcome, QueuedBatch, ResourceManager, StatsSnapshot, SubmitDone, Ticket,
-};
+use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, SubmitDone, Ticket};
 use crate::corr::{Conn, ConnError, COMPLETION_TIMEOUT};
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
@@ -985,11 +984,6 @@ impl FederatedBackend {
         &self.view
     }
 
-    /// The wrapped backend (inspection).
-    pub fn inner(&self) -> &dyn ResourceManager {
-        self.inner.as_ref()
-    }
-
     /// Routing state after the most recent delegation chain this daemon
     /// originated or continued (`None` before the first delegation).
     pub fn last_chain(&self) -> Option<RoutingState> {
@@ -1366,14 +1360,6 @@ impl FederatedBackend {
         names.map(|name| name.full()).collect()
     }
 
-    /// Spends `ticket`, returning the wrapped backend's ticket behind it —
-    /// for a closing session, which settles what its vanished client
-    /// abandoned locally: nobody is left to use an allocation a peer would
-    /// make, so delegating (and releasing hop by hop) would be pure churn.
-    pub(crate) fn take_local(&self, ticket: Ticket) -> Option<Ticket> {
-        self.tickets.take(ticket).ok().map(|pending| pending.inner)
-    }
-
     /// [`ResourceManager::wait_with`] for a waiter that may leave meanwhile
     /// — a `ypd` session: a delegable local failure is delegated only if
     /// `wanted()` still holds once it is in.  A client gone by then gets its
@@ -1536,31 +1522,6 @@ impl ResourceManager for FederatedBackend {
         );
     }
 
-    /// Batches forward to the wrapped backend's own batch submission, so an
-    /// over-window batch gets the same deadline-bounded backpressure on a
-    /// federated daemon as on a plain one, and its admission is withdrawn
-    /// through [`cancel_wait`](ResourceManager::cancel_wait) the same way.
-    /// Every issued ticket still records its query text for later
-    /// delegation.
-    fn submit_batch_with(
-        &self,
-        queries: Vec<actyp_query::Query>,
-        done: BatchDone,
-    ) -> Option<QueuedBatch> {
-        let rendered: Vec<String> = queries.iter().map(|q| q.to_string()).collect();
-        let tickets = self.tickets.clone();
-        let issue = move |inner: Vec<Ticket>| {
-            let issued = inner.into_iter().zip(rendered);
-            issued
-                .map(|(inner, query)| tickets.issue(inner, query))
-                .collect()
-        };
-        self.inner.submit_batch_with(
-            queries,
-            Box::new(move |submitted| done(submitted.map(issue))),
-        )
-    }
-
     /// A latch on [`wait_with`](ResourceManager::wait_with).
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         crate::api::redeem_within(self, ticket, None)
@@ -1573,12 +1534,10 @@ impl ResourceManager for FederatedBackend {
 
     /// Forwarded to the wrapped backend while the local wait is open.  Once
     /// the local outcome is in there is nothing to take back: a chain runs
-    /// past a deadline rather than fail a query a peer could satisfy.  A
-    /// ticket of the wrapped backend — a forwarded batch's admission — is
-    /// forwarded as it is.
+    /// past a deadline rather than fail a query a peer could satisfy.
     fn cancel_wait(&self, ticket: Ticket) -> bool {
         if ticket.brand() != self.tickets.brand {
-            return self.inner.cancel_wait(ticket);
+            return false;
         }
         let Some(pending) = self.tickets.waiting.lock().remove(&ticket.id()) else {
             return false;

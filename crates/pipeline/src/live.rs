@@ -1703,8 +1703,8 @@ mod tests {
 /// by the CI `model-check` job: the daemon's own `fill`, `on_ready` and
 /// `withdraw` over an `actyp-model` mutex.  A pool-manager stage fills the
 /// slot while a redeemer leaves its completion in it — and, in the second
-/// scenario, gives up on it at once, as a `Poll` does, redeeming the ticket
-/// again when the give-up took the completion back.
+/// scenario, gives up on it at once, as a zero-deadline `try_poll` does,
+/// redeeming the ticket again when the give-up took the completion back.
 #[cfg(all(test, feature = "model"))]
 mod slot_model_tests {
     use super::{Outcome, OutcomeSlot, SlotLock, SlotState};

@@ -872,11 +872,6 @@ impl TimerWheel {
         });
     }
 
-    /// Disarms a timer; unknown ids are ignored.
-    pub fn remove(&mut self, id: u64) {
-        self.timers.retain(|t| t.id != id);
-    }
-
     /// How long a poll may block without overshooting the next deadline:
     /// the time to the earliest deadline, clamped to at most `cap`.
     pub fn poll_timeout(&self, cap: Duration) -> Duration {
@@ -1106,7 +1101,7 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_rearm_replaces_and_remove_disarms() {
+    fn timer_wheel_rearm_replaces_the_registration() {
         let mut wheel = TimerWheel::new();
         wheel.add(5, Duration::ZERO);
         wheel.add(5, Duration::from_secs(60));
@@ -1114,9 +1109,6 @@ mod tests {
             wheel.expired(std::time::Instant::now()).is_empty(),
             "re-arming replaced the due registration"
         );
-        wheel.add(6, Duration::ZERO);
-        wheel.remove(6);
-        assert!(wheel.expired(std::time::Instant::now()).is_empty());
     }
 }
 

@@ -4,13 +4,12 @@
 //!
 //! [`serve`] binds a listener and hosts *any* [`ResourceManager`] — the
 //! pipeline with its stages inline or threaded, or a centralized baseline.
-//! Each connection is a *session* with its own ticket table: wire ticket
-//! ids are session-scoped, so one client can never redeem (or guess)
-//! another's tickets.  Allocations are *session leases*: a session that
-//! ends settles its outstanding tickets (each outcome taken as it arrives
-//! and handed straight back) and every allocation the client still held,
-//! so an abruptly disconnected client leaks neither machines nor window
-//! permits.  [`ServerHandle::halt`] (or a client's [`ClientFrame::Halt`])
+//! Each connection is a *session*.  The daemon issues it no ticket: a
+//! `Submit` is answered by its query's `Outcome`, so several queries are in
+//! flight as several pipelined `Submit`s.  Allocations are *session
+//! leases*: a session that ends waits for the outcomes of its submissions
+//! and hands back every allocation the client still held, so an abruptly
+//! disconnected client leaks neither machines nor window permits.  [`ServerHandle::halt`] (or a client's [`ClientFrame::Halt`])
 //! drains the daemon gracefully: the listener stops accepting, open
 //! sessions finish, and [`ServerHandle::join`] then tears the hosted
 //! backend down.
@@ -27,15 +26,12 @@
 //! its replies), and a drain-aware close that lets queued replies leave
 //! before the socket shuts.  A request is finished by whichever thread has
 //! its answer: the I/O thread that decoded it when nothing has to wait; the
-//! backend stage that produces a wait's or a release's answer
+//! backend stage that produces a submission's outcome or a release's answer
 //! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`]); for
-//! a `Submit` or a `SubmitBatch` the live backend's admission window
-//! ([`ResourceManager::submit_with`], [`ResourceManager::submit_batch_with`]),
-//! at once or from the thread whose release frees its permits; a `Poll`, a
-//! deadline `Wait` or a queued `SubmitBatch` gives up by taking its
-//! completion back ([`ResourceManager::cancel_wait`]).  A closing session
-//! settles its abandoned tickets the same way.  No call leaves the I/O
-//! thread for a worker: a hosted backend's calls do not park.  Whoever
+//! a `Submit` the live backend's admission window
+//! ([`ResourceManager::submit_with`]), at once or from the thread whose
+//! settle frees its permit.  No call leaves the I/O thread for a worker: a
+//! hosted backend's calls do not park.  Whoever
 //! finishes a request writes the reply to the session's non-blocking socket
 //! itself; only what the socket does not take is queued for the session's
 //! I/O thread, which is rung for it — a syscall only if that thread is
@@ -45,11 +41,11 @@
 //! wheel also drives the periodic anti-entropy gossip tick and peer health
 //! probe of a federated daemon, each round a set of completions.  The same
 //! thread dials and carries every peer link as a session of kind *peer*
-//! (a non-blocking connect, then `Hello` and `SyncPools`): a federated `Wait`, a remote
-//! `Release` and an inbound `Delegate` are completions too, each `Delegate`
-//! or `Release` to a peer written by the thread that holds the previous
-//! answer, and each peer reply finished there (see
-//! [`crate::federation`]).  The daemon's thread count is therefore
+//! (a non-blocking connect, then `Hello` and `SyncPools`): a federated
+//! redemption, a remote `Release` and an inbound `Delegate` are
+//! completions too, each `Delegate` or `Release` to a peer written by the
+//! thread that holds the previous answer, and each peer reply finished
+//! there (see [`crate::federation`]).  The daemon's thread count is therefore
 //! *independent of its session count*: the I/O pool + the hosted backend's
 //! stages, whether two clients are connected or two thousand.
 
@@ -191,9 +187,8 @@ impl ServerHandle {
 /// with the default [`ServerConfig`].
 ///
 /// The I/O threads call `manager`'s completion methods
-/// ([`ResourceManager::submit_with`] and the other `_with` methods, and
-/// [`ResourceManager::cancel_wait`]) themselves, so a hosted backend must
-/// not park in any of them.  Every [`crate::api::BackendKind`] and a
+/// ([`ResourceManager::submit_with`] and the other `_with` methods)
+/// themselves, so a hosted backend must not park in any of them.  Every [`crate::api::BackendKind`] and a
 /// federation over one keeps that promise; a
 /// [`RemoteBackend`](crate::client::RemoteBackend), whose `_with` methods
 /// run a round trip, is a client and is not to be hosted.
@@ -450,47 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn server_side_ticket_tables_are_session_scoped() {
-        let server = serve_kind(BackendKind::Embedded, 200, 21);
-        let addr = server.local_addr();
-        let first = RemoteBackend::connect(&addr).unwrap();
-        // A batch ticket: its id is the daemon's (a single submission's
-        // ticket never crosses the wire).
-        let ticket = first
-            .submit_batch(vec![Query::paper_example()])
-            .unwrap()
-            .remove(0);
-
-        // A raw second session replays the FIRST session's wire ticket id,
-        // bypassing the client-side brand check entirely: the server must
-        // refuse it from its own (empty) session table.
-        let mut raw = raw_hello(&addr);
-        write_frame(
-            &mut raw,
-            &ClientFrame::Wait {
-                corr: RequestId(1),
-                ticket: ticket.id(),
-                deadline_ms: None,
-            },
-        )
-        .unwrap();
-        match read_server_frame(&mut raw).unwrap() {
-            Some(ServerFrame::Error { error, .. }) => {
-                assert_eq!(error, AllocationError::UnknownTicket);
-            }
-            other => panic!("expected UnknownTicket, got {other:?}"),
-        }
-        drop(raw);
-
-        // The issuing session still redeems it.
-        let allocations = first.wait(ticket).unwrap();
-        first.release(&allocations[0]).unwrap();
-        first.halt_daemon().unwrap();
-        first.shutdown().unwrap();
-        server.join().unwrap();
-    }
-
-    #[test]
     fn abandoned_blocked_submissions_do_not_wedge_the_drain() {
         // A raw client floods more submissions than the live backend's
         // admission window and vanishes without reading a reply.  The
@@ -573,14 +527,12 @@ mod tests {
 
     #[test]
     fn disconnect_racing_an_in_flight_wait_leaks_nothing() {
-        // Raw client: submit a batch of one, read its ticket, fire a Wait,
-        // and hang up without reading the Outcome.  Whoever redeems the
-        // ticket — the I/O thread when the outcome is already there
-        // (always behind the eager backend, and behind the live one once
-        // the pipeline has answered), the stage that produces it otherwise
-        // — has pulled it out of the session table, so only the lease
-        // mechanism can return the allocation, and the teardown that races
-        // it must not settle the same ticket a second time.
+        // Raw client: a `Submit` carries its wait, and the client hangs up
+        // without reading the Outcome.  Whoever redeems it — the I/O
+        // thread behind the eager backend, the stage that produces the
+        // outcome behind the live one — delivers into a session that may
+        // be closing already, so only the lease mechanism can return the
+        // allocation, and the teardown that races it must return it once.
         for kind in [BackendKind::Embedded, BackendKind::Live] {
             let db = fleet_db(200, 8);
             let manager: Arc<dyn ResourceManager> = Arc::from(
@@ -590,27 +542,16 @@ mod tests {
                     .unwrap(),
             );
             let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
-            let addr = server.local_addr();
             {
-                let mut raw = raw_hello(&addr);
-                let ticket = batch_raw(&mut raw, 0, 1)[0];
-                // Give the live pipeline the chance to have answered, so
-                // the Wait below is (almost always) the inline hit.
-                let answered = std::time::Instant::now();
-                while manager.stats().allocations == 0
-                    && answered.elapsed() < std::time::Duration::from_secs(10)
-                {
+                let mut raw = raw_hello(&server.local_addr());
+                submit_raw(&mut raw, 0);
+                // Hang up as the outcome is delivered, before the drain
+                // could close the session with the `Submit` unread.
+                let started = std::time::Instant::now();
+                while manager.stats().allocations == 0 {
+                    assert!(started.elapsed() < std::time::Duration::from_secs(10));
                     std::thread::yield_now();
                 }
-                write_frame(
-                    &mut raw,
-                    &ClientFrame::Wait {
-                        corr: RequestId(1),
-                        ticket,
-                        deadline_ms: None,
-                    },
-                )
-                .unwrap();
                 // Dropped without reading the Outcome.
             }
             server.halt();
@@ -670,7 +611,7 @@ mod tests {
 
     type HeldWaits = Arc<Mutex<Vec<(crate::api::Ticket, crate::WaitDone)>>>;
 
-    /// A backend on which every `Wait` misses: `wait_with` keeps the
+    /// A backend on which every redemption misses: `wait_with` keeps the
     /// completion, `cancel_wait` takes it back, and the test decides when
     /// the outcome "arrives".
     struct MissingWaits {
@@ -693,13 +634,6 @@ mod tests {
         }
         fn submit_with(&self, query: Query, done: crate::api::SubmitDone) {
             self.inner.submit_with(query, done)
-        }
-        fn submit_batch_with(
-            &self,
-            queries: Vec<Query>,
-            done: crate::api::BatchDone,
-        ) -> Option<crate::api::QueuedBatch> {
-            self.inner.submit_batch_with(queries, done)
         }
         fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
             self.inner.wait(ticket)
@@ -789,12 +723,13 @@ mod tests {
 
     #[test]
     fn a_burst_of_pipelined_missed_waits_is_answered_in_full() {
-        // The counterpart of the release burst: one session holds more
-        // batch tickets than the completion high-water mark and waits on
-        // them all in a single write, and not one outcome is in yet.  The
-        // I/O thread must pause reading at the mark — not refuse the rest
-        // — and resume as the stage answers, so every reply is an Outcome.
-        const TICKETS: u64 = 300;
+        // The counterpart of the release burst: one session pipelines more
+        // `Submit`s than the completion high-water mark in a single write.
+        // The embedded backend resolves each at once, and not one wait
+        // finds its outcome.  The I/O thread must pause reading at the mark
+        // — not refuse the rest — and resume as the stage answers, so every
+        // reply is an Outcome.
+        const SUBMITS: u64 = 300;
         let high_water = session::COMPLETIONS_HIGH_WATER;
         let inner: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
@@ -807,13 +742,12 @@ mod tests {
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
         let mut burst = Vec::new();
-        for (i, ticket) in batch_raw(&mut raw, 0, TICKETS).into_iter().enumerate() {
+        for i in 0..SUBMITS {
             write_frame(
                 &mut burst,
-                &ClientFrame::Wait {
-                    corr: RequestId(i as u64),
-                    ticket,
-                    deadline_ms: None,
+                &ClientFrame::Submit {
+                    corr: RequestId(i),
+                    query: paper_text(),
                 },
             )
             .unwrap();
@@ -822,7 +756,7 @@ mod tests {
 
         let stop = Arc::new(AtomicBool::new(false));
         let stage = answer_held(&held, &inner, high_water, &stop);
-        release_granted(&mut raw, TICKETS);
+        release_granted(&mut raw, SUBMITS);
         stop.store(true, Ordering::SeqCst);
         let peak = stage.join().unwrap();
         assert_eq!(peak, high_water, "the read side paused at the mark");
@@ -897,13 +831,14 @@ mod tests {
 
     #[test]
     fn a_burst_of_pipelined_deadline_waits_is_answered_in_full() {
-        // More deadline waits than the completion high-water mark, in one
-        // write, and not one outcome is in yet: each is a completion the
-        // backend holds, counted toward the read-side pause like any other
-        // — no overload refusal — so every reply is an Outcome.
-        const TICKETS: u64 = 300;
+        // A remote client pipelines more `Submit`s than the completion
+        // high-water mark, and not one outcome is in yet; then it collects
+        // each with a deadline wait, kept on its own side of the socket.
+        // The daemon pauses reading at the mark — no overload refusal —
+        // and resumes as the stage answers, so every wait gets its Outcome.
+        const SUBMITS: usize = 300;
         let high_water = session::COMPLETIONS_HIGH_WATER;
-        assert!(TICKETS as usize > high_water);
+        assert!(SUBMITS > high_water);
         let db = fleet_db(2_000, 11);
         let inner: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
@@ -915,24 +850,19 @@ mod tests {
         let manager = MissingWaits::new(&inner);
         let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
-        let mut raw = raw_hello(&server.local_addr());
-        let mut burst = Vec::new();
-        for (i, ticket) in batch_raw(&mut raw, 0, TICKETS).into_iter().enumerate() {
-            write_frame(
-                &mut burst,
-                &ClientFrame::Wait {
-                    corr: RequestId(i as u64),
-                    ticket,
-                    deadline_ms: Some(60_000),
-                },
-            )
-            .unwrap();
-        }
-        raw.write_all(&burst).unwrap();
-        // Not one wait is answered before the burst reaches the mark.
+        let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
+        let tickets: Vec<_> = (0..SUBMITS)
+            .map(|_| remote.submit_text(&paper_text()).unwrap())
+            .collect();
         let stop = Arc::new(AtomicBool::new(false));
         let stage = answer_held(&held, &inner, high_water, &stop);
-        release_granted(&mut raw, TICKETS);
+        for ticket in tickets {
+            let granted = remote
+                .wait_deadline(ticket, std::time::Duration::from_secs(60))
+                .expect("answered within the deadline")
+                .unwrap();
+            remote.release(&granted[0]).unwrap();
+        }
         stop.store(true, Ordering::SeqCst);
         assert_eq!(
             stage.join().unwrap(),
@@ -940,29 +870,17 @@ mod tests {
             "the read side paused at the mark"
         );
         assert_eq!(active_jobs(&db), 0);
-        // The burst arrived in readable events carrying many frames each.
-        write_frame(
-            &mut raw,
-            &ClientFrame::Stats {
-                corr: RequestId(2 * TICKETS),
-            },
-        )
-        .unwrap();
-        match read_server_frame(&mut raw).unwrap() {
-            Some(ServerFrame::StatsReply { stats, .. }) => assert!(stats.frames_batched > 1),
-            other => panic!("expected StatsReply, got {other:?}"),
-        }
-        drop(raw);
+        remote.shutdown().unwrap();
         server.halt();
         server.join().unwrap();
     }
 
     #[test]
     fn a_vanished_client_settling_a_deadline_wait_is_not_polled() {
-        // The client hangs up while the backend holds its deadline wait, so
-        // its session settles for as long as the completion is held.  Its
-        // socket's hangup must not be reported to the I/O thread on every
-        // turn meanwhile.
+        // The client gives up a deadline wait and hangs up while the
+        // backend holds its `Submit`'s wait, so its session settles for as
+        // long as the completion is held.  Its socket's hangup must not be
+        // reported to the I/O thread on every turn meanwhile.
         let inner: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
                 .database(fleet_db(200, 14))
@@ -972,19 +890,13 @@ mod tests {
         let manager = MissingWaits::new(&inner);
         let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
-        let mut raw = raw_hello(&server.local_addr());
-        let ticket = batch_raw(&mut raw, 0, 1)[0];
-        write_frame(
-            &mut raw,
-            &ClientFrame::Wait {
-                corr: RequestId(1),
-                ticket,
-                deadline_ms: Some(5_000),
-            },
-        )
-        .unwrap();
-        await_held(&held, 1);
-        drop(raw);
+        {
+            let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
+            let ticket = remote.submit_text(&paper_text()).unwrap();
+            await_held(&held, 1);
+            let waited = remote.wait_deadline(ticket, std::time::Duration::from_millis(20));
+            assert_eq!(waited, None, "the outcome is held");
+        }
         // The hangup reaches the I/O thread, then the session settles.
         std::thread::sleep(std::time::Duration::from_millis(100));
         let before = server.shared.io_loops.load(Ordering::Relaxed);
@@ -1016,10 +928,9 @@ mod tests {
         hold
     }
 
-    /// On a live backend a batch ticket's `Poll` that misses, a deadline
-    /// `Wait` that misses and one that hits are each a completion the I/O
-    /// thread leaves with the backend — the misses taken back when they give
-    /// up, answered `Pending` and `TimedOut`, the ticket filed again.
+    /// On a live daemon a remote client's `try_poll` and `wait_deadline`
+    /// that miss give up on its own side of the socket, the `Submit`'s
+    /// reply still to come; one that hits collects it.
     #[test]
     fn a_live_backends_polls_and_deadline_waits_run_no_lane_job() {
         let db = fleet_db(300, 17);
@@ -1030,57 +941,34 @@ mod tests {
                 .unwrap(),
         );
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
-        let mut raw = raw_hello(&server.local_addr());
+        let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
         let hold = hold_the_stage(&manager);
-        let ticket = batch_raw(&mut raw, 0, 1)[0];
-        write_frame(
-            &mut raw,
-            &ClientFrame::Poll {
-                corr: RequestId(1),
-                ticket,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_server_frame(&mut raw).unwrap(),
-            Some(ServerFrame::Pending { .. })
-        ));
+        let ticket = remote.submit_text(&paper_text()).unwrap();
+        assert_eq!(remote.try_poll(ticket), None);
         let asked = std::time::Instant::now();
-        let wait = |corr, deadline_ms| ClientFrame::Wait {
-            corr: RequestId(corr),
-            ticket,
-            deadline_ms: Some(deadline_ms),
-        };
-        write_frame(&mut raw, &wait(2, 50)).unwrap();
-        assert!(matches!(
-            read_server_frame(&mut raw).unwrap(),
-            Some(ServerFrame::TimedOut { .. })
-        ));
+        let missed = remote.wait_deadline(ticket, std::time::Duration::from_millis(50));
+        assert_eq!(missed, None);
         let waited = asked.elapsed();
         assert!(
             waited >= std::time::Duration::from_millis(50),
             "timed out after {waited:?}"
         );
-        // Let the stage go; once the outcome is in, a deadline wait hits.
+        // Let the stage go; the outcome comes in and a deadline wait hits.
         hold.send(()).unwrap();
-        let started = std::time::Instant::now();
-        while manager.stats().allocations < 2 {
-            assert!(started.elapsed() < std::time::Duration::from_secs(10));
-            std::thread::yield_now();
-        }
-        write_frame(&mut raw, &wait(3, 60_000)).unwrap();
-        let allocation = granted(&mut raw);
-        release_raw(&mut raw, 4, allocation);
+        let granted = remote
+            .wait_deadline(ticket, std::time::Duration::from_secs(60))
+            .expect("resolves within the deadline")
+            .unwrap();
+        remote.release(&granted[0]).unwrap();
         assert_eq!(active_jobs(&db), 0);
-        drop(raw);
+        remote.shutdown().unwrap();
         server.halt();
         server.join().unwrap();
     }
 
-    /// With a window of one, a `Poll` that missed and a deadline `Wait` that
-    /// timed out leave the ticket holding the window's permit: a second
-    /// one-query batch meets backpressure until the first ticket is
-    /// redeemed.
+    /// With a window of one, a `Submit` whose client gave up polling and
+    /// waiting with a deadline keeps the window's permit until its outcome
+    /// is in at the daemon: a second submission queues behind it until then.
     #[test]
     fn a_ticket_given_up_on_keeps_its_window_permit() {
         let db = fleet_db(300, 18);
@@ -1092,81 +980,23 @@ mod tests {
                 .unwrap(),
         );
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
-        let mut raw = raw_hello(&server.local_addr());
+        let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
         let hold = hold_the_stage(&manager);
-        let first = batch_raw(&mut raw, 0, 1)[0];
-        write_frame(
-            &mut raw,
-            &ClientFrame::Poll {
-                corr: RequestId(1),
-                ticket: first,
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_server_frame(&mut raw).unwrap(),
-            Some(ServerFrame::Pending { .. })
-        ));
-        write_frame(
-            &mut raw,
-            &ClientFrame::Wait {
-                corr: RequestId(2),
-                ticket: first,
-                deadline_ms: Some(20),
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            read_server_frame(&mut raw).unwrap(),
-            Some(ServerFrame::TimedOut { .. })
-        ));
+        let first = remote.submit_text(&paper_text()).unwrap();
+        assert_eq!(remote.try_poll(first), None);
+        let missed = remote.wait_deadline(first, std::time::Duration::from_millis(20));
+        assert_eq!(missed, None);
+        let base = manager.stats().shard_contention;
+        let second = remote.submit_text(&paper_text()).unwrap();
+        await_queued(&*manager, base + 1);
         hold.send(()).unwrap();
-        write_frame(
-            &mut raw,
-            &ClientFrame::SubmitBatch {
-                corr: RequestId(3),
-                queries: vec![paper_text()],
-            },
-        )
-        .unwrap();
-        raw.set_read_timeout(Some(std::time::Duration::from_millis(300)))
-            .unwrap();
-        let mut byte = [0u8; 1];
-        match raw.peek(&mut byte) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            other => panic!("the second batch got past a held permit: {other:?}"),
+        for ticket in [first, second] {
+            let granted = remote.wait(ticket).unwrap();
+            remote.release(&granted[0]).unwrap();
         }
-        raw.set_read_timeout(None).unwrap();
-        // Redeemed, the first ticket's permit launches the batch.
-        write_frame(
-            &mut raw,
-            &ClientFrame::Wait {
-                corr: RequestId(4),
-                ticket: first,
-                deadline_ms: None,
-            },
-        )
-        .unwrap();
-        let (mut allocation, mut second) = (None, None);
-        for _ in 0..2 {
-            match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Outcome {
-                    outcome: Ok(mut granted),
-                    ..
-                }) => allocation = Some(granted.remove(0)),
-                Some(ServerFrame::BatchSubmitted { tickets, .. }) => second = Some(tickets[0]),
-                other => panic!("expected an Outcome and a batch, got {other:?}"),
-            }
-        }
-        release_raw(&mut raw, 5, allocation.unwrap());
-        redeem_and_release(&mut raw, second.unwrap());
         assert_eq!(active_jobs(&db), 0);
         assert_eq!(manager.stats().in_flight, 0);
-        drop(raw);
+        remote.shutdown().unwrap();
         server.halt();
         server.join().unwrap();
     }
@@ -1224,22 +1054,6 @@ mod tests {
         .unwrap();
     }
 
-    /// Submits a batch of `count` queries and returns its tickets.
-    fn batch_raw(raw: &mut TcpStream, corr: u64, count: u64) -> Vec<u64> {
-        write_frame(
-            raw,
-            &ClientFrame::SubmitBatch {
-                corr: RequestId(corr),
-                queries: vec![paper_text(); count as usize],
-            },
-        )
-        .unwrap();
-        match read_server_frame(raw).unwrap() {
-            Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
-            other => panic!("expected BatchSubmitted, got {other:?}"),
-        }
-    }
-
     /// Reads the next reply, which must grant one machine.
     fn granted(raw: &mut TcpStream) -> crate::Allocation {
         match read_server_frame(raw).unwrap() {
@@ -1266,25 +1080,10 @@ mod tests {
         ));
     }
 
-    /// Redeems `ticket` and releases what it granted.
-    fn redeem_and_release(raw: &mut TcpStream, ticket: u64) {
-        write_frame(
-            raw,
-            &ClientFrame::Wait {
-                corr: RequestId(100),
-                ticket,
-                deadline_ms: None,
-            },
-        )
-        .unwrap();
-        let allocation = granted(raw);
-        release_raw(raw, 101, allocation);
-    }
-
     #[test]
     fn submissions_into_a_full_window_launch_in_arrival_order_with_no_lane_job() {
-        // A window of one, held by a first session's batch ticket; three
-        // more sessions submit into it one after the other.  The permit the
+        // A window of one, held by an in-process ticket; three sessions
+        // submit into it one after the other.  The permit the
         // holder returns goes to the next in line, and each outcome returns
         // it for the one after: the thread that settles a ticket launches
         // the queued submission it hands the permit to.  The launches come
@@ -1299,8 +1098,7 @@ mod tests {
         );
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
         let addr = server.local_addr();
-        let mut holder = raw_hello(&addr);
-        let held = batch_raw(&mut holder, 0, 1)[0];
+        let held = manager.submit(Query::paper_example()).unwrap();
         let base = manager.stats().shard_contention;
         let mut queued: Vec<TcpStream> = Vec::new();
         for i in 1..=3u64 {
@@ -1312,7 +1110,8 @@ mod tests {
             await_queued(&*manager, base + i);
             queued.push(raw);
         }
-        redeem_and_release(&mut holder, held);
+        let granted_first = manager.wait(held).unwrap();
+        manager.release(&granted_first[0]).unwrap();
         let mut launched = Vec::new();
         for raw in &mut queued {
             let allocation = granted(raw);
@@ -1325,7 +1124,7 @@ mod tests {
         );
         let stats = manager.stats();
         assert_eq!((stats.allocations, stats.releases), (4, 4));
-        drop((holder, queued));
+        drop(queued);
         server.halt();
         server.join().unwrap();
     }
@@ -1333,11 +1132,11 @@ mod tests {
     #[test]
     fn a_client_vanishing_with_tickets_a_queued_admission_and_leases_strands_nothing() {
         // One session leaves everything behind at once: a lease it was
-        // granted, two abandoned batch tickets filling the window, and a
-        // submission queued on it.  Settling the abandoned tickets frees
-        // the permits that launch the queued one in a closed session, where
-        // it is settled in turn; the leftover lease goes with the final
-        // sweep.
+        // granted, two launched submissions filling the window with their
+        // outcomes held back, and a submission queued behind them.  The
+        // held outcomes reach the closed session as leases and free the
+        // permits that launch the queued one there, redeemed in turn; every
+        // lease goes with the final sweep.
         let db = fleet_db(300, 13);
         let manager: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
@@ -1347,62 +1146,46 @@ mod tests {
                 .unwrap(),
         );
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
-        {
+        let hold = {
             let mut raw = raw_hello(&server.local_addr());
             submit_raw(&mut raw, 0);
             granted(&mut raw);
+            let hold = hold_the_stage(&manager);
+            submit_raw(&mut raw, 1);
+            submit_raw(&mut raw, 2);
             let base = manager.stats().shard_contention;
-            batch_raw(&mut raw, 1, 2);
-            submit_raw(&mut raw, 4);
+            submit_raw(&mut raw, 3);
             await_queued(&*manager, base + 1);
-            // Dropped: no Release, no Wait, no reply read.
-        }
+            hold
+            // Dropped: no Release, no reply read.
+        };
+        // The hang-up reaches the daemon, then the stage answers.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        hold.send(()).unwrap();
         server.halt();
         server.join().unwrap();
         let stats = manager.stats();
-        assert_eq!(stats.allocations, 4, "every submission was launched");
+        // The four submissions, and the one that held the stage.
+        assert_eq!(stats.allocations, 5, "every submission was launched");
         assert_eq!(stats.allocations, stats.releases);
         assert_eq!(stats.in_flight, 0);
         assert_eq!(active_jobs(&db), 0);
     }
 
-    /// Writes a `SubmitBatch` of `count` queries without reading its reply.
-    fn queue_batch(raw: &mut TcpStream, corr: u64, count: usize) {
-        write_frame(
-            raw,
-            &ClientFrame::SubmitBatch {
-                corr: RequestId(corr),
-                queries: vec![paper_text(); count],
-            },
-        )
-        .unwrap();
-    }
-
-    /// Writes a `Wait` on batch ticket `ticket` without reading its reply.
-    fn queue_wait(raw: &mut TcpStream, corr: u64, ticket: u64) {
-        let wait = ClientFrame::Wait {
-            corr: RequestId(corr),
-            ticket,
-            deadline_ms: None,
-        };
-        write_frame(raw, &wait).unwrap();
-    }
-
     #[test]
-    fn queued_submit_batches_are_answered_once_waits_on_their_session_free_permits() {
-        // A window of two, filled by the session's own batch tickets; five
-        // more batches queue behind them — every one in the window's FIFO
-        // at once, none waiting for a thread to park on it.  Nothing parks
-        // meanwhile: the same session's `Wait`s are read and answered, and
-        // the thread that settles a ticket launches the batch next in line,
-        // whose reply is `BatchSubmitted` and whose ticket is waited on in
-        // turn.
-        const QUEUED: u64 = 5;
-        let db = fleet_db(300, 91);
+    fn six_hundred_submits_in_one_burst_into_a_window_of_four_are_all_answered() {
+        // One session writes 600 `Submit`s in one burst into a window of
+        // four, so nearly all of them queue in the window at once.  Each
+        // counts toward the read pause like any owed reply — no overload
+        // refusal — and waits only for the outcomes of launched queries,
+        // which the stage produces whatever the client reads: every reply
+        // is an Outcome, and every allocation goes back.
+        const SUBMITS: u64 = 600;
+        let db = fleet_db(2_000, 91);
         let manager: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
                 .database(db.clone())
-                .window(2)
+                .window(4)
                 .build(BackendKind::Live)
                 .unwrap(),
         );
@@ -1410,139 +1193,26 @@ mod tests {
         let mut raw = raw_hello(&server.local_addr());
         raw.set_read_timeout(Some(std::time::Duration::from_secs(20)))
             .unwrap();
-        let held = batch_raw(&mut raw, 0, 2);
-        let base = manager.stats().shard_contention;
-        for corr in 1..=QUEUED {
-            queue_batch(&mut raw, corr, 1);
+        let mut burst = Vec::new();
+        for i in 0..SUBMITS {
+            write_frame(
+                &mut burst,
+                &ClientFrame::Submit {
+                    corr: RequestId(i),
+                    query: paper_text(),
+                },
+            )
+            .unwrap();
         }
-        await_queued(&*manager, base + QUEUED);
-        queue_wait(&mut raw, 10, held[0]);
-        queue_wait(&mut raw, 11, held[1]);
-        let (mut granted_now, mut launched) = (Vec::new(), Vec::new());
-        while granted_now.len() < 2 + QUEUED as usize {
-            match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Outcome {
-                    outcome: Ok(mut allocations),
-                    ..
-                }) => granted_now.push(allocations.remove(0)),
-                Some(ServerFrame::BatchSubmitted { corr, tickets }) => {
-                    launched.push(corr.0);
-                    queue_wait(&mut raw, 20 + corr.0, tickets[0]);
-                }
-                other => panic!("expected an Outcome or BatchSubmitted, got {other:?}"),
-            }
-        }
-        assert_eq!(launched, (1..=QUEUED).collect::<Vec<_>>(), "arrival order");
-        for (i, allocation) in granted_now.into_iter().enumerate() {
-            release_raw(&mut raw, 100 + i as u64, allocation);
-        }
+        raw.write_all(&burst).unwrap();
+        release_granted(&mut raw, SUBMITS);
+        assert_eq!(active_jobs(&db), 0);
         let stats = manager.stats();
-        assert_eq!((stats.allocations, stats.releases), (7, 7));
+        assert_eq!((stats.allocations, stats.releases), (SUBMITS, SUBMITS));
         assert_eq!(stats.in_flight, 0);
         drop(raw);
         server.halt();
         server.join().unwrap();
-        assert_eq!(active_jobs(&db), 0);
-    }
-
-    #[test]
-    fn a_queued_submit_batch_that_cannot_fit_is_refused_at_its_deadline_and_passes_its_permit_on() {
-        // A window of two, held by a first session's batch tickets.  A
-        // second session's batch of two queues, then a third session's
-        // `Submit` behind it.  The one permit a `Wait` returns goes to the
-        // batch at the head, which can never get its second: at its
-        // deadline the session's timer withdraws it — answered with the
-        // backpressure error — and the permit it collected launches the
-        // `Submit` next in line.
-        let deadline = std::time::Duration::from_millis(300);
-        let db = fleet_db(300, 92);
-        let manager: Arc<dyn ResourceManager> = Arc::from(
-            PipelineBuilder::new()
-                .database(db.clone())
-                .window(2)
-                .batch_deadline(deadline)
-                .build(BackendKind::Live)
-                .unwrap(),
-        );
-        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
-        let addr = server.local_addr();
-        let mut holder = raw_hello(&addr);
-        let held = batch_raw(&mut holder, 0, 2);
-        let base = manager.stats().shard_contention;
-        let mut batch = raw_hello(&addr);
-        batch
-            .set_read_timeout(Some(std::time::Duration::from_secs(20)))
-            .unwrap();
-        let started = std::time::Instant::now();
-        queue_batch(&mut batch, 1, 2);
-        await_queued(&*manager, base + 1);
-        let mut next = raw_hello(&addr);
-        next.set_read_timeout(Some(std::time::Duration::from_secs(20)))
-            .unwrap();
-        submit_raw(&mut next, 2);
-        await_queued(&*manager, base + 2);
-        redeem_and_release(&mut holder, held[0]);
-        match read_server_frame(&mut batch).unwrap() {
-            Some(ServerFrame::Error {
-                corr,
-                error: AllocationError::Internal(message),
-            }) => {
-                assert_eq!(corr, RequestId(1));
-                assert!(message.contains("backpressure"), "{message}");
-            }
-            other => panic!("expected the backpressure refusal, got {other:?}"),
-        }
-        assert!(started.elapsed() >= deadline, "refused before its deadline");
-        let allocation = granted(&mut next);
-        release_raw(&mut next, 3, allocation);
-        redeem_and_release(&mut holder, held[1]);
-        let stats = manager.stats();
-        assert_eq!((stats.allocations, stats.releases), (3, 3));
-        assert_eq!(stats.in_flight, 0);
-        drop((holder, batch, next));
-        server.halt();
-        server.join().unwrap();
-        assert_eq!(active_jobs(&db), 0);
-    }
-
-    #[test]
-    fn a_client_vanishing_with_a_queued_submit_batch_strands_nothing() {
-        // The session's own batch tickets fill the window and five more
-        // batches queue behind them; the client leaves without a word.
-        // Settling the abandoned tickets frees the permits that launch the
-        // queued batches in the closed session, one after another, each
-        // batch's ticket settled in turn.
-        const QUEUED: u64 = 5;
-        let db = fleet_db(300, 93);
-        let manager: Arc<dyn ResourceManager> = Arc::from(
-            PipelineBuilder::new()
-                .database(db.clone())
-                .window(2)
-                .build(BackendKind::Live)
-                .unwrap(),
-        );
-        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
-        {
-            let mut raw = raw_hello(&server.local_addr());
-            batch_raw(&mut raw, 0, 2);
-            let base = manager.stats().shard_contention;
-            for corr in 1..=QUEUED {
-                queue_batch(&mut raw, corr, 1);
-            }
-            await_queued(&*manager, base + QUEUED);
-            // Dropped: no Wait, no reply read.
-        }
-        server.halt();
-        server.join().unwrap();
-        let stats = manager.stats();
-        assert_eq!(
-            stats.allocations,
-            2 + QUEUED,
-            "every queued batch was launched"
-        );
-        assert_eq!(stats.allocations, stats.releases);
-        assert_eq!(stats.in_flight, 0);
-        assert_eq!(active_jobs(&db), 0);
     }
 
     #[test]
@@ -1608,11 +1278,12 @@ mod tests {
 
     #[test]
     fn a_submission_launched_after_its_client_left_is_not_delegated() {
-        // The entry daemon's window of one is held by a batch ticket, and a
-        // query only the peer domain can satisfy queues behind it.  The
-        // client vanishes: settling its ticket launches the queued
-        // submission in a closed session, which settles it through the
-        // wrapped backend alone — no delegation for a client that is gone.
+        // The entry daemon's window of one is held by an in-process ticket,
+        // and a query only the peer domain can satisfy queues behind it.
+        // The client vanishes, and only then is the ticket redeemed: its
+        // permit launches the queued submission in a closed session, whose
+        // local failure ends there — no delegation for a client that is
+        // gone.
         let db_b = arch_db("hp", 40, 76);
         let (srv_b, fed_b) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
         let db_a = arch_db("sun", 20, 77);
@@ -1639,9 +1310,9 @@ mod tests {
             client.shutdown().unwrap();
         }
         let delegated = fed_a.stats().delegations_out;
+        let held = fed_a.submit(Query::paper_example()).unwrap();
         {
             let mut raw = raw_hello(&srv_a.local_addr());
-            batch_raw(&mut raw, 0, 1);
             let base = fed_a.stats().shard_contention;
             write_frame(
                 &mut raw,
@@ -1653,6 +1324,10 @@ mod tests {
             .unwrap();
             await_queued(&*fed_a, base + 1);
         }
+        // The hang-up reaches the daemon, then the permit comes back.
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        let granted = fed_a.wait(held).unwrap();
+        fed_a.release(&granted[0]).unwrap();
         srv_a.halt();
         srv_a.join().unwrap();
         assert_eq!(fed_a.stats().delegations_out, delegated);
@@ -1730,22 +1405,44 @@ mod tests {
     fn version_negotiation_rejects_a_future_only_client() {
         let server = serve_kind(BackendKind::Embedded, 50, 7);
         let addr = server.local_addr();
-        let mut stream = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
-        write_frame(
-            &mut stream,
-            &ClientFrame::Hello {
-                min_version: PROTOCOL_VERSION + 1,
-                max_version: PROTOCOL_VERSION + 9,
-            },
-        )
-        .unwrap();
-        match read_server_frame(&mut stream).unwrap() {
-            Some(ServerFrame::HelloReject { message }) => {
-                assert!(message.contains("no common protocol version"), "{message}");
+        // A client of the future, and one of protocol v4, whose batch
+        // frames are retired: each is refused at the hello, told the one
+        // range this daemon speaks.
+        for (min_version, max_version) in [(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 9), (4, 4)] {
+            let mut stream = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();
+            let hello = ClientFrame::Hello {
+                min_version,
+                max_version,
+            };
+            write_frame(&mut stream, &hello).unwrap();
+            match read_server_frame(&mut stream).unwrap() {
+                Some(ServerFrame::HelloReject { message }) => {
+                    assert!(message.contains("no common protocol version"), "{message}");
+                    assert!(message.contains("server speaks 5..=5"), "{message}");
+                }
+                other => panic!("expected HelloReject, got {other:?}"),
             }
-            other => panic!("expected HelloReject, got {other:?}"),
         }
-        drop(stream);
+        // The reserved `Wait` names a ticket no v5 daemon issues: it is
+        // refused, and the session goes on serving.
+        let mut raw = raw_hello(&addr);
+        let wait = ClientFrame::Wait {
+            corr: RequestId(1),
+            ticket: 0,
+            deadline_ms: None,
+        };
+        write_frame(&mut raw, &wait).unwrap();
+        match read_server_frame(&mut raw).unwrap() {
+            Some(ServerFrame::Error { corr, error }) => {
+                assert_eq!(corr, RequestId(1));
+                assert_eq!(error, AllocationError::UnknownTicket);
+            }
+            other => panic!("expected UnknownTicket, got {other:?}"),
+        }
+        submit_raw(&mut raw, 2);
+        let allocation = granted(&mut raw);
+        release_raw(&mut raw, 3, allocation);
+        drop(raw);
         server.halt();
         server.join().unwrap();
     }
@@ -2162,9 +1859,9 @@ mod tests {
         srv_a.join().unwrap();
     }
 
-    /// Six federated deadline `Wait`s, each waiting for a chain that needs
-    /// the cold dial: each is a completion and the dial runs on the
-    /// reactor, so every one finishes.
+    /// Six federated deadline waits, each on a pipelined `Submit` whose
+    /// chain needs the cold dial: each is a completion and the dial runs on
+    /// the reactor, so every one finishes.
     #[test]
     fn concurrent_deadline_waits_all_finish_over_a_cold_link() {
         let waits = 6;
@@ -2176,118 +1873,67 @@ mod tests {
             arch_db("sun", 20, 86),
             vec![srv_b.local_addr()],
         );
-        let mut raw = raw_hello(&srv_a.local_addr());
-        raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
-            .unwrap();
-        write_frame(
-            &mut raw,
-            &ClientFrame::SubmitBatch {
-                corr: RequestId(0),
-                queries: vec![HP.to_string(); waits as usize],
-            },
-        )
-        .unwrap();
-        let tickets = match read_server_frame(&mut raw).unwrap() {
-            Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
-            other => panic!("expected BatchSubmitted, got {other:?}"),
-        };
-        let mut burst = Vec::new();
-        for (i, ticket) in tickets.into_iter().enumerate() {
-            write_frame(
-                &mut burst,
-                &ClientFrame::Wait {
-                    corr: RequestId(1 + i as u64),
-                    ticket,
-                    deadline_ms: Some(30_000),
-                },
-            )
-            .unwrap();
-        }
-        raw.write_all(&burst).unwrap();
-        let delegated: Vec<_> = (0..waits).map(|_| granted(&mut raw)).collect();
+        let remote = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
+        let tickets: Vec<_> = (0..waits)
+            .map(|_| remote.submit_text(HP).unwrap())
+            .collect();
+        let deadline = std::time::Duration::from_secs(30);
+        let delegated: Vec<_> = tickets
+            .into_iter()
+            .map(|ticket| remote.wait_deadline(ticket, deadline).expect("in time"))
+            .map(|outcome| outcome.unwrap().remove(0))
+            .collect();
         assert_eq!(active_jobs(&db_b), waits as u32);
-        for (i, allocation) in delegated.into_iter().enumerate() {
-            release_raw(&mut raw, 100 + i as u64, allocation);
+        for allocation in &delegated {
+            remote.release(allocation).unwrap();
         }
         assert_eq!(active_jobs(&db_b), 0);
-        drop(raw);
+        remote.shutdown().unwrap();
         srv_a.halt();
         srv_a.join().unwrap();
         srv_b.halt();
         srv_b.join().unwrap();
     }
 
-    /// On a federated daemon a batch ticket's `Poll` and deadline `Wait`
-    /// whose local outcome is a delegable failure start its chain on the
-    /// I/O thread — the give-up finds nothing to take back — and are
-    /// answered by the chain's `Outcome`.
+    /// On a federated daemon a `Submit` whose local outcome is a delegable
+    /// failure is answered by its chain's `Outcome`, which a client's
+    /// `try_poll` and `wait_deadline` collect.
     #[test]
     fn federated_polls_and_deadline_waits_answer_with_the_chain_and_no_lane_job() {
         let db_b = arch_db("hp", 40, 87);
         let (srv_b, _) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
-        let (srv_a, fed_a) = federated(
+        let (srv_a, _) = federated(
             "purdue",
             BackendKind::Live,
             arch_db("sun", 20, 88),
             vec![srv_b.local_addr()],
         );
-        {
-            // Warm the link, so both chains ride the reactor session.
-            let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
-            let warm = client.submit_text_wait(HP).unwrap();
-            client.release(&warm[0]).unwrap();
-            client.shutdown().unwrap();
-        }
-        let mut raw = raw_hello(&srv_a.local_addr());
-        let failed = fed_a.stats().failures;
-        write_frame(
-            &mut raw,
-            &ClientFrame::SubmitBatch {
-                corr: RequestId(0),
-                queries: vec![HP.to_string(); 2],
-            },
-        )
-        .unwrap();
-        let tickets = match read_server_frame(&mut raw).unwrap() {
-            Some(ServerFrame::BatchSubmitted { tickets, .. }) => tickets,
-            other => panic!("expected BatchSubmitted, got {other:?}"),
-        };
-        // Both local failures are in before either ticket is redeemed.
+        let remote = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
+        // Warm the link, so both chains ride the reactor session.
+        let warm = remote.submit_text_wait(HP).unwrap();
+        remote.release(&warm[0]).unwrap();
+        let (first, second) = (
+            remote.submit_text(HP).unwrap(),
+            remote.submit_text(HP).unwrap(),
+        );
         let started = std::time::Instant::now();
-        while fed_a.stats().failures < failed + 2 {
-            assert!(started.elapsed() < std::time::Duration::from_secs(10));
-            std::thread::yield_now();
-        }
         let polled = loop {
-            let poll = ClientFrame::Poll {
-                corr: RequestId(1),
-                ticket: tickets[0],
-            };
-            write_frame(&mut raw, &poll).unwrap();
-            match read_server_frame(&mut raw).unwrap() {
-                Some(ServerFrame::Pending { .. }) => std::thread::yield_now(),
-                Some(ServerFrame::Outcome {
-                    outcome: Ok(mut granted),
-                    ..
-                }) => break granted.remove(0),
-                other => panic!("expected the chain's Outcome, got {other:?}"),
+            if let Some(outcome) = remote.try_poll(first) {
+                break outcome.unwrap().remove(0);
             }
+            assert!(started.elapsed() < std::time::Duration::from_secs(30));
+            std::thread::yield_now();
         };
-        write_frame(
-            &mut raw,
-            &ClientFrame::Wait {
-                corr: RequestId(2),
-                ticket: tickets[1],
-                deadline_ms: Some(30_000),
-            },
-        )
-        .unwrap();
-        let waited = granted(&mut raw);
+        let waited = remote
+            .wait_deadline(second, std::time::Duration::from_secs(30))
+            .expect("in time")
+            .unwrap()
+            .remove(0);
         assert!(polled.machine_name.contains("hp") && waited.machine_name.contains("hp"));
-        release_raw(&mut raw, 3, polled);
-        release_raw(&mut raw, 4, waited);
+        remote.release(&polled).unwrap();
+        remote.release(&waited).unwrap();
         assert_eq!(active_jobs(&db_b), 0);
-        drop(raw);
+        remote.shutdown().unwrap();
         srv_a.halt();
         srv_a.join().unwrap();
         srv_b.halt();

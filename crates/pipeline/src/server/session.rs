@@ -6,10 +6,8 @@
 //! ([`ReactorSession`]).  Nothing here parks: a request whose answer is at
 //! hand is answered on the I/O thread, and one whose answer a backend
 //! stage, the admission window or a peer daemon produces is left with it as
-//! a completion — and so are a closing session's settles and its final
-//! sweep.  A `Poll` takes its completion back at once when the outcome is
-//! not in, and a deadline `Wait` or a queued `SubmitBatch` when its
-//! session's timer fires.  Whoever produces a reply writes it:
+//! a completion — and so is a closing session's final sweep.  Whoever
+//! produces a reply writes it:
 //! [`OutQueue::push`] sends it from that thread when nothing is queued
 //! ahead of it, and queues the rest for the session's I/O thread, rung
 //! through its [`IoNotify`] (a syscall only when the thread is asleep).
@@ -42,7 +40,7 @@ use actyp_proto::{
 
 use super::ServerShared;
 use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{BatchDone, QueryOutcome, ResourceManager, SubmitDone, Ticket};
+use crate::api::{QueryOutcome, SubmitDone, Ticket};
 use crate::corr::{Conn, ConnError, FrameSink, CONNECT_TIMEOUT};
 use crate::federation::{DelegateDone, DialDone, FederatedBackend, PeerHost};
 use crate::reactor::{connect_nonblocking, Doorbell, Event, Interest, Poller, TimerWheel, Waker};
@@ -67,25 +65,17 @@ const GOSSIP_TIMER: u64 = 2;
 /// chain never spends a candidate slot (and a reply timeout) on it.
 const PROBE_TIMER: u64 = 3;
 
-/// Timer-wheel ids of the sessions' open deadlines: this bit plus the
-/// session's token, one timer per session, armed for its earliest.
-const DEADLINE_TIMER: u64 = 1 << 63;
-
 /// Upper bound on queued-but-unsent reply bytes before the session
 /// stops *reading*: a client that pipelines requests without draining
 /// replies is backpressured instead of ballooning the daemon's memory.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// Upper bound on a session's unanswered requests other than submissions
-/// still waiting for their launch before it stops *reading*: an error reply
-/// would strand a lease, a ticket or launched work, so a pipelined burst
-/// waits in the socket instead.
+/// Upper bound on a session's unanswered requests before it stops
+/// *reading*: an error reply would strand a lease or launched work, so a
+/// pipelined burst waits in the socket instead.  A submission still queued
+/// in the admission window counts too: it waits only for the outcomes of
+/// launched queries, which the stages produce whatever the client reads.
 pub(super) const COMPLETIONS_HIGH_WATER: usize = 256;
-
-/// Upper bound on a session's submissions queued in the admission window,
-/// past which one is refused with an error — not paused: it may wait for
-/// permits only the session's unread frames return.
-const MAX_SESSION_SUBMISSIONS: usize = 256;
 
 /// How long a closing session's completions may stay outstanding before
 /// its final sweep runs anyway.
@@ -631,7 +621,7 @@ pub(super) fn io_thread_main(
             };
             if matches!(session.phase, Phase::Connecting) {
                 if event.writable || event.closed {
-                    connect_ended(&shared, &mut *poller, &mut sessions, event.token, false);
+                    connect_ended(&mut *poller, &mut sessions, event.token, false);
                 }
             } else {
                 if event.readable || event.closed {
@@ -676,12 +666,13 @@ pub(super) fn io_thread_main(
                         }
                     }
                     for token in late_dials {
-                        connect_ended(&shared, &mut *poller, &mut sessions, token, true);
+                        connect_ended(&mut *poller, &mut sessions, token, true);
                         touched.push(token);
                     }
                 }
-                // Rounds of completions, skipped while draining.
-                GOSSIP_TIMER | PROBE_TIMER => {
+                // The gossip tick or the probe: rounds of completions,
+                // skipped while draining.
+                _ => {
                     let draining = shared.draining.load(Ordering::SeqCst);
                     match shared.federation.as_ref().filter(|_| !draining) {
                         Some(federation) if timer == GOSSIP_TIMER => federation.gossip_tick(),
@@ -689,9 +680,6 @@ pub(super) fn io_thread_main(
                         None => {}
                     }
                 }
-                // Any other timer is a session's earliest open deadline:
-                // its refresh gives up what is due.
-                deadline => touched.push(deadline & !DEADLINE_TIMER),
             }
         }
 
@@ -702,7 +690,7 @@ pub(super) fn io_thread_main(
             drain_seen = true;
             for (token, session) in sessions.iter_mut() {
                 if session.peer.is_none() {
-                    begin_close(&shared, session);
+                    begin_close(session);
                     touched.push(*token);
                 }
             }
@@ -712,14 +700,7 @@ pub(super) fn io_thread_main(
         touched.sort_unstable();
         touched.dedup();
         for token in touched.iter().copied() {
-            refresh_session(
-                &shared,
-                &mut *poller,
-                &mut wheel,
-                &mut sessions,
-                token,
-                &first,
-            );
+            refresh_session(&shared, &mut *poller, &mut sessions, token, &first);
         }
     }
     if let Some(host) = host {
@@ -852,7 +833,6 @@ fn connect_next(
 /// progress gives way to the next address, under the same token; a peer
 /// that accepted but never sent its `HelloAck` fails the dial.
 fn connect_ended(
-    shared: &Arc<ServerShared>,
     poller: &mut dyn Poller,
     sessions: &mut HashMap<u64, ReactorSession>,
     token: u64,
@@ -866,7 +846,7 @@ fn connect_ended(
             let silent = format!("no HelloAck within {CONNECT_TIMEOUT:?}");
             (dial.done)(Err(ConnError::Dead(silent)));
         }
-        return begin_close(shared, session);
+        return begin_close(session);
     }
     let failed = match session.stream.take_error() {
         _ if overdue => format!("no connection within {CONNECT_TIMEOUT:?}"),
@@ -948,7 +928,7 @@ fn handle_readable(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     }
     if eof {
         session.client_gone = true;
-        begin_close(shared, session);
+        begin_close(session);
     }
 }
 
@@ -962,7 +942,7 @@ fn handle_readable(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
 /// more than one frame counts them as batched (`frames_batched`).
 fn parse_and_dispatch(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     if let Some(conn) = session.peer.clone() {
-        return route_replies(shared, session, &conn);
+        return route_replies(session, &conn);
     }
     let mut pos = 0usize;
     let mut frames = 0u64;
@@ -978,7 +958,7 @@ fn parse_and_dispatch(shared: &Arc<ServerShared>, session: &mut ReactorSession) 
             Err(_) => None,
         };
         let Some((frame, used)) = next else {
-            begin_close(shared, session);
+            begin_close(session);
             break;
         };
         pos += used;
@@ -1014,7 +994,7 @@ fn consume(session: &mut ReactorSession, pos: usize) {
 /// link's relay to its completion, run right here on the I/O thread.  A
 /// frame that cannot be decoded, or that answers nothing this daemon
 /// asked, kills the link.
-fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn: &Arc<Conn>) {
+fn route_replies(session: &mut ReactorSession, conn: &Arc<Conn>) {
     let mut pos = 0usize;
     while !matches!(session.phase, Phase::Closing) {
         let routed = match split_frame(&session.read_buf[pos..]) {
@@ -1037,7 +1017,7 @@ fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn:
         };
         // A completion that just ran may have retired this very link.
         if !routed || conn.is_dead() {
-            begin_close(shared, session);
+            begin_close(session);
         }
     }
     consume(session, pos);
@@ -1046,10 +1026,9 @@ fn route_replies(shared: &Arc<ServerShared>, session: &mut ReactorSession, conn:
 /// The one frame-dispatch `match` of the serving side.  *Who answers* is a
 /// property of the call, not of the frame type: a call whose answer is at
 /// hand is finished right here on the I/O thread; a submission (answered
-/// by its outcome, once the window has launched it), a batch, a release,
-/// and a wait whose outcome is not in yet, are finished by whichever thread
-/// produces the answer.  Whoever finishes writes the reply (see
-/// [`OutQueue::push`]).
+/// by its outcome, once the window has launched it), a release and a
+/// delegation are finished by whichever thread produces the answer.
+/// Whoever finishes writes the reply (see [`OutQueue::push`]).
 fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, frame: ClientFrame) {
     let state = session.state.clone();
     if matches!(session.phase, Phase::AwaitingHello) {
@@ -1070,14 +1049,14 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
                              {MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION}"
                         ),
                     });
-                    begin_close(shared, session);
+                    begin_close(session);
                 }
             },
             _ => {
                 state.send(&ServerFrame::HelloReject {
                     message: "the first frame must be Hello".to_string(),
                 });
-                begin_close(shared, session);
+                begin_close(session);
             }
         }
         return;
@@ -1087,7 +1066,7 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             state.send(&ServerFrame::HelloReject {
                 message: "duplicate Hello".to_string(),
             });
-            begin_close(shared, session);
+            begin_close(session);
         }
         ClientFrame::Submit { corr, query } => {
             // Parse errors map exactly as the trait's own text path maps
@@ -1102,51 +1081,41 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
                     return;
                 }
             };
-            let Some(counted) = Pending::submission(&state, corr) else {
-                return;
-            };
             // The backend launches it now or queues it in its window (the
             // eager backends resolve it here), and the launching thread —
             // this one, or the one whose settle frees the permit — redeems
             // the new ticket at once: the outcome is the reply — also after
             // the client left: a federated chain starts only while the
             // session is open, and a granted lease goes back with the final
-            // sweep.  Counted on the session as a submission until the
-            // launch, as a completion after it.
+            // sweep.  Counted on the session until the reply is written.
+            let pending = Pending::new(&state);
             let (done_shared, done_state) = (shared.clone(), state.clone());
-            let done: SubmitDone = Box::new(move |submitted| {
-                match submitted {
-                    Ok(ticket) => {
-                        let answer = answer(&done_state, corr, None);
-                        redeem(&done_shared, &done_state, ticket, answer)
-                    }
-                    Err(error) => done_state.send(&ServerFrame::Error { corr, error }),
+            let done: SubmitDone = Box::new(move |submitted| match submitted {
+                Ok(ticket) => {
+                    let state = done_state.clone();
+                    let answer: WaitDone = Box::new(move |outcome| {
+                        state.deliver_outcome(corr, outcome);
+                        drop(pending);
+                    });
+                    redeem(&done_shared, &done_state, ticket, answer)
                 }
-                drop(counted);
+                Err(error) => {
+                    done_state.send(&ServerFrame::Error { corr, error });
+                    drop(pending);
+                }
             });
             shared.manager.submit_with(query, done);
         }
-        ClientFrame::SubmitBatch { corr, queries } => submit_batch(shared, &state, corr, &queries),
-        ClientFrame::Wait {
+        // Reserved: the daemon issues no ticket to redeem.
+        ClientFrame::Wait { corr, .. } => state.send(&ServerFrame::Error {
             corr,
-            ticket,
-            deadline_ms,
-        } => {
-            // A deadline too far to represent never comes.
-            let at = deadline_ms
-                .and_then(|ms| std::time::Instant::now().checked_add(Duration::from_millis(ms)));
-            let give_up = at.map(|at| (at, ServerFrame::TimedOut { corr }));
-            redeem_batch(shared, &state, corr, ticket, give_up);
-        }
-        ClientFrame::Poll { corr, ticket } => {
-            let now = (std::time::Instant::now(), ServerFrame::Pending { corr });
-            redeem_batch(shared, &state, corr, ticket, Some(now));
-        }
+            error: AllocationError::UnknownTicket,
+        }),
         ClientFrame::Release { corr, allocation } => {
             // The I/O thread never waits for the answer: the backend stage
             // that drops the lease posts the reply.  Counted on the
             // session until it has run.
-            let pending = Pending::completion(&state);
+            let pending = Pending::new(&state);
             let done_state = state.clone();
             let key = allocation.access_key.0.clone();
             let done: ReleaseDone = Box::new(move |released| {
@@ -1166,12 +1135,12 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
         }
         ClientFrame::Shutdown { corr } => {
             state.send(&ServerFrame::Ack { corr });
-            begin_close(shared, session);
+            begin_close(session);
         }
         ClientFrame::Halt { corr } => {
             state.send(&ServerFrame::Ack { corr });
             shared.begin_drain();
-            begin_close(shared, session);
+            begin_close(session);
         }
         ClientFrame::Delegate {
             corr,
@@ -1188,7 +1157,7 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             // pool-manager stage answering the last fragment, or the I/O
             // thread of the next hop's link — writes `Delegated`.  Counted
             // on the session until it has run.
-            let pending = Pending::completion(&state);
+            let pending = Pending::new(&state);
             let (done_state, done_federation) = (state.clone(), federation.clone());
             let done: DelegateDone = Box::new(move |outcome, routing| {
                 done_state.deliver_delegated(&done_federation, corr, outcome, routing);
@@ -1254,20 +1223,6 @@ fn not_federated(corr: RequestId) -> ServerFrame {
     }
 }
 
-/// The completion answering `corr` with a redeemed ticket's outcome (and
-/// dropping open deadline `open`), counted until it has run.
-fn answer(state: &Arc<SessionState>, corr: RequestId, open: Option<u64>) -> WaitDone {
-    let pending = Pending::completion(state);
-    let state = state.clone();
-    Box::new(move |outcome| {
-        if let Some(key) = open {
-            state.deadlines.lock().remove(&key);
-        }
-        state.deliver_outcome(corr, outcome);
-        drop(pending);
-    })
-}
-
 /// Leaves `done` with the backend for `ticket`'s outcome, delivered by
 /// whoever finds the two together: this thread on a hit, the pool-manager
 /// stage that answers its last fragment on a miss — and on a federated
@@ -1284,143 +1239,12 @@ fn redeem(shared: &ServerShared, state: &Arc<SessionState>, ticket: Ticket, done
     }
 }
 
-/// A batch ticket's `Wait` or `Poll`, redeemed as a `Submit`'s is
-/// ([`redeem`]) but for the give-up: a `Poll` (due now) or deadline `Wait`
-/// leaves an open deadline, given up when due ([`expire_deadlines`]) — a
-/// `Poll`'s before the next frame is read.
-fn redeem_batch(
-    shared: &Arc<ServerShared>,
-    state: &Arc<SessionState>,
-    corr: RequestId,
-    wire: u64,
-    give_up: Option<(std::time::Instant, ServerFrame)>,
-) {
-    let Some(ticket) = state.claim(wire) else {
-        return state.send(&ServerFrame::Error {
-            corr,
-            error: AllocationError::UnknownTicket,
-        });
-    };
-    let Some((at, reply)) = give_up else {
-        return redeem(shared, state, ticket, answer(state, corr, None));
-    };
-    let open = OpenDeadline {
-        at,
-        ticket,
-        refile: Some(wire),
-        reply,
-    };
-    state.deadlines.lock().insert(wire, open);
-    redeem(shared, state, ticket, answer(state, corr, Some(wire)));
-    expire_deadlines(shared, state);
-}
-
-/// A `SubmitBatch`: one admission in the backend's window, answered by
-/// whichever thread launches it.  One that may still be queued files its
-/// give-up as an open deadline — withdrawn then and refused — unless its
-/// answer came first.  Counted as a submission until either.
-fn submit_batch(
-    shared: &Arc<ServerShared>,
-    state: &Arc<SessionState>,
-    corr: RequestId,
-    queries: &[String],
-) {
-    let parsed: Result<Vec<_>, _> = queries
-        .iter()
-        .map(|q| actyp_query::parse_query(q))
-        .collect();
-    let parsed = match parsed {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            let error = AllocationError::Parse(e.to_string());
-            return state.send(&ServerFrame::Error { corr, error });
-        }
-    };
-    let Some(counted) = Pending::submission(state, corr) else {
-        return;
-    };
-    // The give-up's key among the open deadlines: a wire id no ticket gets.
-    let key = state.next_ticket.fetch_add(1, Ordering::Relaxed);
-    let answered = Arc::new(AtomicBool::new(false));
-    let (done_shared, done_state, done_answered) =
-        (shared.clone(), state.clone(), answered.clone());
-    let done: BatchDone = Box::new(move |submitted| {
-        {
-            // Under the lock the give-up is filed under: filed already, it
-            // goes; not yet, it never will be.
-            let mut deadlines = done_state.deadlines.lock();
-            deadlines.remove(&key);
-            done_answered.store(true, Ordering::SeqCst);
-        }
-        match submitted {
-            Ok(tickets) => {
-                let keep = |ticket| keep(&done_shared, &done_state, None, ticket);
-                let tickets = tickets.into_iter().filter_map(keep).collect();
-                done_state.send(&ServerFrame::BatchSubmitted { corr, tickets });
-            }
-            Err(error) => done_state.send(&ServerFrame::Error { corr, error }),
-        }
-        drop(counted);
-    });
-    let Some(queued) = shared.manager.submit_batch_with(parsed, done) else {
-        return;
-    };
-    let mut deadlines = state.deadlines.lock();
-    if !answered.load(Ordering::SeqCst) {
-        let open = OpenDeadline {
-            at: queued.deadline,
-            ticket: queued.ticket,
-            refile: None,
-            reply: ServerFrame::Error {
-                corr,
-                error: queued.refusal,
-            },
-        };
-        deadlines.insert(key, open);
-    }
-}
-
-/// Gives up the session's open deadlines that are due: takes each
-/// completion back from the backend and, when that worked, files the wire
-/// ticket of a redemption again, as it was, and answers `TimedOut`,
-/// `Pending` or a batch's refusal.  A completion that ran or is running
-/// answers itself — a federated chain that started first answers `Outcome`.
-/// Returns the earliest deadline still open.
-fn expire_deadlines(
-    shared: &Arc<ServerShared>,
-    state: &Arc<SessionState>,
-) -> Option<std::time::Instant> {
-    let now = std::time::Instant::now();
-    let mut due = Vec::new();
-    let next = {
-        let mut deadlines = state.deadlines.lock();
-        deadlines.retain(|_, open| {
-            let still_open = open.at > now;
-            if !still_open {
-                due.push(open.clone());
-            }
-            still_open
-        });
-        deadlines.values().map(|open| open.at).min()
-    };
-    for open in due {
-        // Taken back, the completion is dropped uncalled.
-        if shared.manager.cancel_wait(open.ticket) {
-            if let Some(wire) = open.refile {
-                keep(shared, state, Some(wire), open.ticket);
-            }
-            state.send(&open.reply);
-        }
-    }
-    next
-}
-
 /// Transitions the session into [`Phase::Closing`] (idempotent).  A client
-/// session settles each abandoned ticket ([`settle_abandoned`]), and
-/// [`refresh_session`] queues its final sweep once nothing is outstanding.
+/// session waits for every reply it is owed, and [`refresh_session`] queues
+/// its final sweep once nothing is outstanding.
 /// A peer link has nothing to settle or flush: its connection dies —
 /// failing whatever still waits on it — and the session retires at once.
-fn begin_close(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
+fn begin_close(session: &mut ReactorSession) {
     if matches!(session.phase, Phase::Closing) {
         return;
     }
@@ -1436,39 +1260,7 @@ fn begin_close(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
         return;
     }
     session.settling_since = Some(std::time::Instant::now());
-    for ticket in session.state.close_tickets() {
-        settle_abandoned(shared, &session.state, ticket);
-    }
-}
-
-/// The backend a closing session settles its abandoned tickets through:
-/// on a federated daemon the wrapped one, so nothing is delegated for a
-/// client that is gone.
-fn local_backend(shared: &ServerShared) -> &dyn ResourceManager {
-    match &shared.federation {
-        Some(federation) => federation.inner(),
-        None => &*shared.manager,
-    }
-}
-
-/// Settles a ticket nobody will redeem: a completion takes its outcome
-/// (through [`local_backend`]) and hands every allocation straight back,
-/// counted on the session until the releases have run.
-fn settle_abandoned(shared: &Arc<ServerShared>, state: &Arc<SessionState>, ticket: Ticket) {
-    let federation = shared.federation.as_ref();
-    let Some(ticket) = federation.map_or(Some(ticket), |f| f.take_local(ticket)) else {
-        return;
-    };
-    let pending = Pending::completion(state);
-    let (done_shared, done_state) = (shared.clone(), state.clone());
-    let done: WaitDone = Box::new(move |outcome| {
-        for allocation in outcome.into_iter().flatten() {
-            let pending = Pending::completion(&done_state);
-            release_allocation(&done_shared, allocation, Box::new(move |_| drop(pending)));
-        }
-        drop(pending);
-    });
-    local_backend(shared).wait_with(ticket, done);
+    session.state.closing.store(true, Ordering::SeqCst);
 }
 
 /// Releases `allocation`; `done` runs on the backend stage that drops the
@@ -1490,7 +1282,7 @@ fn sweep_closed(shared: &Arc<ServerShared>, state: &Arc<SessionState>) -> bool {
         state.queue.close();
     }
     for allocation in leaked {
-        let pending = Pending::completion(state);
+        let pending = Pending::new(state);
         release_allocation(shared, allocation, Box::new(move |_| drop(pending)));
     }
     sealed
@@ -1500,7 +1292,7 @@ fn sweep_closed(shared: &Arc<ServerShared>, state: &Arc<SessionState>) -> bool {
 fn flush_or_close(shared: &Arc<ServerShared>, session: &mut ReactorSession) {
     if !flush_session(shared, session) {
         session.client_gone = true;
-        begin_close(shared, session);
+        begin_close(session);
     }
 }
 
@@ -1541,7 +1333,6 @@ fn flush_session(shared: &Arc<ServerShared>, session: &mut ReactorSession) -> bo
 fn refresh_session(
     shared: &Arc<ServerShared>,
     poller: &mut dyn Poller,
-    wheel: &mut TimerWheel,
     sessions: &mut HashMap<u64, ReactorSession>,
     token: u64,
     first: &IoNotify,
@@ -1552,7 +1343,7 @@ fn refresh_session(
     // A peer link retired elsewhere — shut down, or a completion's
     // deadline passed — ends its session.
     if session.peer.as_ref().is_some_and(|conn| conn.is_dead()) {
-        begin_close(shared, session);
+        begin_close(session);
     }
     if !matches!(session.phase, Phase::Closing)
         && !session.read_buf.is_empty()
@@ -1568,14 +1359,7 @@ fn refresh_session(
     if session.settling_since.is_some_and(settled) && sweep_closed(shared, &session.state) {
         session.settling_since = None;
     }
-    // The open deadlines that are due are given up; the timer wakes this
-    // thread for the earliest one left.
-    if let Some(at) = expire_deadlines(shared, &session.state) {
-        let left = at.saturating_duration_since(std::time::Instant::now());
-        wheel.add(DEADLINE_TIMER | token, left);
-    }
     if session.finished() {
-        wheel.remove(DEADLINE_TIMER | token);
         let session = sessions.remove(&token).expect("session just seen");
         let _ = poller.deregister(session.stream.as_raw_fd());
         let _ = session.stream.shutdown(std::net::Shutdown::Both);
@@ -1604,28 +1388,19 @@ fn refresh_session(
 }
 
 /// Per-connection session state: the write queue replies go to, the
-/// session-scoped ticket table mapping the wire ids of batch tickets to
-/// backend tickets (a single `Submit`'s ticket never enters it: its
-/// outcome is the reply), and the allocation leases the session currently
-/// holds.
+/// allocation leases the session currently holds, and how many replies it
+/// is owed.  The daemon keeps no ticket for a session: a `Submit`'s outcome
+/// is its reply.
 pub(super) struct SessionState {
     queue: Arc<OutQueue>,
-    /// `None` once the session is closing: a ticket issued after that
-    /// (a batch launched late, a deadline wait that missed) is settled at
-    /// once instead of kept for a client that is gone.
-    tickets: Mutex<Option<HashMap<u64, Ticket>>>,
     /// Allocations delivered to this client and not yet released, keyed by
     /// access key.  Allocations are *session leases*: whatever is still
     /// here when the session ends is handed back, so a client that
     /// crashes (even one whose Outcome reply raced its disconnect) cannot
     /// strand a machine claim.
     leases: Mutex<HashMap<String, Allocation>>,
-    next_ticket: AtomicU64,
-    /// Submissions queued in the admission window
-    /// ([`Pending::submission`]): capped per session by an error reply.
-    submissions: AtomicUsize,
-    /// Every other request somebody else still owes a reply to
-    /// ([`Pending::completion`]): bounded by pausing the read side.
+    /// Requests somebody else still owes a reply to ([`Pending`]): bounded
+    /// by pausing the read side.
     completions: AtomicUsize,
     /// Set when the session begins to close: from then on the last
     /// [`Pending`] to finish rings the I/O thread for the final sweep, and
@@ -1637,38 +1412,16 @@ pub(super) struct SessionState {
     /// to, and so a re-advertisement under a *different* name retires the
     /// old domain.
     peer_domain: Mutex<Option<String>>,
-    /// The `Poll`s and deadline `Wait`s whose completion is with the
-    /// backend, by wire ticket id, and the `SubmitBatch`es that may still be
-    /// queued in its window, by a wire id of their own: each completion
-    /// drops its own entry, and the I/O thread gives up what is left when
-    /// it is due.
-    deadlines: Mutex<HashMap<u64, OpenDeadline>>,
-}
-
-/// A completion left with the backend that gives up at a deadline: when,
-/// the ticket that takes it back ([`ResourceManager::cancel_wait`]), the
-/// wire id a redemption's ticket is filed under again, and what it answers
-/// then.
-#[derive(Clone)]
-struct OpenDeadline {
-    at: std::time::Instant,
-    ticket: Ticket,
-    refile: Option<u64>,
-    reply: ServerFrame,
 }
 
 impl SessionState {
     fn new(queue: Arc<OutQueue>) -> Arc<Self> {
         Arc::new(SessionState {
             queue,
-            tickets: Mutex::new(Some(HashMap::new())),
             leases: Mutex::new(HashMap::new()),
-            next_ticket: AtomicU64::new(0),
-            submissions: AtomicUsize::new(0),
             completions: AtomicUsize::new(0),
             closing: AtomicBool::new(false),
             peer_domain: Mutex::new(None),
-            deadlines: Mutex::new(HashMap::new()),
         })
     }
 
@@ -1679,33 +1432,17 @@ impl SessionState {
         let _ = self.queue.push(frame);
     }
 
-    /// Requests of this session somebody else still owes a reply to.  A
-    /// launched submission counts its outcome (or its settle) as a
-    /// completion before it stops counting itself, so reading submissions
-    /// first never sees 0 while either is outstanding.
+    /// Requests of this session somebody else still owes a reply to.
     fn outstanding(&self) -> usize {
-        self.submissions.load(Ordering::SeqCst) + self.completions.load(Ordering::SeqCst)
+        self.completions.load(Ordering::SeqCst)
     }
 
     /// Whether the session should stop reading frames for now: the client
-    /// is not draining its replies, or it pipelined more launched
-    /// submissions, waits and releases than the backend has answered yet.
+    /// is not draining its replies, or it pipelined more submissions,
+    /// releases and delegations than the backend has answered yet.
     fn backlogged(&self) -> bool {
         self.queue.pending_bytes() > OUT_HIGH_WATER
             || self.completions.load(Ordering::Relaxed) >= COMPLETIONS_HIGH_WATER
-    }
-
-    /// Takes wire id `ticket` out of the table for redemption.
-    fn claim(&self, ticket: u64) -> Option<Ticket> {
-        self.tickets.lock().as_mut()?.remove(&ticket)
-    }
-
-    /// Marks the session closing and empties its ticket table for good,
-    /// returning the tickets the client abandoned.
-    fn close_tickets(&self) -> Vec<Ticket> {
-        self.closing.store(true, Ordering::SeqCst);
-        let table = self.tickets.lock().take().unwrap_or_default();
-        table.into_values().collect()
     }
 
     /// Records the allocations of an outcome about to be delivered as
@@ -1767,41 +1504,17 @@ impl SessionState {
 
 /// One request of a session that somebody else still owes an answer to,
 /// counted on the session until dropped — with its completion, run or not
-/// — so the count cannot leak.
+/// — so the count cannot leak.  Never refused: held back by pausing the
+/// read side at [`COMPLETIONS_HIGH_WATER`].
 struct Pending {
     state: Arc<SessionState>,
-    submission: bool,
 }
 
 impl Pending {
-    /// A submission: queued in the admission window.
-    /// Past [`MAX_SESSION_SUBMISSIONS`] the request is answered with an
-    /// overload error instead, and `None` returned.
-    fn submission(state: &Arc<SessionState>, corr: RequestId) -> Option<Self> {
-        if state.submissions.load(Ordering::Relaxed) >= MAX_SESSION_SUBMISSIONS {
-            state.send(&ServerFrame::Error {
-                corr,
-                error: AllocationError::Internal(format!(
-                    "session has {MAX_SESSION_SUBMISSIONS} submissions in flight; \
-                     await replies before sending more"
-                )),
-            });
-            return None;
-        }
-        state.submissions.fetch_add(1, Ordering::SeqCst);
-        Some(Pending {
-            state: state.clone(),
-            submission: true,
-        })
-    }
-
-    /// Any other request: never refused, held back by pausing the read
-    /// side at [`COMPLETIONS_HIGH_WATER`].
-    fn completion(state: &Arc<SessionState>) -> Self {
+    fn new(state: &Arc<SessionState>) -> Self {
         state.completions.fetch_add(1, Ordering::SeqCst);
         Pending {
             state: state.clone(),
-            submission: false,
         }
     }
 }
@@ -1809,12 +1522,7 @@ impl Pending {
 impl Drop for Pending {
     fn drop(&mut self) {
         let state = &self.state;
-        let counter = match self.submission {
-            true => &state.submissions,
-            false => &state.completions,
-        };
-        let paused =
-            counter.fetch_sub(1, Ordering::SeqCst) >= COMPLETIONS_HIGH_WATER && !self.submission;
+        let paused = state.completions.fetch_sub(1, Ordering::SeqCst) >= COMPLETIONS_HIGH_WATER;
         // The session stopped reading at the high-water mark, or it is
         // closing and this was the last answer it waited for: the reply
         // that was just written rang nobody, so the I/O thread is told to
@@ -1840,27 +1548,6 @@ fn note_peer_session_domain(shared: &ServerShared, state: &SessionState, domain:
             }
         }
     }
-}
-
-/// Files `ticket` in the session table under wire id `wire_id` (`None`: a
-/// fresh one), returning the id — or, once the session is closing, settles
-/// it and returns `None`.
-fn keep(
-    shared: &Arc<ServerShared>,
-    state: &Arc<SessionState>,
-    wire_id: Option<u64>,
-    ticket: Ticket,
-) -> Option<u64> {
-    let wire_id = wire_id.unwrap_or_else(|| state.next_ticket.fetch_add(1, Ordering::Relaxed));
-    let kept = state
-        .tickets
-        .lock()
-        .as_mut()
-        .map(|t| t.insert(wire_id, ticket));
-    if kept.is_none() {
-        settle_abandoned(shared, state, ticket);
-    }
-    kept.map(|_| wire_id)
 }
 
 #[cfg(test)]
@@ -1967,7 +1654,7 @@ mod tests {
     fn pushes_cost_at_most_one_pipe_write_per_loop_iteration() {
         let notify = Arc::new(IoNotify::new().unwrap());
         let state = session_on(&notify, 7);
-        let frame = ServerFrame::Pending { corr: RequestId(0) };
+        let frame = ServerFrame::Released { corr: RequestId(0) };
 
         // The loop is awake (it is this thread): 1,000 pushes, no write.
         for _ in 0..1_000 {

@@ -50,18 +50,24 @@ use crate::wire::{DecodeError, EncodeError, Reader, WireDecode, WireEncode};
 /// answered by the [`ServerFrame::Outcome`] of the query it submitted, so
 /// one allocation costs one frame each way before its `Release`.  No ticket
 /// crosses the wire for it; [`ServerFrame::Submitted`] is no longer sent.
-/// `SubmitBatch` still issues tickets, redeemed with `Wait` / `Poll`.
-pub const PROTOCOL_VERSION: u16 = 4;
+///
+/// Version 5 makes pipelined `Submit`s the only way to have several queries
+/// in flight: the batch frames are retired — client tags 2 (a batch
+/// submission) and 4 (a ticket probe), server tags 3, 5 and 6 (their
+/// replies) — and no daemon issues a ticket.  [`ClientFrame::Wait`] is
+/// reserved beside `Submitted`; a v5 daemon answers it `UnknownTicket`.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Oldest protocol version this build still speaks.  Versions 2 and 3
 /// each changed the layout of [`StatsSnapshot`] (not only added frames),
 /// so an older peer would mis-decode every `StatsReply` — and a v2 peer
 /// would also mis-decode the delta fields v3 appends to `Delegated`,
 /// `SyncPools` and `PoolsSynced`.  Version 4 changed what answers a
-/// `Submit`, so a v3 client would wait forever for a `Submitted`.  Honest
-/// negotiation refuses the connection at the hello instead of
-/// desynchronising mid-session.
-pub const MIN_SUPPORTED_VERSION: u16 = 4;
+/// `Submit`, so a v3 client would wait forever for a `Submitted`; version 5
+/// retired the batch frames a v4 client may send.  Honest negotiation
+/// refuses the connection at the hello instead of desynchronising
+/// mid-session.
+pub const MIN_SUPPORTED_VERSION: u16 = 5;
 
 /// Hard upper bound on one frame's body length (16 MiB).  A peer declaring
 /// more is protocol-violating; the connection should be dropped.
@@ -212,30 +218,17 @@ pub enum ClientFrame {
         /// The query, rendered in the native text format.
         query: String,
     },
-    /// Submit a batch of queries, all-or-nothing, for one ticket each.
-    SubmitBatch {
-        /// Correlation id echoed by the response.
-        corr: RequestId,
-        /// The queries, each rendered in the native text format.
-        queries: Vec<String>,
-    },
-    /// Redeem a ticket, blocking server-side until it resolves or the
-    /// optional deadline elapses.
+    /// Reserved: version 4's redemption of a daemon-issued batch ticket.  A
+    /// v5 daemon issues no ticket and answers it with an
+    /// [`ServerFrame::Error`] carrying `UnknownTicket`.  The variant and its
+    /// tag stay only until the benchmark's byte model stops naming it.
     Wait {
         /// Correlation id echoed by the response.
         corr: RequestId,
-        /// The server-issued ticket id to redeem.
+        /// The ticket id to redeem.
         ticket: u64,
-        /// Give up after this many milliseconds (the ticket stays live);
-        /// `None` blocks until the outcome is ready.
+        /// Give up after this many milliseconds; `None` waits for good.
         deadline_ms: Option<u64>,
-    },
-    /// Non-blocking redemption probe.
-    Poll {
-        /// Correlation id echoed by the response.
-        corr: RequestId,
-        /// The server-issued ticket id to probe.
-        ticket: u64,
     },
     /// Hand an allocation back to the resource manager.
     Release {
@@ -249,8 +242,8 @@ pub enum ClientFrame {
         /// Correlation id echoed by the response.
         corr: RequestId,
     },
-    /// End this session gracefully: the server settles any tickets the
-    /// session still holds and closes the connection after acknowledging.
+    /// End this session gracefully: the server settles the session's
+    /// submissions and leases and closes the connection after acknowledging.
     Shutdown {
         /// Correlation id echoed by the response.
         corr: RequestId,
@@ -325,40 +318,22 @@ pub enum ServerFrame {
         /// Human-readable explanation (supported range, etc.).
         message: String,
     },
-    /// Reserved: version 3's reply to `Submit`, which a v4 daemon never
-    /// sends (a v4 `Submit` is answered by its `Outcome`).  The variant and
-    /// its tag stay only until the benchmark's byte model stops naming it.
+    /// Reserved: version 3's reply to `Submit`, which a v4 or v5 daemon
+    /// never sends (a `Submit` is answered by its `Outcome`).  The variant
+    /// and its tag stay only until the benchmark's byte model stops naming
+    /// it.
     Submitted {
         /// Correlation id of the `Submit` this answers.
         corr: RequestId,
-        /// Server-issued ticket id redeemable with `Wait` / `Poll`.
+        /// Server-issued ticket id.
         ticket: u64,
     },
-    /// A `SubmitBatch` was accepted in full.
-    BatchSubmitted {
-        /// Correlation id of the `SubmitBatch` this answers.
-        corr: RequestId,
-        /// One server-issued ticket id per query, in submission order.
-        tickets: Vec<u64>,
-    },
-    /// A query resolved: answers its `Submit`, or the `Wait` (or ready
-    /// `Poll`) redeeming its batch ticket, which is now spent.
+    /// A query resolved: answers its `Submit`.
     Outcome {
         /// Correlation id of the request this answers.
         corr: RequestId,
         /// The query's outcome.
         outcome: WireOutcome,
-    },
-    /// Answers `Poll` while the ticket is still in flight (ticket stays
-    /// live).
-    Pending {
-        /// Correlation id of the `Poll` this answers.
-        corr: RequestId,
-    },
-    /// Answers `Wait` whose deadline elapsed first (ticket stays live).
-    TimedOut {
-        /// Correlation id of the `Wait` this answers.
-        corr: RequestId,
     },
     /// A `Release` succeeded.
     Released {
@@ -447,11 +422,6 @@ impl WireEncode for ClientFrame {
                 corr.encode(out)?;
                 query.encode(out)?;
             }
-            ClientFrame::SubmitBatch { corr, queries } => {
-                out.push(2);
-                corr.encode(out)?;
-                queries.encode(out)?;
-            }
             ClientFrame::Wait {
                 corr,
                 ticket,
@@ -461,11 +431,6 @@ impl WireEncode for ClientFrame {
                 corr.encode(out)?;
                 ticket.encode(out)?;
                 deadline_ms.encode(out)?;
-            }
-            ClientFrame::Poll { corr, ticket } => {
-                out.push(4);
-                corr.encode(out)?;
-                ticket.encode(out)?;
             }
             ClientFrame::Release { corr, allocation } => {
                 out.push(5);
@@ -536,18 +501,10 @@ impl WireDecode for ClientFrame {
                 corr: RequestId::decode(r)?,
                 query: String::decode(r)?,
             },
-            2 => ClientFrame::SubmitBatch {
-                corr: RequestId::decode(r)?,
-                queries: Vec::<String>::decode(r)?,
-            },
             3 => ClientFrame::Wait {
                 corr: RequestId::decode(r)?,
                 ticket: u64::decode(r)?,
                 deadline_ms: Option::<u64>::decode(r)?,
-            },
-            4 => ClientFrame::Poll {
-                corr: RequestId::decode(r)?,
-                ticket: u64::decode(r)?,
             },
             5 => ClientFrame::Release {
                 corr: RequestId::decode(r)?,
@@ -606,23 +563,10 @@ impl WireEncode for ServerFrame {
                 corr.encode(out)?;
                 ticket.encode(out)?;
             }
-            ServerFrame::BatchSubmitted { corr, tickets } => {
-                out.push(3);
-                corr.encode(out)?;
-                tickets.encode(out)?;
-            }
             ServerFrame::Outcome { corr, outcome } => {
                 out.push(4);
                 corr.encode(out)?;
                 outcome.encode(out)?;
-            }
-            ServerFrame::Pending { corr } => {
-                out.push(5);
-                corr.encode(out)?;
-            }
-            ServerFrame::TimedOut { corr } => {
-                out.push(6);
-                corr.encode(out)?;
             }
             ServerFrame::Released { corr } => {
                 out.push(7);
@@ -696,19 +640,9 @@ impl WireDecode for ServerFrame {
                 corr: RequestId::decode(r)?,
                 ticket: u64::decode(r)?,
             },
-            3 => ServerFrame::BatchSubmitted {
-                corr: RequestId::decode(r)?,
-                tickets: Vec::<u64>::decode(r)?,
-            },
             4 => ServerFrame::Outcome {
                 corr: RequestId::decode(r)?,
                 outcome: WireOutcome::decode(r)?,
-            },
-            5 => ServerFrame::Pending {
-                corr: RequestId::decode(r)?,
-            },
-            6 => ServerFrame::TimedOut {
-                corr: RequestId::decode(r)?,
             },
             7 => ServerFrame::Released {
                 corr: RequestId::decode(r)?,
@@ -909,7 +843,7 @@ mod tests {
 
     #[test]
     fn negotiation_picks_the_highest_common_version() {
-        assert_eq!(negotiate(4, 4), Some(4));
+        assert_eq!(negotiate(5, 5), Some(5));
         assert_eq!(negotiate(1, 99), Some(PROTOCOL_VERSION));
         assert_eq!(
             negotiate(MIN_SUPPORTED_VERSION, PROTOCOL_VERSION),
@@ -919,14 +853,15 @@ mod tests {
         assert_eq!(negotiate(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5), None);
         // A client that only speaks retired versions is rejected: v2 and
         // v3 each changed the StatsSnapshot layout (and v3 the delegation
-        // reply layout), and a v3 client would wait for a `Submitted` no
-        // v4 daemon sends.
+        // reply layout), a v3 client would wait for a `Submitted` no later
+        // daemon sends, and a v4 client may send the retired batch frames.
         assert_eq!(negotiate(1, 1), None);
         assert_eq!(negotiate(2, 2), None);
         assert_eq!(negotiate(3, 3), None);
-        assert_eq!(negotiate(1, 3), None);
+        assert_eq!(negotiate(4, 4), None);
+        assert_eq!(negotiate(1, 4), None);
         // An inverted range is rejected.
-        assert_eq!(negotiate(5, 4), None);
+        assert_eq!(negotiate(6, 5), None);
     }
 
     #[test]
@@ -1017,7 +952,7 @@ mod tests {
                 corr: RequestId(3),
                 outcome: Err(AllocationError::NoSuchResources),
             },
-            ServerFrame::TimedOut { corr: RequestId(4) },
+            ServerFrame::Released { corr: RequestId(4) },
             ServerFrame::Error {
                 corr: RequestId(5),
                 error: AllocationError::Protocol("x".into()),
@@ -1077,10 +1012,12 @@ mod tests {
 
     #[test]
     fn oversized_outgoing_frames_are_refused_before_any_byte_is_sent() {
-        // A batch whose rendered queries together exceed MAX_FRAME_LEN.
-        let frame = ClientFrame::SubmitBatch {
+        // A visited list whose names together exceed MAX_FRAME_LEN.
+        let frame = ClientFrame::Delegate {
             corr: RequestId(1),
-            queries: vec!["q".repeat(MAX_SEQUENCE_LEN - 1); 17],
+            query: String::new(),
+            ttl: 4,
+            visited: vec!["q".repeat(MAX_SEQUENCE_LEN - 1); 17],
         };
         let mut stream = Vec::new();
         let err = write_frame(&mut stream, &frame).unwrap_err();

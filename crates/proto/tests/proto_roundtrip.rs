@@ -121,10 +121,10 @@ fn advert_delta_strategy() -> impl Strategy<Value = AdvertDelta> {
 }
 
 /// Every [`ClientFrame`] variant, driven by a variant selector so each of
-/// the twelve shapes is generated.
+/// the ten shapes is generated.
 fn client_frame_strategy() -> impl Strategy<Value = ClientFrame> {
     (
-        (0u8..12, 0u64..1 << 32, text_strategy()),
+        (0u8..10, 0u64..1 << 32, text_strategy()),
         (
             prop::collection::vec(text_strategy(), 0..5),
             0u64..1 << 20,
@@ -145,24 +145,22 @@ fn client_frame_strategy() -> impl Strategy<Value = ClientFrame> {
                         max_version: (corr.0 % 4) as u16 + (ticket % 4) as u16,
                     },
                     1 => ClientFrame::Submit { corr, query },
-                    2 => ClientFrame::SubmitBatch { corr, queries },
-                    3 => ClientFrame::Wait {
+                    2 => ClientFrame::Wait {
                         corr,
                         ticket,
                         deadline_ms: deadline,
                     },
-                    4 => ClientFrame::Poll { corr, ticket },
-                    5 => ClientFrame::Release { corr, allocation },
-                    6 => ClientFrame::Stats { corr },
-                    7 => ClientFrame::Shutdown { corr },
-                    8 => ClientFrame::Halt { corr },
-                    9 => ClientFrame::Delegate {
+                    3 => ClientFrame::Release { corr, allocation },
+                    4 => ClientFrame::Stats { corr },
+                    5 => ClientFrame::Shutdown { corr },
+                    6 => ClientFrame::Halt { corr },
+                    7 => ClientFrame::Delegate {
                         corr,
                         query,
                         ttl: (ticket % 32) as u32,
                         visited: queries,
                     },
-                    10 => ClientFrame::SyncPools {
+                    8 => ClientFrame::SyncPools {
                         corr,
                         domain: query,
                         pools: queries,
@@ -182,10 +180,9 @@ fn client_frame_strategy() -> impl Strategy<Value = ClientFrame> {
 /// Every [`ServerFrame`] variant.
 fn server_frame_strategy() -> impl Strategy<Value = ServerFrame> {
     (
-        (0u8..14, 0u64..1 << 32, text_strategy()),
+        (0u8..11, 0u64..1 << 32, text_strategy()),
         (
             0u64..1 << 20,
-            prop::collection::vec(0u64..1 << 20, 0..6),
             prop::collection::vec(allocation_strategy(), 0..3),
             error_strategy(),
             stats_strategy(),
@@ -199,7 +196,7 @@ fn server_frame_strategy() -> impl Strategy<Value = ServerFrame> {
         .prop_map(
             |(
                 (variant, corr, message),
-                (ticket, tickets, allocations, error, stats),
+                (ticket, allocations, error, stats),
                 (ok, names, deltas),
             )| {
                 let corr = RequestId(corr);
@@ -209,25 +206,22 @@ fn server_frame_strategy() -> impl Strategy<Value = ServerFrame> {
                     },
                     1 => ServerFrame::HelloReject { message },
                     2 => ServerFrame::Submitted { corr, ticket },
-                    3 => ServerFrame::BatchSubmitted { corr, tickets },
-                    4 => ServerFrame::Outcome {
+                    3 => ServerFrame::Outcome {
                         corr,
                         outcome: if ok { Ok(allocations) } else { Err(error) },
                     },
-                    5 => ServerFrame::Pending { corr },
-                    6 => ServerFrame::TimedOut { corr },
-                    7 => ServerFrame::Released { corr },
-                    8 => ServerFrame::StatsReply { corr, stats },
-                    9 => ServerFrame::Ack { corr },
-                    10 => ServerFrame::Error { corr, error },
-                    11 => ServerFrame::Delegated {
+                    4 => ServerFrame::Released { corr },
+                    5 => ServerFrame::StatsReply { corr, stats },
+                    6 => ServerFrame::Ack { corr },
+                    7 => ServerFrame::Error { corr, error },
+                    8 => ServerFrame::Delegated {
                         corr,
                         outcome: if ok { Ok(allocations) } else { Err(error) },
                         ttl: (ticket % 32) as u32,
                         visited: names,
                         deltas,
                     },
-                    12 => ServerFrame::PoolsSynced {
+                    9 => ServerFrame::PoolsSynced {
                         corr,
                         domain: message,
                         pools: names,
@@ -377,9 +371,11 @@ proptest! {
                 ttl: 4,
                 visited: Vec::new(),
             },
-            _ => ClientFrame::SubmitBatch {
+            _ => ClientFrame::Delegate {
                 corr,
-                queries: vec![String::new(), oversized],
+                query: String::new(),
+                ttl: 4,
+                visited: vec![String::new(), oversized],
             },
         };
         prop_assert!(matches!(

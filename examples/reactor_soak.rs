@@ -20,8 +20,8 @@
 //!     127.0.0.1:7431 127.0.0.1:7432 --halt
 //! ```
 //!
-//! Every client thread pipelines a batch of locally satisfiable queries
-//! (several tickets in flight on one connection) and every fourth client
+//! Every client thread pipelines six locally satisfiable queries (six
+//! tickets in flight on one connection) and every fourth client
 //! additionally submits a query only the peer domain can satisfy, so
 //! delegations multiplex on the one peer link while the client load runs.
 //! The example asserts every ticket settles, every allocation releases,
@@ -111,9 +111,9 @@ fn main() {
                 let mut settled = 0usize;
                 // Pipelined local load: BATCH tickets in flight at once on
                 // this one connection.
-                let tickets = manager
-                    .submit_batch(vec![local; BATCH])
-                    .expect("batch admits");
+                let tickets: Vec<_> = (0..BATCH)
+                    .map(|_| manager.submit(local.clone()).expect("submission sent"))
+                    .collect();
                 for ticket in tickets {
                     let allocations = manager.wait(ticket).expect("local ticket settles");
                     manager.release(&allocations[0]).expect("release");

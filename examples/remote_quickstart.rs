@@ -65,8 +65,8 @@ fn main() {
         manager.protocol_version()
     );
 
-    // The paper's pipelining across the wire: a batch of tickets in flight
-    // on this single socket before any of them is redeemed.
+    // The paper's pipelining across the wire: six pipelined submissions in
+    // flight on this single socket before any of them is redeemed.
     let query = "\
 punch.rsrc.arch = sun
 punch.rsrc.memory = >=10
@@ -74,16 +74,16 @@ punch.user.login = kapadia
 punch.user.accessgroup = ece
 ";
     let parsed = actyp_query::parse_query(query).expect("query parses");
-    let tickets = manager
-        .submit_batch(vec![parsed; 6])
-        .expect("batch accepted");
+    let tickets: Vec<_> = (0..6)
+        .map(|_| manager.submit(parsed.clone()).expect("submission sent"))
+        .collect();
     println!(
         "6 tickets submitted on one connection; server reports {} in flight",
         manager.stats().in_flight
     );
 
-    // Redeem them: one bounded wait (the deadline travels to the server),
-    // the rest blocking.
+    // Redeem them: one bounded wait (the deadline is kept on this side of
+    // the socket), the rest blocking.
     let mut allocations = Vec::new();
     for (i, ticket) in tickets.into_iter().enumerate() {
         let outcome = if i == 0 {

@@ -460,16 +460,20 @@ fn abandoned_tickets_settle_locally_without_delegating() {
 
     // A client submits a query only the peer could satisfy, then
     // vanishes without redeeming the ticket.  The submission queues behind
-    // the client's own batch ticket, which holds the window's one permit
-    // until the closing session settles it: the submission launches only
-    // once its client is known to be gone.
+    // an in-process ticket holding the window's one permit, redeemed only
+    // once the client's session is closing: the submission launches after
+    // its client is known to be gone.
+    let sun = actyp_query::parse_query("punch.rsrc.arch = sun\n").unwrap();
+    let held = fed_a.submit(sun).unwrap();
     {
         let abandoner = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
-        let hp = actyp_query::parse_query("punch.rsrc.arch = hp\n").unwrap();
-        let _held = abandoner.submit_batch(vec![hp]).unwrap();
         let _ticket = abandoner.submit_text("punch.rsrc.arch = hp\n").unwrap();
-        // Dropped with both tickets in flight.
+        // Dropped with its ticket in flight.
     }
+    // The hang-up reaches the daemon, then the permit comes back.
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    let granted = fed_a.wait(held).unwrap();
+    fed_a.release(&granted[0]).unwrap();
     client.halt_daemon().unwrap();
     client.shutdown().unwrap();
     srv_a.join().unwrap();
@@ -700,60 +704,4 @@ fn non_federated_daemons_refuse_delegation_frames() {
     drop(raw);
     server.halt();
     server.join().unwrap();
-}
-
-#[test]
-fn over_window_batches_backpressure_with_a_deadline_on_a_federated_daemon() {
-    // The federated daemon used to diverge from the plain one here: its
-    // batch path fell through to per-query submission, which blocks in the
-    // live window with no bound.  Both modes now share the inner backend's
-    // deadline-bounded backpressure (plain-daemon half of this regression
-    // pair lives in tests/remote_backend.rs).
-    let deadline = std::time::Duration::from_millis(150);
-    let (server, _backend) = PipelineBuilder::new()
-        .database(homogeneous_db("sun", 300, 42))
-        .window(2)
-        .batch_deadline(deadline)
-        .serve_federated(
-            &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Live,
-            FederationConfig {
-                domain: "solo".to_string(),
-                ttl: 4,
-                peers: Vec::new(),
-                gossip_interval: std::time::Duration::ZERO,
-                ..FederationConfig::default()
-            },
-        )
-        .expect("federated daemon starts");
-    let remote = RemoteBackend::connect(&server.local_addr()).expect("connect");
-    let query = actyp_query::parse_query("punch.rsrc.arch = sun\n").unwrap();
-
-    let started = std::time::Instant::now();
-    let err = remote.submit_batch(vec![query.clone(); 4]).unwrap_err();
-    match &err {
-        AllocationError::Internal(message) => {
-            assert!(
-                message.contains("backpressure"),
-                "unexpected error: {message}"
-            )
-        }
-        other => panic!("expected deadline-bounded backpressure failure, got {other:?}"),
-    }
-    assert!(
-        started.elapsed() >= deadline,
-        "the federated daemon must backpressure until the deadline, not block unboundedly"
-    );
-
-    // The batch path still issues delegable tickets: a fitting batch
-    // settles, and nothing leaked in the window.
-    let tickets = remote.submit_batch(vec![query; 2]).unwrap();
-    for ticket in tickets {
-        let allocations = remote.wait(ticket).unwrap();
-        remote.release(&allocations[0]).unwrap();
-    }
-
-    remote.halt_daemon().unwrap();
-    remote.shutdown().unwrap();
-    server.join().expect("daemon drains");
 }

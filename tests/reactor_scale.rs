@@ -440,13 +440,12 @@ fn a_federated_pair_delegates(poller: PollerKind) {
 }
 
 /// One session against a live backend whose admission window holds a
-/// single ticket.  A batch ticket takes the permit; two `Submit`s written
-/// in one segment queue on the window in wire order.  The `Wait` that
-/// frees the permit must get through (it never queues behind the queued
-/// submissions), and each permit that comes back must go to the
-/// submission whose turn it is: the first launches when the ticket
-/// settles, the second when the first's outcome is in — the pipeline
-/// numbers its requests as they come in, so their allocations say so.
+/// single ticket.  Three `Submit`s written in one segment: the first takes
+/// the permit, the other two queue on the window in wire order, and each
+/// permit that comes back must go to the submission whose turn it is — the
+/// second launches when the first's outcome is in, the third after it.
+/// The pipeline numbers its requests as they come in, so their allocations
+/// say so.
 fn parked_submissions_keep_their_turn(poller: PollerKind) {
     use std::collections::BTreeMap;
     use std::io::Write;
@@ -462,34 +461,15 @@ fn parked_submissions_keep_their_turn(poller: PollerKind) {
     // A deadlock fails the test instead of hanging it.
     sock.set_read_timeout(Some(std::time::Duration::from_secs(30)))
         .unwrap();
-    let submit = |corr: u64| ClientFrame::Submit {
-        corr: RequestId(corr),
-        query: SUN_QUERY.to_string(),
-    };
-
-    send(
-        &mut sock,
-        &ClientFrame::SubmitBatch {
-            corr: RequestId(0),
-            queries: vec![SUN_QUERY.to_string()],
-        },
-    );
-    let held = match recv(&mut sock) {
-        ServerFrame::BatchSubmitted { tickets, .. } => tickets[0],
-        other => panic!("{poller}: expected BatchSubmitted, got {other:?}"),
-    };
-    let mut both = Vec::new();
-    write_frame(&mut both, &submit(1)).unwrap();
-    write_frame(&mut both, &submit(2)).unwrap();
-    sock.write_all(&both).unwrap();
-    send(
-        &mut sock,
-        &ClientFrame::Wait {
-            corr: RequestId(10),
-            ticket: held,
-            deadline_ms: None,
-        },
-    );
+    let mut segment = Vec::new();
+    for corr in 1..=3 {
+        let submit = ClientFrame::Submit {
+            corr: RequestId(corr),
+            query: SUN_QUERY.to_string(),
+        };
+        write_frame(&mut segment, &submit).unwrap();
+    }
+    sock.write_all(&segment).unwrap();
 
     // Three outcomes, from different threads, in any order.
     let mut granted = BTreeMap::new();
@@ -502,9 +482,9 @@ fn parked_submissions_keep_their_turn(poller: PollerKind) {
             other => panic!("{poller}: unexpected {other:?}"),
         }
     }
-    assert_eq!(granted.keys().copied().collect::<Vec<_>>(), [1, 2, 10]);
+    assert_eq!(granted.keys().copied().collect::<Vec<_>>(), [1, 2, 3]);
     assert!(
-        granted[&1].request < granted[&2].request,
+        granted[&1].request < granted[&2].request && granted[&2].request < granted[&3].request,
         "{poller}: launched out of turn"
     );
     for (i, allocation) in granted.into_values().enumerate() {

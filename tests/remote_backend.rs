@@ -37,8 +37,8 @@ fn remote_pair(machines: usize, seed: u64) -> (ServerHandle, Box<dyn ResourceMan
     (server, Box::new(remote))
 }
 
-/// THE single test body: a full client lifecycle — single submit, batch
-/// submit with tickets held concurrently, poll-until-ready, release,
+/// THE single test body: a full client lifecycle — single submit, pipelined
+/// submits with tickets held concurrently, poll-until-ready, release,
 /// stats and error handling — written once against the trait and reused
 /// verbatim for every architecture.
 fn exercise_manager(manager: &dyn ResourceManager, label: &str) {
@@ -51,9 +51,10 @@ fn exercise_manager(manager: &dyn ResourceManager, label: &str) {
     assert!(allocations[0].machine_name.contains("sun"), "{label}");
     manager.release(&allocations[0]).expect(label);
 
-    // A batch of tickets, all issued before any redemption.
-    let tickets = manager.submit_batch(vec![query.clone(); 4]).expect(label);
-    assert_eq!(tickets.len(), 4, "{label}");
+    // Pipelined submits: four tickets, all issued before any redemption.
+    let tickets: Vec<_> = (0..4)
+        .map(|_| manager.submit(query.clone()).expect(label))
+        .collect();
     for ticket in tickets {
         let allocations = manager.wait(ticket).expect(label);
         manager.release(&allocations[0]).expect(label);
@@ -197,8 +198,8 @@ fn two_remote_clients_hit_the_same_daemon() {
     let t1 = first.submit(Query::paper_example()).unwrap();
     let t2 = second.submit(Query::paper_example()).unwrap();
     // The client-side brand check rejects a foreign ticket without a round
-    // trip; server-side session scoping is covered separately by a raw
-    // protocol probe in actyp_pipeline::remote's unit tests.
+    // trip: a ticket is its connection's correlation id, and the daemon
+    // issues none.
     assert_eq!(second.wait(t1).unwrap_err(), AllocationError::UnknownTicket);
     let a1 = first.wait(t1).unwrap();
     let a2 = second.wait(t2).unwrap();
@@ -212,52 +213,4 @@ fn two_remote_clients_hit_the_same_daemon() {
     first.shutdown().unwrap();
     second.shutdown().unwrap();
     server.join().unwrap();
-}
-
-#[test]
-fn over_window_batches_backpressure_with_a_deadline_on_a_plain_daemon() {
-    // Both daemon modes (plain here, federated in tests/federation.rs)
-    // must apply the same deadline-bounded backpressure to an over-window
-    // SubmitBatch instead of rejecting it outright.
-    let deadline = std::time::Duration::from_millis(150);
-    let server = builder(300, 41)
-        .window(2)
-        .batch_deadline(deadline)
-        .serve(&loopback(), BackendKind::Live)
-        .expect("loopback ypd starts");
-    let remote = PipelineBuilder::remote(&server.local_addr()).expect("connect");
-
-    // Over-window batch, no concurrent redeemer: the daemon holds the
-    // batch until the deadline, settles what it issued, and reports the
-    // window state instead of rejecting up front or deadlocking.
-    let started = std::time::Instant::now();
-    let err = remote
-        .submit_batch(vec![Query::paper_example(); 4])
-        .unwrap_err();
-    match &err {
-        AllocationError::Internal(message) => {
-            assert!(
-                message.contains("backpressure"),
-                "unexpected error: {message}"
-            )
-        }
-        other => panic!("expected deadline-bounded backpressure failure, got {other:?}"),
-    }
-    assert!(
-        started.elapsed() >= deadline,
-        "the daemon must backpressure until the deadline, not reject outright"
-    );
-
-    // Nothing leaked server-side: a batch that fits still settles.
-    let tickets = remote
-        .submit_batch(vec![Query::paper_example(); 2])
-        .unwrap();
-    for ticket in tickets {
-        let allocations = remote.wait(ticket).unwrap();
-        remote.release(&allocations[0]).unwrap();
-    }
-
-    server.halt();
-    remote.shutdown().unwrap();
-    server.join().expect("daemon drains");
 }
