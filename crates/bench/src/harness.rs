@@ -378,10 +378,9 @@ pub struct LoadSpec {
     pub backend: BackendKind,
     /// Fleet seed.
     pub seed: u64,
-    /// Shard count for the self-hosted daemon's hot state (directory
-    /// shards, pending-ticket shards).  `0` keeps the daemon's default;
-    /// `1` restores the old single-lock behaviour — the pre-shard series
-    /// of the `saturation_cores` sweep.
+    /// Shard count of the self-hosted daemon's directory.  `0` keeps the
+    /// daemon's default; `1` restores the old single-lock behaviour — the
+    /// pre-shard series of the `saturation_cores` sweep.
     pub shards: usize,
     /// When set, the run is time-bounded: each client submits until the
     /// deadline instead of counting `requests_per_client` (which then

@@ -165,10 +165,10 @@ impl LintConfig {
 /// The daemon's non-parking entry points, for a tree whose pipeline
 /// sources sit under `pipeline_src`: the reactor I/O loop; the completion
 /// paths of the federation and of the hosted backends, which run on I/O
-/// and stage threads (`FederatedBackend::{wait_with, cancel_wait,
-/// release_with, delegate_with}`, and the `api.rs` backends' `submit_with`,
-/// `wait_with`, `cancel_wait` and `release_with` — whose window returns
-/// permits and launches queued admissions); and the peer-session read path, which routes a peer link's
+/// and stage threads (`FederatedBackend::{allocate_with, release_with,
+/// delegate_with}`, and the `api.rs` backends' `allocate_with` and
+/// `release_with` — whose window returns permits and launches queued
+/// admissions); and the peer-session read path, which routes a peer link's
 /// replies and runs their completions on the I/O thread
 /// (`corr::Conn::route`, reached from the session only through a method
 /// call the walk cannot resolve).  The backend calls are reached from the
@@ -176,10 +176,10 @@ impl LintConfig {
 pub fn reactor_entry_points(pipeline_src: &str) -> Vec<String> {
     let file = |name: &str| Path::new(pipeline_src).join(name).display().to_string();
     let mut entries = vec!["io_thread_main".to_string()];
-    for function in ["wait_with", "cancel_wait", "release_with", "delegate_with"] {
+    for function in ["allocate_with", "release_with", "delegate_with"] {
         entries.push(format!("{}::{function}", file("federation.rs")));
     }
-    for function in ["submit_with", "wait_with", "cancel_wait", "release_with"] {
+    for function in ["allocate_with", "release_with"] {
         entries.push(format!("{}::{function}", file("api.rs")));
     }
     entries.push(format!("{}::route", file("corr.rs")));
@@ -615,9 +615,9 @@ const REACTOR_BLOCKING_ANY_ARGS: &[&str] = &["recv_timeout", "recv_deadline"];
 /// Calls on the daemon's hosted backend (`shared.manager.wait(..)`) that
 /// may park.  The backend is a `dyn ResourceManager`, so the walk cannot
 /// follow the call into whatever runs behind it — the method name has to
-/// carry the contract instead.  `try_poll` waits for a federated chain
-/// its poll started.  `submit_with`, `stats`, `wait_with`, `cancel_wait`
-/// and `release_with` promise not to park and are deliberately absent.
+/// carry the contract instead.  The blocking redemptions wait for an
+/// outcome a stage or a peer produces.  `allocate_with`, `stats` and
+/// `release_with` promise not to park and are deliberately absent.
 const MANAGER_PARKING_CALLS: &[&str] = &[
     "submit",
     "submit_text",

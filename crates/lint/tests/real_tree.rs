@@ -41,7 +41,8 @@ fn the_walk_covers_the_federations_completion_paths() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
-        ("federation.rs", "wait_with"),
+        ("federation.rs", "allocate_with"),
+        ("federation.rs", "allocate_while"),
         ("federation.rs", "release_with"),
         ("federation.rs", "delegate_with"),
         ("federation.rs", "federate"),
@@ -91,25 +92,24 @@ fn the_walk_covers_the_timer_rounds_and_the_dial() {
 }
 
 /// The live backend's admission window runs on whichever thread returns a
-/// permit — a pool-manager stage finishing a `wait_with`, or an I/O thread
-/// answering a `Submit` — and launches queued admissions from there.  The
-/// walk from the backends' completion entry points must reach the
-/// window's return → hand-on → launch → `done` path, so a parking call
-/// planted anywhere on it is reported (and the workspace test below shows
-/// it is clean today).
+/// permit — a pool-manager stage handing a query's outcome to its
+/// completion, or an I/O thread whose eager query resolved — and launches
+/// queued admissions from there.  The walk from the backends' completion
+/// entry points must reach the window's admit → launch and return →
+/// hand-on → launch paths, so a parking call planted anywhere on them is
+/// reported (and the workspace test below shows them clean today).
 #[test]
 fn the_walk_covers_the_admission_windows_launch_path() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
-        ("api.rs", "submit_with"),
-        ("api.rs", "settle"),
+        ("api.rs", "allocate_with"),
+        ("api.rs", "allocate"),
         ("api.rs", "free"),
         ("api.rs", "admit"),
         ("api.rs", "hand_on"),
         ("api.rs", "launch_granted"),
         ("api.rs", "launch"),
-        ("live.rs", "on_ready"),
     ] {
         assert!(
             reachable.contains(&(PathBuf::from(file), function.to_string())),
@@ -119,7 +119,8 @@ fn the_walk_covers_the_admission_windows_launch_path() {
 }
 
 /// Every call a daemon makes on its hosted backend is a completion: the
-/// eager backends resolve a `Submit` on the spot (`EmbeddedBackend::resolve`,
+/// eager backends resolve a `Submit` on the spot (the embedded backend's
+/// `allocate_with` through `LivePipeline::allocate_with`,
 /// `BaselineBackend::execute` — walked now that `execute` is not a dispatch
 /// call).  The walk from the backends' entry points must reach each, so a
 /// parking call planted on one is reported (and the workspace test below
@@ -129,8 +130,8 @@ fn the_walk_covers_the_eager_submissions() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
-        ("api.rs", "submit_with"),
-        ("api.rs", "resolve"),
+        ("api.rs", "allocate_with"),
+        ("live.rs", "allocate_with"),
         ("api.rs", "execute"),
         ("api.rs", "release_outstanding"),
     ] {
@@ -143,22 +144,22 @@ fn the_walk_covers_the_eager_submissions() {
 
 /// The live pipeline's query manager runs on the thread that launches the
 /// query, and the pool-manager stage that answers a query's last fragment
-/// finishes it — re-integration, the surplus hand-back and the redeemer's
+/// finishes it — re-integration, the surplus hand-back and the query's
 /// completion.  The walk from the window's launch (`Ledger::launch` calls
-/// `self.launcher.launch(..)`, a method of the same name in `live.rs`) and
-/// from `OutcomeSlot::on_ready` must reach the launch, the join's deliver
-/// step and the surplus-release chain, so a parking call planted on any of
-/// them is reported (`fixtures/live_launch`).
+/// `self.launcher.launch(..)`, a method of the same name in `live.rs`)
+/// must reach the launch, the join's deliver step, the promise that runs
+/// the completion and the surplus-release chain, so a parking call planted
+/// on any of them is reported (`fixtures/live_launch`).
 #[test]
 fn the_walk_covers_the_live_launch_and_the_joins_finish() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
         ("api.rs", "launch"),
-        ("live.rs", "on_ready"),
         ("live.rs", "launch"),
         ("live.rs", "deliver"),
         ("live.rs", "finish"),
+        ("live.rs", "fill"),
         ("live.rs", "release_surplus"),
         ("live.rs", "release_with"),
         ("live.rs", "try_release"),
@@ -173,16 +174,18 @@ fn the_walk_covers_the_live_launch_and_the_joins_finish() {
 /// The embedded backend runs the live pipeline with its stages placed
 /// inline: a daemon's I/O thread that resolves a `Submit` on it runs the
 /// query manager, every pool-manager step and the query's finish itself.
-/// The walk from `EmbeddedBackend::resolve` must reach the launch, the
-/// post that serves a stage here, the step, what follows it, and the join's
-/// finish with its surplus releases — so a parking call planted in the
-/// stage step is reported like one in the launch.
+/// The walk from the backends' `allocate_with` — the embedded one's
+/// resolves the query through `LivePipeline::allocate_with` — must reach
+/// the launch, the post that serves a stage here, the step, what follows
+/// it, and the join's finish with its surplus releases — so a parking call
+/// planted in the stage step is reported like one in the launch.
 #[test]
 fn the_walk_covers_the_inline_placement_from_the_embedded_resolve() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
-    let reachable = reactor_reachable(&src, &["api.rs::resolve".to_string()]).expect("tree lexes");
+    let entries = ["api.rs::allocate_with".to_string()];
+    let reachable = reactor_reachable(&src, &entries).expect("tree lexes");
     for (file, function) in [
-        ("live.rs", "resolve"),
+        ("live.rs", "allocate_with"),
         ("live.rs", "launch"),
         ("live.rs", "post"),
         ("live.rs", "serve"),
@@ -203,36 +206,17 @@ fn the_walk_covers_the_inline_placement_from_the_embedded_resolve() {
     assert!(!reachable.contains(&(PathBuf::from("live.rs"), "stage_thread".to_string())));
 }
 
-/// A give-up takes its completion back through the backends'
-/// `cancel_wait` — the live backend's slot step (`OutcomeSlot::withdraw`)
-/// and the federation's forward — which promise not to park.  The walk
-/// must reach each, so a parking call planted on one is reported (and the
-/// workspace test below shows them clean).
-#[test]
-fn the_walk_covers_the_give_up_path() {
-    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
-    let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
-    for (file, function) in [
-        ("api.rs", "cancel_wait"),
-        ("federation.rs", "cancel_wait"),
-        ("live.rs", "withdraw"),
-    ] {
-        assert!(
-            reachable.contains(&(PathBuf::from(file), function.to_string())),
-            "{file}::{function} fell out of the reactor-blocking call graph: {reachable:#?}"
-        );
-    }
-}
-
 /// ... and a `.recv()` planted on that path is reported, through the
 /// same-named delegation from the window's launch into the live launcher.
+/// The walk starts at the fixture's window launch, which the real tree
+/// reaches from `allocate_with` (pinned above).
 #[test]
 fn a_parking_call_on_the_live_launch_path_is_reported() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/live_launch");
     let report = lint_workspace(&LintConfig {
         root,
         hierarchy: Vec::new(),
-        reactor_entry_points: reactor_entry_points(""),
+        reactor_entry_points: vec!["api.rs::launch".to_string()],
         sleep_poll_roots: Vec::new(),
         frames: None,
         stats: None,
@@ -248,9 +232,9 @@ fn a_parking_call_on_the_live_launch_path_is_reported() {
     );
     assert!(
         finding.message.contains(".recv()")
-            && finding.message.contains(
-                "submit_with -> launch -> launch -> deliver -> finish -> release_surplus"
-            ),
+            && finding
+                .message
+                .contains("launch -> launch -> deliver -> finish -> release_surplus"),
         "{}",
         finding.message
     );
@@ -260,14 +244,18 @@ fn a_parking_call_on_the_live_launch_path_is_reported() {
 /// blocking dial planted in the dial step (`Conn::dial`), a name lookup
 /// (`to_socket_addrs`) and an inbound delegation served by blocking
 /// (`handle_delegate`), each reached from a different entry point — but
-/// not the same dial spawned on a thread of its own.
+/// not the same dial spawned on a thread of its own.  The fixture's dial
+/// step is an entry of its own here: the real tree reaches it from
+/// `allocate_with` (pinned above).
 #[test]
 fn a_parking_peer_call_on_a_completion_path_is_reported() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/peer_completion");
+    let mut entries = reactor_entry_points("");
+    entries.push("federation.rs::with_link".to_string());
     let report = lint_workspace(&LintConfig {
         root,
         hierarchy: Vec::new(),
-        reactor_entry_points: reactor_entry_points(""),
+        reactor_entry_points: entries,
         sleep_poll_roots: Vec::new(),
         frames: None,
         stats: None,
@@ -281,7 +269,7 @@ fn a_parking_peer_call_on_a_completion_path_is_reported() {
         .collect();
     assert_eq!(found.len(), 3, "{found:#?}");
     for (line, call, via) in [
-        (13, "Conn::dial()", "wait_with -> with_link"),
+        (13, "Conn::dial()", "with_link"),
         (17, "to_socket_addrs()", "release_with"),
         (24, "self.handle_delegate()", "delegate_with"),
     ] {

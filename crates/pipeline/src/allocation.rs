@@ -21,14 +21,13 @@ pub use actyp_proto::types::{Allocation, AllocationError, SessionKey};
 /// first.
 pub type ReleaseDone = Box<dyn FnOnce(Result<(), AllocationError>) + Send>;
 
-/// Where a completion-style wait
-/// ([`ResourceManager::wait_with`](crate::ResourceManager::wait_with))
-/// delivers the ticket's outcome: called at most once, by whichever thread
-/// finds the outcome and the waiter together — the caller when the
-/// outcome is already there, the stage that produces it otherwise — or
-/// dropped uncalled when [`ResourceManager::cancel_wait`](crate::ResourceManager::cancel_wait)
-/// takes it back.
-pub type WaitDone = Box<dyn FnOnce(Result<Vec<Allocation>, AllocationError>) + Send>;
+/// Where an allocation
+/// ([`ResourceManager::allocate_with`](crate::ResourceManager::allocate_with))
+/// delivers its query's outcome: called exactly once, on whichever thread
+/// has the outcome — the caller when the backend resolves the query on the
+/// spot, the pipeline stage that answers the query's last fragment
+/// otherwise.
+pub type AllocateDone = Box<dyn FnOnce(Result<Vec<Allocation>, AllocationError>) + Send>;
 
 #[cfg(test)]
 mod tests {

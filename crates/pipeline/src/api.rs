@@ -14,14 +14,19 @@
 //! | [`MatchmakerBackend`] | [`PipelineBuilder::build_matchmaker`] | the Condor-style centralized matchmaker baseline |
 //! | [`RemoteBackend`] | [`PipelineBuilder::remote`] | a client of the `ypd` daemon: the same surface across a TCP hop, speaking the [`actyp_proto`] wire protocol (serve any backend with [`PipelineBuilder::serve`]) |
 //!
-//! Submission is *ticket based*: [`ResourceManager::submit`] returns a
-//! [`Ticket`] immediately and [`ResourceManager::wait`] /
+//! A query is one call, [`ResourceManager::allocate_with`]: its completion
+//! gets the outcome on whichever thread has it — the caller's own on the
+//! embedded and baseline backends, which resolve the query on the spot, the
+//! pool-manager stage that answers its last fragment on the live backend.
+//! That is the whole served path.  In-process callers get a blocking,
+//! *ticket based* surface written once over it: [`ResourceManager::submit`]
+//! files the completion's outcome in the backend's [`TicketBook`] and
+//! returns a [`Ticket`] at once, and [`ResourceManager::wait`] /
 //! [`ResourceManager::try_poll`] redeem it later.  On the live backend this
 //! makes the paper's pipelining real for a single client — N submitted
-//! tickets overlap across the pool-manager and pool stages —
-//! while the embedded and baseline backends resolve tickets eagerly, so the
-//! same client code runs against every architecture.  A
-//! [`StatsSnapshot`] unifies the per-stage counters all backends report.
+//! tickets overlap across the pool-manager and pool stages — and the same
+//! client code runs against every architecture.  A [`StatsSnapshot`]
+//! unifies the per-stage counters all backends report.
 //!
 //! # Example
 //!
@@ -54,7 +59,8 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::{Arc, PoisonError};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -62,8 +68,8 @@ use actyp_baselines::{CentralScheduler, Matchmaker};
 use actyp_grid::{MachineId, ResourceDatabase, SharedDatabase};
 use actyp_query::{BasicQuery, PoolName, Query};
 
-use crate::allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitDone};
-use crate::live::{Launcher, LivePipeline, OutcomeSlot, PipelineConfig, PipelineStats, Placement};
+use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone, SessionKey};
+use crate::live::{Launcher, LivePipeline, PipelineConfig, PipelineStats, Placement};
 use crate::message::{RequestId, StageAddress};
 use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
@@ -76,10 +82,6 @@ pub use actyp_proto::types::StatsSnapshot;
 
 /// The outcome a ticket resolves to.
 pub type QueryOutcome = Result<Vec<Allocation>, AllocationError>;
-
-/// Where [`ResourceManager::submit_with`] delivers its ticket: called at
-/// most once, by whichever thread launches the query.
-pub type SubmitDone = Box<dyn FnOnce(Result<Ticket, AllocationError>) + Send>;
 
 /// Federated domains: one pool manager per `(name, database)` pair.
 pub type DomainList = Vec<(String, SharedDatabase)>;
@@ -116,9 +118,185 @@ impl Ticket {
     }
 
     /// Rebuilds a ticket from its parts (used by the remote backend, whose
-    /// ticket ids are issued by the server).
+    /// ticket ids are its requests' correlation ids).
     pub(crate) fn from_parts(brand: u64, id: u64) -> Self {
         Ticket { brand, id }
+    }
+}
+
+/// The in-process tickets of one backend instance: each ticket's outcome,
+/// filed by its query's completion, until a redeemer takes it.  The
+/// blocking surface ([`ResourceManager::submit`], [`ResourceManager::wait`]
+/// and the bounded redemptions) is written once over it and
+/// [`ResourceManager::allocate_with`]; a daemon never opens one.  Each
+/// outcome goes to exactly one redeemer, a redemption that times out
+/// leaves its ticket redeemable, and a spent or foreign ticket is
+/// [`AllocationError::UnknownTicket`].
+pub struct TicketBook {
+    brand: u64,
+    next: AtomicU64,
+    book: Arc<Book>,
+}
+
+impl TicketBook {
+    /// An empty book, branded for one backend instance.
+    pub(crate) fn new() -> Self {
+        TicketBook {
+            brand: next_backend_brand(),
+            next: AtomicU64::new(0),
+            book: Arc::default(),
+        }
+    }
+
+    /// Opens a ticket, and the completion that files its outcome.
+    pub(crate) fn issue(&self) -> (Ticket, AllocateDone) {
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        self.book.open(id);
+        let book = self.book.clone();
+        let ticket = Ticket {
+            brand: self.brand,
+            id,
+        };
+        (ticket, Box::new(move |outcome| book.fill(id, outcome)))
+    }
+
+    /// Redeems `ticket`, waiting up to `timeout` for its outcome (for good
+    /// when `None`); `None` when the deadline passed first.
+    pub(crate) fn redeem(&self, ticket: Ticket, timeout: Option<Duration>) -> Option<QueryOutcome> {
+        if ticket.brand != self.brand {
+            return Some(Err(AllocationError::UnknownTicket));
+        }
+        self.book.redeem(ticket.id, timeout)
+    }
+
+    /// Outcomes filed and not redeemed yet.
+    pub(crate) fn unredeemed(&self) -> usize {
+        self.book.unredeemed()
+    }
+}
+
+/// A [`Book`]'s contents: each open ticket's outcome once it is filed, and
+/// how many redeemers wait for one.
+#[derive(Default)]
+pub(crate) struct Entries {
+    filed: HashMap<u64, Option<QueryOutcome>>,
+    waiting: usize,
+}
+
+/// The lock around a [`Book`]'s [`Entries`], with the signal its redeemers
+/// wait on.
+pub(crate) trait PageLock: Default + Send + Sync {
+    type Guard<'a>: std::ops::DerefMut<Target = Entries>
+    where
+        Self: 'a;
+    fn lock(&self) -> Self::Guard<'_>;
+    /// Releases the guard until a fill signals or `timeout` passes (never
+    /// when `None`); `true` when it timed out.
+    fn wait<'a>(
+        &'a self,
+        entries: Self::Guard<'a>,
+        timeout: Option<Duration>,
+    ) -> (Self::Guard<'a>, bool);
+    /// Wakes every waiting redeemer.
+    fn signal(&self);
+}
+
+/// A std mutex and condvar (the lock shim has no condvar).
+#[derive(Default)]
+pub(crate) struct Pages {
+    entries: std::sync::Mutex<Entries>,
+    filed: std::sync::Condvar,
+}
+
+impl PageLock for Pages {
+    type Guard<'a> = std::sync::MutexGuard<'a, Entries>;
+    fn lock(&self) -> Self::Guard<'_> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+    fn wait<'a>(
+        &'a self,
+        entries: Self::Guard<'a>,
+        timeout: Option<Duration>,
+    ) -> (Self::Guard<'a>, bool) {
+        match timeout {
+            None => (
+                self.filed
+                    .wait(entries)
+                    .unwrap_or_else(PoisonError::into_inner),
+                false,
+            ),
+            Some(timeout) => {
+                let (entries, waited) = (self.filed.wait_timeout(entries, timeout))
+                    .unwrap_or_else(PoisonError::into_inner);
+                (entries, waited.timed_out())
+            }
+        }
+    }
+    fn signal(&self) {
+        self.filed.notify_all();
+    }
+}
+
+/// The pages of a [`TicketBook`], generic over their lock like the
+/// [`Window`], so the model checker (`book_model_tests` below) runs this
+/// very code.
+#[derive(Default)]
+pub(crate) struct Book<P = Pages> {
+    pages: P,
+}
+
+impl<P: PageLock> Book<P> {
+    fn open(&self, id: u64) {
+        self.pages.lock().filed.insert(id, None);
+    }
+
+    /// Files `id`'s outcome, and wakes its redeemer if one waits.
+    fn fill(&self, id: u64, outcome: QueryOutcome) {
+        let mut entries = self.pages.lock();
+        if let Some(filed) = entries.filed.get_mut(&id) {
+            *filed = Some(outcome);
+        }
+        if entries.waiting > 0 {
+            self.pages.signal();
+        }
+    }
+
+    /// Takes `id`'s outcome, waiting up to `timeout` for it to be filed;
+    /// on `None` the ticket stays open for the next redemption.  Under
+    /// `buggy-giveup` (model checking only) a redemption that gives up
+    /// drops the ticket instead, and its outcome with it.
+    fn redeem(&self, id: u64, timeout: Option<Duration>) -> Option<QueryOutcome> {
+        let deadline = timeout.map(|timeout| Instant::now() + timeout);
+        let mut entries = self.pages.lock();
+        let mut timed_out = false;
+        loop {
+            match entries.filed.get(&id) {
+                None => return Some(Err(AllocationError::UnknownTicket)),
+                Some(Some(_)) => return entries.filed.remove(&id).flatten(),
+                Some(None) => {}
+            }
+            let left = deadline.map(|deadline| deadline.saturating_duration_since(Instant::now()));
+            if timed_out || left == Some(Duration::ZERO) {
+                if cfg!(feature = "buggy-giveup") {
+                    entries.filed.remove(&id);
+                }
+                return None;
+            }
+            entries.waiting += 1;
+            let (back, late) = self.pages.wait(entries, left);
+            entries = back;
+            entries.waiting -= 1;
+            timed_out = late;
+        }
+    }
+
+    fn unredeemed(&self) -> usize {
+        let entries = self.pages.lock();
+        entries
+            .filed
+            .values()
+            .filter(|filed| filed.is_some())
+            .count()
     }
 }
 
@@ -198,71 +376,72 @@ fn snapshot_from_pipeline(stats: PipelineStats, in_flight: usize) -> StatsSnapsh
 /// baselines) or channels (live), so a manager can be shared across client
 /// threads behind an `Arc` without an external lock.
 ///
-/// The `_with` methods take a completion instead of returning, and `done`
-/// runs on whichever thread has the answer: the calling thread when it is
-/// at hand, else the thread that produces it.  A backend a daemon hosts
-/// must not park in any of them, because the daemon calls them from its
-/// I/O threads.  [`RemoteBackend`] is the exception: it is a client, its
-/// `_with` methods run the round trip on the calling thread, and no daemon
+/// A daemon calls only the completion methods, `allocate_with` and
+/// `release_with` (and `stats`), from its I/O threads, so a hosted backend
+/// must not park in them.  [`RemoteBackend`] is the exception: it is a
+/// client, it runs their round trips on the calling thread, and no daemon
 /// hosts one.
 pub trait ResourceManager: Send + Sync {
-    /// Submits a query, returning a ticket for the eventual outcome.
-    ///
-    /// On the live backend the query is launched into the pipeline and this
-    /// returns immediately (blocking only when the in-flight window is
-    /// full); the embedded and baseline backends resolve the query eagerly
-    /// and the ticket redeems instantly.
-    fn submit(&self, query: Query) -> Result<Ticket, AllocationError>;
+    /// Allocates for `query`: `done` gets the outcome, exactly once, on
+    /// whichever thread has it — this one when the backend resolves the
+    /// query on the spot (embedded and baselines), the pool-manager stage
+    /// that answers its last fragment otherwise (live).  A query the live
+    /// backend's full window has no permit for queues there, and the thread
+    /// whose outcome frees a permit launches it.
+    fn allocate_with(&self, query: Query, done: AllocateDone);
 
-    /// [`submit`](Self::submit) as a completion: `done` receives what
-    /// `submit` would have returned, on whichever thread launches the
-    /// query — this one, or, in the live backend's window, the one whose
-    /// release frees its permit.  The eager backends resolve it here.
-    fn submit_with(&self, query: Query, done: SubmitDone);
+    /// Releases an allocation: `done` receives the result on whichever
+    /// thread finishes it.  The live backend posts it from the pool-manager
+    /// stage that drops the lease, the federation from the I/O thread of
+    /// the link a delegated lease goes back over, and the eager backends,
+    /// whose release is a short in-memory step, finish on the spot.
+    fn release_with(&self, allocation: &Allocation, done: ReleaseDone);
+
+    /// A snapshot of the backend's lifetime counters.
+    fn stats(&self) -> StatsSnapshot;
+
+    /// Tears the backend down.  The live backend joins every stage thread
+    /// and surfaces worker panics here; the others are no-ops.  Idempotent.
+    fn shutdown(&self) -> Result<(), AllocationError>;
+
+    /// The book the blocking methods below file this backend's tickets in.
+    /// `None`, the default, is a backend that keeps none and overrides
+    /// them, as [`RemoteBackend`] does with its connection's replies.
+    fn tickets(&self) -> Option<&TicketBook> {
+        None
+    }
+
+    /// Submits a query, returning a ticket for the eventual outcome: the
+    /// query is allocated with a completion that files its outcome in the
+    /// [`tickets`](Self::tickets) book.  The live backend launches it and
+    /// returns at once, blocking only while its in-flight window is full;
+    /// the embedded and baseline backends resolve it before returning.
+    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
+        let book = self.tickets().ok_or_else(|| {
+            AllocationError::Internal("this backend keeps no ticket book".to_string())
+        })?;
+        let (ticket, done) = book.issue();
+        self.allocate_with(query, done);
+        Ok(ticket)
+    }
 
     /// Blocks until the ticket's query finishes and returns its outcome.
     /// Each ticket can be redeemed exactly once.
-    fn wait(&self, ticket: Ticket) -> QueryOutcome;
-
-    /// [`wait`](Self::wait) as a completion: the ticket is redeemed and
-    /// `done` receives its outcome on whichever thread finds the two
-    /// together — right here when the outcome is already in, the stage that
-    /// produces it otherwise — unless [`cancel_wait`](Self::cancel_wait)
-    /// takes it back first.  The live backend leaves `done` in the ticket
-    /// for the pool-manager stage that answers the query's last fragment;
-    /// the eager backends, whose tickets are resolved at submission, finish
-    /// on the spot.
-    fn wait_with(&self, ticket: Ticket, done: WaitDone);
-
-    /// Takes back the completion [`wait_with`](Self::wait_with) left with
-    /// the backend for `ticket`, if it has not run yet, and drops it
-    /// uncalled: `true` leaves the ticket exactly as it was before the
-    /// `wait_with` — redeemable, still holding its window permit, still
-    /// counted in flight.  `false` means the completion ran or is running:
-    /// the outcome is in, or a federated delegation chain has started.  The
-    /// default returns `false`, which is right for the eager backends, whose
-    /// `wait_with` runs on the spot.
-    fn cancel_wait(&self, _ticket: Ticket) -> bool {
-        false
+    fn wait(&self, ticket: Ticket) -> QueryOutcome {
+        redeem(self.tickets(), ticket, None).expect("an unbounded redemption returns the outcome")
     }
 
     /// Non-blocking redemption: `None` while the query is still in flight,
-    /// `Some(outcome)` once it finished (the ticket is then spent).  The
-    /// provided method takes [`wait_with`](Self::wait_with) back at once
-    /// ([`cancel_wait`](Self::cancel_wait)), waiting only for a federated
-    /// chain already under way.
+    /// `Some(outcome)` once it finished (the ticket is then spent).
     fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        redeem_within(self, ticket, Some(Duration::ZERO))
+        redeem(self.tickets(), ticket, Some(Duration::ZERO))
     }
 
     /// Bounded redemption: blocks up to `timeout` for the outcome.  Returns
     /// `None` if the deadline elapses first — the ticket then remains
-    /// redeemable.  The provided method waits for `wait_with` on a latch
-    /// and takes it back at the deadline, as `try_poll` does; the remote
-    /// backend collects its `Submit`'s reply with the deadline on its own
-    /// side of the socket.
+    /// redeemable.
     fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        redeem_within(self, ticket, Some(timeout))
+        redeem(self.tickets(), ticket, Some(timeout))
     }
 
     /// Releases an allocation back to the resource manager.  The provided
@@ -279,21 +458,6 @@ pub trait ResourceManager: Send + Sync {
             ))
         })
     }
-
-    /// [`release`](Self::release) as a completion: `done` receives its
-    /// result on whichever thread finishes it.  The live backend posts it
-    /// from the pool-manager stage that drops the lease, the federation
-    /// from the I/O thread of the link a delegated lease goes back over,
-    /// and the eager backends, whose release is a short in-memory step,
-    /// finish on the spot.
-    fn release_with(&self, allocation: &Allocation, done: ReleaseDone);
-
-    /// A snapshot of the backend's lifetime counters.
-    fn stats(&self) -> StatsSnapshot;
-
-    /// Tears the backend down.  The live backend joins every stage thread
-    /// and surfaces worker panics here; the others are no-ops.  Idempotent.
-    fn shutdown(&self) -> Result<(), AllocationError>;
 
     /// Submits a query written in the native key/value text format.
     fn submit_text(&self, text: &str) -> Result<Ticket, AllocationError> {
@@ -315,36 +479,27 @@ pub trait ResourceManager: Send + Sync {
     }
 }
 
-/// A shared manager is a manager: every method (including the provided
-/// ones, so backend overrides like the remote deadline wait are preserved)
-/// forwards to the pointee.  This is what lets one backend
+/// Redeems `ticket` in `book`; a backend without one issued no ticket.
+fn redeem(
+    book: Option<&TicketBook>,
+    ticket: Ticket,
+    timeout: Option<Duration>,
+) -> Option<QueryOutcome> {
+    match book {
+        Some(book) => book.redeem(ticket, timeout),
+        None => Some(Err(AllocationError::UnknownTicket)),
+    }
+}
+
+/// A shared manager is a manager: every method a backend may override
+/// (the provided ones included, so overrides like the remote deadline
+/// wait are preserved) forwards to the pointee.  This is what lets one backend
 /// instance be hosted behind a server *and* kept by the caller — e.g. a
 /// federated daemon, which is simultaneously the served manager and the
 /// target of incoming peer delegations.
-impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
-    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        (**self).submit(query)
-    }
-    fn submit_with(&self, query: Query, done: SubmitDone) {
-        (**self).submit_with(query, done)
-    }
-    fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        (**self).wait(ticket)
-    }
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
-        (**self).wait_with(ticket, done)
-    }
-    fn cancel_wait(&self, ticket: Ticket) -> bool {
-        (**self).cancel_wait(ticket)
-    }
-    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
-        (**self).try_poll(ticket)
-    }
-    fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
-        (**self).wait_deadline(ticket, timeout)
-    }
-    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
-        (**self).release(allocation)
+impl<T: ResourceManager + ?Sized> ResourceManager for Arc<T> {
+    fn allocate_with(&self, query: Query, done: AllocateDone) {
+        (**self).allocate_with(query, done)
     }
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         (**self).release_with(allocation, done)
@@ -355,81 +510,26 @@ impl<T: ResourceManager + ?Sized> ResourceManager for std::sync::Arc<T> {
     fn shutdown(&self) -> Result<(), AllocationError> {
         (**self).shutdown()
     }
+    fn tickets(&self) -> Option<&TicketBook> {
+        (**self).tickets()
+    }
+    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
+        (**self).submit(query)
+    }
+    fn wait(&self, ticket: Ticket) -> QueryOutcome {
+        (**self).wait(ticket)
+    }
+    fn try_poll(&self, ticket: Ticket) -> Option<QueryOutcome> {
+        (**self).try_poll(ticket)
+    }
+    fn wait_deadline(&self, ticket: Ticket, timeout: Duration) -> Option<QueryOutcome> {
+        (**self).wait_deadline(ticket, timeout)
+    }
+    fn release(&self, allocation: &Allocation) -> Result<(), AllocationError> {
+        (**self).release(allocation)
+    }
     fn submit_text(&self, text: &str) -> Result<Ticket, AllocationError> {
         (**self).submit_text(text)
-    }
-    fn submit_wait(&self, query: &Query) -> QueryOutcome {
-        (**self).submit_wait(query)
-    }
-    fn submit_text_wait(&self, text: &str) -> QueryOutcome {
-        (**self).submit_text_wait(text)
-    }
-}
-
-/// Redeems `ticket` through [`ResourceManager::wait_with`] and waits for
-/// the outcome on a latch — for good when `timeout` is `None`.  Past the
-/// timeout the completion is taken back ([`ResourceManager::cancel_wait`])
-/// and `None` leaves the ticket as it was, unless the completion already
-/// ran or is running: its outcome is then on the way, and waited for.
-pub(crate) fn redeem_within<M: ResourceManager + ?Sized>(
-    manager: &M,
-    ticket: Ticket,
-    timeout: Option<Duration>,
-) -> Option<QueryOutcome> {
-    let (tx, rx) = crossbeam::channel::unbounded();
-    manager.wait_with(ticket, Box::new(move |outcome| drop(tx.send(outcome))));
-    if let Some(timeout) = timeout {
-        if let Ok(outcome) = rx.recv_timeout(timeout) {
-            return Some(outcome);
-        }
-        if manager.cancel_wait(ticket) {
-            return None;
-        }
-    }
-    Some(rx.recv().unwrap_or_else(|_| {
-        Err(AllocationError::Internal(
-            "the wait was dropped".to_string(),
-        ))
-    }))
-}
-
-/// Store of eagerly resolved tickets (embedded and baseline backends).
-struct ReadyTickets {
-    brand: u64,
-    next: AtomicU64,
-    ready: Mutex<HashMap<u64, QueryOutcome>>,
-}
-
-impl ReadyTickets {
-    fn new() -> Self {
-        ReadyTickets {
-            brand: next_backend_brand(),
-            next: AtomicU64::new(0),
-            ready: Mutex::new(HashMap::new()),
-        }
-    }
-
-    fn issue(&self, outcome: QueryOutcome) -> Ticket {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.ready.lock().insert(id, outcome);
-        Ticket {
-            brand: self.brand,
-            id,
-        }
-    }
-
-    fn take(&self, ticket: Ticket) -> QueryOutcome {
-        if ticket.brand != self.brand {
-            return Err(AllocationError::UnknownTicket);
-        }
-        self.ready
-            .lock()
-            .remove(&ticket.id)
-            .unwrap_or(Err(AllocationError::UnknownTicket))
-    }
-
-    fn len(&self) -> usize {
-        self.ready.lock().len()
     }
 }
 
@@ -451,6 +551,8 @@ pub(crate) struct Window<W = AtomicUsize, L = Mutex<Fifo>> {
     fifo: L,
     /// Admissions that found the window full and had to queue.
     contention: AtomicU64,
+    /// The window's size.
+    permits: usize,
 }
 
 /// The mark on a [`Window`]'s permit word while admissions wait: a plain
@@ -511,7 +613,15 @@ impl<W: PermitWord, L: FifoLock> Window<W, L> {
             word: W::new(permits.max(1)),
             fifo: L::new(Fifo::default()),
             contention: AtomicU64::new(0),
+            permits: permits.max(1),
         }
+    }
+
+    /// Permits taken and not returned: queries launched whose outcome has
+    /// not been handed to their completion yet.
+    fn in_use(&self) -> usize {
+        let word = self.word.update(|_| None).unwrap_or_else(|word| word);
+        self.permits.saturating_sub(word & !QUEUED)
     }
 
     /// Takes a permit if one is free and no admission waits; never parks.
@@ -597,20 +707,20 @@ impl<W: PermitWord, L: FifoLock> Window<W, L> {
 }
 
 /// The pipeline with its stages placed inline, behind the unified
-/// surface: a submission runs every stage on the calling thread, so its
-/// ticket is resolved before `submit` returns and redeems instantly.  It
-/// has no window: the window bounds queued stage work, and inline work
-/// never queues.
+/// surface: a query runs every stage on the calling thread, so its
+/// completion runs before `allocate_with` returns and a ticket redeems
+/// instantly.  It has no window: the window bounds queued stage work, and
+/// inline work never queues.
 pub struct EmbeddedBackend {
     pipeline: LivePipeline,
-    tickets: ReadyTickets,
+    tickets: TicketBook,
 }
 
 impl EmbeddedBackend {
     fn new(pipeline: LivePipeline) -> Self {
         EmbeddedBackend {
             pipeline,
-            tickets: ReadyTickets::new(),
+            tickets: TicketBook::new(),
         }
     }
 
@@ -619,29 +729,13 @@ impl EmbeddedBackend {
     pub fn pipeline(&self) -> &LivePipeline {
         &self.pipeline
     }
-
-    /// Runs `query` through every stage and issues the ticket of its
-    /// outcome: a short in-memory step, so every submission path ends here.
-    fn resolve(&self, query: Query) -> Ticket {
-        self.tickets.issue(self.pipeline.resolve(query))
-    }
 }
 
 impl ResourceManager for EmbeddedBackend {
-    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        Ok(self.resolve(query))
-    }
-
-    fn submit_with(&self, query: Query, done: SubmitDone) {
-        done(Ok(self.resolve(query)));
-    }
-
-    fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        self.tickets.take(ticket)
-    }
-
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
-        done(self.tickets.take(ticket));
+    /// Every stage runs here, on the calling thread: a short in-memory
+    /// step.
+    fn allocate_with(&self, query: Query, done: AllocateDone) {
+        self.pipeline.allocate_with(query, done)
     }
 
     /// The stage that drops the lease runs `done` — here, inline.
@@ -650,7 +744,8 @@ impl ResourceManager for EmbeddedBackend {
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snapshot = snapshot_from_pipeline(self.pipeline.stats(), self.tickets.len());
+        let in_flight = self.tickets.unredeemed();
+        let mut snapshot = snapshot_from_pipeline(self.pipeline.stats(), in_flight);
         snapshot.shard_contention = self.pipeline.directory().contention();
         snapshot
     }
@@ -658,80 +753,80 @@ impl ResourceManager for EmbeddedBackend {
     fn shutdown(&self) -> Result<(), AllocationError> {
         self.pipeline.shutdown()
     }
+
+    fn tickets(&self) -> Option<&TicketBook> {
+        Some(&self.tickets)
+    }
 }
 
 /// The threaded [`LivePipeline`] behind the unified surface.
 ///
-/// Submission launches the query into the pipeline and returns immediately;
-/// up to `window` tickets are in flight at once and further submissions
-/// queue, in arrival order, until redeeming a ticket frees a permit — the
-/// backpressure that keeps a fast client from flooding the stage channels.
+/// A query is launched into the pipeline at once while fewer than `window`
+/// are in flight; further ones queue, in arrival order, until an outcome
+/// frees a permit — the backpressure that keeps a fast client from
+/// flooding the stage channels.  The permit returns when the outcome is
+/// handed to the query's completion, so an outcome waiting in the ticket
+/// book holds none.
 pub struct LiveBackend {
     pipeline: LivePipeline,
-    ledger: std::sync::Arc<Ledger>,
+    ledger: Arc<Ledger>,
+    tickets: TicketBook,
 }
 
-/// What launching and settling a ticket touch, shared with the completions
-/// a stage thread runs and the admissions a releasing thread launches.
+/// What launching a query touches, shared with the admissions a returning
+/// thread launches and the completions that return permits.
 struct Ledger {
     launcher: Launcher,
-    brand: u64,
-    next: AtomicU64,
-    /// Outstanding tickets, sharded by ticket id; each holds one window
-    /// permit until it settles.
-    pending: crate::shard::ShardedMap<std::sync::Arc<OutcomeSlot>>,
-    /// Tickets redeemed with a completion that has not run yet, where a
-    /// give-up finds their slot ([`ResourceManager::cancel_wait`]).
-    waiting: crate::shard::ShardedMap<std::sync::Arc<OutcomeSlot>>,
-    /// Tickets launched and not settled yet — the `in_flight` gauge.  A
-    /// ticket redeemed with a completion leaves `pending` at once but is
-    /// counted here until its outcome is in.
-    unsettled: AtomicUsize,
     window: Window,
 }
 
 impl Ledger {
-    /// Launches `query` into the pipeline under a window permit the caller
-    /// holds; the permit is returned if the launch fails.  The query
-    /// manager runs on this thread and each fragment is one channel send:
-    /// nothing here parks.
-    fn launch(&self, query: Query) -> Result<Ticket, AllocationError> {
-        match self.launcher.launch(query) {
-            Ok(slot) => {
-                let id = self.next.fetch_add(1, Ordering::Relaxed);
-                self.unsettled.fetch_add(1, Ordering::Relaxed);
-                self.pending.insert(id, slot);
-                Ok(Ticket {
-                    brand: self.brand,
-                    id,
-                })
-            }
-            Err(e) => {
-                self.window.free();
-                Err(e)
-            }
+    /// Launches `query` now if a permit is free, else queues it in the
+    /// window for the thread whose outcome frees one; `admitted` runs just
+    /// before the launch.  Nothing here parks.
+    fn allocate(
+        self: &Arc<Self>,
+        query: Query,
+        done: AllocateDone,
+        admitted: impl FnOnce() + Send + 'static,
+    ) {
+        if self.window.try_acquire() {
+            admitted();
+            return self.launch(query, done);
         }
+        let ledger = Arc::downgrade(self);
+        self.window.admit(Box::new(move || {
+            admitted();
+            let ledger = ledger.upgrade().expect("the ledger outlives its window");
+            ledger.launch(query, done)
+        }));
     }
 
-    fn settle(&self) {
-        self.unsettled.fetch_sub(1, Ordering::Relaxed);
-        self.window.free();
+    /// Launches `query` under a permit the caller holds: the query manager
+    /// runs on this thread and each fragment is one channel send.  The
+    /// permit returns when the outcome is handed to `done`, on the thread
+    /// that has it.
+    fn launch(self: &Arc<Self>, query: Query, done: AllocateDone) {
+        let ledger = self.clone();
+        self.launcher.launch(
+            query,
+            Box::new(move |outcome| {
+                ledger.window.free();
+                done(outcome)
+            }),
+        );
     }
 }
 
 impl LiveBackend {
-    fn new(pipeline: LivePipeline, window: usize, shards: usize) -> Self {
+    fn new(pipeline: LivePipeline, window: usize) -> Self {
         LiveBackend {
-            ledger: std::sync::Arc::new(Ledger {
+            ledger: Arc::new(Ledger {
                 launcher: pipeline.launcher(),
-                brand: next_backend_brand(),
-                next: AtomicU64::new(0),
-                pending: crate::shard::ShardedMap::new(shards),
-                waiting: crate::shard::ShardedMap::new(shards),
-                unsettled: AtomicUsize::new(0),
                 window: Window::new(window),
             }),
             pipeline,
+            tickets: TicketBook::new(),
         }
     }
 
@@ -740,85 +835,15 @@ impl LiveBackend {
     pub fn pipeline(&self) -> &LivePipeline {
         &self.pipeline
     }
-
-    /// Claims `ticket` for redemption: a concurrent redeemer of the same
-    /// ticket sees `UnknownTicket` from here on.
-    fn claim(&self, ticket: Ticket) -> Result<std::sync::Arc<OutcomeSlot>, AllocationError> {
-        if ticket.brand != self.ledger.brand {
-            return Err(AllocationError::UnknownTicket);
-        }
-        self.ledger
-            .pending
-            .remove(ticket.id)
-            .ok_or(AllocationError::UnknownTicket)
-    }
 }
 
 impl ResourceManager for LiveBackend {
-    /// Parks on a latch only while the submission waits its turn in the
-    /// window's queue.
-    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        self.submit_with(query, Box::new(move |submitted| drop(tx.send(submitted))));
-        rx.recv()
-            .unwrap_or_else(|_| Err(AllocationError::Internal("window dropped".to_string())))
-    }
-
     /// Launching never parks (the query manager runs on this thread and
     /// sends each fragment to its stage): with a permit free the query is
     /// launched now, else it queues in the window and the thread whose
-    /// release frees its permit launches it.
-    fn submit_with(&self, query: Query, done: SubmitDone) {
-        if self.ledger.window.try_acquire() {
-            done(self.ledger.launch(query));
-        } else {
-            let ledger = std::sync::Arc::downgrade(&self.ledger);
-            self.ledger.window.admit(Box::new(move || {
-                let ledger = ledger.upgrade().expect("the ledger outlives its window");
-                done(ledger.launch(query))
-            }));
-        }
-    }
-
-    /// A latch on [`wait_with`](Self::wait_with).
-    fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        redeem_within(self, ticket, None).expect("an unbounded wait returns the outcome")
-    }
-
-    /// The completion waits in the ticket's slot and the pool-manager
-    /// stage that answers the query's last fragment runs it — or this
-    /// thread does, when the outcome is already in.  Either way the ticket
-    /// settles before `done` sees the outcome.  Until then the slot is
-    /// kept where [`cancel_wait`](Self::cancel_wait) finds it.
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
-        let slot = match self.claim(ticket) {
-            Ok(slot) => slot,
-            Err(e) => return done(Err(e)),
-        };
-        self.ledger.waiting.insert(ticket.id, slot.clone());
-        let ledger = self.ledger.clone();
-        slot.on_ready(Box::new(move |outcome| {
-            ledger.waiting.remove(ticket.id);
-            ledger.settle();
-            done(outcome);
-        }));
-    }
-
-    /// A `Waiter → Pending` step under the ticket's slot lock; the slot
-    /// goes back to the outstanding tickets, its permit still held.
-    fn cancel_wait(&self, ticket: Ticket) -> bool {
-        if ticket.brand != self.ledger.brand {
-            return false;
-        }
-        let Some(slot) = self.ledger.waiting.remove(ticket.id) else {
-            return false;
-        };
-        let Some(done) = slot.withdraw() else {
-            return false;
-        };
-        drop(done);
-        self.ledger.pending.insert(ticket.id, slot);
-        true
+    /// outcome frees its permit launches it.
+    fn allocate_with(&self, query: Query, done: AllocateDone) {
+        self.ledger.allocate(query, done, || {})
     }
 
     /// The pool-manager stage that drops the lease runs `done` itself.
@@ -827,10 +852,8 @@ impl ResourceManager for LiveBackend {
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snapshot = snapshot_from_pipeline(
-            self.pipeline.stats(),
-            self.ledger.unsettled.load(Ordering::Relaxed),
-        );
+        let in_flight = self.ledger.window.in_use() + self.tickets.unredeemed();
+        let mut snapshot = snapshot_from_pipeline(self.pipeline.stats(), in_flight);
         snapshot.shard_contention = self
             .ledger
             .window
@@ -844,6 +867,21 @@ impl ResourceManager for LiveBackend {
         // The stages stop only once every launched query is answered, so
         // outstanding tickets remain redeemable afterwards.
         self.pipeline.shutdown()
+    }
+
+    fn tickets(&self) -> Option<&TicketBook> {
+        Some(&self.tickets)
+    }
+
+    /// The provided submission, parking on a latch while it waits its turn
+    /// in the window's queue.
+    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
+        let (ticket, done) = self.tickets.issue();
+        let (admitted, turn) = crossbeam::channel::unbounded();
+        self.ledger
+            .allocate(query, done, move || drop(admitted.send(())));
+        let _ = turn.recv();
+        Ok(ticket)
     }
 }
 
@@ -903,7 +941,7 @@ pub struct BaselineBackend<D: BaselineDispatcher> {
     db: SharedDatabase,
     decompose_limit: usize,
     reintegration: ReintegrationPolicy,
-    tickets: ReadyTickets,
+    tickets: TicketBook,
     outstanding: Mutex<HashMap<String, MachineId>>,
     requests: AtomicU64,
     fragments: AtomicU64,
@@ -931,7 +969,7 @@ impl<D: BaselineDispatcher> BaselineBackend<D> {
             db,
             decompose_limit,
             reintegration,
-            tickets: ReadyTickets::new(),
+            tickets: TicketBook::new(),
             outstanding: Mutex::new(HashMap::new()),
             requests: AtomicU64::new(0),
             fragments: AtomicU64::new(0),
@@ -1030,20 +1068,8 @@ impl<D: BaselineDispatcher> BaselineBackend<D> {
 }
 
 impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
-    fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
-        Ok(self.tickets.issue(self.execute(&query)))
-    }
-
-    fn submit_with(&self, query: Query, done: SubmitDone) {
-        done(Ok(self.tickets.issue(self.execute(&query))));
-    }
-
-    fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        self.tickets.take(ticket)
-    }
-
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
-        done(self.tickets.take(ticket));
+    fn allocate_with(&self, query: Query, done: AllocateDone) {
+        done(self.execute(&query));
     }
 
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
@@ -1058,7 +1084,7 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
             failures: self.failures.load(Ordering::Relaxed),
             releases: self.releases.load(Ordering::Relaxed),
             records_examined: self.dispatcher.lock().records_examined(),
-            in_flight: self.tickets.len(),
+            in_flight: self.tickets.unredeemed(),
             // Centralized baselines have no stages to delegate between and
             // one big lock by design: every other counter stays zero.
             ..StatsSnapshot::default()
@@ -1067,6 +1093,10 @@ impl<D: BaselineDispatcher> ResourceManager for BaselineBackend<D> {
 
     fn shutdown(&self) -> Result<(), AllocationError> {
         Ok(())
+    }
+
+    fn tickets(&self) -> Option<&TicketBook> {
+        Some(&self.tickets)
     }
 }
 
@@ -1183,16 +1213,17 @@ impl PipelineBuilder {
         self
     }
 
-    /// Maximum tickets in flight on the live backend before submissions
+    /// Maximum queries in flight on the live backend before further ones
     /// queue (backpressure).  Clamped to at least 1.
     pub fn window(mut self, window: usize) -> Self {
         self.window = window;
         self
     }
 
-    /// Shard count for the daemon's hot state: directory shards and
-    /// pending-ticket shards (clamped to at least 1; `1` degenerates to
-    /// the old single-lock behaviour).
+    /// Shard count of the directory (clamped to at least 1; `1`
+    /// degenerates to the old single-lock behaviour).  The directory is the
+    /// only table it shards; `benchmarks/BENCH_saturation_cores.json` is
+    /// the measurement that justifies it.
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
         self
@@ -1269,11 +1300,9 @@ impl PipelineBuilder {
     /// Builds the live (threaded) backend.
     pub fn build_live(self) -> Result<LiveBackend, AllocationError> {
         let (config, window, domains) = self.take_domains()?;
-        let shards = config.shards;
         Ok(LiveBackend::new(
             LivePipeline::new(config, domains, Placement::Threaded),
             window,
-            shards,
         ))
     }
 
@@ -1333,7 +1362,7 @@ impl PipelineBuilder {
         self,
         kind: BackendKind,
         federation: crate::federation::FederationConfig,
-    ) -> Result<std::sync::Arc<crate::federation::FederatedBackend>, AllocationError> {
+    ) -> Result<Arc<crate::federation::FederatedBackend>, AllocationError> {
         let (inner, directory): (Box<dyn ResourceManager>, Option<crate::SharedDirectory>) =
             match kind {
                 BackendKind::Embedded => {
@@ -1348,9 +1377,9 @@ impl PipelineBuilder {
                 }
                 BackendKind::CentralQueue | BackendKind::Matchmaker => (self.build(kind)?, None),
             };
-        Ok(std::sync::Arc::new(
-            crate::federation::FederatedBackend::new(inner, federation, directory),
-        ))
+        Ok(Arc::new(crate::federation::FederatedBackend::new(
+            inner, federation, directory,
+        )))
     }
 
     /// [`PipelineBuilder::serve`] for a federated daemon: hosts the
@@ -1362,13 +1391,7 @@ impl PipelineBuilder {
         addr: &StageAddress,
         kind: BackendKind,
         federation: crate::federation::FederationConfig,
-    ) -> Result<
-        (
-            ServerHandle,
-            std::sync::Arc<crate::federation::FederatedBackend>,
-        ),
-        AllocationError,
-    > {
+    ) -> Result<(ServerHandle, Arc<crate::federation::FederatedBackend>), AllocationError> {
         let server = self.server;
         let backend = self.build_federated(kind, federation)?;
         let handle = crate::server::serve_federated_with(backend.clone(), addr, server)?;
@@ -1475,26 +1498,40 @@ mod tests {
         manager.shutdown().unwrap();
     }
 
+    /// A full window holds a submission back until an outcome returns a
+    /// permit — no redemption needed.  The one pool-manager stage is held
+    /// on a release's completion, so no outcome comes before it is let go.
     #[test]
     fn live_window_applies_backpressure() {
-        let manager = std::sync::Arc::new(builder(300, 5).window(2).build_live().unwrap());
+        let manager = Arc::new(builder(300, 5).window(2).build_live().unwrap());
+        let granted = manager.submit_text_wait(&paper_text()).unwrap();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        manager.release_with(
+            &granted[0],
+            Box::new(move |_| {
+                let _ = held.recv();
+            }),
+        );
         let first = manager.submit_text(&paper_text()).unwrap();
         let second = manager.submit_text(&paper_text()).unwrap();
-        // The window is full: a third submission blocks until a ticket is
-        // redeemed.
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (returned, submitted) = std::sync::mpsc::channel();
         let blocked = {
             let manager = manager.clone();
             std::thread::spawn(move || {
-                started_tx.send(()).unwrap();
-                manager.submit_text(&Query::paper_example().to_string())
+                let third = manager.submit_text(&paper_text());
+                returned.send(()).unwrap();
+                third
             })
         };
-        started_rx.recv().unwrap();
-        let allocations = manager.wait(first).unwrap();
-        manager.release(&allocations[0]).unwrap();
+        assert!(
+            submitted.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a third submission into a full window returned"
+        );
+        // The first outcomes land and return their permits: the third
+        // submission returns before any ticket is redeemed.
+        hold.send(()).unwrap();
         let third = blocked.join().unwrap().unwrap();
-        for ticket in [second, third] {
+        for ticket in [first, second, third] {
             let allocations = manager.wait(ticket).unwrap();
             manager.release(&allocations[0]).unwrap();
         }
@@ -1554,39 +1591,6 @@ mod tests {
             );
             manager.shutdown().unwrap();
         }
-    }
-
-    /// A completion taken back before the outcome came leaves the ticket as
-    /// it was: redeemable, still counted in flight and still holding its
-    /// window permit, and the completion never runs.  The one pool-manager
-    /// stage is held on a release's completion, so the outcome cannot come
-    /// first.
-    #[test]
-    fn a_withdrawn_wait_keeps_the_ticket_and_its_permit() {
-        let manager = builder(300, 28).window(1).build_live().unwrap();
-        let granted = manager.submit_text_wait(&paper_text()).unwrap();
-        let (hold, held) = std::sync::mpsc::channel::<()>();
-        manager.release_with(
-            &granted[0],
-            Box::new(move |_| {
-                let _ = held.recv();
-            }),
-        );
-        let ticket = manager.submit_text(&paper_text()).unwrap();
-        let (tx, ran) = std::sync::mpsc::channel();
-        let done: WaitDone = Box::new(move |outcome| drop(tx.send(outcome)));
-        manager.wait_with(ticket, done);
-        assert!(manager.cancel_wait(ticket), "the outcome is not in");
-        assert!(!manager.cancel_wait(ticket), "taken back once");
-        assert_eq!(manager.stats().in_flight, 1);
-        assert_eq!(manager.try_poll(ticket), None, "still redeemable");
-        assert!(!manager.ledger.window.try_acquire(), "the permit is held");
-        hold.send(()).unwrap();
-        let allocations = manager.wait(ticket).unwrap();
-        assert!(ran.try_recv().is_err(), "a withdrawn completion never runs");
-        manager.release(&allocations[0]).unwrap();
-        assert_eq!(manager.stats().in_flight, 0);
-        manager.shutdown().unwrap();
     }
 
     #[test]
@@ -1736,8 +1740,8 @@ mod tests {
 /// the CI `model-check` job: the daemon's own `try_acquire`, `free` and
 /// `admit` over a mutex-wrapped permit word and an
 /// `actyp-model` lock around the FIFO.  Launches run on whichever model
-/// thread completes them and return their permit from there, as a settled
-/// ticket does.
+/// thread completes them and return their permit from there, as an
+/// outcome does.
 #[cfg(all(test, feature = "model"))]
 mod window_model_tests {
     use super::{Fifo, FifoLock, Launch, PermitWord, Window};
@@ -1867,6 +1871,167 @@ mod window_model_tests {
         assert!(
             failure.message.contains("overtaken"),
             "expected an overtaking, got: {}",
+            failure.message
+        );
+    }
+}
+
+/// Bounded-interleaving proofs of the [`TicketBook`]'s pages (`--features
+/// model`), run by the CI `model-check` job: the book's own `fill` and
+/// `redeem` over an `actyp-model` mutex and condvar.  A pool-manager stage
+/// files a ticket's outcome while redeemers take it — in the second
+/// scenario with a deadline that may pass as the fill lands, as a
+/// `wait_deadline` or `try_poll` may.
+#[cfg(all(test, feature = "model"))]
+mod book_model_tests {
+    use super::{Book, Entries, PageLock, QueryOutcome};
+    use crate::allocation::AllocationError;
+    use actyp_model::sync::{Condvar, Mutex, MutexGuard};
+    use actyp_model::{thread, Explorer};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    struct ModelPages {
+        entries: Mutex<Entries>,
+        filed: Condvar,
+    }
+
+    impl Default for ModelPages {
+        fn default() -> Self {
+            ModelPages {
+                entries: Mutex::new(Entries::default()),
+                filed: Condvar::new(),
+            }
+        }
+    }
+
+    impl PageLock for ModelPages {
+        type Guard<'a> = MutexGuard<'a, Entries>;
+        fn lock(&self) -> Self::Guard<'_> {
+            self.entries.lock().unwrap()
+        }
+        fn wait<'a>(
+            &'a self,
+            entries: Self::Guard<'a>,
+            timeout: Option<Duration>,
+        ) -> (Self::Guard<'a>, bool) {
+            match timeout {
+                None => (self.filed.wait(entries).unwrap(), false),
+                Some(timeout) => {
+                    let (entries, waited) = self.filed.wait_timeout(entries, timeout).unwrap();
+                    (entries, waited.timed_out())
+                }
+            }
+        }
+        fn signal(&self) {
+            self.filed.notify_all();
+        }
+    }
+
+    type ModelBook = Book<ModelPages>;
+
+    fn explorer() -> Explorer {
+        Explorer {
+            max_schedules: 200_000,
+            preemption_bound: 2,
+            op_budget: 50_000,
+        }
+    }
+
+    fn outcome() -> QueryOutcome {
+        Err(AllocationError::NoSuchResources)
+    }
+
+    /// A book with ticket 0 open, and the stage filing its outcome on a
+    /// thread of its own.  A `slow` stage first waits out a timer nobody
+    /// cuts short: the model fires it only once every other thread is
+    /// blocked, and picks between it and a redeemer's deadline, so the
+    /// deadline can pass before the fill as well as after it.
+    fn filing(slow: bool) -> (Arc<ModelBook>, thread::JoinHandle<()>) {
+        let book = Arc::new(ModelBook::default());
+        book.open(0);
+        let stage = book.clone();
+        let fill = thread::spawn(move || {
+            if slow {
+                let (gate, timer) = (Mutex::new(()), Condvar::new());
+                let held = gate.lock().unwrap();
+                drop(timer.wait_timeout(held, Duration::from_secs(1)).unwrap());
+            }
+            stage.fill(0, outcome())
+        });
+        (book, fill)
+    }
+
+    /// Two redeemers take ticket 0 while its outcome is filed: exactly one
+    /// gets it, and the other is told the ticket is spent.
+    fn two_redeemers_race_the_fill() {
+        let (book, stage) = filing(false);
+        let other = {
+            let book = book.clone();
+            thread::spawn(move || book.redeem(0, None))
+        };
+        let mut got = vec![book.redeem(0, None), other.join().unwrap()];
+        stage.join().unwrap();
+        got.sort_by_key(|redeemed| redeemed != &Some(outcome()));
+        assert_eq!(
+            got,
+            vec![Some(outcome()), Some(Err(AllocationError::UnknownTicket))],
+            "not delivered to exactly one redeemer"
+        );
+    }
+
+    /// A redeemer waits for ticket 0 with a deadline that may pass as the
+    /// outcome is filed.  One that gave up leaves the ticket open, and the
+    /// next redemption gets the outcome: either way it is delivered once,
+    /// and the ticket is spent after.
+    fn a_give_up_races_the_fill() {
+        let (book, stage) = filing(true);
+        let first = book.redeem(0, Some(Duration::from_secs(1)));
+        let gave_up = first.is_none();
+        let delivered = first.or_else(|| book.redeem(0, None));
+        stage.join().unwrap();
+        assert_eq!(
+            delivered,
+            Some(outcome()),
+            "the outcome was lost (gave up: {gave_up})"
+        );
+        assert_eq!(
+            book.redeem(0, Some(Duration::ZERO)),
+            Some(Err(AllocationError::UnknownTicket)),
+            "a redeemed ticket is spent"
+        );
+    }
+
+    #[cfg(not(feature = "buggy-giveup"))]
+    #[test]
+    fn book_delivers_exactly_once_proven() {
+        let report = explorer().prove(two_redeemers_race_the_fill);
+        assert!(report.proven());
+        assert!(report.schedules > 2, "interleavings actually explored");
+    }
+
+    #[cfg(not(feature = "buggy-giveup"))]
+    #[test]
+    fn book_give_up_keeps_the_ticket_proven() {
+        let report = explorer().prove(a_give_up_races_the_fill);
+        assert!(report.proven());
+        assert!(report.schedules > 2, "interleavings actually explored");
+    }
+
+    /// REGRESSION (`--features model,buggy-giveup`): a redemption that
+    /// gives up drops its ticket, so the outcome filed meanwhile is lost.
+    /// The exploration must find the next redemption told the ticket is
+    /// unknown.
+    #[cfg(feature = "buggy-giveup")]
+    #[test]
+    fn book_lost_outcome_recaught() {
+        let report = explorer().explore(a_give_up_races_the_fill);
+        let failure = report
+            .failure
+            .expect("a give-up that drops the ticket must be caught within the exploration");
+        assert!(
+            failure.message.contains("outcome was lost"),
+            "expected a lost outcome, got: {}",
             failure.message
         );
     }

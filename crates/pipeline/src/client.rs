@@ -34,8 +34,8 @@ use std::time::Duration;
 use actyp_proto::{ClientFrame, RequestId, ServerFrame, MAX_SEQUENCE_LEN};
 use actyp_query::Query;
 
-use crate::allocation::{AllocationError, ReleaseDone, WaitDone};
-use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, SubmitDone, Ticket};
+use crate::allocation::{AllocateDone, AllocationError, ReleaseDone};
+use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, Ticket};
 use crate::corr::{Conn, ConnError};
 use crate::message::StageAddress;
 
@@ -183,19 +183,13 @@ impl ResourceManager for RemoteBackend {
 
     /// The round trip runs on the calling thread: this is a client, and
     /// no daemon hosts it.
-    fn submit_with(&self, query: Query, done: SubmitDone) {
-        done(self.submit(query));
+    fn allocate_with(&self, query: Query, done: AllocateDone) {
+        done(self.submit_wait(&query));
     }
 
     fn wait(&self, ticket: Ticket) -> QueryOutcome {
         self.collect(ticket, None)
             .expect("an unbounded collect returns the reply")
-    }
-
-    /// The redemption runs on the calling thread, like
-    /// [`submit_with`](Self::submit_with)'s round trip.
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
-        done(self.wait(ticket));
     }
 
     /// The reply is collected here, with the deadline on this side of the
@@ -220,7 +214,7 @@ impl ResourceManager for RemoteBackend {
     }
 
     /// The round trip runs on the calling thread, like
-    /// [`submit_with`](Self::submit_with)'s.
+    /// [`allocate_with`](Self::allocate_with)'s.
     fn release_with(&self, allocation: &crate::allocation::Allocation, done: ReleaseDone) {
         done(self.release(allocation));
     }

@@ -52,8 +52,8 @@ use actyp_proto::{
 };
 
 use crate::allocation::AllocationError;
+use crate::directory::DEFAULT_SHARDS;
 use crate::message::StageAddress;
-use crate::shard::DEFAULT_SHARDS;
 
 /// How long to wait for the far side to accept the TCP connection, and
 /// then for its `HelloAck`.  The ack is computed inline by the daemon's

@@ -23,7 +23,24 @@ use std::sync::Arc;
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::message::StageAddress;
-use crate::shard::{fnv1a, DEFAULT_SHARDS};
+
+/// Default shard count of the directory (and of a connection's pending
+/// table, `corr.rs`).  Eight shards cover the core counts the saturation
+/// sweeps target while keeping the cross-shard sweeps (stats snapshots,
+/// teardown drains) cheap.
+pub(crate) const DEFAULT_SHARDS: usize = 8;
+
+/// FNV-1a over `key` — the deterministic hash assigning pool names to
+/// directory shards.  Deterministic so a pool name maps to the same shard
+/// in every process of a federation and in every test run.
+fn fnv1a(key: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in key {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 /// Directory record for one resource-pool instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -419,6 +436,23 @@ impl ShardedDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_is_stable_and_spreads() {
+        // Pinned values: the shard assignment is part of cross-process
+        // determinism, so the hash must never silently change.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // Distinct pool names spread over 8 shards rather than piling up.
+        let shards: std::collections::HashSet<u64> = (0..64)
+            .map(|i| fnv1a(format!("arch,==/sun/{i}").as_bytes()) % 8)
+            .collect();
+        assert!(
+            shards.len() >= 4,
+            "hash collapsed to {} shards",
+            shards.len()
+        );
+    }
     use proptest::prelude::*;
 
     fn record(pool: &str, instance: u32, manager: &str) -> PoolInstanceRecord {

@@ -20,7 +20,7 @@
 //! or capacity is exhausted — see [`is_delegable`]), the query is
 //! forwarded to peer daemons over pooled connections speaking the
 //! protocol's [`ClientFrame::Delegate`] frame: the TTL is decremented at
-//! every hop, no domain is ever revisited, and the originating ticket
+//! every hop, no domain is ever revisited, and the originating query
 //! settles with the remote allocation or the proper
 //! [`AllocationError::TtlExpired`].  Peers learn each other's domain
 //! names and pool names through a [`ClientFrame::SyncPools`] /
@@ -41,16 +41,14 @@
 //! Every peer link is dialed by the serving reactor's first I/O thread (a
 //! non-blocking connect, `Hello` and `SyncPools` as steps of a session of
 //! kind *peer*), and its connection is born attached to that session.  A
-//! federated redemption, a remote `Release`, an inbound `Delegate`, a gossip
-//! round and a probe are completions ([`ResourceManager::wait_with`],
-//! [`ResourceManager::release_with`], [`FederatedBackend::delegate_with`]):
-//! each frame to a peer is written by whichever thread holds the previous
-//! answer — once its link is up, dialing it first if need be — and its
-//! reply's completion runs on the link's I/O thread.  A give-up takes a
-//! federated redemption back ([`ResourceManager::cancel_wait`]) only while
-//! its local wait is open: once a chain has started, its outcome is the
-//! answer.
-//! The blocking trait methods are latches on those same completions.
+//! federated allocation, a remote `Release`, an inbound `Delegate`, a
+//! gossip round and a probe are completions
+//! ([`ResourceManager::allocate_with`], [`ResourceManager::release_with`],
+//! [`FederatedBackend::delegate_with`]): each frame to a peer is written by
+//! whichever thread holds the previous answer — once its link is up,
+//! dialing it first if need be — and its reply's completion runs on the
+//! link's I/O thread.  The blocking trait methods wait on those same
+//! completions.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -62,8 +60,8 @@ use parking_lot::Mutex;
 
 use actyp_proto::{AdvertDelta, AdvertVersion, ClientFrame, ServerFrame};
 
-use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, SubmitDone, Ticket};
+use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone};
+use crate::api::{QueryOutcome, ResourceManager, StatsSnapshot, TicketBook};
 use crate::corr::{Conn, ConnError, COMPLETION_TIMEOUT};
 use crate::directory::{LocalDirectoryService, PoolInstanceRecord, SharedDirectory};
 use crate::gossip::{GossipEvent, GossipPlane};
@@ -607,47 +605,6 @@ impl Default for FederationConfig {
     }
 }
 
-/// A ticket issued by the federated wrapper: the inner backend's ticket
-/// plus the rendered query text, kept so a local failure can be delegated.
-#[derive(Clone)]
-struct PendingTicket {
-    inner: Ticket,
-    query: String,
-}
-
-/// The federated wrapper's tickets, shared with the completions that issue
-/// and redeem them.
-struct Tickets {
-    brand: u64,
-    next: AtomicU64,
-    issued: Mutex<HashMap<u64, PendingTicket>>,
-    /// Tickets redeemed with a completion whose local outcome is not in
-    /// yet — what a give-up takes back ([`ResourceManager::cancel_wait`]).
-    /// Each completion drops its own entry when it runs.
-    waiting: Mutex<HashMap<u64, PendingTicket>>,
-}
-
-impl Tickets {
-    /// Records an inner ticket with its query text under a fresh ticket.
-    fn issue(&self, inner: Ticket, query: String) -> Ticket {
-        let id = self.next.fetch_add(1, Ordering::Relaxed);
-        self.issued
-            .lock()
-            .insert(id, PendingTicket { inner, query });
-        Ticket::from_parts(self.brand, id)
-    }
-
-    fn take(&self, ticket: Ticket) -> Result<PendingTicket, AllocationError> {
-        if ticket.brand() != self.brand {
-            return Err(AllocationError::UnknownTicket);
-        }
-        self.issued
-            .lock()
-            .remove(&ticket.id())
-            .ok_or(AllocationError::UnknownTicket)
-    }
-}
-
 /// Where a chain driven by completions delivers its end: the outcome, and
 /// the routing state after every hop (what a `Delegated` reply carries).
 pub type DelegateDone = Box<dyn FnOnce(QueryOutcome, RoutingState) + Send>;
@@ -678,9 +635,9 @@ struct Attachment {
 
 /// Any [`ResourceManager`] backend extended with wide-area delegation.
 ///
-/// Wraps the domain's local backend; queries are always submitted locally
-/// first, and a ticket whose local outcome is a [delegable](is_delegable)
-/// failure is settled by forwarding the query to peer daemons with a TTL
+/// Wraps the domain's local backend; queries are always allocated locally
+/// first, and a query whose local outcome is a [delegable](is_delegable)
+/// failure is settled by forwarding it to peer daemons with a TTL
 /// and visited-domain list — the paper's inter-domain cooperation, over
 /// the wire.  Allocations obtained from a peer are tracked so
 /// [`ResourceManager::release`] routes them back to the domain that made
@@ -694,7 +651,7 @@ struct Attachment {
 pub struct FederatedBackend {
     inner: Arc<dyn ResourceManager>,
     config: FederationConfig,
-    tickets: Arc<Tickets>,
+    tickets: TicketBook,
     links: Vec<PeerLink>,
     /// What this domain knows of its neighbourhood.
     view: PeerView,
@@ -743,12 +700,7 @@ impl FederatedBackend {
         FederatedBackend {
             inner: Arc::from(inner),
             config,
-            tickets: Arc::new(Tickets {
-                brand: crate::api::next_backend_brand(),
-                next: AtomicU64::new(0),
-                issued: Mutex::new(HashMap::new()),
-                waiting: Mutex::new(HashMap::new()),
-            }),
+            tickets: TicketBook::new(),
             links,
             view,
             local_directory,
@@ -1153,7 +1105,7 @@ impl FederatedBackend {
 
     /// Serves an incoming `Delegate` request from a peer daemon as
     /// completions: spends a hop visiting this domain, tries the local
-    /// backend, forwards further when possible.  The local submission is
+    /// backend, forwards further when possible.  The local query is
     /// launched from here or from the thread that frees its window permit,
     /// the local outcome continues the chain on the stage that produces it,
     /// and each onward `Delegate` is written by the thread that holds the
@@ -1184,7 +1136,7 @@ impl FederatedBackend {
             None => Err(AllocationError::TtlExpired),
         };
         let (served, query) = (self.served(), query.to_string());
-        let chain: WaitDone = Box::new(move |local| match served {
+        let chain: AllocateDone = Box::new(move |local| match served {
             Some((backend, host)) => backend.federate(&host, query, state, local, done),
             None => done(local, state),
         });
@@ -1192,14 +1144,7 @@ impl FederatedBackend {
             Ok(parsed) => parsed,
             Err(error) => return chain(Err(error)),
         };
-        let waiter = self.inner.clone();
-        self.inner.submit_with(
-            parsed,
-            Box::new(move |submitted| match submitted {
-                Ok(ticket) => waiter.wait_with(ticket, chain),
-                Err(error) => chain(Err(error)),
-            }),
-        );
+        self.inner.allocate_with(parsed, chain);
     }
 
     /// Continues a chain from this domain's own outcome, as completions
@@ -1360,44 +1305,34 @@ impl FederatedBackend {
         names.map(|name| name.full()).collect()
     }
 
-    /// [`ResourceManager::wait_with`] for a waiter that may leave meanwhile
-    /// — a `ypd` session: a delegable local failure is delegated only if
-    /// `wanted()` still holds once it is in.  A client gone by then gets its
-    /// local outcome, and nothing is delegated (and released hop by hop)
-    /// for nobody; a chain already under way runs to its end.  The local
-    /// outcome goes through the wrapped backend's own `wait_with`, and
-    /// whichever thread delivers it — this one on a hit, the stage that
-    /// produces it otherwise — runs `done` with a final outcome or, on a
-    /// served backend with peers, continues a delegable failure as a chain
-    /// of completions ([`FederatedBackend::delegate_with`] has the same
-    /// shape).  Until the local outcome is in,
-    /// [`ResourceManager::cancel_wait`] can take `done` back.
-    pub(crate) fn wait_with_while(
+    /// [`ResourceManager::allocate_with`] for a caller that may leave
+    /// meanwhile — a `ypd` session, which also hands over the query's wire
+    /// `text`: a delegable local failure is delegated only if `wanted()`
+    /// still holds once it is in.  A client gone by then gets its local
+    /// outcome, and nothing is delegated (and released hop by hop) for
+    /// nobody; a chain already under way runs to its end.  Whichever thread
+    /// has the local outcome — this one when the wrapped backend resolves
+    /// the query on the spot, the stage that produces it otherwise — runs
+    /// `done` with a final outcome or, on a served backend with peers,
+    /// continues a delegable failure as a chain of completions
+    /// ([`FederatedBackend::delegate_with`] has the same shape).
+    pub(crate) fn allocate_while(
         &self,
-        ticket: Ticket,
-        done: WaitDone,
+        query: actyp_query::Query,
+        text: String,
         wanted: impl Fn() -> bool + Send + 'static,
+        done: AllocateDone,
     ) {
-        let pending = match self.tickets.take(ticket) {
-            Ok(pending) => pending,
-            Err(error) => return done(Err(error)),
-        };
         let served = (!self.links.is_empty()).then(|| self.served()).flatten();
-        let (id, inner, query) = (ticket.id(), pending.inner, pending.query.clone());
-        self.tickets.waiting.lock().insert(id, pending);
-        let tickets = self.tickets.clone();
-        let local: WaitDone = Box::new(move |outcome| {
-            tickets.waiting.lock().remove(&id);
-            match (outcome, served) {
-                (Err(error), Some((backend, host))) if is_delegable(&error) && wanted() => {
-                    let state = RoutingState::new(backend.config.ttl);
-                    let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
-                    backend.federate(&host, query, state, Err(error), finish);
-                }
-                (final_outcome, _) => done(final_outcome),
+        let local: AllocateDone = Box::new(move |outcome| match (outcome, served) {
+            (Err(error), Some((backend, host))) if is_delegable(&error) && wanted() => {
+                let state = RoutingState::new(backend.config.ttl);
+                let finish: DelegateDone = Box::new(move |outcome, _| done(outcome));
+                backend.federate(&host, text, state, Err(error), finish);
             }
+            (final_outcome, _) => done(final_outcome),
         });
-        self.inner.wait_with(inner, local);
+        self.inner.allocate_with(query, local);
     }
 
     /// Folds a peer's answer to a `Delegate` sent to `domain` into this
@@ -1506,47 +1441,11 @@ impl FederatedBackend {
 }
 
 impl ResourceManager for FederatedBackend {
-    fn submit(&self, query: actyp_query::Query) -> Result<Ticket, AllocationError> {
-        let rendered = query.to_string();
-        let inner = self.inner.submit(query)?;
-        Ok(self.tickets.issue(inner, rendered))
-    }
-
-    /// Submission is always local first: forwarded to the wrapped
-    /// backend's `submit_with`.
-    fn submit_with(&self, query: actyp_query::Query, done: SubmitDone) {
-        let (tickets, rendered) = (self.tickets.clone(), query.to_string());
-        self.inner.submit_with(
-            query,
-            Box::new(move |submitted| done(submitted.map(|inner| tickets.issue(inner, rendered)))),
-        );
-    }
-
-    /// A latch on [`wait_with`](ResourceManager::wait_with).
-    fn wait(&self, ticket: Ticket) -> QueryOutcome {
-        crate::api::redeem_within(self, ticket, None)
-            .expect("an unbounded wait returns the outcome")
-    }
-
-    fn wait_with(&self, ticket: Ticket, done: WaitDone) {
-        self.wait_with_while(ticket, done, || true)
-    }
-
-    /// Forwarded to the wrapped backend while the local wait is open.  Once
-    /// the local outcome is in there is nothing to take back: a chain runs
-    /// past a deadline rather than fail a query a peer could satisfy.
-    fn cancel_wait(&self, ticket: Ticket) -> bool {
-        if ticket.brand() != self.tickets.brand {
-            return false;
-        }
-        let Some(pending) = self.tickets.waiting.lock().remove(&ticket.id()) else {
-            return false;
-        };
-        if !self.inner.cancel_wait(pending.inner) {
-            return false;
-        }
-        self.tickets.issued.lock().insert(ticket.id(), pending);
-        true
+    /// Always local first: the wrapped backend's `allocate_with`, its
+    /// delegable failure delegated with the query rendered as wire text.
+    fn allocate_with(&self, query: actyp_query::Query, done: AllocateDone) {
+        let text = query.to_string();
+        self.allocate_while(query, text, || true, done)
     }
 
     /// A lease this daemon holds itself is released by the wrapped
@@ -1591,7 +1490,9 @@ impl ResourceManager for FederatedBackend {
         let mut stats = self.inner.stats();
         stats.delegations_out = self.delegations_out.load(Ordering::Relaxed);
         stats.delegations_in = self.delegations_in.load(Ordering::Relaxed);
-        stats.in_flight = self.tickets.issued.lock().len();
+        // Queries in flight are the wrapped backend's (a delegated one is
+        // counted by the domain serving it), plus outcomes filed here.
+        stats.in_flight += self.tickets.unredeemed();
         stats.gossip_deltas_in = self.view.gossip().deltas_in();
         stats.gossip_deltas_out = self.view.gossip().deltas_out();
         stats.route_hits = self.view.route_cache().hits();
@@ -1612,6 +1513,10 @@ impl ResourceManager for FederatedBackend {
             }
         }
         self.inner.shutdown()
+    }
+
+    fn tickets(&self) -> Option<&TicketBook> {
+        Some(&self.tickets)
     }
 }
 

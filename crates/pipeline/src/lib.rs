@@ -71,10 +71,9 @@ pub mod reactor;
 pub mod resource_pool;
 pub mod scheduler;
 pub mod server;
-mod shard;
 pub mod sim;
 
-pub use allocation::{Allocation, AllocationError, ReleaseDone, SessionKey, WaitDone};
+pub use allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone, SessionKey};
 pub use api::{BackendKind, PipelineBuilder, ResourceManager, StatsSnapshot, Ticket};
 pub use client::RemoteBackend;
 pub use directory::{LocalDirectoryService, PoolInstanceRecord, ShardedDirectory, SharedDirectory};

@@ -22,9 +22,8 @@
 //! posts each fragment to its pool-manager stage.  Each fragment carries a
 //! handle on its query's join, and the stage that delivers the last result
 //! re-integrates the query — the paper's "another query-manager stage at
-//! the end of the pipeline" — and fills its `OutcomeSlot`, in which a
-//! redeemer leaves a completion for that stage to run — and may take it
-//! back while the outcome has not come.
+//! the end of the pipeline" — and runs the completion the query was
+//! launched with, on its own thread: the query carries its reply with it.
 //!
 //! The channel hop stands in for the TCP/UDP hop of the paper's deployment;
 //! the simulated deployment ([`crate::sim`]) is where wire latency is
@@ -41,7 +40,7 @@ use parking_lot::Mutex;
 use actyp_grid::SharedDatabase;
 use actyp_query::{BasicQuery, Query, QuerySchema};
 
-use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
+use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone};
 use crate::directory::{LocalDirectoryService, SharedDirectory};
 use crate::message::{RequestId, RequestIdGenerator, RoutingState};
 use crate::pool_manager::{HandleOutcome, InstanceSelection, PoolManager, PoolManagerConfig};
@@ -72,9 +71,9 @@ pub struct PipelineConfig {
     pub hour_of_day: u8,
     /// RNG seed for all stage-local randomness.
     pub seed: u64,
-    /// Lock shards in the shared directory (and the other hot tables the
-    /// daemon keys off it).  `1` degenerates to the old single-lock
-    /// behaviour; the saturation benches sweep this.
+    /// Lock shards in the shared directory.  `1` degenerates to the old
+    /// single-lock behaviour; the saturation benches sweep this
+    /// (`benchmarks/BENCH_saturation_cores.json`).
     pub shards: usize,
 }
 
@@ -91,7 +90,7 @@ impl Default for PipelineConfig {
             ttl: 8,
             hour_of_day: 12,
             seed: 0xAC7C_9A9E,
-            shards: crate::shard::DEFAULT_SHARDS,
+            shards: crate::directory::DEFAULT_SHARDS,
         }
     }
 }
@@ -152,133 +151,41 @@ type Outcome = Result<Vec<Allocation>, AllocationError>;
 /// What one fragment resolves to.
 type FragmentResult = Result<Allocation, AllocationError>;
 
-/// A launched query's one reply mechanism.  The pool-manager stage that
-/// answers the query's last fragment fills it; a redeemer leaves a
-/// completion in it, and may take that completion back while no outcome
-/// has come for it.  The outcome and the completion meet under the one
-/// lock, and whichever arrives second runs the completion — the redeemer's
-/// own thread when the outcome was already there, the stage when it was
-/// not.
-///
-/// Generic over its lock, like the admission window, so the model checker
-/// (`slot_model_tests` below) runs this very code.
-pub(crate) struct OutcomeSlot<L = Mutex<SlotState>> {
-    cell: L,
-}
-
-pub(crate) enum SlotState {
-    Pending,
-    Ready(Outcome),
-    Waiter(WaitDone),
-    /// The outcome went to its redeemer.
-    Spent,
-}
-
-/// The lock around an [`OutcomeSlot`]'s state.
-pub(crate) trait SlotLock: Send + Sync {
-    type Guard<'a>: std::ops::DerefMut<Target = SlotState>
-    where
-        Self: 'a;
-    fn new(state: SlotState) -> Self;
-    fn lock(&self) -> Self::Guard<'_>;
-}
-
-impl SlotLock for Mutex<SlotState> {
-    type Guard<'a> = parking_lot::MutexGuard<'a, SlotState>;
-    fn new(state: SlotState) -> Self {
-        Mutex::new(state)
-    }
-    fn lock(&self) -> Self::Guard<'_> {
-        Mutex::lock(self)
-    }
-}
-
-impl<L: SlotLock> OutcomeSlot<L> {
-    fn new() -> Arc<Self> {
-        Arc::new(OutcomeSlot {
-            cell: L::new(SlotState::Pending),
-        })
-    }
-
-    /// Stage side: the outcome is in.  A waiting completion runs here, on
-    /// the stage's thread, after the lock is released.
-    fn fill(&self, outcome: Outcome) {
-        let mut cell = self.cell.lock();
-        match std::mem::replace(&mut *cell, SlotState::Spent) {
-            SlotState::Waiter(done) => {
-                drop(cell);
-                done(outcome);
-            }
-            _ => *cell = SlotState::Ready(outcome),
-        }
-    }
-
-    /// Leaves `done` to be run with the outcome: right here when it is
-    /// already in, by the filling stage otherwise.
-    pub(crate) fn on_ready(&self, done: WaitDone) {
-        let mut cell = self.cell.lock();
-        match std::mem::replace(&mut *cell, SlotState::Spent) {
-            SlotState::Ready(outcome) => {
-                drop(cell);
-                done(outcome);
-            }
-            _ => *cell = SlotState::Waiter(done),
-        }
-    }
-
-    /// Takes back the completion [`on_ready`](Self::on_ready) left, while no
-    /// outcome has come for it: the slot is then as it was before.  `None`
-    /// means the completion ran or is running.  Under `buggy-cancel` (model
-    /// checking only) a withdrawal that finds a fill took the completion
-    /// reports it withdrawn all the same.
-    pub(crate) fn withdraw(&self) -> Option<WaitDone> {
-        let mut cell = self.cell.lock();
-        match std::mem::replace(&mut *cell, SlotState::Pending) {
-            SlotState::Waiter(done) => Some(done),
-            #[cfg(feature = "buggy-cancel")]
-            SlotState::Spent => Some(Box::new(|_| {})),
-            other => {
-                *cell = other;
-                None
-            }
-        }
-    }
-}
-
 /// The answer of a query or fragment dropped unprocessed (a stage that
-/// panicked, a pipeline torn down): no redeemer waits forever.
+/// panicked, a pipeline torn down): no completion is left unrun.
 fn dropped() -> AllocationError {
     AllocationError::Internal("pipeline dropped the reply".to_string())
 }
 
-/// The pipeline's end of an [`OutcomeSlot`], filled exactly once: with the
-/// outcome, or with [`dropped`].  Its query is in flight until then, and
-/// shutdown stops the stages only once no promise is left.
+/// A launched query's completion, run exactly once: with the outcome, or
+/// — dropped unanswered — with [`dropped`].  Its query is in flight until
+/// then, and shutdown stops the stages only once no promise is left.
 struct Promise {
-    slot: Option<Arc<OutcomeSlot>>,
+    done: Option<AllocateDone>,
     shared: Arc<Shared>,
 }
 
 impl Promise {
-    fn new(shared: &Arc<Shared>, slot: Arc<OutcomeSlot>) -> Self {
+    fn new(shared: &Arc<Shared>, done: AllocateDone) -> Self {
         shared.in_flight.fetch_add(1, Ordering::SeqCst);
         Promise {
-            slot: Some(slot),
+            done: Some(done),
             shared: shared.clone(),
         }
     }
 
+    /// Runs the completion with `outcome`, here, on the thread that has it.
     fn fill(mut self, outcome: Outcome) {
-        if let Some(slot) = self.slot.take() {
-            slot.fill(outcome);
+        if let Some(done) = self.done.take() {
+            done(outcome);
         }
     }
 }
 
 impl Drop for Promise {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            slot.fill(Err(dropped()));
+        if let Some(done) = self.done.take() {
+            done(Err(dropped()));
         }
         let shared = &self.shared;
         if shared.in_flight.fetch_sub(1, Ordering::SeqCst) == 1
@@ -644,22 +551,16 @@ fn stage_thread(shared: Arc<Shared>, name: String, queue: Receiver<Option<PmMsg>
 pub(crate) struct Launcher(Arc<Shared>);
 
 impl Launcher {
-    /// [`LivePipeline::release_with`], for whoever holds only the launcher.
-    pub(crate) fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
-        self.0.release_with(allocation, done);
-    }
-
     /// Launches a query without waiting: the query manager runs here, on
     /// one of its replicas, and posts each fragment to its pool-manager
-    /// stage; the slot receives the outcome once the last fragment is in
-    /// (before this returns, on the inline placement).  A query the query
-    /// manager refuses fills its slot with the error at once; `Err` means
-    /// the pipeline is down.
-    pub(crate) fn launch(&self, query: Query) -> Result<Arc<OutcomeSlot>, AllocationError> {
+    /// stage; `done` runs with the outcome on the stage that delivers the
+    /// last fragment (before this returns, on the inline placement).  A
+    /// query the query manager refuses runs `done` with the error at once,
+    /// and a fragment no stage takes answers as dropped.
+    pub(crate) fn launch(&self, query: Query, done: AllocateDone) {
         let shared = &self.0;
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let slot = OutcomeSlot::new();
-        let promise = Promise::new(shared, slot.clone());
+        let promise = Promise::new(shared, done);
         let replica = shared.cursor.fetch_add(1, Ordering::Relaxed) % shared.replicas.len();
         let mut qm = shared.replicas[replica].lock();
         let prepared = qm.prepare(&query).map(|prepared| prepared.fragments);
@@ -669,10 +570,7 @@ impl Launcher {
         drop(qm);
         let fragments = match prepared {
             Ok(fragments) => fragments,
-            Err(refused) => {
-                promise.fill(Err(refused));
-                return Ok(slot);
-            }
+            Err(refused) => return promise.fill(Err(refused)),
         };
 
         let join = Arc::new(Join {
@@ -695,16 +593,8 @@ impl Launcher {
                 continue;
             };
             let routing = RoutingState::new(shared.config.ttl);
-            if shared
-                .post(&stage, PmMsg::Query { fragment, routing })
-                .is_some()
-            {
-                return Err(AllocationError::Internal(
-                    "pool manager stage is down".into(),
-                ));
-            }
+            drop(shared.post(&stage, PmMsg::Query { fragment, routing }));
         }
-        Ok(slot)
     }
 }
 
@@ -814,15 +704,10 @@ impl LivePipeline {
         self.launcher.clone()
     }
 
-    /// Runs `query` to its outcome.  On the inline placement the launch
-    /// runs every stage, so the outcome is in when it returns.
-    pub(crate) fn resolve(&self, query: Query) -> Outcome {
-        let slot = self.launcher.launch(query)?;
-        let state = std::mem::replace(&mut *slot.cell.lock(), SlotState::Spent);
-        match state {
-            SlotState::Ready(outcome) => outcome,
-            _ => Err(dropped()),
-        }
+    /// Launches `query`; `done` runs with its outcome on the thread that
+    /// has it — on the inline placement, this one, before this returns.
+    pub(crate) fn allocate_with(&self, query: Query, done: AllocateDone) {
+        self.launcher.launch(query, done)
     }
 
     /// Releases an allocation without waiting for it: the stage that drops
@@ -830,13 +715,13 @@ impl LivePipeline {
     /// next, when the directory does not know the owner).  If the stages
     /// shut down first, it is dropped uncalled.
     pub fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
-        self.launcher.release_with(allocation, done);
+        self.launcher.0.release_with(allocation, done);
     }
 
     /// Shuts the deployment down, joining every stage thread; the error
     /// lists every stage that panicked during the run.  The stages stop only
     /// once no launched query is in flight — they forward to each other —
-    /// so outstanding tickets still redeem their real outcome afterwards.
+    /// so every launched query's completion gets its real outcome.
     pub fn shutdown(&self) -> Result<(), AllocationError> {
         let shared = &self.launcher.0;
         shared.drain();
@@ -911,10 +796,16 @@ mod tests {
         LivePipeline::new(config, domains, placement)
     }
 
+    /// Launches `query`; its outcome arrives on the returned receiver.
+    fn launch(pipeline: &LivePipeline, query: Query) -> Receiver<Outcome> {
+        let (tx, rx) = unbounded();
+        pipeline.allocate_with(query, Box::new(move |outcome| drop(tx.send(outcome))));
+        rx
+    }
+
     /// Launches `query` and blocks for its outcome.
     fn allocate(pipeline: &LivePipeline, query: Query) -> Outcome {
-        let slot = pipeline.launcher.launch(query)?;
-        redeem(&slot)
+        redeem(&launch(pipeline, query))
     }
 
     /// Parses `text`, launches it and blocks for the reply.
@@ -924,10 +815,8 @@ mod tests {
         allocate(pipeline, query)
     }
 
-    fn redeem(slot: &OutcomeSlot) -> Outcome {
-        let (tx, rx) = std::sync::mpsc::channel();
-        slot.on_ready(Box::new(move |outcome| drop(tx.send(outcome))));
-        rx.recv().expect("a slot is filled exactly once")
+    fn redeem(answered: &Receiver<Outcome>) -> Outcome {
+        answered.recv().expect("a query is answered exactly once")
     }
 
     /// [`LivePipeline::release_with`], blocking for the answer.
@@ -1080,11 +969,9 @@ mod tests {
         let pipeline = start(Threaded, config, fleet_db(300, 9));
         let query = Query::paper_example();
         // Three queries in flight before any reply is awaited.
-        let pending: Vec<_> = (0..3)
-            .map(|_| pipeline.launcher.launch(query.clone()).unwrap())
-            .collect();
-        for slot in pending {
-            let allocations = redeem(&slot).unwrap();
+        let pending: Vec<_> = (0..3).map(|_| launch(&pipeline, query.clone())).collect();
+        for answered in pending {
+            let allocations = redeem(&answered).unwrap();
             release_now(&pipeline, &allocations[0]).unwrap();
         }
         assert_eq!(pipeline.stats().allocations, 3);
@@ -1095,79 +982,52 @@ mod tests {
     fn queued_submissions_complete_across_shutdown() {
         // Shutdown stops the stages only once nothing launched is in
         // flight, so a submission still queued when shutdown begins is
-        // processed end to end and its slot receives the real outcome.
+        // processed end to end and its completion gets the real outcome.
         for placement in PLACEMENTS {
             let pipeline = start(placement, PipelineConfig::default(), fleet_db(200, 11));
-            let slot = pipeline.launcher.launch(Query::paper_example()).unwrap();
+            let answered = launch(&pipeline, Query::paper_example());
             pipeline.shutdown().unwrap();
-            let allocations = redeem(&slot).unwrap();
+            let allocations = redeem(&answered).unwrap();
             assert_eq!(allocations.len(), 1, "{placement:?}");
         }
     }
 
-    /// The outcome and a completion meet in the slot, and whichever arrives
-    /// second runs the completion: the filling stage when the completion
-    /// was there first, the registering thread when the outcome was.
+    /// A query's completion runs on the thread that has its outcome: the
+    /// pool-manager stage that delivers the last fragment when the stages
+    /// are threaded, the launching thread itself when they are inline.
     #[test]
-    fn a_completion_runs_on_whichever_thread_arrives_second() {
-        let ran_on = |slot: &OutcomeSlot| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            slot.on_ready(Box::new(move |outcome| {
-                tx.send((std::thread::current().id(), outcome)).unwrap();
-            }));
-            rx
-        };
-
-        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-        let landed = ran_on(&slot);
-        assert!(landed.try_recv().is_err(), "nothing to run yet");
-        let stage = std::thread::spawn({
-            let slot = slot.clone();
-            move || {
-                slot.fill(Ok(Vec::new()));
-                std::thread::current().id()
+    fn a_completion_runs_on_the_thread_that_has_the_outcome() {
+        for placement in PLACEMENTS {
+            let pipeline = start(placement, PipelineConfig::default(), fleet_db(200, 19));
+            let (tx, rx) = unbounded();
+            pipeline.allocate_with(
+                Query::paper_example(),
+                Box::new(move |outcome| {
+                    let name = std::thread::current().name().map(str::to_string);
+                    drop(tx.send((std::thread::current().id(), name, outcome)));
+                }),
+            );
+            let (ran_on, name, outcome) = rx.recv().unwrap();
+            match placement {
+                Threaded => assert_eq!(name.as_deref(), Some("yp-pm-0")),
+                Inline => assert_eq!(ran_on, std::thread::current().id()),
             }
-        })
-        .join()
-        .unwrap();
-        assert_eq!(landed.recv().unwrap(), (stage, Ok(Vec::new())));
-
-        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-        slot.fill(Err(AllocationError::NoSuchResources));
-        let landed = ran_on(&slot);
-        assert_eq!(
-            landed.try_recv().unwrap(),
-            (
-                std::thread::current().id(),
-                Err(AllocationError::NoSuchResources)
-            )
-        );
+            release_now(&pipeline, &outcome.unwrap()[0]).unwrap();
+            pipeline.shutdown().unwrap();
+        }
     }
 
-    /// A completion taken back before the outcome came never runs, and the
-    /// outcome waits in the slot for the next redeemer; once a completion
-    /// ran, there is nothing to take back.
-    #[test]
-    fn a_withdrawn_completion_never_runs_and_the_outcome_waits() {
-        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-        let ran = Arc::new(AtomicBool::new(false));
-        let flag = ran.clone();
-        slot.on_ready(Box::new(move |_| flag.store(true, Ordering::SeqCst)));
-        assert!(slot.withdraw().is_some());
-        assert!(slot.withdraw().is_none(), "taken back once");
-        slot.fill(Err(AllocationError::NoSuchResources));
-        assert!(!ran.load(Ordering::SeqCst));
-        assert_eq!(redeem(&slot), Err(AllocationError::NoSuchResources));
-        assert!(slot.withdraw().is_none(), "the completion ran");
-    }
-
-    /// A query the stage drops unprocessed still answers its redeemer.
+    /// A query the stage drops unprocessed still runs its completion.
     #[test]
     fn a_dropped_query_answers_with_an_error() {
         let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 12));
-        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-        drop(Promise::new(&pipeline.launcher.0, slot.clone()));
-        assert!(matches!(redeem(&slot), Err(AllocationError::Internal(_))));
+        let (tx, answered) = unbounded();
+        let done: AllocateDone = Box::new(move |outcome| drop(tx.send(outcome)));
+        drop(Promise::new(&pipeline.launcher.0, done));
+        assert!(matches!(
+            redeem(&answered),
+            Err(AllocationError::Internal(_))
+        ));
         pipeline.shutdown().unwrap();
     }
 
@@ -1249,16 +1109,20 @@ mod tests {
         }
     }
 
-    /// A join for `fragments` fragments of a query answering into `slot`.
-    fn join_into(shared: &Arc<Shared>, slot: &Arc<OutcomeSlot>, fragments: usize) -> Arc<Join> {
-        Arc::new(Join {
+    /// A join for `fragments` fragments of a query, and where its outcome
+    /// arrives.
+    fn join_into(shared: &Arc<Shared>, fragments: usize) -> (Arc<Join>, Receiver<Outcome>) {
+        let (tx, answered) = unbounded();
+        let done: AllocateDone = Box::new(move |outcome| drop(tx.send(outcome)));
+        let join = Arc::new(Join {
             replica: 0,
             parts: Mutex::new(Parts {
                 results: vec![Err(AllocationError::NoSuchResources); fragments],
                 remaining: fragments,
-                promise: Some(Promise::new(shared, slot.clone())),
+                promise: Some(Promise::new(shared, done)),
             }),
-        })
+        });
+        (join, answered)
     }
 
     fn fragment_of(join: &Arc<Join>, index: usize) -> Fragment {
@@ -1285,13 +1149,15 @@ mod tests {
             let answered = Arc::new(AtomicUsize::new(0));
             let query = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
             for _ in 0..1_000 {
-                let slot = pipeline.launcher.launch(query.clone()).unwrap();
                 let (tx, rx) = std::sync::mpsc::channel();
                 let answered = answered.clone();
-                slot.on_ready(Box::new(move |outcome| {
-                    answered.fetch_add(1, Ordering::SeqCst);
-                    tx.send(outcome).unwrap();
-                }));
+                pipeline.allocate_with(
+                    query.clone(),
+                    Box::new(move |outcome| {
+                        answered.fetch_add(1, Ordering::SeqCst);
+                        tx.send(outcome).unwrap();
+                    }),
+                );
                 let allocations = rx.recv().unwrap().unwrap();
                 assert_eq!(allocations.len(), 2);
                 for a in &allocations {
@@ -1333,13 +1199,12 @@ mod tests {
             })
             .collect();
         for _ in 0..1_000 {
-            let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-            let join = join_into(&shared, &slot, 2);
+            let (join, answered) = join_into(&shared, 2);
             for (index, (stage, _)) in stages.iter().enumerate() {
                 stage.send(fragment_of(&join, index)).unwrap();
             }
             drop(join);
-            assert_eq!(redeem(&slot), Err(AllocationError::NoneAvailable));
+            assert_eq!(redeem(&answered), Err(AllocationError::NoneAvailable));
         }
         for (stage, thread) in stages {
             drop(stage);
@@ -1356,16 +1221,15 @@ mod tests {
     fn a_fragment_dropped_by_a_stopping_stage_answers_internal() {
         let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 16));
         let shared = &pipeline.launcher.0;
-        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-        let fragment = fragment_of(&join_into(shared, &slot, 1), 0);
+        let (join, answered) = join_into(shared, 1);
+        let fragment = fragment_of(&join, 0);
+        drop(join);
         let (stage, stopped) = unbounded();
         let routing = RoutingState::new(8);
         stage
             .send(Some(PmMsg::Query { fragment, routing }))
             .unwrap();
         drop(stopped);
-        let (tx, answered) = std::sync::mpsc::channel();
-        slot.on_ready(Box::new(move |outcome| drop(tx.send(outcome))));
         assert!(matches!(
             answered.try_recv(),
             Ok(Err(AllocationError::Internal(_)))
@@ -1393,14 +1257,14 @@ mod tests {
             let pipeline = start(placement, config, fleet_db(400, 17));
             let warm = submit_text(&pipeline, &paper_text()).unwrap();
             release_now(&pipeline, &warm[0]).unwrap();
-            let mut slots: Vec<_> = (0..8)
-                .map(|_| pipeline.launcher.launch(Query::paper_example()).unwrap())
+            let mut answers: Vec<_> = (0..8)
+                .map(|_| launch(&pipeline, Query::paper_example()))
                 .collect();
             let composite = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
-            slots.push(pipeline.launcher.launch(composite).unwrap());
+            answers.push(launch(&pipeline, composite));
             pipeline.shutdown().unwrap();
-            for slot in slots {
-                assert!(!redeem(&slot).unwrap().is_empty());
+            for answered in answers {
+                assert!(!redeem(&answered).unwrap().is_empty());
             }
             assert!(pipeline.stats().forwards > 0, "fragments crossed stages");
         }
@@ -1419,11 +1283,10 @@ mod tests {
             let kept = submit_text(&pipeline, "punch.rsrc.arch = sun\n").unwrap();
             let stale = submit_text(&pipeline, "punch.rsrc.arch = hp\n").unwrap();
             release_now(&pipeline, &stale[0]).unwrap();
-            let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-            let join = join_into(&pipeline.launcher.0, &slot, 2);
+            let (join, answered) = join_into(&pipeline.launcher.0, 2);
             fragment_of(&join, 0).deliver(Ok(kept[0].clone()));
             fragment_of(&join, 1).deliver(Ok(stale[0].clone()));
-            assert_eq!(redeem(&slot), Ok(kept), "{placement:?}");
+            assert_eq!(redeem(&answered), Ok(kept), "{placement:?}");
             let stats = pipeline.stats();
             assert_eq!(
                 (stats.allocations, stats.releases),
@@ -1440,12 +1303,11 @@ mod tests {
     fn a_fragment_with_no_pool_manager_fails_alone() {
         let pipeline = start(Inline, PipelineConfig::default(), fleet_db(300, 22));
         let found = submit_text(&pipeline, &paper_text()).unwrap();
-        let slot: Arc<OutcomeSlot> = OutcomeSlot::new();
-        let join = join_into(&pipeline.launcher.0, &slot, 2);
+        let (join, answered) = join_into(&pipeline.launcher.0, 2);
         let unplaced = AllocationError::Internal("no pool managers".into());
         fragment_of(&join, 0).deliver(Err(unplaced));
         fragment_of(&join, 1).deliver(Ok(found[0].clone()));
-        assert_eq!(redeem(&slot), Ok(found));
+        assert_eq!(redeem(&answered), Ok(found));
         assert_eq!(pipeline.stats().failures, 1);
     }
 
@@ -1696,128 +1558,5 @@ mod tests {
         }
         assert_eq!(pipeline.stats().allocations, 4);
         assert_eq!(pipeline.stats().releases, 4);
-    }
-}
-
-/// Bounded-interleaving proofs of [`OutcomeSlot`] (`--features model`), run
-/// by the CI `model-check` job: the daemon's own `fill`, `on_ready` and
-/// `withdraw` over an `actyp-model` mutex.  A pool-manager stage fills the
-/// slot while a redeemer leaves its completion in it — and, in the second
-/// scenario, gives up on it at once, as a zero-deadline `try_poll` does,
-/// redeeming the ticket again when the give-up took the completion back.
-#[cfg(all(test, feature = "model"))]
-mod slot_model_tests {
-    use super::{Outcome, OutcomeSlot, SlotLock, SlotState};
-    use crate::allocation::{AllocationError, WaitDone};
-    use actyp_model::sync::{Mutex, MutexGuard};
-    use actyp_model::{thread, Explorer};
-    use std::sync::Arc;
-
-    struct ModelLock(Mutex<SlotState>);
-
-    impl SlotLock for ModelLock {
-        type Guard<'a> = MutexGuard<'a, SlotState>;
-        fn new(state: SlotState) -> Self {
-            ModelLock(Mutex::new(state))
-        }
-        fn lock(&self) -> Self::Guard<'_> {
-            self.0.lock().unwrap()
-        }
-    }
-
-    type ModelSlot = OutcomeSlot<ModelLock>;
-    /// Every delivery: whose completion ran, with what.
-    type Deliveries = Arc<Mutex<Vec<(char, Outcome)>>>;
-
-    fn explorer() -> Explorer {
-        Explorer {
-            max_schedules: 200_000,
-            preemption_bound: 2,
-            op_budget: 50_000,
-        }
-    }
-
-    fn completion(log: &Deliveries, name: char) -> WaitDone {
-        let log = log.clone();
-        Box::new(move |outcome| log.lock().unwrap().push((name, outcome)))
-    }
-
-    /// The stage fills the slot on a thread of its own.
-    fn stage(slot: &Arc<ModelSlot>) -> thread::JoinHandle<()> {
-        let slot = slot.clone();
-        thread::spawn(move || slot.fill(Err(AllocationError::NoSuchResources)))
-    }
-
-    /// The stage fills while the redeemer leaves its completion: it runs
-    /// exactly once, with the outcome.
-    fn fill_races_on_ready() {
-        let slot = ModelSlot::new();
-        let log: Deliveries = Arc::default();
-        let filler = stage(&slot);
-        slot.on_ready(completion(&log, 'A'));
-        filler.join().unwrap();
-        let delivered = log.lock().unwrap().clone();
-        assert_eq!(
-            delivered,
-            vec![('A', Err(AllocationError::NoSuchResources))],
-            "not delivered exactly once"
-        );
-    }
-
-    /// The stage fills while the redeemer leaves its completion and gives
-    /// up on it at once.  A give-up that took the completion back means it
-    /// never runs, and the ticket's next redemption (`B`) gets the outcome;
-    /// one that did not means it ran.  Either way the outcome is delivered
-    /// exactly once.
-    fn fill_races_give_up() {
-        let slot = ModelSlot::new();
-        let log: Deliveries = Arc::default();
-        let filler = stage(&slot);
-        slot.on_ready(completion(&log, 'A'));
-        let withdrawn = slot.withdraw().is_some();
-        if withdrawn {
-            slot.on_ready(completion(&log, 'B'));
-        }
-        filler.join().unwrap();
-        let delivered: Vec<char> = log.lock().unwrap().iter().map(|(name, _)| *name).collect();
-        let expected = if withdrawn { 'B' } else { 'A' };
-        assert_eq!(
-            delivered,
-            vec![expected],
-            "a cancelled completion ran, or the outcome was lost (withdrawn: {withdrawn})"
-        );
-    }
-
-    #[cfg(not(feature = "buggy-cancel"))]
-    #[test]
-    fn slot_delivers_exactly_once_proven() {
-        let report = explorer().prove(fill_races_on_ready);
-        assert!(report.proven());
-        assert!(report.schedules > 1, "interleavings actually explored");
-    }
-
-    #[cfg(not(feature = "buggy-cancel"))]
-    #[test]
-    fn slot_withdrawn_completion_never_runs_proven() {
-        let report = explorer().prove(fill_races_give_up);
-        assert!(report.proven());
-        assert!(report.schedules > 2, "interleavings actually explored");
-    }
-
-    /// REGRESSION (`--features model,buggy-cancel`): a `withdraw` that
-    /// reports a completion withdrawn after a fill took it.  The exploration
-    /// must find the give-up told `Some` about a completion that ran.
-    #[cfg(feature = "buggy-cancel")]
-    #[test]
-    fn slot_late_withdraw_recaught() {
-        let report = explorer().explore(fill_races_give_up);
-        let failure = report
-            .failure
-            .expect("a withdrawal after the fill must be caught within the exploration");
-        assert!(
-            failure.message.contains("cancelled completion ran"),
-            "expected a withdrawn completion that ran, got: {}",
-            failure.message
-        );
     }
 }

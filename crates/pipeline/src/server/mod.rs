@@ -27,11 +27,10 @@
 //! before the socket shuts.  A request is finished by whichever thread has
 //! its answer: the I/O thread that decoded it when nothing has to wait; the
 //! backend stage that produces a submission's outcome or a release's answer
-//! ([`ResourceManager::wait_with`], [`ResourceManager::release_with`]); for
-//! a `Submit` the live backend's admission window
-//! ([`ResourceManager::submit_with`]), at once or from the thread whose
-//! settle frees its permit.  No call leaves the I/O thread for a worker: a
-//! hosted backend's calls do not park.  Whoever
+//! ([`ResourceManager::allocate_with`], [`ResourceManager::release_with`]),
+//! a `Submit` the live backend's full window queued being launched by the
+//! thread whose outcome frees a permit.  No call leaves the I/O thread for
+//! a worker: a hosted backend's calls do not park.  Whoever
 //! finishes a request writes the reply to the session's non-blocking socket
 //! itself; only what the socket does not take is queued for the session's
 //! I/O thread, which is rung for it — a syscall only if that thread is
@@ -42,7 +41,7 @@
 //! probe of a federated daemon, each round a set of completions.  The same
 //! thread dials and carries every peer link as a session of kind *peer*
 //! (a non-blocking connect, then `Hello` and `SyncPools`): a federated
-//! redemption, a remote `Release` and an inbound `Delegate` are
+//! allocation, a remote `Release` and an inbound `Delegate` are
 //! completions too, each `Delegate` or `Release` to a peer written by the
 //! thread that holds the previous answer, and each peer reply finished
 //! there (see [`crate::federation`]).  The daemon's thread count is therefore
@@ -187,11 +186,12 @@ impl ServerHandle {
 /// with the default [`ServerConfig`].
 ///
 /// The I/O threads call `manager`'s completion methods
-/// ([`ResourceManager::submit_with`] and the other `_with` methods)
-/// themselves, so a hosted backend must not park in any of them.  Every [`crate::api::BackendKind`] and a
-/// federation over one keeps that promise; a
-/// [`RemoteBackend`](crate::client::RemoteBackend), whose `_with` methods
-/// run a round trip, is a client and is not to be hosted.
+/// ([`ResourceManager::allocate_with`] and
+/// [`ResourceManager::release_with`]) themselves, so a hosted backend must
+/// not park in either.  Every [`crate::api::BackendKind`] and a federation
+/// over one keeps that promise; a
+/// [`RemoteBackend`](crate::client::RemoteBackend), whose completion
+/// methods run a round trip, is a client and is not to be hosted.
 ///
 /// `addr.port == 0` binds an ephemeral port; read it back with
 /// [`ServerHandle::local_addr`].
@@ -528,9 +528,9 @@ mod tests {
     #[test]
     fn disconnect_racing_an_in_flight_wait_leaks_nothing() {
         // Raw client: a `Submit` carries its wait, and the client hangs up
-        // without reading the Outcome.  Whoever redeems it — the I/O
-        // thread behind the eager backend, the stage that produces the
-        // outcome behind the live one — delivers into a session that may
+        // without reading the Outcome.  Whoever has the outcome — the I/O
+        // thread behind the eager backend, the stage that produces it
+        // behind the live one — delivers into a session that may
         // be closing already, so only the lease mechanism can return the
         // allocation, and the teardown that races it must return it once.
         for kind in [BackendKind::Embedded, BackendKind::Live] {
@@ -609,48 +609,30 @@ mod tests {
         server.join().unwrap();
     }
 
-    type HeldWaits = Arc<Mutex<Vec<(crate::api::Ticket, crate::WaitDone)>>>;
+    type Held = Arc<Mutex<Vec<(crate::api::QueryOutcome, crate::AllocateDone)>>>;
 
-    /// A backend on which every redemption misses: `wait_with` keeps the
-    /// completion, `cancel_wait` takes it back, and the test decides when
-    /// the outcome "arrives".
-    struct MissingWaits {
+    /// A backend whose outcomes all come late: each query runs on the
+    /// wrapped backend, and its outcome is held with its completion until
+    /// the test decides it "arrives".
+    struct HeldOutcomes {
         inner: Arc<dyn ResourceManager>,
-        held: HeldWaits,
+        held: Held,
     }
 
-    impl MissingWaits {
+    impl HeldOutcomes {
         fn new(inner: &Arc<dyn ResourceManager>) -> Self {
-            MissingWaits {
+            HeldOutcomes {
                 inner: inner.clone(),
-                held: HeldWaits::default(),
+                held: Held::default(),
             }
         }
     }
 
-    impl ResourceManager for MissingWaits {
-        fn submit(&self, query: Query) -> Result<crate::api::Ticket, AllocationError> {
-            self.inner.submit(query)
-        }
-        fn submit_with(&self, query: Query, done: crate::api::SubmitDone) {
-            self.inner.submit_with(query, done)
-        }
-        fn wait(&self, ticket: crate::api::Ticket) -> crate::api::QueryOutcome {
-            self.inner.wait(ticket)
-        }
-        fn wait_with(&self, ticket: crate::api::Ticket, done: crate::WaitDone) {
-            self.held.lock().push((ticket, done));
-        }
-        fn cancel_wait(&self, ticket: crate::api::Ticket) -> bool {
-            let mut held = self.held.lock();
-            let Some(at) = held.iter().position(|(held, _)| *held == ticket) else {
-                return self.inner.cancel_wait(ticket);
-            };
-            drop(held.remove(at));
-            true
-        }
-        fn release(&self, allocation: &crate::Allocation) -> Result<(), AllocationError> {
-            self.inner.release(allocation)
+    impl ResourceManager for HeldOutcomes {
+        fn allocate_with(&self, query: Query, done: crate::AllocateDone) {
+            let held = self.held.clone();
+            let hold = move |outcome| held.lock().push((outcome, done));
+            self.inner.allocate_with(query, Box::new(hold))
         }
         fn release_with(
             &self,
@@ -667,23 +649,22 @@ mod tests {
         }
     }
 
-    /// The stage behind a [`MissingWaits`]: silent until `quiet_until`
-    /// completions are held, then answering every one it is handed —
-    /// through `inner`, whose outcome is in — until `stop` is raised.
-    /// Returns how many were held when it began to answer.
+    /// The stage behind a [`HeldOutcomes`]: silent until `quiet_until`
+    /// outcomes are held, then handing every one over as it comes in until
+    /// `stop` is raised.  Returns how many were held when it began to
+    /// answer.
     fn answer_held(
-        held: &HeldWaits,
-        inner: &Arc<dyn ResourceManager>,
+        held: &Held,
         quiet_until: usize,
         stop: &Arc<AtomicBool>,
     ) -> std::thread::JoinHandle<usize> {
-        let (held, inner, stop) = (held.clone(), inner.clone(), stop.clone());
+        let (held, stop) = (held.clone(), stop.clone());
         std::thread::spawn(move || {
             let started = std::time::Instant::now();
             while held.lock().len() < quiet_until {
                 assert!(
                     started.elapsed() < std::time::Duration::from_secs(20),
-                    "only {} waits reached the backend",
+                    "only {} outcomes were held",
                     held.lock().len()
                 );
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -691,8 +672,8 @@ mod tests {
             let peak = held.lock().len();
             while !stop.load(Ordering::SeqCst) {
                 let answered = std::mem::take(&mut *held.lock());
-                for (ticket, done) in answered {
-                    done(inner.wait(ticket));
+                for (outcome, done) in answered {
+                    done(outcome);
                 }
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
@@ -700,13 +681,13 @@ mod tests {
         })
     }
 
-    /// Spins until `held` has `count` completions in it.
-    fn await_held(held: &HeldWaits, count: usize) {
+    /// Spins until `held` has `count` outcomes in it.
+    fn await_held(held: &Held, count: usize) {
         let started = std::time::Instant::now();
         while held.lock().len() < count {
             assert!(
                 started.elapsed() < std::time::Duration::from_secs(20),
-                "only {} waits reached the backend",
+                "only {} outcomes were held",
                 held.lock().len()
             );
             std::thread::yield_now();
@@ -725,8 +706,8 @@ mod tests {
     fn a_burst_of_pipelined_missed_waits_is_answered_in_full() {
         // The counterpart of the release burst: one session pipelines more
         // `Submit`s than the completion high-water mark in a single write.
-        // The embedded backend resolves each at once, and not one wait
-        // finds its outcome.  The I/O thread must pause reading at the mark
+        // The embedded backend resolves each at once, and every outcome is
+        // held back.  The I/O thread must pause reading at the mark
         // — not refuse the rest — and resume as the stage answers, so every
         // reply is an Outcome.
         const SUBMITS: u64 = 300;
@@ -737,7 +718,7 @@ mod tests {
                 .build(BackendKind::Embedded)
                 .unwrap(),
         );
-        let manager = MissingWaits::new(&inner);
+        let manager = HeldOutcomes::new(&inner);
         let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
@@ -755,7 +736,7 @@ mod tests {
         raw.write_all(&burst).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
-        let stage = answer_held(&held, &inner, high_water, &stop);
+        let stage = answer_held(&held, high_water, &stop);
         release_granted(&mut raw, SUBMITS);
         stop.store(true, Ordering::SeqCst);
         let peak = stage.join().unwrap();
@@ -768,8 +749,8 @@ mod tests {
     #[test]
     fn a_burst_of_pipelined_v4_submits_is_answered_in_full() {
         // A v4 `Submit` carries its own wait: 300 of them in one write,
-        // each launched at once into a window of 512 and redeemed there,
-        // and not one outcome is in yet.  Launched, each counts as a
+        // each launched at once into a window of 512, and every outcome is
+        // held back.  Launched, each counts as a
         // completion, so the I/O thread pauses reading at the high-water
         // mark — no overload refusal — and resumes as the stage answers:
         // every reply is an Outcome, and the burst was decoded many frames
@@ -785,7 +766,7 @@ mod tests {
                 .build(BackendKind::Live)
                 .unwrap(),
         );
-        let manager = MissingWaits::new(&inner);
+        let manager = HeldOutcomes::new(&inner);
         let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let mut raw = raw_hello(&server.local_addr());
@@ -803,7 +784,7 @@ mod tests {
         raw.write_all(&burst).unwrap();
 
         let stop = Arc::new(AtomicBool::new(false));
-        let stage = answer_held(&held, &inner, high_water, &stop);
+        let stage = answer_held(&held, high_water, &stop);
         release_granted(&mut raw, SUBMITS);
         stop.store(true, Ordering::SeqCst);
         let peak = stage.join().unwrap();
@@ -847,7 +828,7 @@ mod tests {
                 .build(BackendKind::Live)
                 .unwrap(),
         );
-        let manager = MissingWaits::new(&inner);
+        let manager = HeldOutcomes::new(&inner);
         let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
@@ -855,7 +836,7 @@ mod tests {
             .map(|_| remote.submit_text(&paper_text()).unwrap())
             .collect();
         let stop = Arc::new(AtomicBool::new(false));
-        let stage = answer_held(&held, &inner, high_water, &stop);
+        let stage = answer_held(&held, high_water, &stop);
         for ticket in tickets {
             let granted = remote
                 .wait_deadline(ticket, std::time::Duration::from_secs(60))
@@ -878,8 +859,8 @@ mod tests {
     #[test]
     fn a_vanished_client_settling_a_deadline_wait_is_not_polled() {
         // The client gives up a deadline wait and hangs up while the
-        // backend holds its `Submit`'s wait, so its session settles for as
-        // long as the completion is held.  Its socket's hangup must not be
+        // backend holds its `Submit`'s outcome, so its session settles for
+        // as long as the completion is held.  Its socket's hangup must not be
         // reported to the I/O thread on every turn meanwhile.
         let inner: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
@@ -887,7 +868,7 @@ mod tests {
                 .build(BackendKind::Live)
                 .unwrap(),
         );
-        let manager = MissingWaits::new(&inner);
+        let manager = HeldOutcomes::new(&inner);
         let held = manager.held.clone();
         let server = serve(Box::new(manager), &loopback()).unwrap();
         {
@@ -906,7 +887,7 @@ mod tests {
         // the 500 ms poll interval only: a handful of turns, not a spin.
         assert!(turns < 50, "{turns} I/O turns while the session settled");
         let stop = Arc::new(AtomicBool::new(false));
-        let stage = answer_held(&held, &inner, 0, &stop);
+        let stage = answer_held(&held, 0, &stop);
         server.halt();
         server.join().unwrap();
         stop.store(true, Ordering::SeqCst);
@@ -916,7 +897,7 @@ mod tests {
     /// Holds a live backend's one pool-manager stage on a release's
     /// completion until the returned sender is used: no outcome comes in
     /// meanwhile.
-    fn hold_the_stage(manager: &Arc<dyn ResourceManager>) -> std::sync::mpsc::Sender<()> {
+    fn hold_the_stage(manager: &dyn ResourceManager) -> std::sync::mpsc::Sender<()> {
         let granted = manager.submit_wait(&Query::paper_example()).unwrap();
         let (hold, held) = std::sync::mpsc::channel::<()>();
         manager.release_with(
@@ -1082,22 +1063,24 @@ mod tests {
 
     #[test]
     fn submissions_into_a_full_window_launch_in_arrival_order_with_no_lane_job() {
-        // A window of one, held by an in-process ticket; three sessions
-        // submit into it one after the other.  The permit the
-        // holder returns goes to the next in line, and each outcome returns
-        // it for the one after: the thread that settles a ticket launches
-        // the queued submission it hands the permit to.  The launches come
-        // in arrival order — the pipeline numbers its requests as they
-        // come in.
+        // A window of one, held by an in-process ticket whose outcome
+        // cannot come while the fleet is locked; three sessions submit
+        // into it one after the other.  The permit the holder's outcome
+        // returns goes to the next in line, and each outcome returns it for
+        // the one after: the thread that has an outcome launches the queued
+        // submission it hands the permit to.  The launches come in arrival
+        // order — the pipeline numbers its requests as they come in.
+        let db = fleet_db(200, 12);
         let manager: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
-                .database(fleet_db(200, 12))
+                .database(db.clone())
                 .window(1)
                 .build(BackendKind::Live)
                 .unwrap(),
         );
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
         let addr = server.local_addr();
+        let fleet = db.write();
         let held = manager.submit(Query::paper_example()).unwrap();
         let base = manager.stats().shard_contention;
         let mut queued: Vec<TcpStream> = Vec::new();
@@ -1110,6 +1093,7 @@ mod tests {
             await_queued(&*manager, base + i);
             queued.push(raw);
         }
+        drop(fleet);
         let granted_first = manager.wait(held).unwrap();
         manager.release(&granted_first[0]).unwrap();
         let mut launched = Vec::new();
@@ -1234,19 +1218,21 @@ mod tests {
                     .build(kind)
                     .unwrap(),
             );
-            let manager = MissingWaits::new(&inner);
+            let manager = HeldOutcomes::new(&inner);
             let held = manager.held.clone();
             let server = serve(Box::new(manager), &loopback()).unwrap();
-            {
+            let fleet = {
                 let mut raw = raw_hello(&server.local_addr());
                 // Granted: its outcome is written, never read.
                 submit_raw(&mut raw, 0);
                 await_held(&held, 1);
-                let (ticket, done) = held.lock().pop().unwrap();
-                done(inner.wait(ticket));
-                // Launched: the live window's one permit is its own.
+                let (outcome, done) = held.lock().pop().unwrap();
+                done(outcome);
+                // Launched: on the live backend its outcome cannot come
+                // while the fleet is locked, so the window's one permit
+                // stays its own.
+                let fleet = (kind == BackendKind::Live).then(|| db.write());
                 submit_raw(&mut raw, 1);
-                await_held(&held, 1);
                 // Not launched.
                 let base = inner.stats().shard_contention;
                 submit_raw(&mut raw, 2);
@@ -1254,13 +1240,15 @@ mod tests {
                     BackendKind::Live => await_queued(&*inner, base + 1),
                     _ => await_held(&held, 2),
                 }
-            }
+                fleet
+            };
             // The client is gone; once its session is closing, the stage
             // answers what it holds — launching the queued submission on
             // the live backend.
             std::thread::sleep(std::time::Duration::from_millis(100));
+            drop(fleet);
             let stop = Arc::new(AtomicBool::new(false));
-            let stage = answer_held(&held, &inner, 0, &stop);
+            let stage = answer_held(&held, 0, &stop);
             server.halt();
             server.join().unwrap();
             stop.store(true, Ordering::SeqCst);
@@ -1278,12 +1266,13 @@ mod tests {
 
     #[test]
     fn a_submission_launched_after_its_client_left_is_not_delegated() {
-        // The entry daemon's window of one is held by an in-process ticket,
-        // and a query only the peer domain can satisfy queues behind it.
-        // The client vanishes, and only then is the ticket redeemed: its
-        // permit launches the queued submission in a closed session, whose
-        // local failure ends there — no delegation for a client that is
-        // gone.
+        // The entry daemon's window of one is held by an in-process ticket
+        // whose outcome cannot come while the one stage is held, and a
+        // query only the peer domain can satisfy queues behind it.  The
+        // client vanishes, and only then is the stage let go: the ticket's
+        // outcome returns the permit that launches the queued submission in
+        // a closed session, whose local failure ends there — no delegation
+        // for a client that is gone.
         let db_b = arch_db("hp", 40, 76);
         let (srv_b, fed_b) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
         let db_a = arch_db("sun", 20, 77);
@@ -1310,6 +1299,7 @@ mod tests {
             client.shutdown().unwrap();
         }
         let delegated = fed_a.stats().delegations_out;
+        let hold = hold_the_stage(&*fed_a);
         let held = fed_a.submit(Query::paper_example()).unwrap();
         {
             let mut raw = raw_hello(&srv_a.local_addr());
@@ -1326,6 +1316,7 @@ mod tests {
         }
         // The hang-up reaches the daemon, then the permit comes back.
         std::thread::sleep(std::time::Duration::from_millis(200));
+        hold.send(()).unwrap();
         let granted = fed_a.wait(held).unwrap();
         fed_a.release(&granted[0]).unwrap();
         srv_a.halt();
@@ -1355,7 +1346,7 @@ mod tests {
             .unwrap();
         let directory = live.pipeline().directory().clone();
         let inner: Arc<dyn ResourceManager> = Arc::new(live);
-        let manager = MissingWaits::new(&inner);
+        let manager = HeldOutcomes::new(&inner);
         let held = manager.held.clone();
         let fed_a = Arc::new(FederatedBackend::new(
             Box::new(manager),
@@ -1378,15 +1369,14 @@ mod tests {
             };
             // Granted: its outcome is written, never read.
             submit(0, "punch.rsrc.arch = sun\n");
-            let (ticket, done) = held.lock().pop().unwrap();
-            done(inner.wait(ticket));
+            let (outcome, done) = held.lock().pop().unwrap();
+            done(outcome);
             // Launched: its local failure is not in yet.
             submit(1, HP);
         }
         // The hang-up reaches the daemon, then the local failure comes in.
         std::thread::sleep(std::time::Duration::from_millis(200));
-        let (ticket, done) = held.lock().pop().unwrap();
-        let local = inner.wait(ticket);
+        let (local, done) = held.lock().pop().unwrap();
         assert!(matches!(&local, Err(e) if crate::federation::is_delegable(e)));
         done(local);
         srv_a.halt();

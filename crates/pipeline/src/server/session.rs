@@ -39,8 +39,8 @@ use actyp_proto::{
 };
 
 use super::ServerShared;
-use crate::allocation::{Allocation, AllocationError, ReleaseDone, WaitDone};
-use crate::api::{QueryOutcome, SubmitDone, Ticket};
+use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone};
+use crate::api::QueryOutcome;
 use crate::corr::{Conn, ConnError, FrameSink, CONNECT_TIMEOUT};
 use crate::federation::{DelegateDone, DialDone, FederatedBackend, PeerHost};
 use crate::reactor::{connect_nonblocking, Doorbell, Event, Interest, Poller, TimerWheel, Waker};
@@ -415,8 +415,8 @@ enum Phase {
     AwaitingHello,
     /// Handshake done; frames are parsed and dispatched.
     Serving,
-    /// No more frames are read.  The session's abandoned tickets settle
-    /// as completions; once none is outstanding the final sweep releases
+    /// No more frames are read.  The session's abandoned submissions
+    /// are answered by their completions; once none is outstanding the final sweep releases
     /// its leases and seals the write queue, and the socket closes when
     /// every queued byte is flushed (drain-aware close) — or at once if
     /// the client is gone.
@@ -1068,10 +1068,10 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
             });
             begin_close(session);
         }
-        ClientFrame::Submit { corr, query } => {
+        ClientFrame::Submit { corr, query: text } => {
             // Parse errors map exactly as the trait's own text path maps
             // them for an in-process client.
-            let query = match actyp_query::parse_query(&query) {
+            let query = match actyp_query::parse_query(&text) {
                 Ok(query) => query,
                 Err(e) => {
                     state.send(&ServerFrame::Error {
@@ -1081,30 +1081,27 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
                     return;
                 }
             };
-            // The backend launches it now or queues it in its window (the
-            // eager backends resolve it here), and the launching thread —
-            // this one, or the one whose settle frees the permit — redeems
-            // the new ticket at once: the outcome is the reply — also after
-            // the client left: a federated chain starts only while the
-            // session is open, and a granted lease goes back with the final
-            // sweep.  Counted on the session until the reply is written.
+            // One call: the backend launches the query now or queues it in
+            // its window (the eager backends resolve it here), and
+            // whichever thread has the outcome writes it as the reply —
+            // also after the client left: a federated chain starts only
+            // while the session is open, and a granted lease goes back with
+            // the final sweep.  Counted on the session until the reply is
+            // written.
             let pending = Pending::new(&state);
-            let (done_shared, done_state) = (shared.clone(), state.clone());
-            let done: SubmitDone = Box::new(move |submitted| match submitted {
-                Ok(ticket) => {
-                    let state = done_state.clone();
-                    let answer: WaitDone = Box::new(move |outcome| {
-                        state.deliver_outcome(corr, outcome);
-                        drop(pending);
-                    });
-                    redeem(&done_shared, &done_state, ticket, answer)
-                }
-                Err(error) => {
-                    done_state.send(&ServerFrame::Error { corr, error });
-                    drop(pending);
-                }
+            let done_state = state.clone();
+            let done: AllocateDone = Box::new(move |outcome| {
+                done_state.deliver_outcome(corr, outcome);
+                drop(pending);
             });
-            shared.manager.submit_with(query, done);
+            match &shared.federation {
+                Some(federation) => {
+                    let session = state.clone();
+                    let open = move || !session.closing.load(Ordering::SeqCst);
+                    federation.allocate_while(query, text, open, done)
+                }
+                None => shared.manager.allocate_with(query, done),
+            }
         }
         // Reserved: the daemon issues no ticket to redeem.
         ClientFrame::Wait { corr, .. } => state.send(&ServerFrame::Error {
@@ -1220,22 +1217,6 @@ fn not_federated(corr: RequestId) -> ServerFrame {
         error: AllocationError::Protocol(
             "this daemon is not federated (no --domain/--peer)".to_string(),
         ),
-    }
-}
-
-/// Leaves `done` with the backend for `ticket`'s outcome, delivered by
-/// whoever finds the two together: this thread on a hit, the pool-manager
-/// stage that answers its last fragment on a miss — and on a federated
-/// daemon, for a delegable local failure, the I/O thread of the peer link
-/// whose reply ends the chain, started only while the session is open.
-fn redeem(shared: &ServerShared, state: &Arc<SessionState>, ticket: Ticket, done: WaitDone) {
-    match &shared.federation {
-        Some(federation) => {
-            let state = state.clone();
-            let open = move || !state.closing.load(Ordering::SeqCst);
-            federation.wait_with_while(ticket, done, open)
-        }
-        None => shared.manager.wait_with(ticket, done),
     }
 }
 

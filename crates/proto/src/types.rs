@@ -438,8 +438,9 @@ pub struct StatsSnapshot {
     /// no machine — that asymmetry is inherited from the figure accounting
     /// the paper's evaluation uses.
     pub records_examined: u64,
-    /// Tickets submitted whose outcome has not been handed over yet: to a
-    /// redeemer, or to the completion a v4 `Submit` redeems it with.
+    /// Queries launched whose outcome has not been handed to their
+    /// completion yet (a `Submit`'s reply is that completion), plus
+    /// in-process tickets whose outcome is in and not redeemed yet.
     pub in_flight: usize,
     /// Advertisement-log deltas applied from peers — piggybacked on
     /// delegation traffic or pulled by the anti-entropy tick (federated
@@ -457,10 +458,10 @@ pub struct StatsSnapshot {
     /// dropped.  Zero on a healthy federation — gossip keeps directories
     /// fresh without tearing links down.
     pub peer_redials: u64,
-    /// Times a hot-path shard (directory shard, admission-window lane,
-    /// pending-ticket shard) was found contended and the caller had to
-    /// fall back to a blocking acquire.  Zero when the shard count
-    /// matches the offered concurrency.
+    /// Times a hot path was found contended: a directory shard the caller
+    /// had to wait for, or a query that found the admission window full
+    /// and queued.  Zero when the shard count and the window match the
+    /// offered concurrency.
     pub shard_contention: u64,
     /// Frames decoded from a readable event that carried more than one
     /// (the reactor decodes every complete frame per readable event, not

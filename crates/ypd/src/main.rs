@@ -71,9 +71,10 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
                        (default: 1)
   --pool-managers N    pool-manager stages (default: 1)
   --window N           live-backend in-flight window (default: 32)
-  --shards N           shard count for the daemon's hot state: directory
-                       shards and pending-ticket shards (default: 8;
-                       1 restores the old single-lock behaviour)
+  --shards N           lock shards of the pool directory, the only table
+                       it shards (default: 8; 1 restores the old
+                       single-lock behaviour; measured in
+                       benchmarks/BENCH_saturation_cores.json)
   --io-threads N       reactor I/O threads driving all session sockets
                        (default: $ACTYP_YPD_IO_THREADS or 2)
   --domain NAME        administrative-domain name for wide-area federation

@@ -460,10 +460,12 @@ fn abandoned_tickets_settle_locally_without_delegating() {
 
     // A client submits a query only the peer could satisfy, then
     // vanishes without redeeming the ticket.  The submission queues behind
-    // an in-process ticket holding the window's one permit, redeemed only
-    // once the client's session is closing: the submission launches after
-    // its client is known to be gone.
+    // an in-process ticket holding the window's one permit, whose outcome
+    // cannot come while the fleet is locked — unlocked only once the
+    // client's session is closing: the submission launches after its
+    // client is known to be gone.
     let sun = actyp_query::parse_query("punch.rsrc.arch = sun\n").unwrap();
+    let fleet = db_a.write();
     let held = fed_a.submit(sun).unwrap();
     {
         let abandoner = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
@@ -472,6 +474,7 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     }
     // The hang-up reaches the daemon, then the permit comes back.
     std::thread::sleep(std::time::Duration::from_millis(200));
+    drop(fleet);
     let granted = fed_a.wait(held).unwrap();
     fed_a.release(&granted[0]).unwrap();
     client.halt_daemon().unwrap();
@@ -487,6 +490,48 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     assert_eq!(active_jobs(&db_b), 0, "no peer allocation was ever made");
     srv_b.halt();
     srv_b.join().unwrap();
+}
+
+/// A federated daemon reports the queries its wrapped backend holds in
+/// flight, not just its own in-process tickets, which a daemon's sessions
+/// never open: six `Submit`s from one client, held in the live pipeline
+/// while its fleet is locked, read `in_flight == 6`, and 0 once each is
+/// allocated and released.
+#[test]
+fn a_federated_daemon_counts_the_queries_its_backend_holds() {
+    const SUBMITS: usize = 6;
+    let db = homogeneous_db("sun", 40, 52);
+    let (srv, _fed) = PipelineBuilder::new()
+        .database(db.clone())
+        .serve_federated(
+            &StageAddress::new("127.0.0.1", 0),
+            BackendKind::Live,
+            FederationConfig {
+                domain: "purdue".to_string(),
+                gossip_interval: std::time::Duration::ZERO,
+                ..FederationConfig::default()
+            },
+        )
+        .expect("federated daemon starts");
+    let client = RemoteBackend::connect(&srv.local_addr()).unwrap();
+    let fleet = db.write();
+    let tickets: Vec<_> = (0..SUBMITS)
+        .map(|_| client.submit_text("punch.rsrc.arch = sun\n").unwrap())
+        .collect();
+    assert_eq!(client.stats().in_flight, SUBMITS, "held in the pipeline");
+    drop(fleet);
+    for ticket in tickets {
+        let granted = client.wait(ticket).unwrap();
+        client.release(&granted[0]).unwrap();
+    }
+    let stats = client.stats();
+    assert_eq!(stats.allocations, SUBMITS as u64);
+    assert_eq!(stats.releases, SUBMITS as u64);
+    assert_eq!(stats.in_flight, 0);
+    srv.halt();
+    client.shutdown().unwrap();
+    srv.join().unwrap();
+    assert_eq!(active_jobs(&db), 0);
 }
 
 /// Satellite regression (first slice of ROADMAP "gossip cadence"): a dead
