@@ -11,13 +11,16 @@
 //!
 //! `emit` runs at [`Scale::from_env`] (so `ACTYP_QUICK=1` selects the CI
 //! scale); `check` reruns each topic at the scale recorded *in* the
-//! committed artifact, so it needs no environment at all.  See
+//! committed artifact, so it needs no environment at all, and refuses a
+//! committed artifact stamped `+dirty`: one emitted from an uncommitted
+//! tree, whose numbers no commit reproduces.  See
 //! EXPERIMENTS.md for what each topic measures.
 
 use std::path::PathBuf;
 
 use actyp_bench::harness::{
-    compare, load_artifact, run_topic, scale_for_label, write_artifact, DEFAULT_TOLERANCE, TOPICS,
+    compare, load_artifact, run_topic, scale_for_label, unreproducible, write_artifact,
+    DEFAULT_TOLERANCE, TOPICS,
 };
 use actyp_bench::Scale;
 
@@ -100,6 +103,10 @@ fn check(args: &Args) -> Result<(), String> {
                 continue;
             }
         };
+        if let Some(refused) = unreproducible(&committed) {
+            failures.push(refused);
+            continue;
+        }
         let scale = scale_for_label(&committed.scale)?;
         let fresh = run_topic(topic, &scale)?;
         let verdict = compare(&committed, &fresh, args.tolerance);

@@ -1027,6 +1027,18 @@ impl Comparison {
 /// `committed × (1 + tolerance)` and throughput may not fall below
 /// `committed × (1 − tolerance)`; for [`ArtifactKind::Measured`] topics the
 /// check is structural (finite ordered percentiles, nonzero throughput).
+/// Why a committed artifact cannot gate anything, if it cannot: one stamped
+/// `+dirty` ([`git_rev`]) was emitted from an uncommitted tree, so no
+/// commit reproduces its numbers.
+pub fn unreproducible(committed: &BenchArtifact) -> Option<String> {
+    committed.git_rev.ends_with("+dirty").then(|| {
+        format!(
+            "{}: committed artifact is stamped `{}`; re-emit it from a clean tree",
+            committed.topic, committed.git_rev
+        )
+    })
+}
+
 pub fn compare(committed: &BenchArtifact, fresh: &BenchArtifact, tolerance: f64) -> Comparison {
     let mut failures = Vec::new();
     if committed.topic != fresh.topic {

@@ -19,8 +19,9 @@ use crate::machine::{Machine, MachineId, MachineState};
 /// Who has claimed a machine.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TakenBy {
-    /// Name of the resource pool that aggregated the machine.
-    pub pool_name: String,
+    /// Name of the resource pool that aggregated the machine, shared by
+    /// every mark the pool makes.
+    pub pool_name: Arc<str>,
     /// Instance number of that pool (pools can be replicated; replicas share
     /// the machine set, so the first instance records the claim).
     pub instance: u32,
@@ -30,7 +31,10 @@ pub struct TakenBy {
 #[derive(Debug, Default)]
 pub struct ResourceDatabase {
     machines: BTreeMap<MachineId, Machine>,
-    taken: BTreeMap<MachineId, TakenBy>,
+    /// The taken marks, indexed by the dense ids `register` hands out.
+    taken: Vec<Option<TakenBy>>,
+    /// Marks set in `taken`.
+    taken_count: usize,
     next_id: u64,
 }
 
@@ -54,6 +58,7 @@ impl ResourceDatabase {
         self.next_id += 1;
         machine.id = id;
         self.machines.insert(id, machine);
+        self.taken.push(None);
         id
     }
 
@@ -96,7 +101,7 @@ impl ResourceDatabase {
     {
         self.machines
             .values()
-            .filter(|m| !self.taken.contains_key(&m.id))
+            .filter(|m| self.taken_by(m.id).is_none())
             .filter(|m| predicate(m))
             .map(|m| m.id)
             .collect()
@@ -120,13 +125,14 @@ impl ResourceDatabase {
     /// machine does not exist or is already taken by a *different* pool;
     /// re-claiming by the same pool name is idempotent.
     pub fn mark_taken(&mut self, id: MachineId, by: TakenBy) -> bool {
-        if !self.machines.contains_key(&id) {
+        let Some(mark) = self.taken.get_mut(id.0 as usize) else {
             return false;
-        }
-        match self.taken.get(&id) {
+        };
+        match mark {
             Some(existing) if existing.pool_name != by.pool_name => false,
             _ => {
-                self.taken.insert(id, by);
+                self.taken_count += usize::from(mark.is_none());
+                *mark = Some(by);
                 true
             }
         }
@@ -134,17 +140,19 @@ impl ResourceDatabase {
 
     /// Clears the taken mark on a machine (pool destroyed or split).
     pub fn release_taken(&mut self, id: MachineId) {
-        self.taken.remove(&id);
+        if let Some(mark) = self.taken.get_mut(id.0 as usize) {
+            self.taken_count -= usize::from(mark.take().is_some());
+        }
     }
 
     /// Returns who has taken a machine, if anyone.
     pub fn taken_by(&self, id: MachineId) -> Option<&TakenBy> {
-        self.taken.get(&id)
+        self.taken.get(id.0 as usize)?.as_ref()
     }
 
     /// Number of machines currently claimed by pools.
     pub fn taken_count(&self) -> usize {
-        self.taken.len()
+        self.taken_count
     }
 
     /// Updates the monitored fields of a machine.  Returns `false` if the
@@ -208,7 +216,7 @@ mod tests {
 
     fn taken(pool: &str) -> TakenBy {
         TakenBy {
-            pool_name: pool.to_string(),
+            pool_name: pool.into(),
             instance: 0,
         }
     }
@@ -261,9 +269,21 @@ mod tests {
         assert!(db.mark_taken(id, taken("pool-a")));
         assert!(db.mark_taken(id, taken("pool-a"))); // idempotent
         assert!(!db.mark_taken(id, taken("pool-b"))); // exclusive
-        assert_eq!(db.taken_by(id).unwrap().pool_name, "pool-a");
+        assert_eq!(&*db.taken_by(id).unwrap().pool_name, "pool-a");
         db.release_taken(id);
         assert!(db.mark_taken(id, taken("pool-b")));
+    }
+
+    #[test]
+    fn claiming_a_machine_twice_for_one_pool_counts_it_once() {
+        let mut db = sample_db();
+        let id = db.walk_untaken(|_| true)[0];
+        assert!(db.mark_taken(id, taken("pool-a")));
+        assert!(db.mark_taken(id, taken("pool-a")));
+        assert_eq!(db.taken_count(), 1);
+        db.release_taken(id);
+        db.release_taken(id);
+        assert_eq!(db.taken_count(), 0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ impl LintConfig {
 /// The daemon's non-parking entry points, for a tree whose pipeline
 /// sources sit under `pipeline_src`: the reactor I/O loop; the completion
 /// paths of the federation and of the hosted backends, which run on I/O
-/// and stage threads (`FederatedBackend::{allocate_with, release_with,
+/// threads and whichever thread steps a stage (`FederatedBackend::{allocate_with, release_with,
 /// delegate_with}`, and the `api.rs` backends' `allocate_with` and
 /// `release_with` — whose window returns permits and launches queued
 /// admissions); and the peer-session read path, which routes a peer link's

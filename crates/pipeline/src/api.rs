@@ -8,16 +8,17 @@
 //!
 //! | backend | constructor | what it is |
 //! |---|---|---|
-//! | [`EmbeddedBackend`] | [`PipelineBuilder::build_embedded`] | [`LivePipeline`] with every stage on the calling thread (inline placement) |
-//! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | [`LivePipeline`], every pool-manager stage on its own thread and the query manager on the launching thread, with a bounded in-flight window |
+//! | [`EmbeddedBackend`] | [`PipelineBuilder::build_embedded`] | [`LivePipeline`]: each stage runs on the thread that finds it idle — the calling thread, unless another thread is at it |
+//! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | the same [`LivePipeline`] and stage code, with a bounded in-flight window |
 //! | [`CentralQueueBackend`] | [`PipelineBuilder::build_central_queue`] | the PBS/SGE-style centralized multi-queue scheduler baseline |
 //! | [`MatchmakerBackend`] | [`PipelineBuilder::build_matchmaker`] | the Condor-style centralized matchmaker baseline |
 //! | [`RemoteBackend`] | [`PipelineBuilder::remote`] | a client of the `ypd` daemon: the same surface across a TCP hop, speaking the [`actyp_proto`] wire protocol (serve any backend with [`PipelineBuilder::serve`]) |
 //!
 //! A query is one call, [`ResourceManager::allocate_with`]: its completion
 //! gets the outcome on whichever thread has it — the caller's own on the
-//! embedded and baseline backends, which resolve the query on the spot, the
-//! pool-manager stage that answers its last fragment on the live backend.
+//! baseline backends, which resolve the query on the spot, and on the
+//! pipeline's the thread that steps its last fragment: the caller's own
+//! when no other thread is at the stages it reaches.
 //! That is the whole served path.  In-process callers get a blocking,
 //! *ticket based* surface written once over it: [`ResourceManager::submit`]
 //! files the completion's outcome in the backend's [`TicketBook`] and
@@ -69,7 +70,7 @@ use actyp_grid::{MachineId, ResourceDatabase, SharedDatabase};
 use actyp_query::{BasicQuery, PoolName, Query};
 
 use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone, SessionKey};
-use crate::live::{Launcher, LivePipeline, PipelineConfig, PipelineStats, Placement};
+use crate::live::{Launcher, LivePipeline, PipelineConfig, PipelineStats};
 use crate::message::{RequestId, StageAddress};
 use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
@@ -303,11 +304,10 @@ impl<P: PageLock> Book<P> {
 /// Which deployment a [`PipelineBuilder`] should construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The pipeline with every stage on the calling thread
-    /// ([`EmbeddedBackend`]).
+    /// The pipeline without a window ([`EmbeddedBackend`]).
     Embedded,
-    /// The threaded pipeline ([`LivePipeline`]), one thread per pool-manager
-    /// stage.
+    /// The pipeline ([`LivePipeline`]) with a bounded in-flight window
+    /// ([`LiveBackend`]).
     Live,
     /// The centralized multi-queue scheduler baseline.
     CentralQueue,
@@ -384,24 +384,25 @@ fn snapshot_from_pipeline(stats: PipelineStats, in_flight: usize) -> StatsSnapsh
 pub trait ResourceManager: Send + Sync {
     /// Allocates for `query`: `done` gets the outcome, exactly once, on
     /// whichever thread has it — this one when the backend resolves the
-    /// query on the spot (embedded and baselines), the pool-manager stage
-    /// that answers its last fragment otherwise (live).  A query the live
-    /// backend's full window has no permit for queues there, and the thread
-    /// whose outcome frees a permit launches it.
+    /// query on the spot (baselines), the thread that steps its last
+    /// fragment on the pipeline (live and embedded): this one when no
+    /// other thread is at its stages.  A query the live backend's full
+    /// window has no permit for queues there, and the thread whose outcome
+    /// frees a permit launches it.
     fn allocate_with(&self, query: Query, done: AllocateDone);
 
     /// Releases an allocation: `done` receives the result on whichever
-    /// thread finishes it.  The live backend posts it from the pool-manager
-    /// stage that drops the lease, the federation from the I/O thread of
-    /// the link a delegated lease goes back over, and the eager backends,
-    /// whose release is a short in-memory step, finish on the spot.
+    /// thread finishes it.  The pipeline runs it on the thread that steps
+    /// the pool-manager stage dropping the lease, the federation on the
+    /// I/O thread of the link a delegated lease goes back over, and the
+    /// baselines, whose release is a short in-memory step, on the spot.
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone);
 
     /// A snapshot of the backend's lifetime counters.
     fn stats(&self) -> StatsSnapshot;
 
-    /// Tears the backend down.  The live backend joins every stage thread
-    /// and surfaces worker panics here; the others are no-ops.  Idempotent.
+    /// Tears the backend down.  The pipeline waits for the queries in
+    /// flight; the others are no-ops.  Idempotent.
     fn shutdown(&self) -> Result<(), AllocationError>;
 
     /// The book the blocking methods below file this backend's tickets in.
@@ -706,11 +707,10 @@ impl<W: PermitWord, L: FifoLock> Window<W, L> {
     }
 }
 
-/// The pipeline with its stages placed inline, behind the unified
-/// surface: a query runs every stage on the calling thread, so its
-/// completion runs before `allocate_with` returns and a ticket redeems
-/// instantly.  It has no window: the window bounds queued stage work, and
-/// inline work never queues.
+/// The pipeline behind the unified surface, with no window: each stage
+/// runs on the thread that finds it idle, so a query from a lone caller
+/// runs every stage on the calling thread, its completion runs before
+/// `allocate_with` returns and a ticket redeems instantly.
 pub struct EmbeddedBackend {
     pipeline: LivePipeline,
     tickets: TicketBook,
@@ -732,13 +732,13 @@ impl EmbeddedBackend {
 }
 
 impl ResourceManager for EmbeddedBackend {
-    /// Every stage runs here, on the calling thread: a short in-memory
-    /// step.
+    /// Every stage runs here, on the calling thread, unless another thread
+    /// is at it: a short in-memory step.
     fn allocate_with(&self, query: Query, done: AllocateDone) {
         self.pipeline.allocate_with(query, done)
     }
 
-    /// The stage that drops the lease runs `done` — here, inline.
+    /// The thread that steps the stage dropping the lease runs `done`.
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         self.pipeline.release_with(allocation, done)
     }
@@ -759,12 +759,12 @@ impl ResourceManager for EmbeddedBackend {
     }
 }
 
-/// The threaded [`LivePipeline`] behind the unified surface.
+/// The [`LivePipeline`] behind the unified surface, with a window.
 ///
 /// A query is launched into the pipeline at once while fewer than `window`
 /// are in flight; further ones queue, in arrival order, until an outcome
 /// frees a permit — the backpressure that keeps a fast client from
-/// flooding the stage channels.  The permit returns when the outcome is
+/// flooding the stages' inboxes.  The permit returns when the outcome is
 /// handed to the query's completion, so an outcome waiting in the ticket
 /// book holds none.
 pub struct LiveBackend {
@@ -803,7 +803,7 @@ impl Ledger {
     }
 
     /// Launches `query` under a permit the caller holds: the query manager
-    /// runs on this thread and each fragment is one channel send.  The
+    /// runs on this thread and each fragment is one inbox post.  The
     /// permit returns when the outcome is handed to `done`, on the thread
     /// that has it.
     fn launch(self: &Arc<Self>, query: Query, done: AllocateDone) {
@@ -839,14 +839,14 @@ impl LiveBackend {
 
 impl ResourceManager for LiveBackend {
     /// Launching never parks (the query manager runs on this thread and
-    /// sends each fragment to its stage): with a permit free the query is
+    /// posts each fragment to its stage): with a permit free the query is
     /// launched now, else it queues in the window and the thread whose
     /// outcome frees its permit launches it.
     fn allocate_with(&self, query: Query, done: AllocateDone) {
         self.ledger.allocate(query, done, || {})
     }
 
-    /// The pool-manager stage that drops the lease runs `done` itself.
+    /// The thread that steps the stage dropping the lease runs `done`.
     fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         self.pipeline.release_with(allocation, done)
     }
@@ -864,8 +864,8 @@ impl ResourceManager for LiveBackend {
     }
 
     fn shutdown(&self) -> Result<(), AllocationError> {
-        // The stages stop only once every launched query is answered, so
-        // outstanding tickets remain redeemable afterwards.
+        // Returns once every launched query is answered, so outstanding
+        // tickets remain redeemable afterwards.
         self.pipeline.shutdown()
     }
 
@@ -1290,20 +1290,13 @@ impl PipelineBuilder {
     /// Builds the embedded backend.
     pub fn build_embedded(self) -> Result<EmbeddedBackend, AllocationError> {
         let (config, _, domains) = self.take_domains()?;
-        Ok(EmbeddedBackend::new(LivePipeline::new(
-            config,
-            domains,
-            Placement::Inline,
-        )))
+        Ok(EmbeddedBackend::new(LivePipeline::new(config, domains)))
     }
 
     /// Builds the live (threaded) backend.
     pub fn build_live(self) -> Result<LiveBackend, AllocationError> {
         let (config, window, domains) = self.take_domains()?;
-        Ok(LiveBackend::new(
-            LivePipeline::new(config, domains, Placement::Threaded),
-            window,
-        ))
+        Ok(LiveBackend::new(LivePipeline::new(config, domains), window))
     }
 
     /// Builds the centralized multi-queue scheduler baseline.
@@ -1504,14 +1497,7 @@ mod tests {
     #[test]
     fn live_window_applies_backpressure() {
         let manager = Arc::new(builder(300, 5).window(2).build_live().unwrap());
-        let granted = manager.submit_text_wait(&paper_text()).unwrap();
-        let (hold, held) = std::sync::mpsc::channel::<()>();
-        manager.release_with(
-            &granted[0],
-            Box::new(move |_| {
-                let _ = held.recv();
-            }),
-        );
+        let hold = crate::live::tests::hold_stage(manager.pipeline());
         let first = manager.submit_text(&paper_text()).unwrap();
         let second = manager.submit_text(&paper_text()).unwrap();
         let (returned, submitted) = std::sync::mpsc::channel();
@@ -1535,6 +1521,41 @@ mod tests {
             let allocations = manager.wait(ticket).unwrap();
             manager.release(&allocations[0]).unwrap();
         }
+        manager.shutdown().unwrap();
+    }
+
+    /// 600 queries go into a window of four while the stage is held: four
+    /// are launched and queue in the stage's inbox, the rest in the window.
+    /// The holder, on a 256 KiB stack, lets go and steps them all: each
+    /// outcome launches the next admission, whose post only queues on the
+    /// draining thread, so the stack does not grow with the queue.
+    #[test]
+    fn a_held_stage_drains_a_full_window_on_a_small_stack() {
+        const QUERIES: usize = 600;
+        let manager = builder(2_000, 27).window(4).build_live().unwrap();
+        let hold = crate::live::tests::hold_stage(manager.pipeline());
+        let (tx, answered) = std::sync::mpsc::channel();
+        for _ in 0..QUERIES {
+            let tx = tx.clone();
+            let done: AllocateDone = Box::new(move |outcome| {
+                let name = std::thread::current().name().map(str::to_string);
+                tx.send((name, outcome)).unwrap();
+            });
+            manager.allocate_with(Query::paper_example(), done);
+        }
+        assert!(answered.try_recv().is_err(), "stepped past the holder");
+        assert_eq!(manager.stats().in_flight, 4);
+        hold.send(()).unwrap();
+        let granted: Vec<_> = (0..QUERIES)
+            .map(|_| answered.recv_timeout(Duration::from_secs(20)).unwrap())
+            .collect();
+        for (ran_on, outcome) in granted {
+            assert_eq!(ran_on.as_deref(), Some(crate::live::tests::HOLDER));
+            manager.release(&outcome.unwrap()[0]).unwrap();
+        }
+        let stats = manager.stats();
+        assert_eq!((stats.allocations, stats.releases), (600, 600));
+        assert_eq!(stats.in_flight, 0);
         manager.shutdown().unwrap();
     }
 

@@ -303,18 +303,21 @@ mod tests {
     #[test]
     fn remote_tickets_pipeline_on_one_connection() {
         let db = fleet_db(400, 2);
-        let server = PipelineBuilder::new()
-            .database(db.clone())
-            .query_managers(2)
-            .serve(&loopback(), BackendKind::Live)
-            .unwrap();
+        let live = std::sync::Arc::new(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .query_managers(2)
+                .build_live()
+                .unwrap(),
+        );
+        let server = crate::server::serve(Box::new(live.clone()), &loopback()).unwrap();
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
         let query = Query::paper_example();
 
         // Several tickets in flight on the socket before the first wait.
-        // The pool-manager stage cannot finish any of them while the fleet
-        // is locked, so the daemon holds all five at once.
-        let fleet = db.write();
+        // The pool-manager stage cannot finish any of them while it is
+        // held, so the daemon holds all five at once.
+        let hold = crate::live::tests::hold_stage(live.pipeline());
         let tickets: Vec<Ticket> = (0..5)
             .map(|_| remote.submit(query.clone()).unwrap())
             .collect();
@@ -323,7 +326,7 @@ mod tests {
             5,
             "server-side stats must show overlapping tickets"
         );
-        drop(fleet);
+        drop(hold);
         for ticket in tickets {
             let allocations = remote.wait(ticket).unwrap();
             remote.release(&allocations[0]).unwrap();

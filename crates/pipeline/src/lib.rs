@@ -25,13 +25,13 @@
 //!
 //! Three deployments of the same stages are provided:
 //!
-//! * [`live::LivePipeline`] — the stages wired once, in one address space,
-//!   with the pool-manager stages placed one of two ways: inline, every
-//!   stage run by the calling thread (the embedded backend, the form used
-//!   by the examples and the baseline comparison), or threaded, every
-//!   pool-manager stage on its own thread, connected by channels, the query
-//!   manager run by the launching thread (the live backend: stage
-//!   replication and pipelining).
+//! * [`live::LivePipeline`] — the stages wired once, in one address space.
+//!   A stage has no thread: a pool-manager stage is its pool manager behind
+//!   a lock plus an inbox, run by whichever thread finds it idle, and the
+//!   query manager is run by the launching thread.  The embedded backend
+//!   (the form used by the examples and the baseline comparison) and the
+//!   live backend (stage replication and pipelining, with an admission
+//!   window) run the same stage code.
 //! * [`server`] / [`client`] — the wire deployment: a `ypd` daemon hosts
 //!   any backend behind the versioned [`actyp_proto`] protocol, and
 //!   [`client::RemoteBackend`] serves the same client surface across a TCP
@@ -40,7 +40,7 @@
 //!   nonblocking state machine over the [`reactor`] (raw epoll/poll
 //!   bindings), every backend call a completion that parks no thread, so
 //!   one daemon holds thousands of mostly-idle sessions cheaply on the I/O
-//!   pool and the backend's own stages.
+//!   pool alone.
 //!   [`federation`] peers daemons across administrative domains: a query
 //!   the local backend cannot satisfy is delegated over the wire with a
 //!   TTL and visited-domain list, the paper's WAN topology.  Client and
@@ -52,8 +52,8 @@
 //!
 //! Clients should not pick a deployment-specific entry point: the [`api`]
 //! module provides the unified [`api::ResourceManager`] surface — ticket
-//! based, pipelined, identical across the inline and threaded placements
-//! of the pipeline and the centralized baseline architectures — constructed
+//! based, pipelined, identical across the pipeline's backends and the
+//! centralized baseline architectures — constructed
 //! through one [`api::PipelineBuilder`].
 
 pub mod allocation;

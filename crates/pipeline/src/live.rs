@@ -1,40 +1,30 @@
-//! The pipeline's stages, wired once and placed one of two ways.
+//! The pipeline's stages, wired once and run by whichever thread finds
+//! them idle.
 //!
 //! "All stages in the resource management pipeline can be independently
 //! distributed and replicated across machines.  Queries propagate from one
-//! stage to the next via TCP or UDP" (Section 6).  Where a stage runs is a
-//! deployment choice, so one [`LivePipeline`] serves both in-process
-//! deployments and only its `Placement` differs:
-//!
-//! * **threaded** (the live backend): every pool-manager stage runs on its
-//!   own `yp-pm-N` thread and stages exchange messages over channels, so
-//!   queries are genuinely pipelined;
-//! * **inline** (the embedded backend): the thread that posts a message to
-//!   a stage runs its step, so a query runs start to finish on its caller's
-//!   thread.
-//!
-//! Either way each stage's pool manager sits behind a lock held for one
-//! step, and a step only *says* what comes next — deliver this fragment,
-//! post this message to that stage, or answer this release (`Next`); the
-//! placement does it once the pool manager is unlocked.
-//! The query manager owns no pool state and has no thread: whoever
-//! launches a query runs it on one of the `query_managers` replicas and
-//! posts each fragment to its pool-manager stage.  Each fragment carries a
-//! handle on its query's join, and the stage that delivers the last result
-//! re-integrates the query — the paper's "another query-manager stage at
-//! the end of the pipeline" — and runs the completion the query was
-//! launched with, on its own thread: the query carries its reply with it.
-//!
-//! The channel hop stands in for the TCP/UDP hop of the paper's deployment;
-//! the simulated deployment ([`crate::sim`]) is where wire latency is
-//! modelled explicitly.
+//! stage to the next via TCP or UDP" (Section 6).  In-process, a stage has
+//! no thread.  A pool-manager stage is its pool manager behind a lock plus
+//! an inbox, stepped by the thread that gets the lock (`Stage`), so a
+//! served daemon's stages run on its I/O threads, and the embedded and
+//! live backends differ only in the live one's window.  A step only *says*
+//! what comes next — deliver this fragment, post this message to that
+//! stage, or answer this release (`Next`) — and the stepping thread does
+//! it once the pool manager is unlocked.  The query manager owns no pool
+//! state: whoever launches a query runs it on one of the `query_managers`
+//! replicas and posts each fragment to its stage.  Each fragment carries a
+//! handle on its query's join, and the thread that delivers the last
+//! result re-integrates the query — the paper's "another query-manager
+//! stage at the end of the pipeline" — and runs the query's completion:
+//! the query carries its reply with it.  The inbox stands in for the
+//! TCP/UDP hop; the simulated deployment ([`crate::sim`]) models wire
+//! latency explicitly.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError};
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, SendError, Sender};
 use parking_lot::Mutex;
 
 use actyp_grid::SharedDatabase;
@@ -116,8 +106,8 @@ pub struct PipelineStats {
     pub records_examined: u64,
 }
 
-/// The counters behind [`PipelineStats`], shared by every launching and
-/// stage thread.
+/// The counters behind [`PipelineStats`], shared by every thread that
+/// launches a query or steps a stage.
 #[derive(Debug, Default)]
 struct LiveCounters {
     requests: AtomicU64,
@@ -151,15 +141,16 @@ type Outcome = Result<Vec<Allocation>, AllocationError>;
 /// What one fragment resolves to.
 type FragmentResult = Result<Allocation, AllocationError>;
 
-/// The answer of a query or fragment dropped unprocessed (a stage that
-/// panicked, a pipeline torn down): no completion is left unrun.
+/// The answer of a query or fragment dropped unprocessed (posted to no
+/// stage, or left in an inbox by a step that panicked): no completion is
+/// left unrun.
 fn dropped() -> AllocationError {
     AllocationError::Internal("pipeline dropped the reply".to_string())
 }
 
 /// A launched query's completion, run exactly once: with the outcome, or
 /// — dropped unanswered — with [`dropped`].  Its query is in flight until
-/// then, and shutdown stops the stages only once no promise is left.
+/// then, and shutdown returns only once no promise is left.
 struct Promise {
     done: Option<AllocateDone>,
     shared: Arc<Shared>,
@@ -335,17 +326,6 @@ fn try_release(
     }
 }
 
-/// Looks up, through the directory, the pool manager hosting the instance an
-/// allocation came from (`None` when the instance is no longer registered —
-/// a release then asks every stage in turn).
-fn owning_manager(directory: &SharedDirectory, allocation: &Allocation) -> Option<String> {
-    directory
-        .instances(&allocation.pool)
-        .into_iter()
-        .find(|r| r.instance == allocation.pool_instance)
-        .map(|r| r.manager)
-}
-
 enum PmMsg {
     Query {
         fragment: Fragment,
@@ -367,8 +347,8 @@ enum PmMsg {
     Panic,
 }
 
-/// What a stage step leaves to its placement, done once the step's pool
-/// manager is unlocked: on the stage's thread, or on the posting thread.
+/// What a stage step leaves to the thread that drains the stage, done once
+/// the step's pool manager is unlocked.
 enum Next {
     /// Answer the fragment with its result.
     Deliver(Fragment, FragmentResult),
@@ -390,7 +370,7 @@ impl Next {
 }
 
 /// One step of a pool-manager stage: `pm` handles `msg` and says what
-/// comes next, acting on none of it, so no placement holds a pool manager
+/// comes next, acting on none of it, so no thread holds a pool manager
 /// across a delivery, a post or another stage's step.  A fragment is
 /// served from a pool hosted here, or passed on: to the stage hosting its
 /// pool, or — when no pool can be made here — to a peer that has not seen
@@ -447,33 +427,94 @@ fn step(pm: &mut PoolManager, msg: PmMsg, shared: &Shared) -> Next {
     }
 }
 
-/// Where a pipeline's pool-manager stages run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Placement {
-    /// Each on a `yp-pm-N` thread of its own, fed over a channel.
-    Threaded,
-    /// Each stepped by whichever thread posts to it.
-    Inline,
-}
-
-/// One pool-manager stage.
-struct Stage {
+/// One pool-manager stage: its pool manager behind a lock, plus an inbox,
+/// and no thread.  [`Shared::post`] pushes a message onto the inbox and
+/// tries the lock; a poster that loses just returns, as the holder steps
+/// its message.  Generic over its locks, like [`crate::api::Window`], so
+/// the model checker (`drain_model_tests` below) runs this very code.
+struct Stage<L = Mutex<PoolManager>, I = Mutex<VecDeque<PmMsg>>> {
     /// Held for one step: over the directory's `managers` and `shard`
     /// locks only, never across a delivery, a post or another stage's
     /// lock (`docs/CONCURRENCY.md`).
-    manager: Mutex<PoolManager>,
-    /// The queue of the stage's `yp-pm-N` thread (`None` stops it); a stage
-    /// without one is inline.
-    queue: Option<Sender<Option<PmMsg>>>,
+    manager: L,
+    /// A leaf lock around the messages posted and not stepped yet.
+    inbox: I,
 }
 
-impl Stage {
-    /// Steps `msg` with the pool manager locked, and follows up on the
-    /// step's result once it is unlocked — here, on whichever thread runs
-    /// the stage.
-    fn serve(&self, msg: PmMsg, shared: &Arc<Shared>) {
-        let next = step(&mut self.manager.lock(), msg, shared);
-        next.follow(shared);
+/// A lock a [`Stage`] is made of.
+trait StageLock: Send + Sync {
+    type Target;
+    type Guard<'a>: std::ops::DerefMut<Target = Self::Target>
+    where
+        Self: 'a;
+    fn try_lock(&self) -> Option<Self::Guard<'_>>;
+    fn lock(&self) -> Self::Guard<'_>;
+}
+
+impl<T: Send> StageLock for Mutex<T> {
+    type Target = T;
+    type Guard<'a>
+        = parking_lot::MutexGuard<'a, T>
+    where
+        T: 'a;
+    fn try_lock(&self) -> Option<Self::Guard<'_>> {
+        Mutex::try_lock(self)
+    }
+    fn lock(&self) -> Self::Guard<'_> {
+        Mutex::lock(self)
+    }
+}
+
+impl<L: StageLock, M, I: StageLock<Target = VecDeque<M>>> Stage<L, I> {
+    /// Steps the inbox's next message with the state locked and returns
+    /// what the step says comes next; `None` when another thread holds the
+    /// stage (it steps what is left) or the inbox is empty — looked at again
+    /// after unlocking, for a poster that lost the lock to this thread as
+    /// it let go.  `buggy-drain` (model checking only) skips that look.
+    fn turn<N>(&self, step: impl FnOnce(&mut L::Target, M) -> N) -> Option<N> {
+        loop {
+            let mut state = self.manager.try_lock()?;
+            let msg = self.inbox.lock().pop_front();
+            if let Some(msg) = msg {
+                return Some(step(&mut state, msg));
+            }
+            drop(state);
+            if cfg!(feature = "buggy-drain") || self.inbox.lock().is_empty() {
+                return None;
+            }
+        }
+    }
+}
+
+/// Stages a thread owes a turn, each its pipeline and index, in the order
+/// it got to them.
+type Owed = VecDeque<(Arc<Shared>, usize)>;
+
+thread_local! {
+    /// What this thread owes while it drains stages; `None` while it drains
+    /// none.
+    static OWED: RefCell<Option<Owed>> = const { RefCell::new(None) };
+}
+
+/// Notes that this thread owes stage `index` a turn.  A thread that was
+/// draining no stage starts to, and gets the mark that ends it.
+fn owe(shared: Arc<Shared>, index: usize) -> Option<Draining> {
+    OWED.with(|owed| {
+        let mut owed = owed.borrow_mut();
+        let idle = owed.is_none();
+        owed.get_or_insert_with(VecDeque::new)
+            .push_back((shared, index));
+        idle
+    })
+    .then(|| Draining)
+}
+
+/// Marks this thread as draining stages until dropped, unwinding included.
+struct Draining;
+
+impl Drop for Draining {
+    fn drop(&mut self) {
+        drop(OWED.with(|owed| owed.borrow_mut().take()));
     }
 }
 
@@ -484,7 +525,8 @@ struct Shared {
     /// never held across a post.
     replicas: Vec<Mutex<QueryManager>>,
     cursor: AtomicUsize,
-    stages: HashMap<String, Stage>,
+    /// The pool-manager stages, in `pm_names` order.
+    stages: Vec<Stage>,
     pm_names: Vec<String>,
     directory: SharedDirectory,
     config: PipelineConfig,
@@ -498,28 +540,61 @@ struct Shared {
 }
 
 impl Shared {
-    /// Hands `msg` to stage `name`: onto its thread's queue, or — inline —
-    /// steps it right here and follows up once the pool manager is
-    /// unlocked.  A message no stage takes comes back.
+    fn stage(&self, name: &str) -> Option<usize> {
+        self.pm_names.iter().position(|pm| pm == name)
+    }
+
+    /// Puts `msg` in stage `name`'s inbox and serves the stage here.  A
+    /// message no stage takes comes back.
     fn post(self: &Arc<Self>, name: &str, msg: PmMsg) -> Option<PmMsg> {
-        let Some(stage) = self.stages.get(name) else {
+        let Some(index) = self.stage(name) else {
             return Some(msg);
         };
-        match &stage.queue {
-            Some(queue) => queue.send(Some(msg)).err().and_then(|SendError(msg)| msg),
-            None => {
-                stage.serve(msg, self);
-                None
+        self.stages[index].inbox.lock().push_back(msg);
+        self.serve(index);
+        None
+    }
+
+    /// Steps stage `index`'s messages here, each followed up once the pool
+    /// manager is unlocked, until another thread holds the stage or its
+    /// inbox is empty; the stages the follow-ups post to take turns in
+    /// between.  A thread draining already only notes that it owes the
+    /// stage a turn, so its stack does not grow with the posts a step or
+    /// a launched window admission makes.
+    fn serve(self: &Arc<Self>, index: usize) {
+        let Some(_draining) = owe(self.clone(), index) else {
+            return;
+        };
+        let next = || OWED.with(|owed| owed.borrow_mut().as_mut()?.pop_front());
+        while let Some((shared, index)) = next() {
+            if let Some(then) = shared.stages[index].turn(|pm, msg| step(pm, msg, &shared)) {
+                then.follow(&shared);
+                owe(shared, index);
             }
         }
     }
 
-    /// Releases `allocation` on the stage hosting its pool, or — when the
-    /// directory no longer knows it — on each stage in turn until one
-    /// accepts; `done` runs on the stage that answers last.
+    /// Runs `f` on stage `name`'s pool manager, waiting for the lock, then
+    /// serves the stage: the messages posted meanwhile queued for it.
+    fn with_pool_manager<R>(
+        self: &Arc<Self>,
+        name: &str,
+        f: impl FnOnce(&mut PoolManager) -> R,
+    ) -> Option<R> {
+        let index = self.stage(name)?;
+        let result = f(&mut self.stages[index].manager.lock());
+        self.serve(index);
+        Some(result)
+    }
+
+    /// Releases `allocation` on the stage the directory says hosts its
+    /// pool instance, or — when it no longer knows it — on each stage in
+    /// turn until one accepts; `done` runs on the stage that answers last.
     fn release_with(self: &Arc<Self>, allocation: &Allocation, done: ReleaseDone) {
-        let owner = owning_manager(&self.directory, allocation);
-        let stages = match owner.filter(|owner| self.stages.contains_key(owner)) {
+        let owner = (self.directory.instances(&allocation.pool).into_iter())
+            .find(|record| record.instance == allocation.pool_instance)
+            .map(|record| record.manager);
+        let stages = match owner.filter(|owner| self.stage(owner).is_some()) {
             Some(owner) => vec![owner],
             None => self.pm_names.clone(),
         };
@@ -537,15 +612,6 @@ impl Shared {
     }
 }
 
-/// A threaded stage's `yp-pm-N` thread: steps each message its queue
-/// brings, the pool manager locked for the step only, until `None`.
-fn stage_thread(shared: Arc<Shared>, name: String, queue: Receiver<Option<PmMsg>>) {
-    let stage = &shared.stages[&name];
-    while let Ok(Some(msg)) = queue.recv() {
-        stage.serve(msg, &shared);
-    }
-}
-
 /// Launches queries into the pipeline from any thread.
 #[derive(Clone)]
 pub(crate) struct Launcher(Arc<Shared>);
@@ -553,10 +619,9 @@ pub(crate) struct Launcher(Arc<Shared>);
 impl Launcher {
     /// Launches a query without waiting: the query manager runs here, on
     /// one of its replicas, and posts each fragment to its pool-manager
-    /// stage; `done` runs with the outcome on the stage that delivers the
-    /// last fragment (before this returns, on the inline placement).  A
-    /// query the query manager refuses runs `done` with the error at once,
-    /// and a fragment no stage takes answers as dropped.
+    /// stage; `done` runs with the outcome on the thread that steps the
+    /// last fragment.  A query the query manager refuses runs `done` with
+    /// the error at once, and a fragment no stage takes answers as dropped.
     pub(crate) fn launch(&self, query: Query, done: AllocateDone) {
         let shared = &self.0;
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -598,20 +663,15 @@ impl Launcher {
     }
 }
 
-/// A running deployment of the pipeline, its pool-manager stages placed
-/// inline or on threads of their own.
+/// A running deployment of the pipeline.  Its stages have no threads:
+/// each runs on whichever thread finds it idle.
 pub struct LivePipeline {
     launcher: Launcher,
-    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl LivePipeline {
     /// Starts a deployment with one pool-manager stage per domain.
-    pub(crate) fn new(
-        config: PipelineConfig,
-        domains: Vec<(String, SharedDatabase)>,
-        placement: Placement,
-    ) -> Self {
+    pub(crate) fn new(config: PipelineConfig, domains: Vec<(String, SharedDatabase)>) -> Self {
         assert!(!domains.is_empty(), "at least one domain is required");
         let ids = Arc::new(RequestIdGenerator::new());
         let replicas = (0..config.query_managers.max(1))
@@ -628,27 +688,17 @@ impl LivePipeline {
             .collect();
         let pm_names: Vec<String> = domains.iter().map(|(name, _)| name.clone()).collect();
         let directory = LocalDirectoryService::new().into_shared_with(config.shards);
-        let mut queues = Vec::new();
         let stages = domains.into_iter().enumerate().map(|(i, (name, db))| {
-            let manager = PoolManager::new(
-                name.clone(),
-                db,
-                directory.clone(),
-                PoolManagerConfig {
-                    selection: config.instance_selection,
-                    objective: config.objective,
-                    host: format!("actyp-node-{i}"),
-                    base_port: 7300,
-                },
-                config.seed ^ (0x90 + i as u64),
-            );
-            let queue = (placement == Placement::Threaded).then(|| {
-                let (tx, rx) = unbounded();
-                queues.push((name.clone(), rx));
-                tx
-            });
-            let manager = Mutex::new(manager);
-            (name, Stage { manager, queue })
+            let pm = PoolManagerConfig {
+                selection: config.instance_selection,
+                objective: config.objective,
+                host: format!("actyp-node-{i}"),
+                base_port: 7300,
+            };
+            let seed = config.seed ^ (0x90 + i as u64);
+            let manager = PoolManager::new(name, db, directory.clone(), pm, seed);
+            let (manager, inbox) = (Mutex::new(manager), Mutex::default());
+            Stage { manager, inbox }
         });
         let shared = Arc::new(Shared {
             replicas,
@@ -663,15 +713,7 @@ impl LivePipeline {
             idle: std::sync::Mutex::new(()),
             drained: std::sync::Condvar::new(),
         });
-        let workers = queues.into_iter().enumerate().map(|(i, (name, queue))| {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("yp-pm-{i}"))
-                .spawn(move || stage_thread(shared, name, queue))
-                .expect("spawn pool-manager stage")
-        });
         LivePipeline {
-            workers: Mutex::new(workers.collect()),
             launcher: Launcher(shared),
         }
     }
@@ -688,15 +730,14 @@ impl LivePipeline {
 
     /// Runs `f` on the named stage's pool manager, locked for the call
     /// (experiments that destroy pools); `f` must not call back into this
-    /// pipeline.  `None` names no stage.
+    /// pipeline.  Messages posted to the stage meanwhile queue, and this
+    /// thread steps them once `f` returns.  `None` names no stage.
     pub fn with_pool_manager<R>(
         &self,
         name: &str,
         f: impl FnOnce(&mut PoolManager) -> R,
     ) -> Option<R> {
-        let stage = self.launcher.0.stages.get(name)?;
-        let mut manager = stage.manager.lock();
-        Some(f(&mut manager))
+        self.launcher.0.with_pool_manager(name, f)
     }
 
     /// A handle that launches queries into this pipeline from anywhere.
@@ -705,78 +746,69 @@ impl LivePipeline {
     }
 
     /// Launches `query`; `done` runs with its outcome on the thread that
-    /// has it — on the inline placement, this one, before this returns.
+    /// has it — this one, before this returns, unless another thread is at
+    /// the stages the query reaches.
     pub(crate) fn allocate_with(&self, query: Query, done: AllocateDone) {
         self.launcher.launch(query, done)
     }
 
     /// Releases an allocation without waiting for it: the stage that drops
     /// the lease calls `done` (the stages are asked in turn, each asking the
-    /// next, when the directory does not know the owner).  If the stages
-    /// shut down first, it is dropped uncalled.
+    /// next, when the directory does not know the owner).
     pub fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
         self.launcher.0.release_with(allocation, done);
     }
 
-    /// Shuts the deployment down, joining every stage thread; the error
-    /// lists every stage that panicked during the run.  The stages stop only
-    /// once no launched query is in flight — they forward to each other —
-    /// so every launched query's completion gets its real outcome.
+    /// Waits until no launched query is in flight, so every launched
+    /// query's completion has had its real outcome.  No stage has a thread
+    /// to stop, or a panic to report: a step unwinds where it ran.
     pub fn shutdown(&self) -> Result<(), AllocationError> {
-        let shared = &self.launcher.0;
-        shared.drain();
-        for queue in shared
-            .stages
-            .values()
-            .filter_map(|stage| stage.queue.as_ref())
-        {
-            let _ = queue.send(None);
-        }
-        let handles: Vec<JoinHandle<()>> = self.workers.lock().drain(..).collect();
-        let panics: Vec<String> = handles
-            .into_iter()
-            .filter_map(|handle| handle.join().err())
-            .map(|payload| panic_message(payload.as_ref()))
-            .collect();
-        if panics.is_empty() {
-            Ok(())
-        } else {
-            Err(AllocationError::Internal(format!(
-                "stage worker panicked: {}",
-                panics.join("; ")
-            )))
-        }
+        self.launcher.0.drain();
+        Ok(())
     }
 }
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
-impl Drop for LivePipeline {
-    fn drop(&mut self) {
-        // A leaked pipeline must not orphan its stage threads.  Errors are
-        // deliberately swallowed here — call `shutdown` to observe them.
-        let _ = self.shutdown();
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use actyp_grid::{FleetSpec, ResourceDatabase, SyntheticFleet};
     use actyp_query::{Constraint, QueryKey};
+    use crossbeam::channel::{unbounded, Receiver};
     use std::time::Duration;
-    use Placement::{Inline, Threaded};
 
-    /// The placements a table test runs on, each in turn.
-    const PLACEMENTS: [Placement; 2] = [Threaded, Inline];
+    /// The name of the thread [`hold_stage`] holds a stage on.
+    pub(crate) const HOLDER: &str = "stage-holder";
+
+    /// Holds `pipeline`'s first pool-manager stage — its lock taken through
+    /// `with_pool_manager` on a [`HOLDER`] thread with a 256 KiB stack —
+    /// until the returned sender is used or dropped.  Posts to the stage
+    /// queue meanwhile, and the holder steps them once it lets go.
+    pub(crate) fn hold_stage(pipeline: &LivePipeline) -> std::sync::mpsc::Sender<()> {
+        let shared = pipeline.launcher.0.clone();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let (locked, taken) = std::sync::mpsc::channel();
+        std::thread::Builder::new()
+            .name(HOLDER.to_string())
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let first = shared.pm_names[0].clone();
+                shared.with_pool_manager(&first, |_| {
+                    locked.send(()).unwrap();
+                    let _ = held.recv();
+                })
+            })
+            .unwrap();
+        taken.recv().unwrap();
+        hold
+    }
+
+    /// Leaves a message in `pipeline`'s first stage's inbox that panics
+    /// the thread that next steps the stage.
+    pub(crate) fn plant_panic(pipeline: &LivePipeline) {
+        pipeline.launcher.0.stages[0]
+            .inbox
+            .lock()
+            .push_back(PmMsg::Panic);
+    }
 
     fn fleet_db(n: usize, seed: u64) -> SharedDatabase {
         SyntheticFleet::new(FleetSpec::with_machines(n), seed)
@@ -789,11 +821,11 @@ mod tests {
     }
 
     /// A single-domain pipeline: `config.pool_managers` stages over `db`.
-    fn start(placement: Placement, config: PipelineConfig, db: SharedDatabase) -> LivePipeline {
+    fn start(config: PipelineConfig, db: SharedDatabase) -> LivePipeline {
         let domains = (0..config.pool_managers.max(1))
             .map(|i| (format!("pm-{i}"), db.clone()))
             .collect();
-        LivePipeline::new(config, domains, placement)
+        LivePipeline::new(config, domains)
     }
 
     /// Launches `query`; its outcome arrives on the returned receiver.
@@ -837,89 +869,72 @@ mod tests {
         pipeline.directory().instance_count()
     }
 
-    /// The queue of a threaded stage's thread.
-    fn queue<'a>(pipeline: &'a LivePipeline, name: &str) -> &'a Sender<Option<PmMsg>> {
-        pipeline.launcher.0.stages[name]
-            .queue
-            .as_ref()
-            .expect("threaded")
-    }
-
     fn active_jobs(db: &SharedDatabase) -> u32 {
         db.read().iter().map(|m| m.dynamic.active_jobs).sum()
     }
 
     #[test]
     fn live_pipeline_allocates_and_releases() {
-        for placement in PLACEMENTS {
-            let pipeline = start(placement, PipelineConfig::default(), fleet_db(200, 1));
-            let allocations = submit_text(&pipeline, &paper_text()).unwrap();
-            assert_eq!(allocations.len(), 1);
-            assert!(allocations[0].machine_name.contains("sun"));
-            release_now(&pipeline, &allocations[0]).unwrap();
-            assert!(release_now(&pipeline, &allocations[0]).is_err());
-            let stats = pipeline.stats();
-            assert_eq!(stats.requests, 1, "{placement:?}");
-            assert_eq!(stats.allocations, 1, "{placement:?}");
-            assert_eq!(stats.releases, 1, "{placement:?}");
-            assert_eq!(
-                stats.records_examined, allocations[0].examined as u64,
-                "{placement:?}"
-            );
-            pipeline.shutdown().unwrap();
-        }
+        let pipeline = start(PipelineConfig::default(), fleet_db(200, 1));
+        let allocations = submit_text(&pipeline, &paper_text()).unwrap();
+        assert_eq!(allocations.len(), 1);
+        assert!(allocations[0].machine_name.contains("sun"));
+        release_now(&pipeline, &allocations[0]).unwrap();
+        assert!(release_now(&pipeline, &allocations[0]).is_err());
+        let stats = pipeline.stats();
+        assert_eq!(stats.requests, 1);
+        assert_eq!(stats.allocations, 1);
+        assert_eq!(stats.releases, 1);
+        assert_eq!(stats.records_examined, allocations[0].examined as u64);
+        pipeline.shutdown().unwrap();
     }
 
     #[test]
     fn replicated_stages_serve_concurrent_clients() {
-        for placement in PLACEMENTS {
-            let config = PipelineConfig {
-                query_managers: 3,
-                pool_managers: 2,
-                pool_manager_selection: PoolManagerSelection::RoundRobin,
-                ..PipelineConfig::default()
-            };
-            let pipeline = Arc::new(start(placement, config, fleet_db(400, 2)));
-            let mut joins = Vec::new();
-            for _ in 0..6 {
-                let p = pipeline.clone();
-                joins.push(std::thread::spawn(move || {
-                    let mut allocations = Vec::new();
-                    for _ in 0..5 {
-                        allocations.extend(submit_text(&p, &paper_text()).unwrap());
-                    }
-                    for a in &allocations {
-                        release_now(&p, a).unwrap();
-                    }
-                    allocations.len()
-                }));
-            }
-            let total: usize = joins.into_iter().map(|j| j.join().unwrap()).sum();
-            assert_eq!(total, 30);
-            assert_eq!(pipeline.stats().allocations, 30, "{placement:?}");
+        let config = PipelineConfig {
+            query_managers: 3,
+            pool_managers: 2,
+            pool_manager_selection: PoolManagerSelection::RoundRobin,
+            ..PipelineConfig::default()
+        };
+        let pipeline = Arc::new(start(config, fleet_db(400, 2)));
+        let mut joins = Vec::new();
+        for _ in 0..6 {
+            let p = pipeline.clone();
+            joins.push(std::thread::spawn(move || {
+                let mut allocations = Vec::new();
+                for _ in 0..5 {
+                    allocations.extend(submit_text(&p, &paper_text()).unwrap());
+                }
+                for a in &allocations {
+                    release_now(&p, a).unwrap();
+                }
+                allocations.len()
+            }));
         }
+        let total: usize = joins.into_iter().map(|j| j.join().unwrap()).sum();
+        assert_eq!(total, 30);
+        assert_eq!(pipeline.stats().allocations, 30);
     }
 
     #[test]
     fn composite_queries_reintegrate_across_threads() {
-        for placement in PLACEMENTS {
-            let config = PipelineConfig {
-                reintegration: ReintegrationPolicy::FirstMatch,
-                ..PipelineConfig::default()
-            };
-            let db = fleet_db(400, 3);
-            let pipeline = start(placement, config, db.clone());
-            let allocations = submit_text(
-                &pipeline,
-                "punch.rsrc.arch = sun | hp\npunch.user.accessgroup = ece\n",
-            )
-            .unwrap();
-            assert_eq!(allocations.len(), 1);
-            // The surplus fragment allocation was handed back by the pipeline.
-            assert_eq!(active_jobs(&db), 1, "{placement:?}");
-            release_now(&pipeline, &allocations[0]).unwrap();
-            pipeline.shutdown().unwrap();
-        }
+        let config = PipelineConfig {
+            reintegration: ReintegrationPolicy::FirstMatch,
+            ..PipelineConfig::default()
+        };
+        let db = fleet_db(400, 3);
+        let pipeline = start(config, db.clone());
+        let allocations = submit_text(
+            &pipeline,
+            "punch.rsrc.arch = sun | hp\npunch.user.accessgroup = ece\n",
+        )
+        .unwrap();
+        assert_eq!(allocations.len(), 1);
+        // The surplus fragment allocation was handed back by the pipeline.
+        assert_eq!(active_jobs(&db), 1);
+        release_now(&pipeline, &allocations[0]).unwrap();
+        pipeline.shutdown().unwrap();
     }
 
     #[test]
@@ -933,7 +948,6 @@ mod tests {
         let pipeline = LivePipeline::new(
             PipelineConfig::default(),
             vec![("purdue".to_string(), sun_db), ("upc".to_string(), hp_db)],
-            Threaded,
         );
         // Both queries succeed regardless of which domain they reach first.
         let sun = submit_text(&pipeline, "punch.rsrc.arch = sun\n").unwrap();
@@ -945,7 +959,7 @@ mod tests {
 
     #[test]
     fn parse_errors_are_returned_to_the_caller() {
-        let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 7));
+        let pipeline = start(PipelineConfig::default(), fleet_db(50, 7));
         assert!(matches!(
             submit_text(&pipeline, "garbage").unwrap_err(),
             AllocationError::Parse(_)
@@ -955,7 +969,7 @@ mod tests {
 
     #[test]
     fn shutdown_via_drop_does_not_hang() {
-        let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 8));
+        let pipeline = start(PipelineConfig::default(), fleet_db(50, 8));
         let _ = submit_text(&pipeline, &paper_text()).unwrap();
         drop(pipeline);
     }
@@ -966,7 +980,7 @@ mod tests {
             query_managers: 2,
             ..PipelineConfig::default()
         };
-        let pipeline = start(Threaded, config, fleet_db(300, 9));
+        let pipeline = start(config, fleet_db(300, 9));
         let query = Query::paper_example();
         // Three queries in flight before any reply is awaited.
         let pending: Vec<_> = (0..3).map(|_| launch(&pipeline, query.clone())).collect();
@@ -978,27 +992,44 @@ mod tests {
         pipeline.shutdown().unwrap();
     }
 
+    /// Shuts `pipeline` down on a thread of its own while its stage is
+    /// held, checks that shutdown waits, and lets the stage go.
+    fn shut_down_while_held(pipeline: Arc<LivePipeline>, hold: std::sync::mpsc::Sender<()>) {
+        let (returned, shut) = std::sync::mpsc::channel();
+        let closer = std::thread::spawn(move || {
+            let result = pipeline.shutdown();
+            returned.send(()).unwrap();
+            result
+        });
+        assert!(
+            shut.recv_timeout(Duration::from_millis(100)).is_err(),
+            "shutdown returned with a query in flight"
+        );
+        hold.send(()).unwrap();
+        closer.join().unwrap().unwrap();
+    }
+
     #[test]
     fn queued_submissions_complete_across_shutdown() {
-        // Shutdown stops the stages only once nothing launched is in
-        // flight, so a submission still queued when shutdown begins is
-        // processed end to end and its completion gets the real outcome.
-        for placement in PLACEMENTS {
-            let pipeline = start(placement, PipelineConfig::default(), fleet_db(200, 11));
-            let answered = launch(&pipeline, Query::paper_example());
-            pipeline.shutdown().unwrap();
-            let allocations = redeem(&answered).unwrap();
-            assert_eq!(allocations.len(), 1, "{placement:?}");
-        }
+        // Shutdown returns only once nothing launched is in flight, so a
+        // submission still queued when shutdown begins is processed end to
+        // end and its completion gets the real outcome.
+        let pipeline = Arc::new(start(PipelineConfig::default(), fleet_db(200, 11)));
+        let hold = hold_stage(&pipeline);
+        let answered = launch(&pipeline, Query::paper_example());
+        shut_down_while_held(pipeline, hold);
+        let allocations = redeem(&answered).unwrap();
+        assert_eq!(allocations.len(), 1);
     }
 
     /// A query's completion runs on the thread that has its outcome: the
-    /// pool-manager stage that delivers the last fragment when the stages
-    /// are threaded, the launching thread itself when they are inline.
+    /// launching thread itself when the stage is idle, and the thread that
+    /// held the stage, once it lets go, when it is held.
     #[test]
     fn a_completion_runs_on_the_thread_that_has_the_outcome() {
-        for placement in PLACEMENTS {
-            let pipeline = start(placement, PipelineConfig::default(), fleet_db(200, 19));
+        let pipeline = start(PipelineConfig::default(), fleet_db(200, 19));
+        for held in [false, true] {
+            let hold = held.then(|| hold_stage(&pipeline));
             let (tx, rx) = unbounded();
             pipeline.allocate_with(
                 Query::paper_example(),
@@ -1007,20 +1038,24 @@ mod tests {
                     drop(tx.send((std::thread::current().id(), name, outcome)));
                 }),
             );
+            if let Some(hold) = hold {
+                assert!(rx.try_recv().is_err(), "stepped past the holder");
+                hold.send(()).unwrap();
+            }
             let (ran_on, name, outcome) = rx.recv().unwrap();
-            match placement {
-                Threaded => assert_eq!(name.as_deref(), Some("yp-pm-0")),
-                Inline => assert_eq!(ran_on, std::thread::current().id()),
+            match held {
+                true => assert_eq!(name.as_deref(), Some(HOLDER)),
+                false => assert_eq!(ran_on, std::thread::current().id()),
             }
             release_now(&pipeline, &outcome.unwrap()[0]).unwrap();
-            pipeline.shutdown().unwrap();
         }
+        pipeline.shutdown().unwrap();
     }
 
     /// A query the stage drops unprocessed still runs its completion.
     #[test]
     fn a_dropped_query_answers_with_an_error() {
-        let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 12));
+        let pipeline = start(PipelineConfig::default(), fleet_db(50, 12));
         let (tx, answered) = unbounded();
         let done: AllocateDone = Box::new(move |outcome| drop(tx.send(outcome)));
         drop(Promise::new(&pipeline.launcher.0, done));
@@ -1031,19 +1066,22 @@ mod tests {
         pipeline.shutdown().unwrap();
     }
 
+    /// A step that panics unwinds on the thread that posted to the idle
+    /// stage, and leaves the stage, and that thread's next drain, working.
     #[test]
-    fn worker_panics_surface_at_shutdown() {
-        let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 10));
-        queue(&pipeline, "pm-0").send(Some(PmMsg::Panic)).unwrap();
-        let err = pipeline.shutdown().unwrap_err();
-        match err {
-            AllocationError::Internal(message) => {
-                assert!(message.contains("panicked"), "got: {message}");
-                assert!(message.contains("injected pool-manager panic"));
-            }
-            other => panic!("expected Internal, got {other:?}"),
-        }
-        // A second shutdown (and the eventual drop) is a clean no-op.
+    fn a_panicking_step_unwinds_on_the_posting_thread() {
+        let pipeline = start(PipelineConfig::default(), fleet_db(50, 10));
+        let shared = pipeline.launcher.0.clone();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(shared.post("pm-0", PmMsg::Panic))
+        }));
+        let payload = unwound.expect_err("the step ran here");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected pool-manager panic")
+        );
+        let allocations = allocate(&pipeline, Query::paper_example()).unwrap();
+        release_now(&pipeline, &allocations[0]).unwrap();
         pipeline.shutdown().unwrap();
     }
 
@@ -1053,32 +1091,29 @@ mod tests {
     /// release that parked for its own stage's answer would never return.
     #[test]
     fn a_stage_releases_the_surplus_it_owns_without_parking() {
-        for placement in PLACEMENTS {
-            let config = PipelineConfig {
-                pool_managers: 2,
-                pool_manager_selection: PoolManagerSelection::ByKeyValue("absent".to_string()),
-                reintegration: ReintegrationPolicy::FirstMatch,
-                ..PipelineConfig::default()
-            };
-            let db = fleet_db(400, 13);
-            let pipeline = start(placement, config, db.clone());
-            let allocations = submit_text(
-                &pipeline,
-                "punch.rsrc.arch = sun | hp\npunch.user.accessgroup = ece\n",
-            )
-            .unwrap();
-            assert_eq!(allocations.len(), 1);
-            assert_eq!(active_jobs(&db), 1, "the surplus went back");
-            let stats = pipeline.stats();
-            assert_eq!(
-                (stats.fragments, stats.allocations, stats.releases),
-                (2, 1, 1),
-                "{placement:?}"
-            );
-            release_now(&pipeline, &allocations[0]).unwrap();
-            assert_eq!(active_jobs(&db), 0);
-            pipeline.shutdown().unwrap();
-        }
+        let config = PipelineConfig {
+            pool_managers: 2,
+            pool_manager_selection: PoolManagerSelection::ByKeyValue("absent".to_string()),
+            reintegration: ReintegrationPolicy::FirstMatch,
+            ..PipelineConfig::default()
+        };
+        let db = fleet_db(400, 13);
+        let pipeline = start(config, db.clone());
+        let allocations = submit_text(
+            &pipeline,
+            "punch.rsrc.arch = sun | hp\npunch.user.accessgroup = ece\n",
+        )
+        .unwrap();
+        assert_eq!(allocations.len(), 1);
+        assert_eq!(active_jobs(&db), 1, "the surplus went back");
+        let stats = pipeline.stats();
+        assert_eq!(
+            (stats.fragments, stats.allocations, stats.releases),
+            (2, 1, 1)
+        );
+        release_now(&pipeline, &allocations[0]).unwrap();
+        assert_eq!(active_jobs(&db), 0);
+        pipeline.shutdown().unwrap();
     }
 
     /// An allocation whose owner the directory no longer knows is offered
@@ -1086,27 +1121,25 @@ mod tests {
     /// next: the owner, `pm-1`, accepts after `pm-0` refused.
     #[test]
     fn an_ownerless_release_walks_the_stages_as_completions() {
-        for placement in PLACEMENTS {
-            let config = PipelineConfig {
-                pool_managers: 3,
-                ..PipelineConfig::default()
-            };
-            let db = fleet_db(200, 14);
-            let pipeline = start(placement, config, db.clone());
-            let sun = submit_text(&pipeline, "punch.rsrc.arch = sun\n").unwrap();
-            let hp = submit_text(&pipeline, "punch.rsrc.arch = hp\n").unwrap();
-            pipeline
-                .directory()
-                .unregister_pool(&hp[0].pool, hp[0].pool_instance);
-            assert_eq!(release_now(&pipeline, &hp[0]), Ok(()));
-            assert_eq!(
-                release_now(&pipeline, &hp[0]),
-                Err(AllocationError::UnknownAllocation)
-            );
-            assert_eq!(active_jobs(&db), 1, "{placement:?}");
-            release_now(&pipeline, &sun[0]).unwrap();
-            pipeline.shutdown().unwrap();
-        }
+        let config = PipelineConfig {
+            pool_managers: 3,
+            ..PipelineConfig::default()
+        };
+        let db = fleet_db(200, 14);
+        let pipeline = start(config, db.clone());
+        let sun = submit_text(&pipeline, "punch.rsrc.arch = sun\n").unwrap();
+        let hp = submit_text(&pipeline, "punch.rsrc.arch = hp\n").unwrap();
+        pipeline
+            .directory()
+            .unregister_pool(&hp[0].pool, hp[0].pool_instance);
+        assert_eq!(release_now(&pipeline, &hp[0]), Ok(()));
+        assert_eq!(
+            release_now(&pipeline, &hp[0]),
+            Err(AllocationError::UnknownAllocation)
+        );
+        assert_eq!(active_jobs(&db), 1);
+        release_now(&pipeline, &sun[0]).unwrap();
+        pipeline.shutdown().unwrap();
     }
 
     /// A join for `fragments` fragments of a query, and where its outcome
@@ -1139,50 +1172,48 @@ mod tests {
     /// answers each once.
     #[test]
     fn concurrent_last_fragments_reintegrate_a_query_once() {
-        for placement in PLACEMENTS {
-            let config = PipelineConfig {
-                pool_managers: 2,
-                ..PipelineConfig::default()
-            };
-            let db = fleet_db(400, 15);
-            let pipeline = start(placement, config, db.clone());
-            let answered = Arc::new(AtomicUsize::new(0));
-            let query = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
-            for _ in 0..1_000 {
-                let (tx, rx) = std::sync::mpsc::channel();
-                let answered = answered.clone();
-                pipeline.allocate_with(
-                    query.clone(),
-                    Box::new(move |outcome| {
-                        answered.fetch_add(1, Ordering::SeqCst);
-                        tx.send(outcome).unwrap();
-                    }),
-                );
-                let allocations = rx.recv().unwrap().unwrap();
-                assert_eq!(allocations.len(), 2);
-                for a in &allocations {
-                    release_now(&pipeline, a).unwrap();
-                }
-            }
-            let stats = pipeline.stats();
-            assert_eq!(answered.load(Ordering::SeqCst), 1_000);
-            assert_eq!(stats.requests, 1_000);
-            assert_eq!(stats.fragments, 2_000);
-            assert_eq!(
-                stats.allocations + stats.failures,
-                2_000,
-                "one re-integration each ({placement:?})"
+        let config = PipelineConfig {
+            pool_managers: 2,
+            ..PipelineConfig::default()
+        };
+        let db = fleet_db(400, 15);
+        let pipeline = start(config, db.clone());
+        let answered = Arc::new(AtomicUsize::new(0));
+        let query = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
+        for _ in 0..1_000 {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let answered = answered.clone();
+            pipeline.allocate_with(
+                query.clone(),
+                Box::new(move |outcome| {
+                    answered.fetch_add(1, Ordering::SeqCst);
+                    tx.send(outcome).unwrap();
+                }),
             );
-            assert_eq!(active_jobs(&db), 0);
-            pipeline.shutdown().unwrap();
+            let allocations = rx.recv().unwrap().unwrap();
+            assert_eq!(allocations.len(), 2);
+            for a in &allocations {
+                release_now(&pipeline, a).unwrap();
+            }
         }
+        let stats = pipeline.stats();
+        assert_eq!(answered.load(Ordering::SeqCst), 1_000);
+        assert_eq!(stats.requests, 1_000);
+        assert_eq!(stats.fragments, 2_000);
+        assert_eq!(
+            stats.allocations + stats.failures,
+            2_000,
+            "one re-integration each"
+        );
+        assert_eq!(active_jobs(&db), 0);
+        pipeline.shutdown().unwrap();
     }
 
     /// The same race forced: two threads standing in for two stages are
     /// released by a barrier to deliver a query's two fragments at once.
     #[test]
     fn simultaneous_deliveries_finish_a_query_once() {
-        let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 18));
+        let pipeline = start(PipelineConfig::default(), fleet_db(50, 18));
         let shared = pipeline.launcher.0.clone();
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let stages: Vec<_> = (0..2)
@@ -1214,86 +1245,81 @@ mod tests {
         pipeline.shutdown().unwrap();
     }
 
-    /// A fragment a stopping stage never processes answers `Internal`, and
-    /// nobody waits for it: queued on a stage that stopped (dropped with
-    /// the stage's receiver), or refused at launch.
+    /// A fragment no stage steps answers `Internal`, and nobody waits for
+    /// it: dropped with the message that carried it, or posted to a stage
+    /// that does not exist.
     #[test]
-    fn a_fragment_dropped_by_a_stopping_stage_answers_internal() {
-        let pipeline = start(Threaded, PipelineConfig::default(), fleet_db(50, 16));
+    fn a_fragment_no_stage_steps_answers_internal() {
+        let pipeline = start(PipelineConfig::default(), fleet_db(50, 16));
         let shared = &pipeline.launcher.0;
-        let (join, answered) = join_into(shared, 1);
-        let fragment = fragment_of(&join, 0);
-        drop(join);
-        let (stage, stopped) = unbounded();
-        let routing = RoutingState::new(8);
-        stage
-            .send(Some(PmMsg::Query { fragment, routing }))
-            .unwrap();
-        drop(stopped);
-        assert!(matches!(
-            answered.try_recv(),
-            Ok(Err(AllocationError::Internal(_)))
-        ));
-
-        queue(&pipeline, "pm-0").send(None).unwrap();
-        let outcome = allocate(&pipeline, Query::paper_example());
-        assert!(
-            matches!(outcome, Err(AllocationError::Internal(_))),
-            "{outcome:?}"
-        );
+        for stage in [None, Some("pm-9")] {
+            let (join, answered) = join_into(shared, 1);
+            let fragment = fragment_of(&join, 0);
+            drop(join);
+            let msg = PmMsg::Query {
+                fragment,
+                routing: RoutingState::new(8),
+            };
+            match stage {
+                Some(name) => assert!(shared.post(name, msg).is_some(), "no stage took it"),
+                None => drop(msg),
+            }
+            assert!(matches!(
+                answered.try_recv(),
+                Ok(Err(AllocationError::Internal(_)))
+            ));
+        }
         pipeline.shutdown().unwrap();
     }
 
     /// The drain guarantee with fragments crossing stages: after a warm-up
     /// leaves the pool on `pm-0`, round robin sends every other query to
-    /// `pm-1`, which forwards it.  Shutdown waits for all of them.
+    /// `pm-1`, which forwards it to `pm-0`, held meanwhile.  Shutdown
+    /// waits for all of them.
     #[test]
     fn queued_submissions_crossing_stages_complete_across_shutdown() {
-        for placement in PLACEMENTS {
-            let config = PipelineConfig {
-                pool_managers: 2,
-                ..PipelineConfig::default()
-            };
-            let pipeline = start(placement, config, fleet_db(400, 17));
-            let warm = submit_text(&pipeline, &paper_text()).unwrap();
-            release_now(&pipeline, &warm[0]).unwrap();
-            let mut answers: Vec<_> = (0..8)
-                .map(|_| launch(&pipeline, Query::paper_example()))
-                .collect();
-            let composite = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
-            answers.push(launch(&pipeline, composite));
-            pipeline.shutdown().unwrap();
-            for answered in answers {
-                assert!(!redeem(&answered).unwrap().is_empty());
-            }
-            assert!(pipeline.stats().forwards > 0, "fragments crossed stages");
+        let config = PipelineConfig {
+            pool_managers: 2,
+            ..PipelineConfig::default()
+        };
+        let pipeline = Arc::new(start(config, fleet_db(400, 17)));
+        let warm = submit_text(&pipeline, &paper_text()).unwrap();
+        release_now(&pipeline, &warm[0]).unwrap();
+        let hold = hold_stage(&pipeline);
+        let mut answers: Vec<_> = (0..8)
+            .map(|_| launch(&pipeline, Query::paper_example()))
+            .collect();
+        let composite = actyp_query::parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
+        answers.push(launch(&pipeline, composite));
+        shut_down_while_held(pipeline.clone(), hold);
+        for answered in answers {
+            assert!(!redeem(&answered).unwrap().is_empty());
         }
+        assert!(pipeline.stats().forwards > 0, "fragments crossed stages");
     }
 
     /// A surplus is uncounted from `allocations` only once its release
     /// succeeds: a surplus no longer leased stays counted.
     #[test]
     fn a_surplus_is_uncounted_only_when_its_release_succeeds() {
-        for placement in PLACEMENTS {
-            let config = PipelineConfig {
-                reintegration: ReintegrationPolicy::FirstMatch,
-                ..PipelineConfig::default()
-            };
-            let pipeline = start(placement, config, fleet_db(300, 21));
-            let kept = submit_text(&pipeline, "punch.rsrc.arch = sun\n").unwrap();
-            let stale = submit_text(&pipeline, "punch.rsrc.arch = hp\n").unwrap();
-            release_now(&pipeline, &stale[0]).unwrap();
-            let (join, answered) = join_into(&pipeline.launcher.0, 2);
-            fragment_of(&join, 0).deliver(Ok(kept[0].clone()));
-            fragment_of(&join, 1).deliver(Ok(stale[0].clone()));
-            assert_eq!(redeem(&answered), Ok(kept), "{placement:?}");
-            let stats = pipeline.stats();
-            assert_eq!(
-                (stats.allocations, stats.releases),
-                (4, 1),
-                "the refused surplus stays counted ({placement:?})"
-            );
-        }
+        let config = PipelineConfig {
+            reintegration: ReintegrationPolicy::FirstMatch,
+            ..PipelineConfig::default()
+        };
+        let pipeline = start(config, fleet_db(300, 21));
+        let kept = submit_text(&pipeline, "punch.rsrc.arch = sun\n").unwrap();
+        let stale = submit_text(&pipeline, "punch.rsrc.arch = hp\n").unwrap();
+        release_now(&pipeline, &stale[0]).unwrap();
+        let (join, answered) = join_into(&pipeline.launcher.0, 2);
+        fragment_of(&join, 0).deliver(Ok(kept[0].clone()));
+        fragment_of(&join, 1).deliver(Ok(stale[0].clone()));
+        assert_eq!(redeem(&answered), Ok(kept));
+        let stats = pipeline.stats();
+        assert_eq!(
+            (stats.allocations, stats.releases),
+            (4, 1),
+            "the refused surplus stays counted"
+        );
     }
 
     /// A fragment with no pool manager to go to answers `Internal` on its
@@ -1301,7 +1327,7 @@ mod tests {
     /// re-integration keeps what the other fragments found.
     #[test]
     fn a_fragment_with_no_pool_manager_fails_alone() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(300, 22));
+        let pipeline = start(PipelineConfig::default(), fleet_db(300, 22));
         let found = submit_text(&pipeline, &paper_text()).unwrap();
         let (join, answered) = join_into(&pipeline.launcher.0, 2);
         let unplaced = AllocationError::Internal("no pool managers".into());
@@ -1329,7 +1355,7 @@ mod tests {
                 ..PipelineConfig::default()
             };
             let db = fleet_db(400, 23);
-            let pipeline = start(Inline, config, db.clone());
+            let pipeline = start(config, db.clone());
             for arch in ["hp", "sun"] {
                 let warm = submit_text(&pipeline, &format!("punch.rsrc.arch = {arch}\n")).unwrap();
                 release_now(&pipeline, &warm[0]).unwrap();
@@ -1346,7 +1372,7 @@ mod tests {
 
     #[test]
     fn end_to_end_allocation_from_text_query() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(300, 1));
+        let pipeline = start(PipelineConfig::default(), fleet_db(300, 1));
         let allocations = submit_text(&pipeline, &paper_text()).unwrap();
         assert_eq!(allocations.len(), 1);
         let a = &allocations[0];
@@ -1361,7 +1387,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_reuse_the_dynamically_created_pool() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(300, 2));
+        let pipeline = start(PipelineConfig::default(), fleet_db(300, 2));
         for _ in 0..10 {
             submit_text(&pipeline, &paper_text()).unwrap();
         }
@@ -1376,7 +1402,7 @@ mod tests {
             ..PipelineConfig::default()
         };
         let db = fleet_db(400, 3);
-        let pipeline = start(Inline, config, db.clone());
+        let pipeline = start(config, db.clone());
         let text = "punch.rsrc.arch = sun | hp\npunch.user.accessgroup = ece\n";
         let allocations = submit_text(&pipeline, text).unwrap();
         assert_eq!(allocations.len(), 1);
@@ -1387,7 +1413,7 @@ mod tests {
 
     #[test]
     fn composite_query_with_all_policy_returns_every_match() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(400, 4));
+        let pipeline = start(PipelineConfig::default(), fleet_db(400, 4));
         let allocations = submit_text(&pipeline, "punch.rsrc.arch = sun | hp\n").unwrap();
         assert_eq!(allocations.len(), 2);
         let archs: std::collections::HashSet<String> = allocations
@@ -1399,7 +1425,7 @@ mod tests {
 
     #[test]
     fn impossible_queries_fail_cleanly() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(100, 5));
+        let pipeline = start(PipelineConfig::default(), fleet_db(100, 5));
         let err = submit_text(&pipeline, "punch.rsrc.arch = cray\n").unwrap_err();
         assert_eq!(err, AllocationError::NoSuchResources);
         assert_eq!(pipeline.stats().failures, 1);
@@ -1407,7 +1433,7 @@ mod tests {
 
     #[test]
     fn parse_and_schema_errors_do_not_reach_pool_managers() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(50, 6));
+        let pipeline = start(PipelineConfig::default(), fleet_db(50, 6));
         assert!(matches!(
             submit_text(&pipeline, "nonsense").unwrap_err(),
             AllocationError::Parse(_)
@@ -1417,7 +1443,7 @@ mod tests {
 
     #[test]
     fn classad_queries_are_interoperable() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(300, 7));
+        let pipeline = start(PipelineConfig::default(), fleet_db(300, 7));
         let query = pipeline.launcher.0.replicas[0]
             .lock()
             .translate_classad(
@@ -1445,7 +1471,6 @@ mod tests {
         let pipeline = LivePipeline::new(
             PipelineConfig::default(),
             vec![("purdue".to_string(), sun_db), ("upc".to_string(), hp_db)],
-            Inline,
         );
         let allocations = submit_text(&pipeline, "punch.rsrc.arch = hp\n").unwrap();
         assert_eq!(allocations.len(), 1);
@@ -1459,7 +1484,7 @@ mod tests {
             ttl: 0,
             ..PipelineConfig::default()
         };
-        let pipeline = start(Inline, config, fleet_db(100, 10));
+        let pipeline = start(config, fleet_db(100, 10));
         let err = submit_text(&pipeline, &paper_text()).unwrap_err();
         assert_eq!(err, AllocationError::TtlExpired);
     }
@@ -1473,7 +1498,7 @@ mod tests {
             pool_manager_selection: PoolManagerSelection::RoundRobin,
             ..PipelineConfig::default()
         };
-        let pipeline = start(Inline, config, fleet_db(300, 11));
+        let pipeline = start(config, fleet_db(300, 11));
         submit_text(&pipeline, &paper_text()).unwrap();
         submit_text(&pipeline, &paper_text()).unwrap();
         assert_eq!(pool_instances(&pipeline), 1);
@@ -1483,7 +1508,7 @@ mod tests {
 
     #[test]
     fn release_of_unknown_allocation_is_rejected() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(100, 12));
+        let pipeline = start(PipelineConfig::default(), fleet_db(100, 12));
         let mut allocations = submit_text(&pipeline, &paper_text()).unwrap();
         let mut fake = allocations.remove(0);
         release_now(&pipeline, &fake).unwrap();
@@ -1496,14 +1521,14 @@ mod tests {
     #[test]
     fn empty_database_yields_no_such_resources() {
         let db = ResourceDatabase::new().into_shared();
-        let pipeline = start(Inline, PipelineConfig::default(), db);
+        let pipeline = start(PipelineConfig::default(), db);
         let err = submit_text(&pipeline, &paper_text()).unwrap_err();
         assert_eq!(err, AllocationError::NoSuchResources);
     }
 
     #[test]
     fn many_concurrent_allocations_spread_over_machines() {
-        let pipeline = start(Inline, PipelineConfig::default(), fleet_db(200, 13));
+        let pipeline = start(PipelineConfig::default(), fleet_db(200, 13));
         let mut machines = std::collections::HashSet::new();
         let mut allocations = Vec::new();
         for _ in 0..50 {
@@ -1529,7 +1554,7 @@ mod tests {
             pool_manager_selection: PoolManagerSelection::ByKeyValue("arch".to_string()),
             ..PipelineConfig::default()
         };
-        let pipeline = start(Inline, config, fleet_db(300, 14));
+        let pipeline = start(config, fleet_db(300, 14));
         for _ in 0..6 {
             let sun = Query::new().with(QueryKey::rsrc("arch"), Constraint::eq("sun"));
             allocate(&pipeline, sun).unwrap();
@@ -1544,7 +1569,7 @@ mod tests {
     fn shared_references_submit_concurrently() {
         // The whole client surface works on `&self`, so an inline pipeline
         // can be shared across threads without an external lock.
-        let pipeline = Arc::new(start(Inline, PipelineConfig::default(), fleet_db(300, 15)));
+        let pipeline = Arc::new(start(PipelineConfig::default(), fleet_db(300, 15)));
         let mut joins = Vec::new();
         for _ in 0..4 {
             let pipeline = pipeline.clone();
@@ -1558,5 +1583,225 @@ mod tests {
         }
         assert_eq!(pipeline.stats().allocations, 4);
         assert_eq!(pipeline.stats().releases, 4);
+    }
+}
+
+/// Bounded-interleaving proofs of a [`Stage`]'s drain (`--features
+/// model`), run by the CI `model-check` job: the stage's own `turn` over
+/// `actyp-model` locks, driven as `Shared::serve` drives it.  A poster
+/// pushes its message and drains; a holder takes the stage as
+/// `LivePipeline::with_pool_manager` does, lets go and drains.  Each step
+/// notes its message, and checks that no other step of the stage is under
+/// way.
+#[cfg(all(test, feature = "model"))]
+mod drain_model_tests {
+    use super::{Stage, StageLock};
+    use actyp_model::sync::{Condvar, Mutex, MutexGuard};
+    use actyp_model::{thread, Explorer};
+    use std::collections::VecDeque;
+    use std::ops::{Deref, DerefMut};
+    use std::sync::Arc;
+
+    /// A lock with the non-blocking `try_lock` the model's mutex lacks: a
+    /// held flag under a model mutex, waiters parked on a model condvar,
+    /// and the state in a model mutex only the flag's holder takes.
+    struct ModelLock<T> {
+        held: Mutex<bool>,
+        freed: Condvar,
+        state: Mutex<T>,
+    }
+
+    struct ModelGuard<'a, T> {
+        lock: &'a ModelLock<T>,
+        state: Option<MutexGuard<'a, T>>,
+    }
+
+    impl<T> ModelLock<T> {
+        fn new(state: T) -> Self {
+            ModelLock {
+                held: Mutex::new(false),
+                freed: Condvar::new(),
+                state: Mutex::new(state),
+            }
+        }
+
+        fn guard(&self) -> ModelGuard<'_, T> {
+            let state = Some(self.state.lock().unwrap());
+            ModelGuard { lock: self, state }
+        }
+    }
+
+    impl<T> Deref for ModelGuard<'_, T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            self.state.as_ref().expect("held")
+        }
+    }
+
+    impl<T> DerefMut for ModelGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            self.state.as_mut().expect("held")
+        }
+    }
+
+    impl<T> Drop for ModelGuard<'_, T> {
+        fn drop(&mut self) {
+            self.state.take();
+            *self.lock.held.lock().unwrap() = false;
+            self.lock.freed.notify_all();
+        }
+    }
+
+    impl<T: Send> StageLock for ModelLock<T> {
+        type Target = T;
+        type Guard<'a>
+            = ModelGuard<'a, T>
+        where
+            T: 'a;
+        fn try_lock(&self) -> Option<ModelGuard<'_, T>> {
+            let mut held = self.held.lock().unwrap();
+            if *held {
+                return None;
+            }
+            *held = true;
+            drop(held);
+            Some(self.guard())
+        }
+        fn lock(&self) -> ModelGuard<'_, T> {
+            let mut held = self.held.lock().unwrap();
+            while *held {
+                held = self.freed.wait(held).unwrap();
+            }
+            *held = true;
+            drop(held);
+            self.guard()
+        }
+    }
+
+    /// A stage whose state is the messages it stepped, in step order.
+    type ModelStage = Stage<ModelLock<Vec<u32>>, ModelLock<VecDeque<u32>>>;
+
+    /// The stage, and how many of its steps are under way.
+    struct Fixture {
+        stage: ModelStage,
+        stepping: Mutex<usize>,
+    }
+
+    impl Fixture {
+        fn new() -> Arc<Self> {
+            Arc::new(Fixture {
+                stage: Stage {
+                    manager: ModelLock::new(Vec::new()),
+                    inbox: ModelLock::new(VecDeque::new()),
+                },
+                stepping: Mutex::new(0),
+            })
+        }
+
+        /// Steps what the inbox brings until `turn` says there is nothing
+        /// for this thread to step, as `Shared::serve` does.
+        fn drain(&self) {
+            let step = |stepped: &mut Vec<u32>, msg: u32| {
+                let mut stepping = self.stepping.lock().unwrap();
+                assert_eq!(*stepping, 0, "two steps of one stage overlap");
+                *stepping += 1;
+                drop(stepping);
+                stepped.push(msg);
+                *self.stepping.lock().unwrap() -= 1;
+            };
+            while self.stage.turn(step).is_some() {}
+        }
+
+        /// `Shared::post`: queue `msg`, then drain.
+        fn post(&self, msg: u32) {
+            self.stage.inbox.lock().push_back(msg);
+            self.drain();
+        }
+
+        /// Once every thread is done: each posted message was stepped
+        /// exactly once.
+        fn check(&self, posted: &[u32]) {
+            let mut stepped = self.stage.manager.lock().clone();
+            stepped.sort_unstable();
+            assert_eq!(
+                stepped, posted,
+                "a posted message was lost or stepped twice"
+            );
+        }
+    }
+
+    fn explorer() -> Explorer {
+        Explorer {
+            max_schedules: 200_000,
+            preemption_bound: 2,
+            op_budget: 50_000,
+        }
+    }
+
+    fn poster(fixture: &Arc<Fixture>, msg: u32) -> thread::JoinHandle<()> {
+        let fixture = fixture.clone();
+        thread::spawn(move || fixture.post(msg))
+    }
+
+    /// Two threads post to an idle stage at once.  Whichever gets the lock
+    /// steps; the other may lose it to a holder that is unlocking after
+    /// finding the inbox empty, which must look again.
+    fn two_posters() {
+        let fixture = Fixture::new();
+        let (first, second) = (poster(&fixture, 1), poster(&fixture, 2));
+        first.join().unwrap();
+        second.join().unwrap();
+        fixture.check(&[1, 2]);
+    }
+
+    /// A holder takes the stage as `with_pool_manager` does while a thread
+    /// posts: the post queues, and the holder steps it after letting go.
+    fn a_holder_and_a_poster() {
+        let fixture = Fixture::new();
+        let holder = {
+            let fixture = fixture.clone();
+            thread::spawn(move || {
+                drop(fixture.stage.manager.lock());
+                fixture.drain();
+            })
+        };
+        let post = poster(&fixture, 1);
+        holder.join().unwrap();
+        post.join().unwrap();
+        fixture.check(&[1]);
+    }
+
+    #[cfg(not(feature = "buggy-drain"))]
+    #[test]
+    fn drain_steps_each_post_once_and_never_overlaps_proven() {
+        let report = explorer().prove(two_posters);
+        assert!(report.proven());
+        assert!(report.schedules > 10, "interleavings actually explored");
+    }
+
+    #[cfg(not(feature = "buggy-drain"))]
+    #[test]
+    fn drain_after_a_hold_steps_what_queued_proven() {
+        let report = explorer().prove(a_holder_and_a_poster);
+        assert!(report.proven());
+        assert!(report.schedules > 10, "interleavings actually explored");
+    }
+
+    /// REGRESSION (`--features model,buggy-drain`): a thread that finds
+    /// the inbox empty and unlocks without looking again strands the
+    /// message of a poster that lost the lock to it meanwhile.  The
+    /// exploration must find that message never stepped.
+    #[cfg(feature = "buggy-drain")]
+    #[test]
+    fn drain_lost_post_recaught() {
+        let report = explorer().explore(two_posters);
+        let failure = report
+            .failure
+            .expect("skipping the second look must strand a post within the exploration");
+        assert!(
+            failure.message.contains("lost or stepped twice"),
+            "expected a lost post, got: {}",
+            failure.message
+        );
     }
 }

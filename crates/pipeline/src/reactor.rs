@@ -1170,7 +1170,7 @@ mod model_tests {
     }
 
     /// Two ringers against one I/O loop over the daemon's three wake
-    /// sources: a stage thread marks a session dirty; the listener deals a
+    /// sources: a completion marks a session dirty; the listener deals a
     /// socket to the loop and then raises the drain flag.  The loop ends
     /// once it has seen all three, which it can only do if no ring that
     /// mattered was swallowed.

@@ -15,6 +15,7 @@
 //! **replicated** with an instance-specific bias (Figure 8).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use actyp_grid::{MachineId, SharedDatabase, TakenBy};
 use actyp_query::ast::{BasicClause, QueryKey};
@@ -37,6 +38,8 @@ struct ActiveAllocation {
 #[derive(Debug)]
 pub struct ResourcePool {
     name: PoolName,
+    /// `name.full()`, rendered once: the pool's taken marks share it.
+    full_name: Arc<str>,
     instance: u32,
     cache: Vec<MachineId>,
     db: SharedDatabase,
@@ -69,6 +72,7 @@ impl ResourcePool {
         }
         let pool = ResourcePool {
             scheduler: Scheduler::new(objective, bias, seed),
+            full_name: name.full().into(),
             name,
             instance,
             cache,
@@ -99,6 +103,7 @@ impl ResourcePool {
         }
         let pool = ResourcePool {
             scheduler: Scheduler::new(objective, bias, seed),
+            full_name: name.full().into(),
             name,
             instance,
             cache,
@@ -137,7 +142,7 @@ impl ResourcePool {
             guard.mark_taken(
                 id,
                 TakenBy {
-                    pool_name: self.name.full(),
+                    pool_name: self.full_name.clone(),
                     instance: self.instance,
                 },
             );
@@ -212,7 +217,7 @@ impl ResourcePool {
             mount_port: machine.pvfs_mount_port,
             shadow_uid,
             access_key: access_key.clone(),
-            pool: self.name.full(),
+            pool: self.full_name.to_string(),
             pool_instance: self.instance,
             examined: outcome.examined,
         };
@@ -306,7 +311,7 @@ impl ResourcePool {
         for id in &self.cache {
             if guard
                 .taken_by(*id)
-                .map(|t| t.pool_name == self.name.full())
+                .map(|t| t.pool_name == self.full_name)
                 .unwrap_or(false)
             {
                 guard.release_taken(*id);
@@ -365,7 +370,7 @@ mod tests {
         assert!(db
             .read()
             .taken_by(pool.cached_machines()[0])
-            .map(|t| t.pool_name == pool.name().full())
+            .map(|t| *t.pool_name == pool.name().full())
             .unwrap_or(false));
     }
 
@@ -578,7 +583,7 @@ mod tests {
             .filter(|m| {
                 guard
                     .taken_by(m.id)
-                    .map(|t| t.pool_name == first.name().full())
+                    .map(|t| *t.pool_name == first.name().full())
                     .unwrap_or(false)
             })
             .count();

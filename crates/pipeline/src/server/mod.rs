@@ -3,7 +3,7 @@
 //! end of the socket).
 //!
 //! [`serve`] binds a listener and hosts *any* [`ResourceManager`] — the
-//! pipeline with its stages inline or threaded, or a centralized baseline.
+//! pipeline, with or without a window, or a centralized baseline.
 //! Each connection is a *session*.  The daemon issues it no ticket: a
 //! `Submit` is answered by its query's `Outcome`, so several queries are in
 //! flight as several pipelined `Submit`s.  Allocations are *session
@@ -392,7 +392,7 @@ impl ReactorEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{BackendKind, PipelineBuilder, RemoteBackend};
+    use crate::api::{BackendKind, LiveBackend, PipelineBuilder, RemoteBackend};
     use actyp_grid::{FleetSpec, SyntheticFleet};
     use actyp_proto::{
         read_server_frame, write_frame, ClientFrame, RequestId, ServerFrame, PROTOCOL_VERSION,
@@ -894,19 +894,18 @@ mod tests {
         stage.join().unwrap();
     }
 
-    /// Holds a live backend's one pool-manager stage on a release's
-    /// completion until the returned sender is used: no outcome comes in
-    /// meanwhile.
-    fn hold_the_stage(manager: &dyn ResourceManager) -> std::sync::mpsc::Sender<()> {
-        let granted = manager.submit_wait(&Query::paper_example()).unwrap();
-        let (hold, held) = std::sync::mpsc::channel::<()>();
-        manager.release_with(
-            &granted[0],
-            Box::new(move |_| {
-                let _ = held.recv();
-            }),
-        );
-        hold
+    /// Holds a live backend's one pool-manager stage on a helper thread
+    /// until the returned sender is used or dropped: no outcome comes in
+    /// meanwhile, and the I/O threads keep answering — a post to the held
+    /// stage only queues.
+    fn hold_the_stage(live: &LiveBackend) -> std::sync::mpsc::Sender<()> {
+        crate::live::tests::hold_stage(live.pipeline())
+    }
+
+    /// A live backend built by `builder`, shared as the daemon's manager.
+    fn live(builder: PipelineBuilder) -> (Arc<LiveBackend>, Arc<dyn ResourceManager>) {
+        let live = Arc::new(builder.build_live().unwrap());
+        (live.clone(), live)
     }
 
     /// On a live daemon a remote client's `try_poll` and `wait_deadline`
@@ -915,15 +914,10 @@ mod tests {
     #[test]
     fn a_live_backends_polls_and_deadline_waits_run_no_lane_job() {
         let db = fleet_db(300, 17);
-        let manager: Arc<dyn ResourceManager> = Arc::from(
-            PipelineBuilder::new()
-                .database(db.clone())
-                .build(BackendKind::Live)
-                .unwrap(),
-        );
+        let (live, manager) = live(PipelineBuilder::new().database(db.clone()));
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
-        let hold = hold_the_stage(&manager);
+        let hold = hold_the_stage(&live);
         let ticket = remote.submit_text(&paper_text()).unwrap();
         assert_eq!(remote.try_poll(ticket), None);
         let asked = std::time::Instant::now();
@@ -953,16 +947,10 @@ mod tests {
     #[test]
     fn a_ticket_given_up_on_keeps_its_window_permit() {
         let db = fleet_db(300, 18);
-        let manager: Arc<dyn ResourceManager> = Arc::from(
-            PipelineBuilder::new()
-                .database(db.clone())
-                .window(1)
-                .build(BackendKind::Live)
-                .unwrap(),
-        );
+        let (live, manager) = live(PipelineBuilder::new().database(db.clone()).window(1));
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
-        let hold = hold_the_stage(&manager);
+        let hold = hold_the_stage(&live);
         let first = remote.submit_text(&paper_text()).unwrap();
         assert_eq!(remote.try_poll(first), None);
         let missed = remote.wait_deadline(first, std::time::Duration::from_millis(20));
@@ -980,6 +968,34 @@ mod tests {
         remote.shutdown().unwrap();
         server.halt();
         server.join().unwrap();
+    }
+
+    /// A pool-manager step that panics unwinds on the I/O thread that
+    /// stepped the stage — a stage has no thread of its own — and the
+    /// daemon's join reports that thread's panic.
+    #[test]
+    fn a_panicking_stage_step_is_reported_as_an_io_thread_panic() {
+        let (live, manager) = live(PipelineBuilder::new().database(fleet_db(200, 23)));
+        let server = serve(Box::new(manager), &loopback()).unwrap();
+        let mut raw = raw_hello(&server.local_addr());
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(20)))
+            .unwrap();
+        submit_raw(&mut raw, 0);
+        let allocation = granted(&mut raw);
+        crate::live::tests::plant_panic(live.pipeline());
+        write_frame(
+            &mut raw,
+            &ClientFrame::Release {
+                corr: RequestId(1),
+                allocation,
+            },
+        )
+        .unwrap();
+        // The panicking thread's sessions go with it: no reply comes.
+        assert!(!matches!(read_server_frame(&mut raw), Ok(Some(_))));
+        server.halt();
+        let err = server.join().unwrap_err();
+        assert!(err.to_string().contains("ypd I/O thread panicked"), "{err}");
     }
 
     /// A client that hangs up holding a lease: its session's final sweep
@@ -1064,23 +1080,17 @@ mod tests {
     #[test]
     fn submissions_into_a_full_window_launch_in_arrival_order_with_no_lane_job() {
         // A window of one, held by an in-process ticket whose outcome
-        // cannot come while the fleet is locked; three sessions submit
+        // cannot come while the stage is held; three sessions submit
         // into it one after the other.  The permit the holder's outcome
         // returns goes to the next in line, and each outcome returns it for
         // the one after: the thread that has an outcome launches the queued
         // submission it hands the permit to.  The launches come in arrival
         // order — the pipeline numbers its requests as they come in.
         let db = fleet_db(200, 12);
-        let manager: Arc<dyn ResourceManager> = Arc::from(
-            PipelineBuilder::new()
-                .database(db.clone())
-                .window(1)
-                .build(BackendKind::Live)
-                .unwrap(),
-        );
+        let (live, manager) = live(PipelineBuilder::new().database(db.clone()).window(1));
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
         let addr = server.local_addr();
-        let fleet = db.write();
+        let hold = hold_the_stage(&live);
         let held = manager.submit(Query::paper_example()).unwrap();
         let base = manager.stats().shard_contention;
         let mut queued: Vec<TcpStream> = Vec::new();
@@ -1093,7 +1103,7 @@ mod tests {
             await_queued(&*manager, base + i);
             queued.push(raw);
         }
-        drop(fleet);
+        drop(hold);
         let granted_first = manager.wait(held).unwrap();
         manager.release(&granted_first[0]).unwrap();
         let mut launched = Vec::new();
@@ -1122,19 +1132,13 @@ mod tests {
         // permits that launch the queued one there, redeemed in turn; every
         // lease goes with the final sweep.
         let db = fleet_db(300, 13);
-        let manager: Arc<dyn ResourceManager> = Arc::from(
-            PipelineBuilder::new()
-                .database(db.clone())
-                .window(2)
-                .build(BackendKind::Live)
-                .unwrap(),
-        );
+        let (live, manager) = live(PipelineBuilder::new().database(db.clone()).window(2));
         let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
         let hold = {
             let mut raw = raw_hello(&server.local_addr());
             submit_raw(&mut raw, 0);
             granted(&mut raw);
-            let hold = hold_the_stage(&manager);
+            let hold = hold_the_stage(&live);
             submit_raw(&mut raw, 1);
             submit_raw(&mut raw, 2);
             let base = manager.stats().shard_contention;
@@ -1149,8 +1153,8 @@ mod tests {
         server.halt();
         server.join().unwrap();
         let stats = manager.stats();
-        // The four submissions, and the one that held the stage.
-        assert_eq!(stats.allocations, 5, "every submission was launched");
+        // The four submissions.
+        assert_eq!(stats.allocations, 4, "every submission was launched");
         assert_eq!(stats.allocations, stats.releases);
         assert_eq!(stats.in_flight, 0);
         assert_eq!(active_jobs(&db), 0);
@@ -1211,17 +1215,18 @@ mod tests {
         // redeemed there, its lease swept.
         for kind in [BackendKind::Live, BackendKind::Embedded] {
             let db = fleet_db(300, 15);
-            let inner: Arc<dyn ResourceManager> = Arc::from(
-                PipelineBuilder::new()
-                    .database(db.clone())
-                    .window(1)
-                    .build(kind)
-                    .unwrap(),
-            );
+            let builder = PipelineBuilder::new().database(db.clone()).window(1);
+            let (live, inner) = match kind {
+                BackendKind::Live => {
+                    let (live, inner) = live(builder);
+                    (Some(live), inner)
+                }
+                _ => (None, Arc::from(builder.build(kind).unwrap())),
+            };
             let manager = HeldOutcomes::new(&inner);
             let held = manager.held.clone();
             let server = serve(Box::new(manager), &loopback()).unwrap();
-            let fleet = {
+            let hold = {
                 let mut raw = raw_hello(&server.local_addr());
                 // Granted: its outcome is written, never read.
                 submit_raw(&mut raw, 0);
@@ -1229,9 +1234,9 @@ mod tests {
                 let (outcome, done) = held.lock().pop().unwrap();
                 done(outcome);
                 // Launched: on the live backend its outcome cannot come
-                // while the fleet is locked, so the window's one permit
+                // while the stage is held, so the window's one permit
                 // stays its own.
-                let fleet = (kind == BackendKind::Live).then(|| db.write());
+                let hold = live.as_deref().map(hold_the_stage);
                 submit_raw(&mut raw, 1);
                 // Not launched.
                 let base = inner.stats().shard_contention;
@@ -1240,13 +1245,13 @@ mod tests {
                     BackendKind::Live => await_queued(&*inner, base + 1),
                     _ => await_held(&held, 2),
                 }
-                fleet
+                hold
             };
             // The client is gone; once its session is closing, the stage
             // answers what it holds — launching the queued submission on
             // the live backend.
             std::thread::sleep(std::time::Duration::from_millis(100));
-            drop(fleet);
+            drop(hold);
             let stop = Arc::new(AtomicBool::new(false));
             let stage = answer_held(&held, 0, &stop);
             server.halt();
@@ -1276,21 +1281,19 @@ mod tests {
         let db_b = arch_db("hp", 40, 76);
         let (srv_b, fed_b) = federated("upc", BackendKind::Live, db_b.clone(), Vec::new());
         let db_a = arch_db("sun", 20, 77);
-        let (srv_a, fed_a) = PipelineBuilder::new()
-            .database(db_a.clone())
-            .window(1)
-            .serve_federated(
-                &loopback(),
-                BackendKind::Live,
-                crate::federation::FederationConfig {
-                    domain: "purdue".to_string(),
-                    peers: vec![srv_b.local_addr()],
-                    gossip_interval: std::time::Duration::ZERO,
-                    probe_interval: std::time::Duration::ZERO,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
+        let (live, inner) = live(PipelineBuilder::new().database(db_a.clone()).window(1));
+        let fed_a = Arc::new(FederatedBackend::new(
+            Box::new(inner),
+            crate::federation::FederationConfig {
+                domain: "purdue".to_string(),
+                peers: vec![srv_b.local_addr()],
+                gossip_interval: std::time::Duration::ZERO,
+                probe_interval: std::time::Duration::ZERO,
+                ..Default::default()
+            },
+            Some(live.pipeline().directory().clone()),
+        ));
+        let srv_a = serve_federated(fed_a.clone(), &loopback()).unwrap();
         {
             // The link is warm: one delegation has crossed it.
             let client = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
@@ -1299,7 +1302,7 @@ mod tests {
             client.shutdown().unwrap();
         }
         let delegated = fed_a.stats().delegations_out;
-        let hold = hold_the_stage(&*fed_a);
+        let hold = hold_the_stage(&live);
         let held = fed_a.submit(Query::paper_example()).unwrap();
         {
             let mut raw = raw_hello(&srv_a.local_addr());

@@ -181,7 +181,8 @@ impl IoNotify {
 }
 
 /// The write side of one reactor session.  Whoever produces a frame (I/O
-/// thread, backend stage thread, final sweep) encodes it here
+/// thread, a completion on whichever thread steps a stage, final sweep)
+/// encodes it here
 /// and, when nothing is queued ahead of it, writes it to the socket
 /// itself; the owning I/O thread flushes whatever the socket did not take
 /// as the socket allows.

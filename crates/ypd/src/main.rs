@@ -1,7 +1,7 @@
 //! `ypd` — the Active Yellow Pages daemon.
 //!
-//! Hosts any `ResourceManager` backend (the pipeline with its stages
-//! inline or threaded, or a centralized baseline) behind the versioned `actyp-proto`
+//! Hosts any `ResourceManager` backend (the pipeline, with or without an
+//! admission window, or a centralized baseline) behind the versioned `actyp-proto`
 //! wire protocol, over a synthetic white-pages fleet.  Clients connect with
 //! `actyp_pipeline::api::PipelineBuilder::remote` (or any implementation of
 //! the protocol) and drive the exact same API the in-process backends
@@ -16,10 +16,12 @@
 //! Session I/O is event driven: a fixed pool of I/O threads
 //! (`--io-threads`) drives every connection's nonblocking socket through
 //! an epoll/poll reactor (the platform picks the poller), and every backend
-//! call is a completion that parks no thread: the hosted backend's own
-//! stages (`yp-pm-N` on the live pipeline) finish what the I/O threads
-//! cannot.  The daemon's thread count is therefore the I/O pool plus the
-//! backend's stages, however many clients and peer daemons are connected.
+//! call is a completion that parks no thread.  A pipeline stage has no
+//! thread of its own either: it runs on the thread that finds it idle, so
+//! the I/O threads step the pool-manager stages themselves, and one that
+//! finds a stage held leaves its message for the holder.  The daemon's
+//! thread count is therefore the I/O pool, however many clients, peer
+//! daemons and pool-manager stages it has.
 //!
 //! # Wide-area federation
 //!
@@ -61,9 +63,9 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
 
   --listen HOST:PORT   address to bind (default: $ACTYP_YPD_LISTEN or 127.0.0.1:7411)
   --backend KIND       embedded | live | central-queue | matchmaker (default: live);
-                       embedded is the same pipeline as live with every stage
-                       run on the calling thread (the I/O thread), live puts
-                       each pool-manager stage on a yp-pm-N thread
+                       embedded is the same pipeline as live without its
+                       in-flight window; either way a stage runs on the
+                       I/O thread that finds it idle
   --machines N         synthetic fleet size (default: 500)
   --seed N             synthetic fleet / pipeline RNG seed (default: 42)
   --arch NAME          homogeneous fleet of this architecture (default: mixed fleet)

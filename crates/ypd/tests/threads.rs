@@ -1,8 +1,9 @@
 //! The daemon's thread inventory, read off a real `ypd` process: the
-//! reactor's I/O threads, whatever the load — no per-session thread and no
-//! worker lane — and of the hosted live pipeline's stages only the pool
-//! managers: the query manager runs on the thread that launches a query,
-//! so its replicas are not threads.
+//! reactor's I/O threads, whatever the load — no per-session thread, no
+//! worker lane and no stage thread.  The hosted live pipeline's stages run
+//! on the thread that finds them idle: the query manager on the thread
+//! that launches a query, so its replicas are not threads, and each
+//! pool-manager stage on whichever I/O thread gets its lock.
 
 #![cfg(target_os = "linux")]
 
@@ -104,22 +105,19 @@ fn with_daemon(flags: &[&str], inspect: impl FnOnce(u32)) {
 #[test]
 fn a_served_daemon_runs_two_io_threads_and_nothing_else() {
     with_daemon(&[], |pid| {
-        let names = threads(pid, "ypd-");
-        assert_eq!(names, ["ypd-io-0", "ypd-io-1"], "nothing else: {names:?}");
-
-        let stages = threads(pid, "yp-");
+        let names = threads(pid, "yp");
         assert_eq!(
-            stages,
-            ["yp-pm-0"],
-            "one pool-manager stage, no query-manager thread"
+            names,
+            ["ypd", "ypd-io-0", "ypd-io-1"],
+            "the main thread and two I/O threads, nothing else: {names:?}"
         );
     });
 }
 
 #[test]
 fn query_manager_replicas_are_not_threads() {
-    with_daemon(&["--query-managers", "2"], |pid| {
-        let stages = threads(pid, "yp-");
-        assert_eq!(stages, ["yp-pm-0"], "{stages:?}");
+    with_daemon(&["--query-managers", "2", "--pool-managers", "2"], |pid| {
+        let names = threads(pid, "yp");
+        assert_eq!(names, ["ypd", "ypd-io-0", "ypd-io-1"], "{names:?}");
     });
 }

@@ -4,8 +4,8 @@
 //! passes on a faithful rerun and fails on an injected regression.
 
 use actyp_bench::harness::{
-    artifact_from_runs, compare, load_artifact, run_topic, write_artifact, ArtifactKind,
-    BenchArtifact, DEFAULT_TOLERANCE, TOPICS,
+    artifact_from_runs, compare, load_artifact, run_topic, unreproducible, write_artifact,
+    ArtifactKind, BenchArtifact, DEFAULT_TOLERANCE, TOPICS,
 };
 use actyp_bench::{json, Scale};
 
@@ -90,6 +90,18 @@ fn rerunning_the_same_simulated_topic_passes_the_gate() {
     assert!(exact.passed(), "{:?}", exact.failures);
 }
 
+/// An artifact emitted from a tree with uncommitted changes is stamped
+/// `+dirty`: no commit reproduces its numbers, so the gate refuses it.
+#[test]
+fn an_artifact_stamped_dirty_is_unreproducible() {
+    let mut artifact = run_topic("fig7_splitting", &tiny()).expect("runs");
+    artifact.git_rev = "ef30f30".to_string();
+    assert_eq!(unreproducible(&artifact), None);
+    artifact.git_rev = "ef30f30+dirty".to_string();
+    let refused = unreproducible(&artifact).expect("refused");
+    assert!(refused.contains("fig7_splitting") && refused.contains("ef30f30+dirty"));
+}
+
 #[test]
 fn an_injected_regression_fails_the_gate() {
     let committed = run_topic("fig6_pool_size", &tiny()).expect("runs");
@@ -134,6 +146,7 @@ fn committed_artifacts_parse_and_cover_every_topic() {
         let artifact = load_artifact(&dir, topic)
             .unwrap_or_else(|e| panic!("committed artifact for {topic}: {e}"));
         assert_eq!(artifact.topic, *topic);
+        assert_eq!(unreproducible(&artifact), None);
         assert_eq!(
             artifact.scale, "quick",
             "{topic} must be committed at quick scale"

@@ -13,9 +13,10 @@
 use std::sync::Arc;
 
 use actyp_grid::{FleetSpec, SharedDatabase, SyntheticFleet};
+use actyp_pipeline::api::LiveBackend;
 use actyp_pipeline::{
-    AllocationError, BackendKind, FederatedBackend, FederationConfig, PipelineBuilder,
-    RemoteBackend, ResourceManager, ServerHandle, StageAddress,
+    serve_federated, AllocationError, BackendKind, FederatedBackend, FederationConfig,
+    PipelineBuilder, RemoteBackend, ResourceManager, ServerHandle, StageAddress,
 };
 
 // ---------------------------------------------------------------------------
@@ -54,6 +55,23 @@ fn spawn_domain(
 
 fn active_jobs(db: &SharedDatabase) -> u32 {
     db.read().iter().map(|m| m.dynamic.active_jobs).sum()
+}
+
+/// Holds `live`'s one pool-manager stage on a helper thread until the
+/// returned sender is used or dropped: posts to the stage queue meanwhile,
+/// and the helper steps them once it lets go.
+fn hold_the_stage(live: &Arc<LiveBackend>) -> std::sync::mpsc::Sender<()> {
+    let (hold, held) = std::sync::mpsc::channel::<()>();
+    let (locked, taken) = std::sync::mpsc::channel();
+    let live = live.clone();
+    std::thread::spawn(move || {
+        live.pipeline().with_pool_manager("pm-0", |_| {
+            locked.send(()).unwrap();
+            let _ = held.recv();
+        })
+    });
+    taken.recv().unwrap();
+    hold
 }
 
 /// Three peered daemons in a chain (A → B → C): a query only the far
@@ -433,21 +451,26 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     let db_b = homogeneous_db("hp", 20, 51);
     let (srv_b, _fed_b) = spawn_domain("upc", db_b.clone(), vec![], 8);
     // The entry daemon admits one query at a time.
-    let (srv_a, fed_a) = PipelineBuilder::new()
-        .database(db_a.clone())
-        .ttl(8)
-        .window(1)
-        .serve_federated(
-            &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Live,
-            FederationConfig {
-                domain: "purdue".to_string(),
-                ttl: 8,
-                peers: vec![srv_b.local_addr()],
-                gossip_interval: std::time::Duration::ZERO,
-                ..FederationConfig::default()
-            },
-        )
+    let live = Arc::new(
+        PipelineBuilder::new()
+            .database(db_a.clone())
+            .ttl(8)
+            .window(1)
+            .build_live()
+            .unwrap(),
+    );
+    let fed_a = Arc::new(FederatedBackend::new(
+        Box::new(live.clone()),
+        FederationConfig {
+            domain: "purdue".to_string(),
+            ttl: 8,
+            peers: vec![srv_b.local_addr()],
+            gossip_interval: std::time::Duration::ZERO,
+            ..FederationConfig::default()
+        },
+        Some(live.pipeline().directory().clone()),
+    ));
+    let srv_a = serve_federated(fed_a.clone(), &StageAddress::new("127.0.0.1", 0))
         .expect("federated daemon starts");
 
     // Warm the link: a delegation is available and cheap, so only the
@@ -461,11 +484,11 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     // A client submits a query only the peer could satisfy, then
     // vanishes without redeeming the ticket.  The submission queues behind
     // an in-process ticket holding the window's one permit, whose outcome
-    // cannot come while the fleet is locked — unlocked only once the
-    // client's session is closing: the submission launches after its
+    // cannot come while the pool-manager stage is held — let go only once
+    // the client's session is closing: the submission launches after its
     // client is known to be gone.
     let sun = actyp_query::parse_query("punch.rsrc.arch = sun\n").unwrap();
-    let fleet = db_a.write();
+    let hold = hold_the_stage(&live);
     let held = fed_a.submit(sun).unwrap();
     {
         let abandoner = RemoteBackend::connect(&srv_a.local_addr()).unwrap();
@@ -474,7 +497,7 @@ fn abandoned_tickets_settle_locally_without_delegating() {
     }
     // The hang-up reaches the daemon, then the permit comes back.
     std::thread::sleep(std::time::Duration::from_millis(200));
-    drop(fleet);
+    drop(hold);
     let granted = fed_a.wait(held).unwrap();
     fed_a.release(&granted[0]).unwrap();
     client.halt_daemon().unwrap();
@@ -495,31 +518,36 @@ fn abandoned_tickets_settle_locally_without_delegating() {
 /// A federated daemon reports the queries its wrapped backend holds in
 /// flight, not just its own in-process tickets, which a daemon's sessions
 /// never open: six `Submit`s from one client, held in the live pipeline
-/// while its fleet is locked, read `in_flight == 6`, and 0 once each is
-/// allocated and released.
+/// while its pool-manager stage is held, read `in_flight == 6`, and 0 once
+/// each is allocated and released.
 #[test]
 fn a_federated_daemon_counts_the_queries_its_backend_holds() {
     const SUBMITS: usize = 6;
     let db = homogeneous_db("sun", 40, 52);
-    let (srv, _fed) = PipelineBuilder::new()
-        .database(db.clone())
-        .serve_federated(
-            &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Live,
-            FederationConfig {
-                domain: "purdue".to_string(),
-                gossip_interval: std::time::Duration::ZERO,
-                ..FederationConfig::default()
-            },
-        )
-        .expect("federated daemon starts");
+    let live = Arc::new(
+        PipelineBuilder::new()
+            .database(db.clone())
+            .build_live()
+            .unwrap(),
+    );
+    let fed = Arc::new(FederatedBackend::new(
+        Box::new(live.clone()),
+        FederationConfig {
+            domain: "purdue".to_string(),
+            gossip_interval: std::time::Duration::ZERO,
+            ..FederationConfig::default()
+        },
+        Some(live.pipeline().directory().clone()),
+    ));
+    let srv =
+        serve_federated(fed, &StageAddress::new("127.0.0.1", 0)).expect("federated daemon starts");
     let client = RemoteBackend::connect(&srv.local_addr()).unwrap();
-    let fleet = db.write();
+    let hold = hold_the_stage(&live);
     let tickets: Vec<_> = (0..SUBMITS)
         .map(|_| client.submit_text("punch.rsrc.arch = sun\n").unwrap())
         .collect();
     assert_eq!(client.stats().in_flight, SUBMITS, "held in the pipeline");
-    drop(fleet);
+    drop(hold);
     for ticket in tickets {
         let granted = client.wait(ticket).unwrap();
         client.release(&granted[0]).unwrap();

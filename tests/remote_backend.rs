@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use actyp_grid::{FleetSpec, SyntheticFleet};
 use actyp_pipeline::{
-    AllocationError, BackendKind, PipelineBuilder, ResourceManager, ServerHandle, StageAddress,
+    serve, AllocationError, BackendKind, PipelineBuilder, ResourceManager, ServerHandle,
+    StageAddress,
 };
 use actyp_query::Query;
 
@@ -125,17 +126,32 @@ fn remote_backend_pipelines_tickets_across_the_wire() {
     // network hop.
     const N: usize = 6;
     let db = fleet(600, 12);
-    let server = PipelineBuilder::new()
-        .database(db.clone())
-        .query_managers(2)
-        .serve(&loopback(), BackendKind::Live)
-        .expect("loopback ypd starts");
+    let live = Arc::new(
+        PipelineBuilder::new()
+            .database(db.clone())
+            .query_managers(2)
+            .build_live()
+            .unwrap(),
+    );
+    let server = serve(Box::new(live.clone()), &loopback()).expect("loopback ypd starts");
     let remote = PipelineBuilder::remote(&server.local_addr()).expect("connect");
     let query = Query::paper_example();
 
-    // While the fleet is locked the pool-manager stage can finish none of
-    // them, so the daemon holds every ticket at once.
-    let locked = db.write();
+    // While a helper thread holds the pool-manager stage, posts to it only
+    // queue and the stage can finish none of them, so the daemon holds
+    // every ticket at once.
+    let (hold, held) = std::sync::mpsc::channel::<()>();
+    let (taken, locked) = std::sync::mpsc::channel();
+    let holder = {
+        let live = live.clone();
+        std::thread::spawn(move || {
+            live.pipeline().with_pool_manager("pm-0", |_| {
+                taken.send(()).unwrap();
+                let _ = held.recv();
+            })
+        })
+    };
+    locked.recv().unwrap();
     let tickets: Vec<_> = (0..N)
         .map(|_| remote.submit(query.clone()).unwrap())
         .collect();
@@ -144,7 +160,8 @@ fn remote_backend_pipelines_tickets_across_the_wire() {
         in_flight, N,
         "expected overlapped occupancy server-side, saw {in_flight}"
     );
-    drop(locked);
+    drop(hold);
+    holder.join().unwrap();
 
     for ticket in tickets {
         let allocations = remote.wait(ticket).unwrap();
