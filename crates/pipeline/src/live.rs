@@ -1052,6 +1052,54 @@ pub(crate) mod tests {
         pipeline.shutdown().unwrap();
     }
 
+    /// Launches a chain of `left` queries, each from the completion of the
+    /// one before, sending every outcome to `granted`.
+    fn launch_chain(
+        pipeline: Arc<LivePipeline>,
+        left: usize,
+        granted: std::sync::mpsc::Sender<Outcome>,
+    ) {
+        let next = pipeline.clone();
+        pipeline.allocate_with(
+            Query::paper_example(),
+            Box::new(move |outcome| {
+                granted.send(outcome).unwrap();
+                if left > 1 {
+                    launch_chain(next, left - 1, granted);
+                }
+            }),
+        );
+    }
+
+    /// 600 queries, each launched by the completion of the one before, on
+    /// a thread with a 256 KiB stack.  Each launch posts on a thread that
+    /// is draining the stage, so it only queues and the drain's loop steps
+    /// it: the stack stays flat however long the chain.
+    #[test]
+    fn a_chain_of_launches_from_completions_keeps_the_stack_flat() {
+        const CHAIN: usize = 600;
+        let pipeline = Arc::new(start(PipelineConfig::default(), fleet_db(2_000, 24)));
+        let (granted, outcomes) = std::sync::mpsc::channel();
+        let launcher = pipeline.clone();
+        std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || launch_chain(launcher, CHAIN, granted))
+            .unwrap()
+            .join()
+            .expect("the chain ran on a small stack");
+        let outcomes: Vec<Outcome> = outcomes.try_iter().collect();
+        assert_eq!(
+            outcomes.len(),
+            CHAIN,
+            "every link ran before the launch returned"
+        );
+        for outcome in outcomes {
+            release_now(&pipeline, &outcome.unwrap()[0]).unwrap();
+        }
+        assert_eq!(pipeline.stats().releases, CHAIN as u64);
+        pipeline.shutdown().unwrap();
+    }
+
     /// A query the stage drops unprocessed still runs its completion.
     #[test]
     fn a_dropped_query_answers_with_an_error() {
