@@ -1019,14 +1019,6 @@ impl Comparison {
     }
 }
 
-/// Compares a fresh run against the committed artifact.
-///
-/// Both artifacts must agree on topic, scale and x axis.  Every committed
-/// point must exist in the fresh run (missing points fail).  For
-/// [`ArtifactKind::Simulated`] topics each latency field may not exceed
-/// `committed × (1 + tolerance)` and throughput may not fall below
-/// `committed × (1 − tolerance)`; for [`ArtifactKind::Measured`] topics the
-/// check is structural (finite ordered percentiles, nonzero throughput).
 /// Why a committed artifact cannot gate anything, if it cannot: one stamped
 /// `+dirty` ([`git_rev`]) was emitted from an uncommitted tree, so no
 /// commit reproduces its numbers.
@@ -1039,6 +1031,14 @@ pub fn unreproducible(committed: &BenchArtifact) -> Option<String> {
     })
 }
 
+/// Compares a fresh run against the committed artifact.
+///
+/// Both artifacts must agree on topic, scale and x axis.  Every committed
+/// point must exist in the fresh run (missing points fail).  For
+/// [`ArtifactKind::Simulated`] topics each latency field may not exceed
+/// `committed × (1 + tolerance)` and throughput may not fall below
+/// `committed × (1 − tolerance)`; for [`ArtifactKind::Measured`] topics the
+/// check is structural (finite ordered percentiles, nonzero throughput).
 pub fn compare(committed: &BenchArtifact, fresh: &BenchArtifact, tolerance: f64) -> Comparison {
     let mut failures = Vec::new();
     if committed.topic != fresh.topic {

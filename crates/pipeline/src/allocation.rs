@@ -17,16 +17,20 @@ pub use actyp_proto::types::{Allocation, AllocationError, SessionKey};
 /// Where a completion-style release
 /// ([`ResourceManager::release_with`](crate::ResourceManager::release_with))
 /// delivers its result: called at most once, on whichever thread finished
-/// the release — dropped uncalled when the stage holding it shut down
-/// first.
+/// the release — in the pipeline, the thread that steps the stage dropping
+/// the lease, possibly another caller's.  It must not wait on the
+/// pipeline: a post it makes while its thread drains stages only queues,
+/// so a wait for that post's answer would never return.
 pub type ReleaseDone = Box<dyn FnOnce(Result<(), AllocationError>) + Send>;
 
 /// Where an allocation
 /// ([`ResourceManager::allocate_with`](crate::ResourceManager::allocate_with))
 /// delivers its query's outcome: called exactly once, on whichever thread
-/// has the outcome — the caller when the backend resolves the query on the
-/// spot, the pipeline stage that answers the query's last fragment
-/// otherwise.
+/// has the outcome — in the pipeline, the thread that steps the stage
+/// answering the query's last fragment: the caller itself when no other
+/// thread is at that stage, else the one that is.  Like [`ReleaseDone`], it
+/// must not wait on the pipeline, as a post from a draining thread only
+/// queues.
 pub type AllocateDone = Box<dyn FnOnce(Result<Vec<Allocation>, AllocationError>) + Send>;
 
 #[cfg(test)]

@@ -20,8 +20,9 @@
 //! TCP/UDP hop; the simulated deployment ([`crate::sim`]) models wire
 //! latency explicitly.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, PoisonError};
 
@@ -142,8 +143,7 @@ type Outcome = Result<Vec<Allocation>, AllocationError>;
 type FragmentResult = Result<Allocation, AllocationError>;
 
 /// The answer of a query or fragment dropped unprocessed (posted to no
-/// stage, or left in an inbox by a step that panicked): no completion is
-/// left unrun.
+/// stage): no completion is left unrun.
 fn dropped() -> AllocationError {
     AllocationError::Internal("pipeline dropped the reply".to_string())
 }
@@ -341,8 +341,7 @@ enum PmMsg {
         allocation: Allocation,
         done: ReleaseDone,
     },
-    /// Test hook: makes the receiving stage panic so teardown reporting can
-    /// be exercised.
+    /// Test hook: a step that panics.
     #[cfg(test)]
     Panic,
 }
@@ -486,36 +485,56 @@ impl<L: StageLock, M, I: StageLock<Target = VecDeque<M>>> Stage<L, I> {
     }
 }
 
-/// Stages a thread owes a turn, each its pipeline and index, in the order
-/// it got to them.
+/// The stages a thread owes a turn, each its pipeline and index.
 type Owed = VecDeque<(Arc<Shared>, usize)>;
 
 thread_local! {
-    /// What this thread owes while it drains stages; `None` while it drains
-    /// none.
+    /// What this thread owes while it drains stages, in the order it got to
+    /// them; `None` while it drains none.
     static OWED: RefCell<Option<Owed>> = const { RefCell::new(None) };
+    /// The steps this thread takes per drain round ([`pace`]).
+    static PACE: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
-/// Notes that this thread owes stage `index` a turn.  A thread that was
-/// draining no stage starts to, and gets the mark that ends it.
-fn owe(shared: Arc<Shared>, index: usize) -> Option<Draining> {
-    OWED.with(|owed| {
-        let mut owed = owed.borrow_mut();
+/// Bounds each drain round of this thread to `steps` steps: a daemon's I/O
+/// thread keeps owing the stages their turns between rounds, and only
+/// queues its posts, until its loop's [`drain_owed`] returns false.
+pub(crate) fn pace(steps: usize) {
+    PACE.set(steps.max(1));
+}
+
+/// Notes that this thread owes stage `index` a turn; true when it was
+/// draining no stage and starts to.
+fn owe(shared: Arc<Shared>, index: usize) -> bool {
+    OWED.with_borrow_mut(|owed| {
         let idle = owed.is_none();
-        owed.get_or_insert_with(VecDeque::new)
-            .push_back((shared, index));
+        owed.get_or_insert_default().push_back((shared, index));
         idle
     })
-    .then(|| Draining)
 }
 
-/// Marks this thread as draining stages until dropped, unwinding included.
-struct Draining;
-
-impl Drop for Draining {
-    fn drop(&mut self) {
-        drop(OWED.with(|owed| owed.borrow_mut().take()));
+/// One drain round: the stages this thread owes take turns, at most its
+/// [`pace`] of steps in all; true when it still owes some.  A panicking
+/// step strands nothing: the round goes on, past the pace, for the posts
+/// other threads left to it, and the first panic then resumes here.
+pub(crate) fn drain_owed() -> bool {
+    let (mut left, mut panicked) = (PACE.get(), None);
+    while left > 0 || panicked.is_some() {
+        let Some((shared, index)) = OWED.with_borrow_mut(|owed| owed.as_mut()?.pop_front()) else {
+            OWED.set(None);
+            return panicked.is_some_and(|panic| resume_unwind(panic));
+        };
+        let stepped = catch_unwind(AssertUnwindSafe(|| {
+            let then = shared.stages[index].turn(|pm, msg| step(pm, msg, &shared));
+            then.map(|then| then.follow(&shared)).is_some()
+        }));
+        if !matches!(stepped, Ok(false)) {
+            left = left.saturating_sub(1);
+            owe(shared, index);
+        }
+        panicked = panicked.or(stepped.err());
     }
+    true
 }
 
 /// What launching a query and finishing it touch, shared by every
@@ -557,34 +576,13 @@ impl Shared {
 
     /// Steps stage `index`'s messages here, each followed up once the pool
     /// manager is unlocked, until another thread holds the stage or its
-    /// inbox is empty; the stages the follow-ups post to take turns in
-    /// between.  A thread draining already only notes that it owes the
-    /// stage a turn, so its stack does not grow with the posts a step or
-    /// a launched window admission makes.
+    /// inbox is empty (one round, on a paced thread), letting the stages the
+    /// follow-ups post to take turns.  A thread draining already only owes
+    /// the stage a turn, so its stack does not grow with its posts.
     fn serve(self: &Arc<Self>, index: usize) {
-        let Some(_draining) = owe(self.clone(), index) else {
-            return;
-        };
-        let next = || OWED.with(|owed| owed.borrow_mut().as_mut()?.pop_front());
-        while let Some((shared, index)) = next() {
-            if let Some(then) = shared.stages[index].turn(|pm, msg| step(pm, msg, &shared)) {
-                then.follow(&shared);
-                owe(shared, index);
-            }
+        if owe(self.clone(), index) {
+            drain_owed();
         }
-    }
-
-    /// Runs `f` on stage `name`'s pool manager, waiting for the lock, then
-    /// serves the stage: the messages posted meanwhile queued for it.
-    fn with_pool_manager<R>(
-        self: &Arc<Self>,
-        name: &str,
-        f: impl FnOnce(&mut PoolManager) -> R,
-    ) -> Option<R> {
-        let index = self.stage(name)?;
-        let result = f(&mut self.stages[index].manager.lock());
-        self.serve(index);
-        Some(result)
     }
 
     /// Releases `allocation` on the stage the directory says hosts its
@@ -601,14 +599,6 @@ impl Shared {
         let (shared, allocation) = (self.clone(), allocation.clone());
         let refused = Err(AllocationError::UnknownAllocation);
         try_release(shared, stages.into_iter(), allocation, refused, done);
-    }
-
-    /// Waits until nothing launched is in flight.
-    fn drain(&self) {
-        self.closing.store(true, Ordering::SeqCst);
-        let idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
-        let busy = |_: &mut ()| self.in_flight.load(Ordering::SeqCst) > 0;
-        let _idle = self.drained.wait_while(idle, busy);
     }
 }
 
@@ -730,14 +720,20 @@ impl LivePipeline {
 
     /// Runs `f` on the named stage's pool manager, locked for the call
     /// (experiments that destroy pools); `f` must not call back into this
-    /// pipeline.  Messages posted to the stage meanwhile queue, and this
-    /// thread steps them once `f` returns.  `None` names no stage.
+    /// pipeline.  Posts to the stage meanwhile queue, and this thread steps
+    /// them once `f` returns or unwinds.  `None` names no stage.
     pub fn with_pool_manager<R>(
         &self,
         name: &str,
         f: impl FnOnce(&mut PoolManager) -> R,
     ) -> Option<R> {
-        self.launcher.0.with_pool_manager(name, f)
+        let shared = &self.launcher.0;
+        let index = shared.stage(name)?;
+        let held = catch_unwind(AssertUnwindSafe(|| {
+            f(&mut shared.stages[index].manager.lock())
+        }));
+        shared.serve(index);
+        Some(held.unwrap_or_else(|panic| resume_unwind(panic)))
     }
 
     /// A handle that launches queries into this pipeline from anywhere.
@@ -763,7 +759,11 @@ impl LivePipeline {
     /// query's completion has had its real outcome.  No stage has a thread
     /// to stop, or a panic to report: a step unwinds where it ran.
     pub fn shutdown(&self) -> Result<(), AllocationError> {
-        self.launcher.0.drain();
+        let shared = &self.launcher.0;
+        shared.closing.store(true, Ordering::SeqCst);
+        let idle = shared.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        let busy = |_: &mut ()| shared.in_flight.load(Ordering::SeqCst) > 0;
+        drop(shared.drained.wait_while(idle, busy));
         Ok(())
     }
 }
@@ -783,15 +783,17 @@ pub(crate) mod tests {
     /// until the returned sender is used or dropped.  Posts to the stage
     /// queue meanwhile, and the holder steps them once it lets go.
     pub(crate) fn hold_stage(pipeline: &LivePipeline) -> std::sync::mpsc::Sender<()> {
-        let shared = pipeline.launcher.0.clone();
+        let holder = LivePipeline {
+            launcher: pipeline.launcher(),
+        };
         let (hold, held) = std::sync::mpsc::channel::<()>();
         let (locked, taken) = std::sync::mpsc::channel();
         std::thread::Builder::new()
             .name(HOLDER.to_string())
             .stack_size(256 * 1024)
             .spawn(move || {
-                let first = shared.pm_names[0].clone();
-                shared.with_pool_manager(&first, |_| {
+                let first = holder.launcher.0.pm_names[0].clone();
+                holder.with_pool_manager(&first, |_| {
                     locked.send(()).unwrap();
                     let _ = held.recv();
                 })
@@ -1129,6 +1131,107 @@ pub(crate) mod tests {
             Some(&"injected pool-manager panic")
         );
         let allocations = allocate(&pipeline, Query::paper_example()).unwrap();
+        release_now(&pipeline, &allocations[0]).unwrap();
+        pipeline.shutdown().unwrap();
+    }
+
+    /// A step that panics while other threads' posts wait in the inbox
+    /// strands none of them: the thread that stepped it goes on draining,
+    /// so the query queued behind the panic is answered and shutdown
+    /// returns, and then the panic unwinds on that thread.
+    #[test]
+    fn a_panicking_step_strands_no_query_queued_behind_it() {
+        let pipeline = Arc::new(start(PipelineConfig::default(), fleet_db(200, 29)));
+        let shared = pipeline.clone();
+        let (locked, taken) = std::sync::mpsc::channel();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            shared.with_pool_manager("pm-0", |_| {
+                locked.send(()).unwrap();
+                let _ = held.recv();
+            })
+        });
+        taken.recv().unwrap();
+        plant_panic(&pipeline);
+        let answered = launch(&pipeline, Query::paper_example());
+        assert!(answered.try_recv().is_err(), "stepped past the holder");
+        hold.send(()).unwrap();
+        let payload = holder.join().expect_err("the holder stepped the panic");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected pool-manager panic")
+        );
+        let allocations = redeem(&answered).expect("stepped after the panic");
+        release_now(&pipeline, &allocations[0]).unwrap();
+        pipeline.shutdown().unwrap();
+        assert_eq!(pipeline.stats().allocations, pipeline.stats().releases);
+    }
+
+    /// A paced thread steps at most its pace of messages per drain round
+    /// and keeps owing the stage the rest, which its next rounds step.
+    #[test]
+    fn a_paced_drain_round_takes_at_most_its_pace_of_steps() {
+        const QUERIES: usize = 5;
+        let pipeline = Arc::new(start(PipelineConfig::default(), fleet_db(200, 37)));
+        let (tx, answered) = std::sync::mpsc::channel();
+        let (locked, taken) = std::sync::mpsc::channel();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let paced = pipeline.clone();
+        let holder = std::thread::spawn(move || {
+            pace(2);
+            paced.with_pool_manager("pm-0", |_| {
+                locked.send(()).unwrap();
+                let _ = held.recv();
+            });
+            let mut rounds: Vec<Vec<Outcome>> = vec![answered.try_iter().collect()];
+            while drain_owed() {
+                rounds.push(answered.try_iter().collect());
+            }
+            rounds.push(answered.try_iter().collect());
+            rounds
+        });
+        taken.recv().unwrap();
+        for _ in 0..QUERIES {
+            let tx = tx.clone();
+            pipeline.allocate_with(
+                Query::paper_example(),
+                Box::new(move |outcome| tx.send(outcome).unwrap()),
+            );
+        }
+        hold.send(()).unwrap();
+        let rounds = holder.join().unwrap();
+        let sizes: Vec<usize> = rounds.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [2, 2, 1]);
+        for outcome in rounds.into_iter().flatten() {
+            release_now(&pipeline, &outcome.unwrap()[0]).unwrap();
+        }
+        assert_eq!(pipeline.stats().releases, QUERIES as u64);
+        pipeline.shutdown().unwrap();
+    }
+
+    /// A `with_pool_manager` call whose closure panics still steps what
+    /// was posted to the stage while it held it.
+    #[test]
+    fn a_panicking_hold_strands_no_query_posted_meanwhile() {
+        let pipeline = Arc::new(start(PipelineConfig::default(), fleet_db(200, 31)));
+        let shared = pipeline.clone();
+        let (locked, taken) = std::sync::mpsc::channel();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn(move || {
+            shared.with_pool_manager("pm-0", |_| {
+                locked.send(()).unwrap();
+                let _ = held.recv();
+                panic!("injected hold panic");
+            })
+        });
+        taken.recv().unwrap();
+        let answered = launch(&pipeline, Query::paper_example());
+        hold.send(()).unwrap();
+        assert!(
+            holder.join().is_err(),
+            "the hold's panic unwinds its thread"
+        );
+        let allocations = redeem(&answered).expect("stepped after the hold");
         release_now(&pipeline, &allocations[0]).unwrap();
         pipeline.shutdown().unwrap();
     }

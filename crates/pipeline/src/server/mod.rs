@@ -152,7 +152,8 @@ impl ServerHandle {
     /// or shuts its session down; during a drain, sessions idle between
     /// frames are ended and settled too, so a daemon with pooled peer
     /// links or forgotten clients still stops), then tears the hosted
-    /// backend down and surfaces any stage worker panics.  Call
+    /// backend down and surfaces any I/O thread's panic (a stage step
+    /// that panics unwinds on the I/O thread that stepped it).  Call
     /// [`ServerHandle::halt`] first, or this blocks until a client halts
     /// the daemon.
     ///
@@ -972,7 +973,8 @@ mod tests {
 
     /// A pool-manager step that panics unwinds on the I/O thread that
     /// stepped the stage — a stage has no thread of its own — and the
-    /// daemon's join reports that thread's panic.
+    /// daemon's join reports that thread's panic.  The thread first steps
+    /// what was queued behind the panic, so the lease is released.
     #[test]
     fn a_panicking_stage_step_is_reported_as_an_io_thread_panic() {
         let (live, manager) = live(PipelineBuilder::new().database(fleet_db(200, 23)));
@@ -982,6 +984,10 @@ mod tests {
             .unwrap();
         submit_raw(&mut raw, 0);
         let allocation = granted(&mut raw);
+        // The reply to a later frame: the drain that wrote the grant is over.
+        write_frame(&mut raw, &ClientFrame::Stats { corr: RequestId(2) }).unwrap();
+        let stats = read_server_frame(&mut raw).unwrap();
+        assert!(matches!(stats, Some(ServerFrame::StatsReply { .. })));
         crate::live::tests::plant_panic(live.pipeline());
         write_frame(
             &mut raw,
@@ -991,11 +997,15 @@ mod tests {
             },
         )
         .unwrap();
-        // The panicking thread's sessions go with it: no reply comes.
-        assert!(!matches!(read_server_frame(&mut raw), Ok(Some(_))));
+        // The panicking thread's sessions go with it: the `Released` reply
+        // it wrote may be lost to the connection's reset.
+        while let Ok(Some(frame)) = read_server_frame(&mut raw) {
+            assert!(matches!(frame, ServerFrame::Released { .. }), "{frame:?}");
+        }
         server.halt();
         let err = server.join().unwrap_err();
         assert!(err.to_string().contains("ypd I/O thread panicked"), "{err}");
+        assert_eq!(live.stats().releases, 1, "the release behind the panic");
     }
 
     /// A client that hangs up holding a lease: its session's final sweep

@@ -90,6 +90,13 @@ const CLOSE_SETTLE_BOUND: Duration = Duration::from_secs(60);
 /// events and must always be able to complete.
 const READ_BURST: usize = 256 * 1024;
 
+/// How many pool-manager steps an I/O thread takes per drain round before
+/// it polls its own sessions again ([`crate::live::pace`]).  Unbounded, the
+/// thread that wins a stage's lock steps whatever the other I/O threads
+/// keep posting, and its own clients wait for as long as they do
+/// (EXPERIMENTS.md, "PR 37", uneven load, measures 1 to 32 and unbounded).
+const STAGE_STEPS_PER_ROUND: usize = 2;
+
 /// How long a closing session may keep flushing queued replies to a
 /// client that is not reading them before the socket is cut anyway.
 /// Measured from the moment the final sweep seals the write queue, so a
@@ -507,6 +514,7 @@ pub(super) fn io_thread_main(
     // If waker registration fails the thread still functions — the
     // poll interval bounds how stale a wakeup can go.
     let _ = poller.register(notify.wake_fd(), WAKE_TOKEN, Interest::READ);
+    crate::live::pace(STAGE_STEPS_PER_ROUND);
     if let Some(role) = &role {
         let _ = poller.register(role.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
     }
@@ -537,7 +545,10 @@ pub(super) fn io_thread_main(
     loop {
         #[cfg(test)]
         shared.io_loops.fetch_add(1, Ordering::Relaxed);
-        if shared.draining.load(Ordering::SeqCst) && drained(&shared, &sessions) {
+        // The stage turns a drain round left owed: this thread's posts
+        // queue, and nobody rings for them, until they are taken.
+        let owes = crate::live::drain_owed();
+        if !owes && shared.draining.load(Ordering::SeqCst) && drained(&shared, &sessions) {
             // The daemon's last client session is gone: nobody will send
             // over a peer link again.
             for session in sessions.values_mut() {
@@ -552,7 +563,7 @@ pub(super) fn io_thread_main(
             break;
         }
         let may_block = notify.park(|| {
-            !incoming.is_empty()
+            owes || !incoming.is_empty()
                 || host.as_ref().is_some_and(|host| host.has_dials())
                 || (!drain_seen && shared.draining.load(Ordering::SeqCst))
         });
