@@ -1161,7 +1161,9 @@ pub(crate) mod tests {
             payload.downcast_ref::<&str>(),
             Some(&"injected pool-manager panic")
         );
-        let allocations = redeem(&answered).expect("stepped after the panic");
+        let allocations = (answered.recv_timeout(Duration::from_secs(20)))
+            .expect("answered, not stranded")
+            .expect("stepped after the panic");
         release_now(&pipeline, &allocations[0]).unwrap();
         pipeline.shutdown().unwrap();
         assert_eq!(pipeline.stats().allocations, pipeline.stats().releases);
@@ -1231,7 +1233,9 @@ pub(crate) mod tests {
             holder.join().is_err(),
             "the hold's panic unwinds its thread"
         );
-        let allocations = redeem(&answered).expect("stepped after the hold");
+        let allocations = (answered.recv_timeout(Duration::from_secs(20)))
+            .expect("answered, not stranded")
+            .expect("stepped after the hold");
         release_now(&pipeline, &allocations[0]).unwrap();
         pipeline.shutdown().unwrap();
     }

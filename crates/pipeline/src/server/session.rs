@@ -97,6 +97,30 @@ const READ_BURST: usize = 256 * 1024;
 /// (EXPERIMENTS.md, "PR 37", uneven load, measures 1 to 32 and unbounded).
 const STAGE_STEPS_PER_ROUND: usize = 2;
 
+/// Paces this I/O thread's stage drains while it lives.  Unwinding, it
+/// gives the stage turns the thread still owes between rounds — messages
+/// other threads queued and left to it — so an I/O thread that panics
+/// strands no other session's query.
+struct PacedDrains;
+
+impl PacedDrains {
+    fn start() -> Self {
+        crate::live::pace(STAGE_STEPS_PER_ROUND);
+        PacedDrains
+    }
+}
+
+impl Drop for PacedDrains {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            crate::live::pace(usize::MAX);
+            // A step that panics now is not reported: the thread's first
+            // panic is already on its way.
+            let _ = std::panic::catch_unwind(crate::live::drain_owed);
+        }
+    }
+}
+
 /// How long a closing session may keep flushing queued replies to a
 /// client that is not reading them before the socket is cut anyway.
 /// Measured from the moment the final sweep seals the write queue, so a
@@ -514,7 +538,7 @@ pub(super) fn io_thread_main(
     // If waker registration fails the thread still functions — the
     // poll interval bounds how stale a wakeup can go.
     let _ = poller.register(notify.wake_fd(), WAKE_TOKEN, Interest::READ);
-    crate::live::pace(STAGE_STEPS_PER_ROUND);
+    let _paced = PacedDrains::start();
     if let Some(role) = &role {
         let _ = poller.register(role.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ);
     }
@@ -1699,7 +1723,7 @@ mod tests {
     /// A `Release` whose stage answers after the session is gone: the
     /// completion finds a sealed write queue and a lease table nobody will
     /// sweep again — the lease it was asked to drop is dropped all the
-    /// same, and nothing panics on the pool-manager thread.
+    /// same, and nothing panics on the thread that steps the stage.
     #[test]
     fn a_release_completing_after_its_session_closed_strands_nothing() {
         let db = SyntheticFleet::new(FleetSpec::with_machines(100), 31)
@@ -1745,5 +1769,53 @@ mod tests {
         let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
         assert_eq!(active, 0);
         live.shutdown().unwrap();
+    }
+
+    /// An I/O thread that panics between paced drain rounds still gives
+    /// the stage turns it owes: the queries another thread left to it are
+    /// answered, and the backend shuts down.
+    #[test]
+    fn an_io_thread_unwinding_between_rounds_strands_no_query() {
+        const QUERIES: usize = 5;
+        let db = SyntheticFleet::new(FleetSpec::with_machines(100), 41)
+            .generate()
+            .into_shared();
+        let manager = Arc::new(
+            PipelineBuilder::new()
+                .database(db)
+                .build_embedded()
+                .unwrap(),
+        );
+        let (locked, taken) = std::sync::mpsc::channel();
+        let (hold, held) = std::sync::mpsc::channel::<()>();
+        let holder = std::thread::spawn({
+            let manager = manager.clone();
+            move || {
+                let _paced = PacedDrains::start();
+                manager.pipeline().with_pool_manager("pm-0", |_| {
+                    locked.send(()).unwrap();
+                    let _ = held.recv();
+                });
+                // One paced round stepped two of the queries; three are owed.
+                panic!("injected I/O thread panic");
+            }
+        });
+        taken.recv().unwrap();
+        let (tx, answered) = std::sync::mpsc::channel();
+        for _ in 0..QUERIES {
+            let tx = tx.clone();
+            manager.allocate_with(
+                actyp_query::Query::paper_example(),
+                Box::new(move |outcome| tx.send(outcome).unwrap()),
+            );
+        }
+        hold.send(()).unwrap();
+        assert!(holder.join().is_err(), "the holder unwound");
+        let outcomes: Vec<_> = answered.try_iter().collect();
+        assert_eq!(outcomes.len(), QUERIES);
+        for outcome in outcomes {
+            manager.release(&outcome.unwrap()[0]).unwrap();
+        }
+        manager.shutdown().unwrap();
     }
 }
