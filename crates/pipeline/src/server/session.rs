@@ -93,8 +93,9 @@ const READ_BURST: usize = 256 * 1024;
 /// How many pool-manager steps an I/O thread takes per drain round before
 /// it polls its own sessions again ([`crate::live::pace`]).  Unbounded, the
 /// thread that wins a stage's lock steps whatever the other I/O threads
-/// keep posting, and its own clients wait for as long as they do
-/// (EXPERIMENTS.md, "PR 37", uneven load, measures 1 to 32 and unbounded).
+/// keep posting, and its own clients wait for as long as they do.
+/// EXPERIMENTS.md measures rounds of 1 to 32 steps, and none, under a load
+/// that is uneven between the I/O threads.
 const STAGE_STEPS_PER_ROUND: usize = 2;
 
 /// Paces this I/O thread's stage drains while it lives.  Unwinding, it
