@@ -1,6 +1,6 @@
 //! `backend_submit`: the same submit → wait → release workload swept across
-//! all five backends — the pipeline inline (embedded) and threaded (live),
-//! centralized multi-queue scheduler, centralized matchmaker, and the remote
+//! all four backends — the pipeline (live), the centralized multi-queue
+//! scheduler, the centralized matchmaker, and the remote
 //! backend talking to a loopback `ypd` daemon — through the unified
 //! `ResourceManager` API.  Because the client code is identical, the
 //! numbers isolate the architectural cost of each deployment (for the
@@ -57,7 +57,6 @@ fn bench_live_pipelining(c: &mut Criterion) {
     let query = Query::paper_example();
     let pipeline = PipelineBuilder::new()
         .database(fleet(800, 8))
-        .query_managers(2)
         .pool_managers(2)
         .window(BATCH)
         .build_live()
@@ -104,7 +103,6 @@ fn bench_remote_round_trip(c: &mut Criterion) {
     let query = Query::paper_example();
     let server = PipelineBuilder::new()
         .database(fleet(800, 9))
-        .query_managers(2)
         .window(BATCH)
         .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Live)
         .expect("loopback ypd starts");
@@ -155,7 +153,7 @@ fn bench_remote_idle_connections(c: &mut Criterion) {
     for idle_count in [0usize, 64, 256] {
         let server = PipelineBuilder::new()
             .database(fleet(800, 12))
-            .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Embedded)
+            .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Live)
             .expect("loopback ypd starts");
         let addr = server.local_addr();
         // Idle sessions: hello-handshaken raw sockets (no client threads),
@@ -202,7 +200,6 @@ fn bench_remote_pipelining_depth(c: &mut Criterion) {
     let query = Query::paper_example();
     let server = PipelineBuilder::new()
         .database(fleet(800, 13))
-        .query_managers(2)
         .window(64)
         .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Live)
         .expect("loopback ypd starts");
@@ -254,7 +251,7 @@ fn bench_federated_delegation(c: &mut Criterion) {
             .ttl(8)
             .serve_federated(
                 &StageAddress::new("127.0.0.1", 0),
-                BackendKind::Embedded,
+                BackendKind::Live,
                 FederationConfig {
                     domain: domain.to_string(),
                     ttl: 8,

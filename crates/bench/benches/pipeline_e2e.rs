@@ -1,6 +1,5 @@
-//! End-to-end benchmarks: one embedded-pipeline scheduling decision, one
-//! live (threaded) pipeline round trip, and one small simulated experiment
-//! of each figure family.  These are the "does the whole system stay fast"
+//! End-to-end benchmarks: one pipeline round trip, and one small simulated
+//! experiment of each figure family.  These are the "does the whole system stay fast"
 //! guards; the figure binaries in `src/bin/` are the full sweeps.  The
 //! deployments are driven through the unified `ResourceManager` surface.
 
@@ -12,37 +11,12 @@ use actyp_grid::{FleetSpec, SyntheticFleet};
 use actyp_pipeline::{BackendKind, PipelineBuilder};
 use actyp_query::Query;
 
-fn bench_engine_round_trip(c: &mut Criterion) {
-    let db = SyntheticFleet::new(FleetSpec::with_machines(800), 5)
-        .generate()
-        .into_shared();
-    let manager = PipelineBuilder::new()
-        .database(db)
-        .build(BackendKind::Embedded)
-        .unwrap();
-    let query = Query::paper_example();
-    // Warm up so the pool exists (the steady-state cost is what matters).
-    let warm = manager.submit_wait(&query).unwrap();
-    for a in &warm {
-        manager.release(a).unwrap();
-    }
-    c.bench_function("e2e/engine_submit_release_800", |b| {
-        b.iter(|| {
-            let allocations = manager.submit_wait(black_box(&query)).unwrap();
-            for a in &allocations {
-                manager.release(a).unwrap();
-            }
-        })
-    });
-}
-
 fn bench_live_round_trip(c: &mut Criterion) {
     let db = SyntheticFleet::new(FleetSpec::with_machines(800), 6)
         .generate()
         .into_shared();
     let pipeline = PipelineBuilder::new()
         .database(db)
-        .query_managers(2)
         .pool_managers(2)
         .build(BackendKind::Live)
         .unwrap();
@@ -95,6 +69,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = e2e;
     config = config();
-    targets = bench_engine_round_trip, bench_live_round_trip, bench_figure_sweeps_quick
+    targets = bench_live_round_trip, bench_figure_sweeps_quick
 }
 criterion_main!(e2e);

@@ -16,14 +16,14 @@
 
 use actyp_bench::harness::{run_load, run_load_against, LoadSpec};
 use actyp_bench::json::Json;
-use actyp_pipeline::{BackendKind, StageAddress};
+use actyp_pipeline::StageAddress;
 
 fn usage() -> ! {
     eprintln!(
         "usage: ypload [--connect HOST:PORT] [--clients N] [--depth D] [--requests N]\n\
          \x20             [--duration SECS] [--machines N] [--pools N] [--window N] [--shards N]\n\
          \x20             [--idle N] [--seed S] [--json] [--halt]\n\
-         \x20             [--backend embedded|live|central-queue|matchmaker]\n\
+         \x20             [--backend live|central-queue|matchmaker]\n\
          \n\
          With --duration each client submits for SECS seconds instead of\n\
          counting --requests.  Self-hosts a ypd on loopback unless --connect\n\
@@ -33,16 +33,6 @@ fn usage() -> ! {
          scripted daemon can be `wait`ed on."
     );
     std::process::exit(2);
-}
-
-fn parse_backend(s: &str) -> BackendKind {
-    match s {
-        "embedded" => BackendKind::Embedded,
-        "live" => BackendKind::Live,
-        "central-queue" => BackendKind::CentralQueue,
-        "matchmaker" => BackendKind::Matchmaker,
-        _ => usage(),
-    }
 }
 
 fn main() {
@@ -83,7 +73,12 @@ fn main() {
             "--shards" => spec.shards = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--idle" => spec.idle_sessions = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => spec.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--backend" => spec.backend = parse_backend(value(&mut i)),
+            "--backend" => {
+                spec.backend = value(&mut i).parse().unwrap_or_else(|e: String| {
+                    eprintln!("ypload: {e}");
+                    usage()
+                })
+            }
             "--json" => json = true,
             "--halt" => halt = true,
             _ => usage(),

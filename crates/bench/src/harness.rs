@@ -699,7 +699,6 @@ fn saturation_idle(scale: &Scale) -> Result<BenchArtifact, String> {
 fn saturation_backends(scale: &Scale) -> Result<BenchArtifact, String> {
     let p = saturation_params(scale);
     let kinds = [
-        (BackendKind::Embedded, "embedded"),
         (BackendKind::Live, "live"),
         (BackendKind::CentralQueue, "central-queue"),
         (BackendKind::Matchmaker, "matchmaker"),
@@ -820,7 +819,7 @@ fn routing(scale: &Scale) -> Result<BenchArtifact, String> {
             .ttl(8)
             .serve_federated(
                 &StageAddress::new("127.0.0.1", 0),
-                BackendKind::Embedded,
+                BackendKind::Live,
                 FederationConfig {
                     domain: domain.to_string(),
                     ttl: 8,
@@ -848,7 +847,7 @@ fn routing(scale: &Scale) -> Result<BenchArtifact, String> {
             .ttl(8)
             .serve_federated(
                 &StageAddress::new("127.0.0.1", 0),
-                BackendKind::Embedded,
+                BackendKind::Live,
                 FederationConfig {
                     domain: "purdue".to_string(),
                     ttl: 8,

@@ -401,7 +401,7 @@ pub fn baseline_comparison(scale: &Scale) -> FigureSeries {
     // hit the dynamically created sun pool, the centralized designs scan
     // the full table per decision.
     let kinds = [
-        (BackendKind::Embedded, "actyp-pipeline"),
+        (BackendKind::Live, "actyp-pipeline"),
         (BackendKind::CentralQueue, "central-queue"),
         (BackendKind::Matchmaker, "matchmaker"),
     ];
@@ -456,7 +456,7 @@ pub fn ablation_pm_selection(scale: &Scale) -> FigureSeries {
                 .database(db)
                 .pool_managers(4)
                 .pool_manager_selection(policy.clone())
-                .build_embedded()
+                .build_live()
                 .expect("database configured");
             for i in 0..queries {
                 let arch = if i % 2 == 0 { "sun" } else { "hp" };

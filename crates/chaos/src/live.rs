@@ -312,7 +312,7 @@ impl LiveRun<'_> {
                     .ttl(self.scenario.ttl)
                     .serve_federated(
                         &addr,
-                        BackendKind::Embedded,
+                        BackendKind::Live,
                         FederationConfig {
                             domain: self.scenario.domain_name(d),
                             ttl: self.scenario.ttl,

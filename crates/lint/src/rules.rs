@@ -142,9 +142,9 @@ impl LintConfig {
                         label: "wire decode (impl WireDecode for StatsSnapshot)".to_string(),
                     },
                     SiteSpec {
-                        file: PathBuf::from("crates/pipeline/src/api.rs"),
-                        kind: SiteKind::FnBody("snapshot_from_pipeline".to_string()),
-                        label: "pipeline merge (snapshot_from_pipeline)".to_string(),
+                        file: PathBuf::from("crates/pipeline/src/live.rs"),
+                        kind: SiteKind::FnBody("snapshot".to_string()),
+                        label: "pipeline snapshot (LiveCounters::snapshot)".to_string(),
                     },
                     SiteSpec {
                         file: PathBuf::from("crates/ypd/src/main.rs"),

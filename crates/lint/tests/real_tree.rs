@@ -119,10 +119,9 @@ fn the_walk_covers_the_admission_windows_launch_path() {
 }
 
 /// Every call a daemon makes on its hosted backend is a completion: the
-/// eager backends resolve a `Submit` on the spot (the embedded backend's
-/// `allocate_with` through `LivePipeline::allocate_with`,
-/// `BaselineBackend::execute` — walked now that `execute` is not a dispatch
-/// call).  The walk from the backends' entry points must reach each, so a
+/// baselines resolve a `Submit` on the spot (`BaselineBackend::execute` —
+/// walked now that `execute` is not a dispatch call), and the live
+/// backend's `allocate_with` admits it through its window (`Ledger::allocate`).  The walk from the backends' entry points must reach each, so a
 /// parking call planted on one is reported (and the workspace test below
 /// shows them clean).
 #[test]
@@ -131,7 +130,7 @@ fn the_walk_covers_the_eager_submissions() {
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
         ("api.rs", "allocate_with"),
-        ("live.rs", "allocate_with"),
+        ("api.rs", "allocate"),
         ("api.rs", "execute"),
         ("api.rs", "release_outstanding"),
     ] {
@@ -174,9 +173,9 @@ fn the_walk_covers_the_live_launch_and_the_joins_finish() {
 /// A pipeline stage runs on the thread that finds it idle: a daemon's I/O
 /// thread that launches a `Submit` runs the query manager, every
 /// pool-manager step it gets the stage's lock for and the query's finish
-/// itself.  The walk from the backends' `allocate_with` — the embedded
-/// one's resolves the query through `LivePipeline::allocate_with` — must
-/// reach the launch, the post and the drain that serve a stage here, the
+/// itself.  The walk from the backends' `allocate_with` — the live one's
+/// launches the query through its window's `Ledger` — must reach the
+/// launch, the post and the drain that serve a stage here, the
 /// step, what follows it, and the join's finish with its surplus releases
 /// — so a parking call planted in the stage step is reported like one in
 /// the launch.
@@ -186,7 +185,6 @@ fn the_walk_covers_the_inline_placement_from_the_embedded_resolve() {
     let entries = ["api.rs::allocate_with".to_string()];
     let reachable = reactor_reachable(&src, &entries).expect("tree lexes");
     for (file, function) in [
-        ("live.rs", "allocate_with"),
         ("live.rs", "launch"),
         ("live.rs", "post"),
         ("live.rs", "serve"),

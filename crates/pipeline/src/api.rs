@@ -4,12 +4,11 @@
 //! The paper's central claim is that the *same* pipeline stages can be
 //! deployed embedded, distributed/replicated, or simulated.  This module is
 //! the seam that makes the claim visible to clients: a single trait served
-//! by five backends —
+//! by four backends —
 //!
 //! | backend | constructor | what it is |
 //! |---|---|---|
-//! | [`EmbeddedBackend`] | [`PipelineBuilder::build_embedded`] | [`LivePipeline`]: each stage runs on the thread that finds it idle — the calling thread, unless another thread is at it |
-//! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | the same [`LivePipeline`] and stage code, with a bounded in-flight window |
+//! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | [`LivePipeline`] behind a bounded in-flight window: each stage runs on the thread that finds it idle — the calling thread, unless another thread is at it |
 //! | [`CentralQueueBackend`] | [`PipelineBuilder::build_central_queue`] | the PBS/SGE-style centralized multi-queue scheduler baseline |
 //! | [`MatchmakerBackend`] | [`PipelineBuilder::build_matchmaker`] | the Condor-style centralized matchmaker baseline |
 //! | [`RemoteBackend`] | [`PipelineBuilder::remote`] | a client of the `ypd` daemon: the same surface across a TCP hop, speaking the [`actyp_proto`] wire protocol (serve any backend with [`PipelineBuilder::serve`]) |
@@ -40,7 +39,7 @@
 //!     .into_shared();
 //! let manager = PipelineBuilder::new()
 //!     .database(db)
-//!     .build(BackendKind::Embedded)
+//!     .build(BackendKind::Live)
 //!     .unwrap();
 //!
 //! // Submit two queries, then redeem the tickets.
@@ -70,7 +69,7 @@ use actyp_grid::{MachineId, ResourceDatabase, SharedDatabase};
 use actyp_query::{BasicQuery, PoolName, Query};
 
 use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone, SessionKey};
-use crate::live::{Launcher, LivePipeline, PipelineConfig, PipelineStats};
+use crate::live::{Launcher, LivePipeline, PipelineConfig};
 use crate::message::{RequestId, StageAddress};
 use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
@@ -304,8 +303,6 @@ impl<P: PageLock> Book<P> {
 /// Which deployment a [`PipelineBuilder`] should construct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// The pipeline without a window ([`EmbeddedBackend`]).
-    Embedded,
     /// The pipeline ([`LivePipeline`]) with a bounded in-flight window
     /// ([`LiveBackend`]).
     Live,
@@ -317,8 +314,7 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every backend, in the order the comparison figures use.
-    pub const ALL: [BackendKind; 4] = [
-        BackendKind::Embedded,
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::Live,
         BackendKind::CentralQueue,
         BackendKind::Matchmaker,
@@ -328,7 +324,6 @@ impl BackendKind {
 impl std::fmt::Display for BackendKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
-            BackendKind::Embedded => "embedded",
             BackendKind::Live => "live",
             BackendKind::CentralQueue => "central-queue",
             BackendKind::Matchmaker => "matchmaker",
@@ -337,44 +332,25 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Folds a [`PipelineStats`] (shared by the embedded and live backends)
-/// into the unified [`StatsSnapshot`] the trait reports.  The snapshot type
-/// itself lives in [`actyp_proto`] — it crosses the wire verbatim.
-fn snapshot_from_pipeline(stats: PipelineStats, in_flight: usize) -> StatsSnapshot {
-    StatsSnapshot {
-        requests: stats.requests,
-        fragments: stats.fragments,
-        allocations: stats.allocations,
-        failures: stats.failures,
-        delegations: stats.delegations,
-        forwards: stats.forwards,
-        // WAN federation counters belong to the federated daemon wrapper
-        // (`crate::federation::FederatedBackend`), not to an in-process
-        // pipeline.
-        delegations_out: 0,
-        delegations_in: 0,
-        releases: stats.releases,
-        records_examined: stats.records_examined,
-        in_flight,
-        gossip_deltas_in: 0,
-        gossip_deltas_out: 0,
-        route_hits: 0,
-        route_misses: 0,
-        peer_redials: 0,
-        // The sharded backends overlay their own contention count on the
-        // snapshot after this fold; the transport batching counters are
-        // owned by the daemon's reactor and overlaid server-side.
-        shard_contention: 0,
-        frames_batched: 0,
-        writes_coalesced: 0,
+/// The backend a name from [`BackendKind`]'s `Display` selects (`ypd
+/// --backend`, `ypload --backend`); any other name is refused with the
+/// list of the names there are.
+impl std::str::FromStr for BackendKind {
+    type Err = String;
+    fn from_str(raw: &str) -> Result<Self, String> {
+        let known = BackendKind::ALL
+            .into_iter()
+            .find(|kind| kind.to_string() == raw);
+        let names = BackendKind::ALL.map(|kind| kind.to_string()).join(", ");
+        known.ok_or_else(|| format!("unknown backend `{raw}` (expected one of: {names})"))
     }
 }
 
 /// The one client surface over every deployment of the resource manager.
 ///
-/// All methods take `&self`; backends use interior mutability (embedded,
-/// baselines) or channels (live), so a manager can be shared across client
-/// threads behind an `Arc` without an external lock.
+/// All methods take `&self`; backends use interior mutability, so a
+/// manager can be shared across client threads behind an `Arc` without an
+/// external lock.
 ///
 /// A daemon calls only the completion methods, `allocate_with` and
 /// `release_with` (and `stats`), from its I/O threads, so a hosted backend
@@ -385,10 +361,10 @@ pub trait ResourceManager: Send + Sync {
     /// Allocates for `query`: `done` gets the outcome, exactly once, on
     /// whichever thread has it — this one when the backend resolves the
     /// query on the spot (baselines), the thread that steps its last
-    /// fragment on the pipeline (live and embedded): this one when no
-    /// other thread is at its stages.  A query the live backend's full
-    /// window has no permit for queues there, and the thread whose outcome
-    /// frees a permit launches it.
+    /// fragment on the pipeline: this one when no other thread is at its
+    /// stages.  A query the live backend's full window has no permit for
+    /// queues there, and the thread whose outcome frees a permit launches
+    /// it.
     fn allocate_with(&self, query: Query, done: AllocateDone);
 
     /// Releases an allocation: `done` receives the result on whichever
@@ -416,7 +392,7 @@ pub trait ResourceManager: Send + Sync {
     /// query is allocated with a completion that files its outcome in the
     /// [`tickets`](Self::tickets) book.  The live backend launches it and
     /// returns at once, blocking only while its in-flight window is full;
-    /// the embedded and baseline backends resolve it before returning.
+    /// the baseline backends resolve it before returning.
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         let book = self.tickets().ok_or_else(|| {
             AllocationError::Internal("this backend keeps no ticket book".to_string())
@@ -609,12 +585,15 @@ pub(crate) struct Fifo {
 }
 
 impl<W: PermitWord, L: FifoLock> Window<W, L> {
+    /// A window of `permits`, clamped below [`QUEUED`] so that no count
+    /// of free permits reads as the mark.
     fn new(permits: usize) -> Self {
+        let permits = permits.clamp(1, QUEUED - 1);
         Window {
-            word: W::new(permits.max(1)),
+            word: W::new(permits),
             fifo: L::new(Fifo::default()),
             contention: AtomicU64::new(0),
-            permits: permits.max(1),
+            permits,
         }
     }
 
@@ -707,59 +686,9 @@ impl<W: PermitWord, L: FifoLock> Window<W, L> {
     }
 }
 
-/// The pipeline behind the unified surface, with no window: each stage
-/// runs on the thread that finds it idle, so a query from a lone caller
-/// runs every stage on the calling thread, its completion runs before
-/// `allocate_with` returns and a ticket redeems instantly.
-pub struct EmbeddedBackend {
-    pipeline: LivePipeline,
-    tickets: TicketBook,
-}
-
-impl EmbeddedBackend {
-    fn new(pipeline: LivePipeline) -> Self {
-        EmbeddedBackend {
-            pipeline,
-            tickets: TicketBook::new(),
-        }
-    }
-
-    /// The underlying pipeline, for inspection the trait does not cover
-    /// (directory contents, pool-manager manipulation in experiments).
-    pub fn pipeline(&self) -> &LivePipeline {
-        &self.pipeline
-    }
-}
-
-impl ResourceManager for EmbeddedBackend {
-    /// Every stage runs here, on the calling thread, unless another thread
-    /// is at it: a short in-memory step.
-    fn allocate_with(&self, query: Query, done: AllocateDone) {
-        self.pipeline.allocate_with(query, done)
-    }
-
-    /// The thread that steps the stage dropping the lease runs `done`.
-    fn release_with(&self, allocation: &Allocation, done: ReleaseDone) {
-        self.pipeline.release_with(allocation, done)
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        let in_flight = self.tickets.unredeemed();
-        let mut snapshot = snapshot_from_pipeline(self.pipeline.stats(), in_flight);
-        snapshot.shard_contention = self.pipeline.directory().contention();
-        snapshot
-    }
-
-    fn shutdown(&self) -> Result<(), AllocationError> {
-        self.pipeline.shutdown()
-    }
-
-    fn tickets(&self) -> Option<&TicketBook> {
-        Some(&self.tickets)
-    }
-}
-
-/// The [`LivePipeline`] behind the unified surface, with a window.
+/// The [`LivePipeline`] behind the unified surface, with a window.  A
+/// query from a lone caller runs every stage on the calling thread, so its
+/// completion runs before `allocate_with` returns.
 ///
 /// A query is launched into the pipeline at once while fewer than `window`
 /// are in flight; further ones queue, in arrival order, until an outcome
@@ -830,8 +759,8 @@ impl LiveBackend {
         }
     }
 
-    /// The underlying live pipeline, for inspection the trait does not
-    /// cover (directory contents).
+    /// The underlying pipeline, for inspection the trait does not cover
+    /// (directory contents, pool-manager manipulation in experiments).
     pub fn pipeline(&self) -> &LivePipeline {
         &self.pipeline
     }
@@ -852,8 +781,8 @@ impl ResourceManager for LiveBackend {
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let in_flight = self.ledger.window.in_use() + self.tickets.unredeemed();
-        let mut snapshot = snapshot_from_pipeline(self.pipeline.stats(), in_flight);
+        let mut snapshot = self.pipeline.stats();
+        snapshot.in_flight = self.ledger.window.in_use() + self.tickets.unredeemed();
         snapshot.shard_contention = self
             .ledger
             .window
@@ -1152,13 +1081,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Number of query-manager replicas (on the live backend they run on
-    /// the launching thread; none has a thread of its own).
-    pub fn query_managers(mut self, n: usize) -> Self {
-        self.config.query_managers = n;
-        self
-    }
-
     /// Number of pool-manager stages (single-domain deployments).
     pub fn pool_managers(mut self, n: usize) -> Self {
         self.config.pool_managers = n;
@@ -1214,7 +1136,7 @@ impl PipelineBuilder {
     }
 
     /// Maximum queries in flight on the live backend before further ones
-    /// queue (backpressure).  Clamped to at least 1.
+    /// queue (backpressure).  Clamped to at least 1 and below `2^63`.
     pub fn window(mut self, window: usize) -> Self {
         self.window = window;
         self
@@ -1287,16 +1209,17 @@ impl PipelineBuilder {
         }
     }
 
-    /// Builds the embedded backend.
-    pub fn build_embedded(self) -> Result<EmbeddedBackend, AllocationError> {
-        let (config, _, domains) = self.take_domains()?;
-        Ok(EmbeddedBackend::new(LivePipeline::new(config, domains)))
-    }
-
-    /// Builds the live (threaded) backend.
+    /// Builds the pipeline backend, with its window.
     pub fn build_live(self) -> Result<LiveBackend, AllocationError> {
         let (config, window, domains) = self.take_domains()?;
         Ok(LiveBackend::new(LivePipeline::new(config, domains), window))
+    }
+
+    /// [`build_live`](Self::build_live) under the name the `ypbench`
+    /// deployment ladder still calls; it goes with that ladder's
+    /// in-process rung.
+    pub fn build_embedded(self) -> Result<LiveBackend, AllocationError> {
+        self.build_live()
     }
 
     /// Builds the centralized multi-queue scheduler baseline.
@@ -1325,7 +1248,6 @@ impl PipelineBuilder {
     /// cross-architecture tests and benches use.
     pub fn build(self, kind: BackendKind) -> Result<Box<dyn ResourceManager>, AllocationError> {
         Ok(match kind {
-            BackendKind::Embedded => Box::new(self.build_embedded()?),
             BackendKind::Live => Box::new(self.build_live()?),
             BackendKind::CentralQueue => Box::new(self.build_central_queue()?),
             BackendKind::Matchmaker => Box::new(self.build_matchmaker()?),
@@ -1348,9 +1270,9 @@ impl PipelineBuilder {
     /// Builds the configured backend wrapped in the wide-area federation
     /// layer: queries the local backend cannot satisfy are delegated to
     /// the peer daemons in `federation` with a TTL and visited-domain
-    /// list.  The pipeline backends advertise their intra-domain pool
-    /// names to peers; the centralized baselines have no directory and
-    /// advertise nothing.
+    /// list.  The pipeline backend advertises its intra-domain pool names
+    /// to peers; the centralized baselines have no directory and advertise
+    /// nothing.
     fn build_federated(
         self,
         kind: BackendKind,
@@ -1358,11 +1280,6 @@ impl PipelineBuilder {
     ) -> Result<Arc<crate::federation::FederatedBackend>, AllocationError> {
         let (inner, directory): (Box<dyn ResourceManager>, Option<crate::SharedDirectory>) =
             match kind {
-                BackendKind::Embedded => {
-                    let backend = self.build_embedded()?;
-                    let directory = backend.pipeline().directory().clone();
-                    (Box::new(backend), Some(directory))
-                }
                 BackendKind::Live => {
                     let backend = self.build_live()?;
                     let directory = backend.pipeline().directory().clone();
@@ -1391,7 +1308,7 @@ impl PipelineBuilder {
         Ok((handle, backend))
     }
 
-    /// Connects to a `ypd` daemon at `addr` — a fifth deployment behind the
+    /// Connects to a `ypd` daemon at `addr` — a fourth deployment behind the
     /// same trait, with the pipeline stages on the far side of a network
     /// hop.  Addresses parse from strings (`"host:port".parse()`), so this
     /// composes directly with CLI arguments and environment variables.
@@ -1588,6 +1505,26 @@ mod tests {
         assert!(!window.try_acquire());
     }
 
+    /// A window of `2^63` or more is clamped below the FIFO's mark: each
+    /// query launches and answers, and every permit comes back.  The wait
+    /// is bounded, so a window that never launches fails instead of hanging.
+    #[test]
+    fn a_window_at_or_above_the_queued_mark_admits_and_returns_its_permits() {
+        for window in [QUEUED, usize::MAX] {
+            let manager = builder(200, 28).window(window).build_live().unwrap();
+            for _ in 0..3 {
+                let (tx, answered) = std::sync::mpsc::channel();
+                let done: AllocateDone = Box::new(move |outcome| drop(tx.send(outcome)));
+                manager.allocate_with(Query::paper_example(), done);
+                let outcome = answered.recv_timeout(Duration::from_secs(10));
+                let allocations = outcome.expect("the query was launched").unwrap();
+                manager.release(&allocations[0]).unwrap();
+            }
+            assert_eq!(manager.stats().in_flight, 0, "window {window}");
+            manager.shutdown().unwrap();
+        }
+    }
+
     #[test]
     fn wait_deadline_resolves_or_preserves_the_ticket() {
         for kind in BackendKind::ALL {
@@ -1618,8 +1555,8 @@ mod tests {
     fn tickets_are_branded_per_backend_instance() {
         // Redeeming a ticket on a different manager than the one that
         // issued it is an error, never another query's outcome.
-        let first = builder(200, 20).build(BackendKind::Embedded).unwrap();
-        let second = builder(200, 21).build(BackendKind::Embedded).unwrap();
+        let first = builder(200, 20).build(BackendKind::Live).unwrap();
+        let second = builder(200, 21).build(BackendKind::Live).unwrap();
         let ticket = first.submit_text(&paper_text()).unwrap();
         second.submit_text(&paper_text()).unwrap();
         assert_eq!(
@@ -1727,7 +1664,7 @@ mod tests {
 
     #[test]
     fn builder_without_database_is_an_error() {
-        assert!(PipelineBuilder::new().build(BackendKind::Embedded).is_err());
+        assert!(PipelineBuilder::new().build(BackendKind::Live).is_err());
         assert!(PipelineBuilder::new()
             .build(BackendKind::Matchmaker)
             .is_err());
@@ -1735,12 +1672,8 @@ mod tests {
 
     #[test]
     fn trait_objects_share_across_threads() {
-        let manager: std::sync::Arc<dyn ResourceManager> = std::sync::Arc::from(
-            builder(300, 10)
-                .query_managers(2)
-                .build(BackendKind::Live)
-                .unwrap(),
-        );
+        let manager: std::sync::Arc<dyn ResourceManager> =
+            std::sync::Arc::from(builder(300, 10).build(BackendKind::Live).unwrap());
         let mut joins = Vec::new();
         for _ in 0..4 {
             let manager = manager.clone();

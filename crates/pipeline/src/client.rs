@@ -4,7 +4,7 @@
 //! The paper's architecture is explicitly a *network* service — "queries
 //! propagate from one stage to the next via TCP or UDP", and "all state
 //! information is carried with the query itself".  The exact client code
-//! that runs against the embedded backend runs unchanged against a daemon
+//! that runs against an in-process backend runs unchanged against a daemon
 //! on another machine ([`crate::server`]), and the ticket pipelining the
 //! paper measures spans a real network hop: multiple tickets in flight on
 //! one connection, multiplexed by correlation id.  The transport itself —
@@ -306,7 +306,6 @@ mod tests {
         let live = std::sync::Arc::new(
             PipelineBuilder::new()
                 .database(db.clone())
-                .query_managers(2)
                 .build_live()
                 .unwrap(),
         );
@@ -360,7 +359,7 @@ mod tests {
 
     #[test]
     fn remote_errors_cross_the_wire_intact() {
-        let server = serve_kind(BackendKind::Embedded, 100, 4);
+        let server = serve_kind(BackendKind::Live, 100, 4);
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
         // Allocation failure.
         let err = remote
@@ -389,7 +388,7 @@ mod tests {
 
     #[test]
     fn remote_tickets_are_branded_per_connection() {
-        let server = serve_kind(BackendKind::Embedded, 200, 5);
+        let server = serve_kind(BackendKind::Live, 200, 5);
         let first = RemoteBackend::connect(&server.local_addr()).unwrap();
         let second = RemoteBackend::connect(&server.local_addr()).unwrap();
         let ticket = first.submit_text(&paper_text()).unwrap();
@@ -406,7 +405,7 @@ mod tests {
 
     #[test]
     fn halt_stops_the_daemon_and_new_connections_fail() {
-        let server = serve_kind(BackendKind::Embedded, 50, 9);
+        let server = serve_kind(BackendKind::Live, 50, 9);
         let addr = server.local_addr();
         let remote = RemoteBackend::connect(&addr).unwrap();
         remote.halt_daemon().unwrap();
@@ -419,7 +418,7 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent_and_poisons_later_calls() {
-        let server = serve_kind(BackendKind::Embedded, 100, 10);
+        let server = serve_kind(BackendKind::Live, 100, 10);
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
         remote.shutdown().unwrap();
         remote.shutdown().unwrap();

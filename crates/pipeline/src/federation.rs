@@ -1965,7 +1965,7 @@ mod tests {
             .into_shared();
         let inner = crate::api::PipelineBuilder::new()
             .database(fleet)
-            .build(crate::api::BackendKind::Embedded)
+            .build(crate::api::BackendKind::Live)
             .unwrap();
         let config = FederationConfig {
             domain: "a".to_string(),

@@ -28,10 +28,9 @@
 //! * [`live::LivePipeline`] — the stages wired once, in one address space.
 //!   A stage has no thread: a pool-manager stage is its pool manager behind
 //!   a lock plus an inbox, run by whichever thread finds it idle, and the
-//!   query manager is run by the launching thread.  The embedded backend
-//!   (the form used by the examples and the baseline comparison) and the
-//!   live backend (stage replication and pipelining, with an admission
-//!   window) run the same stage code.
+//!   query manager is run by the launching thread.  The live backend
+//!   serves it in process, behind an admission window; the examples, the
+//!   baseline comparison and a served daemon all use it.
 //! * [`server`] / [`client`] — the wire deployment: a `ypd` daemon hosts
 //!   any backend behind the versioned [`actyp_proto`] protocol, and
 //!   [`client::RemoteBackend`] serves the same client surface across a TCP
@@ -79,7 +78,7 @@ pub use client::RemoteBackend;
 pub use directory::{LocalDirectoryService, PoolInstanceRecord, ShardedDirectory, SharedDirectory};
 pub use federation::{is_delegable, FederatedBackend, FederationConfig, PeerUnavailable, PeerView};
 pub use gossip::{AdvertLog, GossipEvent, GossipPlane};
-pub use live::{LivePipeline, PipelineConfig, PipelineStats};
+pub use live::{LivePipeline, PipelineConfig};
 pub use message::{
     AddressParseError, FragmentTag, RequestId, RequestIdGenerator, RoutingState, StageAddress,
 };

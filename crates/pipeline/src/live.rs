@@ -6,13 +6,13 @@
 //! stage to the next via TCP or UDP" (Section 6).  In-process, a stage has
 //! no thread.  A pool-manager stage is its pool manager behind a lock plus
 //! an inbox, stepped by the thread that gets the lock (`Stage`), so a
-//! served daemon's stages run on its I/O threads, and the embedded and
-//! live backends differ only in the live one's window.  A step only *says*
+//! served daemon's stages run on its I/O threads and a lone in-process
+//! caller's on the calling thread.  A step only *says*
 //! what comes next — deliver this fragment, post this message to that
 //! stage, or answer this release (`Next`) — and the stepping thread does
 //! it once the pool manager is unlocked.  The query manager owns no pool
-//! state: whoever launches a query runs it on one of the `query_managers`
-//! replicas and posts each fragment to its stage.  Each fragment carries a
+//! state: whoever launches a query runs the query manager on it and posts
+//! each fragment to its stage.  Each fragment carries a
 //! handle on its query's join, and the thread that delivers the last
 //! result re-integrates the query — the paper's "another query-manager
 //! stage at the end of the pipeline" — and runs the query's completion:
@@ -32,6 +32,7 @@ use actyp_grid::SharedDatabase;
 use actyp_query::{BasicQuery, Query, QuerySchema};
 
 use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone};
+use crate::api::StatsSnapshot;
 use crate::directory::{LocalDirectoryService, SharedDirectory};
 use crate::message::{RequestId, RequestIdGenerator, RoutingState};
 use crate::pool_manager::{HandleOutcome, InstanceSelection, PoolManager, PoolManagerConfig};
@@ -41,8 +42,6 @@ use crate::scheduler::SchedulingObjective;
 /// Configuration of a pipeline.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Number of query-manager replicas (run on the launching thread).
-    pub query_managers: usize,
     /// Number of pool-manager stages (single-domain deployments; federated
     /// deployments name one database per stage instead).
     pub pool_managers: usize,
@@ -71,7 +70,6 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            query_managers: 1,
             pool_managers: 1,
             objective: SchedulingObjective::LeastLoaded,
             instance_selection: InstanceSelection::Random,
@@ -86,29 +84,8 @@ impl Default for PipelineConfig {
     }
 }
 
-/// Statistics a pipeline accumulates over its lifetime.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Client requests submitted.
-    pub requests: u64,
-    /// Basic queries produced by decomposition.
-    pub fragments: u64,
-    /// Successful allocations handed to clients.
-    pub allocations: u64,
-    /// Failed fragments.
-    pub failures: u64,
-    /// Delegations between pool managers.
-    pub delegations: u64,
-    /// Forwards to pool instances hosted by a different manager.
-    pub forwards: u64,
-    /// Allocations released by clients.
-    pub releases: u64,
-    /// Machine records examined for the allocations queries kept.
-    pub records_examined: u64,
-}
-
-/// The counters behind [`PipelineStats`], shared by every thread that
-/// launches a query or steps a stage.
+/// A pipeline's lifetime counters, shared by every thread that launches a
+/// query or steps a stage.
 #[derive(Debug, Default)]
 struct LiveCounters {
     requests: AtomicU64,
@@ -122,16 +99,32 @@ struct LiveCounters {
 }
 
 impl LiveCounters {
-    fn snapshot(&self) -> PipelineStats {
-        PipelineStats {
+    /// The counters as the unified [`StatsSnapshot`], every field named.
+    fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             fragments: self.fragments.load(Ordering::Relaxed),
             allocations: self.allocations.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
             delegations: self.delegations.load(Ordering::Relaxed),
             forwards: self.forwards.load(Ordering::Relaxed),
+            // WAN federation counters belong to the federated daemon wrapper
+            // (`crate::federation::FederatedBackend`), not to a pipeline.
+            delegations_out: 0,
+            delegations_in: 0,
             releases: self.releases.load(Ordering::Relaxed),
             records_examined: self.examined.load(Ordering::Relaxed),
+            gossip_deltas_in: 0,
+            gossip_deltas_out: 0,
+            route_hits: 0,
+            route_misses: 0,
+            peer_redials: 0,
+            // The backend overlays its window's `in_flight` and contention
+            // count; the daemon's reactor overlays its batching counters.
+            in_flight: 0,
+            shard_contention: 0,
+            frames_batched: 0,
+            writes_coalesced: 0,
         }
     }
 }
@@ -191,8 +184,6 @@ impl Drop for Promise {
 /// A launched query's fragments meeting again: each one's result by index,
 /// how many are still out, and the promise of the whole query.
 struct Join {
-    /// The replica that prepared the query; it re-integrates it too.
-    replica: usize,
     /// A leaf lock: released before the query is re-integrated.
     parts: Mutex<Parts>,
 }
@@ -234,7 +225,8 @@ impl Join {
         counters
             .allocations
             .fetch_add(results.len() as u64 - failed, Ordering::Relaxed);
-        let reintegrated = shared.replicas[self.replica]
+        let reintegrated = shared
+            .query_manager
             .lock()
             .reintegrate(results, shared.config.reintegration);
         match reintegrated {
@@ -540,10 +532,8 @@ pub(crate) fn drain_owed() -> bool {
 /// What launching a query and finishing it touch, shared by every
 /// launching thread and every pool-manager stage.
 struct Shared {
-    /// The query-manager replicas, taken round robin.  Each is a leaf lock,
-    /// never held across a post.
-    replicas: Vec<Mutex<QueryManager>>,
-    cursor: AtomicUsize,
+    /// The query manager: a leaf lock, never held across a post.
+    query_manager: Mutex<QueryManager>,
     /// The pool-manager stages, in `pm_names` order.
     stages: Vec<Stage>,
     pm_names: Vec<String>,
@@ -607,17 +597,15 @@ impl Shared {
 pub(crate) struct Launcher(Arc<Shared>);
 
 impl Launcher {
-    /// Launches a query without waiting: the query manager runs here, on
-    /// one of its replicas, and posts each fragment to its pool-manager
-    /// stage; `done` runs with the outcome on the thread that steps the
+    /// Launches a query without waiting: the query manager runs here and
+    /// posts each fragment to its pool-manager stage; `done` runs with the outcome on the thread that steps the
     /// last fragment.  A query the query manager refuses runs `done` with
     /// the error at once, and a fragment no stage takes answers as dropped.
     pub(crate) fn launch(&self, query: Query, done: AllocateDone) {
         let shared = &self.0;
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
         let promise = Promise::new(shared, done);
-        let replica = shared.cursor.fetch_add(1, Ordering::Relaxed) % shared.replicas.len();
-        let mut qm = shared.replicas[replica].lock();
+        let mut qm = shared.query_manager.lock();
         let prepared = qm.prepare(&query).map(|prepared| prepared.fragments);
         let targets: Vec<Option<String>> = (prepared.iter().flatten())
             .map(|(_, basic)| qm.select_pool_manager(basic, &shared.pm_names))
@@ -629,7 +617,6 @@ impl Launcher {
         };
 
         let join = Arc::new(Join {
-            replica,
             parts: Mutex::new(Parts {
                 results: vec![Err(AllocationError::NoSuchResources); fragments.len()],
                 remaining: fragments.len(),
@@ -663,19 +650,14 @@ impl LivePipeline {
     /// Starts a deployment with one pool-manager stage per domain.
     pub(crate) fn new(config: PipelineConfig, domains: Vec<(String, SharedDatabase)>) -> Self {
         assert!(!domains.is_empty(), "at least one domain is required");
-        let ids = Arc::new(RequestIdGenerator::new());
-        let replicas = (0..config.query_managers.max(1))
-            .map(|i| {
-                Mutex::new(QueryManager::new(
-                    format!("qm-{i}"),
-                    QuerySchema::punch_default().permissive(),
-                    config.pool_manager_selection.clone(),
-                    config.decompose_limit,
-                    ids.clone(),
-                    config.seed ^ (0x51 + i as u64),
-                ))
-            })
-            .collect();
+        let query_manager = Mutex::new(QueryManager::new(
+            "qm-0".to_string(),
+            QuerySchema::punch_default().permissive(),
+            config.pool_manager_selection.clone(),
+            config.decompose_limit,
+            Arc::new(RequestIdGenerator::new()),
+            config.seed ^ 0x51,
+        ));
         let pm_names: Vec<String> = domains.iter().map(|(name, _)| name.clone()).collect();
         let directory = LocalDirectoryService::new().into_shared_with(config.shards);
         let stages = domains.into_iter().enumerate().map(|(i, (name, db))| {
@@ -691,8 +673,7 @@ impl LivePipeline {
             Stage { manager, inbox }
         });
         let shared = Arc::new(Shared {
-            replicas,
-            cursor: AtomicUsize::new(0),
+            query_manager,
             stages: stages.collect(),
             pm_names,
             directory,
@@ -713,8 +694,9 @@ impl LivePipeline {
         &self.launcher.0.directory
     }
 
-    /// A snapshot of the per-stage counters.
-    pub fn stats(&self) -> PipelineStats {
+    /// A snapshot of the per-stage counters; `in_flight` and the
+    /// contention counts are the backend's to overlay.
+    pub fn stats(&self) -> StatsSnapshot {
         self.launcher.0.counters.snapshot()
     }
 
@@ -739,13 +721,6 @@ impl LivePipeline {
     /// A handle that launches queries into this pipeline from anywhere.
     pub(crate) fn launcher(&self) -> Launcher {
         self.launcher.clone()
-    }
-
-    /// Launches `query`; `done` runs with its outcome on the thread that
-    /// has it — this one, before this returns, unless another thread is at
-    /// the stages the query reaches.
-    pub(crate) fn allocate_with(&self, query: Query, done: AllocateDone) {
-        self.launcher.launch(query, done)
     }
 
     /// Releases an allocation without waiting for it: the stage that drops
@@ -777,6 +752,15 @@ pub(crate) mod tests {
 
     /// The name of the thread [`hold_stage`] holds a stage on.
     pub(crate) const HOLDER: &str = "stage-holder";
+
+    impl LivePipeline {
+        /// Launches `query`; `done` runs with its outcome on the thread
+        /// that has it — this one, before this returns, unless another
+        /// thread is at the stages the query reaches.
+        fn allocate_with(&self, query: Query, done: AllocateDone) {
+            self.launcher.launch(query, done)
+        }
+    }
 
     /// Holds `pipeline`'s first pool-manager stage — its lock taken through
     /// `with_pool_manager` on a [`HOLDER`] thread with a 256 KiB stack —
@@ -894,7 +878,6 @@ pub(crate) mod tests {
     #[test]
     fn replicated_stages_serve_concurrent_clients() {
         let config = PipelineConfig {
-            query_managers: 3,
             pool_managers: 2,
             pool_manager_selection: PoolManagerSelection::RoundRobin,
             ..PipelineConfig::default()
@@ -978,11 +961,7 @@ pub(crate) mod tests {
 
     #[test]
     fn async_submissions_overlap_in_the_pipeline() {
-        let config = PipelineConfig {
-            query_managers: 2,
-            ..PipelineConfig::default()
-        };
-        let pipeline = start(config, fleet_db(300, 9));
+        let pipeline = start(PipelineConfig::default(), fleet_db(300, 9));
         let query = Query::paper_example();
         // Three queries in flight before any reply is awaited.
         let pending: Vec<_> = (0..3).map(|_| launch(&pipeline, query.clone())).collect();
@@ -1303,7 +1282,6 @@ pub(crate) mod tests {
         let (tx, answered) = unbounded();
         let done: AllocateDone = Box::new(move |outcome| drop(tx.send(outcome)));
         let join = Arc::new(Join {
-            replica: 0,
             parts: Mutex::new(Parts {
                 results: vec![Err(AllocationError::NoSuchResources); fragments],
                 remaining: fragments,
@@ -1599,8 +1577,7 @@ pub(crate) mod tests {
     #[test]
     fn classad_queries_are_interoperable() {
         let pipeline = start(PipelineConfig::default(), fleet_db(300, 7));
-        let query = pipeline.launcher.0.replicas[0]
-            .lock()
+        let query = (pipeline.launcher.0.query_manager.lock())
             .translate_classad(
                 "Arch == \"SUN\" && Memory >= 128",
                 Some("royo"),

@@ -823,21 +823,21 @@ impl<F: Flag, B: Bell> Doorbell<F, B> {
 // Timer wheel
 // ---------------------------------------------------------------------------
 
-/// One armed timer: an opaque id, its next deadline, and — for periodic
-/// timers — the interval at which it re-arms itself.
+/// One armed timer: an opaque id, its next deadline, and the interval at
+/// which it re-arms itself.
 #[derive(Debug, Clone)]
 struct Timer {
     id: u64,
     deadline: std::time::Instant,
-    period: Option<Duration>,
+    period: Duration,
 }
 
 /// A deliberately small deadline list ("wheel" by role, not by data
 /// structure — a handful of timers per I/O thread never justifies
 /// hierarchical buckets).  The I/O loop calls [`TimerWheel::poll_timeout`]
 /// to cap its poll interval, then [`TimerWheel::expired`] after each
-/// wakeup; periodic timers re-arm themselves, skipping intervals the
-/// thread slept through so a stalled loop does not replay a burst of
+/// wakeup; every timer is periodic and re-arms itself, skipping intervals
+/// the thread slept through so a stalled loop does not replay a burst of
 /// stale ticks.
 #[derive(Debug, Default)]
 pub struct TimerWheel {
@@ -850,17 +850,6 @@ impl TimerWheel {
         Self::default()
     }
 
-    /// Arms a one-shot timer `after` from now.  Re-arming an id replaces
-    /// its previous registration.
-    pub fn add(&mut self, id: u64, after: Duration) {
-        self.timers.retain(|t| t.id != id);
-        self.timers.push(Timer {
-            id,
-            deadline: std::time::Instant::now() + after,
-            period: None,
-        });
-    }
-
     /// Arms a periodic timer firing every `period`, first in one `period`
     /// from now.  Re-arming an id replaces its previous registration.
     pub fn add_periodic(&mut self, id: u64, period: Duration) {
@@ -868,7 +857,7 @@ impl TimerWheel {
         self.timers.push(Timer {
             id,
             deadline: std::time::Instant::now() + period,
-            period: Some(period),
+            period,
         });
     }
 
@@ -883,28 +872,18 @@ impl TimerWheel {
             .map_or(cap, |next| next.min(cap))
     }
 
-    /// Pops every timer due at `now`, returning their ids.  Periodic
-    /// timers are rescheduled relative to their own deadline (not `now`),
-    /// advancing past any intervals that elapsed while the thread was
-    /// busy; one-shot timers are removed.
+    /// Returns the ids of every timer due at `now`, each rescheduled
+    /// relative to its own deadline (not `now`), advancing past any
+    /// intervals that elapsed while the thread was busy.
     pub fn expired(&mut self, now: std::time::Instant) -> Vec<u64> {
         let mut due = Vec::new();
-        self.timers.retain_mut(|timer| {
-            if timer.deadline > now {
-                return true;
-            }
+        for timer in self.timers.iter_mut().filter(|t| t.deadline <= now) {
             due.push(timer.id);
-            match timer.period {
-                Some(period) => {
-                    timer.deadline += period;
-                    while timer.deadline <= now {
-                        timer.deadline += period;
-                    }
-                    true
-                }
-                None => false,
+            timer.deadline += timer.period;
+            while timer.deadline <= now {
+                timer.deadline += timer.period;
             }
-        });
+        }
         due
     }
 }
@@ -1064,21 +1043,13 @@ mod tests {
         let cap = Duration::from_millis(500);
         assert_eq!(wheel.poll_timeout(cap), cap, "empty wheel polls full cap");
 
-        wheel.add(1, Duration::from_millis(50));
+        wheel.add_periodic(1, Duration::from_millis(50));
         assert!(wheel.poll_timeout(cap) <= Duration::from_millis(50));
 
         // An already-due timer clamps the timeout to zero, never negative.
-        wheel.add(2, Duration::ZERO);
+        wheel.add_periodic(2, Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(2));
         assert_eq!(wheel.poll_timeout(cap), Duration::ZERO);
-    }
-
-    #[test]
-    fn timer_wheel_one_shot_fires_once() {
-        let mut wheel = TimerWheel::new();
-        wheel.add(7, Duration::ZERO);
-        let now = std::time::Instant::now();
-        assert_eq!(wheel.expired(now), vec![7]);
-        assert!(wheel.expired(now + Duration::from_secs(1)).is_empty());
     }
 
     #[test]
@@ -1103,11 +1074,13 @@ mod tests {
     #[test]
     fn timer_wheel_rearm_replaces_the_registration() {
         let mut wheel = TimerWheel::new();
-        wheel.add(5, Duration::ZERO);
-        wheel.add(5, Duration::from_secs(60));
+        wheel.add_periodic(5, Duration::from_millis(1));
+        wheel.add_periodic(5, Duration::from_secs(60));
         assert!(
-            wheel.expired(std::time::Instant::now()).is_empty(),
-            "re-arming replaced the due registration"
+            wheel
+                .expired(std::time::Instant::now() + Duration::from_secs(1))
+                .is_empty(),
+            "re-arming replaced the registration due first"
         );
     }
 }

@@ -3,7 +3,7 @@
 //! end of the socket).
 //!
 //! [`serve`] binds a listener and hosts *any* [`ResourceManager`] — the
-//! pipeline, with or without a window, or a centralized baseline.
+//! pipeline, behind its window, or a centralized baseline.
 //! Each connection is a *session*.  The daemon issues it no ticket: a
 //! `Submit` is answered by its query's `Outcome`, so several queries are in
 //! flight as several pipelined `Submit`s.  Allocations are *session
@@ -486,7 +486,7 @@ mod tests {
         let db = fleet_db(200, 6);
         let server = PipelineBuilder::new()
             .database(db.clone())
-            .serve(&loopback(), BackendKind::Embedded)
+            .serve(&loopback(), BackendKind::Live)
             .unwrap();
         {
             let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
@@ -511,7 +511,7 @@ mod tests {
         let db = fleet_db(200, 7);
         let server = PipelineBuilder::new()
             .database(db.clone())
-            .serve(&loopback(), BackendKind::Embedded)
+            .serve(&loopback(), BackendKind::Live)
             .unwrap();
         {
             let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
@@ -530,40 +530,38 @@ mod tests {
     fn disconnect_racing_an_in_flight_wait_leaks_nothing() {
         // Raw client: a `Submit` carries its wait, and the client hangs up
         // without reading the Outcome.  Whoever has the outcome — the I/O
-        // thread behind the eager backend, the stage that produces it
-        // behind the live one — delivers into a session that may
-        // be closing already, so only the lease mechanism can return the
-        // allocation, and the teardown that races it must return it once.
-        for kind in [BackendKind::Embedded, BackendKind::Live] {
-            let db = fleet_db(200, 8);
-            let manager: Arc<dyn ResourceManager> = Arc::from(
-                PipelineBuilder::new()
-                    .database(db.clone())
-                    .build(kind)
-                    .unwrap(),
-            );
-            let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
-            {
-                let mut raw = raw_hello(&server.local_addr());
-                submit_raw(&mut raw, 0);
-                // Hang up as the outcome is delivered, before the drain
-                // could close the session with the `Submit` unread.
-                let started = std::time::Instant::now();
-                while manager.stats().allocations == 0 {
-                    assert!(started.elapsed() < std::time::Duration::from_secs(10));
-                    std::thread::yield_now();
-                }
-                // Dropped without reading the Outcome.
+        // thread that steps the idle stage — delivers into a session that
+        // may be closing already, so only the lease mechanism can return
+        // the allocation, and the teardown that races it must return it
+        // once.
+        let db = fleet_db(200, 8);
+        let manager: Arc<dyn ResourceManager> = Arc::from(
+            PipelineBuilder::new()
+                .database(db.clone())
+                .build(BackendKind::Live)
+                .unwrap(),
+        );
+        let server = serve(Box::new(manager.clone()), &loopback()).unwrap();
+        {
+            let mut raw = raw_hello(&server.local_addr());
+            submit_raw(&mut raw, 0);
+            // Hang up as the outcome is delivered, before the drain could
+            // close the session with the `Submit` unread.
+            let started = std::time::Instant::now();
+            while manager.stats().allocations == 0 {
+                assert!(started.elapsed() < std::time::Duration::from_secs(10));
+                std::thread::yield_now();
             }
-            server.halt();
-            server.join().unwrap();
-            let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
-            assert_eq!(active, 0, "{kind}");
-            let stats = manager.stats();
-            assert_eq!(stats.allocations, 1, "{kind}: redeemed exactly once");
-            assert_eq!(stats.allocations, stats.releases, "{kind}");
-            assert_eq!(stats.in_flight, 0, "{kind}");
+            // Dropped without reading the Outcome.
         }
+        server.halt();
+        server.join().unwrap();
+        let active: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
+        assert_eq!(active, 0);
+        let stats = manager.stats();
+        assert_eq!(stats.allocations, 1, "redeemed exactly once");
+        assert_eq!(stats.allocations, stats.releases);
+        assert_eq!(stats.in_flight, 0);
     }
 
     #[test]
@@ -707,8 +705,8 @@ mod tests {
     fn a_burst_of_pipelined_missed_waits_is_answered_in_full() {
         // The counterpart of the release burst: one session pipelines more
         // `Submit`s than the completion high-water mark in a single write.
-        // The embedded backend resolves each at once, and every outcome is
-        // held back.  The I/O thread must pause reading at the mark
+        // The I/O thread steps the idle stage, so each resolves at once, and
+        // every outcome is held back.  The I/O thread must pause reading at the mark
         // — not refuse the rest — and resume as the stage answers, so every
         // reply is an Outcome.
         const SUBMITS: u64 = 300;
@@ -716,7 +714,7 @@ mod tests {
         let inner: Arc<dyn ResourceManager> = Arc::from(
             PipelineBuilder::new()
                 .database(fleet_db(2_000, 10))
-                .build(BackendKind::Embedded)
+                .build(BackendKind::Live)
                 .unwrap(),
         );
         let manager = HeldOutcomes::new(&inner);
@@ -1216,67 +1214,48 @@ mod tests {
     #[test]
     fn a_client_vanishing_with_v4_submits_in_every_state_strands_nothing() {
         // One session leaves a `Submit` behind in each state: granted but
-        // its Outcome unread; launched with its outcome not in yet; and,
-        // on the live backend, not launched — queued on its full window
-        // (an embedded backend resolves the third at once, and its outcome
-        // is held like the second's).  The first is a lease the final sweep
-        // returns, the second becomes one when its outcome reaches the
-        // closed session, and the third is launched after the close and
-        // redeemed there, its lease swept.
-        for kind in [BackendKind::Live, BackendKind::Embedded] {
-            let db = fleet_db(300, 15);
-            let builder = PipelineBuilder::new().database(db.clone()).window(1);
-            let (live, inner) = match kind {
-                BackendKind::Live => {
-                    let (live, inner) = live(builder);
-                    (Some(live), inner)
-                }
-                _ => (None, Arc::from(builder.build(kind).unwrap())),
-            };
-            let manager = HeldOutcomes::new(&inner);
-            let held = manager.held.clone();
-            let server = serve(Box::new(manager), &loopback()).unwrap();
-            let hold = {
-                let mut raw = raw_hello(&server.local_addr());
-                // Granted: its outcome is written, never read.
-                submit_raw(&mut raw, 0);
-                await_held(&held, 1);
-                let (outcome, done) = held.lock().pop().unwrap();
-                done(outcome);
-                // Launched: on the live backend its outcome cannot come
-                // while the stage is held, so the window's one permit
-                // stays its own.
-                let hold = live.as_deref().map(hold_the_stage);
-                submit_raw(&mut raw, 1);
-                // Not launched.
-                let base = inner.stats().shard_contention;
-                submit_raw(&mut raw, 2);
-                match kind {
-                    BackendKind::Live => await_queued(&*inner, base + 1),
-                    _ => await_held(&held, 2),
-                }
-                hold
-            };
-            // The client is gone; once its session is closing, the stage
-            // answers what it holds — launching the queued submission on
-            // the live backend.
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            drop(hold);
-            let stop = Arc::new(AtomicBool::new(false));
-            let stage = answer_held(&held, 0, &stop);
-            server.halt();
-            server.join().unwrap();
-            stop.store(true, Ordering::SeqCst);
-            stage.join().unwrap();
-            let stats = inner.stats();
-            assert_eq!(
-                stats.allocations, 3,
-                "{kind}: every submission was launched"
-            );
-            assert_eq!(stats.allocations, stats.releases, "{kind}");
-            assert_eq!(stats.in_flight, 0, "{kind}");
-            assert_eq!(active_jobs(&db), 0, "{kind}");
-        }
+        // its Outcome unread; launched with its outcome not in yet; and not
+        // launched — queued on its full window.  The first is a lease the
+        // final sweep returns, the second becomes one when its outcome
+        // reaches the closed session, and the third is launched after the
+        // close and redeemed there, its lease swept.
+        let db = fleet_db(300, 15);
+        let (live, inner) = live(PipelineBuilder::new().database(db.clone()).window(1));
+        let manager = HeldOutcomes::new(&inner);
+        let held = manager.held.clone();
+        let server = serve(Box::new(manager), &loopback()).unwrap();
+        let hold = {
+            let mut raw = raw_hello(&server.local_addr());
+            // Granted: its outcome is written, never read.
+            submit_raw(&mut raw, 0);
+            await_held(&held, 1);
+            let (outcome, done) = held.lock().pop().unwrap();
+            done(outcome);
+            // Launched: its outcome cannot come while the stage is held, so
+            // the window's one permit stays its own.
+            let hold = hold_the_stage(&live);
+            submit_raw(&mut raw, 1);
+            // Not launched.
+            let base = inner.stats().shard_contention;
+            submit_raw(&mut raw, 2);
+            await_queued(&*inner, base + 1);
+            hold
+        };
+        // The client is gone; once its session is closing, the stage
+        // answers what it holds — launching the queued submission.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        drop(hold);
+        let stop = Arc::new(AtomicBool::new(false));
+        let stage = answer_held(&held, 0, &stop);
+        server.halt();
+        server.join().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        stage.join().unwrap();
+        let stats = inner.stats();
+        assert_eq!(stats.allocations, 3, "every submission was launched");
+        assert_eq!(stats.allocations, stats.releases);
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(active_jobs(&db), 0);
     }
 
     #[test]
@@ -1406,7 +1385,7 @@ mod tests {
 
     #[test]
     fn version_negotiation_rejects_a_future_only_client() {
-        let server = serve_kind(BackendKind::Embedded, 50, 7);
+        let server = serve_kind(BackendKind::Live, 50, 7);
         let addr = server.local_addr();
         // A client of the future, and one of protocol v4, whose batch
         // frames are retired: each is refused at the hello, told the one
@@ -1943,15 +1922,15 @@ mod tests {
         srv_b.join().unwrap();
     }
 
-    /// An inbound `Delegate` to a federated daemon over an embedded backend
+    /// An inbound `Delegate` to a federated daemon embedded in this process
     /// is submitted and redeemed as completions on the I/O thread that
-    /// decoded it — the embedded backend resolves it on the spot — and
+    /// decoded it — which steps the idle stage and resolves it on the spot — and
     /// answered `Delegated`; the lease is the peer session's, returned by
     /// its final sweep.
     #[test]
     fn an_inbound_delegate_to_a_federated_embedded_daemon_is_answered_delegated() {
         let db = arch_db("hp", 20, 94);
-        let (srv, fed) = federated("upc", BackendKind::Embedded, db.clone(), Vec::new());
+        let (srv, fed) = federated("upc", BackendKind::Live, db.clone(), Vec::new());
         let mut raw = raw_hello(&srv.local_addr());
         write_frame(
             &mut raw,
@@ -2027,7 +2006,7 @@ mod tests {
 
     #[test]
     fn garbage_on_the_socket_does_not_kill_the_daemon() {
-        let server = serve_kind(BackendKind::Embedded, 50, 8);
+        let server = serve_kind(BackendKind::Live, 50, 8);
         let addr = server.local_addr();
         {
             let mut stream = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();

@@ -1119,7 +1119,7 @@ fn dispatch_frame(shared: &Arc<ServerShared>, session: &mut ReactorSession, fram
                 }
             };
             // One call: the backend launches the query now or queues it in
-            // its window (the eager backends resolve it here), and
+            // its window (the baselines resolve it here), and
             // whichever thread has the outcome writes it as the reply —
             // also after the client left: a federated chain starts only
             // while the session is open, and a granted lease goes back with
@@ -1781,12 +1781,7 @@ mod tests {
         let db = SyntheticFleet::new(FleetSpec::with_machines(100), 41)
             .generate()
             .into_shared();
-        let manager = Arc::new(
-            PipelineBuilder::new()
-                .database(db)
-                .build_embedded()
-                .unwrap(),
-        );
+        let manager = Arc::new(PipelineBuilder::new().database(db).build_live().unwrap());
         let (locked, taken) = std::sync::mpsc::channel();
         let (hold, held) = std::sync::mpsc::channel::<()>();
         let holder = std::thread::spawn({

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use actyp_appmgmt::{compose_query, HardwareRequirements, KnowledgeBase, PerformanceModel};
 use actyp_grid::SharedDatabase;
-use actyp_pipeline::api::EmbeddedBackend;
+use actyp_pipeline::api::LiveBackend;
 use actyp_pipeline::{
     Allocation, AllocationError, PipelineBuilder, PipelineConfig, ResourceManager,
 };
@@ -79,7 +79,7 @@ pub struct NetworkDesktop {
     users: UserRegistry,
     knowledge: KnowledgeBase,
     model: PerformanceModel,
-    manager: EmbeddedBackend,
+    manager: LiveBackend,
     vfs: MountManager,
     execution_units: HashMap<actyp_grid::MachineId, ExecutionUnit>,
     runs: HashMap<RunHandle, ActiveRun>,
@@ -103,7 +103,7 @@ impl NetworkDesktop {
             manager: PipelineBuilder::new()
                 .database(db)
                 .config(pipeline)
-                .build_embedded()
+                .build_live()
                 .expect("a database was provided"),
             vfs: MountManager::new(),
             execution_units: HashMap::new(),
@@ -116,7 +116,7 @@ impl NetworkDesktop {
     /// Access to the underlying resource manager (inspection).  The
     /// desktop drives it through the unified [`ResourceManager`] trait —
     /// the same surface a remote deployment would offer.
-    pub fn manager(&self) -> &EmbeddedBackend {
+    pub fn manager(&self) -> &LiveBackend {
         &self.manager
     }
 

@@ -37,7 +37,7 @@ mod tests {
         let db = demo_fleet(200, 42);
         let manager = PipelineBuilder::new()
             .database(db)
-            .build(BackendKind::Embedded)
+            .build(BackendKind::Live)
             .unwrap();
         let allocations = manager.submit_wait(&Query::paper_example()).unwrap();
         assert!(!allocations.is_empty(), "query must allocate a machine");

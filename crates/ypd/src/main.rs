@@ -1,7 +1,7 @@
 //! `ypd` — the Active Yellow Pages daemon.
 //!
-//! Hosts any `ResourceManager` backend (the pipeline, with or without an
-//! admission window, or a centralized baseline) behind the versioned `actyp-proto`
+//! Hosts any `ResourceManager` backend (the pipeline, behind its admission
+//! window, or a centralized baseline) behind the versioned `actyp-proto`
 //! wire protocol, over a synthetic white-pages fleet.  Clients connect with
 //! `actyp_pipeline::api::PipelineBuilder::remote` (or any implementation of
 //! the protocol) and drive the exact same API the in-process backends
@@ -54,23 +54,19 @@ use actyp_pipeline::{
 
 const USAGE: &str = "\
 usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
-           [--arch NAME] [--query-managers N] [--pool-managers N] [--window N]
-           [--shards N]
+           [--arch NAME] [--pool-managers N] [--window N] [--shards N]
            [--io-threads N]
            [--domain NAME] [--peer HOST:PORT]... [--ttl N]
            [--gossip-interval MS] [--probe-interval MS]
            [--stats-interval N]
 
   --listen HOST:PORT   address to bind (default: $ACTYP_YPD_LISTEN or 127.0.0.1:7411)
-  --backend KIND       embedded | live | central-queue | matchmaker (default: live);
-                       embedded is the same pipeline as live without its
-                       in-flight window; either way a stage runs on the
-                       I/O thread that finds it idle
+  --backend KIND       live | central-queue | matchmaker (default: live); a
+                       stage of the live pipeline runs on the I/O thread
+                       that finds it idle
   --machines N         synthetic fleet size (default: 500)
   --seed N             synthetic fleet / pipeline RNG seed (default: 42)
   --arch NAME          homogeneous fleet of this architecture (default: mixed fleet)
-  --query-managers N   query-manager replicas, run on the launching thread
-                       (default: 1)
   --pool-managers N    pool-manager stages (default: 1)
   --window N           live-backend in-flight window (default: 32)
   --shards N           lock shards of the pool directory, the only table
@@ -105,7 +101,6 @@ struct Config {
     machines: usize,
     seed: u64,
     arch: Option<String>,
-    query_managers: usize,
     pool_managers: usize,
     window: usize,
     shards: usize,
@@ -126,7 +121,6 @@ impl Default for Config {
             machines: 500,
             seed: 42,
             arch: None,
-            query_managers: 1,
             pool_managers: 1,
             window: 32,
             shards: 8,
@@ -148,18 +142,6 @@ struct EnvConfig<'a> {
     domain: Option<&'a str>,
     peers: Option<&'a str>,
     io_threads: Option<&'a str>,
-}
-
-fn parse_backend(raw: &str) -> Result<BackendKind, String> {
-    BackendKind::ALL
-        .into_iter()
-        .find(|kind| kind.to_string() == raw)
-        .ok_or_else(|| {
-            format!(
-                "unknown backend `{raw}` (expected one of: {})",
-                BackendKind::ALL.map(|k| k.to_string()).join(", ")
-            )
-        })
 }
 
 /// The daemon's configuration from its flags and environment, or `None`
@@ -201,7 +183,7 @@ fn parse_args(
                 let raw = value("--listen")?;
                 config.listen = raw.parse().map_err(|e| format!("--listen: {e}"))?;
             }
-            "--backend" => config.backend = parse_backend(&value("--backend")?)?,
+            "--backend" => config.backend = value("--backend")?.parse()?,
             "--machines" => {
                 let raw = value("--machines")?;
                 config.machines = raw
@@ -215,12 +197,6 @@ fn parse_args(
                     .map_err(|_| format!("--seed: invalid seed `{raw}`"))?;
             }
             "--arch" => config.arch = Some(value("--arch")?),
-            "--query-managers" => {
-                let raw = value("--query-managers")?;
-                config.query_managers = raw
-                    .parse()
-                    .map_err(|_| format!("--query-managers: invalid count `{raw}`"))?;
-            }
             "--pool-managers" => {
                 let raw = value("--pool-managers")?;
                 config.pool_managers = raw
@@ -324,7 +300,6 @@ fn main() -> ExitCode {
         .database(db)
         .seed(config.seed)
         .ttl(config.ttl)
-        .query_managers(config.query_managers)
         .pool_managers(config.pool_managers)
         .window(config.window)
         .shards(config.shards)
@@ -470,15 +445,13 @@ mod tests {
                 "--listen",
                 "0.0.0.0:9000",
                 "--backend",
-                "embedded",
+                "matchmaker",
                 "--machines",
                 "64",
                 "--seed",
                 "7",
                 "--arch",
                 "hp",
-                "--query-managers",
-                "2",
                 "--pool-managers",
                 "3",
                 "--window",
@@ -505,11 +478,10 @@ mod tests {
         .unwrap()
         .unwrap();
         assert_eq!(config.listen, StageAddress::new("0.0.0.0", 9000));
-        assert_eq!(config.backend, BackendKind::Embedded);
+        assert_eq!(config.backend, BackendKind::Matchmaker);
         assert_eq!(config.machines, 64);
         assert_eq!(config.seed, 7);
         assert_eq!(config.arch.as_deref(), Some("hp"));
-        assert_eq!(config.query_managers, 2);
         assert_eq!(config.pool_managers, 3);
         assert_eq!(config.window, 16);
         assert_eq!(config.shards, 4);
@@ -657,10 +629,11 @@ mod tests {
         assert!(parse_args(args(&["--ttl", "forever"]), no_env())
             .unwrap_err()
             .contains("invalid hop count"));
-        // The A/B switches of the settled session-engine experiment, and
-        // the size of a worker lane that is itself gone, are gone: a stale script
-        // naming them fails loudly.
-        for removed in ["--sessions", "--poller", "--workers"] {
+        // The A/B switches of the settled session-engine experiment, the
+        // size of a worker lane that is itself gone, and the replicas of a
+        // query manager that runs on the launching thread are gone: a stale
+        // script naming them fails loudly.
+        for removed in ["--sessions", "--poller", "--workers", "--query-managers"] {
             assert!(parse_args(args(&[removed, "reactor"]), no_env())
                 .unwrap_err()
                 .contains(&format!("unknown flag `{removed}`")));
@@ -703,7 +676,19 @@ mod tests {
     #[test]
     fn every_backend_name_parses() {
         for kind in BackendKind::ALL {
-            assert_eq!(parse_backend(&kind.to_string()).unwrap(), kind);
+            let config = parse_args(args(&["--backend", &kind.to_string()]), no_env());
+            assert_eq!(config.unwrap().unwrap().backend, kind);
         }
+    }
+
+    /// The embedded backend folded into `live`: a stale script naming it
+    /// is refused with the names there are.
+    #[test]
+    fn a_removed_backend_is_refused_with_the_three_there_are() {
+        let err = parse_args(args(&["--backend", "embedded"]), no_env()).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown backend `embedded` (expected one of: live, central-queue, matchmaker)"
+        );
     }
 }

@@ -115,8 +115,8 @@ fn a_served_daemon_runs_two_io_threads_and_nothing_else() {
 }
 
 #[test]
-fn query_manager_replicas_are_not_threads() {
-    with_daemon(&["--query-managers", "2", "--pool-managers", "2"], |pid| {
+fn pool_manager_stages_are_not_threads() {
+    with_daemon(&["--pool-managers", "2"], |pid| {
         let names = threads(pid, "yp");
         assert_eq!(names, ["ypd", "ypd-io-0", "ypd-io-1"], "{names:?}");
     });

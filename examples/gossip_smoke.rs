@@ -55,7 +55,7 @@ fn spawn_domain(domain: &str, arch: &str, seed: u64, peers: Vec<StageAddress>) -
         .ttl(8)
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: domain.to_string(),
                 ttl: 8,

@@ -33,7 +33,7 @@ fn main() {
 
     let manager = PipelineBuilder::new()
         .database(db)
-        .build(BackendKind::Embedded)
+        .build(BackendKind::Live)
         .expect("a database was configured");
 
     // An ece user is admitted everywhere.

@@ -17,11 +17,11 @@ fn main() {
     println!("white pages: {} machines registered", db.read().len());
 
     // 2. The resource-management pipeline behind the one client surface.
-    //    Swap `Embedded` for `Live`, `CentralQueue` or `Matchmaker` to run
+    //    Swap `Live` for `CentralQueue` or `Matchmaker` to run
     //    the same client code against a different architecture.
     let manager = PipelineBuilder::new()
         .database(db)
-        .build(BackendKind::Embedded)
+        .build(BackendKind::Live)
         .expect("a database was configured");
 
     // 3. The paper's example query, in the native key/value language.

@@ -58,7 +58,7 @@ fn spawn_domain(
         .window(64)
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: domain.to_string(),
                 ttl: 8,

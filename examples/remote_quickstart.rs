@@ -49,7 +49,6 @@ fn main() {
                 .into_shared();
             let server = PipelineBuilder::new()
                 .database(db)
-                .query_managers(2)
                 .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Live)
                 .expect("loopback daemon starts");
             let addr = server.local_addr();

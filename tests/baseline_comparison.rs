@@ -21,18 +21,12 @@ fn sun_query() -> Query {
         .with(QueryKey::user("accessgroup"), Constraint::eq("ece"))
 }
 
-const COMPARED: [BackendKind; 3] = [
-    BackendKind::Embedded,
-    BackendKind::CentralQueue,
-    BackendKind::Matchmaker,
-];
-
 #[test]
 fn all_three_architectures_satisfy_the_same_constraints() {
     let db = fleet(300, 1);
     let query = sun_query();
 
-    for kind in COMPARED {
+    for kind in BackendKind::ALL {
         let manager = PipelineBuilder::new()
             .database(db.clone())
             .build(kind)
@@ -53,7 +47,7 @@ fn pipeline_amortises_matching_work_through_pools() {
     let queries = 50;
     let mut examined = std::collections::HashMap::new();
 
-    for kind in COMPARED {
+    for kind in BackendKind::ALL {
         // A fresh fleet per backend so load states are identical.
         let manager = PipelineBuilder::new()
             .database(fleet(1_000, 2))
@@ -71,7 +65,7 @@ fn pipeline_amortises_matching_work_through_pools() {
 
     // Pools only scan the machines that satisfy the aggregation criteria;
     // the centralized designs scan the full table for every decision.
-    let pipeline = examined[&BackendKind::Embedded];
+    let pipeline = examined[&BackendKind::Live];
     let central = examined[&BackendKind::CentralQueue];
     let matchmaker = examined[&BackendKind::Matchmaker];
     assert!(
@@ -87,7 +81,7 @@ fn baselines_and_pipeline_agree_when_nothing_matches() {
     let db = fleet(100, 3);
     let impossible = Query::new().with(QueryKey::rsrc("arch"), Constraint::eq("cray"));
 
-    for kind in COMPARED {
+    for kind in BackendKind::ALL {
         let manager = PipelineBuilder::new()
             .database(db.clone())
             .build(kind)

@@ -108,7 +108,7 @@ proptest! {
         let jobs_before: u32 = db.read().iter().map(|m| m.dynamic.active_jobs).sum();
         let manager = PipelineBuilder::new()
             .database(db.clone())
-            .build_embedded()
+            .build_live()
             .unwrap();
         match manager.submit_wait(&query) {
             Ok(allocations) => {

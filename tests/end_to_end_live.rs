@@ -1,5 +1,5 @@
 //! Integration test: the full PUNCH flow (desktop → application management →
-//! ActYP pipeline → allocation → release) and the live threaded deployment.
+//! ActYP pipeline → allocation → release) and the live deployment.
 //! Every backend is driven through the unified [`ResourceManager`] surface,
 //! exactly as the examples do.
 
@@ -8,6 +8,7 @@ use std::sync::Arc;
 use actyp_grid::{FleetSpec, SyntheticFleet};
 use actyp_pipeline::{
     BackendKind, PipelineBuilder, PipelineConfig, PoolManagerSelection, ResourceManager,
+    StageAddress,
 };
 use actyp_punch::{NetworkDesktop, RunError};
 use actyp_query::Query;
@@ -62,7 +63,6 @@ fn live_pipeline_handles_a_burst_of_concurrent_clients() {
     let pipeline = Arc::new(
         PipelineBuilder::new()
             .database(fleet(600, 3))
-            .query_managers(2)
             .pool_managers(2)
             .pool_manager_selection(PoolManagerSelection::RoundRobin)
             .build_live()
@@ -104,7 +104,6 @@ fn single_client_keeps_several_tickets_in_flight() {
     // overlap across the pool-manager and pool stages.
     let pipeline = PipelineBuilder::new()
         .database(fleet(400, 5))
-        .query_managers(2)
         .window(8)
         .build_live()
         .unwrap();
@@ -128,23 +127,29 @@ fn single_client_keeps_several_tickets_in_flight() {
     pipeline.shutdown().unwrap();
 }
 
+/// The in-process pipeline and the `ypd` daemon embedded in this process
+/// (served on loopback, reached over a real socket) aggregate by the same
+/// criteria — the same pool name — and pick an hp machine with >=256 MB.
 #[test]
 fn live_and_embedded_deployments_agree_on_semantics() {
-    let db = fleet(300, 4);
     let text = "punch.rsrc.arch = hp\npunch.rsrc.memory = >=256\n";
+    let builder = || PipelineBuilder::new().database(fleet(300, 4));
+    let server = builder()
+        .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Live)
+        .unwrap();
+    let deployments: [Box<dyn ResourceManager>; 2] = [
+        builder().build(BackendKind::Live).unwrap(),
+        Box::new(PipelineBuilder::remote(&server.local_addr()).unwrap()),
+    ];
     let mut pools = Vec::new();
-    for kind in [BackendKind::Embedded, BackendKind::Live] {
-        let manager = PipelineBuilder::new()
-            .database(db.clone())
-            .build(kind)
-            .unwrap();
+    for manager in deployments {
         let allocations = manager.submit_text_wait(text).expect("allocation succeeds");
-        // Both deployments aggregate by the same criteria (same pool name)
-        // and select an hp machine with >=256 MB.
         assert!(allocations[0].machine_name.contains("hp"));
         pools.push(allocations[0].pool.clone());
         manager.release(&allocations[0]).unwrap();
         manager.shutdown().unwrap();
     }
     assert_eq!(pools[0], pools[1]);
+    server.halt();
+    server.join().unwrap();
 }

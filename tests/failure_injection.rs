@@ -2,11 +2,11 @@
 //! pool destruction with outstanding allocations, TTL exhaustion, shadow
 //! account exhaustion, and monitor-driven recovery.  Backends are driven
 //! through the unified [`ResourceManager`] trait; the concrete
-//! [`EmbeddedBackend`] handle is kept where a scenario must reach inside
-//! the engine (pool destruction).
+//! [`LiveBackend`] handle is kept where a scenario must reach inside
+//! the pipeline (pool destruction).
 
 use actyp_grid::{FleetSpec, MachineState, MonitorConfig, ResourceMonitor, SyntheticFleet};
-use actyp_pipeline::api::EmbeddedBackend;
+use actyp_pipeline::api::LiveBackend;
 use actyp_pipeline::{AllocationError, PipelineBuilder, ResourceManager};
 use actyp_simnet::SimTime;
 
@@ -16,11 +16,8 @@ fn homogeneous(machines: usize, seed: u64) -> actyp_grid::SharedDatabase {
         .into_shared()
 }
 
-fn embedded(db: actyp_grid::SharedDatabase) -> EmbeddedBackend {
-    PipelineBuilder::new()
-        .database(db)
-        .build_embedded()
-        .unwrap()
+fn pipeline(db: actyp_grid::SharedDatabase) -> LiveBackend {
+    PipelineBuilder::new().database(db).build_live().unwrap()
 }
 
 fn sun_text() -> String {
@@ -41,7 +38,7 @@ fn down_machines_are_never_allocated() {
             guard.set_state(*id, MachineState::Down);
         }
     }
-    let manager = embedded(db.clone());
+    let manager = pipeline(db.clone());
     let mut allocations = Vec::new();
     for _ in 0..10 {
         let a = manager
@@ -58,7 +55,7 @@ fn down_machines_are_never_allocated() {
 #[test]
 fn failures_after_pool_creation_shrink_the_usable_set_gracefully() {
     let db = homogeneous(10, 2);
-    let manager = embedded(db.clone());
+    let manager = pipeline(db.clone());
     // Create the pool with every machine healthy.
     let first = manager.submit_text_wait(&sun_text()).unwrap();
     manager.release(&first[0]).unwrap();
@@ -93,7 +90,7 @@ fn failures_after_pool_creation_shrink_the_usable_set_gracefully() {
 #[test]
 fn monitor_driven_failures_and_recoveries_are_respected() {
     let db = homogeneous(40, 3);
-    let manager = embedded(db.clone());
+    let manager = pipeline(db.clone());
     let mut monitor = ResourceMonitor::new(
         MonitorConfig {
             failure_probability: 0.4,
@@ -131,7 +128,7 @@ fn shadow_account_exhaustion_is_reported() {
         machine.max_allowed_load = 100.0; // only shadow accounts limit us
         machine.num_cpus = 64;
     }
-    let manager = embedded(db);
+    let manager = pipeline(db);
     let first = manager
         .submit_text_wait(&sun_text())
         .expect("one account available");
@@ -147,7 +144,7 @@ fn shadow_account_exhaustion_is_reported() {
 #[test]
 fn destroying_a_pool_with_outstanding_allocations_still_allows_release() {
     let db = homogeneous(20, 5);
-    let manager = embedded(db);
+    let manager = pipeline(db);
     let allocation = manager.submit_text_wait(&sun_text()).unwrap().remove(0);
     let destroyed = manager
         .pipeline()
@@ -175,7 +172,7 @@ fn ttl_exhaustion_is_reported_when_no_domain_can_serve() {
             ("upc".to_string(), homogeneous(10, 7)),
         ])
         .ttl(1)
-        .build_embedded()
+        .build_live()
         .unwrap();
     let err = manager
         .submit_text_wait("punch.rsrc.arch = hp\n")
@@ -194,7 +191,7 @@ fn ttl_exhaustion_is_reported_when_no_domain_can_serve() {
             ("purdue".to_string(), homogeneous(10, 8)),
             ("upc".to_string(), homogeneous(10, 9)),
         ])
-        .build_embedded()
+        .build_live()
         .unwrap()
         .submit_text_wait("punch.rsrc.arch = hp\n")
         .unwrap_err();

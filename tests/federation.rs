@@ -41,7 +41,7 @@ fn spawn_domain(
         .ttl(ttl)
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: domain.to_string(),
                 ttl,
@@ -407,7 +407,7 @@ fn parallel_delegations_multiplex_on_one_peer_link() {
         .database(homogeneous_db("sun", 20, 40))
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: "purdue".to_string(),
                 ttl: 8,
@@ -639,7 +639,7 @@ fn redialed_peer_link_resyncs_pool_advertisements() {
         .database(homogeneous_db("sun", 20, 52))
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: "purdue".to_string(),
                 ttl: 8,
@@ -694,7 +694,7 @@ fn concurrent_delegations_to_the_same_peer_all_settle() {
         .database(db_a)
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: "purdue".to_string(),
                 ttl: 8,
@@ -742,7 +742,7 @@ fn non_federated_daemons_refuse_delegation_frames() {
 
     let server = PipelineBuilder::new()
         .database(homogeneous_db("sun", 20, 15))
-        .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Embedded)
+        .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Live)
         .unwrap();
     let addr = server.local_addr();
     let mut raw = TcpStream::connect((addr.host.as_str(), addr.port)).unwrap();

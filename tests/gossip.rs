@@ -51,7 +51,7 @@ fn spawn_gossiping(
         .ttl(8)
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: domain.to_string(),
                 ttl: 8,
@@ -251,7 +251,7 @@ fn peer_renaming_its_domain_retires_the_old_domains_pools() {
         .database(homogeneous_db("sun", 20, 81))
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: "purdue".to_string(),
                 ttl: 8,
@@ -317,7 +317,7 @@ fn health_probe_prunes_a_dead_peer_between_delegations() {
         .ttl(8)
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: "upc".to_string(),
                 ttl: 8,
@@ -332,7 +332,7 @@ fn health_probe_prunes_a_dead_peer_between_delegations() {
         .ttl(8)
         .serve_federated(
             &StageAddress::new("127.0.0.1", 0),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: "purdue".to_string(),
                 ttl: 8,

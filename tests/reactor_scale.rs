@@ -86,7 +86,7 @@ fn two_hundred_idle_sessions_hold_no_extra_threads() {
             .database(homogeneous_db("hp", 20, seed))
             .serve_federated(
                 &loopback(),
-                BackendKind::Embedded,
+                BackendKind::Live,
                 FederationConfig {
                     domain: domain.to_string(),
                     ttl: 8,
@@ -103,7 +103,7 @@ fn two_hundred_idle_sessions_hold_no_extra_threads() {
         .database(homogeneous_db("sun", 400, 3))
         .serve_federated(
             &loopback(),
-            BackendKind::Embedded,
+            BackendKind::Live,
             FederationConfig {
                 domain: "purdue".to_string(),
                 ttl: 8,
@@ -181,7 +181,7 @@ fn every_ticket_settles_under_two_hundred_pipelined_clients() {
     let db = homogeneous_db("sun", 1500, 4);
     let server = PipelineBuilder::new()
         .database(db.clone())
-        .serve(&loopback(), BackendKind::Embedded)
+        .serve(&loopback(), BackendKind::Live)
         .unwrap();
     let addr = server.local_addr();
     let before = thread_count();
@@ -264,7 +264,7 @@ fn every_ticket_settles_under_two_hundred_pipelined_clients() {
 fn remote_connections_bring_no_threads() {
     let server = PipelineBuilder::new()
         .database(homogeneous_db("sun", 200, 8))
-        .serve(&loopback(), BackendKind::Embedded)
+        .serve(&loopback(), BackendKind::Live)
         .unwrap();
     let addr = server.local_addr();
     let warm = RemoteBackend::connect(&addr).unwrap();
@@ -302,7 +302,7 @@ fn frames_larger_than_one_read_burst_complete() {
     let db = homogeneous_db("sun", 100, 6);
     let server = PipelineBuilder::new()
         .database(db)
-        .serve(&loopback(), BackendKind::Embedded)
+        .serve(&loopback(), BackendKind::Live)
         .unwrap();
     let mut sock = raw_hello(&server.local_addr());
     // ~600 KiB of query text: parse-rejected by the backend, but the
@@ -346,7 +346,7 @@ fn a_client_that_never_reads_cannot_wedge_the_drain() {
     let db = homogeneous_db("sun", 100, 7);
     let server = PipelineBuilder::new()
         .database(db)
-        .serve(&loopback(), BackendKind::Embedded)
+        .serve(&loopback(), BackendKind::Live)
         .unwrap();
     // Pump enough Stats requests that the replies overflow both socket
     // buffers; never read a byte back.
@@ -381,7 +381,7 @@ fn every_poller_serves_the_same_protocol() {
         let server = PipelineBuilder::new()
             .database(db.clone())
             .poller(poller)
-            .serve(&loopback(), BackendKind::Embedded)
+            .serve(&loopback(), BackendKind::Live)
             .unwrap();
         let remote = RemoteBackend::connect(&server.local_addr()).unwrap();
         let allocations = remote.submit_text_wait(SUN_QUERY).unwrap();

@@ -1,5 +1,5 @@
 //! Integration tests for the wire deployment: one client-code body runs
-//! unchanged against all **five** backends — embedded, live, the two
+//! unchanged against all **four** backends — the pipeline (live), the two
 //! centralized baselines, and the remote backend speaking the `actyp-proto`
 //! protocol to a loopback `ypd` — and the remote backend demonstrably
 //! pipelines tickets across the network hop.
@@ -31,7 +31,6 @@ fn loopback() -> StageAddress {
 /// manager to it.
 fn remote_pair(machines: usize, seed: u64) -> (ServerHandle, Box<dyn ResourceManager>) {
     let server = builder(machines, seed)
-        .query_managers(2)
         .serve(&loopback(), BackendKind::Live)
         .expect("loopback ypd starts");
     let remote = PipelineBuilder::remote(&server.local_addr()).expect("connect");
@@ -103,14 +102,14 @@ fn exercise_manager(manager: &dyn ResourceManager, label: &str) {
 }
 
 #[test]
-fn one_test_body_passes_on_all_five_backends() {
-    // The four in-process architectures...
+fn one_test_body_passes_on_all_four_backends() {
+    // The three in-process architectures...
     for kind in BackendKind::ALL {
         let manager = builder(400, 11).build(kind).expect("build");
         exercise_manager(manager.as_ref(), &kind.to_string());
         manager.shutdown().expect("shutdown");
     }
-    // ...and the fifth: the same body across a real TCP hop.
+    // ...and the fourth: the same body across a real TCP hop.
     let (server, remote) = remote_pair(400, 11);
     exercise_manager(remote.as_ref(), "remote");
     server.halt();
@@ -129,7 +128,6 @@ fn remote_backend_pipelines_tickets_across_the_wire() {
     let live = Arc::new(
         PipelineBuilder::new()
             .database(db.clone())
-            .query_managers(2)
             .build_live()
             .unwrap(),
     );
