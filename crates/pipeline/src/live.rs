@@ -7,11 +7,11 @@
 //! no thread.  A pool-manager stage is its pool manager behind a lock plus
 //! an inbox, stepped by the thread that gets the lock (`Stage`), so a
 //! served daemon's stages run on its I/O threads and a lone in-process
-//! caller's on the calling thread.  A step only *says*
-//! what comes next — deliver this fragment, post this message to that
-//! stage, or answer this release (`Next`) — and the stepping thread does
-//! it once the pool manager is unlocked.  The query manager owns no pool
-//! state: whoever launches a query runs the query manager on it and posts
+//! caller's on the calling thread.  A step only *says* what comes next —
+//! deliver this fragment, post this message to that stage, or answer this
+//! release (`Next`) — and the stepping thread does it once the pool
+//! manager is unlocked.  The query manager owns no pool state: whoever
+//! launches a query runs the query manager on its own thread and posts
 //! each fragment to its stage.  Each fragment carries a
 //! handle on its query's join, and the thread that delivers the last
 //! result re-integrates the query — the paper's "another query-manager
@@ -598,8 +598,8 @@ pub(crate) struct Launcher(Arc<Shared>);
 
 impl Launcher {
     /// Launches a query without waiting: the query manager runs here and
-    /// posts each fragment to its pool-manager stage; `done` runs with the outcome on the thread that steps the
-    /// last fragment.  A query the query manager refuses runs `done` with
+    /// posts each fragment to its pool-manager stage; `done` runs with the
+    /// outcome on the thread that steps the last fragment.  A query the query manager refuses runs `done` with
     /// the error at once, and a fragment no stage takes answers as dropped.
     pub(crate) fn launch(&self, query: Query, done: AllocateDone) {
         let shared = &self.0;

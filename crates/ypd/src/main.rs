@@ -620,6 +620,15 @@ mod tests {
         assert!(parse_args(args(&["--backend", "quantum"]), no_env())
             .unwrap_err()
             .contains("unknown backend"));
+        // The embedded backend folded into `live`: a stale script naming
+        // it is refused with the names there are.
+        assert_eq!(
+            parse_args(args(&["--backend", "embedded"]), no_env()),
+            Err(
+                "unknown backend `embedded` (expected one of: live, central-queue, matchmaker)"
+                    .to_string()
+            )
+        );
         assert!(parse_args(args(&["--machines", "many"]), no_env())
             .unwrap_err()
             .contains("invalid count"));
@@ -679,16 +688,5 @@ mod tests {
             let config = parse_args(args(&["--backend", &kind.to_string()]), no_env());
             assert_eq!(config.unwrap().unwrap().backend, kind);
         }
-    }
-
-    /// The embedded backend folded into `live`: a stale script naming it
-    /// is refused with the names there are.
-    #[test]
-    fn a_removed_backend_is_refused_with_the_three_there_are() {
-        let err = parse_args(args(&["--backend", "embedded"]), no_env()).unwrap_err();
-        assert_eq!(
-            err,
-            "unknown backend `embedded` (expected one of: live, central-queue, matchmaker)"
-        );
     }
 }
