@@ -120,17 +120,15 @@ fn the_walk_covers_the_admission_windows_launch_path() {
 
 /// Every call a daemon makes on its hosted backend is a completion: the
 /// baselines resolve a `Submit` on the spot (`BaselineBackend::execute` —
-/// walked now that `execute` is not a dispatch call), and the live
-/// backend's `allocate_with` admits it through its window (`Ledger::allocate`).  The walk from the backends' entry points must reach each, so a
-/// parking call planted on one is reported (and the workspace test below
-/// shows them clean).
+/// walked now that `execute` is not a dispatch call).  The walk from the
+/// backends' entry points must reach each, so a parking call planted on one
+/// is reported (and the workspace test below shows them clean).
 #[test]
 fn the_walk_covers_the_eager_submissions() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let reachable = reactor_reachable(&src, &reactor_entry_points("")).expect("tree lexes");
     for (file, function) in [
         ("api.rs", "allocate_with"),
-        ("api.rs", "allocate"),
         ("api.rs", "execute"),
         ("api.rs", "release_outstanding"),
     ] {
@@ -174,11 +172,11 @@ fn the_walk_covers_the_live_launch_and_the_joins_finish() {
 /// thread that launches a `Submit` runs the query manager, every
 /// pool-manager step it gets the stage's lock for and the query's finish
 /// itself.  The walk from the backends' `allocate_with` — the live one's
-/// launches the query through its window's `Ledger` — must reach the
-/// launch, the post and the drain that serve a stage here, the
-/// step, what follows it, and the join's finish with its surplus releases
-/// — so a parking call planted in the stage step is reported like one in
-/// the launch.
+/// `Ledger` launches the query, at once when the backend was built without
+/// a window (`build_embedded`) — must reach the launch, the post and the
+/// drain that serve a stage here, the step, what follows it, and the
+/// join's finish with its surplus releases — so a parking call planted in
+/// the stage step is reported like one in the launch.
 #[test]
 fn the_walk_covers_the_inline_placement_from_the_embedded_resolve() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");

@@ -695,7 +695,8 @@ impl<W: PermitWord, L: FifoLock> Window<W, L> {
 /// frees a permit — the backpressure that keeps a fast client from
 /// flooding the stages' inboxes.  The permit returns when the outcome is
 /// handed to the query's completion, so an outcome waiting in the ticket
-/// book holds none.
+/// book holds none.  [`PipelineBuilder::build_embedded`] builds it without
+/// a window: every query is launched at once.
 pub struct LiveBackend {
     pipeline: LivePipeline,
     ledger: Arc<Ledger>,
@@ -706,7 +707,8 @@ pub struct LiveBackend {
 /// thread launches and the completions that return permits.
 struct Ledger {
     launcher: Launcher,
-    window: Window,
+    /// `None` on [`PipelineBuilder::build_embedded`]'s backend.
+    window: Option<Window>,
 }
 
 impl Ledger {
@@ -719,12 +721,16 @@ impl Ledger {
         done: AllocateDone,
         admitted: impl FnOnce() + Send + 'static,
     ) {
-        if self.window.try_acquire() {
+        let Some(window) = &self.window else {
+            admitted();
+            return self.launcher.launch(query, done);
+        };
+        if window.try_acquire() {
             admitted();
             return self.launch(query, done);
         }
         let ledger = Arc::downgrade(self);
-        self.window.admit(Box::new(move || {
+        window.admit(Box::new(move || {
             admitted();
             let ledger = ledger.upgrade().expect("the ledger outlives its window");
             ledger.launch(query, done)
@@ -740,7 +746,9 @@ impl Ledger {
         self.launcher.launch(
             query,
             Box::new(move |outcome| {
-                ledger.window.free();
+                if let Some(window) = &ledger.window {
+                    window.free();
+                }
                 done(outcome)
             }),
         );
@@ -748,11 +756,11 @@ impl Ledger {
 }
 
 impl LiveBackend {
-    fn new(pipeline: LivePipeline, window: usize) -> Self {
+    fn new(pipeline: LivePipeline, window: Option<usize>) -> Self {
         LiveBackend {
             ledger: Arc::new(Ledger {
                 launcher: pipeline.launcher(),
-                window: Window::new(window),
+                window: window.map(Window::new),
             }),
             pipeline,
             tickets: TicketBook::new(),
@@ -782,12 +790,10 @@ impl ResourceManager for LiveBackend {
 
     fn stats(&self) -> StatsSnapshot {
         let mut snapshot = self.pipeline.stats();
-        snapshot.in_flight = self.ledger.window.in_use() + self.tickets.unredeemed();
-        snapshot.shard_contention = self
-            .ledger
-            .window
-            .contention
-            .load(Ordering::Relaxed)
+        let window = self.ledger.window.as_ref();
+        snapshot.in_flight = window.map_or(0, Window::in_use) + self.tickets.unredeemed();
+        snapshot.shard_contention = window
+            .map_or(0, |window| window.contention.load(Ordering::Relaxed))
             .saturating_add(self.pipeline.directory().contention());
         snapshot
     }
@@ -802,10 +808,14 @@ impl ResourceManager for LiveBackend {
         Some(&self.tickets)
     }
 
-    /// The provided submission, parking on a latch while it waits its turn
-    /// in the window's queue.
+    /// The provided submission, but parking on a latch while the query
+    /// waits its turn in the window's queue.
     fn submit(&self, query: Query) -> Result<Ticket, AllocationError> {
         let (ticket, done) = self.tickets.issue();
+        if self.ledger.window.is_none() {
+            self.ledger.launcher.launch(query, done);
+            return Ok(ticket);
+        }
         let (admitted, turn) = crossbeam::channel::unbounded();
         self.ledger
             .allocate(query, done, move || drop(admitted.send(())));
@@ -1212,14 +1222,20 @@ impl PipelineBuilder {
     /// Builds the pipeline backend, with its window.
     pub fn build_live(self) -> Result<LiveBackend, AllocationError> {
         let (config, window, domains) = self.take_domains()?;
-        Ok(LiveBackend::new(LivePipeline::new(config, domains), window))
+        Ok(LiveBackend::new(
+            LivePipeline::new(config, domains),
+            Some(window),
+        ))
     }
 
-    /// [`build_live`](Self::build_live) under the name the `ypbench`
-    /// deployment ladder still calls; it goes with that ladder's
-    /// in-process rung.
+    /// The pipeline backend without a window: every query is launched at
+    /// once and `submit` returns without a latch.  The `ypbench` deployment
+    /// ladder builds its engine rung with it, so that its live rung (built
+    /// with [`build_live`](Self::build_live)) minus this one is the
+    /// window's cost; it goes with that rung.
     pub fn build_embedded(self) -> Result<LiveBackend, AllocationError> {
-        self.build_live()
+        let (config, _, domains) = self.take_domains()?;
+        Ok(LiveBackend::new(LivePipeline::new(config, domains), None))
     }
 
     /// Builds the centralized multi-queue scheduler baseline.

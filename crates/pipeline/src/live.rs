@@ -599,8 +599,9 @@ pub(crate) struct Launcher(Arc<Shared>);
 impl Launcher {
     /// Launches a query without waiting: the query manager runs here and
     /// posts each fragment to its pool-manager stage; `done` runs with the
-    /// outcome on the thread that steps the last fragment.  A query the query manager refuses runs `done` with
-    /// the error at once, and a fragment no stage takes answers as dropped.
+    /// outcome on the thread that steps the last fragment.  A query the
+    /// query manager refuses runs `done` with the error at once, and a
+    /// fragment no stage takes answers as dropped.
     pub(crate) fn launch(&self, query: Query, done: AllocateDone) {
         let shared = &self.0;
         shared.counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -753,15 +754,6 @@ pub(crate) mod tests {
     /// The name of the thread [`hold_stage`] holds a stage on.
     pub(crate) const HOLDER: &str = "stage-holder";
 
-    impl LivePipeline {
-        /// Launches `query`; `done` runs with its outcome on the thread
-        /// that has it — this one, before this returns, unless another
-        /// thread is at the stages the query reaches.
-        fn allocate_with(&self, query: Query, done: AllocateDone) {
-            self.launcher.launch(query, done)
-        }
-    }
-
     /// Holds `pipeline`'s first pool-manager stage — its lock taken through
     /// `with_pool_manager` on a [`HOLDER`] thread with a 256 KiB stack —
     /// until the returned sender is used or dropped.  Posts to the stage
@@ -817,7 +809,9 @@ pub(crate) mod tests {
     /// Launches `query`; its outcome arrives on the returned receiver.
     fn launch(pipeline: &LivePipeline, query: Query) -> Receiver<Outcome> {
         let (tx, rx) = unbounded();
-        pipeline.allocate_with(query, Box::new(move |outcome| drop(tx.send(outcome))));
+        pipeline
+            .launcher
+            .launch(query, Box::new(move |outcome| drop(tx.send(outcome))));
         rx
     }
 
@@ -1012,7 +1006,7 @@ pub(crate) mod tests {
         for held in [false, true] {
             let hold = held.then(|| hold_stage(&pipeline));
             let (tx, rx) = unbounded();
-            pipeline.allocate_with(
+            pipeline.launcher.launch(
                 Query::paper_example(),
                 Box::new(move |outcome| {
                     let name = std::thread::current().name().map(str::to_string);
@@ -1041,7 +1035,7 @@ pub(crate) mod tests {
         granted: std::sync::mpsc::Sender<Outcome>,
     ) {
         let next = pipeline.clone();
-        pipeline.allocate_with(
+        pipeline.launcher.launch(
             Query::paper_example(),
             Box::new(move |outcome| {
                 granted.send(outcome).unwrap();
@@ -1174,7 +1168,7 @@ pub(crate) mod tests {
         taken.recv().unwrap();
         for _ in 0..QUERIES {
             let tx = tx.clone();
-            pipeline.allocate_with(
+            pipeline.launcher.launch(
                 Query::paper_example(),
                 Box::new(move |outcome| tx.send(outcome).unwrap()),
             );
@@ -1316,7 +1310,7 @@ pub(crate) mod tests {
         for _ in 0..1_000 {
             let (tx, rx) = std::sync::mpsc::channel();
             let answered = answered.clone();
-            pipeline.allocate_with(
+            pipeline.launcher.launch(
                 query.clone(),
                 Box::new(move |outcome| {
                     answered.fetch_add(1, Ordering::SeqCst);

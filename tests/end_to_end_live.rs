@@ -127,9 +127,10 @@ fn single_client_keeps_several_tickets_in_flight() {
     pipeline.shutdown().unwrap();
 }
 
-/// The in-process pipeline and the `ypd` daemon embedded in this process
-/// (served on loopback, reached over a real socket) aggregate by the same
-/// criteria — the same pool name — and pick an hp machine with >=256 MB.
+/// The pipeline in process, with its window and without one, and the
+/// `ypd` daemon embedded in this process (served on loopback, reached over
+/// a real socket) aggregate by the same criteria — the same pool name —
+/// pick an hp machine with >=256 MB and balance their books.
 #[test]
 fn live_and_embedded_deployments_agree_on_semantics() {
     let text = "punch.rsrc.arch = hp\npunch.rsrc.memory = >=256\n";
@@ -137,8 +138,9 @@ fn live_and_embedded_deployments_agree_on_semantics() {
     let server = builder()
         .serve(&StageAddress::new("127.0.0.1", 0), BackendKind::Live)
         .unwrap();
-    let deployments: [Box<dyn ResourceManager>; 2] = [
+    let deployments: [Box<dyn ResourceManager>; 3] = [
         builder().build(BackendKind::Live).unwrap(),
+        Box::new(builder().build_embedded().unwrap()),
         Box::new(PipelineBuilder::remote(&server.local_addr()).unwrap()),
     ];
     let mut pools = Vec::new();
@@ -147,9 +149,12 @@ fn live_and_embedded_deployments_agree_on_semantics() {
         assert!(allocations[0].machine_name.contains("hp"));
         pools.push(allocations[0].pool.clone());
         manager.release(&allocations[0]).unwrap();
+        let stats = manager.stats();
+        assert_eq!((stats.allocations, stats.releases), (1, 1));
+        assert_eq!(stats.in_flight, 0);
         manager.shutdown().unwrap();
     }
-    assert_eq!(pools[0], pools[1]);
+    assert!(pools.iter().all(|pool| *pool == pools[0]), "{pools:?}");
     server.halt();
     server.join().unwrap();
 }
