@@ -148,7 +148,7 @@ mod tests {
         let (req, est) = pipeline_for("spice nodes=500");
         assert!(req.architectures.len() > 1);
         let query = compose_query(&req, &est, "royo", "upc");
-        assert!(query.is_composite());
+        assert!(query.decomposition_size() > 1);
         assert_eq!(query.decomposition_size(), req.architectures.len());
     }
 
@@ -157,7 +157,7 @@ mod tests {
         let (req, est) = pipeline_for("spice nodes=500 arch=hp");
         assert_eq!(req.architectures, vec!["hp".to_string()]);
         let query = compose_query(&req, &est, "royo", "upc");
-        assert!(!query.is_composite());
+        assert_eq!(query.decomposition_size(), 1);
     }
 
     #[test]

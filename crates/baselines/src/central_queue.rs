@@ -74,6 +74,7 @@ impl CentralScheduler {
     }
 
     /// Jobs currently waiting across all queues.
+    #[cfg(test)]
     pub fn queued(&self) -> usize {
         self.short.len() + self.medium.len() + self.long.len()
     }
@@ -160,24 +161,6 @@ impl CentralScheduler {
                 (m.dynamic.current_load - 1.0 / m.num_cpus.max(1) as f64).max(0.0);
         }
     }
-
-    /// One scheduling cycle over the queues (short first, then medium, then
-    /// long): dispatches every job that now fits.  Returns the number of
-    /// jobs dispatched.
-    pub fn schedule_cycle(&mut self) -> usize {
-        let mut dispatched = 0;
-        for class in [QueueClass::Short, QueueClass::Medium, QueueClass::Long] {
-            let mut remaining = VecDeque::new();
-            while let Some(query) = self.queue_mut(class).pop_front() {
-                match self.try_submit(&query) {
-                    Some(_) => dispatched += 1,
-                    None => remaining.push_back(query),
-                }
-            }
-            *self.queue_mut(class) = remaining;
-        }
-        dispatched
-    }
 }
 
 #[cfg(test)]
@@ -241,17 +224,6 @@ mod tests {
             SubmitOutcome::Queued(QueueClass::Long)
         );
         assert_eq!(scheduler.queued(), 2);
-
-        // Free the machines; the next cycle drains the queues.
-        {
-            let mut guard = database.write();
-            let ids: Vec<_> = guard.iter().map(|m| m.id).collect();
-            for id in ids {
-                guard.get_mut(id).unwrap().dynamic.current_load = 0.0;
-            }
-        }
-        assert_eq!(scheduler.schedule_cycle(), 2);
-        assert_eq!(scheduler.queued(), 0);
     }
 
     #[test]

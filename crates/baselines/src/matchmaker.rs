@@ -110,12 +110,6 @@ impl Matchmaker {
         }
     }
 
-    /// Negotiates a batch of jobs (one negotiation cycle in Condor terms)
-    /// and returns the per-job outcomes.
-    pub fn negotiate_batch(&mut self, jobs: &[BasicQuery]) -> Vec<MatchOutcomeRecord> {
-        jobs.iter().map(|job| self.negotiate(job)).collect()
-    }
-
     /// Marks a job matched by [`Matchmaker::negotiate`] as finished on
     /// `machine`, releasing its claim.
     pub fn finish(&mut self, machine: MachineId) {
@@ -197,7 +191,7 @@ mod tests {
         let database = db(100);
         let mut mm = Matchmaker::new(database.clone());
         let jobs: Vec<BasicQuery> = (0..20).map(|_| sun_job()).collect();
-        let outcomes = mm.negotiate_batch(&jobs);
+        let outcomes: Vec<MatchOutcomeRecord> = jobs.iter().map(|job| mm.negotiate(job)).collect();
         assert_eq!(outcomes.len(), 20);
         let machines: std::collections::HashSet<_> =
             outcomes.iter().filter_map(|o| o.machine).collect();

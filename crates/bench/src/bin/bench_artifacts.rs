@@ -5,7 +5,8 @@
 //! ACTYP_QUICK=1 cargo run --release -p actyp-bench --bin bench_artifacts -- emit
 //!
 //! # gate a change: rerun each committed topic at its committed scale and
-//! # compare within tolerance bands (exits nonzero on any regression)
+//! # compare (exits nonzero on any regression): a simulated topic within
+//! # tolerance bands, a measured one for structure only
 //! cargo run --release -p actyp-bench --bin bench_artifacts -- check
 //! ```
 //!
@@ -19,8 +20,8 @@
 use std::path::PathBuf;
 
 use actyp_bench::harness::{
-    compare, load_artifact, run_topic, scale_for_label, unreproducible, write_artifact,
-    DEFAULT_TOLERANCE, TOPICS,
+    check_summary, compare, load_artifact, run_topic, scale_for_label, unreproducible,
+    write_artifact, ArtifactKind, DEFAULT_TOLERANCE, TOPICS,
 };
 use actyp_bench::Scale;
 
@@ -94,7 +95,7 @@ fn emit(args: &Args) -> Result<(), String> {
 
 fn check(args: &Args) -> Result<(), String> {
     let mut failures = Vec::new();
-    let mut compared = 0usize;
+    let (mut banded, mut structural) = (0usize, 0usize);
     for topic in &args.topics {
         let committed = match load_artifact(&args.dir, topic) {
             Ok(a) => a,
@@ -110,21 +111,20 @@ fn check(args: &Args) -> Result<(), String> {
         let scale = scale_for_label(&committed.scale)?;
         let fresh = run_topic(topic, &scale)?;
         let verdict = compare(&committed, &fresh, args.tolerance);
-        compared += verdict.compared_points;
+        match verdict.kind {
+            ArtifactKind::Simulated => banded += verdict.compared_points,
+            ArtifactKind::Measured => structural += verdict.compared_points,
+        }
         if verdict.passed() {
-            eprintln!(
-                "{topic}: ok ({} points within {:.0}%)",
-                verdict.compared_points,
-                args.tolerance * 100.0
-            );
+            eprintln!("{}", verdict.ok_line(topic, args.tolerance));
         } else {
             failures.extend(verdict.failures);
         }
     }
     if failures.is_empty() {
         eprintln!(
-            "bench-check: {} topics, {compared} points, all within tolerance",
-            args.topics.len()
+            "{}",
+            check_summary(args.topics.len(), banded, structural, args.tolerance)
         );
         Ok(())
     } else {

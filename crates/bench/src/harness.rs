@@ -1009,6 +1009,9 @@ pub struct Comparison {
     pub failures: Vec<String>,
     /// Points actually compared.
     pub compared_points: usize,
+    /// The committed artifact's kind: whether its points were held to the
+    /// tolerance band or checked for structure only.
+    pub kind: ArtifactKind,
 }
 
 impl Comparison {
@@ -1016,6 +1019,32 @@ impl Comparison {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
+
+    /// The line `bench_artifacts check` prints for a topic that passed: a
+    /// measured topic's points were checked for structure, not banded.
+    pub fn ok_line(&self, topic: &str, tolerance: f64) -> String {
+        let points = self.compared_points;
+        match self.kind {
+            ArtifactKind::Simulated => {
+                format!(
+                    "{topic}: ok ({points} points within {:.0}%)",
+                    tolerance * 100.0
+                )
+            }
+            ArtifactKind::Measured => format!("{topic}: ok ({points} points, structure only)"),
+        }
+    }
+}
+
+/// The closing line of a `bench_artifacts check` that passed: how many
+/// points were held to the tolerance band and how many were checked for
+/// structure only.
+pub fn check_summary(topics: usize, banded: usize, structural: usize, tolerance: f64) -> String {
+    format!(
+        "bench-check: {topics} topics: {banded} points within {:.0}%, {structural} points \
+         checked for structure only",
+        tolerance * 100.0
+    )
 }
 
 /// Why a committed artifact cannot gate anything, if it cannot: one stamped
@@ -1048,6 +1077,7 @@ pub fn compare(committed: &BenchArtifact, fresh: &BenchArtifact, tolerance: f64)
         return Comparison {
             failures,
             compared_points: 0,
+            kind: committed.kind,
         };
     }
     let topic = &committed.topic;
@@ -1127,6 +1157,7 @@ pub fn compare(committed: &BenchArtifact, fresh: &BenchArtifact, tolerance: f64)
     Comparison {
         failures,
         compared_points: compared,
+        kind: committed.kind,
     }
 }
 
@@ -1255,6 +1286,36 @@ mod tests {
         let mut other_topic = committed.clone();
         other_topic.topic = "fig5_pools_wan".to_string();
         assert!(!compare(&committed, &other_topic, 0.25).passed());
+    }
+
+    /// A measured topic's points are checked for structure only, so its
+    /// `ok` line and the closing summary must not claim a tolerance band
+    /// for them.
+    #[test]
+    fn check_lines_claim_the_band_only_for_simulated_points() {
+        let simulated = artifact(ArtifactKind::Simulated);
+        let banded = compare(&simulated, &simulated, 0.25);
+        assert_eq!(
+            banded.ok_line("fig4_pools_lan", 0.25),
+            format!(
+                "fig4_pools_lan: ok ({} points within 25%)",
+                banded.compared_points
+            )
+        );
+        let measured = artifact(ArtifactKind::Measured);
+        let structural = compare(&measured, &measured, 0.25);
+        let line = structural.ok_line("saturation_idle", 0.25);
+        assert_eq!(
+            line,
+            format!(
+                "saturation_idle: ok ({} points, structure only)",
+                structural.compared_points
+            )
+        );
+        assert_eq!(
+            check_summary(11, 30, 18, 0.25),
+            "bench-check: 11 topics: 30 points within 25%, 18 points checked for structure only"
+        );
     }
 
     #[test]

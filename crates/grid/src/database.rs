@@ -83,6 +83,7 @@ impl ResourceDatabase {
     }
 
     /// Looks up a machine by host name.
+    #[cfg(test)]
     pub fn find_by_name(&self, name: &str) -> Option<&Machine> {
         self.machines.values().find(|m| m.name == name)
     }
@@ -95,6 +96,7 @@ impl ResourceDatabase {
     /// Walks the database returning the ids of machines that satisfy the
     /// predicate and are not already taken by another pool.  This is the
     /// operation a pool object performs at initialisation time.
+    #[cfg(test)]
     pub fn walk_untaken<F>(&self, mut predicate: F) -> Vec<MachineId>
     where
         F: FnMut(&Machine) -> bool,
@@ -183,6 +185,7 @@ impl ResourceDatabase {
     }
 
     /// Count of machines in each availability state: `(up, down, blocked)`.
+    #[cfg(test)]
     pub fn state_counts(&self) -> (usize, usize, usize) {
         let mut counts = (0, 0, 0);
         for m in self.machines.values() {

@@ -45,6 +45,7 @@ impl Default for MonitorConfig {
 
 /// The synthetic resource-monitoring service.
 #[derive(Debug)]
+// lint-allow(reach): tests/failure_injection.rs drives the pipeline under its sweeps
 pub struct ResourceMonitor {
     config: MonitorConfig,
     rng: Rng,
@@ -67,6 +68,7 @@ impl ResourceMonitor {
     }
 
     /// Number of sweeps performed so far.
+    #[cfg(test)]
     pub fn sweeps(&self) -> u64 {
         self.sweeps
     }

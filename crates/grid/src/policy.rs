@@ -60,11 +60,6 @@ impl UsagePolicy {
         )
     }
 
-    /// Combines two policies with logical AND.
-    pub fn and(self, other: UsagePolicy) -> UsagePolicy {
-        UsagePolicy::And(Box::new(self), Box::new(other))
-    }
-
     /// Combines two policies with logical OR.
     pub fn or(self, other: UsagePolicy) -> UsagePolicy {
         UsagePolicy::Or(Box::new(self), Box::new(other))
@@ -169,7 +164,10 @@ mod tests {
 
     #[test]
     fn boolean_combinators() {
-        let p = UsagePolicy::GroupIn(vec!["ece".into()]).and(UsagePolicy::LoadBelow(2.0));
+        let p = UsagePolicy::And(
+            Box::new(UsagePolicy::GroupIn(vec!["ece".into()])),
+            Box::new(UsagePolicy::LoadBelow(2.0)),
+        );
         assert!(p.admits(&ctx("ece", 1.0, 0)));
         assert!(!p.admits(&ctx("ece", 3.0, 0)));
         assert!(!p.admits(&ctx("public", 1.0, 0)));

@@ -43,11 +43,6 @@ impl ShadowAccountPool {
         self.free.len()
     }
 
-    /// Number of accounts currently allocated to runs.
-    pub fn allocated(&self) -> usize {
-        self.in_use.len()
-    }
-
     /// Total number of accounts configured on the machine.
     pub fn capacity(&self) -> usize {
         self.free.len() + self.in_use.len()
@@ -88,11 +83,9 @@ mod tests {
         let b = pool.allocate().unwrap();
         assert_ne!(a.uid, b.uid);
         assert_eq!(pool.available(), 1);
-        assert_eq!(pool.allocated(), 2);
 
         assert!(pool.release(a.uid));
         assert_eq!(pool.available(), 2);
-        assert_eq!(pool.allocated(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The rule engine: six named, allowlist-able rules over lexed token
+//! The rule engine: seven named, allowlist-able rules over lexed token
 //! streams.  `docs/CONCURRENCY.md` documents each rule and the
 //! historical bug behind it; the lock hierarchy lives there too, in a
 //! ```` ```lock-hierarchy ```` fence this module parses.
@@ -11,6 +11,7 @@
 //! | `frame-tags` | ClientFrame/ServerFrame tag uniqueness + encode/decode/docs exhaustiveness |
 //! | `stats-fields` | every StatsSnapshot field present at encode/decode/merge/display sites |
 //! | `sleep-poll` | no `thread::sleep` inside a loop in the daemon library's non-test code |
+//! | `reach` | every `pub` item of a library crate is named by some non-test code outside it |
 //!
 //! A finding is suppressed by `// lint-allow(<rule>): <reason>` on the
 //! same line or the line above.
@@ -32,6 +33,7 @@ pub const RULES: &[&str] = &[
     "frame-tags",
     "stats-fields",
     "sleep-poll",
+    "reach",
 ];
 
 /// One rule violation.
@@ -241,6 +243,7 @@ pub fn lint_workspace(config: &LintConfig) -> std::io::Result<LintReport> {
     }
     check_reactor(&lexed_files, &config.reactor_entry_points, &mut findings);
     check_sleep_poll(&lexed_files, &config.sleep_poll_roots, &mut findings);
+    check_reach(&lexed_files, &mut findings);
     if let Some(spec) = &config.frames {
         check_frames(config, spec, &lexed_files, &mut findings)?;
     }
@@ -824,6 +827,7 @@ fn check_reactor(files: &[(PathBuf, Lexed)], entry_points: &[String], findings: 
 /// The functions the `reactor-blocking` walk reaches from `entry_points`
 /// over the `.rs` files under `root` (paths relative to it) — every one
 /// of them is a place where a blocking call would be reported.
+// lint-allow(reach): crates/lint/tests/real_tree.rs pins the walk with it
 pub fn reactor_reachable(root: &Path, entry_points: &[String]) -> std::io::Result<BTreeSet<FnId>> {
     let (_, path_to) = reactor_paths(&lex_tree(root, &[])?, entry_points);
     Ok(path_to.into_keys().collect())
@@ -1419,4 +1423,195 @@ fn test_item_end(tokens: &[Token], i: usize) -> Option<usize> {
         j += 1;
     }
     Some(j)
+}
+
+// ---------------------------------------------------------------------------
+// Rule 7: reach
+// ---------------------------------------------------------------------------
+
+/// Whether `rel` is library code whose `pub` items must be reached: a file
+/// under `crates/<name>/src`, the shims, `main.rs` and `src/bin` aside.
+fn defines_items(rel: &Path) -> bool {
+    let parts: Vec<_> = rel.iter().map(|part| part.to_string_lossy()).collect();
+    parts.len() > 3
+        && (parts[0] == "crates" && parts[1] != "shims" && parts[2] == "src")
+        && !matches!(&*parts[3], "bin" | "main.rs")
+}
+
+/// The indices of `tokens` outside items gated `#[cfg(test)]` and outside
+/// `pub use` re-exports.
+fn live_tokens(tokens: &[Token]) -> Vec<usize> {
+    let (mut live, mut i) = (Vec::new(), 0);
+    while i < tokens.len() {
+        if let Some(end) = test_item_end(tokens, i) {
+            i = end;
+        } else if tokens[i].text == "pub" && tokens.get(i + 1).is_some_and(|t| t.text == "use") {
+            i = item_end(tokens, i);
+        } else {
+            live.push(i);
+            i += 1;
+        }
+    }
+    live
+}
+
+/// When token `i` is the `pub` of an item (not `pub(..)` or `pub mod`),
+/// the item's kind, the index of its name and the index past its end.
+fn pub_item(tokens: &[Token], i: usize) -> Option<(String, usize, usize)> {
+    let text = |j: usize| tokens.get(j).map_or("", |t| t.text.as_str());
+    let mut j = i + 1;
+    while matches!(text(j), "unsafe" | "async" | "extern")
+        || tokens.get(j).is_some_and(|t| t.kind == TokenKind::Literal)
+        || (text(j) == "const" && matches!(text(j + 1), "fn" | "unsafe" | "async"))
+    {
+        j += 1;
+    }
+    let kind = text(j);
+    let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+    if text(i) != "pub" || !kinds.contains(&kind) {
+        return None;
+    }
+    let name = j + 1 + usize::from(text(j + 1) == "mut");
+    tokens.get(name).filter(|t| t.kind == TokenKind::Ident)?;
+    Some((kind.to_string(), name, item_end(tokens, name)))
+}
+
+/// The index past the item whose tokens continue at `from`: past its `;`,
+/// or past the `}` that closes its body.
+fn item_end(tokens: &[Token], from: usize) -> usize {
+    let mut nesting = 0usize;
+    for (j, token) in tokens.iter().enumerate().skip(from) {
+        match token.text.as_str() {
+            "(" | "[" | "{" => nesting += 1,
+            ")" | "]" => nesting = nesting.saturating_sub(1),
+            "}" if nesting <= 1 => return j + 1,
+            "}" => nesting -= 1,
+            ";" if nesting == 0 => return j + 1,
+            _ => {}
+        }
+    }
+    tokens.len()
+}
+
+/// When token `i` opens an `impl` block, the last identifier at angle
+/// depth 0 of its trait path (if it implements one) and of its self type:
+/// `impl<T> Into<U> for crate::Foo<T>` gives the `Into` and `Foo` tokens.
+fn impl_header(tokens: &[Token], i: usize) -> Option<(Option<usize>, usize)> {
+    let before = i.checked_sub(1).map_or("}", |j| tokens[j].text.as_str());
+    if tokens[i].text != "impl" || !matches!(before, "}" | ";" | "]" | "{" | "unsafe") {
+        return None;
+    }
+    let (mut angle, mut last, mut trait_name) = (0usize, None, None);
+    for (j, token) in tokens.iter().enumerate().skip(i + 1) {
+        match token.text.as_str() {
+            "<" => angle += 1,
+            ">" if tokens[j - 1].text != "-" => angle = angle.saturating_sub(1),
+            "{" | "where" if angle == 0 => break,
+            "for" if angle == 0 => trait_name = last.take(),
+            "dyn" => {}
+            _ if angle == 0 && token.kind == TokenKind::Ident => last = Some(j),
+            _ => {}
+        }
+    }
+    Some((trait_name, last?))
+}
+
+/// `reach`: a `pub` item in a library crate's non-test code that no
+/// non-test code outside its own definition names (docs/CONCURRENCY.md).
+/// Names count from bins, examples and `ypbench/src`, not from `tests/`,
+/// `#[cfg(test)]` items or `pub use`; only from reached code, to a fixpoint.
+/// Resolution is by name, so an item sharing a reached one's name passes.
+fn check_reach(files: &[(PathBuf, Lexed)], findings: &mut Vec<Finding>) {
+    // The items (name, kind, file, line); whether a `reach` allow sits on
+    // each; and per file the token spans (start, end, item) defining them.
+    let mut items: Vec<(String, String, PathBuf, usize)> = Vec::new();
+    let mut annotated = Vec::new();
+    let mut spans: Vec<Vec<(usize, usize, usize)>> = vec![Vec::new(); files.len()];
+    for (f, (rel, lexed)) in files.iter().enumerate() {
+        if !defines_items(rel) {
+            continue;
+        }
+        for i in live_tokens(&lexed.tokens) {
+            if let Some((kind, name, end)) = pub_item(&lexed.tokens, i) {
+                spans[f].push((i, end, items.len()));
+                let Token { text, line, .. } = &lexed.tokens[name];
+                let on = |a: &&crate::lexer::Allow| a.line == *line || a.line + 1 == *line;
+                annotated.push(lexed.allows.iter().filter(on).any(|a| a.rule == "reach"));
+                items.push((text.clone(), kind, rel.clone(), *line));
+            }
+        }
+    }
+    // Whether one sits on the item or on an item enclosing it.
+    let mut kept = annotated.clone();
+    let mut by_name: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (index, (name, ..)) in items.iter().enumerate() {
+        by_name.entry(name.as_str()).or_default().push(index);
+    }
+
+    // Every name of an item in user code, with the items it sits inside;
+    // an `impl` block sits inside its self type, when that is an item.
+    let mut mentions: Vec<(&str, Vec<usize>)> = Vec::new();
+    for (f, (rel, lexed)) in files.iter().enumerate() {
+        if rel.iter().any(|part| part == "tests" || part == "benches") {
+            continue;
+        }
+        let (tokens, crate_dir) = (&lexed.tokens, rel.iter().take(2).collect::<PathBuf>());
+        // Spans nest, so the open ones form a stack.
+        let (mut open, mut next): (Vec<(usize, usize)>, usize) = (Vec::new(), 0);
+        let mut trait_names = HashSet::new();
+        for i in live_tokens(tokens) {
+            open.retain(|&(end, _)| end > i);
+            while let Some(&(_, end, item)) = spans[f].get(next).filter(|span| span.0 <= i) {
+                kept[item] |= open.iter().any(|&(_, o)| kept[o]);
+                open.push((end, item));
+                next += 1;
+            }
+            if let Some((trait_name, self_type)) = impl_header(tokens, i) {
+                trait_names.extend(trait_name);
+                let owns =
+                    |o: &&usize| items[**o].2.starts_with(&crate_dir) && items[**o].1 != "fn";
+                let found = by_name.get(tokens[self_type].text.as_str());
+                let owner = found.and_then(|found| found.iter().find(owns).copied());
+                if let Some(owner) = owner.filter(|_| defines_items(rel)) {
+                    open.push((item_end(tokens, i), owner));
+                }
+            }
+            let token = &tokens[i];
+            if token.kind == TokenKind::Ident && !trait_names.contains(&i) {
+                if let Some((name, _)) = by_name.get_key_value(token.text.as_str()) {
+                    mentions.push((name, open.iter().map(|&(_, item)| item).collect()));
+                }
+            }
+        }
+    }
+
+    // `named`: some reached code names the item.  A kept item is reached
+    // without that; the allow suppresses its finding, and what it encloses
+    // is not reported.
+    let (mut reached, mut named) = (kept.clone(), vec![false; items.len()]);
+    let mut changed = true;
+    while std::mem::take(&mut changed) {
+        for (name, inside) in &mentions {
+            if inside.iter().all(|&o| reached[o]) {
+                for &item in by_name[name].iter().filter(|item| !inside.contains(item)) {
+                    changed |= !named[item];
+                    (named[item], reached[item]) = (true, true);
+                }
+            }
+        }
+    }
+    for (index, (name, kind, file, line)) in items.into_iter().enumerate() {
+        if !named[index] && (annotated[index] || !kept[index]) {
+            findings.push(Finding {
+                rule: "reach",
+                file,
+                line,
+                message: format!(
+                    "pub {kind} `{name}` is named by no non-test code outside its own \
+                     definition: delete it, gate it #[cfg(test)], or move it into the test \
+                     that needs it"
+                ),
+            });
+        }
+    }
 }

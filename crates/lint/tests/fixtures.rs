@@ -1,7 +1,8 @@
 //! Every rule proven live against a seeded fixture tree: one violation
 //! per rule at a known file:line, one allowlisted site that must be
-//! suppressed, one stale allow that must be reported.  A rule that
-//! silently stops firing fails here, not in production review.
+//! suppressed, one stale allow that must be reported; `reach`, which
+//! needs a crate layout, has a tree of its own (`fixtures/reach`).  A rule
+//! that silently stops firing fails here, not in production review.
 
 use std::path::{Path, PathBuf};
 
@@ -148,6 +149,96 @@ fn the_fixture_tree_has_no_extra_findings() {
         report.findings.len(),
         6,
         "one finding per rule, nothing else: {:#?}",
+        report.findings
+    );
+}
+
+/// The `reach` fixture: a library crate under `crates/`, its bin, an
+/// example and an integration test, with no other rule configured.
+fn reach_report() -> LintReport {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/reach");
+    lint_workspace(&LintConfig {
+        root,
+        hierarchy: Vec::new(),
+        reactor_entry_points: Vec::new(),
+        sleep_poll_roots: Vec::new(),
+        frames: None,
+        stats: None,
+        skip_dirs: Vec::new(),
+    })
+    .expect("reach fixture lints")
+}
+
+fn reach_names(report: &LintReport) -> Vec<(usize, String)> {
+    let lib = PathBuf::from("crates/demo/src/lib.rs");
+    find(report, "reach")
+        .iter()
+        .map(|f| {
+            assert_eq!(f.file, lib, "{f}");
+            (f.line, f.message.clone())
+        })
+        .collect()
+}
+
+#[test]
+fn reach_fires_on_a_pub_fn_only_tests_call() {
+    let report = reach_report();
+    let hits = reach_names(&report);
+    assert!(
+        hits.iter()
+            .any(|(line, message)| *line == 4 && message.contains("pub fn `orphan`")),
+        "{hits:#?}"
+    );
+}
+
+#[test]
+fn reach_is_silent_on_what_a_bin_or_an_example_calls() {
+    let report = reach_report();
+    let hits = reach_names(&report);
+    for name in ["used_by_bin", "used_by_example", "Thing"] {
+        assert!(
+            !hits
+                .iter()
+                .any(|(_, message)| message.contains(&format!("`{name}`"))),
+            "{name}: {hits:#?}"
+        );
+    }
+}
+
+#[test]
+fn reach_is_silent_on_a_trait_brought_in_by_use() {
+    let report = reach_report();
+    let hits = reach_names(&report);
+    assert!(
+        !hits.iter().any(|(_, message)| message.contains("`Greet`")),
+        "{hits:#?}"
+    );
+}
+
+#[test]
+fn reach_fires_on_an_item_only_an_unreached_item_names() {
+    let report = reach_report();
+    let hits = reach_names(&report);
+    assert!(
+        hits.iter()
+            .any(|(line, message)| *line == 9 && message.contains("pub struct `Detail`")),
+        "{hits:#?}"
+    );
+}
+
+#[test]
+fn a_reach_allow_keeps_its_item_what_it_encloses_and_what_they_name() {
+    let report = reach_report();
+    assert_eq!(report.suppressed, 1, "the allow on `Kept`");
+    assert!(
+        report.unused_allows.is_empty(),
+        "{:?}",
+        report.unused_allows
+    );
+    assert_eq!(
+        reach_names(&report).len(),
+        2,
+        "`orphan` and `Detail`, nothing else: {:#?}",
         report.findings
     );
 }

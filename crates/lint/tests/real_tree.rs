@@ -178,7 +178,7 @@ fn the_walk_covers_the_live_launch_and_the_joins_finish() {
 /// join's finish with its surplus releases — so a parking call planted in
 /// the stage step is reported like one in the launch.
 #[test]
-fn the_walk_covers_the_inline_placement_from_the_embedded_resolve() {
+fn the_walk_covers_the_inline_placement_from_a_windowless_launch() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("../pipeline/src");
     let entries = ["api.rs::allocate_with".to_string()];
     let reachable = reactor_reachable(&src, &entries).expect("tree lexes");
@@ -318,7 +318,8 @@ fn a_parking_backend_call_on_the_io_thread_is_seen_through_the_trait() {
 /// `lint-allow`s in use than the two audited sites — the frame write in
 /// `corr::Conn::request` (the reply queue encodes into memory with
 /// `encode_frame` and needs none), and the I/O loop's back-off after its
-/// poller fails, which has no readiness to wait on (`sleep-poll`).
+/// poller fails, which has no readiness to wait on (`sleep-poll`) — plus at
+/// most ten `reach` allows, each naming the test file that needs its item.
 #[test]
 fn the_workspace_is_clean_without_new_allows() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -330,5 +331,35 @@ fn the_workspace_is_clean_without_new_allows() {
         "{:#?}",
         report.unused_allows
     );
-    assert_eq!(report.suppressed, 2, "a new lint-allow needs a new reason");
+    let mut reach_allows = Vec::new();
+    reach_allow_reasons(&root.join("crates"), &mut reach_allows);
+    assert!(reach_allows.len() <= 10, "{reach_allows:#?}");
+    for reason in &reach_allows {
+        assert!(
+            reason.contains(".rs"),
+            "a reach allow names its test: {reason}"
+        );
+    }
+    assert_eq!(
+        report.suppressed,
+        2 + reach_allows.len(),
+        "a new lint-allow needs a new reason"
+    );
+}
+
+/// The reasons of the `reach` allows in the `.rs` files under `dir`,
+/// fixtures aside.
+fn reach_allow_reasons(dir: &Path, out: &mut Vec<String>) {
+    for entry in std::fs::read_dir(dir).expect("tree reads") {
+        let path = entry.expect("entry reads").path();
+        if path.is_dir() && !path.ends_with("fixtures") {
+            reach_allow_reasons(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let source = std::fs::read_to_string(&path).expect("source reads");
+            out.extend(source.lines().filter_map(|line| {
+                let reason = line.trim().strip_prefix("// lint-allow(reach):")?;
+                Some(format!("{}: {}", path.display(), reason.trim()))
+            }));
+        }
+    }
 }

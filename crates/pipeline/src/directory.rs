@@ -170,6 +170,7 @@ impl LocalDirectoryService {
     }
 
     /// Number of distinct pool names registered.
+    #[cfg(test)]
     pub fn pool_count(&self) -> usize {
         self.pools.len()
     }
@@ -277,6 +278,7 @@ impl ShardedDirectory {
     }
 
     /// Number of shard lock domains.
+    #[cfg(test)]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -385,6 +387,7 @@ impl ShardedDirectory {
 
     /// Number of distinct pool names registered (shards partition the
     /// name space, so the per-shard counts sum without double counting).
+    #[cfg(test)]
     pub fn pool_count(&self) -> usize {
         let mut total = 0;
         for shard in self.shards.iter() {

@@ -705,6 +705,7 @@ impl LivePipeline {
     /// (experiments that destroy pools); `f` must not call back into this
     /// pipeline.  Posts to the stage meanwhile queue, and this thread steps
     /// them once `f` returns or unwinds.  `None` names no stage.
+    // lint-allow(reach): tests/{failure_injection,federation,remote_backend}.rs hold a stage with it
     pub fn with_pool_manager<R>(
         &self,
         name: &str,
@@ -1571,13 +1572,12 @@ pub(crate) mod tests {
     #[test]
     fn classad_queries_are_interoperable() {
         let pipeline = start(PipelineConfig::default(), fleet_db(300, 7));
-        let query = (pipeline.launcher.0.query_manager.lock())
-            .translate_classad(
-                "Arch == \"SUN\" && Memory >= 128",
-                Some("royo"),
-                Some("ece"),
-            )
-            .unwrap();
+        let query = actyp_query::classad::translate_requirements(
+            "Arch == \"SUN\" && Memory >= 128",
+            Some("royo"),
+            Some("ece"),
+        )
+        .unwrap();
         let allocations = allocate(&pipeline, query).unwrap();
         assert_eq!(allocations.len(), 1);
         assert!(allocations[0].machine_name.contains("sun"));

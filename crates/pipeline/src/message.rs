@@ -28,6 +28,7 @@ pub struct FragmentTag {
 
 impl FragmentTag {
     /// Tag for an undecomposed (basic) query.
+    #[cfg(test)]
     pub fn whole(request: RequestId) -> Self {
         FragmentTag {
             request,

@@ -125,17 +125,13 @@ impl PoolManager {
         &self.name
     }
 
-    /// Number of pool instances hosted by this manager.
-    pub fn hosted_pools(&self) -> usize {
-        self.pools.len()
-    }
-
     /// Number of pools this manager has created over its lifetime.
     pub fn pools_created(&self) -> u64 {
         self.created
     }
 
     /// Whether this manager hosts the given pool instance.
+    #[cfg(test)]
     pub fn hosts(&self, pool: &str, instance: u32) -> bool {
         self.pools.contains_key(&(pool.to_string(), instance))
     }
@@ -147,8 +143,8 @@ impl PoolManager {
             .map(|((name, instance), pool)| (name.as_str(), *instance, pool.size()))
     }
 
-    /// Installs an externally built pool (used by experiments that
-    /// pre-partition machines into pools, and by splitting/replication).
+    /// Installs an externally built pool.
+    #[cfg(test)]
     pub fn adopt_pool(&mut self, pool: ResourcePool) {
         self.directory.register_pool(self.record_for(&pool));
         self.pools
@@ -328,7 +324,7 @@ mod tests {
     fn first_query_creates_a_pool_on_demand() {
         let (db, dir) = setup(200);
         let mut pm = PoolManager::new("pm-0", db, dir.clone(), PoolManagerConfig::default(), 1);
-        assert_eq!(pm.hosted_pools(), 0);
+        assert_eq!(pm.pools.len(), 0);
         let outcome = pm.handle(RequestId(1), &sun_query(), 12);
         match outcome {
             HandleOutcome::Allocated(a) => {
@@ -336,7 +332,7 @@ mod tests {
             }
             other => panic!("expected allocation, got {other:?}"),
         }
-        assert_eq!(pm.hosted_pools(), 1);
+        assert_eq!(pm.pools.len(), 1);
         assert_eq!(pm.pools_created(), 1);
         assert_eq!(dir.instance_count(), 1);
     }
@@ -378,7 +374,7 @@ mod tests {
             pm.handle(RequestId(3), &big, 12),
             HandleOutcome::Allocated(_)
         ));
-        assert_eq!(pm.hosted_pools(), 3);
+        assert_eq!(pm.pools.len(), 3);
     }
 
     #[test]
@@ -393,7 +389,7 @@ mod tests {
             pm.handle(RequestId(1), &cray, 12),
             HandleOutcome::CannotCreate
         ));
-        assert_eq!(pm.hosted_pools(), 0);
+        assert_eq!(pm.pools.len(), 0);
     }
 
     #[test]
@@ -525,7 +521,7 @@ mod tests {
         };
         assert!(db.read().taken_count() > 0);
         assert!(pm.destroy_pool(&allocation.pool, allocation.pool_instance));
-        assert_eq!(pm.hosted_pools(), 0);
+        assert_eq!(pm.pools.len(), 0);
         assert_eq!(dir.instance_count(), 0);
         assert_eq!(db.read().taken_count(), 0);
         assert!(!pm.destroy_pool(&allocation.pool, allocation.pool_instance));

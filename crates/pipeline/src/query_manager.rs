@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use actyp_query::{classad::translate_requirements, parse_query, BasicQuery, Query, QuerySchema};
+use actyp_query::{BasicQuery, Query, QuerySchema};
 use actyp_simnet::Rng;
 
 use crate::allocation::{Allocation, AllocationError};
@@ -60,7 +60,6 @@ pub struct QueryManager {
     ids: Arc<RequestIdGenerator>,
     round_robin: usize,
     rng: Rng,
-    translated: u64,
 }
 
 impl QueryManager {
@@ -81,37 +80,12 @@ impl QueryManager {
             ids,
             round_robin: 0,
             rng: Rng::new(seed),
-            translated: 0,
         }
     }
 
     /// This stage's name.
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Number of queries translated so far.
-    pub fn translated(&self) -> u64 {
-        self.translated
-    }
-
-    /// Translates a query in the native key/value text format.
-    pub fn translate_text(&mut self, text: &str) -> Result<Query, AllocationError> {
-        self.translated += 1;
-        parse_query(text).map_err(|e| AllocationError::Parse(e.to_string()))
-    }
-
-    /// Translates a Condor ClassAds-style requirements expression
-    /// (interoperability path).
-    pub fn translate_classad(
-        &mut self,
-        expression: &str,
-        login: Option<&str>,
-        group: Option<&str>,
-    ) -> Result<Query, AllocationError> {
-        self.translated += 1;
-        translate_requirements(expression, login, group)
-            .map_err(|e| AllocationError::Parse(e.to_string()))
     }
 
     /// Validates a query against the administrator-defined schema and
@@ -343,20 +317,10 @@ mod tests {
     #[test]
     fn translate_and_prepare_the_paper_query() {
         let mut qm = qm(PoolManagerSelection::RoundRobin);
-        let query = qm
-            .translate_text(&Query::paper_example().to_string())
-            .unwrap();
+        let query = actyp_query::parse_query(&Query::paper_example().to_string()).unwrap();
         let prepared = qm.prepare(&query).unwrap();
         assert_eq!(prepared.fragments.len(), 1);
         assert_eq!(prepared.fragments[0].0.total, 1);
-        assert_eq!(qm.translated(), 1);
-    }
-
-    #[test]
-    fn parse_errors_are_surfaced() {
-        let mut qm = qm(PoolManagerSelection::RoundRobin);
-        let err = qm.translate_text("this is not a query").unwrap_err();
-        assert!(matches!(err, AllocationError::Parse(_)));
     }
 
     #[test]
@@ -394,9 +358,12 @@ mod tests {
     #[test]
     fn classad_translation_feeds_the_same_pipeline() {
         let mut qm = qm(PoolManagerSelection::RoundRobin);
-        let query = qm
-            .translate_classad("Arch == \"SUN\" && Memory >= 64", Some("royo"), Some("upc"))
-            .unwrap();
+        let query = actyp_query::classad::translate_requirements(
+            "Arch == \"SUN\" && Memory >= 64",
+            Some("royo"),
+            Some("upc"),
+        )
+        .unwrap();
         let prepared = qm.prepare(&query).unwrap();
         assert_eq!(prepared.fragments.len(), 1);
         assert_eq!(prepared.fragments[0].1.user_login(), Some("royo"));

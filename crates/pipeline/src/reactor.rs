@@ -72,11 +72,6 @@ impl Interest {
         read: false,
         write: true,
     };
-    /// Both read and write readiness.
-    pub const BOTH: Interest = Interest {
-        read: true,
-        write: true,
-    };
     /// No readiness at all (registration kept, nothing delivered except
     /// errors/hangups).
     pub const NONE: Interest = Interest {

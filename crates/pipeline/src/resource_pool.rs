@@ -85,8 +85,8 @@ impl ResourcePool {
         Ok(pool)
     }
 
-    /// Builds a pool directly from an explicit machine cache.  Used by
-    /// [`ResourcePool::split_into`], by replication, and by tests.
+    /// Builds a pool directly from an explicit machine cache: the
+    /// simulator's split and replicated topologies, and tests.
     #[allow(clippy::too_many_arguments)]
     pub fn from_cache(
         name: PoolName,
@@ -162,11 +162,6 @@ impl ResourcePool {
     /// Number of machines aggregated in the pool.
     pub fn size(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Number of outstanding allocations served by this instance.
-    pub fn active_allocations(&self) -> usize {
-        self.active.len()
     }
 
     /// The machine ids in the pool cache (in cache order).
@@ -248,56 +243,6 @@ impl ResourcePool {
             }
         }
         Ok(())
-    }
-
-    /// Splits the pool into `parts` disjoint pools of (nearly) equal size.
-    /// Splitting is the paper's answer to oversized pools (Figure 7): the
-    /// parts can be searched concurrently and their results aggregated.
-    pub fn split_into(self, parts: usize, objective: SchedulingObjective) -> Vec<ResourcePool> {
-        let parts = parts.max(1);
-        let chunk = self.cache.len().div_ceil(parts);
-        let mut result = Vec::new();
-        for (i, machines) in self.cache.chunks(chunk.max(1)).enumerate() {
-            let pool = ResourcePool::from_cache(
-                self.name.clone(),
-                i as u32,
-                ReplicaBias::none(),
-                machines.to_vec(),
-                self.db.clone(),
-                objective,
-                0x5917 + i as u64,
-                self.claims_machines,
-            )
-            .expect("non-empty chunk");
-            result.push(pool);
-        }
-        result
-    }
-
-    /// Creates `replicas` instances that share this pool's machine set, each
-    /// biased toward its own stripe of the cache (Figure 8).  The original
-    /// pool keeps instance number 0 and is returned first.
-    pub fn replicate(self, replicas: u32, objective: SchedulingObjective) -> Vec<ResourcePool> {
-        let replicas = replicas.max(1);
-        let mut result = Vec::new();
-        for i in 0..replicas {
-            let pool = ResourcePool::from_cache(
-                self.name.clone(),
-                i,
-                ReplicaBias {
-                    instance: i,
-                    replicas,
-                },
-                self.cache.clone(),
-                self.db.clone(),
-                objective,
-                0x5EED_7001u64.wrapping_add(i as u64),
-                self.claims_machines && i == 0,
-            )
-            .expect("non-empty cache");
-            result.push(pool);
-        }
-        result
     }
 
     /// Dissolves the pool: releases the taken marks so other pools may
@@ -408,7 +353,7 @@ mod tests {
         let m = db.read().get(allocation.machine).cloned().unwrap();
         assert_eq!(m.dynamic.active_jobs, 1);
         assert!(m.dynamic.current_load > 0.0);
-        assert_eq!(pool.active_allocations(), 1);
+        assert_eq!(pool.active.len(), 1);
     }
 
     #[test]
@@ -424,13 +369,16 @@ mod tests {
         pool.release(&allocation).unwrap();
         let after = db.read().get(allocation.machine).cloned().unwrap();
         assert_eq!(after.dynamic.active_jobs, 0);
-        assert_eq!(after.shadow_accounts.allocated(), 0);
+        assert_eq!(
+            after.shadow_accounts.available(),
+            after.shadow_accounts.capacity()
+        );
         let after_load = {
             let guard = db.read();
             guard.iter().map(|m| m.dynamic.current_load).sum::<f64>()
         };
         assert!((before_load - after_load).abs() < 1e-9);
-        assert_eq!(pool.active_allocations(), 0);
+        assert_eq!(pool.active.len(), 0);
     }
 
     #[test]
@@ -499,43 +447,6 @@ mod tests {
             let a = pool.allocate(RequestId(i), &query, 12).unwrap();
             assert!(keys.insert(a.access_key.0.clone()));
         }
-    }
-
-    #[test]
-    fn split_produces_disjoint_parts_covering_the_pool() {
-        let db = shared_db(100);
-        let pool = make_pool(&db);
-        let all: std::collections::HashSet<_> = pool.cached_machines().iter().copied().collect();
-        let parts = pool.split_into(4, SchedulingObjective::LeastLoaded);
-        assert_eq!(parts.len(), 4);
-        let mut seen = std::collections::HashSet::new();
-        for part in &parts {
-            assert_eq!(part.size(), 25);
-            for &m in part.cached_machines() {
-                assert!(seen.insert(m), "machine appears in two parts");
-            }
-        }
-        assert_eq!(seen, all);
-    }
-
-    #[test]
-    fn replicas_share_machines_but_prefer_distinct_stripes() {
-        let db = shared_db(40);
-        let pool = make_pool(&db);
-        let replicas = pool.replicate(4, SchedulingObjective::FirstFit);
-        assert_eq!(replicas.len(), 4);
-        let query = sun_basic();
-        let mut picks = Vec::new();
-        for (i, replica) in replicas.into_iter().enumerate() {
-            let mut replica = replica;
-            assert_eq!(replica.size(), 40);
-            let a = replica.allocate(RequestId(i as u64), &query, 12).unwrap();
-            picks.push(a.machine);
-        }
-        // With first-fit and per-instance bias, the four replicas pick four
-        // different machines even though they share the cache.
-        let distinct: std::collections::HashSet<_> = picks.iter().collect();
-        assert_eq!(distinct.len(), 4);
     }
 
     #[test]

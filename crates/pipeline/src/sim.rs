@@ -15,7 +15,7 @@
 //! real scheduler actually examined, and messages between stages pay a
 //! latency drawn from the LAN/WAN network model.
 
-use actyp_grid::{FleetSpec, MachineId, SharedDatabase, SyntheticFleet};
+use actyp_grid::{FleetSpec, MachineId, SyntheticFleet};
 use actyp_query::{BasicQuery, Constraint, PoolName, Query, QueryKey};
 use actyp_simnet::{
     EventQueue, FcfsServer, LinkProfile, NetworkModel, Rng, SampleSet, SimDuration, SimTime,
@@ -187,7 +187,6 @@ struct SimPool {
 /// One simulated deployment, reusable across parameter sweeps.
 pub struct SimulatedPipeline {
     config: ExperimentConfig,
-    db: SharedDatabase,
     pools: Vec<SimPool>,
     query_managers: Vec<FcfsServer>,
     pool_managers: Vec<FcfsServer>,
@@ -279,22 +278,11 @@ impl SimulatedPipeline {
 
         SimulatedPipeline {
             config,
-            db,
             pools,
             query_managers,
             pool_managers,
             rng,
         }
-    }
-
-    /// Number of pool instances in the deployment.
-    pub fn pool_count(&self) -> usize {
-        self.pools.len()
-    }
-
-    /// Size (machines) of pool `i`.
-    pub fn pool_size(&self, i: usize) -> usize {
-        self.pools[i].pool.size()
     }
 
     fn pool_service_cost(costs: &SimCosts, examined: usize) -> SimDuration {
@@ -428,14 +416,10 @@ impl SimulatedPipeline {
             makespan: queue.now() - SimTime::ZERO,
         }
     }
-
-    /// The resource database backing the deployment (for inspection).
-    pub fn database(&self) -> &SharedDatabase {
-        &self.db
-    }
 }
 
 /// Convenience wrapper: build the deployment and run it.
+#[cfg(test)]
 pub fn run_experiment(config: ExperimentConfig) -> ExperimentResult {
     SimulatedPipeline::new(config).run()
 }
@@ -549,13 +533,12 @@ mod tests {
     #[test]
     fn topology_construction_matches_request() {
         let sim = SimulatedPipeline::new(small(PoolTopology::Striped { pools: 5 }, 1));
-        assert_eq!(sim.pool_count(), 5);
-        assert_eq!((0..5).map(|i| sim.pool_size(i)).sum::<usize>(), 400);
+        assert_eq!(sim.pools.len(), 5);
+        assert_eq!((0..5).map(|i| sim.pools[i].pool.size()).sum::<usize>(), 400);
 
         let rep = SimulatedPipeline::new(small(PoolTopology::Replicated { replicas: 3 }, 1));
-        assert_eq!(rep.pool_count(), 3);
-        assert!(rep.database().read().len() == 400);
-        assert_eq!(rep.pool_size(0), 400);
-        assert_eq!(rep.pool_size(2), 400);
+        assert_eq!(rep.pools.len(), 3);
+        assert_eq!(rep.pools[0].pool.size(), 400);
+        assert_eq!(rep.pools[2].pool.size(), 400);
     }
 }

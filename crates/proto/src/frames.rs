@@ -804,6 +804,7 @@ pub fn read_frame_body<R: Read>(r: &mut R) -> Result<Option<Vec<u8>>, FrameError
 }
 
 /// Reads one [`ClientFrame`]; `Ok(None)` on clean end of stream.
+// lint-allow(reach): crates/proto/tests/proto_roundtrip.rs and the daemon tests read frames with it
 pub fn read_client_frame<R: Read>(r: &mut R) -> Result<Option<ClientFrame>, FrameError> {
     match read_frame_body(r)? {
         None => Ok(None),
@@ -812,6 +813,7 @@ pub fn read_client_frame<R: Read>(r: &mut R) -> Result<Option<ClientFrame>, Fram
 }
 
 /// Reads one [`ServerFrame`]; `Ok(None)` on clean end of stream.
+// lint-allow(reach): crates/proto/tests/proto_roundtrip.rs and the daemon tests read frames with it
 pub fn read_server_frame<R: Read>(r: &mut R) -> Result<Option<ServerFrame>, FrameError> {
     match read_frame_body(r)? {
         None => Ok(None),

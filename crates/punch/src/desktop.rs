@@ -18,7 +18,9 @@ use actyp_pipeline::{
 };
 use actyp_simnet::{SimDuration, SimTime};
 
-use crate::execution::{ExecutionUnit, SessionState};
+use crate::execution::ExecutionUnit;
+#[cfg(test)]
+use crate::execution::SessionState;
 use crate::users::{AuthorizationError, UserRegistry};
 use crate::vfs::MountManager;
 
@@ -67,7 +69,6 @@ pub struct RunOutcome {
 
 struct ActiveRun {
     tool: String,
-    login: String,
     allocation: Allocation,
     execution_index: usize,
     predicted_cpu: f64,
@@ -128,12 +129,6 @@ impl NetworkDesktop {
     /// Number of runs currently executing.
     pub fn active_runs(&self) -> usize {
         self.runs.len()
-    }
-
-    /// Advances the desktop's virtual clock (used by examples that interleave
-    /// runs over time).
-    pub fn advance_clock(&mut self, by: SimDuration) {
-        self.clock += by;
     }
 
     /// Starts a run: the full Figure 1 sequence up to and including event 6.
@@ -198,7 +193,6 @@ impl NetworkDesktop {
             handle,
             ActiveRun {
                 tool: tool.name.clone(),
-                login: user.login.clone(),
                 allocation,
                 execution_index,
                 predicted_cpu: estimate.cpu_seconds,
@@ -247,6 +241,7 @@ impl NetworkDesktop {
 
     /// Aborts a run: the session is marked aborted and everything is
     /// released, but no observation is folded into the model.
+    #[cfg(test)]
     pub fn abort_run(&mut self, handle: RunHandle) -> Result<(), RunError> {
         let run = self.runs.remove(&handle).ok_or(RunError::UnknownRun)?;
         if let Some(unit) = self.execution_units.get_mut(&run.allocation.machine) {
@@ -261,17 +256,13 @@ impl NetworkDesktop {
 
     /// State of the execution-unit session behind a run handle, if the run
     /// is still active.
+    #[cfg(test)]
     pub fn run_state(&self, handle: RunHandle) -> Option<SessionState> {
         let run = self.runs.get(&handle)?;
         self.execution_units
             .get(&run.allocation.machine)?
             .session(run.execution_index)
             .map(|s| s.state)
-    }
-
-    /// Login that owns a run handle, if the run is still active.
-    pub fn run_owner(&self, handle: RunHandle) -> Option<&str> {
-        self.runs.get(&handle).map(|r| r.login.as_str())
     }
 }
 
@@ -298,7 +289,6 @@ mod tests {
             .unwrap();
         assert_eq!(desk.active_runs(), 1);
         assert_eq!(desk.run_state(handle), Some(SessionState::Running));
-        assert_eq!(desk.run_owner(handle), Some("kapadia"));
         // Application + data disks are mounted for the session.
         assert_eq!(desk.mounts().active(), 2);
 
@@ -377,7 +367,6 @@ mod tests {
             .unwrap();
         let b = desk.start_run("royo", "spice nodes=100 arch=sun").unwrap();
         assert_eq!(desk.active_runs(), 2);
-        assert_ne!(desk.run_owner(a), desk.run_owner(b));
         desk.complete_run(a, 5.0).unwrap();
         desk.complete_run(b, 5.0).unwrap();
     }

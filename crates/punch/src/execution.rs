@@ -106,6 +106,7 @@ impl ExecutionUnit {
     }
 
     /// Aborts a pending or running run.
+    #[cfg(test)]
     pub fn abort(&mut self, index: usize) -> bool {
         match self.sessions.get_mut(index) {
             Some(s) if s.state == SessionState::Pending || s.state == SessionState::Running => {

@@ -82,6 +82,7 @@ impl MountManager {
     }
 
     /// Unmounts `source` for the session.
+    #[cfg(test)]
     pub fn unmount(&mut self, session_key: &str, source: &str) -> Result<(), MountError> {
         match self
             .mounts
@@ -112,6 +113,7 @@ impl MountManager {
     }
 
     /// Active mounts for a session.
+    #[cfg(test)]
     pub fn session_mounts(&self, session_key: &str) -> Vec<&MountRecord> {
         self.mounts
             .values()

@@ -211,11 +211,6 @@ impl Clause {
             alternatives: vec![constraint],
         }
     }
-
-    /// Whether this clause carries alternatives ("or" clause).
-    pub fn is_composite(&self) -> bool {
-        self.alternatives.len() > 1
-    }
 }
 
 /// A clause of a basic (decomposed) query: exactly one constraint.
@@ -255,6 +250,7 @@ impl Query {
     }
 
     /// Convenience: the paper's example query.
+    // lint-allow(reach): tests/{end_to_end_live,remote_backend}.rs build it
     pub fn paper_example() -> Self {
         Query::new()
             .with(QueryKey::rsrc("arch"), Constraint::eq("sun"))
@@ -266,13 +262,9 @@ impl Query {
             .with(QueryKey::user("accessgroup"), Constraint::eq("ece"))
     }
 
-    /// Whether any clause carries alternatives.
-    pub fn is_composite(&self) -> bool {
-        self.clauses.iter().any(Clause::is_composite)
-    }
-
     /// Number of basic queries a decomposition will produce (the product of
     /// the alternative counts).
+    // lint-allow(reach): tests/cross_crate_properties.rs checks decompose against it
     pub fn decomposition_size(&self) -> usize {
         self.clauses
             .iter()
@@ -373,12 +365,6 @@ impl BasicQuery {
             .and_then(|v| v.as_num())
     }
 
-    /// The predicted memory need in megabytes, if estimated.
-    pub fn expected_memory(&self) -> Option<f64> {
-        self.value(Section::Appl, "expectedmemoryuse")
-            .and_then(|v| v.as_num())
-    }
-
     /// Converts back to a (non-composite) [`Query`], used when a stage needs
     /// to re-enter the pipeline.
     pub fn to_query(&self) -> Query {
@@ -445,7 +431,7 @@ mod tests {
     #[test]
     fn paper_example_is_not_composite() {
         let q = Query::paper_example();
-        assert!(!q.is_composite());
+        assert_eq!(q.decomposition_size(), 1);
         assert_eq!(q.decomposition_size(), 1);
         let basics = q.decompose(16);
         assert_eq!(basics.len(), 1);
@@ -466,7 +452,7 @@ mod tests {
                 QueryKey::rsrc("memory"),
                 vec![Constraint::ge(10u64), Constraint::ge(100u64)],
             );
-        assert!(q.is_composite());
+        assert!(q.decomposition_size() > 1);
         assert_eq!(q.decomposition_size(), 4);
         let basics = q.decompose(16);
         assert_eq!(basics.len(), 4);

@@ -3,9 +3,9 @@
 //! The paper notes that "new families of key-value pairs could be defined to
 //! allow the resource management pipeline to simultaneously support multiple
 //! protocols and semantics: this could allow ActYP to reuse Condor's
-//! ClassAds".  Query managers perform exactly this translation step, so this
-//! module provides a small translator from a ClassAds-style requirements
-//! expression into the internal query language.
+//! ClassAds".  This module provides a small translator from a ClassAds-style
+//! requirements expression into the internal query language; the pipeline
+//! and matchmaker tests schedule its output like any native query.
 //!
 //! The supported subset covers the constraints Condor submit files typically
 //! place on machines: a conjunction (`&&`) of comparisons, where each
@@ -81,6 +81,7 @@ fn parse_comparison(term: &str) -> Result<(String, Constraint), ClassAdError> {
 /// Translates a ClassAds-style requirements expression into a [`Query`] in
 /// the `punch` family.  `user_login` and `access_group`, when supplied, are
 /// added as `punch.user.*` clauses so the result can be scheduled directly.
+// lint-allow(reach): the ClassAds tests of crates/pipeline/src/live.rs and crates/baselines/src/matchmaker.rs translate with it
 pub fn translate_requirements(
     expression: &str,
     user_login: Option<&str>,
@@ -175,7 +176,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert!(q.is_composite());
+        assert!(q.decomposition_size() > 1);
         assert_eq!(q.clauses[0].alternatives.len(), 2);
         assert_eq!(q.decompose(8).len(), 2);
     }

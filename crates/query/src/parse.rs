@@ -155,7 +155,7 @@ punch.user.accessgroup = ece
     #[test]
     fn parses_or_alternatives() {
         let q = parse_query("punch.rsrc.arch = sun | hp\n").unwrap();
-        assert!(q.is_composite());
+        assert!(q.decomposition_size() > 1);
         assert_eq!(q.clauses[0].alternatives.len(), 2);
         assert_eq!(q.decompose(8).len(), 2);
     }

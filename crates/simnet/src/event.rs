@@ -10,7 +10,9 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{SimDuration, SimTime};
+#[cfg(test)]
+use crate::time::SimDuration;
+use crate::time::SimTime;
 
 /// An event held by the queue, tagged with its delivery time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,6 +110,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules an event after a delay relative to the current clock.
+    #[cfg(test)]
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.schedule_at(self.now + delay, event);
     }
@@ -125,6 +128,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Delivery time of the next pending event without popping it.
+    #[cfg(test)]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }

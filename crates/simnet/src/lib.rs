@@ -20,12 +20,11 @@
 //!   exponential, normal, lognormal, Pareto).  A local implementation is used
 //!   instead of an external crate so that every experiment is reproducible
 //!   bit-for-bit from a single `u64` seed.
-//! * [`server`] — queueing building blocks: single FCFS servers and
-//!   multi-processor servers (used to model the Alpha server that hosted the
-//!   ActYP prototype, and the scheduling processes inside resource pools).
+//! * [`server`] — the queueing building block: a single FCFS server (used to
+//!   model the scheduling processes inside resource pools).
 //! * [`net`] — latency models for LAN and WAN configurations.
-//! * [`stats`] — online statistics, histograms and percentile estimation used
-//!   by the benchmark harness to report the figure series.
+//! * [`stats`] — histograms and percentile estimation used by the benchmark
+//!   harness to report the figure series.
 
 pub mod event;
 pub mod net;
@@ -37,6 +36,6 @@ pub mod time;
 pub use event::{EventQueue, ScheduledEvent};
 pub use net::{LatencyModel, LinkProfile, NetworkModel};
 pub use rng::Rng;
-pub use server::{FcfsServer, MultiServer};
-pub use stats::{Histogram, OnlineStats, SampleSet};
+pub use server::FcfsServer;
+pub use stats::{Histogram, SampleSet};
 pub use time::{SimDuration, SimTime};

@@ -115,11 +115,6 @@ impl NetworkModel {
         }
     }
 
-    /// Builds a model from explicit profiles (used by tests and ablations).
-    pub fn custom(local: JitteredLatency, lan: JitteredLatency, wan: JitteredLatency) -> Self {
-        NetworkModel { local, lan, wan }
-    }
-
     /// Samples a one-way latency on the given link class.
     pub fn latency(&self, profile: LinkProfile, rng: &mut Rng, bytes: usize) -> SimDuration {
         match profile {

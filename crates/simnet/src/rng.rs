@@ -105,6 +105,7 @@ impl Rng {
     }
 
     /// Uniform integer in the inclusive range `[lo, hi]`.
+    #[cfg(test)]
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         if hi <= lo {
             return lo;
@@ -150,6 +151,7 @@ impl Rng {
     }
 
     /// Fisher–Yates shuffle of a slice.
+    #[cfg(test)]
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.index(i + 1);

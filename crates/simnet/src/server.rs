@@ -5,12 +5,10 @@
 //! load because requests queue behind each other at the scheduling processes.
 //! These helpers model that effect without simulating individual CPU
 //! instructions: a [`FcfsServer`] is a single serially-reused resource (one
-//! scheduling process, one pool manager thread, …) and a [`MultiServer`]
-//! models a host with `n` processors on which independent processes can run
-//! concurrently.
+//! scheduling process, one pool manager thread, …).
 //!
-//! Both are *time-function* servers: given an arrival time and a service
-//! demand they return the completion time, updating their internal
+//! It is a *time-function* server: given an arrival time and a service
+//! demand it returns the completion time, updating its internal
 //! availability horizon.  This is exact for FCFS queues and keeps the event
 //! count in the simulation proportional to the number of requests rather than
 //! the number of queue inspections.
@@ -21,7 +19,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, Default)]
 pub struct FcfsServer {
     next_free: SimTime,
-    busy: SimDuration,
     served: u64,
 }
 
@@ -37,7 +34,6 @@ impl FcfsServer {
         let start = arrival.max(self.next_free);
         let done = start + demand;
         self.next_free = done;
-        self.busy += demand;
         self.served += 1;
         done
     }
@@ -47,87 +43,9 @@ impl FcfsServer {
         self.next_free
     }
 
-    /// Total busy time accumulated so far.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
     /// Number of requests served.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Utilisation over the interval `[0, horizon]`.
-    pub fn utilisation(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
-    }
-}
-
-/// A host with `n` identical processors serving independent requests.
-///
-/// Each request occupies one processor for its service demand; requests are
-/// dispatched to the processor that becomes free first (equivalent to a
-/// single FCFS queue feeding `n` servers).
-#[derive(Debug, Clone)]
-pub struct MultiServer {
-    processors: Vec<SimTime>,
-    busy: SimDuration,
-    served: u64,
-}
-
-impl MultiServer {
-    /// Creates a host with `n` processors (at least one).
-    pub fn new(n: usize) -> Self {
-        MultiServer {
-            processors: vec![SimTime::ZERO; n.max(1)],
-            busy: SimDuration::ZERO,
-            served: 0,
-        }
-    }
-
-    /// Number of processors.
-    pub fn processors(&self) -> usize {
-        self.processors.len()
-    }
-
-    /// Serves a request arriving at `arrival` with the given demand and
-    /// returns its completion time.
-    pub fn serve(&mut self, arrival: SimTime, demand: SimDuration) -> SimTime {
-        // Pick the processor that frees up first (lowest horizon).
-        let idx = self
-            .processors
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &t)| t)
-            .map(|(i, _)| i)
-            .expect("at least one processor");
-        let start = arrival.max(self.processors[idx]);
-        let done = start + demand;
-        self.processors[idx] = done;
-        self.busy += demand;
-        self.served += 1;
-        done
-    }
-
-    /// Number of requests served so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Aggregate busy time across processors.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Mean utilisation across processors over `[0, horizon]`.
-    pub fn utilisation(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy.as_secs_f64() / (horizon.as_secs_f64() * self.processors.len() as f64)).min(1.0)
     }
 }
 
@@ -157,51 +75,5 @@ mod tests {
         // Arrives after the backlog clears.
         assert_eq!(s.serve(t(500), d(10)), t(510));
         assert_eq!(s.served(), 3);
-        assert_eq!(s.busy_time(), d(140));
-    }
-
-    #[test]
-    fn utilisation_is_bounded() {
-        let mut s = FcfsServer::new();
-        s.serve(t(0), d(500));
-        assert!((s.utilisation(t(1000)) - 0.5).abs() < 1e-9);
-        assert_eq!(s.utilisation(SimTime::ZERO), 0.0);
-        assert!(s.utilisation(t(100)) <= 1.0);
-    }
-
-    #[test]
-    fn multi_server_runs_requests_in_parallel() {
-        let mut m = MultiServer::new(2);
-        // Two simultaneous arrivals on two processors finish together.
-        assert_eq!(m.serve(t(0), d(100)), t(100));
-        assert_eq!(m.serve(t(0), d(100)), t(100));
-        // A third must wait for a processor.
-        assert_eq!(m.serve(t(0), d(100)), t(200));
-        assert_eq!(m.served(), 3);
-    }
-
-    #[test]
-    fn multi_server_with_one_processor_is_fcfs() {
-        let mut m = MultiServer::new(1);
-        let mut s = FcfsServer::new();
-        let arrivals = [(0u64, 50u64), (10, 20), (200, 5), (201, 100)];
-        for (a, dem) in arrivals {
-            assert_eq!(m.serve(t(a), d(dem)), s.serve(t(a), d(dem)));
-        }
-    }
-
-    #[test]
-    fn zero_processors_is_clamped_to_one() {
-        let m = MultiServer::new(0);
-        assert_eq!(m.processors(), 1);
-    }
-
-    #[test]
-    fn multi_server_utilisation() {
-        let mut m = MultiServer::new(4);
-        for _ in 0..4 {
-            m.serve(t(0), d(250));
-        }
-        assert!((m.utilisation(t(1000)) - 0.25).abs() < 1e-9);
     }
 }

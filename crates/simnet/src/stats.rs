@@ -1,122 +1,11 @@
 //! Statistics collectors used by the experiments.
 //!
-//! Three collectors cover everything the figures need: [`OnlineStats`]
-//! (count/mean/variance/min/max without storing samples, Welford's method),
-//! [`SampleSet`] (stores samples for exact percentiles — the figure series
-//! report means and 95th percentiles of response time), and [`Histogram`]
-//! (fixed-width bins, used for the Figure 9 CPU-time distribution).
+//! Two collectors cover everything the figures need: [`SampleSet`] (stores
+//! samples for exact percentiles — the figure series report means and 95th
+//! percentiles of response time) and [`Histogram`] (fixed-width bins, used
+//! for the Figure 9 CPU-time distribution).
 
 use crate::time::SimDuration;
-
-/// Streaming mean / variance / extrema (Welford's online algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// An empty collector.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        if x < self.min {
-            self.min = x;
-        }
-        if x > self.max {
-            self.max = x;
-        }
-    }
-
-    /// Adds a duration observation, in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (zero when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sample variance (zero with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (zero when empty).
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (zero when empty).
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another collector into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / total as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * self.count as f64 * other.count as f64 / total as f64;
-        self.count = total;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// Stores raw samples for exact percentile queries.
 #[derive(Debug, Clone, Default)]
@@ -270,86 +159,11 @@ impl Histogram {
             .enumerate()
             .map(move |(i, &c)| (i as f64 * self.bin_width, c))
     }
-
-    /// Index of the fullest bin, or `None` when empty.
-    pub fn mode_bin(&self) -> Option<usize> {
-        if self.total == 0 {
-            return None;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_match_direct_computation() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic set is 4.571428...
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn merging_equals_recording_everything_in_one() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for (i, &x) in xs.iter().enumerate() {
-            all.record(x);
-            if i % 2 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.record(3.0);
-        a.record(5.0);
-        let before = (a.count(), a.mean(), a.variance());
-        a.merge(&OnlineStats::new());
-        assert_eq!(before, (a.count(), a.mean(), a.variance()));
-
-        let mut empty = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        b.record(1.0);
-        empty.merge(&b);
-        assert_eq!(empty.count(), 1);
-        assert_eq!(empty.mean(), 1.0);
-    }
 
     #[test]
     fn quantiles_on_known_set() {
@@ -391,9 +205,6 @@ mod tests {
         assert_eq!(h.count(1), 2);
         assert_eq!(h.count(9), 1);
         assert_eq!(h.overflow(), 2); // 10.0 and 50.0
-                                     // Bins 0 and 1 tie for the mode; either is acceptable.
-        let mode = h.mode_bin().unwrap();
-        assert_eq!(h.count(mode), 2);
     }
 
     #[test]
@@ -414,6 +225,6 @@ mod tests {
         assert_eq!(h.bins(), 1);
         assert_eq!(h.bin_width(), 1.0);
         assert_eq!(h.total(), 1);
-        assert!(h.mode_bin().is_none() || h.overflow() == 1 || h.count(0) == 1);
+        assert_eq!(h.count(0) + h.overflow(), 1);
     }
 }

@@ -88,16 +88,6 @@ impl SimDuration {
         SimDuration((s * 1e9).round() as u64)
     }
 
-    /// Builds a duration from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
-    /// Builds a duration from fractional microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_secs_f64(us / 1e6)
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -220,7 +210,6 @@ mod tests {
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(SimDuration::from_millis_f64(1.5).as_nanos(), 1_500_000);
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! This crate exists to host the runnable examples in the repository-root
 //! `examples/` directory and the cross-crate integration tests in `tests/`
 //! (see the `[[example]]` and `[[test]]` sections of its `Cargo.toml`).  The
-//! library itself only provides a couple of helpers shared by those targets.
+//! library itself holds only the workspace smoke test and its fleet helpers.
 
+#[cfg(test)]
 use actyp_grid::{FleetSpec, SharedDatabase, SyntheticFleet};
 
 /// Builds a shared resource database with the default heterogeneous fleet.
+#[cfg(test)]
 pub fn demo_fleet(machines: usize, seed: u64) -> SharedDatabase {
     SyntheticFleet::new(FleetSpec::with_machines(machines), seed)
         .generate()
@@ -16,6 +18,7 @@ pub fn demo_fleet(machines: usize, seed: u64) -> SharedDatabase {
 
 /// Builds a shared resource database in which every machine matches a single
 /// aggregation criterion (the hot-spot scenarios).
+#[cfg(test)]
 pub fn homogeneous_fleet(machines: usize, arch: &str, memory_mb: u64, seed: u64) -> SharedDatabase {
     SyntheticFleet::new(FleetSpec::homogeneous(machines, arch, memory_mb), seed)
         .generate()

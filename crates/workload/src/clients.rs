@@ -40,6 +40,7 @@ pub struct ClientPopulation {
 impl ClientPopulation {
     /// The paper's controlled-experiment population: closed-loop clients
     /// with negligible think time.
+    // lint-allow(reach): tests/workload_generators.rs builds it
     pub fn closed_loop(clients: usize, requests_per_client: usize) -> Self {
         ClientPopulation {
             clients,

@@ -23,6 +23,7 @@ pub struct TraceRecord {
 
 /// A collection of trace records.
 #[derive(Debug, Clone, Default)]
+// lint-allow(reach): tests/workload_generators.rs round-trips it through CSV
 pub struct Trace {
     records: Vec<TraceRecord>,
 }

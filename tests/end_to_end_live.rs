@@ -132,7 +132,7 @@ fn single_client_keeps_several_tickets_in_flight() {
 /// a real socket) aggregate by the same criteria — the same pool name —
 /// pick an hp machine with >=256 MB and balance their books.
 #[test]
-fn live_and_embedded_deployments_agree_on_semantics() {
+fn windowed_and_windowless_builds_agree_with_a_served_daemon() {
     let text = "punch.rsrc.arch = hp\npunch.rsrc.memory = >=256\n";
     let builder = || PipelineBuilder::new().database(fleet(300, 4));
     let server = builder()
