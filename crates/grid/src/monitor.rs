@@ -67,12 +67,6 @@ impl ResourceMonitor {
         self.config.interval
     }
 
-    /// Number of sweeps performed so far.
-    #[cfg(test)]
-    pub fn sweeps(&self) -> u64 {
-        self.sweeps
-    }
-
     /// Performs one monitoring sweep at virtual time `now`, updating the
     /// dynamic fields of every machine in the database.
     pub fn sweep(&mut self, db: &mut ResourceDatabase, now: SimTime) {
@@ -144,7 +138,7 @@ mod tests {
         let now = SimTime::from_nanos(42);
         monitor.sweep(&mut db, now);
         assert!(db.iter().all(|m| m.dynamic.last_update == now));
-        assert_eq!(monitor.sweeps(), 1);
+        assert_eq!(monitor.sweeps, 1);
     }
 
     #[test]

@@ -277,12 +277,6 @@ impl ShardedDirectory {
         Arc::new(self)
     }
 
-    /// Number of shard lock domains.
-    #[cfg(test)]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, pool: &str) -> usize {
         (fnv1a(pool.as_bytes()) % self.shards.len() as u64) as usize
     }
@@ -625,7 +619,7 @@ mod tests {
         }
         let generation = dir.generation();
         let shared = dir.into_shared_with(4);
-        assert_eq!(shared.shard_count(), 4);
+        assert_eq!(shared.shards.len(), 4);
         assert_eq!(shared.pool_count(), 16);
         assert_eq!(shared.instance_count(), 16);
         assert_eq!(shared.generation(), generation);
@@ -644,7 +638,7 @@ mod tests {
     #[test]
     fn shard_count_is_clamped_to_at_least_one() {
         let dir = ShardedDirectory::with_shards(0);
-        assert_eq!(dir.shard_count(), 1);
+        assert_eq!(dir.shards.len(), 1);
         dir.register_pool(record("p", 0, "pm-a"));
         assert_eq!(dir.instances("p").len(), 1);
     }

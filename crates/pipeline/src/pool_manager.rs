@@ -130,12 +130,6 @@ impl PoolManager {
         self.created
     }
 
-    /// Whether this manager hosts the given pool instance.
-    #[cfg(test)]
-    pub fn hosts(&self, pool: &str, instance: u32) -> bool {
-        self.pools.contains_key(&(pool.to_string(), instance))
-    }
-
     /// Iterates over the pool instances hosted by this manager.
     pub fn pool_instances(&self) -> impl Iterator<Item = (&str, u32, usize)> {
         self.pools
@@ -416,7 +410,7 @@ mod tests {
                 instance,
             } => {
                 assert_eq!(manager, "pm-a");
-                assert!(pm_a.hosts(&pool, instance));
+                assert!(pm_a.pools.contains_key(&(pool.clone(), instance)));
                 // Completing the forward yields an allocation.
                 let a = pm_a
                     .allocate_from(&pool, instance, RequestId(2), &sun_query(), 12)
