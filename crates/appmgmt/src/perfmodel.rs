@@ -45,11 +45,6 @@ impl PerformanceModel {
         }
     }
 
-    /// Number of observed runs folded into the calibration.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
     /// Predicts resource usage for an invocation of `tool` using
     /// `algorithm`.
     pub fn estimate(
@@ -146,7 +141,7 @@ mod tests {
         }
         let later = model.estimate(&tool, &inv, &algo);
         assert!(later.cpu_seconds > first.cpu_seconds * 1.5);
-        assert_eq!(model.observations(), 20);
+        assert_eq!(model.observations, 20);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl CentralScheduler {
         }
     }
 
-    /// Jobs dispatched so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
     /// Total machine-table entries scanned over the scheduler's lifetime —
     /// the quantity that makes the centralized design a bottleneck.
     pub fn scanned_total(&self) -> u64 {
@@ -192,7 +187,7 @@ mod tests {
             SubmitOutcome::Dispatched { examined, .. } => assert_eq!(examined, 50),
             other => panic!("expected dispatch, got {other:?}"),
         }
-        assert_eq!(scheduler.dispatched(), 1);
+        assert_eq!(scheduler.dispatched, 1);
         assert_eq!(scheduler.scanned_total(), 50);
     }
 
@@ -228,7 +223,7 @@ mod tests {
         let database = db(5);
         let mut scheduler = CentralScheduler::new(database.clone());
         assert!(scheduler.try_submit(&job(10.0)).is_some());
-        assert_eq!(scheduler.dispatched(), 1);
+        assert_eq!(scheduler.dispatched, 1);
 
         // Saturate every machine: the job is rejected, not parked.
         {

@@ -42,16 +42,6 @@ impl Matchmaker {
         }
     }
 
-    /// Number of negotiation cycles run.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Number of jobs matched.
-    pub fn matched(&self) -> u64 {
-        self.matched
-    }
-
     /// Total machine advertisements evaluated.
     pub fn evaluated_total(&self) -> u64 {
         self.evaluated_total
@@ -150,7 +140,7 @@ mod tests {
         assert_eq!(outcome.evaluated, 100);
         assert!(outcome.rank.unwrap() > 0.0);
         assert_eq!(database.read().get(machine).unwrap().dynamic.active_jobs, 1);
-        assert_eq!(mm.matched(), 1);
+        assert_eq!(mm.matched, 1);
         mm.finish(machine);
         assert_eq!(database.read().get(machine).unwrap().dynamic.active_jobs, 0);
     }
@@ -165,7 +155,7 @@ mod tests {
         let outcome = mm.negotiate(&job);
         assert!(outcome.machine.is_none());
         assert_eq!(outcome.evaluated, 50);
-        assert_eq!(mm.matched(), 0);
+        assert_eq!(mm.matched, 0);
     }
 
     #[test]
@@ -200,7 +190,7 @@ mod tests {
             "rank must spread jobs, got {}",
             machines.len()
         );
-        assert_eq!(mm.cycles(), 20);
+        assert_eq!(mm.cycles, 20);
         assert_eq!(mm.evaluated_total(), 2_000);
     }
 }

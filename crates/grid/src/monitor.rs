@@ -62,11 +62,6 @@ impl ResourceMonitor {
         }
     }
 
-    /// The configured sweep interval.
-    pub fn interval(&self) -> SimDuration {
-        self.config.interval
-    }
-
     /// Performs one monitoring sweep at virtual time `now`, updating the
     /// dynamic fields of every machine in the database.
     pub fn sweep(&mut self, db: &mut ResourceDatabase, now: SimTime) {

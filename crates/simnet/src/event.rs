@@ -95,11 +95,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
     /// Schedules an event at an absolute time.  Times earlier than the
     /// current clock are clamped to "now" to preserve causality.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
@@ -170,7 +165,7 @@ mod tests {
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(200));
         assert!(q.pop().is_none());
-        assert_eq!(q.delivered(), 2);
+        assert_eq!(q.delivered, 2);
     }
 
     #[test]

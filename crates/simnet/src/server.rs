@@ -38,11 +38,6 @@ impl FcfsServer {
         done
     }
 
-    /// Time at which the server next becomes idle.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
     /// Number of requests served.
     pub fn served(&self) -> u64 {
         self.served
