@@ -140,7 +140,8 @@ mod tests {
         );
         assert_eq!(basic.user_login(), Some("kapadia"));
         assert_eq!(basic.access_group(), Some("ece"));
-        assert!(basic.expected_cpu_use().unwrap() > 0.0);
+        let cpu = basic.value(Section::Appl, "expectedcpuuse").unwrap();
+        assert!(cpu.as_num().unwrap() > 0.0);
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! contrasts quantitatively, this crate implements both baselines over the
 //! same resource database and query language:
 //!
-//! * [`central_queue`] — a centralized scheduler with per-class submit
-//!   queues: every query goes through one scheduler whose dispatch cost
-//!   scans the whole machine table.
+//! * [`central_queue`] — a centralized scheduler: every query goes through
+//!   one scheduler whose dispatch cost scans the whole machine table.
 //! * [`matchmaker`] — a centralized matchmaker that evaluates every query
 //!   against every machine advertisement and picks the best rank.
 //!
@@ -21,5 +20,5 @@
 pub mod central_queue;
 pub mod matchmaker;
 
-pub use central_queue::{CentralScheduler, QueueClass, SubmitOutcome};
+pub use central_queue::CentralScheduler;
 pub use matchmaker::{MatchOutcomeRecord, Matchmaker};

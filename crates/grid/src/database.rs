@@ -3,12 +3,13 @@
 //! The paper's directory-services subsystem is a database holding one record
 //! per machine (Figure 3).  Resource pools *walk* this database at creation
 //! time looking for machines that match the criteria encoded in their name,
-//! cache the matches locally, and mark them as *taken* in the main database
-//! so that other pools do not aggregate the same machines.  The database is
-//! shared by every pool manager and pool object within an administrative
+//! cache the matches locally, and mark them as *taken* in the main database.
+//! A mark records which pool aggregated a machine first; a walk does not
+//! consult the marks, so a later pool whose criteria also match keeps the
+//! machine in its cache even though its own mark is refused.  The database
+//! is shared by every pool manager and pool object within an administrative
 //! domain, so the shared handle type wraps it in a reader/writer lock.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use actyp_simnet::SimTime;
@@ -30,12 +31,12 @@ pub struct TakenBy {
 /// The white-pages database: one record per machine plus the taken marks.
 #[derive(Debug, Default)]
 pub struct ResourceDatabase {
-    machines: BTreeMap<MachineId, Machine>,
-    /// The taken marks, indexed by the dense ids `register` hands out.
+    /// The records, indexed by the dense ids `register` hands out.
+    machines: Vec<Machine>,
+    /// The taken marks, indexed the same way.
     taken: Vec<Option<TakenBy>>,
     /// Marks set in `taken`.
     taken_count: usize,
-    next_id: u64,
 }
 
 /// Shared handle used by pool managers, pool objects and the monitor.
@@ -52,12 +53,11 @@ impl ResourceDatabase {
         Arc::new(RwLock::new(self))
     }
 
-    /// Registers a machine, assigning it a fresh id.  Returns the id.
+    /// Registers a machine, assigning it the next dense id.  Returns the id.
     pub fn register(&mut self, mut machine: Machine) -> MachineId {
-        let id = MachineId(self.next_id);
-        self.next_id += 1;
+        let id = MachineId(self.machines.len() as u64);
         machine.id = id;
-        self.machines.insert(id, machine);
+        self.machines.push(machine);
         self.taken.push(None);
         id
     }
@@ -74,50 +74,31 @@ impl ResourceDatabase {
 
     /// Looks up a machine by id.
     pub fn get(&self, id: MachineId) -> Option<&Machine> {
-        self.machines.get(&id)
+        self.machines.get(usize::try_from(id.0).ok()?)
     }
 
-    /// Mutable access to a machine by id.
+    /// Mutable access to a machine by id.  The record's `id` is the key of
+    /// the table: callers change the other fields only.
     pub fn get_mut(&mut self, id: MachineId) -> Option<&mut Machine> {
-        self.machines.get_mut(&id)
+        self.machines.get_mut(usize::try_from(id.0).ok()?)
     }
 
-    /// Looks up a machine by host name.
-    #[cfg(test)]
-    pub fn find_by_name(&self, name: &str) -> Option<&Machine> {
-        self.machines.values().find(|m| m.name == name)
-    }
-
-    /// Iterates over all machines.
+    /// Iterates over all machines in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Machine> {
-        self.machines.values()
+        self.machines.iter()
     }
 
-    /// Walks the database returning the ids of machines that satisfy the
-    /// predicate and are not already taken by another pool.  This is the
-    /// operation a pool object performs at initialisation time.
-    #[cfg(test)]
-    pub fn walk_untaken<F>(&self, mut predicate: F) -> Vec<MachineId>
-    where
-        F: FnMut(&Machine) -> bool,
-    {
-        self.machines
-            .values()
-            .filter(|m| self.taken_by(m.id).is_none())
-            .filter(|m| predicate(m))
-            .map(|m| m.id)
-            .collect()
-    }
-
-    /// Walks the database returning ids of all machines that satisfy the
-    /// predicate, regardless of taken marks (used for reporting and by the
-    /// centralized baselines, which have no notion of pools).
+    /// Walks the database in id order, returning the ids of all machines
+    /// that satisfy the predicate.  Taken marks are not consulted: pool
+    /// creation walks this way and then claims what it found, and the
+    /// centralized baselines, which have no notion of pools, walk the same
+    /// table.
     pub fn walk<F>(&self, mut predicate: F) -> Vec<MachineId>
     where
         F: FnMut(&Machine) -> bool,
     {
         self.machines
-            .values()
+            .iter()
             .filter(|m| predicate(m))
             .map(|m| m.id)
             .collect()
@@ -163,7 +144,7 @@ impl ResourceDatabase {
     where
         F: FnOnce(&mut Machine),
     {
-        match self.machines.get_mut(&id) {
+        match self.get_mut(id) {
             Some(m) => {
                 update(m);
                 m.dynamic.last_update = now;
@@ -175,27 +156,7 @@ impl ResourceDatabase {
 
     /// Sets the availability state of a machine (field 1).
     pub fn set_state(&mut self, id: MachineId, state: MachineState) -> bool {
-        match self.machines.get_mut(&id) {
-            Some(m) => {
-                m.state = state;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Count of machines in each availability state: `(up, down, blocked)`.
-    #[cfg(test)]
-    pub fn state_counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for m in self.machines.values() {
-            match m.state {
-                MachineState::Up => counts.0 += 1,
-                MachineState::Down => counts.1 += 1,
-                MachineState::Blocked => counts.2 += 1,
-            }
-        }
-        counts
+        self.get_mut(id).map(|m| m.state = state).is_some()
     }
 }
 
@@ -233,12 +194,18 @@ mod tests {
     }
 
     #[test]
-    fn find_by_name_and_get() {
-        let db = sample_db();
-        let m = db.find_by_name("host03").unwrap();
-        assert_eq!(db.get(m.id).unwrap().name, "host03");
-        assert!(db.find_by_name("missing").is_none());
-        assert!(db.get(MachineId(999)).is_none());
+    fn get_reads_the_record_registered_under_an_id() {
+        let mut db = sample_db();
+        let id = db.register(Machine::new(MachineId(77), "late"));
+        assert_eq!(id, MachineId(10));
+        assert_eq!(db.get(id).unwrap().name, "late");
+        assert_eq!(db.get(MachineId(3)).unwrap().name, "host03");
+        db.get_mut(MachineId(3)).unwrap().num_cpus = 8;
+        assert_eq!(db.get(MachineId(3)).unwrap().num_cpus, 8);
+        assert!(db.get(MachineId(11)).is_none());
+        assert!(db.get_mut(MachineId(u64::MAX)).is_none());
+        let ids: Vec<u64> = db.iter().map(|m| m.id.0).collect();
+        assert_eq!(ids, (0..11).collect::<Vec<_>>());
     }
 
     #[test]
@@ -250,19 +217,6 @@ mod tests {
                 .unwrap_or(false)
         });
         assert_eq!(suns.len(), 5);
-    }
-
-    #[test]
-    fn walk_untaken_excludes_taken_machines() {
-        let mut db = sample_db();
-        let all = db.walk_untaken(|_| true);
-        assert_eq!(all.len(), 10);
-        assert!(db.mark_taken(all[0], taken("pool-a")));
-        assert!(db.mark_taken(all[1], taken("pool-a")));
-        let rest = db.walk_untaken(|_| true);
-        assert_eq!(rest.len(), 8);
-        assert!(!rest.contains(&all[0]));
-        assert_eq!(db.taken_count(), 2);
     }
 
     #[test]
@@ -280,7 +234,7 @@ mod tests {
     #[test]
     fn claiming_a_machine_twice_for_one_pool_counts_it_once() {
         let mut db = sample_db();
-        let id = db.walk_untaken(|_| true)[0];
+        let id = db.iter().next().unwrap().id;
         assert!(db.mark_taken(id, taken("pool-a")));
         assert!(db.mark_taken(id, taken("pool-a")));
         assert_eq!(db.taken_count(), 1);
@@ -313,7 +267,10 @@ mod tests {
         let ids: Vec<MachineId> = db.iter().map(|m| m.id).collect();
         db.set_state(ids[0], MachineState::Down);
         db.set_state(ids[1], MachineState::Blocked);
-        assert_eq!(db.state_counts(), (8, 1, 1));
+        let count = |state| db.iter().filter(|m| m.state == state).count();
+        assert_eq!(count(MachineState::Up), 8);
+        assert_eq!(count(MachineState::Down), 1);
+        assert_eq!(count(MachineState::Blocked), 1);
         assert!(!db.set_state(MachineId(777), MachineState::Down));
     }
 

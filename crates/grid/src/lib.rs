@@ -36,7 +36,9 @@ pub mod synth;
 
 pub use attr::AttrValue;
 pub use database::{ResourceDatabase, SharedDatabase, TakenBy};
-pub use machine::{DynamicState, Machine, MachineId, MachineObject, MachineState, ServiceFlags};
+pub use machine::{
+    Builtin, DynamicState, Machine, MachineId, MachineObject, MachineState, ServiceFlags,
+};
 pub use monitor::{MonitorConfig, ResourceMonitor};
 pub use policy::UsagePolicy;
 pub use shadow::{ShadowAccount, ShadowAccountPool};

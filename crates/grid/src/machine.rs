@@ -233,26 +233,48 @@ impl Machine {
     /// well-known names so queries like `punch.rsrc.load = <2` work without
     /// the administrator duplicating them.
     pub fn attribute(&self, key: &str) -> Option<AttrValue> {
-        if let Some(v) = self.params.get(key) {
-            return Some(v.clone());
-        }
-        match key {
-            "load" => Some(AttrValue::Num(self.dynamic.current_load)),
-            "activejobs" => Some(AttrValue::Num(self.dynamic.active_jobs as f64)),
-            "availablememory" => Some(AttrValue::Num(self.dynamic.available_memory_mb)),
-            "availableswap" => Some(AttrValue::Num(self.dynamic.available_swap_mb)),
-            "speed" => Some(AttrValue::Num(self.effective_speed)),
-            "cpus" => Some(AttrValue::Num(self.num_cpus as f64)),
-            "maxload" => Some(AttrValue::Num(self.max_allowed_load)),
-            "name" => Some(AttrValue::str(self.name.clone())),
-            "state" => Some(AttrValue::str(match self.state {
+        self.param(key)
+            .cloned()
+            .or_else(|| match self.builtin(key)? {
+                Builtin::Num(n) => Some(AttrValue::Num(n)),
+                Builtin::Text(s) => Some(AttrValue::str(s)),
+            })
+    }
+
+    /// An administrator-defined parameter, borrowed.
+    pub fn param(&self, key: &str) -> Option<&AttrValue> {
+        self.params.get(key)
+    }
+
+    /// A builtin field under its well-known name, read in place.  A
+    /// parameter of the same name shadows it in [`Machine::attribute`].
+    pub fn builtin(&self, key: &str) -> Option<Builtin<'_>> {
+        Some(match key {
+            "load" => Builtin::Num(self.dynamic.current_load),
+            "activejobs" => Builtin::Num(self.dynamic.active_jobs as f64),
+            "availablememory" => Builtin::Num(self.dynamic.available_memory_mb),
+            "availableswap" => Builtin::Num(self.dynamic.available_swap_mb),
+            "speed" => Builtin::Num(self.effective_speed),
+            "cpus" => Builtin::Num(self.num_cpus as f64),
+            "maxload" => Builtin::Num(self.max_allowed_load),
+            "name" => Builtin::Text(&self.name),
+            "state" => Builtin::Text(match self.state {
                 MachineState::Up => "up",
                 MachineState::Down => "down",
                 MachineState::Blocked => "blocked",
-            })),
-            _ => None,
-        }
+            }),
+            _ => return None,
+        })
     }
+}
+
+/// A builtin field of a machine, borrowed from the record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Builtin<'a> {
+    /// A monitored or capacity field.
+    Num(f64),
+    /// The host name or the availability state.
+    Text(&'a str),
 }
 
 #[cfg(test)]

@@ -8,32 +8,24 @@
 //! the network desktop reports the run complete.
 
 /// A single shadow account on a machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShadowAccount {
     /// Operating-system uid assigned to the shadow account.
     pub uid: u32,
-    /// Account name (e.g. `punch07`).
-    pub name: String,
 }
 
-/// The pool of shadow accounts configured on one machine.
+/// The pool of shadow accounts configured on one machine, held as uids.
 #[derive(Debug, Clone, Default)]
 pub struct ShadowAccountPool {
-    free: Vec<ShadowAccount>,
-    in_use: Vec<ShadowAccount>,
+    free: Vec<u32>,
+    in_use: Vec<u32>,
 }
 
 impl ShadowAccountPool {
     /// Creates a pool of `count` accounts with uids starting at `base_uid`.
     pub fn with_accounts(base_uid: u32, count: u32) -> Self {
-        let free = (0..count)
-            .map(|i| ShadowAccount {
-                uid: base_uid + i,
-                name: format!("punch{:02}", i),
-            })
-            .collect();
         ShadowAccountPool {
-            free,
+            free: (0..count).map(|i| base_uid + i).collect(),
             in_use: Vec::new(),
         }
     }
@@ -50,18 +42,17 @@ impl ShadowAccountPool {
 
     /// Allocates a shadow account, if one is free.
     pub fn allocate(&mut self) -> Option<ShadowAccount> {
-        let account = self.free.pop()?;
-        self.in_use.push(account.clone());
-        Some(account)
+        let uid = self.free.pop()?;
+        self.in_use.push(uid);
+        Some(ShadowAccount { uid })
     }
 
     /// Releases a previously allocated account back to the pool.  Returns
     /// `false` if the account was not allocated from this pool (double
     /// release or foreign account), in which case the pool is unchanged.
     pub fn release(&mut self, uid: u32) -> bool {
-        if let Some(pos) = self.in_use.iter().position(|a| a.uid == uid) {
-            let account = self.in_use.swap_remove(pos);
-            self.free.push(account);
+        if let Some(pos) = self.in_use.iter().position(|&u| u == uid) {
+            self.free.push(self.in_use.swap_remove(pos));
             true
         } else {
             false

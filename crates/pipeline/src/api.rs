@@ -9,7 +9,7 @@
 //! | backend | constructor | what it is |
 //! |---|---|---|
 //! | [`LiveBackend`] | [`PipelineBuilder::build_live`] | [`LivePipeline`] behind a bounded in-flight window: each stage runs on the thread that finds it idle — the calling thread, unless another thread is at it |
-//! | [`CentralQueueBackend`] | [`PipelineBuilder::build_central_queue`] | the PBS/SGE-style centralized multi-queue scheduler baseline |
+//! | [`CentralQueueBackend`] | [`PipelineBuilder::build_central_queue`] | the PBS/SGE-style centralized scheduler baseline |
 //! | [`MatchmakerBackend`] | [`PipelineBuilder::build_matchmaker`] | the Condor-style centralized matchmaker baseline |
 //! | [`RemoteBackend`] | [`PipelineBuilder::remote`] | a client of the `ypd` daemon: the same surface across a TCP hop, speaking the [`actyp_proto`] wire protocol (serve any backend with [`PipelineBuilder::serve`]) |
 //!
@@ -71,9 +71,7 @@ use actyp_query::{BasicQuery, PoolName, Query};
 use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone, SessionKey};
 use crate::live::{Launcher, LivePipeline, PipelineConfig};
 use crate::message::{RequestId, StageAddress};
-use crate::pool_manager::InstanceSelection;
 use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
-use crate::scheduler::SchedulingObjective;
 
 pub use crate::client::RemoteBackend;
 pub use crate::reactor::PollerKind;
@@ -306,7 +304,7 @@ pub enum BackendKind {
     /// The pipeline ([`LivePipeline`]) with a bounded in-flight window
     /// ([`LiveBackend`]).
     Live,
-    /// The centralized multi-queue scheduler baseline.
+    /// The centralized scheduler baseline.
     CentralQueue,
     /// The centralized matchmaker baseline.
     Matchmaker,
@@ -838,9 +836,6 @@ pub trait BaselineDispatcher: Send {
 
 impl BaselineDispatcher for CentralScheduler {
     fn dispatch(&mut self, basic: &BasicQuery) -> Option<(MachineId, usize)> {
-        // `try_submit` rather than `submit`: the unified API reports the
-        // failure to its caller, so the job must not also pile up inside
-        // the scheduler's queues where nothing would ever drain it.
         self.try_submit(basic)
     }
 
@@ -890,7 +885,7 @@ pub struct BaselineBackend<D: BaselineDispatcher> {
     nonce: AtomicU64,
 }
 
-/// The PBS/SGE-style centralized multi-queue scheduler baseline.
+/// The PBS/SGE-style centralized scheduler baseline.
 pub type CentralQueueBackend = BaselineBackend<CentralScheduler>;
 
 /// The Condor-style centralized matchmaker baseline.
@@ -1097,18 +1092,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Scheduling objective used by created pools.
-    pub fn objective(mut self, objective: SchedulingObjective) -> Self {
-        self.config.objective = objective;
-        self
-    }
-
-    /// Pool-instance selection policy inside pool managers.
-    pub fn instance_selection(mut self, selection: InstanceSelection) -> Self {
-        self.config.instance_selection = selection;
-        self
-    }
-
     /// Pool-manager selection policy inside query managers.
     pub fn pool_manager_selection(mut self, selection: PoolManagerSelection) -> Self {
         self.config.pool_manager_selection = selection;
@@ -1121,21 +1104,9 @@ impl PipelineBuilder {
         self
     }
 
-    /// Maximum number of basic queries a composite query may expand into.
-    pub fn decompose_limit(mut self, limit: usize) -> Self {
-        self.config.decompose_limit = limit;
-        self
-    }
-
     /// Delegation time-to-live.
     pub fn ttl(mut self, ttl: u32) -> Self {
         self.config.ttl = ttl;
-        self
-    }
-
-    /// Hour of virtual day used for time-of-day usage policies.
-    pub fn hour_of_day(mut self, hour: u8) -> Self {
-        self.config.hour_of_day = hour;
         self
     }
 
@@ -1238,7 +1209,7 @@ impl PipelineBuilder {
         Ok(LiveBackend::new(LivePipeline::new(config, domains), None))
     }
 
-    /// Builds the centralized multi-queue scheduler baseline.
+    /// Builds the centralized scheduler baseline.
     pub fn build_central_queue(self) -> Result<CentralQueueBackend, AllocationError> {
         let (config, db) = self.take_merged_database()?;
         Ok(BaselineBackend::new(

@@ -10,9 +10,10 @@
 //! has no live instance.  At initialisation the pool walks the white-pages
 //! database for machines matching the criteria encoded in its name, caches
 //! them locally, and marks them *taken* in the main database.  Queries are
-//! answered by the pool's scheduling process ([`crate::scheduler`]); pools
-//! can be **split** into disjoint parts searched concurrently (Figure 7) or
-//! **replicated** with an instance-specific bias (Figure 8).
+//! answered by the pool's scheduling process ([`crate::scheduler`]).  A pool
+//! is never split or replicated in place: the simulator builds the disjoint
+//! parts of Figure 7 and the biased replicas of Figure 8 from explicit
+//! caches ([`ResourcePool::from_cache`]).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -63,29 +64,11 @@ impl ResourcePool {
         seed: u64,
     ) -> Result<Self, AllocationError> {
         let probe = Self::probe_query(&name);
-        let cache = {
-            let guard = db.read();
-            guard.walk(|m| matches_machine(&probe, m).is_match())
-        };
-        if cache.is_empty() {
-            return Err(AllocationError::NoSuchResources);
-        }
-        let pool = ResourcePool {
-            scheduler: Scheduler::new(objective, bias, seed),
-            full_name: name.full().into(),
-            name,
-            instance,
-            cache,
-            db,
-            active: HashMap::new(),
-            nonce: Rng::new(seed ^ 0xACC0_5EED),
-            claims_machines: true,
-        };
-        pool.claim_cache();
-        Ok(pool)
+        let cache = db.read().walk(|m| matches_machine(&probe, m).is_match());
+        Self::from_cache(name, instance, bias, cache, db, objective, seed, true)
     }
 
-    /// Builds a pool directly from an explicit machine cache: the
+    /// Builds a pool from an explicit machine cache: `create`'s walk, the
     /// simulator's split and replicated topologies, and tests.
     #[allow(clippy::too_many_arguments)]
     pub fn from_cache(
@@ -194,10 +177,8 @@ impl ResourcePool {
         let shadow_uid = if machine.shared_account.is_some() {
             None
         } else {
-            match machine.shadow_accounts.allocate() {
-                Some(account) => Some(account.uid),
-                None => return Err(AllocationError::ShadowAccountsExhausted),
-            }
+            let account = machine.shadow_accounts.allocate();
+            Some(account.ok_or(AllocationError::ShadowAccountsExhausted)?.uid)
         };
 
         machine.dynamic.active_jobs += 1;
@@ -256,8 +237,7 @@ impl ResourcePool {
         for id in &self.cache {
             if guard
                 .taken_by(*id)
-                .map(|t| t.pool_name == self.full_name)
-                .unwrap_or(false)
+                .is_some_and(|t| t.pool_name == self.full_name)
             {
                 guard.release_taken(*id);
             }

@@ -8,7 +8,7 @@
 //! scan, and every outcome reports how many cache entries were examined so
 //! the simulated experiments can charge the same cost.
 
-use actyp_grid::{MachineId, ResourceDatabase};
+use actyp_grid::{Machine, MachineId, ResourceDatabase};
 use actyp_query::{admits_user, matches_machine, BasicQuery};
 use actyp_simnet::Rng;
 
@@ -111,10 +111,7 @@ impl Scheduler {
         self.bias
     }
 
-    fn score(&self, db: &ResourceDatabase, id: MachineId) -> f64 {
-        let Some(m) = db.get(id) else {
-            return f64::NEG_INFINITY;
-        };
+    fn score(&self, m: &Machine) -> f64 {
         match self.objective {
             // Higher score is better, so negate load.
             SchedulingObjective::LeastLoaded => -m.dynamic.current_load,
@@ -127,13 +124,17 @@ impl Scheduler {
         }
     }
 
-    fn acceptable(db: &ResourceDatabase, id: MachineId, request: &ScheduleRequest<'_>) -> bool {
-        let Some(m) = db.get(id) else {
-            return false;
-        };
-        m.accepting_work()
-            && matches_machine(request.query, m).is_match()
-            && admits_user(request.query, m, request.hour_of_day)
+    /// The record of `id` if it can take the request (and be scored).
+    fn acceptable<'d>(
+        db: &'d ResourceDatabase,
+        id: MachineId,
+        request: &ScheduleRequest<'_>,
+    ) -> Option<&'d Machine> {
+        db.get(id).filter(|m| {
+            m.accepting_work()
+                && matches_machine(request.query, m).is_match()
+                && admits_user(request.query, m, request.hour_of_day)
+        })
     }
 
     /// Selects a machine from `cache` for the request.  The scan is linear;
@@ -164,10 +165,10 @@ impl Scheduler {
     ) -> Result<ScheduleOutcome, AllocationError> {
         let mut best: Option<(usize, MachineId, f64, bool)> = None;
         for (index, &id) in cache.iter().enumerate() {
-            if !Self::acceptable(db, id, request) {
+            let Some(m) = Self::acceptable(db, id, request) else {
                 continue;
-            }
-            let score = self.score(db, id);
+            };
+            let score = self.score(m);
             let preferred = self.bias.prefers(index);
             let better = match &best {
                 None => true,
@@ -203,7 +204,7 @@ impl Scheduler {
         let mut fallback: Option<(usize, MachineId)> = None;
         for (index, &id) in cache.iter().enumerate() {
             examined += 1;
-            if !Self::acceptable(db, id, request) {
+            if Self::acceptable(db, id, request).is_none() {
                 continue;
             }
             if self.bias.prefers(index) {
@@ -237,7 +238,7 @@ impl Scheduler {
         let start = self.round_robin_cursor % n;
         for offset in 0..n {
             let index = (start + offset) % n;
-            if Self::acceptable(db, cache[index], request) {
+            if Self::acceptable(db, cache[index], request).is_some() {
                 self.round_robin_cursor = index + 1;
                 return Ok(ScheduleOutcome {
                     machine: cache[index],
@@ -262,7 +263,7 @@ impl Scheduler {
         for _ in 0..8.min(n) {
             let index = self.rng.index(n);
             examined += 1;
-            if Self::acceptable(db, cache[index], request) {
+            if Self::acceptable(db, cache[index], request).is_some() {
                 return Ok(ScheduleOutcome {
                     machine: cache[index],
                     cache_index: index,
@@ -272,7 +273,7 @@ impl Scheduler {
         }
         for (index, &id) in cache.iter().enumerate() {
             examined += 1;
-            if Self::acceptable(db, id, request) {
+            if Self::acceptable(db, id, request).is_some() {
                 return Ok(ScheduleOutcome {
                     machine: id,
                     cache_index: index,

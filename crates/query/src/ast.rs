@@ -359,12 +359,6 @@ impl BasicQuery {
             .and_then(|v| v.as_str())
     }
 
-    /// The predicted CPU use in reference-machine seconds, if estimated.
-    pub fn expected_cpu_use(&self) -> Option<f64> {
-        self.value(Section::Appl, "expectedcpuuse")
-            .and_then(|v| v.as_num())
-    }
-
     /// Converts back to a (non-composite) [`Query`], used when a stage needs
     /// to re-enter the pipeline.
     pub fn to_query(&self) -> Query {
@@ -437,7 +431,12 @@ mod tests {
         assert_eq!(basics.len(), 1);
         assert_eq!(basics[0].user_login(), Some("kapadia"));
         assert_eq!(basics[0].access_group(), Some("ece"));
-        assert_eq!(basics[0].expected_cpu_use(), Some(1000.0));
+        assert_eq!(
+            basics[0]
+                .value(Section::Appl, "expectedcpuuse")
+                .and_then(AttrValue::as_num),
+            Some(1000.0)
+        );
     }
 
     #[test]

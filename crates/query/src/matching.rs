@@ -12,71 +12,112 @@
 //!   on the machine, according to the machine's user-group list and usage
 //!   policy?
 
-use actyp_grid::{AttrValue, Machine};
+use std::borrow::Cow;
+
+use actyp_grid::{AttrValue, Builtin, Machine};
 
 use crate::ast::{BasicClause, BasicQuery, CmpOp};
 
 /// The result of evaluating one clause, used by diagnostics and tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum MatchOutcome {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MatchOutcome<'q> {
     /// Every constraint held.
     Matched,
     /// A constraint failed; carries the offending key.
-    Failed(String),
+    Failed(&'q str),
 }
 
-impl MatchOutcome {
+impl MatchOutcome<'_> {
     /// Whether the outcome is a match.
     pub fn is_match(&self) -> bool {
         matches!(self, MatchOutcome::Matched)
     }
 }
 
-fn compare(op: CmpOp, machine_value: &AttrValue, query_value: &AttrValue) -> bool {
+/// A machine's side of a comparison, read in place.
+#[derive(Clone, Copy)]
+enum Side<'m> {
+    Text(&'m str),
+    Value(&'m AttrValue),
+}
+
+/// A query value as the text it compares by: a string as it stands (every
+/// text comparison ignores ASCII case), any other value's canonical text.
+fn query_text(value: &AttrValue) -> Cow<'_, str> {
+    value
+        .as_str()
+        .map_or_else(|| value.canonical().into(), Cow::Borrowed)
+}
+
+/// Canonical text's bytes, read in place: a string's lowercased.
+fn canonical_bytes(text: &str, is_str: bool) -> impl Iterator<Item = u8> + '_ {
+    text.bytes()
+        .map(move |c| if is_str { c.to_ascii_lowercase() } else { c })
+}
+
+fn compare(op: CmpOp, machine: Side<'_>, query_value: &AttrValue) -> bool {
     // Numeric comparison when both sides have a numeric view.
-    if let (Some(m), Some(q)) = (machine_value.as_num(), query_value.as_num()) {
+    let machine_num = match machine {
+        Side::Text(s) => s.trim().parse().ok(),
+        Side::Value(v) => v.as_num(),
+    };
+    if let (Some(m), Some(q)) = (machine_num, query_value.as_num()) {
         let ordering = m.partial_cmp(&q).unwrap_or(std::cmp::Ordering::Equal);
         return op.evaluate_ordering(ordering);
     }
     // Otherwise string/list semantics: equality means "contains" for lists
     // so that `cms = sge` matches a machine advertising `cms=sge,pbs,condor`.
-    let query_text = query_value.canonical();
+    let query = query_text(query_value);
+    let contains = || match machine {
+        Side::Text(s) => s.eq_ignore_ascii_case(&query),
+        Side::Value(v) => v.contains(&query),
+    };
     match op {
-        CmpOp::Eq => machine_value.contains(&query_text),
-        CmpOp::Ne => !machine_value.contains(&query_text),
+        CmpOp::Eq => contains(),
+        CmpOp::Ne => !contains(),
+        // Ordered comparison on canonical text as a last resort.
         _ => {
-            // Ordered comparison on canonical text as a last resort.
-            let ordering = machine_value.canonical().cmp(&query_text);
-            op.evaluate_ordering(ordering)
+            let query = canonical_bytes(&query, matches!(query_value, AttrValue::Str(_)));
+            op.evaluate_ordering(match machine {
+                Side::Text(s) => canonical_bytes(s, true).cmp(query),
+                Side::Value(v) => v.canonical().bytes().cmp(query),
+            })
         }
     }
 }
 
 fn clause_matches(clause: &BasicClause, machine: &Machine) -> bool {
     let key = clause.key.name.as_str();
+    let (op, value) = (clause.constraint.op, &clause.constraint.value);
     // `license` constraints ask whether the machine can run the named tool;
     // the tool-group list (field 17) is authoritative for that.
     if key == "license" || key == "tool" || key == "toolgroup" {
-        let tool = clause.constraint.value.canonical();
-        let supported = machine.supports_tool_group(&tool);
-        return match clause.constraint.op {
+        let supported = machine.supports_tool_group(&query_text(value));
+        return match op {
             CmpOp::Ne => !supported,
             _ => supported,
         };
     }
-    match machine.attribute(key) {
-        Some(value) => compare(clause.constraint.op, &value, &clause.constraint.value),
-        // The machine does not define the attribute: only a `!=` constraint
-        // can be satisfied ("not equal to something it doesn't have").
-        None => clause.constraint.op == CmpOp::Ne,
-    }
+    let side = match machine.param(key) {
+        Some(AttrValue::Str(s)) => Side::Text(s),
+        Some(v) => Side::Value(v),
+        None => match machine.builtin(key) {
+            Some(Builtin::Text(s)) => Side::Text(s),
+            Some(Builtin::Num(n)) => return compare(op, Side::Value(&AttrValue::Num(n)), value),
+            // The machine does not define the attribute: only a `!=`
+            // constraint can be satisfied ("not equal to something it
+            // doesn't have").
+            None => return op == CmpOp::Ne,
+        },
+    };
+    compare(op, side, value)
 }
 
 /// Evaluates every `rsrc` constraint of `query` against `machine`.
-pub fn matches_machine(query: &BasicQuery, machine: &Machine) -> MatchOutcome {
+pub fn matches_machine<'q>(query: &'q BasicQuery, machine: &Machine) -> MatchOutcome<'q> {
     for clause in query.rsrc_clauses() {
         if !clause_matches(clause, machine) {
-            return MatchOutcome::Failed(clause.key.name.clone());
+            return MatchOutcome::Failed(&clause.key.name);
         }
     }
     MatchOutcome::Matched
@@ -132,7 +173,7 @@ mod tests {
         let q = basic(Query::new().with(QueryKey::rsrc("arch"), Constraint::eq("hp")));
         assert_eq!(
             matches_machine(&q, &sun_machine()),
-            MatchOutcome::Failed("arch".to_string())
+            MatchOutcome::Failed("arch")
         );
     }
 

@@ -1,13 +1,20 @@
 //! Property-based tests over cross-crate invariants: query round-tripping,
 //! pool-name stability, decomposition/reintegration, scheduling validity,
-//! allocation/release conservation, and the delegation routing-state
-//! invariants (TTL monotonicity, visited-list, termination).
+//! allocation/release conservation, the delegation routing-state
+//! invariants (TTL monotonicity, visited-list, termination), the borrowing
+//! matcher against the owned evaluation it replaced, and the white pages'
+//! dense id table.
 
 use proptest::prelude::*;
 
-use actyp_grid::{FleetSpec, SyntheticFleet};
+use actyp_grid::{
+    AttrValue, FleetSpec, Machine, MachineId, MachineState, ResourceDatabase, SyntheticFleet,
+};
 use actyp_pipeline::{PipelineBuilder, ResourceManager, RoutingState};
-use actyp_query::{parse_query, Constraint, PoolName, Query, QueryKey};
+use actyp_query::{
+    matches_machine, parse_query, BasicClause, BasicQuery, CmpOp, Constraint, MatchOutcome,
+    PoolName, Query, QueryKey,
+};
 
 /// Strategy for a valid `rsrc` constraint set.
 fn arch_strategy() -> impl Strategy<Value = &'static str> {
@@ -52,6 +59,155 @@ fn query_strategy() -> impl Strategy<Value = Query> {
             }
             q
         })
+}
+
+/// Attribute values that stress the matcher's number and text views:
+/// padded and special numeric strings, mixed case, lists and flags.
+fn attr_values() -> Vec<AttrValue> {
+    vec![
+        AttrValue::str("sun"),
+        AttrValue::str("SUN"),
+        AttrValue::str("Hp"),
+        AttrValue::str(" 128 "),
+        AttrValue::str("inf"),
+        AttrValue::str("nan"),
+        AttrValue::str("-0"),
+        AttrValue::str("1e3"),
+        AttrValue::str(""),
+        AttrValue::str("Spice"),
+        AttrValue::str("up"),
+        AttrValue::num(128.0),
+        AttrValue::num(512.5),
+        AttrValue::num(-1.0),
+        AttrValue::num(f64::INFINITY),
+        AttrValue::num(f64::NAN),
+        AttrValue::list(["sge", "PBS"]),
+        AttrValue::list(["Condor"]),
+        AttrValue::list(Vec::<String>::new()),
+        AttrValue::Bool(true),
+        AttrValue::Bool(false),
+    ]
+}
+
+/// Clause keys: parameters, builtins (`speed` is also set as a parameter,
+/// which shadows it), the tool-group keys and one key no machine defines.
+const MATCH_KEYS: [&str; 13] = [
+    "arch",
+    "memory",
+    "speed",
+    "cms",
+    "name",
+    "state",
+    "load",
+    "cpus",
+    "maxload",
+    "license",
+    "tool",
+    "toolgroup",
+    "gpu",
+];
+
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Ge,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Lt,
+];
+
+fn machine_strategy() -> impl Strategy<Value = Machine> {
+    let values = attr_values().len();
+    (
+        prop::sample::select(vec!["sun01", "Alpha", "128", " 7 ", "nan"]),
+        prop::sample::select(vec![
+            MachineState::Up,
+            MachineState::Down,
+            MachineState::Blocked,
+        ]),
+        prop::sample::select(vec![0.0, 0.5, 128.0, 3.75]),
+        prop::collection::vec(
+            (
+                prop::sample::select(vec!["arch", "memory", "speed", "cms", "name", "license"]),
+                0..values,
+            ),
+            0..6,
+        ),
+        prop::collection::vec(
+            prop::sample::select(vec!["spice", "SPICE", "tsuprem4", "Matlab"]),
+            0..3,
+        ),
+    )
+        .prop_map(|(name, state, load, params, tools)| {
+            let values = attr_values();
+            let mut machine = Machine::new(MachineId(0), name)
+                .with_capacity(load * 2.0, 4, 8.0)
+                .with_tool_groups(tools);
+            machine.state = state;
+            machine.dynamic.current_load = load;
+            for (key, value) in params {
+                machine = machine.with_param(key, values[value].clone());
+            }
+            machine
+        })
+}
+
+fn clauses_strategy() -> impl Strategy<Value = BasicQuery> {
+    prop::collection::vec(
+        (0..MATCH_KEYS.len(), 0..OPS.len(), 0..attr_values().len()),
+        0..5,
+    )
+    .prop_map(|clauses| {
+        let values = attr_values();
+        BasicQuery {
+            clauses: clauses
+                .into_iter()
+                .map(|(key, op, value)| BasicClause {
+                    key: QueryKey::rsrc(MATCH_KEYS[key]),
+                    constraint: Constraint {
+                        op: OPS[op],
+                        value: values[value].clone(),
+                    },
+                })
+                .collect(),
+        }
+    })
+}
+
+/// The matcher as it evaluated before it borrowed: an owned attribute per
+/// clause and canonical text for every string compare.  Returns the key of
+/// the first failing clause.
+fn owned_reference_failure(query: &BasicQuery, machine: &Machine) -> Option<String> {
+    fn compare(op: CmpOp, machine_value: &AttrValue, query_value: &AttrValue) -> bool {
+        if let (Some(m), Some(q)) = (machine_value.as_num(), query_value.as_num()) {
+            let ordering = m.partial_cmp(&q).unwrap_or(std::cmp::Ordering::Equal);
+            return op.evaluate_ordering(ordering);
+        }
+        let query_text = query_value.canonical();
+        match op {
+            CmpOp::Eq => machine_value.contains(&query_text),
+            CmpOp::Ne => !machine_value.contains(&query_text),
+            _ => op.evaluate_ordering(machine_value.canonical().cmp(&query_text)),
+        }
+    }
+    let holds = |clause: &BasicClause| {
+        let key = clause.key.name.as_str();
+        if key == "license" || key == "tool" || key == "toolgroup" {
+            let supported = machine.supports_tool_group(&clause.constraint.value.canonical());
+            return match clause.constraint.op {
+                CmpOp::Ne => !supported,
+                _ => supported,
+            };
+        }
+        match machine.attribute(key) {
+            Some(value) => compare(clause.constraint.op, &value, &clause.constraint.value),
+            None => clause.constraint.op == CmpOp::Ne,
+        }
+    };
+    query
+        .rsrc_clauses()
+        .find(|clause| !holds(clause))
+        .map(|clause| clause.key.name.clone())
 }
 
 proptest! {
@@ -239,5 +395,48 @@ proptest! {
             routing.visited.len() as u32 <= ttl.min(managers.len() as u32),
             "at most one visit per manager, bounded by the TTL"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The borrowing matcher agrees with the owned evaluation it replaced,
+    /// on every operator, down to the key of the first failing clause.
+    #[test]
+    fn borrowing_matcher_agrees_with_the_owned_evaluation(
+        machine in machine_strategy(),
+        query in clauses_strategy()
+    ) {
+        let got = match matches_machine(&query, &machine) {
+            MatchOutcome::Matched => None,
+            MatchOutcome::Failed(key) => Some(key.to_string()),
+        };
+        prop_assert_eq!(got, owned_reference_failure(&query, &machine), "{:?} {:?}", machine, query);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A database extended by `generate_into` (and by a `register` whose
+    /// record carries a stale id) stays a dense table: `get` returns the
+    /// record whose id it was asked for, and `iter` runs in id order.
+    #[test]
+    fn generate_into_keeps_the_record_table_dense(
+        first in 0usize..40,
+        second in 0usize..40,
+        seed in 0u64..1000
+    ) {
+        let mut db = ResourceDatabase::new();
+        SyntheticFleet::new(FleetSpec::with_machines(first), seed).generate_into(&mut db);
+        db.register(Machine::new(MachineId(9_999), "stale"));
+        SyntheticFleet::new(FleetSpec::with_machines(second), seed + 1).generate_into(&mut db);
+        prop_assert_eq!(db.len(), first + second + 1);
+        for (index, machine) in db.iter().enumerate() {
+            prop_assert_eq!(machine.id, MachineId(index as u64));
+            prop_assert_eq!(db.get(machine.id).map(|m| m.id), Some(machine.id));
+        }
+        prop_assert!(db.get(MachineId(db.len() as u64)).is_none());
     }
 }
