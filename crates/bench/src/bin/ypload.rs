@@ -21,13 +21,13 @@ use actyp_pipeline::StageAddress;
 fn usage() -> ! {
     eprintln!(
         "usage: ypload [--connect HOST:PORT] [--clients N] [--depth D] [--requests N]\n\
-         \x20             [--duration SECS] [--machines N] [--pools N] [--window N] [--shards N]\n\
+         \x20             [--duration SECS] [--machines N] [--pools N] [--window N]\n\
          \x20             [--idle N] [--seed S] [--json] [--halt]\n\
          \x20             [--backend live|central-queue|matchmaker]\n\
          \n\
          With --duration each client submits for SECS seconds instead of\n\
          counting --requests.  Self-hosts a ypd on loopback unless --connect\n\
-         is given (then the --machines/--window/--shards/--backend flags are\n\
+         is given (then the --machines/--window/--backend flags are\n\
          ignored: they describe the daemon, which already exists).\n\
          --halt asks the --connect daemon to drain after a clean run, so a\n\
          scripted daemon can be `wait`ed on."
@@ -70,7 +70,6 @@ fn main() {
             "--machines" => spec.machines = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--pools" => spec.pools = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--window" => spec.window = value(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--shards" => spec.shards = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--idle" => spec.idle_sessions = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--seed" => spec.seed = value(&mut i).parse().unwrap_or_else(|_| usage()),
             "--backend" => {

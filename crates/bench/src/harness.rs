@@ -56,7 +56,6 @@ pub const TOPICS: &[&str] = &[
     "saturation_pipelining",
     "saturation_idle",
     "saturation_backends",
-    "saturation_cores",
     "routing",
 ];
 
@@ -378,10 +377,6 @@ pub struct LoadSpec {
     pub backend: BackendKind,
     /// Fleet seed.
     pub seed: u64,
-    /// Shard count of the self-hosted daemon's directory.  `0` keeps the
-    /// daemon's default; `1` restores the old single-lock behaviour — the
-    /// pre-shard series of the `saturation_cores` sweep.
-    pub shards: usize,
     /// When set, the run is time-bounded: each client submits until the
     /// deadline instead of counting `requests_per_client` (which then
     /// only sizes buffers).
@@ -406,7 +401,6 @@ impl Default for LoadSpec {
             idle_sessions: 0,
             backend: BackendKind::Live,
             seed: 0x42,
-            shards: 0,
             duration: None,
             pools: 1,
         }
@@ -484,13 +478,9 @@ pub fn run_load(spec: &LoadSpec) -> Result<LoadResult, String> {
     let db = SyntheticFleet::new(fleet_spec, spec.seed)
         .generate()
         .into_shared();
-    let mut builder = PipelineBuilder::new()
+    let handle: ServerHandle = PipelineBuilder::new()
         .database(db)
-        .window(spec.effective_window());
-    if spec.shards > 0 {
-        builder = builder.shards(spec.shards);
-    }
-    let handle: ServerHandle = builder
+        .window(spec.effective_window())
         .serve(&StageAddress::new("127.0.0.1", 0), spec.backend)
         .map_err(|e| format!("serve: {e}"))?;
     let result = run_load_against(&handle.local_addr(), spec);
@@ -724,66 +714,6 @@ fn saturation_backends(scale: &Scale) -> Result<BenchArtifact, String> {
     ))
 }
 
-/// Clients-times-cores sweep for the sharding work: the same closed-loop
-/// load swept over client count, once with the daemon's hot state sharded
-/// (the default shard count) and once clamped to a single shard — the
-/// pre-shard daemon's global-lock behaviour, reproduced exactly since one
-/// shard degenerates to one lock.  The sharded series bending above the
-/// single-lock series as clients grow is the saturation-curve claim this
-/// sweep exists to prove.
-fn saturation_cores(scale: &Scale) -> Result<BenchArtifact, String> {
-    let p = saturation_params(scale);
-    let series = [(0usize, "sharded"), (1usize, "single-lock")];
-    // The single lock only convoys once client threads oversubscribe the
-    // box, so this sweep reaches higher than the shared client_counts do
-    // at quick scale — 16 threads is where the curves separate even on a
-    // small CI runner.
-    let client_counts: Vec<usize> = if scale_label(scale) == "quick" {
-        vec![2, 8, 16]
-    } else {
-        p.client_counts.clone()
-    };
-    let mut points = Vec::new();
-    for &clients in &client_counts {
-        // Contention is the measurand here, and its signal-to-noise is
-        // poor on short runs (especially on small CI boxes), so this
-        // topic stripes the load over 8 pools (one scheduling process
-        // each — otherwise a single pool's scheduler thread is the
-        // bottleneck and masks the lock behaviour entirely), runs 4x more
-        // requests per cell than the other saturation sweeps,
-        // *interleaves* the two series (machine-load drift would bias
-        // whichever series ran last in a block), and keeps each series'
-        // median-throughput run of five.
-        let mut runs: [Vec<LoadResult>; 2] = [Vec::new(), Vec::new()];
-        for _round in 0..5 {
-            for (slot, (shards, _)) in series.iter().enumerate() {
-                let spec = LoadSpec {
-                    clients,
-                    depth: 4,
-                    requests_per_client: p.requests_per_client * 4,
-                    machines: p.machines,
-                    shards: *shards,
-                    pools: 8,
-                    ..LoadSpec::default()
-                };
-                runs[slot].push(run_load(&spec)?);
-            }
-        }
-        for (slot, (_, label)) in series.iter().enumerate() {
-            let mut series_runs = std::mem::take(&mut runs[slot]);
-            series_runs.sort_by(|a, b| a.throughput().total_cmp(&b.throughput()));
-            let median = series_runs.swap_remove(2);
-            points.push(median.point(label, clients as f64));
-        }
-    }
-    Ok(measured_artifact(
-        "saturation_cores",
-        scale,
-        "clients",
-        points,
-    ))
-}
-
 /// WAN routing sweep: hops-to-first-allocation and delegation latency
 /// for a query only one of the entry daemon's three peers can satisfy,
 /// under three regimes of the learned routing plane.
@@ -947,7 +877,6 @@ pub fn run_topic(topic: &str, scale: &Scale) -> Result<BenchArtifact, String> {
         "saturation_pipelining" => saturation_pipelining(scale),
         "saturation_idle" => saturation_idle(scale),
         "saturation_backends" => saturation_backends(scale),
-        "saturation_cores" => saturation_cores(scale),
         "routing" => routing(scale),
         other => Err(format!(
             "unknown topic `{other}` (expected one of: {})",

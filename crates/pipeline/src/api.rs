@@ -71,7 +71,7 @@ use actyp_query::{BasicQuery, PoolName, Query};
 use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone, SessionKey};
 use crate::live::{Launcher, LivePipeline, PipelineConfig};
 use crate::message::{RequestId, StageAddress};
-use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy};
+use crate::query_manager::{PoolManagerSelection, ReintegrationPolicy, DECOMPOSE_LIMIT};
 
 pub use crate::client::RemoteBackend;
 pub use crate::reactor::PollerKind;
@@ -873,7 +873,6 @@ impl BaselineDispatcher for Matchmaker {
 pub struct BaselineBackend<D: BaselineDispatcher> {
     dispatcher: Mutex<D>,
     db: SharedDatabase,
-    decompose_limit: usize,
     reintegration: ReintegrationPolicy,
     tickets: TicketBook,
     outstanding: Mutex<HashMap<String, MachineId>>,
@@ -892,16 +891,10 @@ pub type CentralQueueBackend = BaselineBackend<CentralScheduler>;
 pub type MatchmakerBackend = BaselineBackend<Matchmaker>;
 
 impl<D: BaselineDispatcher> BaselineBackend<D> {
-    fn new(
-        dispatcher: D,
-        db: SharedDatabase,
-        decompose_limit: usize,
-        reintegration: ReintegrationPolicy,
-    ) -> Self {
+    fn new(dispatcher: D, db: SharedDatabase, reintegration: ReintegrationPolicy) -> Self {
         BaselineBackend {
             dispatcher: Mutex::new(dispatcher),
             db,
-            decompose_limit,
             reintegration,
             tickets: TicketBook::new(),
             outstanding: Mutex::new(HashMap::new()),
@@ -953,7 +946,7 @@ impl<D: BaselineDispatcher> BaselineBackend<D> {
 
     fn execute(&self, query: &Query) -> QueryOutcome {
         self.requests.fetch_add(1, Ordering::Relaxed);
-        let basics = query.decompose(self.decompose_limit);
+        let basics = query.decompose(DECOMPOSE_LIMIT);
         let mut successes = Vec::new();
         let mut first_error = None;
         for basic in &basics {
@@ -1080,12 +1073,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Replaces the whole pipeline configuration at once.
-    pub fn config(mut self, config: PipelineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Number of pool-manager stages (single-domain deployments).
     pub fn pool_managers(mut self, n: usize) -> Self {
         self.config.pool_managers = n;
@@ -1120,15 +1107,6 @@ impl PipelineBuilder {
     /// queue (backpressure).  Clamped to at least 1 and below `2^63`.
     pub fn window(mut self, window: usize) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Shard count of the directory (clamped to at least 1; `1`
-    /// degenerates to the old single-lock behaviour).  The directory is the
-    /// only table it shards; `benchmarks/BENCH_saturation_cores.json` is
-    /// the measurement that justifies it.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
         self
     }
 
@@ -1215,7 +1193,6 @@ impl PipelineBuilder {
         Ok(BaselineBackend::new(
             CentralScheduler::new(db.clone()),
             db,
-            config.decompose_limit,
             config.reintegration,
         ))
     }
@@ -1226,7 +1203,6 @@ impl PipelineBuilder {
         Ok(BaselineBackend::new(
             Matchmaker::new(db.clone()),
             db,
-            config.decompose_limit,
             config.reintegration,
         ))
     }

@@ -52,8 +52,11 @@ use actyp_proto::{
 };
 
 use crate::allocation::AllocationError;
-use crate::directory::DEFAULT_SHARDS;
 use crate::message::StageAddress;
+
+/// Shards of a connection's pending table, so that concurrent requesters
+/// on one connection don't serialise on one lock.
+const PENDING_SHARDS: usize = 8;
 
 /// How long to wait for the far side to accept the TCP connection, and
 /// then for its `HelloAck`.  The ack is computed inline by the daemon's
@@ -225,7 +228,7 @@ impl Conn {
         };
         let conn = Arc::new(Conn {
             out: Out::Socket(Mutex::new(stream)),
-            relay: Relay::new(Some(reader), DEFAULT_SHARDS),
+            relay: Relay::new(Some(reader), PENDING_SHARDS),
             uncollected: Mutex::new(HashMap::new()),
         });
         Ok((conn, version))
@@ -237,7 +240,7 @@ impl Conn {
     pub(crate) fn attached(sink: Arc<dyn FrameSink>) -> Arc<Conn> {
         Arc::new(Conn {
             out: Out::Session(sink),
-            relay: Relay::new(None, DEFAULT_SHARDS),
+            relay: Relay::new(None, PENDING_SHARDS),
             uncollected: Mutex::new(HashMap::new()),
         })
     }

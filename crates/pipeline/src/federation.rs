@@ -1498,8 +1498,8 @@ impl ResourceManager for FederatedBackend {
         stats.route_hits = self.view.route_cache().hits();
         stats.route_misses = self.view.route_cache().misses();
         stats.peer_redials = self.peer_redials.load(Ordering::Relaxed);
-        // The inner backend already reported its own shard contention;
-        // fold in the federated layer's peer-directory shards.
+        // The inner backend already reported its own directory's
+        // contention; fold in the federated layer's peer directory.
         stats.shard_contention = stats
             .shard_contention
             .saturating_add(self.view.directory().contention());

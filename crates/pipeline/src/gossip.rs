@@ -32,7 +32,7 @@
 //! the learned route cache — the same delta that announces a pool's death
 //! kills the cached one-hop route to it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -420,10 +420,9 @@ impl GossipPlane {
             .origins
             .get_mut(&self.domain)
             .expect("own origin log exists");
-        let dead: Vec<String> = log
-            .live
-            .keys()
-            .filter(|p| !pools.contains(p))
+        let current: HashSet<&str> = pools.iter().map(String::as_str).collect();
+        let dead: Vec<String> = (log.live.keys())
+            .filter(|p| !current.contains(p.as_str()))
             .cloned()
             .collect();
         for pool in dead {
@@ -590,6 +589,26 @@ mod tests {
 
         // Up to date: nothing left to ship.
         assert!(a.deltas_since(&vv(&b)).is_empty());
+    }
+
+    /// The order a refresh appends in is part of every gossip digest:
+    /// pools gone, in log order, then pools new, in argument order.
+    #[test]
+    fn refresh_appends_deaths_in_log_order_then_births_in_argument_order() {
+        let a = GossipPlane::with_epoch("a", 10);
+        let names = |list: &[&str]| list.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+        a.refresh_local(&names(&["p3", "p1", "p2"]));
+        let have = a.version_vector();
+        a.refresh_local(&names(&["p4", "p2", "p0", "p4"]));
+        let appended: Vec<(String, bool)> = (a.deltas_since(&have).into_iter())
+            .flat_map(|delta| delta.entries)
+            .map(|entry| (entry.pool, entry.alive))
+            .collect();
+        let expected = [("p1", false), ("p3", false), ("p4", true), ("p0", true)];
+        let expected: Vec<(String, bool)> = (expected.iter())
+            .map(|&(pool, alive)| (pool.to_string(), alive))
+            .collect();
+        assert_eq!(appended, expected);
     }
 
     #[test]

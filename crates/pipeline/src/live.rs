@@ -35,9 +35,13 @@ use crate::allocation::{AllocateDone, Allocation, AllocationError, ReleaseDone};
 use crate::api::StatsSnapshot;
 use crate::directory::{LocalDirectoryService, SharedDirectory};
 use crate::message::{RequestId, RequestIdGenerator, RoutingState};
-use crate::pool_manager::{HandleOutcome, InstanceSelection, PoolManager, PoolManagerConfig};
-use crate::query_manager::{PoolManagerSelection, QueryManager, ReintegrationPolicy};
-use crate::scheduler::SchedulingObjective;
+use crate::pool_manager::{HandleOutcome, PoolManager, PoolManagerConfig};
+use crate::query_manager::{
+    PoolManagerSelection, QueryManager, ReintegrationPolicy, DECOMPOSE_LIMIT,
+};
+
+/// Hour of virtual day used for time-of-day usage policies.
+const HOUR_OF_DAY: u8 = 12;
 
 /// Configuration of a pipeline.
 #[derive(Debug, Clone)]
@@ -45,41 +49,24 @@ pub struct PipelineConfig {
     /// Number of pool-manager stages (single-domain deployments; federated
     /// deployments name one database per stage instead).
     pub pool_managers: usize,
-    /// Scheduling objective used by created pools.
-    pub objective: SchedulingObjective,
-    /// Pool-instance selection policy inside pool managers.
-    pub instance_selection: InstanceSelection,
     /// Pool-manager selection policy inside query managers.
     pub pool_manager_selection: PoolManagerSelection,
     /// Re-integration policy for composite queries.
     pub reintegration: ReintegrationPolicy,
-    /// Maximum number of basic queries a composite query may expand into.
-    pub decompose_limit: usize,
     /// Delegation time-to-live.
     pub ttl: u32,
-    /// Hour of virtual day used for time-of-day usage policies.
-    pub hour_of_day: u8,
     /// RNG seed for all stage-local randomness.
     pub seed: u64,
-    /// Lock shards in the shared directory.  `1` degenerates to the old
-    /// single-lock behaviour; the saturation benches sweep this
-    /// (`benchmarks/BENCH_saturation_cores.json`).
-    pub shards: usize,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             pool_managers: 1,
-            objective: SchedulingObjective::LeastLoaded,
-            instance_selection: InstanceSelection::Random,
             pool_manager_selection: PoolManagerSelection::RoundRobin,
             reintegration: ReintegrationPolicy::All,
-            decompose_limit: 16,
             ttl: 8,
-            hour_of_day: 12,
             seed: 0xAC7C_9A9E,
-            shards: crate::directory::DEFAULT_SHARDS,
         }
     }
 }
@@ -367,7 +354,7 @@ impl Next {
 /// pool, or — when no pool can be made here — to a peer that has not seen
 /// it yet, carrying the routing state along.
 fn step(pm: &mut PoolManager, msg: PmMsg, shared: &Shared) -> Next {
-    let (counters, hour) = (&shared.counters, shared.config.hour_of_day);
+    let counters = &shared.counters;
     let (fragment, mut routing) = match msg {
         PmMsg::Query { fragment, routing } => (fragment, routing),
         PmMsg::AllocateFrom {
@@ -376,7 +363,7 @@ fn step(pm: &mut PoolManager, msg: PmMsg, shared: &Shared) -> Next {
             fragment,
         } => {
             let (request, basic) = (fragment.request, &fragment.basic);
-            let result = pm.allocate_from(&pool, instance, request, basic, hour);
+            let result = pm.allocate_from(&pool, instance, request, basic, HOUR_OF_DAY);
             return Next::Deliver(fragment, result);
         }
         PmMsg::Release { allocation, done } => return Next::Answer(done, pm.release(&allocation)),
@@ -386,7 +373,7 @@ fn step(pm: &mut PoolManager, msg: PmMsg, shared: &Shared) -> Next {
     if !routing.visit(pm.name()) {
         return Next::Deliver(fragment, Err(AllocationError::TtlExpired));
     }
-    match pm.handle(fragment.request, &fragment.basic, hour) {
+    match pm.handle(fragment.request, &fragment.basic, HOUR_OF_DAY) {
         HandleOutcome::Allocated(a) => Next::Deliver(fragment, Ok(a)),
         HandleOutcome::Failed(err) => Next::Deliver(fragment, Err(err)),
         HandleOutcome::Forward {
@@ -424,9 +411,9 @@ fn step(pm: &mut PoolManager, msg: PmMsg, shared: &Shared) -> Next {
 /// its message.  Generic over its locks, like [`crate::api::Window`], so
 /// the model checker (`drain_model_tests` below) runs this very code.
 struct Stage<L = Mutex<PoolManager>, I = Mutex<VecDeque<PmMsg>>> {
-    /// Held for one step: over the directory's `managers` and `shard`
-    /// locks only, never across a delivery, a post or another stage's
-    /// lock (`docs/CONCURRENCY.md`).
+    /// Held for one step: over the directory's `table` lock only, never
+    /// across a delivery, a post or another stage's lock
+    /// (`docs/CONCURRENCY.md`).
     manager: L,
     /// A leaf lock around the messages posted and not stepped yet.
     inbox: I,
@@ -655,18 +642,16 @@ impl LivePipeline {
             "qm-0".to_string(),
             QuerySchema::punch_default().permissive(),
             config.pool_manager_selection.clone(),
-            config.decompose_limit,
+            DECOMPOSE_LIMIT,
             Arc::new(RequestIdGenerator::new()),
             config.seed ^ 0x51,
         ));
         let pm_names: Vec<String> = domains.iter().map(|(name, _)| name.clone()).collect();
-        let directory = LocalDirectoryService::new().into_shared_with(config.shards);
+        let directory = LocalDirectoryService::new().into_shared();
         let stages = domains.into_iter().enumerate().map(|(i, (name, db))| {
             let pm = PoolManagerConfig {
-                selection: config.instance_selection,
-                objective: config.objective,
                 host: format!("actyp-node-{i}"),
-                base_port: 7300,
+                ..PoolManagerConfig::default()
             };
             let seed = config.seed ^ (0x90 + i as u64);
             let manager = PoolManager::new(name, db, directory.clone(), pm, seed);

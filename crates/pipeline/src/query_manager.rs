@@ -15,6 +15,10 @@ use actyp_simnet::Rng;
 use crate::allocation::{Allocation, AllocationError};
 use crate::message::{FragmentTag, RequestId, RequestIdGenerator};
 
+/// Maximum number of basic queries a composite query may expand into, in
+/// the pipeline's query manager and in the centralized baselines alike.
+pub(crate) const DECOMPOSE_LIMIT: usize = 16;
+
 /// How a query manager picks the pool manager for a basic query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum PoolManagerSelection {

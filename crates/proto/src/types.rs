@@ -458,10 +458,10 @@ pub struct StatsSnapshot {
     /// dropped.  Zero on a healthy federation — gossip keeps directories
     /// fresh without tearing links down.
     pub peer_redials: u64,
-    /// Times a hot path was found contended: a directory shard the caller
+    /// Times a hot path was found contended: a directory lock the caller
     /// had to wait for, or a query that found the admission window full
-    /// and queued.  Zero when the shard count and the window match the
-    /// offered concurrency.
+    /// and queued.  Zero when the window matches the offered concurrency
+    /// and no two threads write the directory at once.
     pub shard_contention: u64,
     /// Frames decoded from a readable event that carried more than one
     /// (the reactor decodes every complete frame per readable event, not

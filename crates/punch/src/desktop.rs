@@ -13,9 +13,7 @@ use std::collections::HashMap;
 use actyp_appmgmt::{compose_query, HardwareRequirements, KnowledgeBase, PerformanceModel};
 use actyp_grid::SharedDatabase;
 use actyp_pipeline::api::LiveBackend;
-use actyp_pipeline::{
-    Allocation, AllocationError, PipelineBuilder, PipelineConfig, ResourceManager,
-};
+use actyp_pipeline::{Allocation, AllocationError, PipelineBuilder, ResourceManager};
 use actyp_simnet::{SimDuration, SimTime};
 
 use crate::execution::ExecutionUnit;
@@ -91,19 +89,18 @@ pub struct NetworkDesktop {
 impl NetworkDesktop {
     /// Builds a desktop over a resource database, with the demo user
     /// population and the default tool knowledge base.
-    pub fn new(db: SharedDatabase, pipeline: PipelineConfig) -> Self {
-        Self::with_users(db, pipeline, UserRegistry::demo())
+    pub fn new(db: SharedDatabase) -> Self {
+        Self::with_users(db, UserRegistry::demo())
     }
 
     /// Builds a desktop with an explicit user registry.
-    pub fn with_users(db: SharedDatabase, pipeline: PipelineConfig, users: UserRegistry) -> Self {
+    pub fn with_users(db: SharedDatabase, users: UserRegistry) -> Self {
         NetworkDesktop {
             users,
             knowledge: KnowledgeBase::punch_defaults(),
             model: PerformanceModel::new(),
             manager: PipelineBuilder::new()
                 .database(db)
-                .config(pipeline)
                 .build_live()
                 .expect("a database was provided"),
             vfs: MountManager::new(),
@@ -275,7 +272,7 @@ mod tests {
         let db = SyntheticFleet::new(FleetSpec::with_machines(machines), seed)
             .generate()
             .into_shared();
-        NetworkDesktop::new(db, PipelineConfig::default())
+        NetworkDesktop::new(db)
     }
 
     #[test]

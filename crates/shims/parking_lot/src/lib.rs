@@ -282,12 +282,13 @@ mod model_tests {
         assert!(report.proven());
     }
 
-    /// The sharded-directory locking pattern: writers hash to disjoint
+    /// The sharded-table locking pattern: writers hash to disjoint
     /// shards and never nest shard guards, so every interleaving of
     /// per-shard writes completes and both shards observe their own
-    /// writer's value.  This is the shape `ShardedDirectory` relies on —
-    /// proving it here is the model-checked counterpart of the static
-    /// "shard is a leaf rank" claim in docs/CONCURRENCY.md.
+    /// writer's value.  This is the shape a connection relay's pending
+    /// shards (`corr.rs`) rely on — proving it here is the model-checked
+    /// counterpart of the static "shard is a leaf rank" claim in
+    /// docs/CONCURRENCY.md.
     #[test]
     fn disjoint_shard_writers_proven() {
         let report = explorer().prove(|| {

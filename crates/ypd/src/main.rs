@@ -54,7 +54,7 @@ use actyp_pipeline::{
 
 const USAGE: &str = "\
 usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
-           [--arch NAME] [--pool-managers N] [--window N] [--shards N]
+           [--arch NAME] [--pool-managers N] [--window N]
            [--io-threads N]
            [--domain NAME] [--peer HOST:PORT]... [--ttl N]
            [--gossip-interval MS] [--probe-interval MS]
@@ -69,10 +69,6 @@ usage: ypd [--listen HOST:PORT] [--backend KIND] [--machines N] [--seed N]
   --arch NAME          homogeneous fleet of this architecture (default: mixed fleet)
   --pool-managers N    pool-manager stages (default: 1)
   --window N           live-backend in-flight window (default: 32)
-  --shards N           lock shards of the pool directory, the only table
-                       it shards (default: 8; 1 restores the old
-                       single-lock behaviour; measured in
-                       benchmarks/BENCH_saturation_cores.json)
   --io-threads N       reactor I/O threads driving all session sockets
                        (default: $ACTYP_YPD_IO_THREADS or 2)
   --domain NAME        administrative-domain name for wide-area federation
@@ -103,7 +99,6 @@ struct Config {
     arch: Option<String>,
     pool_managers: usize,
     window: usize,
-    shards: usize,
     io_threads: usize,
     domain: Option<String>,
     peers: Vec<StageAddress>,
@@ -123,7 +118,6 @@ impl Default for Config {
             arch: None,
             pool_managers: 1,
             window: 32,
-            shards: 8,
             io_threads: 2,
             domain: None,
             peers: Vec::new(),
@@ -208,12 +202,6 @@ fn parse_args(
                 config.window = raw
                     .parse()
                     .map_err(|_| format!("--window: invalid size `{raw}`"))?;
-            }
-            "--shards" => {
-                let raw = value("--shards")?;
-                config.shards = raw
-                    .parse()
-                    .map_err(|_| format!("--shards: invalid count `{raw}`"))?;
             }
             "--io-threads" => {
                 let raw = value("--io-threads")?;
@@ -302,7 +290,6 @@ fn main() -> ExitCode {
         .ttl(config.ttl)
         .pool_managers(config.pool_managers)
         .window(config.window)
-        .shards(config.shards)
         .reactor_io_threads(config.io_threads);
 
     let server = match &config.domain {
@@ -456,8 +443,6 @@ mod tests {
                 "3",
                 "--window",
                 "16",
-                "--shards",
-                "4",
                 "--io-threads",
                 "4",
                 "--domain",
@@ -484,7 +469,6 @@ mod tests {
         assert_eq!(config.arch.as_deref(), Some("hp"));
         assert_eq!(config.pool_managers, 3);
         assert_eq!(config.window, 16);
-        assert_eq!(config.shards, 4);
         assert_eq!(config.io_threads, 4);
         assert_eq!(config.domain.as_deref(), Some("purdue"));
         assert_eq!(
@@ -642,7 +626,13 @@ mod tests {
         // size of a worker lane that is itself gone, and the replicas of a
         // query manager that runs on the launching thread are gone: a stale
         // script naming them fails loudly.
-        for removed in ["--sessions", "--poller", "--workers", "--query-managers"] {
+        for removed in [
+            "--sessions",
+            "--poller",
+            "--workers",
+            "--query-managers",
+            "--shards",
+        ] {
             assert!(parse_args(args(&[removed, "reactor"]), no_env())
                 .unwrap_err()
                 .contains(&format!("unknown flag `{removed}`")));

@@ -11,7 +11,6 @@
 //! ```
 
 use actyp_grid::{FleetSpec, SyntheticFleet};
-use actyp_pipeline::PipelineConfig;
 use actyp_punch::users::User;
 use actyp_punch::{NetworkDesktop, UserRegistry};
 use actyp_simnet::Rng;
@@ -35,7 +34,7 @@ fn main() {
             .with_tools(["spice"]),
         );
     }
-    let mut desktop = NetworkDesktop::with_users(db, PipelineConfig::default(), users);
+    let mut desktop = NetworkDesktop::with_users(db, users);
 
     // Generate the burst: identical invocations spread over a lab session.
     let assignment = ClassAssignment::spice_lab(60);

@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use actyp_grid::{FleetSpec, SyntheticFleet};
 use actyp_pipeline::{
-    BackendKind, PipelineBuilder, PipelineConfig, PoolManagerSelection, ResourceManager,
-    StageAddress,
+    BackendKind, PipelineBuilder, PoolManagerSelection, ResourceManager, StageAddress,
 };
 use actyp_punch::{NetworkDesktop, RunError};
 use actyp_query::Query;
@@ -21,7 +20,7 @@ fn fleet(machines: usize, seed: u64) -> actyp_grid::SharedDatabase {
 
 #[test]
 fn desktop_runs_complete_through_the_whole_stack() {
-    let mut desktop = NetworkDesktop::new(fleet(400, 1), PipelineConfig::default());
+    let mut desktop = NetworkDesktop::new(fleet(400, 1));
     let mut handles = Vec::new();
     for command in [
         "tsuprem4 gridpoints=2500 steps=400 domain=purdue",
@@ -49,7 +48,7 @@ fn desktop_runs_complete_through_the_whole_stack() {
 
 #[test]
 fn authorization_is_enforced_before_any_resources_are_touched() {
-    let mut desktop = NetworkDesktop::new(fleet(100, 2), PipelineConfig::default());
+    let mut desktop = NetworkDesktop::new(fleet(100, 2));
     let err = desktop
         .start_run("guest", "minimos devicesize=1")
         .unwrap_err();
